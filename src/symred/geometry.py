@@ -5,6 +5,10 @@ Everything here is pure and immutable: evaluating a field or a derivative
 never mutates shared state, so concurrent use needs no synchronization.
 Derivatives are central finite differences (order 2 or 4, default 4 with
 step 1e-5); nothing in the package differentiates symbolically.
+
+The per-point paths stay cheap on success: ``eval_field`` formats the
+point into its error message only when a value is non-finite, and
+``sample_ball`` draws its rejection-sampling candidates in batches.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ def as_coords(obj) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"{what} contains non-finite entries")
     return a
 
@@ -165,7 +169,9 @@ def eval_field(field: TensorField, p) -> np.ndarray | float:
         raise ValueError(
             f"field {field.name!r} returned shape {out.shape}, declared {field.shape}"
         )
-    _require_finite(out, f"field {field.name!r} at {point}")
+    if not np.isfinite(out).all():
+        # formatting the point costs more than the evaluation: only on failure
+        raise NonFiniteError(f"field {field.name!r} at {point} contains non-finite entries")
     if field.arity == "scalar":
         return float(out)
     return out
@@ -333,6 +339,11 @@ def g_norm(v, metric) -> float:
     return float(np.sqrt(max(g_inner(v, metric, v), 0.0)))
 
 
+# doubles per rejection-sampling draw in sample_ball; small, so the batch
+# stays a few tens of kilobytes
+_BALL_BATCH = 4096
+
+
 def sample_box(dim: int, count: int, radius: float = 2.0, seed: int = 0,
                center: Sequence[float] | None = None) -> list[ChartPoint]:
     """Deterministic uniform sample of chart points in a coordinate box."""
@@ -342,13 +353,24 @@ def sample_box(dim: int, count: int, radius: float = 2.0, seed: int = 0,
     return [ChartPoint(row) for row in pts]
 
 def sample_ball(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> list[ChartPoint]:
-    """Deterministic uniform sample inside the coordinate ball |x| <= radius."""
+    """Deterministic uniform sample inside the coordinate ball |x| <= radius.
+
+    Rejection sampling from the cube: candidates are drawn in batches of
+    about _BALL_BATCH doubles and accepted in draw order, which yields the
+    same points as drawing one candidate of ``dim`` uniforms at a time.
+    """
     rng = np.random.default_rng(seed)
     points: list[ChartPoint] = []
     if dim == 0:
         return [ChartPoint(np.zeros(0)) for _ in range(count)]
+    rows = max(1, _BALL_BATCH // dim)
     while len(points) < count:
-        x = rng.uniform(-1.0, 1.0, size=dim)
-        if np.linalg.norm(x) <= 1.0:
-            points.append(ChartPoint(radius * x))
+        batch = rng.uniform(-1.0, 1.0, size=(rows, dim))
+        # the slack keeps every row the exact norm test below accepts
+        near = np.einsum("ij,ij->i", batch, batch) <= 1.0 + 1e-9
+        for x in batch[near]:
+            if np.linalg.norm(x) <= 1.0:
+                points.append(ChartPoint(radius * x))
+                if len(points) == count:
+                    break
     return points

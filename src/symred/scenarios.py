@@ -25,7 +25,9 @@ from .errors import ParseError, UnknownScenarioError, ValidationError
 from .exprlang import (
     Expr,
     ExprParser,
+    Num,
     Token,
+    compile_expr,
     eval_expr,
     tokenize,
     validate_expr,
@@ -275,39 +277,49 @@ def _as_matrix(value, key: str) -> tuple:
     raise ValidationError(f"value of {key!r} must be a matrix [[..], ..]")
 
 
-def _x_env(p: ChartPoint) -> dict:
-    return {f"x{i + 1}": float(c) for i, c in enumerate(p.coords)}
+def _matrix_field(rows: tuple, names: tuple, name: str) -> TensorField:
+    # literal entries are filled in once; only the others run per point
+    constant = np.array([[e.value if isinstance(e, Num) else 0.0 for e in row] for row in rows])
+    varying = [(i, j, compile_expr(e, names))
+               for i, row in enumerate(rows) for j, e in enumerate(row)
+               if not isinstance(e, Num)]
 
-
-def _matrix_field(rows: tuple, dim: int, name: str) -> TensorField:
     def evaluate(p: ChartPoint) -> np.ndarray:
-        env = _x_env(p)
-        return np.array([[eval_expr(entry, env) for entry in row] for row in rows])
+        values = p.coords.tolist()
+        out = constant.copy()
+        for i, j, entry in varying:
+            out[i, j] = entry(values)
+        return out
 
-    return TensorField.matrix(evaluate, dim, name=name)
+    return TensorField.matrix(evaluate, *constant.shape, name=name)
 
 
 def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
     """Compile a parsed scenario into evaluable fields, action and section.
 
+    Every expression is compiled to a closure once, here; evaluating a
+    field at a point runs the closures over ``p.coords.tolist()``.
     Without an explicit quadrature a uniform torus rule is used (64 points
     for a circle, 16 per factor otherwise), which is correct for the compact
     abelian groups of the built-ins.
     """
     dim, k, q = sf.dim, sf.group_dim, sf.quotient_dim
-    omega = _matrix_field(sf.omega, dim, f"{sf.name} omega")
-    metric = _matrix_field(sf.metric, dim, f"{sf.name} metric")
+    x_names = tuple(f"x{i + 1}" for i in range(dim))
+    t_names = tuple(f"t{i + 1}" for i in range(k))
+    w_names = tuple(f"w{i + 1}" for i in range(q))
+    omega = _matrix_field(sf.omega, x_names, f"{sf.name} omega")
+    metric = _matrix_field(sf.metric, x_names, f"{sf.name} metric")
     if sf.acs is not None:
-        acs = _matrix_field(sf.acs, dim, f"{sf.name} acs")
+        acs = _matrix_field(sf.acs, x_names, f"{sf.name} acs")
     else:
         acs = build_compatible_triple(omega, metric).acs
 
-    flow_exprs = sf.flow
+    flow_fns = [compile_expr(entry, x_names + t_names) for entry in sf.flow]
 
     def flow(params, p):
-        env = _x_env(p)
-        env.update({f"t{i + 1}": float(v) for i, v in enumerate(params)})
-        return ChartPoint([eval_expr(entry, env) for entry in flow_exprs])
+        values = p.coords.tolist()
+        values.extend(map(float, params))
+        return ChartPoint([entry(values) for entry in flow_fns])
 
     if quadrature is None:
         quadrature = uniform_circle_quadrature(64) if k == 1 else uniform_torus_quadrature(k, 16)
@@ -317,18 +329,18 @@ def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
 
     mu_fields = tuple(
         TensorField.scalar(
-            (lambda entry: lambda p: eval_expr(entry, _x_env(p)))(entry),
+            (lambda entry: lambda p: entry(p.coords.tolist()))(compile_expr(e, x_names)),
             name=f"{sf.name} mu[{i}]",
         )
-        for i, entry in enumerate(sf.mu)
+        for i, e in enumerate(sf.mu)
     )
     mu = MomentumMap(components=mu_fields, beta=np.array(sf.beta))
 
-    section_exprs = sf.section
+    section_fns = [compile_expr(entry, w_names) for entry in sf.section]
 
     def section(x: ChartPoint) -> ChartPoint:
-        env = {f"w{i + 1}": float(c) for i, c in enumerate(x.coords)}
-        return ChartPoint([eval_expr(entry, env) for entry in section_exprs])
+        values = x.coords.tolist()
+        return ChartPoint([entry(values) for entry in section_fns])
 
     return ReductionScenario(
         name=sf.name,

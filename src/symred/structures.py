@@ -148,7 +148,12 @@ def check_metric(g: TensorField, points, tol: float = 1e-8) -> StructureCheckRes
 
 
 def check_symplectic_pointwise(w: TensorField, points, tol: float = 1e-8) -> StructureCheckResult:
-    """Antisymmetry and nondegeneracy of a 2-form field at sample points."""
+    """Antisymmetry and nondegeneracy of a 2-form field at sample points.
+
+    Nondegeneracy is scale-free: the ratio of the smallest to the largest
+    singular value must exceed ``tol``, so rescaling the form by a constant
+    does not change the verdict.  An all-zero form has ratio 0 and fails.
+    """
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"symplectic field must be square, got {w.shape}")
     _interleaved_planes(w.shape[0], "symplectic form")
@@ -157,8 +162,12 @@ def check_symplectic_pointwise(w: TensorField, points, tol: float = 1e-8) -> Str
     for p in pts:
         Om = eval_field(w, p)
         asym = max_abs(Om + Om.T)
-        det = abs(float(np.linalg.det(Om)))
-        penalty = 0.0 if det > tol else (2.0 * tol - det)
+        s = np.linalg.svd(Om, compute_uv=False)
+        if s.size == 0:
+            ratio = 1.0
+        else:
+            ratio = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
+        penalty = 0.0 if ratio > tol else (2.0 * tol - ratio)
         residuals.append(max(asym, penalty))
     return StructureCheckResult.from_samples(
         "symplectic field", residuals, pts, tol, IDENTITY_SYMPLECTIC

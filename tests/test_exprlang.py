@@ -1,4 +1,7 @@
-"""Expression language: precedence, round-trips, errors, fuzz totality."""
+"""Expression language: precedence, round-trips, errors, fuzz totality, and
+the closure compiler against the tree-walking reference evaluator."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from symred.exprlang import (
     Neg,
     Num,
     Pow,
+    compile_expr,
     eval_expr,
     format_expr,
     free_names,
@@ -17,7 +21,7 @@ from symred.exprlang import (
     validate_expr,
 )
 
-from util import random_expr
+from util import random_expr, reference_eval_expr
 
 
 def evaluate(text, env=None):
@@ -94,6 +98,67 @@ def test_evaluation_domain_errors():
         evaluate("sqrt(0 - 2)")
     with pytest.raises(NonFiniteError):
         evaluate("exp(10000)")
+
+
+_NAMES = ("x1", "x2", "x3", "x4", "t1", "w1", "w2")
+
+
+def _outcome(fn):
+    """Bits of the float returned, or the type of the exception raised."""
+    try:
+        return struct.pack("<d", fn())
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def test_compile_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    raised = 0
+    for _ in range(400):
+        ast = random_expr(rng)
+        values = rng.uniform(-3.0, 3.0, size=len(_NAMES)).tolist()
+        env = dict(zip(_NAMES, values))
+        want = _outcome(lambda: reference_eval_expr(ast, env))
+        got = _outcome(lambda: compile_expr(ast, _NAMES)(values))
+        assert got == want, format_expr(ast)
+        raised += isinstance(want, type)
+    # the sample must exercise the failure paths as well as the values
+    assert 0 < raised < 400
+
+
+@pytest.mark.parametrize("text", [
+    "-(x1-x2)", "-x1*x2", "sqrt(-x1)", "x1^0", "(x1-x2)^3", "x2/-x1", "exp(-x1)*cos(x2)",
+])
+def test_compile_matches_reference_on_signed_zeros(text):
+    ast = parse_expression(text)
+    for values in ([0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [0.5, 0.5]):
+        env = dict(zip(("x1", "x2"), values))
+        want = _outcome(lambda: reference_eval_expr(ast, env))
+        assert _outcome(lambda: compile_expr(ast, ("x1", "x2"))(values)) == want
+
+
+@pytest.mark.parametrize("text, x1", [
+    ("1/(x1-x1)", 0.3),
+    ("sqrt(0-2)", 0.0),
+    ("exp(10000)", 0.0),
+    ("x1^999999", 10.0),
+])
+def test_compile_raises_like_reference(text, x1):
+    ast = parse_expression(text)
+    with pytest.raises(NonFiniteError):
+        reference_eval_expr(ast, {"x1": x1})
+    fn = compile_expr(ast, ("x1",))  # compiling evaluates nothing
+    with pytest.raises(NonFiniteError):
+        fn([x1])
+
+
+def test_compile_rejects_unknown_names_at_compile_time():
+    with pytest.raises(ValidationError, match="q7"):
+        compile_expr(parse_expression("x1 + q7"), ("x1",))
+    with pytest.raises(ValidationError, match="tan"):
+        compile_expr(parse_expression("tan(x1)"), ("x1",))
+    with pytest.raises(ValidationError):
+        eval_expr(parse_expression("x1 + x2"), {"x1": 1.0})
 
 
 def test_validate_expr_unknown_names():

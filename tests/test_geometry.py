@@ -15,9 +15,13 @@ from symred.geometry import (
     fd_jacobian,
     kernel_basis,
     orthonormalize,
+    sample_ball,
     sqrt_inverse_spd,
 )
+from symred.scenarios import builtin
 from symred.structures import standard_symplectic_matrix
+
+from util import reference_sample_ball
 
 
 def test_chart_point_validation():
@@ -50,6 +54,45 @@ def test_eval_field_rejects_nonfinite_output():
     field = TensorField.scalar(lambda p: 1.0 / p.coords[0] if p.coords[0] else np.inf)
     with pytest.raises(NonFiniteError):
         eval_field(field, [0.0])
+
+
+def test_eval_field_success_never_formats_the_point(monkeypatch):
+    def refuse(self):
+        raise AssertionError("point formatted on the success path")
+
+    monkeypatch.setattr(ChartPoint, "__repr__", refuse)
+    p = ChartPoint([0.3, -0.2, 0.5, 0.1])
+    metric = builtin("noninvariant_metric_hopf").metric
+    assert eval_field(metric, p)[0, 0] == 1.0 + 0.5 ** 2
+    assert eval_field(TensorField.scalar(lambda q: 2.0), p) == 2.0
+
+
+def test_eval_field_nan_message_names_field_and_point():
+    field = TensorField.vector(lambda p: np.array([1.0, np.nan]), 2, name="probe")
+    with pytest.raises(NonFiniteError) as excinfo:
+        eval_field(field, [0.25, -1.5])
+    assert str(excinfo.value) == (
+        "field 'probe' at ChartPoint([ 0.25, -1.5 ]) contains non-finite entries")
+
+
+# the one-at-a-time reference needs about 27k draws per point at dim 14
+@pytest.mark.parametrize("dim, counts, seeds, radii", [
+    (0, (0, 3), (0,), (2.0,)),
+    (1, (1, 7), (0, 1, 9), (2.0, 0.7)),
+    (2, (5, 40), (0, 3), (2.0, 0.7)),
+    (3, (1, 25), (2, 11), (2.0, 0.7)),
+    (8, (4, 12), (0, 5), (2.0, 0.7)),
+    (14, (2,), (0, 5), (1.5,)),
+])
+def test_sample_ball_matches_one_at_a_time_reference(dim, counts, seeds, radii):
+    for count in counts:
+        for seed in seeds:
+            for radius in radii:
+                got = sample_ball(dim, count, radius, seed)
+                want = reference_sample_ball(dim, count, radius, seed)
+                assert len(got) == len(want) == count
+                for a, b in zip(got, want):
+                    assert a.coords.tobytes() == b.coords.tobytes()
 
 
 def test_fd_jacobian_identity_and_linear():

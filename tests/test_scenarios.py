@@ -21,6 +21,8 @@ from symred.structures import (
 )
 from symred.geometry import sample_box
 
+from util import reference_eval_expr
+
 MINIMAL = """
 name = toy
 dim = 2
@@ -162,3 +164,41 @@ def test_builtin_text_round_trips_through_parser():
     for name in builtin_names():
         sf = parse_scenario(builtin_text(name))
         assert sf.name == name
+
+
+_FIELD_CHECK = """
+name = mixed
+dim = 4
+omega = [[0, 1 + x3^2, 0, 0], [-1 - x3^2, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]
+metric = [[exp(x1), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1 + sin(x2)^2, 0.5], [0, 0, 0.5, 1]]
+acs = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1), x3, x4/(1 + t1^2)]
+mu = [0.5*(x1^2 + x2^2) - x4]
+beta = [0.5]
+section = [1/sqrt(1 + w1^2), w1, -w2, 0]
+"""
+
+
+@pytest.mark.parametrize("text", [_FIELD_CHECK, builtin_text("hopf"),
+                                  builtin_text("noninvariant_metric_hopf"),
+                                  builtin_text("euclidean_r2n", 3)])
+def test_compiled_fields_match_reference_evaluation(text):
+    sf = parse_scenario(text)
+    scen = compile_scenario(sf)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        x = rng.uniform(-1.5, 1.5, size=sf.dim)
+        env = {f"x{i + 1}": float(c) for i, c in enumerate(x)}
+        t = float(rng.uniform(-3.0, 3.0))
+        w = rng.uniform(-1.5, 1.5, size=sf.quotient_dim)
+        w_env = {f"w{i + 1}": float(c) for i, c in enumerate(w)}
+        p = ChartPoint(x)
+        for rows, field in ((sf.omega, scen.omega), (sf.metric, scen.metric),
+                            (sf.acs, scen.acs)):
+            want = np.array([[reference_eval_expr(e, env) for e in row] for row in rows])
+            assert eval_field(field, p).tobytes() == want.tobytes()
+        flow_want = np.array([reference_eval_expr(e, {**env, "t1": t}) for e in sf.flow])
+        assert scen.action.flow(np.array([t]), p).coords.tobytes() == flow_want.tobytes()
+        assert eval_field(scen.mu.components[0], p) == reference_eval_expr(sf.mu[0], env)
+        section_want = np.array([reference_eval_expr(e, w_env) for e in sf.section])
+        assert scen.section(ChartPoint(w)).coords.tobytes() == section_want.tobytes()

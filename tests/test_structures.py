@@ -47,6 +47,19 @@ def test_check_symplectic_examples():
     assert check_symplectic_pointwise(scaled, POINTS_2D).passed
 
 
+def test_check_symplectic_nondegeneracy_is_scale_invariant():
+    # det(0.1 * omega_std) = 1e-16 in dimension 16, yet the form is as well
+    # conditioned as omega_std itself
+    points = sample_box(16, 3, radius=1.0, seed=8)
+    small = TensorField.constant(0.1 * standard_symplectic_matrix(16))
+    res = check_symplectic_pointwise(small, points)
+    assert res.passed and res.max_residual == 0.0
+    assert not check_symplectic_pointwise(TensorField.constant(np.zeros((16, 16))), points).passed
+    rank_deficient = standard_symplectic_matrix(16)
+    rank_deficient[14:, 14:] = 0.0
+    assert not check_symplectic_pointwise(TensorField.constant(rank_deficient), points).passed
+
+
 def test_check_symplectic_rejects_odd_dimension():
     with pytest.raises(OddDimensionError):
         check_symplectic_pointwise(TensorField.constant(np.zeros((3, 3))), POINTS)

@@ -1,8 +1,12 @@
 """Shared test oracles, kept independent of the library code paths they check."""
 
+import math
+
 import numpy as np
 
+from symred.errors import NonFiniteError, ValidationError
 from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow
+from symred.geometry import ChartPoint
 
 
 def newton_polar_unitary(a, tol=1e-13, max_iter=200):
@@ -113,3 +117,67 @@ def random_expr(rng, depth=0):
     if kind == 2:
         return Pow(random_expr(rng, depth + 1), int(rng.integers(0, 6)))
     return Call(_FUNCTIONS[rng.integers(len(_FUNCTIONS))], random_expr(rng, depth + 1))
+
+
+_REFERENCE_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
+
+
+def reference_eval_expr(e, env):
+    """Tree-walking evaluator: the reference for the closure compiler.
+
+    Plain float arithmetic over a name -> value environment, walking the AST
+    at every call.  Division by zero, square roots of negative numbers and
+    overflow raise NonFiniteError; unknown names raise ValidationError when
+    they are reached.
+    """
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Coord):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise ValidationError(f"unknown coordinate {e.name!r} at evaluation") from None
+    if isinstance(e, Neg):
+        return -reference_eval_expr(e.arg, env)
+    if isinstance(e, Pow):
+        try:
+            return float(reference_eval_expr(e.base, env) ** e.power)
+        except OverflowError:
+            raise NonFiniteError("power overflows") from None
+    if isinstance(e, Call):
+        arg = reference_eval_expr(e.arg, env)
+        if e.fn == "sqrt" and arg < 0:
+            raise NonFiniteError(f"sqrt of negative value {arg}")
+        try:
+            return _REFERENCE_FUNCTIONS[e.fn](arg)
+        except KeyError:
+            raise ValidationError(f"unknown function {e.fn!r}") from None
+        except OverflowError:
+            raise NonFiniteError(f"{e.fn} overflows") from None
+    if isinstance(e, BinOp):
+        left = reference_eval_expr(e.left, env)
+        right = reference_eval_expr(e.right, env)
+        if e.op == "+":
+            return left + right
+        if e.op == "-":
+            return left - right
+        if e.op == "*":
+            return left * right
+        if right == 0.0:
+            raise NonFiniteError("division by zero")
+        return left / right
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def reference_sample_ball(dim, count, radius=2.0, seed=0):
+    """Rejection sampling one candidate at a time: the reference for the
+    batched sampler, which must return the same points bit for bit."""
+    rng = np.random.default_rng(seed)
+    if dim == 0:
+        return [ChartPoint(np.zeros(0)) for _ in range(count)]
+    points = []
+    while len(points) < count:
+        x = rng.uniform(-1.0, 1.0, size=dim)
+        if np.linalg.norm(x) <= 1.0:
+            points.append(ChartPoint(radius * x))
+    return points
