@@ -35,7 +35,6 @@ from .errors import (
 from .geometry import (
     ChartPoint,
     FDConfig,
-    TangentVector,
     TensorField,
     eval_field,
     fd_directional,
@@ -86,11 +85,7 @@ from .reduction import (
     SplitTangentSpace,
     check_vertical_ad_invariance,
     project_to_level,
-    reduced_acs,
-    reduced_metric,
     reduced_structures,
-    reduced_symplectic,
-    sample_quotient_points,
     split_tangent,
     verify_main_theorem,
     verify_reduction_identity,

@@ -19,14 +19,15 @@ from .errors import UnsupportedNonabelianError
 from .geometry import (
     ChartPoint,
     FDConfig,
-    TangentVector,
     TensorField,
     as_coords,
+    as_point,
     eval_field,
     fd_gradient,
     fd_jacobian,
     max_abs,
     _central_difference,
+    _require_finite,
 )
 from .structures import StructureCheckResult
 
@@ -116,29 +117,32 @@ class MomentumMap:
 
 
 def apply_flow(action: GroupAction, params, p) -> ChartPoint:
-    out = action.flow(np.asarray(params, dtype=float).reshape(action.group_dim),
-                      p if isinstance(p, ChartPoint) else ChartPoint(as_coords(p)))
-    return out if isinstance(out, ChartPoint) else ChartPoint(as_coords(out))
+    return as_point(action.flow(np.asarray(params, dtype=float).reshape(action.group_dim),
+                                as_point(p)))
 
 
-def _flow_map(action: GroupAction, params):
-    a = np.asarray(params, dtype=float).reshape(action.group_dim)
-    return lambda q: apply_flow(action, a, q)
+def _pushforward(action: GroupAction, params, p, cfg: FDConfig):
+    """Jacobian of the flow Phi_a at p, and the moved point Phi_a(p)."""
+    D = fd_jacobian(lambda q: apply_flow(action, params, q), p, cfg)
+    return D, apply_flow(action, params, p)
 
 
-def generator_vector(action: GroupAction, xi, p, cfg: FDConfig = FDConfig()) -> TangentVector:
+def generator_vector(action: GroupAction, xi, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Infinitesimal generator along an arbitrary algebra vector:
-    d/dt flow(t * xi, p) at t = 0."""
-    point = p if isinstance(p, ChartPoint) else ChartPoint(as_coords(p))
+    d/dt flow(t * xi, p) at t = 0, as a component vector at p."""
+    point = as_point(p)
     direction = np.asarray(xi, dtype=float).reshape(action.group_dim)
 
     def sample(t: float) -> np.ndarray:
         return apply_flow(action, t * direction, point).coords
 
-    return TangentVector(point, _central_difference(sample, cfg))
+    v = _central_difference(sample, cfg)
+    if v.shape != (point.dim,):
+        raise ValueError(f"generator length {v.shape} does not match chart dimension {point.dim}")
+    return _require_finite(v, "generator")
 
 
-def generator(action: GroupAction, xi_index: int, p, cfg: FDConfig = FDConfig()) -> TangentVector:
+def generator(action: GroupAction, xi_index: int, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Generator of the xi_index-th algebra basis element at p."""
     if not 0 <= xi_index < action.group_dim:
         raise ValueError(f"algebra index {xi_index} out of range for k={action.group_dim}")
@@ -165,45 +169,50 @@ def check_action_axioms(action: GroupAction, params, points, cfg: FDConfig = FDC
     zero = np.zeros(action.group_dim)
     residuals = []
     for p in pts:
-        res = float(np.linalg.norm(apply_flow(action, zero, p).coords - as_coords(p)))
+        res = [float(np.linalg.norm(apply_flow(action, zero, p).coords - as_coords(p)))]
         if action.abelian:
             for s in prm:
                 for t in prm:
                     two_step = apply_flow(action, s, apply_flow(action, t, p))
                     one_step = apply_flow(action, s + t, p)
-                    res = max(res, float(np.linalg.norm(two_step.coords - one_step.coords)))
-        residuals.append(res)
+                    res.append(float(np.linalg.norm(two_step.coords - one_step.coords)))
+        residuals.append(max_abs(res))
     return StructureCheckResult.from_samples(
         "action axioms", residuals, pts, tol, IDENTITY_AXIOMS
     )
 
 
-def _pullback_check(name, identity, action, field_, params, points, cfg, tol):
-    """Shared body of the isometry/symplectomorphism checks: compare a
-    bilinear field with its pullback D^T F(Phi_a(p)) D."""
+def _invariance_check(name, identity, residual, action, field_, params, points, cfg, tol):
+    """Shared body of the field invariance checks: per point, the worst over
+    the group parameters of residual(D, F(p), F(Phi_a(p)))."""
     pts = list(points)
     prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
     residuals = []
     for p in pts:
-        worst = 0.0
+        here = eval_field(field_, p)
+        per_param = []
         for a in prm:
-            D = fd_jacobian(_flow_map(action, a), p, cfg)
-            moved = eval_field(field_, apply_flow(action, a, p))
-            here = eval_field(field_, p)
-            worst = max(worst, max_abs(D.T @ moved @ D - here))
-        residuals.append(worst)
+            D, moved = _pushforward(action, a, p, cfg)
+            per_param.append(residual(D, here, eval_field(field_, moved)))
+        residuals.append(max_abs(per_param))
     return StructureCheckResult.from_samples(name, residuals, pts, tol, identity)
+
+
+def _pullback_residual(D, here, moved) -> float:
+    """A bilinear field against its pullback D^T F(Phi_a(p)) D."""
+    return max_abs(D.T @ moved @ D - here)
 
 
 def check_isometry(action: GroupAction, g: TensorField, params, points,
                    cfg: FDConfig = FDConfig(), tol: float = 1e-6) -> StructureCheckResult:
-    return _pullback_check("isometry", IDENTITY_ISOMETRY, action, g, params, points, cfg, tol)
+    return _invariance_check("isometry", IDENTITY_ISOMETRY, _pullback_residual,
+                             action, g, params, points, cfg, tol)
 
 
 def check_symplectomorphism(action: GroupAction, w: TensorField, params, points,
                             cfg: FDConfig = FDConfig(), tol: float = 1e-6) -> StructureCheckResult:
-    return _pullback_check("symplectomorphism", IDENTITY_SYMPLECTO, action, w, params, points,
-                           cfg, tol)
+    return _invariance_check("symplectomorphism", IDENTITY_SYMPLECTO, _pullback_residual,
+                             action, w, params, points, cfg, tol)
 
 
 def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, points,
@@ -217,12 +226,12 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
     residuals = []
     for p in pts:
         Om = eval_field(w, p)
-        worst = 0.0
+        per_basis = []
         for i in range(action.group_dim):
-            xi = generator(action, i, p, cfg).components
+            xi = generator(action, i, p, cfg)
             grad = fd_gradient(mu.components[i], p, cfg)
-            worst = max(worst, float(np.linalg.norm(Om.T @ xi - grad)))
-        residuals.append(worst)
+            per_basis.append(float(np.linalg.norm(Om.T @ xi - grad)))
+        residuals.append(max_abs(per_basis))
     return StructureCheckResult.from_samples(
         "hamiltonian condition", residuals, pts, tol, IDENTITY_MOMENTUM
     )
@@ -244,11 +253,8 @@ def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, poin
     residuals = []
     for p in pts:
         here = momentum_values(mu, p)
-        worst = 0.0
-        for a in prm:
-            moved = momentum_values(mu, apply_flow(action, a, p))
-            worst = max(worst, max_abs(moved - here))
-        residuals.append(worst)
+        residuals.append(max_abs([momentum_values(mu, apply_flow(action, a, p)) - here
+                                  for a in prm]))
     return StructureCheckResult.from_samples(
         "momentum invariance", residuals, pts, tol, IDENTITY_MU_INVARIANT
     )
@@ -268,9 +274,8 @@ def average_metric(g0: TensorField, action: GroupAction, cfg: FDConfig = FDConfi
     def avg(p: ChartPoint) -> np.ndarray:
         total = np.zeros((n, n))
         for a, weight in action.quadrature:
-            D = fd_jacobian(_flow_map(action, a), p, cfg)
-            moved = eval_field(g0, apply_flow(action, a, p))
-            total += weight * (D.T @ moved @ D)
+            D, moved = _pushforward(action, a, p, cfg)
+            total += weight * (D.T @ eval_field(g0, moved) @ D)
         return 0.5 * (total + total.T)
 
     return TensorField.matrix(avg, n, name=f"group average of {g0.name or 'metric'}")
@@ -279,20 +284,9 @@ def average_metric(g0: TensorField, action: GroupAction, cfg: FDConfig = FDConfi
 def check_field_invariance(field_: TensorField, action: GroupAction, params, points,
                            cfg: FDConfig = FDConfig(), tol: float = 1e-6) -> StructureCheckResult:
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
-    pts = list(points)
-    prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
-    residuals = []
-    for p in pts:
-        here = eval_field(field_, p)
-        worst = 0.0
-        for a in prm:
-            D = fd_jacobian(_flow_map(action, a), p, cfg)
-            moved = eval_field(field_, apply_flow(action, a, p))
-            worst = max(worst, max_abs(D @ here - moved @ D))
-        residuals.append(worst)
-    return StructureCheckResult.from_samples(
-        "endomorphism invariance", residuals, pts, tol, IDENTITY_FIELD_INVARIANT
-    )
+    return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
+                             lambda D, here, moved: max_abs(D @ here - moved @ D),
+                             action, field_, params, points, cfg, tol)
 
 
 def uniform_circle_quadrature(n: int = 64) -> tuple:

@@ -25,7 +25,7 @@ from .actions import (
     momentum_residual,
 )
 from .errors import ScenarioFormatError, SymredError, UnknownScenarioError
-from .geometry import FDConfig, sample_ball, sample_box
+from .geometry import ChartPoint, FDConfig, sample_ball, sample_box
 from .holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from .reduction import (
     ReductionScenario,
@@ -234,10 +234,12 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
     points = sample_box(scen.chart_dim, samples, radius=2.0, seed=seed)
     rng = np.random.default_rng(seed + 1)
     params = [rng.uniform(-np.pi, np.pi, scen.action.group_dim) for _ in range(5)]
+    # a scenario's explicit quotient points stand unless --seed or --samples
+    # asks for a fresh draw
     if cfg.seed is None and cfg.samples is None and scen.sample_spec.points:
-        qpoints = scen.sample_spec.resolve(scen.quotient_chart_dim)
+        qpoints = [ChartPoint(p) for p in scen.sample_spec.points]
     else:
-        qpoints = sample_ball(scen.quotient_chart_dim, samples,
+        qpoints = sample_ball(scen.quotient_dim, samples,
                               radius=scen.sample_spec.radius, seed=seed)
     fiber_params = (0.0, np.pi / 3.0, np.pi)
 

@@ -1,5 +1,9 @@
-"""Charts, tangent vectors, evaluable tensor fields, finite differences, and
-the small dense linear-algebra kit used by every other module.
+"""Charts, evaluable tensor fields, finite differences, and the small dense
+linear-algebra kit used by every other module.
+
+A chart point is a ``ChartPoint``; a tangent vector is a plain component
+array, and a frame of tangent vectors is a matrix whose columns are the
+vectors.
 
 Everything here is pure and immutable: evaluating a field or a derivative
 never mutates shared state, so concurrent use needs no synchronization.
@@ -22,7 +26,7 @@ from .errors import DegenerateInputError, NonFiniteError, NotSPDError
 
 __all__ = [
     "ChartPoint",
-    "TangentVector",
+    "as_point",
     "TensorField",
     "FDConfig",
     "eval_field",
@@ -43,12 +47,15 @@ __all__ = [
 
 
 def as_coords(obj) -> np.ndarray:
-    """Coordinate vector of a ChartPoint, TangentVector or array-like."""
+    """Coordinate vector of a ChartPoint or array-like."""
     if isinstance(obj, ChartPoint):
         return obj.coords
-    if isinstance(obj, TangentVector):
-        return obj.components
     return np.asarray(obj, dtype=float)
+
+
+def as_point(obj) -> ChartPoint:
+    """``obj`` itself if it is a ChartPoint, else a ChartPoint of its coordinates."""
+    return obj if isinstance(obj, ChartPoint) else ChartPoint(as_coords(obj))
 
 
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -84,28 +91,6 @@ class ChartPoint:
 
     def __repr__(self) -> str:
         return f"ChartPoint({np.array2string(self.coords, separator=', ')})"
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A tangent vector attached to a chart point, in coordinate components."""
-
-    base: ChartPoint
-    components: np.ndarray
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.components, dtype=float))
-        if v.shape != (self.base.dim,):
-            raise ValueError(
-                f"tangent vector length {v.shape} does not match base dimension {self.base.dim}"
-            )
-        _require_finite(v, "tangent vector")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "components", v)
-
-    def __repr__(self) -> str:
-        return f"TangentVector({np.array2string(self.components, separator=', ')})"
 
 
 ARITIES = ("scalar", "vector", "matrix")
@@ -162,7 +147,7 @@ def eval_field(field: TensorField, p) -> np.ndarray | float:
 
     Scalar fields come back as a plain float, everything else as an ndarray.
     """
-    point = p if isinstance(p, ChartPoint) else ChartPoint(as_coords(p))
+    point = as_point(p)
     raw = field.func(point)
     out = np.asarray(raw, dtype=float)
     if out.shape != field.shape:
@@ -273,18 +258,12 @@ def orthonormalize(vectors, metric, tol: float = 1e-10):
     """Gram-Schmidt with respect to the inner product defined by ``metric``.
 
     Vectors whose metric norm drops below ``tol`` after projection are
-    dropped, so linearly dependent inputs are handled silently.  Accepts and
-    returns TangentVector lists or raw component arrays, matching the input.
+    dropped, so linearly dependent inputs are handled silently.
     """
-    vecs = list(vectors)
-    if not vecs:
-        return []
-    tangent = isinstance(vecs[0], TangentVector)
-    base = vecs[0].base if tangent else None
     G = np.asarray(metric, dtype=float)
     basis: list[np.ndarray] = []
-    for v in vecs:
-        w = as_coords(v).astype(float).copy()
+    for v in vectors:
+        w = np.asarray(v, dtype=float).copy()
         for _ in range(2):  # re-orthogonalize once for 1e-12-level orthogonality
             for b in basis:
                 w -= (b @ G @ w) * b
@@ -292,8 +271,6 @@ def orthonormalize(vectors, metric, tol: float = 1e-10):
         if nrm < tol:
             continue
         basis.append(w / nrm)
-    if tangent:
-        return [TangentVector(base, b) for b in basis]
     return basis
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotStandardStructureError, OddDimensionError
-from .geometry import ChartPoint, FDConfig, TensorField, as_coords, eval_field, fd_jacobian, fro_norm, max_abs
+from .geometry import ChartPoint, FDConfig, TensorField, as_point, eval_field, fd_jacobian, fro_norm, max_abs
 from .structures import standard_acs_matrix
 
 __all__ = ["ChartedMap", "almost_complex_residual", "cauchy_riemann_residual"]
@@ -41,13 +41,12 @@ class ChartedMap:
             raise ValueError("target acs shape does not match the target dimension")
 
     def at(self, p) -> ChartPoint:
-        out = self.chart_map(p if isinstance(p, ChartPoint) else ChartPoint(as_coords(p)))
-        return out if isinstance(out, ChartPoint) else ChartPoint(as_coords(out))
+        return as_point(self.chart_map(as_point(p)))
 
 
 def almost_complex_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()) -> float:
     """Frobenius norm of D J1(p) - J2(phi(p)) D with D the map differential."""
-    point = p if isinstance(p, ChartPoint) else ChartPoint(as_coords(p))
+    point = as_point(p)
     D = fd_jacobian(cm.at, point, cfg)
     J1 = eval_field(cm.source_acs, point)
     J2 = eval_field(cm.target_acs, cm.at(point))
@@ -63,7 +62,7 @@ def cauchy_riemann_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()) -> fl
     carry the standard coordinate almost complex structure, for which this
     vanishes exactly when the almost-complex-mapping residual does.
     """
-    point = p if isinstance(p, ChartPoint) else ChartPoint(as_coords(p))
+    point = as_point(p)
     J1_std = standard_acs_matrix(cm.source_dim)
     J2_std = standard_acs_matrix(cm.target_dim)
     if max_abs(eval_field(cm.source_acs, point) - J1_std) > 1e-10:
@@ -71,12 +70,12 @@ def cauchy_riemann_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()) -> fl
     if max_abs(eval_field(cm.target_acs, cm.at(point)) - J2_std) > 1e-10:
         raise NotStandardStructureError("target structure is not the coordinate J")
     D = fd_jacobian(cm.at, point, cfg)
-    worst = 0.0
+    defects = []
     for j in range(cm.target_dim // 2):
         for i in range(cm.source_dim // 2):
             a_x = D[2 * j, 2 * i]
             a_y = D[2 * j, 2 * i + 1]
             b_x = D[2 * j + 1, 2 * i]
             b_y = D[2 * j + 1, 2 * i + 1]
-            worst = max(worst, abs(a_x - b_y), abs(a_y + b_x))
-    return worst
+            defects += [a_x - b_y, a_y + b_x]
+    return max_abs(defects)

@@ -3,6 +3,10 @@ reduced symplectic form and metric through horizontal lifts, the candidate
 reduced almost complex structure, and the verification pipelines for the
 submersion, the pullback identity and the main equivalence.
 
+Every subspace is held as a matrix whose columns span it, and all three
+reduced objects at a quotient point come from one lift frame
+(``reduced_structures``).
+
 The quotient has no chart of its own except through the local section, so
 the projection differential is never formed globally: a tangent vector of
 the level set is projected onto the horizontal space and expressed in the
@@ -24,6 +28,7 @@ from .actions import (
     generator,
     momentum_jacobian,
     momentum_values,
+    _pushforward,
 )
 from .errors import (
     ActionNotFreeError,
@@ -38,9 +43,9 @@ from .errors import (
 from .geometry import (
     ChartPoint,
     FDConfig,
-    TangentVector,
     TensorField,
     as_coords,
+    as_point,
     eval_field,
     fd_jacobian,
     fro_norm,
@@ -48,7 +53,6 @@ from .geometry import (
     kernel_basis,
     max_abs,
     orthonormalize,
-    sample_ball,
 )
 from .report import VerificationReport
 from .structures import StructureCheckResult
@@ -61,14 +65,10 @@ __all__ = [
     "project_to_level",
     "split_tangent",
     "check_vertical_ad_invariance",
-    "reduced_metric",
-    "reduced_symplectic",
-    "reduced_acs",
     "reduced_structures",
     "verify_submersion",
     "verify_reduction_identity",
     "verify_main_theorem",
-    "sample_quotient_points",
 ]
 
 IDENTITY_FIBER = "h_x independent of the fibre representative"
@@ -83,20 +83,19 @@ IDENTITY_RED_ACS = "J_red^2 = -I"
 IDENTITY_IFF = "reduced compatibility with h_red holds iff pi is almost complex"
 IDENTITY_HYPOTHESIS = "ambient compatibility omega(u, J v) = g(u, v)"
 
+# reduced_structures warns when J of a horizontal lift leaves the level
+# tangent space by more than this, relative to the lift's g-norm
+LEAK_WARNING_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Seeded sampling request for quotient chart points."""
+    """Seeded sampling request for quotient chart points, or explicit points."""
 
     count: int = 20
     seed: int = 0
     radius: float = 2.0
     points: tuple = ()
-
-    def resolve(self, quotient_dim: int) -> list[ChartPoint]:
-        if self.points:
-            return [ChartPoint(p) for p in self.points]
-        return sample_ball(quotient_dim, self.count, self.radius, self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +112,10 @@ class ReductionScenario:
     mu: MomentumMap
     quotient_dim: int
     section: object  # quotient ChartPoint -> ChartPoint on the level set
-    quotient_chart_dim: int = -1
     tolerances: dict = field(default_factory=dict)
     sample_spec: SampleSpec = SampleSpec()
 
     def __post_init__(self):
-        if self.quotient_chart_dim < 0:
-            object.__setattr__(self, "quotient_chart_dim", self.quotient_dim)
         expected = self.chart_dim - 2 * self.action.group_dim
         if self.quotient_dim != expected:
             # abelian free built-ins always have dim G_beta = dim G, so the
@@ -129,28 +125,22 @@ class ReductionScenario:
                 f"differs from chart_dim - 2 * group_dim = {expected}",
                 stacklevel=2,
             )
-        if self.quotient_chart_dim != self.quotient_dim:
-            warnings.warn(
-                f"scenario {self.name!r}: quotient chart dimension "
-                f"{self.quotient_chart_dim} differs from quotient dimension {self.quotient_dim}",
-                stacklevel=2,
-            )
 
     def section_point(self, x) -> ChartPoint:
-        out = self.section(x if isinstance(x, ChartPoint) else ChartPoint(as_coords(x)))
-        return out if isinstance(out, ChartPoint) else ChartPoint(as_coords(out))
+        return as_point(self.section(as_point(x)))
 
 
 @dataclass(frozen=True, eq=False)
 class SplitTangentSpace:
-    """Bases of the level-set tangent space at a point: the full kernel of
-    d mu, the vertical subspace (raw generators), and a g-orthonormal
-    horizontal complement."""
+    """The level-set tangent space at a point as column matrices: the kernel
+    of d mu, a g-orthonormal vertical frame and a g-orthonormal horizontal
+    complement, orthonormal for ``metric``, the ambient metric at ``base``."""
 
     base: ChartPoint
-    level_tangent: tuple
-    vertical: tuple
-    horizontal: tuple
+    metric: np.ndarray
+    level: np.ndarray       # n x (n-k)
+    vertical: np.ndarray    # n x k
+    horizontal: np.ndarray  # n x (n-2k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +188,10 @@ def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig(), *,
 
     The level tangent space is the kernel of the momentum differential, the
     vertical basis is the generator vectors, and the horizontal basis is the
-    g-orthogonal complement of the vertical span inside the kernel,
-    orthonormalized for the ambient metric at ``m``.
+    g-orthogonal complement of the vertical span inside the kernel; both
+    are orthonormalized for the ambient metric at ``m``.
     """
-    point = m if isinstance(m, ChartPoint) else ChartPoint(as_coords(m))
+    point = as_point(m)
     n = scen.chart_dim
     k = scen.action.group_dim
 
@@ -216,8 +206,8 @@ def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig(), *,
             f"kernel of d mu has dimension {len(level)}, expected {n - k}"
         )
 
-    gens = [generator(scen.action, i, point, cfg).components for i in range(k)]
-    V = np.column_stack(gens) if gens else np.zeros((n, 0))
+    gens = [generator(scen.action, i, point, cfg) for i in range(k)]
+    V = _columns(gens, n)
     sv = np.linalg.svd(V, compute_uv=False) if k else np.zeros(0)
     if k and sv[-1] <= free_tol:
         raise ActionNotFreeError(
@@ -247,46 +237,34 @@ def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig(), *,
             f"horizontal complement has dimension {len(horizontal)}, expected {n - 2 * k}"
         )
 
-    return SplitTangentSpace(
-        base=point,
-        level_tangent=tuple(TangentVector(point, u) for u in level),
-        vertical=tuple(TangentVector(point, u) for u in gens),
-        horizontal=tuple(TangentVector(point, u) for u in horizontal),
-    )
+    return SplitTangentSpace(point, G, _columns(level, n), _columns(v_onb, n),
+                             _columns(horizontal, n))
+
+
+def _columns(vectors, n: int) -> np.ndarray:
+    """The n-component vectors as the columns of an n x len(vectors) matrix."""
+    return np.column_stack(vectors) if vectors else np.zeros((n, 0))
 
 
 @dataclass(frozen=True, eq=False)
 class _Frame:
-    """Everything needed at one section point: splitting, orthonormal frames,
-    pinned lifts and the ambient structures evaluated at the point."""
+    """Everything needed at one section point: the splitting (with the metric),
+    pinned lifts and the other ambient structures evaluated at the point."""
 
     x: ChartPoint
     m: ChartPoint
     split: SplitTangentSpace
-    level: np.ndarray    # n x (n-k), columns = kernel basis of d mu
-    v_onb: np.ndarray    # n x k, g-orthonormal vertical frame
-    h_onb: np.ndarray    # n x (n-2k), g-orthonormal horizontal frame
     lifts: np.ndarray    # n x q with d pi(lift_i) = e_i
-    G: np.ndarray
     Om: np.ndarray
     J: np.ndarray
     lift_residual: float
 
 
-def _columns(vectors) -> np.ndarray:
-    comps = [as_coords(v) for v in vectors]
-    if not comps:
-        return np.zeros((0, 0))
-    return np.column_stack(comps)
-
-
 def _lift_frame(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(),
                 section=None) -> _Frame:
-    xq = x if isinstance(x, ChartPoint) else ChartPoint(as_coords(x))
+    xq = as_point(x)
     sec = scen.section_point if section is None else section
-    m = sec(xq)
-    if not isinstance(m, ChartPoint):
-        m = ChartPoint(as_coords(m))
+    m = as_point(sec(xq))
     level_err = float(np.linalg.norm(momentum_values(scen.mu, m) - scen.mu.beta))
     if level_err > 1e-8:
         raise SectionNotOnLevelError(
@@ -295,13 +273,9 @@ def _lift_frame(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(),
     split = split_tangent(scen, m, cfg)
     n = scen.chart_dim
     q = scen.quotient_dim
-    G = eval_field(scen.metric, m)
+    G, h_onb = split.metric, split.horizontal
     Om = eval_field(scen.omega, m)
     J = eval_field(scen.acs, m)
-    level = _columns(split.level_tangent) if split.level_tangent else np.zeros((n, 0))
-    v_onb = _columns(orthonormalize([as_coords(v) for v in split.vertical], G)) \
-        if split.vertical else np.zeros((n, 0))
-    h_onb = _columns(split.horizontal) if split.horizontal else np.zeros((n, 0))
 
     dsig = fd_jacobian(sec, xq, cfg)           # n x q section pushforward
     if q == 0:
@@ -320,17 +294,16 @@ def _lift_frame(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(),
             )
         solve_back = np.linalg.lstsq(lifts, lifts, rcond=None)[0]
         lift_residual = max_abs(solve_back - np.eye(q))
-    return _Frame(xq, m, split, level, v_onb, h_onb, lifts, G, Om, J, lift_residual)
+    return _Frame(xq, m, split, lifts, Om, J, lift_residual)
 
 
 def _decompose(frame: _Frame, u: np.ndarray):
     """g-orthogonal decomposition of an ambient vector into horizontal and
     vertical coefficients plus the remainder normal to the level set."""
-    h_coef = frame.h_onb.T @ frame.G @ u if frame.h_onb.size else np.zeros(0)
-    v_coef = frame.v_onb.T @ frame.G @ u if frame.v_onb.size else np.zeros(0)
-    rem = u - (frame.h_onb @ h_coef if h_coef.size else 0.0) \
-            - (frame.v_onb @ v_coef if v_coef.size else 0.0)
-    return h_coef, v_coef, rem
+    H, V, G = frame.split.horizontal, frame.split.vertical, frame.split.metric
+    h_coef = H.T @ G @ u
+    v_coef = V.T @ G @ u
+    return h_coef, v_coef, u - H @ h_coef - V @ v_coef
 
 
 def _dpi(frame: _Frame, u: np.ndarray) -> np.ndarray:
@@ -339,7 +312,7 @@ def _dpi(frame: _Frame, u: np.ndarray) -> np.ndarray:
     if q == 0:
         return np.zeros(0)
     h_coef, _, _ = _decompose(frame, u)
-    h_part = frame.h_onb @ h_coef
+    h_part = frame.split.horizontal @ h_coef
     return np.linalg.lstsq(frame.lifts, h_part, rcond=None)[0]
 
 
@@ -347,8 +320,9 @@ def _reduced_from_frame(frame: _Frame):
     """Reduced metric, symplectic form and acs candidate from one frame,
     with the per-lift leak magnitudes of J applied to the lifts."""
     L = frame.lifts
+    G = frame.split.metric
     q = L.shape[1]
-    h = L.T @ frame.G @ L
+    h = L.T @ G @ L
     h = 0.5 * (h + h.T)
     w = L.T @ frame.Om @ L
     w = 0.5 * (w - w.T)
@@ -358,52 +332,34 @@ def _reduced_from_frame(frame: _Frame):
     for i in range(q):
         image = frame.J @ L[:, i]
         h_coef, v_coef, rem = _decompose(frame, image)
-        scale = g_norm(L[:, i], frame.G)
+        scale = g_norm(L[:, i], G)
         vert_leak[i] = float(np.linalg.norm(v_coef)) / scale if scale else 0.0
-        normal_leak[i] = g_norm(rem, frame.G) / scale if scale else 0.0
-        j_cols.append(np.linalg.lstsq(L, frame.h_onb @ h_coef, rcond=None)[0])
+        normal_leak[i] = g_norm(rem, G) / scale if scale else 0.0
+        j_cols.append(np.linalg.lstsq(L, frame.split.horizontal @ h_coef, rcond=None)[0])
     j_red = np.column_stack(j_cols) if j_cols else np.zeros((0, 0))
     return h, w, j_red, vert_leak, normal_leak
 
 
-def reduced_metric(scen: ReductionScenario, x, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Reduced metric h_x(v, w) = g(lift v, lift w) in the quotient chart."""
-    frame = _lift_frame(scen, x, cfg)
-    return _reduced_from_frame(frame)[0]
+def reduced_structures(scen: ReductionScenario, x, cfg: FDConfig = FDConfig()) -> ReducedStructures:
+    """Reduced metric h_x(v, w) = g(lift v, lift w), reduced symplectic form
+    omega_red(v, w) = omega(lift v, lift w) and the pushforward candidate for
+    the reduced almost complex structure, all from one lift frame.
 
-
-def reduced_symplectic(scen: ReductionScenario, x, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Reduced symplectic form omega_red(v, w) = omega(lift v, lift w)."""
-    frame = _lift_frame(scen, x, cfg)
-    return _reduced_from_frame(frame)[1]
-
-
-def reduced_acs(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(), *,
-                leak_tol: float = 1e-6, warn: bool = True) -> np.ndarray:
-    """Pushforward candidate for the reduced almost complex structure.
-
-    Column i is d pi(J lift_i) in the quotient chart.  Well-definedness is
-    not assumed: when J applied to a lift leaves the level-set tangent space
-    by more than ``leak_tol`` a VerticalLeakWarning records the defect, and
-    the candidate is still returned so the equivalence check can quantify
-    both branches.
+    Column i of the candidate is d pi(J lift_i) in the quotient chart.
+    Well-definedness is not assumed: when J applied to a lift leaves the
+    level-set tangent space by more than LEAK_WARNING_TOL a
+    VerticalLeakWarning records the defect, and the candidate is still
+    returned so the equivalence check can quantify both branches.
     """
     frame = _lift_frame(scen, x, cfg)
-    _, _, j_red, vert_leak, normal_leak = _reduced_from_frame(frame)
-    if warn and normal_leak.size and float(np.max(normal_leak)) > leak_tol:
+    h, w, j_red, _, normal_leak = _reduced_from_frame(frame)
+    if max_abs(normal_leak) > LEAK_WARNING_TOL:
         warnings.warn(
             f"J applied to a horizontal lift leaves the level tangent space "
-            f"by {float(np.max(normal_leak)):.3e} at {frame.m}",
+            f"by {max_abs(normal_leak):.3e} at {frame.m}",
             VerticalLeakWarning,
             stacklevel=2,
         )
-    return j_red
-
-
-def reduced_structures(scen: ReductionScenario, x, cfg: FDConfig = FDConfig()) -> ReducedStructures:
-    """All three reduced objects from a single lift frame."""
-    frame = _lift_frame(scen, x, cfg)
-    h, w, j_red, _, _ = _reduced_from_frame(frame)
     return ReducedStructures(point=frame.x, h_beta=h, omega_beta=w, j_beta=j_red)
 
 
@@ -412,40 +368,23 @@ def check_vertical_ad_invariance(scen: ReductionScenario, m, a,
                                  tol: float = 1e-8) -> StructureCheckResult:
     """Pushforward of each generator stays in the vertical space of the moved
     point; for abelian groups that pushforward is the generator itself."""
-    point = m if isinstance(m, ChartPoint) else ChartPoint(as_coords(m))
+    point = as_point(m)
     params = np.asarray(a, dtype=float).reshape(scen.action.group_dim)
     level_err = float(np.linalg.norm(momentum_values(scen.mu, point) - scen.mu.beta))
     if level_err > 1e-8:
         raise NotOnLevelError(f"|mu(m) - beta| = {level_err:.3e}")
-    D = fd_jacobian(lambda p: apply_flow(scen.action, params, p), point, cfg)
-    moved = apply_flow(scen.action, params, point)
+    D, moved = _pushforward(scen.action, params, point, cfg)
     G_moved = eval_field(scen.metric, moved)
-    gens_moved = [generator(scen.action, i, moved, cfg).components
-                  for i in range(scen.action.group_dim)]
+    gens_moved = [generator(scen.action, i, moved, cfg) for i in range(scen.action.group_dim)]
     v_onb = orthonormalize(gens_moved, G_moved)
-    worst = 0.0
+    leaks = []
     for i in range(scen.action.group_dim):
-        w = D @ generator(scen.action, i, point, cfg).components
+        w = D @ generator(scen.action, i, point, cfg)
         for b in v_onb:
             w = w - (b @ G_moved @ w) * b
-        worst = max(worst, g_norm(w, G_moved))
+        leaks.append(g_norm(w, G_moved))
     return StructureCheckResult.from_samples(
-        "vertical invariance", [worst], [point], tol, IDENTITY_VERT_INV
-    )
-
-
-def sample_quotient_points(scen: ReductionScenario, count: int | None = None,
-                           seed: int | None = None, radius: float | None = None) -> list[ChartPoint]:
-    """Seeded quotient chart points, honoring the scenario's sample spec for
-    any argument left as None."""
-    spec = scen.sample_spec
-    if count is None and seed is None and radius is None and spec.points:
-        return spec.resolve(scen.quotient_chart_dim)
-    return sample_ball(
-        scen.quotient_chart_dim,
-        spec.count if count is None else count,
-        spec.radius if radius is None else radius,
-        spec.seed if seed is None else seed,
+        "vertical invariance", [max_abs(leaks)], [point], tol, IDENTITY_VERT_INV
     )
 
 
@@ -464,29 +403,23 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi 
     for x in xs:
         frame = _lift_frame(scen, x, cfg)
         h_here = _reduced_from_frame(frame)[0]
-        worst = 0.0
+        fiber = []
         for a in prm:
             moved_section = lambda xq, _a=a: apply_flow(scen.action, _a, scen.section_point(xq))
             frame_a = _lift_frame(scen, x, cfg, section=moved_section)
-            h_moved = _reduced_from_frame(frame_a)[0]
-            worst = max(worst, max_abs(h_here - h_moved))
-        fiber_res.append(worst)
+            fiber.append(max_abs(h_here - _reduced_from_frame(frame_a)[0]))
+        fiber_res.append(max_abs(fiber))
 
-        ortho = max_abs(frame.h_onb.T @ frame.G @ frame.v_onb) \
-            if frame.h_onb.size and frame.v_onb.size else 0.0
-        ortho_res.append(ortho)
+        split = frame.split
+        ortho_res.append(max_abs(split.horizontal.T @ split.metric @ split.vertical))
         Jmu = momentum_jacobian(scen.mu, frame.m, cfg)
-        tangency_res.append(max_abs(Jmu @ frame.h_onb) if frame.h_onb.size else 0.0)
+        tangency_res.append(max_abs(Jmu @ split.horizontal))
+        vert_res.append(max_abs([
+            check_vertical_ad_invariance(scen, frame.m, a, cfg, tol).max_residual for a in prm]))
 
-        worst_vert = 0.0
-        for a in prm:
-            res = check_vertical_ad_invariance(scen, frame.m, a, cfg, tol)
-            worst_vert = max(worst_vert, res.max_residual)
-        vert_res.append(worst_vert)
-
-        mism = abs(len(frame.split.level_tangent) - (n - k))
-        mism += abs(len(frame.split.vertical) - k)
-        mism += abs(len(frame.split.horizontal) - (n - 2 * k))
+        mism = abs(split.level.shape[1] - (n - k))
+        mism += abs(split.vertical.shape[1] - k)
+        mism += abs(split.horizontal.shape[1] - (n - 2 * k))
         mism += abs(frame.lifts.shape[1] - scen.quotient_dim)
         dim_res.append(float(mism))
 
@@ -523,21 +456,16 @@ def verify_reduction_identity(scen: ReductionScenario, points, cfg: FDConfig = F
     for x in xs:
         frame = _lift_frame(scen, x, cfg)
         w_red = _reduced_from_frame(frame)[1]
-        K = frame.level
-        worst = 0.0
+        K, V = frame.split.level, frame.split.vertical
+        gaps = []
         for _ in range(pairs_per_point):
             u = K @ rng.standard_normal(K.shape[1])
             v = K @ rng.standard_normal(K.shape[1])
             ambient = float(u @ frame.Om @ v)
             reduced = float(_dpi(frame, u) @ w_red @ _dpi(frame, v))
-            worst = max(worst, abs(ambient - reduced))
-        id_res.append(worst)
-
-        worst_deg = 0.0
-        for j in range(frame.v_onb.shape[1]):
-            pairings = frame.v_onb[:, j] @ frame.Om @ K
-            worst_deg = max(worst_deg, max_abs(pairings))
-        deg_res.append(worst_deg)
+            gaps.append(ambient - reduced)
+        id_res.append(max_abs(gaps))
+        deg_res.append(max_abs([V[:, j] @ frame.Om @ K for j in range(V.shape[1])]))
 
     report.add(StructureCheckResult.from_samples(
         "pullback identity", id_res, xs, tol, IDENTITY_REDUCTION,
@@ -573,14 +501,13 @@ def verify_main_theorem(scen: ReductionScenario, points, cfg: FDConfig = FDConfi
         frame = _lift_frame(scen, x, cfg)
         h_red, w_red, j_red, vert_leak, normal_leak = _reduced_from_frame(frame)
 
-        acm = float(np.max(normal_leak)) if normal_leak.size else 0.0
-        for j in range(frame.v_onb.shape[1]):
-            image = frame.J @ frame.v_onb[:, j]
-            h_coef, _, _ = _decompose(frame, image)
-            acm = max(acm, float(np.linalg.norm(h_coef)))
+        V = frame.split.vertical
+        j_vertical = [np.linalg.norm(_decompose(frame, frame.J @ V[:, j])[0])
+                      for j in range(V.shape[1])]
+        acm = max_abs([*normal_leak, *j_vertical])
         compat = max_abs(w_red @ j_red - h_red)
         acs = fro_norm(j_red @ j_red + eye)
-        hyp = max_abs(frame.Om @ frame.J - frame.G)
+        hyp = max_abs(frame.Om @ frame.J - frame.split.metric)
 
         acm_res.append(acm)
         compat_res.append(compat)
@@ -594,12 +521,12 @@ def verify_main_theorem(scen: ReductionScenario, points, cfg: FDConfig = FDConfi
             "acm_residual": acm,
             "compat_residual": compat,
             "acs_residual": acs,
-            "vertical_leak": float(np.max(vert_leak)) if vert_leak.size else 0.0,
-            "normal_leak": float(np.max(normal_leak)) if normal_leak.size else 0.0,
+            "vertical_leak": max_abs(vert_leak),
+            "normal_leak": max_abs(normal_leak),
             "lift_solve_residual": frame.lift_residual,
         })
 
-    branch = "positive" if (acm_res and max(acm_res) <= tol and max(compat_res) <= tol) \
+    branch = "positive" if (acm_res and max_abs(acm_res) <= tol and max_abs(compat_res) <= tol) \
         else "negative"
     report.add(StructureCheckResult.from_samples(
         "almost complex mapping defect", acm_res, xs, tol, IDENTITY_ACM))

@@ -352,7 +352,6 @@ def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
         mu=mu,
         quotient_dim=q,
         section=section,
-        quotient_chart_dim=q,
         tolerances=dict(sf.tolerances),
         sample_spec=sf.sample_spec,
     )

@@ -187,11 +187,8 @@ def check_closed(w: TensorField, points, cfg: FDConfig = FDConfig(),
             e = np.zeros(n)
             e[i] = 1.0
             partials.append(fd_directional(w, p, e, cfg))
-        worst = 0.0
-        for i, j, k in itertools.combinations(range(n), 3):
-            cyc = partials[i][j, k] + partials[j][k, i] + partials[k][i, j]
-            worst = max(worst, abs(float(cyc)))
-        residuals.append(worst)
+        residuals.append(max_abs([partials[i][j, k] + partials[j][k, i] + partials[k][i, j]
+                                  for i, j, k in itertools.combinations(range(n), 3)]))
     return StructureCheckResult.from_samples(
         "closedness of omega", residuals, pts, tol, IDENTITY_CLOSED
     )

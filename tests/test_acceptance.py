@@ -14,12 +14,18 @@ from symred.actions import (
 from symred.cli import RunConfig, main, run
 from symred.errors import ParseError, ValidationError
 from symred.exprlang import eval_expr, format_expr, parse_expression
-from symred.geometry import ChartPoint, FDConfig, TensorField, eval_field, fd_jacobian, sample_box
+from symred.geometry import (
+    ChartPoint,
+    FDConfig,
+    TensorField,
+    eval_field,
+    fd_jacobian,
+    sample_ball,
+    sample_box,
+)
 from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from symred.reduction import (
     reduced_structures,
-    reduced_symplectic,
-    sample_quotient_points,
     verify_main_theorem,
     verify_reduction_identity,
     verify_submersion,
@@ -53,7 +59,7 @@ def _line(num, desc, ok):
 
 def test_criterion_01_hopf_reduced_structures_match_closed_form():
     worst_h = worst_w = 0.0
-    for x in sample_quotient_points(HOPF, 20, seed=7, radius=2.0):
+    for x in sample_ball(HOPF.quotient_dim, 20, 2.0, 7):
         red = reduced_structures(HOPF, x)
         worst_h = max(worst_h, np.max(np.abs(red.h_beta - round_sphere_metric(x.coords))))
         worst_w = max(worst_w, np.max(np.abs(red.omega_beta - round_sphere_symplectic(x.coords))))
@@ -73,7 +79,7 @@ def test_criterion_02_reduced_area_integrates_to_pi():
         for j in range(n_theta):
             theta = 2.0 * np.pi * j / n_theta
             x = ChartPoint([r * np.cos(theta), r * np.sin(theta)])
-            density = reduced_symplectic(HOPF, x)[0, 1]
+            density = reduced_structures(HOPF, x).omega_beta[0, 1]
             total += density * r * w_r * (2.0 * np.pi / n_theta)
     # exact tail of the 1/(1+r^2)^2 density outside the disc
     total += np.pi / (1.0 + radius ** 2)
@@ -85,7 +91,7 @@ def test_criterion_03_reduction_identity_and_degeneracy():
     ok = True
     detail = []
     for scen, seed in ((HOPF, 7), (LINEAR, 11)):
-        points = sample_quotient_points(scen, 50, seed=seed, radius=2.0)
+        points = sample_ball(scen.quotient_dim, 50, 2.0, seed)
         report = verify_reduction_identity(scen, points, seed=seed)
         ident = report.find("pullback identity").max_residual
         degen = report.find("vertical degeneracy").max_residual
@@ -96,10 +102,10 @@ def test_criterion_03_reduction_identity_and_degeneracy():
 
 def test_criterion_04_fiber_independence():
     hopf_res = verify_submersion(
-        HOPF, sample_quotient_points(HOPF, 20, seed=7), FIBER_PARAMS
+        HOPF, sample_ball(HOPF.quotient_dim, 20, 2.0, 7), FIBER_PARAMS
     ).find("fiber independence").max_residual
     lin_res = verify_submersion(
-        LINEAR, sample_quotient_points(LINEAR, 20, seed=11), FIBER_PARAMS
+        LINEAR, sample_ball(LINEAR.quotient_dim, 20, 2.0, 11), FIBER_PARAMS
     ).find("fiber independence").max_residual
     _line(4, f"fiber independence (hopf {hopf_res:.2e} < 1e-5, "
              f"linear {lin_res:.2e} < 1e-10)",
@@ -107,25 +113,25 @@ def test_criterion_04_fiber_independence():
 
 
 def test_criterion_05_main_theorem_branches():
-    points = sample_quotient_points(HOPF, 20, seed=7)
+    points = sample_ball(HOPF.quotient_dim, 20, 2.0, 7)
     report = verify_main_theorem(HOPF, points)
     pos_ok = report.passed and report.find("main theorem iff").extras["branch"] == "positive"
     j_err = 0.0
     for x in points:
-        from symred.reduction import reduced_acs
-        j_err = max(j_err, np.max(np.abs(reduced_acs(HOPF, x) - standard_acs_matrix(2))))
+        j_err = max(j_err, np.max(np.abs(reduced_structures(HOPF, x).j_beta
+                                         - standard_acs_matrix(2))))
     pos_ok = pos_ok and j_err < 1e-5
 
     skew = builtin("skewed_metric_hopf")
     sk_report = verify_main_theorem(
-        skew, [ChartPoint([0.0, 0.0])] + sample_quotient_points(skew, 6, seed=7))
+        skew, [ChartPoint([0.0, 0.0])] + sample_ball(skew.quotient_dim, 6, 2.0, 7))
     at_zero = sk_report.meta["samples"][0]
     skew_ok = (abs(at_zero["compat_residual"] - 3.0) < 1e-6
                and sk_report.find("main theorem iff").extras["hypothesis_violated"])
 
     noninv = builtin("noninvariant_metric_hopf")
     fiber = verify_submersion(
-        noninv, sample_quotient_points(noninv, 10, seed=7), FIBER_PARAMS
+        noninv, sample_ball(noninv.quotient_dim, 10, 2.0, 7), FIBER_PARAMS
     ).find("fiber independence").max_residual
     noninv_ok = fiber > 1e-3
 

@@ -18,7 +18,7 @@ from symred.actions import (
     planar_rotation_action,
     uniform_circle_quadrature,
 )
-from symred.errors import UnsupportedNonabelianError
+from symred.errors import NonFiniteError, UnsupportedNonabelianError
 from symred.geometry import ChartPoint, TensorField, eval_field, sample_box
 from symred.scenarios import builtin
 from symred.structures import euclidean_metric, standard_acs, standard_symplectic
@@ -48,14 +48,14 @@ def translation_action():
 
 def test_generator_hopf_clockwise():
     xi = generator(HOPF.action, 0, ChartPoint([1.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(xi.components, [0.0, -1.0, 0.0, 0.0], atol=1e-10)
+    np.testing.assert_allclose(xi, [0.0, -1.0, 0.0, 0.0], atol=1e-10)
 
 
 def test_generator_translation_and_zero():
     xi = generator(translation_action(), 0, ChartPoint([0.3, -0.5]))
-    np.testing.assert_allclose(xi.components, [1.0, 0.0], atol=1e-10)
+    np.testing.assert_allclose(xi, [1.0, 0.0], atol=1e-10)
     zero = generator_vector(HOPF.action, [0.0], ChartPoint([1.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(zero.components, np.zeros(4), atol=1e-12)
+    np.testing.assert_allclose(zero, np.zeros(4), atol=1e-12)
 
 
 def test_generator_linear_in_algebra_vector():
@@ -67,9 +67,30 @@ def test_generator_linear_in_algebra_vector():
     )
     p = ChartPoint([0.0, 0.0, 0.0, 0.0])
     for a, b in ((1.0, 2.0), (-0.5, 0.25)):
-        combo = generator_vector(torus, [a, b], p).components
-        split = a * generator(torus, 0, p).components + b * generator(torus, 1, p).components
+        combo = generator_vector(torus, [a, b], p)
+        split = a * generator(torus, 0, p) + b * generator(torus, 1, p)
         np.testing.assert_allclose(combo, split, atol=1e-9)
+
+
+def test_generator_overflow_raises_nonfinite():
+    # every flow value is finite, but the difference stencil overflows
+    huge = GroupAction(
+        group_dim=1,
+        flow=lambda a, p: ChartPoint(p.coords + 1e308 * (1.0 + a[0])),
+        quadrature=uniform_circle_quadrature(4),
+    )
+    with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+        generator(huge, 0, ChartPoint([0.0, 0.0]))
+
+
+def test_generator_rejects_flow_changing_dimension():
+    widening = GroupAction(
+        group_dim=1,
+        flow=lambda a, p: ChartPoint(np.append(p.coords, a[0])),
+        quadrature=uniform_circle_quadrature(4),
+    )
+    with pytest.raises(ValueError, match="generator length"):
+        generator(widening, 0, ChartPoint([0.0, 0.0]))
 
 
 def test_action_axioms_check():

@@ -7,7 +7,6 @@ from symred.errors import DegenerateInputError, NonFiniteError, NotSPDError
 from symred.geometry import (
     ChartPoint,
     FDConfig,
-    TangentVector,
     TensorField,
     eval_field,
     fd_directional,
@@ -29,8 +28,6 @@ def test_chart_point_validation():
     assert p.dim == 2
     with pytest.raises(NonFiniteError):
         ChartPoint([np.nan, 0.0])
-    with pytest.raises(ValueError):
-        TangentVector(p, [1.0, 2.0, 3.0])
 
 
 def test_eval_constant_identity_field():
@@ -236,13 +233,6 @@ def test_orthonormalize_idempotent_and_drops_dependent():
         assert np.max(np.abs(a - b)) < 1e-12
     gram = np.array([[u @ G @ v for v in once] for u in once])
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
-
-
-def test_orthonormalize_tangent_vectors():
-    base = ChartPoint([0.0, 0.0])
-    out = orthonormalize([TangentVector(base, [2.0, 0.0])], np.eye(2))
-    assert isinstance(out[0], TangentVector)
-    np.testing.assert_allclose(out[0].components, [1.0, 0.0])
 
 
 def test_sqrt_inverse_spd_examples():

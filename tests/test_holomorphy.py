@@ -61,6 +61,15 @@ def test_cauchy_riemann_constant_map():
     assert res == 0.0
 
 
+def test_cauchy_riemann_fails_on_nonfinite_jacobian():
+    # the values are finite, but the 1e308 offset overflows the difference
+    # stencil; a NaN defect must not read as holomorphic
+    shifted = charted(lambda p: np.array([p.coords[0] + 1e308, p.coords[1]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = cauchy_riemann_residual(shifted, ChartPoint([0.3, -0.8]))
+    assert not res <= 1e-8
+
+
 def test_cauchy_riemann_requires_standard_structures():
     tilted = TensorField.constant(np.array([[0.0, -2.0], [0.5, 0.0]]))
     with pytest.raises(NotStandardStructureError):

@@ -13,16 +13,12 @@ from symred.errors import (
     SectionNotOnLevelError,
     VerticalLeakWarning,
 )
-from symred.geometry import ChartPoint, FDConfig, TensorField, eval_field
+from symred.geometry import ChartPoint, FDConfig, TensorField, eval_field, sample_ball
 from symred.reduction import (
     ReductionScenario,
     check_vertical_ad_invariance,
     project_to_level,
-    reduced_acs,
-    reduced_metric,
     reduced_structures,
-    reduced_symplectic,
-    sample_quotient_points,
     split_tangent,
     verify_main_theorem,
     verify_reduction_identity,
@@ -38,9 +34,13 @@ LINEAR = builtin("linear_translation")
 FIBER_PARAMS = (0.0, np.pi / 3.0, np.pi)
 
 
-def span_projector(vectors):
-    M = np.column_stack(vectors)
+def span_projector(M):
+    """Projector onto the column span of M."""
     return M @ np.linalg.lstsq(M, np.eye(M.shape[0]), rcond=None)[0]
+
+
+def quotient_points(scen, count, seed, radius=2.0):
+    return sample_ball(scen.quotient_dim, count, radius, seed)
 
 
 def test_project_to_level_radial():
@@ -67,18 +67,18 @@ def test_project_to_level_budget():
 
 def test_split_tangent_hopf_pole():
     split = split_tangent(HOPF, ChartPoint([1.0, 0.0, 0.0, 0.0]))
-    assert len(split.level_tangent) == 3
-    np.testing.assert_allclose(split.vertical[0].components, [0.0, -1.0, 0.0, 0.0], atol=1e-10)
-    H = span_projector([v.components for v in split.horizontal])
-    expected = span_projector([np.eye(4)[2], np.eye(4)[3]])
+    assert split.level.shape == (4, 3)
+    np.testing.assert_allclose(split.vertical[:, 0], [0.0, -1.0, 0.0, 0.0], atol=1e-10)
+    H = span_projector(split.horizontal)
+    expected = span_projector(np.eye(4)[:, 2:])
     np.testing.assert_allclose(H, expected, atol=1e-9)
 
 
 def test_split_tangent_linear_scenario():
     split = split_tangent(LINEAR, ChartPoint([0.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(split.vertical[0].components, [1.0, 0.0, 0.0, 0.0], atol=1e-10)
-    H = span_projector([v.components for v in split.horizontal])
-    expected = span_projector([np.eye(4)[2], np.eye(4)[3]])
+    np.testing.assert_allclose(split.vertical[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
+    H = span_projector(split.horizontal)
+    expected = span_projector(np.eye(4)[:, 2:])
     np.testing.assert_allclose(H, expected, atol=1e-10)
 
 
@@ -115,8 +115,8 @@ def test_vertical_ad_invariance_negative_control():
     # a horizontal vector is nowhere near the vertical span
     split = split_tangent(HOPF, ChartPoint([1.0, 0.0, 0.0, 0.0]))
     G = eval_field(HOPF.metric, split.base)
-    horizontal = split.horizontal[0].components
-    v_onb = [split.vertical[0].components]
+    horizontal = split.horizontal[:, 0]
+    v_onb = [split.vertical[:, 0]]
     w = horizontal.copy()
     for b in v_onb:
         w -= (b @ G @ w) * b
@@ -125,37 +125,38 @@ def test_vertical_ad_invariance_negative_control():
 
 def test_reduced_metric_matches_round_sphere():
     for w in ([0.0, 0.0], [1.0, 0.0], [-0.4, 1.3]):
-        h = reduced_metric(HOPF, ChartPoint(w))
+        h = reduced_structures(HOPF, ChartPoint(w)).h_beta
         np.testing.assert_allclose(h, round_sphere_metric(np.array(w)), atol=1e-6)
 
 
 def test_reduced_metric_linear_scenario_flat():
     for w in ([0.0, 0.0], [1.5, -0.7]):
-        np.testing.assert_allclose(reduced_metric(LINEAR, ChartPoint(w)), np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(reduced_structures(LINEAR, ChartPoint(w)).h_beta, np.eye(2),
+                                   atol=1e-10)
 
 
 def test_reduced_symplectic_matches_area_form():
-    np.testing.assert_allclose(reduced_symplectic(HOPF, ChartPoint([0.0, 0.0])),
+    np.testing.assert_allclose(reduced_structures(HOPF, ChartPoint([0.0, 0.0])).omega_beta,
                                [[0.0, 1.0], [-1.0, 0.0]], atol=1e-6)
-    np.testing.assert_allclose(reduced_symplectic(HOPF, ChartPoint([1.0, 0.0])),
+    np.testing.assert_allclose(reduced_structures(HOPF, ChartPoint([1.0, 0.0])).omega_beta,
                                0.25 * np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-5)
-    np.testing.assert_allclose(reduced_symplectic(LINEAR, ChartPoint([0.3, 0.9])),
+    np.testing.assert_allclose(reduced_structures(LINEAR, ChartPoint([0.3, 0.9])).omega_beta,
                                [[0.0, 1.0], [-1.0, 0.0]], atol=1e-10)
 
 
 def test_reduced_acs_standard_on_quotient():
-    np.testing.assert_allclose(reduced_acs(HOPF, ChartPoint([0.0, 0.0])),
+    np.testing.assert_allclose(reduced_structures(HOPF, ChartPoint([0.0, 0.0])).j_beta,
                                standard_acs_matrix(2), atol=1e-6)
-    np.testing.assert_allclose(reduced_acs(LINEAR, ChartPoint([1.0, 2.0])),
+    np.testing.assert_allclose(reduced_structures(LINEAR, ChartPoint([1.0, 2.0])).j_beta,
                                standard_acs_matrix(2), atol=1e-10)
     # broken compatibility leaves the pushforward candidate untouched
     skewed = builtin("skewed_metric_hopf")
-    np.testing.assert_allclose(reduced_acs(skewed, ChartPoint([0.0, 0.0])),
+    np.testing.assert_allclose(reduced_structures(skewed, ChartPoint([0.0, 0.0])).j_beta,
                                standard_acs_matrix(2), atol=1e-6)
 
 
 def test_reduced_structures_invariants_on_samples():
-    for x in sample_quotient_points(HOPF, 10, seed=2):
+    for x in quotient_points(HOPF, 10, seed=2):
         red = reduced_structures(HOPF, x)
         assert np.max(np.abs(red.h_beta - red.h_beta.T)) < 1e-9
         assert np.linalg.eigvalsh(red.h_beta)[0] > 0
@@ -178,7 +179,7 @@ def test_section_must_land_on_level():
         section=lambda w: ChartPoint([1.1, 0.0, w.coords[0], w.coords[1]]),
     )
     with pytest.raises(SectionNotOnLevelError):
-        reduced_metric(broken, ChartPoint([0.0, 0.0]))
+        reduced_structures(broken, ChartPoint([0.0, 0.0]))
 
 
 def test_rank_deficient_lift_detected():
@@ -196,7 +197,7 @@ def test_rank_deficient_lift_detected():
         section=lambda w: ChartPoint([w.coords[0], 0.0, w.coords[1], 0.0]),
     )
     with pytest.raises(RankDeficientLiftError):
-        reduced_metric(degenerate, ChartPoint([0.4, 0.2]))
+        reduced_structures(degenerate, ChartPoint([0.4, 0.2]))
 
 
 def test_generator_index_bounds():
@@ -224,11 +225,11 @@ def test_vertical_leak_warning_for_tilted_acs():
         section=LINEAR.section,
     )
     with pytest.warns(VerticalLeakWarning):
-        reduced_acs(scen, ChartPoint([0.2, -0.3]))
+        reduced_structures(scen, ChartPoint([0.2, -0.3]))
 
 
 def test_verify_submersion_hopf():
-    points = sample_quotient_points(HOPF, 8, seed=20)
+    points = quotient_points(HOPF, 8, seed=20)
     report = verify_submersion(HOPF, points, FIBER_PARAMS)
     assert report.passed
     assert report.find("fiber independence").max_residual < 1e-6
@@ -240,7 +241,7 @@ def test_all_reduced_objects_fiber_independent():
     from symred.actions import apply_flow
     from symred.reduction import _lift_frame, _reduced_from_frame
 
-    for x in sample_quotient_points(HOPF, 5, seed=22):
+    for x in quotient_points(HOPF, 5, seed=22):
         base = _reduced_from_frame(_lift_frame(HOPF, x))
         for a in (np.array([np.pi / 3.0]), np.array([np.pi])):
             moved = _reduced_from_frame(_lift_frame(
@@ -251,7 +252,7 @@ def test_all_reduced_objects_fiber_independent():
 
 
 def test_verify_submersion_linear_exact():
-    points = sample_quotient_points(LINEAR, 8, seed=21)
+    points = quotient_points(LINEAR, 8, seed=21)
     report = verify_submersion(LINEAR, points, FIBER_PARAMS)
     assert report.passed
     assert report.find("fiber independence").max_residual < 1e-10
@@ -259,7 +260,7 @@ def test_verify_submersion_linear_exact():
 
 def test_verify_submersion_noninvariant_metric_fails():
     scen = builtin("noninvariant_metric_hopf")
-    points = sample_quotient_points(scen, 10, seed=7)
+    points = quotient_points(scen, 10, seed=7)
     report = verify_submersion(scen, points, FIBER_PARAMS)
     check = report.find("fiber independence")
     assert not check.passed
@@ -267,17 +268,17 @@ def test_verify_submersion_noninvariant_metric_fails():
 
 
 def test_verify_reduction_identity_hopf_and_linear():
-    report = verify_reduction_identity(HOPF, sample_quotient_points(HOPF, 10, seed=3), seed=3)
+    report = verify_reduction_identity(HOPF, quotient_points(HOPF, 10, seed=3), seed=3)
     assert report.passed
     assert report.find("pullback identity").max_residual < 1e-6
     assert report.find("vertical degeneracy").max_residual < 1e-8
 
-    report = verify_reduction_identity(LINEAR, sample_quotient_points(LINEAR, 10, seed=4), seed=4)
+    report = verify_reduction_identity(LINEAR, quotient_points(LINEAR, 10, seed=4), seed=4)
     assert report.find("pullback identity").max_residual < 1e-10
 
 
 def test_verify_main_theorem_positive_branch():
-    report = verify_main_theorem(HOPF, sample_quotient_points(HOPF, 10, seed=5))
+    report = verify_main_theorem(HOPF, quotient_points(HOPF, 10, seed=5))
     assert report.passed
     iff = report.find("main theorem iff")
     assert iff.extras["branch"] == "positive"
@@ -291,7 +292,7 @@ def test_verify_main_theorem_positive_branch():
 
 def test_verify_main_theorem_skewed_control():
     scen = builtin("skewed_metric_hopf")
-    points = [ChartPoint([0.0, 0.0])] + sample_quotient_points(scen, 6, seed=6)
+    points = [ChartPoint([0.0, 0.0])] + quotient_points(scen, 6, seed=6)
     report = verify_main_theorem(scen, points)
     compat = report.find("reduced compatibility")
     assert abs(compat.max_residual - 3.0) < 1e-6
@@ -304,7 +305,7 @@ def test_verify_main_theorem_skewed_control():
 
 
 def test_verify_main_theorem_linear_exact():
-    report = verify_main_theorem(LINEAR, sample_quotient_points(LINEAR, 8, seed=8))
+    report = verify_main_theorem(LINEAR, quotient_points(LINEAR, 8, seed=8))
     assert report.passed
     for entry in report.meta["samples"]:
         assert entry["acm_residual"] < 1e-10
@@ -320,14 +321,15 @@ def test_three_plane_reduction_matches_complex_oracle():
     for w in ([0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.3, -0.7, 1.1, 0.4]):
         x = ChartPoint(w)
         h_oracle, w_oracle = projective_plane_oracle(np.asarray(w))
-        np.testing.assert_allclose(reduced_metric(scen, x), h_oracle, atol=1e-8)
-        np.testing.assert_allclose(reduced_symplectic(scen, x), w_oracle, atol=1e-8)
-        np.testing.assert_allclose(reduced_acs(scen, x), standard_acs_matrix(4), atol=1e-8)
+        red = reduced_structures(scen, x)
+        np.testing.assert_allclose(red.h_beta, h_oracle, atol=1e-8)
+        np.testing.assert_allclose(red.omega_beta, w_oracle, atol=1e-8)
+        np.testing.assert_allclose(red.j_beta, standard_acs_matrix(4), atol=1e-8)
 
 
 def test_three_plane_reduction_pipelines_pass():
     scen = builtin("euclidean_r2n", planes=3)
-    points = sample_quotient_points(scen, 5, seed=19, radius=1.5)
+    points = quotient_points(scen, 5, seed=19, radius=1.5)
     assert verify_submersion(scen, points, FIBER_PARAMS).passed
     assert verify_reduction_identity(scen, points, seed=19).passed
     report = verify_main_theorem(scen, points)
@@ -337,7 +339,7 @@ def test_three_plane_reduction_pipelines_pass():
 
 def test_reduction_with_order_two_differences():
     cfg = FDConfig(step=1e-6, order=2)
-    h = reduced_metric(HOPF, ChartPoint([1.0, 0.0]), cfg)
+    h = reduced_structures(HOPF, ChartPoint([1.0, 0.0]), cfg).h_beta
     np.testing.assert_allclose(h, 0.25 * np.eye(2), atol=1e-8)
 
 
@@ -353,5 +355,4 @@ def test_quotient_dim_bookkeeping_warns():
             mu=HOPF.mu,
             quotient_dim=3,
             section=HOPF.section,
-            quotient_chart_dim=3,
         )

@@ -104,8 +104,7 @@ def test_tolerance_and_sample_keys():
 def test_explicit_sample_points():
     hopf_text = builtin_text("hopf") + "\nsample.points = [[0, 0], [1, 0]]\n"
     sf = parse_scenario(hopf_text)
-    pts = sf.sample_spec.resolve(2)
-    assert [list(p.coords) for p in pts] == [[0.0, 0.0], [1.0, 0.0]]
+    assert [list(p) for p in sf.sample_spec.points] == [[0.0, 0.0], [1.0, 0.0]]
 
 
 def test_builtin_names_and_unknown():

@@ -94,6 +94,25 @@ def test_check_closed_exact_form_cancels():
     assert res.max_residual < 1e-9
 
 
+def test_check_closed_fails_on_nonfinite_partials():
+    # (x1 dx2^dy2) is not closed; the finite 1e308 entry overflows the
+    # difference stencil to NaN, which must fail the check, not vanish
+    def form(p, huge):
+        om = np.zeros((4, 4))
+        om[0, 1], om[1, 0] = 1.0, -1.0
+        om[2, 3], om[3, 2] = p.coords[0], -p.coords[0]
+        om[0, 2], om[2, 0] = huge, -huge
+        return om
+
+    point = [ChartPoint([0.3, -0.2, 0.5, 0.1])]
+    res = check_closed(TensorField.matrix(lambda p: form(p, 0.0), 4), point)
+    assert not res.passed and abs(res.max_residual - 1.0) < 1e-9
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = check_closed(TensorField.matrix(lambda p: form(p, 1e308), 4), point)
+    assert not res.passed
+    assert np.isnan(res.max_residual)
+
+
 def test_check_closed_top_degree_always_passes():
     field = TensorField.matrix(
         lambda p: (1.0 + p.coords[0] ** 2) * standard_symplectic_matrix(2), 2)
