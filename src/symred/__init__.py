@@ -76,6 +76,7 @@ from .actions import (
     generator_vector,
     momentum_residual,
     planar_rotation_action,
+    pushforward_table,
     uniform_circle_quadrature,
 )
 from .reduction import (
@@ -84,6 +85,7 @@ from .reduction import (
     SampleSpec,
     SplitTangentSpace,
     check_vertical_ad_invariance,
+    lift_frames,
     project_to_level,
     reduced_structures,
     split_tangent,

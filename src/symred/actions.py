@@ -19,6 +19,7 @@ from .errors import UnsupportedNonabelianError
 from .geometry import (
     ChartPoint,
     FDConfig,
+    OnDemand,
     TensorField,
     as_coords,
     as_point,
@@ -37,6 +38,7 @@ __all__ = [
     "apply_flow",
     "generator",
     "generator_vector",
+    "pushforward_table",
     "momentum_values",
     "momentum_jacobian",
     "check_action_axioms",
@@ -127,6 +129,17 @@ def _pushforward(action: GroupAction, params, p, cfg: FDConfig):
     return D, apply_flow(action, params, p)
 
 
+def pushforward_table(action: GroupAction, params, points, cfg: FDConfig = FDConfig()) -> OnDemand:
+    """``table[i, j]`` is (D, Phi_a(p)) for the i-th point and the j-th group
+    parameter, built on first lookup.  Passed as ``pushforwards=`` to
+    check_isometry, check_symplectomorphism and check_field_invariance over
+    the same params and points, it lets them share one flow Jacobian per
+    (point, parameter) instead of each differentiating the flow again."""
+    pts = list(points)
+    prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
+    return OnDemand(lambda key: _pushforward(action, prm[key[1]], pts[key[0]], cfg))
+
+
 def generator_vector(action: GroupAction, xi, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Infinitesimal generator along an arbitrary algebra vector:
     d/dt flow(t * xi, p) at t = 0, as a component vector at p."""
@@ -171,9 +184,11 @@ def check_action_axioms(action: GroupAction, params, points, cfg: FDConfig = FDC
     for p in pts:
         res = [float(np.linalg.norm(apply_flow(action, zero, p).coords - as_coords(p)))]
         if action.abelian:
+            # Phi_t(p) once per t, in the order the loop first needs it
+            moved = OnDemand(lambda j, _p=p: apply_flow(action, prm[j], _p))
             for s in prm:
-                for t in prm:
-                    two_step = apply_flow(action, s, apply_flow(action, t, p))
+                for j, t in enumerate(prm):
+                    two_step = apply_flow(action, s, moved[j])
                     one_step = apply_flow(action, s + t, p)
                     res.append(float(np.linalg.norm(two_step.coords - one_step.coords)))
         residuals.append(max_abs(res))
@@ -182,17 +197,21 @@ def check_action_axioms(action: GroupAction, params, points, cfg: FDConfig = FDC
     )
 
 
-def _invariance_check(name, identity, residual, action, field_, params, points, cfg, tol):
+def _invariance_check(name, identity, residual, action, field_, params, points, cfg, tol,
+                      pushforwards):
     """Shared body of the field invariance checks: per point, the worst over
-    the group parameters of residual(D, F(p), F(Phi_a(p)))."""
+    the group parameters of residual(D, F(p), F(Phi_a(p))).  ``pushforwards``
+    is a ``pushforward_table`` of the same params and points, or None."""
     pts = list(points)
-    prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
+    prm = list(params)
+    if pushforwards is None:
+        pushforwards = pushforward_table(action, prm, pts, cfg)
     residuals = []
-    for p in pts:
+    for i, p in enumerate(pts):
         here = eval_field(field_, p)
         per_param = []
-        for a in prm:
-            D, moved = _pushforward(action, a, p, cfg)
+        for j in range(len(prm)):
+            D, moved = pushforwards[i, j]
             per_param.append(residual(D, here, eval_field(field_, moved)))
         residuals.append(max_abs(per_param))
     return StructureCheckResult.from_samples(name, residuals, pts, tol, identity)
@@ -204,15 +223,17 @@ def _pullback_residual(D, here, moved) -> float:
 
 
 def check_isometry(action: GroupAction, g: TensorField, params, points,
-                   cfg: FDConfig = FDConfig(), tol: float = 1e-6) -> StructureCheckResult:
+                   cfg: FDConfig = FDConfig(), tol: float = 1e-6, *,
+                   pushforwards=None) -> StructureCheckResult:
     return _invariance_check("isometry", IDENTITY_ISOMETRY, _pullback_residual,
-                             action, g, params, points, cfg, tol)
+                             action, g, params, points, cfg, tol, pushforwards)
 
 
 def check_symplectomorphism(action: GroupAction, w: TensorField, params, points,
-                            cfg: FDConfig = FDConfig(), tol: float = 1e-6) -> StructureCheckResult:
+                            cfg: FDConfig = FDConfig(), tol: float = 1e-6, *,
+                            pushforwards=None) -> StructureCheckResult:
     return _invariance_check("symplectomorphism", IDENTITY_SYMPLECTO, _pullback_residual,
-                             action, w, params, points, cfg, tol)
+                             action, w, params, points, cfg, tol, pushforwards)
 
 
 def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, points,
@@ -282,11 +303,12 @@ def average_metric(g0: TensorField, action: GroupAction, cfg: FDConfig = FDConfi
 
 
 def check_field_invariance(field_: TensorField, action: GroupAction, params, points,
-                           cfg: FDConfig = FDConfig(), tol: float = 1e-6) -> StructureCheckResult:
+                           cfg: FDConfig = FDConfig(), tol: float = 1e-6, *,
+                           pushforwards=None) -> StructureCheckResult:
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
     return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
                              lambda D, here, moved: max_abs(D @ here - moved @ D),
-                             action, field_, params, points, cfg, tol)
+                             action, field_, params, points, cfg, tol, pushforwards)
 
 
 def uniform_circle_quadrature(n: int = 64) -> tuple:

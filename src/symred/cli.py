@@ -23,12 +23,14 @@ from .actions import (
     check_momentum_invariance,
     check_symplectomorphism,
     momentum_residual,
+    pushforward_table,
 )
 from .errors import ScenarioFormatError, SymredError, UnknownScenarioError
 from .geometry import ChartPoint, FDConfig, sample_ball, sample_box
 from .holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from .reduction import (
     ReductionScenario,
+    lift_frames,
     verify_main_theorem,
     verify_reduction_identity,
     verify_submersion,
@@ -130,36 +132,42 @@ def _suite_structures(scen, cfg, points, fd):
 
 def _suite_action(scen, cfg, points, params, fd):
     report = VerificationReport("action")
+    # one flow Jacobian per (point, parameter) for the three invariance checks
+    pushforwards = pushforward_table(scen.action, params, points, fd)
     report.add(check_action_axioms(scen.action, params, points, fd,
                                    _tolerance("action.axioms", cfg, scen)))
     report.add(check_isometry(scen.action, scen.metric, params, points, fd,
-                              _tolerance("action.isometry", cfg, scen)))
+                              _tolerance("action.isometry", cfg, scen),
+                              pushforwards=pushforwards))
     report.add(check_symplectomorphism(scen.action, scen.omega, params, points, fd,
-                                       _tolerance("action.symplectomorphism", cfg, scen)))
+                                       _tolerance("action.symplectomorphism", cfg, scen),
+                                       pushforwards=pushforwards))
     report.add(momentum_residual(scen.action, scen.mu, scen.omega, points, fd,
                                  _tolerance("action.momentum", cfg, scen)))
     report.add(check_momentum_invariance(scen.action, scen.mu, params, points,
                                          _tolerance("action.mu-invariance", cfg, scen)))
     report.add(check_field_invariance(scen.acs, scen.action, params, points, fd,
-                                      _tolerance("action.acs-invariance", cfg, scen)))
+                                      _tolerance("action.acs-invariance", cfg, scen),
+                                      pushforwards=pushforwards))
     return report
 
 
-def _suite_reduction(scen, cfg, qpoints, fiber_params, seed, fd):
+def _suite_reduction(scen, cfg, qpoints, fiber_params, seed, fd, frames):
     report = VerificationReport("reduction")
     report.add_child(verify_submersion(
-        scen, qpoints, fiber_params, fd, _tolerance("reduction.submersion", cfg, scen)))
+        scen, qpoints, fiber_params, fd, _tolerance("reduction.submersion", cfg, scen),
+        frames=frames))
     report.add_child(verify_reduction_identity(
         scen, qpoints, fd, _tolerance("reduction.identity", cfg, scen),
-        _tolerance("reduction.degeneracy", cfg, scen), seed=seed))
+        _tolerance("reduction.degeneracy", cfg, scen), seed=seed, frames=frames))
     return report
 
 
-def _suite_main_theorem(scen, cfg, qpoints, fd):
+def _suite_main_theorem(scen, cfg, qpoints, fd, frames):
     report = VerificationReport("main-theorem")
     report.add_child(verify_main_theorem(
         scen, qpoints, fd, _tolerance("main-theorem.residuals", cfg, scen),
-        _tolerance("main-theorem.hypothesis", cfg, scen)))
+        _tolerance("main-theorem.hypothesis", cfg, scen), frames=frames))
     return report
 
 
@@ -242,6 +250,9 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
         qpoints = sample_ball(scen.quotient_dim, samples,
                               radius=scen.sample_spec.radius, seed=seed)
     fiber_params = (0.0, np.pi / 3.0, np.pi)
+    # one base lift frame per quotient point, shared by the reduction and
+    # main-theorem suites and built when first needed
+    frames = lift_frames(scen, qpoints, fd)
 
     report = VerificationReport(
         scen.name,
@@ -265,9 +276,10 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
         elif suite == "action":
             report.add_child(_suite_action(scen, cfg, points, params, fd))
         elif suite == "reduction":
-            report.add_child(_suite_reduction(scen, cfg, qpoints, fiber_params, seed, fd))
+            report.add_child(_suite_reduction(scen, cfg, qpoints, fiber_params, seed, fd,
+                                              frames))
         elif suite == "main-theorem":
-            report.add_child(_suite_main_theorem(scen, cfg, qpoints, fd))
+            report.add_child(_suite_main_theorem(scen, cfg, qpoints, fd, frames))
         elif suite == "holomorphy":
             report.add_child(_suite_holomorphy(cfg, scen, seed, samples, fd))
     return report, 0 if report.passed else 1

@@ -7,6 +7,9 @@ vectors.
 
 Everything here is pure and immutable: evaluating a field or a derivative
 never mutates shared state, so concurrent use needs no synchronization.
+The one exception is ``OnDemand``, a table of values computed on first
+lookup that a caller builds for one verification and passes explicitly to
+the checks sharing it; nothing is cached at module level.
 Derivatives are central finite differences (order 2 or 4, default 4 with
 step 1e-5); nothing in the package differentiates symbolically.
 
@@ -39,6 +42,7 @@ __all__ = [
     "spd_sqrt",
     "max_abs",
     "fro_norm",
+    "OnDemand",
     "g_inner",
     "g_norm",
     "sample_box",
@@ -71,11 +75,10 @@ class ChartPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coords, dtype=float))
+        c = np.array(self.coords, dtype=float, ndmin=1)  # always a private copy
         if c.ndim != 1:
             raise ValueError(f"chart point needs a flat coordinate vector, got shape {c.shape}")
         _require_finite(c, "chart point")
-        c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
@@ -314,6 +317,27 @@ def g_inner(u, metric, v) -> float:
 
 def g_norm(v, metric) -> float:
     return float(np.sqrt(max(g_inner(v, metric, v), 0.0)))
+
+
+class OnDemand:
+    """Lookup table whose value at ``key`` is ``build(key)``, computed on the
+    first lookup and returned as is afterwards.
+
+    Values are built in the order they are first asked for, so a build that
+    raises does so where the uncached computation would have.  A table is
+    meant for one verification run and one thread; it holds no other state.
+    """
+
+    def __init__(self, build: Callable):
+        self._build = build
+        self._values: dict = {}
+
+    def __getitem__(self, key):
+        try:
+            return self._values[key]
+        except KeyError:
+            value = self._values[key] = self._build(key)
+            return value
 
 
 # doubles per rejection-sampling draw in sample_ball; small, so the batch

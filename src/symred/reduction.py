@@ -5,7 +5,9 @@ submersion, the pullback identity and the main equivalence.
 
 Every subspace is held as a matrix whose columns span it, and all three
 reduced objects at a quotient point come from one lift frame
-(``reduced_structures``).
+(``reduced_structures``).  The verification pipelines read the base frame
+of each quotient point from a ``lift_frames`` table, which a caller can
+build once and pass to all of them.
 
 The quotient has no chart of its own except through the local section, so
 the projection differential is never formed globally: a tangent vector of
@@ -43,6 +45,7 @@ from .errors import (
 from .geometry import (
     ChartPoint,
     FDConfig,
+    OnDemand,
     TensorField,
     as_coords,
     as_point,
@@ -64,6 +67,7 @@ __all__ = [
     "ReducedStructures",
     "project_to_level",
     "split_tangent",
+    "lift_frames",
     "check_vertical_ad_invariance",
     "reduced_structures",
     "verify_submersion",
@@ -134,13 +138,16 @@ class ReductionScenario:
 class SplitTangentSpace:
     """The level-set tangent space at a point as column matrices: the kernel
     of d mu, a g-orthonormal vertical frame and a g-orthonormal horizontal
-    complement, orthonormal for ``metric``, the ambient metric at ``base``."""
+    complement, orthonormal for ``metric``, the ambient metric at ``base``.
+    The momentum Jacobian and the generators it was split with are kept."""
 
     base: ChartPoint
     metric: np.ndarray
     level: np.ndarray       # n x (n-k)
     vertical: np.ndarray    # n x k
     horizontal: np.ndarray  # n x (n-2k)
+    jmu: np.ndarray         # k x n, d mu at base
+    generators: np.ndarray  # n x k, generator of each algebra basis element
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +245,7 @@ def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig(), *,
         )
 
     return SplitTangentSpace(point, G, _columns(level, n), _columns(v_onb, n),
-                             _columns(horizontal, n))
+                             _columns(horizontal, n), Jmu, V)
 
 
 def _columns(vectors, n: int) -> np.ndarray:
@@ -297,6 +304,15 @@ def _lift_frame(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(),
     return _Frame(xq, m, split, lifts, Om, J, lift_residual)
 
 
+def lift_frames(scen: ReductionScenario, points, cfg: FDConfig = FDConfig()) -> OnDemand:
+    """``frames[i]`` is the lift frame of the i-th quotient point through the
+    scenario's own section, built on first lookup.  Passed as ``frames=`` to
+    the verify_* pipelines over the same points, one frame per point serves
+    all of them."""
+    xs = list(points)
+    return OnDemand(lambda i: _lift_frame(scen, xs[i], cfg))
+
+
 def _decompose(frame: _Frame, u: np.ndarray):
     """g-orthogonal decomposition of an ambient vector into horizontal and
     vertical coefficients plus the remainder normal to the level set."""
@@ -316,16 +332,28 @@ def _dpi(frame: _Frame, u: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(frame.lifts, h_part, rcond=None)[0]
 
 
+def _reduced_metric(frame: _Frame) -> np.ndarray:
+    """g on the lifts, symmetrized."""
+    L = frame.lifts
+    h = L.T @ frame.split.metric @ L
+    return 0.5 * (h + h.T)
+
+
+def _reduced_symplectic(frame: _Frame) -> np.ndarray:
+    """omega on the lifts, antisymmetrized."""
+    L = frame.lifts
+    w = L.T @ frame.Om @ L
+    return 0.5 * (w - w.T)
+
+
 def _reduced_from_frame(frame: _Frame):
     """Reduced metric, symplectic form and acs candidate from one frame,
     with the per-lift leak magnitudes of J applied to the lifts."""
     L = frame.lifts
     G = frame.split.metric
     q = L.shape[1]
-    h = L.T @ G @ L
-    h = 0.5 * (h + h.T)
-    w = L.T @ frame.Om @ L
-    w = 0.5 * (w - w.T)
+    h = _reduced_metric(frame)
+    w = _reduced_symplectic(frame)
     j_cols = []
     vert_leak = np.zeros(q)
     normal_leak = np.zeros(q)
@@ -365,9 +393,12 @@ def reduced_structures(scen: ReductionScenario, x, cfg: FDConfig = FDConfig()) -
 
 def check_vertical_ad_invariance(scen: ReductionScenario, m, a,
                                  cfg: FDConfig = FDConfig(),
-                                 tol: float = 1e-8) -> StructureCheckResult:
+                                 tol: float = 1e-8, *,
+                                 generators=None) -> StructureCheckResult:
     """Pushforward of each generator stays in the vertical space of the moved
-    point; for abelian groups that pushforward is the generator itself."""
+    point; for abelian groups that pushforward is the generator itself.
+    ``generators`` holds the generators at ``m`` as columns when the caller
+    already has them (``SplitTangentSpace.generators``)."""
     point = as_point(m)
     params = np.asarray(a, dtype=float).reshape(scen.action.group_dim)
     level_err = float(np.linalg.norm(momentum_values(scen.mu, point) - scen.mu.beta))
@@ -379,7 +410,8 @@ def check_vertical_ad_invariance(scen: ReductionScenario, m, a,
     v_onb = orthonormalize(gens_moved, G_moved)
     leaks = []
     for i in range(scen.action.group_dim):
-        w = D @ generator(scen.action, i, point, cfg)
+        xi = generator(scen.action, i, point, cfg) if generators is None else generators[:, i]
+        w = D @ xi
         for b in v_onb:
             w = w - (b @ G_moved @ w) * b
         leaks.append(g_norm(w, G_moved))
@@ -389,33 +421,39 @@ def check_vertical_ad_invariance(scen: ReductionScenario, m, a,
 
 
 def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi / 3, np.pi),
-                      cfg: FDConfig = FDConfig(), tol: float = 1e-5) -> VerificationReport:
+                      cfg: FDConfig = FDConfig(), tol: float = 1e-5, *,
+                      frames=None) -> VerificationReport:
     """Riemannian-submersion checks: fiber independence of the reduced metric,
     orthogonality and tangency of the splitting, dimension counts, and
-    invariance of the vertical distribution."""
+    invariance of the vertical distribution.  ``frames`` is a
+    ``lift_frames`` table of the same points, or None to build one."""
     report = VerificationReport("submersion")
     xs = list(points)
     prm = [np.atleast_1d(np.asarray(a, dtype=float)) for a in fiber_params]
     k = scen.action.group_dim
     n = scen.chart_dim
 
+    if frames is None:
+        frames = lift_frames(scen, xs, cfg)
+
     fiber_res, ortho_res, tangency_res, vert_res, dim_res = [], [], [], [], []
-    for x in xs:
-        frame = _lift_frame(scen, x, cfg)
-        h_here = _reduced_from_frame(frame)[0]
+    for i, x in enumerate(xs):
+        frame = frames[i]
+        h_here = _reduced_metric(frame)
         fiber = []
         for a in prm:
             moved_section = lambda xq, _a=a: apply_flow(scen.action, _a, scen.section_point(xq))
             frame_a = _lift_frame(scen, x, cfg, section=moved_section)
-            fiber.append(max_abs(h_here - _reduced_from_frame(frame_a)[0]))
+            fiber.append(max_abs(h_here - _reduced_metric(frame_a)))
         fiber_res.append(max_abs(fiber))
 
         split = frame.split
         ortho_res.append(max_abs(split.horizontal.T @ split.metric @ split.vertical))
-        Jmu = momentum_jacobian(scen.mu, frame.m, cfg)
-        tangency_res.append(max_abs(Jmu @ split.horizontal))
+        tangency_res.append(max_abs(split.jmu @ split.horizontal))
         vert_res.append(max_abs([
-            check_vertical_ad_invariance(scen, frame.m, a, cfg, tol).max_residual for a in prm]))
+            check_vertical_ad_invariance(scen, frame.m, a, cfg, tol,
+                                         generators=split.generators).max_residual
+            for a in prm]))
 
         mism = abs(split.level.shape[1] - (n - k))
         mism += abs(split.vertical.shape[1] - k)
@@ -441,21 +479,25 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi 
 
 def verify_reduction_identity(scen: ReductionScenario, points, cfg: FDConfig = FDConfig(),
                               tol: float = 1e-5, degeneracy_tol: float = 1e-8,
-                              pairs_per_point: int = 3, seed: int = 0) -> VerificationReport:
+                              pairs_per_point: int = 3, seed: int = 0, *,
+                              frames=None) -> VerificationReport:
     """Pullback identity of the reduced symplectic form and the degeneracy of
     the vertical directions inside the restricted form.
 
     For sampled level-tangent pairs (u, v) the residual is
     |omega(m)(u, v) - omega_red(pi m)(d pi u, d pi v)|; vertical directions
-    must pair to zero with the whole kernel of d mu.
+    must pair to zero with the whole kernel of d mu.  ``frames`` is a
+    ``lift_frames`` table of the same points, or None to build one.
     """
     report = VerificationReport("reduction identity")
     xs = list(points)
+    if frames is None:
+        frames = lift_frames(scen, xs, cfg)
     rng = np.random.default_rng(seed)
     id_res, deg_res = [], []
-    for x in xs:
-        frame = _lift_frame(scen, x, cfg)
-        w_red = _reduced_from_frame(frame)[1]
+    for i in range(len(xs)):
+        frame = frames[i]
+        w_red = _reduced_symplectic(frame)
         K, V = frame.split.level, frame.split.vertical
         gaps = []
         for _ in range(pairs_per_point):
@@ -478,7 +520,8 @@ def verify_reduction_identity(scen: ReductionScenario, points, cfg: FDConfig = F
 
 
 def verify_main_theorem(scen: ReductionScenario, points, cfg: FDConfig = FDConfig(),
-                        tol: float = 1e-5, hypothesis_tol: float = 1e-6) -> VerificationReport:
+                        tol: float = 1e-5, hypothesis_tol: float = 1e-6, *,
+                        frames=None) -> VerificationReport:
     """Equivalence between reduced compatibility and the almost-complex-mapping
     property of the projection.
 
@@ -488,17 +531,20 @@ def verify_main_theorem(scen: ReductionScenario, points, cfg: FDConfig = FDConfi
     defect |omega_red J_red - h_red|, and |J_red^2 + I|.  The equivalence
     verdict requires the first two to land on the same side of the tolerance
     at every sample; ambient compatibility is checked alongside because the
-    equivalence is only asserted under that hypothesis.
+    equivalence is only asserted under that hypothesis.  ``frames`` is a
+    ``lift_frames`` table of the same points, or None to build one.
     """
     report = VerificationReport("main theorem")
     xs = list(points)
+    if frames is None:
+        frames = lift_frames(scen, xs, cfg)
     acm_res, compat_res, acs_res, hyp_res = [], [], [], []
     samples_meta = []
     iff_res = []
     hypothesis_ok = True
     eye = np.eye(scen.quotient_dim)
-    for x in xs:
-        frame = _lift_frame(scen, x, cfg)
+    for i in range(len(xs)):
+        frame = frames[i]
         h_red, w_red, j_red, vert_leak, normal_leak = _reduced_from_frame(frame)
 
         V = frame.split.vertical

@@ -2,12 +2,15 @@
 
 A report is a tree: named check results at each node plus child reports.
 The JSON form is deterministic (sorted keys) so two runs with the same
-configuration differ at most in the ``timestamp`` metadata entry.
+configuration differ at most in the ``timestamp`` metadata entry.  It is
+strict JSON: a non-finite number is written as the string "NaN",
+"Infinity" or "-Infinity", which ``float`` reads back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +23,9 @@ __all__ = ["VerificationReport", "check_to_dict", "check_from_dict"]
 
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, ChartPoint):
@@ -36,8 +41,8 @@ def check_to_dict(check: StructureCheckResult) -> dict:
     return {
         "name": check.name,
         "identity": check.identity,
-        "max_residual": float(check.max_residual),
-        "tolerance": float(check.tolerance),
+        "max_residual": _jsonable(float(check.max_residual)),
+        "tolerance": _jsonable(float(check.tolerance)),
         "passed": bool(check.passed),
         "worst_point": None if check.worst_point is None else list(check.worst_point.coords),
         "extras": _jsonable(check.extras),
@@ -112,7 +117,7 @@ class VerificationReport:
         )
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
 
     @staticmethod
     def from_json(text: str) -> "VerificationReport":

@@ -240,9 +240,12 @@ def parse_scenario(text: str) -> ScenarioFile:
                 f"sample points must have {quotient_dim} coordinates, got {len(rows[0])}"
             )
         points = tuple(tuple(_const_value(e, "sample.points") for e in row) for row in rows)
+    count = (_int_value(_as_expr(raw["sample.count"], "sample.count"), "sample.count")
+             if "sample.count" in raw else 20)
+    if count < 1:
+        raise ValidationError(f"sample.count must be at least 1, got {count}")
     sample_spec = SampleSpec(
-        count=_int_value(_as_expr(raw["sample.count"], "sample.count"), "sample.count")
-        if "sample.count" in raw else 20,
+        count=count,
         seed=_int_value(_as_expr(raw["sample.seed"], "sample.seed"), "sample.seed")
         if "sample.seed" in raw else 0,
         radius=_const_value(_as_expr(raw["sample.radius"], "sample.radius"), "sample.radius")

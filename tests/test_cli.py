@@ -1,12 +1,19 @@
 """CLI contract: suites, exit codes, report formats, determinism."""
 
 import json
+import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import symred
+from symred.actions import check_field_invariance, check_isometry, check_symplectomorphism
 from symred.cli import DEFAULT_TOLERANCES, RunConfig, main, run
-from symred.report import VerificationReport
-from symred.scenarios import builtin_text
+from symred.geometry import ChartPoint, FDConfig
+from symred.reduction import verify_main_theorem, verify_reduction_identity, verify_submersion
+from symred.report import VerificationReport, check_to_dict
+from symred.scenarios import builtin, builtin_text
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +207,108 @@ def test_explicit_sample_points_reach_report(tmp_path):
     report, code = run(RunConfig(str(path), suites=("reduction",)))
     assert code == 0
     assert report.meta["quotient_points"] == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def test_json_is_strict_for_nonfinite_residuals(tmp_path, capsys):
+    # omega[0][1] = 1e308 + x1 overflows the closedness differences to NaN
+    text = builtin_text("linear_translation").replace(
+        "omega = [[0, 1, 0, 0]", "omega = [[0, 1e308 + x1, 0, 0]")
+    path = tmp_path / "overflow.scn"
+    path.write_text(text)
+    with pytest.warns(RuntimeWarning):
+        code = main(["verify", str(path), "--suites", "structures", "--samples", "3",
+                     "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 1
+
+    def refuse(constant):
+        raise AssertionError(f"bare {constant} in the JSON report")
+
+    data = json.loads(out, parse_constant=refuse)
+    closed = next(c for c in data["children"][0]["checks"] if c["name"] == "closedness of omega")
+    assert closed["max_residual"] == "NaN" and closed["passed"] is False
+    rebuilt = VerificationReport.from_json(out)
+    assert math.isnan(rebuilt.find("closedness of omega").max_residual)
+    assert rebuilt.to_json() == out.rstrip("\n")
+
+
+def test_sample_count_zero_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "no_samples.scn"
+    path.write_text(builtin_text("hopf").replace("sample.count = 20", "sample.count = 0"))
+    assert main(["verify", str(path)]) == 2
+    assert "sample.count must be at least 1" in capsys.readouterr().err
+
+
+def _standalone_reports(name, report):
+    """The action invariance checks and the reduction and main-theorem
+    pipelines run through their public functions, each building its own
+    frames and pushforwards, at the points and parameters of ``report``."""
+    scen = builtin(name)
+    meta = report.meta
+    fd = FDConfig()
+
+    def tol(key):
+        return scen.tolerances.get(key, DEFAULT_TOLERANCES[key])
+
+    points = [ChartPoint(p) for p in meta["ambient_points"]]
+    qpoints = [ChartPoint(p) for p in meta["quotient_points"]]
+    params = [np.array(a) for a in meta["group_params"]]
+    fiber_params = (0.0, np.pi / 3.0, np.pi)
+    action = [
+        check_isometry(scen.action, scen.metric, params, points, fd, tol("action.isometry")),
+        check_symplectomorphism(scen.action, scen.omega, params, points, fd,
+                                tol("action.symplectomorphism")),
+        check_field_invariance(scen.acs, scen.action, params, points, fd,
+                               tol("action.acs-invariance")),
+    ]
+    pipelines = [
+        verify_submersion(scen, qpoints, fiber_params, fd, tol("reduction.submersion")),
+        verify_reduction_identity(scen, qpoints, fd, tol("reduction.identity"),
+                                  tol("reduction.degeneracy"), seed=meta["seed"]),
+        verify_main_theorem(scen, qpoints, fd, tol("main-theorem.residuals"),
+                            tol("main-theorem.hypothesis")),
+    ]
+    return action, pipelines
+
+
+@pytest.mark.parametrize("name", ["hopf", "noninvariant_metric_hopf"])
+def test_shared_frames_and_pushforwards_match_standalone_checks(name):
+    report, _ = run(RunConfig(name, samples=3, seed=4))
+    action, pipelines = _standalone_reports(name, report)
+    suites = {child.name: child for child in report.children}
+    for expected in action:
+        got = next(c for c in suites["action"].checks if c.name == expected.name)
+        assert check_to_dict(got) == check_to_dict(expected)
+        assert got.max_residual == expected.max_residual
+    got_pipelines = suites["reduction"].children + suites["main-theorem"].children
+    assert [r.name for r in got_pipelines] == [r.name for r in pipelines]
+    for got, expected in zip(got_pipelines, pipelines):
+        assert got.to_dict() == expected.to_dict()
+        for got_check, expected_check in zip(got.checks, expected.checks):
+            assert got_check.max_residual == expected_check.max_residual
+            assert got_check.passed == expected_check.passed
+
+
+def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
+    counts = Counter()
+
+    def count(module, attr):
+        original = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            counts[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    count(symred.reduction, "split_tangent")
+    count(symred.actions, "_pushforward")
+    samples = 2
+    report, code = run(RunConfig("hopf", samples=samples, seed=1))
+    assert code == 0
+    fiber_params = report.find("fiber independence").extras["fiber_params"]
+    # one base frame per quotient point for all pipelines, plus one moved
+    # frame per fibre parameter
+    assert counts["split_tangent"] == (1 + len(fiber_params)) * samples
+    # one flow Jacobian per (point, parameter) for the three invariance checks
+    assert counts["_pushforward"] == samples * len(report.meta["group_params"])

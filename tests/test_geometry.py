@@ -28,6 +28,16 @@ def test_chart_point_validation():
     assert p.dim == 2
     with pytest.raises(NonFiniteError):
         ChartPoint([np.nan, 0.0])
+    with pytest.raises(ValueError, match="flat coordinate vector"):
+        ChartPoint([[1.0, 2.0]])
+    assert ChartPoint(3.0).coords.tolist() == [3.0]
+    # the coordinates are a private read-only copy of the input
+    source = np.array([1.0, 2.0])
+    q = ChartPoint(source)
+    source[0] = 5.0
+    assert q.coords.tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        q.coords[0] = 0.0
 
 
 def test_eval_constant_identity_field():

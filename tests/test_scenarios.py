@@ -84,6 +84,8 @@ def test_validation_errors():
                                        "omega = [[0, 1], [-1]]"))
     with pytest.raises(ValidationError, match="constant"):
         parse_scenario(MINIMAL.replace("beta = [0.5]", "beta = [x1]"))
+    with pytest.raises(ValidationError, match="sample.count must be at least 1"):
+        parse_scenario(MINIMAL + "\nsample.count = 0\n")
 
 
 def test_section_uses_quotient_names_only():
