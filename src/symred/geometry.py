@@ -2,8 +2,8 @@
 linear-algebra kit used by every other module.
 
 A chart point is a ``ChartPoint``; a tangent vector is a plain component
-array, and a frame of tangent vectors is a matrix whose columns are the
-vectors.
+array, and a frame or basis of tangent vectors (``kernel_basis``,
+``orthonormalize``) is a matrix whose columns are the vectors.
 
 Everything here is pure and immutable: evaluating a field or a derivative
 never mutates shared state, so concurrent use needs no synchronization.
@@ -237,36 +237,33 @@ def fd_gradient(field: TensorField, p, cfg: FDConfig = FDConfig()) -> np.ndarray
     return grad
 
 
-def kernel_basis(mat, rank_tol: float = 1e-8, require_positive_rank: bool = False) -> list[np.ndarray]:
-    """Orthonormal basis of the null space of ``mat`` via SVD.
+def kernel_basis(mat, rank_tol: float = 1e-8) -> np.ndarray:
+    """Orthonormal basis of the null space of ``mat`` via SVD, as the columns
+    of an n x (n - rank) matrix.
 
     Singular values below rank_tol times the largest one count as zero.  The
-    returned vectors are the trailing right-singular vectors, so the ordering
-    is deterministic.  An all-zero matrix has full kernel; with
-    ``require_positive_rank`` that case raises instead.
+    columns are the trailing right-singular vectors, so the ordering is
+    deterministic.  An all-zero or empty matrix has full kernel.
     """
     a = _require_finite(np.atleast_2d(np.asarray(mat, dtype=float)), "matrix")
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     smax = s[0] if s.size else 0.0
-    if smax <= 0.0:
-        if require_positive_rank:
-            raise DegenerateInputError("matrix is identically zero but positive rank was required")
-        rank = 0
-    else:
-        rank = int(np.sum(s > rank_tol * smax))
-    return [vt[i] for i in range(rank, a.shape[1])]
+    rank = int(np.sum(s > rank_tol * smax)) if smax > 0.0 else 0
+    return np.ascontiguousarray(vt[rank:].T)
 
 
-def orthonormalize(vectors, metric, tol: float = 1e-10):
-    """Gram-Schmidt with respect to the inner product defined by ``metric``.
+def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
+    """Gram-Schmidt over the columns of ``frame`` with respect to the inner
+    product defined by ``metric``, returned as columns.
 
-    Vectors whose metric norm drops below ``tol`` after projection are
+    Columns whose metric norm drops below ``tol`` after projection are
     dropped, so linearly dependent inputs are handled silently.
     """
     G = np.asarray(metric, dtype=float)
+    cols = np.asarray(frame, dtype=float)
     basis: list[np.ndarray] = []
-    for v in vectors:
-        w = np.asarray(v, dtype=float).copy()
+    for j in range(cols.shape[1]):
+        w = cols[:, j].copy()
         for _ in range(2):  # re-orthogonalize once for 1e-12-level orthogonality
             for b in basis:
                 w -= (b @ G @ w) * b
@@ -274,7 +271,7 @@ def orthonormalize(vectors, metric, tol: float = 1e-10):
         if nrm < tol:
             continue
         basis.append(w / nrm)
-    return basis
+    return np.column_stack(basis) if basis else np.zeros((cols.shape[0], 0))
 
 
 def spd_sqrt(mat) -> tuple[np.ndarray, np.ndarray]:

@@ -5,9 +5,12 @@ submersion, the pullback identity and the main equivalence.
 
 Every subspace is held as a matrix whose columns span it, and all three
 reduced objects at a quotient point come from one lift frame
-(``reduced_structures``).  The verification pipelines read the base frame
-of each quotient point from a ``lift_frames`` table, which a caller can
-build once and pass to all of them.
+(``reduced_structures``).  The horizontal frame is the null space of the
+g-pairing with the vertical frame inside the level frame, so it lies in
+ker d mu and has n - 2k columns by construction.  The verification
+pipelines read the base frame of each quotient point from a ``lift_frames``
+table, which a caller can build once and pass to all of them, and the
+vertical-invariance check reads the moved frames of the fibre check.
 
 The quotient has no chart of its own except through the local section, so
 the projection differential is never formed globally: a tangent vector of
@@ -90,6 +93,13 @@ IDENTITY_HYPOTHESIS = "ambient compatibility omega(u, J v) = g(u, v)"
 # reduced_structures warns when J of a horizontal lift leaves the level
 # tangent space by more than this, relative to the lift's g-norm
 LEAK_WARNING_TOL = 1e-6
+# |mu - beta| below this puts a point on the level set; the generators must
+# leave ker d mu by less than this times 1 + |d mu|
+LEVEL_TOL = 1e-8
+# singular values below this times the largest one count as zero
+RANK_TOL = 1e-8
+# least generator singular value (and Gram-Schmidt norm) of a free action
+FREE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -137,9 +147,10 @@ class ReductionScenario:
 @dataclass(frozen=True, eq=False)
 class SplitTangentSpace:
     """The level-set tangent space at a point as column matrices: the kernel
-    of d mu, a g-orthonormal vertical frame and a g-orthonormal horizontal
-    complement, orthonormal for ``metric``, the ambient metric at ``base``.
-    The momentum Jacobian and the generators it was split with are kept."""
+    of d mu, and g-orthonormal vertical and horizontal frames for ``metric``,
+    the ambient metric at ``base``; the horizontal columns are combinations
+    of the level columns.  The momentum Jacobian and the generators it was
+    split with are kept."""
 
     base: ChartPoint
     metric: np.ndarray
@@ -188,69 +199,63 @@ def project_to_level(mu: MomentumMap, guess, tol: float = 1e-9, max_iter: int = 
     )
 
 
-def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig(), *,
-                  rank_tol: float = 1e-8, level_tol: float = 1e-8,
-                  free_tol: float = 1e-8) -> SplitTangentSpace:
+def _off_level(scen: ReductionScenario, point: ChartPoint):
+    """|mu(point) - beta| when the point is off the level set (the gap is
+    LEVEL_TOL or more), else None."""
+    gap = float(np.linalg.norm(momentum_values(scen.mu, point) - scen.mu.beta))
+    return gap if gap >= LEVEL_TOL else None
+
+
+def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig()) -> SplitTangentSpace:
     """Split the level-set tangent space at ``m`` into vertical and horizontal.
 
-    The level tangent space is the kernel of the momentum differential, the
-    vertical basis is the generator vectors, and the horizontal basis is the
-    g-orthogonal complement of the vertical span inside the kernel; both
-    are orthonormalized for the ambient metric at ``m``.
+    The level frame is the kernel of d mu, the vertical frame the generators
+    orthonormalized for the metric G at ``m``, and the horizontal frame the
+    kernel of ``vertical.T @ G`` inside the level frame, orthonormalized for
+    G, so it lies in ker d mu with n - 2k columns by construction.
     """
     point = as_point(m)
     n = scen.chart_dim
     k = scen.action.group_dim
 
-    residual = float(np.linalg.norm(momentum_values(scen.mu, point) - scen.mu.beta))
-    if residual >= level_tol:
-        raise NotOnLevelError(f"|mu(m) - beta| = {residual:.3e} exceeds {level_tol:.1e}")
+    gap = _off_level(scen, point)
+    if gap is not None:
+        raise NotOnLevelError(f"|mu(m) - beta| = {gap:.3e} exceeds {LEVEL_TOL:.1e}")
 
     Jmu = momentum_jacobian(scen.mu, point, cfg)
-    level = kernel_basis(Jmu, rank_tol)
-    if len(level) != n - k:
+    level = kernel_basis(Jmu, RANK_TOL)
+    if level.shape[1] != n - k:
         raise NotRegularValueError(
-            f"kernel of d mu has dimension {len(level)}, expected {n - k}"
+            f"kernel of d mu has dimension {level.shape[1]}, expected {n - k}"
         )
 
-    gens = [generator(scen.action, i, point, cfg) for i in range(k)]
-    V = _columns(gens, n)
+    V = np.zeros((n, k))
+    for i in range(k):
+        V[:, i] = generator(scen.action, i, point, cfg)
     sv = np.linalg.svd(V, compute_uv=False) if k else np.zeros(0)
-    if k and sv[-1] <= free_tol:
+    if k and sv[-1] <= FREE_TOL:
         raise ActionNotFreeError(
             f"generators are degenerate at {point} (smallest singular value {sv[-1]:.3e})"
         )
     scale = 1.0 + max_abs(Jmu)
     tangency = max_abs(Jmu @ V) if k else 0.0
-    if tangency > level_tol * scale:
+    if tangency > LEVEL_TOL * scale:
         raise DegenerateInputError(
             f"generators leave ker d mu by {tangency:.3e}; "
             "the action is not tangent to the level set"
         )
 
     G = eval_field(scen.metric, point)
-    v_onb = orthonormalize(gens, G, tol=free_tol)
-    if len(v_onb) != k:
-        raise ActionNotFreeError(f"vertical space degenerates to dimension {len(v_onb)}")
-    projected = []
-    for u in level:
-        w = u.astype(float).copy()
-        for b in v_onb:
-            w -= (b @ G @ w) * b
-        projected.append(w)
-    horizontal = orthonormalize(projected, G, tol=1e-8)
-    if len(horizontal) != n - 2 * k:
+    vertical = orthonormalize(V, G, tol=FREE_TOL)
+    if vertical.shape[1] != k:
+        raise ActionNotFreeError(f"vertical space degenerates to dimension {vertical.shape[1]}")
+    horizontal = orthonormalize(level @ kernel_basis(vertical.T @ G @ level, RANK_TOL), G)
+    if horizontal.shape[1] != n - 2 * k:
         raise DegenerateInputError(
-            f"horizontal complement has dimension {len(horizontal)}, expected {n - 2 * k}"
+            f"horizontal complement has dimension {horizontal.shape[1]}, expected {n - 2 * k}"
         )
 
-    return SplitTangentSpace(point, G, _columns(level, n), _columns(v_onb, n),
-                             _columns(horizontal, n), Jmu, V)
-
-
-def _columns(vectors, n: int) -> np.ndarray:
-    """The n-component vectors as the columns of an n x len(vectors) matrix."""
-    return np.column_stack(vectors) if vectors else np.zeros((n, 0))
+    return SplitTangentSpace(point, G, level, vertical, horizontal, Jmu, V)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +277,10 @@ def _lift_frame(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(),
     xq = as_point(x)
     sec = scen.section_point if section is None else section
     m = as_point(sec(xq))
-    level_err = float(np.linalg.norm(momentum_values(scen.mu, m) - scen.mu.beta))
-    if level_err > 1e-8:
+    gap = _off_level(scen, m)
+    if gap is not None:
         raise SectionNotOnLevelError(
-            f"section lands off the level set: |mu - beta| = {level_err:.3e}"
+            f"section lands off the level set: |mu - beta| = {gap:.3e}"
         )
     split = split_tangent(scen, m, cfg)
     n = scen.chart_dim
@@ -294,7 +299,7 @@ def _lift_frame(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(),
         # kills the vertical complement
         lifts = h_onb @ (h_onb.T @ G @ dsig)
         sv = np.linalg.svd(lifts, compute_uv=False)
-        if sv[-1] <= 1e-8 * max(1.0, sv[0]):
+        if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
             raise RankDeficientLiftError(
                 f"projection differential is not invertible on H at {m} "
                 f"(singular values {sv})"
@@ -391,32 +396,28 @@ def reduced_structures(scen: ReductionScenario, x, cfg: FDConfig = FDConfig()) -
     return ReducedStructures(point=frame.x, h_beta=h, omega_beta=w, j_beta=j_red)
 
 
+def _vertical_leak(D: np.ndarray, generators: np.ndarray, moved: SplitTangentSpace) -> float:
+    """Largest g-norm of the part of ``D @ xi`` g-orthogonal to the vertical
+    space of ``moved``, the splitting at the moved point, over generators xi."""
+    G, V = moved.metric, moved.vertical
+    pushed = D @ generators
+    leak = pushed - V @ (V.T @ G @ pushed)
+    return max_abs([g_norm(leak[:, i], G) for i in range(leak.shape[1])])
+
+
 def check_vertical_ad_invariance(scen: ReductionScenario, m, a,
                                  cfg: FDConfig = FDConfig(),
-                                 tol: float = 1e-8, *,
-                                 generators=None) -> StructureCheckResult:
+                                 tol: float = 1e-8) -> StructureCheckResult:
     """Pushforward of each generator stays in the vertical space of the moved
     point; for abelian groups that pushforward is the generator itself.
-    ``generators`` holds the generators at ``m`` as columns when the caller
-    already has them (``SplitTangentSpace.generators``)."""
+    Both ``m`` and the moved point must lie on the level set."""
     point = as_point(m)
     params = np.asarray(a, dtype=float).reshape(scen.action.group_dim)
-    level_err = float(np.linalg.norm(momentum_values(scen.mu, point) - scen.mu.beta))
-    if level_err > 1e-8:
-        raise NotOnLevelError(f"|mu(m) - beta| = {level_err:.3e}")
+    split = split_tangent(scen, point, cfg)
     D, moved = _pushforward(scen.action, params, point, cfg)
-    G_moved = eval_field(scen.metric, moved)
-    gens_moved = [generator(scen.action, i, moved, cfg) for i in range(scen.action.group_dim)]
-    v_onb = orthonormalize(gens_moved, G_moved)
-    leaks = []
-    for i in range(scen.action.group_dim):
-        xi = generator(scen.action, i, point, cfg) if generators is None else generators[:, i]
-        w = D @ xi
-        for b in v_onb:
-            w = w - (b @ G_moved @ w) * b
-        leaks.append(g_norm(w, G_moved))
+    leak = _vertical_leak(D, split.generators, split_tangent(scen, moved, cfg))
     return StructureCheckResult.from_samples(
-        "vertical invariance", [max_abs(leaks)], [point], tol, IDENTITY_VERT_INV
+        "vertical invariance", [leak], [point], tol, IDENTITY_VERT_INV
     )
 
 
@@ -440,20 +441,20 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi 
     for i, x in enumerate(xs):
         frame = frames[i]
         h_here = _reduced_metric(frame)
-        fiber = []
+        split = frame.split
+        fiber, leaks = [], []
         for a in prm:
             moved_section = lambda xq, _a=a: apply_flow(scen.action, _a, scen.section_point(xq))
             frame_a = _lift_frame(scen, x, cfg, section=moved_section)
             fiber.append(max_abs(h_here - _reduced_metric(frame_a)))
+            # frame_a sits at Phi_a(sigma(x)), the point the flow moves frame.m to
+            D, _ = _pushforward(scen.action, a, frame.m, cfg)
+            leaks.append(_vertical_leak(D, split.generators, frame_a.split))
         fiber_res.append(max_abs(fiber))
+        vert_res.append(max_abs(leaks))
 
-        split = frame.split
         ortho_res.append(max_abs(split.horizontal.T @ split.metric @ split.vertical))
         tangency_res.append(max_abs(split.jmu @ split.horizontal))
-        vert_res.append(max_abs([
-            check_vertical_ad_invariance(scen, frame.m, a, cfg, tol,
-                                         generators=split.generators).max_residual
-            for a in prm]))
 
         mism = abs(split.level.shape[1] - (n - k))
         mism += abs(split.vertical.shape[1] - k)

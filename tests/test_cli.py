@@ -302,6 +302,7 @@ def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
         monkeypatch.setattr(module, attr, counted)
 
     count(symred.reduction, "split_tangent")
+    count(symred.reduction, "generator")
     count(symred.actions, "_pushforward")
     samples = 2
     report, code = run(RunConfig("hopf", samples=samples, seed=1))
@@ -310,5 +311,45 @@ def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
     # one base frame per quotient point for all pipelines, plus one moved
     # frame per fibre parameter
     assert counts["split_tangent"] == (1 + len(fiber_params)) * samples
+    # the vertical-invariance check reads the generators of those frames
+    assert counts["generator"] == counts["split_tangent"] * builtin("hopf").action.group_dim
     # one flow Jacobian per (point, parameter) for the three invariance checks
     assert counts["_pushforward"] == samples * len(report.meta["group_params"])
+
+
+# exit code and failing checks of every built-in at 20 samples, seed 4
+_VERDICTS_SEED_4 = {
+    "hopf": (0, set()),
+    "linear_translation": (0, set()),
+    "euclidean_r2n": (0, set()),
+    "skewed_metric_hopf": (1, {
+        "compatibility", "almost complex mapping defect", "reduced compatibility",
+        "reduced acs identity", "ambient compatibility hypothesis"}),
+    "noninvariant_metric_hopf": (1, {
+        "compatibility", "isometry", "fiber independence", "almost complex mapping defect",
+        "reduced compatibility", "ambient compatibility hypothesis"}),
+}
+
+
+def _failing(report):
+    return {check.name for _, check in report.all_checks() if not check.passed}
+
+
+@pytest.mark.parametrize("name", sorted(_VERDICTS_SEED_4))
+def test_builtin_verdicts_at_seed_4(name):
+    # seed 4 has quotient points near x1 = 0 where the horizontal space
+    # of hopf's geometry was once miscounted as 3-dimensional
+    report, code = run(RunConfig(name, samples=20, seed=4))
+    assert (code, _failing(report)) == _VERDICTS_SEED_4[name]
+
+
+def test_hopf_80_samples_seed_0_passes():
+    report, code = run(RunConfig("hopf", samples=80, seed=0))
+    assert code == 0, report.format_text()
+
+
+def test_euclidean_r2n_8_planes_seed_44_passes(tmp_path):
+    path = tmp_path / "euclidean_r2n_8.scen"
+    path.write_text(builtin_text("euclidean_r2n", 8))
+    report, code = run(RunConfig(str(path), samples=20, seed=44))
+    assert code == 0, report.format_text()

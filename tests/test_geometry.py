@@ -191,19 +191,18 @@ def test_fd_directional_rejects_zero_direction():
 def test_kernel_basis_rank_one_row():
     # kernel of the momentum differential of the circle scenario at the pole
     basis = kernel_basis(np.array([[1.0, 0.0, 0.0, 0.0]]), 1e-8)
-    assert len(basis) == 3
-    for v in basis:
-        assert abs(v[0]) < 1e-14
-    gram = np.array([[u @ v for v in basis] for u in basis])
-    np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
+    assert basis.shape == (4, 3)
+    assert np.max(np.abs(basis[0])) < 1e-14
+    np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
 
 
 def test_kernel_basis_trivial_and_full():
-    assert kernel_basis(np.eye(2), 1e-8) == []
+    assert kernel_basis(np.eye(2), 1e-8).shape == (2, 0)
     full = kernel_basis(np.zeros((2, 2)), 1e-8)
-    assert len(full) == 2
-    with pytest.raises(DegenerateInputError):
-        kernel_basis(np.zeros((2, 2)), 1e-8, require_positive_rank=True)
+    assert full.shape == (2, 2)
+    np.testing.assert_allclose(full.T @ full, np.eye(2), atol=1e-14)
+    # no rows at all: every direction is in the kernel
+    assert kernel_basis(np.zeros((0, 3)), 1e-8).shape == (3, 3)
 
 
 def test_kernel_basis_residual_property():
@@ -213,36 +212,36 @@ def test_kernel_basis_residual_property():
         a = rng.standard_normal((m, n))
         basis = kernel_basis(a, 1e-8)
         smax = np.linalg.svd(a, compute_uv=False)[0]
-        for v in basis:
-            assert np.linalg.norm(a @ v) < 10 * 1e-8 * smax
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                assert abs(u @ v - (i == j)) < 1e-12
+        assert basis.shape == (n, max(n - m, 0))
+        for j in range(basis.shape[1]):
+            assert np.linalg.norm(a @ basis[:, j]) < 10 * 1e-8 * smax
+        gram = basis.T @ basis
+        assert np.max(np.abs(gram - np.eye(basis.shape[1])), initial=0.0) < 1e-12
 
 
 def test_orthonormalize_examples():
-    already = orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])], np.eye(2))
-    np.testing.assert_allclose(already, [[1.0, 0.0], [0.0, 1.0]], atol=1e-14)
+    already = orthonormalize(np.eye(2), np.eye(2))
+    np.testing.assert_allclose(already, np.eye(2), atol=1e-14)
 
-    schmidt = orthonormalize([np.array([1.0, 0.0]), np.array([1.0, 1.0])], np.eye(2))
-    np.testing.assert_allclose(schmidt, [[1.0, 0.0], [0.0, 1.0]], atol=1e-14)
+    schmidt = orthonormalize(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+    np.testing.assert_allclose(schmidt, np.eye(2), atol=1e-14)
 
-    scaled = orthonormalize([np.array([1.0, 0.0])], np.diag([4.0, 1.0]))
-    np.testing.assert_allclose(scaled, [[0.5, 0.0]], atol=1e-14)
+    scaled = orthonormalize(np.array([[1.0], [0.0]]), np.diag([4.0, 1.0]))
+    np.testing.assert_allclose(scaled, [[0.5], [0.0]], atol=1e-14)
+
+    assert orthonormalize(np.zeros((3, 0)), np.eye(3)).shape == (3, 0)
 
 
 def test_orthonormalize_idempotent_and_drops_dependent():
     rng = np.random.default_rng(5)
     G = np.diag([1.0, 2.0, 5.0])
-    vecs = [rng.standard_normal(3) for _ in range(3)]
-    vecs.append(vecs[0] + vecs[1])  # dependent
+    vecs = rng.standard_normal((3, 3)).T  # three random columns
+    vecs = np.column_stack([vecs, vecs[:, 0] + vecs[:, 1]])  # dependent
     once = orthonormalize(vecs, G)
-    assert len(once) == 3
+    assert once.shape == (3, 3)
     twice = orthonormalize(once, G)
-    for a, b in zip(once, twice):
-        assert np.max(np.abs(a - b)) < 1e-12
-    gram = np.array([[u @ G @ v for v in once] for u in once])
-    np.testing.assert_allclose(gram, np.eye(3), atol=1e-12)
+    assert np.max(np.abs(once - twice)) < 1e-12
+    np.testing.assert_allclose(once.T @ G @ once, np.eye(3), atol=1e-12)
 
 
 def test_sqrt_inverse_spd_examples():

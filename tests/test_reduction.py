@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symred.actions import GroupAction, MomentumMap, uniform_circle_quadrature
+from symred.actions import GroupAction, MomentumMap, apply_flow, uniform_circle_quadrature
 from symred.errors import (
     ActionNotFreeError,
     NoConvergenceError,
@@ -27,7 +27,12 @@ from symred.reduction import (
 from symred.scenarios import builtin
 from symred.structures import euclidean_metric, standard_acs, standard_acs_matrix, standard_symplectic
 
-from util import projective_plane_oracle, round_sphere_metric, round_sphere_symplectic
+from util import (
+    horizontal_projector_oracle,
+    projective_plane_oracle,
+    round_sphere_metric,
+    round_sphere_symplectic,
+)
 
 HOPF = builtin("hopf")
 LINEAR = builtin("linear_translation")
@@ -102,6 +107,42 @@ def test_split_tangent_rejects_frozen_action():
     )
     with pytest.raises(ActionNotFreeError):
         split_tangent(frozen, ChartPoint([0.0, 0.0, 0.0, 0.0]))
+
+
+def assert_split_matches_oracle(scen, m):
+    split = split_tangent(scen, m)
+    n, k = scen.chart_dim, scen.action.group_dim
+    G, H, V = split.metric, split.horizontal, split.vertical
+    assert H.shape == (n, n - 2 * k)
+    oracle = horizontal_projector_oracle(split.jmu, split.generators, G, n - 2 * k)
+    np.testing.assert_allclose(H @ H.T @ G, oracle, atol=1e-12)
+    assert np.max(np.abs(split.jmu @ H)) < 1e-14
+    assert np.max(np.abs(H.T @ G @ V)) < 1e-14
+    np.testing.assert_allclose(H.T @ G @ H, np.eye(n - 2 * k), atol=1e-13)
+
+
+def test_split_tangent_at_former_hopf_crash_point():
+    # quotient point 76 of `verify hopf --samples 80 --seed 0`: Gram-Schmidt
+    # over the projected level vectors once left a third residual of 8.2e-8
+    # above an absolute 1e-8 cut, giving a 3-dimensional horizontal space
+    x = ChartPoint([-0.00010870536552598509, 0.976389917130593])
+    m = HOPF.section_point(x)
+    for a in (None, 0.0, np.pi):
+        p = m if a is None else apply_flow(HOPF.action, np.array([a]), m)
+        assert_split_matches_oracle(HOPF, p)
+
+
+def test_split_tangent_matches_oracle_for_nonflat_metric():
+    # G is not the identity here, so g-orthogonality is really exercised
+    scen = builtin("noninvariant_metric_hopf")
+    for x in quotient_points(scen, 6, seed=3):
+        assert_split_matches_oracle(scen, scen.section_point(x))
+
+
+def test_split_tangent_matches_oracle_in_dimension_16():
+    scen = builtin("euclidean_r2n", planes=8)
+    for x in quotient_points(scen, 3, seed=44):
+        assert_split_matches_oracle(scen, scen.section_point(x))
 
 
 def test_vertical_ad_invariance():

@@ -181,3 +181,20 @@ def reference_sample_ball(dim, count, radius=2.0, seed=0):
         if np.linalg.norm(x) <= 1.0:
             points.append(ChartPoint(radius * x))
     return points
+
+
+def horizontal_projector_oracle(jmu, generators, metric, dim):
+    """G-orthogonal projector onto the horizontal space, the part of ker d mu
+    that G pairs to zero with the generators, from one SVD of the stacked
+    matrix [d mu; generators^T G].
+
+    The ``dim`` trailing right-singular vectors span the common null space;
+    the projector onto their span, orthogonal for G, is
+    N (N^T G N)^-1 N^T G.  No kernel cut-off or Gram-Schmidt is involved,
+    so this is independent of the library's two-step construction.
+    """
+    G = np.asarray(metric, dtype=float)
+    stacked = np.vstack([np.asarray(jmu, dtype=float), np.asarray(generators, dtype=float).T @ G])
+    n = stacked.shape[1]
+    N = np.linalg.svd(stacked, full_matrices=True)[2][n - dim:].T
+    return N @ np.linalg.solve(N.T @ G @ N, N.T @ G)
