@@ -20,6 +20,7 @@ from .geometry import (
     ChartPoint,
     FDConfig,
     OnDemand,
+    RowMap,
     TensorField,
     as_coords,
     as_point,
@@ -27,13 +28,16 @@ from .geometry import (
     fd_gradient,
     fd_jacobian,
     max_abs,
-    _central_difference,
+    _differences,
+    _evaluate_rows,
     _require_finite,
+    _stencil,
 )
 from .structures import StructureCheckResult
 
 __all__ = [
     "GroupAction",
+    "RowFlow",
     "MomentumMap",
     "apply_flow",
     "generator",
@@ -62,6 +66,36 @@ IDENTITY_FIELD_INVARIANT = "D F(m) = F(Phi_a(m)) D"
 IDENTITY_AXIOMS = "Phi_0 = id and Phi_s o Phi_t = Phi_{s+t}"
 
 
+class RowFlow:
+    """A flow compiled to one evaluator over many (point, parameter) pairs.
+
+    ``rows(Z)`` takes an (N, n + k) array whose rows are a chart point
+    followed by a group parameter vector and returns the (N, n) moved
+    points, doing for each row exactly what ``flow(params, p)`` does; that
+    call runs ``rows`` on one row.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __call__(self, params, p) -> ChartPoint:
+        row = np.concatenate([as_coords(p), np.asarray(params, dtype=float).ravel()])
+        return ChartPoint(self.rows(row[np.newaxis])[0])
+
+
+def _pairs(points, params) -> np.ndarray:
+    """Rows (point, parameter) for ``RowFlow.rows``; a single point or
+    parameter vector is repeated over the rows of the other."""
+    points, params = np.atleast_2d(points), np.atleast_2d(params)
+    n = points.shape[1]
+    rows = np.empty((max(len(points), len(params)), n + params.shape[1]))
+    rows[:, :n] = points
+    rows[:, n:] = params
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class GroupAction:
     """Parametrized flow of a k-dimensional abelian group on one chart.
@@ -73,7 +107,7 @@ class GroupAction:
     """
 
     group_dim: int
-    flow: object  # (params, ChartPoint) -> ChartPoint or array-like
+    flow: object  # (params, ChartPoint) -> ChartPoint or array-like, or a RowFlow
     algebra_basis: tuple[str, ...] = ()
     quadrature: tuple = ()
     abelian: bool = True
@@ -123,18 +157,37 @@ def apply_flow(action: GroupAction, params, p) -> ChartPoint:
                                 as_point(p)))
 
 
+def _flow_values(action: GroupAction, rows: np.ndarray) -> np.ndarray:
+    """Phi at every (point, parameter) row of ``rows`` (see ``_pairs``), as
+    an (N, n) array, each row as ``apply_flow`` computes it."""
+    n = rows.shape[1] - action.group_dim
+    flow = RowMap(action.flow.rows) if isinstance(action.flow, RowFlow) else None
+    return _evaluate_rows(flow, rows, lambda z: apply_flow(action, z[n:], z[:n]).coords)
+
+
+def _flow_map(action: GroupAction, params):
+    """Phi_a as a chart map; a RowMap when the flow is a RowFlow, so the
+    group parameter is repeated over every row of a batch."""
+    a = np.asarray(params, dtype=float).reshape(action.group_dim)
+    if isinstance(action.flow, RowFlow):
+        rows = action.flow.rows
+        return RowMap(lambda X: rows(_pairs(X, a)))
+    return lambda q: apply_flow(action, a, q)
+
+
 def _pushforward(action: GroupAction, params, p, cfg: FDConfig):
     """Jacobian of the flow Phi_a at p, and the moved point Phi_a(p)."""
-    D = fd_jacobian(lambda q: apply_flow(action, params, q), p, cfg)
+    D = fd_jacobian(_flow_map(action, params), p, cfg)
     return D, apply_flow(action, params, p)
 
 
 def pushforward_table(action: GroupAction, params, points, cfg: FDConfig = FDConfig()) -> OnDemand:
     """``table[i, j]`` is (D, Phi_a(p)) for the i-th point and the j-th group
     parameter, built on first lookup.  Passed as ``pushforwards=`` to
-    check_isometry, check_symplectomorphism and check_field_invariance over
-    the same params and points, it lets them share one flow Jacobian per
-    (point, parameter) instead of each differentiating the flow again."""
+    check_isometry, check_symplectomorphism, check_field_invariance and
+    check_momentum_invariance over the same params and points, it lets them
+    share one flow Jacobian and moved point per (point, parameter) instead
+    of each differentiating or applying the flow again."""
     pts = list(points)
     prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
     return OnDemand(lambda key: _pushforward(action, prm[key[1]], pts[key[0]], cfg))
@@ -145,11 +198,8 @@ def generator_vector(action: GroupAction, xi, p, cfg: FDConfig = FDConfig()) -> 
     d/dt flow(t * xi, p) at t = 0, as a component vector at p."""
     point = as_point(p)
     direction = np.asarray(xi, dtype=float).reshape(action.group_dim)
-
-    def sample(t: float) -> np.ndarray:
-        return apply_flow(action, t * direction, point).coords
-
-    v = _central_difference(sample, cfg)
+    values = _flow_values(action, _pairs(point.coords, _stencil(direction[np.newaxis], cfg)))
+    v = _differences(values, 1, cfg)[0]
     if v.shape != (point.dim,):
         raise ValueError(f"generator length {v.shape} does not match chart dimension {point.dim}")
     return _require_finite(v, "generator")
@@ -176,21 +226,27 @@ def momentum_jacobian(mu: MomentumMap, p, cfg: FDConfig = FDConfig()) -> np.ndar
 def check_action_axioms(action: GroupAction, params, points, cfg: FDConfig = FDConfig(),
                         tol: float = 1e-9) -> StructureCheckResult:
     """Identity axiom flow(0, p) = p and, for abelian actions, additivity
-    flow(s, flow(t, p)) = flow(s + t, p) over the sampled parameters."""
+    flow(s, flow(t, p)) = flow(s + t, p) over the sampled parameters.
+
+    Per point the flows Phi_t(p), the two-step flows over every (s, t) and
+    the one-step flows Phi_{s+t}(p) are each evaluated as one batch of rows.
+    """
     pts = list(points)
-    prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
+    prm = np.array([np.asarray(a, dtype=float).reshape(action.group_dim) for a in params])
     zero = np.zeros(action.group_dim)
+    if action.abelian and len(prm):
+        # (s, t) pairs with s outer: s repeated per t, t cycled per s
+        outer = np.repeat(prm, len(prm), axis=0)
+        sums = (prm[:, np.newaxis] + prm[np.newaxis]).reshape(outer.shape)
     residuals = []
     for p in pts:
-        res = [float(np.linalg.norm(apply_flow(action, zero, p).coords - as_coords(p)))]
-        if action.abelian:
-            # Phi_t(p) once per t, in the order the loop first needs it
-            moved = OnDemand(lambda j, _p=p: apply_flow(action, prm[j], _p))
-            for s in prm:
-                for j, t in enumerate(prm):
-                    two_step = apply_flow(action, s, moved[j])
-                    one_step = apply_flow(action, s + t, p)
-                    res.append(float(np.linalg.norm(two_step.coords - one_step.coords)))
+        x = as_coords(p)
+        res = [float(np.linalg.norm(apply_flow(action, zero, p).coords - x))]
+        if action.abelian and len(prm):
+            moved = _flow_values(action, _pairs(x, prm))
+            two_step = _flow_values(action, _pairs(np.tile(moved, (len(prm), 1)), outer))
+            one_step = _flow_values(action, _pairs(x, sums))
+            res.extend(float(np.linalg.norm(d)) for d in two_step - one_step)
         residuals.append(max_abs(res))
     return StructureCheckResult.from_samples(
         "action axioms", residuals, pts, tol, IDENTITY_AXIOMS
@@ -259,10 +315,12 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
 
 
 def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, points,
-                              tol: float = 1e-6) -> StructureCheckResult:
+                              tol: float = 1e-6, *, pushforwards=None) -> StructureCheckResult:
     """Invariance mu o Phi_a = mu; this is equivariance for abelian groups.
 
-    Nonabelian actions are refused: they would need a coadjoint
+    ``pushforwards`` is a ``pushforward_table`` of the same params and
+    points whose moved points are read instead of applying the flow again,
+    or None.  Nonabelian actions are refused: they would need a coadjoint
     representation, which is outside the built-in scope.
     """
     if not action.abelian:
@@ -271,11 +329,15 @@ def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, poin
         )
     pts = list(points)
     prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
+    if pushforwards is None:
+        moved = lambda i, j: apply_flow(action, prm[j], pts[i])
+    else:
+        moved = lambda i, j: pushforwards[i, j][1]
     residuals = []
-    for p in pts:
+    for i, p in enumerate(pts):
         here = momentum_values(mu, p)
-        residuals.append(max_abs([momentum_values(mu, apply_flow(action, a, p)) - here
-                                  for a in prm]))
+        residuals.append(max_abs([momentum_values(mu, moved(i, j)) - here
+                                  for j in range(len(prm))]))
     return StructureCheckResult.from_samples(
         "momentum invariance", residuals, pts, tol, IDENTITY_MU_INVARIANT
     )

@@ -19,10 +19,14 @@ cos, exp and sqrt.  Exponents are nonnegative integer literals; "-2^2"
 therefore parses as -(2^2).  Parsing either succeeds or raises ParseError
 with a 1-based position; no input crashes the parser.
 
-:func:`compile_expr` turns an AST into nested Python closures once, so a
-field evaluated at many points does no per-point tree walking.  Scenario
-files are untrusted input: the closures are built from the AST, and no
-generated source is ever passed to ``eval`` or ``exec``.
+:func:`compile_exprs` turns the entries of one field into one program of
+nested Python closures once, so a field evaluated at many points does no
+per-point tree walking; a subtree repeated across or within the entries
+is computed once per evaluation and its value reused.  Programs compute
+with Python floats and the ``math`` functions, not numpy ufuncs, so every
+value is the bits a tree walk gives.  Scenario files are untrusted input:
+the closures are built from the AST, and no generated source is ever
+passed to ``eval`` or ``exec``.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
     "parse_expression",
     "format_expr",
     "compile_expr",
+    "compile_exprs",
     "eval_expr",
     "free_names",
     "validate_expr",
@@ -401,72 +406,173 @@ def compile_expr(e: Expr, names: Iterable[str]) -> Callable[[Sequence[float]], f
     """Compile an AST into a closure over a positional list of values.
 
     ``names`` orders the coordinates: the closure reads ``names[i]`` from
-    ``values[i]``.  The closures are built from the AST, never from source
-    text, and do exactly the float operations of a tree walk, in the same
-    order.  Division by zero, square roots of negative numbers and overflow
-    raise NonFiniteError when the closure runs; an unknown coordinate or
-    function raises ValidationError here, at compile time.
+    ``values[i]``.  This is the one-entry case of :func:`compile_exprs`.
     """
-    return _compile(e, {name: i for i, name in enumerate(names)})
+    program = compile_exprs((e,), names)
+    return lambda values: program(values)[0]
 
 
-def _compile(e: Expr, index: dict) -> Callable[[Sequence[float]], float]:
-    if isinstance(e, Num):
-        value = e.value
-        return lambda v: value
-    if isinstance(e, Coord):
-        try:
-            return itemgetter(index[e.name])
-        except KeyError:
-            raise ValidationError(f"unknown coordinate {e.name!r}") from None
-    if isinstance(e, Neg):
-        arg = _compile(e.arg, index)
-        return lambda v: -arg(v)
-    if isinstance(e, Pow):
-        base, power = _compile(e.base, index), e.power
+def compile_exprs(exprs: Sequence[Expr], names: Iterable[str]) -> Callable[[Sequence[float]], list]:
+    """Compile the entries of one field into one program over a positional
+    list of values, one value per name.
 
-        def raised(v):
-            try:
-                return float(base(v) ** power)
-            except OverflowError:
-                raise NonFiniteError("power overflows") from None
+    ``program(values)`` returns the entries' values as a list.  It does the
+    float operations of walking each entry's tree in turn, in the same
+    order, except that a subtree occurring more than once (``cos(t1)`` in
+    every entry of a rotation, the normalizing square root of a section) is
+    computed once per call, the first time the walk reaches it, and its
+    value reused afterwards.  Evaluation is pure, so the values are the same
+    bits and the first error raised is the same error.  The closures are
+    built from the AST, never from source text.  Division by zero, square
+    roots of negative numbers and overflow raise NonFiniteError when the
+    program runs; an unknown coordinate or function raises ValidationError
+    here, at compile time.
+    """
+    names = tuple(names)
+    compiler = _Compiler(names, exprs)
+    entries = [compiler.compile(e) for e in exprs]
+    pad = [0.0] * compiler.slots  # the shared values follow the coordinates
+    size = len(names) + len(pad)
 
-        return raised
-    if isinstance(e, Call):
-        try:
-            fn = FUNCTIONS[e.fn]
-        except KeyError:
-            raise ValidationError(f"unknown function {e.fn!r}") from None
-        arg, fn_name = _compile(e.arg, index), e.fn
-        is_sqrt = fn_name == "sqrt"
+    def program(values):
+        v = [*values, *pad]
+        if len(v) != size:
+            raise ValueError(f"expected {len(names)} values, got {len(values)}")
+        return [entry(v) for entry in entries]
 
-        def call(v):
-            x = arg(v)
-            if is_sqrt and x < 0:
-                raise NonFiniteError(f"sqrt of negative value {x}")
-            try:
-                return fn(x)
-            except OverflowError:
-                raise NonFiniteError(f"{fn_name} overflows") from None
+    return program
 
-        return call
+
+def _parts(e: Expr) -> tuple:
+    """What a node is apart from its children, and its children.  A literal
+    is labelled by its type and exact repr, so 0.0 and -0.0 (equal as
+    floats) differ."""
     if isinstance(e, BinOp):
-        left, right = _compile(e.left, index), _compile(e.right, index)
-        if e.op == "+":
-            return lambda v: left(v) + right(v)
-        if e.op == "-":
-            return lambda v: left(v) - right(v)
-        if e.op == "*":
-            return lambda v: left(v) * right(v)
-
-        def divide(v):
-            numerator, denominator = left(v), right(v)
-            if denominator == 0.0:
-                raise NonFiniteError("division by zero")
-            return numerator / denominator
-
-        return divide
+        return (BinOp, e.op), (e.left, e.right)
+    if isinstance(e, Coord):
+        return (Coord, e.name), ()
+    if isinstance(e, Num):
+        return (Num, type(e.value), repr(e.value)), ()
+    if isinstance(e, Call):
+        return (Call, e.fn), (e.arg,)
+    if isinstance(e, Pow):
+        return (Pow, e.power), (e.base,)
+    if isinstance(e, Neg):
+        return (Neg,), (e.arg,)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+class _Compiler:
+    """Builds the closures of one program.
+
+    Structurally equal subtrees get the same number.  The first occurrence
+    of a repeated subtree stores its value in a slot after the coordinates
+    and the slots before it; every later occurrence reads it back.  The
+    compile walk visits nodes in evaluation order, so a slot is always
+    written before it is read.
+    """
+
+    def __init__(self, names: tuple, exprs: Sequence[Expr]):
+        self.index = {name: i for i, name in enumerate(names)}
+        self.width = len(names)
+        self.numbers: dict = {}   # (label, child numbers) -> number
+        self.of_node: dict = {}   # id(node) -> number
+        self.children: dict = {}  # number -> child numbers
+        roots = [self.number(e) for e in exprs]
+        # references per distinct subtree, each distinct parent counted once
+        uses = dict.fromkeys(self.children, 0)
+        for num in [*roots, *(kid for kids in self.children.values() for kid in kids)]:
+            uses[num] += 1
+        self.repeated = {num for num, count in uses.items() if count > 1 and self.children[num]}
+        self.stored: dict = {}  # subtree number -> slot position
+        self.slots = 0
+
+    def number(self, e: Expr) -> int:
+        num = self.of_node.get(id(e))
+        if num is None:
+            label, kids = _parts(e)
+            kids = tuple([self.number(kid) for kid in kids])
+            num = self.numbers.setdefault((label, kids), len(self.numbers))
+            self.children[num] = kids
+            self.of_node[id(e)] = num
+        return num
+
+    def compile(self, e: Expr) -> Callable[[list], float]:
+        num = self.number(e)
+        if num in self.stored:
+            return itemgetter(self.stored[num])
+        fn = self._node(e)
+        if num in self.repeated:
+            slot = self.stored[num] = self.width + self.slots
+            self.slots += 1
+            fn = self._store(fn, slot)
+        return fn
+
+    @staticmethod
+    def _store(fn, slot: int):
+        def store(v):
+            value = v[slot] = fn(v)
+            return value
+
+        return store
+
+    def _node(self, e: Expr) -> Callable[[list], float]:
+        if isinstance(e, Num):
+            value = e.value
+            return lambda v: value
+        if isinstance(e, Coord):
+            try:
+                return itemgetter(self.index[e.name])
+            except KeyError:
+                raise ValidationError(f"unknown coordinate {e.name!r}") from None
+        if isinstance(e, Neg):
+            arg = self.compile(e.arg)
+            return lambda v: -arg(v)
+        if isinstance(e, Pow):
+            base, power = self.compile(e.base), e.power
+
+            def raised(v):
+                try:
+                    return float(base(v) ** power)
+                except OverflowError:
+                    raise NonFiniteError("power overflows") from None
+
+            return raised
+        if isinstance(e, Call):
+            try:
+                fn = FUNCTIONS[e.fn]
+            except KeyError:
+                raise ValidationError(f"unknown function {e.fn!r}") from None
+            arg, fn_name = self.compile(e.arg), e.fn
+            is_sqrt = fn_name == "sqrt"
+
+            def call(v):
+                x = arg(v)
+                if is_sqrt and x < 0:
+                    raise NonFiniteError(f"sqrt of negative value {x}")
+                try:
+                    return fn(x)
+                except OverflowError:
+                    raise NonFiniteError(f"{fn_name} overflows") from None
+
+            return call
+        if isinstance(e, BinOp):
+            left, right = self.compile(e.left), self.compile(e.right)
+            if e.op == "+":
+                return lambda v: left(v) + right(v)
+            if e.op == "-":
+                return lambda v: left(v) - right(v)
+            if e.op == "*":
+                return lambda v: left(v) * right(v)
+
+            def divide(v):
+                numerator, denominator = left(v), right(v)
+                if denominator == 0.0:
+                    raise NonFiniteError("division by zero")
+                return numerator / denominator
+
+            return divide
+        raise TypeError(f"not an expression node: {e!r}")
 
 
 def eval_expr(e: Expr, env: dict) -> float:

@@ -13,6 +13,19 @@ the checks sharing it; nothing is cached at module level.
 Derivatives are central finite differences (order 2 or 4, default 4 with
 step 1e-5); nothing in the package differentiates symbolically.
 
+``fd_jacobian``, ``fd_directional``, ``fd_gradient`` and the group
+generators share one stencil path: every stencil point ``x + t * e`` is a
+row of one array, all rows are evaluated in one call, and one vectorised
+expression combines them with the operation order of the per-column
+formula, so the result is the same bits.  A compiled map (``RowMap``, or a
+``RowField`` as a TensorField's function) evaluates the rows with its row
+evaluator, which runs the scenario's compiled program on each row with
+Python floats and ``math`` functions: numpy ufuncs such as ``np.exp`` round
+differently in the last bit on some inputs and would change residuals.
+Any other callable is called once per row with a ``ChartPoint``, and so
+is a compiled map whose batch meets an error or a non-finite value, so the
+first failing row raises what it raises alone.
+
 The per-point paths stay cheap on success: ``eval_field`` formats the
 point into its error message only when a value is non-finite, and
 ``sample_ball`` draws its rejection-sampling candidates in batches.
@@ -30,6 +43,8 @@ from .errors import DegenerateInputError, NonFiniteError, NotSPDError
 __all__ = [
     "ChartPoint",
     "as_point",
+    "RowMap",
+    "RowField",
     "TensorField",
     "FDConfig",
     "eval_field",
@@ -94,6 +109,36 @@ class ChartPoint:
 
     def __repr__(self) -> str:
         return f"ChartPoint({np.array2string(self.coords, separator=', ')})"
+
+
+class RowMap:
+    """A chart map compiled to one evaluator over many points.
+
+    ``rows(X)`` takes an (N, d) array whose rows are points and returns the
+    (N, m) array of their images, doing for each row exactly what a call on
+    that one point does.  Calling the map on one point runs ``rows`` on that
+    one row.  The finite-difference paths recognize a RowMap by its type and
+    evaluate all points of a stencil in one ``rows`` call; they call any
+    other map once per point.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray]):
+        self.rows = rows
+
+    def __call__(self, p) -> ChartPoint:
+        return ChartPoint(self.rows(as_coords(p)[np.newaxis])[0])
+
+
+class RowField(RowMap):
+    """The ``func`` of a compiled TensorField: ``rows(X)`` returns the
+    (N, *shape) field values, and one point gives its value array."""
+
+    __slots__ = ()
+
+    def __call__(self, p) -> np.ndarray:
+        return self.rows(as_coords(p)[np.newaxis])[0]
 
 
 ARITIES = ("scalar", "vector", "matrix")
@@ -179,11 +224,44 @@ class FDConfig:
             raise ValueError(f"order must be 2 or 4, got {self.order}")
 
 
-def _central_difference(sample: Callable[[float], np.ndarray], cfg: FDConfig) -> np.ndarray:
+def _stencil(directions: np.ndarray, cfg: FDConfig) -> np.ndarray:
+    """The steps ``t * d`` of the central-difference stencil, for each row d
+    of ``directions`` (outer) and each offset t (inner, in the order the
+    difference formula reads them), one row per step."""
     h = cfg.step
+    offsets = np.array([h, -h] if cfg.order == 2 else [2 * h, h, -h, -2 * h])
+    steps = offsets[np.newaxis, :, np.newaxis] * directions[:, np.newaxis, :]
+    return steps.reshape(-1, directions.shape[1])
+
+
+def _differences(values: np.ndarray, count: int, cfg: FDConfig) -> np.ndarray:
+    """Central differences from the values at the rows of ``_stencil`` over
+    ``count`` directions; entry i is the derivative along direction i."""
+    h = cfg.step
+    s = values.reshape((count, 2 if cfg.order == 2 else 4) + values.shape[1:]).swapaxes(0, 1)
     if cfg.order == 2:
-        return (sample(h) - sample(-h)) / (2.0 * h)
-    return (-sample(2 * h) + 8.0 * sample(h) - 8.0 * sample(-h) + sample(-2 * h)) / (12.0 * h)
+        return (s[0] - s[1]) / (2.0 * h)
+    return (-s[0] + 8.0 * s[1] - 8.0 * s[2] + s[3]) / (12.0 * h)
+
+
+def _evaluate_rows(f, points: np.ndarray, sample: Callable, shape=None) -> np.ndarray:
+    """The values of a map at every row of ``points``, stacked in row order.
+
+    A RowMap evaluates all rows in one ``rows`` call.  Any other callable
+    goes through ``sample`` one row at a time, and so does a RowMap batch
+    that meets a non-finite point, an evaluation error, a non-finite value
+    or, when ``shape`` is given, values not of shape (N, *shape): the first
+    failing row then raises what ``sample`` raises for it.
+    """
+    if isinstance(f, RowMap) and np.isfinite(points).all():
+        try:
+            values = f.rows(points)
+        except (NonFiniteError, ValueError):
+            values = None
+        if values is not None and np.isfinite(values).all() \
+                and (shape is None or values.shape == (len(points), *shape)):
+            return values
+    return np.array([sample(y) for y in points], dtype=float)
 
 
 def fd_jacobian(chart_map, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
@@ -201,12 +279,8 @@ def fd_jacobian(chart_map, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
 
     if n == 0:
         return np.zeros((value(x).shape[0], 0))
-    cols = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        cols.append(_central_difference(lambda t: value(x + t * e), cfg))
-    return np.column_stack(cols)
+    values = _evaluate_rows(chart_map, x + _stencil(np.eye(n), cfg), value)
+    return np.ascontiguousarray(_differences(values.reshape(len(values), -1), n, cfg).T)
 
 
 def fd_directional(field: TensorField, p, direction, cfg: FDConfig = FDConfig()) -> np.ndarray | float:
@@ -215,11 +289,9 @@ def fd_directional(field: TensorField, p, direction, cfg: FDConfig = FDConfig())
     d = as_coords(direction)
     if not np.linalg.norm(d) > 0:
         raise DegenerateInputError("directional derivative needs a nonzero direction")
-
-    def sample(t: float) -> np.ndarray:
-        return np.asarray(eval_field(field, ChartPoint(x + t * d)), dtype=float)
-
-    out = _central_difference(sample, cfg)
+    values = _evaluate_rows(field.func, x + _stencil(d[np.newaxis], cfg),
+                            lambda y: eval_field(field, ChartPoint(y)), field.shape)
+    out = _differences(values, 1, cfg)[0]
     return float(out) if field.arity == "scalar" else out
 
 
@@ -229,12 +301,9 @@ def fd_gradient(field: TensorField, p, cfg: FDConfig = FDConfig()) -> np.ndarray
         raise ValueError("gradient is defined for scalar fields")
     x = as_coords(p)
     n = x.shape[0]
-    grad = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        grad[i] = fd_directional(field, x, e, cfg)
-    return grad
+    values = _evaluate_rows(field.func, x + _stencil(np.eye(n), cfg),
+                            lambda y: eval_field(field, ChartPoint(y)), field.shape)
+    return _differences(values, n, cfg)
 
 
 def kernel_basis(mat, rank_tol: float = 1e-8) -> np.ndarray:

@@ -29,10 +29,12 @@ import numpy as np
 from .actions import (
     GroupAction,
     MomentumMap,
+    RowFlow,
     apply_flow,
     generator,
     momentum_jacobian,
     momentum_values,
+    _pairs,
     _pushforward,
 )
 from .errors import (
@@ -49,6 +51,7 @@ from .geometry import (
     ChartPoint,
     FDConfig,
     OnDemand,
+    RowMap,
     TensorField,
     as_coords,
     as_point,
@@ -59,6 +62,7 @@ from .geometry import (
     kernel_basis,
     max_abs,
     orthonormalize,
+    _require_finite,
 )
 from .report import VerificationReport
 from .structures import StructureCheckResult
@@ -125,7 +129,7 @@ class ReductionScenario:
     action: GroupAction
     mu: MomentumMap
     quotient_dim: int
-    section: object  # quotient ChartPoint -> ChartPoint on the level set
+    section: object  # quotient ChartPoint -> ChartPoint on the level set, or a RowMap
     tolerances: dict = field(default_factory=dict)
     sample_spec: SampleSpec = SampleSpec()
 
@@ -258,6 +262,23 @@ def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig()) -> Spl
     return SplitTangentSpace(point, G, level, vertical, horizontal, Jmu, V)
 
 
+def _moved_section(scen: ReductionScenario, a):
+    """Phi_a o sigma as a chart map; a RowMap running both row evaluators
+    when the section and the flow are compiled."""
+    params = np.asarray(a, dtype=float).reshape(scen.action.group_dim)
+    flow = scen.action.flow
+    if isinstance(scen.section, RowMap) and isinstance(flow, RowFlow):
+        section = scen.section.rows
+
+        def rows(X: np.ndarray) -> np.ndarray:
+            # the section point is checked as apply_flow's ChartPoint would
+            on_level = _require_finite(section(X), "chart point")
+            return flow.rows(_pairs(on_level, params))
+
+        return RowMap(rows)
+    return lambda xq: apply_flow(scen.action, params, scen.section_point(xq))
+
+
 @dataclass(frozen=True, eq=False)
 class _Frame:
     """Everything needed at one section point: the splitting (with the metric),
@@ -275,8 +296,10 @@ class _Frame:
 def _lift_frame(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(),
                 section=None) -> _Frame:
     xq = as_point(x)
-    sec = scen.section_point if section is None else section
-    m = as_point(sec(xq))
+    if section is None:
+        # a compiled section is differentiated as one row batch
+        section = scen.section if isinstance(scen.section, RowMap) else scen.section_point
+    m = as_point(section(xq))
     gap = _off_level(scen, m)
     if gap is not None:
         raise SectionNotOnLevelError(
@@ -289,7 +312,7 @@ def _lift_frame(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(),
     Om = eval_field(scen.omega, m)
     J = eval_field(scen.acs, m)
 
-    dsig = fd_jacobian(sec, xq, cfg)           # n x q section pushforward
+    dsig = fd_jacobian(section, xq, cfg)       # n x q section pushforward
     if q == 0:
         lifts = np.zeros((n, 0))
         lift_residual = 0.0
@@ -444,8 +467,7 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi 
         split = frame.split
         fiber, leaks = [], []
         for a in prm:
-            moved_section = lambda xq, _a=a: apply_flow(scen.action, _a, scen.section_point(xq))
-            frame_a = _lift_frame(scen, x, cfg, section=moved_section)
+            frame_a = _lift_frame(scen, x, cfg, section=_moved_section(scen, a))
             fiber.append(max_abs(h_here - _reduced_metric(frame_a)))
             # frame_a sits at Phi_a(sigma(x)), the point the flow moves frame.m to
             D, _ = _pushforward(scen.action, a, frame.m, cfg)

@@ -10,6 +10,7 @@ same code path as user files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .actions import (
     GroupAction,
     MomentumMap,
+    RowFlow,
     uniform_circle_quadrature,
     uniform_torus_quadrature,
     window_quadrature,
@@ -27,16 +29,18 @@ from .exprlang import (
     ExprParser,
     Num,
     Token,
-    compile_expr,
+    compile_exprs,
     eval_expr,
     tokenize,
     validate_expr,
 )
-from .geometry import ChartPoint, TensorField
+from .geometry import RowField, RowMap, TensorField
 from .reduction import ReductionScenario, SampleSpec
 from .structures import build_compatible_triple
 
 __all__ = [
+    "DEFAULT_TOLERANCES",
+    "check_tolerance",
     "ScenarioFile",
     "parse_scenario",
     "compile_scenario",
@@ -52,6 +56,43 @@ _KNOWN_KEYS = {
 }
 _KEY_ALIASES = {"g": "metric", "j": "acs", "J": "acs", "w": "omega"}
 _TOL_PREFIX = "tol."
+
+# every tolerance a verification run reads; a scenario's ``tol.<name>`` keys
+# and the command line's ``--tol name=value`` override these by name
+DEFAULT_TOLERANCES = {
+    "structures.metric": 1e-8,
+    "structures.symplectic": 1e-8,
+    "structures.closed": 1e-5,
+    "structures.acs": 1e-8,
+    "structures.compatibility": 1e-8,
+    "action.axioms": 1e-9,
+    "action.isometry": 1e-6,
+    "action.symplectomorphism": 1e-6,
+    "action.momentum": 1e-6,
+    "action.mu-invariance": 1e-6,
+    "action.acs-invariance": 1e-6,
+    "reduction.submersion": 1e-5,
+    "reduction.identity": 1e-5,
+    "reduction.degeneracy": 1e-8,
+    "main-theorem.residuals": 1e-5,
+    "main-theorem.hypothesis": 1e-6,
+    "holomorphy.residual": 1e-8,
+}
+
+
+def check_tolerance(name: str, value: float) -> float:
+    """``value`` as a float if ``name`` is a known tolerance and ``value`` a
+    positive finite number; ValueError otherwise.  A non-positive or
+    non-finite tolerance would make a check pass or fail whatever its
+    residual."""
+    if name not in DEFAULT_TOLERANCES:
+        raise ValueError(
+            f"unknown tolerance {name!r}; known names: {', '.join(sorted(DEFAULT_TOLERANCES))}"
+        )
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"tolerance {name!r} must be positive and finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +271,11 @@ def parse_scenario(text: str) -> ScenarioFile:
     tolerances = {}
     for key, value in raw.items():
         if key.startswith(_TOL_PREFIX):
-            tolerances[key[len(_TOL_PREFIX):]] = _const_value(_as_expr(value, key), key)
+            name = key[len(_TOL_PREFIX):]
+            try:
+                tolerances[name] = check_tolerance(name, _const_value(_as_expr(value, key), key))
+            except ValueError as exc:
+                raise ValidationError(f"{key}: {exc}") from None
 
     points: tuple = ()
     if "sample.points" in raw:
@@ -280,31 +325,45 @@ def _as_matrix(value, key: str) -> tuple:
     raise ValidationError(f"value of {key!r} must be a matrix [[..], ..]")
 
 
+def _row_evaluator(exprs: tuple, names: tuple, shape: tuple):
+    """Evaluator over the rows of an (N, len(names)) array: one compiled
+    program per row, values stacked to shape (N, *shape)."""
+    program = compile_exprs(exprs, names)
+
+    def rows(X: np.ndarray) -> np.ndarray:
+        return np.array([program(v) for v in X.tolist()], dtype=float).reshape(len(X), *shape)
+
+    return rows
+
+
 def _matrix_field(rows: tuple, names: tuple, name: str) -> TensorField:
     # literal entries are filled in once; only the others run per point
     constant = np.array([[e.value if isinstance(e, Num) else 0.0 for e in row] for row in rows])
-    varying = [(i, j, compile_expr(e, names))
-               for i, row in enumerate(rows) for j, e in enumerate(row)
+    varying = [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row)
                if not isinstance(e, Num)]
+    at_row, at_col = [i for i, _, _ in varying], [j for _, j, _ in varying]
+    entries = _row_evaluator(tuple(e for _, _, e in varying), names, (len(varying),))
 
-    def evaluate(p: ChartPoint) -> np.ndarray:
-        values = p.coords.tolist()
-        out = constant.copy()
-        for i, j, entry in varying:
-            out[i, j] = entry(values)
+    def evaluate(X: np.ndarray) -> np.ndarray:
+        out = np.repeat(constant[np.newaxis], len(X), axis=0)
+        if varying:
+            out[:, at_row, at_col] = entries(X)
         return out
 
-    return TensorField.matrix(evaluate, *constant.shape, name=name)
+    return TensorField.matrix(RowField(evaluate), *constant.shape, name=name)
 
 
 def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
     """Compile a parsed scenario into evaluable fields, action and section.
 
-    Every expression is compiled to a closure once, here; evaluating a
-    field at a point runs the closures over ``p.coords.tolist()``.
-    Without an explicit quadrature a uniform torus rule is used (64 points
-    for a circle, 16 per factor otherwise), which is correct for the compact
-    abelian groups of the built-ins.
+    Each map (every matrix field, each ``mu`` component, the flow and the
+    section) is compiled once, here, to one program over all its entries
+    (``compile_exprs``), and gets one row evaluator over an (N, n)
+    coordinate array that runs the program on each row's
+    ``tolist()``: a RowField, RowMap or RowFlow, whose call on one point
+    is that evaluator on one row.  Without an explicit quadrature a uniform
+    torus rule is used (64 points for a circle, 16 per factor otherwise),
+    which is correct for the compact abelian groups of the built-ins.
     """
     dim, k, q = sf.dim, sf.group_dim, sf.quotient_dim
     x_names = tuple(f"x{i + 1}" for i in range(dim))
@@ -317,33 +376,18 @@ def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
     else:
         acs = build_compatible_triple(omega, metric).acs
 
-    flow_fns = [compile_expr(entry, x_names + t_names) for entry in sf.flow]
-
-    def flow(params, p):
-        values = p.coords.tolist()
-        values.extend(map(float, params))
-        return ChartPoint([entry(values) for entry in flow_fns])
-
     if quadrature is None:
         quadrature = uniform_circle_quadrature(64) if k == 1 else uniform_torus_quadrature(k, 16)
     action = GroupAction(
-        group_dim=k, flow=flow, quadrature=quadrature, abelian=sf.abelian,
+        group_dim=k, flow=RowFlow(_row_evaluator(sf.flow, x_names + t_names, (dim,))),
+        quadrature=quadrature, abelian=sf.abelian,
     )
 
     mu_fields = tuple(
-        TensorField.scalar(
-            (lambda entry: lambda p: entry(p.coords.tolist()))(compile_expr(e, x_names)),
-            name=f"{sf.name} mu[{i}]",
-        )
+        TensorField.scalar(RowField(_row_evaluator((e,), x_names, ())), name=f"{sf.name} mu[{i}]")
         for i, e in enumerate(sf.mu)
     )
     mu = MomentumMap(components=mu_fields, beta=np.array(sf.beta))
-
-    section_fns = [compile_expr(entry, w_names) for entry in sf.section]
-
-    def section(x: ChartPoint) -> ChartPoint:
-        values = x.coords.tolist()
-        return ChartPoint([entry(values) for entry in section_fns])
 
     return ReductionScenario(
         name=sf.name,
@@ -354,7 +398,7 @@ def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
         action=action,
         mu=mu,
         quotient_dim=q,
-        section=section,
+        section=RowMap(_row_evaluator(sf.section, w_names, (dim,))),
         tolerances=dict(sf.tolerances),
         sample_spec=sf.sample_spec,
     )

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from symred import actions
 from symred.actions import (
     GroupAction,
     MomentumMap,
+    RowFlow,
     average_metric,
     check_action_axioms,
     check_field_invariance,
@@ -16,12 +18,17 @@ from symred.actions import (
     generator_vector,
     momentum_residual,
     planar_rotation_action,
+    pushforward_table,
     uniform_circle_quadrature,
+    uniform_torus_quadrature,
 )
 from symred.errors import NonFiniteError, UnsupportedNonabelianError
-from symred.geometry import ChartPoint, TensorField, eval_field, sample_box
+from symred.exprlang import compile_exprs, parse_expression
+from symred.geometry import ChartPoint, FDConfig, TensorField, eval_field, sample_box
 from symred.scenarios import builtin
 from symred.structures import euclidean_metric, standard_acs, standard_symplectic
+
+from util import reference_action_axioms, reference_generator
 
 HOPF = builtin("hopf")
 POINTS_4D = sample_box(4, 5, radius=1.5, seed=6)
@@ -96,6 +103,57 @@ def test_generator_rejects_flow_changing_dimension():
 def test_action_axioms_check():
     assert check_action_axioms(HOPF.action, ANGLES, POINTS_4D).passed
     assert check_action_axioms(ROTATION, ANGLES, POINTS_2D).passed
+
+
+def _torus_action():
+    """Rotations of the two coordinate planes, the second shifted by t1,
+    compiled as scenario flows are; the shift breaks additivity, so its
+    axiom residuals are not zero."""
+    texts = ("x1*cos(t1) + x2*sin(t1)", "x2*cos(t1) - x1*sin(t1)",
+             "x3*cos(t2) - x4*sin(t2) + t1", "x4*cos(t2) + x3*sin(t2)")
+    program = compile_exprs([parse_expression(t) for t in texts],
+                            ("x1", "x2", "x3", "x4", "t1", "t2"))
+    flow = RowFlow(lambda Z: np.array([program(v) for v in Z.tolist()]).reshape(len(Z), 4))
+    return GroupAction(group_dim=2, flow=flow, quadrature=uniform_torus_quadrature(2, 4))
+
+
+_SIGNED_ZERO_POINTS = [ChartPoint(c) for c in ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.0, -0.0, 0.0],
+                                               [0.3, -0.7, 1.1, -0.0])]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_generator_bit_identical_to_per_sample_reference(order):
+    cfg = FDConfig(order=order)
+    for action in (HOPF.action, _torus_action()):
+        opaque = GroupAction(action.group_dim, lambda a, p, _f=action.flow: _f(a, p),
+                             quadrature=action.quadrature)
+        for p in _SIGNED_ZERO_POINTS:
+            for i in range(action.group_dim):
+                want = reference_generator(action, i, p, cfg)
+                assert generator(action, i, p, cfg).tobytes() == want.tobytes()
+                assert generator(opaque, i, p, cfg).tobytes() == want.tobytes()
+
+
+def test_action_axioms_bit_identical_to_pairwise_reference():
+    torus = _torus_action()
+    params = [np.array([0.4, -1.0]), np.array([np.pi, 0.0]), np.array([-0.0, 2.5])]
+    for action, prm in ((HOPF.action, ANGLES), (torus, params), (ROTATION, ANGLES)):
+        for p in POINTS_2D if action is ROTATION else _SIGNED_ZERO_POINTS + POINTS_4D:
+            got = check_action_axioms(action, prm, [p]).max_residual
+            assert got == reference_action_axioms(action, prm, p)
+
+
+def test_momentum_invariance_reads_moved_points_from_the_table(monkeypatch):
+    table = pushforward_table(HOPF.action, ANGLES, POINTS_4D)
+    for i in range(len(POINTS_4D)):
+        for j in range(len(ANGLES)):
+            table[i, j]
+    want = check_momentum_invariance(HOPF.action, HOPF.mu, ANGLES, POINTS_4D)
+    calls = []
+    monkeypatch.setattr(actions, "apply_flow", lambda *args: calls.append(args))
+    got = check_momentum_invariance(HOPF.action, HOPF.mu, ANGLES, POINTS_4D, pushforwards=table)
+    assert calls == []
+    assert got.max_residual == want.max_residual and got.worst_point is want.worst_point
 
 
 def test_isometry_examples():

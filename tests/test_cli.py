@@ -1,5 +1,6 @@
 """CLI contract: suites, exit codes, report formats, determinism."""
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -8,12 +9,20 @@ import numpy as np
 import pytest
 
 import symred
-from symred.actions import check_field_invariance, check_isometry, check_symplectomorphism
+from symred import cli
+from symred.actions import (
+    MomentumMap,
+    check_field_invariance,
+    check_isometry,
+    check_momentum_invariance,
+    check_symplectomorphism,
+)
 from symred.cli import DEFAULT_TOLERANCES, RunConfig, main, run
-from symred.geometry import ChartPoint, FDConfig
+from symred.errors import ValidationError
+from symred.geometry import ChartPoint, FDConfig, TensorField
 from symred.reduction import verify_main_theorem, verify_reduction_identity, verify_submersion
 from symred.report import VerificationReport, check_to_dict
-from symred.scenarios import builtin, builtin_text
+from symred.scenarios import builtin, builtin_text, parse_scenario
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +267,8 @@ def _standalone_reports(name, report):
         check_isometry(scen.action, scen.metric, params, points, fd, tol("action.isometry")),
         check_symplectomorphism(scen.action, scen.omega, params, points, fd,
                                 tol("action.symplectomorphism")),
+        check_momentum_invariance(scen.action, scen.mu, params, points,
+                                  tol("action.mu-invariance")),
         check_field_invariance(scen.acs, scen.action, params, points, fd,
                                tol("action.acs-invariance")),
     ]
@@ -313,7 +324,8 @@ def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
     assert counts["split_tangent"] == (1 + len(fiber_params)) * samples
     # the vertical-invariance check reads the generators of those frames
     assert counts["generator"] == counts["split_tangent"] * builtin("hopf").action.group_dim
-    # one flow Jacobian per (point, parameter) for the three invariance checks
+    # one flow Jacobian and moved point per (point, parameter) for the four
+    # invariance checks
     assert counts["_pushforward"] == samples * len(report.meta["group_params"])
 
 
@@ -353,3 +365,69 @@ def test_euclidean_r2n_8_planes_seed_44_passes(tmp_path):
     path.write_text(builtin_text("euclidean_r2n", 8))
     report, code = run(RunConfig(str(path), samples=20, seed=44))
     assert code == 0, report.format_text()
+
+
+def _opaque(scen):
+    """The scenario with every compiled map wrapped in a plain lambda, so
+    each evaluation goes through the per-point path."""
+    def field(f):
+        return TensorField(f.arity, f.shape, lambda p, _f=f.func: _f(p), f.name)
+
+    flow, section = scen.action.flow, scen.section
+    return dataclasses.replace(
+        scen, omega=field(scen.omega), metric=field(scen.metric), acs=field(scen.acs),
+        action=dataclasses.replace(scen.action, flow=lambda a, p: flow(a, p)),
+        mu=MomentumMap(tuple(field(c) for c in scen.mu.components), scen.mu.beta),
+        section=lambda x: section(x))
+
+
+def _without_timestamp(report):
+    """The report's dict without the timestamp, as JSON text, so a signed
+    zero or the last bit of a residual counts."""
+    data = report.to_dict()
+    del data["meta"]["timestamp"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("name", sorted(set(symred.builtin_names()) | {"r2n_8_planes"}))
+def test_compiled_maps_report_like_per_point_maps(name, tmp_path, monkeypatch):
+    # the row evaluators and the per-point path give byte-identical reports
+    if name == "r2n_8_planes":
+        path = tmp_path / "euclidean_r2n_8.scen"
+        path.write_text(builtin_text("euclidean_r2n", 8))
+        name = str(path)
+    cfg = RunConfig(name, samples=20, seed=3)
+    compiled, code = run(cfg)
+    resolve = cli.resolve_scenario
+    monkeypatch.setattr(cli, "resolve_scenario", lambda ref: _opaque(resolve(ref)))
+    per_point, per_point_code = run(cfg)
+    assert code == per_point_code
+    assert _without_timestamp(compiled) == _without_timestamp(per_point)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tol.reduction.submersoin = 1", "unknown tolerance 'reduction.submersoin'"),
+    ("tol.structures.metric = -1", "'structures.metric' must be positive and finite"),
+    ("tol.structures.metric = 0", "'structures.metric' must be positive and finite"),
+])
+def test_scenario_tolerances_are_validated(line, message, tmp_path, capsys):
+    text = builtin_text("hopf") + "\n" + line + "\n"
+    with pytest.raises(ValidationError, match=message):
+        parse_scenario(text)
+    path = tmp_path / "tol.scn"
+    path.write_text(text)
+    assert main(["verify", str(path), "--samples", "2"]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["parse-check", str(path)]) == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1e-8"])
+def test_command_line_tolerances_are_validated(value, capsys):
+    # an infinite compatibility tolerance once passed a residual of 3.0
+    assert main(["verify", "skewed_metric_hopf", "--suites", "structures", "--samples", "2",
+                 "--tol", f"structures.compatibility={value}"]) == 2
+    assert "'structures.compatibility' must be positive and finite" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        RunConfig("hopf", tolerances={"structures.compatibility": float(value)})
+    with pytest.raises(ValueError, match="unknown tolerance"):
+        RunConfig("hopf", tolerances={"structures.compatibilty": 1e-8})

@@ -2,24 +2,30 @@
 the closure compiler against the tree-walking reference evaluator."""
 
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from symred import exprlang
 from symred.errors import NonFiniteError, ParseError, ValidationError
 from symred.exprlang import (
     BinOp,
+    Call,
     Coord,
     Neg,
     Num,
     Pow,
     compile_expr,
+    compile_exprs,
     eval_expr,
     format_expr,
     free_names,
     parse_expression,
     validate_expr,
 )
+
+from symred.scenarios import builtin_text, parse_scenario
 
 from util import random_expr, reference_eval_expr
 
@@ -150,6 +156,86 @@ def test_compile_raises_like_reference(text, x1):
     fn = compile_expr(ast, ("x1",))  # compiling evaluates nothing
     with pytest.raises(NonFiniteError):
         fn([x1])
+
+
+def _entries_outcome(fn):
+    """Bits of every value returned, or the type and message of the
+    exception raised."""
+    try:
+        return [struct.pack("<d", x) for x in fn()]
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        return type(exc), str(exc)
+
+
+def _planted_fields(width=5):
+    """The 400 random ASTs and value lists of the bit-for-bit test above,
+    grouped ``width`` to a field, each field's first AST planted in the
+    others, once as the same object and once as an equal copy rebuilt by
+    the parser; every field is evaluated at its first AST's values."""
+    rng = np.random.default_rng(2024)
+    drawn = [(random_expr(rng), rng.uniform(-3.0, 3.0, size=len(_NAMES)).tolist())
+             for _ in range(400)]
+    for start in range(0, len(drawn), width):
+        (planted, values), *rest = drawn[start:start + width]
+        copy = parse_expression(format_expr(planted))
+        assert copy == planted and copy is not planted
+        yield values, [Call("sin", planted),
+                       *(BinOp("+-*/"[i % 4], g, planted if i % 2 else copy)
+                         for i, (g, _) in enumerate(rest)),
+                       Neg(BinOp("*", copy, Call("cos", planted))), planted]
+
+
+def test_compile_exprs_matches_reference_with_shared_subtrees():
+    raised = fields = 0
+    for values, exprs in _planted_fields():
+        env = dict(zip(_NAMES, values))
+        want = _entries_outcome(lambda: [reference_eval_expr(e, env) for e in exprs])
+        got = _entries_outcome(lambda: compile_exprs(exprs, _NAMES)(values))
+        assert got == want, [format_expr(e) for e in exprs]
+        raised += isinstance(want, tuple)
+        fields += 1
+    # values and first errors are both exercised
+    assert 0 < raised < fields
+
+
+def test_compile_exprs_computes_repeated_subtrees_once(monkeypatch):
+    calls = Counter()
+    for name, fn in list(exprlang.FUNCTIONS.items()):
+        def counted(x, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(x)
+
+        monkeypatch.setitem(exprlang.FUNCTIONS, name, counted)
+    hopf = parse_scenario(builtin_text("hopf"))
+    flow = compile_exprs(hopf.flow, ("x1", "x2", "x3", "x4", "t1"))
+    want = [reference_eval_expr(e, dict(zip(("x1", "x2", "x3", "x4", "t1"),
+                                            (0.1, 0.2, 0.3, 0.4, 0.5)))) for e in hopf.flow]
+    calls.clear()
+    assert flow([0.1, 0.2, 0.3, 0.4, 0.5]) == want
+    assert calls == {"cos": 1, "sin": 1}
+    r2n = parse_scenario(builtin_text("euclidean_r2n", 8))
+    section = compile_exprs(r2n.section, tuple(f"w{i + 1}" for i in range(14)))
+    calls.clear()
+    section([0.1] * 14)
+    assert calls == {"sqrt": 1}
+
+
+def test_compile_exprs_keeps_signed_zero_literals_apart():
+    x1 = Coord("x1")
+    program = compile_exprs([BinOp("*", x1, Num(0.0)), BinOp("*", x1, Num(-0.0))], ("x1",))
+    assert [struct.pack("<d", v) for v in program([1.0])] \
+        == [struct.pack("<d", 0.0), struct.pack("<d", -0.0)]
+
+
+def test_compile_exprs_first_error_in_entry_order():
+    program = compile_exprs([parse_expression(t) for t in ("x1 + sqrt(x2)", "1/(x1 - x1)",
+                                                           "2*sqrt(x2)")], ("x1", "x2"))
+    with pytest.raises(NonFiniteError, match="sqrt of negative value -1.0"):
+        program([0.5, -1.0])
+    with pytest.raises(NonFiniteError, match="division by zero"):
+        program([0.5, 1.0])
+    with pytest.raises(ValueError, match="expected 2 values"):
+        program([0.5])
 
 
 def test_compile_rejects_unknown_names_at_compile_time():

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from symred.errors import DegenerateInputError, NonFiniteError, NotSPDError
+from symred.exprlang import compile_exprs, parse_expression
 from symred.geometry import (
     ChartPoint,
     FDConfig,
+    RowField,
+    RowMap,
     TensorField,
     eval_field,
     fd_directional,
@@ -20,7 +23,7 @@ from symred.geometry import (
 from symred.scenarios import builtin
 from symred.structures import standard_symplectic_matrix
 
-from util import reference_sample_ball
+from util import reference_fd_gradient, reference_fd_jacobian, reference_sample_ball
 
 
 def test_chart_point_validation():
@@ -165,6 +168,117 @@ def test_fd_jacobian_convergence_order(order, factor):
         if fine < 1e-11:
             break
         assert coarse / fine >= factor
+
+
+def _compiled(texts, names, cls=RowMap):
+    """A map compiled from expression texts, as scenario maps are."""
+    program = compile_exprs([parse_expression(t) for t in texts], names)
+    shape = () if cls is RowField and len(texts) == 1 else (len(texts),)
+    return cls(lambda X: np.array([program(v) for v in X.tolist()],
+                                  dtype=float).reshape(len(X), *shape))
+
+
+_SIGNED_ZERO_POINTS = ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.0, -0.0, 0.0],
+                       [0.3, -0.7, 1.1, -0.0], [-0.0, -0.0, -0.0, -0.0])
+_MAP_TEXTS = ("x1*x2 - x3", "-(x1 + x4)", "x3/(2 + x1)", "cos(x1)*x2 + sin(x1)*x4",
+              "exp(-x2)*x3^2", "x4*cos(x1)*x2 + sin(x1)*x4")
+_X4 = ("x1", "x2", "x3", "x4")
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_fd_jacobian_bit_identical_to_per_column_reference(order):
+    cfg = FDConfig(order=order)
+    compiled = _compiled(_MAP_TEXTS, _X4)
+    opaque = lambda p: compiled(p)  # noqa: E731 - forces the per-point path
+    hopf = builtin("hopf")
+    for coords in _SIGNED_ZERO_POINTS:
+        p = ChartPoint(coords)
+        want = reference_fd_jacobian(compiled, p, cfg)
+        for chart_map in (compiled, opaque):
+            got = fd_jacobian(chart_map, p, cfg)
+            assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+        w = ChartPoint(coords[:2])
+        want = reference_fd_jacobian(hopf.section, w, cfg)
+        assert fd_jacobian(hopf.section, w, cfg).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_fd_gradient_and_directional_bit_identical_to_reference(order):
+    cfg = FDConfig(order=order)
+    fields = [builtin("euclidean_r2n").mu.components[0],
+              TensorField.scalar(_compiled(["x1*x2 - x3/(1 + x4^2)"], _X4, RowField))]
+    metric = builtin("noninvariant_metric_hopf").metric
+    for coords in _SIGNED_ZERO_POINTS:
+        p = ChartPoint(coords)
+        for field in fields:
+            opaque = TensorField.scalar(lambda q, _f=field.func: _f(q))
+            want = reference_fd_gradient(field, p, cfg)
+            assert fd_gradient(field, p, cfg).tobytes() == want.tobytes()
+            assert fd_gradient(opaque, p, cfg).tobytes() == want.tobytes()
+        e3 = np.array([0.0, 0.0, 1.0, 0.0])
+        got = fd_directional(metric, p, e3, cfg)
+        want = reference_fd_jacobian(
+            lambda q: eval_field(metric, q).ravel(), p, cfg)[:, 2].reshape(4, 4)
+        assert got.tobytes() == want.tobytes()
+
+
+def _failure(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        return type(exc), str(exc)
+    raise AssertionError("expected an error")
+
+
+# (entries, point, step): the first stencil row that fails decides the error
+_FAILING_MAPS = [
+    # non-finite value in the first row, division by zero in a later column
+    (("1e308*x1", "1/(x2 - 0.00001)"), [1.797693, 0.0], 1e-5),
+    # division by zero in the second row, non-finite values in a later column
+    (("1/(x1 - 0.00001)", "1e308*x2"), [0.0, 1.797693], 1e-5),
+    # in one row, a non-finite entry then an entry that raises
+    (("1e308*x1", "sqrt(x2 - 5)"), [1.797693, 0.0], 1e-5),
+    # in one row, two entries that raise: the first one's error
+    (("1/(x1 - x1)", "sqrt(x2 - 5)"), [0.5, 0.0], 1e-5),
+    # a stencil point overflows
+    (("x1", "x2"), [1.7e308, 0.0], 5e307),
+]
+
+
+@pytest.mark.parametrize("texts, coords, step", _FAILING_MAPS)
+def test_first_failing_stencil_row_raises_as_the_per_point_path(texts, coords, step):
+    compiled = _compiled(texts, ("x1", "x2"))
+    p, cfg = ChartPoint(coords), FDConfig(step=step)
+    with np.errstate(over="ignore"):
+        want = _failure(lambda: reference_fd_jacobian(compiled, p, cfg))
+        assert want[0] is NonFiniteError
+        assert _failure(lambda: fd_jacobian(compiled, p, cfg)) == want
+        assert _failure(lambda: fd_jacobian(lambda q: compiled(q), p, cfg)) == want
+
+
+def test_nonfinite_stencil_messages():
+    p, cfg = ChartPoint([1.797693, 0.0]), FDConfig()
+    assert _failure(lambda: fd_jacobian(_compiled(("1e308*x1", "x2"), ("x1", "x2")), p, cfg)) \
+        == (NonFiniteError, "chart point contains non-finite entries")
+    # a map returning a plain array is checked as a map value
+    with np.errstate(over="ignore"):
+        assert _failure(lambda: fd_jacobian(lambda q: 1e308 * q.coords, p, cfg)) \
+            == (NonFiniteError, "map value contains non-finite entries")
+    field = TensorField.scalar(_compiled(["1e308*x1"], ("x1", "x2"), RowField), name="big")
+    want = (NonFiniteError, f"field 'big' at {ChartPoint([1.797693 + 2e-5, 0.0])} "
+                            "contains non-finite entries")
+    assert _failure(lambda: fd_gradient(field, p, cfg)) == want
+    assert _failure(lambda: reference_fd_gradient(field, p, cfg)) == want
+    assert _failure(lambda: fd_directional(field, p, [1.0, 0.0], cfg)) == want
+
+
+def test_row_field_of_the_wrong_shape_fails_like_one_point():
+    # a batch is checked against the declared shape as eval_field checks a value
+    wide = TensorField.scalar(RowField(lambda X: np.zeros((len(X), 2))), name="wide")
+    want = _failure(lambda: eval_field(wide, ChartPoint([0.0, 0.0])))
+    assert want == (ValueError, "field 'wide' returned shape (2,), declared ()")
+    assert _failure(lambda: fd_gradient(wide, ChartPoint([0.0, 0.0]))) == want
+    assert _failure(lambda: fd_directional(wide, [0.0, 0.0], [1.0, 0.0])) == want
 
 
 def test_fd_directional_examples():

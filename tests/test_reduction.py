@@ -7,6 +7,7 @@ from symred.actions import GroupAction, MomentumMap, apply_flow, uniform_circle_
 from symred.errors import (
     ActionNotFreeError,
     NoConvergenceError,
+    NonFiniteError,
     NotOnLevelError,
     NotRegularValueError,
     RankDeficientLiftError,
@@ -397,3 +398,45 @@ def test_quotient_dim_bookkeeping_warns():
             quotient_dim=3,
             section=HOPF.section,
         )
+
+
+_OVERFLOWING_SECTION = """
+name = overflowing_section
+dim = 4
+omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+metric = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+acs = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+flow = [exp(-x1^2) + t1, x2, x3, x4]
+mu = [x2]
+beta = [0]
+section = [1e308*w1, 0, w1, w2]
+"""
+
+
+def test_moved_section_matches_flow_after_section_point():
+    # the flow maps a non-finite section point to a finite one, so the
+    # composed row evaluator must check the section point on its own
+    from symred.geometry import fd_jacobian
+    from symred.reduction import _moved_section
+    from symred.scenarios import compile_scenario, parse_scenario
+
+    scen = compile_scenario(parse_scenario(_OVERFLOWING_SECTION))
+    a = np.array([0.5])
+    composed = _moved_section(scen, a)
+    stepwise = lambda q: apply_flow(scen.action, a, scen.section_point(q))  # noqa: E731
+
+    def outcome(fn):
+        try:
+            value = fn()
+        except NonFiniteError as exc:
+            return str(exc)
+        return np.asarray(getattr(value, "coords", value)).tobytes()
+
+    for w in ([0.5, 0.1], [-0.0, 0.0], [2.0, 0.0], [1.797693, -0.3]):
+        x = ChartPoint(w)
+        assert outcome(lambda: composed(x)) == outcome(lambda: stepwise(x))
+        with np.errstate(over="ignore"):
+            assert outcome(lambda: fd_jacobian(composed, x)) \
+                == outcome(lambda: fd_jacobian(stepwise, x))
+    assert outcome(lambda: composed(ChartPoint([2.0, 0.0]))) \
+        == "chart point contains non-finite entries"

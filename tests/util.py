@@ -198,3 +198,73 @@ def horizontal_projector_oracle(jmu, generators, metric, dim):
     n = stacked.shape[1]
     N = np.linalg.svd(stacked, full_matrices=True)[2][n - dim:].T
     return N @ np.linalg.solve(N.T @ G @ N, N.T @ G)
+
+
+def reference_central_difference(sample, cfg):
+    """One derivative from stencil samples, one call per offset: the
+    per-column formula the batched stencil must reproduce bit for bit."""
+    h = cfg.step
+    if cfg.order == 2:
+        return (sample(h) - sample(-h)) / (2.0 * h)
+    return (-sample(2 * h) + 8.0 * sample(h) - 8.0 * sample(-h) + sample(-2 * h)) / (12.0 * h)
+
+
+def reference_fd_jacobian(chart_map, p, cfg):
+    """Column-by-column Jacobian, one ChartPoint per stencil sample."""
+    x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
+    n = x.shape[0]
+
+    def value(y):
+        out = chart_map(ChartPoint(y))
+        out = np.asarray(out.coords if isinstance(out, ChartPoint) else out, dtype=float)
+        if not np.isfinite(out).all():
+            raise NonFiniteError("map value contains non-finite entries")
+        return out
+
+    cols = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        cols.append(reference_central_difference(lambda t: value(x + t * e), cfg))
+    return np.column_stack(cols)
+
+
+def reference_fd_gradient(field, p, cfg):
+    """Gradient of a scalar field, one directional difference per coordinate."""
+    from symred.geometry import eval_field
+
+    x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
+    n = x.shape[0]
+    grad = np.empty(n)
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        grad[i] = float(reference_central_difference(
+            lambda t: np.asarray(eval_field(field, ChartPoint(x + t * e)), dtype=float), cfg))
+    return grad
+
+
+def reference_generator(action, xi_index, p, cfg):
+    """Generator of one algebra basis element, one flow call per sample."""
+    from symred.actions import apply_flow
+
+    direction = np.zeros(action.group_dim)
+    direction[xi_index] = 1.0
+    return reference_central_difference(
+        lambda t: apply_flow(action, t * direction, p).coords, cfg)
+
+
+def reference_action_axioms(action, params, p):
+    """Worst axiom residual at one point, one flow call per (s, t) pair in
+    the order of the nested loops: the reference for the batched check."""
+    from symred.actions import apply_flow
+
+    prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
+    res = [float(np.linalg.norm(apply_flow(action, np.zeros(action.group_dim), p).coords
+                                - p.coords))]
+    for s in prm:
+        for t in prm:
+            two_step = apply_flow(action, s, apply_flow(action, t, p))
+            one_step = apply_flow(action, s + t, p)
+            res.append(float(np.linalg.norm(two_step.coords - one_step.coords)))
+    return max(res)
