@@ -37,7 +37,6 @@ from .structures import StructureCheckResult
 
 __all__ = [
     "GroupAction",
-    "RowFlow",
     "MomentumMap",
     "apply_flow",
     "generator",
@@ -66,27 +65,8 @@ IDENTITY_FIELD_INVARIANT = "D F(m) = F(Phi_a(m)) D"
 IDENTITY_AXIOMS = "Phi_0 = id and Phi_s o Phi_t = Phi_{s+t}"
 
 
-class RowFlow:
-    """A flow compiled to one evaluator over many (point, parameter) pairs.
-
-    ``rows(Z)`` takes an (N, n + k) array whose rows are a chart point
-    followed by a group parameter vector and returns the (N, n) moved
-    points, doing for each row exactly what ``flow(params, p)`` does; that
-    call runs ``rows`` on one row.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __call__(self, params, p) -> ChartPoint:
-        row = np.concatenate([as_coords(p), np.asarray(params, dtype=float).ravel()])
-        return ChartPoint(self.rows(row[np.newaxis])[0])
-
-
 def _pairs(points, params) -> np.ndarray:
-    """Rows (point, parameter) for ``RowFlow.rows``; a single point or
+    """Rows (point, parameter) for a flow's ``rows``; a single point or
     parameter vector is repeated over the rows of the other."""
     points, params = np.atleast_2d(points), np.atleast_2d(params)
     n = points.shape[1]
@@ -100,14 +80,15 @@ def _pairs(points, params) -> np.ndarray:
 class GroupAction:
     """Parametrized flow of a k-dimensional abelian group on one chart.
 
-    ``flow(params, p)`` is the diffeomorphism for the group element reached
-    by the parameter vector in the exponential chart.  ``quadrature`` is a
-    tuple of (parameter vector, weight) pairs with weights summing to one,
-    used for group averaging.
+    ``flow`` is a RowMap from rows (chart point, parameter vector in the
+    exponential chart) to the moved points; a per-point callable
+    ``flow(params, p)`` is wrapped on construction, and ``apply_flow`` moves
+    one point.  ``quadrature`` is a tuple of (parameter vector, weight)
+    pairs with weights summing to one, used for group averaging.
     """
 
     group_dim: int
-    flow: object  # (params, ChartPoint) -> ChartPoint or array-like, or a RowFlow
+    flow: RowMap  # given as a RowMap or as a (params, ChartPoint) -> point callable
     algebra_basis: tuple[str, ...] = ()
     quadrature: tuple = ()
     abelian: bool = True
@@ -126,6 +107,10 @@ class GroupAction:
             if abs(total - 1.0) > 1e-12:
                 raise ValueError(f"quadrature weights sum to {total}, expected 1")
         object.__setattr__(self, "quadrature", quad)
+        if not isinstance(self.flow, RowMap):
+            flow, k = self.flow, self.group_dim
+            object.__setattr__(self, "flow", RowMap.per_row(
+                lambda z: flow(z[len(z) - k:], ChartPoint(z[:len(z) - k]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,26 +138,24 @@ class MomentumMap:
 
 
 def apply_flow(action: GroupAction, params, p) -> ChartPoint:
-    return as_point(action.flow(np.asarray(params, dtype=float).reshape(action.group_dim),
-                                as_point(p)))
+    """The point ``p`` moved by the group element ``params``."""
+    a = np.asarray(params, dtype=float).reshape(action.group_dim)
+    return as_point(action.flow(np.concatenate([as_point(p).coords, a])))
 
 
 def _flow_values(action: GroupAction, rows: np.ndarray) -> np.ndarray:
     """Phi at every (point, parameter) row of ``rows`` (see ``_pairs``), as
     an (N, n) array, each row as ``apply_flow`` computes it."""
     n = rows.shape[1] - action.group_dim
-    flow = RowMap(action.flow.rows) if isinstance(action.flow, RowFlow) else None
-    return _evaluate_rows(flow, rows, lambda z: apply_flow(action, z[n:], z[:n]).coords)
+    return _evaluate_rows(action.flow, rows, lambda z: apply_flow(action, z[n:], z[:n]).coords)
 
 
-def _flow_map(action: GroupAction, params):
-    """Phi_a as a chart map; a RowMap when the flow is a RowFlow, so the
-    group parameter is repeated over every row of a batch."""
+def _flow_map(action: GroupAction, params) -> RowMap:
+    """Phi_a as a chart map, the group parameter repeated over every row; a
+    moved point is checked as apply_flow's ChartPoint would be."""
     a = np.asarray(params, dtype=float).reshape(action.group_dim)
-    if isinstance(action.flow, RowFlow):
-        rows = action.flow.rows
-        return RowMap(lambda X: rows(_pairs(X, a)))
-    return lambda q: apply_flow(action, a, q)
+    rows = action.flow.rows
+    return RowMap(lambda X: _require_finite(rows(_pairs(X, a)), "chart point"))
 
 
 def _pushforward(action: GroupAction, params, p, cfg: FDConfig):

@@ -239,19 +239,20 @@ class ExprParser:
     # expression grammar ---------------------------------------------------
 
     def parse_expr(self, depth: int = 0) -> Expr:
-        if depth > _MAX_DEPTH:
-            tok = self.peek()
-            raise ParseError("expression nests too deeply", tok.line, tok.column)
+        start = self.peek()
         node = self.parse_term(depth + 1)
         while self.peek().kind in ("PLUS", "MINUS"):
             op = self.advance().text
             node = BinOp(op, node, self.parse_term(depth + 1))
+        # the tree walks recurse once per level, and a + - * / chain is as
+        # deep as it is long, so a whole expression's height is bounded too
+        height = _height(node) if depth == 0 else 0
+        if height > _MAX_DEPTH:
+            raise ParseError(f"expression nests too deeply ({height} levels, at most "
+                             f"{_MAX_DEPTH})", start.line, start.column)
         return node
 
     def parse_term(self, depth: int) -> Expr:
-        if depth > _MAX_DEPTH:
-            tok = self.peek()
-            raise ParseError("expression nests too deeply", tok.line, tok.column)
         node = self.parse_factor(depth + 1)
         while self.peek().kind in ("STAR", "SLASH"):
             op = self.advance().text
@@ -259,6 +260,7 @@ class ExprParser:
         return node
 
     def parse_factor(self, depth: int) -> Expr:
+        # every recursion of the grammar passes here, so this bounds nesting
         if depth > _MAX_DEPTH:
             tok = self.peek()
             raise ParseError("expression nests too deeply", tok.line, tok.column)
@@ -460,6 +462,16 @@ def _parts(e: Expr) -> tuple:
     if isinstance(e, Neg):
         return (Neg,), (e.arg,)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _height(e: Expr) -> int:
+    """Nodes on the longest root-to-leaf path, found without recursion."""
+    height, stack = 0, [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        stack.extend((kid, level + 1) for kid in _parts(node)[1])
+    return height
 
 
 class _Compiler:

@@ -17,14 +17,15 @@ step 1e-5); nothing in the package differentiates symbolically.
 generators share one stencil path: every stencil point ``x + t * e`` is a
 row of one array, all rows are evaluated in one call, and one vectorised
 expression combines them with the operation order of the per-column
-formula, so the result is the same bits.  A compiled map (``RowMap``, or a
-``RowField`` as a TensorField's function) evaluates the rows with its row
-evaluator, which runs the scenario's compiled program on each row with
-Python floats and ``math`` functions: numpy ufuncs such as ``np.exp`` round
-differently in the last bit on some inputs and would change residuals.
-Any other callable is called once per row with a ``ChartPoint``, and so
-is a compiled map whose batch meets an error or a non-finite value, so the
-first failing row raises what it raises alone.
+formula, so the result is the same bits.  Every map is a ``RowMap``, whose
+``rows`` evaluates all rows of an array; a per-point callable is wrapped
+into one where it enters the package (``as_row_map``) and called once per
+row with a ``ChartPoint``.  A compiled scenario map runs its program on
+each row with Python floats and ``math`` functions: numpy ufuncs such as
+``np.exp`` round differently in the last bit on some inputs and would
+change residuals.  A batch that meets an error or a non-finite value is
+evaluated again one row at a time, so the first failing row raises what it
+raises alone.
 
 The per-point paths stay cheap on success: ``eval_field`` formats the
 point into its error message only when a value is non-finite, and
@@ -44,7 +45,7 @@ __all__ = [
     "ChartPoint",
     "as_point",
     "RowMap",
-    "RowField",
+    "as_row_map",
     "TensorField",
     "FDConfig",
     "eval_field",
@@ -101,9 +102,6 @@ class ChartPoint:
     def dim(self) -> int:
         return self.coords.shape[0]
 
-    def displaced(self, delta) -> "ChartPoint":
-        return ChartPoint(self.coords + as_coords(delta))
-
     def __len__(self) -> int:
         return self.dim
 
@@ -112,14 +110,12 @@ class ChartPoint:
 
 
 class RowMap:
-    """A chart map compiled to one evaluator over many points.
+    """A map evaluated over many points at once.
 
     ``rows(X)`` takes an (N, d) array whose rows are points and returns the
-    (N, m) array of their images, doing for each row exactly what a call on
-    that one point does.  Calling the map on one point runs ``rows`` on that
-    one row.  The finite-difference paths recognize a RowMap by its type and
-    evaluate all points of a stencil in one ``rows`` call; they call any
-    other map once per point.
+    (N, *shape) array of their values, doing for each row exactly what a
+    call on that one point does.  Calling the map on one point runs ``rows``
+    on that one row and returns the row's value array.
     """
 
     __slots__ = ("rows",)
@@ -127,18 +123,28 @@ class RowMap:
     def __init__(self, rows: Callable[[np.ndarray], np.ndarray]):
         self.rows = rows
 
-    def __call__(self, p) -> ChartPoint:
-        return ChartPoint(self.rows(as_coords(p)[np.newaxis])[0])
-
-
-class RowField(RowMap):
-    """The ``func`` of a compiled TensorField: ``rows(X)`` returns the
-    (N, *shape) field values, and one point gives its value array."""
-
-    __slots__ = ()
-
     def __call__(self, p) -> np.ndarray:
         return self.rows(as_coords(p)[np.newaxis])[0]
+
+    @staticmethod
+    def per_row(value: Callable[[np.ndarray], object]) -> "RowMap":
+        """The RowMap calling ``value`` on each row in order; a non-finite
+        value ends the batch, so no later row can raise first."""
+        def rows(X: np.ndarray) -> np.ndarray:
+            out = []
+            for x in X:
+                out.append(as_coords(value(x)))
+                if not np.isfinite(out[-1]).all():
+                    break
+            return np.array(out, dtype=float)
+
+        return RowMap(rows)
+
+
+def as_row_map(f) -> RowMap:
+    """``f`` itself if it is a RowMap, else the RowMap calling ``f`` once per
+    row with a ChartPoint of the row."""
+    return f if isinstance(f, RowMap) else RowMap.per_row(lambda x: f(ChartPoint(x)))
 
 
 ARITIES = ("scalar", "vector", "matrix")
@@ -148,17 +154,19 @@ ARITIES = ("scalar", "vector", "matrix")
 class TensorField:
     """Evaluable scalar-, vector- or matrix-valued field over one chart.
 
-    ``func`` must be a pure, deterministic function of the chart point; the
-    output shape must be constant over the chart.  Instances hold metric,
+    ``func`` is a pure, deterministic map of the chart point, held as a
+    RowMap (a per-point callable is wrapped on construction); its output
+    shape must be constant over the chart.  Instances hold metric,
     symplectic, almost-complex, endomorphism and momentum-component fields.
     """
 
     arity: str
     shape: tuple[int, ...]
-    func: Callable[[ChartPoint], np.ndarray]
+    func: RowMap  # given as a RowMap or as a ChartPoint -> value callable
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "func", as_row_map(self.func))
         if self.arity not in ARITIES:
             raise ValueError(f"arity must be one of {ARITIES}, got {self.arity!r}")
         expected = {"scalar": 0, "vector": 1, "matrix": 2}[self.arity]
@@ -184,7 +192,8 @@ class TensorField:
         arity = ARITIES[arr.ndim] if arr.ndim <= 2 else None
         if arity is None:
             raise ValueError(f"constant field must be rank <= 2, got shape {arr.shape}")
-        return TensorField(arity, arr.shape, lambda p, _a=arr: _a, name)
+        rows = RowMap(lambda X: arr[np.newaxis].repeat(len(X), axis=0))
+        return TensorField(arity, arr.shape, rows, name)
 
     def __call__(self, p):
         return eval_field(self, p)
@@ -244,16 +253,16 @@ def _differences(values: np.ndarray, count: int, cfg: FDConfig) -> np.ndarray:
     return (-s[0] + 8.0 * s[1] - 8.0 * s[2] + s[3]) / (12.0 * h)
 
 
-def _evaluate_rows(f, points: np.ndarray, sample: Callable, shape=None) -> np.ndarray:
+def _evaluate_rows(f: RowMap, points: np.ndarray, sample: Callable, shape=None) -> np.ndarray:
     """The values of a map at every row of ``points``, stacked in row order.
 
-    A RowMap evaluates all rows in one ``rows`` call.  Any other callable
-    goes through ``sample`` one row at a time, and so does a RowMap batch
-    that meets a non-finite point, an evaluation error, a non-finite value
-    or, when ``shape`` is given, values not of shape (N, *shape): the first
-    failing row then raises what ``sample`` raises for it.
+    All rows are evaluated in one ``rows`` call.  A batch that meets a
+    non-finite point, an evaluation error, a non-finite value or, when
+    ``shape`` is given, values not of shape (N, *shape) goes through
+    ``sample`` one row at a time instead: the first failing row then raises
+    what ``sample`` raises for it.
     """
-    if isinstance(f, RowMap) and np.isfinite(points).all():
+    if np.isfinite(points).all():
         try:
             values = f.rows(points)
         except (NonFiniteError, ValueError):
@@ -270,12 +279,12 @@ def fd_jacobian(chart_map, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
     Entry (j, i) approximates the partial of output component j with respect
     to input coordinate i; the error is O(step**order) on smooth maps.
     """
+    chart_map = as_row_map(chart_map)
     x = as_coords(p)
     n = x.shape[0]
 
     def value(y: np.ndarray) -> np.ndarray:
-        out = as_coords(chart_map(ChartPoint(y)))
-        return _require_finite(out, "map value")
+        return _require_finite(chart_map(ChartPoint(y)), "map value")
 
     if n == 0:
         return np.zeros((value(x).shape[0], 0))

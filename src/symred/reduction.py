@@ -29,12 +29,10 @@ import numpy as np
 from .actions import (
     GroupAction,
     MomentumMap,
-    RowFlow,
-    apply_flow,
     generator,
     momentum_jacobian,
     momentum_values,
-    _pairs,
+    _flow_map,
     _pushforward,
 )
 from .errors import (
@@ -55,6 +53,7 @@ from .geometry import (
     TensorField,
     as_coords,
     as_point,
+    as_row_map,
     eval_field,
     fd_jacobian,
     fro_norm,
@@ -119,7 +118,9 @@ class SampleSpec:
 @dataclass(frozen=True, eq=False)
 class ReductionScenario:
     """One reduction instance: ambient structures, group action, momentum map
-    with its level, and a local section of the quotient projection."""
+    with its level, and a local section of the quotient projection, a
+    RowMap from quotient chart points to the level set (a per-point callable
+    is wrapped on construction; ``section_point`` maps one point)."""
 
     name: str
     chart_dim: int
@@ -129,11 +130,12 @@ class ReductionScenario:
     action: GroupAction
     mu: MomentumMap
     quotient_dim: int
-    section: object  # quotient ChartPoint -> ChartPoint on the level set, or a RowMap
+    section: RowMap  # given as a RowMap or as a quotient ChartPoint -> point callable
     tolerances: dict = field(default_factory=dict)
     sample_spec: SampleSpec = SampleSpec()
 
     def __post_init__(self):
+        object.__setattr__(self, "section", as_row_map(self.section))
         expected = self.chart_dim - 2 * self.action.group_dim
         if self.quotient_dim != expected:
             # abelian free built-ins always have dim G_beta = dim G, so the
@@ -262,21 +264,13 @@ def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig()) -> Spl
     return SplitTangentSpace(point, G, level, vertical, horizontal, Jmu, V)
 
 
-def _moved_section(scen: ReductionScenario, a):
-    """Phi_a o sigma as a chart map; a RowMap running both row evaluators
-    when the section and the flow are compiled."""
-    params = np.asarray(a, dtype=float).reshape(scen.action.group_dim)
-    flow = scen.action.flow
-    if isinstance(scen.section, RowMap) and isinstance(flow, RowFlow):
-        section = scen.section.rows
-
-        def rows(X: np.ndarray) -> np.ndarray:
-            # the section point is checked as apply_flow's ChartPoint would
-            on_level = _require_finite(section(X), "chart point")
-            return flow.rows(_pairs(on_level, params))
-
-        return RowMap(rows)
-    return lambda xq: apply_flow(scen.action, params, scen.section_point(xq))
+def _moved_section(scen: ReductionScenario, a=None) -> RowMap:
+    """Phi_a o sigma, or sigma itself without ``a``, as a chart map running
+    the section's rows, then the flow's; a section point is checked as
+    ``section_point`` checks it."""
+    section = scen.section.rows
+    flow = (lambda Y: Y) if a is None else _flow_map(scen.action, a).rows
+    return RowMap(lambda X: flow(_require_finite(section(X), "chart point")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,9 +290,7 @@ class _Frame:
 def _lift_frame(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(),
                 section=None) -> _Frame:
     xq = as_point(x)
-    if section is None:
-        # a compiled section is differentiated as one row batch
-        section = scen.section if isinstance(scen.section, RowMap) else scen.section_point
+    section = _moved_section(scen) if section is None else section
     m = as_point(section(xq))
     gap = _off_level(scen, m)
     if gap is not None:

@@ -18,7 +18,6 @@ import numpy as np
 from .actions import (
     GroupAction,
     MomentumMap,
-    RowFlow,
     uniform_circle_quadrature,
     uniform_torus_quadrature,
     window_quadrature,
@@ -34,7 +33,7 @@ from .exprlang import (
     tokenize,
     validate_expr,
 )
-from .geometry import RowField, RowMap, TensorField
+from .geometry import RowMap, TensorField
 from .reduction import ReductionScenario, SampleSpec
 from .structures import build_compatible_triple
 
@@ -350,7 +349,7 @@ def _matrix_field(rows: tuple, names: tuple, name: str) -> TensorField:
             out[:, at_row, at_col] = entries(X)
         return out
 
-    return TensorField.matrix(RowField(evaluate), *constant.shape, name=name)
+    return TensorField.matrix(RowMap(evaluate), *constant.shape, name=name)
 
 
 def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
@@ -359,11 +358,11 @@ def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
     Each map (every matrix field, each ``mu`` component, the flow and the
     section) is compiled once, here, to one program over all its entries
     (``compile_exprs``), and gets one row evaluator over an (N, n)
-    coordinate array that runs the program on each row's
-    ``tolist()``: a RowField, RowMap or RowFlow, whose call on one point
-    is that evaluator on one row.  Without an explicit quadrature a uniform
-    torus rule is used (64 points for a circle, 16 per factor otherwise),
-    which is correct for the compact abelian groups of the built-ins.
+    coordinate array that runs the program on each row's ``tolist()``: a
+    RowMap, whose call on one point is that evaluator on one row.  Without
+    an explicit quadrature a uniform torus rule is used (64 points for a
+    circle, 16 per factor otherwise), which is correct for the compact
+    abelian groups of the built-ins.
     """
     dim, k, q = sf.dim, sf.group_dim, sf.quotient_dim
     x_names = tuple(f"x{i + 1}" for i in range(dim))
@@ -379,12 +378,12 @@ def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
     if quadrature is None:
         quadrature = uniform_circle_quadrature(64) if k == 1 else uniform_torus_quadrature(k, 16)
     action = GroupAction(
-        group_dim=k, flow=RowFlow(_row_evaluator(sf.flow, x_names + t_names, (dim,))),
+        group_dim=k, flow=RowMap(_row_evaluator(sf.flow, x_names + t_names, (dim,))),
         quadrature=quadrature, abelian=sf.abelian,
     )
 
     mu_fields = tuple(
-        TensorField.scalar(RowField(_row_evaluator((e,), x_names, ())), name=f"{sf.name} mu[{i}]")
+        TensorField.scalar(RowMap(_row_evaluator((e,), x_names, ())), name=f"{sf.name} mu[{i}]")
         for i, e in enumerate(sf.mu)
     )
     mu = MomentumMap(components=mu_fields, beta=np.array(sf.beta))

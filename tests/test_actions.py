@@ -7,7 +7,7 @@ from symred import actions
 from symred.actions import (
     GroupAction,
     MomentumMap,
-    RowFlow,
+    apply_flow,
     average_metric,
     check_action_axioms,
     check_field_invariance,
@@ -24,7 +24,7 @@ from symred.actions import (
 )
 from symred.errors import NonFiniteError, UnsupportedNonabelianError
 from symred.exprlang import compile_exprs, parse_expression
-from symred.geometry import ChartPoint, FDConfig, TensorField, eval_field, sample_box
+from symred.geometry import ChartPoint, FDConfig, RowMap, TensorField, eval_field, sample_box
 from symred.scenarios import builtin
 from symred.structures import euclidean_metric, standard_acs, standard_symplectic
 
@@ -113,7 +113,7 @@ def _torus_action():
              "x3*cos(t2) - x4*sin(t2) + t1", "x4*cos(t2) + x3*sin(t2)")
     program = compile_exprs([parse_expression(t) for t in texts],
                             ("x1", "x2", "x3", "x4", "t1", "t2"))
-    flow = RowFlow(lambda Z: np.array([program(v) for v in Z.tolist()]).reshape(len(Z), 4))
+    flow = RowMap(lambda Z: np.array([program(v) for v in Z.tolist()]).reshape(len(Z), 4))
     return GroupAction(group_dim=2, flow=flow, quadrature=uniform_torus_quadrature(2, 4))
 
 
@@ -125,7 +125,7 @@ _SIGNED_ZERO_POINTS = [ChartPoint(c) for c in ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.
 def test_generator_bit_identical_to_per_sample_reference(order):
     cfg = FDConfig(order=order)
     for action in (HOPF.action, _torus_action()):
-        opaque = GroupAction(action.group_dim, lambda a, p, _f=action.flow: _f(a, p),
+        opaque = GroupAction(action.group_dim, lambda a, p, _f=action: apply_flow(_f, a, p),
                              quadrature=action.quadrature)
         for p in _SIGNED_ZERO_POINTS:
             for i in range(action.group_dim):

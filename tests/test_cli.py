@@ -12,6 +12,7 @@ import symred
 from symred import cli
 from symred.actions import (
     MomentumMap,
+    apply_flow,
     check_field_invariance,
     check_isometry,
     check_momentum_invariance,
@@ -190,6 +191,50 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "overall: PASS" in proc.stdout
+
+
+def test_runtime_imports_only_numpy():
+    # sympy and hypothesis are installed for the tests; the package must not
+    # pull them or anything else third-party in
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys; before = set(sys.modules); import symred, symred.cli; "
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(' '.join(sorted(added - set(sys.stdlib_module_names))))")
+    src = os.path.dirname(os.path.dirname(symred.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["numpy", "symred"]
+
+
+_HOPF_MU = "mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]"
+
+
+def _long_mu(tmp_path, terms):
+    """hopf with ``terms`` terms ``+ 0*x1`` appended to mu, which makes mu
+    6 + terms levels deep."""
+    path = tmp_path / f"long_mu_{terms}.scn"
+    path.write_text(builtin_text("hopf").replace(_HOPF_MU, _HOPF_MU[:-1] + " + 0*x1" * terms + "]"))
+    return str(path)
+
+
+@pytest.mark.parametrize("terms", [600, 1500])
+@pytest.mark.parametrize("command", ["parse-check", "verify"])
+def test_long_sums_are_parse_errors(command, terms, tmp_path, capsys):
+    # the tree walks recurse once per level, and a sum is as deep as it is long
+    assert main([command, _long_mu(tmp_path, terms)]) == 2
+    assert f"nests too deeply ({terms + 6} levels, at most 200)" in capsys.readouterr().err
+
+
+def test_longest_accepted_sum_verifies(tmp_path, capsys):
+    assert main(["parse-check", _long_mu(tmp_path, 195)]) == 2
+    path = _long_mu(tmp_path, 194)
+    assert main(["parse-check", path]) == 0
+    assert main(["verify", path, "--samples", "3"]) == 0
+    capsys.readouterr()
 
 
 def test_text_report_shows_worst_point_on_failure():
@@ -373,10 +418,10 @@ def _opaque(scen):
     def field(f):
         return TensorField(f.arity, f.shape, lambda p, _f=f.func: _f(p), f.name)
 
-    flow, section = scen.action.flow, scen.section
+    action, section = scen.action, scen.section
     return dataclasses.replace(
         scen, omega=field(scen.omega), metric=field(scen.metric), acs=field(scen.acs),
-        action=dataclasses.replace(scen.action, flow=lambda a, p: flow(a, p)),
+        action=dataclasses.replace(scen.action, flow=lambda a, p: apply_flow(action, a, p)),
         mu=MomentumMap(tuple(field(c) for c in scen.mu.components), scen.mu.beta),
         section=lambda x: section(x))
 

@@ -97,6 +97,16 @@ def test_depth_limit_is_a_parse_error():
         parse_expression("(" * 500 + "1" + ")" * 500)
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_chain_height_is_bounded_at_parse_time(op):
+    tallest = "x1" + f" {op} x1" * 199  # 200 levels, the most the parser accepts
+    e = parse_expression(tallest)
+    assert compile_expr(e, ("x1",))([1.0]) == reference_eval_expr(e, {"x1": 1.0})
+    assert parse_expression(format_expr(e)) == e
+    with pytest.raises(ParseError, match=r"nests too deeply \(201 levels, at most 200\)"):
+        parse_expression(tallest + f" {op} x1")
+
+
 def test_evaluation_domain_errors():
     with pytest.raises(NonFiniteError):
         evaluate("1/(x1 - 1)", {"x1": 1.0})

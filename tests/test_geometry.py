@@ -1,14 +1,16 @@
 """Chart primitives, finite differences and the dense linear-algebra kit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from symred.actions import GroupAction, generator
 from symred.errors import DegenerateInputError, NonFiniteError, NotSPDError
 from symred.exprlang import compile_exprs, parse_expression
 from symred.geometry import (
     ChartPoint,
     FDConfig,
-    RowField,
     RowMap,
     TensorField,
     eval_field,
@@ -23,7 +25,12 @@ from symred.geometry import (
 from symred.scenarios import builtin
 from symred.structures import standard_symplectic_matrix
 
-from util import reference_fd_gradient, reference_fd_jacobian, reference_sample_ball
+from util import (
+    reference_fd_gradient,
+    reference_fd_jacobian,
+    reference_generator,
+    reference_sample_ball,
+)
 
 
 def test_chart_point_validation():
@@ -170,12 +177,12 @@ def test_fd_jacobian_convergence_order(order, factor):
         assert coarse / fine >= factor
 
 
-def _compiled(texts, names, cls=RowMap):
+def _compiled(texts, names, shape=None):
     """A map compiled from expression texts, as scenario maps are."""
     program = compile_exprs([parse_expression(t) for t in texts], names)
-    shape = () if cls is RowField and len(texts) == 1 else (len(texts),)
-    return cls(lambda X: np.array([program(v) for v in X.tolist()],
-                                  dtype=float).reshape(len(X), *shape))
+    shape = (len(texts),) if shape is None else shape
+    return RowMap(lambda X: np.array([program(v) for v in X.tolist()],
+                                     dtype=float).reshape(len(X), *shape))
 
 
 _SIGNED_ZERO_POINTS = ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.0, -0.0, 0.0],
@@ -206,7 +213,7 @@ def test_fd_jacobian_bit_identical_to_per_column_reference(order):
 def test_fd_gradient_and_directional_bit_identical_to_reference(order):
     cfg = FDConfig(order=order)
     fields = [builtin("euclidean_r2n").mu.components[0],
-              TensorField.scalar(_compiled(["x1*x2 - x3/(1 + x4^2)"], _X4, RowField))]
+              TensorField.scalar(_compiled(["x1*x2 - x3/(1 + x4^2)"], _X4, ()))]
     metric = builtin("noninvariant_metric_hopf").metric
     for coords in _SIGNED_ZERO_POINTS:
         p = ChartPoint(coords)
@@ -259,12 +266,12 @@ def test_first_failing_stencil_row_raises_as_the_per_point_path(texts, coords, s
 def test_nonfinite_stencil_messages():
     p, cfg = ChartPoint([1.797693, 0.0]), FDConfig()
     assert _failure(lambda: fd_jacobian(_compiled(("1e308*x1", "x2"), ("x1", "x2")), p, cfg)) \
-        == (NonFiniteError, "chart point contains non-finite entries")
+        == (NonFiniteError, "map value contains non-finite entries")
     # a map returning a plain array is checked as a map value
     with np.errstate(over="ignore"):
         assert _failure(lambda: fd_jacobian(lambda q: 1e308 * q.coords, p, cfg)) \
             == (NonFiniteError, "map value contains non-finite entries")
-    field = TensorField.scalar(_compiled(["1e308*x1"], ("x1", "x2"), RowField), name="big")
+    field = TensorField.scalar(_compiled(["1e308*x1"], ("x1", "x2"), ()), name="big")
     want = (NonFiniteError, f"field 'big' at {ChartPoint([1.797693 + 2e-5, 0.0])} "
                             "contains non-finite entries")
     assert _failure(lambda: fd_gradient(field, p, cfg)) == want
@@ -272,9 +279,66 @@ def test_nonfinite_stencil_messages():
     assert _failure(lambda: fd_directional(field, p, [1.0, 0.0], cfg)) == want
 
 
+class _Recorder:
+    """A per-point callable that logs the point (and group parameters) of
+    every call."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, *args):
+        self.calls.append([*args[-1].coords, *(args[0] if len(args) == 2 else ())])
+        return self.fn(*args)
+
+
+def test_per_point_callables_run_once_per_stencil_row_in_order():
+    # on a successful batch the wrapped callable sees exactly the points the
+    # per-column reference evaluates, each once, in the same order
+    cfg = FDConfig()
+    p = ChartPoint([0.3, -0.7, 1.1, 0.2])
+    hopf = builtin("hopf")
+
+    def rotate(a, q):
+        c, s = np.cos(a[0]), np.sin(a[0])
+        return np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, s, c]]) @ q.coords
+
+    cases = [  # (callable, derivative, its reference, stencil rows)
+        (lambda q: np.array([q.coords[0] * q.coords[1], np.sin(q.coords[2])]),
+         lambda f: fd_jacobian(f, p, cfg), lambda f: reference_fd_jacobian(f, p, cfg), 16),
+        (lambda q: float(q.coords @ q.coords),
+         lambda f: fd_gradient(TensorField.scalar(f), p, cfg),
+         lambda f: reference_fd_gradient(TensorField.scalar(f), p, cfg), 16),
+        (rotate,
+         lambda f: generator(GroupAction(1, f), 0, p, cfg),
+         lambda f: reference_generator(GroupAction(1, f), 0, p, cfg), 4),
+        (lambda w: np.array([1.0, 0.0, *w.coords]) / np.sqrt(1.0 + w.coords @ w.coords),
+         lambda f: fd_jacobian(dataclasses.replace(hopf, section=f).section, p.coords[:2], cfg),
+         lambda f: reference_fd_jacobian(f, ChartPoint(p.coords[:2]), cfg), 8),
+    ]
+    for fn, derivative, reference, rows in cases:
+        got, want = _Recorder(fn), _Recorder(fn)
+        assert derivative(got).tobytes() == reference(want).tobytes()
+        assert got.calls == want.calls and len(got.calls) == rows
+
+
+def test_per_point_batch_stops_at_the_first_nonfinite_row():
+    # the first stencil row overflows and the last one raises: the first
+    # failing row decides the error, as when each row is evaluated alone
+    def chart_map(q):
+        if q.coords[0] < 1.797693 - 1.5e-5:
+            raise ZeroDivisionError("a later row")
+        return 1e308 * q.coords
+
+    p, cfg = ChartPoint([1.797693]), FDConfig()
+    with np.errstate(over="ignore"):
+        want = _failure(lambda: reference_fd_jacobian(chart_map, p, cfg))
+        assert want == (NonFiniteError, "map value contains non-finite entries")
+        assert _failure(lambda: fd_jacobian(chart_map, p, cfg)) == want
+
+
 def test_row_field_of_the_wrong_shape_fails_like_one_point():
     # a batch is checked against the declared shape as eval_field checks a value
-    wide = TensorField.scalar(RowField(lambda X: np.zeros((len(X), 2))), name="wide")
+    wide = TensorField.scalar(RowMap(lambda X: np.zeros((len(X), 2))), name="wide")
     want = _failure(lambda: eval_field(wide, ChartPoint([0.0, 0.0])))
     assert want == (ValueError, "field 'wide' returned shape (2,), declared ()")
     assert _failure(lambda: fd_gradient(wide, ChartPoint([0.0, 0.0]))) == want

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from symred.actions import apply_flow
 from symred.errors import ParseError, UnknownScenarioError, ValidationError
 from symred.geometry import ChartPoint, eval_field
 from symred.scenarios import (
@@ -199,7 +200,7 @@ def test_compiled_fields_match_reference_evaluation(text):
             want = np.array([[reference_eval_expr(e, env) for e in row] for row in rows])
             assert eval_field(field, p).tobytes() == want.tobytes()
         flow_want = np.array([reference_eval_expr(e, {**env, "t1": t}) for e in sf.flow])
-        assert scen.action.flow(np.array([t]), p).coords.tobytes() == flow_want.tobytes()
+        assert apply_flow(scen.action, np.array([t]), p).coords.tobytes() == flow_want.tobytes()
         assert eval_field(scen.mu.components[0], p) == reference_eval_expr(sf.mu[0], env)
         section_want = np.array([reference_eval_expr(e, w_env) for e in sf.section])
-        assert scen.section(ChartPoint(w)).coords.tobytes() == section_want.tobytes()
+        assert scen.section_point(ChartPoint(w)).coords.tobytes() == section_want.tobytes()
