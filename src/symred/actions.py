@@ -4,9 +4,10 @@ averaging, and invariance of endomorphism fields.
 
 Group elements are addressed by Lie-algebra parameter vectors through a
 fixed exponential chart; the built-in groups are circles, tori and
-translations, so the chart is globally surjective and quadrature over the
-group is plain uniform sampling.  The momentum sign convention is
-``omega(xi_M, .) = d mu_xi``.
+translations, so the chart is globally surjective.  ``average_metric``
+takes its quadrature rule over the group as an argument; for a torus,
+``uniform_circle_quadrature`` and ``uniform_torus_quadrature`` build plain
+uniform rules.  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "check_field_invariance",
     "uniform_circle_quadrature",
     "uniform_torus_quadrature",
-    "window_quadrature",
     "planar_rotation_action",
 ]
 
@@ -83,30 +83,16 @@ class GroupAction:
     ``flow`` is a RowMap from rows (chart point, parameter vector in the
     exponential chart) to the moved points; a per-point callable
     ``flow(params, p)`` is wrapped on construction, and ``apply_flow`` moves
-    one point.  ``quadrature`` is a tuple of (parameter vector, weight)
-    pairs with weights summing to one, used for group averaging.
+    one point.
     """
 
     group_dim: int
     flow: RowMap  # given as a RowMap or as a (params, ChartPoint) -> point callable
-    algebra_basis: tuple[str, ...] = ()
-    quadrature: tuple = ()
     abelian: bool = True
 
     def __post_init__(self):
         if self.group_dim < 1:
             raise ValueError("group dimension must be at least 1")
-        basis = self.algebra_basis or tuple(f"xi{i + 1}" for i in range(self.group_dim))
-        if len(basis) != self.group_dim:
-            raise ValueError("algebra basis size does not match group dimension")
-        object.__setattr__(self, "algebra_basis", tuple(basis))
-        quad = tuple((np.asarray(a, dtype=float).reshape(self.group_dim), float(w))
-                     for a, w in self.quadrature)
-        if quad:
-            total = sum(w for _, w in quad)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"quadrature weights sum to {total}, expected 1")
-        object.__setattr__(self, "quadrature", quad)
         if not isinstance(self.flow, RowMap):
             flow, k = self.flow, self.group_dim
             object.__setattr__(self, "flow", RowMap.per_row(
@@ -236,22 +222,23 @@ def check_action_axioms(action: GroupAction, params, points, cfg: FDConfig = FDC
     )
 
 
-def _invariance_check(name, identity, residual, action, field_, params, points, cfg, tol,
+def _invariance_check(name, identity, residual, action, value, params, points, cfg, tol,
                       pushforwards):
-    """Shared body of the field invariance checks: per point, the worst over
-    the group parameters of residual(D, F(p), F(Phi_a(p))).  ``pushforwards``
-    is a ``pushforward_table`` of the same params and points, or None."""
+    """Shared body of the invariance checks: per point, the worst over the
+    group parameters of residual(D, F(p), F(Phi_a(p))), F being ``value``.
+    ``pushforwards`` is a ``pushforward_table`` of the same params and
+    points, or None."""
     pts = list(points)
     prm = list(params)
     if pushforwards is None:
         pushforwards = pushforward_table(action, prm, pts, cfg)
     residuals = []
     for i, p in enumerate(pts):
-        here = eval_field(field_, p)
+        here = value(p)
         per_param = []
         for j in range(len(prm)):
             D, moved = pushforwards[i, j]
-            per_param.append(residual(D, here, eval_field(field_, moved)))
+            per_param.append(residual(D, here, value(moved)))
         residuals.append(max_abs(per_param))
     return StructureCheckResult.from_samples(name, residuals, pts, tol, identity)
 
@@ -265,14 +252,16 @@ def check_isometry(action: GroupAction, g: TensorField, params, points,
                    cfg: FDConfig = FDConfig(), tol: float = 1e-6, *,
                    pushforwards=None) -> StructureCheckResult:
     return _invariance_check("isometry", IDENTITY_ISOMETRY, _pullback_residual,
-                             action, g, params, points, cfg, tol, pushforwards)
+                             action, lambda p: eval_field(g, p), params, points, cfg, tol,
+                             pushforwards)
 
 
 def check_symplectomorphism(action: GroupAction, w: TensorField, params, points,
                             cfg: FDConfig = FDConfig(), tol: float = 1e-6, *,
                             pushforwards=None) -> StructureCheckResult:
     return _invariance_check("symplectomorphism", IDENTITY_SYMPLECTO, _pullback_residual,
-                             action, w, params, points, cfg, tol, pushforwards)
+                             action, lambda p: eval_field(w, p), params, points, cfg, tol,
+                             pushforwards)
 
 
 def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, points,
@@ -302,44 +291,39 @@ def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, poin
     """Invariance mu o Phi_a = mu; this is equivariance for abelian groups.
 
     ``pushforwards`` is a ``pushforward_table`` of the same params and
-    points whose moved points are read instead of applying the flow again,
-    or None.  Nonabelian actions are refused: they would need a coadjoint
-    representation, which is outside the built-in scope.
+    points whose moved points are read, or None to build one.  Nonabelian
+    actions are refused: they would need a coadjoint representation, which
+    is outside the built-in scope.
     """
     if not action.abelian:
         raise UnsupportedNonabelianError(
             "momentum equivariance for nonabelian groups needs a coadjoint action"
         )
-    pts = list(points)
-    prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
-    if pushforwards is None:
-        moved = lambda i, j: apply_flow(action, prm[j], pts[i])
-    else:
-        moved = lambda i, j: pushforwards[i, j][1]
-    residuals = []
-    for i, p in enumerate(pts):
-        here = momentum_values(mu, p)
-        residuals.append(max_abs([momentum_values(mu, moved(i, j)) - here
-                                  for j in range(len(prm))]))
-    return StructureCheckResult.from_samples(
-        "momentum invariance", residuals, pts, tol, IDENTITY_MU_INVARIANT
-    )
+    return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT,
+                             lambda D, here, moved: max_abs(moved - here),
+                             action, lambda p: momentum_values(mu, p), params, points,
+                             FDConfig(), tol, pushforwards)
 
 
-def average_metric(g0: TensorField, action: GroupAction, cfg: FDConfig = FDConfig()) -> TensorField:
-    """Group average of the pullback metrics over the action's quadrature:
+def average_metric(g0: TensorField, action: GroupAction, quadrature,
+                   cfg: FDConfig = FDConfig()) -> TensorField:
+    """Group average of the pullback metrics over ``quadrature``, a sequence
+    of (parameter vector, weight) pairs with weights summing to one:
     sum_a w_a D_a^T G0(Phi_a(p)) D_a.
 
     A convex combination of pullbacks of an SPD field is SPD, and for an
     exact quadrature the average is invariant under the group.
     """
-    if not action.quadrature:
-        raise ValueError("action has no quadrature rule to average over")
+    rule = [(np.asarray(a, dtype=float).reshape(action.group_dim), float(w))
+            for a, w in quadrature]
+    weights = sum(w for _, w in rule)
+    if abs(weights - 1.0) > 1e-12:
+        raise ValueError(f"quadrature weights sum to {weights}, expected 1")
     n = g0.shape[0]
 
     def avg(p: ChartPoint) -> np.ndarray:
         total = np.zeros((n, n))
-        for a, weight in action.quadrature:
+        for a, weight in rule:
             D, moved = _pushforward(action, a, p, cfg)
             total += weight * (D.T @ eval_field(g0, moved) @ D)
         return 0.5 * (total + total.T)
@@ -353,7 +337,8 @@ def check_field_invariance(field_: TensorField, action: GroupAction, params, poi
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
     return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
                              lambda D, here, moved: max_abs(D @ here - moved @ D),
-                             action, field_, params, points, cfg, tol, pushforwards)
+                             action, lambda p: eval_field(field_, p), params, points, cfg,
+                             tol, pushforwards)
 
 
 def uniform_circle_quadrature(n: int = 64) -> tuple:
@@ -372,22 +357,7 @@ def uniform_torus_quadrature(k: int, n: int = 16) -> tuple:
     return tuple((a, weight) for a in out)
 
 
-def window_quadrature(k: int, n: int = 16, half_width: float = 1.0) -> tuple:
-    """Uniform grid on [-half_width, half_width]^k with equal weights.
-
-    Translations have no invariant probability measure; this bounded window
-    stands in so that averaging identities can still be exercised on fields
-    that are already invariant.
-    """
-    axis = np.linspace(-half_width, half_width, n)
-    out = [np.zeros(0)]
-    for _ in range(k):
-        out = [np.concatenate([a, [t]]) for a in out for t in axis]
-    weight = 1.0 / len(out)
-    return tuple((a, weight) for a in out)
-
-
-def planar_rotation_action(n_quad: int = 64) -> GroupAction:
+def planar_rotation_action() -> GroupAction:
     """Counterclockwise rotations of the plane, the basic circle action."""
 
     def flow(params, p):
@@ -396,10 +366,4 @@ def planar_rotation_action(n_quad: int = 64) -> GroupAction:
         c, s = np.cos(theta), np.sin(theta)
         return ChartPoint([c * x - s * y, s * x + c * y])
 
-    return GroupAction(
-        group_dim=1,
-        flow=flow,
-        algebra_basis=("rotation",),
-        quadrature=uniform_circle_quadrature(n_quad),
-        abelian=True,
-    )
+    return GroupAction(group_dim=1, flow=flow)

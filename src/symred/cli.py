@@ -225,8 +225,6 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
 
     seed = cfg.seed if cfg.seed is not None else scen.sample_spec.seed
     samples = cfg.samples if cfg.samples is not None else scen.sample_spec.count
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     fd = FDConfig()
 
     points = sample_box(scen.chart_dim, samples, radius=2.0, seed=seed)

@@ -28,14 +28,15 @@ evaluated again one row at a time, so the first failing row raises what it
 raises alone.
 
 The per-point paths stay cheap on success: ``eval_field`` formats the
-point into its error message only when a value is non-finite, and
-``sample_ball`` draws its rejection-sampling candidates in batches.
+point into its error message only when a value is non-finite.
+``sample_ball`` draws each point directly, a Gaussian direction times a
+radius of U^(1/q), so its cost is linear in the dimension q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -415,38 +416,25 @@ class OnDemand:
             return value
 
 
-# doubles per rejection-sampling draw in sample_ball; small, so the batch
-# stays a few tens of kilobytes
-_BALL_BATCH = 4096
-
-
-def sample_box(dim: int, count: int, radius: float = 2.0, seed: int = 0,
-               center: Sequence[float] | None = None) -> list[ChartPoint]:
-    """Deterministic uniform sample of chart points in a coordinate box."""
+def sample_box(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> list[ChartPoint]:
+    """Deterministic uniform sample of chart points in the coordinate box
+    [-radius, radius]^dim."""
     rng = np.random.default_rng(seed)
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    pts = rng.uniform(-radius, radius, size=(count, dim)) + c
-    return [ChartPoint(row) for row in pts]
+    return [ChartPoint(row) for row in rng.uniform(-radius, radius, size=(count, dim))]
+
 
 def sample_ball(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> list[ChartPoint]:
     """Deterministic uniform sample inside the coordinate ball |x| <= radius.
 
-    Rejection sampling from the cube: candidates are drawn in batches of
-    about _BALL_BATCH doubles and accepted in draw order, which yields the
-    same points as drawing one candidate of ``dim`` uniforms at a time.
+    Each point is a uniform direction z/|z| from a standard normal z, scaled
+    by radius * u^(1/dim) for a uniform u on [0, 1) (Muller, CACM 1959):
+    one ``standard_normal((count, dim))`` draw, then one
+    ``uniform(size=count)`` draw.
     """
-    rng = np.random.default_rng(seed)
-    points: list[ChartPoint] = []
     if dim == 0:
         return [ChartPoint(np.zeros(0)) for _ in range(count)]
-    rows = max(1, _BALL_BATCH // dim)
-    while len(points) < count:
-        batch = rng.uniform(-1.0, 1.0, size=(rows, dim))
-        # the slack keeps every row the exact norm test below accepts
-        near = np.einsum("ij,ij->i", batch, batch) <= 1.0 + 1e-9
-        for x in batch[near]:
-            if np.linalg.norm(x) <= 1.0:
-                points.append(ChartPoint(radius * x))
-                if len(points) == count:
-                    break
-    return points
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, dim))
+    u = rng.uniform(size=count)
+    scale = radius * u ** (1.0 / dim) / np.linalg.norm(z, axis=1)
+    return [ChartPoint(row) for row in z * scale[:, np.newaxis]]

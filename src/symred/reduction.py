@@ -441,12 +441,14 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi 
                       frames=None) -> VerificationReport:
     """Riemannian-submersion checks: fiber independence of the reduced metric,
     orthogonality and tangency of the splitting, dimension counts, and
-    invariance of the vertical distribution.  ``frames`` is a
-    ``lift_frames`` table of the same points, or None to build one."""
+    invariance of the vertical distribution.  Each fibre parameter is a
+    group parameter vector, or a scalar t standing for t * (1, ..., 1).
+    ``frames`` is a ``lift_frames`` table of the same points, or None to
+    build one."""
     report = VerificationReport("submersion")
     xs = list(points)
-    prm = [np.atleast_1d(np.asarray(a, dtype=float)) for a in fiber_params]
     k = scen.action.group_dim
+    prm = [np.full(k, a, dtype=float) for a in fiber_params]
     n = scen.chart_dim
 
     if frames is None:

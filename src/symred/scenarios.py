@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import (
-    GroupAction,
-    MomentumMap,
-    uniform_circle_quadrature,
-    uniform_torus_quadrature,
-    window_quadrature,
-)
+from .actions import GroupAction, MomentumMap
 from .errors import ParseError, UnknownScenarioError, ValidationError
 from .exprlang import (
     Expr,
@@ -352,17 +346,17 @@ def _matrix_field(rows: tuple, names: tuple, name: str) -> TensorField:
     return TensorField.matrix(RowMap(evaluate), *constant.shape, name=name)
 
 
-def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
+def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
     """Compile a parsed scenario into evaluable fields, action and section.
 
     Each map (every matrix field, each ``mu`` component, the flow and the
     section) is compiled once, here, to one program over all its entries
     (``compile_exprs``), and gets one row evaluator over an (N, n)
     coordinate array that runs the program on each row's ``tolist()``: a
-    RowMap, whose call on one point is that evaluator on one row.  Without
-    an explicit quadrature a uniform torus rule is used (64 points for a
-    circle, 16 per factor otherwise), which is correct for the compact
-    abelian groups of the built-ins.
+    RowMap, whose call on one point is that evaluator on one row.  No
+    quadrature over the group is built, so loading costs the same for a
+    circle and a high-dimensional torus; ``average_metric`` takes its rule
+    as an argument.
     """
     dim, k, q = sf.dim, sf.group_dim, sf.quotient_dim
     x_names = tuple(f"x{i + 1}" for i in range(dim))
@@ -375,11 +369,9 @@ def compile_scenario(sf: ScenarioFile, quadrature=None) -> ReductionScenario:
     else:
         acs = build_compatible_triple(omega, metric).acs
 
-    if quadrature is None:
-        quadrature = uniform_circle_quadrature(64) if k == 1 else uniform_torus_quadrature(k, 16)
     action = GroupAction(
         group_dim=k, flow=RowMap(_row_evaluator(sf.flow, x_names + t_names, (dim,))),
-        quadrature=quadrature, abelian=sf.abelian,
+        abelian=sf.abelian,
     )
 
     mu_fields = tuple(
@@ -598,9 +590,4 @@ def builtin(name: str, planes: int = 2) -> ReductionScenario:
     ``planes`` selects the member of the euclidean_r2n family (chart
     dimension 2 * planes) and is ignored by the other built-ins.
     """
-    sf = parse_scenario(builtin_text(name, planes))
-    quadrature = None
-    if name == "linear_translation":
-        # translations are not compact; average over a bounded window instead
-        quadrature = window_quadrature(1, 16)
-    return compile_scenario(sf, quadrature=quadrature)
+    return compile_scenario(parse_scenario(builtin_text(name, planes)))

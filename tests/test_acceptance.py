@@ -10,6 +10,7 @@ from symred.actions import (
     check_field_invariance,
     check_isometry,
     planar_rotation_action,
+    uniform_circle_quadrature,
 )
 from symred.cli import RunConfig, main, run
 from symred.errors import ParseError, ValidationError
@@ -170,8 +171,9 @@ def test_criterion_07_invariance_propositions():
 
 
 def test_criterion_08_invariant_metric_averaging():
-    rotation = planar_rotation_action(n_quad=64)
-    averaged = average_metric(TensorField.constant(np.diag([1.0, 4.0])), rotation)
+    rotation = planar_rotation_action()
+    averaged = average_metric(TensorField.constant(np.diag([1.0, 4.0])), rotation,
+                              uniform_circle_quadrature(64))
     points = sample_box(2, 8, radius=1.5, seed=15)
     worst = max(np.max(np.abs(eval_field(averaged, p) - 2.5 * np.eye(2))) for p in points)
     params = [np.array([a]) for a in (0.7, np.pi / 2.0, 4.0)]

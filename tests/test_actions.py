@@ -41,7 +41,6 @@ def scaling_action():
     return GroupAction(
         group_dim=1,
         flow=lambda a, p: ChartPoint(np.exp(a[0]) * p.coords),
-        quadrature=uniform_circle_quadrature(4),
     )
 
 
@@ -49,7 +48,6 @@ def translation_action():
     return GroupAction(
         group_dim=1,
         flow=lambda a, p: ChartPoint(p.coords + a[0] * np.array([1.0, 0.0])),
-        quadrature=uniform_circle_quadrature(4),
     )
 
 
@@ -69,8 +67,6 @@ def test_generator_linear_in_algebra_vector():
     torus = GroupAction(
         group_dim=2,
         flow=lambda a, p: ChartPoint(p.coords + np.array([a[0], a[1], a[0] + a[1], 0.0])),
-        quadrature=tuple((np.array([x, y]), 0.25)
-                         for x in (0.0, np.pi) for y in (0.0, np.pi)),
     )
     p = ChartPoint([0.0, 0.0, 0.0, 0.0])
     for a, b in ((1.0, 2.0), (-0.5, 0.25)):
@@ -84,7 +80,6 @@ def test_generator_overflow_raises_nonfinite():
     huge = GroupAction(
         group_dim=1,
         flow=lambda a, p: ChartPoint(p.coords + 1e308 * (1.0 + a[0])),
-        quadrature=uniform_circle_quadrature(4),
     )
     with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
         generator(huge, 0, ChartPoint([0.0, 0.0]))
@@ -94,7 +89,6 @@ def test_generator_rejects_flow_changing_dimension():
     widening = GroupAction(
         group_dim=1,
         flow=lambda a, p: ChartPoint(np.append(p.coords, a[0])),
-        quadrature=uniform_circle_quadrature(4),
     )
     with pytest.raises(ValueError, match="generator length"):
         generator(widening, 0, ChartPoint([0.0, 0.0]))
@@ -114,7 +108,7 @@ def _torus_action():
     program = compile_exprs([parse_expression(t) for t in texts],
                             ("x1", "x2", "x3", "x4", "t1", "t2"))
     flow = RowMap(lambda Z: np.array([program(v) for v in Z.tolist()]).reshape(len(Z), 4))
-    return GroupAction(group_dim=2, flow=flow, quadrature=uniform_torus_quadrature(2, 4))
+    return GroupAction(group_dim=2, flow=flow)
 
 
 _SIGNED_ZERO_POINTS = [ChartPoint(c) for c in ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.0, -0.0, 0.0],
@@ -125,8 +119,7 @@ _SIGNED_ZERO_POINTS = [ChartPoint(c) for c in ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.
 def test_generator_bit_identical_to_per_sample_reference(order):
     cfg = FDConfig(order=order)
     for action in (HOPF.action, _torus_action()):
-        opaque = GroupAction(action.group_dim, lambda a, p, _f=action: apply_flow(_f, a, p),
-                             quadrature=action.quadrature)
+        opaque = GroupAction(action.group_dim, lambda a, p, _f=action: apply_flow(_f, a, p))
         for p in _SIGNED_ZERO_POINTS:
             for i in range(action.group_dim):
                 want = reference_generator(action, i, p, cfg)
@@ -210,15 +203,14 @@ def test_momentum_invariance_examples():
 
 
 def test_momentum_invariance_refuses_nonabelian():
-    nonabelian = GroupAction(group_dim=1, flow=lambda a, p: p,
-                             quadrature=uniform_circle_quadrature(2), abelian=False)
+    nonabelian = GroupAction(group_dim=1, flow=lambda a, p: p, abelian=False)
     with pytest.raises(UnsupportedNonabelianError):
         check_momentum_invariance(nonabelian, HOPF.mu, ANGLES, POINTS_4D)
 
 
 def test_average_metric_rotation():
     g0 = TensorField.constant(np.diag([1.0, 4.0]))
-    averaged = average_metric(g0, ROTATION)
+    averaged = average_metric(g0, ROTATION, uniform_circle_quadrature(64))
     # average of cos^2 + 4 sin^2 over the circle is 2.5
     for p in POINTS_2D:
         np.testing.assert_allclose(eval_field(averaged, p), 2.5 * np.eye(2), atol=1e-6)
@@ -226,14 +218,14 @@ def test_average_metric_rotation():
 
 
 def test_average_metric_fixes_invariant_input():
-    averaged = average_metric(euclidean_metric(2), ROTATION)
+    averaged = average_metric(euclidean_metric(2), ROTATION, uniform_circle_quadrature(64))
     np.testing.assert_allclose(eval_field(averaged, POINTS_2D[0]), np.eye(2), atol=1e-9)
 
 
 def test_average_metric_small_perturbation():
     eps = 0.1
     g0 = TensorField.constant(np.eye(2) + eps * np.outer([1.0, 0.0], [1.0, 0.0]))
-    averaged = average_metric(g0, ROTATION)
+    averaged = average_metric(g0, ROTATION, uniform_circle_quadrature(64))
     np.testing.assert_allclose(eval_field(averaged, POINTS_2D[0]),
                                (1.0 + eps / 2.0) * np.eye(2), atol=1e-6)
 
@@ -241,13 +233,9 @@ def test_average_metric_small_perturbation():
 def test_average_metric_cyclic_quadrature_exact():
     # quadrature on the 4-element subgroup makes the average exactly invariant
     # under that subgroup
-    cyclic = GroupAction(
-        group_dim=1,
-        flow=ROTATION.flow,
-        quadrature=tuple((np.array([2.0 * np.pi * i / 4]), 0.25) for i in range(4)),
-    )
-    averaged = average_metric(TensorField.constant(np.diag([1.0, 4.0])), cyclic)
-    res = check_isometry(cyclic, averaged, [np.array([np.pi / 2.0])], POINTS_2D)
+    cyclic = tuple((np.array([2.0 * np.pi * i / 4]), 0.25) for i in range(4))
+    averaged = average_metric(TensorField.constant(np.diag([1.0, 4.0])), ROTATION, cyclic)
+    res = check_isometry(ROTATION, averaged, [np.array([np.pi / 2.0])], POINTS_2D)
     assert res.max_residual < 1e-9
 
 
@@ -278,6 +266,12 @@ def test_invariant_metric_gives_invariant_compatible_acs():
 
 
 def test_quadrature_weights_must_sum_to_one():
-    with pytest.raises(ValueError):
-        GroupAction(group_dim=1, flow=lambda a, p: p,
-                    quadrature=((np.array([0.0]), 0.7),))
+    g0 = TensorField.constant(np.eye(2))
+    with pytest.raises(ValueError, match="quadrature weights sum to 0.7, expected 1"):
+        average_metric(g0, ROTATION, ((np.array([0.0]), 0.7),))
+    with pytest.raises(ValueError, match="quadrature weights sum to 0, expected 1"):
+        average_metric(g0, ROTATION, ())
+    # the one-factor torus rule is the 4-point circle rule: exact for cos^2
+    averaged = average_metric(TensorField.constant(np.diag([1.0, 4.0])), ROTATION,
+                              uniform_torus_quadrature(1, 4))
+    np.testing.assert_allclose(eval_field(averaged, POINTS_2D[0]), 2.5 * np.eye(2), atol=1e-9)

@@ -20,10 +20,17 @@ from symred.actions import (
 )
 from symred.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from symred.errors import ValidationError
-from symred.geometry import ChartPoint, FDConfig, TensorField
-from symred.reduction import verify_main_theorem, verify_reduction_identity, verify_submersion
+from symred.geometry import ChartPoint, FDConfig, TensorField, sample_ball
+from symred.reduction import (
+    reduced_structures,
+    verify_main_theorem,
+    verify_reduction_identity,
+    verify_submersion,
+)
 from symred.report import VerificationReport, check_to_dict
-from symred.scenarios import builtin, builtin_text, parse_scenario
+from symred.scenarios import builtin, builtin_text, load_scenario_file, parse_scenario
+
+from util import round_sphere_metric
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +108,8 @@ def test_runconfig_validation():
         RunConfig("hopf", suites=("nonsense",))
     with pytest.raises(ValueError):
         RunConfig("hopf", format="xml")
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        RunConfig("hopf", samples=0)
 
 
 def test_main_verify_text_and_json(tmp_path, capsys):
@@ -394,8 +403,9 @@ def _failing(report):
 
 @pytest.mark.parametrize("name", sorted(_VERDICTS_SEED_4))
 def test_builtin_verdicts_at_seed_4(name):
-    # seed 4 has quotient points near x1 = 0 where the horizontal space
-    # of hopf's geometry was once miscounted as 3-dimensional
+    # under the former cube-rejection sampler, seed 4 drew quotient points
+    # where the horizontal space of hopf's geometry was miscounted as
+    # 3-dimensional; the verdicts stay pinned at the seed
     report, code = run(RunConfig(name, samples=20, seed=4))
     assert (code, _failing(report)) == _VERDICTS_SEED_4[name]
 
@@ -410,6 +420,68 @@ def test_euclidean_r2n_8_planes_seed_44_passes(tmp_path):
     path.write_text(builtin_text("euclidean_r2n", 8))
     report, code = run(RunConfig(str(path), samples=20, seed=44))
     assert code == 0, report.format_text()
+
+
+def _torus_text(planes_per_circle):
+    """A scenario in which circle i rotates its own block of coordinate
+    planes clockwise, as hopf does, at the level |z|^2 / 2 = 1/2, with
+    hopf's normalized graph section over that block's quotient chart."""
+    dim, k = 2 * sum(planes_per_circle), len(planes_per_circle)
+
+    def matrix(entry):
+        return "[" + ", ".join(
+            "[" + ", ".join(entry(r, c) for c in range(dim)) + "]" for r in range(dim)) + "]"
+
+    plane_form = {(0, 1): "1", (1, 0): "-1"}
+    flow, mu, section = [], [], []
+    x = w = 0
+    for i, planes in enumerate(planes_per_circle):
+        t = f"t{i + 1}"
+        for a, b in ((f"x{x + 2 * j + 1}", f"x{x + 2 * j + 2}") for j in range(planes)):
+            flow += [f"{a}*cos({t}) + {b}*sin({t})", f"{b}*cos({t}) - {a}*sin({t})"]
+        mu.append("0.5*(" + " + ".join(f"x{x + j + 1}^2" for j in range(2 * planes)) + ")")
+        x += 2 * planes
+        ws = [f"w{w + j + 1}" for j in range(2 * planes - 2)]
+        w += len(ws)
+        denom = "sqrt(1 + " + " + ".join(f"{v}^2" for v in ws) + ")"
+        section += [f"1/{denom}", "0"] + [f"{v}/{denom}" for v in ws] if ws else ["1", "0"]
+    return "\n".join([
+        "name = torus", f"dim = {dim}", f"group_dim = {k}", f"quotient_dim = {dim - 2 * k}",
+        "omega = " + matrix(lambda r, c: plane_form.get((r % 2, c % 2), "0")
+                            if r // 2 == c // 2 else "0"),
+        "metric = " + matrix(lambda r, c: "1" if r == c else "0"),
+        "acs = " + matrix(lambda r, c: plane_form.get((c % 2, r % 2), "0")
+                          if r // 2 == c // 2 else "0"),
+        f"flow = [{', '.join(flow)}]", f"mu = [{', '.join(mu)}]",
+        f"beta = [{', '.join(['0.5'] * k)}]", f"section = [{', '.join(section)}]", ""])
+
+
+def test_two_torus_scenario_verifies(tmp_path, capsys):
+    # T^2 acting on C^2 x C^2, one Hopf circle per factor: the quotient is
+    # CP^1 x CP^1 with the product of two round-sphere metrics
+    path = tmp_path / "hopf_pair.scn"
+    path.write_text(_torus_text((2, 2)))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(path), "--samples", "5", "--format", "json",
+                 "--out", str(out)]) == 0
+    fiber = VerificationReport.from_json(out.read_text()).find("fiber independence")
+    assert fiber.extras["fiber_params"] == [[0.0, 0.0], [np.pi / 3.0, np.pi / 3.0],
+                                            [np.pi, np.pi]]
+    scen = load_scenario_file(path)
+    assert (scen.chart_dim, scen.action.group_dim, scen.quotient_dim) == (8, 2, 4)
+    for w in sample_ball(4, 5, 2.0, 3):
+        want = np.zeros((4, 4))
+        want[:2, :2] = round_sphere_metric(w.coords[:2])
+        want[2:, 2:] = round_sphere_metric(w.coords[2:])
+        np.testing.assert_allclose(reduced_structures(scen, w).h_beta, want, atol=1e-6)
+
+
+def test_six_torus_scenario_loads_and_verifies(tmp_path, capsys):
+    # loading builds nothing per group element, so a 6-torus costs what a
+    # circle does
+    path = tmp_path / "six_circles.scn"
+    path.write_text(_torus_text((1,) * 6))
+    assert main(["verify", str(path), "--samples", "2"]) == 0
 
 
 def _opaque(scen):

@@ -29,7 +29,6 @@ from util import (
     reference_fd_gradient,
     reference_fd_jacobian,
     reference_generator,
-    reference_sample_ball,
 )
 
 
@@ -92,24 +91,59 @@ def test_eval_field_nan_message_names_field_and_point():
         "field 'probe' at ChartPoint([ 0.25, -1.5 ]) contains non-finite entries")
 
 
-# the one-at-a-time reference needs about 27k draws per point at dim 14
-@pytest.mark.parametrize("dim, counts, seeds, radii", [
-    (0, (0, 3), (0,), (2.0,)),
-    (1, (1, 7), (0, 1, 9), (2.0, 0.7)),
-    (2, (5, 40), (0, 3), (2.0, 0.7)),
-    (3, (1, 25), (2, 11), (2.0, 0.7)),
-    (8, (4, 12), (0, 5), (2.0, 0.7)),
-    (14, (2,), (0, 5), (1.5,)),
-])
-def test_sample_ball_matches_one_at_a_time_reference(dim, counts, seeds, radii):
-    for count in counts:
-        for seed in seeds:
-            for radius in radii:
-                got = sample_ball(dim, count, radius, seed)
-                want = reference_sample_ball(dim, count, radius, seed)
-                assert len(got) == len(want) == count
-                for a, b in zip(got, want):
-                    assert a.coords.tobytes() == b.coords.tobytes()
+class _CountingGenerator:
+    """A numpy Generator that records (method, number of values) per draw."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.draws.append((name, np.size(out)))
+            return out
+
+        return counted
+
+
+@pytest.mark.parametrize("dim, count", [(1, 7), (2, 20), (14, 20), (40, 5)])
+def test_sample_ball_draws_count_q_normals_then_count_uniforms(dim, count, monkeypatch):
+    made = []
+    real = np.random.default_rng
+
+    def counting_rng(seed=None):
+        made.append(_CountingGenerator(real(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    sample_ball(dim, count, 2.0, 3)
+    assert [g.draws for g in made] == [[("standard_normal", count * dim), ("uniform", count)]]
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 14, 40])
+def test_sample_ball_in_ball_and_seeded(dim):
+    for radius in (2.0, 0.7):
+        got = sample_ball(dim, 50, radius, 9)
+        assert len(got) == 50 and all(p.dim == dim for p in got)
+        # radius * u^(1/q) * z/|z| may round a few ulps past the sphere
+        assert max(np.linalg.norm(p.coords) for p in got) <= radius * (1.0 + 1e-12)
+        again = sample_ball(dim, 50, radius, 9)
+        assert [p.coords.tobytes() for p in got] == [p.coords.tobytes() for p in again]
+        if dim:
+            other = sample_ball(dim, 50, radius, 10)
+            assert not np.array_equal(got[0].coords, other[0].coords)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 14, 40])
+def test_sample_ball_radial_distribution(dim):
+    # uniform in the ball: P(|x| <= r 2^(-1/q)) = 1/2, binomial over N draws
+    n, radius = 20_000, 2.0
+    norms = np.array([np.linalg.norm(p.coords) for p in sample_ball(dim, n, radius, 21)])
+    inner = np.mean(norms <= radius * 2.0 ** (-1.0 / dim))
+    assert abs(inner - 0.5) <= 5.0 * np.sqrt(0.25 / n)
 
 
 def test_fd_jacobian_identity_and_linear():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symred.actions import GroupAction, MomentumMap, apply_flow, uniform_circle_quadrature
+from symred.actions import GroupAction, MomentumMap, apply_flow
 from symred.errors import (
     ActionNotFreeError,
     NoConvergenceError,
@@ -100,8 +100,7 @@ def test_split_tangent_rejects_frozen_action():
         omega=standard_symplectic(4),
         metric=euclidean_metric(4),
         acs=standard_acs(4),
-        action=GroupAction(group_dim=1, flow=lambda a, p: p,
-                           quadrature=uniform_circle_quadrature(4)),
+        action=GroupAction(group_dim=1, flow=lambda a, p: p),
         mu=MomentumMap((TensorField.scalar(lambda p: float(p.coords[1])),), [0.0]),
         quotient_dim=2,
         section=lambda w: ChartPoint([0.0, 0.0, w.coords[0], w.coords[1]]),
@@ -123,9 +122,10 @@ def assert_split_matches_oracle(scen, m):
 
 
 def test_split_tangent_at_former_hopf_crash_point():
-    # quotient point 76 of `verify hopf --samples 80 --seed 0`: Gram-Schmidt
-    # over the projected level vectors once left a third residual of 8.2e-8
-    # above an absolute 1e-8 cut, giving a 3-dimensional horizontal space
+    # quotient point 76 of `verify hopf --samples 80 --seed 0` as the former
+    # cube-rejection sampler drew it: Gram-Schmidt over the projected level
+    # vectors once left a third residual of 8.2e-8 above an absolute 1e-8
+    # cut, giving a 3-dimensional horizontal space
     x = ChartPoint([-0.00010870536552598509, 0.976389917130593])
     m = HOPF.section_point(x)
     for a in (None, 0.0, np.pi):

@@ -169,20 +169,6 @@ def reference_eval_expr(e, env):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def reference_sample_ball(dim, count, radius=2.0, seed=0):
-    """Rejection sampling one candidate at a time: the reference for the
-    batched sampler, which must return the same points bit for bit."""
-    rng = np.random.default_rng(seed)
-    if dim == 0:
-        return [ChartPoint(np.zeros(0)) for _ in range(count)]
-    points = []
-    while len(points) < count:
-        x = rng.uniform(-1.0, 1.0, size=dim)
-        if np.linalg.norm(x) <= 1.0:
-            points.append(ChartPoint(radius * x))
-    return points
-
-
 def horizontal_projector_oracle(jmu, generators, metric, dim):
     """G-orthogonal projector onto the horizontal space, the part of ker d mu
     that G pairs to zero with the generators, from one SVD of the stacked
