@@ -26,7 +26,7 @@ from .actions import (
     pushforward_table,
 )
 from .errors import ScenarioFormatError, SymredError, UnknownScenarioError
-from .geometry import ChartPoint, FDConfig, sample_ball, sample_box
+from .geometry import ChartPoint, FDConfig, RowMap, sample_ball, sample_box
 from .holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from .reduction import (
     ReductionScenario,
@@ -162,29 +162,32 @@ def _suite_main_theorem(scen, cfg, qpoints, fd, frames):
 
 
 def _reference_maps():
-    """Chart maps exercising the holomorphy residuals: three holomorphic
-    references plus conjugation, whose defect is exactly 2*sqrt(2)."""
-    def square(p):
-        x, y = p.coords
-        return np.array([x * x - y * y, 2 * x * y])
+    """Chart maps exercising the holomorphy residuals, as RowMaps over
+    (N, 2) rows: three holomorphic references plus conjugation, whose
+    defect is exactly 2*sqrt(2).  Each row gets the bits of the formula on
+    that row's two numbers; the reciprocal map squares with ``**`` per
+    element, which is C ``pow`` as on a numpy scalar, not numpy's array
+    power."""
+    def square(X):
+        x, y = X[:, 0], X[:, 1]
+        return np.stack([x * x - y * y, 2 * x * y], axis=1)
 
-    def exponential(p):
-        x, y = p.coords
-        return np.array([np.exp(x) * np.cos(y), np.exp(x) * np.sin(y)])
+    def exponential(X):
+        x, y = X[:, 0], X[:, 1]
+        return np.stack([np.exp(x) * np.cos(y), np.exp(x) * np.sin(y)], axis=1)
 
-    def reciprocal_shifted(p):
-        x, y = p.coords
-        den = (x - 2.0) ** 2 + y ** 2
-        return np.array([(x - 2.0) / den, -y / den])
+    def reciprocal_shifted(X):
+        x, y = X[:, 0] - 2.0, X[:, 1]
+        den = np.array([a ** 2 + b ** 2 for a, b in zip(x.tolist(), y.tolist())])
+        return np.stack([x / den, -y / den], axis=1)
 
-    def conjugation(p):
-        x, y = p.coords
-        return np.array([x, -y])
+    def conjugation(X):
+        return np.stack([X[:, 0], -X[:, 1]], axis=1)
 
-    return (("square map", square, True),
-            ("exponential map", exponential, True),
-            ("reciprocal map at offset 2", reciprocal_shifted, True),
-            ("conjugation", conjugation, False))
+    return (("square map", RowMap(square), True),
+            ("exponential map", RowMap(exponential), True),
+            ("reciprocal map at offset 2", RowMap(reciprocal_shifted), True),
+            ("conjugation", RowMap(conjugation), False))
 
 
 def _suite_holomorphy(cfg, scen, seed, samples, fd):

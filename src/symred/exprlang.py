@@ -22,11 +22,15 @@ with a 1-based position; no input crashes the parser.
 :func:`compile_exprs` turns the entries of one field into one program of
 nested Python closures once, so a field evaluated at many points does no
 per-point tree walking; a subtree repeated across or within the entries
-is computed once per evaluation and its value reused.  Programs compute
-with Python floats and the ``math`` functions, not numpy ufuncs, so every
-value is the bits a tree walk gives.  Scenario files are untrusted input:
-the closures are built from the AST, and no generated source is ever
-passed to ``eval`` or ``exec``.
+is computed once per evaluation and its value reused.  A program runs on
+one point as Python floats or on a batch of points as float64 columns,
+one per coordinate.  On columns, ``+ - * /`` and negation are numpy's
+elementwise IEEE operations, which give the bits the Python float
+operations give; ``sin cos exp sqrt`` and ``^`` make the same ``math``
+call or ``**`` on each element, because numpy's ``exp`` and ``power``
+round differently on some inputs.  So every value is the bits a tree walk
+gives.  Scenario files are untrusted input: the closures are built from
+the AST, and no generated source is ever passed to ``eval`` or ``exec``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import NonFiniteError, ParseError, ValidationError
 
@@ -64,6 +70,8 @@ FUNCTIONS = {
     "exp": math.exp,
     "sqrt": math.sqrt,
 }
+
+_COLUMN = np.ndarray  # a batch value: one float64 entry per point
 
 _MAX_DEPTH = 200
 _MAX_EXPONENT = 1_000_000
@@ -404,7 +412,7 @@ def format_expr(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_expr(e: Expr, names: Iterable[str]) -> Callable[[Sequence[float]], float]:
+def compile_expr(e: Expr, names: Iterable[str]) -> Callable[[Sequence], object]:
     """Compile an AST into a closure over a positional list of values.
 
     ``names`` orders the coordinates: the closure reads ``names[i]`` from
@@ -414,21 +422,27 @@ def compile_expr(e: Expr, names: Iterable[str]) -> Callable[[Sequence[float]], f
     return lambda values: program(values)[0]
 
 
-def compile_exprs(exprs: Sequence[Expr], names: Iterable[str]) -> Callable[[Sequence[float]], list]:
+def compile_exprs(exprs: Sequence[Expr], names: Iterable[str]) -> Callable[[Sequence], list]:
     """Compile the entries of one field into one program over a positional
     list of values, one value per name.
 
-    ``program(values)`` returns the entries' values as a list.  It does the
-    float operations of walking each entry's tree in turn, in the same
+    ``program(values)`` returns the entries' values as a list.  ``values``
+    is one point, a float per name, or a batch of points, a float64 column
+    per name, all of one length; on a batch each entry's value is a column,
+    or a Python number if the entry reads no coordinate.  The program does
+    the float operations of walking each entry's tree in turn, in the same
     order, except that a subtree occurring more than once (``cos(t1)`` in
     every entry of a rotation, the normalizing square root of a section) is
     computed once per call, the first time the walk reaches it, and its
     value reused afterwards.  Evaluation is pure, so the values are the same
     bits and the first error raised is the same error.  The closures are
     built from the AST, never from source text.  Division by zero, square
-    roots of negative numbers and overflow raise NonFiniteError when the
-    program runs; an unknown coordinate or function raises ValidationError
-    here, at compile time.
+    roots of negative numbers and overflowing powers or functions raise
+    NonFiniteError when the program runs, and an overflowing product or sum
+    is a silent inf, on a batch as on floats; an unknown coordinate or
+    function raises ValidationError here, at compile time.  A batch that
+    raises is evaluated again one point at a time, so its first failing
+    point raises the error it raises alone.
     """
     names = tuple(names)
     compiler = _Compiler(names, exprs)
@@ -436,11 +450,23 @@ def compile_exprs(exprs: Sequence[Expr], names: Iterable[str]) -> Callable[[Sequ
     pad = [0.0] * compiler.slots  # the shared values follow the coordinates
     size = len(names) + len(pad)
 
-    def program(values):
+    def run(values):
         v = [*values, *pad]
         if len(v) != size:
             raise ValueError(f"expected {len(names)} values, got {len(values)}")
         return [entry(v) for entry in entries]
+
+    def program(values):
+        if not (len(values) and type(values[0]) is _COLUMN):
+            return run(values)
+        try:
+            with np.errstate(all="ignore"):
+                return run(values)
+        except (NonFiniteError, ArithmeticError, ValueError) as exc:
+            error = exc  # raised only if no point raises its own
+        for point in zip(*[column.tolist() for column in values]):
+            run(point)
+        raise error
 
     return program
 
@@ -528,7 +554,7 @@ class _Compiler:
 
         return store
 
-    def _node(self, e: Expr) -> Callable[[list], float]:
+    def _node(self, e: Expr) -> Callable[[list], object]:
         if isinstance(e, Num):
             value = e.value
             return lambda v: value
@@ -544,8 +570,11 @@ class _Compiler:
             base, power = self.compile(e.base), e.power
 
             def raised(v):
+                x = base(v)
                 try:
-                    return float(base(v) ** power)
+                    if type(x) is _COLUMN:
+                        return np.array([y ** power for y in x.tolist()], dtype=float)
+                    return float(x ** power)
                 except OverflowError:
                     raise NonFiniteError("power overflows") from None
 
@@ -560,9 +589,12 @@ class _Compiler:
 
             def call(v):
                 x = arg(v)
-                if is_sqrt and x < 0:
+                column = type(x) is _COLUMN
+                if is_sqrt and ((x < 0).any() if column else x < 0):
                     raise NonFiniteError(f"sqrt of negative value {x}")
                 try:
+                    if column:
+                        return np.array([fn(y) for y in x.tolist()], dtype=float)
                     return fn(x)
                 except OverflowError:
                     raise NonFiniteError(f"{fn_name} overflows") from None
@@ -579,7 +611,11 @@ class _Compiler:
 
             def divide(v):
                 numerator, denominator = left(v), right(v)
-                if denominator == 0.0:
+                if type(denominator) is _COLUMN:
+                    zero = not denominator.all()
+                else:
+                    zero = denominator == 0.0
+                if zero:
                     raise NonFiniteError("division by zero")
                 return numerator / denominator
 

@@ -20,12 +20,13 @@ expression combines them with the operation order of the per-column
 formula, so the result is the same bits.  Every map is a ``RowMap``, whose
 ``rows`` evaluates all rows of an array; a per-point callable is wrapped
 into one where it enters the package (``as_row_map``) and called once per
-row with a ``ChartPoint``.  A compiled scenario map runs its program on
-each row with Python floats and ``math`` functions: numpy ufuncs such as
-``np.exp`` round differently in the last bit on some inputs and would
-change residuals.  A batch that meets an error or a non-finite value is
-evaluated again one row at a time, so the first failing row raises what it
-raises alone.
+row with a ``ChartPoint``.  A compiled scenario map runs its program once
+per batch, on the coordinate columns, with numpy only for ``+ - * /`` and
+negation and the ``math`` function or ``**`` per element otherwise: numpy
+ufuncs such as ``np.exp`` round differently in the last bit on some inputs
+and would change residuals.  A batch that meets an error or a non-finite
+value is evaluated again one row at a time, so the first failing row
+raises what it raises alone.
 
 The per-point paths stay cheap on success: ``eval_field`` formats the
 point into its error message only when a value is non-finite.
@@ -336,20 +337,24 @@ def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
     product defined by ``metric``, returned as columns.
 
     Columns whose metric norm drops below ``tol`` after projection are
-    dropped, so linearly dependent inputs are handled silently.
+    dropped, so linearly dependent inputs are handled silently.  Each kept
+    vector b is stored with its row ``b @ G``, computed once; a projection
+    coefficient ``(b @ G) @ w`` is the same product as ``b @ G @ w``.
     """
     G = np.asarray(metric, dtype=float)
     cols = np.asarray(frame, dtype=float)
     basis: list[np.ndarray] = []
+    rows: list[np.ndarray] = []  # b @ G for each b in basis
     for j in range(cols.shape[1]):
         w = cols[:, j].copy()
         for _ in range(2):  # re-orthogonalize once for 1e-12-level orthogonality
-            for b in basis:
-                w -= (b @ G @ w) * b
+            for b, bG in zip(basis, rows):
+                w -= (bG @ w) * b
         nrm = g_norm(w, G)
         if nrm < tol:
             continue
         basis.append(w / nrm)
+        rows.append(basis[-1] @ G)
     return np.column_stack(basis) if basis else np.zeros((cols.shape[0], 0))
 
 

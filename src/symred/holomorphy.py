@@ -11,7 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotStandardStructureError, OddDimensionError
-from .geometry import ChartPoint, FDConfig, TensorField, as_point, eval_field, fd_jacobian, fro_norm, max_abs
+from .geometry import (
+    ChartPoint,
+    FDConfig,
+    RowMap,
+    TensorField,
+    as_point,
+    as_row_map,
+    eval_field,
+    fd_jacobian,
+    fro_norm,
+    max_abs,
+)
 from .structures import standard_acs_matrix
 
 __all__ = ["ChartedMap", "almost_complex_residual", "cauchy_riemann_residual"]
@@ -23,15 +34,20 @@ IDENTITY_CR = "a_x = b_y and a_y = -b_x (Cauchy-Riemann)"
 @dataclass(frozen=True, eq=False)
 class ChartedMap:
     """A smooth map between two even-dimensional charts, each carrying an
-    almost complex structure field."""
+    almost complex structure field.
+
+    ``chart_map`` is held as a RowMap (a per-point callable is wrapped on
+    construction), so a difference stencil of the map is one row batch.
+    """
 
     source_dim: int
     target_dim: int
-    chart_map: object  # ChartPoint -> ChartPoint or array-like
+    chart_map: RowMap  # given as a RowMap or as a ChartPoint -> point callable
     source_acs: TensorField
     target_acs: TensorField
 
     def __post_init__(self):
+        object.__setattr__(self, "chart_map", as_row_map(self.chart_map))
         for label, dim in (("source", self.source_dim), ("target", self.target_dim)):
             if dim % 2 != 0:
                 raise OddDimensionError(f"{label} dimension {dim} is odd")
@@ -47,7 +63,7 @@ class ChartedMap:
 def almost_complex_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()) -> float:
     """Frobenius norm of D J1(p) - J2(phi(p)) D with D the map differential."""
     point = as_point(p)
-    D = fd_jacobian(cm.at, point, cfg)
+    D = fd_jacobian(cm.chart_map, point, cfg)
     J1 = eval_field(cm.source_acs, point)
     J2 = eval_field(cm.target_acs, cm.at(point))
     return fro_norm(D @ J1 - J2 @ D)
@@ -69,7 +85,7 @@ def cauchy_riemann_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()) -> fl
         raise NotStandardStructureError("source structure is not the coordinate J")
     if max_abs(eval_field(cm.target_acs, cm.at(point)) - J2_std) > 1e-10:
         raise NotStandardStructureError("target structure is not the coordinate J")
-    D = fd_jacobian(cm.at, point, cfg)
+    D = fd_jacobian(cm.chart_map, point, cfg)
     defects = []
     for j in range(cm.target_dim // 2):
         for i in range(cm.source_dim // 2):

@@ -16,14 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import GroupAction, MomentumMap
-from .errors import ParseError, UnknownScenarioError, ValidationError
+from .errors import NonFiniteError, ParseError, UnknownScenarioError, ValidationError
 from .exprlang import (
     Expr,
     ExprParser,
     Num,
     Token,
+    compile_expr,
     compile_exprs,
     eval_expr,
+    free_names,
     tokenize,
     validate_expr,
 )
@@ -319,21 +321,43 @@ def _as_matrix(value, key: str) -> tuple:
 
 
 def _row_evaluator(exprs: tuple, names: tuple, shape: tuple):
-    """Evaluator over the rows of an (N, len(names)) array: one compiled
-    program per row, values stacked to shape (N, *shape)."""
+    """Evaluator over the rows of an (N, len(names)) array, values stacked
+    to shape (N, *shape): one call of one compiled program per batch, on
+    the floats of a single row or on the coordinate columns of several."""
     program = compile_exprs(exprs, names)
 
     def rows(X: np.ndarray) -> np.ndarray:
-        return np.array([program(v) for v in X.tolist()], dtype=float).reshape(len(X), *shape)
+        if len(X) == 1:
+            return np.array(program(X[0].tolist()), dtype=float).reshape(1, *shape)
+        out = np.empty((len(exprs), len(X)))
+        for i, value in enumerate(program(list(np.ascontiguousarray(X.T, dtype=float)))):
+            out[i] = value  # an entry reading no coordinate is one number
+        return out.T.reshape(len(X), *shape)
 
     return rows
 
 
+def _folded(e: Expr):
+    """The value of a matrix entry that reads no coordinate, computed once;
+    None for an entry that reads one or whose evaluation raises, so that it
+    is evaluated, and raises, per point."""
+    if isinstance(e, Num):
+        return e.value
+    if free_names(e):
+        return None
+    try:
+        return compile_expr(e, ())(())
+    except (NonFiniteError, ArithmeticError, ValueError):
+        return None
+
+
 def _matrix_field(rows: tuple, names: tuple, name: str) -> TensorField:
-    # literal entries are filled in once; only the others run per point
-    constant = np.array([[e.value if isinstance(e, Num) else 0.0 for e in row] for row in rows])
+    # entries reading no coordinate are filled in once; only the others run
+    # per point
+    folded = [[_folded(e) for e in row] for row in rows]
+    constant = np.array([[0.0 if v is None else v for v in row] for row in folded])
     varying = [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row)
-               if not isinstance(e, Num)]
+               if folded[i][j] is None]
     at_row, at_col = [i for i, _, _ in varying], [j for _, j, _ in varying]
     entries = _row_evaluator(tuple(e for _, _, e in varying), names, (len(varying),))
 
@@ -351,10 +375,12 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
 
     Each map (every matrix field, each ``mu`` component, the flow and the
     section) is compiled once, here, to one program over all its entries
-    (``compile_exprs``), and gets one row evaluator over an (N, n)
-    coordinate array that runs the program on each row's ``tolist()``: a
-    RowMap, whose call on one point is that evaluator on one row.  No
-    quadrature over the group is built, so loading costs the same for a
+    (``compile_exprs``); a matrix entry that reads no coordinate is
+    evaluated here instead, once, unless that raises.  Each map is a RowMap
+    whose row evaluator over an (N, n) coordinate array makes one program
+    call: on the Python floats of a single row, or on the coordinate
+    columns of several rows, with every row's bits those of its tree walk.
+    No quadrature over the group is built, so loading costs the same for a
     circle and a high-dimensional torus; ``average_metric`` takes its rule
     as an argument.
     """

@@ -548,3 +548,48 @@ def test_command_line_tolerances_are_validated(value, capsys):
         RunConfig("hopf", tolerances={"structures.compatibility": float(value)})
     with pytest.raises(ValueError, match="unknown tolerance"):
         RunConfig("hopf", tolerances={"structures.compatibilty": 1e-8})
+
+
+def _per_point_reference_maps():
+    """The holomorphy suite's reference maps written point by point, on a
+    point's two numpy scalars."""
+    def square(x, y):
+        return [x * x - y * y, 2 * x * y]
+
+    def exponential(x, y):
+        return [np.exp(x) * np.cos(y), np.exp(x) * np.sin(y)]
+
+    def reciprocal_shifted(x, y):
+        den = (x - 2.0) ** 2 + y ** 2
+        return [(x - 2.0) / den, -y / den]
+
+    def conjugation(x, y):
+        return [x, -y]
+
+    return square, exponential, reciprocal_shifted, conjugation
+
+
+def test_reference_row_maps_match_per_point_formulas():
+    # numpy's array power (and on some builds exp) rounds differently from
+    # the scalar call, so every row is compared bit for bit
+    X = np.random.default_rng(12).uniform(-1.6, 1.6, size=(5000, 2))
+    for (name, row_map, _), formula in zip(cli._reference_maps(), _per_point_reference_maps()):
+        want = np.array([formula(*x) for x in X], dtype=float)
+        assert row_map.rows(X).tobytes() == want.tobytes(), name
+
+
+def test_hopf_op_builds_few_chart_points(monkeypatch):
+    # stencils of compiled maps and of the holomorphy reference maps are row
+    # batches: no ChartPoint per stencil row (152 per sample before)
+    built = Counter()
+    post_init = ChartPoint.__post_init__
+
+    def counted(self):
+        built["points"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ChartPoint, "__post_init__", counted)
+    samples = 20
+    report, code = run(RunConfig("hopf", samples=samples, seed=51))
+    assert code == 0
+    assert built["points"] <= 24 * samples

@@ -1,7 +1,9 @@
 """Expression language: precedence, round-trips, errors, fuzz totality, and
 the closure compiler against the tree-walking reference evaluator."""
 
+import math
 import struct
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -246,6 +248,164 @@ def test_compile_exprs_first_error_in_entry_order():
         program([0.5, 1.0])
     with pytest.raises(ValueError, match="expected 2 values"):
         program([0.5])
+
+
+_BATCH = 40  # rows per batch call
+
+
+def _columns(rows):
+    """The float64 coordinate columns of a list of rows."""
+    return [np.array(column, dtype=float) for column in zip(*rows)]
+
+
+def _batch_outcome(program, rows):
+    """Per-row bits of every value a batch call returns, or the type and
+    message of the exception raised.  Each value must be a float64 column
+    with one entry per row, or a Python number standing for every row."""
+    try:
+        values = program(_columns(rows))
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        return type(exc), str(exc)
+    for value in values:
+        assert type(value) in (float, int) or (
+            type(value) is np.ndarray and value.dtype == np.float64
+            and value.shape == (len(rows),))
+    return [[struct.pack("<d", v[i] if type(v) is np.ndarray else v) for v in values]
+            for i in range(len(rows))]
+
+
+def _rows_outcome(exprs, rows):
+    """Reference: each row's tree walks in row order; per-row bits, or the
+    type and message of the first failing row's error."""
+    out = []
+    for row in rows:
+        env = dict(zip(_NAMES, row))
+        try:
+            out.append([struct.pack("<d", reference_eval_expr(e, env)) for e in exprs])
+        except Exception as exc:  # noqa: BLE001 - type and message are compared
+            return type(exc), str(exc)
+    return out
+
+
+def test_batch_matches_reference_bit_for_bit():
+    # the 400 random ASTs, each over a batch of rows
+    rng = np.random.default_rng(2024)
+    asts = [random_expr(rng) for _ in range(400)]
+    rows_rng = np.random.default_rng(7)
+    raised = 0
+    for ast in asts:
+        rows = rows_rng.uniform(-3.0, 3.0, size=(_BATCH, len(_NAMES))).tolist()
+        want = _rows_outcome([ast], rows)
+        assert _batch_outcome(compile_exprs([ast], _NAMES), rows) == want, format_expr(ast)
+        raised += isinstance(want, tuple)
+    assert 0 < raised < 400
+
+
+def test_batch_raises_the_first_failing_rows_error():
+    # every field divides by zero in one row and takes the square root of
+    # -1 in another; whichever row comes first raises, whatever the entry
+    # order, unless the random AST fails earlier
+    rng = np.random.default_rng(2024)
+    asts = [random_expr(rng) for _ in range(400)]
+    rows_rng = np.random.default_rng(11)
+    first_errors = Counter()
+    x1, x2 = Coord("x1"), Coord("x2")
+    for ast in asts:
+        rows = rows_rng.uniform(-3.0, 3.0, size=(_BATCH, len(_NAMES)))
+        i, j = rows_rng.choice(_BATCH, size=2, replace=False)
+        rows[i, 0], rows[j, 1] = 4.0, -5.0
+        rows = rows.tolist()
+        exprs = [ast, BinOp("/", ast, BinOp("-", x1, Num(4.0))),
+                 BinOp("+", Call("sqrt", BinOp("+", x2, Num(4.0))), ast)]
+        want = _rows_outcome(exprs, rows)
+        assert _batch_outcome(compile_exprs(exprs, _NAMES), rows) == want, format_expr(ast)
+        first_errors[want] += 1
+    assert first_errors[(NonFiniteError, "division by zero")] > 100
+    assert first_errors[(NonFiniteError, "sqrt of negative value -1.0")] > 100
+
+
+def test_batch_with_shared_subtrees_matches_reference():
+    rows_rng = np.random.default_rng(5)
+    raised = fields = 0
+    for values, exprs in _planted_fields():
+        rows = [values, *rows_rng.uniform(-3.0, 3.0, size=(_BATCH - 1, len(_NAMES))).tolist()]
+        want = _rows_outcome(exprs, rows)
+        assert _batch_outcome(compile_exprs(exprs, _NAMES), rows) == want, \
+            [format_expr(e) for e in exprs]
+        raised += isinstance(want, tuple)
+        fields += 1
+    assert 0 < raised < fields
+
+
+@pytest.mark.parametrize("text", [
+    "-(x1-x2)", "-x1*x2", "sqrt(-x1)", "x1^0", "(x1-x2)^3", "x2/-x1", "exp(-x1)*cos(x2)",
+    "0*x1", "-0.0*x2 + 0", "x1 - x1", "-(0*x1)",
+])
+def test_batch_keeps_signed_zeros(text):
+    ast = parse_expression(text)
+    combos = ([0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0])
+    program = compile_exprs([ast], ("x1", "x2"))
+    for tail in ([], [[0.5, 0.5]]):  # the second batch fails where sqrt(-x1) does
+        rows = [list(combos[i % 4]) for i in range(_BATCH)] + tail
+        padded = [row + [0.0] * (len(_NAMES) - 2) for row in rows]
+        assert _batch_outcome(program, rows) == _rows_outcome([ast], padded)
+
+
+def test_batch_overflow_is_a_silent_inf():
+    # as on floats: inf from an overflowing product, nan from inf * 0, and
+    # no RuntimeWarning from numpy
+    exprs = [parse_expression(t) for t in ("x1*x1*x1", "x1*x1*x1*0", "-x1*x1")]
+    program = compile_exprs(exprs, _NAMES)
+    rows = [[1e200] + [0.0] * (len(_NAMES) - 1)] * 32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = _batch_outcome(program, rows)
+    assert outcome == _rows_outcome(exprs, rows)
+    cube, zero_times, negated = (struct.unpack("<d", b)[0] for b in outcome[0])
+    assert cube == math.inf and math.isnan(zero_times) and negated == -math.inf
+
+
+def test_batch_wrong_width_raises_like_a_row():
+    program = compile_exprs([parse_expression("x1 + x2")], ("x1", "x2"))
+    with pytest.raises(ValueError, match="expected 2 values, got 1"):
+        program([np.zeros(5)])
+    with pytest.raises(ValueError, match="expected 2 values, got 3"):
+        program([np.zeros(5)] * 3)
+
+
+def test_batch_maps_functions_and_powers_per_element(monkeypatch):
+    # sin, cos, exp and sqrt make one math call per row, and a power is
+    # Python's ** per row: numpy's exp and power round differently
+    seen = Counter()
+    for name, fn in list(exprlang.FUNCTIONS.items()):
+        def counted(x, _name=name, _fn=fn):
+            seen[_name, type(x)] += 1
+            return _fn(x)
+
+        monkeypatch.setitem(exprlang.FUNCTIONS, name, counted)
+    exprs = [parse_expression(t) for t in ("sin(x1) + cos(x1)", "exp(x2)^3", "sqrt(x2^2)")]
+    program = compile_exprs(exprs, ("x1", "x2"))
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(-10.0, 10.0, size=(200, 2)).tolist()
+    values = program(_columns(rows))
+    assert seen == {("sin", float): 200, ("cos", float): 200, ("exp", float): 200,
+                    ("sqrt", float): 200}
+    for i, (a, b) in enumerate(rows):
+        assert struct.pack("<d", values[1][i]) == struct.pack("<d", math.exp(b) ** 3)
+        assert struct.pack("<d", values[2][i]) == struct.pack("<d", math.sqrt(b ** 2))
+    seen.clear()
+    assert [type(v) for v in program(rows[0])] == [float, float, float]
+    assert seen == {("sin", float): 1, ("cos", float): 1, ("exp", float): 1, ("sqrt", float): 1}
+
+
+def test_batch_numbers_stay_python_numbers():
+    # a subtree reading no coordinate is computed on Python numbers, as on
+    # one row; the entry's value stands for every row
+    program = compile_exprs([Num(2.0), BinOp("*", Pow(Num(3.0), 2), Coord("x1")),
+                             BinOp("/", Num(1.0), Num(4.0))], ("x1",))
+    two, scaled, quarter = program([np.array([1.0, -2.0, 0.5])])
+    assert type(two) is float and type(quarter) is float
+    assert scaled.tolist() == [9.0, -18.0, 4.5]
 
 
 def test_compile_rejects_unknown_names_at_compile_time():

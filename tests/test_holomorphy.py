@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from symred.errors import NotStandardStructureError, OddDimensionError
-from symred.geometry import ChartPoint, TensorField, fd_jacobian, sample_box
+from symred.errors import NonFiniteError, NotStandardStructureError, OddDimensionError
+from symred.geometry import ChartPoint, RowMap, TensorField, fd_jacobian, sample_box
 from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from symred.structures import standard_acs
 
@@ -107,3 +107,22 @@ def test_composition_residual_bound():
         res_outer = almost_complex_residual(charted(square), ChartPoint(exp_map(p)))
         bound = np.linalg.norm(d_outer, 2) * res_inner + res_outer * 1.0
         assert res_comp <= bound + 1e-6
+
+
+def test_charted_map_holds_a_row_map():
+    # a per-point map is wrapped once; its stencil is one row batch with the
+    # values, and so the residuals, of calling it point by point
+    cm = charted(exp_map)
+    assert isinstance(cm.chart_map, RowMap)
+    rows = RowMap(lambda X: np.stack([np.exp(X[:, 0]) * np.cos(X[:, 1]),
+                                      np.exp(X[:, 0]) * np.sin(X[:, 1])], axis=1))
+    for p in sample_box(2, 5, radius=1.5, seed=3):
+        assert almost_complex_residual(charted(rows), p) == almost_complex_residual(cm, p)
+        assert cauchy_riemann_residual(charted(rows), p) == cauchy_riemann_residual(cm, p)
+
+
+def test_overflowing_map_fails_as_a_map_value():
+    blowup = charted(lambda p: np.array([np.exp(1e3 * p.coords[0]), p.coords[1]]))
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match="map value contains non-finite entries"):
+        almost_complex_residual(blowup, ChartPoint([0.9, 0.0]))

@@ -1,10 +1,14 @@
 """Scenario file parsing, validation and the built-in registry."""
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from symred import exprlang, scenarios
 from symred.actions import apply_flow
-from symred.errors import ParseError, UnknownScenarioError, ValidationError
+from symred.errors import NonFiniteError, ParseError, UnknownScenarioError, ValidationError
 from symred.geometry import ChartPoint, eval_field
 from symred.scenarios import (
     builtin,
@@ -204,3 +208,95 @@ def test_compiled_fields_match_reference_evaluation(text):
         assert eval_field(scen.mu.components[0], p) == reference_eval_expr(sf.mu[0], env)
         section_want = np.array([reference_eval_expr(e, w_env) for e in sf.section])
         assert scen.section_point(ChartPoint(w)).coords.tobytes() == section_want.tobytes()
+
+
+@pytest.mark.parametrize("text", [_FIELD_CHECK, builtin_text("hopf"),
+                                  builtin_text("noninvariant_metric_hopf"),
+                                  builtin_text("euclidean_r2n", 8)])
+def test_compiled_rows_match_reference_evaluation(text):
+    # one batch call per map gives every row the bits of its tree walks
+    sf = parse_scenario(text)
+    scen = compile_scenario(sf)
+    rng = np.random.default_rng(23)
+    X = rng.uniform(-1.5, 1.5, size=(40, sf.dim))
+    T = rng.uniform(-3.0, 3.0, size=(40, 1))
+    W = rng.uniform(-1.5, 1.5, size=(40, sf.quotient_dim))
+    envs = [{f"x{i + 1}": c for i, c in enumerate(x)} for x in X.tolist()]
+    for rows, field in ((sf.omega, scen.omega), (sf.metric, scen.metric), (sf.acs, scen.acs)):
+        want = [[[reference_eval_expr(e, env) for e in row] for row in rows] for env in envs]
+        assert field.func.rows(X).tobytes() == np.array(want).tobytes()
+    want = [[reference_eval_expr(e, {**env, "t1": t}) for e in sf.flow]
+            for env, (t,) in zip(envs, T.tolist())]
+    assert scen.action.flow.rows(np.hstack([X, T])).tobytes() == np.array(want).tobytes()
+    want = [reference_eval_expr(sf.mu[0], env) for env in envs]
+    assert scen.mu.components[0].func.rows(X).tobytes() == np.array(want).tobytes()
+    want = [[reference_eval_expr(e, {f"w{i + 1}": c for i, c in enumerate(w)})
+             for e in sf.section] for w in W.tolist()]
+    assert scen.section.rows(W).tobytes() == np.array(want).tobytes()
+
+
+def _count_functions(monkeypatch):
+    """Count calls of the expression functions by name and argument type;
+    patched before compiling, since programs bind them at compile time."""
+    seen = Counter()
+    for name, fn in list(exprlang.FUNCTIONS.items()):
+        def counted(x, _name=name, _fn=fn):
+            seen[_name, type(x).__name__] += 1
+            return _fn(x)
+
+        monkeypatch.setitem(exprlang.FUNCTIONS, name, counted)
+    return seen
+
+
+def test_flow_batch_calls_cos_and_sin_once_per_row(monkeypatch):
+    seen = _count_functions(monkeypatch)
+    inputs = Counter()  # what each program call is given: floats or columns
+    compile_exprs = scenarios.compile_exprs
+
+    def recording(exprs, names):
+        program = compile_exprs(exprs, names)
+
+        def recorded(values):
+            inputs[type(values[0]).__name__] += 1
+            return program(values)
+
+        return recorded
+
+    monkeypatch.setattr(scenarios, "compile_exprs", recording)
+    flow = builtin("hopf").action.flow
+    rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, 5))
+    batch = flow.rows(rows)
+    assert seen == {("cos", "float"): 64, ("sin", "float"): 64}
+    assert inputs == {"ndarray": 1}
+    # a single row is evaluated on Python floats, with no numpy column
+    seen.clear()
+    inputs.clear()
+    one = flow.rows(rows[:1])
+    assert seen == {("cos", "float"): 1, ("sin", "float"): 1}
+    assert inputs == {"float": 1}
+    assert one.tobytes() == batch[:1].tobytes()
+
+
+def test_coordinate_free_matrix_entries_are_folded_once(monkeypatch):
+    seen = _count_functions(monkeypatch)
+    text = MINIMAL.replace("metric = [[1, 0], [0, 1]]", "metric = [[sqrt(4), -0], [-0, 1]]")
+    scen = compile_scenario(parse_scenario(text))
+    assert seen == {("sqrt", "float"): 1}
+    values = scen.metric.func.rows(np.ones((8, 2)))
+    assert seen == {("sqrt", "float"): 1}  # evaluating runs no program
+    assert values.tobytes() == np.array([[[2.0, -0.0], [-0.0, 1.0]]] * 8).tobytes()
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("1/(1 - 1)", "division by zero"),
+    ("exp(1000)", "exp overflows"),
+    ("sqrt(0 - 1)", "sqrt of negative value -1.0"),
+])
+def test_failing_constant_matrix_entries_raise_per_point(entry, message):
+    # an entry whose one-off evaluation raises stays per point, so loading
+    # succeeds and every evaluation raises as it would unfolded
+    text = MINIMAL.replace("metric = [[1, 0], [0, 1]]", f"metric = [[{entry}, 0], [0, 1]]")
+    scen = compile_scenario(parse_scenario(text))
+    for X in (np.ones((1, 2)), np.ones((5, 2))):
+        with pytest.raises(NonFiniteError, match=re.escape(message)):
+            scen.metric.func.rows(X)
