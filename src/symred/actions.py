@@ -8,6 +8,12 @@ translations, so the chart is globally surjective.  ``average_metric``
 takes its quadrature rule over the group as an argument; for a torus,
 ``uniform_circle_quadrature`` and ``uniform_torus_quadrature`` build plain
 uniform rules.  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
+
+``generator``, ``momentum_values`` and ``momentum_jacobian`` take an
+(N, n) array of points as well as one point, and evaluate all rows in one
+flow or stencil batch; ``pushforward_table`` builds its flow Jacobians in
+one stencil batch per group parameter.  Each row is the bits of the call
+on its point alone.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ import numpy as np
 
 from .errors import UnsupportedNonabelianError
 from .geometry import (
+    BatchTable,
     ChartPoint,
     FDConfig,
-    OnDemand,
     RowMap,
     TensorField,
     as_coords,
@@ -32,6 +38,7 @@ from .geometry import (
     _differences,
     _evaluate_rows,
     _require_finite,
+    _stack,
     _stencil,
 )
 from .structures import StructureCheckResult
@@ -82,8 +89,8 @@ class GroupAction:
 
     ``flow`` is a RowMap from rows (chart point, parameter vector in the
     exponential chart) to the moved points; a per-point callable
-    ``flow(params, p)`` is wrapped on construction, and ``apply_flow`` moves
-    one point.
+    ``flow(params, p)`` is wrapped on construction and kept as the RowMap's
+    ``point``, which ``apply_flow`` calls to move one point.
     """
 
     group_dim: int
@@ -96,7 +103,7 @@ class GroupAction:
         if not isinstance(self.flow, RowMap):
             flow, k = self.flow, self.group_dim
             object.__setattr__(self, "flow", RowMap.per_row(
-                lambda z: flow(z[len(z) - k:], ChartPoint(z[:len(z) - k]))))
+                lambda z: flow(z[len(z) - k:], ChartPoint(z[:len(z) - k])), flow))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +131,13 @@ class MomentumMap:
 
 
 def apply_flow(action: GroupAction, params, p) -> ChartPoint:
-    """The point ``p`` moved by the group element ``params``."""
+    """The point ``p`` moved by the group element ``params``; a per-point
+    flow gets ``p`` itself when it is a ChartPoint."""
     a = np.asarray(params, dtype=float).reshape(action.group_dim)
-    return as_point(action.flow(np.concatenate([as_point(p).coords, a])))
+    point = as_point(p)
+    if action.flow.point is not None:
+        return as_point(action.flow.point(a, point))
+    return as_point(action.flow.rows(np.concatenate([point.coords, a])[np.newaxis])[0])
 
 
 def _flow_values(action: GroupAction, rows: np.ndarray) -> np.ndarray:
@@ -145,37 +156,63 @@ def _flow_map(action: GroupAction, params) -> RowMap:
 
 
 def _pushforward(action: GroupAction, params, p, cfg: FDConfig):
-    """Jacobian of the flow Phi_a at p, and the moved point Phi_a(p)."""
-    D = fd_jacobian(_flow_map(action, params), p, cfg)
-    return D, apply_flow(action, params, p)
+    """Jacobian of the flow Phi_a at p, and the moved point Phi_a(p).  For
+    an (N, n) array of points: the (N, n, n) stack of Jacobians, from one
+    stencil batch, and the (N, n) array of moved points, from one flow
+    batch, each row the bits of the call on its point alone."""
+    X, one = _stack(p)
+    a = np.asarray(params, dtype=float).reshape(action.group_dim)
+    D = fd_jacobian(_flow_map(action, a), X, cfg)
+    moved = _flow_values(action, _pairs(X, a))
+    return (D[0], ChartPoint(moved[0])) if one else (D, moved)
 
 
-def pushforward_table(action: GroupAction, params, points, cfg: FDConfig = FDConfig()) -> OnDemand:
+def pushforward_table(action: GroupAction, params, points, cfg: FDConfig = FDConfig()) -> BatchTable:
     """``table[i, j]`` is (D, Phi_a(p)) for the i-th point and the j-th group
-    parameter, built on first lookup.  Passed as ``pushforwards=`` to
-    check_isometry, check_symplectomorphism, check_field_invariance and
+    parameter.  Passed as ``pushforwards=`` to check_isometry,
+    check_symplectomorphism, check_field_invariance and
     check_momentum_invariance over the same params and points, it lets them
     share one flow Jacobian and moved point per (point, parameter) instead
-    of each differentiating or applying the flow again."""
+    of each differentiating or applying the flow again.  The first lookup
+    builds the whole table, one stencil batch over all points per
+    parameter."""
     pts = list(points)
     prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
-    return OnDemand(lambda key: _pushforward(action, prm[key[1]], pts[key[0]], cfg))
+
+    def build_all() -> dict:
+        X = np.array([as_coords(p) for p in pts])
+        table = {}
+        for j, a in enumerate(prm):
+            D, moved = _pushforward(action, a, X, cfg)
+            for i in range(len(pts)):
+                table[i, j] = (D[i], ChartPoint(moved[i]))
+        return table
+
+    return BatchTable(build_all, lambda key: _pushforward(action, prm[key[1]], pts[key[0]], cfg))
 
 
 def generator_vector(action: GroupAction, xi, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Infinitesimal generator along an arbitrary algebra vector:
-    d/dt flow(t * xi, p) at t = 0, as a component vector at p."""
-    point = as_point(p)
+    d/dt flow(t * xi, p) at t = 0, as a component vector at p; for an
+    (N, n) array of points, the (N, n) stack from one flow batch."""
+    X, one = _stack(p)
+    if one:
+        X = as_point(p).coords[np.newaxis]
+    N, n = X.shape
     direction = np.asarray(xi, dtype=float).reshape(action.group_dim)
-    values = _flow_values(action, _pairs(point.coords, _stencil(direction[np.newaxis], cfg)))
-    v = _differences(values, 1, cfg)[0]
-    if v.shape != (point.dim,):
-        raise ValueError(f"generator length {v.shape} does not match chart dimension {point.dim}")
-    return _require_finite(v, "generator")
+    steps = _stencil(direction[np.newaxis], cfg)
+    values = _flow_values(action, _pairs(np.repeat(X, len(steps), axis=0),
+                                         np.tile(steps, (N, 1))))
+    v = _differences(values, N, cfg)
+    if v.shape[1:] != (n,):
+        raise ValueError(f"generator length {v.shape[1:]} does not match chart dimension {n}")
+    v = _require_finite(v, "generator")
+    return v[0] if one else v
 
 
 def generator(action: GroupAction, xi_index: int, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Generator of the xi_index-th algebra basis element at p."""
+    """Generator of the xi_index-th algebra basis element at p, or at each
+    row of an (N, n) array of points."""
     if not 0 <= xi_index < action.group_dim:
         raise ValueError(f"algebra index {xi_index} out of range for k={action.group_dim}")
     e = np.zeros(action.group_dim)
@@ -184,12 +221,16 @@ def generator(action: GroupAction, xi_index: int, p, cfg: FDConfig = FDConfig())
 
 
 def momentum_values(mu: MomentumMap, p) -> np.ndarray:
-    return np.array([eval_field(c, p) for c in mu.components])
+    """The k component values at p, or the (N, k) values at each row of an
+    (N, n) array of points."""
+    return np.stack([eval_field(c, p) for c in mu.components], axis=-1)
 
 
 def momentum_jacobian(mu: MomentumMap, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """k x n matrix whose rows are the gradients of the momentum components."""
-    return np.vstack([fd_gradient(c, p, cfg) for c in mu.components])
+    """k x n matrix whose rows are the gradients of the momentum components;
+    for an (N, n) array of points, the (N, k, n) stack, one stencil batch
+    per component."""
+    return np.stack([fd_gradient(c, p, cfg) for c in mu.components], axis=-2)
 
 
 def check_action_axioms(action: GroupAction, params, points, cfg: FDConfig = FDConfig(),

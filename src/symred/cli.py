@@ -146,7 +146,10 @@ def _suite_reduction(scen, cfg, qpoints, fiber_params, seed, fd, frames):
     report = VerificationReport("reduction")
     report.add_child(verify_submersion(
         scen, qpoints, fiber_params, fd, _tolerance("reduction.submersion", cfg, scen),
-        frames=frames))
+        frames=frames,
+        orthogonality_tol=_tolerance("reduction.orthogonality", cfg, scen),
+        tangency_tol=_tolerance("reduction.tangency", cfg, scen),
+        vertical_tol=_tolerance("reduction.vertical-invariance", cfg, scen)))
     report.add_child(verify_reduction_identity(
         scen, qpoints, fd, _tolerance("reduction.identity", cfg, scen),
         _tolerance("reduction.degeneracy", cfg, scen), seed=seed, frames=frames))
@@ -242,7 +245,7 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
                               radius=scen.sample_spec.radius, seed=seed)
     fiber_params = (0.0, np.pi / 3.0, np.pi)
     # one base lift frame per quotient point, shared by the reduction and
-    # main-theorem suites and built when first needed
+    # main-theorem suites and built, all in one batch, when first needed
     frames = lift_frames(scen, qpoints, fd)
 
     report = VerificationReport(

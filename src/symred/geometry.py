@@ -7,11 +7,23 @@ array, and a frame or basis of tangent vectors (``kernel_basis``,
 
 Everything here is pure and immutable: evaluating a field or a derivative
 never mutates shared state, so concurrent use needs no synchronization.
-The one exception is ``OnDemand``, a table of values computed on first
-lookup that a caller builds for one verification and passes explicitly to
-the checks sharing it; nothing is cached at module level.
+The one exception is ``BatchTable``, a table of values built together on
+first lookup that a caller builds for one verification and passes
+explicitly to the checks sharing it; nothing is cached at module level.
 Derivatives are central finite differences (order 2 or 4, default 4 with
 step 1e-5); nothing in the package differentiates symbolically.
+
+The frame layer is stack-aware: ``eval_field``, ``fd_jacobian`` and
+``fd_gradient`` take an (N, d) array of points as well as one point, and
+``kernel_basis`` and ``orthonormalize`` a stack of matrices with a leading
+batch axis, and one point or matrix is a stack of one.  Stacked results
+are the bits of the per-point calls: stacked ``np.linalg.svd`` and ``@``
+(products with a transposed operand and dot products as
+``(N, 1, n) @ (N, n, 1)`` included) run the same LAPACK or BLAS call on
+each slice, while ``einsum``, ``sum(axis=...)`` and
+``np.linalg.norm(axis=...)`` would add in another order, so none is used.
+A stack whose slices would differ in shape (kernel dimensions, columns
+kept by Gram-Schmidt) raises ValueError instead of padding.
 
 ``fd_jacobian``, ``fd_directional``, ``fd_gradient`` and the group
 generators share one stencil path: every stencil point ``x + t * e`` is a
@@ -60,7 +72,7 @@ __all__ = [
     "spd_sqrt",
     "max_abs",
     "fro_norm",
-    "OnDemand",
+    "BatchTable",
     "g_inner",
     "g_norm",
     "sample_box",
@@ -116,20 +128,26 @@ class RowMap:
 
     ``rows(X)`` takes an (N, d) array whose rows are points and returns the
     (N, *shape) array of their values, doing for each row exactly what a
-    call on that one point does.  Calling the map on one point runs ``rows``
-    on that one row and returns the row's value array.
+    call on that one point does.  ``point`` is the per-point callable a
+    wrapped map came from, or None.  Calling the map on one point runs
+    ``point`` on that point as given (a ChartPoint is passed as is) and
+    returns what it returns; a map without one runs ``rows`` on the one row
+    and returns the row's value array.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "point")
 
-    def __init__(self, rows: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray], point: Callable | None = None):
         self.rows = rows
+        self.point = point
 
-    def __call__(self, p) -> np.ndarray:
+    def __call__(self, p):
+        if self.point is not None:
+            return self.point(as_point(p))
         return self.rows(as_coords(p)[np.newaxis])[0]
 
     @staticmethod
-    def per_row(value: Callable[[np.ndarray], object]) -> "RowMap":
+    def per_row(value: Callable[[np.ndarray], object], point: Callable | None = None) -> "RowMap":
         """The RowMap calling ``value`` on each row in order; a non-finite
         value ends the batch, so no later row can raise first."""
         def rows(X: np.ndarray) -> np.ndarray:
@@ -140,13 +158,22 @@ class RowMap:
                     break
             return np.array(out, dtype=float)
 
-        return RowMap(rows)
+        return RowMap(rows, point)
 
 
 def as_row_map(f) -> RowMap:
     """``f`` itself if it is a RowMap, else the RowMap calling ``f`` once per
-    row with a ChartPoint of the row."""
-    return f if isinstance(f, RowMap) else RowMap.per_row(lambda x: f(ChartPoint(x)))
+    row with a ChartPoint of the row, and on one point with that point."""
+    return f if isinstance(f, RowMap) else RowMap.per_row(lambda x: f(ChartPoint(x)), f)
+
+
+def _stack(p) -> tuple[np.ndarray, bool]:
+    """The points of ``p`` as the rows of an (N, d) array, and whether ``p``
+    is one point (a ChartPoint or a flat vector, taken as a stack of one)
+    rather than an (N, d) array of points."""
+    if isinstance(p, np.ndarray) and p.ndim == 2:
+        return p, False
+    return as_coords(p)[np.newaxis], True
 
 
 ARITIES = ("scalar", "vector", "matrix")
@@ -205,20 +232,30 @@ def eval_field(field: TensorField, p) -> np.ndarray | float:
     """Evaluate ``field`` at ``p``, checking shape and finiteness.
 
     Scalar fields come back as a plain float, everything else as an ndarray.
+    ``p`` may also be an (N, d) array whose rows are points: then the values
+    come back as one (N, *shape) array from one ``rows`` call, and a
+    non-finite value raises for the first row that has one.
     """
-    point = as_point(p)
-    raw = field.func(point)
-    out = np.asarray(raw, dtype=float)
-    if out.shape != field.shape:
+    X, one = _stack(p)
+    if one:
+        point = as_point(p)
+        values = np.asarray(as_coords(field.func(point)), dtype=float)[np.newaxis]
+    else:
+        values = np.asarray(field.func.rows(X), dtype=float)
+    if values.shape[1:] != field.shape:
         raise ValueError(
-            f"field {field.name!r} returned shape {out.shape}, declared {field.shape}"
+            f"field {field.name!r} returned shape {values.shape[1:]}, declared {field.shape}"
         )
-    if not np.isfinite(out).all():
+    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if not finite.all():
+        bad = point if one else ChartPoint(X[int(np.argmin(finite))])
         # formatting the point costs more than the evaluation: only on failure
-        raise NonFiniteError(f"field {field.name!r} at {point} contains non-finite entries")
-    if field.arity == "scalar":
-        return float(out)
-    return out
+        raise NonFiniteError(f"field {field.name!r} at {bad} contains non-finite entries")
+    if len(values) != len(X):
+        raise ValueError(f"field {field.name!r} returned {len(values)} values for {len(X)} points")
+    if not one:
+        return values
+    return float(values[0]) if field.arity == "scalar" else values[0]
 
 
 @dataclass(frozen=True)
@@ -275,23 +312,37 @@ def _evaluate_rows(f: RowMap, points: np.ndarray, sample: Callable, shape=None) 
     return np.array([sample(y) for y in points], dtype=float)
 
 
+def _stencil_rows(X: np.ndarray, cfg: FDConfig) -> np.ndarray:
+    """The stencil points ``x + t * e_i`` of every row x of X (outermost),
+    each coordinate direction e_i and each offset t (innermost), one row per
+    stencil point: for each x, the rows ``x + _stencil(eye, cfg)``."""
+    n = X.shape[1]
+    return (X[:, np.newaxis, :] + _stencil(np.eye(n), cfg)[np.newaxis]).reshape(-1, n)
+
+
 def fd_jacobian(chart_map, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Jacobian matrix of a chart-to-chart map at ``p`` by central differences.
 
     Entry (j, i) approximates the partial of output component j with respect
     to input coordinate i; the error is O(step**order) on smooth maps.
+    ``p`` may also be an (N, n) array whose rows are points: then the result
+    is the (N, m, n) stack of their Jacobians, all stencil rows evaluated in
+    one batch, each Jacobian the bits of the call on its point alone.
     """
     chart_map = as_row_map(chart_map)
-    x = as_coords(p)
-    n = x.shape[0]
+    X, one = _stack(p)
+    N, n = X.shape
 
     def value(y: np.ndarray) -> np.ndarray:
-        return _require_finite(chart_map(ChartPoint(y)), "map value")
+        return _require_finite(as_coords(chart_map(ChartPoint(y))), "map value")
 
-    if n == 0:
-        return np.zeros((value(x).shape[0], 0))
-    values = _evaluate_rows(chart_map, x + _stencil(np.eye(n), cfg), value)
-    return np.ascontiguousarray(_differences(values.reshape(len(values), -1), n, cfg).T)
+    if n == 0:  # no stencil; the values at the points give the row count
+        J = np.zeros((N, _evaluate_rows(chart_map, X, value).shape[1], 0))
+    else:
+        values = _evaluate_rows(chart_map, _stencil_rows(X, cfg), value)
+        D = _differences(values.reshape(len(values), -1), N * n, cfg)
+        J = np.ascontiguousarray(D.reshape(N, n, -1).swapaxes(1, 2))
+    return J[0] if one else J
 
 
 def fd_directional(field: TensorField, p, direction, cfg: FDConfig = FDConfig()) -> np.ndarray | float:
@@ -307,14 +358,16 @@ def fd_directional(field: TensorField, p, direction, cfg: FDConfig = FDConfig())
 
 
 def fd_gradient(field: TensorField, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Coordinate gradient of a scalar field."""
+    """Coordinate gradient of a scalar field; for an (N, n) array of points,
+    the (N, n) stack of gradients from one batch, as ``fd_jacobian``."""
     if field.arity != "scalar":
         raise ValueError("gradient is defined for scalar fields")
-    x = as_coords(p)
-    n = x.shape[0]
-    values = _evaluate_rows(field.func, x + _stencil(np.eye(n), cfg),
+    X, one = _stack(p)
+    N, n = X.shape
+    values = _evaluate_rows(field.func, _stencil_rows(X, cfg),
                             lambda y: eval_field(field, ChartPoint(y)), field.shape)
-    return _differences(values, n, cfg)
+    grad = _differences(values, N * n, cfg).reshape(N, n)
+    return grad[0] if one else grad
 
 
 def kernel_basis(mat, rank_tol: float = 1e-8) -> np.ndarray:
@@ -323,13 +376,19 @@ def kernel_basis(mat, rank_tol: float = 1e-8) -> np.ndarray:
 
     Singular values below rank_tol times the largest one count as zero.  The
     columns are the trailing right-singular vectors, so the ordering is
-    deterministic.  An all-zero or empty matrix has full kernel.
+    deterministic.  An all-zero or empty matrix has full kernel.  A stack
+    (N, m, n) of matrices gives the (N, n, n - rank) stack of their bases
+    from one stacked SVD, each the bits of the call on its matrix alone; a
+    stack whose ranks differ raises ValueError.
     """
     a = _require_finite(np.atleast_2d(np.asarray(mat, dtype=float)), "matrix")
     _, s, vt = np.linalg.svd(a, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rank_tol * smax)) if smax > 0.0 else 0
-    return np.ascontiguousarray(vt[rank:].T)
+    smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    counts = np.sum(s > (rank_tol * smax)[..., np.newaxis], axis=-1)
+    ranks = np.where(smax > 0.0, counts, 0).reshape(-1)
+    if (ranks != ranks[0]).any():
+        raise ValueError("kernel dimensions differ across the stack")
+    return np.ascontiguousarray(vt[..., int(ranks[0]):, :].swapaxes(-1, -2))
 
 
 def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
@@ -339,23 +398,39 @@ def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
     Columns whose metric norm drops below ``tol`` after projection are
     dropped, so linearly dependent inputs are handled silently.  Each kept
     vector b is stored with its row ``b @ G``, computed once; a projection
-    coefficient ``(b @ G) @ w`` is the same product as ``b @ G @ w``.
+    coefficient ``(b @ G) @ w`` is the same product as ``b @ G @ w``.  A
+    stack of frames (N, n, c) with metrics (N, n, n) is orthonormalized in
+    one pass of stacked products, each slice the bits of the call on it
+    alone; a stack whose slices keep different columns raises ValueError.
     """
     G = np.asarray(metric, dtype=float)
     cols = np.asarray(frame, dtype=float)
+    one = cols.ndim == 2
+    if one:
+        G, cols = G[np.newaxis], cols[np.newaxis]
     basis: list[np.ndarray] = []
-    rows: list[np.ndarray] = []  # b @ G for each b in basis
-    for j in range(cols.shape[1]):
-        w = cols[:, j].copy()
+    rows: list[np.ndarray] = []  # b @ G for each b in basis, as (N, 1, n)
+    for j in range(cols.shape[2]):
+        w = cols[:, :, j].copy()
         for _ in range(2):  # re-orthogonalize once for 1e-12-level orthogonality
             for b, bG in zip(basis, rows):
-                w -= (bG @ w) * b
-        nrm = g_norm(w, G)
-        if nrm < tol:
+                w -= (bG @ w[:, :, np.newaxis])[:, 0] * b
+        nrm = _g_norms(w, G)
+        dropped = nrm < tol
+        if dropped.any():
+            if not dropped.all():
+                raise ValueError("orthonormalized frames differ in rank across the stack")
             continue
-        basis.append(w / nrm)
-        rows.append(basis[-1] @ G)
-    return np.column_stack(basis) if basis else np.zeros((cols.shape[0], 0))
+        basis.append(w / nrm[:, np.newaxis])
+        rows.append(basis[-1][:, np.newaxis] @ G)
+    out = np.stack(basis, axis=-1) if basis else np.zeros(cols.shape[:2] + (0,))
+    return out[0] if one else out
+
+
+def _g_norms(w: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``g_norm(w[i], G[i])`` for every row i, as stacked products."""
+    wG = w[:, np.newaxis] @ G
+    return np.sqrt(np.maximum((wG @ w[:, :, np.newaxis])[:, 0, 0], 0.0))
 
 
 def spd_sqrt(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -400,20 +475,29 @@ def g_norm(v, metric) -> float:
     return float(np.sqrt(max(g_inner(v, metric, v), 0.0)))
 
 
-class OnDemand:
-    """Lookup table whose value at ``key`` is ``build(key)``, computed on the
-    first lookup and returned as is afterwards.
+class BatchTable:
+    """Lookup table of values built together, on the first lookup, by
+    ``build_all()``, which returns a dict of every key's value.
 
-    Values are built in the order they are first asked for, so a build that
-    raises does so where the uncached computation would have.  A table is
-    meant for one verification run and one thread; it holds no other state.
+    Should that raise, every value is built alone instead, by
+    ``build(key)`` on the key's first lookup: a failing build then raises
+    where, and what, building that value on its own raises, so a caller
+    reading the keys in its own order sees the first failure in that order.
+    A table is meant for one verification run and one thread; it holds no
+    other state.
     """
 
-    def __init__(self, build: Callable):
+    def __init__(self, build_all: Callable[[], dict], build: Callable):
+        self._build_all = build_all
         self._build = build
-        self._values: dict = {}
+        self._values: dict | None = None
 
     def __getitem__(self, key):
+        if self._values is None:
+            try:
+                self._values = self._build_all()
+            except Exception:  # whatever the batch raised, ``build`` raises again per key
+                self._values = {}
         try:
             return self._values[key]
         except KeyError:

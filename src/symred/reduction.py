@@ -12,6 +12,16 @@ pipelines read the base frame of each quotient point from a ``lift_frames``
 table, which a caller can build once and pass to all of them, and the
 vertical-invariance check reads the moved frames of the fibre check.
 
+Frames are built in stacks: ``split_tangent`` splits an (N, n) array of
+points at once, and ``lift_frames`` builds every base frame of a
+verification in one batch on its first lookup, as ``verify_submersion``
+does with the moved frames and flow pushforwards of each fibre parameter;
+a single frame is a stack of one.  Every frame is the bits of building it
+alone; only the ``lstsq`` solves, which have no stacked form, run per
+frame.  A batch that fails is given up, and each frame is then built alone
+when it is first read, so an error surfaces where, and as, it would frame
+by frame.
+
 The quotient has no chart of its own except through the local section, so
 the projection differential is never formed globally: a tangent vector of
 the level set is projected onto the horizontal space and expressed in the
@@ -46,9 +56,9 @@ from .errors import (
     VerticalLeakWarning,
 )
 from .geometry import (
+    BatchTable,
     ChartPoint,
     FDConfig,
-    OnDemand,
     RowMap,
     TensorField,
     as_coords,
@@ -62,6 +72,7 @@ from .geometry import (
     max_abs,
     orthonormalize,
     _require_finite,
+    _stack,
 )
 from .report import VerificationReport
 from .structures import StructureCheckResult
@@ -156,7 +167,8 @@ class SplitTangentSpace:
     of d mu, and g-orthonormal vertical and horizontal frames for ``metric``,
     the ambient metric at ``base``; the horizontal columns are combinations
     of the level columns.  The momentum Jacobian and the generators it was
-    split with are kept."""
+    split with are kept.  Split at an (N, n) array of points, every array
+    has a leading axis of length N and ``base`` is that array."""
 
     base: ChartPoint
     metric: np.ndarray
@@ -165,6 +177,12 @@ class SplitTangentSpace:
     horizontal: np.ndarray  # n x (n-2k)
     jmu: np.ndarray         # k x n, d mu at base
     generators: np.ndarray  # n x k, generator of each algebra basis element
+
+
+def _split_row(split: SplitTangentSpace, i: int, base: ChartPoint) -> SplitTangentSpace:
+    """Row i of a split at an array of points, based at ``base``."""
+    return SplitTangentSpace(base, split.metric[i], split.level[i], split.vertical[i],
+                             split.horizontal[i], split.jmu[i], split.generators[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,11 +223,16 @@ def project_to_level(mu: MomentumMap, guess, tol: float = 1e-9, max_iter: int = 
     )
 
 
-def _off_level(scen: ReductionScenario, point: ChartPoint):
-    """|mu(point) - beta| when the point is off the level set (the gap is
-    LEVEL_TOL or more), else None."""
-    gap = float(np.linalg.norm(momentum_values(scen.mu, point) - scen.mu.beta))
-    return gap if gap >= LEVEL_TOL else None
+def _level_gaps(scen: ReductionScenario, M: np.ndarray) -> np.ndarray:
+    """|mu - beta| at each row of the (N, n) array M: a stacked dot product
+    and a square root per row, the bits of ``np.linalg.norm`` of that row."""
+    r = momentum_values(scen.mu, M) - scen.mu.beta
+    return np.sqrt((r[:, np.newaxis] @ r[:, :, np.newaxis])[:, 0, 0])
+
+
+def _first(failing: np.ndarray):
+    """Index of the first True entry, or None."""
+    return int(np.argmax(failing)) if failing.any() else None
 
 
 def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig()) -> SplitTangentSpace:
@@ -219,49 +242,61 @@ def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig()) -> Spl
     orthonormalized for the metric G at ``m``, and the horizontal frame the
     kernel of ``vertical.T @ G`` inside the level frame, orthonormalized for
     G, so it lies in ker d mu with n - 2k columns by construction.
+
+    ``m`` may also be an (N, n) array whose rows are points: then all rows
+    are split at once, with one stencil batch per Jacobian, stacked SVDs and
+    stacked Gram-Schmidt, each row's arrays the bits of splitting it alone.
+    A failing check raises for the first row that fails it, and rows whose
+    frames would differ in dimension raise ValueError.
     """
-    point = as_point(m)
+    M, one = _stack(m)
+    if one:
+        M = as_point(m).coords[np.newaxis]
     n = scen.chart_dim
     k = scen.action.group_dim
 
-    gap = _off_level(scen, point)
-    if gap is not None:
-        raise NotOnLevelError(f"|mu(m) - beta| = {gap:.3e} exceeds {LEVEL_TOL:.1e}")
+    gaps = _level_gaps(scen, M)
+    i = _first(gaps >= LEVEL_TOL)
+    if i is not None:
+        raise NotOnLevelError(f"|mu(m) - beta| = {gaps[i]:.3e} exceeds {LEVEL_TOL:.1e}")
 
-    Jmu = momentum_jacobian(scen.mu, point, cfg)
+    Jmu = momentum_jacobian(scen.mu, M, cfg)
     level = kernel_basis(Jmu, RANK_TOL)
-    if level.shape[1] != n - k:
+    if level.shape[2] != n - k:
         raise NotRegularValueError(
-            f"kernel of d mu has dimension {level.shape[1]}, expected {n - k}"
+            f"kernel of d mu has dimension {level.shape[2]}, expected {n - k}"
         )
 
-    V = np.zeros((n, k))
-    for i in range(k):
-        V[:, i] = generator(scen.action, i, point, cfg)
-    sv = np.linalg.svd(V, compute_uv=False) if k else np.zeros(0)
-    if k and sv[-1] <= FREE_TOL:
+    V = np.stack([generator(scen.action, j, M, cfg) for j in range(k)], axis=-1)
+    sv = np.linalg.svd(V, compute_uv=False)
+    i = _first(sv[:, -1] <= FREE_TOL)
+    if i is not None:
         raise ActionNotFreeError(
-            f"generators are degenerate at {point} (smallest singular value {sv[-1]:.3e})"
+            f"generators are degenerate at {ChartPoint(M[i])} "
+            f"(smallest singular value {sv[i, -1]:.3e})"
         )
-    scale = 1.0 + max_abs(Jmu)
-    tangency = max_abs(Jmu @ V) if k else 0.0
-    if tangency > LEVEL_TOL * scale:
+    scale = 1.0 + np.max(np.abs(Jmu), axis=(1, 2))
+    tangency = np.max(np.abs(Jmu @ V), axis=(1, 2))
+    i = _first(tangency > LEVEL_TOL * scale)
+    if i is not None:
         raise DegenerateInputError(
-            f"generators leave ker d mu by {tangency:.3e}; "
+            f"generators leave ker d mu by {tangency[i]:.3e}; "
             "the action is not tangent to the level set"
         )
 
-    G = eval_field(scen.metric, point)
+    G = eval_field(scen.metric, M)
     vertical = orthonormalize(V, G, tol=FREE_TOL)
-    if vertical.shape[1] != k:
-        raise ActionNotFreeError(f"vertical space degenerates to dimension {vertical.shape[1]}")
-    horizontal = orthonormalize(level @ kernel_basis(vertical.T @ G @ level, RANK_TOL), G)
-    if horizontal.shape[1] != n - 2 * k:
+    if vertical.shape[2] != k:
+        raise ActionNotFreeError(f"vertical space degenerates to dimension {vertical.shape[2]}")
+    horizontal = orthonormalize(
+        level @ kernel_basis(vertical.swapaxes(1, 2) @ G @ level, RANK_TOL), G)
+    if horizontal.shape[2] != n - 2 * k:
         raise DegenerateInputError(
-            f"horizontal complement has dimension {horizontal.shape[1]}, expected {n - 2 * k}"
+            f"horizontal complement has dimension {horizontal.shape[2]}, expected {n - 2 * k}"
         )
 
-    return SplitTangentSpace(point, G, level, vertical, horizontal, Jmu, V)
+    split = SplitTangentSpace(M, G, level, vertical, horizontal, Jmu, V)
+    return _split_row(split, 0, as_point(m)) if one else split
 
 
 def _moved_section(scen: ReductionScenario, a=None) -> RowMap:
@@ -287,50 +322,70 @@ class _Frame:
     lift_residual: float
 
 
-def _lift_frame(scen: ReductionScenario, x, cfg: FDConfig = FDConfig(),
-                section=None) -> _Frame:
-    xq = as_point(x)
-    section = _moved_section(scen) if section is None else section
-    m = as_point(section(xq))
-    gap = _off_level(scen, m)
-    if gap is not None:
+def _lift_frames(scen: ReductionScenario, points, cfg: FDConfig = FDConfig(),
+                 section=None) -> list[_Frame]:
+    """The lift frames at the quotient points ``points`` through ``section``
+    (a chart map, by default the scenario's own section), built in one
+    batch: one section call, one ``split_tangent`` over all section points,
+    one stencil batch for the section pushforwards and stacked products and
+    SVDs; only the ``lstsq`` of each lift residual runs per frame.  Each
+    frame has the bits of the batch of its point alone, and a batch of one
+    raises what that point raises.  A batch of several raises if any point
+    fails, not necessarily the first point's error.
+    """
+    xs = [as_point(x) for x in points]
+    X = np.array([x.coords for x in xs])
+    section = _moved_section(scen) if section is None else as_row_map(section)
+    M = _require_finite(section.rows(X), "chart point")
+    gaps = _level_gaps(scen, M)
+    i = _first(gaps >= LEVEL_TOL)
+    if i is not None:
         raise SectionNotOnLevelError(
-            f"section lands off the level set: |mu - beta| = {gap:.3e}"
+            f"section lands off the level set: |mu - beta| = {gaps[i]:.3e}"
         )
-    split = split_tangent(scen, m, cfg)
+    split = split_tangent(scen, M, cfg)
     n = scen.chart_dim
     q = scen.quotient_dim
     G, h_onb = split.metric, split.horizontal
-    Om = eval_field(scen.omega, m)
-    J = eval_field(scen.acs, m)
+    Om = eval_field(scen.omega, M)
+    J = eval_field(scen.acs, M)
 
-    dsig = fd_jacobian(section, xq, cfg)       # n x q section pushforward
+    dsig = fd_jacobian(section, X, cfg)       # N x n x q section pushforwards
     if q == 0:
-        lifts = np.zeros((n, 0))
-        lift_residual = 0.0
+        lifts = np.zeros((len(xs), n, 0))
+        lift_residuals = [0.0] * len(xs)
     else:
         # horizontal part of the section pushforward; d pi of it is the
         # identity on the quotient chart because pi o section = id and d pi
         # kills the vertical complement
-        lifts = h_onb @ (h_onb.T @ G @ dsig)
+        lifts = h_onb @ (h_onb.swapaxes(1, 2) @ G @ dsig)
         sv = np.linalg.svd(lifts, compute_uv=False)
-        if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
+        i = _first(sv[:, -1] <= RANK_TOL * np.where(sv[:, 0] > 1.0, sv[:, 0], 1.0))
+        if i is not None:
             raise RankDeficientLiftError(
-                f"projection differential is not invertible on H at {m} "
-                f"(singular values {sv})"
+                f"projection differential is not invertible on H at {ChartPoint(M[i])} "
+                f"(singular values {sv[i]})"
             )
-        solve_back = np.linalg.lstsq(lifts, lifts, rcond=None)[0]
-        lift_residual = max_abs(solve_back - np.eye(q))
-    return _Frame(xq, m, split, lifts, Om, J, lift_residual)
+        lift_residuals = [max_abs(np.linalg.lstsq(L, L, rcond=None)[0] - np.eye(q))
+                          for L in lifts]
+    frames = []
+    for i, x in enumerate(xs):
+        m = ChartPoint(M[i])
+        frames.append(_Frame(x, m, _split_row(split, i, m), lifts[i], Om[i], J[i],
+                             lift_residuals[i]))
+    return frames
 
 
-def lift_frames(scen: ReductionScenario, points, cfg: FDConfig = FDConfig()) -> OnDemand:
+def lift_frames(scen: ReductionScenario, points, cfg: FDConfig = FDConfig()) -> BatchTable:
     """``frames[i]`` is the lift frame of the i-th quotient point through the
-    scenario's own section, built on first lookup.  Passed as ``frames=`` to
-    the verify_* pipelines over the same points, one frame per point serves
-    all of them."""
+    scenario's own section.  The first lookup builds every frame in one
+    batch; if the batch fails, each frame is built alone on its lookup, so
+    the first failure raises where it would frame by frame.  Passed as
+    ``frames=`` to the verify_* pipelines over the same points, one frame
+    per point serves all of them."""
     xs = list(points)
-    return OnDemand(lambda i: _lift_frame(scen, xs[i], cfg))
+    return BatchTable(lambda: dict(enumerate(_lift_frames(scen, xs, cfg))),
+                      lambda i: _lift_frames(scen, xs[i:i + 1], cfg)[0])
 
 
 def _decompose(frame: _Frame, u: np.ndarray):
@@ -399,7 +454,7 @@ def reduced_structures(scen: ReductionScenario, x, cfg: FDConfig = FDConfig()) -
     VerticalLeakWarning records the defect, and the candidate is still
     returned so the equivalence check can quantify both branches.
     """
-    frame = _lift_frame(scen, x, cfg)
+    frame = _lift_frames(scen, [x], cfg)[0]
     h, w, j_red, _, normal_leak = _reduced_from_frame(frame)
     if max_abs(normal_leak) > LEAK_WARNING_TOL:
         warnings.warn(
@@ -438,13 +493,17 @@ def check_vertical_ad_invariance(scen: ReductionScenario, m, a,
 
 def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi / 3, np.pi),
                       cfg: FDConfig = FDConfig(), tol: float = 1e-5, *,
-                      frames=None) -> VerificationReport:
-    """Riemannian-submersion checks: fiber independence of the reduced metric,
-    orthogonality and tangency of the splitting, dimension counts, and
-    invariance of the vertical distribution.  Each fibre parameter is a
-    group parameter vector, or a scalar t standing for t * (1, ..., 1).
-    ``frames`` is a ``lift_frames`` table of the same points, or None to
-    build one."""
+                      frames=None, orthogonality_tol: float = 1e-9,
+                      tangency_tol: float = 1e-8,
+                      vertical_tol: float = 1e-5) -> VerificationReport:
+    """Riemannian-submersion checks: fiber independence of the reduced metric
+    (``tol``), orthogonality and tangency of the splitting, dimension counts,
+    and invariance of the vertical distribution, each against its own
+    tolerance.  Each fibre parameter is a group parameter vector, or a
+    scalar t standing for t * (1, ..., 1).  ``frames`` is a ``lift_frames``
+    table of the same points, or None to build one.  The frames at the
+    moved section points and the flow pushforwards at the section points
+    are built on first use, one batch per fibre parameter."""
     report = VerificationReport("submersion")
     xs = list(points)
     k = scen.action.group_dim
@@ -454,19 +513,29 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi 
     if frames is None:
         frames = lift_frames(scen, xs, cfg)
 
+    def fiber_pairs(rows, a):
+        """For each i in ``rows``: the frame at Phi_a(sigma(x_i)), the point
+        the flow moves frame i to, and the flow pushforward at frame i."""
+        M = np.array([frames[i].m.coords for i in rows])
+        moved = _lift_frames(scen, [xs[i] for i in rows], cfg, _moved_section(scen, a))
+        return list(zip(moved, fd_jacobian(_flow_map(scen.action, a), M, cfg)))
+
+    fiber = BatchTable(
+        lambda: {(i, j): pair for j, a in enumerate(prm)
+                 for i, pair in enumerate(fiber_pairs(range(len(xs)), a))},
+        lambda key: fiber_pairs([key[0]], prm[key[1]])[0])
+
     fiber_res, ortho_res, tangency_res, vert_res, dim_res = [], [], [], [], []
-    for i, x in enumerate(xs):
+    for i in range(len(xs)):
         frame = frames[i]
         h_here = _reduced_metric(frame)
         split = frame.split
-        fiber, leaks = [], []
-        for a in prm:
-            frame_a = _lift_frame(scen, x, cfg, section=_moved_section(scen, a))
-            fiber.append(max_abs(h_here - _reduced_metric(frame_a)))
-            # frame_a sits at Phi_a(sigma(x)), the point the flow moves frame.m to
-            D, _ = _pushforward(scen.action, a, frame.m, cfg)
+        gaps, leaks = [], []
+        for j in range(len(prm)):
+            frame_a, D = fiber[i, j]
+            gaps.append(max_abs(h_here - _reduced_metric(frame_a)))
             leaks.append(_vertical_leak(D, split.generators, frame_a.split))
-        fiber_res.append(max_abs(fiber))
+        fiber_res.append(max_abs(gaps))
         vert_res.append(max_abs(leaks))
 
         ortho_res.append(max_abs(split.horizontal.T @ split.metric @ split.vertical))
@@ -482,11 +551,11 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi 
         "fiber independence", fiber_res, xs, tol, IDENTITY_FIBER,
         extras={"fiber_params": [list(a) for a in prm]}))
     report.add(StructureCheckResult.from_samples(
-        "splitting orthogonality", ortho_res, xs, 1e-9, IDENTITY_ORTHO))
+        "splitting orthogonality", ortho_res, xs, orthogonality_tol, IDENTITY_ORTHO))
     report.add(StructureCheckResult.from_samples(
-        "horizontal tangent to level", tangency_res, xs, 1e-8, IDENTITY_ORTHO))
+        "horizontal tangent to level", tangency_res, xs, tangency_tol, IDENTITY_ORTHO))
     report.add(StructureCheckResult.from_samples(
-        "vertical invariance", vert_res, xs, max(tol, 1e-6), IDENTITY_VERT_INV))
+        "vertical invariance", vert_res, xs, vertical_tol, IDENTITY_VERT_INV))
     report.add(StructureCheckResult.from_samples(
         "dimension counts", dim_res, xs, 0.5, IDENTITY_DIMS))
     report.meta["points"] = [list(x.coords) for x in xs]

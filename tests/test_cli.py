@@ -17,10 +17,11 @@ from symred.actions import (
     check_isometry,
     check_momentum_invariance,
     check_symplectomorphism,
+    planar_rotation_action,
 )
 from symred.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from symred.errors import ValidationError
-from symred.geometry import ChartPoint, FDConfig, TensorField, sample_ball
+from symred.geometry import ChartPoint, FDConfig, TensorField, eval_field, sample_ball
 from symred.reduction import (
     reduced_structures,
     verify_main_theorem,
@@ -175,6 +176,28 @@ def test_scenario_file_tolerance_used(tmp_path):
 def test_default_tolerances_complete():
     prefixes = {"structures", "action", "reduction", "main-theorem", "holomorphy"}
     assert {k.split(".")[0] for k in DEFAULT_TOLERANCES} == prefixes
+
+
+def test_submersion_tolerances_are_named_and_reach_their_checks(capsys):
+    def tolerances(report):
+        return [report.find(name).tolerance for name in (
+            "fiber independence", "splitting orthogonality", "horizontal tangent to level",
+            "vertical invariance")]
+
+    cfg = RunConfig("hopf", samples=3, seed=1, suites=("reduction",))
+    report, _ = run(cfg)
+    assert tolerances(report) == [1e-5, 1e-9, 1e-8, 1e-5]
+    report, _ = run(dataclasses.replace(cfg, tolerances={
+        "reduction.submersion": 1e-3, "reduction.orthogonality": 2e-9,
+        "reduction.tangency": 3e-8, "reduction.vertical-invariance": 4e-5}))
+    assert tolerances(report) == [1e-3, 2e-9, 3e-8, 4e-5]
+    # the fibre tolerance alone no longer moves the vertical-invariance one
+    report, _ = run(dataclasses.replace(cfg, tolerances={"reduction.submersion": 1e-3}))
+    assert tolerances(report) == [1e-3, 1e-9, 1e-8, 1e-5]
+    for name in ("orthogonality", "tangency", "vertical-invariance"):
+        assert main(["verify", "hopf", "--samples", "3", "--suites", "reduction",
+                     "--tol", f"reduction.{name}=1e-300"]) == 1
+    capsys.readouterr()
 
 
 def test_other_builtins_verify_clean():
@@ -355,32 +378,54 @@ def test_shared_frames_and_pushforwards_match_standalone_checks(name):
 
 
 def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
-    counts = Counter()
+    calls, points = Counter(), Counter()
 
-    def count(module, attr):
+    def count(module, attr, at):
         original = getattr(module, attr)
 
         def counted(*args, **kwargs):
-            counts[attr] += 1
+            calls[attr] += 1
+            stack = args[at]
+            points[attr] += len(stack) if isinstance(stack, np.ndarray) and stack.ndim == 2 else 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
 
-    count(symred.reduction, "split_tangent")
-    count(symred.reduction, "generator")
-    count(symred.actions, "_pushforward")
+    count(symred.reduction, "split_tangent", 1)
+    count(symred.reduction, "generator", 2)
+    count(symred.actions, "_pushforward", 2)
     samples = 2
     report, code = run(RunConfig("hopf", samples=samples, seed=1))
     assert code == 0
     fiber_params = report.find("fiber independence").extras["fiber_params"]
+    group_params = report.meta["group_params"]
     # one base frame per quotient point for all pipelines, plus one moved
-    # frame per fibre parameter
-    assert counts["split_tangent"] == (1 + len(fiber_params)) * samples
+    # frame per fibre parameter, split in one batch of base frames and one
+    # batch per fibre parameter
+    assert points["split_tangent"] == (1 + len(fiber_params)) * samples
+    assert calls["split_tangent"] == 1 + len(fiber_params)
     # the vertical-invariance check reads the generators of those frames
-    assert counts["generator"] == counts["split_tangent"] * builtin("hopf").action.group_dim
+    assert points["generator"] == points["split_tangent"] * builtin("hopf").action.group_dim
     # one flow Jacobian and moved point per (point, parameter) for the four
-    # invariance checks
-    assert counts["_pushforward"] == samples * len(report.meta["group_params"])
+    # invariance checks, in one batch per parameter
+    assert points["_pushforward"] == samples * len(group_params)
+    assert calls["_pushforward"] == len(group_params)
+
+
+@pytest.mark.parametrize("samples", [20, 80])
+def test_frame_batches_per_op_do_not_grow_with_samples(samples, monkeypatch):
+    calls = Counter()
+    split_tangent = symred.reduction.split_tangent
+
+    def counted(*args, **kwargs):
+        calls["split_tangent"] += 1
+        return split_tangent(*args, **kwargs)
+
+    monkeypatch.setattr(symred.reduction, "split_tangent", counted)
+    report, code = run(RunConfig("hopf", samples=samples, seed=3))
+    assert code == 0
+    # one batch of base frames and one per fibre parameter, at any sample count
+    assert calls["split_tangent"] == 1 + len(report.find("fiber independence").extras["fiber_params"])
 
 
 # exit code and failing checks of every built-in at 20 samples, seed 4
@@ -578,9 +623,7 @@ def test_reference_row_maps_match_per_point_formulas():
         assert row_map.rows(X).tobytes() == want.tobytes(), name
 
 
-def test_hopf_op_builds_few_chart_points(monkeypatch):
-    # stencils of compiled maps and of the holomorphy reference maps are row
-    # batches: no ChartPoint per stencil row (152 per sample before)
+def _count_chart_points(monkeypatch):
     built = Counter()
     post_init = ChartPoint.__post_init__
 
@@ -589,7 +632,53 @@ def test_hopf_op_builds_few_chart_points(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(ChartPoint, "__post_init__", counted)
+    return built
+
+
+def test_hopf_op_builds_few_chart_points(monkeypatch):
+    # stencils of compiled maps and of the holomorphy reference maps are row
+    # batches: no ChartPoint per stencil row (152 per sample before), and the
+    # frames are built in stacks (420 at 20 samples, seed 51)
+    built = _count_chart_points(monkeypatch)
     samples = 20
     report, code = run(RunConfig("hopf", samples=samples, seed=51))
     assert code == 0
-    assert built["points"] <= 24 * samples
+    assert built["points"] <= 22 * samples
+
+
+def test_per_point_maps_get_the_chart_point_itself(monkeypatch):
+    hopf = builtin("hopf")
+    seen = []
+    field = TensorField.matrix(lambda p: seen.append(p) or np.eye(4), 4)
+    scen = dataclasses.replace(hopf, section=lambda x: seen.append(x) or hopf.section_point(x))
+    rotation = planar_rotation_action()  # builds the ChartPoint it returns
+    point, plane = ChartPoint([0.3, -0.2, 0.5, 0.1]), ChartPoint([0.3, -0.2])
+    built = _count_chart_points(monkeypatch)
+    eval_field(field, point)
+    assert seen.pop() is point and built["points"] == 0
+    apply_flow(rotation, [0.4], plane)
+    assert built["points"] == 1
+    moved = scen.section_point(plane)
+    # the compiled section inside builds the one point, returned as it is
+    assert seen.pop() is plane and built["points"] == 2
+    assert moved.coords.tobytes() == hopf.section_point(plane).coords.tobytes()
+
+
+def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeypatch):
+    # hopf without its acs line gets build_compatible_triple's per-point
+    # field: a single-point evaluation passes the point as is, and only the
+    # stacked evaluation at the section points of the frames (one base and
+    # one per fibre parameter per sample) builds a ChartPoint per row
+    path = tmp_path / "hopf_no_acs.scn"
+    path.write_text("\n".join(line for line in builtin_text("hopf").splitlines()
+                               if not line.startswith("acs")))
+    built = _count_chart_points(monkeypatch)
+    samples = 20
+    report, code = run(RunConfig(str(path), samples=samples, seed=3))
+    assert code == 0
+    per_point = built["points"]
+    built["points"] = 0
+    report, code = run(RunConfig("hopf", samples=samples, seed=3))
+    assert code == 0
+    fiber_params = report.find("fiber independence").extras["fiber_params"]
+    assert per_point - built["points"] == (1 + len(fiber_params)) * samples

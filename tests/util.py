@@ -254,3 +254,136 @@ def reference_action_axioms(action, params, p):
             one_step = apply_flow(action, s + t, p)
             res.append(float(np.linalg.norm(two_step.coords - one_step.coords)))
     return max(res)
+
+
+def reference_kernel_basis(mat, rank_tol=1e-8):
+    """Null-space basis of one matrix from one SVD: the per-matrix reference
+    for the stacked ``kernel_basis``."""
+    a = np.atleast_2d(np.asarray(mat, dtype=float))
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix contains non-finite entries")
+    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.sum(s > rank_tol * smax)) if smax > 0.0 else 0
+    return np.ascontiguousarray(vt[rank:].T)
+
+
+def reference_orthonormalize(frame, metric, tol=1e-10):
+    """Gram-Schmidt of one frame, one vector at a time with 1-D products:
+    the per-frame reference for the stacked ``orthonormalize``."""
+    G = np.asarray(metric, dtype=float)
+    cols = np.asarray(frame, dtype=float)
+    basis, rows = [], []
+    for j in range(cols.shape[1]):
+        w = cols[:, j].copy()
+        for _ in range(2):
+            for b, bG in zip(basis, rows):
+                w -= (bG @ w) * b
+        nrm = float(np.sqrt(max(float(w @ G @ w), 0.0)))
+        if nrm < tol:
+            continue
+        basis.append(w / nrm)
+        rows.append(basis[-1] @ G)
+    return np.column_stack(basis) if basis else np.zeros((cols.shape[0], 0))
+
+
+def _reference_level_gap(scen, point):
+    from symred.geometry import eval_field
+
+    values = np.array([eval_field(c, point) for c in scen.mu.components])
+    return float(np.linalg.norm(values - scen.mu.beta))
+
+
+def reference_split_tangent(scen, m, cfg):
+    """The splitting at one point, built with the per-point references and
+    raising the errors of the per-point construction, in its order; a dict of
+    the arrays ``split_tangent`` keeps."""
+    from symred.errors import (
+        ActionNotFreeError, DegenerateInputError, NotOnLevelError, NotRegularValueError)
+    from symred.geometry import as_point, eval_field
+    from symred.reduction import FREE_TOL, LEVEL_TOL, RANK_TOL
+
+    point = as_point(m)
+    n, k = scen.chart_dim, scen.action.group_dim
+    gap = _reference_level_gap(scen, point)
+    if gap >= LEVEL_TOL:
+        raise NotOnLevelError(f"|mu(m) - beta| = {gap:.3e} exceeds {LEVEL_TOL:.1e}")
+    jmu = np.vstack([reference_fd_gradient(c, point, cfg) for c in scen.mu.components])
+    level = reference_kernel_basis(jmu, RANK_TOL)
+    if level.shape[1] != n - k:
+        raise NotRegularValueError(
+            f"kernel of d mu has dimension {level.shape[1]}, expected {n - k}")
+    V = np.zeros((n, k))
+    for i in range(k):
+        V[:, i] = reference_generator(scen.action, i, point, cfg)
+        if not np.isfinite(V[:, i]).all():
+            raise NonFiniteError("generator contains non-finite entries")
+    sv = np.linalg.svd(V, compute_uv=False)
+    if sv[-1] <= FREE_TOL:
+        raise ActionNotFreeError(
+            f"generators are degenerate at {point} (smallest singular value {sv[-1]:.3e})")
+    scale = 1.0 + float(np.max(np.abs(jmu)))
+    tangency = float(np.max(np.abs(jmu @ V)))
+    if tangency > LEVEL_TOL * scale:
+        raise DegenerateInputError(
+            f"generators leave ker d mu by {tangency:.3e}; "
+            "the action is not tangent to the level set")
+    G = eval_field(scen.metric, point)
+    vertical = reference_orthonormalize(V, G, tol=FREE_TOL)
+    if vertical.shape[1] != k:
+        raise ActionNotFreeError(f"vertical space degenerates to dimension {vertical.shape[1]}")
+    horizontal = reference_orthonormalize(
+        level @ reference_kernel_basis(vertical.T @ G @ level, RANK_TOL), G)
+    if horizontal.shape[1] != n - 2 * k:
+        raise DegenerateInputError(
+            f"horizontal complement has dimension {horizontal.shape[1]}, expected {n - 2 * k}")
+    return {"metric": G, "level": level, "vertical": vertical, "horizontal": horizontal,
+            "jmu": jmu, "generators": V}
+
+
+def reference_moved_section(scen, a):
+    """Phi_a o sigma on one quotient point, one flow call per point."""
+    from symred.actions import apply_flow
+
+    return lambda q: apply_flow(scen.action, a, scen.section_point(q))
+
+
+def reference_lift_frame(scen, x, cfg, section=None):
+    """The lift frame at one quotient point, frame by frame: the reference
+    for the batched ``lift_frames``.  Returns the point m and a dict of
+    every array of the frame, and raises what the per-frame construction raised,
+    in its order."""
+    from symred.errors import RankDeficientLiftError, SectionNotOnLevelError
+    from symred.geometry import as_point, eval_field
+    from symred.reduction import LEVEL_TOL, RANK_TOL
+
+    xq = as_point(x)
+    section = scen.section_point if section is None else section
+    m = as_point(section(xq))
+    gap = _reference_level_gap(scen, m)
+    if gap >= LEVEL_TOL:
+        raise SectionNotOnLevelError(f"section lands off the level set: |mu - beta| = {gap:.3e}")
+    frame = reference_split_tangent(scen, m, cfg)
+    G, h_onb = frame["metric"], frame["horizontal"]
+    frame["Om"] = eval_field(scen.omega, m)
+    frame["J"] = eval_field(scen.acs, m)
+    dsig = reference_fd_jacobian(section, xq, cfg)
+    q = scen.quotient_dim
+    lifts = h_onb @ (h_onb.T @ G @ dsig)
+    sv = np.linalg.svd(lifts, compute_uv=False)
+    if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
+        raise RankDeficientLiftError(
+            f"projection differential is not invertible on H at {m} (singular values {sv})")
+    solve_back = np.linalg.lstsq(lifts, lifts, rcond=None)[0]
+    frame["lifts"] = lifts
+    frame["lift_residual"] = float(np.max(np.abs(solve_back - np.eye(q))))
+    return m, frame
+
+
+def reference_pushforward(action, a, p, cfg):
+    """Flow Jacobian and moved point at one point, one flow call per stencil
+    sample: the reference for the batched pushforwards."""
+    from symred.actions import apply_flow
+
+    return reference_fd_jacobian(lambda q: apply_flow(action, a, q), p, cfg), \
+        apply_flow(action, a, p)
