@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .errors import (
     ActionNotFreeError,
     DegenerateInputError,
-    NoConvergenceError,
     NonFiniteError,
     NotOnLevelError,
     NotRegularValueError,
@@ -44,7 +43,6 @@ from .geometry import (
     orthonormalize,
     sample_ball,
     sample_box,
-    sqrt_inverse_spd,
 )
 from .structures import (
     CompatibleTriple,
@@ -53,7 +51,6 @@ from .structures import (
     check_acs,
     check_closed,
     check_compatibility,
-    check_compatibility_second_form,
     check_metric,
     check_symplectic_pointwise,
     euclidean_metric,
@@ -84,9 +81,7 @@ from .reduction import (
     ReductionScenario,
     SampleSpec,
     SplitTangentSpace,
-    check_vertical_ad_invariance,
     lift_frames,
-    project_to_level,
     reduced_structures,
     split_tangent,
     verify_main_theorem,

@@ -146,10 +146,7 @@ def _suite_reduction(scen, cfg, qpoints, fiber_params, seed, fd, frames):
     report = VerificationReport("reduction")
     report.add_child(verify_submersion(
         scen, qpoints, fiber_params, fd, _tolerance("reduction.submersion", cfg, scen),
-        frames=frames,
-        orthogonality_tol=_tolerance("reduction.orthogonality", cfg, scen),
-        tangency_tol=_tolerance("reduction.tangency", cfg, scen),
-        vertical_tol=_tolerance("reduction.vertical-invariance", cfg, scen)))
+        frames=frames, vertical_tol=_tolerance("reduction.vertical-invariance", cfg, scen)))
     report.add_child(verify_reduction_identity(
         scen, qpoints, fd, _tolerance("reduction.identity", cfg, scen),
         _tolerance("reduction.degeneracy", cfg, scen), seed=seed, frames=frames))

@@ -25,10 +25,6 @@ class UnsupportedNonabelianError(SymredError):
     """The operation needs an abelian group; coadjoint machinery is not built."""
 
 
-class NoConvergenceError(SymredError):
-    """An iteration failed to converge within the allowed number of steps."""
-
-
 class NotRegularValueError(SymredError):
     """The momentum level is not a regular value near the working point."""
 

@@ -68,7 +68,6 @@ __all__ = [
     "fd_gradient",
     "kernel_basis",
     "orthonormalize",
-    "sqrt_inverse_spd",
     "spd_sqrt",
     "max_abs",
     "fro_norm",
@@ -450,11 +449,6 @@ def spd_sqrt(mat) -> tuple[np.ndarray, np.ndarray]:
     root = (v * np.sqrt(w)) @ v.T
     inv_root = (v / np.sqrt(w)) @ v.T
     return root, inv_root
-
-
-def sqrt_inverse_spd(mat) -> np.ndarray:
-    """The SPD matrix S with S @ S == inv(mat), via eigendecomposition."""
-    return spd_sqrt(mat)[1]
 
 
 def max_abs(a) -> float:

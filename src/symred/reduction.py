@@ -43,12 +43,10 @@ from .actions import (
     momentum_jacobian,
     momentum_values,
     _flow_map,
-    _pushforward,
 )
 from .errors import (
     ActionNotFreeError,
     DegenerateInputError,
-    NoConvergenceError,
     NotOnLevelError,
     NotRegularValueError,
     RankDeficientLiftError,
@@ -61,7 +59,6 @@ from .geometry import (
     FDConfig,
     RowMap,
     TensorField,
-    as_coords,
     as_point,
     as_row_map,
     eval_field,
@@ -82,10 +79,8 @@ __all__ = [
     "ReductionScenario",
     "SplitTangentSpace",
     "ReducedStructures",
-    "project_to_level",
     "split_tangent",
     "lift_frames",
-    "check_vertical_ad_invariance",
     "reduced_structures",
     "verify_submersion",
     "verify_reduction_identity",
@@ -93,8 +88,6 @@ __all__ = [
 ]
 
 IDENTITY_FIBER = "h_x independent of the fibre representative"
-IDENTITY_ORTHO = "H(M)_m g-orthogonal to V(M)_m inside ker d mu"
-IDENTITY_DIMS = "dim ker d mu = (n - k); dim H = n - 2k"
 IDENTITY_VERT_INV = "pushforward of a vertical vector is vertical"
 IDENTITY_REDUCTION = "pi* omega_red = i* omega"
 IDENTITY_DEGENERACY = "omega(vertical, ker d mu) = 0"
@@ -194,33 +187,6 @@ class ReducedStructures:
     h_beta: np.ndarray
     omega_beta: np.ndarray
     j_beta: np.ndarray
-
-
-def project_to_level(mu: MomentumMap, guess, tol: float = 1e-9, max_iter: int = 50,
-                     cfg: FDConfig = FDConfig(), min_gradient: float = 1e-4) -> ChartPoint:
-    """Gauss-Newton projection onto the momentum level set.
-
-    Raises NotRegularValueError when the momentum differential degenerates
-    along the way (singular values below ``min_gradient``), and
-    NoConvergenceError when the iteration budget runs out.
-    """
-    m = as_coords(guess).astype(float).copy()
-    for _ in range(max_iter):
-        r = momentum_values(mu, m) - mu.beta
-        if float(np.linalg.norm(r)) <= tol:
-            return ChartPoint(m)
-        J = momentum_jacobian(mu, m, cfg)
-        s = np.linalg.svd(J, compute_uv=False)
-        if s.size == 0 or s[-1] < max(min_gradient, 1e-8 * s[0]):
-            raise NotRegularValueError(
-                f"momentum differential is rank deficient near {m} "
-                f"(smallest singular value {0.0 if s.size == 0 else s[-1]:.3e})"
-            )
-        step = np.linalg.lstsq(J, r, rcond=None)[0]
-        m = m - step
-    raise NoConvergenceError(
-        f"level-set projection did not reach |mu - beta| <= {tol} in {max_iter} iterations"
-    )
 
 
 def _level_gaps(scen: ReductionScenario, M: np.ndarray) -> np.ndarray:
@@ -475,40 +441,20 @@ def _vertical_leak(D: np.ndarray, generators: np.ndarray, moved: SplitTangentSpa
     return max_abs([g_norm(leak[:, i], G) for i in range(leak.shape[1])])
 
 
-def check_vertical_ad_invariance(scen: ReductionScenario, m, a,
-                                 cfg: FDConfig = FDConfig(),
-                                 tol: float = 1e-8) -> StructureCheckResult:
-    """Pushforward of each generator stays in the vertical space of the moved
-    point; for abelian groups that pushforward is the generator itself.
-    Both ``m`` and the moved point must lie on the level set."""
-    point = as_point(m)
-    params = np.asarray(a, dtype=float).reshape(scen.action.group_dim)
-    split = split_tangent(scen, point, cfg)
-    D, moved = _pushforward(scen.action, params, point, cfg)
-    leak = _vertical_leak(D, split.generators, split_tangent(scen, moved, cfg))
-    return StructureCheckResult.from_samples(
-        "vertical invariance", [leak], [point], tol, IDENTITY_VERT_INV
-    )
-
-
 def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi / 3, np.pi),
                       cfg: FDConfig = FDConfig(), tol: float = 1e-5, *,
-                      frames=None, orthogonality_tol: float = 1e-9,
-                      tangency_tol: float = 1e-8,
-                      vertical_tol: float = 1e-5) -> VerificationReport:
+                      frames=None, vertical_tol: float = 1e-5) -> VerificationReport:
     """Riemannian-submersion checks: fiber independence of the reduced metric
-    (``tol``), orthogonality and tangency of the splitting, dimension counts,
-    and invariance of the vertical distribution, each against its own
-    tolerance.  Each fibre parameter is a group parameter vector, or a
-    scalar t standing for t * (1, ..., 1).  ``frames`` is a ``lift_frames``
-    table of the same points, or None to build one.  The frames at the
-    moved section points and the flow pushforwards at the section points
-    are built on first use, one batch per fibre parameter."""
+    (``tol``) and invariance of the vertical distribution (``vertical_tol``).
+    Each fibre parameter is a group parameter vector, or a scalar t standing
+    for t * (1, ..., 1).  ``frames`` is a ``lift_frames`` table of the same
+    points, or None to build one.  The frames at the moved section points
+    and the flow pushforwards at the section points are built on first use,
+    one batch per fibre parameter."""
     report = VerificationReport("submersion")
     xs = list(points)
     k = scen.action.group_dim
     prm = [np.full(k, a, dtype=float) for a in fiber_params]
-    n = scen.chart_dim
 
     if frames is None:
         frames = lift_frames(scen, xs, cfg)
@@ -525,39 +471,23 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi 
                  for i, pair in enumerate(fiber_pairs(range(len(xs)), a))},
         lambda key: fiber_pairs([key[0]], prm[key[1]])[0])
 
-    fiber_res, ortho_res, tangency_res, vert_res, dim_res = [], [], [], [], []
+    fiber_res, vert_res = [], []
     for i in range(len(xs)):
         frame = frames[i]
         h_here = _reduced_metric(frame)
-        split = frame.split
         gaps, leaks = [], []
         for j in range(len(prm)):
             frame_a, D = fiber[i, j]
             gaps.append(max_abs(h_here - _reduced_metric(frame_a)))
-            leaks.append(_vertical_leak(D, split.generators, frame_a.split))
+            leaks.append(_vertical_leak(D, frame.split.generators, frame_a.split))
         fiber_res.append(max_abs(gaps))
         vert_res.append(max_abs(leaks))
-
-        ortho_res.append(max_abs(split.horizontal.T @ split.metric @ split.vertical))
-        tangency_res.append(max_abs(split.jmu @ split.horizontal))
-
-        mism = abs(split.level.shape[1] - (n - k))
-        mism += abs(split.vertical.shape[1] - k)
-        mism += abs(split.horizontal.shape[1] - (n - 2 * k))
-        mism += abs(frame.lifts.shape[1] - scen.quotient_dim)
-        dim_res.append(float(mism))
 
     report.add(StructureCheckResult.from_samples(
         "fiber independence", fiber_res, xs, tol, IDENTITY_FIBER,
         extras={"fiber_params": [list(a) for a in prm]}))
     report.add(StructureCheckResult.from_samples(
-        "splitting orthogonality", ortho_res, xs, orthogonality_tol, IDENTITY_ORTHO))
-    report.add(StructureCheckResult.from_samples(
-        "horizontal tangent to level", tangency_res, xs, tangency_tol, IDENTITY_ORTHO))
-    report.add(StructureCheckResult.from_samples(
         "vertical invariance", vert_res, xs, vertical_tol, IDENTITY_VERT_INV))
-    report.add(StructureCheckResult.from_samples(
-        "dimension counts", dim_res, xs, 0.5, IDENTITY_DIMS))
     report.meta["points"] = [list(x.coords) for x in xs]
     report.meta["fiber_params"] = [list(a) for a in prm]
     return report

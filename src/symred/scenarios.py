@@ -67,8 +67,6 @@ DEFAULT_TOLERANCES = {
     "action.mu-invariance": 1e-6,
     "action.acs-invariance": 1e-6,
     "reduction.submersion": 1e-5,
-    "reduction.orthogonality": 1e-9,
-    "reduction.tangency": 1e-8,
     "reduction.vertical-invariance": 1e-5,
     "reduction.identity": 1e-5,
     "reduction.degeneracy": 1e-8,

@@ -40,7 +40,6 @@ __all__ = [
     "check_closed",
     "check_acs",
     "check_compatibility",
-    "check_compatibility_second_form",
     "omega_endomorphism",
     "build_compatible_triple",
 ]
@@ -50,7 +49,6 @@ IDENTITY_SYMPLECTIC = "omega antisymmetric nondegenerate"
 IDENTITY_CLOSED = "d omega = 0 (cyclic sum of coefficient partials)"
 IDENTITY_ACS = "J^2 = -I"
 IDENTITY_COMPAT = "omega(u, J v) = g(u, v)"
-IDENTITY_COMPAT_ALT = "omega(u, v) = g(J u, v)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,25 +217,6 @@ def check_compatibility(t: CompatibleTriple, points, tol: float = 1e-8) -> Struc
         residuals.append(max_abs(Om @ Jm - G))
     return StructureCheckResult.from_samples(
         "compatibility", residuals, pts, tol, IDENTITY_COMPAT
-    )
-
-
-def check_compatibility_second_form(t: CompatibleTriple, points,
-                                    tol: float = 1e-8) -> StructureCheckResult:
-    """Derived form omega(u, v) = g(J u, v), i.e. J^T @ G == Omega.
-
-    Given Omega @ J == G symmetric and J^2 = -I this holds identically, so it
-    is exposed as a consistency check rather than an independent axiom.
-    """
-    residuals = []
-    pts = list(points)
-    for p in pts:
-        Om = eval_field(t.omega, p)
-        G = eval_field(t.metric, p)
-        Jm = eval_field(t.acs, p)
-        residuals.append(max_abs(Jm.T @ G - Om))
-    return StructureCheckResult.from_samples(
-        "compatibility (second form)", residuals, pts, tol, IDENTITY_COMPAT_ALT
     )
 
 

@@ -178,26 +178,21 @@ def test_default_tolerances_complete():
     assert {k.split(".")[0] for k in DEFAULT_TOLERANCES} == prefixes
 
 
-def test_submersion_tolerances_are_named_and_reach_their_checks(capsys):
-    def tolerances(report):
-        return [report.find(name).tolerance for name in (
-            "fiber independence", "splitting orthogonality", "horizontal tangent to level",
-            "vertical invariance")]
-
-    cfg = RunConfig("hopf", samples=3, seed=1, suites=("reduction",))
-    report, _ = run(cfg)
-    assert tolerances(report) == [1e-5, 1e-9, 1e-8, 1e-5]
-    report, _ = run(dataclasses.replace(cfg, tolerances={
-        "reduction.submersion": 1e-3, "reduction.orthogonality": 2e-9,
-        "reduction.tangency": 3e-8, "reduction.vertical-invariance": 4e-5}))
-    assert tolerances(report) == [1e-3, 2e-9, 3e-8, 4e-5]
-    # the fibre tolerance alone no longer moves the vertical-invariance one
-    report, _ = run(dataclasses.replace(cfg, tolerances={"reduction.submersion": 1e-3}))
-    assert tolerances(report) == [1e-3, 1e-9, 1e-8, 1e-5]
-    for name in ("orthogonality", "tangency", "vertical-invariance"):
-        assert main(["verify", "hopf", "--samples", "3", "--suites", "reduction",
-                     "--tol", f"reduction.{name}=1e-300"]) == 1
-    capsys.readouterr()
+def test_every_tolerance_reaches_a_check(tmp_path, capsys):
+    # a distinct value per name; each must come back as some row's tolerance
+    values = {name: (i + 2) * 1e-7 for i, name in enumerate(sorted(DEFAULT_TOLERANCES))}
+    report, _ = run(RunConfig("hopf", samples=3, seed=1, tolerances=values))
+    used = {c.tolerance for _, c in report.all_checks()}
+    assert [name for name, value in values.items() if value not in used] == []
+    # names of checks that no longer exist are unknown, on the command line
+    # and in a scenario file
+    assert main(["verify", "hopf", "--samples", "3",
+                 "--tol", "reduction.orthogonality=1e-9"]) == 2
+    assert "unknown tolerance 'reduction.orthogonality'" in capsys.readouterr().err
+    path = tmp_path / "tangency.scn"
+    path.write_text(builtin_text("hopf") + "\ntol.reduction.tangency = 1e-8\n")
+    assert main(["verify", str(path), "--samples", "3"]) == 2
+    assert "unknown tolerance 'reduction.tangency'" in capsys.readouterr().err
 
 
 def test_other_builtins_verify_clean():

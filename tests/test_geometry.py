@@ -20,7 +20,7 @@ from symred.geometry import (
     kernel_basis,
     orthonormalize,
     sample_ball,
-    sqrt_inverse_spd,
+    spd_sqrt,
 )
 from symred.scenarios import builtin
 from symred.structures import standard_symplectic_matrix
@@ -457,20 +457,20 @@ def test_orthonormalize_idempotent_and_drops_dependent():
 
 
 def test_sqrt_inverse_spd_examples():
-    np.testing.assert_allclose(sqrt_inverse_spd(np.eye(3)), np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(sqrt_inverse_spd(np.diag([4.0, 9.0])),
+    np.testing.assert_allclose(spd_sqrt(np.eye(3))[1], np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(spd_sqrt(np.diag([4.0, 9.0]))[1],
                                np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
     m = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3
-    s = sqrt_inverse_spd(m)
+    s = spd_sqrt(m)[1]
     np.testing.assert_allclose(s @ s @ m, np.eye(2), atol=1e-10)
     assert np.max(np.abs(s @ m - m @ s)) < 1e-10
 
 
 def test_sqrt_inverse_spd_rejects_non_spd():
     with pytest.raises(NotSPDError):
-        sqrt_inverse_spd(np.diag([1.0, -2.0]))
+        spd_sqrt(np.diag([1.0, -2.0]))
     with pytest.raises(NotSPDError):
-        sqrt_inverse_spd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        spd_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_eval_field_shape_mismatch():
@@ -492,6 +492,6 @@ def test_sqrt_commutes_property():
         n = int(rng.integers(2, 6))
         b = rng.standard_normal((n, n))
         m = b @ b.T + 0.5 * np.eye(n)
-        s = sqrt_inverse_spd(m)
+        s = spd_sqrt(m)[1]
         assert np.max(np.abs(s @ m - m @ s)) < 1e-10
         assert np.max(np.abs(s @ s @ m - np.eye(n))) < 1e-10

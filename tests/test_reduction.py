@@ -1,12 +1,14 @@
 """Level sets, splittings, reduced structures and the verification pipelines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from symred.actions import GroupAction, MomentumMap, apply_flow
+from symred.cli import RunConfig, run
 from symred.errors import (
     ActionNotFreeError,
-    NoConvergenceError,
     NonFiniteError,
     NotOnLevelError,
     NotRegularValueError,
@@ -14,18 +16,16 @@ from symred.errors import (
     SectionNotOnLevelError,
     VerticalLeakWarning,
 )
-from symred.geometry import ChartPoint, FDConfig, TensorField, eval_field, sample_ball
+from symred.geometry import ChartPoint, FDConfig, TensorField, sample_ball
 from symred.reduction import (
     ReductionScenario,
-    check_vertical_ad_invariance,
-    project_to_level,
     reduced_structures,
     split_tangent,
     verify_main_theorem,
     verify_reduction_identity,
     verify_submersion,
 )
-from symred.scenarios import builtin
+from symred.scenarios import builtin, builtin_text, compile_scenario, parse_scenario
 from symred.structures import euclidean_metric, standard_acs, standard_acs_matrix, standard_symplectic
 
 from util import (
@@ -49,28 +49,6 @@ def quotient_points(scen, count, seed, radius=2.0):
     return sample_ball(scen.quotient_dim, count, radius, seed)
 
 
-def test_project_to_level_radial():
-    m = project_to_level(HOPF.mu, ChartPoint([1.1, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(m.coords, [1.0, 0.0, 0.0, 0.0], atol=1e-9)
-
-
-def test_project_to_level_noop_on_level():
-    start = ChartPoint([0.0, 1.0, 0.0, 0.0])
-    m = project_to_level(HOPF.mu, start)
-    np.testing.assert_allclose(m.coords, start.coords, atol=0.0)
-
-
-def test_project_to_level_rejects_critical_level():
-    zero_level = MomentumMap(HOPF.mu.components, [0.0])
-    with pytest.raises(NotRegularValueError):
-        project_to_level(zero_level, ChartPoint([0.1, 0.0, 0.0, 0.0]))
-
-
-def test_project_to_level_budget():
-    with pytest.raises(NoConvergenceError):
-        project_to_level(HOPF.mu, ChartPoint([5.0, 0.0, 0.0, 0.0]), max_iter=1)
-
-
 def test_split_tangent_hopf_pole():
     split = split_tangent(HOPF, ChartPoint([1.0, 0.0, 0.0, 0.0]))
     assert split.level.shape == (4, 3)
@@ -91,6 +69,13 @@ def test_split_tangent_linear_scenario():
 def test_split_tangent_rejects_off_level():
     with pytest.raises(NotOnLevelError):
         split_tangent(HOPF, ChartPoint([1.1, 0.0, 0.0, 0.0]))
+
+
+def test_split_tangent_rejects_critical_level():
+    # mu = 0 only at the origin, where d mu vanishes
+    zero_level = dataclasses.replace(HOPF, mu=MomentumMap(HOPF.mu.components, [0.0]))
+    with pytest.raises(NotRegularValueError, match="kernel of d mu has dimension 4, expected 3"):
+        split_tangent(zero_level, ChartPoint([0.0, 0.0, 0.0, 0.0]))
 
 
 def test_split_tangent_rejects_frozen_action():
@@ -147,22 +132,34 @@ def test_split_tangent_matches_oracle_in_dimension_16():
 
 
 def test_vertical_ad_invariance():
-    res = check_vertical_ad_invariance(HOPF, ChartPoint([1.0, 0.0, 0.0, 0.0]), np.pi / 3.0)
-    assert res.max_residual < 1e-8
-    res = check_vertical_ad_invariance(LINEAR, ChartPoint([0.0, 0.0, 1.0, -2.0]), 0.7)
-    assert res.max_residual < 1e-10
+    # quotient point (0, 0) of hopf is (1, 0, 0, 0); (1, -2) of the
+    # translation scenario is (0, 0, 1, -2)
+    report = verify_submersion(HOPF, [ChartPoint([0.0, 0.0])], (np.pi / 3.0,))
+    assert report.find("vertical invariance").max_residual < 1e-8
+    report = verify_submersion(LINEAR, [ChartPoint([1.0, -2.0])], (0.7,))
+    assert report.find("vertical invariance").max_residual < 1e-10
+
+
+def _hopf_text_with_flow(flow):
+    """hopf's scenario text with its flow replaced by the text ``flow``."""
+    text = builtin_text("hopf")
+    return text[:text.index("flow = ")] + flow + "\n" + text[text.index("mu = "):]
 
 
 def test_vertical_ad_invariance_negative_control():
-    # a horizontal vector is nowhere near the vertical span
-    split = split_tangent(HOPF, ChartPoint([1.0, 0.0, 0.0, 0.0]))
-    G = eval_field(HOPF.metric, split.base)
-    horizontal = split.horizontal[:, 0]
-    v_onb = [split.vertical[:, 0]]
-    w = horizontal.copy()
-    for b in v_onb:
-        w -= (b @ G @ w) * b
-    assert np.sqrt(w @ G @ w) > 0.9
+    # the second plane's phase t1 + t1^2 * x4 is no group action, but it
+    # keeps mu; the pushforward of the generator then leaves the vertical
+    # space of the moved point (by about 3.6).  A phase in x1*x1 would pass:
+    # its gradient meets the generator's x1 component, x2, which is 0 on the
+    # section.
+    s = "(t1 + t1^2*x4)"
+    scen = compile_scenario(parse_scenario(_hopf_text_with_flow(
+        f"flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1), "
+        f"x3*cos{s} + x4*sin{s}, x4*cos{s} - x3*sin{s}]")))
+    report = verify_submersion(scen, quotient_points(scen, 20, seed=0), FIBER_PARAMS)
+    check = report.find("vertical invariance")
+    assert not check.passed
+    assert check.max_residual > 1.0
 
 
 def test_reduced_metric_matches_round_sphere():
@@ -275,7 +272,6 @@ def test_verify_submersion_hopf():
     report = verify_submersion(HOPF, points, FIBER_PARAMS)
     assert report.passed
     assert report.find("fiber independence").max_residual < 1e-6
-    assert report.find("dimension counts").max_residual == 0.0
 
 
 def test_all_reduced_objects_fiber_independent():
@@ -441,3 +437,21 @@ def test_moved_section_matches_flow_after_section_point():
                 == outcome(lambda: fd_jacobian(stepwise, x))
     assert outcome(lambda: composed(ChartPoint([2.0, 0.0]))) \
         == "chart point contains non-finite entries"
+
+
+def test_double_speed_hopf_is_not_hamiltonian(tmp_path):
+    # turning the second plane at double speed keeps omega, g and J invariant
+    # and compatible and keeps the sphere as the level set, but mu is no
+    # longer the momentum map of the action
+    path = tmp_path / "double_speed.scn"
+    path.write_text(_hopf_text_with_flow(
+        "flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1), "
+        "x3*cos(2*t1) + x4*sin(2*t1), x4*cos(2*t1) - x3*sin(2*t1)]"))
+    report, code = run(RunConfig(str(path), samples=20, seed=0))
+    assert code == 1
+    failing = {c.name for _, c in report.all_checks() if not c.passed}
+    assert failing == {"hamiltonian condition", "pullback identity", "vertical degeneracy",
+                       "almost complex mapping defect", "reduced compatibility",
+                       "reduced acs identity"}
+    for name in ("action axioms", "isometry", "fiber independence", "vertical invariance"):
+        assert report.find(name).passed, name

@@ -11,7 +11,6 @@ from symred.structures import (
     check_acs,
     check_closed,
     check_compatibility,
-    check_compatibility_second_form,
     check_metric,
     check_symplectic_pointwise,
     euclidean_metric,
@@ -231,4 +230,7 @@ def test_second_form_holds_for_built_triples():
     rng = np.random.default_rng(21)
     om, g0 = random_symplectic_metric_pair(rng, 4)
     triple = build_compatible_triple(TensorField.constant(om), TensorField.constant(g0))
-    assert check_compatibility_second_form(triple, POINTS).max_residual < 1e-9
+    # omega(u, v) = g(J u, v), i.e. J^T @ G == Omega
+    for p in POINTS:
+        Jm, G = eval_field(triple.acs, p), eval_field(triple.metric, p)
+        assert np.max(np.abs(Jm.T @ G - eval_field(triple.omega, p))) < 1e-9
