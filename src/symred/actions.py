@@ -9,11 +9,11 @@ takes its quadrature rule over the group as an argument; for a torus,
 ``uniform_circle_quadrature`` and ``uniform_torus_quadrature`` build plain
 uniform rules.  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
 
-``generator``, ``momentum_values`` and ``momentum_jacobian`` take an
-(N, n) array of points as well as one point, and evaluate all rows in one
-flow or stencil batch; ``pushforward_table`` builds its flow Jacobians in
-one stencil batch per group parameter.  Each row is the bits of the call
-on its point alone.
+``apply_flow``, ``generator``, ``momentum_values`` and
+``momentum_jacobian`` take an (N, n) array of points as well as one point,
+and evaluate all rows in one flow or stencil batch, as every check does;
+``pushforward_table`` builds its flow Jacobians in one stencil batch per
+group parameter.  Each row is the bits of the call on its point alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import UnsupportedNonabelianError
 from .geometry import (
-    BatchTable,
     ChartPoint,
     FDConfig,
     RowMap,
@@ -34,14 +33,15 @@ from .geometry import (
     eval_field,
     fd_gradient,
     fd_jacobian,
-    max_abs,
     _differences,
     _evaluate_rows,
     _require_finite,
+    _row_max_abs,
+    _row_norms,
     _stack,
     _stencil,
 )
-from .structures import StructureCheckResult
+from .structures import StructureCheckResult, _sampled
 
 __all__ = [
     "GroupAction",
@@ -130,10 +130,14 @@ class MomentumMap:
         return len(self.components)
 
 
-def apply_flow(action: GroupAction, params, p) -> ChartPoint:
+def apply_flow(action: GroupAction, params, p):
     """The point ``p`` moved by the group element ``params``; a per-point
-    flow gets ``p`` itself when it is a ChartPoint."""
+    flow gets ``p`` itself when it is a ChartPoint.  For an (N, n) array of
+    points, the (N, n) array of moved points from one flow batch."""
     a = np.asarray(params, dtype=float).reshape(action.group_dim)
+    X, one = _stack(p)
+    if not one:
+        return _flow_values(action, _pairs(X, a))
     point = as_point(p)
     if action.flow.point is not None:
         return as_point(action.flow.point(a, point))
@@ -155,40 +159,19 @@ def _flow_map(action: GroupAction, params) -> RowMap:
     return RowMap(lambda X: _require_finite(rows(_pairs(X, a)), "chart point"))
 
 
-def _pushforward(action: GroupAction, params, p, cfg: FDConfig):
-    """Jacobian of the flow Phi_a at p, and the moved point Phi_a(p).  For
-    an (N, n) array of points: the (N, n, n) stack of Jacobians, from one
-    stencil batch, and the (N, n) array of moved points, from one flow
-    batch, each row the bits of the call on its point alone."""
-    X, one = _stack(p)
-    a = np.asarray(params, dtype=float).reshape(action.group_dim)
-    D = fd_jacobian(_flow_map(action, a), X, cfg)
-    moved = _flow_values(action, _pairs(X, a))
-    return (D[0], ChartPoint(moved[0])) if one else (D, moved)
-
-
-def pushforward_table(action: GroupAction, params, points, cfg: FDConfig = FDConfig()) -> BatchTable:
-    """``table[i, j]`` is (D, Phi_a(p)) for the i-th point and the j-th group
-    parameter.  Passed as ``pushforwards=`` to check_isometry,
-    check_symplectomorphism, check_field_invariance and
+def pushforward_table(action: GroupAction, params, points, cfg: FDConfig = FDConfig()) -> list:
+    """``table[j]`` is (D, Phi_a(p)) for the j-th group parameter a: the
+    (N, n, n) stack of flow Jacobians at the points, from one stencil batch,
+    and the (N, n) array of moved points, from one flow batch, each row the
+    bits of the call on its point alone.  Passed as ``pushforwards=`` to
+    check_isometry, check_symplectomorphism, check_field_invariance and
     check_momentum_invariance over the same params and points, it lets them
     share one flow Jacobian and moved point per (point, parameter) instead
-    of each differentiating or applying the flow again.  The first lookup
-    builds the whole table, one stencil batch over all points per
-    parameter."""
-    pts = list(points)
+    of each differentiating or applying the flow again."""
+    X = np.array([as_coords(p) for p in points])
     prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
-
-    def build_all() -> dict:
-        X = np.array([as_coords(p) for p in pts])
-        table = {}
-        for j, a in enumerate(prm):
-            D, moved = _pushforward(action, a, X, cfg)
-            for i in range(len(pts)):
-                table[i, j] = (D[i], ChartPoint(moved[i]))
-        return table
-
-    return BatchTable(build_all, lambda key: _pushforward(action, prm[key[1]], pts[key[0]], cfg))
+    return [(fd_jacobian(_flow_map(action, a), X, cfg), _flow_values(action, _pairs(X, a)))
+            for a in prm]
 
 
 def generator_vector(action: GroupAction, xi, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
@@ -233,76 +216,71 @@ def momentum_jacobian(mu: MomentumMap, p, cfg: FDConfig = FDConfig()) -> np.ndar
     return np.stack([fd_gradient(c, p, cfg) for c in mu.components], axis=-2)
 
 
-def check_action_axioms(action: GroupAction, params, points, cfg: FDConfig = FDConfig(),
+def check_action_axioms(action: GroupAction, params, points,
                         tol: float = 1e-9) -> StructureCheckResult:
     """Identity axiom flow(0, p) = p and, for abelian actions, additivity
     flow(s, flow(t, p)) = flow(s + t, p) over the sampled parameters.
 
-    Per point the flows Phi_t(p), the two-step flows over every (s, t) and
-    the one-step flows Phi_{s+t}(p) are each evaluated as one batch of rows.
+    The flows Phi_t(p), the two-step flows over every (s, t) and the
+    one-step flows Phi_{s+t}(p) are each evaluated as one batch of rows.
     """
-    pts = list(points)
     prm = np.array([np.asarray(a, dtype=float).reshape(action.group_dim) for a in params])
-    zero = np.zeros(action.group_dim)
-    if action.abelian and len(prm):
-        # (s, t) pairs with s outer: s repeated per t, t cycled per s
-        outer = np.repeat(prm, len(prm), axis=0)
-        sums = (prm[:, np.newaxis] + prm[np.newaxis]).reshape(outer.shape)
-    residuals = []
-    for p in pts:
-        x = as_coords(p)
-        res = [float(np.linalg.norm(apply_flow(action, zero, p).coords - x))]
-        if action.abelian and len(prm):
-            moved = _flow_values(action, _pairs(x, prm))
-            two_step = _flow_values(action, _pairs(np.tile(moved, (len(prm), 1)), outer))
-            one_step = _flow_values(action, _pairs(x, sums))
-            res.extend(float(np.linalg.norm(d)) for d in two_step - one_step)
-        residuals.append(max_abs(res))
-    return StructureCheckResult.from_samples(
-        "action axioms", residuals, pts, tol, IDENTITY_AXIOMS
-    )
+    P = len(prm)
+
+    def residuals(X, rows):
+        N, n = X.shape
+        res = _row_norms(apply_flow(action, np.zeros(action.group_dim), X) - X)[:, np.newaxis]
+        if action.abelian and P:
+            # per point, (s, t) pairs with s outer: s repeated per t, t cycled per s
+            outer = np.tile(np.repeat(prm, P, axis=0), (N, 1))
+            sums = np.tile((prm[:, np.newaxis] + prm[np.newaxis]).reshape(P * P, -1), (N, 1))
+            moved = _flow_values(action, _pairs(np.repeat(X, P, axis=0), np.tile(prm, (N, 1))))
+            starts = np.tile(moved.reshape(N, P, n), (1, P, 1)).reshape(-1, n)
+            two_step = _flow_values(action, _pairs(starts, outer))
+            one_step = _flow_values(action, _pairs(np.repeat(X, P * P, axis=0), sums))
+            res = np.hstack([res, _row_norms(two_step - one_step).reshape(N, P * P)])
+        return _row_max_abs(res)
+
+    return _sampled("action axioms", IDENTITY_AXIOMS, residuals, points, tol)
 
 
 def _invariance_check(name, identity, residual, action, value, params, points, cfg, tol,
                       pushforwards):
     """Shared body of the invariance checks: per point, the worst over the
-    group parameters of residual(D, F(p), F(Phi_a(p))), F being ``value``.
-    ``pushforwards`` is a ``pushforward_table`` of the same params and
-    points, or None."""
-    pts = list(points)
+    group parameters of residual(D, F(p), F(Phi_a(p))) over stacks of
+    points, F being ``value``.  ``pushforwards`` is a ``pushforward_table``
+    of the same params and points, or None."""
     prm = list(params)
-    if pushforwards is None:
-        pushforwards = pushforward_table(action, prm, pts, cfg)
-    residuals = []
-    for i, p in enumerate(pts):
-        here = value(p)
-        per_param = []
-        for j in range(len(prm)):
-            D, moved = pushforwards[i, j]
-            per_param.append(residual(D, here, value(moved)))
-        residuals.append(max_abs(per_param))
-    return StructureCheckResult.from_samples(name, residuals, pts, tol, identity)
+
+    def residuals(X, rows):
+        if pushforwards is None:
+            table = pushforward_table(action, prm, X, cfg)
+        else:
+            table = [(D[rows], moved[rows]) for D, moved in pushforwards]
+        here = value(X)
+        per_param = [residual(D, here, value(moved)) for D, moved in table]
+        return _row_max_abs(np.array(per_param).reshape(len(prm), len(X)).T)
+
+    return _sampled(name, identity, residuals, points, tol)
 
 
-def _pullback_residual(D, here, moved) -> float:
+def _pullback_residual(D, here, moved) -> np.ndarray:
     """A bilinear field against its pullback D^T F(Phi_a(p)) D."""
-    return max_abs(D.T @ moved @ D - here)
+    return _row_max_abs(D.swapaxes(1, 2) @ moved @ D - here)
 
 
 def check_isometry(action: GroupAction, g: TensorField, params, points,
                    cfg: FDConfig = FDConfig(), tol: float = 1e-6, *,
                    pushforwards=None) -> StructureCheckResult:
     return _invariance_check("isometry", IDENTITY_ISOMETRY, _pullback_residual,
-                             action, lambda p: eval_field(g, p), params, points, cfg, tol,
-                             pushforwards)
+                             action, g, params, points, cfg, tol, pushforwards)
 
 
 def check_symplectomorphism(action: GroupAction, w: TensorField, params, points,
                             cfg: FDConfig = FDConfig(), tol: float = 1e-6, *,
                             pushforwards=None) -> StructureCheckResult:
     return _invariance_check("symplectomorphism", IDENTITY_SYMPLECTO, _pullback_residual,
-                             action, lambda p: eval_field(w, p), params, points, cfg, tol,
-                             pushforwards)
+                             action, w, params, points, cfg, tol, pushforwards)
 
 
 def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, points,
@@ -312,19 +290,16 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
     With the row convention u^T Omega v for omega(u, v) the identity in
     components is Omega^T xi_M = grad mu, checked in the Euclidean norm.
     """
-    pts = list(points)
-    residuals = []
-    for p in pts:
-        Om = eval_field(w, p)
+    def residuals(X, rows):
+        OmT = eval_field(w, X).swapaxes(1, 2)
         per_basis = []
         for i in range(action.group_dim):
-            xi = generator(action, i, p, cfg)
-            grad = fd_gradient(mu.components[i], p, cfg)
-            per_basis.append(float(np.linalg.norm(Om.T @ xi - grad)))
-        residuals.append(max_abs(per_basis))
-    return StructureCheckResult.from_samples(
-        "hamiltonian condition", residuals, pts, tol, IDENTITY_MOMENTUM
-    )
+            xi = generator(action, i, X, cfg)
+            grad = fd_gradient(mu.components[i], X, cfg)
+            per_basis.append(_row_norms((OmT @ xi[:, :, np.newaxis])[:, :, 0] - grad))
+        return _row_max_abs(np.array(per_basis).T)
+
+    return _sampled("hamiltonian condition", IDENTITY_MOMENTUM, residuals, points, tol)
 
 
 def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, points,
@@ -341,7 +316,7 @@ def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, poin
             "momentum equivariance for nonabelian groups needs a coadjoint action"
         )
     return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT,
-                             lambda D, here, moved: max_abs(moved - here),
+                             lambda D, here, moved: _row_max_abs(moved - here),
                              action, lambda p: momentum_values(mu, p), params, points,
                              FDConfig(), tol, pushforwards)
 
@@ -364,9 +339,9 @@ def average_metric(g0: TensorField, action: GroupAction, quadrature,
 
     def avg(p: ChartPoint) -> np.ndarray:
         total = np.zeros((n, n))
-        for a, weight in rule:
-            D, moved = _pushforward(action, a, p, cfg)
-            total += weight * (D.T @ eval_field(g0, moved) @ D)
+        table = pushforward_table(action, [a for a, _ in rule], [p], cfg)
+        for (D, moved), (_, weight) in zip(table, rule):
+            total += weight * (D[0].T @ eval_field(g0, moved)[0] @ D[0])
         return 0.5 * (total + total.T)
 
     return TensorField.matrix(avg, n, name=f"group average of {g0.name or 'metric'}")
@@ -377,9 +352,8 @@ def check_field_invariance(field_: TensorField, action: GroupAction, params, poi
                            pushforwards=None) -> StructureCheckResult:
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
     return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
-                             lambda D, here, moved: max_abs(D @ here - moved @ D),
-                             action, lambda p: eval_field(field_, p), params, points, cfg,
-                             tol, pushforwards)
+                             lambda D, here, moved: _row_max_abs(D @ here - moved @ D),
+                             action, field_, params, points, cfg, tol, pushforwards)
 
 
 def uniform_circle_quadrature(n: int = 64) -> tuple:

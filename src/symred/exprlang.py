@@ -490,14 +490,18 @@ def _parts(e: Expr) -> tuple:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _height(e: Expr) -> int:
-    """Nodes on the longest root-to-leaf path, found without recursion."""
-    height, stack = 0, [(e, 1)]
+def _walk(e: Expr):
+    """Every node with its depth (the root at 1), found without recursion."""
+    stack = [(e, 1)]
     while stack:
         node, level = stack.pop()
-        height = max(height, level)
+        yield node, level
         stack.extend((kid, level + 1) for kid in _parts(node)[1])
-    return height
+
+
+def _height(e: Expr) -> int:
+    """Nodes on the longest root-to-leaf path."""
+    return max(level for _, level in _walk(e))
 
 
 class _Compiler:
@@ -634,31 +638,11 @@ def eval_expr(e: Expr, env: dict) -> float:
 
 def free_names(e: Expr) -> set[str]:
     """Coordinate names referenced by an expression."""
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Coord):
-        return {e.name}
-    if isinstance(e, Neg):
-        return free_names(e.arg)
-    if isinstance(e, Pow):
-        return free_names(e.base)
-    if isinstance(e, Call):
-        return free_names(e.arg)
-    if isinstance(e, BinOp):
-        return free_names(e.left) | free_names(e.right)
-    raise TypeError(f"not an expression node: {e!r}")
+    return {node.name for node, _ in _walk(e) if isinstance(node, Coord)}
 
 
 def _function_names(e: Expr) -> set[str]:
-    if isinstance(e, Call):
-        return {e.fn} | _function_names(e.arg)
-    if isinstance(e, Neg):
-        return _function_names(e.arg)
-    if isinstance(e, Pow):
-        return _function_names(e.base)
-    if isinstance(e, BinOp):
-        return _function_names(e.left) | _function_names(e.right)
-    return set()
+    return {node.fn for node, _ in _walk(e) if isinstance(node, Call)}
 
 
 def validate_expr(e: Expr, allowed: set[str], context: str) -> None:

@@ -10,11 +10,12 @@ never mutates shared state, so concurrent use needs no synchronization.
 The one exception is ``BatchTable``, a table of values built together on
 first lookup that a caller builds for one verification and passes
 explicitly to the checks sharing it; nothing is cached at module level.
-Derivatives are central finite differences (order 2 or 4, default 4 with
-step 1e-5); nothing in the package differentiates symbolically.
+Derivatives are fourth-order central finite differences (default step
+1e-5); nothing in the package differentiates symbolically.
 
-The frame layer is stack-aware: ``eval_field``, ``fd_jacobian`` and
-``fd_gradient`` take an (N, d) array of points as well as one point, and
+The frame layer is stack-aware: ``eval_field``, ``fd_jacobian``,
+``fd_directional`` and ``fd_gradient`` take an (N, d) array of points as
+well as one point, and
 ``kernel_basis`` and ``orthonormalize`` a stack of matrices with a leading
 batch axis, and one point or matrix is a stack of one.  Stacked results
 are the bits of the per-point calls: stacked ``np.linalg.svd`` and ``@``
@@ -259,16 +260,14 @@ def eval_field(field: TensorField, p) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Central-difference configuration: positive step and accuracy order 2 or 4."""
+    """Central-difference configuration: the positive step of the
+    fourth-order stencil."""
 
     step: float = 1e-5
-    order: int = 4
 
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError(f"step must be positive, got {self.step}")
-        if self.order not in (2, 4):
-            raise ValueError(f"order must be 2 or 4, got {self.order}")
 
 
 def _stencil(directions: np.ndarray, cfg: FDConfig) -> np.ndarray:
@@ -276,7 +275,7 @@ def _stencil(directions: np.ndarray, cfg: FDConfig) -> np.ndarray:
     of ``directions`` (outer) and each offset t (inner, in the order the
     difference formula reads them), one row per step."""
     h = cfg.step
-    offsets = np.array([h, -h] if cfg.order == 2 else [2 * h, h, -h, -2 * h])
+    offsets = np.array([2 * h, h, -h, -2 * h])
     steps = offsets[np.newaxis, :, np.newaxis] * directions[:, np.newaxis, :]
     return steps.reshape(-1, directions.shape[1])
 
@@ -284,11 +283,8 @@ def _stencil(directions: np.ndarray, cfg: FDConfig) -> np.ndarray:
 def _differences(values: np.ndarray, count: int, cfg: FDConfig) -> np.ndarray:
     """Central differences from the values at the rows of ``_stencil`` over
     ``count`` directions; entry i is the derivative along direction i."""
-    h = cfg.step
-    s = values.reshape((count, 2 if cfg.order == 2 else 4) + values.shape[1:]).swapaxes(0, 1)
-    if cfg.order == 2:
-        return (s[0] - s[1]) / (2.0 * h)
-    return (-s[0] + 8.0 * s[1] - 8.0 * s[2] + s[3]) / (12.0 * h)
+    s = values.reshape((count, 4) + values.shape[1:]).swapaxes(0, 1)
+    return (-s[0] + 8.0 * s[1] - 8.0 * s[2] + s[3]) / (12.0 * cfg.step)
 
 
 def _evaluate_rows(f: RowMap, points: np.ndarray, sample: Callable, shape=None) -> np.ndarray:
@@ -311,19 +307,19 @@ def _evaluate_rows(f: RowMap, points: np.ndarray, sample: Callable, shape=None) 
     return np.array([sample(y) for y in points], dtype=float)
 
 
-def _stencil_rows(X: np.ndarray, cfg: FDConfig) -> np.ndarray:
-    """The stencil points ``x + t * e_i`` of every row x of X (outermost),
-    each coordinate direction e_i and each offset t (innermost), one row per
-    stencil point: for each x, the rows ``x + _stencil(eye, cfg)``."""
+def _stencil_rows(X: np.ndarray, directions: np.ndarray, cfg: FDConfig) -> np.ndarray:
+    """The stencil points ``x + t * d`` of every row x of X (outermost),
+    each row d of ``directions`` and each offset t (innermost), one row per
+    stencil point: for each x, the rows ``x + _stencil(directions, cfg)``."""
     n = X.shape[1]
-    return (X[:, np.newaxis, :] + _stencil(np.eye(n), cfg)[np.newaxis]).reshape(-1, n)
+    return (X[:, np.newaxis, :] + _stencil(directions, cfg)[np.newaxis]).reshape(-1, n)
 
 
 def fd_jacobian(chart_map, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Jacobian matrix of a chart-to-chart map at ``p`` by central differences.
 
     Entry (j, i) approximates the partial of output component j with respect
-    to input coordinate i; the error is O(step**order) on smooth maps.
+    to input coordinate i; the error is O(step**4) on smooth maps.
     ``p`` may also be an (N, n) array whose rows are points: then the result
     is the (N, m, n) stack of their Jacobians, all stencil rows evaluated in
     one batch, each Jacobian the bits of the call on its point alone.
@@ -338,22 +334,26 @@ def fd_jacobian(chart_map, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
     if n == 0:  # no stencil; the values at the points give the row count
         J = np.zeros((N, _evaluate_rows(chart_map, X, value).shape[1], 0))
     else:
-        values = _evaluate_rows(chart_map, _stencil_rows(X, cfg), value)
+        values = _evaluate_rows(chart_map, _stencil_rows(X, np.eye(n), cfg), value)
         D = _differences(values.reshape(len(values), -1), N * n, cfg)
         J = np.ascontiguousarray(D.reshape(N, n, -1).swapaxes(1, 2))
     return J[0] if one else J
 
 
 def fd_directional(field: TensorField, p, direction, cfg: FDConfig = FDConfig()) -> np.ndarray | float:
-    """Directional derivative of a tensor field along ``direction`` (unnormalized)."""
-    x = as_coords(p)
+    """Directional derivative of a tensor field along ``direction``
+    (unnormalized); for an (N, n) array of points, the (N, *shape) stack of
+    derivatives from one batch, as ``fd_gradient``."""
+    X, one = _stack(p)
     d = as_coords(direction)
     if not np.linalg.norm(d) > 0:
         raise DegenerateInputError("directional derivative needs a nonzero direction")
-    values = _evaluate_rows(field.func, x + _stencil(d[np.newaxis], cfg),
+    values = _evaluate_rows(field.func, _stencil_rows(X, d[np.newaxis], cfg),
                             lambda y: eval_field(field, ChartPoint(y)), field.shape)
-    out = _differences(values, 1, cfg)[0]
-    return float(out) if field.arity == "scalar" else out
+    out = _differences(values, len(X), cfg)
+    if not one:
+        return out
+    return float(out[0]) if field.arity == "scalar" else out[0]
 
 
 def fd_gradient(field: TensorField, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
@@ -363,7 +363,7 @@ def fd_gradient(field: TensorField, p, cfg: FDConfig = FDConfig()) -> np.ndarray
         raise ValueError("gradient is defined for scalar fields")
     X, one = _stack(p)
     N, n = X.shape
-    values = _evaluate_rows(field.func, _stencil_rows(X, cfg),
+    values = _evaluate_rows(field.func, _stencil_rows(X, np.eye(n), cfg),
                             lambda y: eval_field(field, ChartPoint(y)), field.shape)
     grad = _differences(values, N * n, cfg).reshape(N, n)
     return grad[0] if one else grad
@@ -455,6 +455,17 @@ def max_abs(a) -> float:
     """Largest absolute entry; 0 for empty arrays."""
     arr = np.asarray(a, dtype=float)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+def _row_max_abs(A: np.ndarray) -> np.ndarray:
+    """``max_abs(A[i])`` for every row i of a stack, 0 for empty rows."""
+    return np.max(np.abs(A.reshape(len(A), -1)), axis=1, initial=0.0)
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of an (N, k) array, each the bits of
+    ``np.linalg.norm`` of the row: a ``(1, k) @ (k, 1)`` product per row."""
+    return np.sqrt((V[:, np.newaxis] @ V[:, :, np.newaxis])[:, 0, 0])
 
 
 def fro_norm(a) -> float:

@@ -441,7 +441,7 @@ def _vertical_leak(D: np.ndarray, generators: np.ndarray, moved: SplitTangentSpa
     return max_abs([g_norm(leak[:, i], G) for i in range(leak.shape[1])])
 
 
-def verify_submersion(scen: ReductionScenario, points, fiber_params=(0.0, np.pi / 3, np.pi),
+def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, np.pi),
                       cfg: FDConfig = FDConfig(), tol: float = 1e-5, *,
                       frames=None, vertical_tol: float = 1e-5) -> VerificationReport:
     """Riemannian-submersion checks: fiber independence of the reduced metric

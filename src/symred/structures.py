@@ -20,11 +20,12 @@ from .geometry import (
     ChartPoint,
     FDConfig,
     TensorField,
+    as_coords,
     eval_field,
     fd_directional,
-    fro_norm,
-    max_abs,
     spd_sqrt,
+    _row_max_abs,
+    _row_norms,
 )
 
 __all__ = [
@@ -126,23 +127,38 @@ def euclidean_metric(dim: int) -> TensorField:
     return TensorField.constant(np.eye(dim), name="euclidean metric")
 
 
+def _sampled(name, identity, residuals, points, tol) -> StructureCheckResult:
+    """One sampled check over ``points``: ``residuals(X, rows)`` returns the
+    residual at each row of X, the rows ``rows`` (a slice) of the (N, n)
+    array of the points, from stacked evaluations.  It runs once on all
+    points; should that raise, it runs again one point at a time, so the
+    first failing point raises what it raises alone."""
+    pts = list(points)
+    if not pts:
+        return StructureCheckResult.from_samples(name, [], pts, tol, identity)
+    X = np.array([as_coords(p) for p in pts])
+    try:
+        values = residuals(X, slice(None))
+    except Exception:  # whatever the batch raised, the first failing point raises again
+        for i in range(len(X)):
+            residuals(X[i:i + 1], slice(i, i + 1))
+        raise
+    return StructureCheckResult.from_samples(name, values, pts, tol, identity)
+
+
 def check_metric(g: TensorField, points, tol: float = 1e-8) -> StructureCheckResult:
     """Symmetry plus positive definiteness of a metric field at sample points.
 
     Residual per point: max-abs asymmetry, plus a penalty of at least tol
     whenever the smallest eigenvalue fails to clear tol.
     """
-    residuals = []
-    pts = list(points)
-    for p in pts:
-        G = eval_field(g, p)
-        asym = max_abs(G - G.T)
-        lam_min = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
-        penalty = 0.0 if lam_min > tol else (2.0 * tol - lam_min)
-        residuals.append(asym + penalty)
-    return StructureCheckResult.from_samples(
-        "metric field", residuals, pts, tol, IDENTITY_METRIC
-    )
+    def residuals(X, rows):
+        G = eval_field(g, X)
+        GT = G.swapaxes(1, 2)
+        lam_min = np.linalg.eigvalsh(0.5 * (G + GT))[:, 0]
+        return _row_max_abs(G - GT) + np.where(lam_min > tol, 0.0, 2.0 * tol - lam_min)
+
+    return _sampled("metric field", IDENTITY_METRIC, residuals, points, tol)
 
 
 def check_symplectic_pointwise(w: TensorField, points, tol: float = 1e-8) -> StructureCheckResult:
@@ -155,21 +171,16 @@ def check_symplectic_pointwise(w: TensorField, points, tol: float = 1e-8) -> Str
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"symplectic field must be square, got {w.shape}")
     _interleaved_planes(w.shape[0], "symplectic form")
-    residuals = []
-    pts = list(points)
-    for p in pts:
-        Om = eval_field(w, p)
-        asym = max_abs(Om + Om.T)
+
+    def residuals(X, rows):
+        Om = eval_field(w, X)
         s = np.linalg.svd(Om, compute_uv=False)
-        if s.size == 0:
-            ratio = 1.0
-        else:
-            ratio = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
-        penalty = 0.0 if ratio > tol else (2.0 * tol - ratio)
-        residuals.append(max(asym, penalty))
-    return StructureCheckResult.from_samples(
-        "symplectic field", residuals, pts, tol, IDENTITY_SYMPLECTIC
-    )
+        first, last = (s[:, 0], s[:, -1]) if s.shape[1] else (1.0, 1.0)  # 0 x 0: ratio 1
+        ratio = np.divide(last, first, out=np.zeros(len(X)), where=first > 0.0)
+        penalty = np.where(ratio > tol, 0.0, 2.0 * tol - ratio)
+        return np.maximum(_row_max_abs(Om + Om.swapaxes(1, 2)), penalty)
+
+    return _sampled("symplectic field", IDENTITY_SYMPLECTIC, residuals, points, tol)
 
 
 def check_closed(w: TensorField, points, cfg: FDConfig = FDConfig(),
@@ -177,47 +188,36 @@ def check_closed(w: TensorField, points, cfg: FDConfig = FDConfig(),
     """Closedness of the 2-form: cyclic sum of coefficient partials over all
     index triples, with partials taken by central differences."""
     n = w.shape[0]
-    residuals = []
-    pts = list(points)
-    for p in pts:
-        partials = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            partials.append(fd_directional(w, p, e, cfg))
-        residuals.append(max_abs([partials[i][j, k] + partials[j][k, i] + partials[k][i, j]
-                                  for i, j, k in itertools.combinations(range(n), 3)]))
-    return StructureCheckResult.from_samples(
-        "closedness of omega", residuals, pts, tol, IDENTITY_CLOSED
-    )
+    i, j, k = np.array(list(itertools.combinations(range(n), 3)), dtype=int).reshape(-1, 3).T
+
+    def residuals(X, rows):
+        # partials[a] is the (N, n, n) stack of derivatives along x_a
+        partials = np.array([fd_directional(w, X, e, cfg) for e in np.eye(n)])
+        partials = partials.reshape(n, len(X), n, n)
+        cyclic = partials[i, :, j, k] + partials[j, :, k, i] + partials[k, :, i, j]
+        return _row_max_abs(cyclic.T)
+
+    return _sampled("closedness of omega", IDENTITY_CLOSED, residuals, points, tol)
 
 
 def check_acs(J: TensorField, points, tol: float = 1e-8) -> StructureCheckResult:
     """Frobenius norm of J(p)^2 + I at sample points."""
-    n = J.shape[0]
-    eye = np.eye(n)
-    residuals = []
-    pts = list(points)
-    for p in pts:
-        Jm = eval_field(J, p)
-        residuals.append(fro_norm(Jm @ Jm + eye))
-    return StructureCheckResult.from_samples(
-        "almost complex structure", residuals, pts, tol, IDENTITY_ACS
-    )
+    eye = np.eye(J.shape[0])
+
+    def residuals(X, rows):
+        Jm = eval_field(J, X)
+        return _row_norms((Jm @ Jm + eye).reshape(len(X), -1))
+
+    return _sampled("almost complex structure", IDENTITY_ACS, residuals, points, tol)
 
 
 def check_compatibility(t: CompatibleTriple, points, tol: float = 1e-8) -> StructureCheckResult:
     """Max-abs residual of the compatibility identity Omega @ J == G."""
-    residuals = []
-    pts = list(points)
-    for p in pts:
-        Om = eval_field(t.omega, p)
-        G = eval_field(t.metric, p)
-        Jm = eval_field(t.acs, p)
-        residuals.append(max_abs(Om @ Jm - G))
-    return StructureCheckResult.from_samples(
-        "compatibility", residuals, pts, tol, IDENTITY_COMPAT
-    )
+    def residuals(X, rows):
+        Om, G, Jm = [eval_field(f, X) for f in (t.omega, t.metric, t.acs)]
+        return _row_max_abs(Om @ Jm - G)
+
+    return _sampled("compatibility", IDENTITY_COMPAT, residuals, points, tol)
 
 
 def omega_endomorphism(w: TensorField, g0: TensorField) -> TensorField:

@@ -115,9 +115,8 @@ _SIGNED_ZERO_POINTS = [ChartPoint(c) for c in ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.
                                                [0.3, -0.7, 1.1, -0.0])]
 
 
-@pytest.mark.parametrize("order", [2, 4])
-def test_generator_bit_identical_to_per_sample_reference(order):
-    cfg = FDConfig(order=order)
+def test_generator_bit_identical_to_per_sample_reference():
+    cfg = FDConfig()
     for action in (HOPF.action, _torus_action()):
         opaque = GroupAction(action.group_dim, lambda a, p, _f=action: apply_flow(_f, a, p))
         for p in _SIGNED_ZERO_POINTS:
@@ -138,9 +137,6 @@ def test_action_axioms_bit_identical_to_pairwise_reference():
 
 def test_momentum_invariance_reads_moved_points_from_the_table(monkeypatch):
     table = pushforward_table(HOPF.action, ANGLES, POINTS_4D)
-    for i in range(len(POINTS_4D)):
-        for j in range(len(ANGLES)):
-            table[i, j]
     want = check_momentum_invariance(HOPF.action, HOPF.mu, ANGLES, POINTS_4D)
     calls = []
     monkeypatch.setattr(actions, "apply_flow", lambda *args: calls.append(args))

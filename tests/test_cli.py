@@ -11,7 +11,6 @@ import pytest
 import symred
 from symred import cli
 from symred.actions import (
-    MomentumMap,
     apply_flow,
     check_field_invariance,
     check_isometry,
@@ -31,7 +30,7 @@ from symred.reduction import (
 from symred.report import VerificationReport, check_to_dict
 from symred.scenarios import builtin, builtin_text, load_scenario_file, parse_scenario
 
-from util import round_sphere_metric
+from util import opaque_scenario, round_sphere_metric
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +333,7 @@ def _standalone_reports(name, report):
     points = [ChartPoint(p) for p in meta["ambient_points"]]
     qpoints = [ChartPoint(p) for p in meta["quotient_points"]]
     params = [np.array(a) for a in meta["group_params"]]
-    fiber_params = (0.0, np.pi / 3.0, np.pi)
+    fiber_params = (np.pi / 3.0, np.pi)
     action = [
         check_isometry(scen.action, scen.metric, params, points, fd, tol("action.isometry")),
         check_symplectomorphism(scen.action, scen.omega, params, points, fd,
@@ -388,7 +387,7 @@ def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
 
     count(symred.reduction, "split_tangent", 1)
     count(symred.reduction, "generator", 2)
-    count(symred.actions, "_pushforward", 2)
+    count(symred.actions, "fd_jacobian", 1)  # the flow Jacobians of pushforward_table
     samples = 2
     report, code = run(RunConfig("hopf", samples=samples, seed=1))
     assert code == 0
@@ -403,8 +402,8 @@ def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
     assert points["generator"] == points["split_tangent"] * builtin("hopf").action.group_dim
     # one flow Jacobian and moved point per (point, parameter) for the four
     # invariance checks, in one batch per parameter
-    assert points["_pushforward"] == samples * len(group_params)
-    assert calls["_pushforward"] == len(group_params)
+    assert points["fd_jacobian"] == samples * len(group_params)
+    assert calls["fd_jacobian"] == len(group_params)
 
 
 @pytest.mark.parametrize("samples", [20, 80])
@@ -505,8 +504,7 @@ def test_two_torus_scenario_verifies(tmp_path, capsys):
     assert main(["verify", str(path), "--samples", "5", "--format", "json",
                  "--out", str(out)]) == 0
     fiber = VerificationReport.from_json(out.read_text()).find("fiber independence")
-    assert fiber.extras["fiber_params"] == [[0.0, 0.0], [np.pi / 3.0, np.pi / 3.0],
-                                            [np.pi, np.pi]]
+    assert fiber.extras["fiber_params"] == [[np.pi / 3.0, np.pi / 3.0], [np.pi, np.pi]]
     scen = load_scenario_file(path)
     assert (scen.chart_dim, scen.action.group_dim, scen.quotient_dim) == (8, 2, 4)
     for w in sample_ball(4, 5, 2.0, 3):
@@ -522,20 +520,6 @@ def test_six_torus_scenario_loads_and_verifies(tmp_path, capsys):
     path = tmp_path / "six_circles.scn"
     path.write_text(_torus_text((1,) * 6))
     assert main(["verify", str(path), "--samples", "2"]) == 0
-
-
-def _opaque(scen):
-    """The scenario with every compiled map wrapped in a plain lambda, so
-    each evaluation goes through the per-point path."""
-    def field(f):
-        return TensorField(f.arity, f.shape, lambda p, _f=f.func: _f(p), f.name)
-
-    action, section = scen.action, scen.section
-    return dataclasses.replace(
-        scen, omega=field(scen.omega), metric=field(scen.metric), acs=field(scen.acs),
-        action=dataclasses.replace(scen.action, flow=lambda a, p: apply_flow(action, a, p)),
-        mu=MomentumMap(tuple(field(c) for c in scen.mu.components), scen.mu.beta),
-        section=lambda x: section(x))
 
 
 def _without_timestamp(report):
@@ -556,7 +540,7 @@ def test_compiled_maps_report_like_per_point_maps(name, tmp_path, monkeypatch):
     cfg = RunConfig(name, samples=20, seed=3)
     compiled, code = run(cfg)
     resolve = cli.resolve_scenario
-    monkeypatch.setattr(cli, "resolve_scenario", lambda ref: _opaque(resolve(ref)))
+    monkeypatch.setattr(cli, "resolve_scenario", lambda ref: opaque_scenario(resolve(ref)))
     per_point, per_point_code = run(cfg)
     assert code == per_point_code
     assert _without_timestamp(compiled) == _without_timestamp(per_point)
@@ -632,13 +616,17 @@ def _count_chart_points(monkeypatch):
 
 def test_hopf_op_builds_few_chart_points(monkeypatch):
     # stencils of compiled maps and of the holomorphy reference maps are row
-    # batches: no ChartPoint per stencil row (152 per sample before), and the
-    # frames are built in stacks (420 at 20 samples, seed 51)
+    # batches, and frames, pushforwards and the ambient checks work on
+    # stacks: the only ChartPoints are the sample points (ambient, quotient
+    # and holomorphy), the section point of each base and fibre frame, and
+    # two per holomorphy reference map and sample
     built = _count_chart_points(monkeypatch)
     samples = 20
     report, code = run(RunConfig("hopf", samples=samples, seed=51))
     assert code == 0
-    assert built["points"] <= 22 * samples
+    fiber_params = report.find("fiber independence").extras["fiber_params"]
+    frames = (1 + len(fiber_params)) * samples
+    assert built["points"] == 3 * samples + frames + 2 * 4 * samples == 280
 
 
 def test_per_point_maps_get_the_chart_point_itself(monkeypatch):
@@ -661,9 +649,11 @@ def test_per_point_maps_get_the_chart_point_itself(monkeypatch):
 
 def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeypatch):
     # hopf without its acs line gets build_compatible_triple's per-point
-    # field: a single-point evaluation passes the point as is, and only the
-    # stacked evaluation at the section points of the frames (one base and
-    # one per fibre parameter per sample) builds a ChartPoint per row
+    # field, and every stacked evaluation of it builds a ChartPoint per row:
+    # at the section points of the frames (one base and one per fibre
+    # parameter per sample), and at the ambient points in check_acs,
+    # check_compatibility and the acs invariance check (once at the points
+    # and once per group parameter at the moved points)
     path = tmp_path / "hopf_no_acs.scn"
     path.write_text("\n".join(line for line in builtin_text("hopf").splitlines()
                                if not line.startswith("acs")))
@@ -676,4 +666,7 @@ def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeyp
     report, code = run(RunConfig("hopf", samples=samples, seed=3))
     assert code == 0
     fiber_params = report.find("fiber independence").extras["fiber_params"]
-    assert per_point - built["points"] == (1 + len(fiber_params)) * samples
+    group_params = report.meta["group_params"]
+    frames = (1 + len(fiber_params)) * samples
+    ambient = (2 + 1 + len(group_params)) * samples
+    assert per_point - built["points"] == frames + ambient

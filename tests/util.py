@@ -190,8 +190,6 @@ def reference_central_difference(sample, cfg):
     """One derivative from stencil samples, one call per offset: the
     per-column formula the batched stencil must reproduce bit for bit."""
     h = cfg.step
-    if cfg.order == 2:
-        return (sample(h) - sample(-h)) / (2.0 * h)
     return (-sample(2 * h) + 8.0 * sample(h) - 8.0 * sample(-h) + sample(-2 * h)) / (12.0 * h)
 
 
@@ -387,3 +385,140 @@ def reference_pushforward(action, a, p, cfg):
 
     return reference_fd_jacobian(lambda q: apply_flow(action, a, q), p, cfg), \
         apply_flow(action, a, p)
+
+
+# --- per-point references for the sampled checks ------------------------------
+# Each returns the list of per-point residuals the check reports, computed one
+# point at a time with one-point evaluations and one flow call per stencil
+# sample: the references for the stacked checks.
+
+def _max_abs(values):
+    arr = np.asarray(values, dtype=float)
+    return float(np.max(np.abs(arr))) if arr.size else 0.0
+
+
+def reference_metric_residuals(g, points, tol):
+    from symred.geometry import eval_field
+
+    out = []
+    for p in points:
+        G = eval_field(g, p)
+        lam_min = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
+        out.append(_max_abs(G - G.T) + (0.0 if lam_min > tol else (2.0 * tol - lam_min)))
+    return out
+
+
+def reference_symplectic_residuals(w, points, tol):
+    from symred.geometry import eval_field
+
+    out = []
+    for p in points:
+        Om = eval_field(w, p)
+        s = np.linalg.svd(Om, compute_uv=False)
+        if s.size == 0:
+            ratio = 1.0
+        else:
+            ratio = float(s[-1] / s[0]) if s[0] > 0.0 else 0.0
+        out.append(max(_max_abs(Om + Om.T), 0.0 if ratio > tol else (2.0 * tol - ratio)))
+    return out
+
+
+def reference_closed_residuals(w, points, cfg):
+    """Cyclic sums of partials, each partial one difference per coordinate
+    direction with one field evaluation per stencil sample."""
+    import itertools
+
+    from symred.geometry import eval_field
+
+    n = w.shape[0]
+    out = []
+    for p in points:
+        x = np.asarray(p.coords, dtype=float)
+        partials = []
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = 1.0
+            partials.append(reference_central_difference(
+                lambda t: eval_field(w, ChartPoint(x + t * e)), cfg))
+        out.append(_max_abs([partials[i][j, k] + partials[j][k, i] + partials[k][i, j]
+                             for i, j, k in itertools.combinations(range(n), 3)]))
+    return out
+
+
+def reference_acs_residuals(J, points):
+    from symred.geometry import eval_field
+
+    eye = np.eye(J.shape[0])
+    return [float(np.linalg.norm(eval_field(J, p) @ eval_field(J, p) + eye)) for p in points]
+
+
+def reference_compatibility_residuals(omega, metric, acs, points):
+    from symred.geometry import eval_field
+
+    out = []
+    for p in points:
+        Om, G, Jm = eval_field(omega, p), eval_field(metric, p), eval_field(acs, p)
+        out.append(_max_abs(Om @ Jm - G))
+    return out
+
+
+def reference_invariance_residuals(kind, action, field, params, points, cfg):
+    """Isometry and symplectomorphism ("pullback"), momentum invariance
+    ("momentum", ``field`` a MomentumMap) or endomorphism invariance
+    ("endomorphism"): per point the worst over the parameters, each flow
+    Jacobian and moved point from ``reference_pushforward``."""
+    from symred.geometry import eval_field
+
+    def value(p):
+        if kind == "momentum":
+            return np.array([eval_field(c, p) for c in field.components])
+        return eval_field(field, p)
+
+    residual = {
+        "pullback": lambda D, here, moved: _max_abs(D.T @ moved @ D - here),
+        "momentum": lambda D, here, moved: _max_abs(moved - here),
+        "endomorphism": lambda D, here, moved: _max_abs(D @ here - moved @ D),
+    }[kind]
+    out = []
+    for p in points:
+        here = value(p)
+        per_param = []
+        for a in params:
+            D, moved = reference_pushforward(action, np.asarray(a, dtype=float), p, cfg)
+            per_param.append(residual(D, here, value(moved)))
+        out.append(_max_abs(per_param))
+    return out
+
+
+def reference_momentum_residuals(action, mu, w, points, cfg):
+    """Omega^T xi - grad mu_xi per basis element, from per-sample generators
+    and gradients."""
+    from symred.geometry import eval_field
+
+    out = []
+    for p in points:
+        Om = eval_field(w, p)
+        out.append(_max_abs([
+            float(np.linalg.norm(Om.T @ reference_generator(action, i, p, cfg)
+                                 - reference_fd_gradient(mu.components[i], p, cfg)))
+            for i in range(action.group_dim)]))
+    return out
+
+
+def opaque_scenario(scen):
+    """The scenario with every compiled map wrapped in a plain lambda, so
+    each evaluation goes through the per-point path."""
+    import dataclasses
+
+    from symred.actions import MomentumMap, apply_flow
+    from symred.geometry import TensorField
+
+    def field(f):
+        return TensorField(f.arity, f.shape, lambda p, _f=f.func: _f(p), f.name)
+
+    action, section = scen.action, scen.section
+    return dataclasses.replace(
+        scen, omega=field(scen.omega), metric=field(scen.metric), acs=field(scen.acs),
+        action=dataclasses.replace(scen.action, flow=lambda a, p: apply_flow(action, a, p)),
+        mu=MomentumMap(tuple(field(c) for c in scen.mu.components), scen.mu.beta),
+        section=lambda x: section(x))
