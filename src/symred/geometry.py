@@ -468,6 +468,21 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt((V[:, np.newaxis] @ V[:, :, np.newaxis])[:, 0, 0])
 
 
+def _replayed(residuals: Callable, X: np.ndarray) -> np.ndarray:
+    """``residuals(X, rows)``, the values at the rows ``rows`` (a slice) of
+    the (N, n) array X, run once on all rows.  Should that raise, it runs
+    again one row at a time, so the first failing row raises what it raises
+    alone.  An empty X has no values."""
+    if not len(X):
+        return np.zeros(0)
+    try:
+        return residuals(X, slice(None))
+    except Exception:  # whatever the batch raised, the first failing row raises again
+        for i in range(len(X)):
+            residuals(X[i:i + 1], slice(i, i + 1))
+        raise
+
+
 def fro_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 

@@ -2,26 +2,30 @@
 charted almost complex manifolds.
 
 Coordinates are interleaved (x1, y1, ..., xn, yn), matching the standard
-identification of complex n-space with real 2n-space; all residuals here use
-the Frobenius norm, reported per point.
+identification of complex n-space with real 2n-space.  Residuals are
+reported per point, for one point or for every row of an (N, 2n) array of
+points at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotStandardStructureError, OddDimensionError
 from .geometry import (
-    ChartPoint,
     FDConfig,
     RowMap,
     TensorField,
-    as_point,
     as_row_map,
     eval_field,
     fd_jacobian,
-    fro_norm,
-    max_abs,
+    _replayed,
+    _require_finite,
+    _row_max_abs,
+    _row_norms,
+    _stack,
 )
 from .structures import standard_acs_matrix
 
@@ -29,6 +33,10 @@ __all__ = ["ChartedMap", "almost_complex_residual", "cauchy_riemann_residual"]
 
 IDENTITY_ACM_MAP = "phi_* o J1 = J2 o phi_*"
 IDENTITY_CR = "a_x = b_y and a_y = -b_x (Cauchy-Riemann)"
+
+# largest entry by which a chart's structure may differ from the coordinate
+# J for the Cauchy-Riemann residual to apply
+STANDARD_J_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,42 +64,60 @@ class ChartedMap:
         if self.target_acs.shape != (self.target_dim, self.target_dim):
             raise ValueError("target acs shape does not match the target dimension")
 
-    def at(self, p) -> ChartPoint:
-        return as_point(self.chart_map(as_point(p)))
+
+def _target_acs(cm: ChartedMap, X: np.ndarray) -> np.ndarray:
+    """The target structure at the image of every row of X, from one call of
+    the map over the rows; a non-finite image fails as a chart point."""
+    Y = _require_finite(np.asarray(cm.chart_map.rows(X), dtype=float), "chart point")
+    return eval_field(cm.target_acs, Y)
 
 
-def almost_complex_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()) -> float:
-    """Frobenius norm of D J1(p) - J2(phi(p)) D with D the map differential."""
-    point = as_point(p)
-    D = fd_jacobian(cm.chart_map, point, cfg)
-    J1 = eval_field(cm.source_acs, point)
-    J2 = eval_field(cm.target_acs, cm.at(point))
-    return fro_norm(D @ J1 - J2 @ D)
+def _per_point(residuals, p):
+    """``residuals`` over the stack of ``p`` (``_stack``), replayed point by
+    point should the batch raise (``_replayed``); a float for one point."""
+    X, one = _stack(p)
+    values = _replayed(residuals, X)
+    return float(values[0]) if one else values
 
 
-def cauchy_riemann_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()) -> float:
+def almost_complex_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()):
+    """Frobenius norm of D J1(p) - J2(phi(p)) D with D the map differential.
+
+    ``p`` may also be an (N, 2n) array whose rows are points: then the (N,)
+    residuals come from one stacked Jacobian and one evaluation of each
+    structure, each residual the bits of the call on its point alone.
+    """
+    def residuals(X, rows):
+        D = fd_jacobian(cm.chart_map, X, cfg)
+        J1 = eval_field(cm.source_acs, X)
+        J2 = _target_acs(cm, X)
+        return _row_norms((D @ J1 - J2 @ D).reshape(len(X), -1))
+
+    return _per_point(residuals, p)
+
+
+def cauchy_riemann_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()):
     """Worst Cauchy-Riemann defect over all coordinate pairs.
 
     Writing the map components as (a_j, b_j) per target plane and the source
     coordinates as (x_i, y_i), the residual is the max over (i, j) of
     |da_j/dx_i - db_j/dy_i| and |da_j/dy_i + db_j/dx_i|.  Both charts must
     carry the standard coordinate almost complex structure, for which this
-    vanishes exactly when the almost-complex-mapping residual does.
+    vanishes exactly when the almost-complex-mapping residual does.  ``p``
+    may be an (N, 2n) array of points, as for ``almost_complex_residual``.
     """
-    point = as_point(p)
     J1_std = standard_acs_matrix(cm.source_dim)
     J2_std = standard_acs_matrix(cm.target_dim)
-    if max_abs(eval_field(cm.source_acs, point) - J1_std) > 1e-10:
-        raise NotStandardStructureError("source structure is not the coordinate J")
-    if max_abs(eval_field(cm.target_acs, cm.at(point)) - J2_std) > 1e-10:
-        raise NotStandardStructureError("target structure is not the coordinate J")
-    D = fd_jacobian(cm.chart_map, point, cfg)
-    defects = []
-    for j in range(cm.target_dim // 2):
-        for i in range(cm.source_dim // 2):
-            a_x = D[2 * j, 2 * i]
-            a_y = D[2 * j, 2 * i + 1]
-            b_x = D[2 * j + 1, 2 * i]
-            b_y = D[2 * j + 1, 2 * i + 1]
-            defects += [a_x - b_y, a_y + b_x]
-    return max_abs(defects)
+
+    def residuals(X, rows):
+        if (_row_max_abs(eval_field(cm.source_acs, X) - J1_std) > STANDARD_J_TOL).any():
+            raise NotStandardStructureError("source structure is not the coordinate J")
+        if (_row_max_abs(_target_acs(cm, X) - J2_std) > STANDARD_J_TOL).any():
+            raise NotStandardStructureError("target structure is not the coordinate J")
+        D = fd_jacobian(cm.chart_map, X, cfg)
+        # rows 2j, 2j + 1 of D are (a_j, b_j); columns 2i, 2i + 1 are (x_i, y_i)
+        a_x, a_y = D[:, 0::2, 0::2], D[:, 0::2, 1::2]
+        b_x, b_y = D[:, 1::2, 0::2], D[:, 1::2, 1::2]
+        return np.maximum(_row_max_abs(a_x - b_y), _row_max_abs(a_y + b_x))
+
+    return _per_point(residuals, p)

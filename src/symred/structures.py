@@ -24,6 +24,7 @@ from .geometry import (
     eval_field,
     fd_directional,
     spd_sqrt,
+    _replayed,
     _row_max_abs,
     _row_norms,
 )
@@ -130,20 +131,11 @@ def euclidean_metric(dim: int) -> TensorField:
 def _sampled(name, identity, residuals, points, tol) -> StructureCheckResult:
     """One sampled check over ``points``: ``residuals(X, rows)`` returns the
     residual at each row of X, the rows ``rows`` (a slice) of the (N, n)
-    array of the points, from stacked evaluations.  It runs once on all
-    points; should that raise, it runs again one point at a time, so the
-    first failing point raises what it raises alone."""
+    array of the points, from stacked evaluations, replayed point by point
+    should the batch raise (``_replayed``)."""
     pts = list(points)
-    if not pts:
-        return StructureCheckResult.from_samples(name, [], pts, tol, identity)
     X = np.array([as_coords(p) for p in pts])
-    try:
-        values = residuals(X, slice(None))
-    except Exception:  # whatever the batch raised, the first failing point raises again
-        for i in range(len(X)):
-            residuals(X[i:i + 1], slice(i, i + 1))
-        raise
-    return StructureCheckResult.from_samples(name, values, pts, tol, identity)
+    return StructureCheckResult.from_samples(name, _replayed(residuals, X), pts, tol, identity)
 
 
 def check_metric(g: TensorField, points, tol: float = 1e-8) -> StructureCheckResult:

@@ -4,9 +4,10 @@
 
 PARENT_SRC is the ``src`` directory of the other tree (a clone or an
 exported copy of the parent commit).  The sweep runs ``symred verify`` on
-every built-in at 20 samples with seeds 0-7, on hopf at 80 samples with
-seeds 0 and 51, and on euclidean_r2n at 8 planes (from a scenario file) at
-20 samples with seeds 5, 44, 55 and 61, each in JSON and in text.  Each
+every built-in at 20 samples with seeds 0-7, on hopf at 80 and at 320
+samples with seeds 0 and 51, and on euclidean_r2n at 8 planes (from a
+scenario file) at 20 samples with seeds 5, 44, 55 and 61, each in JSON and
+in text.  Each
 tree runs the whole sweep in one worker process with its ``src`` first on
 the import path.  The JSON reports are compared without ``timestamp`` and
 without any key named by ``--ignore``, and the text reports, exit codes
@@ -35,7 +36,7 @@ def sweep_cases(r2n_path: str) -> list[list[str]]:
     from symred.scenarios import builtin_names
 
     runs = [(name, 20, seed) for name in builtin_names() for seed in range(8)]
-    runs += [("hopf", 80, 0), ("hopf", 80, 51)]
+    runs += [("hopf", samples, seed) for samples in (80, 320) for seed in (0, 51)]
     runs += [(r2n_path, 20, seed) for seed in (5, 44, 55, 61)]
     return [["verify", scenario, "--samples", str(samples), "--seed", str(seed),
              "--format", fmt] for scenario, samples, seed in runs for fmt in ("json", "text")]

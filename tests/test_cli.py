@@ -616,17 +616,35 @@ def _count_chart_points(monkeypatch):
 
 def test_hopf_op_builds_few_chart_points(monkeypatch):
     # stencils of compiled maps and of the holomorphy reference maps are row
-    # batches, and frames, pushforwards and the ambient checks work on
-    # stacks: the only ChartPoints are the sample points (ambient, quotient
-    # and holomorphy), the section point of each base and fibre frame, and
-    # two per holomorphy reference map and sample
+    # batches, and frames, pushforwards, the ambient checks and the
+    # holomorphy residuals work on stacks: the only ChartPoints are the
+    # sample points (ambient, quotient and holomorphy) and the section point
+    # of each base and fibre frame
     built = _count_chart_points(monkeypatch)
     samples = 20
     report, code = run(RunConfig("hopf", samples=samples, seed=51))
     assert code == 0
     fiber_params = report.find("fiber independence").extras["fiber_params"]
     frames = (1 + len(fiber_params)) * samples
-    assert built["points"] == 3 * samples + frames + 2 * 4 * samples == 280
+    assert built["points"] == 3 * samples + frames == 120
+
+
+@pytest.mark.parametrize("samples", [20, 80])
+def test_holomorphy_suite_takes_two_jacobians_per_reference_map(samples, monkeypatch):
+    # each residual is one stacked Jacobian over all samples, whatever their
+    # count; the patched name is the holomorphy module's, so only the
+    # holomorphy suite's calls are counted
+    calls = Counter()
+    fd_jacobian = symred.holomorphy.fd_jacobian
+
+    def counted(*args, **kwargs):
+        calls["fd_jacobian"] += 1
+        return fd_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(symred.holomorphy, "fd_jacobian", counted)
+    report, code = run(RunConfig("hopf", samples=samples, seed=51))
+    assert code == 0
+    assert calls["fd_jacobian"] == 2 * len(cli._reference_maps()) == 8
 
 
 def test_per_point_maps_get_the_chart_point_itself(monkeypatch):

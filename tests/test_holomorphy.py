@@ -1,13 +1,22 @@
-"""Almost-complex-mapping and Cauchy-Riemann residuals."""
+"""Almost-complex-mapping and Cauchy-Riemann residuals.
+
+The residuals run stacked over an (N, 2n) array of points; each must be the
+bits of the per-point references in util.py, and a failing stack must raise
+what the first failing point raises alone.
+"""
 
 import numpy as np
 import pytest
 
+from symred import cli
 from symred.errors import NonFiniteError, NotStandardStructureError, OddDimensionError
-from symred.geometry import ChartPoint, RowMap, TensorField, fd_jacobian, sample_box
+from symred.geometry import ChartPoint, FDConfig, RowMap, TensorField, fd_jacobian, sample_box
 from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
-from symred.structures import standard_acs
+from symred.structures import standard_acs, standard_acs_matrix
 
+from util import reference_almost_complex_residual, reference_cauchy_riemann_residual
+
+CFG = FDConfig()
 J2 = standard_acs(2)
 
 
@@ -126,3 +135,158 @@ def test_overflowing_map_fails_as_a_map_value():
     with np.errstate(over="ignore"), pytest.raises(
             NonFiniteError, match="map value contains non-finite entries"):
         almost_complex_residual(blowup, ChartPoint([0.9, 0.0]))
+
+
+def _coords(points):
+    return np.array([p.coords for p in points])
+
+
+def _assert_matches_references(cm, points):
+    """Both stacked residuals against the per-point references, bit for bit,
+    on the whole stack, on stacks of one and on single points."""
+    X = _coords(points)
+    for stacked, reference in ((almost_complex_residual, reference_almost_complex_residual),
+                               (cauchy_riemann_residual, reference_cauchy_riemann_residual)):
+        want = np.array([reference(cm, p, CFG) for p in points])
+        got = stacked(cm, X, CFG)
+        assert got.shape == (len(points),)
+        assert got.tobytes() == want.tobytes(), stacked.__name__
+        for i, p in enumerate(points[:3]):
+            assert stacked(cm, X[i:i + 1], CFG).tobytes() == want[i:i + 1].tobytes()
+            one = stacked(cm, p, CFG)
+            assert isinstance(one, float) and one == want[i]
+            assert stacked(cm, p.coords, CFG) == want[i]
+
+
+@pytest.mark.parametrize("samples", [20, 80])
+@pytest.mark.parametrize("seed", range(4))
+def test_reference_maps_match_per_point_residuals(seed, samples):
+    # the suite's maps at the suite's sample points
+    points = sample_box(2, samples, radius=1.5, seed=seed + 2)
+    for name, func, _ in cli._reference_maps():
+        _assert_matches_references(ChartedMap(2, 2, func, J2, J2), points)
+
+
+def test_per_point_maps_match_per_point_residuals():
+    # opaque callables, wrapped once by as_row_map
+    points = sample_box(2, 20, radius=1.5, seed=7)
+    for func in (square, conjugate, exp_map):
+        _assert_matches_references(charted(func), points)
+
+
+def _plane_mixing(p):
+    x1, y1, x2, y2 = p.coords
+    return np.array([x1 * x2 + y2, y1 - x2 ** 2, np.sin(x1) + y2, x2 * y1 - x1])
+
+
+def _product_and_square(p):
+    # (z1, z2) -> (z1 z2, z1^2 + z2), holomorphic
+    x1, y1, x2, y2 = p.coords
+    return np.array([x1 * x2 - y1 * y2, x1 * y2 + y1 * x2,
+                     x1 * x1 - y1 * y1 + x2, 2.0 * x1 * y1 + y2])
+
+
+def _product(p):
+    return _product_and_square(p)[:2]
+
+
+@pytest.mark.parametrize("func, target_dim", [(_plane_mixing, 4), (_product_and_square, 4),
+                                              (_product, 2)])
+def test_four_dimensional_maps_match_per_point_residuals(func, target_dim):
+    # two source planes, and two target planes but for the product: the
+    # Cauchy-Riemann defects read every (target plane, source plane) block
+    # of the Jacobian stack
+    cm = ChartedMap(4, target_dim, func, standard_acs(4), standard_acs(target_dim))
+    _assert_matches_references(cm, sample_box(4, 20, radius=1.2, seed=11))
+
+
+def test_point_dependent_target_structure_matches_per_point_residual():
+    # J conjugated by a shear that moves with the image point, read at the
+    # image of every sample
+    def conjugated(q):
+        A = np.eye(4) + np.diag([0.3 * q.coords[0], 0.0, 0.2 * q.coords[3]], 1)
+        return A @ standard_acs_matrix(4) @ np.linalg.inv(A)
+
+    target = TensorField.matrix(conjugated, 4, name="sheared J")
+    cm = ChartedMap(4, 4, _plane_mixing, standard_acs(4), target)
+    points = sample_box(4, 20, radius=1.2, seed=12)
+    want = np.array([reference_almost_complex_residual(cm, p, CFG) for p in points])
+    assert almost_complex_residual(cm, _coords(points)).tobytes() == want.tobytes()
+    with pytest.raises(NotStandardStructureError, match="target structure"):
+        cauchy_riemann_residual(cm, _coords(points))
+
+
+def _first_error(cm, points, reference):
+    for p in points:
+        try:
+            reference(cm, p, CFG)
+        except Exception as exc:  # the error the per-point loop stops on
+            return type(exc), str(exc)
+    raise AssertionError("no point fails")
+
+
+def _assert_same_first_error(cm, points, kind, message):
+    X = _coords(points)
+    for stacked, reference in ((almost_complex_residual, reference_almost_complex_residual),
+                               (cauchy_riemann_residual, reference_cauchy_riemann_residual)):
+        assert _first_error(cm, points, reference) == (kind, message)
+        with pytest.raises(kind) as caught:
+            stacked(cm, X, CFG)
+        assert str(caught.value) == message
+
+
+POINTS = sample_box(2, 9, radius=1.5, seed=4)
+MIDDLE, LATER = _coords(POINTS)[4], _coords(POINTS)[7]
+
+
+def _square_rows(X):
+    return np.stack([X[:, 0] ** 2 - X[:, 1] ** 2, 2.0 * X[:, 0] * X[:, 1]], axis=1)
+
+
+def test_map_nan_at_a_middle_sample_fails_as_its_chart_point():
+    # the stencil around the sample is finite, its image is not
+    def rows(X):
+        at_middle = (X == MIDDLE).all(axis=1)[:, np.newaxis]
+        return np.where(at_middle, np.nan, _square_rows(X))
+
+    _assert_same_first_error(charted(RowMap(rows)), POINTS, NonFiniteError,
+                             "chart point contains non-finite entries")
+
+
+def test_first_failing_sample_raises_though_a_later_stencil_fails_first_in_the_batch():
+    # the stacked Jacobian meets the later sample's broken stencil before the
+    # target structure meets the middle sample's image; the point-by-point
+    # replay finds the middle sample first, as the per-point loop does
+    def rows(X):
+        near_later = (np.abs(X - LATER) < 1e-4).all(axis=1) & (X != LATER).any(axis=1)
+        bad = near_later | (X == MIDDLE).all(axis=1)
+        return np.where(bad[:, np.newaxis], np.nan, _square_rows(X))
+
+    _assert_same_first_error(charted(RowMap(rows)), POINTS, NonFiniteError,
+                             "chart point contains non-finite entries")
+    with pytest.raises(NonFiniteError, match="map value"):
+        almost_complex_residual(charted(RowMap(rows)), LATER)
+
+
+def test_target_structure_nan_at_a_middle_image_names_that_image():
+    image = ChartPoint(_square_rows(MIDDLE[np.newaxis])[0])
+
+    def target(q):
+        broken = (q.coords == image.coords).all()
+        return np.full((2, 2), np.nan) if broken else standard_acs_matrix(2)
+
+    cm = charted(RowMap(_square_rows), target_acs=TensorField.matrix(target, 2, name="J at image"))
+    _assert_same_first_error(cm, POINTS, NonFiniteError,
+                             f"field 'J at image' at {image} contains non-finite entries")
+
+
+def test_non_standard_target_structure_raises_on_a_stack():
+    tilted = TensorField.constant(np.array([[0.0, -2.0], [0.5, 0.0]]))
+    cm = charted(square, target_acs=tilted)
+    with pytest.raises(NotStandardStructureError, match="^target structure is not the coordinate J$"):
+        cauchy_riemann_residual(cm, _coords(POINTS))
+    assert _first_error(cm, POINTS, reference_cauchy_riemann_residual) == (
+        NotStandardStructureError, "target structure is not the coordinate J")
+    # the almost-complex-mapping residual takes any structure
+    want = np.array([reference_almost_complex_residual(cm, p, CFG) for p in POINTS])
+    assert almost_complex_residual(cm, _coords(POINTS)).tobytes() == want.tobytes()

@@ -522,3 +522,42 @@ def opaque_scenario(scen):
         action=dataclasses.replace(scen.action, flow=lambda a, p: apply_flow(action, a, p)),
         mu=MomentumMap(tuple(field(c) for c in scen.mu.components), scen.mu.beta),
         section=lambda x: section(x))
+
+
+# --- per-point references for the holomorphy residuals -------------------------
+# The residual at one point, with one map call per stencil sample and one map
+# call at the point for the target structure: the references for the stacked
+# residuals.
+
+def reference_almost_complex_residual(cm, p, cfg):
+    from symred.geometry import as_point, eval_field
+
+    point = as_point(p)
+    D = reference_fd_jacobian(cm.chart_map, point, cfg)
+    J1 = eval_field(cm.source_acs, point)
+    J2 = eval_field(cm.target_acs, as_point(cm.chart_map(point)))
+    return float(np.linalg.norm(D @ J1 - J2 @ D))
+
+
+def reference_cauchy_riemann_residual(cm, p, cfg):
+    from symred.errors import NotStandardStructureError
+    from symred.geometry import as_point, eval_field
+    from symred.structures import standard_acs_matrix
+
+    point = as_point(p)
+    J1_std = standard_acs_matrix(cm.source_dim)
+    J2_std = standard_acs_matrix(cm.target_dim)
+    if _max_abs(eval_field(cm.source_acs, point) - J1_std) > 1e-10:
+        raise NotStandardStructureError("source structure is not the coordinate J")
+    if _max_abs(eval_field(cm.target_acs, as_point(cm.chart_map(point))) - J2_std) > 1e-10:
+        raise NotStandardStructureError("target structure is not the coordinate J")
+    D = reference_fd_jacobian(cm.chart_map, point, cfg)
+    defects = []
+    for j in range(cm.target_dim // 2):
+        for i in range(cm.source_dim // 2):
+            a_x = D[2 * j, 2 * i]
+            a_y = D[2 * j, 2 * i + 1]
+            b_x = D[2 * j + 1, 2 * i]
+            b_y = D[2 * j + 1, 2 * i + 1]
+            defects += [a_x - b_y, a_y + b_x]
+    return _max_abs(defects)
