@@ -27,7 +27,12 @@ from .actions import (
 )
 from .errors import ScenarioFormatError, SymredError, UnknownScenarioError
 from .geometry import ChartPoint, FDConfig, RowMap, sample_ball, sample_box
-from .holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
+from .holomorphy import (
+    IDENTITY_ACM_MAP,
+    ChartedMap,
+    almost_complex_residual,
+    cauchy_riemann_residual,
+)
 from .reduction import (
     ReductionScenario,
     lift_frames,
@@ -208,18 +213,17 @@ def _suite_holomorphy(cfg, scen, seed, samples, fd):
         cr = cauchy_riemann_residual(cm, X, fd)
         if holomorphic:
             report.add(StructureCheckResult.from_samples(
-                f"holomorphy of {name}", acm, points, tol,
-                "phi_* o J1 = J2 o phi_*"))
+                f"holomorphy of {name}", acm, points, tol, IDENTITY_ACM_MAP))
         else:
             report.add(StructureCheckResult.from_samples(
                 f"{name} defect equals 2*sqrt(2)", np.abs(acm - 2.0 * np.sqrt(2.0)), points,
-                tol, "phi_* o J1 = J2 o phi_* fails by a known amount"))
+                tol, f"{IDENTITY_ACM_MAP} fails by a known amount"))
         equivalence_flags.append(
             np.where((acm <= HOLOMORPHIC_LEVEL) == (cr <= HOLOMORPHIC_LEVEL), 0.0, 1.0))
     report.add(StructureCheckResult.from_samples(
         "cauchy-riemann/holomorphy equivalence", np.concatenate(equivalence_flags),
         points * len(equivalence_flags), 0.5,
-        "a_x = b_y, a_y = -b_x iff phi_* o J1 = J2 o phi_*"))
+        f"a_x = b_y, a_y = -b_x iff {IDENTITY_ACM_MAP}"))
     return report
 
 

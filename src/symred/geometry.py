@@ -6,10 +6,8 @@ array, and a frame or basis of tangent vectors (``kernel_basis``,
 ``orthonormalize``) is a matrix whose columns are the vectors.
 
 Everything here is pure and immutable: evaluating a field or a derivative
-never mutates shared state, so concurrent use needs no synchronization.
-The one exception is ``BatchTable``, a table of values built together on
-first lookup that a caller builds for one verification and passes
-explicitly to the checks sharing it; nothing is cached at module level.
+never mutates shared state, so concurrent use needs no synchronization, and
+nothing is cached at module level.
 Derivatives are fourth-order central finite differences (default step
 1e-5); nothing in the package differentiates symbolically.
 
@@ -71,10 +69,6 @@ __all__ = [
     "orthonormalize",
     "spd_sqrt",
     "max_abs",
-    "fro_norm",
-    "BatchTable",
-    "g_inner",
-    "g_norm",
     "sample_box",
     "sample_ball",
 ]
@@ -335,8 +329,9 @@ def fd_jacobian(chart_map, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
         J = np.zeros((N, _evaluate_rows(chart_map, X, value).shape[1], 0))
     else:
         values = _evaluate_rows(chart_map, _stencil_rows(X, np.eye(n), cfg), value)
-        D = _differences(values.reshape(len(values), -1), N * n, cfg)
-        J = np.ascontiguousarray(D.reshape(N, n, -1).swapaxes(1, 2))
+        m = int(np.prod(values.shape[1:]))  # read off the shape: an empty stack has no row
+        D = _differences(values.reshape(len(values), m), N * n, cfg)
+        J = np.ascontiguousarray(D.reshape(N, n, m).swapaxes(1, 2))
     return J[0] if one else J
 
 
@@ -427,9 +422,10 @@ def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
 
 
 def _g_norms(w: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """``g_norm(w[i], G[i])`` for every row i, as stacked products."""
-    wG = w[:, np.newaxis] @ G
-    return np.sqrt(np.maximum((wG @ w[:, :, np.newaxis])[:, 0, 0], 0.0))
+    """The g-norm sqrt(max(w[i] G[i] w[i], 0)) for every row i, as stacked
+    products; the leading axes of w and G broadcast."""
+    wG = w[..., np.newaxis, :] @ G
+    return np.sqrt(np.maximum((wG @ w[..., np.newaxis])[..., 0, 0], 0.0))
 
 
 def spd_sqrt(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -459,13 +455,14 @@ def max_abs(a) -> float:
 
 def _row_max_abs(A: np.ndarray) -> np.ndarray:
     """``max_abs(A[i])`` for every row i of a stack, 0 for empty rows."""
-    return np.max(np.abs(A.reshape(len(A), -1)), axis=1, initial=0.0)
+    return np.max(np.abs(A), axis=tuple(range(1, A.ndim)), initial=0.0)
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of every row of an (N, k) array, each the bits of
-    ``np.linalg.norm`` of the row: a ``(1, k) @ (k, 1)`` product per row."""
-    return np.sqrt((V[:, np.newaxis] @ V[:, :, np.newaxis])[:, 0, 0])
+    """The Euclidean norm along the last axis of an (..., k) array, each the
+    bits of ``np.linalg.norm`` of that vector: a ``(1, k) @ (k, 1)`` product
+    per vector."""
+    return np.sqrt((V[..., np.newaxis, :] @ V[..., np.newaxis])[..., 0, 0])
 
 
 def _replayed(residuals: Callable, X: np.ndarray) -> np.ndarray:
@@ -481,48 +478,6 @@ def _replayed(residuals: Callable, X: np.ndarray) -> np.ndarray:
         for i in range(len(X)):
             residuals(X[i:i + 1], slice(i, i + 1))
         raise
-
-
-def fro_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
-
-
-def g_inner(u, metric, v) -> float:
-    return float(as_coords(u) @ np.asarray(metric, dtype=float) @ as_coords(v))
-
-
-def g_norm(v, metric) -> float:
-    return float(np.sqrt(max(g_inner(v, metric, v), 0.0)))
-
-
-class BatchTable:
-    """Lookup table of values built together, on the first lookup, by
-    ``build_all()``, which returns a dict of every key's value.
-
-    Should that raise, every value is built alone instead, by
-    ``build(key)`` on the key's first lookup: a failing build then raises
-    where, and what, building that value on its own raises, so a caller
-    reading the keys in its own order sees the first failure in that order.
-    A table is meant for one verification run and one thread; it holds no
-    other state.
-    """
-
-    def __init__(self, build_all: Callable[[], dict], build: Callable):
-        self._build_all = build_all
-        self._build = build
-        self._values: dict | None = None
-
-    def __getitem__(self, key):
-        if self._values is None:
-            try:
-                self._values = self._build_all()
-            except Exception:  # whatever the batch raised, ``build`` raises again per key
-                self._values = {}
-        try:
-            return self._values[key]
-        except KeyError:
-            value = self._values[key] = self._build(key)
-            return value
 
 
 def sample_box(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> list[ChartPoint]:

@@ -32,7 +32,6 @@ from .structures import standard_acs_matrix
 __all__ = ["ChartedMap", "almost_complex_residual", "cauchy_riemann_residual"]
 
 IDENTITY_ACM_MAP = "phi_* o J1 = J2 o phi_*"
-IDENTITY_CR = "a_x = b_y and a_y = -b_x (Cauchy-Riemann)"
 
 # largest entry by which a chart's structure may differ from the coordinate
 # J for the Cauchy-Riemann residual to apply

@@ -11,9 +11,15 @@ in text.  Each
 tree runs the whole sweep in one worker process with its ``src`` first on
 the import path.  The JSON reports are compared without ``timestamp`` and
 without any key named by ``--ignore``, and the text reports, exit codes
-and stderr as they are.  The script prints one line per differing case and
-exits 1 if any differs.  It is a tool, not a test: pytest does not collect
-it.
+and stderr as they are.  The script prints one line per differing case,
+and under a differing JSON report every value that changed, as a path
+through the report (a list entry with a ``name`` is named by it) with
+before -> after, then the largest |delta| over the numbers that are not
+point coordinates.  The last lines say how many runs are identical and
+whether any verdict changed: an exit code, a PASS/FAIL row of a text
+report, or a ``passed``, ``branch`` or ``hypothesis_ok`` value of a JSON
+report.  It exits 1 if any run differs.
+It is a tool, not a test: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -23,12 +29,16 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+VERDICT_KEYS = ("passed", "branch", "hypothesis_ok")
+NUMBER = re.compile(r"[-+]?\d+\.\d+e[-+]\d+")
+POINT = re.compile(r"\.(worst_point|points?)\[")  # coordinates, not residuals
 
 
 def sweep_cases(r2n_path: str) -> list[list[str]]:
@@ -80,6 +90,55 @@ def comparable(argv: list[str], result: dict, ignore: set) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def changed_values(old, new, path: str = ""):
+    """(path, before, after) for every value that differs between two JSON
+    values, walking dicts by key and equal-length lists by entry."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from changed_values(old.get(key), new.get(key), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            named = isinstance(a, dict) and isinstance(b, dict) and "name" in a \
+                and a["name"] == b.get("name")
+            yield from changed_values(a, b, f"{path}[{a['name'] if named else i}]")
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
+def verdict_lines(text: str) -> list[str]:
+    """The PASS/FAIL rows of a text report, residual figures masked."""
+    return [NUMBER.sub("#", line) for line in text.splitlines()
+            if "PASS" in line.split() or "FAIL" in line.split()]
+
+
+def verdict_changed(argv: list[str], old: dict, new: dict) -> bool:
+    if old["code"] != new["code"]:
+        return True
+    if "json" not in argv:
+        return verdict_lines(old["stdout"]) != verdict_lines(new["stdout"])
+    if not (old["stdout"] and new["stdout"]):
+        return old["stdout"] != new["stdout"]
+    return any(path.rsplit(".", 1)[-1] in VERDICT_KEYS for path, _, _ in
+               changed_values(json.loads(old["stdout"]), json.loads(new["stdout"])))
+
+
+def print_changes(old: str, new: str) -> None:
+    """Every changed value of two JSON reports, and the largest |delta| of a
+    number that is not a point coordinate."""
+    worst, worst_path = 0.0, None
+    for path, before, after in changed_values(json.loads(old), json.loads(new)):
+        print(f"    {path}: {before!r} -> {after!r}")
+        if _is_number(before) and _is_number(after) and not POINT.search(path) \
+                and abs(after - before) >= worst:
+            worst, worst_path = abs(after - before), path
+    if worst_path is not None:
+        print(f"    largest |delta| {worst:.3e} at {worst_path}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", nargs="?", help="src directory of the other tree")
@@ -105,14 +164,19 @@ def main(argv=None) -> int:
         change = run_tree(SRC, cases)
 
     ignore = set(args.ignore)
-    differing = 0
+    differing = verdicts = 0
     for argv, old, new in zip(cases, parent, change):
+        verdicts += verdict_changed(argv, old, new)
         old, new = comparable(argv, old, ignore), comparable(argv, new, ignore)
         fields = [key for key in ("code", "stdout", "stderr") if old[key] != new[key]]
         if fields:
             differing += 1
             print(f"DIFFERS ({', '.join(fields)}): symred {' '.join(argv)}")
+            if "json" in argv and "stdout" in fields and old["stdout"] and new["stdout"]:
+                print_changes(old["stdout"], new["stdout"])
     print(f"{len(cases) - differing} of {len(cases)} runs identical")
+    print(f"verdicts changed in {verdicts} of {len(cases)} runs" if verdicts
+          else "no verdict changed")
     return 1 if differing else 0
 
 

@@ -616,17 +616,14 @@ def _count_chart_points(monkeypatch):
 
 def test_hopf_op_builds_few_chart_points(monkeypatch):
     # stencils of compiled maps and of the holomorphy reference maps are row
-    # batches, and frames, pushforwards, the ambient checks and the
-    # holomorphy residuals work on stacks: the only ChartPoints are the
-    # sample points (ambient, quotient and holomorphy) and the section point
-    # of each base and fibre frame
+    # batches, and frames, pushforwards, every check and the holomorphy
+    # residuals work on stacks: the only ChartPoints are the sample points
+    # (ambient, quotient and holomorphy)
     built = _count_chart_points(monkeypatch)
     samples = 20
     report, code = run(RunConfig("hopf", samples=samples, seed=51))
     assert code == 0
-    fiber_params = report.find("fiber independence").extras["fiber_params"]
-    frames = (1 + len(fiber_params)) * samples
-    assert built["points"] == 3 * samples + frames == 120
+    assert built["points"] == 3 * samples == 60
 
 
 @pytest.mark.parametrize("samples", [20, 80])

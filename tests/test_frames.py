@@ -23,7 +23,14 @@ from symred.geometry import (
     sample_ball,
     sample_box,
 )
-from symred.reduction import _lift_frames, _moved_section, lift_frames, verify_submersion
+from symred.reduction import (
+    _lift_frames,
+    _moved_section,
+    lift_frames,
+    verify_main_theorem,
+    verify_reduction_identity,
+    verify_submersion,
+)
 from symred.scenarios import builtin, builtin_names, builtin_text, compile_scenario, parse_scenario
 
 from util import (
@@ -47,14 +54,12 @@ def _same(got, want, what):
     assert got.tobytes() == want.tobytes(), what
 
 
-def _assert_frame(frame, m, ref, what):
-    _same(frame.m.coords, m.coords, f"{what}: section point")
+def _assert_frame(frames, i, m, ref, what):
+    _same(frames.split.base[i], m.coords, f"{what}: section point")
     for name in SPLIT_FIELDS:
-        _same(getattr(frame.split, name), ref[name], f"{what}: {name}")
-    for name in ("lifts", "Om", "J"):
-        _same(getattr(frame, name), ref[name], f"{what}: {name}")
-    _same(np.float64(frame.lift_residual), np.float64(ref["lift_residual"]),
-          f"{what}: lift_residual")
+        _same(getattr(frames.split, name)[i], ref[name], f"{what}: {name}")
+    for name in ("lifts", "Om", "J", "coef", "lift_residual"):
+        _same(getattr(frames, name)[i], ref[name], f"{what}: {name}")
 
 
 def _r2n_8():
@@ -71,20 +76,21 @@ def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
     scen = _r2n_8() if name == "r2n_8" else builtin(name)
     k = scen.action.group_dim
     xs = sample_ball(scen.quotient_dim, 20, radius=scen.sample_spec.radius, seed=seed)
-    frames = lift_frames(scen, xs, CFG)
+    frames = lift_frames(scen, xs, CFG)[:]
     bases = []
     for i, x in enumerate(xs):
         m, ref = reference_lift_frame(scen, x, CFG)
-        _assert_frame(frames[i], m, ref, f"{name} seed {seed} base frame {i}")
+        _assert_frame(frames, i, m, ref, f"{name} seed {seed} base frame {i}")
         bases.append(m)
     M = np.array([m.coords for m in bases])
+    X = np.array([x.coords for x in xs])
     for a in FIBER_PARAMS:
         a = np.full(k, a)
-        moved = _lift_frames(scen, xs, CFG, _moved_section(scen, a))
+        moved = _lift_frames(scen, X, CFG, _moved_section(scen, a))
         D = fd_jacobian(_flow_map(scen.action, a), M, CFG)
         for i, x in enumerate(xs):
             m, ref = reference_lift_frame(scen, x, CFG, reference_moved_section(scen, a))
-            _assert_frame(moved[i], m, ref, f"{name} seed {seed} fibre frame {i} at {a}")
+            _assert_frame(moved, i, m, ref, f"{name} seed {seed} fibre frame {i} at {a}")
             _same(D[i], reference_pushforward(scen.action, a, bases[i], CFG)[0],
                   f"{name} seed {seed} fibre pushforward {i} at {a}")
 
@@ -271,3 +277,27 @@ def test_fibre_frame_fails_before_a_later_base_frame(tmp_path, capsys):
     base_error, error = _assert_parity(path, scen, capsys)
     assert type(error) is SectionNotOnLevelError and type(base_error) is SectionNotOnLevelError
     assert str(error) != str(base_error)
+
+
+def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, capsys):
+    # both pipelines replay a failing stack point by point, so each raises
+    # what the first failing base frame raises alone, with its own frames or
+    # with the table the CLI shares
+    bump = "(1 + 0.01*exp(-1000*((w1 - 0.5)^2 + (w2 - 0.2)^2)))"
+    variants = [
+        _hopf_variant(tmp_path, "off_level", section=_HOPF_SECTION.replace(
+            "[1/sqrt(1 + w1^2 + w2^2),", f"[{bump}/sqrt(1 + w1^2 + w2^2),")),
+        _hopf_variant(tmp_path, "degenerate",
+                      points="sample.points = [[0.6, 0.3], [0.1, -0.7], [0, 0], [0.7, -0.6]]",
+                      flow=_HOPF_FLOW.replace("t1)", "t1*(x3^2 + x4^2))")),
+    ]
+    for path, scen in variants:
+        xs = [ChartPoint(p) for p in scen.sample_spec.points]
+        base_error = _reference_base_failure(scen, xs)
+        for verify in (verify_reduction_identity, verify_main_theorem):
+            for frames in (None, lift_frames(scen, xs, CFG)):
+                with pytest.raises(type(base_error)) as raised:
+                    verify(scen, xs, CFG, frames=frames)
+                assert str(raised.value) == str(base_error)
+        assert main(["verify", str(path), "--suites", "main-theorem"]) == 2
+        assert capsys.readouterr().err == f"error: {base_error}\n"

@@ -157,6 +157,12 @@ def test_fd_jacobian_identity_and_linear():
     np.testing.assert_allclose(D, A, atol=1e-10)
 
 
+def test_fd_jacobian_of_no_points_is_an_empty_stack():
+    D = fd_jacobian(RowMap(lambda X: 2 * X), np.zeros((0, 2)))
+    assert D.shape == (0, 2, 2)
+    assert fd_jacobian(RowMap(lambda X: X[:, :1]), np.zeros((0, 3))).shape == (0, 1, 3)
+
+
 def test_fd_jacobian_complex_square():
     # z^2 in interleaved coordinates; hand Jacobian [[2x, -2y], [2y, 2x]]
     def square(p):

@@ -276,18 +276,18 @@ def test_verify_submersion_hopf():
 
 def test_all_reduced_objects_fiber_independent():
     # move the section along the fibre and recompute everything, not just h
-    from symred.actions import apply_flow
-    from symred.reduction import _lift_frames, _reduced_from_frame
+    import dataclasses
 
-    xs = quotient_points(HOPF, 5, seed=22)
-    for x, frame in zip(xs, _lift_frames(HOPF, xs)):
-        base = _reduced_from_frame(frame)
+    from symred.actions import apply_flow
+
+    for x in quotient_points(HOPF, 5, seed=22):
+        base = reduced_structures(HOPF, x)
         for a in (np.array([np.pi / 3.0]), np.array([np.pi])):
-            moved = _reduced_from_frame(_lift_frames(
-                HOPF, [x],
-                section=lambda q, _a=a: apply_flow(HOPF.action, _a, HOPF.section_point(q)))[0])
-            for here, there in zip(base[:3], moved[:3]):
-                assert np.max(np.abs(here - there)) < 1e-6
+            moved = reduced_structures(dataclasses.replace(
+                HOPF, section=lambda q, _a=a: apply_flow(HOPF.action, _a, HOPF.section_point(q))),
+                x)
+            for name in ("h_beta", "omega_beta", "j_beta"):
+                assert np.max(np.abs(getattr(base, name) - getattr(moved, name))) < 1e-6
 
 
 def test_verify_submersion_linear_exact():

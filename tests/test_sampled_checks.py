@@ -5,9 +5,6 @@ points and parameters a verify op draws, for compiled and per-point maps,
 for a stack of one point and for no points at all.
 """
 
-from contextlib import contextmanager
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -44,6 +41,7 @@ from util import (
     reference_metric_residuals,
     reference_momentum_residuals,
     reference_symplectic_residuals,
+    residuals_seen,
 )
 
 CFG = FDConfig()
@@ -86,22 +84,8 @@ def _checks(scen, params):
     ]
 
 
-@contextmanager
-def _residuals_seen():
-    """The residual arrays every check hands to from_samples while open."""
-    seen = []
-    original = StructureCheckResult.from_samples
-
-    def capture(name, residuals, points, tolerance, identity="", extras=None):
-        seen.append(np.array(list(residuals), dtype=float))
-        return original(name, residuals, points, tolerance, identity, extras)
-
-    with mock.patch.object(StructureCheckResult, "from_samples", staticmethod(capture)):
-        yield seen
-
-
 def _assert_matches(name, check, reference, points):
-    with _residuals_seen() as seen:
+    with residuals_seen() as seen:
         got = check(points)
     want = np.array(reference(points), dtype=float)
     assert seen[-1].tobytes() == want.tobytes(), name

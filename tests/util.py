@@ -1,6 +1,8 @@
 """Shared test oracles, kept independent of the library code paths they check."""
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
@@ -372,9 +374,10 @@ def reference_lift_frame(scen, x, cfg, section=None):
     if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
         raise RankDeficientLiftError(
             f"projection differential is not invertible on H at {m} (singular values {sv})")
-    solve_back = np.linalg.lstsq(lifts, lifts, rcond=None)[0]
+    coef = h_onb.T @ G @ lifts
     frame["lifts"] = lifts
-    frame["lift_residual"] = float(np.max(np.abs(solve_back - np.eye(q))))
+    frame["coef"] = coef
+    frame["lift_residual"] = _max_abs(np.linalg.solve(coef, coef) - np.eye(q))
     return m, frame
 
 
@@ -503,6 +506,146 @@ def reference_momentum_residuals(action, mu, w, points, cfg):
                                  - reference_fd_gradient(mu.components[i], p, cfg)))
             for i in range(action.group_dim)]))
     return out
+
+
+# --- per-point references for the reduction side ------------------------------
+# The per-point pipelines the stacked ones replaced: each frame from
+# ``reference_lift_frame``, each vector its own 1-D product.  ``solver``
+# picks how d pi is inverted: "lstsq", one least-squares solve of the lifts
+# per vector, as the library did before it stacked the frames, or "solve",
+# one ``np.linalg.solve`` of C = H^T G L per frame over all of the frame's
+# right-hand sides in the order the stacked pipeline takes them.
+
+def _g_norm(v, G):
+    return float(np.sqrt(max(float(v @ G @ v), 0.0)))
+
+
+def _decompose(frame, u):
+    """Horizontal and vertical coefficients of u and its level-normal part."""
+    H, V, G = frame["horizontal"], frame["vertical"], frame["metric"]
+    h_coef = H.T @ G @ u
+    v_coef = V.T @ G @ u
+    return h_coef, v_coef, u - H @ h_coef - V @ v_coef
+
+
+def _dpi_columns(frame, h_coefs, solver):
+    """d pi of vectors given by their horizontal coefficients, one per entry."""
+    L, H = frame["lifts"], frame["horizontal"]
+    if solver == "lstsq":
+        return [np.linalg.lstsq(L, H @ h, rcond=None)[0] if L.shape[1] else np.zeros(0)
+                for h in h_coefs]
+    rhs = np.column_stack(h_coefs) if h_coefs else np.zeros((L.shape[1], 0))
+    out = np.linalg.solve(frame["coef"], rhs)
+    return [out[:, j] for j in range(out.shape[1])]
+
+
+def _reference_reduced_metric(frame):
+    L = frame["lifts"]
+    h = L.T @ frame["metric"] @ L
+    return 0.5 * (h + h.T)
+
+
+def reference_reduced_from_frame(frame, solver="solve"):
+    """Reduced metric, symplectic form and acs candidate at one frame, with
+    the vertical and level-normal leaks of J applied to each lift."""
+    L, G = frame["lifts"], frame["metric"]
+    q = L.shape[1]
+    w = L.T @ frame["Om"] @ L
+    h_coefs, vert_leak, normal_leak = [], np.zeros(q), np.zeros(q)
+    for i in range(q):
+        h_coef, v_coef, rem = _decompose(frame, frame["J"] @ L[:, i])
+        scale = _g_norm(L[:, i], G)
+        vert_leak[i] = float(np.linalg.norm(v_coef)) / scale if scale else 0.0
+        normal_leak[i] = _g_norm(rem, G) / scale if scale else 0.0
+        h_coefs.append(h_coef)
+    cols = _dpi_columns(frame, h_coefs, solver)
+    j_red = np.column_stack(cols) if cols else np.zeros((0, 0))
+    return _reference_reduced_metric(frame), 0.5 * (w - w.T), j_red, vert_leak, normal_leak
+
+
+def reference_submersion(scen, xs, fiber_params, cfg):
+    """Fibre-independence and vertical-invariance residuals, point by point."""
+    prm = [np.full(scen.action.group_dim, a, dtype=float) for a in fiber_params]
+    fiber_res, vert_res = [], []
+    for x in xs:
+        m, frame = reference_lift_frame(scen, x, cfg)
+        h_here = _reference_reduced_metric(frame)
+        gaps, leaks = [], []
+        for a in prm:
+            _, moved = reference_lift_frame(scen, x, cfg, reference_moved_section(scen, a))
+            D, _ = reference_pushforward(scen.action, a, m, cfg)
+            gaps.append(_max_abs(h_here - _reference_reduced_metric(moved)))
+            G, V = moved["metric"], moved["vertical"]
+            pushed = D @ frame["generators"]
+            leak = pushed - V @ (V.T @ G @ pushed)
+            leaks.append(_max_abs([_g_norm(leak[:, i], G) for i in range(leak.shape[1])]))
+        fiber_res.append(_max_abs(gaps))
+        vert_res.append(_max_abs(leaks))
+    return fiber_res, vert_res
+
+
+def reference_reduction_identity(scen, xs, cfg, pairs_per_point=3, seed=0, solver="solve"):
+    """Pullback-identity and vertical-degeneracy residuals, point by point,
+    the pair coefficients drawn per point and pair, u before v."""
+    rng = np.random.default_rng(seed)
+    id_res, deg_res = [], []
+    for x in xs:
+        _, frame = reference_lift_frame(scen, x, cfg)
+        L, K, V, Om = frame["lifts"], frame["level"], frame["vertical"], frame["Om"]
+        w = L.T @ Om @ L
+        w_red = 0.5 * (w - w.T)
+        pairs = [(K @ rng.standard_normal(K.shape[1]), K @ rng.standard_normal(K.shape[1]))
+                 for _ in range(pairs_per_point)]
+        d = _dpi_columns(frame, [_decompose(frame, u)[0] for pair in pairs for u in pair], solver)
+        id_res.append(_max_abs([float(u @ Om @ v) - float(d[2 * p] @ w_red @ d[2 * p + 1])
+                                for p, (u, v) in enumerate(pairs)]))
+        deg_res.append(_max_abs([V[:, j] @ Om @ K for j in range(V.shape[1])]))
+    return id_res, deg_res
+
+
+def reference_main_theorem(scen, xs, cfg, solver="solve"):
+    """The main-theorem residuals and leak values, point by point, as a dict
+    of per-point lists keyed as the report's sample rows."""
+    eye = np.eye(scen.quotient_dim)
+    out = {key: [] for key in ("acm_residual", "compat_residual", "acs_residual",
+                               "hypothesis", "vertical_leak", "normal_leak",
+                               "lift_solve_residual")}
+    for x in xs:
+        _, frame = reference_lift_frame(scen, x, cfg)
+        h_red, w_red, j_red, vert_leak, normal_leak = reference_reduced_from_frame(frame, solver)
+        V, J, L = frame["vertical"], frame["J"], frame["lifts"]
+        j_vertical = [np.linalg.norm(_decompose(frame, J @ V[:, j])[0])
+                      for j in range(V.shape[1])]
+        if solver == "lstsq":
+            lift = _max_abs(np.linalg.lstsq(L, L, rcond=None)[0] - eye) if L.shape[1] else 0.0
+        else:
+            lift = frame["lift_residual"]
+        for key, value in (
+                ("acm_residual", _max_abs([*normal_leak, *j_vertical])),
+                ("compat_residual", _max_abs(w_red @ j_red - h_red)),
+                ("acs_residual", float(np.linalg.norm(j_red @ j_red + eye))),
+                ("hypothesis", _max_abs(frame["Om"] @ J - frame["metric"])),
+                ("vertical_leak", _max_abs(vert_leak)),
+                ("normal_leak", _max_abs(normal_leak)),
+                ("lift_solve_residual", lift)):
+            out[key].append(value)
+    return out
+
+
+@contextmanager
+def residuals_seen():
+    """The residual arrays every check hands to from_samples while open."""
+    from symred.structures import StructureCheckResult
+
+    seen = []
+    original = StructureCheckResult.from_samples
+
+    def capture(name, residuals, points, tolerance, identity="", extras=None):
+        seen.append(np.array(list(residuals), dtype=float))
+        return original(name, residuals, points, tolerance, identity, extras)
+
+    with mock.patch.object(StructureCheckResult, "from_samples", staticmethod(capture)):
+        yield seen
 
 
 def opaque_scenario(scen):
