@@ -27,7 +27,6 @@ from .errors import (
     SectionNotOnLevelError,
     SymredError,
     UnknownScenarioError,
-    UnsupportedNonabelianError,
     ValidationError,
     VerticalLeakWarning,
 )

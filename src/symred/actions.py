@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedNonabelianError
 from .geometry import (
     ChartPoint,
     FDConfig,
@@ -95,7 +94,6 @@ class GroupAction:
 
     group_dim: int
     flow: RowMap  # given as a RowMap or as a (params, ChartPoint) -> point callable
-    abelian: bool = True
 
     def __post_init__(self):
         if self.group_dim < 1:
@@ -218,8 +216,8 @@ def momentum_jacobian(mu: MomentumMap, p, cfg: FDConfig = FDConfig()) -> np.ndar
 
 def check_action_axioms(action: GroupAction, params, points,
                         tol: float = 1e-9) -> StructureCheckResult:
-    """Identity axiom flow(0, p) = p and, for abelian actions, additivity
-    flow(s, flow(t, p)) = flow(s + t, p) over the sampled parameters.
+    """Identity axiom flow(0, p) = p and additivity flow(s, flow(t, p)) =
+    flow(s + t, p) over the sampled parameters.
 
     The flows Phi_t(p), the two-step flows over every (s, t) and the
     one-step flows Phi_{s+t}(p) are each evaluated as one batch of rows.
@@ -230,7 +228,7 @@ def check_action_axioms(action: GroupAction, params, points,
     def residuals(X, rows):
         N, n = X.shape
         res = _row_norms(apply_flow(action, np.zeros(action.group_dim), X) - X)[:, np.newaxis]
-        if action.abelian and P:
+        if P:
             # per point, (s, t) pairs with s outer: s repeated per t, t cycled per s
             outer = np.tile(np.repeat(prm, P, axis=0), (N, 1))
             sums = np.tile((prm[:, np.newaxis] + prm[np.newaxis]).reshape(P * P, -1), (N, 1))
@@ -307,14 +305,8 @@ def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, poin
     """Invariance mu o Phi_a = mu; this is equivariance for abelian groups.
 
     ``pushforwards`` is a ``pushforward_table`` of the same params and
-    points whose moved points are read, or None to build one.  Nonabelian
-    actions are refused: they would need a coadjoint representation, which
-    is outside the built-in scope.
+    points whose moved points are read, or None to build one.
     """
-    if not action.abelian:
-        raise UnsupportedNonabelianError(
-            "momentum equivariance for nonabelian groups needs a coadjoint action"
-        )
     return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT,
                              lambda D, here, moved: _row_max_abs(moved - here),
                              action, lambda p: momentum_values(mu, p), params, points,

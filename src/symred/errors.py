@@ -21,10 +21,6 @@ class OddDimensionError(SymredError):
     """Symplectic data was requested on an odd-dimensional chart."""
 
 
-class UnsupportedNonabelianError(SymredError):
-    """The operation needs an abelian group; coadjoint machinery is not built."""
-
-
 class NotRegularValueError(SymredError):
     """The momentum level is not a regular value near the working point."""
 

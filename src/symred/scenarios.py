@@ -98,8 +98,6 @@ class ScenarioFile:
     name: str
     dim: int
     group_dim: int
-    quotient_dim: int
-    abelian: bool
     omega: tuple
     metric: tuple
     acs: tuple | None
@@ -109,6 +107,10 @@ class ScenarioFile:
     section: tuple
     tolerances: dict
     sample_spec: SampleSpec
+
+    @property
+    def quotient_dim(self) -> int:
+        return self.dim - 2 * self.group_dim
 
 
 def _statements(tokens: list[Token]):
@@ -152,9 +154,14 @@ def _parse_key(parser: ExprParser) -> str:
 
 def _const_value(expr: Expr, key: str) -> float:
     try:
-        return float(eval_expr(expr, {}))
+        value = float(eval_expr(expr, {}))
     except ValidationError:
         raise ValidationError(f"value of {key!r} must be constant") from None
+    except NonFiniteError as exc:
+        raise ValidationError(f"value of {key!r} cannot be evaluated: {exc}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"value of {key!r} is not finite: {value}")
+    return value
 
 
 def _int_value(expr: Expr, key: str) -> int:
@@ -169,7 +176,8 @@ def parse_scenario(text: str) -> ScenarioFile:
 
     Raises ParseError with position on malformed syntax and ValidationError
     for semantic problems (dimension mismatches, unknown identifiers, odd
-    symplectic dimension, missing keys).
+    symplectic dimension, missing keys, a constant that raises or is not
+    finite, ``abelian`` other than true).
     """
     tokens = tokenize(text)
     raw: dict[str, object] = {}
@@ -212,14 +220,19 @@ def parse_scenario(text: str) -> ScenarioFile:
     beta = tuple(_const_value(e, "beta") for e in beta_exprs)
     group_dim = _int_value(_as_expr(raw["group_dim"], "group_dim"), "group_dim") \
         if "group_dim" in raw else len(beta)
-    quotient_dim = _int_value(_as_expr(raw["quotient_dim"], "quotient_dim"), "quotient_dim") \
-        if "quotient_dim" in raw else dim - 2 * group_dim
+    # the reduction is by a free abelian action, so the quotient has
+    # dimension dim - 2 * group_dim; the two keys only declare that scope
+    quotient_dim = dim - 2 * group_dim
     if quotient_dim < 0:
         raise ValidationError(f"quotient dimension {quotient_dim} is negative")
-    abelian_word = str(raw.get("abelian", "true"))
-    if abelian_word not in ("true", "false"):
-        raise ValidationError(f"abelian must be true or false, got {abelian_word!r}")
-    abelian = abelian_word == "true"
+    if "quotient_dim" in raw:
+        declared = _int_value(_as_expr(raw["quotient_dim"], "quotient_dim"), "quotient_dim")
+        if declared != quotient_dim:
+            raise ValidationError(
+                f"quotient_dim = {declared} but dim - 2*group_dim = {quotient_dim}")
+    if raw.get("abelian", "true") != "true":
+        raise ValidationError(
+            f"abelian must be true, got {raw['abelian']!r}: only abelian actions are reduced")
 
     x_names = {f"x{i + 1}" for i in range(dim)}
     t_names = {f"t{i + 1}" for i in range(group_dim)}
@@ -276,7 +289,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     points: tuple = ()
     if "sample.points" in raw:
         rows = _as_matrix(raw["sample.points"], "sample.points")
-        if quotient_dim and len(rows[0]) != quotient_dim:
+        if len(rows[0]) != quotient_dim:
             raise ValidationError(
                 f"sample points must have {quotient_dim} coordinates, got {len(rows[0])}"
             )
@@ -295,9 +308,8 @@ def parse_scenario(text: str) -> ScenarioFile:
     )
 
     return ScenarioFile(
-        name=name, dim=dim, group_dim=group_dim, quotient_dim=quotient_dim,
-        abelian=abelian, omega=omega, metric=metric, acs=acs, flow=flow, mu=mu,
-        beta=beta, section=section, tolerances=tolerances, sample_spec=sample_spec,
+        name=name, dim=dim, group_dim=group_dim, omega=omega, metric=metric, acs=acs,
+        flow=flow, mu=mu, beta=beta, section=section, tolerances=tolerances, sample_spec=sample_spec,
     )
 
 
@@ -398,7 +410,6 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
 
     action = GroupAction(
         group_dim=k, flow=RowMap(_row_evaluator(sf.flow, x_names + t_names, (dim,))),
-        abelian=sf.abelian,
     )
 
     mu_fields = tuple(
@@ -415,7 +426,6 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
         acs=acs,
         action=action,
         mu=mu,
-        quotient_dim=q,
         section=RowMap(_row_evaluator(sf.section, w_names, (dim,))),
         tolerances=dict(sf.tolerances),
         sample_spec=sf.sample_spec,

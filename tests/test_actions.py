@@ -22,7 +22,7 @@ from symred.actions import (
     uniform_circle_quadrature,
     uniform_torus_quadrature,
 )
-from symred.errors import NonFiniteError, UnsupportedNonabelianError
+from symred.errors import NonFiniteError
 from symred.exprlang import compile_exprs, parse_expression
 from symred.geometry import ChartPoint, FDConfig, RowMap, TensorField, eval_field, sample_box
 from symred.scenarios import builtin
@@ -196,12 +196,6 @@ def test_momentum_invariance_examples():
                                     [ChartPoint([1.0, 0.0])])
     assert not res.passed
     assert abs(res.max_residual - 1.0) < 1e-12  # coordinate rotates away
-
-
-def test_momentum_invariance_refuses_nonabelian():
-    nonabelian = GroupAction(group_dim=1, flow=lambda a, p: p, abelian=False)
-    with pytest.raises(UnsupportedNonabelianError):
-        check_momentum_invariance(nonabelian, HOPF.mu, ANGLES, POINTS_4D)
 
 
 def test_average_metric_rotation():

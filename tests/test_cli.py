@@ -270,14 +270,53 @@ def test_text_report_shows_worst_point_on_failure():
     assert "FAIL" in text and "worst point" in text
 
 
+def _refused_at_load(path, message, capsys):
+    """parse-check and verify under every suite selection exit 2 with the
+    load error, before any suite runs."""
+    for suites in ("structures,reduction,main-theorem", "action", ",".join(cli.SUITE_ORDER)):
+        assert main(["verify", str(path), "--suites", suites, "--samples", "3"]) == 2, suites
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n", suites
+    assert main(["parse-check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_nonabelian_scenario_is_a_usage_error(tmp_path, capsys):
+    # the reduction suites once passed such a file on the abelian assumption
+    # it denies; only the action suite refused it
     text = builtin_text("hopf").replace("abelian = true", "abelian = false")
     path = tmp_path / "nonabelian.scn"
     path.write_text(text)
-    code = main(["verify", str(path), "--suites", "action", "--samples", "3"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "coadjoint" in err
+    _refused_at_load(path, "abelian must be true, got 'false': only abelian actions are reduced",
+                     capsys)
+
+
+def test_misdeclared_quotient_dim_is_a_usage_error(tmp_path, capsys):
+    text = builtin_text("hopf").replace("quotient_dim = 2", "quotient_dim = 3")
+    path = tmp_path / "quotient3.scn"
+    path.write_text(text)
+    _refused_at_load(path, "quotient_dim = 3 but dim - 2*group_dim = 2", capsys)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("dim = 4", "dim = exp(1000)", "value of 'dim' cannot be evaluated: exp overflows"),
+    ("dim = 4", "dim = 1e308*10", "value of 'dim' is not finite: inf"),
+    ("beta = [0.5]", "beta = [1e308*10]", "value of 'beta' is not finite: inf"),
+], ids=["exp-overflow", "infinite-dim", "infinite-beta"])
+def test_failing_scenario_constants_are_usage_errors(old, new, message, tmp_path, capsys):
+    # these once ended in a NonFiniteError or OverflowError traceback, or,
+    # for beta, passed parse-check and failed verify on |mu - beta| = inf
+    path = tmp_path / "constant.scn"
+    path.write_text(builtin_text("hopf").replace(old, new))
+    _refused_at_load(path, message, capsys)
+
+
+def test_sample_points_of_a_point_quotient_are_refused(tmp_path, capsys):
+    # a one-plane r2n reduces to a point: a one-coordinate sample point once
+    # passed the load and crashed verify on a reshape
+    path = tmp_path / "point_quotient.scn"
+    path.write_text(builtin_text("euclidean_r2n", 1) + "\nsample.points = [[0.3]]\n")
+    _refused_at_load(path, "sample points must have 0 coordinates, got 1", capsys)
 
 
 def test_explicit_sample_points_reach_report(tmp_path):

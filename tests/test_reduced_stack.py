@@ -72,7 +72,7 @@ def _stacked(scen, xs, seed):
     keys = ("fiber", "vertical", "identity", "degeneracy", "acm_residual", "compat_residual",
             "acs_residual", "hypothesis")
     out = dict(zip(keys, seen))
-    for key in ("vertical_leak", "normal_leak", "lift_solve_residual"):
+    for key in ("vertical_leak", "normal_leak"):
         out[key] = np.array([row[key] for row in main.meta["samples"]])
     for key in ("acm_residual", "compat_residual", "acs_residual"):
         assert np.array([row[key] for row in main.meta["samples"]]).tobytes() \
@@ -90,7 +90,7 @@ def _references(scen, xs, seed, solver):
 
 NO_SOLVE = ("fiber", "vertical", "degeneracy", "acm_residual", "hypothesis",
             "vertical_leak", "normal_leak")
-SOLVED = ("identity", "compat_residual", "acs_residual", "lift_solve_residual")
+SOLVED = ("identity", "compat_residual", "acs_residual")
 
 
 @pytest.mark.parametrize("name,seed", _CASES)
@@ -173,10 +173,9 @@ def test_verify_op_solves_without_lstsq_and_per_frame_stacks(samples, monkeypatc
     report, code = run(RunConfig("hopf", samples=samples, seed=51))
     assert code == 0
     assert calls["lstsq"] == 0
-    # the lift residual of the base frames and of the two fibre frames, the
-    # d pi of the reduction identity and J_red: one stacked solve each,
+    # the d pi of the reduction identity and J_red: one stacked solve each,
     # whatever the sample count
-    assert calls["solve"] == 5
+    assert calls["solve"] == 2
 
 
 

@@ -16,9 +16,10 @@ from symred.errors import (
     SectionNotOnLevelError,
     VerticalLeakWarning,
 )
-from symred.geometry import ChartPoint, FDConfig, TensorField, sample_ball
+from symred.geometry import ChartPoint, FDConfig, RowMap, TensorField, fd_jacobian, sample_ball
 from symred.reduction import (
     ReductionScenario,
+    lift_frames,
     reduced_structures,
     split_tangent,
     verify_main_theorem,
@@ -87,7 +88,6 @@ def test_split_tangent_rejects_frozen_action():
         acs=standard_acs(4),
         action=GroupAction(group_dim=1, flow=lambda a, p: p),
         mu=MomentumMap((TensorField.scalar(lambda p: float(p.coords[1])),), [0.0]),
-        quotient_dim=2,
         section=lambda w: ChartPoint([0.0, 0.0, w.coords[0], w.coords[1]]),
     )
     with pytest.raises(ActionNotFreeError):
@@ -214,7 +214,6 @@ def test_section_must_land_on_level():
         acs=HOPF.acs,
         action=HOPF.action,
         mu=HOPF.mu,
-        quotient_dim=2,
         section=lambda w: ChartPoint([1.1, 0.0, w.coords[0], w.coords[1]]),
     )
     with pytest.raises(SectionNotOnLevelError):
@@ -232,7 +231,6 @@ def test_rank_deficient_lift_detected():
         acs=LINEAR.acs,
         action=LINEAR.action,
         mu=LINEAR.mu,
-        quotient_dim=2,
         section=lambda w: ChartPoint([w.coords[0], 0.0, w.coords[1], 0.0]),
     )
     with pytest.raises(RankDeficientLiftError):
@@ -260,7 +258,6 @@ def test_vertical_leak_warning_for_tilted_acs():
         acs=tilted,
         action=LINEAR.action,
         mu=LINEAR.mu,
-        quotient_dim=2,
         section=LINEAR.section,
     )
     with pytest.warns(VerticalLeakWarning):
@@ -317,7 +314,8 @@ def test_verify_reduction_identity_hopf_and_linear():
 
 
 def test_verify_main_theorem_positive_branch():
-    report = verify_main_theorem(HOPF, quotient_points(HOPF, 10, seed=5))
+    xs = quotient_points(HOPF, 10, seed=5)
+    report = verify_main_theorem(HOPF, xs)
     assert report.passed
     iff = report.find("main theorem iff")
     assert iff.extras["branch"] == "positive"
@@ -326,7 +324,17 @@ def test_verify_main_theorem_positive_branch():
         assert entry["acm_residual"] < 1e-5
         assert entry["compat_residual"] < 1e-5
         assert entry["acs_residual"] < 1e-5
-        assert entry["lift_solve_residual"] < 1e-10
+
+    # the lifts invert d pi: the closed-form projection (Re, Im) of z2/z1,
+    # differentiated at sigma(x) and applied to the lifts, gives I
+    def projection(X):
+        z = (X[:, 2] + 1j * X[:, 3]) / (X[:, 0] + 1j * X[:, 1])
+        return np.stack([z.real, z.imag], axis=1)
+
+    frames = lift_frames(HOPF, xs)[:]
+    dpi = fd_jacobian(RowMap(projection), frames.split.base)
+    np.testing.assert_allclose(dpi @ frames.lifts, np.broadcast_to(np.eye(2), (10, 2, 2)),
+                               atol=1e-8)
 
 
 def test_verify_main_theorem_skewed_control():
@@ -383,8 +391,9 @@ def test_reduction_with_order_two_differences():
     np.testing.assert_allclose(h, 0.25 * np.eye(2), atol=1e-8)
 
 
-def test_quotient_dim_bookkeeping_warns():
-    with pytest.warns(UserWarning, match="quotient dimension"):
+def test_quotient_dim_is_derived():
+    assert HOPF.quotient_dim == HOPF.chart_dim - 2 * HOPF.action.group_dim == 2
+    with pytest.raises(TypeError, match="quotient_dim"):
         ReductionScenario(
             name="odd-counting",
             chart_dim=4,
@@ -396,6 +405,20 @@ def test_quotient_dim_bookkeeping_warns():
             quotient_dim=3,
             section=HOPF.section,
         )
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"mu": MomentumMap(HOPF.mu.components * 2, [0.5, 0.5])},
+     "momentum map has 2 components for a group of dimension 1"),
+    ({"omega": standard_symplectic(2)}, r"omega has shape \(2, 2\), expected \(4, 4\)"),
+    ({"metric": euclidean_metric(6)}, r"metric has shape \(6, 6\)"),
+    ({"acs": standard_acs(2)}, r"acs has shape \(2, 2\)"),
+], ids=["mu", "omega", "metric", "acs"])
+def test_scenario_rejects_mismatched_dimensions(change, message):
+    # a second momentum component once passed unread: only component 0 was
+    # checked against the one generator
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(HOPF, **change)
 
 
 _OVERFLOWING_SECTION = """

@@ -45,7 +45,6 @@ def test_parse_minimal_scenario():
     sf = parse_scenario(MINIMAL)
     assert sf.name == "toy"
     assert sf.dim == 2 and sf.group_dim == 1 and sf.quotient_dim == 0
-    assert sf.abelian is True
     assert sf.beta == (0.5,)
 
 

@@ -368,16 +368,13 @@ def reference_lift_frame(scen, x, cfg, section=None):
     frame["Om"] = eval_field(scen.omega, m)
     frame["J"] = eval_field(scen.acs, m)
     dsig = reference_fd_jacobian(section, xq, cfg)
-    q = scen.quotient_dim
     lifts = h_onb @ (h_onb.T @ G @ dsig)
     sv = np.linalg.svd(lifts, compute_uv=False)
     if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
         raise RankDeficientLiftError(
             f"projection differential is not invertible on H at {m} (singular values {sv})")
-    coef = h_onb.T @ G @ lifts
     frame["lifts"] = lifts
-    frame["coef"] = coef
-    frame["lift_residual"] = _max_abs(np.linalg.solve(coef, coef) - np.eye(q))
+    frame["coef"] = h_onb.T @ G @ lifts
     return m, frame
 
 
@@ -608,26 +605,20 @@ def reference_main_theorem(scen, xs, cfg, solver="solve"):
     of per-point lists keyed as the report's sample rows."""
     eye = np.eye(scen.quotient_dim)
     out = {key: [] for key in ("acm_residual", "compat_residual", "acs_residual",
-                               "hypothesis", "vertical_leak", "normal_leak",
-                               "lift_solve_residual")}
+                               "hypothesis", "vertical_leak", "normal_leak")}
     for x in xs:
         _, frame = reference_lift_frame(scen, x, cfg)
         h_red, w_red, j_red, vert_leak, normal_leak = reference_reduced_from_frame(frame, solver)
-        V, J, L = frame["vertical"], frame["J"], frame["lifts"]
+        V, J = frame["vertical"], frame["J"]
         j_vertical = [np.linalg.norm(_decompose(frame, J @ V[:, j])[0])
                       for j in range(V.shape[1])]
-        if solver == "lstsq":
-            lift = _max_abs(np.linalg.lstsq(L, L, rcond=None)[0] - eye) if L.shape[1] else 0.0
-        else:
-            lift = frame["lift_residual"]
         for key, value in (
                 ("acm_residual", _max_abs([*normal_leak, *j_vertical])),
                 ("compat_residual", _max_abs(w_red @ j_red - h_red)),
                 ("acs_residual", float(np.linalg.norm(j_red @ j_red + eye))),
                 ("hypothesis", _max_abs(frame["Om"] @ J - frame["metric"])),
                 ("vertical_leak", _max_abs(vert_leak)),
-                ("normal_leak", _max_abs(normal_leak)),
-                ("lift_solve_residual", lift)):
+                ("normal_leak", _max_abs(normal_leak))):
             out[key].append(value)
     return out
 
