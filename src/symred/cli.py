@@ -89,6 +89,8 @@ class RunConfig:
             raise ValueError(f"unknown suites {sorted(unknown)}; choose from {SUITE_ORDER}")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("text", "json"):
             raise ValueError(f"format must be text or json, got {self.format!r}")
         for key, value in self.tolerances.items():

@@ -1,5 +1,5 @@
 """Tiny arithmetic expression language used by scenario files: tokenizer,
-parser, printer and a closure compiler.
+parser, printer, and a compiler to straight-line programs.
 
 Grammar (EBNF), with the usual precedence (power binds tightest, then unary
 minus, then * and /, then + and -; binary operators associate left, the
@@ -17,28 +17,28 @@ integer exponent tower associates right):
 Identifiers are coordinates (x1..xn, t1..tk, w1..wq) or the functions sin,
 cos, exp and sqrt.  Exponents are nonnegative integer literals; "-2^2"
 therefore parses as -(2^2).  Parsing either succeeds or raises ParseError
-with a 1-based position; no input crashes the parser.
+with a 1-based position; no input crashes the parser, and no expression is
+more than 200 levels high.
 
-:func:`compile_exprs` turns the entries of one field into one program of
-nested Python closures once, so a field evaluated at many points does no
-per-point tree walking; a subtree repeated across or within the entries
-is computed once per evaluation and its value reused.  A program runs on
-one point as Python floats or on a batch of points as float64 columns,
-one per coordinate.  On columns, ``+ - * /`` and negation are numpy's
-elementwise IEEE operations, which give the bits the Python float
-operations give; ``sin cos exp sqrt`` and ``^`` make the same ``math``
-call or ``**`` on each element, because numpy's ``exp`` and ``power``
-round differently on some inputs.  So every value is the bits a tree walk
-gives.  Scenario files are untrusted input: the closures are built from
+:func:`compile_exprs` turns the entries of one map into one
+:class:`Program` in a single walk of each parsed tree: the walk rejects
+unknown coordinates and functions, folds every subtree that reads no
+coordinate (and does not raise) into a constant, gives structurally equal
+subtrees one slot, and appends one instruction (operation, argument slots,
+result slot) per remaining node, in evaluation order (Aho, Lam, Sethi &
+Ullman, *Compilers*, 2006: value numbering of a basic block).  One
+interpreter runs that list on one point's Python floats or on a batch's
+float64 columns, one per coordinate, with every value the bits a tree walk
+gives.  Scenario files are untrusted input: a program is data built from
 the AST, and no generated source is ever passed to ``eval`` or ``exec``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,11 +57,9 @@ __all__ = [
     "ExprParser",
     "parse_expression",
     "format_expr",
-    "compile_expr",
+    "Program",
     "compile_exprs",
     "eval_expr",
-    "free_names",
-    "validate_expr",
 ]
 
 FUNCTIONS = {
@@ -241,48 +239,53 @@ class ExprParser:
             )
         return self.advance()
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
-
     # expression grammar ---------------------------------------------------
+    # Each rule returns its node and the node's height (nodes on the longest
+    # root-to-leaf path), so the height is bounded without another walk.
 
-    def parse_expr(self, depth: int = 0) -> Expr:
+    def parse_expr(self) -> Expr:
         start = self.peek()
-        node = self.parse_term(depth + 1)
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term(depth + 1))
-        # the tree walks recurse once per level, and a + - * / chain is as
+        node, height = self._sum(0)
+        # the compile walk recurses once per level, and a + - * / chain is as
         # deep as it is long, so a whole expression's height is bounded too
-        height = _height(node) if depth == 0 else 0
         if height > _MAX_DEPTH:
             raise ParseError(f"expression nests too deeply ({height} levels, at most "
                              f"{_MAX_DEPTH})", start.line, start.column)
         return node
 
-    def parse_term(self, depth: int) -> Expr:
-        node = self.parse_factor(depth + 1)
+    def _sum(self, depth: int) -> tuple[Expr, int]:
+        node, height = self._product(depth + 1)
+        while self.peek().kind in ("PLUS", "MINUS"):
+            op = self.advance().text
+            right, right_height = self._product(depth + 1)
+            node, height = BinOp(op, node, right), 1 + max(height, right_height)
+        return node, height
+
+    def _product(self, depth: int) -> tuple[Expr, int]:
+        node, height = self._factor(depth + 1)
         while self.peek().kind in ("STAR", "SLASH"):
             op = self.advance().text
-            node = BinOp(op, node, self.parse_factor(depth + 1))
-        return node
+            right, right_height = self._factor(depth + 1)
+            node, height = BinOp(op, node, right), 1 + max(height, right_height)
+        return node, height
 
-    def parse_factor(self, depth: int) -> Expr:
+    def _factor(self, depth: int) -> tuple[Expr, int]:
         # every recursion of the grammar passes here, so this bounds nesting
         if depth > _MAX_DEPTH:
             tok = self.peek()
             raise ParseError("expression nests too deeply", tok.line, tok.column)
         if self.peek().kind == "MINUS":
             self.advance()
-            return Neg(self.parse_factor(depth + 1))
-        return self.parse_power(depth + 1)
+            arg, height = self._factor(depth + 1)
+            return Neg(arg), height + 1
+        return self._power(depth + 1)
 
-    def parse_power(self, depth: int) -> Expr:
-        node = self.parse_atom(depth + 1)
+    def _power(self, depth: int) -> tuple[Expr, int]:
+        node, height = self._atom(depth + 1)
         if self.peek().kind == "CARET":
             self.advance()
-            return Pow(node, self._parse_exponent())
-        return node
+            return Pow(node, self._parse_exponent()), height + 1
+        return node, height
 
     def _parse_exponent(self) -> int:
         tok = self.peek()
@@ -303,22 +306,22 @@ class ExprParser:
             raise ParseError("integer exponent too large", tok.line, tok.column)
         return value
 
-    def parse_atom(self, depth: int) -> Expr:
+    def _atom(self, depth: int) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "IDENT":
             self.advance()
             if self.peek().kind == "LPAREN":
                 self.advance()
-                arg = self.parse_expr(depth + 1)
+                arg, height = self._sum(depth + 1)
                 self.expect("RPAREN", "')'")
-                return Call(tok.text, arg)
-            return Coord(tok.text)
+                return Call(tok.text, arg), height + 1
+            return Coord(tok.text), 1
         if tok.kind == "LPAREN":
             self.advance()
-            node = self.parse_expr(depth + 1)
+            node = self._sum(depth + 1)
             self.expect("RPAREN", "')'")
             return node
         raise ParseError(
@@ -412,250 +415,218 @@ def format_expr(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_expr(e: Expr, names: Iterable[str]) -> Callable[[Sequence], object]:
-    """Compile an AST into a closure over a positional list of values.
+def _divide(numerator, denominator):
+    if (not denominator.all()) if type(denominator) is _COLUMN else denominator == 0.0:
+        raise NonFiniteError("division by zero")
+    return numerator / denominator
 
-    ``names`` orders the coordinates: the closure reads ``names[i]`` from
-    ``values[i]``.  This is the one-entry case of :func:`compile_exprs`.
+
+def _power(power: int):
+    def raised(x):
+        try:
+            if type(x) is _COLUMN:
+                return np.array([y ** power for y in x.tolist()], dtype=float)
+            return float(x ** power)
+        except OverflowError:
+            raise NonFiniteError("power overflows") from None
+
+    return raised
+
+
+def _function(name: str, fn):
+    is_sqrt = name == "sqrt"
+
+    def call(x):
+        column = type(x) is _COLUMN
+        if is_sqrt and ((x < 0).any() if column else x < 0):
+            raise NonFiniteError(f"sqrt of negative value {x}")
+        try:
+            if column:
+                return np.array([fn(y) for y in x.tolist()], dtype=float)
+            return fn(x)
+        except OverflowError:
+            raise NonFiniteError(f"{name} overflows") from None
+
+    return call
+
+
+# an instruction's operation, by label: the binary operators, "neg" for
+# unary minus, a function name, or an int exponent
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+        "neg": operator.neg}
+
+# what evaluating a subtree may raise; a constant subtree that raises is not
+# folded, so it raises when the program runs, as it would unfolded
+_EVAL_ERRORS = (NonFiniteError, ArithmeticError, ValueError)
+
+
+class Program:
+    """A straight-line program: the entries of one map over a positional
+    list of values, one value per coordinate name.
+
+    Slot ``i`` holds coordinate ``i`` for ``i < width``; every later slot
+    holds a constant folded at compile time, or the result of one
+    instruction ``(op, argument slots, result slot)``.  ``code`` lists the
+    instructions in the order a tree walk of the entries first reaches
+    them, and ``outputs`` gives each entry's slot.
     """
-    program = compile_exprs((e,), names)
-    return lambda values: program(values)[0]
 
+    __slots__ = ("width", "template", "code", "outputs")
 
-def compile_exprs(exprs: Sequence[Expr], names: Iterable[str]) -> Callable[[Sequence], list]:
-    """Compile the entries of one field into one program over a positional
-    list of values, one value per name.
+    def __init__(self, width: int, template: list, code: list, outputs: tuple):
+        self.width = width
+        self.template = template  # slots from width on: a constant, or None
+        self.code = code
+        self.outputs = outputs
 
-    ``program(values)`` returns the entries' values as a list.  ``values``
-    is one point, a float per name, or a batch of points, a float64 column
-    per name, all of one length; on a batch each entry's value is a column,
-    or a Python number if the entry reads no coordinate.  The program does
-    the float operations of walking each entry's tree in turn, in the same
-    order, except that a subtree occurring more than once (``cos(t1)`` in
-    every entry of a rotation, the normalizing square root of a section) is
-    computed once per call, the first time the walk reaches it, and its
-    value reused afterwards.  Evaluation is pure, so the values are the same
-    bits and the first error raised is the same error.  The closures are
-    built from the AST, never from source text.  Division by zero, square
-    roots of negative numbers and overflowing powers or functions raise
-    NonFiniteError when the program runs, and an overflowing product or sum
-    is a silent inf, on a batch as on floats; an unknown coordinate or
-    function raises ValidationError here, at compile time.  A batch that
-    raises is evaluated again one point at a time, so its first failing
-    point raises the error it raises alone.
-    """
-    names = tuple(names)
-    compiler = _Compiler(names, exprs)
-    entries = [compiler.compile(e) for e in exprs]
-    pad = [0.0] * compiler.slots  # the shared values follow the coordinates
-    size = len(names) + len(pad)
+    @property
+    def folded(self) -> tuple:
+        """Each entry's value if the compile walk folded it to a constant,
+        else None."""
+        return tuple(self.template[s - self.width] if s >= self.width else None
+                     for s in self.outputs)
 
-    def run(values):
-        v = [*values, *pad]
-        if len(v) != size:
-            raise ValueError(f"expected {len(names)} values, got {len(values)}")
-        return [entry(v) for entry in entries]
+    def __call__(self, values) -> list:
+        """The entries' values, as a list (see :meth:`run`)."""
+        slots = self.run(values)
+        return [slots[s] for s in self.outputs]
 
-    def program(values):
+    def run(self, values) -> list:
+        """Every slot's value after running the program on ``values``.
+
+        ``values`` is one point, a float per name, or a batch of points, a
+        float64 column per name, all of one length; on a batch a slot is a
+        column, or a Python number if it reads no coordinate.  A batch that
+        raises is run again one point at a time, so its first failing point
+        raises the error it raises alone.
+        """
         if not (len(values) and type(values[0]) is _COLUMN):
-            return run(values)
+            return self._execute(values)
         try:
             with np.errstate(all="ignore"):
-                return run(values)
-        except (NonFiniteError, ArithmeticError, ValueError) as exc:
+                return self._execute(values)
+        except _EVAL_ERRORS as exc:
             error = exc  # raised only if no point raises its own
         for point in zip(*[column.tolist() for column in values]):
-            run(point)
+            self._execute(point)
         raise error
 
-    return program
+    def _execute(self, values) -> list:
+        if len(values) != self.width:
+            raise ValueError(f"expected {self.width} values, got {len(values)}")
+        v = [*values, *self.template]
+        for op, args, out in self.code:
+            # unpacking the arguments with * would cost more than the op
+            if len(args) == 2:
+                v[out] = op(v[args[0]], v[args[1]])
+            else:
+                v[out] = op(v[args[0]])
+        return v
 
 
-def _parts(e: Expr) -> tuple:
-    """What a node is apart from its children, and its children.  A literal
-    is labelled by its type and exact repr, so 0.0 and -0.0 (equal as
-    floats) differ."""
-    if isinstance(e, BinOp):
-        return (BinOp, e.op), (e.left, e.right)
-    if isinstance(e, Coord):
-        return (Coord, e.name), ()
-    if isinstance(e, Num):
-        return (Num, type(e.value), repr(e.value)), ()
-    if isinstance(e, Call):
-        return (Call, e.fn), (e.arg,)
-    if isinstance(e, Pow):
-        return (Pow, e.power), (e.base,)
-    if isinstance(e, Neg):
-        return (Neg,), (e.arg,)
-    raise TypeError(f"not an expression node: {e!r}")
+def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
+                  context: str = "expression") -> Program:
+    """Compile the entries of one map into one :class:`Program` over the
+    coordinates ``names``, in one walk of each entry's tree.
 
-
-def _walk(e: Expr):
-    """Every node with its depth (the root at 1), found without recursion."""
-    stack = [(e, 1)]
-    while stack:
-        node, level = stack.pop()
-        yield node, level
-        stack.extend((kid, level + 1) for kid in _parts(node)[1])
-
-
-def _height(e: Expr) -> int:
-    """Nodes on the longest root-to-leaf path."""
-    return max(level for _, level in _walk(e))
-
-
-class _Compiler:
-    """Builds the closures of one program.
-
-    Structurally equal subtrees get the same number.  The first occurrence
-    of a repeated subtree stores its value in a slot after the coordinates
-    and the slots before it; every later occurrence reads it back.  The
-    compile walk visits nodes in evaluation order, so a slot is always
-    written before it is read.
+    The walk rejects an entry that reads a coordinate not in ``names`` or
+    calls a function not in FUNCTIONS with a ValidationError naming
+    ``context``; folds every subtree that reads no coordinate, and whose
+    evaluation does not raise, into a constant; and gives structurally
+    equal subtrees one slot, literals being told apart by their exact repr
+    (0.0 and -0.0 are equal as floats).  Running the program does the float
+    operations of walking each entry's tree in turn, in the same order,
+    except that a shared subtree is computed once and a folded one never.
+    Evaluation is pure, so the values are the bits of the tree walks and
+    the first error raised is theirs: division by zero, square roots of
+    negative numbers and overflowing powers or functions raise
+    NonFiniteError, and an overflowing product or sum is a silent inf, on
+    a batch as on floats.
     """
+    names = tuple(names)
+    width = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    ops = {**_OPS, **{name: _function(name, fn) for name, fn in FUNCTIONS.items()}}
+    slots: dict = {}  # constant repr, or (label, argument slots) -> slot
+    template: list = []
+    code: list = []
+    unknown_names: set = set()
+    unknown_fns: set = set()
 
-    def __init__(self, names: tuple, exprs: Sequence[Expr]):
-        self.index = {name: i for i, name in enumerate(names)}
-        self.width = len(names)
-        self.numbers: dict = {}   # (label, child numbers) -> number
-        self.of_node: dict = {}   # id(node) -> number
-        self.children: dict = {}  # number -> child numbers
-        roots = [self.number(e) for e in exprs]
-        # references per distinct subtree, each distinct parent counted once
-        uses = dict.fromkeys(self.children, 0)
-        for num in [*roots, *(kid for kids in self.children.values() for kid in kids)]:
-            uses[num] += 1
-        self.repeated = {num for num, count in uses.items() if count > 1 and self.children[num]}
-        self.stored: dict = {}  # subtree number -> slot position
-        self.slots = 0
+    def constant(value) -> int:
+        slot = slots.get(repr(value))
+        if slot is None:
+            slot = slots[repr(value)] = width + len(template)
+            template.append(value)
+        return slot
 
-    def number(self, e: Expr) -> int:
-        num = self.of_node.get(id(e))
-        if num is None:
-            label, kids = _parts(e)
-            kids = tuple([self.number(kid) for kid in kids])
-            num = self.numbers.setdefault((label, kids), len(self.numbers))
-            self.children[num] = kids
-            self.of_node[id(e)] = num
-        return num
-
-    def compile(self, e: Expr) -> Callable[[list], float]:
-        num = self.number(e)
-        if num in self.stored:
-            return itemgetter(self.stored[num])
-        fn = self._node(e)
-        if num in self.repeated:
-            slot = self.stored[num] = self.width + self.slots
-            self.slots += 1
-            fn = self._store(fn, slot)
-        return fn
-
-    @staticmethod
-    def _store(fn, slot: int):
-        def store(v):
-            value = v[slot] = fn(v)
-            return value
-
-        return store
-
-    def _node(self, e: Expr) -> Callable[[list], object]:
-        if isinstance(e, Num):
-            value = e.value
-            return lambda v: value
-        if isinstance(e, Coord):
-            try:
-                return itemgetter(self.index[e.name])
-            except KeyError:
-                raise ValidationError(f"unknown coordinate {e.name!r}") from None
-        if isinstance(e, Neg):
-            arg = self.compile(e.arg)
-            return lambda v: -arg(v)
-        if isinstance(e, Pow):
-            base, power = self.compile(e.base), e.power
-
-            def raised(v):
-                x = base(v)
+    def emit(label, args: tuple) -> int:
+        key = (label, args)
+        slot = slots.get(key)
+        if slot is not None:
+            return slot
+        if min(args) < 0:  # an argument names an unknown coordinate or function
+            return -1
+        op = ops.get(label)
+        if op is None:  # an exponent
+            op = ops[label] = _power(label)
+        if min(args) >= width:
+            known = [template[a - width] for a in args]
+            if None not in known:
                 try:
-                    if type(x) is _COLUMN:
-                        return np.array([y ** power for y in x.tolist()], dtype=float)
-                    return float(x ** power)
-                except OverflowError:
-                    raise NonFiniteError("power overflows") from None
+                    slot = constant(op(*known))
+                except _EVAL_ERRORS:
+                    pass
+        if slot is None:
+            slot = width + len(template)
+            template.append(None)
+            code.append((op, args, slot))
+        slots[key] = slot
+        return slot
 
-            return raised
-        if isinstance(e, Call):
-            try:
-                fn = FUNCTIONS[e.fn]
-            except KeyError:
-                raise ValidationError(f"unknown function {e.fn!r}") from None
-            arg, fn_name = self.compile(e.arg), e.fn
-            is_sqrt = fn_name == "sqrt"
-
-            def call(v):
-                x = arg(v)
-                column = type(x) is _COLUMN
-                if is_sqrt and ((x < 0).any() if column else x < 0):
-                    raise NonFiniteError(f"sqrt of negative value {x}")
-                try:
-                    if column:
-                        return np.array([fn(y) for y in x.tolist()], dtype=float)
-                    return fn(x)
-                except OverflowError:
-                    raise NonFiniteError(f"{fn_name} overflows") from None
-
-            return call
-        if isinstance(e, BinOp):
-            left, right = self.compile(e.left), self.compile(e.right)
-            if e.op == "+":
-                return lambda v: left(v) + right(v)
-            if e.op == "-":
-                return lambda v: left(v) - right(v)
-            if e.op == "*":
-                return lambda v: left(v) * right(v)
-
-            def divide(v):
-                numerator, denominator = left(v), right(v)
-                if type(denominator) is _COLUMN:
-                    zero = not denominator.all()
-                else:
-                    zero = denominator == 0.0
-                if zero:
-                    raise NonFiniteError("division by zero")
-                return numerator / denominator
-
-            return divide
+    def visit(e: Expr) -> int:
+        kind = type(e)
+        if kind is Num:
+            return constant(e.value)
+        if kind is Coord:
+            if e.name not in index:
+                unknown_names.add(e.name)
+                return -1
+            return index[e.name]
+        if kind is BinOp:
+            return emit(e.op, (visit(e.left), visit(e.right)))
+        if kind is Neg:
+            return emit("neg", (visit(e.arg),))
+        if kind is Pow:
+            return emit(e.power, (visit(e.base),))
+        if kind is Call:
+            arg = visit(e.arg)
+            if e.fn not in FUNCTIONS:
+                unknown_fns.add(e.fn)
+                return -1
+            return emit(e.fn, (arg,))
         raise TypeError(f"not an expression node: {e!r}")
+
+    outputs = []
+    for e in exprs:
+        outputs.append(visit(e))
+        if unknown_names:
+            raise ValidationError(
+                f"{context}: unknown identifier(s) {sorted(unknown_names)}; "
+                f"allowed coordinates are {sorted(names)}"
+            )
+        if unknown_fns:
+            raise ValidationError(
+                f"{context}: unknown function(s) {sorted(unknown_fns)}; "
+                f"available functions are {sorted(FUNCTIONS)}"
+            )
+    return Program(width, template, code, tuple(outputs))
 
 
 def eval_expr(e: Expr, env: dict) -> float:
     """Evaluate an AST once over a coordinate environment (name -> value).
 
-    A one-off :func:`compile_expr`; code that evaluates the same expression
+    A one-off :func:`compile_exprs`; code that evaluates the same expression
     at many points should compile it once instead.
     """
-    return compile_expr(e, env)(list(env.values()))
-
-
-def free_names(e: Expr) -> set[str]:
-    """Coordinate names referenced by an expression."""
-    return {node.name for node, _ in _walk(e) if isinstance(node, Coord)}
-
-
-def _function_names(e: Expr) -> set[str]:
-    return {node.fn for node, _ in _walk(e) if isinstance(node, Call)}
-
-
-def validate_expr(e: Expr, allowed: set[str], context: str) -> None:
-    """Reject unknown coordinates or functions with a descriptive error."""
-    unknown = free_names(e) - set(allowed)
-    if unknown:
-        raise ValidationError(
-            f"{context}: unknown identifier(s) {sorted(unknown)}; "
-            f"allowed coordinates are {sorted(allowed)}"
-        )
-    bad_fns = _function_names(e) - set(FUNCTIONS)
-    if bad_fns:
-        raise ValidationError(
-            f"{context}: unknown function(s) {sorted(bad_fns)}; "
-            f"available functions are {sorted(FUNCTIONS)}"
-        )
+    return compile_exprs((e,), env)(list(env.values()))[0]

@@ -17,18 +17,7 @@ import numpy as np
 
 from .actions import GroupAction, MomentumMap
 from .errors import NonFiniteError, ParseError, UnknownScenarioError, ValidationError
-from .exprlang import (
-    Expr,
-    ExprParser,
-    Num,
-    Token,
-    compile_expr,
-    compile_exprs,
-    eval_expr,
-    free_names,
-    tokenize,
-    validate_expr,
-)
+from .exprlang import Expr, ExprParser, Program, Token, compile_exprs, eval_expr, tokenize
 from .geometry import RowMap, TensorField
 from .reduction import ReductionScenario, SampleSpec
 from .structures import build_compatible_triple
@@ -93,7 +82,9 @@ def check_tolerance(name: str, value: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioFile:
-    """Parsed and statically validated scenario description."""
+    """Parsed and statically validated scenario description: each map's
+    expressions, and its program (``programs``, by key; ``mu`` has one
+    program per component)."""
 
     name: str
     dim: int
@@ -107,6 +98,7 @@ class ScenarioFile:
     section: tuple
     tolerances: dict
     sample_spec: SampleSpec
+    programs: dict
 
     @property
     def quotient_dim(self) -> int:
@@ -174,10 +166,12 @@ def _int_value(expr: Expr, key: str) -> int:
 def parse_scenario(text: str) -> ScenarioFile:
     """Parse scenario text into a validated ScenarioFile.
 
+    Each map is compiled here, once, to its program (``compile_exprs``).
     Raises ParseError with position on malformed syntax and ValidationError
     for semantic problems (dimension mismatches, unknown identifiers, odd
     symplectic dimension, missing keys, a constant that raises or is not
-    finite, ``abelian`` other than true).
+    finite, ``abelian`` other than true, a negative ``sample.seed`` or a
+    ``sample.radius`` that is not positive).
     """
     tokens = tokenize(text)
     raw: dict[str, object] = {}
@@ -234,9 +228,10 @@ def parse_scenario(text: str) -> ScenarioFile:
         raise ValidationError(
             f"abelian must be true, got {raw['abelian']!r}: only abelian actions are reduced")
 
-    x_names = {f"x{i + 1}" for i in range(dim)}
-    t_names = {f"t{i + 1}" for i in range(group_dim)}
-    w_names = {f"w{i + 1}" for i in range(quotient_dim)}
+    x_names = tuple(f"x{i + 1}" for i in range(dim))
+    t_names = tuple(f"t{i + 1}" for i in range(group_dim))
+    w_names = tuple(f"w{i + 1}" for i in range(quotient_dim))
+    programs: dict = {}
 
     def matrix_key(key: str, optional: bool = False):
         if key not in raw:
@@ -248,9 +243,7 @@ def parse_scenario(text: str) -> ScenarioFile:
             raise ValidationError(
                 f"{key} must be {dim}x{dim}, got {len(rows)}x{len(rows[0])}"
             )
-        for row in rows:
-            for entry in row:
-                validate_expr(entry, x_names, key)
+        programs[key] = compile_exprs([e for row in rows for e in row], x_names, key)
         return rows
 
     omega = matrix_key("omega")
@@ -260,22 +253,19 @@ def parse_scenario(text: str) -> ScenarioFile:
     flow = _as_vector(raw["flow"], "flow")
     if len(flow) != dim:
         raise ValidationError(f"flow must have {dim} components, got {len(flow)}")
-    for entry in flow:
-        validate_expr(entry, x_names | t_names, "flow")
+    programs["flow"] = compile_exprs(flow, x_names + t_names, "flow")
 
     mu = _as_vector(raw["mu"], "mu")
     if len(mu) != group_dim:
         raise ValidationError(f"mu must have {group_dim} components, got {len(mu)}")
-    for entry in mu:
-        validate_expr(entry, x_names, "mu")
+    programs["mu"] = tuple(compile_exprs((e,), x_names, "mu") for e in mu)
     if len(beta) != group_dim:
         raise ValidationError(f"beta must have {group_dim} entries, got {len(beta)}")
 
     section = _as_vector(raw["section"], "section")
     if len(section) != dim:
         raise ValidationError(f"section must have {dim} components, got {len(section)}")
-    for entry in section:
-        validate_expr(entry, w_names, "section")
+    programs["section"] = compile_exprs(section, w_names, "section")
 
     tolerances = {}
     for key, value in raw.items():
@@ -298,18 +288,20 @@ def parse_scenario(text: str) -> ScenarioFile:
              if "sample.count" in raw else 20)
     if count < 1:
         raise ValidationError(f"sample.count must be at least 1, got {count}")
-    sample_spec = SampleSpec(
-        count=count,
-        seed=_int_value(_as_expr(raw["sample.seed"], "sample.seed"), "sample.seed")
-        if "sample.seed" in raw else 0,
-        radius=_const_value(_as_expr(raw["sample.radius"], "sample.radius"), "sample.radius")
-        if "sample.radius" in raw else 2.0,
-        points=points,
-    )
+    seed = (_int_value(_as_expr(raw["sample.seed"], "sample.seed"), "sample.seed")
+            if "sample.seed" in raw else 0)
+    if seed < 0:
+        raise ValidationError(f"sample.seed must be a non-negative integer, got {seed}")
+    radius = (_const_value(_as_expr(raw["sample.radius"], "sample.radius"), "sample.radius")
+              if "sample.radius" in raw else 2.0)
+    if radius <= 0:
+        raise ValidationError(f"sample.radius must be positive, got {radius}")
+    sample_spec = SampleSpec(count=count, seed=seed, radius=radius, points=points)
 
     return ScenarioFile(
         name=name, dim=dim, group_dim=group_dim, omega=omega, metric=metric, acs=acs,
         flow=flow, mu=mu, beta=beta, section=section, tolerances=tolerances, sample_spec=sample_spec,
+        programs=programs,
     )
 
 
@@ -333,100 +325,58 @@ def _as_matrix(value, key: str) -> tuple:
     raise ValidationError(f"value of {key!r} must be a matrix [[..], ..]")
 
 
-def _row_evaluator(exprs: tuple, names: tuple, shape: tuple):
-    """Evaluator over the rows of an (N, len(names)) array, values stacked
-    to shape (N, *shape): one call of one compiled program per batch, on
+def _row_map(program: Program, shape: tuple) -> RowMap:
+    """The RowMap of a map's program over the rows of an (N, width) array,
+    values stacked to (N, *shape).  The entries the compile walk folded are
+    one constant array; one program run per batch fills in the others, on
     the floats of a single row or on the coordinate columns of several."""
-    program = compile_exprs(exprs, names)
+    folded = program.folded
+    constant = np.array([0.0 if v is None else v for v in folded])
+    varying = [i for i, v in enumerate(folded) if v is None]
+    slots = [program.outputs[i] for i in varying]
 
     def rows(X: np.ndarray) -> np.ndarray:
-        if len(X) == 1:
-            return np.array(program(X[0].tolist()), dtype=float).reshape(1, *shape)
-        out = np.empty((len(exprs), len(X)))
-        for i, value in enumerate(program(list(np.ascontiguousarray(X.T, dtype=float)))):
-            out[i] = value  # an entry reading no coordinate is one number
-        return out.T.reshape(len(X), *shape)
-
-    return rows
-
-
-def _folded(e: Expr):
-    """The value of a matrix entry that reads no coordinate, computed once;
-    None for an entry that reads one or whose evaluation raises, so that it
-    is evaluated, and raises, per point."""
-    if isinstance(e, Num):
-        return e.value
-    if free_names(e):
-        return None
-    try:
-        return compile_expr(e, ())(())
-    except (NonFiniteError, ArithmeticError, ValueError):
-        return None
-
-
-def _matrix_field(rows: tuple, names: tuple, name: str) -> TensorField:
-    # entries reading no coordinate are filled in once; only the others run
-    # per point
-    folded = [[_folded(e) for e in row] for row in rows]
-    constant = np.array([[0.0 if v is None else v for v in row] for row in folded])
-    varying = [(i, j, e) for i, row in enumerate(rows) for j, e in enumerate(row)
-               if folded[i][j] is None]
-    at_row, at_col = [i for i, _, _ in varying], [j for _, j, _ in varying]
-    entries = _row_evaluator(tuple(e for _, _, e in varying), names, (len(varying),))
-
-    def evaluate(X: np.ndarray) -> np.ndarray:
         out = np.repeat(constant[np.newaxis], len(X), axis=0)
         if varying:
-            out[:, at_row, at_col] = entries(X)
-        return out
+            values = program.run(X[0].tolist() if len(X) == 1
+                                 else list(np.ascontiguousarray(X.T, dtype=float)))
+            out[:, varying] = np.array([values[s] for s in slots]).T
+        return out.reshape(len(X), *shape)
 
-    return TensorField.matrix(RowMap(evaluate), *constant.shape, name=name)
+    return RowMap(rows)
 
 
 def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
-    """Compile a parsed scenario into evaluable fields, action and section.
+    """Turn a parsed scenario's programs into evaluable fields, action and
+    section.
 
     Each map (every matrix field, each ``mu`` component, the flow and the
-    section) is compiled once, here, to one program over all its entries
-    (``compile_exprs``); a matrix entry that reads no coordinate is
-    evaluated here instead, once, unless that raises.  Each map is a RowMap
-    whose row evaluator over an (N, n) coordinate array makes one program
-    call: on the Python floats of a single row, or on the coordinate
-    columns of several rows, with every row's bits those of its tree walk.
+    section) is a RowMap over its program from ``parse_scenario``: one
+    program run per batch of rows, with every row's bits those of its tree
+    walk, and entries folded at load filled in from one constant array.
     No quadrature over the group is built, so loading costs the same for a
     circle and a high-dimensional torus; ``average_metric`` takes its rule
     as an argument.
     """
-    dim, k, q = sf.dim, sf.group_dim, sf.quotient_dim
-    x_names = tuple(f"x{i + 1}" for i in range(dim))
-    t_names = tuple(f"t{i + 1}" for i in range(k))
-    w_names = tuple(f"w{i + 1}" for i in range(q))
-    omega = _matrix_field(sf.omega, x_names, f"{sf.name} omega")
-    metric = _matrix_field(sf.metric, x_names, f"{sf.name} metric")
-    if sf.acs is not None:
-        acs = _matrix_field(sf.acs, x_names, f"{sf.name} acs")
-    else:
-        acs = build_compatible_triple(omega, metric).acs
+    dim, programs = sf.dim, sf.programs
 
-    action = GroupAction(
-        group_dim=k, flow=RowMap(_row_evaluator(sf.flow, x_names + t_names, (dim,))),
-    )
+    def matrix(key: str) -> TensorField:
+        return TensorField.matrix(_row_map(programs[key], (dim, dim)), dim,
+                                  name=f"{sf.name} {key}")
 
-    mu_fields = tuple(
-        TensorField.scalar(RowMap(_row_evaluator((e,), x_names, ())), name=f"{sf.name} mu[{i}]")
-        for i, e in enumerate(sf.mu)
-    )
-    mu = MomentumMap(components=mu_fields, beta=np.array(sf.beta))
-
+    omega, metric = matrix("omega"), matrix("metric")
+    acs = matrix("acs") if sf.acs is not None else build_compatible_triple(omega, metric).acs
+    mu_fields = tuple(TensorField.scalar(_row_map(program, ()), name=f"{sf.name} mu[{i}]")
+                      for i, program in enumerate(programs["mu"]))
     return ReductionScenario(
         name=sf.name,
         chart_dim=dim,
         omega=omega,
         metric=metric,
         acs=acs,
-        action=action,
-        mu=mu,
-        section=RowMap(_row_evaluator(sf.section, w_names, (dim,))),
+        action=GroupAction(group_dim=sf.group_dim, flow=_row_map(programs["flow"], (dim,))),
+        mu=MomentumMap(components=mu_fields, beta=np.array(sf.beta)),
+        section=_row_map(programs["section"], (dim,)),
         tolerances=dict(sf.tolerances),
         sample_spec=sf.sample_spec,
     )

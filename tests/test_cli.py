@@ -319,6 +319,48 @@ def test_sample_points_of_a_point_quotient_are_refused(tmp_path, capsys):
     _refused_at_load(path, "sample points must have 0 coordinates, got 1", capsys)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("sample.seed = 7", "sample.seed = -1", "sample.seed must be a non-negative integer, got -1"),
+    ("sample.radius = 2", "sample.radius = 0", "sample.radius must be positive, got 0.0"),
+    ("sample.radius = 2", "sample.radius = -1", "sample.radius must be positive, got -1.0"),
+], ids=["negative-seed", "zero-radius", "negative-radius"])
+def test_bad_sample_keys_are_usage_errors(old, new, message, tmp_path, capsys):
+    # a negative seed once passed parse-check and ended verify in numpy's
+    # ValueError traceback; a zero radius passed the reduction suite over
+    # one quotient point sampled N times
+    path = tmp_path / "sample.scn"
+    path.write_text(builtin_text("hopf").replace(old, new))
+    _refused_at_load(path, message, capsys)
+
+
+def test_negative_command_line_seed_is_a_usage_error(capsys):
+    assert main(["verify", "hopf", "--seed", "-1", "--samples", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seed must be a non-negative integer, got -1\n"
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        RunConfig("hopf", seed=-1)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("mu = [0.5*(x1^2", "mu = [0.5*(x9^2 + q7 + x1^2",
+     "mu: unknown identifier(s) ['q7', 'x9']; allowed coordinates are ['x1', 'x2', 'x3', 'x4']"),
+    ("flow = [x1*cos(t1)", "flow = [x1*cos(t2)",
+     "flow: unknown identifier(s) ['t2']; allowed coordinates are ['t1', 'x1', 'x2', 'x3', 'x4']"),
+    ("section = [1/sqrt(", "section = [1/sqrt(x1 + ",
+     "section: unknown identifier(s) ['x1']; allowed coordinates are ['w1', 'w2']"),
+    ("metric = [[1,", "metric = [[tan(x1) + sinh(x2) + cos(x3),",
+     "metric: unknown function(s) ['sinh', 'tan']; "
+     "available functions are ['cos', 'exp', 'sin', 'sqrt']"),
+    ("beta = [0.5]", "beta = [x1]", "value of 'beta' must be constant"),
+], ids=["identifiers", "group-parameter", "section", "functions", "constant"])
+def test_unknown_names_are_usage_errors_with_their_context(old, new, message, tmp_path, capsys):
+    text = builtin_text("hopf")
+    assert text.count(old) == 1
+    path = tmp_path / "names.scn"
+    path.write_text(text.replace(old, new))
+    _refused_at_load(path, message, capsys)
+
+
 def test_explicit_sample_points_reach_report(tmp_path):
     text = builtin_text("hopf") + "\nsample.points = [[0, 0], [1, 0], [0, 1]]\n"
     path = tmp_path / "pinned.scn"

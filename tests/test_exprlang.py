@@ -1,5 +1,5 @@
 """Expression language: precedence, round-trips, errors, fuzz totality, and
-the closure compiler against the tree-walking reference evaluator."""
+the straight-line programs against the tree-walking reference evaluator."""
 
 import math
 import struct
@@ -18,13 +18,10 @@ from symred.exprlang import (
     Neg,
     Num,
     Pow,
-    compile_expr,
     compile_exprs,
     eval_expr,
     format_expr,
-    free_names,
     parse_expression,
-    validate_expr,
 )
 
 from symred.scenarios import builtin_text, parse_scenario
@@ -103,7 +100,7 @@ def test_depth_limit_is_a_parse_error():
 def test_chain_height_is_bounded_at_parse_time(op):
     tallest = "x1" + f" {op} x1" * 199  # 200 levels, the most the parser accepts
     e = parse_expression(tallest)
-    assert compile_expr(e, ("x1",))([1.0]) == reference_eval_expr(e, {"x1": 1.0})
+    assert compile_exprs([e], ("x1",))([1.0]) == [reference_eval_expr(e, {"x1": 1.0})]
     assert parse_expression(format_expr(e)) == e
     with pytest.raises(ParseError, match=r"nests too deeply \(201 levels, at most 200\)"):
         parse_expression(tallest + f" {op} x1")
@@ -137,7 +134,7 @@ def test_compile_matches_reference_bit_for_bit():
         values = rng.uniform(-3.0, 3.0, size=len(_NAMES)).tolist()
         env = dict(zip(_NAMES, values))
         want = _outcome(lambda: reference_eval_expr(ast, env))
-        got = _outcome(lambda: compile_expr(ast, _NAMES)(values))
+        got = _outcome(lambda: compile_exprs([ast], _NAMES)(values)[0])
         assert got == want, format_expr(ast)
         raised += isinstance(want, type)
     # the sample must exercise the failure paths as well as the values
@@ -152,7 +149,7 @@ def test_compile_matches_reference_on_signed_zeros(text):
     for values in ([0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [0.5, 0.5]):
         env = dict(zip(("x1", "x2"), values))
         want = _outcome(lambda: reference_eval_expr(ast, env))
-        assert _outcome(lambda: compile_expr(ast, ("x1", "x2"))(values)) == want
+        assert _outcome(lambda: compile_exprs([ast], ("x1", "x2"))(values)[0]) == want
 
 
 @pytest.mark.parametrize("text, x1", [
@@ -165,9 +162,9 @@ def test_compile_raises_like_reference(text, x1):
     ast = parse_expression(text)
     with pytest.raises(NonFiniteError):
         reference_eval_expr(ast, {"x1": x1})
-    fn = compile_expr(ast, ("x1",))  # compiling evaluates nothing
+    program = compile_exprs([ast], ("x1",))  # a raising constant is left to run
     with pytest.raises(NonFiniteError):
-        fn([x1])
+        program([x1])
 
 
 def _entries_outcome(fn):
@@ -230,6 +227,21 @@ def test_compile_exprs_computes_repeated_subtrees_once(monkeypatch):
     calls.clear()
     section([0.1] * 14)
     assert calls == {"sqrt": 1}
+
+
+def test_compile_exprs_emits_one_instruction_per_distinct_varying_subtree():
+    # sqrt(4), 2^3 and its negation fold; x1*sqrt(4) is shared by both of
+    # its occurrences and by the third entry
+    program = compile_exprs([parse_expression(t) for t in
+                             ("x1*sqrt(4) + x1*sqrt(4)", "-(2^3) - x2", "x1*sqrt(4)")],
+                            ("x1", "x2"))
+    # slots 0 and 1 are x1 and x2; then constants, and None per instruction
+    assert program.template == [4.0, 2.0, None, None, 8.0, -8.0, None]
+    assert [(args, out) for _, args, out in program.code] == [((0, 3), 4), ((4, 4), 5),
+                                                               ((7, 1), 8)]
+    assert program.outputs == (5, 8, 4) and program.folded == (None, None, None)
+    assert compile_exprs([parse_expression("-(2^3)"), Coord("x1")], ("x1",)).folded \
+        == (-8.0, None)
 
 
 def test_compile_exprs_keeps_signed_zero_literals_apart():
@@ -410,21 +422,25 @@ def test_batch_numbers_stay_python_numbers():
 
 def test_compile_rejects_unknown_names_at_compile_time():
     with pytest.raises(ValidationError, match="q7"):
-        compile_expr(parse_expression("x1 + q7"), ("x1",))
+        compile_exprs([parse_expression("x1 + q7")], ("x1",))
     with pytest.raises(ValidationError, match="tan"):
-        compile_expr(parse_expression("tan(x1)"), ("x1",))
+        compile_exprs([parse_expression("tan(x1)")], ("x1",))
     with pytest.raises(ValidationError):
         eval_expr(parse_expression("x1 + x2"), {"x1": 1.0})
 
 
-def test_validate_expr_unknown_names():
-    expr = parse_expression("x1 + q7")
-    with pytest.raises(ValidationError):
-        validate_expr(expr, {"x1"}, "test")
-    assert free_names(expr) == {"x1", "q7"}
-    bad_fn = parse_expression("tan(x1)")
-    with pytest.raises(ValidationError):
-        validate_expr(bad_fn, {"x1"}, "test")
+def test_compile_exprs_names_every_unknown_identifier_and_function():
+    # every unknown name of the first failing entry, sorted; identifiers are
+    # reported before functions, and a known name is never listed
+    exprs = [parse_expression(t) for t in ("x1 + 1", "q7*x1 + tan(p2) - q7", "q9")]
+    with pytest.raises(ValidationError) as excinfo:
+        compile_exprs(exprs, ("x2", "x1"), "test")
+    assert str(excinfo.value) == ("test: unknown identifier(s) ['p2', 'q7']; "
+                                  "allowed coordinates are ['x1', 'x2']")
+    with pytest.raises(ValidationError) as excinfo:
+        compile_exprs([parse_expression("tan(x1) + sinh(cosh(x1)) + sin(x1)")], ("x1",), "test")
+    assert str(excinfo.value) == ("test: unknown function(s) ['cosh', 'sinh', 'tan']; "
+                                  "available functions are ['cos', 'exp', 'sin', 'sqrt']")
 
 
 def test_round_trip_fixed_cases():

@@ -249,20 +249,15 @@ def _count_functions(monkeypatch):
 
 def test_flow_batch_calls_cos_and_sin_once_per_row(monkeypatch):
     seen = _count_functions(monkeypatch)
-    inputs = Counter()  # what each program call is given: floats or columns
-    compile_exprs = scenarios.compile_exprs
-
-    def recording(exprs, names):
-        program = compile_exprs(exprs, names)
-
-        def recorded(values):
-            inputs[type(values[0]).__name__] += 1
-            return program(values)
-
-        return recorded
-
-    monkeypatch.setattr(scenarios, "compile_exprs", recording)
     flow = builtin("hopf").action.flow
+    inputs = Counter()  # what each program run is given: floats or columns
+    run = exprlang.Program.run
+
+    def recording(program, values):
+        inputs[type(values[0]).__name__] += 1
+        return run(program, values)
+
+    monkeypatch.setattr(exprlang.Program, "run", recording)
     rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, 5))
     batch = flow.rows(rows)
     assert seen == {("cos", "float"): 64, ("sin", "float"): 64}
@@ -298,4 +293,27 @@ def test_failing_constant_matrix_entries_raise_per_point(entry, message):
     scen = compile_scenario(parse_scenario(text))
     for X in (np.ones((1, 2)), np.ones((5, 2))):
         with pytest.raises(NonFiniteError, match=re.escape(message)):
+            scen.metric.func.rows(X)
+
+
+def test_constant_subtrees_of_coordinate_entries_are_folded(monkeypatch):
+    # sqrt(4) inside an entry that reads x1 is computed once, at load
+    seen = _count_functions(monkeypatch)
+    text = MINIMAL.replace("metric = [[1, 0], [0, 1]]", "metric = [[x1*sqrt(4), 0], [0, 1]]")
+    sf = parse_scenario(text)
+    scen = compile_scenario(sf)
+    assert seen == {("sqrt", "float"): 1}
+    X = np.random.default_rng(8).uniform(-2.0, 2.0, size=(6, 2))
+    for batch in (X[:1], X):
+        want = [[[reference_eval_expr(e, {"x1": a, "x2": b}) for e in row] for row in sf.metric]
+                for a, b in batch.tolist()]
+        assert scen.metric.func.rows(batch).tobytes() == np.array(want).tobytes()
+    assert seen == {("sqrt", "float"): 1}  # and never per evaluation
+
+
+def test_raising_constant_subtrees_of_coordinate_entries_raise_per_point():
+    text = MINIMAL.replace("metric = [[1, 0], [0, 1]]", "metric = [[x1*sqrt(0 - 1), 0], [0, 1]]")
+    scen = compile_scenario(parse_scenario(text))
+    for X in (np.ones((1, 2)), np.ones((5, 2))):
+        with pytest.raises(NonFiniteError, match=re.escape("sqrt of negative value -1.0")):
             scen.metric.func.rows(X)

@@ -125,7 +125,7 @@ _REFERENCE_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt
 
 
 def reference_eval_expr(e, env):
-    """Tree-walking evaluator: the reference for the closure compiler.
+    """Tree-walking evaluator: the reference for the compiled programs.
 
     Plain float arithmetic over a name -> value environment, walking the AST
     at every call.  Division by zero, square roots of negative numbers and
