@@ -26,6 +26,7 @@ from .errors import (
     ScenarioFormatError,
     SectionNotOnLevelError,
     SymredError,
+    UnknownIdentifierError,
     UnknownScenarioError,
     ValidationError,
     VerticalLeakWarning,

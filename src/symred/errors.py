@@ -70,5 +70,9 @@ class ValidationError(ScenarioFormatError):
     """Scenario text parsed but is inconsistent (dimensions, identifiers, ...)."""
 
 
+class UnknownIdentifierError(ValidationError):
+    """An expression reads a coordinate that is not in scope."""
+
+
 class VerticalLeakWarning(UserWarning):
     """Pushforward of the almost complex structure left the horizontal space."""

@@ -28,21 +28,26 @@ subtrees one slot, and appends one instruction (operation, argument slots,
 result slot) per remaining node, in evaluation order (Aho, Lam, Sethi &
 Ullman, *Compilers*, 2006: value numbering of a basic block).  One
 interpreter runs that list on one point's Python floats or on a batch's
-float64 columns, one per coordinate, with every value the bits a tree walk
-gives.  Scenario files are untrusted input: a program is data built from
-the AST, and no generated source is ever passed to ``eval`` or ``exec``.
+float64 columns, one per coordinate.  Each operation is one kernel on every
+path: ``+ - * /`` and negation are IEEE operations, and sin, cos, exp, sqrt
+and ``^`` are numpy's ufuncs, called on a float or on a whole column.  So
+folding, one row and a batch give each value the same bits, those of a
+tree walk calling the same kernels.  Scenario files are untrusted input:
+a program is data built from the AST, and no generated source is ever
+passed to ``eval`` or ``exec``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, ParseError, ValidationError
+from .errors import NonFiniteError, ParseError, UnknownIdentifierError, ValidationError
 
 __all__ = [
     "Token",
@@ -63,10 +68,10 @@ __all__ = [
 ]
 
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sqrt": math.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
 }
 
 _COLUMN = np.ndarray  # a batch value: one float64 entry per point
@@ -90,78 +95,52 @@ _SINGLE = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     column: int
 
 
-def _is_ascii_digit(ch: str) -> bool:
-    # str.isdigit accepts unicode digits that float() rejects
-    return "0" <= ch <= "9"
+# One match per token: blanks and a comment are skipped as its prefix, then
+# one alternative per kind of token, tried in order; the empty match at the
+# end of the text names no kind.  Numbers are ASCII digits only (float()
+# would take other digits), and an identifier is a run of str.isalnum()
+# characters and "_" that must start with a letter or "_".  Anything else
+# is one unexpected character.
+_TOKEN = re.compile(r"""
+    [ \t\r]*(?:\#[^\n]*)?
+    (?: (?P<SINGLE>[-+*/^()\[\],=.])
+      | (?P<NUMBER>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
+      | (?P<IDENT>\w+)
+      | (?P<NEWLINE>\n)
+      | (?P<BAD>.)
+      | \Z )
+""", re.VERBOSE)
 
 
 def tokenize(text: str) -> list[Token]:
     """Scan text into tokens, keeping newlines; comments run from '#' to EOL."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if _is_ascii_digit(ch):
-            start, start_col = i, col
-            while i < n and _is_ascii_digit(text[i]):
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and _is_ascii_digit(text[i]):
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and _is_ascii_digit(text[j]):
-                    i = j
-                    while i < n and _is_ascii_digit(text[i]):
-                        i += 1
-            lexeme = text[start:i]
-            col = start_col + len(lexeme)
-            if not math.isfinite(float(lexeme)):
-                raise ParseError(f"number literal {lexeme!r} overflows", line, start_col)
-            tokens.append(Token("NUMBER", lexeme, line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start, start_col = i, col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            lexeme = text[start:i]
-            col = start_col + len(lexeme)
-            tokens.append(Token("IDENT", lexeme, line, start_col))
-            continue
-        kind = _SINGLE.get(ch)
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
         if kind is None:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append(Token(kind, ch, line, col))
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", line, col))
+            break
+        lexeme = match.group(kind)
+        col = match.start(kind) - line_start + 1
+        if kind == "NEWLINE":
+            tokens.append(Token(kind, lexeme, line, col))
+            line, line_start = line + 1, match.end()
+            continue
+        if kind == "SINGLE":
+            kind = _SINGLE[lexeme]
+        elif kind == "NUMBER" and not math.isfinite(float(lexeme)):
+            raise ParseError(f"number literal {lexeme!r} overflows", line, col)
+        elif kind == "BAD" or (kind == "IDENT" and not (lexeme[0].isalpha() or lexeme[0] == "_")):
+            raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
+        tokens.append(Token(kind, lexeme, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -421,31 +400,29 @@ def _divide(numerator, denominator):
     return numerator / denominator
 
 
-def _power(power: int):
-    def raised(x):
-        try:
-            if type(x) is _COLUMN:
-                return np.array([y ** power for y in x.tolist()], dtype=float)
-            return float(x ** power)
-        except OverflowError:
-            raise NonFiniteError("power overflows") from None
-
-    return raised
-
-
-def _function(name: str, fn):
-    is_sqrt = name == "sqrt"
-
+def _elementwise(name: str, ufunc, *args):
+    """The op of one numpy kernel, ``ufunc(x, *args)``, on a float (giving a
+    float) or on a whole float64 column.  It fails closed with ``math``'s
+    exceptions, found from the result, since numpy's warnings are off
+    wherever a program runs or folds: NaN from an argument that is not NaN
+    is the square root of a negative value (NonFiniteError) or sin or cos
+    of an infinity (ValueError), and an infinity from a finite argument is
+    an overflow (NonFiniteError)."""
     def call(x):
-        column = type(x) is _COLUMN
-        if is_sqrt and ((x < 0).any() if column else x < 0):
-            raise NonFiniteError(f"sqrt of negative value {x}")
-        try:
-            if column:
-                return np.array([fn(y) for y in x.tolist()], dtype=float)
-            return fn(x)
-        except OverflowError:
-            raise NonFiniteError(f"{name} overflows") from None
+        y = ufunc(x, *args)
+        if type(x) is _COLUMN:
+            finite = np.isfinite(y).all()
+        else:  # math.isfinite: np.isfinite costs more than the kernel here
+            y = float(y)
+            finite = math.isfinite(y)
+        if not finite:
+            if (np.isnan(y) & ~np.isnan(x)).any():
+                if name == "sqrt":
+                    raise NonFiniteError(f"sqrt of negative value {x}")
+                raise ValueError("math domain error")
+            if (np.isinf(y) & np.isfinite(x)).any():
+                raise NonFiniteError(f"{name} overflows")
+        return y
 
     return call
 
@@ -457,7 +434,7 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
 
 # what evaluating a subtree may raise; a constant subtree that raises is not
 # folded, so it raises when the program runs, as it would unfolded
-_EVAL_ERRORS = (NonFiniteError, ArithmeticError, ValueError)
+_EVAL_ERRORS = (NonFiniteError, ValueError)
 
 
 class Program:
@@ -500,15 +477,15 @@ class Program:
         raises is run again one point at a time, so its first failing point
         raises the error it raises alone.
         """
-        if not (len(values) and type(values[0]) is _COLUMN):
-            return self._execute(values)
-        try:
-            with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
+            if not (len(values) and type(values[0]) is _COLUMN):
                 return self._execute(values)
-        except _EVAL_ERRORS as exc:
-            error = exc  # raised only if no point raises its own
-        for point in zip(*[column.tolist() for column in values]):
-            self._execute(point)
+            try:
+                return self._execute(values)
+            except _EVAL_ERRORS as exc:
+                error = exc  # raised only if no point raises its own
+            for point in zip(*[column.tolist() for column in values]):
+                self._execute(point)
         raise error
 
     def _execute(self, values) -> list:
@@ -537,16 +514,17 @@ def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
     (0.0 and -0.0 are equal as floats).  Running the program does the float
     operations of walking each entry's tree in turn, in the same order,
     except that a shared subtree is computed once and a folded one never.
-    Evaluation is pure, so the values are the bits of the tree walks and
-    the first error raised is theirs: division by zero, square roots of
-    negative numbers and overflowing powers or functions raise
-    NonFiniteError, and an overflowing product or sum is a silent inf, on
-    a batch as on floats.
+    Evaluation is pure and each operation is one kernel (see the module
+    docstring), so the values are the bits of tree walks calling the same
+    kernels, and the first error raised is theirs: division by zero, square
+    roots of negative numbers and overflowing powers or functions raise
+    NonFiniteError, sin or cos of an infinity ValueError, and an
+    overflowing product or sum is a silent inf, on a batch as on floats.
     """
     names = tuple(names)
     width = len(names)
     index = {name: i for i, name in enumerate(names)}
-    ops = {**_OPS, **{name: _function(name, fn) for name, fn in FUNCTIONS.items()}}
+    ops = {**_OPS, **{name: _elementwise(name, fn) for name, fn in FUNCTIONS.items()}}
     slots: dict = {}  # constant repr, or (label, argument slots) -> slot
     template: list = []
     code: list = []
@@ -569,7 +547,7 @@ def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
             return -1
         op = ops.get(label)
         if op is None:  # an exponent
-            op = ops[label] = _power(label)
+            op = ops[label] = _elementwise("power", np.power, label)
         if min(args) >= width:
             known = [template[a - width] for a in args]
             if None not in known:
@@ -608,25 +586,27 @@ def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
         raise TypeError(f"not an expression node: {e!r}")
 
     outputs = []
-    for e in exprs:
-        outputs.append(visit(e))
-        if unknown_names:
-            raise ValidationError(
-                f"{context}: unknown identifier(s) {sorted(unknown_names)}; "
-                f"allowed coordinates are {sorted(names)}"
-            )
-        if unknown_fns:
-            raise ValidationError(
-                f"{context}: unknown function(s) {sorted(unknown_fns)}; "
-                f"available functions are {sorted(FUNCTIONS)}"
-            )
+    with np.errstate(all="ignore"):  # folding runs the kernels
+        for e in exprs:
+            outputs.append(visit(e))
+            if unknown_names:
+                raise UnknownIdentifierError(
+                    f"{context}: unknown identifier(s) {sorted(unknown_names)}; "
+                    f"allowed coordinates are {sorted(names)}"
+                )
+            if unknown_fns:
+                raise ValidationError(
+                    f"{context}: unknown function(s) {sorted(unknown_fns)}; "
+                    f"available functions are {sorted(FUNCTIONS)}"
+                )
     return Program(width, template, code, tuple(outputs))
 
 
-def eval_expr(e: Expr, env: dict) -> float:
+def eval_expr(e: Expr, env: dict, context: str = "expression") -> float:
     """Evaluate an AST once over a coordinate environment (name -> value).
 
-    A one-off :func:`compile_exprs`; code that evaluates the same expression
-    at many points should compile it once instead.
+    A one-off :func:`compile_exprs`, whose errors name ``context``; code
+    that evaluates the same expression at many points should compile it
+    once instead.
     """
-    return compile_exprs((e,), env)(list(env.values()))[0]
+    return compile_exprs((e,), env, context)(list(env.values()))[0]

@@ -32,12 +32,10 @@ formula, so the result is the same bits.  Every map is a ``RowMap``, whose
 ``rows`` evaluates all rows of an array; a per-point callable is wrapped
 into one where it enters the package (``as_row_map``) and called once per
 row with a ``ChartPoint``.  A compiled scenario map runs its program once
-per batch, on the coordinate columns, with numpy only for ``+ - * /`` and
-negation and the ``math`` function or ``**`` per element otherwise: numpy
-ufuncs such as ``np.exp`` round differently in the last bit on some inputs
-and would change residuals.  A batch that meets an error or a non-finite
-value is evaluated again one row at a time, so the first failing row
-raises what it raises alone.
+per batch, on the coordinate columns, each operation one numpy kernel
+(``exprlang``), so each row has the bits of running it on that row alone.
+A batch that meets an error or a non-finite value is evaluated again one
+row at a time, so the first failing row raises what it raises alone.
 
 The per-point paths stay cheap on success: ``eval_field`` formats the
 point into its error message only when a value is non-finite.

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import GroupAction, MomentumMap
-from .errors import NonFiniteError, ParseError, UnknownScenarioError, ValidationError
+from .errors import (NonFiniteError, ParseError, UnknownIdentifierError, UnknownScenarioError,
+                     ValidationError)
 from .exprlang import Expr, ExprParser, Program, Token, compile_exprs, eval_expr, tokenize
 from .geometry import RowMap, TensorField
 from .reduction import ReductionScenario, SampleSpec
@@ -146,8 +147,8 @@ def _parse_key(parser: ExprParser) -> str:
 
 def _const_value(expr: Expr, key: str) -> float:
     try:
-        value = float(eval_expr(expr, {}))
-    except ValidationError:
+        value = float(eval_expr(expr, {}, key))
+    except UnknownIdentifierError:
         raise ValidationError(f"value of {key!r} must be constant") from None
     except NonFiniteError as exc:
         raise ValidationError(f"value of {key!r} cannot be evaluated: {exc}") from None
@@ -329,7 +330,8 @@ def _row_map(program: Program, shape: tuple) -> RowMap:
     """The RowMap of a map's program over the rows of an (N, width) array,
     values stacked to (N, *shape).  The entries the compile walk folded are
     one constant array; one program run per batch fills in the others, on
-    the floats of a single row or on the coordinate columns of several."""
+    the floats of a single row (cheaper there) or on the coordinate columns
+    of several, with the same bits either way."""
     folded = program.folded
     constant = np.array([0.0 if v is None else v for v in folded])
     varying = [i for i, v in enumerate(folded) if v is None]
@@ -352,8 +354,9 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
 
     Each map (every matrix field, each ``mu`` component, the flow and the
     section) is a RowMap over its program from ``parse_scenario``: one
-    program run per batch of rows, with every row's bits those of its tree
-    walk, and entries folded at load filled in from one constant array.
+    program run per batch of rows, with every row's bits those of running
+    it on that row alone, and entries folded at load filled in from one
+    constant array.
     No quadrature over the group is built, so loading costs the same for a
     circle and a high-dimensional torus; ``average_metric`` takes its rule
     as an argument.

@@ -18,7 +18,7 @@ before -> after, then the largest |delta| over the numbers that are not
 point coordinates.  The last lines say how many runs are identical and
 whether any verdict changed: an exit code, a PASS/FAIL row of a text
 report, or a ``passed``, ``branch`` or ``hypothesis_ok`` value of a JSON
-report.  It exits 1 if any run differs.
+report.  It exits 2 if any verdict changed, else 1 if any run differs.
 It is a tool, not a test: pytest does not collect it.
 """
 
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     print(f"{len(cases) - differing} of {len(cases)} runs identical")
     print(f"verdicts changed in {verdicts} of {len(cases)} runs" if verdicts
           else "no verdict changed")
-    return 1 if differing else 0
+    return 2 if verdicts else 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -352,7 +352,10 @@ def test_negative_command_line_seed_is_a_usage_error(capsys):
      "metric: unknown function(s) ['sinh', 'tan']; "
      "available functions are ['cos', 'exp', 'sin', 'sqrt']"),
     ("beta = [0.5]", "beta = [x1]", "value of 'beta' must be constant"),
-], ids=["identifiers", "group-parameter", "section", "functions", "constant"])
+    ("beta = [0.5]", "beta = [tan(1)]",
+     "beta: unknown function(s) ['tan']; available functions are ['cos', 'exp', 'sin', 'sqrt']"),
+], ids=["identifiers", "group-parameter", "section", "functions", "constant",
+        "constant-function"])
 def test_unknown_names_are_usage_errors_with_their_context(old, new, message, tmp_path, capsys):
     text = builtin_text("hopf")
     assert text.count(old) == 1

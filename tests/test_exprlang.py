@@ -2,6 +2,7 @@
 the straight-line programs against the tree-walking reference evaluator."""
 
 import math
+import string
 import struct
 import warnings
 from collections import Counter
@@ -22,11 +23,12 @@ from symred.exprlang import (
     eval_expr,
     format_expr,
     parse_expression,
+    tokenize,
 )
 
-from symred.scenarios import builtin_text, parse_scenario
+from symred.scenarios import builtin_names, builtin_text, parse_scenario
 
-from util import random_expr, reference_eval_expr
+from util import random_expr, reference_eval_expr, reference_tokenize
 
 
 def evaluate(text, env=None):
@@ -73,6 +75,34 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as excinfo:
         parse_expression("(1 + 2")
     assert excinfo.value.expected == ("')'",)
+
+
+def _scan_outcome(scan, text):
+    """The tokens of text, or the ParseError's text and position."""
+    try:
+        return scan(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def test_tokenize_matches_the_character_scanner():
+    # the one regular expression against the character-by-character scanner
+    # it replaced, on every built-in's text and on random strings of
+    # printable characters, number fragments, overflowing literals and
+    # non-ASCII letters and digits (which isalpha, isalnum and \w judge)
+    texts = [builtin_text(name) for name in builtin_names()]
+    texts += [builtin_text("euclidean_r2n", planes) for planes in range(2, 9)]
+    pieces = [*string.printable, "1e5", "2.", "e-", ".5", "1e999", "9" * 400,
+              "\u00b2", "\u0663", "\u00e9", "\u2167", "\u00a0", "x_1"]
+    rng = np.random.default_rng(31)
+    texts += ["".join(rng.choice(pieces, size=rng.integers(0, 40))) for _ in range(8000)]
+    raised = 0
+    for text in texts:
+        want = _scan_outcome(reference_tokenize, text)
+        assert _scan_outcome(tokenize, text) == want, repr(text)
+        raised += isinstance(want, tuple)
+    # both tokens and errors are exercised
+    assert 500 < raised < len(texts) - 500
 
 
 def test_integer_exponent_required():
@@ -208,25 +238,35 @@ def test_compile_exprs_matches_reference_with_shared_subtrees():
 
 
 def test_compile_exprs_computes_repeated_subtrees_once(monkeypatch):
+    # cos(t1) and sin(t1) are shared by every entry of the hopf flow, and the
+    # normalizing square root by every entry of the section: one kernel call
+    # each per run, on one row's float or on a batch's column
     calls = Counter()
     for name, fn in list(exprlang.FUNCTIONS.items()):
         def counted(x, _name=name, _fn=fn):
-            calls[_name] += 1
+            calls[_name, type(x)] += 1
             return _fn(x)
 
         monkeypatch.setitem(exprlang.FUNCTIONS, name, counted)
     hopf = parse_scenario(builtin_text("hopf"))
     flow = compile_exprs(hopf.flow, ("x1", "x2", "x3", "x4", "t1"))
+    rows = np.random.default_rng(12).uniform(-1.0, 1.0, size=(64, 5))
     want = [reference_eval_expr(e, dict(zip(("x1", "x2", "x3", "x4", "t1"),
                                             (0.1, 0.2, 0.3, 0.4, 0.5)))) for e in hopf.flow]
     calls.clear()
     assert flow([0.1, 0.2, 0.3, 0.4, 0.5]) == want
-    assert calls == {"cos": 1, "sin": 1}
+    assert calls == {("cos", float): 1, ("sin", float): 1}
+    calls.clear()
+    flow(list(rows.T.copy()))
+    assert calls == {("cos", np.ndarray): 1, ("sin", np.ndarray): 1}
     r2n = parse_scenario(builtin_text("euclidean_r2n", 8))
     section = compile_exprs(r2n.section, tuple(f"w{i + 1}" for i in range(14)))
     calls.clear()
     section([0.1] * 14)
-    assert calls == {"sqrt": 1}
+    assert calls == {("sqrt", float): 1}
+    calls.clear()
+    section([np.full(64, 0.1)] * 14)
+    assert calls == {("sqrt", np.ndarray): 1}
 
 
 def test_compile_exprs_emits_one_instruction_per_distinct_varying_subtree():
@@ -385,9 +425,10 @@ def test_batch_wrong_width_raises_like_a_row():
         program([np.zeros(5)] * 3)
 
 
-def test_batch_maps_functions_and_powers_per_element(monkeypatch):
-    # sin, cos, exp and sqrt make one math call per row, and a power is
-    # Python's ** per row: numpy's exp and power round differently
+def test_batch_calls_each_function_and_power_once_per_column(monkeypatch):
+    # sin, cos, exp and sqrt are one numpy kernel call on the whole column,
+    # and a power is one np.power call; a single row calls each once on a
+    # float, and every row of the batch has the bits of the kernels
     seen = Counter()
     for name, fn in list(exprlang.FUNCTIONS.items()):
         def counted(x, _name=name, _fn=fn):
@@ -398,16 +439,100 @@ def test_batch_maps_functions_and_powers_per_element(monkeypatch):
     exprs = [parse_expression(t) for t in ("sin(x1) + cos(x1)", "exp(x2)^3", "sqrt(x2^2)")]
     program = compile_exprs(exprs, ("x1", "x2"))
     rng = np.random.default_rng(3)
-    rows = rng.uniform(-10.0, 10.0, size=(200, 2)).tolist()
-    values = program(_columns(rows))
-    assert seen == {("sin", float): 200, ("cos", float): 200, ("exp", float): 200,
-                    ("sqrt", float): 200}
-    for i, (a, b) in enumerate(rows):
-        assert struct.pack("<d", values[1][i]) == struct.pack("<d", math.exp(b) ** 3)
-        assert struct.pack("<d", values[2][i]) == struct.pack("<d", math.sqrt(b ** 2))
+    rows = rng.uniform(-10.0, 10.0, size=(200, 2))
+    values = program(_columns(rows.tolist()))
+    assert seen == {("sin", np.ndarray): 1, ("cos", np.ndarray): 1, ("exp", np.ndarray): 1,
+                    ("sqrt", np.ndarray): 1}
+    b = rows[:, 1]
+    assert values[1].tobytes() == np.power(np.exp(b), 3).tobytes()
+    assert values[2].tobytes() == np.sqrt(np.power(b, 2)).tobytes()
     seen.clear()
-    assert [type(v) for v in program(rows[0])] == [float, float, float]
+    assert [type(v) for v in program(rows[0].tolist())] == [float, float, float]
     assert seen == {("sin", float): 1, ("cos", float): 1, ("exp", float): 1, ("sqrt", float): 1}
+
+
+_ROW_AT = 17  # the failing row of a 40-row batch
+
+
+@pytest.mark.parametrize("text, value, error, message", [
+    ("exp(x1)", 800.0, NonFiniteError, "exp overflows"),
+    ("x1 + exp(800)", 0.5, NonFiniteError, "exp overflows"),
+    ("x1^2", 1e200, NonFiniteError, "power overflows"),
+    ("sqrt(x1)", -4.0, NonFiniteError, "sqrt of negative value -4.0"),
+    ("sin(x1*x1*x1)", 1e200, ValueError, "math domain error"),
+    ("cos(x1*x1*x1)", -1e200, ValueError, "math domain error"),
+], ids=["exp", "exp-constant", "power", "sqrt", "sin-of-inf", "cos-of-inf"])
+def test_kernels_fail_closed_on_a_row_and_a_batch(text, value, error, message):
+    # math's exceptions, found from the kernel's result rather than from a
+    # numpy warning: a batch raises its failing row's error
+    program = compile_exprs([parse_expression(text)], ("x1",))
+    column = np.full(40, 0.5)
+    column[_ROW_AT] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in ([value], [column]):
+            with pytest.raises(error) as excinfo:
+                program(values)
+            assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("text, value, want", [
+    ("exp(x1)", math.inf, math.exp(math.inf)),
+    ("exp(x1)", -math.inf, math.exp(-math.inf)),
+    ("sqrt(x1)", math.inf, math.sqrt(math.inf)),
+    ("x1^3", -math.inf, (-math.inf) ** 3),
+    ("x1^0", math.nan, math.nan ** 0),
+    ("sin(x1)", math.nan, math.sin(math.nan)),
+    ("exp(x1)", math.nan, math.exp(math.nan)),
+])
+def test_kernels_pass_a_nonfinite_argument_as_math_does(text, value, want):
+    # an infinite or NaN result from an infinite or NaN argument is no error
+    program = compile_exprs([parse_expression(text)], ("x1",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert repr(program([value])[0]) == repr(want)
+        assert repr(program([np.full(3, value)])[0].tolist()) == repr([want] * 3)
+
+
+def _ulp_order(values):
+    """float64 bits as int64 keys whose order and differences follow the
+    floats: adjacent floats differ by one."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    return np.where(bits < 0, np.int64(-2**63) - bits, bits)
+
+
+@pytest.mark.parametrize("op", ["sin", "cos", "exp", "sqrt", *range(2, 13)])
+def test_kernels_are_within_one_ulp_of_math(op):
+    # a million values from [-10, 10] (their magnitudes for sqrt) through
+    # the compiled kernel, against math's function or Python's **
+    xs = np.random.default_rng(17).uniform(-10.0, 10.0, size=10**6)
+    if op == "sqrt":
+        xs = np.abs(xs)
+    text = f"x1^{op}" if isinstance(op, int) else f"{op}(x1)"
+    got = compile_exprs([parse_expression(text)], ("x1",))([xs])[0]
+    if isinstance(op, int):
+        want = np.array([x ** op for x in xs.tolist()])
+    else:
+        want = np.array(list(map(getattr(math, op), xs.tolist())))
+    assert np.abs(_ulp_order(got) - _ulp_order(want)).max() <= 1
+
+
+@pytest.mark.parametrize("op", ["sin", "cos", "exp", "sqrt", 2, 3, 7])
+def test_kernel_on_one_float_has_the_bits_of_a_column(op):
+    # folding, one row and a batch all call the same ufunc; each element of
+    # a column gets the bits of the ufunc called on that float alone
+    xs = np.random.default_rng(23).uniform(-10.0, 10.0, size=5000)
+    if op == "sqrt":
+        xs = np.abs(xs)
+    kernel = ((lambda x: np.power(x, op)) if isinstance(op, int)
+              else exprlang.FUNCTIONS[op])
+    column = kernel(xs)
+    alone = np.array([float(kernel(x)) for x in xs.tolist()])
+    assert alone.tobytes() == column.tobytes()
+    program = compile_exprs([parse_expression(f"x1^{op}" if isinstance(op, int)
+                                              else f"{op}(x1)")], ("x1",))
+    rows = np.array([program([x])[0] for x in xs[:200].tolist()])
+    assert rows.tobytes() == program([xs[:200]])[0].tobytes() == column[:200].tobytes()
 
 
 def test_batch_numbers_stay_python_numbers():

@@ -6,8 +6,8 @@ from unittest import mock
 
 import numpy as np
 
-from symred.errors import NonFiniteError, ValidationError
-from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow
+from symred.errors import NonFiniteError, ParseError, ValidationError
+from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow, Token
 from symred.geometry import ChartPoint
 
 
@@ -121,16 +121,33 @@ def random_expr(rng, depth=0):
     return Call(_FUNCTIONS[rng.integers(len(_FUNCTIONS))], random_expr(rng, depth + 1))
 
 
-_REFERENCE_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
+# the package's elementwise kernels, bound here so that tests patching
+# exprlang.FUNCTIONS count only the package's calls
+_REFERENCE_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+
+
+def _reference_kernel(name, fn, arg, *args):
+    """fn(arg, *args) as a float, with math's errors: a NaN from an argument
+    that is not NaN is a domain error, an infinity from a finite one an
+    overflow."""
+    with np.errstate(all="ignore"):
+        value = float(fn(arg, *args))
+    if math.isnan(value) and not math.isnan(arg):
+        raise ValueError("math domain error")
+    if math.isinf(value) and math.isfinite(arg):
+        raise NonFiniteError(f"{name} overflows")
+    return value
 
 
 def reference_eval_expr(e, env):
     """Tree-walking evaluator: the reference for the compiled programs.
 
     Plain float arithmetic over a name -> value environment, walking the AST
-    at every call.  Division by zero, square roots of negative numbers and
-    overflow raise NonFiniteError; unknown names raise ValidationError when
-    they are reached.
+    at every call, with the package's elementwise kernels (numpy's ufuncs)
+    for functions and powers.  Division by zero, square roots
+    of negative numbers and overflowing powers and functions raise
+    NonFiniteError, sin or cos of an infinity ValueError; unknown names
+    raise ValidationError when they are reached.
     """
     if isinstance(e, Num):
         return e.value
@@ -142,20 +159,14 @@ def reference_eval_expr(e, env):
     if isinstance(e, Neg):
         return -reference_eval_expr(e.arg, env)
     if isinstance(e, Pow):
-        try:
-            return float(reference_eval_expr(e.base, env) ** e.power)
-        except OverflowError:
-            raise NonFiniteError("power overflows") from None
+        return _reference_kernel("power", np.power, reference_eval_expr(e.base, env), e.power)
     if isinstance(e, Call):
         arg = reference_eval_expr(e.arg, env)
         if e.fn == "sqrt" and arg < 0:
             raise NonFiniteError(f"sqrt of negative value {arg}")
-        try:
-            return _REFERENCE_FUNCTIONS[e.fn](arg)
-        except KeyError:
-            raise ValidationError(f"unknown function {e.fn!r}") from None
-        except OverflowError:
-            raise NonFiniteError(f"{e.fn} overflows") from None
+        if e.fn not in _REFERENCE_FUNCTIONS:
+            raise ValidationError(f"unknown function {e.fn!r}")
+        return _reference_kernel(e.fn, _REFERENCE_FUNCTIONS[e.fn], arg)
     if isinstance(e, BinOp):
         left = reference_eval_expr(e.left, env)
         right = reference_eval_expr(e.right, env)
@@ -169,6 +180,81 @@ def reference_eval_expr(e, env):
             raise NonFiniteError("division by zero")
         return left / right
     raise TypeError(f"not an expression node: {e!r}")
+
+
+_REFERENCE_SINGLE = {"+": "PLUS", "-": "MINUS", "*": "STAR", "/": "SLASH", "^": "CARET",
+                     "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
+                     ",": "COMMA", "=": "EQUALS", ".": "DOT"}
+
+
+def _is_ascii_digit(ch):
+    return "0" <= ch <= "9"
+
+
+def reference_tokenize(text):
+    """Character-by-character scanner: the reference for exprlang.tokenize.
+
+    Same tokens (kind, text, line, column) and the same ParseError text and
+    position, one Python loop step per character.
+    """
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            tokens.append(Token("NEWLINE", "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if _is_ascii_digit(ch):
+            start, start_col = i, col
+            while i < n and _is_ascii_digit(text[i]):
+                i += 1
+            if i < n and text[i] == ".":
+                i += 1
+                while i < n and _is_ascii_digit(text[i]):
+                    i += 1
+            if i < n and text[i] in "eE":
+                j = i + 1
+                if j < n and text[j] in "+-":
+                    j += 1
+                if j < n and _is_ascii_digit(text[j]):
+                    i = j
+                    while i < n and _is_ascii_digit(text[i]):
+                        i += 1
+            lexeme = text[start:i]
+            col = start_col + len(lexeme)
+            if not math.isfinite(float(lexeme)):
+                raise ParseError(f"number literal {lexeme!r} overflows", line, start_col)
+            tokens.append(Token("NUMBER", lexeme, line, start_col))
+            continue
+        if ch.isalpha() or ch == "_":
+            start, start_col = i, col
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            lexeme = text[start:i]
+            col = start_col + len(lexeme)
+            tokens.append(Token("IDENT", lexeme, line, start_col))
+            continue
+        kind = _REFERENCE_SINGLE.get(ch)
+        if kind is None:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        tokens.append(Token(kind, ch, line, col))
+        i += 1
+        col += 1
+    tokens.append(Token("EOF", "", line, col))
+    return tokens
 
 
 def horizontal_projector_oracle(jmu, generators, metric, dim):
