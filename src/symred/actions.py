@@ -13,7 +13,9 @@ uniform rules.  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
 ``momentum_jacobian`` take an (N, n) array of points as well as one point,
 and evaluate all rows in one flow or stencil batch, as every check does;
 ``pushforward_table`` builds its flow Jacobians in one stencil batch per
-group parameter.  Each row is the bits of the call on its point alone.
+group parameter and every moved point in one flow batch, and an invariance
+check reads its field at all of them in one call.  Each row is the bits of
+the call on its point alone.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .geometry import (
     FDConfig,
     RowMap,
     TensorField,
-    as_coords,
     as_point,
+    as_points,
     eval_field,
     fd_gradient,
     fd_jacobian,
@@ -157,19 +159,26 @@ def _flow_map(action: GroupAction, params) -> RowMap:
     return RowMap(lambda X: _require_finite(rows(_pairs(X, a)), "chart point"))
 
 
-def pushforward_table(action: GroupAction, params, points, cfg: FDConfig = FDConfig()) -> list:
-    """``table[j]`` is (D, Phi_a(p)) for the j-th group parameter a: the
-    (N, n, n) stack of flow Jacobians at the points, from one stencil batch,
-    and the (N, n) array of moved points, from one flow batch, each row the
-    bits of the call on its point alone.  Passed as ``pushforwards=`` to
-    check_isometry, check_symplectomorphism, check_field_invariance and
-    check_momentum_invariance over the same params and points, it lets them
-    share one flow Jacobian and moved point per (point, parameter) instead
-    of each differentiating or applying the flow again."""
-    X = np.array([as_coords(p) for p in points])
-    prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
-    return [(fd_jacobian(_flow_map(action, a), X, cfg), _flow_values(action, _pairs(X, a)))
-            for a in prm]
+def _param_rows(action: GroupAction, params) -> np.ndarray:
+    """The group parameters as rows of a (P, k) array; a scalar t is t * (1, ..., 1)."""
+    k = action.group_dim
+    return np.array([np.full(k, a, dtype=float) for a in params]).reshape(-1, k)
+
+
+def pushforward_table(action: GroupAction, params, points, cfg: FDConfig = FDConfig()):
+    """(D, moved) for P group parameters and N points: D[j] is the (N, n, n)
+    stack of flow Jacobians of the j-th parameter a, one stencil batch per
+    parameter, and moved[j] the (N, n) points moved by Phi_a, all P * N from
+    one flow batch, each row the bits of the call on its point alone.
+    Passed as ``pushforwards=`` to check_isometry, check_symplectomorphism,
+    check_field_invariance and check_momentum_invariance over the same params
+    and points, it lets them share one flow Jacobian and moved point per
+    (point, parameter) instead of each differentiating or applying the flow."""
+    X, prm = as_points(points), _param_rows(action, params)
+    (N, n), P = X.shape, len(prm)
+    D = np.array([fd_jacobian(_flow_map(action, a), X, cfg) for a in prm]).reshape(P, N, n, n)
+    moved = _flow_values(action, _pairs(np.tile(X, (P, 1)), np.repeat(prm, N, axis=0)))
+    return D, moved.reshape(P, N, n)
 
 
 def generator_vector(action: GroupAction, xi, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
@@ -222,7 +231,7 @@ def check_action_axioms(action: GroupAction, params, points,
     The flows Phi_t(p), the two-step flows over every (s, t) and the
     one-step flows Phi_{s+t}(p) are each evaluated as one batch of rows.
     """
-    prm = np.array([np.asarray(a, dtype=float).reshape(action.group_dim) for a in params])
+    prm = _param_rows(action, params)
     P = len(prm)
 
     def residuals(X, rows):
@@ -244,27 +253,26 @@ def check_action_axioms(action: GroupAction, params, points,
 
 def _invariance_check(name, identity, residual, action, value, params, points, cfg, tol,
                       pushforwards):
-    """Shared body of the invariance checks: per point, the worst over the
-    group parameters of residual(D, F(p), F(Phi_a(p))) over stacks of
-    points, F being ``value``.  ``pushforwards`` is a ``pushforward_table``
-    of the same params and points, or None."""
-    prm = list(params)
-
+    """Shared body of the invariance checks: per point, the largest entry of
+    residual(D, F(p), F(Phi_a(p))) over all parameters a, stacked parameter
+    outer, F being ``value``, read at the points and at all moved points in
+    one call each.  ``pushforwards`` is a ``pushforward_table`` of the same
+    params and points, or None."""
     def residuals(X, rows):
         if pushforwards is None:
-            table = pushforward_table(action, prm, X, cfg)
+            D, moved = pushforward_table(action, params, X, cfg)
         else:
-            table = [(D[rows], moved[rows]) for D, moved in pushforwards]
-        here = value(X)
-        per_param = [residual(D, here, value(moved)) for D, moved in table]
-        return _row_max_abs(np.array(per_param).reshape(len(prm), len(X)).T)
+            D, moved = (a[:, rows] for a in pushforwards)
+        there = value(moved.reshape(-1, moved.shape[2]))
+        diff = residual(D, value(X), there.reshape(moved.shape[:2] + there.shape[1:]))
+        return _row_max_abs(diff.swapaxes(0, 1))
 
     return _sampled(name, identity, residuals, points, tol)
 
 
 def _pullback_residual(D, here, moved) -> np.ndarray:
     """A bilinear field against its pullback D^T F(Phi_a(p)) D."""
-    return _row_max_abs(D.swapaxes(1, 2) @ moved @ D - here)
+    return D.swapaxes(-1, -2) @ moved @ D - here
 
 
 def check_isometry(action: GroupAction, g: TensorField, params, points,
@@ -308,7 +316,7 @@ def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, poin
     points whose moved points are read, or None to build one.
     """
     return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT,
-                             lambda D, here, moved: _row_max_abs(moved - here),
+                             lambda D, here, moved: moved - here,
                              action, lambda p: momentum_values(mu, p), params, points,
                              FDConfig(), tol, pushforwards)
 
@@ -330,10 +338,11 @@ def average_metric(g0: TensorField, action: GroupAction, quadrature,
     n = g0.shape[0]
 
     def avg(p: ChartPoint) -> np.ndarray:
-        total = np.zeros((n, n))
-        table = pushforward_table(action, [a for a, _ in rule], [p], cfg)
-        for (D, moved), (_, weight) in zip(table, rule):
-            total += weight * (D[0].T @ eval_field(g0, moved)[0] @ D[0])
+        D, moved = pushforward_table(action, [a for a, _ in rule], [p], cfg)
+        terms = np.array([w for _, w in rule])[:, np.newaxis, np.newaxis] * (
+            D[:, 0].swapaxes(1, 2) @ eval_field(g0, moved[:, 0]) @ D[:, 0])
+        # running sum from zero, term by term in rule order
+        total = np.cumsum(np.concatenate([np.zeros((1, n, n)), terms]), axis=0)[-1]
         return 0.5 * (total + total.T)
 
     return TensorField.matrix(avg, n, name=f"group average of {g0.name or 'metric'}")
@@ -344,7 +353,7 @@ def check_field_invariance(field_: TensorField, action: GroupAction, params, poi
                            pushforwards=None) -> StructureCheckResult:
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
     return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
-                             lambda D, here, moved: _row_max_abs(D @ here - moved @ D),
+                             lambda D, here, moved: D @ here - moved @ D,
                              action, field_, params, points, cfg, tol, pushforwards)
 
 

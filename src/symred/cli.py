@@ -26,7 +26,7 @@ from .actions import (
     pushforward_table,
 )
 from .errors import ScenarioFormatError, SymredError, UnknownScenarioError
-from .geometry import ChartPoint, FDConfig, RowMap, sample_ball, sample_box
+from .geometry import FDConfig, RowMap, as_points, sample_ball, sample_box
 from .holomorphy import (
     IDENTITY_ACM_MAP,
     ChartedMap,
@@ -135,7 +135,7 @@ def _suite_action(scen, cfg, points, params, fd):
     report.add(check_action_axioms(scen.action, params, points,
                                    _tolerance("action.axioms", cfg, scen)))
     # one flow Jacobian and moved point per (point, parameter) for the four
-    # invariance checks, one stack per parameter
+    # invariance checks, every parameter a block of one stack
     pushforwards = pushforward_table(scen.action, params, points, fd)
     report.add(check_isometry(scen.action, scen.metric, params, points, fd,
                               _tolerance("action.isometry", cfg, scen),
@@ -205,8 +205,7 @@ def _reference_maps():
 def _suite_holomorphy(cfg, scen, seed, samples, fd):
     report = VerificationReport("holomorphy")
     tol = _tolerance("holomorphy.residual", cfg, scen)
-    points = sample_box(2, samples, radius=1.5, seed=seed + 2)
-    X = np.array([p.coords for p in points])
+    X = sample_box(2, samples, radius=1.5, seed=seed + 2)
     j2 = standard_acs(2)
     equivalence_flags = []
     for name, func, holomorphic in _reference_maps():
@@ -215,16 +214,16 @@ def _suite_holomorphy(cfg, scen, seed, samples, fd):
         cr = cauchy_riemann_residual(cm, X, fd)
         if holomorphic:
             report.add(StructureCheckResult.from_samples(
-                f"holomorphy of {name}", acm, points, tol, IDENTITY_ACM_MAP))
+                f"holomorphy of {name}", acm, X, tol, IDENTITY_ACM_MAP))
         else:
             report.add(StructureCheckResult.from_samples(
-                f"{name} defect equals 2*sqrt(2)", np.abs(acm - 2.0 * np.sqrt(2.0)), points,
+                f"{name} defect equals 2*sqrt(2)", np.abs(acm - 2.0 * np.sqrt(2.0)), X,
                 tol, f"{IDENTITY_ACM_MAP} fails by a known amount"))
         equivalence_flags.append(
             np.where((acm <= HOLOMORPHIC_LEVEL) == (cr <= HOLOMORPHIC_LEVEL), 0.0, 1.0))
     report.add(StructureCheckResult.from_samples(
         "cauchy-riemann/holomorphy equivalence", np.concatenate(equivalence_flags),
-        points * len(equivalence_flags), 0.5,
+        np.tile(X, (len(equivalence_flags), 1)), 0.5,
         f"a_x = b_y, a_y = -b_x iff {IDENTITY_ACM_MAP}"))
     return report
 
@@ -242,19 +241,18 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
     fd = FDConfig()
 
     points = sample_box(scen.chart_dim, samples, radius=2.0, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    params = [rng.uniform(-np.pi, np.pi, scen.action.group_dim) for _ in range(5)]
+    params = np.random.default_rng(seed + 1).uniform(-np.pi, np.pi, (5, scen.action.group_dim))
     # a scenario's explicit quotient points stand unless --seed or --samples
     # asks for a fresh draw
     if cfg.seed is None and cfg.samples is None and scen.sample_spec.points:
-        qpoints = [ChartPoint(p) for p in scen.sample_spec.points]
+        qpoints = as_points(scen.sample_spec.points)
     else:
         qpoints = sample_ball(scen.quotient_dim, samples,
                               radius=scen.sample_spec.radius, seed=seed)
     fiber_params = (np.pi / 3.0, np.pi)
-    # one base lift frame per quotient point, shared by the reduction and
-    # main-theorem suites and built, all in one batch, when first needed
-    frames = lift_frames(scen, qpoints, fd)
+    # the base lift frames of the reduction and main-theorem suites and the
+    # moved frames of the reduction suite, built in one batch when first needed
+    frames = lift_frames(scen, qpoints, fd, fiber_params if "reduction" in cfg.suites else ())
 
     report = VerificationReport(
         scen.name,
@@ -264,9 +262,9 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
             "seed": seed,
             "samples": samples,
             "suites": list(s for s in SUITE_ORDER if s in cfg.suites),
-            "ambient_points": [list(p.coords) for p in points],
-            "quotient_points": [list(p.coords) for p in qpoints],
-            "group_params": [list(a) for a in params],
+            "ambient_points": points.tolist(),
+            "quotient_points": qpoints.tolist(),
+            "group_params": params.tolist(),
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
     )

@@ -29,8 +29,10 @@ result slot) per remaining node, in evaluation order (Aho, Lam, Sethi &
 Ullman, *Compilers*, 2006: value numbering of a basic block).  One
 interpreter runs that list on one point's Python floats or on a batch's
 float64 columns, one per coordinate.  Each operation is one kernel on every
-path: ``+ - * /`` and negation are IEEE operations, and sin, cos, exp, sqrt
-and ``^`` are numpy's ufuncs, called on a float or on a whole column.  So
+path: ``+ - * /`` and negation are IEEE operations, ``^2`` is one checked
+multiply ``x*x`` (the bits of ``np.power(x, 2)``), and sin, cos, exp, sqrt
+and any other ``^`` are numpy's ufuncs, called on a float or on a whole
+column.  So
 folding, one row and a batch give each value the same bits, those of a
 tree walk calling the same kernels.  Scenario files are untrusted input:
 a program is data built from the AST, and no generated source is ever
@@ -546,8 +548,9 @@ def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
         if min(args) < 0:  # an argument names an unknown coordinate or function
             return -1
         op = ops.get(label)
-        if op is None:  # an exponent
-            op = ops[label] = _elementwise("power", np.power, label)
+        if op is None:  # an exponent; a square is one multiply, np.power's bits
+            op = ops[label] = _elementwise("power", lambda x: x * x) if label == 2 \
+                else _elementwise("power", np.power, label)
         if min(args) >= width:
             known = [template[a - width] for a in args]
             if None not in known:

@@ -1,8 +1,9 @@
 """Charts, evaluable tensor fields, finite differences, and the small dense
 linear-algebra kit used by every other module.
 
-A chart point is a ``ChartPoint``; a tangent vector is a plain component
-array, and a frame or basis of tangent vectors (``kernel_basis``,
+A chart point is a ``ChartPoint``, and a sample of points (``sample_box``,
+``sample_ball``) the rows of one (N, d) array; a tangent vector is a plain
+component array, and a frame or basis of tangent vectors (``kernel_basis``,
 ``orthonormalize``) is a matrix whose columns are the vectors.
 
 Everything here is pure and immutable: evaluating a field or a derivative
@@ -55,6 +56,7 @@ from .errors import DegenerateInputError, NonFiniteError, NotSPDError
 __all__ = [
     "ChartPoint",
     "as_point",
+    "as_points",
     "RowMap",
     "as_row_map",
     "TensorField",
@@ -82,6 +84,15 @@ def as_coords(obj) -> np.ndarray:
 def as_point(obj) -> ChartPoint:
     """``obj`` itself if it is a ChartPoint, else a ChartPoint of its coordinates."""
     return obj if isinstance(obj, ChartPoint) else ChartPoint(as_coords(obj))
+
+
+def as_points(points) -> np.ndarray:
+    """The points as the rows of an (N, d) array: an (N, d) array as it is,
+    a sequence of ChartPoints or coordinate vectors stacked, none as (0, 0)."""
+    if isinstance(points, np.ndarray) and points.ndim == 2:
+        return points
+    rows = [as_coords(p) for p in points]
+    return np.array(rows, dtype=float) if rows else np.zeros((0, 0))
 
 
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -229,6 +240,8 @@ def eval_field(field: TensorField, p) -> np.ndarray | float:
     non-finite value raises for the first row that has one.
     """
     X, one = _stack(p)
+    if not len(X):  # no points, nothing to evaluate
+        return np.zeros((0, *field.shape))
     if one:
         point = as_point(p)
         values = np.asarray(as_coords(field.func(point)), dtype=float)[np.newaxis]
@@ -478,15 +491,16 @@ def _replayed(residuals: Callable, X: np.ndarray) -> np.ndarray:
         raise
 
 
-def sample_box(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> list[ChartPoint]:
-    """Deterministic uniform sample of chart points in the coordinate box
-    [-radius, radius]^dim."""
+def sample_box(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> np.ndarray:
+    """Deterministic uniform sample of ``count`` points of the coordinate box
+    [-radius, radius]^dim, as the rows of a (count, dim) array."""
     rng = np.random.default_rng(seed)
-    return [ChartPoint(row) for row in rng.uniform(-radius, radius, size=(count, dim))]
+    return _require_finite(rng.uniform(-radius, radius, size=(count, dim)), "chart point")
 
 
-def sample_ball(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> list[ChartPoint]:
-    """Deterministic uniform sample inside the coordinate ball |x| <= radius.
+def sample_ball(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> np.ndarray:
+    """Deterministic uniform sample of ``count`` points inside the coordinate
+    ball |x| <= radius, as the rows of a (count, dim) array.
 
     Each point is a uniform direction z/|z| from a standard normal z, scaled
     by radius * u^(1/dim) for a uniform u on [0, 1) (Muller, CACM 1959):
@@ -494,9 +508,9 @@ def sample_ball(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> lis
     ``uniform(size=count)`` draw.
     """
     if dim == 0:
-        return [ChartPoint(np.zeros(0)) for _ in range(count)]
+        return np.zeros((count, 0))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, dim))
     u = rng.uniform(size=count)
     scale = radius * u ** (1.0 / dim) / np.linalg.norm(z, axis=1)
-    return [ChartPoint(row) for row in z * scale[:, np.newaxis]]
+    return _require_finite(z * scale[:, np.newaxis], "chart point")

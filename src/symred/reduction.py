@@ -8,20 +8,18 @@ reduced objects at a quotient point come from one lift frame
 (``reduced_structures``).  The horizontal frame is the null space of the
 g-pairing with the vertical frame inside the level frame, so it lies in
 ker d mu and has n - 2k columns by construction.  The verification
-pipelines read the base frames from a ``lift_frames`` table, which a caller
-can build once and pass to all of them, and the vertical-invariance check
-reads the moved frames of the fibre check.
+pipelines read their frames from a ``lift_frames`` table, which a caller
+can build once and pass to all of them.
 
 Frames are stacks: ``split_tangent`` splits an (N, n) array of points at
-once, ``lift_frames`` builds every base frame of a verification in one
-batch on its first lookup, and ``verify_submersion`` builds the moved
-frames and flow pushforwards of each fibre parameter in one batch; a single
-frame is a stack of one.  Every frame is the bits of building it alone.
-The pipelines run on these stacks with stacked products and no loop over
-points: a vector that the per-point formula takes alone (a lift, a
-generator, a sampled tangent pair) is its own (n, 1) slice of the product,
-so each value that needs no solve is the bits of computing it point by
-point.  A pipeline whose stack raises is run again point by point, as
+once, and ``lift_frames`` builds every frame of a verification, the base
+frames and the moved frames of every fibre parameter, in one batch on its
+first lookup; a single frame is a stack of one.  Every frame is the bits
+of building it alone.  The pipelines run on these stacks with stacked
+products and no loop over points: a vector that the per-point formula
+takes alone (a lift, a generator, a sampled tangent pair) is its own (n, 1)
+slice of the product, so each value that needs no solve is the bits of
+computing it point by point.  A pipeline whose stack raises runs again as
 stacks of one, so an error surfaces where, and as, it would point by point.
 
 The quotient has no chart of its own except through the local section, so
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Callable
 
 import numpy as np
 
@@ -48,6 +45,8 @@ from .actions import (
     momentum_jacobian,
     momentum_values,
     _flow_map,
+    _pairs,
+    _param_rows,
 )
 from .errors import (
     ActionNotFreeError,
@@ -64,6 +63,7 @@ from .geometry import (
     RowMap,
     TensorField,
     as_point,
+    as_points,
     as_row_map,
     eval_field,
     fd_jacobian,
@@ -308,25 +308,21 @@ class _LiftFrames:
         return _LiftFrames(split, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
 
-def _quotient_array(scen: ReductionScenario, points) -> np.ndarray:
-    """The quotient points as the rows of an (N, q) array."""
-    xs = [as_point(x).coords for x in points]
-    return np.array(xs, dtype=float).reshape(len(xs), scen.quotient_dim)
-
-
 def _lift_frames(scen: ReductionScenario, X: np.ndarray, cfg: FDConfig = FDConfig(),
-                 section=None) -> _LiftFrames:
+                 fiber_params=np.zeros((0, 0))) -> _LiftFrames:
     """The lift frames at the rows of the (N, q) array X of quotient points
-    through ``section`` (a chart map, by default the scenario's own
-    section), built in one batch: one section call, one ``split_tangent``
-    over all section points, one stencil batch for the section pushforwards
-    and stacked products, SVDs and solves.  Each frame has the bits of the
-    batch of its point alone, and a batch of one raises what that point
-    raises.  A batch of several raises if any point fails, not necessarily
-    the first point's error.
+    through the section, then through Phi_a o sigma for each row a of the
+    (P, k) array ``fiber_params``, a block of N frames each, built in one
+    batch: one section call, one flow batch, one ``split_tangent``, one
+    stencil batch per block for the section pushforwards, and stacked
+    products, SVDs and solves.  Each frame has the bits of the batch of its
+    point alone, and a batch of one raises what that frame raises.  A batch
+    of several raises if any frame fails, not necessarily the first one's.
     """
-    section = _moved_section(scen) if section is None else as_row_map(section)
-    M = _require_finite(section.rows(X), "chart point")
+    M = _require_finite(scen.section.rows(X), "chart point")
+    if len(fiber_params):
+        rows = _pairs(np.tile(M, (len(fiber_params), 1)), np.repeat(fiber_params, len(X), axis=0))
+        M = np.concatenate([M, _require_finite(scen.action.flow.rows(rows), "chart point")])
     gaps = _level_gaps(scen, M)
     i = _first(gaps >= LEVEL_TOL)
     if i is not None:
@@ -343,7 +339,8 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray, cfg: FDConfig = FDConfi
     # horizontal part of the section pushforward; d pi of it is the identity
     # on the quotient chart because pi o section = id and d pi kills the
     # vertical complement
-    lifts = H @ (htg @ fd_jacobian(section, X, cfg))
+    sections = [_moved_section(scen), *(_moved_section(scen, a) for a in fiber_params)]
+    lifts = H @ (htg @ np.concatenate([fd_jacobian(f, X, cfg) for f in sections]))
     if q:
         sv = np.linalg.svd(lifts, compute_uv=False)
         i = _first(sv[:, -1] <= RANK_TOL * np.where(sv[:, 0] > 1.0, sv[:, 0], 1.0))
@@ -357,34 +354,48 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray, cfg: FDConfig = FDConfi
 
 class _FrameTable:
     """``frames[rows]``, for a slice or an index, is the stack of the lift
-    frames at those quotient points.  The first lookup builds every frame in
-    one batch.  Should that raise, every lookup builds its rows alone, so a
-    caller going through the rows in its order meets each row's own error,
-    and a lookup of all rows raises again."""
+    frames at those quotient points, and ``frames.moved(rows)`` that of their
+    frames through Phi_a o sigma for each fibre parameter a, parameter outer.
+    The first lookup builds both in one batch.  Should that raise, every
+    lookup builds its frames alone, so a caller going through the rows in its
+    order meets each row's own error, and a lookup of all rows raises again."""
 
-    def __init__(self, build: Callable[[slice], _LiftFrames]):
-        self._build = build
-        self._all: _LiftFrames | None = None
-        self._failed = False
+    def __init__(self, scen: ReductionScenario, X: np.ndarray, cfg: FDConfig, fiber_params):
+        self._scen, self._X, self._cfg, self.fiber_params = scen, X, cfg, fiber_params
+        self._all, self._failed = None, False
 
     def __getitem__(self, rows) -> _LiftFrames:
+        return self._lookup(rows, False)
+
+    def moved(self, rows) -> _LiftFrames:
+        return self._lookup(rows, True)
+
+    def _lookup(self, rows, moved: bool) -> _LiftFrames:
         if not isinstance(rows, slice):
             rows = slice(rows, rows + 1 or None)
         if self._all is None and not self._failed:
             try:
-                self._all = self._build(slice(None))
+                self._all = _lift_frames(self._scen, self._X, self._cfg, self.fiber_params)
             except Exception:  # whatever the batch raised, the rows raise again alone
                 self._failed = True
-        return self._build(rows) if self._all is None else self._all[rows]
+        frames, X, prm = self._all, self._X, self.fiber_params
+        if frames is None:  # the rows alone, with their moved frames if asked for
+            X, rows = X[rows], slice(None)
+            frames = _lift_frames(self._scen, X, self._cfg, prm if moved else prm[:0])
+        index = np.arange(len(X))[rows]
+        if moved:
+            index = (np.arange(1, len(prm) + 1)[:, np.newaxis] * len(X) + index).reshape(-1)
+        return frames[index]
 
 
-def lift_frames(scen: ReductionScenario, points, cfg: FDConfig = FDConfig()) -> _FrameTable:
+def lift_frames(scen: ReductionScenario, points, cfg: FDConfig = FDConfig(),
+                fiber_params=()) -> _FrameTable:
     """The table of the lift frames at ``points`` through the scenario's own
-    section, built when first looked up.  Passed as ``frames=`` to the
-    verify_* pipelines over the same points, one frame per point serves all
-    of them."""
-    X = _quotient_array(scen, points)
-    return _FrameTable(lambda rows: _lift_frames(scen, X[rows], cfg))
+    section and through Phi_a o sigma for each fibre parameter a (as
+    ``verify_submersion`` takes them), built when first looked up.  Passed as
+    ``frames=`` to the verify_* pipelines over the same points, one frame per
+    point serves all of them."""
+    return _FrameTable(scen, as_points(points), cfg, _param_rows(scen.action, fiber_params))
 
 
 def _reduced_metric(lifts: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -483,35 +494,30 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, 
     (``tol``) and invariance of the vertical distribution (``vertical_tol``).
     Each fibre parameter is a group parameter vector, or a scalar t standing
     for t * (1, ..., 1).  ``frames`` is a ``lift_frames`` table of the same
-    points, or None to build one.  The frames at the moved section points
-    and the flow pushforwards at the section points are built as one stack
-    per fibre parameter."""
+    points, base and moved frames read from it; given None, or a table built
+    for other fibre parameters, it builds its own.  The flow pushforwards are
+    one stencil batch per fibre parameter, and the residuals one stack."""
     report = VerificationReport("submersion")
-    xs = list(points)
-    k = scen.action.group_dim
-    prm = [np.full(k, a, dtype=float) for a in fiber_params]
-    if frames is None:
-        frames = lift_frames(scen, xs, cfg)
+    X, prm = as_points(points), _param_rows(scen.action, fiber_params)
+    if frames is None or not np.array_equal(frames.fiber_params, prm):
+        frames = lift_frames(scen, X, cfg, prm)
 
     def residuals(X, rows):
-        base = frames[rows]
-        h_here = _reduced_metric(base.lifts, base.split.metric)
-        fiber = vertical = np.zeros(len(X))
-        for a in prm:
-            moved = _lift_frames(scen, X, cfg, _moved_section(scen, a))
-            D = fd_jacobian(_flow_map(scen.action, a), base.split.base, cfg)
-            fiber = np.maximum(fiber, _row_max_abs(
-                h_here - _reduced_metric(moved.lifts, moved.split.metric)))
-            vertical = np.maximum(vertical,
-                                  _vertical_leak(D, base.split.generators, moved.split))
-        return np.stack([fiber, vertical])
+        base, moved, P = frames[rows], frames.moved(rows), len(prm)
+        D = np.array([fd_jacobian(_flow_map(scen.action, a), base.split.base, cfg)
+                      for a in prm]).reshape(-1, scen.chart_dim, scen.chart_dim)
+        fiber = np.tile(_reduced_metric(base.lifts, base.split.metric), (P, 1, 1)) \
+            - _reduced_metric(moved.lifts, moved.split.metric)
+        vertical = _vertical_leak(D, np.tile(base.split.generators, (P, 1, 1)), moved.split)
+        return np.stack([_row_max_abs(_row_max_abs(fiber).reshape(P, len(X)).T),
+                         _row_max_abs(vertical.reshape(P, len(X)).T)])
 
-    fiber_res, vert_res = _per_point(residuals, _quotient_array(scen, xs), 2)
+    fiber_res, vert_res = _per_point(residuals, X, 2)
     report.add(StructureCheckResult.from_samples(
-        "fiber independence", fiber_res, xs, tol, IDENTITY_FIBER,
-        extras={"fiber_params": [list(a) for a in prm]}))
+        "fiber independence", fiber_res, X, tol, IDENTITY_FIBER,
+        extras={"fiber_params": prm.tolist()}))
     report.add(StructureCheckResult.from_samples(
-        "vertical invariance", vert_res, xs, vertical_tol, IDENTITY_VERT_INV))
+        "vertical invariance", vert_res, X, vertical_tol, IDENTITY_VERT_INV))
     return report
 
 
@@ -530,12 +536,12 @@ def verify_reduction_identity(scen: ReductionScenario, points, cfg: FDConfig = F
     points, or None to build one.
     """
     report = VerificationReport("reduction identity")
-    xs = list(points)
+    X = as_points(points)
     if frames is None:
-        frames = lift_frames(scen, xs, cfg)
+        frames = lift_frames(scen, X, cfg)
     n, q = scen.chart_dim, scen.quotient_dim
     coefs = np.random.default_rng(seed).standard_normal(
-        (len(xs), pairs_per_point, 2, n - scen.action.group_dim))
+        (len(X), pairs_per_point, 2, n - scen.action.group_dim))
 
     def residuals(X, rows):
         f = frames[rows]
@@ -551,12 +557,12 @@ def verify_reduction_identity(scen: ReductionScenario, points, cfg: FDConfig = F
         degeneracy = vertical @ f.Om[:, np.newaxis] @ K[:, np.newaxis]
         return np.stack([_row_max_abs(ambient - reduced), _row_max_abs(degeneracy)])
 
-    id_res, deg_res = _per_point(residuals, _quotient_array(scen, xs), 2)
+    id_res, deg_res = _per_point(residuals, X, 2)
     report.add(StructureCheckResult.from_samples(
-        "pullback identity", id_res, xs, tol, IDENTITY_REDUCTION,
+        "pullback identity", id_res, X, tol, IDENTITY_REDUCTION,
         extras={"pairs_per_point": pairs_per_point, "seed": seed}))
     report.add(StructureCheckResult.from_samples(
-        "vertical degeneracy", deg_res, xs, degeneracy_tol, IDENTITY_DEGENERACY))
+        "vertical degeneracy", deg_res, X, degeneracy_tol, IDENTITY_DEGENERACY))
     return report
 
 
@@ -576,9 +582,9 @@ def verify_main_theorem(scen: ReductionScenario, points, cfg: FDConfig = FDConfi
     ``lift_frames`` table of the same points, or None to build one.
     """
     report = VerificationReport("main theorem")
-    xs = list(points)
+    X = as_points(points)
     if frames is None:
-        frames = lift_frames(scen, xs, cfg)
+        frames = lift_frames(scen, X, cfg)
     q = scen.quotient_dim
     eye = np.eye(q)
 
@@ -597,21 +603,21 @@ def verify_main_theorem(scen: ReductionScenario, points, cfg: FDConfig = FDConfi
         ])
 
     acm_res, compat_res, acs_res, hyp_res, vert_leak, normal_leak = _per_point(
-        residuals, _quotient_array(scen, xs), 6)
+        residuals, X, 6)
     hypothesis_ok = bool((hyp_res <= hypothesis_tol).all())
     iff_res = np.where((acm_res <= tol) == (compat_res <= tol), 0.0, 1.0)
-    branch = "positive" if (len(xs) and max_abs(acm_res) <= tol
+    branch = "positive" if (len(X) and max_abs(acm_res) <= tol
                             and max_abs(compat_res) <= tol) else "negative"
     report.add(StructureCheckResult.from_samples(
-        "almost complex mapping defect", acm_res, xs, tol, IDENTITY_ACM))
+        "almost complex mapping defect", acm_res, X, tol, IDENTITY_ACM))
     report.add(StructureCheckResult.from_samples(
-        "reduced compatibility", compat_res, xs, tol, IDENTITY_RED_COMPAT))
+        "reduced compatibility", compat_res, X, tol, IDENTITY_RED_COMPAT))
     report.add(StructureCheckResult.from_samples(
-        "reduced acs identity", acs_res, xs, tol, IDENTITY_RED_ACS))
+        "reduced acs identity", acs_res, X, tol, IDENTITY_RED_ACS))
     report.add(StructureCheckResult.from_samples(
-        "ambient compatibility hypothesis", hyp_res, xs, hypothesis_tol, IDENTITY_HYPOTHESIS))
+        "ambient compatibility hypothesis", hyp_res, X, hypothesis_tol, IDENTITY_HYPOTHESIS))
     report.add(StructureCheckResult.from_samples(
-        "main theorem iff", iff_res, xs, 0.5, IDENTITY_IFF,
+        "main theorem iff", iff_res, X, 0.5, IDENTITY_IFF,
         extras={"hypothesis_ok": hypothesis_ok, "branch": branch,
                 "hypothesis_violated": not hypothesis_ok}))
     # the one loop over points: the per-sample rows, in the order of ``points``
@@ -621,5 +627,5 @@ def verify_main_theorem(scen: ReductionScenario, points, cfg: FDConfig = FDConfi
         "acs_residual": float(acs_res[i]),
         "vertical_leak": float(vert_leak[i]),
         "normal_leak": float(normal_leak[i]),
-    } for i in range(len(xs))]
+    } for i in range(len(X))]
     return report

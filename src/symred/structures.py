@@ -20,7 +20,8 @@ from .geometry import (
     ChartPoint,
     FDConfig,
     TensorField,
-    as_coords,
+    as_point,
+    as_points,
     eval_field,
     fd_directional,
     spd_sqrt,
@@ -67,14 +68,14 @@ class StructureCheckResult:
 
     @staticmethod
     def from_samples(name, residuals, points, tolerance, identity="", extras=None):
-        """Aggregate per-point residuals; passed iff the max is within tolerance."""
-        residuals = list(residuals)
-        if not residuals:
+        """Aggregate per-point residuals; passed iff the max is within tolerance.
+        ``points`` is an (N, d) array or a sequence; only the worst is made a ChartPoint."""
+        residuals = np.asarray(residuals, dtype=float).reshape(-1)
+        if not len(residuals):
             return StructureCheckResult(name, 0.0, tolerance, True, None, identity, extras or {})
         worst = int(np.argmax(residuals))
         max_res = float(residuals[worst])
-        points = list(points)
-        worst_point = points[worst] if worst < len(points) else None
+        worst_point = as_point(points[worst]) if worst < len(points) else None
         return StructureCheckResult(
             name, max_res, tolerance, max_res <= tolerance, worst_point, identity, extras or {}
         )
@@ -129,13 +130,12 @@ def euclidean_metric(dim: int) -> TensorField:
 
 
 def _sampled(name, identity, residuals, points, tol) -> StructureCheckResult:
-    """One sampled check over ``points``: ``residuals(X, rows)`` returns the
-    residual at each row of X, the rows ``rows`` (a slice) of the (N, n)
-    array of the points, from stacked evaluations, replayed point by point
-    should the batch raise (``_replayed``)."""
-    pts = list(points)
-    X = np.array([as_coords(p) for p in pts])
-    return StructureCheckResult.from_samples(name, _replayed(residuals, X), pts, tol, identity)
+    """One sampled check over ``points`` (``as_points``): ``residuals(X,
+    rows)`` returns the residual at each row of X, the rows ``rows`` (a
+    slice) of the (N, n) array of the points, from stacked evaluations,
+    replayed point by point should the batch raise (``_replayed``)."""
+    X = as_points(points)
+    return StructureCheckResult.from_samples(name, _replayed(residuals, X), X, tol, identity)
 
 
 def check_metric(g: TensorField, points, tol: float = 1e-8) -> StructureCheckResult:

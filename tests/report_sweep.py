@@ -5,9 +5,12 @@
 PARENT_SRC is the ``src`` directory of the other tree (a clone or an
 exported copy of the parent commit).  The sweep runs ``symred verify`` on
 every built-in at 20 samples with seeds 0-7, on hopf at 80 and at 320
-samples with seeds 0 and 51, and on euclidean_r2n at 8 planes (from a
-scenario file) at 20 samples with seeds 5, 44, 55 and 61, each in JSON and
-in text.  Each
+samples with seeds 0 and 51, on euclidean_r2n at 8 planes (from a scenario
+file) at 20 samples with seeds 5, 44, 55 and 61, on every built-in with no
+flags (its own sample spec: seed, count and any explicit quotient points),
+and on hopf at 20 samples with the main-theorem, the reduction and the
+action suite alone (the lift frames are batched differently when no fibre
+frames are asked for), each in JSON and in text.  Each
 tree runs the whole sweep in one worker process with its ``src`` first on
 the import path.  The JSON reports are compared without ``timestamp`` and
 without any key named by ``--ignore``, and the text reports, exit codes
@@ -45,11 +48,15 @@ def sweep_cases(r2n_path: str) -> list[list[str]]:
     """The argv of every verify run of the sweep, JSON and text."""
     from symred.scenarios import builtin_names
 
-    runs = [(name, 20, seed) for name in builtin_names() for seed in range(8)]
-    runs += [("hopf", samples, seed) for samples in (80, 320) for seed in (0, 51)]
-    runs += [(r2n_path, 20, seed) for seed in (5, 44, 55, 61)]
-    return [["verify", scenario, "--samples", str(samples), "--seed", str(seed),
-             "--format", fmt] for scenario, samples, seed in runs for fmt in ("json", "text")]
+    runs = [[name, "--samples", "20", "--seed", str(seed)]
+            for name in builtin_names() for seed in range(8)]
+    runs += [["hopf", "--samples", str(samples), "--seed", str(seed)]
+             for samples in (80, 320) for seed in (0, 51)]
+    runs += [[r2n_path, "--samples", "20", "--seed", str(seed)] for seed in (5, 44, 55, 61)]
+    runs += [[name] for name in builtin_names()]  # the scenario's own sample spec
+    runs += [["hopf", "--samples", "20", "--suites", suite]
+             for suite in ("main-theorem", "reduction", "action")]
+    return [["verify", *run, "--format", fmt] for run in runs for fmt in ("json", "text")]
 
 
 def worker(cases: list[list[str]]) -> None:

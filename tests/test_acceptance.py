@@ -62,8 +62,8 @@ def test_criterion_01_hopf_reduced_structures_match_closed_form():
     worst_h = worst_w = 0.0
     for x in sample_ball(HOPF.quotient_dim, 20, 2.0, 7):
         red = reduced_structures(HOPF, x)
-        worst_h = max(worst_h, np.max(np.abs(red.h_beta - round_sphere_metric(x.coords))))
-        worst_w = max(worst_w, np.max(np.abs(red.omega_beta - round_sphere_symplectic(x.coords))))
+        worst_h = max(worst_h, np.max(np.abs(red.h_beta - round_sphere_metric(x))))
+        worst_w = max(worst_w, np.max(np.abs(red.omega_beta - round_sphere_symplectic(x))))
     _line(1, f"reduced metric/symplectic vs round-sphere closed form "
              f"(h err {worst_h:.2e}, w err {worst_w:.2e})",
           worst_h < 1e-5 and worst_w < 1e-5)
@@ -125,7 +125,7 @@ def test_criterion_05_main_theorem_branches():
 
     skew = builtin("skewed_metric_hopf")
     sk_report = verify_main_theorem(
-        skew, [ChartPoint([0.0, 0.0])] + sample_ball(skew.quotient_dim, 6, 2.0, 7))
+        skew, np.vstack([[0.0, 0.0], sample_ball(skew.quotient_dim, 6, 2.0, 7)]))
     at_zero = sk_report.meta["samples"][0]
     skew_ok = (abs(at_zero["compat_residual"] - 3.0) < 1e-6
                and sk_report.find("main theorem iff").extras["hypothesis_violated"])

@@ -17,10 +17,11 @@ from symred.actions import (
     check_momentum_invariance,
     check_symplectomorphism,
     planar_rotation_action,
+    pushforward_table,
 )
 from symred.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from symred.errors import ValidationError
-from symred.geometry import ChartPoint, FDConfig, TensorField, eval_field, sample_ball
+from symred.geometry import ChartPoint, FDConfig, RowMap, TensorField, eval_field, sample_ball
 from symred.reduction import (
     reduced_structures,
     verify_main_theorem,
@@ -478,14 +479,13 @@ def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
     fiber_params = report.find("fiber independence").extras["fiber_params"]
     group_params = report.meta["group_params"]
     # one base frame per quotient point for all pipelines, plus one moved
-    # frame per fibre parameter, split in one batch of base frames and one
-    # batch per fibre parameter
+    # frame per fibre parameter, all split in one batch
     assert points["split_tangent"] == (1 + len(fiber_params)) * samples
-    assert calls["split_tangent"] == 1 + len(fiber_params)
+    assert calls["split_tangent"] == 1
     # the vertical-invariance check reads the generators of those frames
     assert points["generator"] == points["split_tangent"] * builtin("hopf").action.group_dim
     # one flow Jacobian and moved point per (point, parameter) for the four
-    # invariance checks, in one batch per parameter
+    # invariance checks, one stencil batch per parameter
     assert points["fd_jacobian"] == samples * len(group_params)
     assert calls["fd_jacobian"] == len(group_params)
 
@@ -502,8 +502,34 @@ def test_frame_batches_per_op_do_not_grow_with_samples(samples, monkeypatch):
     monkeypatch.setattr(symred.reduction, "split_tangent", counted)
     report, code = run(RunConfig("hopf", samples=samples, seed=3))
     assert code == 0
-    # one batch of base frames and one per fibre parameter, at any sample count
-    assert calls["split_tangent"] == 1 + len(report.find("fiber independence").extras["fiber_params"])
+    # the base and moved frames of every fibre parameter in one batch, at
+    # any sample count; without the reduction suite, the base frames alone
+    assert calls["split_tangent"] == 1
+    report, code = run(RunConfig("hopf", suites=("main-theorem",), samples=samples, seed=3))
+    assert code == 0 and calls["split_tangent"] == 2
+
+
+def test_action_suite_moves_all_points_in_one_flow_batch(monkeypatch):
+    # the moved points of every (parameter, point) pair are one flow batch,
+    # whatever the number of group parameters; the flow Jacobians are one
+    # stencil batch per parameter
+    hopf = builtin("hopf")
+    flow_rows = hopf.action.flow.rows
+    batches = []
+
+    def rows(Z):
+        batches.append(len(Z))
+        return flow_rows(Z)
+
+    action = dataclasses.replace(hopf.action, flow=RowMap(rows))
+    X = np.random.default_rng(5).uniform(-1.5, 1.5, (20, 4))
+    for count in (5, 9):
+        params = np.random.default_rng(count).uniform(-np.pi, np.pi, (count, 1))
+        batches.clear()
+        D, moved = pushforward_table(action, params, X)
+        assert D.shape == (count, 20, 4, 4) and moved.shape == (count, 20, 4)
+        stencil = 4 * 4 * 20  # four offsets along each of four coordinates
+        assert batches == [stencil] * count + [count * 20]
 
 
 # exit code and failing checks of every built-in at 20 samples, seed 4
@@ -593,8 +619,8 @@ def test_two_torus_scenario_verifies(tmp_path, capsys):
     assert (scen.chart_dim, scen.action.group_dim, scen.quotient_dim) == (8, 2, 4)
     for w in sample_ball(4, 5, 2.0, 3):
         want = np.zeros((4, 4))
-        want[:2, :2] = round_sphere_metric(w.coords[:2])
-        want[2:, 2:] = round_sphere_metric(w.coords[2:])
+        want[:2, :2] = round_sphere_metric(w[:2])
+        want[2:, 2:] = round_sphere_metric(w[2:])
         np.testing.assert_allclose(reduced_structures(scen, w).h_beta, want, atol=1e-6)
 
 
@@ -699,15 +725,17 @@ def _count_chart_points(monkeypatch):
 
 
 def test_hopf_op_builds_few_chart_points(monkeypatch):
-    # stencils of compiled maps and of the holomorphy reference maps are row
-    # batches, and frames, pushforwards, every check and the holomorphy
-    # residuals work on stacks: the only ChartPoints are the sample points
-    # (ambient, quotient and holomorphy)
+    # sample points are arrays, stencils of compiled maps and of the
+    # holomorphy reference maps are row batches, and frames, pushforwards,
+    # every check and the holomorphy residuals work on stacks: the only
+    # ChartPoints are the worst points of the checks, at most one per
+    # check, at any sample count
     built = _count_chart_points(monkeypatch)
-    samples = 20
-    report, code = run(RunConfig("hopf", samples=samples, seed=51))
-    assert code == 0
-    assert built["points"] == 3 * samples == 60
+    for samples in (20, 80):
+        built.clear()
+        report, code = run(RunConfig("hopf", samples=samples, seed=51))
+        assert code == 0
+        assert built["points"] <= len(list(report.all_checks())) == 25
 
 
 @pytest.mark.parametrize("samples", [20, 80])

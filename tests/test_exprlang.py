@@ -427,8 +427,9 @@ def test_batch_wrong_width_raises_like_a_row():
 
 def test_batch_calls_each_function_and_power_once_per_column(monkeypatch):
     # sin, cos, exp and sqrt are one numpy kernel call on the whole column,
-    # and a power is one np.power call; a single row calls each once on a
-    # float, and every row of the batch has the bits of the kernels
+    # and a power one np.power call or, for ^2, one multiply; a single row
+    # calls each once on a float, and every row of the batch has the bits of
+    # the kernels
     seen = Counter()
     for name, fn in list(exprlang.FUNCTIONS.items()):
         def counted(x, _name=name, _fn=fn):
@@ -617,3 +618,36 @@ def test_ast_node_equality_semantics():
     assert BinOp("+", Num(1.0), Coord("x1")) == BinOp("+", Num(1.0), Coord("x1"))
     assert Neg(Num(1.0)) != Num(-1.0)
     assert Pow(Coord("x1"), 2) != Pow(Coord("x1"), 3)
+
+
+def test_square_is_one_multiply_with_the_bits_of_np_power():
+    # ^2 runs x*x, not a ufunc call: over a million values spanning every
+    # binade, huge values that overflow and subnormals that underflow
+    # included, each value on a column, on one float and folded is the bits
+    # of np.power(x, 2) on the installed numpy, and an overflow from a finite
+    # value fails closed as np.power's did
+    rng = np.random.default_rng(29)
+    xs = np.concatenate([
+        rng.uniform(-10.0, 10.0, 500_000),
+        np.ldexp(rng.uniform(-1.0, 1.0, 500_000), rng.integers(-1074, 513, 500_000)),
+        np.ldexp(rng.uniform(-1.0, 1.0, 1000), rng.integers(513, 1025, 1000)),
+        np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.3e154, -1.4e154, np.inf, -np.inf,
+                  np.nan]),
+    ])
+    program = compile_exprs([parse_expression("x1^2")], ("x1",))
+    with np.errstate(over="ignore"):
+        want = np.power(xs, 2)
+    finite = np.isfinite(want) | ~np.isfinite(xs)
+    assert finite.sum() >= 10**6 and (~finite).any() and (want[finite] == 0.0).any()
+    got = program([xs[finite]])[0]
+    assert got.tobytes() == want[finite].tobytes()
+    picks = np.flatnonzero(finite)[::37]  # Python's x ** 2 differs on about 19 of these
+    alone = [program([x])[0] for x in xs[picks].tolist()]
+    assert np.array(alone).tobytes() == want[picks].tobytes()
+    assert all(type(v) is float for v in alone)
+    for x in xs[picks[:50]].tolist():
+        folded = compile_exprs([parse_expression(f"({x!r})^2")], ())
+        assert np.float64(folded.folded[0]).tobytes() == np.float64(x * x).tobytes()
+    for x in xs[~finite][:5].tolist():
+        with pytest.raises(NonFiniteError, match="^power overflows$"):
+            program([x])

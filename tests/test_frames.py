@@ -7,15 +7,20 @@ its order: base frame i, then the moved frame and flow pushforward of each
 fibre parameter.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from symred.actions import _flow_map, pushforward_table
+from symred import cli
+from symred.actions import GroupAction, _flow_map, pushforward_table
 from symred.cli import main
 from symred.errors import ActionNotFreeError, NonFiniteError, SectionNotOnLevelError
 from symred.geometry import (
     ChartPoint,
     FDConfig,
+    RowMap,
+    TensorField,
     fd_gradient,
     fd_jacobian,
     kernel_basis,
@@ -24,8 +29,7 @@ from symred.geometry import (
     sample_box,
 )
 from symred.reduction import (
-    _lift_frames,
-    _moved_section,
+    SampleSpec,
     lift_frames,
     verify_main_theorem,
     verify_reduction_identity,
@@ -76,34 +80,35 @@ def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
     scen = _r2n_8() if name == "r2n_8" else builtin(name)
     k = scen.action.group_dim
     xs = sample_ball(scen.quotient_dim, 20, radius=scen.sample_spec.radius, seed=seed)
-    frames = lift_frames(scen, xs, CFG)[:]
+    table = lift_frames(scen, xs, CFG, FIBER_PARAMS)
+    frames, moved = table[:], table.moved(slice(None))
+    assert len(moved.lifts) == len(FIBER_PARAMS) * len(xs)
     bases = []
     for i, x in enumerate(xs):
         m, ref = reference_lift_frame(scen, x, CFG)
         _assert_frame(frames, i, m, ref, f"{name} seed {seed} base frame {i}")
         bases.append(m)
     M = np.array([m.coords for m in bases])
-    X = np.array([x.coords for x in xs])
-    for a in FIBER_PARAMS:
+    for j, a in enumerate(FIBER_PARAMS):
         a = np.full(k, a)
-        moved = _lift_frames(scen, X, CFG, _moved_section(scen, a))
         D = fd_jacobian(_flow_map(scen.action, a), M, CFG)
         for i, x in enumerate(xs):
             m, ref = reference_lift_frame(scen, x, CFG, reference_moved_section(scen, a))
-            _assert_frame(moved, i, m, ref, f"{name} seed {seed} fibre frame {i} at {a}")
+            _assert_frame(moved, j * len(xs) + i, m, ref,
+                          f"{name} seed {seed} fibre frame {i} at {a}")
             _same(D[i], reference_pushforward(scen.action, a, bases[i], CFG)[0],
                   f"{name} seed {seed} fibre pushforward {i} at {a}")
 
     points = sample_box(scen.chart_dim, 20, radius=2.0, seed=seed)
     rng = np.random.default_rng(seed + 1)
     params = [rng.uniform(-np.pi, np.pi, k) for _ in range(5)]
-    table = pushforward_table(scen.action, params, points, CFG)
+    D, moved = pushforward_table(scen.action, params, points, CFG)
+    assert D.shape[:2] == moved.shape[:2] == (len(params), len(points))
     for j, a in enumerate(params):
-        D, moved = table[j]
         for i, p in enumerate(points):
             want_D, want_moved = reference_pushforward(scen.action, a, p, CFG)
-            _same(D[i], want_D, f"{name} seed {seed} pushforward ({i}, {j})")
-            _same(moved[i], want_moved.coords, f"{name} seed {seed} moved point ({i}, {j})")
+            _same(D[j, i], want_D, f"{name} seed {seed} pushforward ({i}, {j})")
+            _same(moved[j, i], want_moved.coords, f"{name} seed {seed} moved point ({i}, {j})")
 
 
 def test_stacked_kernel_basis_matches_each_matrix():
@@ -153,7 +158,7 @@ def test_stacked_fd_matches_each_point():
     grads = fd_gradient(hopf.mu.components[0], X, CFG)
     for i, x in enumerate(X):
         _same(grads[i], reference_fd_gradient(hopf.mu.components[0], x, CFG), f"gradient {i}")
-    (D, moved), = pushforward_table(hopf.action, [np.array([0.7])], X, CFG)
+    (D,), (moved,) = pushforward_table(hopf.action, [np.array([0.7])], X, CFG)
     for i, x in enumerate(X):
         want_D, want_moved = reference_pushforward(hopf.action, np.array([0.7]), x, CFG)
         _same(D[i], want_D, f"pushforward {i}")
@@ -301,3 +306,64 @@ def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, ca
                 assert str(raised.value) == str(base_error)
         assert main(["verify", str(path), "--suites", "main-theorem"]) == 2
         assert capsys.readouterr().err == f"error: {base_error}\n"
+
+
+def _opaque_flow_hopf(fails):
+    """hopf with a per-point flow raising NonFiniteError near the section
+    point of quotient point i for fibre parameter j, for each (i, j, xs) of
+    ``fails``: the moved frame and the flow pushforward of that pair fail."""
+    hopf = builtin("hopf")
+    flow_rows = hopf.action.flow.rows
+
+    def flow(a, p):
+        for i, j, xs in fails:
+            if a[0] == FIBER_PARAMS[j] and np.max(np.abs(
+                    p.coords - hopf.section_point(xs[i]).coords)) < 1e-3:
+                raise NonFiniteError(f"flow fails near point {i} for fibre parameter {j}")
+        return ChartPoint(flow_rows(np.concatenate([p.coords, a])[np.newaxis])[0])
+
+    return dataclasses.replace(hopf, action=GroupAction(1, flow))
+
+
+def test_fibre_error_comes_from_the_first_failing_point():
+    # the flow fails for fibre parameter 1 at point 0 and for parameter 0 at
+    # point 1.  The frames of all points and parameters are one batch, which
+    # fails; the check then runs point by point, each point's moved frames
+    # one batch, so point 0's failure is raised, as the frame-by-frame order
+    # (point outer, then parameter) raises it
+    xs = sample_ball(2, 4, radius=2.0, seed=6)
+    scen = _opaque_flow_hopf([(0, 1, xs), (1, 0, xs)])
+    error = _reference_submersion_failure(scen, xs)
+    assert str(error) == "flow fails near point 0 for fibre parameter 1"
+    for frames in (None, lift_frames(scen, xs, CFG, FIBER_PARAMS)):
+        with pytest.raises(NonFiniteError) as raised:
+            verify_submersion(scen, xs, FIBER_PARAMS, CFG, frames=frames)
+        assert str(raised.value) == str(error)
+
+
+def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
+    # omega and J are read at every frame of the batch, the moved ones
+    # included, so omega non-finite only at Phi_pi(sigma(0, 0)) = (-1, 0, 0, 0)
+    # fails the fibre check, and verify, with the frame-by-frame error
+    hopf = builtin("hopf")
+    omega_rows = hopf.omega.func.rows
+
+    def rows(X):
+        values = omega_rows(X).copy()
+        values[np.max(np.abs(X - [-1.0, 0.0, 0.0, 0.0]), axis=1) < 1e-12] = np.inf
+        return values
+
+    xs = np.array([[0.6, 0.3], [0.0, 0.0], [0.5, 0.2]])
+    scen = dataclasses.replace(hopf, omega=TensorField.matrix(RowMap(rows), 4, name="omega"),
+                               sample_spec=SampleSpec(points=tuple(map(tuple, xs))))
+    error = _reference_submersion_failure(scen, xs)
+    assert type(error) is NonFiniteError
+    assert str(error).startswith("field 'omega' at ChartPoint([-1.0")
+    with pytest.raises(NonFiniteError) as raised:
+        verify_submersion(scen, xs, FIBER_PARAMS, CFG)
+    assert str(raised.value) == str(error)
+    # the base frames alone, as the main theorem reads them, do not fail
+    assert verify_main_theorem(scen, xs, CFG).passed
+    monkeypatch.setattr(cli, "resolve_scenario", lambda name: scen)
+    assert main(["verify", "hopf"]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"

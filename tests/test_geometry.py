@@ -20,7 +20,9 @@ from symred.geometry import (
     kernel_basis,
     max_abs,
     orthonormalize,
+    as_points,
     sample_ball,
+    sample_box,
     spd_sqrt,
     _row_max_abs,
     _row_norms,
@@ -130,21 +132,32 @@ def test_sample_ball_draws_count_q_normals_then_count_uniforms(dim, count, monke
 def test_sample_ball_in_ball_and_seeded(dim):
     for radius in (2.0, 0.7):
         got = sample_ball(dim, 50, radius, 9)
-        assert len(got) == 50 and all(p.dim == dim for p in got)
+        assert got.shape == (50, dim) and got.dtype == float
         # radius * u^(1/q) * z/|z| may round a few ulps past the sphere
-        assert max(np.linalg.norm(p.coords) for p in got) <= radius * (1.0 + 1e-12)
+        assert max(np.linalg.norm(x) for x in got) <= radius * (1.0 + 1e-12)
         again = sample_ball(dim, 50, radius, 9)
-        assert [p.coords.tobytes() for p in got] == [p.coords.tobytes() for p in again]
+        assert got.tobytes() == again.tobytes()
         if dim:
             other = sample_ball(dim, 50, radius, 10)
-            assert not np.array_equal(got[0].coords, other[0].coords)
+            assert not np.array_equal(got[0], other[0])
+
+
+def test_sample_box_is_one_seeded_array():
+    # one uniform draw, its rows the points; a list of points stacks to the
+    # same array, and an array passes through as it is
+    got = sample_box(3, 7, radius=1.5, seed=4)
+    want = np.random.default_rng(4).uniform(-1.5, 1.5, size=(7, 3))
+    assert got.shape == (7, 3) and got.tobytes() == want.tobytes()
+    assert as_points(got) is got
+    assert as_points([ChartPoint(x) for x in got]).tobytes() == got.tobytes()
+    assert as_points([]).shape == (0, 0) and sample_box(2, 0).shape == (0, 2)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 14, 40])
 def test_sample_ball_radial_distribution(dim):
     # uniform in the ball: P(|x| <= r 2^(-1/q)) = 1/2, binomial over N draws
     n, radius = 20_000, 2.0
-    norms = np.array([np.linalg.norm(p.coords) for p in sample_ball(dim, n, radius, 21)])
+    norms = np.array([np.linalg.norm(x) for x in sample_ball(dim, n, radius, 21)])
     inner = np.mean(norms <= radius * 2.0 ** (-1.0 / dim))
     assert abs(inner - 0.5) <= 5.0 * np.sqrt(0.25 / n)
 

@@ -10,7 +10,15 @@ import pytest
 
 from symred import cli
 from symred.errors import NonFiniteError, NotStandardStructureError, OddDimensionError
-from symred.geometry import ChartPoint, FDConfig, RowMap, TensorField, fd_jacobian, sample_box
+from symred.geometry import (
+    ChartPoint,
+    FDConfig,
+    RowMap,
+    TensorField,
+    as_points,
+    fd_jacobian,
+    sample_box,
+)
 from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from symred.structures import standard_acs, standard_acs_matrix
 
@@ -109,7 +117,7 @@ def test_composition_residual_bound():
     def composed(p):
         return square(ChartPoint(exp_map(p)))
 
-    for p in sample_box(2, 4, radius=0.8, seed=9):
+    for p in map(ChartPoint, sample_box(2, 4, radius=0.8, seed=9)):
         res_comp = almost_complex_residual(charted(composed), p)
         d_outer = fd_jacobian(lambda q: square(q), ChartPoint(exp_map(p)))
         res_inner = almost_complex_residual(charted(exp_map), p)
@@ -138,7 +146,7 @@ def test_overflowing_map_fails_as_a_map_value():
 
 
 def _coords(points):
-    return np.array([p.coords for p in points])
+    return as_points(points)
 
 
 def _assert_matches_references(cm, points):
@@ -151,11 +159,11 @@ def _assert_matches_references(cm, points):
         got = stacked(cm, X, CFG)
         assert got.shape == (len(points),)
         assert got.tobytes() == want.tobytes(), stacked.__name__
-        for i, p in enumerate(points[:3]):
+        for i, x in enumerate(X[:3]):
             assert stacked(cm, X[i:i + 1], CFG).tobytes() == want[i:i + 1].tobytes()
-            one = stacked(cm, p, CFG)
+            one = stacked(cm, ChartPoint(x), CFG)
             assert isinstance(one, float) and one == want[i]
-            assert stacked(cm, p.coords, CFG) == want[i]
+            assert stacked(cm, x, CFG) == want[i]
 
 
 @pytest.mark.parametrize("samples", [20, 80])

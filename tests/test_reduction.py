@@ -201,8 +201,8 @@ def test_reduced_structures_invariants_on_samples():
         assert np.linalg.eigvalsh(red.h_beta)[0] > 0
         assert np.max(np.abs(red.omega_beta + red.omega_beta.T)) < 1e-9
         assert abs(np.linalg.det(red.omega_beta)) > 1e-4
-        np.testing.assert_allclose(red.h_beta, round_sphere_metric(x.coords), atol=1e-5)
-        np.testing.assert_allclose(red.omega_beta, round_sphere_symplectic(x.coords), atol=1e-5)
+        np.testing.assert_allclose(red.h_beta, round_sphere_metric(x), atol=1e-5)
+        np.testing.assert_allclose(red.omega_beta, round_sphere_symplectic(x), atol=1e-5)
 
 
 def test_section_must_land_on_level():
@@ -339,7 +339,7 @@ def test_verify_main_theorem_positive_branch():
 
 def test_verify_main_theorem_skewed_control():
     scen = builtin("skewed_metric_hopf")
-    points = [ChartPoint([0.0, 0.0])] + quotient_points(scen, 6, seed=6)
+    points = np.vstack([[0.0, 0.0], quotient_points(scen, 6, seed=6)])
     report = verify_main_theorem(scen, points)
     compat = report.find("reduced compatibility")
     assert abs(compat.max_residual - 3.0) < 1e-6

@@ -19,7 +19,7 @@ from symred.actions import (
     pushforward_table,
 )
 from symred.errors import NonFiniteError
-from symred.geometry import ChartPoint, FDConfig, TensorField, sample_box
+from symred.geometry import ChartPoint, FDConfig, TensorField, as_coords, sample_box
 from symred.scenarios import builtin, builtin_names, builtin_text, compile_scenario, parse_scenario
 from symred.structures import (
     CompatibleTriple,
@@ -91,7 +91,7 @@ def _assert_matches(name, check, reference, points):
     assert seen[-1].tobytes() == want.tobytes(), name
     worst = int(np.argmax(want))
     assert np.float64(got.max_residual).tobytes() == want[worst].tobytes(), name
-    assert got.worst_point is points[worst], name
+    assert got.worst_point.coords.tobytes() == as_coords(points[worst]).tobytes(), name
 
 
 def _r2n_8():
@@ -136,6 +136,11 @@ def test_stack_of_one_point_and_no_points():
             _assert_matches(f"{check_name} at one point", check, reference, [p])
         empty = check([])
         assert (empty.passed, empty.max_residual, empty.worst_point) == (True, 0.0, None)
+    # no group parameters: the parameter checks read no moved point, with
+    # compiled and with per-point fields alike
+    for s in (scen, opaque_scenario(scen)):
+        for (check_name, check, _), (_, _, reference) in zip(_checks(s, []), _checks(scen, [])):
+            _assert_matches(f"{check_name} with no parameters", check, reference, points)
 
 
 def test_closedness_nan_partials_fail_at_their_point():
@@ -157,7 +162,7 @@ def test_closedness_nan_partials_fail_at_their_point():
                         lambda pts: reference_closed_residuals(field, pts, CFG), points)
         res = check_closed(field, points, CFG)
     assert np.isnan(res.max_residual) and not res.passed
-    assert res.worst_point is points[1]
+    assert res.worst_point.coords.tobytes() == points[1].coords.tobytes()
 
 
 def test_pushforward_error_comes_from_the_first_failing_parameter():

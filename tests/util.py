@@ -159,7 +159,10 @@ def reference_eval_expr(e, env):
     if isinstance(e, Neg):
         return -reference_eval_expr(e.arg, env)
     if isinstance(e, Pow):
-        return _reference_kernel("power", np.power, reference_eval_expr(e.base, env), e.power)
+        base = reference_eval_expr(e.base, env)
+        if e.power == 2:  # the package squares with one multiply
+            return _reference_kernel("power", lambda x: x * x, base)
+        return _reference_kernel("power", np.power, base, e.power)
     if isinstance(e, Call):
         arg = reference_eval_expr(e.arg, env)
         if e.fn == "sqrt" and arg < 0:
@@ -331,6 +334,7 @@ def reference_action_axioms(action, params, p):
     the order of the nested loops: the reference for the batched check."""
     from symred.actions import apply_flow
 
+    p = ChartPoint(p) if not isinstance(p, ChartPoint) else p
     prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
     res = [float(np.linalg.norm(apply_flow(action, np.zeros(action.group_dim), p).coords
                                 - p.coords))]
@@ -519,7 +523,7 @@ def reference_closed_residuals(w, points, cfg):
     n = w.shape[0]
     out = []
     for p in points:
-        x = np.asarray(p.coords, dtype=float)
+        x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
         partials = []
         for i in range(n):
             e = np.zeros(n)
