@@ -33,7 +33,6 @@ from .errors import (
 )
 from .geometry import (
     ChartPoint,
-    FDConfig,
     TensorField,
     eval_field,
     fd_directional,

@@ -26,7 +26,6 @@ import numpy as np
 
 from .geometry import (
     ChartPoint,
-    FDConfig,
     RowMap,
     TensorField,
     as_point,
@@ -165,7 +164,7 @@ def _param_rows(action: GroupAction, params) -> np.ndarray:
     return np.array([np.full(k, a, dtype=float) for a in params]).reshape(-1, k)
 
 
-def pushforward_table(action: GroupAction, params, points, cfg: FDConfig = FDConfig()):
+def pushforward_table(action: GroupAction, params, points):
     """(D, moved) for P group parameters and N points: D[j] is the (N, n, n)
     stack of flow Jacobians of the j-th parameter a, one stencil batch per
     parameter, and moved[j] the (N, n) points moved by Phi_a, all P * N from
@@ -176,12 +175,12 @@ def pushforward_table(action: GroupAction, params, points, cfg: FDConfig = FDCon
     (point, parameter) instead of each differentiating or applying the flow."""
     X, prm = as_points(points), _param_rows(action, params)
     (N, n), P = X.shape, len(prm)
-    D = np.array([fd_jacobian(_flow_map(action, a), X, cfg) for a in prm]).reshape(P, N, n, n)
+    D = np.array([fd_jacobian(_flow_map(action, a), X) for a in prm]).reshape(P, N, n, n)
     moved = _flow_values(action, _pairs(np.tile(X, (P, 1)), np.repeat(prm, N, axis=0)))
     return D, moved.reshape(P, N, n)
 
 
-def generator_vector(action: GroupAction, xi, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
+def generator_vector(action: GroupAction, xi, p) -> np.ndarray:
     """Infinitesimal generator along an arbitrary algebra vector:
     d/dt flow(t * xi, p) at t = 0, as a component vector at p; for an
     (N, n) array of points, the (N, n) stack from one flow batch."""
@@ -190,24 +189,24 @@ def generator_vector(action: GroupAction, xi, p, cfg: FDConfig = FDConfig()) -> 
         X = as_point(p).coords[np.newaxis]
     N, n = X.shape
     direction = np.asarray(xi, dtype=float).reshape(action.group_dim)
-    steps = _stencil(direction[np.newaxis], cfg)
+    steps = _stencil(direction[np.newaxis])
     values = _flow_values(action, _pairs(np.repeat(X, len(steps), axis=0),
                                          np.tile(steps, (N, 1))))
-    v = _differences(values, N, cfg)
+    v = _differences(values, N)
     if v.shape[1:] != (n,):
         raise ValueError(f"generator length {v.shape[1:]} does not match chart dimension {n}")
     v = _require_finite(v, "generator")
     return v[0] if one else v
 
 
-def generator(action: GroupAction, xi_index: int, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
+def generator(action: GroupAction, xi_index: int, p) -> np.ndarray:
     """Generator of the xi_index-th algebra basis element at p, or at each
     row of an (N, n) array of points."""
     if not 0 <= xi_index < action.group_dim:
         raise ValueError(f"algebra index {xi_index} out of range for k={action.group_dim}")
     e = np.zeros(action.group_dim)
     e[xi_index] = 1.0
-    return generator_vector(action, e, p, cfg)
+    return generator_vector(action, e, p)
 
 
 def momentum_values(mu: MomentumMap, p) -> np.ndarray:
@@ -216,11 +215,11 @@ def momentum_values(mu: MomentumMap, p) -> np.ndarray:
     return np.stack([eval_field(c, p) for c in mu.components], axis=-1)
 
 
-def momentum_jacobian(mu: MomentumMap, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
+def momentum_jacobian(mu: MomentumMap, p) -> np.ndarray:
     """k x n matrix whose rows are the gradients of the momentum components;
     for an (N, n) array of points, the (N, k, n) stack, one stencil batch
     per component."""
-    return np.stack([fd_gradient(c, p, cfg) for c in mu.components], axis=-2)
+    return np.stack([fd_gradient(c, p) for c in mu.components], axis=-2)
 
 
 def check_action_axioms(action: GroupAction, params, points,
@@ -251,7 +250,7 @@ def check_action_axioms(action: GroupAction, params, points,
     return _sampled("action axioms", IDENTITY_AXIOMS, residuals, points, tol)
 
 
-def _invariance_check(name, identity, residual, action, value, params, points, cfg, tol,
+def _invariance_check(name, identity, residual, action, value, params, points, tol,
                       pushforwards):
     """Shared body of the invariance checks: per point, the largest entry of
     residual(D, F(p), F(Phi_a(p))) over all parameters a, stacked parameter
@@ -260,7 +259,7 @@ def _invariance_check(name, identity, residual, action, value, params, points, c
     params and points, or None."""
     def residuals(X, rows):
         if pushforwards is None:
-            D, moved = pushforward_table(action, params, X, cfg)
+            D, moved = pushforward_table(action, params, X)
         else:
             D, moved = (a[:, rows] for a in pushforwards)
         there = value(moved.reshape(-1, moved.shape[2]))
@@ -276,21 +275,19 @@ def _pullback_residual(D, here, moved) -> np.ndarray:
 
 
 def check_isometry(action: GroupAction, g: TensorField, params, points,
-                   cfg: FDConfig = FDConfig(), tol: float = 1e-6, *,
-                   pushforwards=None) -> StructureCheckResult:
+                   tol: float = 1e-6, *, pushforwards=None) -> StructureCheckResult:
     return _invariance_check("isometry", IDENTITY_ISOMETRY, _pullback_residual,
-                             action, g, params, points, cfg, tol, pushforwards)
+                             action, g, params, points, tol, pushforwards)
 
 
 def check_symplectomorphism(action: GroupAction, w: TensorField, params, points,
-                            cfg: FDConfig = FDConfig(), tol: float = 1e-6, *,
-                            pushforwards=None) -> StructureCheckResult:
+                            tol: float = 1e-6, *, pushforwards=None) -> StructureCheckResult:
     return _invariance_check("symplectomorphism", IDENTITY_SYMPLECTO, _pullback_residual,
-                             action, w, params, points, cfg, tol, pushforwards)
+                             action, w, params, points, tol, pushforwards)
 
 
 def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, points,
-                      cfg: FDConfig = FDConfig(), tol: float = 1e-6) -> StructureCheckResult:
+                      tol: float = 1e-6) -> StructureCheckResult:
     """Hamiltonian condition omega(xi_M, .) = d mu_xi for every basis element.
 
     With the row convention u^T Omega v for omega(u, v) the identity in
@@ -300,8 +297,8 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
         OmT = eval_field(w, X).swapaxes(1, 2)
         per_basis = []
         for i in range(action.group_dim):
-            xi = generator(action, i, X, cfg)
-            grad = fd_gradient(mu.components[i], X, cfg)
+            xi = generator(action, i, X)
+            grad = fd_gradient(mu.components[i], X)
             per_basis.append(_row_norms((OmT @ xi[:, :, np.newaxis])[:, :, 0] - grad))
         return _row_max_abs(np.array(per_basis).T)
 
@@ -318,11 +315,10 @@ def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, poin
     return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT,
                              lambda D, here, moved: moved - here,
                              action, lambda p: momentum_values(mu, p), params, points,
-                             FDConfig(), tol, pushforwards)
+                             tol, pushforwards)
 
 
-def average_metric(g0: TensorField, action: GroupAction, quadrature,
-                   cfg: FDConfig = FDConfig()) -> TensorField:
+def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorField:
     """Group average of the pullback metrics over ``quadrature``, a sequence
     of (parameter vector, weight) pairs with weights summing to one:
     sum_a w_a D_a^T G0(Phi_a(p)) D_a.
@@ -338,7 +334,7 @@ def average_metric(g0: TensorField, action: GroupAction, quadrature,
     n = g0.shape[0]
 
     def avg(p: ChartPoint) -> np.ndarray:
-        D, moved = pushforward_table(action, [a for a, _ in rule], [p], cfg)
+        D, moved = pushforward_table(action, [a for a, _ in rule], [p])
         terms = np.array([w for _, w in rule])[:, np.newaxis, np.newaxis] * (
             D[:, 0].swapaxes(1, 2) @ eval_field(g0, moved[:, 0]) @ D[:, 0])
         # running sum from zero, term by term in rule order
@@ -349,12 +345,11 @@ def average_metric(g0: TensorField, action: GroupAction, quadrature,
 
 
 def check_field_invariance(field_: TensorField, action: GroupAction, params, points,
-                           cfg: FDConfig = FDConfig(), tol: float = 1e-6, *,
-                           pushforwards=None) -> StructureCheckResult:
+                           tol: float = 1e-6, *, pushforwards=None) -> StructureCheckResult:
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
     return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
                              lambda D, here, moved: D @ here - moved @ D,
-                             action, field_, params, points, cfg, tol, pushforwards)
+                             action, field_, params, points, tol, pushforwards)
 
 
 def uniform_circle_quadrature(n: int = 64) -> tuple:

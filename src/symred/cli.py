@@ -26,7 +26,7 @@ from .actions import (
     pushforward_table,
 )
 from .errors import ScenarioFormatError, SymredError, UnknownScenarioError
-from .geometry import FDConfig, RowMap, as_points, sample_ball, sample_box
+from .geometry import RowMap, as_points, sample_ball, sample_box
 from .holomorphy import (
     IDENTITY_ACM_MAP,
     ChartedMap,
@@ -117,58 +117,58 @@ def _tolerance(key: str, cfg: RunConfig, scen: ReductionScenario) -> float:
     return DEFAULT_TOLERANCES[key]
 
 
-def _suite_structures(scen, cfg, points, fd):
+def _suite_structures(scen, cfg, points):
     report = VerificationReport("structures")
     triple = CompatibleTriple(scen.omega, scen.metric, scen.acs)
     report.add(check_metric(scen.metric, points, _tolerance("structures.metric", cfg, scen)))
     report.add(check_symplectic_pointwise(
         scen.omega, points, _tolerance("structures.symplectic", cfg, scen)))
-    report.add(check_closed(scen.omega, points, fd, _tolerance("structures.closed", cfg, scen)))
+    report.add(check_closed(scen.omega, points, _tolerance("structures.closed", cfg, scen)))
     report.add(check_acs(scen.acs, points, _tolerance("structures.acs", cfg, scen)))
     report.add(check_compatibility(triple, points,
                                    _tolerance("structures.compatibility", cfg, scen)))
     return report
 
 
-def _suite_action(scen, cfg, points, params, fd):
+def _suite_action(scen, cfg, points, params):
     report = VerificationReport("action")
     report.add(check_action_axioms(scen.action, params, points,
                                    _tolerance("action.axioms", cfg, scen)))
     # one flow Jacobian and moved point per (point, parameter) for the four
     # invariance checks, every parameter a block of one stack
-    pushforwards = pushforward_table(scen.action, params, points, fd)
-    report.add(check_isometry(scen.action, scen.metric, params, points, fd,
+    pushforwards = pushforward_table(scen.action, params, points)
+    report.add(check_isometry(scen.action, scen.metric, params, points,
                               _tolerance("action.isometry", cfg, scen),
                               pushforwards=pushforwards))
-    report.add(check_symplectomorphism(scen.action, scen.omega, params, points, fd,
+    report.add(check_symplectomorphism(scen.action, scen.omega, params, points,
                                        _tolerance("action.symplectomorphism", cfg, scen),
                                        pushforwards=pushforwards))
-    report.add(momentum_residual(scen.action, scen.mu, scen.omega, points, fd,
+    report.add(momentum_residual(scen.action, scen.mu, scen.omega, points,
                                  _tolerance("action.momentum", cfg, scen)))
     report.add(check_momentum_invariance(scen.action, scen.mu, params, points,
                                          _tolerance("action.mu-invariance", cfg, scen),
                                          pushforwards=pushforwards))
-    report.add(check_field_invariance(scen.acs, scen.action, params, points, fd,
+    report.add(check_field_invariance(scen.acs, scen.action, params, points,
                                       _tolerance("action.acs-invariance", cfg, scen),
                                       pushforwards=pushforwards))
     return report
 
 
-def _suite_reduction(scen, cfg, qpoints, fiber_params, seed, fd, frames):
+def _suite_reduction(scen, cfg, qpoints, fiber_params, seed, frames):
     report = VerificationReport("reduction")
     report.add_child(verify_submersion(
-        scen, qpoints, fiber_params, fd, _tolerance("reduction.submersion", cfg, scen),
+        scen, qpoints, fiber_params, _tolerance("reduction.submersion", cfg, scen),
         frames=frames, vertical_tol=_tolerance("reduction.vertical-invariance", cfg, scen)))
     report.add_child(verify_reduction_identity(
-        scen, qpoints, fd, _tolerance("reduction.identity", cfg, scen),
+        scen, qpoints, _tolerance("reduction.identity", cfg, scen),
         _tolerance("reduction.degeneracy", cfg, scen), seed=seed, frames=frames))
     return report
 
 
-def _suite_main_theorem(scen, cfg, qpoints, fd, frames):
+def _suite_main_theorem(scen, cfg, qpoints, frames):
     report = VerificationReport("main-theorem")
     report.add_child(verify_main_theorem(
-        scen, qpoints, fd, _tolerance("main-theorem.residuals", cfg, scen),
+        scen, qpoints, _tolerance("main-theorem.residuals", cfg, scen),
         _tolerance("main-theorem.hypothesis", cfg, scen), frames=frames))
     return report
 
@@ -202,7 +202,7 @@ def _reference_maps():
             ("conjugation", RowMap(conjugation), False))
 
 
-def _suite_holomorphy(cfg, scen, seed, samples, fd):
+def _suite_holomorphy(cfg, scen, seed, samples):
     report = VerificationReport("holomorphy")
     tol = _tolerance("holomorphy.residual", cfg, scen)
     X = sample_box(2, samples, radius=1.5, seed=seed + 2)
@@ -210,8 +210,8 @@ def _suite_holomorphy(cfg, scen, seed, samples, fd):
     equivalence_flags = []
     for name, func, holomorphic in _reference_maps():
         cm = ChartedMap(2, 2, func, j2, j2)
-        acm = almost_complex_residual(cm, X, fd)
-        cr = cauchy_riemann_residual(cm, X, fd)
+        acm = almost_complex_residual(cm, X)
+        cr = cauchy_riemann_residual(cm, X)
         if holomorphic:
             report.add(StructureCheckResult.from_samples(
                 f"holomorphy of {name}", acm, X, tol, IDENTITY_ACM_MAP))
@@ -238,7 +238,6 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
 
     seed = cfg.seed if cfg.seed is not None else scen.sample_spec.seed
     samples = cfg.samples if cfg.samples is not None else scen.sample_spec.count
-    fd = FDConfig()
 
     points = sample_box(scen.chart_dim, samples, radius=2.0, seed=seed)
     params = np.random.default_rng(seed + 1).uniform(-np.pi, np.pi, (5, scen.action.group_dim))
@@ -252,7 +251,7 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
     fiber_params = (np.pi / 3.0, np.pi)
     # the base lift frames of the reduction and main-theorem suites and the
     # moved frames of the reduction suite, built in one batch when first needed
-    frames = lift_frames(scen, qpoints, fd, fiber_params if "reduction" in cfg.suites else ())
+    frames = lift_frames(scen, qpoints, fiber_params if "reduction" in cfg.suites else ())
 
     report = VerificationReport(
         scen.name,
@@ -272,16 +271,15 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
         if suite not in cfg.suites:
             continue
         if suite == "structures":
-            report.add_child(_suite_structures(scen, cfg, points, fd))
+            report.add_child(_suite_structures(scen, cfg, points))
         elif suite == "action":
-            report.add_child(_suite_action(scen, cfg, points, params, fd))
+            report.add_child(_suite_action(scen, cfg, points, params))
         elif suite == "reduction":
-            report.add_child(_suite_reduction(scen, cfg, qpoints, fiber_params, seed, fd,
-                                              frames))
+            report.add_child(_suite_reduction(scen, cfg, qpoints, fiber_params, seed, frames))
         elif suite == "main-theorem":
-            report.add_child(_suite_main_theorem(scen, cfg, qpoints, fd, frames))
+            report.add_child(_suite_main_theorem(scen, cfg, qpoints, frames))
         elif suite == "holomorphy":
-            report.add_child(_suite_holomorphy(cfg, scen, seed, samples, fd))
+            report.add_child(_suite_holomorphy(cfg, scen, seed, samples))
     return report, 0 if report.passed else 1
 
 

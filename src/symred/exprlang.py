@@ -490,9 +490,13 @@ class Program:
                 self._execute(point)
         raise error
 
+    def check_width(self, count: int) -> None:
+        """Raise ValueError unless ``count`` is the number of names."""
+        if count != self.width:
+            raise ValueError(f"expected {self.width} values, got {count}")
+
     def _execute(self, values) -> list:
-        if len(values) != self.width:
-            raise ValueError(f"expected {self.width} values, got {len(values)}")
+        self.check_width(len(values))
         v = [*values, *self.template]
         for op, args, out in self.code:
             # unpacking the arguments with * would cost more than the op

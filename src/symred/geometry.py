@@ -2,15 +2,17 @@
 linear-algebra kit used by every other module.
 
 A chart point is a ``ChartPoint``, and a sample of points (``sample_box``,
-``sample_ball``) the rows of one (N, d) array; a tangent vector is a plain
-component array, and a frame or basis of tangent vectors (``kernel_basis``,
-``orthonormalize``) is a matrix whose columns are the vectors.
+``sample_ball``) the rows of one (N, d) array, the only shape of array
+``as_points`` accepts; a tangent vector is a plain component array, and a
+frame or basis of tangent vectors (``kernel_basis``, ``orthonormalize``) is
+a matrix whose columns are the vectors.
 
 Everything here is pure and immutable: evaluating a field or a derivative
 never mutates shared state, so concurrent use needs no synchronization, and
 nothing is cached at module level.
-Derivatives are fourth-order central finite differences (default step
-1e-5); nothing in the package differentiates symbolically.
+Derivatives are fourth-order central finite differences with the one step
+``FD_STEP`` (1e-5), which only ``fd_jacobian`` lets a caller change; nothing
+in the package differentiates symbolically.
 
 The frame layer is stack-aware: ``eval_field``, ``fd_jacobian``,
 ``fd_directional`` and ``fd_gradient`` take an (N, d) array of points as
@@ -60,7 +62,7 @@ __all__ = [
     "RowMap",
     "as_row_map",
     "TensorField",
-    "FDConfig",
+    "FD_STEP",
     "eval_field",
     "fd_jacobian",
     "fd_directional",
@@ -88,8 +90,11 @@ def as_point(obj) -> ChartPoint:
 
 def as_points(points) -> np.ndarray:
     """The points as the rows of an (N, d) array: an (N, d) array as it is,
-    a sequence of ChartPoints or coordinate vectors stacked, none as (0, 0)."""
-    if isinstance(points, np.ndarray) and points.ndim == 2:
+    a sequence of ChartPoints or coordinate vectors stacked, none as (0, 0).
+    An array of any other shape, a flat one included, raises ValueError."""
+    if isinstance(points, np.ndarray):
+        if points.ndim != 2:
+            raise ValueError(f"points must be an (N, d) array, got shape {points.shape}")
         return points
     rows = [as_coords(p) for p in points]
     return np.array(rows, dtype=float) if rows else np.zeros((0, 0))
@@ -263,33 +268,25 @@ def eval_field(field: TensorField, p) -> np.ndarray | float:
     return float(values[0]) if field.arity == "scalar" else values[0]
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    """Central-difference configuration: the positive step of the
-    fourth-order stencil."""
-
-    step: float = 1e-5
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+# the step of the fourth-order central-difference stencil for every derivative;
+# only a caller of fd_jacobian can pass another
+FD_STEP = 1e-5
 
 
-def _stencil(directions: np.ndarray, cfg: FDConfig) -> np.ndarray:
+def _stencil(directions: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """The steps ``t * d`` of the central-difference stencil, for each row d
     of ``directions`` (outer) and each offset t (inner, in the order the
     difference formula reads them), one row per step."""
-    h = cfg.step
     offsets = np.array([2 * h, h, -h, -2 * h])
     steps = offsets[np.newaxis, :, np.newaxis] * directions[:, np.newaxis, :]
     return steps.reshape(-1, directions.shape[1])
 
 
-def _differences(values: np.ndarray, count: int, cfg: FDConfig) -> np.ndarray:
+def _differences(values: np.ndarray, count: int, h: float = FD_STEP) -> np.ndarray:
     """Central differences from the values at the rows of ``_stencil`` over
     ``count`` directions; entry i is the derivative along direction i."""
     s = values.reshape((count, 4) + values.shape[1:]).swapaxes(0, 1)
-    return (-s[0] + 8.0 * s[1] - 8.0 * s[2] + s[3]) / (12.0 * cfg.step)
+    return (-s[0] + 8.0 * s[1] - 8.0 * s[2] + s[3]) / (12.0 * h)
 
 
 def _evaluate_rows(f: RowMap, points: np.ndarray, sample: Callable, shape=None) -> np.ndarray:
@@ -312,23 +309,26 @@ def _evaluate_rows(f: RowMap, points: np.ndarray, sample: Callable, shape=None) 
     return np.array([sample(y) for y in points], dtype=float)
 
 
-def _stencil_rows(X: np.ndarray, directions: np.ndarray, cfg: FDConfig) -> np.ndarray:
+def _stencil_rows(X: np.ndarray, directions: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     """The stencil points ``x + t * d`` of every row x of X (outermost),
     each row d of ``directions`` and each offset t (innermost), one row per
-    stencil point: for each x, the rows ``x + _stencil(directions, cfg)``."""
+    stencil point: for each x, the rows ``x + _stencil(directions, h)``."""
     n = X.shape[1]
-    return (X[:, np.newaxis, :] + _stencil(directions, cfg)[np.newaxis]).reshape(-1, n)
+    return (X[:, np.newaxis, :] + _stencil(directions, h)[np.newaxis]).reshape(-1, n)
 
 
-def fd_jacobian(chart_map, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
+def fd_jacobian(chart_map, p, *, step: float = FD_STEP) -> np.ndarray:
     """Jacobian matrix of a chart-to-chart map at ``p`` by central differences.
 
     Entry (j, i) approximates the partial of output component j with respect
-    to input coordinate i; the error is O(step**4) on smooth maps.
+    to input coordinate i; the error is O(step**4) on smooth maps.  A step
+    that is not positive and finite raises ValueError.
     ``p`` may also be an (N, n) array whose rows are points: then the result
     is the (N, m, n) stack of their Jacobians, all stencil rows evaluated in
     one batch, each Jacobian the bits of the call on its point alone.
     """
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     chart_map = as_row_map(chart_map)
     X, one = _stack(p)
     N, n = X.shape
@@ -339,14 +339,14 @@ def fd_jacobian(chart_map, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
     if n == 0:  # no stencil; the values at the points give the row count
         J = np.zeros((N, _evaluate_rows(chart_map, X, value).shape[1], 0))
     else:
-        values = _evaluate_rows(chart_map, _stencil_rows(X, np.eye(n), cfg), value)
+        values = _evaluate_rows(chart_map, _stencil_rows(X, np.eye(n), step), value)
         m = int(np.prod(values.shape[1:]))  # read off the shape: an empty stack has no row
-        D = _differences(values.reshape(len(values), m), N * n, cfg)
+        D = _differences(values.reshape(len(values), m), N * n, step)
         J = np.ascontiguousarray(D.reshape(N, n, m).swapaxes(1, 2))
     return J[0] if one else J
 
 
-def fd_directional(field: TensorField, p, direction, cfg: FDConfig = FDConfig()) -> np.ndarray | float:
+def fd_directional(field: TensorField, p, direction) -> np.ndarray | float:
     """Directional derivative of a tensor field along ``direction``
     (unnormalized); for an (N, n) array of points, the (N, *shape) stack of
     derivatives from one batch, as ``fd_gradient``."""
@@ -354,24 +354,24 @@ def fd_directional(field: TensorField, p, direction, cfg: FDConfig = FDConfig())
     d = as_coords(direction)
     if not np.linalg.norm(d) > 0:
         raise DegenerateInputError("directional derivative needs a nonzero direction")
-    values = _evaluate_rows(field.func, _stencil_rows(X, d[np.newaxis], cfg),
+    values = _evaluate_rows(field.func, _stencil_rows(X, d[np.newaxis]),
                             lambda y: eval_field(field, ChartPoint(y)), field.shape)
-    out = _differences(values, len(X), cfg)
+    out = _differences(values, len(X))
     if not one:
         return out
     return float(out[0]) if field.arity == "scalar" else out[0]
 
 
-def fd_gradient(field: TensorField, p, cfg: FDConfig = FDConfig()) -> np.ndarray:
+def fd_gradient(field: TensorField, p) -> np.ndarray:
     """Coordinate gradient of a scalar field; for an (N, n) array of points,
     the (N, n) stack of gradients from one batch, as ``fd_jacobian``."""
     if field.arity != "scalar":
         raise ValueError("gradient is defined for scalar fields")
     X, one = _stack(p)
     N, n = X.shape
-    values = _evaluate_rows(field.func, _stencil_rows(X, np.eye(n), cfg),
+    values = _evaluate_rows(field.func, _stencil_rows(X, np.eye(n)),
                             lambda y: eval_field(field, ChartPoint(y)), field.shape)
-    grad = _differences(values, N * n, cfg).reshape(N, n)
+    grad = _differences(values, N * n).reshape(N, n)
     return grad[0] if one else grad
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import NotStandardStructureError, OddDimensionError
 from .geometry import (
-    FDConfig,
     RowMap,
     TensorField,
     as_row_map,
@@ -79,7 +78,7 @@ def _per_point(residuals, p):
     return float(values[0]) if one else values
 
 
-def almost_complex_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()):
+def almost_complex_residual(cm: ChartedMap, p):
     """Frobenius norm of D J1(p) - J2(phi(p)) D with D the map differential.
 
     ``p`` may also be an (N, 2n) array whose rows are points: then the (N,)
@@ -87,7 +86,7 @@ def almost_complex_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()):
     structure, each residual the bits of the call on its point alone.
     """
     def residuals(X, rows):
-        D = fd_jacobian(cm.chart_map, X, cfg)
+        D = fd_jacobian(cm.chart_map, X)
         J1 = eval_field(cm.source_acs, X)
         J2 = _target_acs(cm, X)
         return _row_norms((D @ J1 - J2 @ D).reshape(len(X), -1))
@@ -95,7 +94,7 @@ def almost_complex_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()):
     return _per_point(residuals, p)
 
 
-def cauchy_riemann_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()):
+def cauchy_riemann_residual(cm: ChartedMap, p):
     """Worst Cauchy-Riemann defect over all coordinate pairs.
 
     Writing the map components as (a_j, b_j) per target plane and the source
@@ -113,7 +112,7 @@ def cauchy_riemann_residual(cm: ChartedMap, p, cfg: FDConfig = FDConfig()):
             raise NotStandardStructureError("source structure is not the coordinate J")
         if (_row_max_abs(_target_acs(cm, X) - J2_std) > STANDARD_J_TOL).any():
             raise NotStandardStructureError("target structure is not the coordinate J")
-        D = fd_jacobian(cm.chart_map, X, cfg)
+        D = fd_jacobian(cm.chart_map, X)
         # rows 2j, 2j + 1 of D are (a_j, b_j); columns 2i, 2i + 1 are (x_i, y_i)
         a_x, a_y = D[:, 0::2, 0::2], D[:, 0::2, 1::2]
         b_x, b_y = D[:, 1::2, 0::2], D[:, 1::2, 1::2]

@@ -59,7 +59,6 @@ from .errors import (
 )
 from .geometry import (
     ChartPoint,
-    FDConfig,
     RowMap,
     TensorField,
     as_point,
@@ -113,6 +112,8 @@ LEVEL_TOL = 1e-8
 RANK_TOL = 1e-8
 # least generator singular value (and Gram-Schmidt norm) of a free action
 FREE_TOL = 1e-8
+# level-tangent pairs (u, v) drawn per quotient point for the pullback identity
+PAIRS_PER_POINT = 3
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def _first(failing: np.ndarray):
     return int(np.argmax(failing)) if failing.any() else None
 
 
-def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig()) -> SplitTangentSpace:
+def split_tangent(scen: ReductionScenario, m) -> SplitTangentSpace:
     """Split the level-set tangent space at ``m`` into vertical and horizontal.
 
     The level frame is the kernel of d mu, the vertical frame the generators
@@ -239,14 +240,14 @@ def split_tangent(scen: ReductionScenario, m, cfg: FDConfig = FDConfig()) -> Spl
     if i is not None:
         raise NotOnLevelError(f"|mu(m) - beta| = {gaps[i]:.3e} exceeds {LEVEL_TOL:.1e}")
 
-    Jmu = momentum_jacobian(scen.mu, M, cfg)
+    Jmu = momentum_jacobian(scen.mu, M)
     level = kernel_basis(Jmu, RANK_TOL)
     if level.shape[2] != n - k:
         raise NotRegularValueError(
             f"kernel of d mu has dimension {level.shape[2]}, expected {n - k}"
         )
 
-    V = np.stack([generator(scen.action, j, M, cfg) for j in range(k)], axis=-1)
+    V = np.stack([generator(scen.action, j, M) for j in range(k)], axis=-1)
     sv = np.linalg.svd(V, compute_uv=False)
     i = _first(sv[:, -1] <= FREE_TOL)
     if i is not None:
@@ -308,7 +309,7 @@ class _LiftFrames:
         return _LiftFrames(split, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
 
-def _lift_frames(scen: ReductionScenario, X: np.ndarray, cfg: FDConfig = FDConfig(),
+def _lift_frames(scen: ReductionScenario, X: np.ndarray,
                  fiber_params=np.zeros((0, 0))) -> _LiftFrames:
     """The lift frames at the rows of the (N, q) array X of quotient points
     through the section, then through Phi_a o sigma for each row a of the
@@ -329,7 +330,7 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray, cfg: FDConfig = FDConfi
         raise SectionNotOnLevelError(
             f"section lands off the level set: |mu - beta| = {gaps[i]:.3e}"
         )
-    split = split_tangent(scen, M, cfg)
+    split = split_tangent(scen, M)
     q = scen.quotient_dim
     H = split.horizontal
     htg = H.swapaxes(1, 2) @ split.metric
@@ -340,7 +341,7 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray, cfg: FDConfig = FDConfi
     # on the quotient chart because pi o section = id and d pi kills the
     # vertical complement
     sections = [_moved_section(scen), *(_moved_section(scen, a) for a in fiber_params)]
-    lifts = H @ (htg @ np.concatenate([fd_jacobian(f, X, cfg) for f in sections]))
+    lifts = H @ (htg @ np.concatenate([fd_jacobian(f, X) for f in sections]))
     if q:
         sv = np.linalg.svd(lifts, compute_uv=False)
         i = _first(sv[:, -1] <= RANK_TOL * np.where(sv[:, 0] > 1.0, sv[:, 0], 1.0))
@@ -360,8 +361,8 @@ class _FrameTable:
     lookup builds its frames alone, so a caller going through the rows in its
     order meets each row's own error, and a lookup of all rows raises again."""
 
-    def __init__(self, scen: ReductionScenario, X: np.ndarray, cfg: FDConfig, fiber_params):
-        self._scen, self._X, self._cfg, self.fiber_params = scen, X, cfg, fiber_params
+    def __init__(self, scen: ReductionScenario, X: np.ndarray, fiber_params):
+        self._scen, self._X, self.fiber_params = scen, X, fiber_params
         self._all, self._failed = None, False
 
     def __getitem__(self, rows) -> _LiftFrames:
@@ -375,27 +376,27 @@ class _FrameTable:
             rows = slice(rows, rows + 1 or None)
         if self._all is None and not self._failed:
             try:
-                self._all = _lift_frames(self._scen, self._X, self._cfg, self.fiber_params)
+                self._all = _lift_frames(self._scen, self._X, self.fiber_params)
             except Exception:  # whatever the batch raised, the rows raise again alone
                 self._failed = True
         frames, X, prm = self._all, self._X, self.fiber_params
         if frames is None:  # the rows alone, with their moved frames if asked for
             X, rows = X[rows], slice(None)
-            frames = _lift_frames(self._scen, X, self._cfg, prm if moved else prm[:0])
+            frames = _lift_frames(self._scen, X, prm if moved else prm[:0])
         index = np.arange(len(X))[rows]
         if moved:
             index = (np.arange(1, len(prm) + 1)[:, np.newaxis] * len(X) + index).reshape(-1)
         return frames[index]
 
 
-def lift_frames(scen: ReductionScenario, points, cfg: FDConfig = FDConfig(),
-                fiber_params=()) -> _FrameTable:
+def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable:
     """The table of the lift frames at ``points`` through the scenario's own
     section and through Phi_a o sigma for each fibre parameter a (as
     ``verify_submersion`` takes them), built when first looked up.  Passed as
     ``frames=`` to the verify_* pipelines over the same points, one frame per
-    point serves all of them."""
-    return _FrameTable(scen, as_points(points), cfg, _param_rows(scen.action, fiber_params))
+    point serves all of them; ``verify_submersion`` reuses the table only if
+    it was built with the same fibre parameters, and else builds its own."""
+    return _FrameTable(scen, as_points(points), _param_rows(scen.action, fiber_params))
 
 
 def _reduced_metric(lifts: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -446,7 +447,7 @@ def _reduced(f: _LiftFrames):
             _ratio(_g_norms(normal[..., 0], G[:, np.newaxis]), scale))
 
 
-def reduced_structures(scen: ReductionScenario, x, cfg: FDConfig = FDConfig()) -> ReducedStructures:
+def reduced_structures(scen: ReductionScenario, x) -> ReducedStructures:
     """Reduced metric h_x(v, w) = g(lift v, lift w), reduced symplectic form
     omega_red(v, w) = omega(lift v, lift w) and the pushforward candidate for
     the reduced almost complex structure, all from one lift frame.
@@ -458,7 +459,7 @@ def reduced_structures(scen: ReductionScenario, x, cfg: FDConfig = FDConfig()) -
     returned so the equivalence check can quantify both branches.
     """
     point = as_point(x)
-    f = _lift_frames(scen, point.coords[np.newaxis], cfg)
+    f = _lift_frames(scen, point.coords[np.newaxis])
     h, w, j_red, _, normal_leak = (a[0] for a in _reduced(f))
     if max_abs(normal_leak) > LEAK_WARNING_TOL:
         warnings.warn(
@@ -488,7 +489,7 @@ def _per_point(residuals, X: np.ndarray, count: int):
 
 
 def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, np.pi),
-                      cfg: FDConfig = FDConfig(), tol: float = 1e-5, *,
+                      tol: float = 1e-5, *,
                       frames=None, vertical_tol: float = 1e-5) -> VerificationReport:
     """Riemannian-submersion checks: fiber independence of the reduced metric
     (``tol``) and invariance of the vertical distribution (``vertical_tol``).
@@ -500,11 +501,11 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, 
     report = VerificationReport("submersion")
     X, prm = as_points(points), _param_rows(scen.action, fiber_params)
     if frames is None or not np.array_equal(frames.fiber_params, prm):
-        frames = lift_frames(scen, X, cfg, prm)
+        frames = lift_frames(scen, X, prm)
 
     def residuals(X, rows):
         base, moved, P = frames[rows], frames.moved(rows), len(prm)
-        D = np.array([fd_jacobian(_flow_map(scen.action, a), base.split.base, cfg)
+        D = np.array([fd_jacobian(_flow_map(scen.action, a), base.split.base)
                       for a in prm]).reshape(-1, scen.chart_dim, scen.chart_dim)
         fiber = np.tile(_reduced_metric(base.lifts, base.split.metric), (P, 1, 1)) \
             - _reduced_metric(moved.lifts, moved.split.metric)
@@ -521,14 +522,14 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, 
     return report
 
 
-def verify_reduction_identity(scen: ReductionScenario, points, cfg: FDConfig = FDConfig(),
-                              tol: float = 1e-5, degeneracy_tol: float = 1e-8,
-                              pairs_per_point: int = 3, seed: int = 0, *,
+def verify_reduction_identity(scen: ReductionScenario, points, tol: float = 1e-5,
+                              degeneracy_tol: float = 1e-8, seed: int = 0, *,
                               frames=None) -> VerificationReport:
     """Pullback identity of the reduced symplectic form and the degeneracy of
     the vertical directions inside the restricted form.
 
-    For sampled level-tangent pairs (u, v) the residual is
+    For PAIRS_PER_POINT sampled level-tangent pairs (u, v) per point the
+    residual is
     |omega(m)(u, v) - omega_red(pi m)(d pi u, d pi v)|; vertical directions
     must pair to zero with the whole kernel of d mu.  The coefficients of u
     and v in the level frame are drawn in one call, point by point and pair
@@ -538,10 +539,10 @@ def verify_reduction_identity(scen: ReductionScenario, points, cfg: FDConfig = F
     report = VerificationReport("reduction identity")
     X = as_points(points)
     if frames is None:
-        frames = lift_frames(scen, X, cfg)
+        frames = lift_frames(scen, X)
     n, q = scen.chart_dim, scen.quotient_dim
     coefs = np.random.default_rng(seed).standard_normal(
-        (len(X), pairs_per_point, 2, n - scen.action.group_dim))
+        (len(X), PAIRS_PER_POINT, 2, n - scen.action.group_dim))
 
     def residuals(X, rows):
         f = frames[rows]
@@ -549,8 +550,8 @@ def verify_reduction_identity(scen: ReductionScenario, points, cfg: FDConfig = F
         uv = K[:, np.newaxis, np.newaxis] @ coefs[rows][..., np.newaxis]
         u, v = uv[:, :, 0], uv[:, :, 1]
         ambient = (u.swapaxes(2, 3) @ f.Om[:, np.newaxis] @ v)[..., 0, 0]
-        d = _dpi(f, f.htg[:, np.newaxis] @ uv.reshape(N, 2 * pairs_per_point, n, 1))
-        d = d.swapaxes(1, 2).reshape(N, pairs_per_point, 2, q)
+        d = _dpi(f, f.htg[:, np.newaxis] @ uv.reshape(N, 2 * PAIRS_PER_POINT, n, 1))
+        d = d.swapaxes(1, 2).reshape(N, PAIRS_PER_POINT, 2, q)
         reduced = (d[:, :, 0, np.newaxis] @ _reduced_symplectic(f)[:, np.newaxis]
                    @ d[:, :, 1, :, np.newaxis])[..., 0, 0]
         vertical = f.split.vertical.swapaxes(1, 2)[:, :, np.newaxis]
@@ -560,14 +561,14 @@ def verify_reduction_identity(scen: ReductionScenario, points, cfg: FDConfig = F
     id_res, deg_res = _per_point(residuals, X, 2)
     report.add(StructureCheckResult.from_samples(
         "pullback identity", id_res, X, tol, IDENTITY_REDUCTION,
-        extras={"pairs_per_point": pairs_per_point, "seed": seed}))
+        extras={"pairs_per_point": PAIRS_PER_POINT, "seed": seed}))
     report.add(StructureCheckResult.from_samples(
         "vertical degeneracy", deg_res, X, degeneracy_tol, IDENTITY_DEGENERACY))
     return report
 
 
-def verify_main_theorem(scen: ReductionScenario, points, cfg: FDConfig = FDConfig(),
-                        tol: float = 1e-5, hypothesis_tol: float = 1e-6, *,
+def verify_main_theorem(scen: ReductionScenario, points, tol: float = 1e-5,
+                        hypothesis_tol: float = 1e-6, *,
                         frames=None) -> VerificationReport:
     """Equivalence between reduced compatibility and the almost-complex-mapping
     property of the projection.
@@ -584,7 +585,7 @@ def verify_main_theorem(scen: ReductionScenario, points, cfg: FDConfig = FDConfi
     report = VerificationReport("main theorem")
     X = as_points(points)
     if frames is None:
-        frames = lift_frames(scen, X, cfg)
+        frames = lift_frames(scen, X)
     q = scen.quotient_dim
     eye = np.eye(q)
 

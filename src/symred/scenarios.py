@@ -338,6 +338,7 @@ def _row_map(program: Program, shape: tuple) -> RowMap:
     slots = [program.outputs[i] for i in varying]
 
     def rows(X: np.ndarray) -> np.ndarray:
+        program.check_width(X.shape[1])  # a fully folded map never runs its program
         out = np.repeat(constant[np.newaxis], len(X), axis=0)
         if varying:
             values = program.run(X[0].tolist() if len(X) == 1

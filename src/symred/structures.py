@@ -18,7 +18,6 @@ import numpy as np
 from .errors import NotSPDError, OddDimensionError
 from .geometry import (
     ChartPoint,
-    FDConfig,
     TensorField,
     as_point,
     as_points,
@@ -175,8 +174,7 @@ def check_symplectic_pointwise(w: TensorField, points, tol: float = 1e-8) -> Str
     return _sampled("symplectic field", IDENTITY_SYMPLECTIC, residuals, points, tol)
 
 
-def check_closed(w: TensorField, points, cfg: FDConfig = FDConfig(),
-                 tol: float = 1e-5) -> StructureCheckResult:
+def check_closed(w: TensorField, points, tol: float = 1e-5) -> StructureCheckResult:
     """Closedness of the 2-form: cyclic sum of coefficient partials over all
     index triples, with partials taken by central differences."""
     n = w.shape[0]
@@ -184,7 +182,7 @@ def check_closed(w: TensorField, points, cfg: FDConfig = FDConfig(),
 
     def residuals(X, rows):
         # partials[a] is the (N, n, n) stack of derivatives along x_a
-        partials = np.array([fd_directional(w, X, e, cfg) for e in np.eye(n)])
+        partials = np.array([fd_directional(w, X, e) for e in np.eye(n)])
         partials = partials.reshape(n, len(X), n, n)
         cyclic = partials[i, :, j, k] + partials[j, :, k, i] + partials[k, :, i, j]
         return _row_max_abs(cyclic.T)

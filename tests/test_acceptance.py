@@ -17,7 +17,6 @@ from symred.errors import ParseError, ValidationError
 from symred.exprlang import eval_expr, format_expr, parse_expression
 from symred.geometry import (
     ChartPoint,
-    FDConfig,
     TensorField,
     eval_field,
     fd_jacobian,
@@ -241,7 +240,7 @@ def test_criterion_10_fd_convergence_gate():
         p = ChartPoint([0.31, 0.23])
         errors = []
         for step in (2e-2, 1e-2, 5e-3, 2.5e-3):
-            D = fd_jacobian(func, p, FDConfig(step))
+            D = fd_jacobian(func, p, step=step)
             errors.append(np.max(np.abs(D - jac(p))))
         for coarse, fine in zip(errors, errors[1:]):
             if fine < 1e-11:

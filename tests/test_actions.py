@@ -24,7 +24,7 @@ from symred.actions import (
 )
 from symred.errors import NonFiniteError
 from symred.exprlang import compile_exprs, parse_expression
-from symred.geometry import ChartPoint, FDConfig, RowMap, TensorField, eval_field, sample_box
+from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_box
 from symred.scenarios import builtin
 from symred.structures import euclidean_metric, standard_acs, standard_symplectic
 
@@ -116,14 +116,13 @@ _SIGNED_ZERO_POINTS = [ChartPoint(c) for c in ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.
 
 
 def test_generator_bit_identical_to_per_sample_reference():
-    cfg = FDConfig()
     for action in (HOPF.action, _torus_action()):
         opaque = GroupAction(action.group_dim, lambda a, p, _f=action: apply_flow(_f, a, p))
         for p in _SIGNED_ZERO_POINTS:
             for i in range(action.group_dim):
-                want = reference_generator(action, i, p, cfg)
-                assert generator(action, i, p, cfg).tobytes() == want.tobytes()
-                assert generator(opaque, i, p, cfg).tobytes() == want.tobytes()
+                want = reference_generator(action, i, p)
+                assert generator(action, i, p).tobytes() == want.tobytes()
+                assert generator(opaque, i, p).tobytes() == want.tobytes()
 
 
 def test_action_axioms_bit_identical_to_pairwise_reference():

@@ -21,7 +21,7 @@ from symred.actions import (
 )
 from symred.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from symred.errors import ValidationError
-from symred.geometry import ChartPoint, FDConfig, RowMap, TensorField, eval_field, sample_ball
+from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_ball
 from symred.reduction import (
     reduced_structures,
     verify_main_theorem,
@@ -410,7 +410,6 @@ def _standalone_reports(name, report):
     frames and pushforwards, at the points and parameters of ``report``."""
     scen = builtin(name)
     meta = report.meta
-    fd = FDConfig()
 
     def tol(key):
         return scen.tolerances.get(key, DEFAULT_TOLERANCES[key])
@@ -420,19 +419,19 @@ def _standalone_reports(name, report):
     params = [np.array(a) for a in meta["group_params"]]
     fiber_params = (np.pi / 3.0, np.pi)
     action = [
-        check_isometry(scen.action, scen.metric, params, points, fd, tol("action.isometry")),
-        check_symplectomorphism(scen.action, scen.omega, params, points, fd,
+        check_isometry(scen.action, scen.metric, params, points, tol("action.isometry")),
+        check_symplectomorphism(scen.action, scen.omega, params, points,
                                 tol("action.symplectomorphism")),
         check_momentum_invariance(scen.action, scen.mu, params, points,
                                   tol("action.mu-invariance")),
-        check_field_invariance(scen.acs, scen.action, params, points, fd,
+        check_field_invariance(scen.acs, scen.action, params, points,
                                tol("action.acs-invariance")),
     ]
     pipelines = [
-        verify_submersion(scen, qpoints, fiber_params, fd, tol("reduction.submersion")),
-        verify_reduction_identity(scen, qpoints, fd, tol("reduction.identity"),
+        verify_submersion(scen, qpoints, fiber_params, tol("reduction.submersion")),
+        verify_reduction_identity(scen, qpoints, tol("reduction.identity"),
                                   tol("reduction.degeneracy"), seed=meta["seed"]),
-        verify_main_theorem(scen, qpoints, fd, tol("main-theorem.residuals"),
+        verify_main_theorem(scen, qpoints, tol("main-theorem.residuals"),
                             tol("main-theorem.hypothesis")),
     ]
     return action, pipelines

@@ -17,8 +17,8 @@ from symred.actions import GroupAction, _flow_map, pushforward_table
 from symred.cli import main
 from symred.errors import ActionNotFreeError, NonFiniteError, SectionNotOnLevelError
 from symred.geometry import (
+    FD_STEP,
     ChartPoint,
-    FDConfig,
     RowMap,
     TensorField,
     fd_gradient,
@@ -47,7 +47,6 @@ from util import (
     reference_pushforward,
 )
 
-CFG = FDConfig()
 FIBER_PARAMS = (np.pi / 3.0, np.pi)  # as verify moves the section
 SPLIT_FIELDS = ("level", "vertical", "horizontal", "jmu", "generators", "metric")
 
@@ -80,33 +79,33 @@ def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
     scen = _r2n_8() if name == "r2n_8" else builtin(name)
     k = scen.action.group_dim
     xs = sample_ball(scen.quotient_dim, 20, radius=scen.sample_spec.radius, seed=seed)
-    table = lift_frames(scen, xs, CFG, FIBER_PARAMS)
+    table = lift_frames(scen, xs, FIBER_PARAMS)
     frames, moved = table[:], table.moved(slice(None))
     assert len(moved.lifts) == len(FIBER_PARAMS) * len(xs)
     bases = []
     for i, x in enumerate(xs):
-        m, ref = reference_lift_frame(scen, x, CFG)
+        m, ref = reference_lift_frame(scen, x)
         _assert_frame(frames, i, m, ref, f"{name} seed {seed} base frame {i}")
         bases.append(m)
     M = np.array([m.coords for m in bases])
     for j, a in enumerate(FIBER_PARAMS):
         a = np.full(k, a)
-        D = fd_jacobian(_flow_map(scen.action, a), M, CFG)
+        D = fd_jacobian(_flow_map(scen.action, a), M)
         for i, x in enumerate(xs):
-            m, ref = reference_lift_frame(scen, x, CFG, reference_moved_section(scen, a))
+            m, ref = reference_lift_frame(scen, x, reference_moved_section(scen, a))
             _assert_frame(moved, j * len(xs) + i, m, ref,
                           f"{name} seed {seed} fibre frame {i} at {a}")
-            _same(D[i], reference_pushforward(scen.action, a, bases[i], CFG)[0],
+            _same(D[i], reference_pushforward(scen.action, a, bases[i])[0],
                   f"{name} seed {seed} fibre pushforward {i} at {a}")
 
     points = sample_box(scen.chart_dim, 20, radius=2.0, seed=seed)
     rng = np.random.default_rng(seed + 1)
     params = [rng.uniform(-np.pi, np.pi, k) for _ in range(5)]
-    D, moved = pushforward_table(scen.action, params, points, CFG)
+    D, moved = pushforward_table(scen.action, params, points)
     assert D.shape[:2] == moved.shape[:2] == (len(params), len(points))
     for j, a in enumerate(params):
         for i, p in enumerate(points):
-            want_D, want_moved = reference_pushforward(scen.action, a, p, CFG)
+            want_D, want_moved = reference_pushforward(scen.action, a, p)
             _same(D[j, i], want_D, f"{name} seed {seed} pushforward ({i}, {j})")
             _same(moved[j, i], want_moved.coords, f"{name} seed {seed} moved point ({i}, {j})")
 
@@ -151,16 +150,16 @@ def test_stacked_fd_matches_each_point():
 
     # a compiled RowMap, and a per-point callable called once per stencil row
     for chart_map in (_flow_map(hopf.action, np.array([0.7])), flow_at_one):
-        got = fd_jacobian(chart_map, X, CFG)
+        got = fd_jacobian(chart_map, X)
         for i, x in enumerate(X):
-            _same(got[i], reference_fd_jacobian(chart_map, ChartPoint(x), CFG), f"row {i}")
-            _same(fd_jacobian(chart_map, x, CFG), got[i], f"single call {i}")
-    grads = fd_gradient(hopf.mu.components[0], X, CFG)
+            _same(got[i], reference_fd_jacobian(chart_map, ChartPoint(x)), f"row {i}")
+            _same(fd_jacobian(chart_map, x), got[i], f"single call {i}")
+    grads = fd_gradient(hopf.mu.components[0], X)
     for i, x in enumerate(X):
-        _same(grads[i], reference_fd_gradient(hopf.mu.components[0], x, CFG), f"gradient {i}")
-    (D,), (moved,) = pushforward_table(hopf.action, [np.array([0.7])], X, CFG)
+        _same(grads[i], reference_fd_gradient(hopf.mu.components[0], x), f"gradient {i}")
+    (D,), (moved,) = pushforward_table(hopf.action, [np.array([0.7])], X)
     for i, x in enumerate(X):
-        want_D, want_moved = reference_pushforward(hopf.action, np.array([0.7]), x, CFG)
+        want_D, want_moved = reference_pushforward(hopf.action, np.array([0.7]), x)
         _same(D[i], want_D, f"pushforward {i}")
         _same(moved[i], want_moved.coords, f"moved point {i}")
 
@@ -196,7 +195,7 @@ def _first_failure(build):
 
 
 def _reference_base_failure(scen, xs):
-    return _first_failure(lambda: [reference_lift_frame(scen, x, CFG) for x in xs])
+    return _first_failure(lambda: [reference_lift_frame(scen, x) for x in xs])
 
 
 def _reference_submersion_failure(scen, xs):
@@ -204,11 +203,11 @@ def _reference_submersion_failure(scen, xs):
     base frame i, then per fibre parameter its moved frame and pushforward."""
     def build():
         for x in xs:
-            m, _ = reference_lift_frame(scen, x, CFG)
+            m, _ = reference_lift_frame(scen, x)
             for a in FIBER_PARAMS:
                 a = np.full(scen.action.group_dim, a)
-                reference_lift_frame(scen, x, CFG, reference_moved_section(scen, a))
-                reference_pushforward(scen.action, a, m, CFG)
+                reference_lift_frame(scen, x, reference_moved_section(scen, a))
+                reference_pushforward(scen.action, a, m)
 
     return _first_failure(build)
 
@@ -218,13 +217,13 @@ def _assert_parity(path, scen, capsys):
     base_error = _reference_base_failure(scen, xs)
     error = _reference_submersion_failure(scen, xs)
 
-    frames = lift_frames(scen, xs, CFG)
+    frames = lift_frames(scen, xs)
     with pytest.raises(type(base_error)) as raised:
         for i in range(len(xs)):
             frames[i]
     assert str(raised.value) == str(base_error)
     with pytest.raises(type(error)) as raised:
-        verify_submersion(scen, xs, FIBER_PARAMS, CFG)
+        verify_submersion(scen, xs, FIBER_PARAMS)
     assert str(raised.value) == str(error)
 
     assert main(["verify", str(path), "--suites", "reduction,main-theorem"]) == 2
@@ -257,7 +256,7 @@ def test_generators_degenerate_at_one_sample(tmp_path, capsys):
 def test_nonfinite_stencil_value(tmp_path, capsys):
     # 0/(w1 - c) is a signed zero everywhere except at the stencil row
     # w1 = 0.5 + 1e-5 of the middle sample, where it divides by zero
-    assert 0.5 + CFG.step == 0.50001
+    assert 0.5 + FD_STEP == 0.50001
     path, scen = _hopf_variant(tmp_path, "stencil", section=_HOPF_SECTION.replace(
         "[1/sqrt(1 + w1^2 + w2^2),", "[1/sqrt(1 + w1^2 + w2^2) + 0/(w1 - 0.50001),"))
     base_error, error = _assert_parity(path, scen, capsys)
@@ -300,9 +299,9 @@ def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, ca
         xs = [ChartPoint(p) for p in scen.sample_spec.points]
         base_error = _reference_base_failure(scen, xs)
         for verify in (verify_reduction_identity, verify_main_theorem):
-            for frames in (None, lift_frames(scen, xs, CFG)):
+            for frames in (None, lift_frames(scen, xs)):
                 with pytest.raises(type(base_error)) as raised:
-                    verify(scen, xs, CFG, frames=frames)
+                    verify(scen, xs, frames=frames)
                 assert str(raised.value) == str(base_error)
         assert main(["verify", str(path), "--suites", "main-theorem"]) == 2
         assert capsys.readouterr().err == f"error: {base_error}\n"
@@ -335,9 +334,9 @@ def test_fibre_error_comes_from_the_first_failing_point():
     scen = _opaque_flow_hopf([(0, 1, xs), (1, 0, xs)])
     error = _reference_submersion_failure(scen, xs)
     assert str(error) == "flow fails near point 0 for fibre parameter 1"
-    for frames in (None, lift_frames(scen, xs, CFG, FIBER_PARAMS)):
+    for frames in (None, lift_frames(scen, xs, FIBER_PARAMS)):
         with pytest.raises(NonFiniteError) as raised:
-            verify_submersion(scen, xs, FIBER_PARAMS, CFG, frames=frames)
+            verify_submersion(scen, xs, FIBER_PARAMS, frames=frames)
         assert str(raised.value) == str(error)
 
 
@@ -360,10 +359,10 @@ def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
     assert type(error) is NonFiniteError
     assert str(error).startswith("field 'omega' at ChartPoint([-1.0")
     with pytest.raises(NonFiniteError) as raised:
-        verify_submersion(scen, xs, FIBER_PARAMS, CFG)
+        verify_submersion(scen, xs, FIBER_PARAMS)
     assert str(raised.value) == str(error)
     # the base frames alone, as the main theorem reads them, do not fail
-    assert verify_main_theorem(scen, xs, CFG).passed
+    assert verify_main_theorem(scen, xs).passed
     monkeypatch.setattr(cli, "resolve_scenario", lambda name: scen)
     assert main(["verify", "hopf"]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"

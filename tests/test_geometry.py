@@ -10,7 +10,6 @@ from symred.errors import DegenerateInputError, NonFiniteError, NotSPDError
 from symred.exprlang import compile_exprs, parse_expression
 from symred.geometry import (
     ChartPoint,
-    FDConfig,
     RowMap,
     TensorField,
     eval_field,
@@ -195,11 +194,11 @@ def test_fd_jacobian_affine_exact_across_steps():
     b = rng.standard_normal(3)
     p = ChartPoint(rng.standard_normal(3))
     for step in (1e-5, 1e-4, 1e-3):
-        D = fd_jacobian(lambda q: A @ q.coords + b, p, FDConfig(step))
+        D = fd_jacobian(lambda q: A @ q.coords + b, p, step=step)
         assert np.max(np.abs(D - A)) < 1e-10
     origin = ChartPoint(np.zeros(3))
     for step in (1e-6, 1e-5, 1e-4, 1e-3):
-        D = fd_jacobian(lambda q: A @ q.coords, origin, FDConfig(step))
+        D = fd_jacobian(lambda q: A @ q.coords, origin, step=step)
         assert np.max(np.abs(D - A)) < 1e-10
 
 
@@ -222,7 +221,7 @@ def test_fd_jacobian_convergence_order():
     exact = _wiggly_jacobian(p)
     errors = []
     for step in (2e-2, 1e-2, 5e-3):
-        D = fd_jacobian(_wiggly, p, FDConfig(step))
+        D = fd_jacobian(_wiggly, p, step=step)
         errors.append(np.max(np.abs(D - exact)))
     for coarse, fine in zip(errors, errors[1:]):
         if fine < 1e-11:
@@ -246,23 +245,21 @@ _X4 = ("x1", "x2", "x3", "x4")
 
 
 def test_fd_jacobian_bit_identical_to_per_column_reference():
-    cfg = FDConfig()
     compiled = _compiled(_MAP_TEXTS, _X4)
     opaque = lambda p: compiled(p)  # noqa: E731 - forces the per-point path
     hopf = builtin("hopf")
     for coords in _SIGNED_ZERO_POINTS:
         p = ChartPoint(coords)
-        want = reference_fd_jacobian(compiled, p, cfg)
+        want = reference_fd_jacobian(compiled, p)
         for chart_map in (compiled, opaque):
-            got = fd_jacobian(chart_map, p, cfg)
+            got = fd_jacobian(chart_map, p)
             assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
         w = ChartPoint(coords[:2])
-        want = reference_fd_jacobian(hopf.section, w, cfg)
-        assert fd_jacobian(hopf.section, w, cfg).tobytes() == want.tobytes()
+        want = reference_fd_jacobian(hopf.section, w)
+        assert fd_jacobian(hopf.section, w).tobytes() == want.tobytes()
 
 
 def test_fd_gradient_and_directional_bit_identical_to_reference():
-    cfg = FDConfig()
     fields = [builtin("euclidean_r2n").mu.components[0],
               TensorField.scalar(_compiled(["x1*x2 - x3/(1 + x4^2)"], _X4, ()))]
     metric = builtin("noninvariant_metric_hopf").metric
@@ -270,23 +267,23 @@ def test_fd_gradient_and_directional_bit_identical_to_reference():
         p = ChartPoint(coords)
         for field in fields:
             opaque = TensorField.scalar(lambda q, _f=field.func: _f(q))
-            want = reference_fd_gradient(field, p, cfg)
-            assert fd_gradient(field, p, cfg).tobytes() == want.tobytes()
-            assert fd_gradient(opaque, p, cfg).tobytes() == want.tobytes()
+            want = reference_fd_gradient(field, p)
+            assert fd_gradient(field, p).tobytes() == want.tobytes()
+            assert fd_gradient(opaque, p).tobytes() == want.tobytes()
         e3 = np.array([0.0, 0.0, 1.0, 0.0])
-        got = fd_directional(metric, p, e3, cfg)
+        got = fd_directional(metric, p, e3)
         want = reference_fd_jacobian(
-            lambda q: eval_field(metric, q).ravel(), p, cfg)[:, 2].reshape(4, 4)
+            lambda q: eval_field(metric, q).ravel(), p)[:, 2].reshape(4, 4)
         assert got.tobytes() == want.tobytes()
     # a stack of points is the stack of the single-point derivatives
     X = np.array(_SIGNED_ZERO_POINTS)
-    stacked = fd_directional(metric, X, e3, cfg)
+    stacked = fd_directional(metric, X, e3)
     for i, x in enumerate(X):
-        assert stacked[i].tobytes() == fd_directional(metric, x, e3, cfg).tobytes()
-    stacked = fd_directional(fields[1], X, e3, cfg)
+        assert stacked[i].tobytes() == fd_directional(metric, x, e3).tobytes()
+    stacked = fd_directional(fields[1], X, e3)
     assert stacked.shape == (len(X),)
     for i, x in enumerate(X):
-        assert stacked[i] == fd_directional(fields[1], x, e3, cfg)
+        assert stacked[i] == fd_directional(fields[1], x, e3)
 
 
 def _failure(fn):
@@ -315,28 +312,28 @@ _FAILING_MAPS = [
 @pytest.mark.parametrize("texts, coords, step", _FAILING_MAPS)
 def test_first_failing_stencil_row_raises_as_the_per_point_path(texts, coords, step):
     compiled = _compiled(texts, ("x1", "x2"))
-    p, cfg = ChartPoint(coords), FDConfig(step=step)
+    p = ChartPoint(coords)
     with np.errstate(over="ignore"):
-        want = _failure(lambda: reference_fd_jacobian(compiled, p, cfg))
+        want = _failure(lambda: reference_fd_jacobian(compiled, p, step=step))
         assert want[0] is NonFiniteError
-        assert _failure(lambda: fd_jacobian(compiled, p, cfg)) == want
-        assert _failure(lambda: fd_jacobian(lambda q: compiled(q), p, cfg)) == want
+        assert _failure(lambda: fd_jacobian(compiled, p, step=step)) == want
+        assert _failure(lambda: fd_jacobian(lambda q: compiled(q), p, step=step)) == want
 
 
 def test_nonfinite_stencil_messages():
-    p, cfg = ChartPoint([1.797693, 0.0]), FDConfig()
-    assert _failure(lambda: fd_jacobian(_compiled(("1e308*x1", "x2"), ("x1", "x2")), p, cfg)) \
+    p = ChartPoint([1.797693, 0.0])
+    assert _failure(lambda: fd_jacobian(_compiled(("1e308*x1", "x2"), ("x1", "x2")), p)) \
         == (NonFiniteError, "map value contains non-finite entries")
     # a map returning a plain array is checked as a map value
     with np.errstate(over="ignore"):
-        assert _failure(lambda: fd_jacobian(lambda q: 1e308 * q.coords, p, cfg)) \
+        assert _failure(lambda: fd_jacobian(lambda q: 1e308 * q.coords, p)) \
             == (NonFiniteError, "map value contains non-finite entries")
     field = TensorField.scalar(_compiled(["1e308*x1"], ("x1", "x2"), ()), name="big")
     want = (NonFiniteError, f"field 'big' at {ChartPoint([1.797693 + 2e-5, 0.0])} "
                             "contains non-finite entries")
-    assert _failure(lambda: fd_gradient(field, p, cfg)) == want
-    assert _failure(lambda: reference_fd_gradient(field, p, cfg)) == want
-    assert _failure(lambda: fd_directional(field, p, [1.0, 0.0], cfg)) == want
+    assert _failure(lambda: fd_gradient(field, p)) == want
+    assert _failure(lambda: reference_fd_gradient(field, p)) == want
+    assert _failure(lambda: fd_directional(field, p, [1.0, 0.0])) == want
 
 
 class _Recorder:
@@ -354,7 +351,6 @@ class _Recorder:
 def test_per_point_callables_run_once_per_stencil_row_in_order():
     # on a successful batch the wrapped callable sees exactly the points the
     # per-column reference evaluates, each once, in the same order
-    cfg = FDConfig()
     p = ChartPoint([0.3, -0.7, 1.1, 0.2])
     hopf = builtin("hopf")
 
@@ -364,16 +360,16 @@ def test_per_point_callables_run_once_per_stencil_row_in_order():
 
     cases = [  # (callable, derivative, its reference, stencil rows)
         (lambda q: np.array([q.coords[0] * q.coords[1], np.sin(q.coords[2])]),
-         lambda f: fd_jacobian(f, p, cfg), lambda f: reference_fd_jacobian(f, p, cfg), 16),
+         lambda f: fd_jacobian(f, p), lambda f: reference_fd_jacobian(f, p), 16),
         (lambda q: float(q.coords @ q.coords),
-         lambda f: fd_gradient(TensorField.scalar(f), p, cfg),
-         lambda f: reference_fd_gradient(TensorField.scalar(f), p, cfg), 16),
+         lambda f: fd_gradient(TensorField.scalar(f), p),
+         lambda f: reference_fd_gradient(TensorField.scalar(f), p), 16),
         (rotate,
-         lambda f: generator(GroupAction(1, f), 0, p, cfg),
-         lambda f: reference_generator(GroupAction(1, f), 0, p, cfg), 4),
+         lambda f: generator(GroupAction(1, f), 0, p),
+         lambda f: reference_generator(GroupAction(1, f), 0, p), 4),
         (lambda w: np.array([1.0, 0.0, *w.coords]) / np.sqrt(1.0 + w.coords @ w.coords),
-         lambda f: fd_jacobian(dataclasses.replace(hopf, section=f).section, p.coords[:2], cfg),
-         lambda f: reference_fd_jacobian(f, ChartPoint(p.coords[:2]), cfg), 8),
+         lambda f: fd_jacobian(dataclasses.replace(hopf, section=f).section, p.coords[:2]),
+         lambda f: reference_fd_jacobian(f, ChartPoint(p.coords[:2])), 8),
     ]
     for fn, derivative, reference, rows in cases:
         got, want = _Recorder(fn), _Recorder(fn)
@@ -389,11 +385,11 @@ def test_per_point_batch_stops_at_the_first_nonfinite_row():
             raise ZeroDivisionError("a later row")
         return 1e308 * q.coords
 
-    p, cfg = ChartPoint([1.797693]), FDConfig()
+    p = ChartPoint([1.797693])
     with np.errstate(over="ignore"):
-        want = _failure(lambda: reference_fd_jacobian(chart_map, p, cfg))
+        want = _failure(lambda: reference_fd_jacobian(chart_map, p))
         assert want == (NonFiniteError, "map value contains non-finite entries")
-        assert _failure(lambda: fd_jacobian(chart_map, p, cfg)) == want
+        assert _failure(lambda: fd_jacobian(chart_map, p)) == want
 
 
 def test_row_field_of_the_wrong_shape_fails_like_one_point():
@@ -505,11 +501,11 @@ def test_eval_field_shape_mismatch():
         eval_field(wrong, [0.0, 0.0])
 
 
-def test_fd_config_validation():
-    with pytest.raises(ValueError):
-        FDConfig(step=0.0)
-    with pytest.raises(ValueError):
-        FDConfig(step=float("nan"))
+def test_fd_jacobian_step_validation():
+    p = ChartPoint([0.3, 0.2])
+    for step in (0.0, -1e-5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            fd_jacobian(_wiggly, p, step=step)
 
 
 def test_sqrt_commutes_property():

@@ -12,7 +12,6 @@ from symred import cli
 from symred.errors import NonFiniteError, NotStandardStructureError, OddDimensionError
 from symred.geometry import (
     ChartPoint,
-    FDConfig,
     RowMap,
     TensorField,
     as_points,
@@ -24,7 +23,6 @@ from symred.structures import standard_acs, standard_acs_matrix
 
 from util import reference_almost_complex_residual, reference_cauchy_riemann_residual
 
-CFG = FDConfig()
 J2 = standard_acs(2)
 
 
@@ -155,15 +153,15 @@ def _assert_matches_references(cm, points):
     X = _coords(points)
     for stacked, reference in ((almost_complex_residual, reference_almost_complex_residual),
                                (cauchy_riemann_residual, reference_cauchy_riemann_residual)):
-        want = np.array([reference(cm, p, CFG) for p in points])
-        got = stacked(cm, X, CFG)
+        want = np.array([reference(cm, p) for p in points])
+        got = stacked(cm, X)
         assert got.shape == (len(points),)
         assert got.tobytes() == want.tobytes(), stacked.__name__
         for i, x in enumerate(X[:3]):
-            assert stacked(cm, X[i:i + 1], CFG).tobytes() == want[i:i + 1].tobytes()
-            one = stacked(cm, ChartPoint(x), CFG)
+            assert stacked(cm, X[i:i + 1]).tobytes() == want[i:i + 1].tobytes()
+            one = stacked(cm, ChartPoint(x))
             assert isinstance(one, float) and one == want[i]
-            assert stacked(cm, x, CFG) == want[i]
+            assert stacked(cm, x) == want[i]
 
 
 @pytest.mark.parametrize("samples", [20, 80])
@@ -218,7 +216,7 @@ def test_point_dependent_target_structure_matches_per_point_residual():
     target = TensorField.matrix(conjugated, 4, name="sheared J")
     cm = ChartedMap(4, 4, _plane_mixing, standard_acs(4), target)
     points = sample_box(4, 20, radius=1.2, seed=12)
-    want = np.array([reference_almost_complex_residual(cm, p, CFG) for p in points])
+    want = np.array([reference_almost_complex_residual(cm, p) for p in points])
     assert almost_complex_residual(cm, _coords(points)).tobytes() == want.tobytes()
     with pytest.raises(NotStandardStructureError, match="target structure"):
         cauchy_riemann_residual(cm, _coords(points))
@@ -227,7 +225,7 @@ def test_point_dependent_target_structure_matches_per_point_residual():
 def _first_error(cm, points, reference):
     for p in points:
         try:
-            reference(cm, p, CFG)
+            reference(cm, p)
         except Exception as exc:  # the error the per-point loop stops on
             return type(exc), str(exc)
     raise AssertionError("no point fails")
@@ -239,7 +237,7 @@ def _assert_same_first_error(cm, points, kind, message):
                                (cauchy_riemann_residual, reference_cauchy_riemann_residual)):
         assert _first_error(cm, points, reference) == (kind, message)
         with pytest.raises(kind) as caught:
-            stacked(cm, X, CFG)
+            stacked(cm, X)
         assert str(caught.value) == message
 
 
@@ -296,5 +294,5 @@ def test_non_standard_target_structure_raises_on_a_stack():
     assert _first_error(cm, POINTS, reference_cauchy_riemann_residual) == (
         NotStandardStructureError, "target structure is not the coordinate J")
     # the almost-complex-mapping residual takes any structure
-    want = np.array([reference_almost_complex_residual(cm, p, CFG) for p in POINTS])
+    want = np.array([reference_almost_complex_residual(cm, p) for p in POINTS])
     assert almost_complex_residual(cm, _coords(POINTS)).tobytes() == want.tobytes()

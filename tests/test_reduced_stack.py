@@ -11,13 +11,15 @@ the library used before.
 
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from symred import reduction
 from symred.cli import RunConfig, run
 from symred.errors import VerticalLeakWarning
-from symred.geometry import FDConfig, sample_ball
+from symred.geometry import sample_ball
 from symred.reduction import (
     lift_frames,
     reduced_structures,
@@ -36,7 +38,6 @@ from util import (
     residuals_seen,
 )
 
-CFG = FDConfig()
 FIBER_PARAMS = (np.pi / 3.0, np.pi)  # as verify moves the section
 LSTSQ_BOUND = 1e-12
 
@@ -63,12 +64,17 @@ _CASES = [(name, seed) for name in builtin_names() for seed in range(3)] \
 
 def _stacked(scen, xs, seed):
     """Every per-point value the three pipelines report, keyed as the
-    references key them."""
-    frames = lift_frames(scen, xs, CFG)
-    with residuals_seen() as seen:
-        verify_submersion(scen, xs, FIBER_PARAMS, CFG, frames=frames)
-        verify_reduction_identity(scen, xs, CFG, seed=seed, frames=frames)
-        main = verify_main_theorem(scen, xs, CFG, frames=frames)
+    references key them.  The table is built with the fibre parameters, as
+    ``cli.run`` builds it, so the three pipelines split every base and moved
+    frame in one ``split_tangent`` call."""
+    frames = lift_frames(scen, xs, FIBER_PARAMS)
+    with residuals_seen() as seen, mock.patch.object(
+            reduction, "split_tangent", wraps=reduction.split_tangent) as split:
+        verify_submersion(scen, xs, FIBER_PARAMS, frames=frames)
+        verify_reduction_identity(scen, xs, seed=seed, frames=frames)
+        main = verify_main_theorem(scen, xs, frames=frames)
+    assert split.call_count == 1
+    assert split.call_args.args[1].shape == ((1 + len(FIBER_PARAMS)) * len(xs), scen.chart_dim)
     keys = ("fiber", "vertical", "identity", "degeneracy", "acm_residual", "compat_residual",
             "acs_residual", "hypothesis")
     out = dict(zip(keys, seen))
@@ -81,10 +87,10 @@ def _stacked(scen, xs, seed):
 
 
 def _references(scen, xs, seed, solver):
-    fiber, vertical = reference_submersion(scen, xs, FIBER_PARAMS, CFG)
-    identity, degeneracy = reference_reduction_identity(scen, xs, CFG, seed=seed, solver=solver)
+    fiber, vertical = reference_submersion(scen, xs, FIBER_PARAMS)
+    identity, degeneracy = reference_reduction_identity(scen, xs, seed=seed, solver=solver)
     out = {"fiber": fiber, "vertical": vertical, "identity": identity,
-           "degeneracy": degeneracy, **reference_main_theorem(scen, xs, CFG, solver)}
+           "degeneracy": degeneracy, **reference_main_theorem(scen, xs, solver)}
     return {key: np.array(values, dtype=float) for key, values in out.items()}
 
 
@@ -103,9 +109,9 @@ def test_stacked_reduction_matches_point_by_point(name, seed):
         assert got[key].tobytes() == want[key].tobytes(), f"{name} seed {seed}: {key}"
 
     old = {"identity": np.array(reference_reduction_identity(
-        scen, xs, CFG, seed=seed, solver="lstsq")[0]),
+        scen, xs, seed=seed, solver="lstsq")[0]),
         **{key: np.array(values) for key, values
-           in reference_main_theorem(scen, xs, CFG, "lstsq").items()}}
+           in reference_main_theorem(scen, xs, "lstsq").items()}}
     for key in SOLVED:
         bound = LSTSQ_BOUND * np.maximum(1.0, np.abs(old[key]))
         assert (np.abs(got[key] - old[key]) <= bound).all(), f"{name} seed {seed}: {key}"
@@ -119,13 +125,13 @@ def test_stack_of_one_and_no_points(name):
     for key in NO_SOLVE + SOLVED:
         assert got[key].tobytes() == want[key].tobytes(), f"{name}: {key}"
 
-    for verify in (lambda: verify_submersion(scen, [], FIBER_PARAMS, CFG),
-                   lambda: verify_reduction_identity(scen, [], CFG),
-                   lambda: verify_main_theorem(scen, [], CFG)):
+    for verify in (lambda: verify_submersion(scen, [], FIBER_PARAMS),
+                   lambda: verify_reduction_identity(scen, []),
+                   lambda: verify_main_theorem(scen, [])):
         report = verify()
         assert all(c.passed and c.max_residual == 0.0 and c.worst_point is None
                    for c in report.checks)
-    report = verify_main_theorem(scen, [], CFG)
+    report = verify_main_theorem(scen, [])
     assert report.meta["samples"] == []
     assert report.find("main theorem iff").extras["branch"] == "negative"
 
@@ -140,7 +146,7 @@ def test_reduced_structures_match_the_frame_reference(name):
         # J of a lift leaves the level tangent space only where J is not g-compatible
         assert [w.category for w in caught] \
             == [VerticalLeakWarning] * (name == "skewed_metric_hopf")
-        _, frame = reference_lift_frame(scen, x, CFG)
+        _, frame = reference_lift_frame(scen, x)
         h, w, j_red, _, _ = reference_reduced_from_frame(frame, "solve")
         assert red.h_beta.tobytes() == h.tobytes()
         assert red.omega_beta.tobytes() == w.tobytes()
@@ -187,10 +193,10 @@ def test_normal_leak_is_the_level_normal_part_of_j_lift(name):
     # which the remainder must take out with the right sign
     scen = _scenario(name)
     xs = sample_ball(scen.quotient_dim, 6, radius=scen.sample_spec.radius, seed=4)
-    rows = verify_main_theorem(scen, xs, CFG).meta["samples"]
+    rows = verify_main_theorem(scen, xs).meta["samples"]
     assert max(row["vertical_leak"] for row in rows) > 1e-2
     for x, row in zip(xs, rows):
-        _, frame = reference_lift_frame(scen, x, CFG)
+        _, frame = reference_lift_frame(scen, x)
         K, G, L = frame["level"], frame["metric"], frame["lifts"]
         project = K @ np.linalg.solve(K.T @ G @ K, K.T @ G)
         leaks = []

@@ -16,7 +16,7 @@ from symred.errors import (
     SectionNotOnLevelError,
     VerticalLeakWarning,
 )
-from symred.geometry import ChartPoint, FDConfig, RowMap, TensorField, fd_jacobian, sample_ball
+from symred.geometry import ChartPoint, RowMap, TensorField, fd_jacobian, sample_ball
 from symred.reduction import (
     ReductionScenario,
     lift_frames,
@@ -27,7 +27,13 @@ from symred.reduction import (
     verify_submersion,
 )
 from symred.scenarios import builtin, builtin_text, compile_scenario, parse_scenario
-from symred.structures import euclidean_metric, standard_acs, standard_acs_matrix, standard_symplectic
+from symred.structures import (
+    check_metric,
+    euclidean_metric,
+    standard_acs,
+    standard_acs_matrix,
+    standard_symplectic,
+)
 
 from util import (
     horizontal_projector_oracle,
@@ -384,11 +390,17 @@ def test_three_plane_reduction_pipelines_pass():
     assert report.find("main theorem iff").extras["branch"] == "positive"
 
 
-def test_reduction_with_order_two_differences():
-    # a step ten times below the default still gives the round-sphere metric
-    cfg = FDConfig(step=1e-6)
-    h = reduced_structures(HOPF, ChartPoint([1.0, 0.0]), cfg).h_beta
-    np.testing.assert_allclose(h, 0.25 * np.eye(2), atol=1e-8)
+@pytest.mark.parametrize("points", [np.array([0.3, 0.4]), np.zeros((2, 2, 2)), np.array(0.3)])
+def test_point_arrays_not_of_shape_n_by_d_raise(points):
+    # a flat array is not read as points of one coordinate each, nor as one point
+    message = f"points must be an (N, d) array, got shape {points.shape}"
+    for verify in (lambda: verify_main_theorem(HOPF, points),
+                   lambda: verify_submersion(HOPF, points, FIBER_PARAMS),
+                   lambda: verify_reduction_identity(HOPF, points),
+                   lambda: check_metric(HOPF.metric, points)):
+        with pytest.raises(ValueError) as info:
+            verify()
+        assert str(info.value) == message
 
 
 def test_quotient_dim_is_derived():

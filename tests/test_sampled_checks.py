@@ -19,7 +19,7 @@ from symred.actions import (
     pushforward_table,
 )
 from symred.errors import NonFiniteError
-from symred.geometry import ChartPoint, FDConfig, TensorField, as_coords, sample_box
+from symred.geometry import ChartPoint, TensorField, as_coords, sample_box
 from symred.scenarios import builtin, builtin_names, builtin_text, compile_scenario, parse_scenario
 from symred.structures import (
     CompatibleTriple,
@@ -44,7 +44,6 @@ from util import (
     residuals_seen,
 )
 
-CFG = FDConfig()
 TOL = 1e-8
 
 
@@ -58,29 +57,29 @@ def _checks(scen, params):
          lambda pts: reference_metric_residuals(scen.metric, pts, TOL)),
         ("symplectic", lambda pts: check_symplectic_pointwise(scen.omega, pts, TOL),
          lambda pts: reference_symplectic_residuals(scen.omega, pts, TOL)),
-        ("closed", lambda pts: check_closed(scen.omega, pts, CFG),
-         lambda pts: reference_closed_residuals(scen.omega, pts, CFG)),
+        ("closed", lambda pts: check_closed(scen.omega, pts),
+         lambda pts: reference_closed_residuals(scen.omega, pts)),
         ("acs", lambda pts: check_acs(scen.acs, pts),
          lambda pts: reference_acs_residuals(scen.acs, pts)),
         ("compatibility", lambda pts: check_compatibility(triple, pts),
          lambda pts: reference_compatibility_residuals(scen.omega, scen.metric, scen.acs, pts)),
         ("axioms", lambda pts: check_action_axioms(action, params, pts),
          lambda pts: [reference_action_axioms(action, params, p) for p in pts]),
-        ("isometry", lambda pts: check_isometry(action, scen.metric, params, pts, CFG),
+        ("isometry", lambda pts: check_isometry(action, scen.metric, params, pts),
          lambda pts: reference_invariance_residuals("pullback", action, scen.metric, params,
-                                                    pts, CFG)),
+                                                    pts)),
         ("symplectomorphism",
-         lambda pts: check_symplectomorphism(action, scen.omega, params, pts, CFG),
+         lambda pts: check_symplectomorphism(action, scen.omega, params, pts),
          lambda pts: reference_invariance_residuals("pullback", action, scen.omega, params,
-                                                    pts, CFG)),
-        ("hamiltonian", lambda pts: momentum_residual(action, scen.mu, scen.omega, pts, CFG),
-         lambda pts: reference_momentum_residuals(action, scen.mu, scen.omega, pts, CFG)),
+                                                    pts)),
+        ("hamiltonian", lambda pts: momentum_residual(action, scen.mu, scen.omega, pts),
+         lambda pts: reference_momentum_residuals(action, scen.mu, scen.omega, pts)),
         ("mu invariance", lambda pts: check_momentum_invariance(action, scen.mu, params, pts),
          lambda pts: reference_invariance_residuals("momentum", action, scen.mu, params,
-                                                    pts, CFG)),
-        ("acs invariance", lambda pts: check_field_invariance(scen.acs, action, params, pts, CFG),
+                                                    pts)),
+        ("acs invariance", lambda pts: check_field_invariance(scen.acs, action, params, pts),
          lambda pts: reference_invariance_residuals("endomorphism", action, scen.acs, params,
-                                                    pts, CFG)),
+                                                    pts)),
     ]
 
 
@@ -158,9 +157,9 @@ def test_closedness_nan_partials_fail_at_their_point():
     points = [ChartPoint(c) for c in ([-0.5, 0.1, 0.2, 0.3], [0.3, -0.2, 0.5, 0.1],
                                       [-0.2, 0.4, -0.1, 0.0])]
     with np.errstate(over="ignore", invalid="ignore"):
-        _assert_matches("closed", lambda pts: check_closed(field, pts, CFG),
-                        lambda pts: reference_closed_residuals(field, pts, CFG), points)
-        res = check_closed(field, points, CFG)
+        _assert_matches("closed", lambda pts: check_closed(field, pts),
+                        lambda pts: reference_closed_residuals(field, pts), points)
+        res = check_closed(field, points)
     assert np.isnan(res.max_residual) and not res.passed
     assert res.worst_point.coords.tobytes() == points[1].coords.tobytes()
 
@@ -183,9 +182,9 @@ def test_pushforward_error_comes_from_the_first_failing_parameter():
     shift = GroupAction(1, flow)
     metric = TensorField.constant(np.eye(2))
     with pytest.raises(NonFiniteError, match="^flow fails near point 1 for parameter 0$"):
-        pushforward_table(shift, params, points, CFG)
+        pushforward_table(shift, params, points)
     with pytest.raises(NonFiniteError, match="^flow fails near point 0 for parameter 1$"):
-        check_isometry(shift, metric, params, points, CFG)
+        check_isometry(shift, metric, params, points)
 
 
 def test_failing_batch_raises_the_first_failing_points_error():
@@ -237,8 +236,8 @@ def test_penalties_and_cyclic_sums_match_references():
         _assert_matches(name, check, reference, points)
         want = reference(points)
         assert min(want) == 0.0 < max(want), name  # the penalty is taken and not taken
-    _assert_matches("closed", lambda pts: check_closed(field, pts, CFG),
-                    lambda pts: reference_closed_residuals(field, pts, CFG), points4)
+    _assert_matches("closed", lambda pts: check_closed(field, pts),
+                    lambda pts: reference_closed_residuals(field, pts), points4)
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -252,6 +251,6 @@ def test_failing_moved_point_raises_at_its_point(shared):
     metric = TensorField.matrix(
         lambda p: np.full((2, 2), np.inf) if np.array_equal(p.coords, target) else np.eye(2),
         2, name="metric")
-    table = pushforward_table(shift, params, points, CFG) if shared else None
+    table = pushforward_table(shift, params, points) if shared else None
     with pytest.raises(NonFiniteError, match=r"^field 'metric' at ChartPoint\(\[ 0\.8, -0\.1\]\)"):
-        check_isometry(shift, metric, params, points, CFG, pushforwards=table)
+        check_isometry(shift, metric, params, points, pushforwards=table)

@@ -312,6 +312,19 @@ def test_constant_subtrees_of_coordinate_entries_are_folded(monkeypatch):
     assert seen == {("sqrt", "float"): 1}  # and never per evaluation
 
 
+@pytest.mark.parametrize("key, check", [
+    ("metric", check_metric), ("omega", check_symplectic_pointwise), ("acs", check_acs)])
+def test_rows_of_the_wrong_width_raise_for_a_folded_map(key, check):
+    # every entry of hopf's structures folds to a constant, so no program
+    # runs: the width is checked all the same, with the program's message
+    field = getattr(builtin("hopf"), key)
+    for X in (np.zeros((1, 3)), np.zeros((4, 5))):
+        with pytest.raises(ValueError, match=re.escape(f"expected 4 values, got {X.shape[1]}")):
+            field.func.rows(X)
+    with pytest.raises(ValueError, match=re.escape("expected 4 values, got 3")):
+        check(field, [[0.1, 0.2, 0.3]])
+
+
 def test_raising_constant_subtrees_of_coordinate_entries_raise_per_point():
     text = MINIMAL.replace("metric = [[1, 0], [0, 1]]", "metric = [[x1*sqrt(0 - 1), 0], [0, 1]]")
     scen = compile_scenario(parse_scenario(text))

@@ -8,7 +8,7 @@ import numpy as np
 
 from symred.errors import NonFiniteError, ParseError, ValidationError
 from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow, Token
-from symred.geometry import ChartPoint
+from symred.geometry import FD_STEP, ChartPoint
 
 
 def newton_polar_unitary(a, tol=1e-13, max_iter=200):
@@ -277,14 +277,13 @@ def horizontal_projector_oracle(jmu, generators, metric, dim):
     return N @ np.linalg.solve(N.T @ G @ N, N.T @ G)
 
 
-def reference_central_difference(sample, cfg):
+def reference_central_difference(sample, h=FD_STEP):
     """One derivative from stencil samples, one call per offset: the
     per-column formula the batched stencil must reproduce bit for bit."""
-    h = cfg.step
     return (-sample(2 * h) + 8.0 * sample(h) - 8.0 * sample(-h) + sample(-2 * h)) / (12.0 * h)
 
 
-def reference_fd_jacobian(chart_map, p, cfg):
+def reference_fd_jacobian(chart_map, p, *, step=FD_STEP):
     """Column-by-column Jacobian, one ChartPoint per stencil sample."""
     x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
     n = x.shape[0]
@@ -300,11 +299,11 @@ def reference_fd_jacobian(chart_map, p, cfg):
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        cols.append(reference_central_difference(lambda t: value(x + t * e), cfg))
+        cols.append(reference_central_difference(lambda t: value(x + t * e), step))
     return np.column_stack(cols)
 
 
-def reference_fd_gradient(field, p, cfg):
+def reference_fd_gradient(field, p):
     """Gradient of a scalar field, one directional difference per coordinate."""
     from symred.geometry import eval_field
 
@@ -315,18 +314,18 @@ def reference_fd_gradient(field, p, cfg):
         e = np.zeros(n)
         e[i] = 1.0
         grad[i] = float(reference_central_difference(
-            lambda t: np.asarray(eval_field(field, ChartPoint(x + t * e)), dtype=float), cfg))
+            lambda t: np.asarray(eval_field(field, ChartPoint(x + t * e)), dtype=float)))
     return grad
 
 
-def reference_generator(action, xi_index, p, cfg):
+def reference_generator(action, xi_index, p):
     """Generator of one algebra basis element, one flow call per sample."""
     from symred.actions import apply_flow
 
     direction = np.zeros(action.group_dim)
     direction[xi_index] = 1.0
     return reference_central_difference(
-        lambda t: apply_flow(action, t * direction, p).coords, cfg)
+        lambda t: apply_flow(action, t * direction, p).coords)
 
 
 def reference_action_axioms(action, params, p):
@@ -384,7 +383,7 @@ def _reference_level_gap(scen, point):
     return float(np.linalg.norm(values - scen.mu.beta))
 
 
-def reference_split_tangent(scen, m, cfg):
+def reference_split_tangent(scen, m):
     """The splitting at one point, built with the per-point references and
     raising the errors of the per-point construction, in its order; a dict of
     the arrays ``split_tangent`` keeps."""
@@ -398,14 +397,14 @@ def reference_split_tangent(scen, m, cfg):
     gap = _reference_level_gap(scen, point)
     if gap >= LEVEL_TOL:
         raise NotOnLevelError(f"|mu(m) - beta| = {gap:.3e} exceeds {LEVEL_TOL:.1e}")
-    jmu = np.vstack([reference_fd_gradient(c, point, cfg) for c in scen.mu.components])
+    jmu = np.vstack([reference_fd_gradient(c, point) for c in scen.mu.components])
     level = reference_kernel_basis(jmu, RANK_TOL)
     if level.shape[1] != n - k:
         raise NotRegularValueError(
             f"kernel of d mu has dimension {level.shape[1]}, expected {n - k}")
     V = np.zeros((n, k))
     for i in range(k):
-        V[:, i] = reference_generator(scen.action, i, point, cfg)
+        V[:, i] = reference_generator(scen.action, i, point)
         if not np.isfinite(V[:, i]).all():
             raise NonFiniteError("generator contains non-finite entries")
     sv = np.linalg.svd(V, compute_uv=False)
@@ -438,7 +437,7 @@ def reference_moved_section(scen, a):
     return lambda q: apply_flow(scen.action, a, scen.section_point(q))
 
 
-def reference_lift_frame(scen, x, cfg, section=None):
+def reference_lift_frame(scen, x, section=None):
     """The lift frame at one quotient point, frame by frame: the reference
     for the batched ``lift_frames``.  Returns the point m and a dict of
     every array of the frame, and raises what the per-frame construction raised,
@@ -453,11 +452,11 @@ def reference_lift_frame(scen, x, cfg, section=None):
     gap = _reference_level_gap(scen, m)
     if gap >= LEVEL_TOL:
         raise SectionNotOnLevelError(f"section lands off the level set: |mu - beta| = {gap:.3e}")
-    frame = reference_split_tangent(scen, m, cfg)
+    frame = reference_split_tangent(scen, m)
     G, h_onb = frame["metric"], frame["horizontal"]
     frame["Om"] = eval_field(scen.omega, m)
     frame["J"] = eval_field(scen.acs, m)
-    dsig = reference_fd_jacobian(section, xq, cfg)
+    dsig = reference_fd_jacobian(section, xq)
     lifts = h_onb @ (h_onb.T @ G @ dsig)
     sv = np.linalg.svd(lifts, compute_uv=False)
     if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
@@ -468,12 +467,12 @@ def reference_lift_frame(scen, x, cfg, section=None):
     return m, frame
 
 
-def reference_pushforward(action, a, p, cfg):
+def reference_pushforward(action, a, p):
     """Flow Jacobian and moved point at one point, one flow call per stencil
     sample: the reference for the batched pushforwards."""
     from symred.actions import apply_flow
 
-    return reference_fd_jacobian(lambda q: apply_flow(action, a, q), p, cfg), \
+    return reference_fd_jacobian(lambda q: apply_flow(action, a, q), p), \
         apply_flow(action, a, p)
 
 
@@ -513,7 +512,7 @@ def reference_symplectic_residuals(w, points, tol):
     return out
 
 
-def reference_closed_residuals(w, points, cfg):
+def reference_closed_residuals(w, points):
     """Cyclic sums of partials, each partial one difference per coordinate
     direction with one field evaluation per stencil sample."""
     import itertools
@@ -529,7 +528,7 @@ def reference_closed_residuals(w, points, cfg):
             e = np.zeros(n)
             e[i] = 1.0
             partials.append(reference_central_difference(
-                lambda t: eval_field(w, ChartPoint(x + t * e)), cfg))
+                lambda t: eval_field(w, ChartPoint(x + t * e))))
         out.append(_max_abs([partials[i][j, k] + partials[j][k, i] + partials[k][i, j]
                              for i, j, k in itertools.combinations(range(n), 3)]))
     return out
@@ -552,7 +551,7 @@ def reference_compatibility_residuals(omega, metric, acs, points):
     return out
 
 
-def reference_invariance_residuals(kind, action, field, params, points, cfg):
+def reference_invariance_residuals(kind, action, field, params, points):
     """Isometry and symplectomorphism ("pullback"), momentum invariance
     ("momentum", ``field`` a MomentumMap) or endomorphism invariance
     ("endomorphism"): per point the worst over the parameters, each flow
@@ -574,13 +573,13 @@ def reference_invariance_residuals(kind, action, field, params, points, cfg):
         here = value(p)
         per_param = []
         for a in params:
-            D, moved = reference_pushforward(action, np.asarray(a, dtype=float), p, cfg)
+            D, moved = reference_pushforward(action, np.asarray(a, dtype=float), p)
             per_param.append(residual(D, here, value(moved)))
         out.append(_max_abs(per_param))
     return out
 
 
-def reference_momentum_residuals(action, mu, w, points, cfg):
+def reference_momentum_residuals(action, mu, w, points):
     """Omega^T xi - grad mu_xi per basis element, from per-sample generators
     and gradients."""
     from symred.geometry import eval_field
@@ -589,8 +588,8 @@ def reference_momentum_residuals(action, mu, w, points, cfg):
     for p in points:
         Om = eval_field(w, p)
         out.append(_max_abs([
-            float(np.linalg.norm(Om.T @ reference_generator(action, i, p, cfg)
-                                 - reference_fd_gradient(mu.components[i], p, cfg)))
+            float(np.linalg.norm(Om.T @ reference_generator(action, i, p)
+                                 - reference_fd_gradient(mu.components[i], p)))
             for i in range(action.group_dim)]))
     return out
 
@@ -650,17 +649,17 @@ def reference_reduced_from_frame(frame, solver="solve"):
     return _reference_reduced_metric(frame), 0.5 * (w - w.T), j_red, vert_leak, normal_leak
 
 
-def reference_submersion(scen, xs, fiber_params, cfg):
+def reference_submersion(scen, xs, fiber_params):
     """Fibre-independence and vertical-invariance residuals, point by point."""
     prm = [np.full(scen.action.group_dim, a, dtype=float) for a in fiber_params]
     fiber_res, vert_res = [], []
     for x in xs:
-        m, frame = reference_lift_frame(scen, x, cfg)
+        m, frame = reference_lift_frame(scen, x)
         h_here = _reference_reduced_metric(frame)
         gaps, leaks = [], []
         for a in prm:
-            _, moved = reference_lift_frame(scen, x, cfg, reference_moved_section(scen, a))
-            D, _ = reference_pushforward(scen.action, a, m, cfg)
+            _, moved = reference_lift_frame(scen, x, reference_moved_section(scen, a))
+            D, _ = reference_pushforward(scen.action, a, m)
             gaps.append(_max_abs(h_here - _reference_reduced_metric(moved)))
             G, V = moved["metric"], moved["vertical"]
             pushed = D @ frame["generators"]
@@ -671,13 +670,13 @@ def reference_submersion(scen, xs, fiber_params, cfg):
     return fiber_res, vert_res
 
 
-def reference_reduction_identity(scen, xs, cfg, pairs_per_point=3, seed=0, solver="solve"):
+def reference_reduction_identity(scen, xs, pairs_per_point=3, seed=0, solver="solve"):
     """Pullback-identity and vertical-degeneracy residuals, point by point,
     the pair coefficients drawn per point and pair, u before v."""
     rng = np.random.default_rng(seed)
     id_res, deg_res = [], []
     for x in xs:
-        _, frame = reference_lift_frame(scen, x, cfg)
+        _, frame = reference_lift_frame(scen, x)
         L, K, V, Om = frame["lifts"], frame["level"], frame["vertical"], frame["Om"]
         w = L.T @ Om @ L
         w_red = 0.5 * (w - w.T)
@@ -690,14 +689,14 @@ def reference_reduction_identity(scen, xs, cfg, pairs_per_point=3, seed=0, solve
     return id_res, deg_res
 
 
-def reference_main_theorem(scen, xs, cfg, solver="solve"):
+def reference_main_theorem(scen, xs, solver="solve"):
     """The main-theorem residuals and leak values, point by point, as a dict
     of per-point lists keyed as the report's sample rows."""
     eye = np.eye(scen.quotient_dim)
     out = {key: [] for key in ("acm_residual", "compat_residual", "acs_residual",
                                "hypothesis", "vertical_leak", "normal_leak")}
     for x in xs:
-        _, frame = reference_lift_frame(scen, x, cfg)
+        _, frame = reference_lift_frame(scen, x)
         h_red, w_red, j_red, vert_leak, normal_leak = reference_reduced_from_frame(frame, solver)
         V, J = frame["vertical"], frame["J"]
         j_vertical = [np.linalg.norm(_decompose(frame, J @ V[:, j])[0])
@@ -753,17 +752,17 @@ def opaque_scenario(scen):
 # call at the point for the target structure: the references for the stacked
 # residuals.
 
-def reference_almost_complex_residual(cm, p, cfg):
+def reference_almost_complex_residual(cm, p):
     from symred.geometry import as_point, eval_field
 
     point = as_point(p)
-    D = reference_fd_jacobian(cm.chart_map, point, cfg)
+    D = reference_fd_jacobian(cm.chart_map, point)
     J1 = eval_field(cm.source_acs, point)
     J2 = eval_field(cm.target_acs, as_point(cm.chart_map(point)))
     return float(np.linalg.norm(D @ J1 - J2 @ D))
 
 
-def reference_cauchy_riemann_residual(cm, p, cfg):
+def reference_cauchy_riemann_residual(cm, p):
     from symred.errors import NotStandardStructureError
     from symred.geometry import as_point, eval_field
     from symred.structures import standard_acs_matrix
@@ -775,7 +774,7 @@ def reference_cauchy_riemann_residual(cm, p, cfg):
         raise NotStandardStructureError("source structure is not the coordinate J")
     if _max_abs(eval_field(cm.target_acs, as_point(cm.chart_map(point))) - J2_std) > 1e-10:
         raise NotStandardStructureError("target structure is not the coordinate J")
-    D = reference_fd_jacobian(cm.chart_map, point, cfg)
+    D = reference_fd_jacobian(cm.chart_map, point)
     defects = []
     for j in range(cm.target_dim // 2):
         for i in range(cm.source_dim // 2):
