@@ -10,12 +10,13 @@ takes its quadrature rule over the group as an argument; for a torus,
 uniform rules.  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
 
 ``apply_flow``, ``generator``, ``momentum_values`` and
-``momentum_jacobian`` take an (N, n) array of points as well as one point,
-and evaluate all rows in one flow or stencil batch, as every check does;
-``pushforward_table`` builds its flow Jacobians in one stencil batch per
-group parameter and every moved point in one flow batch, and an invariance
-check reads its field at all of them in one call.  Each row is the bits of
-the call on its point alone.
+``momentum_jacobian`` take an (N, n) array of points, one point being a
+stack of one (``geometry.takes_points``), and evaluate all rows in one flow
+or stencil batch, as every check does; ``pushforward_table`` builds its
+flow Jacobians in one stencil batch per group parameter and every moved
+point in one flow batch, and an invariance check or ``average_metric``
+reads its field at all of them in one call.  Each row is the bits of the
+call on its point alone.
 """
 
 from __future__ import annotations
@@ -28,17 +29,17 @@ from .geometry import (
     ChartPoint,
     RowMap,
     TensorField,
-    as_point,
     as_points,
     eval_field,
     fd_gradient,
     fd_jacobian,
+    takes_points,
     _differences,
     _evaluate_rows,
+    _finite,
     _require_finite,
     _row_max_abs,
     _row_norms,
-    _stack,
     _stencil,
 )
 from .structures import StructureCheckResult, _sampled
@@ -72,12 +73,12 @@ IDENTITY_FIELD_INVARIANT = "D F(m) = F(Phi_a(m)) D"
 IDENTITY_AXIOMS = "Phi_0 = id and Phi_s o Phi_t = Phi_{s+t}"
 
 
-def _pairs(points, params) -> np.ndarray:
-    """Rows (point, parameter) for a flow's ``rows``; a single point or
-    parameter vector is repeated over the rows of the other."""
-    points, params = np.atleast_2d(points), np.atleast_2d(params)
+def _pairs(points: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Rows (point, parameter) for a flow's ``rows``, one per row of
+    ``points``: the point, then its row of ``params``, or ``params`` itself
+    if that is one parameter vector."""
     n = points.shape[1]
-    rows = np.empty((max(len(points), len(params)), n + params.shape[1]))
+    rows = np.empty((len(points), n + params.shape[-1]))
     rows[:, :n] = points
     rows[:, n:] = params
     return rows
@@ -89,8 +90,8 @@ class GroupAction:
 
     ``flow`` is a RowMap from rows (chart point, parameter vector in the
     exponential chart) to the moved points; a per-point callable
-    ``flow(params, p)`` is wrapped on construction and kept as the RowMap's
-    ``point``, which ``apply_flow`` calls to move one point.
+    ``flow(params, p)`` is wrapped on construction and called once per row
+    with the parameters and a ChartPoint.
     """
 
     group_dim: int
@@ -102,7 +103,7 @@ class GroupAction:
         if not isinstance(self.flow, RowMap):
             flow, k = self.flow, self.group_dim
             object.__setattr__(self, "flow", RowMap.per_row(
-                lambda z: flow(z[len(z) - k:], ChartPoint(z[:len(z) - k])), flow))
+                lambda z: flow(z[len(z) - k:], ChartPoint(z[:len(z) - k]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,30 +130,25 @@ class MomentumMap:
         return len(self.components)
 
 
-def apply_flow(action: GroupAction, params, p):
-    """The point ``p`` moved by the group element ``params``; a per-point
-    flow gets ``p`` itself when it is a ChartPoint.  For an (N, n) array of
-    points, the (N, n) array of moved points from one flow batch."""
+@takes_points(2, row=lambda moved: ChartPoint(moved[0]))
+def apply_flow(action: GroupAction, params, X):
+    """The rows of the (N, n) array X moved by the group element ``params``,
+    the (N, n) array of moved points from one flow batch; one point moved
+    comes back as a ChartPoint."""
     a = np.asarray(params, dtype=float).reshape(action.group_dim)
-    X, one = _stack(p)
-    if not one:
-        return _flow_values(action, _pairs(X, a))
-    point = as_point(p)
-    if action.flow.point is not None:
-        return as_point(action.flow.point(a, point))
-    return as_point(action.flow.rows(np.concatenate([point.coords, a])[np.newaxis])[0])
+    return _flow_values(action, _pairs(X, a))
 
 
 def _flow_values(action: GroupAction, rows: np.ndarray) -> np.ndarray:
     """Phi at every (point, parameter) row of ``rows`` (see ``_pairs``), as
-    an (N, n) array, each row as ``apply_flow`` computes it."""
-    n = rows.shape[1] - action.group_dim
-    return _evaluate_rows(action.flow, rows, lambda z: apply_flow(action, z[n:], z[:n]).coords)
+    an (N, n) array from one flow batch, a failing row raising what it
+    raises alone."""
+    return _evaluate_rows(action.flow, rows, _finite("chart point"))
 
 
 def _flow_map(action: GroupAction, params) -> RowMap:
     """Phi_a as a chart map, the group parameter repeated over every row; a
-    moved point is checked as apply_flow's ChartPoint would be."""
+    moved point is checked as apply_flow checks it."""
     a = np.asarray(params, dtype=float).reshape(action.group_dim)
     rows = action.flow.rows
     return RowMap(lambda X: _require_finite(rows(_pairs(X, a)), "chart point"))
@@ -180,13 +176,11 @@ def pushforward_table(action: GroupAction, params, points):
     return D, moved.reshape(P, N, n)
 
 
-def generator_vector(action: GroupAction, xi, p) -> np.ndarray:
+@takes_points(2)
+def generator_vector(action: GroupAction, xi, X) -> np.ndarray:
     """Infinitesimal generator along an arbitrary algebra vector:
-    d/dt flow(t * xi, p) at t = 0, as a component vector at p; for an
-    (N, n) array of points, the (N, n) stack from one flow batch."""
-    X, one = _stack(p)
-    if one:
-        X = as_point(p).coords[np.newaxis]
+    d/dt flow(t * xi, p) at t = 0, as a component vector at each row p of
+    the (N, n) array X, the (N, n) stack from one flow batch."""
     N, n = X.shape
     direction = np.asarray(xi, dtype=float).reshape(action.group_dim)
     steps = _stencil(direction[np.newaxis])
@@ -195,8 +189,7 @@ def generator_vector(action: GroupAction, xi, p) -> np.ndarray:
     v = _differences(values, N)
     if v.shape[1:] != (n,):
         raise ValueError(f"generator length {v.shape[1:]} does not match chart dimension {n}")
-    v = _require_finite(v, "generator")
-    return v[0] if one else v
+    return _require_finite(v, "generator")
 
 
 def generator(action: GroupAction, xi_index: int, p) -> np.ndarray:
@@ -314,7 +307,7 @@ def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, poin
     """
     return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT,
                              lambda D, here, moved: moved - here,
-                             action, lambda p: momentum_values(mu, p), params, points,
+                             action, lambda X: momentum_values(mu, X), params, points,
                              tol, pushforwards)
 
 
@@ -332,16 +325,19 @@ def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorFi
     if abs(weights - 1.0) > 1e-12:
         raise ValueError(f"quadrature weights sum to {weights}, expected 1")
     n = g0.shape[0]
+    params = [a for a, _ in rule]
+    scale = np.array([w for _, w in rule])[:, np.newaxis, np.newaxis, np.newaxis]
 
-    def avg(p: ChartPoint) -> np.ndarray:
-        D, moved = pushforward_table(action, [a for a, _ in rule], [p])
-        terms = np.array([w for _, w in rule])[:, np.newaxis, np.newaxis] * (
-            D[:, 0].swapaxes(1, 2) @ eval_field(g0, moved[:, 0]) @ D[:, 0])
+    def avg(X: np.ndarray) -> np.ndarray:
+        # one pushforward table over every (parameter, point) pair
+        D, moved = pushforward_table(action, params, X)
+        G = eval_field(g0, moved.reshape(-1, n)).reshape(D.shape)
+        terms = scale * (D.swapaxes(-1, -2) @ G @ D)
         # running sum from zero, term by term in rule order
-        total = np.cumsum(np.concatenate([np.zeros((1, n, n)), terms]), axis=0)[-1]
-        return 0.5 * (total + total.T)
+        total = np.cumsum(np.concatenate([np.zeros((1,) + D.shape[1:]), terms]), axis=0)[-1]
+        return 0.5 * (total + total.swapaxes(1, 2))
 
-    return TensorField.matrix(avg, n, name=f"group average of {g0.name or 'metric'}")
+    return TensorField.matrix(RowMap(avg), n, name=f"group average of {g0.name or 'metric'}")
 
 
 def check_field_invariance(field_: TensorField, action: GroupAction, params, points,
@@ -371,10 +367,9 @@ def uniform_torus_quadrature(k: int, n: int = 16) -> tuple:
 def planar_rotation_action() -> GroupAction:
     """Counterclockwise rotations of the plane, the basic circle action."""
 
-    def flow(params, p):
-        theta = float(params[0])
-        x, y = p.coords
+    def flow(Z: np.ndarray) -> np.ndarray:
+        x, y, theta = Z[:, 0], Z[:, 1], Z[:, 2]
         c, s = np.cos(theta), np.sin(theta)
-        return ChartPoint([c * x - s * y, s * x + c * y])
+        return np.stack([c * x - s * y, s * x + c * y], axis=1)
 
-    return GroupAction(group_dim=1, flow=flow)
+    return GroupAction(group_dim=1, flow=RowMap(flow))

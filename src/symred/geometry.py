@@ -14,12 +14,13 @@ Derivatives are fourth-order central finite differences with the one step
 ``FD_STEP`` (1e-5), which only ``fd_jacobian`` lets a caller change; nothing
 in the package differentiates symbolically.
 
-The frame layer is stack-aware: ``eval_field``, ``fd_jacobian``,
-``fd_directional`` and ``fd_gradient`` take an (N, d) array of points as
-well as one point, and
-``kernel_basis`` and ``orthonormalize`` a stack of matrices with a leading
-batch axis, and one point or matrix is a stack of one.  Stacked results
-are the bits of the per-point calls: stacked ``np.linalg.svd`` and ``@``
+Every path works on stacks: ``eval_field``, ``fd_jacobian``,
+``fd_directional`` and ``fd_gradient`` take an (N, d) array of points, and
+``kernel_basis``, ``orthonormalize`` and ``spd_sqrt`` a stack of matrices.
+One point becomes a stack of one in one place, ``takes_points``, and the
+caller gets row 0 back; a non-finite row of a stack raises what a
+non-finite ChartPoint raises.  Stacked results are the bits of the
+per-point calls: stacked ``np.linalg.svd``, ``eigh``, ``solve`` and ``@``
 (products with a transposed operand and dot products as
 ``(N, 1, n) @ (N, n, 1)`` included) run the same LAPACK or BLAS call on
 each slice, while ``einsum``, ``sum(axis=...)`` and
@@ -32,28 +33,30 @@ generators share one stencil path: every stencil point ``x + t * e`` is a
 row of one array, all rows are evaluated in one call, and one vectorised
 expression combines them with the operation order of the per-column
 formula, so the result is the same bits.  Every map is a ``RowMap``, whose
-``rows`` evaluates all rows of an array; a per-point callable is wrapped
-into one where it enters the package (``as_row_map``) and called once per
-row with a ``ChartPoint``.  A compiled scenario map runs its program once
-per batch, on the coordinate columns, each operation one numpy kernel
+``rows`` evaluates all rows of an array; a user's per-point callable is
+wrapped into one where it enters the package (``as_row_map``) and called
+once per row with a ChartPoint.  A compiled scenario map runs its program
+once per batch, on the coordinate columns, each operation one numpy kernel
 (``exprlang``), so each row has the bits of running it on that row alone.
 A batch that meets an error or a non-finite value is evaluated again one
-row at a time, so the first failing row raises what it raises alone.
+row at a time through the map's own ``rows`` (``_evaluate_rows``), so the
+first failing row raises what it raises alone.
 
-The per-point paths stay cheap on success: ``eval_field`` formats the
-point into its error message only when a value is non-finite.
+Evaluation stays cheap on success: ``eval_field`` formats a point into its
+error message only when a value is non-finite.
 ``sample_ball`` draws each point directly, a Gaussian direction times a
 radius of U^(1/q), so its cost is linear in the dimension q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, NonFiniteError, NotSPDError
+from .errors import DegenerateInputError, NonFiniteError, NotSPDError, SymredError
 
 __all__ = [
     "ChartPoint",
@@ -91,13 +94,14 @@ def as_point(obj) -> ChartPoint:
 def as_points(points) -> np.ndarray:
     """The points as the rows of an (N, d) array: an (N, d) array as it is,
     a sequence of ChartPoints or coordinate vectors stacked, none as (0, 0).
-    An array of any other shape, a flat one included, raises ValueError."""
-    if isinstance(points, np.ndarray):
-        if points.ndim != 2:
-            raise ValueError(f"points must be an (N, d) array, got shape {points.shape}")
-        return points
-    rows = [as_coords(p) for p in points]
-    return np.array(rows, dtype=float) if rows else np.zeros((0, 0))
+    Points of any other shape, a flat array included, raise ValueError, and
+    a non-finite row NonFiniteError, as a ChartPoint of it would."""
+    if not isinstance(points, np.ndarray):
+        rows = [as_coords(p) for p in points]
+        points = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (N, d) array, got shape {points.shape}")
+    return _require_finite(points, "chart point")
 
 
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -131,31 +135,57 @@ class ChartPoint:
         return f"ChartPoint({np.array2string(self.coords, separator=', ')})"
 
 
+def _first_row(value):
+    """Row 0 of a stacked result: of an array, a float if it is one number;
+    of a dataclass led by its points (a split, reduced structures), the
+    first point as a ChartPoint and the first row of every other field."""
+    if isinstance(value, np.ndarray):
+        return float(value[0]) if value.ndim == 1 else value[0]
+    points, *stacks = (getattr(value, f.name) for f in fields(value))
+    return type(value)(ChartPoint(points[0]), *(a[0] for a in stacks))
+
+
+def takes_points(position: int, row: Callable = _first_row):
+    """Decorator for a function whose argument ``position`` is an (N, d)
+    array of points: the one place where a single point becomes a stack.
+
+    An (N, d) array is passed as it is, its rows checked where they are
+    evaluated (``_evaluate_rows``).  One point, a ChartPoint or a flat
+    coordinate vector, is checked as a ChartPoint and passed as a stack of
+    one, and the call returns ``row`` of the result.
+    """
+    def decorate(fn):
+        @functools.wraps(fn)
+        def public(*args, **kwargs):
+            p = args[position]
+            one = not (isinstance(p, np.ndarray) and p.ndim == 2)
+            X = as_point(p).coords[np.newaxis] if one else p
+            out = fn(*args[:position], X, *args[position + 1:], **kwargs)
+            return row(out) if one else out
+        return public
+    return decorate
+
+
 class RowMap:
     """A map evaluated over many points at once.
 
     ``rows(X)`` takes an (N, d) array whose rows are points and returns the
     (N, *shape) array of their values, doing for each row exactly what a
-    call on that one point does.  ``point`` is the per-point callable a
-    wrapped map came from, or None.  Calling the map on one point runs
-    ``point`` on that point as given (a ChartPoint is passed as is) and
-    returns what it returns; a map without one runs ``rows`` on the one row
-    and returns the row's value array.
+    call on that one row does.  Calling the map runs ``rows`` on an (N, d)
+    array, or on one point as a stack of one (``takes_points``).
     """
 
-    __slots__ = ("rows", "point")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: Callable[[np.ndarray], np.ndarray], point: Callable | None = None):
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray]):
         self.rows = rows
-        self.point = point
 
-    def __call__(self, p):
-        if self.point is not None:
-            return self.point(as_point(p))
-        return self.rows(as_coords(p)[np.newaxis])[0]
+    @takes_points(1)
+    def __call__(self, X):
+        return self.rows(X)
 
     @staticmethod
-    def per_row(value: Callable[[np.ndarray], object], point: Callable | None = None) -> "RowMap":
+    def per_row(value: Callable[[np.ndarray], object]) -> "RowMap":
         """The RowMap calling ``value`` on each row in order; a non-finite
         value ends the batch, so no later row can raise first."""
         def rows(X: np.ndarray) -> np.ndarray:
@@ -166,22 +196,13 @@ class RowMap:
                     break
             return np.array(out, dtype=float)
 
-        return RowMap(rows, point)
+        return RowMap(rows)
 
 
 def as_row_map(f) -> RowMap:
     """``f`` itself if it is a RowMap, else the RowMap calling ``f`` once per
-    row with a ChartPoint of the row, and on one point with that point."""
-    return f if isinstance(f, RowMap) else RowMap.per_row(lambda x: f(ChartPoint(x)), f)
-
-
-def _stack(p) -> tuple[np.ndarray, bool]:
-    """The points of ``p`` as the rows of an (N, d) array, and whether ``p``
-    is one point (a ChartPoint or a flat vector, taken as a stack of one)
-    rather than an (N, d) array of points."""
-    if isinstance(p, np.ndarray) and p.ndim == 2:
-        return p, False
-    return as_coords(p)[np.newaxis], True
+    row with a ChartPoint of the row."""
+    return f if isinstance(f, RowMap) else RowMap.per_row(lambda x: f(ChartPoint(x)))
 
 
 ARITIES = ("scalar", "vector", "matrix")
@@ -236,36 +257,40 @@ class TensorField:
         return eval_field(self, p)
 
 
-def eval_field(field: TensorField, p) -> np.ndarray | float:
-    """Evaluate ``field`` at ``p``, checking shape and finiteness.
-
-    Scalar fields come back as a plain float, everything else as an ndarray.
-    ``p`` may also be an (N, d) array whose rows are points: then the values
-    come back as one (N, *shape) array from one ``rows`` call, and a
-    non-finite value raises for the first row that has one.
+@takes_points(1)
+def eval_field(field: TensorField, X: np.ndarray) -> np.ndarray | float:
+    """Evaluate ``field`` at the rows of the (N, d) array X, checking shape
+    and finiteness: the (N, *shape) values from one ``rows`` call, a
+    failing row raising what it raises alone.  At one point, the value
+    there: a plain float for a scalar field, else an ndarray.
     """
-    X, one = _stack(p)
-    if not len(X):  # no points, nothing to evaluate
+    return _field_values(field, X)
+
+
+def _field_values(field: TensorField, X: np.ndarray) -> np.ndarray:
+    """The values of ``field`` at the rows of X, checked as ``eval_field``
+    checks them: each value of the declared shape and finite, one per row.
+    No rows give an empty stack of the declared shape."""
+    if not len(X):
         return np.zeros((0, *field.shape))
-    if one:
-        point = as_point(p)
-        values = np.asarray(as_coords(field.func(point)), dtype=float)[np.newaxis]
-    else:
-        values = np.asarray(field.func.rows(X), dtype=float)
-    if values.shape[1:] != field.shape:
-        raise ValueError(
-            f"field {field.name!r} returned shape {values.shape[1:]}, declared {field.shape}"
-        )
-    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
-    if not finite.all():
-        bad = point if one else ChartPoint(X[int(np.argmin(finite))])
-        # formatting the point costs more than the evaluation: only on failure
-        raise NonFiniteError(f"field {field.name!r} at {bad} contains non-finite entries")
-    if len(values) != len(X):
-        raise ValueError(f"field {field.name!r} returned {len(values)} values for {len(X)} points")
-    if not one:
+
+    def check(values, rows):
+        values = np.asarray(values, dtype=float)
+        if values.shape[1:] != field.shape:
+            raise ValueError(
+                f"field {field.name!r} returned shape {values.shape[1:]}, declared {field.shape}"
+            )
+        if not np.isfinite(values).all():
+            finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+            bad = ChartPoint(rows[int(np.argmin(finite))])
+            # formatting the point costs more than the evaluation: only on failure
+            raise NonFiniteError(f"field {field.name!r} at {bad} contains non-finite entries")
+        if len(values) != len(rows):
+            raise ValueError(
+                f"field {field.name!r} returned {len(values)} values for {len(rows)} points")
         return values
-    return float(values[0]) if field.arity == "scalar" else values[0]
+
+    return _evaluate_rows(field.func, X, check)
 
 
 # the step of the fourth-order central-difference stencil for every derivative;
@@ -289,24 +314,28 @@ def _differences(values: np.ndarray, count: int, h: float = FD_STEP) -> np.ndarr
     return (-s[0] + 8.0 * s[1] - 8.0 * s[2] + s[3]) / (12.0 * h)
 
 
-def _evaluate_rows(f: RowMap, points: np.ndarray, sample: Callable, shape=None) -> np.ndarray:
-    """The values of a map at every row of ``points``, stacked in row order.
+def _evaluate_rows(f: RowMap, points: np.ndarray, check: Callable) -> np.ndarray:
+    """The values of a map at every row of ``points`` from one ``rows``
+    call, as ``check(values, points)`` returns them; ``check`` raises for
+    values it refuses.
 
-    All rows are evaluated in one ``rows`` call.  A batch that meets a
-    non-finite point, an evaluation error, a non-finite value or, when
-    ``shape`` is given, values not of shape (N, *shape) goes through
-    ``sample`` one row at a time instead: the first failing row then raises
-    what ``sample`` raises for it.
+    A batch that meets a non-finite point or raises a toolkit error or a
+    ValueError runs again one row at a time, each row through the map's own
+    ``rows`` and the same checks, so the first failing row raises what it
+    raises alone; should no row fail alone, the batch's error stands.
     """
-    if np.isfinite(points).all():
-        try:
-            values = f.rows(points)
-        except (NonFiniteError, ValueError):
-            values = None
-        if values is not None and np.isfinite(values).all() \
-                and (shape is None or values.shape == (len(points), *shape)):
-            return values
-    return np.array([sample(y) for y in points], dtype=float)
+    try:
+        return check(f.rows(_require_finite(points, "chart point")), points)
+    except (SymredError, ValueError):
+        for i in range(len(points)):
+            row = _require_finite(points[i:i + 1], "chart point")
+            check(f.rows(row), row)
+        raise
+
+
+def _finite(what: str) -> Callable:
+    """The check of ``_evaluate_rows`` that values, ``what``, are finite."""
+    return lambda values, rows: _require_finite(values, what)
 
 
 def _stencil_rows(X: np.ndarray, directions: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -317,62 +346,49 @@ def _stencil_rows(X: np.ndarray, directions: np.ndarray, h: float = FD_STEP) -> 
     return (X[:, np.newaxis, :] + _stencil(directions, h)[np.newaxis]).reshape(-1, n)
 
 
-def fd_jacobian(chart_map, p, *, step: float = FD_STEP) -> np.ndarray:
-    """Jacobian matrix of a chart-to-chart map at ``p`` by central differences.
+@takes_points(1)
+def fd_jacobian(chart_map, X, *, step: float = FD_STEP) -> np.ndarray:
+    """Jacobian matrices of a chart-to-chart map at the rows of the (N, n)
+    array X by central differences, as the (N, m, n) stack.
 
-    Entry (j, i) approximates the partial of output component j with respect
-    to input coordinate i; the error is O(step**4) on smooth maps.  A step
-    that is not positive and finite raises ValueError.
-    ``p`` may also be an (N, n) array whose rows are points: then the result
-    is the (N, m, n) stack of their Jacobians, all stencil rows evaluated in
-    one batch, each Jacobian the bits of the call on its point alone.
+    Entry (j, i) of each approximates the partial of output component j
+    with respect to input coordinate i; the error is O(step**4) on smooth
+    maps.  All stencil rows are evaluated in one batch, each Jacobian the
+    bits of the call on its point alone.  A step that is not positive and
+    finite raises ValueError.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     chart_map = as_row_map(chart_map)
-    X, one = _stack(p)
     N, n = X.shape
-
-    def value(y: np.ndarray) -> np.ndarray:
-        return _require_finite(as_coords(chart_map(ChartPoint(y))), "map value")
-
     if n == 0:  # no stencil; the values at the points give the row count
-        J = np.zeros((N, _evaluate_rows(chart_map, X, value).shape[1], 0))
-    else:
-        values = _evaluate_rows(chart_map, _stencil_rows(X, np.eye(n), step), value)
-        m = int(np.prod(values.shape[1:]))  # read off the shape: an empty stack has no row
-        D = _differences(values.reshape(len(values), m), N * n, step)
-        J = np.ascontiguousarray(D.reshape(N, n, m).swapaxes(1, 2))
-    return J[0] if one else J
+        return np.zeros((N, _evaluate_rows(chart_map, X, _finite("map value")).shape[1], 0))
+    values = _evaluate_rows(chart_map, _stencil_rows(X, np.eye(n), step),
+                            _finite("map value"))
+    m = int(np.prod(values.shape[1:]))  # read off the shape: an empty stack has no row
+    D = _differences(values.reshape(len(values), m), N * n, step)
+    return np.ascontiguousarray(D.reshape(N, n, m).swapaxes(1, 2))
 
 
-def fd_directional(field: TensorField, p, direction) -> np.ndarray | float:
-    """Directional derivative of a tensor field along ``direction``
-    (unnormalized); for an (N, n) array of points, the (N, *shape) stack of
-    derivatives from one batch, as ``fd_gradient``."""
-    X, one = _stack(p)
+@takes_points(1)
+def fd_directional(field: TensorField, X, direction) -> np.ndarray | float:
+    """Directional derivatives of a tensor field along ``direction``
+    (unnormalized) at the rows of the (N, n) array X, the (N, *shape) stack
+    from one batch, as ``fd_gradient``."""
     d = as_coords(direction)
     if not np.linalg.norm(d) > 0:
         raise DegenerateInputError("directional derivative needs a nonzero direction")
-    values = _evaluate_rows(field.func, _stencil_rows(X, d[np.newaxis]),
-                            lambda y: eval_field(field, ChartPoint(y)), field.shape)
-    out = _differences(values, len(X))
-    if not one:
-        return out
-    return float(out[0]) if field.arity == "scalar" else out[0]
+    return _differences(_field_values(field, _stencil_rows(X, d[np.newaxis])), len(X))
 
 
-def fd_gradient(field: TensorField, p) -> np.ndarray:
-    """Coordinate gradient of a scalar field; for an (N, n) array of points,
-    the (N, n) stack of gradients from one batch, as ``fd_jacobian``."""
+@takes_points(1)
+def fd_gradient(field: TensorField, X) -> np.ndarray:
+    """Coordinate gradients of a scalar field at the rows of the (N, n)
+    array X, the (N, n) stack from one batch, as ``fd_jacobian``."""
     if field.arity != "scalar":
         raise ValueError("gradient is defined for scalar fields")
-    X, one = _stack(p)
     N, n = X.shape
-    values = _evaluate_rows(field.func, _stencil_rows(X, np.eye(n)),
-                            lambda y: eval_field(field, ChartPoint(y)), field.shape)
-    grad = _differences(values, N * n).reshape(N, n)
-    return grad[0] if one else grad
+    return _differences(_field_values(field, _stencil_rows(X, np.eye(n))), N * n).reshape(N, n)
 
 
 def kernel_basis(mat, rank_tol: float = 1e-8) -> np.ndarray:
@@ -384,16 +400,18 @@ def kernel_basis(mat, rank_tol: float = 1e-8) -> np.ndarray:
     deterministic.  An all-zero or empty matrix has full kernel.  A stack
     (N, m, n) of matrices gives the (N, n, n - rank) stack of their bases
     from one stacked SVD, each the bits of the call on its matrix alone; a
-    stack whose ranks differ raises ValueError.
+    stack whose ranks differ raises ValueError, and an empty stack takes
+    the rank min(m, n).
     """
     a = _require_finite(np.atleast_2d(np.asarray(mat, dtype=float)), "matrix")
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
     counts = np.sum(s > (rank_tol * smax)[..., np.newaxis], axis=-1)
     ranks = np.where(smax > 0.0, counts, 0).reshape(-1)
-    if (ranks != ranks[0]).any():
+    if (ranks != ranks[:1]).any():
         raise ValueError("kernel dimensions differ across the stack")
-    return np.ascontiguousarray(vt[..., int(ranks[0]):, :].swapaxes(-1, -2))
+    rank = int(ranks[0]) if len(ranks) else min(a.shape[-2:])  # no matrix: full rank
+    return np.ascontiguousarray(vt[..., rank:, :].swapaxes(-1, -2))
 
 
 def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
@@ -410,26 +428,22 @@ def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
     """
     G = np.asarray(metric, dtype=float)
     cols = np.asarray(frame, dtype=float)
-    one = cols.ndim == 2
-    if one:
-        G, cols = G[np.newaxis], cols[np.newaxis]
     basis: list[np.ndarray] = []
-    rows: list[np.ndarray] = []  # b @ G for each b in basis, as (N, 1, n)
-    for j in range(cols.shape[2]):
-        w = cols[:, :, j].copy()
+    rows: list[np.ndarray] = []  # b @ G for each b in basis, as (..., 1, n)
+    for j in range(cols.shape[-1]):
+        w = cols[..., j].copy()
         for _ in range(2):  # re-orthogonalize once for 1e-12-level orthogonality
             for b, bG in zip(basis, rows):
-                w -= (bG @ w[:, :, np.newaxis])[:, 0] * b
+                w -= (bG @ w[..., np.newaxis])[..., 0] * b
         nrm = _g_norms(w, G)
         dropped = nrm < tol
         if dropped.any():
             if not dropped.all():
                 raise ValueError("orthonormalized frames differ in rank across the stack")
             continue
-        basis.append(w / nrm[:, np.newaxis])
-        rows.append(basis[-1][:, np.newaxis] @ G)
-    out = np.stack(basis, axis=-1) if basis else np.zeros(cols.shape[:2] + (0,))
-    return out[0] if one else out
+        basis.append(w / nrm[..., np.newaxis])
+        rows.append(basis[-1][..., np.newaxis, :] @ G)
+    return np.stack(basis, axis=-1) if basis else np.zeros(cols.shape[:-1] + (0,))
 
 
 def _g_norms(w: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -440,22 +454,30 @@ def _g_norms(w: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def spd_sqrt(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and inverse square root of an SPD matrix.
+    """Symmetric square root and inverse square root of an SPD matrix, or of
+    each matrix of an (N, n, n) stack, each the bits of the call on it
+    alone.
 
-    Raises NotSPDError if the matrix is visibly asymmetric or has a
-    nonpositive eigenvalue.
+    Raises NotSPDError if a matrix is visibly asymmetric or has a
+    nonpositive eigenvalue, for the first such matrix of a stack.
     """
-    a = np.asarray(mat, dtype=float)
-    _require_finite(a, "matrix")
-    scale = max(1.0, max_abs(a))
-    if max_abs(a - a.T) > 1e-10 * scale:
-        raise NotSPDError("matrix is not symmetric")
-    w, v = np.linalg.eigh(0.5 * (a + a.T))
-    if w[0] <= 0.0:
-        raise NotSPDError(f"matrix has nonpositive eigenvalue {w[0]:.3e}")
-    root = (v * np.sqrt(w)) @ v.T
-    inv_root = (v / np.sqrt(w)) @ v.T
-    return root, inv_root
+    a = _require_finite(np.asarray(mat, dtype=float), "matrix")
+    A = a.reshape((-1,) + a.shape[-2:])
+    AT = A.swapaxes(1, 2)
+    asymmetric = _row_max_abs(A - AT) > 1e-10 * np.maximum(1.0, _row_max_abs(A))
+    w, v = np.linalg.eigh(0.5 * (A + AT))
+    i = _first(asymmetric | (w[:, 0] <= 0.0))
+    if i is not None:
+        raise NotSPDError("matrix is not symmetric" if asymmetric[i]
+                          else f"matrix has nonpositive eigenvalue {w[i, 0]:.3e}")
+    root = (v * np.sqrt(w)[:, np.newaxis]) @ v.swapaxes(1, 2)
+    inv_root = (v / np.sqrt(w)[:, np.newaxis]) @ v.swapaxes(1, 2)
+    return root.reshape(a.shape), inv_root.reshape(a.shape)
+
+
+def _first(failing: np.ndarray):
+    """Index of the first True entry, or None."""
+    return int(np.argmax(failing)) if failing.any() else None
 
 
 def max_abs(a) -> float:

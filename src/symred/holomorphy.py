@@ -3,8 +3,8 @@ charted almost complex manifolds.
 
 Coordinates are interleaved (x1, y1, ..., xn, yn), matching the standard
 identification of complex n-space with real 2n-space.  Residuals are
-reported per point, for one point or for every row of an (N, 2n) array of
-points at once.
+reported for every row of an (N, 2n) array of points at once; one point is
+a stack of one (``geometry.takes_points``), its residual a float.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .geometry import (
     as_row_map,
     eval_field,
     fd_jacobian,
+    takes_points,
     _replayed,
     _require_finite,
     _row_max_abs,
     _row_norms,
-    _stack,
 )
 from .structures import standard_acs_matrix
 
@@ -70,20 +70,14 @@ def _target_acs(cm: ChartedMap, X: np.ndarray) -> np.ndarray:
     return eval_field(cm.target_acs, Y)
 
 
-def _per_point(residuals, p):
-    """``residuals`` over the stack of ``p`` (``_stack``), replayed point by
-    point should the batch raise (``_replayed``); a float for one point."""
-    X, one = _stack(p)
-    values = _replayed(residuals, X)
-    return float(values[0]) if one else values
+@takes_points(1)
+def almost_complex_residual(cm: ChartedMap, X):
+    """Frobenius norm of D J1(p) - J2(phi(p)) D with D the map differential,
+    at every row p of the (N, 2n) array X.
 
-
-def almost_complex_residual(cm: ChartedMap, p):
-    """Frobenius norm of D J1(p) - J2(phi(p)) D with D the map differential.
-
-    ``p`` may also be an (N, 2n) array whose rows are points: then the (N,)
-    residuals come from one stacked Jacobian and one evaluation of each
-    structure, each residual the bits of the call on its point alone.
+    The (N,) residuals come from one stacked Jacobian and one evaluation of
+    each structure, each residual the bits of the call on its point alone,
+    replayed point by point should the batch raise (``_replayed``).
     """
     def residuals(X, rows):
         D = fd_jacobian(cm.chart_map, X)
@@ -91,18 +85,19 @@ def almost_complex_residual(cm: ChartedMap, p):
         J2 = _target_acs(cm, X)
         return _row_norms((D @ J1 - J2 @ D).reshape(len(X), -1))
 
-    return _per_point(residuals, p)
+    return _replayed(residuals, X)
 
 
-def cauchy_riemann_residual(cm: ChartedMap, p):
+@takes_points(1)
+def cauchy_riemann_residual(cm: ChartedMap, X):
     """Worst Cauchy-Riemann defect over all coordinate pairs.
 
     Writing the map components as (a_j, b_j) per target plane and the source
     coordinates as (x_i, y_i), the residual is the max over (i, j) of
     |da_j/dx_i - db_j/dy_i| and |da_j/dy_i + db_j/dx_i|.  Both charts must
     carry the standard coordinate almost complex structure, for which this
-    vanishes exactly when the almost-complex-mapping residual does.  ``p``
-    may be an (N, 2n) array of points, as for ``almost_complex_residual``.
+    vanishes exactly when the almost-complex-mapping residual does.  X is
+    an (N, 2n) array of points, as for ``almost_complex_residual``.
     """
     J1_std = standard_acs_matrix(cm.source_dim)
     J2_std = standard_acs_matrix(cm.target_dim)
@@ -118,4 +113,4 @@ def cauchy_riemann_residual(cm: ChartedMap, p):
         b_x, b_y = D[:, 1::2, 0::2], D[:, 1::2, 1::2]
         return np.maximum(_row_max_abs(a_x - b_y), _row_max_abs(a_y + b_x))
 
-    return _per_point(residuals, p)
+    return _replayed(residuals, X)

@@ -12,14 +12,16 @@ pipelines read their frames from a ``lift_frames`` table, which a caller
 can build once and pass to all of them.
 
 Frames are stacks: ``split_tangent`` splits an (N, n) array of points at
-once, and ``lift_frames`` builds every frame of a verification, the base
-frames and the moved frames of every fibre parameter, in one batch on its
-first lookup; a single frame is a stack of one.  Every frame is the bits
-of building it alone.  The pipelines run on these stacks with stacked
-products and no loop over points: a vector that the per-point formula
-takes alone (a lift, a generator, a sampled tangent pair) is its own (n, 1)
-slice of the product, so each value that needs no solve is the bits of
-computing it point by point.  A pipeline whose stack raises runs again as
+once, ``reduced_structures`` reduces an (N, q) array of quotient points,
+and ``lift_frames`` builds every frame of a verification, the base frames
+and the moved frames of every fibre parameter, in one batch on its first
+lookup.  One point is a stack of one (``geometry.takes_points``), whose
+result is the split or the reduced structures at that point.  Every frame
+is the bits of building it alone.  The pipelines run on these stacks with
+stacked products and no loop over points: a vector that the per-point
+formula takes alone (a lift, a generator, a sampled tangent pair) is its
+own (n, 1) slice of the product, so each value that needs no solve is the
+bits of computing it point by point.  A pipeline whose stack raises runs again as
 stacks of one, so an error surfaces where, and as, it would point by point.
 
 The quotient has no chart of its own except through the local section, so
@@ -61,7 +63,6 @@ from .geometry import (
     ChartPoint,
     RowMap,
     TensorField,
-    as_point,
     as_points,
     as_row_map,
     eval_field,
@@ -69,12 +70,13 @@ from .geometry import (
     kernel_basis,
     max_abs,
     orthonormalize,
+    takes_points,
+    _first,
     _g_norms,
     _replayed,
     _require_finite,
     _row_max_abs,
     _row_norms,
-    _stack,
 )
 from .report import VerificationReport
 from .structures import StructureCheckResult
@@ -165,7 +167,7 @@ class ReductionScenario:
         return self.chart_dim - 2 * self.action.group_dim
 
     def section_point(self, x) -> ChartPoint:
-        return as_point(self.section(as_point(x)))
+        return ChartPoint(self.section(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +177,10 @@ class SplitTangentSpace:
     the ambient metric at ``base``; the horizontal columns are combinations
     of the level columns.  The momentum Jacobian and the generators it was
     split with are kept.  Split at an (N, n) array of points, every array
-    has a leading axis of length N and ``base`` is that array."""
+    has a leading axis of length N and ``base`` is that array; split at one
+    point, ``base`` is that ChartPoint."""
 
-    base: ChartPoint
+    base: ChartPoint | np.ndarray
     metric: np.ndarray
     level: np.ndarray       # n x (n-k)
     vertical: np.ndarray    # n x k
@@ -186,18 +189,13 @@ class SplitTangentSpace:
     generators: np.ndarray  # n x k, generator of each algebra basis element
 
 
-def _split_row(split: SplitTangentSpace, i: int, base: ChartPoint) -> SplitTangentSpace:
-    """Row i of a split at an array of points, based at ``base``."""
-    return SplitTangentSpace(base, split.metric[i], split.level[i], split.vertical[i],
-                             split.horizontal[i], split.jmu[i], split.generators[i])
-
-
 @dataclass(frozen=True, eq=False)
 class ReducedStructures:
     """Reduced metric, symplectic form and almost-complex candidate at one
-    quotient chart point."""
+    quotient chart point; at an (N, q) array of them, every array has a
+    leading axis of length N and ``point`` is that array."""
 
-    point: ChartPoint
+    point: ChartPoint | np.ndarray
     h_beta: np.ndarray
     omega_beta: np.ndarray
     j_beta: np.ndarray
@@ -210,28 +208,21 @@ def _level_gaps(scen: ReductionScenario, M: np.ndarray) -> np.ndarray:
     return np.sqrt((r[:, np.newaxis] @ r[:, :, np.newaxis])[:, 0, 0])
 
 
-def _first(failing: np.ndarray):
-    """Index of the first True entry, or None."""
-    return int(np.argmax(failing)) if failing.any() else None
-
-
-def split_tangent(scen: ReductionScenario, m) -> SplitTangentSpace:
-    """Split the level-set tangent space at ``m`` into vertical and horizontal.
+@takes_points(1)
+def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
+    """Split the level-set tangent space at every row of the (N, n) array M
+    into vertical and horizontal.
 
     The level frame is the kernel of d mu, the vertical frame the generators
-    orthonormalized for the metric G at ``m``, and the horizontal frame the
-    kernel of ``vertical.T @ G`` inside the level frame, orthonormalized for
-    G, so it lies in ker d mu with n - 2k columns by construction.
+    orthonormalized for the metric G at the point, and the horizontal frame
+    the kernel of ``vertical.T @ G`` inside the level frame, orthonormalized
+    for G, so it lies in ker d mu with n - 2k columns by construction.
 
-    ``m`` may also be an (N, n) array whose rows are points: then all rows
-    are split at once, with one stencil batch per Jacobian, stacked SVDs and
-    stacked Gram-Schmidt, each row's arrays the bits of splitting it alone.
-    A failing check raises for the first row that fails it, and rows whose
-    frames would differ in dimension raise ValueError.
+    All rows are split at once, with one stencil batch per Jacobian, stacked
+    SVDs and stacked Gram-Schmidt, each row's arrays the bits of splitting
+    it alone.  A failing check raises for the first row that fails it, and
+    rows whose frames would differ in dimension raise ValueError.
     """
-    M, one = _stack(m)
-    if one:
-        M = as_point(m).coords[np.newaxis]
     n = scen.chart_dim
     k = scen.action.group_dim
 
@@ -275,14 +266,13 @@ def split_tangent(scen: ReductionScenario, m) -> SplitTangentSpace:
             f"horizontal complement has dimension {horizontal.shape[2]}, expected {n - 2 * k}"
         )
 
-    split = SplitTangentSpace(M, G, level, vertical, horizontal, Jmu, V)
-    return _split_row(split, 0, as_point(m)) if one else split
+    return SplitTangentSpace(M, G, level, vertical, horizontal, Jmu, V)
 
 
 def _moved_section(scen: ReductionScenario, a=None) -> RowMap:
     """Phi_a o sigma, or sigma itself without ``a``, as a chart map running
-    the section's rows, then the flow's; a section point is checked as
-    ``section_point`` checks it."""
+    the section's rows, then the flow's; a section point must be finite, as
+    a ChartPoint of it must."""
     section = scen.section.rows
     flow = (lambda Y: Y) if a is None else _flow_map(scen.action, a).rows
     return RowMap(lambda X: flow(_require_finite(section(X), "chart point")))
@@ -447,28 +437,32 @@ def _reduced(f: _LiftFrames):
             _ratio(_g_norms(normal[..., 0], G[:, np.newaxis]), scale))
 
 
-def reduced_structures(scen: ReductionScenario, x) -> ReducedStructures:
+@takes_points(1)
+def reduced_structures(scen: ReductionScenario, X) -> ReducedStructures:
     """Reduced metric h_x(v, w) = g(lift v, lift w), reduced symplectic form
     omega_red(v, w) = omega(lift v, lift w) and the pushforward candidate for
-    the reduced almost complex structure, all from one lift frame.
+    the reduced almost complex structure at every row x of the (N, q) array
+    X, all from the lift frames at X built in one batch.
 
     Column i of the candidate is d pi(J lift_i) in the quotient chart.
     Well-definedness is not assumed: when J applied to a lift leaves the
     level-set tangent space by more than LEAK_WARNING_TOL a
-    VerticalLeakWarning records the defect, and the candidate is still
-    returned so the equivalence check can quantify both branches.
+    VerticalLeakWarning records the defect at the first such point, and the
+    candidate is still returned so the equivalence check can quantify both
+    branches.
     """
-    point = as_point(x)
-    f = _lift_frames(scen, point.coords[np.newaxis])
-    h, w, j_red, _, normal_leak = (a[0] for a in _reduced(f))
-    if max_abs(normal_leak) > LEAK_WARNING_TOL:
+    f = _lift_frames(scen, X)
+    h, w, j_red, _, normal_leak = _reduced(f)
+    leak = _row_max_abs(normal_leak)
+    i = _first(leak > LEAK_WARNING_TOL)
+    if i is not None:
         warnings.warn(
             f"J applied to a horizontal lift leaves the level tangent space "
-            f"by {max_abs(normal_leak):.3e} at {ChartPoint(f.split.base[0])}",
+            f"by {leak[i]:.3e} at {ChartPoint(f.split.base[i])}",
             VerticalLeakWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of the public function, past takes_points
         )
-    return ReducedStructures(point=point, h_beta=h, omega_beta=w, j_beta=j_red)
+    return ReducedStructures(point=X, h_beta=h, omega_beta=w, j_beta=j_red)
 
 
 def _vertical_leak(D: np.ndarray, generators: np.ndarray, moved: SplitTangentSpace) -> np.ndarray:
@@ -479,13 +473,6 @@ def _vertical_leak(D: np.ndarray, generators: np.ndarray, moved: SplitTangentSpa
     pushed = D @ generators
     leak = pushed - V @ (V.swapaxes(1, 2) @ G @ pushed)
     return _row_max_abs(_g_norms(leak.swapaxes(1, 2), G[:, np.newaxis]))
-
-
-def _per_point(residuals, X: np.ndarray, count: int):
-    """The ``count`` residual arrays that ``residuals(X, rows)`` returns
-    stacked, from one stacked run replayed point by point should it raise
-    (``_replayed``)."""
-    return _replayed(residuals, X).reshape(count, len(X))
 
 
 def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, np.pi),
@@ -513,7 +500,7 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, 
         return np.stack([_row_max_abs(_row_max_abs(fiber).reshape(P, len(X)).T),
                          _row_max_abs(vertical.reshape(P, len(X)).T)])
 
-    fiber_res, vert_res = _per_point(residuals, X, 2)
+    fiber_res, vert_res = _replayed(residuals, X).reshape(2, len(X))
     report.add(StructureCheckResult.from_samples(
         "fiber independence", fiber_res, X, tol, IDENTITY_FIBER,
         extras={"fiber_params": prm.tolist()}))
@@ -558,7 +545,7 @@ def verify_reduction_identity(scen: ReductionScenario, points, tol: float = 1e-5
         degeneracy = vertical @ f.Om[:, np.newaxis] @ K[:, np.newaxis]
         return np.stack([_row_max_abs(ambient - reduced), _row_max_abs(degeneracy)])
 
-    id_res, deg_res = _per_point(residuals, X, 2)
+    id_res, deg_res = _replayed(residuals, X).reshape(2, len(X))
     report.add(StructureCheckResult.from_samples(
         "pullback identity", id_res, X, tol, IDENTITY_REDUCTION,
         extras={"pairs_per_point": PAIRS_PER_POINT, "seed": seed}))
@@ -603,8 +590,8 @@ def verify_main_theorem(scen: ReductionScenario, points, tol: float = 1e-5,
             _row_max_abs(normal_leak),
         ])
 
-    acm_res, compat_res, acs_res, hyp_res, vert_leak, normal_leak = _per_point(
-        residuals, X, 6)
+    acm_res, compat_res, acs_res, hyp_res, vert_leak, normal_leak = \
+        _replayed(residuals, X).reshape(6, len(X))
     hypothesis_ok = bool((hyp_res <= hypothesis_tol).all())
     iff_res = np.where((acm_res <= tol) == (compat_res <= tol), 0.0, 1.0)
     branch = "positive" if (len(X) and max_abs(acm_res) <= tol

@@ -18,12 +18,14 @@ import numpy as np
 from .errors import NotSPDError, OddDimensionError
 from .geometry import (
     ChartPoint,
+    RowMap,
     TensorField,
     as_point,
     as_points,
     eval_field,
     fd_directional,
     spd_sqrt,
+    _first,
     _replayed,
     _row_max_abs,
     _row_norms,
@@ -216,38 +218,40 @@ def omega_endomorphism(w: TensorField, g0: TensorField) -> TensorField:
     In components A = -inv(G0) @ Omega; A is skew-adjoint for the g0 inner
     product whenever omega is antisymmetric.
     """
-    n = w.shape[0]
-
-    def a_eval(p: ChartPoint) -> np.ndarray:
-        Om = eval_field(w, p)
-        G0 = eval_field(g0, p)
+    def a_rows(X: np.ndarray) -> np.ndarray:
+        Om = eval_field(w, X)
+        G0 = eval_field(g0, X)
         return -np.linalg.solve(G0, Om)
 
-    return TensorField.matrix(a_eval, n, name="omega endomorphism")
+    return TensorField.matrix(RowMap(a_rows), w.shape[0], name="omega endomorphism")
 
 
-def _compatible_pointwise(Om: np.ndarray, G0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar-decomposition construction of (J, G) from (Omega, G0) at a point.
+def _compatible(w: TensorField, g0: TensorField, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar-decomposition construction of (J, G) from (Omega, G0) at every
+    row of X, as (N, n, n) stacks.
 
     A = -inv(G0) Omega is g0-skew; P = sqrt(-A^2) in the g0 inner product is
     found by conjugating into a g0-orthonormal frame and taking the symmetric
     eigendecomposition square root; J = inv(P) A and G = Omega J.
     """
+    Om = eval_field(w, X)
+    G0 = eval_field(g0, X)
     A = -np.linalg.solve(G0, Om)
     M = -(A @ A)
     s_root, s_inv = spd_sqrt(G0)
     B = s_root @ M @ s_inv
-    B = 0.5 * (B + B.T)
+    B = 0.5 * (B + B.swapaxes(1, 2))
     w_eig, v = np.linalg.eigh(B)
-    if w_eig[0] <= 0.0:
+    i = _first(w_eig[:, 0] <= 0.0)
+    if i is not None:
         raise NotSPDError(
-            f"-A^2 is not positive definite (eigenvalue {w_eig[0]:.3e}); omega is degenerate"
+            f"-A^2 is not positive definite (eigenvalue {w_eig[i, 0]:.3e}); omega is degenerate"
         )
-    b_inv_root = (v / np.sqrt(w_eig)) @ v.T
+    b_inv_root = (v / np.sqrt(w_eig)[:, np.newaxis]) @ v.swapaxes(1, 2)
     p_inv = s_inv @ b_inv_root @ s_root
     J = p_inv @ A
     G = Om @ J
-    return J, 0.5 * (G + G.T)
+    return J, 0.5 * (G + G.swapaxes(1, 2))
 
 
 def build_compatible_triple(w: TensorField, g0: TensorField) -> CompatibleTriple:
@@ -261,15 +265,10 @@ def build_compatible_triple(w: TensorField, g0: TensorField) -> CompatibleTriple
     if w.shape != g0.shape:
         raise ValueError(f"omega shape {w.shape} does not match metric shape {g0.shape}")
     n = _interleaved_planes(w.shape[0], "compatible triple") * 2
-
-    def j_eval(p: ChartPoint) -> np.ndarray:
-        return _compatible_pointwise(eval_field(w, p), eval_field(g0, p))[0]
-
-    def g_eval(p: ChartPoint) -> np.ndarray:
-        return _compatible_pointwise(eval_field(w, p), eval_field(g0, p))[1]
-
     return CompatibleTriple(
         omega=w,
-        metric=TensorField.matrix(g_eval, n, name="compatible metric"),
-        acs=TensorField.matrix(j_eval, n, name="compatible acs"),
+        metric=TensorField.matrix(RowMap(lambda X: _compatible(w, g0, X)[1]), n,
+                                  name="compatible metric"),
+        acs=TensorField.matrix(RowMap(lambda X: _compatible(w, g0, X)[0]), n,
+                               name="compatible acs"),
     )

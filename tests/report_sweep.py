@@ -6,11 +6,13 @@ PARENT_SRC is the ``src`` directory of the other tree (a clone or an
 exported copy of the parent commit).  The sweep runs ``symred verify`` on
 every built-in at 20 samples with seeds 0-7, on hopf at 80 and at 320
 samples with seeds 0 and 51, on euclidean_r2n at 8 planes (from a scenario
-file) at 20 samples with seeds 5, 44, 55 and 61, on every built-in with no
-flags (its own sample spec: seed, count and any explicit quotient points),
-and on hopf at 20 samples with the main-theorem, the reduction and the
-action suite alone (the lift frames are batched differently when no fibre
-frames are asked for), each in JSON and in text.  Each
+file) at 20 samples with seeds 5, 44, 55 and 61, on hopf without its acs
+line (from a scenario file written beside it, so J comes from
+build_compatible_triple) at 20 samples with seeds 0-3, on every built-in
+with no flags (its own sample spec: seed, count and any explicit quotient
+points), and on hopf at 20 samples with the main-theorem, the reduction and
+the action suite alone (the lift frames are batched differently when no
+fibre frames are asked for), each in JSON and in text.  Each
 tree runs the whole sweep in one worker process with its ``src`` first on
 the import path.  The JSON reports are compared without ``timestamp`` and
 without any key named by ``--ignore``, and the text reports, exit codes
@@ -44,7 +46,7 @@ NUMBER = re.compile(r"[-+]?\d+\.\d+e[-+]\d+")
 POINT = re.compile(r"\.(worst_point|points?)\[")  # coordinates, not residuals
 
 
-def sweep_cases(r2n_path: str) -> list[list[str]]:
+def sweep_cases(r2n_path: str, no_acs_path: str) -> list[list[str]]:
     """The argv of every verify run of the sweep, JSON and text."""
     from symred.scenarios import builtin_names
 
@@ -53,6 +55,7 @@ def sweep_cases(r2n_path: str) -> list[list[str]]:
     runs += [["hopf", "--samples", str(samples), "--seed", str(seed)]
              for samples in (80, 320) for seed in (0, 51)]
     runs += [[r2n_path, "--samples", "20", "--seed", str(seed)] for seed in (5, 44, 55, 61)]
+    runs += [[no_acs_path, "--samples", "20", "--seed", str(seed)] for seed in range(4)]
     runs += [[name] for name in builtin_names()]  # the scenario's own sample spec
     runs += [["hopf", "--samples", "20", "--suites", suite]
              for suite in ("main-theorem", "reduction", "action")]
@@ -166,7 +169,11 @@ def main(argv=None) -> int:
         r2n_path = os.path.join(tmp, "euclidean_r2n_8.scen")
         with open(r2n_path, "w", encoding="utf-8") as handle:
             handle.write(builtin_text("euclidean_r2n", 8))
-        cases = sweep_cases(r2n_path)
+        no_acs_path = os.path.join(tmp, "hopf_no_acs.scen")
+        with open(no_acs_path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(line for line in builtin_text("hopf").splitlines()
+                                   if not line.startswith("acs")))
+        cases = sweep_cases(r2n_path, no_acs_path)
         parent = run_tree(Path(args.parent_src).resolve(), cases)
         change = run_tree(SRC, cases)
 

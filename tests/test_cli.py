@@ -11,6 +11,7 @@ import pytest
 import symred
 from symred import cli
 from symred.actions import (
+    GroupAction,
     apply_flow,
     check_field_invariance,
     check_isometry,
@@ -755,44 +756,66 @@ def test_holomorphy_suite_takes_two_jacobians_per_reference_map(samples, monkeyp
     assert calls["fd_jacobian"] == 2 * len(cli._reference_maps()) == 8
 
 
-def test_per_point_maps_get_the_chart_point_itself(monkeypatch):
+def test_per_point_maps_get_a_chart_point_of_each_row(monkeypatch):
+    # a user's per-point callable is called once per row, in row order, with
+    # a ChartPoint whose coordinates are that row's; one point is a stack of
+    # one, so the callable gets a ChartPoint equal to it, not the caller's own
     hopf = builtin("hopf")
     seen = []
     field = TensorField.matrix(lambda p: seen.append(p) or np.eye(4), 4)
+    rotation = planar_rotation_action()
+    flow = GroupAction(1, lambda a, p: seen.append(p) or apply_flow(rotation, a, p))
     scen = dataclasses.replace(hopf, section=lambda x: seen.append(x) or hopf.section_point(x))
-    rotation = planar_rotation_action()  # builds the ChartPoint it returns
     point, plane = ChartPoint([0.3, -0.2, 0.5, 0.1]), ChartPoint([0.3, -0.2])
+    X = np.array([[0.3, -0.2, 0.5, 0.1], [1.0, 0.0, -0.4, 0.2], [0.0, 0.7, 0.1, -0.3]])
     built = _count_chart_points(monkeypatch)
-    eval_field(field, point)
-    assert seen.pop() is point and built["points"] == 0
-    apply_flow(rotation, [0.4], plane)
+
+    def rows_seen(call, *args):
+        seen.clear()
+        built.clear()
+        out = call(*args)
+        return out, [p.coords.tobytes() for p in seen]
+
+    assert rows_seen(eval_field, field, point)[1] == [point.coords.tobytes()]
     assert built["points"] == 1
-    moved = scen.section_point(plane)
-    # the compiled section inside builds the one point, returned as it is
-    assert seen.pop() is plane and built["points"] == 2
+    assert rows_seen(eval_field, field, X)[1] == [x.tobytes() for x in X]
+    assert built["points"] == len(X)
+    moved, coords = rows_seen(apply_flow, flow, [0.4], plane)
+    assert coords == [plane.coords.tobytes()]
+    assert moved.coords.tobytes() == apply_flow(rotation, [0.4], plane).coords.tobytes()
+    moved, coords = rows_seen(scen.section_point, plane)
+    assert coords == [plane.coords.tobytes()]
     assert moved.coords.tobytes() == hopf.section_point(plane).coords.tobytes()
 
 
 def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeypatch):
-    # hopf without its acs line gets build_compatible_triple's per-point
-    # field, and every stacked evaluation of it builds a ChartPoint per row:
-    # at the section points of the frames (one base and one per fibre
-    # parameter per sample), and at the ambient points in check_acs,
-    # check_compatibility and the acs invariance check (once at the points
-    # and once per group parameter at the moved points)
+    # a user's per-point acs builds a ChartPoint per row of every stacked
+    # evaluation of it: at the section points of the frames (one base and
+    # one per fibre parameter per sample), and at the ambient points in
+    # check_acs, check_compatibility and the acs invariance check (once at
+    # the points and once per group parameter at the moved points)
+    hopf = builtin("hopf")
+    per_point = dataclasses.replace(
+        hopf, acs=TensorField.matrix(lambda p: eval_field(hopf.acs, p), 4, name="per-point acs"))
+    resolve = cli.resolve_scenario
+    monkeypatch.setattr(cli, "resolve_scenario",
+                        lambda ref: per_point if ref == "per-point acs" else resolve(ref))
+    # hopf without its acs line gets build_compatible_triple's stacked fields
     path = tmp_path / "hopf_no_acs.scn"
     path.write_text("\n".join(line for line in builtin_text("hopf").splitlines()
                                if not line.startswith("acs")))
     built = _count_chart_points(monkeypatch)
-    samples = 20
-    report, code = run(RunConfig(str(path), samples=samples, seed=3))
-    assert code == 0
-    per_point = built["points"]
-    built["points"] = 0
-    report, code = run(RunConfig("hopf", samples=samples, seed=3))
-    assert code == 0
-    fiber_params = report.find("fiber independence").extras["fiber_params"]
-    group_params = report.meta["group_params"]
-    frames = (1 + len(fiber_params)) * samples
-    ambient = (2 + 1 + len(group_params)) * samples
-    assert per_point - built["points"] == frames + ambient
+    for samples in (20, 80):
+        counts = {}
+        for name in ("per-point acs", str(path), "hopf"):
+            built.clear()
+            report, code = run(RunConfig(name, samples=samples, seed=3))
+            assert code == 0
+            counts[name] = built["points"]
+        fiber_params = report.find("fiber independence").extras["fiber_params"]
+        group_params = report.meta["group_params"]
+        frames = (1 + len(fiber_params)) * samples
+        ambient = (2 + 1 + len(group_params)) * samples
+        assert counts["per-point acs"] - counts["hopf"] == frames + ambient
+        # the worst point of each check, and nothing more
+        assert counts[str(path)] == counts["hopf"] == len(list(report.all_checks())) == 25

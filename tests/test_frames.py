@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 from symred import cli
-from symred.actions import GroupAction, _flow_map, pushforward_table
+from symred.actions import (
+    GroupAction,
+    _flow_map,
+    apply_flow,
+    generator,
+    momentum_jacobian,
+    momentum_values,
+    pushforward_table,
+)
 from symred.cli import main
 from symred.errors import ActionNotFreeError, NonFiniteError, SectionNotOnLevelError
 from symred.geometry import (
@@ -21,16 +29,22 @@ from symred.geometry import (
     ChartPoint,
     RowMap,
     TensorField,
+    eval_field,
+    fd_directional,
     fd_gradient,
     fd_jacobian,
     kernel_basis,
     orthonormalize,
     sample_ball,
     sample_box,
+    spd_sqrt,
 )
+from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from symred.reduction import (
     SampleSpec,
     lift_frames,
+    reduced_structures,
+    split_tangent,
     verify_main_theorem,
     verify_reduction_identity,
     verify_submersion,
@@ -366,3 +380,56 @@ def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
     monkeypatch.setattr(cli, "resolve_scenario", lambda name: scen)
     assert main(["verify", "hopf"]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# --- empty stacks -------------------------------------------------------------
+
+def _empty_results():
+    """(call, shapes): each public stacked function on a stack of no points,
+    and the shapes of the arrays it must return."""
+    hopf = builtin("hopf")
+    X, Q = np.zeros((0, 4)), np.zeros((0, 2))
+    j2 = TensorField.constant(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    plane_map = ChartedMap(2, 2, RowMap(lambda Y: Y * Y), j2, j2)
+
+    def split(s):
+        return [s.base, s.metric, s.level, s.vertical, s.horizontal, s.jmu, s.generators]
+
+    def frames(moved):
+        table = lift_frames(hopf, Q, FIBER_PARAMS)
+        f = table.moved(slice(None)) if moved else table[:]
+        return split(f.split) + [f.lifts, f.Om, f.J, f.htg, f.coef]
+
+    split_shapes = [(0, 4), (0, 4, 4), (0, 4, 3), (0, 4, 1), (0, 4, 2), (0, 1, 4), (0, 4, 1)]
+    frame_shapes = split_shapes + [(0, 4, 2), (0, 4, 4), (0, 4, 4), (0, 2, 4), (0, 2, 2)]
+    return {
+        "eval_field": (lambda: [eval_field(hopf.metric, X)], [(0, 4, 4)]),
+        "fd_jacobian": (lambda: [fd_jacobian(hopf.section, Q)], [(0, 4, 2)]),
+        "fd_directional": (lambda: [fd_directional(hopf.metric, X, np.ones(4))], [(0, 4, 4)]),
+        "fd_gradient": (lambda: [fd_gradient(hopf.mu.components[0], X)], [(0, 4)]),
+        "apply_flow": (lambda: [apply_flow(hopf.action, [0.3], X)], [(0, 4)]),
+        "generator": (lambda: [generator(hopf.action, 0, X)], [(0, 4)]),
+        "momentum_values": (lambda: [momentum_values(hopf.mu, X)], [(0, 1)]),
+        "momentum_jacobian": (lambda: [momentum_jacobian(hopf.mu, X)], [(0, 1, 4)]),
+        "pushforward_table": (lambda: list(pushforward_table(hopf.action, [0.3, 1.0], X)),
+                              [(2, 0, 4, 4), (2, 0, 4)]),
+        "split_tangent": (lambda: split(split_tangent(hopf, X)), split_shapes),
+        "lift_frames": (lambda: frames(False), frame_shapes),
+        "lift_frames moved": (lambda: frames(True), frame_shapes),
+        "reduced_structures": (
+            lambda: [getattr(reduced_structures(hopf, Q), name)
+                     for name in ("point", "h_beta", "omega_beta", "j_beta")],
+            [(0, 2), (0, 2, 2), (0, 2, 2), (0, 2, 2)]),
+        "almost_complex_residual": (lambda: [almost_complex_residual(plane_map, Q)], [(0,)]),
+        "cauchy_riemann_residual": (lambda: [cauchy_riemann_residual(plane_map, Q)], [(0,)]),
+        "kernel_basis": (lambda: [kernel_basis(np.zeros((0, 1, 4)))], [(0, 4, 3)]),
+        "orthonormalize": (lambda: [orthonormalize(np.zeros((0, 4, 1)), np.zeros((0, 4, 4)))],
+                           [(0, 4, 1)]),
+        "spd_sqrt": (lambda: list(spd_sqrt(np.zeros((0, 4, 4)))), [(0, 4, 4), (0, 4, 4)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_empty_results()))
+def test_a_stack_of_no_points_gives_empty_results(name):
+    call, shapes = _empty_results()[name]
+    assert [np.shape(a) for a in call()] == shapes

@@ -10,6 +10,7 @@ import pytest
 
 from symred.actions import (
     GroupAction,
+    apply_flow,
     check_action_axioms,
     check_field_invariance,
     check_isometry,
@@ -19,7 +20,8 @@ from symred.actions import (
     pushforward_table,
 )
 from symred.errors import NonFiniteError
-from symred.geometry import ChartPoint, TensorField, as_coords, sample_box
+from symred.geometry import ChartPoint, TensorField, as_coords, eval_field, fd_jacobian, sample_box
+from symred.reduction import reduced_structures, split_tangent
 from symred.scenarios import builtin, builtin_names, builtin_text, compile_scenario, parse_scenario
 from symred.structures import (
     CompatibleTriple,
@@ -254,3 +256,22 @@ def test_failing_moved_point_raises_at_its_point(shared):
     table = pushforward_table(shift, params, points) if shared else None
     with pytest.raises(NonFiniteError, match=r"^field 'metric' at ChartPoint\(\[ 0\.8, -0\.1\]\)"):
         check_isometry(shift, metric, params, points, pushforwards=table)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_rows_of_a_stack_are_refused_as_one_point_is(bad):
+    # a non-finite row that is not the first one is refused with the error
+    # one non-finite point raises, by every check and stacked function
+    hopf = builtin("hopf")
+    X = np.array([[0.5, 0.0, 0.0, 0.0], [bad, 0.0, 0.0, 0.0]])
+    message = "^chart point contains non-finite entries$"
+    calls = [lambda: eval_field(hopf.metric, X[1]), lambda: eval_field(hopf.metric, X),
+             lambda: eval_field(hopf.metric, X[1:]), lambda: fd_jacobian(hopf.section, X[:, :2]),
+             lambda: apply_flow(hopf.action, [0.3], X), lambda: split_tangent(hopf, X),
+             lambda: reduced_structures(hopf, X[:, :2])]
+    _, params = _op_inputs(hopf, 0)
+    for _, check, _ in _checks(hopf, params):
+        calls += [lambda check=check: check(X), lambda check=check: check(list(X))]
+    for call in calls:
+        with pytest.raises(NonFiniteError, match=message):
+            call()

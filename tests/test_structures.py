@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from symred.actions import average_metric, planar_rotation_action, uniform_circle_quadrature
 from symred.errors import NotSPDError, OddDimensionError
-from symred.geometry import ChartPoint, TensorField, eval_field, sample_box
+from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, fd_directional, sample_box
+from symred.scenarios import builtin
 from symred.structures import (
     CompatibleTriple,
     build_compatible_triple,
@@ -21,7 +23,13 @@ from symred.structures import (
     standard_symplectic_matrix,
 )
 
-from util import oracle_compatible_acs, random_symplectic_metric_pair
+from util import (
+    oracle_compatible_acs,
+    random_symplectic_metric_pair,
+    reference_average_metric,
+    reference_compatible_triple,
+    reference_omega_endomorphism,
+)
 
 POINTS = sample_box(4, 6, radius=2.0, seed=3)
 POINTS_2D = sample_box(2, 6, radius=2.0, seed=4)
@@ -234,3 +242,84 @@ def test_second_form_holds_for_built_triples():
     for p in POINTS:
         Jm, G = eval_field(triple.acs, p), eval_field(triple.metric, p)
         assert np.max(np.abs(Jm.T @ G - eval_field(triple.omega, p))) < 1e-9
+
+
+def _stacked_omega(X):
+    """The standard form on R^4 with its first plane scaled by x1: degenerate
+    where x1 = 0."""
+    Om = np.repeat(standard_symplectic_matrix(4)[np.newaxis], len(X), axis=0)
+    Om[:, 0, 1], Om[:, 1, 0] = X[:, 0], -X[:, 0]
+    return Om
+
+
+def _stacked_metric(X):
+    """An SPD metric varying over the chart, asymmetric where x2 > 1."""
+    G = np.repeat(np.diag([1.0, 2.0, 1.5, 1.0])[np.newaxis], len(X), axis=0)
+    G[:, 0, 0] += X[:, 0] ** 2
+    G[:, 2, 3] = G[:, 3, 2] = 0.3 * np.sin(X[:, 1])
+    G[:, 0, 1] += np.where(X[:, 1] > 1.0, 0.5, 0.0)
+    return G
+
+
+def _field_pairs():
+    """(omega, g0) pairs: compiled scenario fields, random constants and
+    fields varying over the chart."""
+    rng = np.random.default_rng(21)
+    om, g0 = random_symplectic_metric_pair(rng, 4)
+    hopf, noninvariant = builtin("hopf"), builtin("noninvariant_metric_hopf")
+    varying = (TensorField.matrix(RowMap(_stacked_omega), 4, name="omega"),
+               TensorField.matrix(RowMap(_stacked_metric), 4, name="g0"))
+    return [(hopf.omega, noninvariant.metric),
+            (TensorField.constant(om), TensorField.constant(g0)),
+            varying, (hopf.omega, varying[1])]
+
+
+def _bits(field, X):
+    return eval_field(field, X).tobytes()
+
+
+def test_stacked_fields_are_the_bits_of_the_per_point_references():
+    # every row of the stacked fields, and of their stencils, is the bits of
+    # building it at that point alone
+    X = np.random.default_rng(8).uniform(0.2, 0.9, size=(25, 4))
+    e = np.array([0.0, 1.0, 0.0, 0.0])
+    for w, g0 in _field_pairs():
+        triple, want = build_compatible_triple(w, g0), reference_compatible_triple(w, g0)
+        A, want_A = omega_endomorphism(w, g0), reference_omega_endomorphism(w, g0)
+        for got_field, want_field in ((triple.acs, want.acs), (triple.metric, want.metric),
+                                      (A, want_A)):
+            assert _bits(got_field, X) == _bits(want_field, X)
+            assert _bits(got_field, X[3]) == _bits(want_field, X[3])
+            assert fd_directional(got_field, X, e).tobytes() == \
+                fd_directional(want_field, X, e).tobytes()
+    hopf = builtin("hopf")
+    rule = uniform_circle_quadrature(6)
+    for g0 in (builtin("noninvariant_metric_hopf").metric, _field_pairs()[2][1]):
+        assert _bits(average_metric(g0, hopf.action, rule), X[:8]) == \
+            _bits(reference_average_metric(g0, hopf.action, rule), X[:8])
+    rotation = planar_rotation_action()
+    plane = TensorField.matrix(lambda p: np.diag([1.0 + p.coords[0] ** 2, 2.0]), 2)
+    assert _bits(average_metric(plane, rotation, rule), X[:8, :2]) == \
+        _bits(reference_average_metric(plane, rotation, rule), X[:8, :2])
+
+
+def _error(call):
+    with pytest.raises(Exception) as raised:  # noqa: PT011 - type and text are compared
+        call()
+    return type(raised.value), str(raised.value)
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 2, 3], [0, 3, 2, 1]])
+def test_stacked_triple_raises_the_first_failing_points_error(rows):
+    # omega is degenerate at one point and g0 asymmetric at another: the
+    # point that comes first in the stack decides the error, as point by point
+    X = np.array([[0.5, 0.2, 0.1, 0.3], [0.0, 0.4, 0.2, 0.1],
+                  [0.7, -0.3, 0.5, 0.2], [0.6, 1.5, 0.1, 0.1]])[rows]
+    w = TensorField.matrix(RowMap(_stacked_omega), 4)
+    g0 = TensorField.matrix(RowMap(_stacked_metric), 4)
+    got, want = build_compatible_triple(w, g0), reference_compatible_triple(w, g0)
+    expected = _error(lambda: eval_field(want.acs, X))
+    assert expected[0] is NotSPDError
+    assert ("degenerate" in expected[1]) == (rows[1] == 1)
+    assert _error(lambda: eval_field(got.acs, X)) == expected
+    assert _error(lambda: eval_field(got.metric, X)) == _error(lambda: eval_field(want.metric, X))

@@ -747,6 +747,95 @@ def opaque_scenario(scen):
         section=lambda x: section(x))
 
 
+# --- per-point references for the fields the package builds -------------------
+# The per-point constructions the stacked fields replaced, each a TensorField
+# over a per-point callable, so every row is built from that point alone: the
+# references for build_compatible_triple, omega_endomorphism and
+# average_metric.
+
+def reference_spd_sqrt(mat):
+    """Symmetric square root and inverse square root of one SPD matrix."""
+    from symred.errors import NotSPDError
+
+    a = np.asarray(mat, dtype=float)
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix contains non-finite entries")
+    scale = max(1.0, _max_abs(a))
+    if _max_abs(a - a.T) > 1e-10 * scale:
+        raise NotSPDError("matrix is not symmetric")
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    if w[0] <= 0.0:
+        raise NotSPDError(f"matrix has nonpositive eigenvalue {w[0]:.3e}")
+    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+
+
+def reference_compatible_pointwise(Om, G0):
+    """Polar-decomposition (J, G) from (Omega, G0) at one point."""
+    from symred.errors import NotSPDError
+
+    A = -np.linalg.solve(G0, Om)
+    M = -(A @ A)
+    s_root, s_inv = reference_spd_sqrt(G0)
+    B = s_root @ M @ s_inv
+    B = 0.5 * (B + B.T)
+    w_eig, v = np.linalg.eigh(B)
+    if w_eig[0] <= 0.0:
+        raise NotSPDError(
+            f"-A^2 is not positive definite (eigenvalue {w_eig[0]:.3e}); omega is degenerate")
+    b_inv_root = (v / np.sqrt(w_eig)) @ v.T
+    J = s_inv @ b_inv_root @ s_root @ A
+    G = Om @ J
+    return J, 0.5 * (G + G.T)
+
+
+def reference_compatible_triple(w, g0):
+    """The compatible triple with J and G built point by point."""
+    from symred.geometry import TensorField, eval_field
+    from symred.structures import CompatibleTriple
+
+    def j_eval(p):
+        return reference_compatible_pointwise(eval_field(w, p), eval_field(g0, p))[0]
+
+    def g_eval(p):
+        return reference_compatible_pointwise(eval_field(w, p), eval_field(g0, p))[1]
+
+    n = w.shape[0]
+    return CompatibleTriple(w, TensorField.matrix(g_eval, n, name="compatible metric"),
+                            TensorField.matrix(j_eval, n, name="compatible acs"))
+
+
+def reference_omega_endomorphism(w, g0):
+    """A = -inv(G0) Omega, point by point."""
+    from symred.geometry import TensorField, eval_field
+
+    def a_eval(p):
+        Om = eval_field(w, p)
+        G0 = eval_field(g0, p)
+        return -np.linalg.solve(G0, Om)
+
+    return TensorField.matrix(a_eval, w.shape[0], name="omega endomorphism")
+
+
+def reference_average_metric(g0, action, quadrature):
+    """The group average sum_a w_a D_a^T G0(Phi_a(p)) D_a, point by point:
+    one pushforward table per point, summed from zero in rule order."""
+    from symred.actions import pushforward_table
+    from symred.geometry import TensorField, eval_field
+
+    rule = [(np.asarray(a, dtype=float).reshape(action.group_dim), float(w))
+            for a, w in quadrature]
+    n = g0.shape[0]
+
+    def avg(p):
+        D, moved = pushforward_table(action, [a for a, _ in rule], [p])
+        terms = np.array([w for _, w in rule])[:, np.newaxis, np.newaxis] * (
+            D[:, 0].swapaxes(1, 2) @ eval_field(g0, moved[:, 0]) @ D[:, 0])
+        total = np.cumsum(np.concatenate([np.zeros((1, n, n)), terms]), axis=0)[-1]
+        return 0.5 * (total + total.T)
+
+    return TensorField.matrix(avg, n, name=f"group average of {g0.name or 'metric'}")
+
+
 # --- per-point references for the holomorphy residuals -------------------------
 # The residual at one point, with one map call per stencil sample and one map
 # call at the point for the target structure: the references for the stacked
