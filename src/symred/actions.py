@@ -142,7 +142,10 @@ def apply_flow(action: GroupAction, params, X):
 def _flow_values(action: GroupAction, rows: np.ndarray) -> np.ndarray:
     """Phi at every (point, parameter) row of ``rows`` (see ``_pairs``), as
     an (N, n) array from one flow batch, a failing row raising what it
-    raises alone."""
+    raises alone.  With no rows a per-row flow has no value to give the
+    width by, so the (0, n) result is made here."""
+    if not len(rows):
+        return np.zeros((0, rows.shape[1] - action.group_dim))
     return _evaluate_rows(action.flow, rows, _finite("chart point"))
 
 

@@ -1,5 +1,14 @@
-"""Tiny arithmetic expression language used by scenario files: tokenizer,
+"""Tiny arithmetic expression language used by scenario files: scanner,
 parser, printer, and a compiler to straight-line programs.
+
+:func:`tokenize` scans a text with one ``findall`` of one regular
+expression into its lexemes, plain strings: a token is its lexeme, whose
+kind (NUMBER, IDENT, RBRACKET, ...) :func:`token_kind` reads off it, and
+the empty lexeme ends every scan.  The scan checks each distinct lexeme
+once, for a number that overflows or a character that starts no token.
+The parser dispatches on lexemes too.  No position is kept: when a check
+fails, :func:`token_positions` scans the text again, and the error gets the
+line and column of the first failing token.
 
 Grammar (EBNF), with the usual precedence (power binds tightest, then unary
 minus, then * and /, then + and -; binary operators associate left, the
@@ -45,15 +54,16 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteError, ParseError, UnknownIdentifierError, ValidationError
 
 __all__ = [
-    "Token",
     "tokenize",
+    "token_kind",
+    "token_positions",
     "Num",
     "Coord",
     "Neg",
@@ -81,7 +91,9 @@ _COLUMN = np.ndarray  # a batch value: one float64 entry per point
 _MAX_DEPTH = 200
 _MAX_EXPONENT = 1_000_000
 
-_SINGLE = {
+# the kind of every lexeme that is not a number or an identifier: the
+# one-character tokens, the newline, and the empty lexeme that ends every scan
+_KINDS = {
     "+": "PLUS",
     "-": "MINUS",
     "*": "STAR",
@@ -94,61 +106,86 @@ _SINGLE = {
     ",": "COMMA",
     "=": "EQUALS",
     ".": "DOT",
+    "\n": "NEWLINE",
+    "": "EOF",
 }
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-
+_DIGITS = "0123456789"
 
 # One match per token: blanks and a comment are skipped as its prefix, then
-# one alternative per kind of token, tried in order; the empty match at the
-# end of the text names no kind.  Numbers are ASCII digits only (float()
-# would take other digits), and an identifier is a run of str.isalnum()
-# characters and "_" that must start with a letter or "_".  Anything else
-# is one unexpected character.
-_TOKEN = re.compile(r"""
+# the one group takes the lexeme, by the first alternative that matches:
+# a one-character token, a number, an identifier, a newline, any other
+# character, or the empty lexeme at the end of the text.  Numbers are ASCII
+# digits only (float() would take other digits), and an identifier is a run
+# of str.isalnum() characters and "_" that must start with a letter or "_";
+# tokenize refuses any other run of \w and any other character.
+_LEXEME = re.compile(r"""
     [ \t\r]*(?:\#[^\n]*)?
-    (?: (?P<SINGLE>[-+*/^()\[\],=.])
-      | (?P<NUMBER>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
-      | (?P<IDENT>\w+)
-      | (?P<NEWLINE>\n)
-      | (?P<BAD>.)
-      | \Z )
+    ( [-+*/^()\[\],=.]
+    | [0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?
+    | \w+
+    | \n
+    | .
+    | \Z )
 """, re.VERBOSE)
 
 
-def tokenize(text: str) -> list[Token]:
-    """Scan text into tokens, keeping newlines; comments run from '#' to EOL."""
-    tokens: list[Token] = []
+def token_kind(lexeme: str) -> str:
+    """The kind of a lexeme as error messages name it: NUMBER, IDENT,
+    NEWLINE, EOF for the empty lexeme, or the name of a one-character token
+    (PLUS, RBRACKET, ...)."""
+    kind = _KINDS.get(lexeme)
+    if kind is None:
+        kind = "NUMBER" if lexeme[0] in _DIGITS else "IDENT"
+    return kind
+
+
+def _refusal(lexeme: str) -> str | None:
+    """Why the scan refuses a lexeme, or None if it is a token."""
+    if lexeme in _KINDS:
+        return None
+    first = lexeme[0]
+    if first in _DIGITS:
+        return None if math.isfinite(float(lexeme)) else f"number literal {lexeme!r} overflows"
+    if first.isalpha() or first == "_":
+        return None
+    return f"unexpected character {first!r}"
+
+
+def tokenize(text: str) -> list[str]:
+    """The lexemes of text, newlines kept and comments (from '#' to the end
+    of the line) dropped, ending with the empty lexeme.
+
+    One ``findall`` scans the text; a number that overflows or a character
+    that starts no token raises ParseError at the first such token, its
+    position found by scanning again (see :func:`token_positions`).
+    """
+    lexemes = _LEXEME.findall(text)
+    if len(lexemes) > 1 and lexemes[-2] == "":
+        # blanks or a comment end the text: the match that skips them takes
+        # the empty lexeme, and findall then adds an empty match of its own
+        lexemes.pop()
+    if any(map(_refusal, set(lexemes))):  # each distinct lexeme checked once
+        for index, lexeme in enumerate(lexemes):
+            message = _refusal(lexeme)
+            if message is not None:
+                raise ParseError(message, *token_positions(text)[index])
+    return lexemes
+
+
+def token_positions(text: str) -> list[tuple[int, int]]:
+    """The 1-based (line, column) of each lexeme ``tokenize`` finds in text;
+    only a parse error needs them, so they are computed only then."""
+    positions = []
     line, line_start = 1, 0
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind is None:
+    for match in _LEXEME.finditer(text):
+        start = match.start(1)
+        positions.append((line, start - line_start + 1))
+        lexeme = match.group(1)
+        if lexeme == "\n":
+            line, line_start = line + 1, start + 1
+        elif not lexeme:  # the end of the text
             break
-        lexeme = match.group(kind)
-        col = match.start(kind) - line_start + 1
-        if kind == "NEWLINE":
-            tokens.append(Token(kind, lexeme, line, col))
-            line, line_start = line + 1, match.end()
-            continue
-        if kind == "SINGLE":
-            kind = _SINGLE[lexeme]
-        elif kind == "NUMBER" and not math.isfinite(float(lexeme)):
-            raise ParseError(f"number literal {lexeme!r} overflows", line, col)
-        elif kind == "BAD" or (kind == "IDENT" and not (lexeme[0].isalpha() or lexeme[0] == "_")):
-            raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
-        tokens.append(Token(kind, lexeme, line, col))
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
-
-
-def _is_int_literal(tok: Token) -> bool:
-    return tok.kind == "NUMBER" and "." not in tok.text and "e" not in tok.text \
-        and "E" not in tok.text
+    return positions
 
 
 class Expr:
@@ -191,61 +228,87 @@ class Call(Expr):
     arg: Expr
 
 
+# the lexemes that may follow an atom inside a longer expression
+_CONTINUES = frozenset("+-*/^(")
+
+
 class ExprParser:
-    """Recursive-descent parser over a token list.
+    """Recursive-descent parser over a list of lexemes (see
+    :func:`tokenize`) that ends with the empty lexeme.
 
     The same instance parses plain expressions, vectors and matrices;
-    scenario parsing drives it over per-statement token slices.
+    scenario parsing drives it over each statement's lexemes.  The parser
+    reads lexemes only: ``locate(index)`` gives the (line, column) of the
+    lexeme at ``index``, and is called only to raise a ParseError.
     """
 
-    def __init__(self, tokens: list[Token], pos: int = 0):
-        self.tokens = tokens
-        self.pos = pos
+    def __init__(self, lexemes: list[str], locate: Callable[[int], tuple[int, int]]):
+        self.lexemes = lexemes
+        self.pos = 0
+        self.locate = locate
+        self._leaves: dict = {}  # lexeme -> its Num or Coord; nodes are immutable
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def _leaf(self, lexeme: str) -> Expr:
+        """The Num of a number lexeme or the Coord of an identifier."""
+        node = self._leaves.get(lexeme)
+        if node is None:
+            node = Num(float(lexeme)) if lexeme[0] in _DIGITS else Coord(lexeme)
+            self._leaves[lexeme] = node
+        return node
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def error(self, message: str, index: int, expected: tuple = ()) -> ParseError:
+        return ParseError(message, *self.locate(index), expected=expected)
 
-    def expect(self, kind: str, expected_name: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.column,
-                expected=(expected_name,),
-            )
-        return self.advance()
+    def describe(self) -> str:
+        """The current token as error messages name it, as in ``RBRACKET ']'``."""
+        lexeme = self.lexemes[self.pos]
+        return f"{token_kind(lexeme)} {lexeme!r}"
+
+    def expect(self, lexeme: str, expected_name: str) -> None:
+        if self.lexemes[self.pos] != lexeme:
+            raise self.error(f"unexpected {self.describe()}", self.pos, (expected_name,))
+        self.pos += 1
+
+    def expect_ident(self, expected_name: str) -> str:
+        lexeme = self.lexemes[self.pos]
+        if token_kind(lexeme) != "IDENT":
+            raise self.error(f"unexpected {self.describe()}", self.pos, (expected_name,))
+        self.pos += 1
+        return lexeme
 
     # expression grammar ---------------------------------------------------
     # Each rule returns its node and the node's height (nodes on the longest
     # root-to-leaf path), so the height is bounded without another walk.
 
     def parse_expr(self) -> Expr:
-        start = self.peek()
+        start = self.pos
+        lexeme = self.lexemes[start]
+        if lexeme not in _KINDS and self.lexemes[start + 1] not in _CONTINUES:
+            # a lone number or coordinate, as the grammar below would parse it
+            self.pos += 1
+            return self._leaf(lexeme)
         node, height = self._sum(0)
         # the compile walk recurses once per level, and a + - * / chain is as
         # deep as it is long, so a whole expression's height is bounded too
         if height > _MAX_DEPTH:
-            raise ParseError(f"expression nests too deeply ({height} levels, at most "
-                             f"{_MAX_DEPTH})", start.line, start.column)
+            raise self.error(f"expression nests too deeply ({height} levels, at most "
+                             f"{_MAX_DEPTH})", start)
         return node
 
     def _sum(self, depth: int) -> tuple[Expr, int]:
         node, height = self._product(depth + 1)
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance().text
+        lexemes = self.lexemes
+        while (op := lexemes[self.pos]) == "+" or op == "-":
+            self.pos += 1
             right, right_height = self._product(depth + 1)
             node, height = BinOp(op, node, right), 1 + max(height, right_height)
         return node, height
 
     def _product(self, depth: int) -> tuple[Expr, int]:
         node, height = self._factor(depth + 1)
-        while self.peek().kind in ("STAR", "SLASH"):
-            op = self.advance().text
+        lexemes = self.lexemes
+        while (op := lexemes[self.pos]) == "*" or op == "/":
+            self.pos += 1
             right, right_height = self._factor(depth + 1)
             node, height = BinOp(op, node, right), 1 + max(height, right_height)
         return node, height
@@ -253,95 +316,88 @@ class ExprParser:
     def _factor(self, depth: int) -> tuple[Expr, int]:
         # every recursion of the grammar passes here, so this bounds nesting
         if depth > _MAX_DEPTH:
-            tok = self.peek()
-            raise ParseError("expression nests too deeply", tok.line, tok.column)
-        if self.peek().kind == "MINUS":
-            self.advance()
+            raise self.error("expression nests too deeply", self.pos)
+        if self.lexemes[self.pos] == "-":
+            self.pos += 1
             arg, height = self._factor(depth + 1)
             return Neg(arg), height + 1
         return self._power(depth + 1)
 
     def _power(self, depth: int) -> tuple[Expr, int]:
         node, height = self._atom(depth + 1)
-        if self.peek().kind == "CARET":
-            self.advance()
+        if self.lexemes[self.pos] == "^":
+            self.pos += 1
             return Pow(node, self._parse_exponent()), height + 1
         return node, height
 
     def _parse_exponent(self) -> int:
-        tok = self.peek()
-        if not _is_int_literal(tok):
-            raise ParseError(
-                f"exponent must be a nonnegative integer literal, got {tok.text!r}",
-                tok.line, tok.column, expected=("integer",),
-            )
-        self.advance()
-        value = int(tok.text)
-        if self.peek().kind == "CARET":
-            self.advance()
+        start = self.pos
+        lexeme = self.lexemes[start]
+        if not lexeme.isdigit():  # a scanned number with no '.' or exponent
+            raise self.error(f"exponent must be a nonnegative integer literal, got {lexeme!r}",
+                             start, ("integer",))
+        self.pos += 1
+        value = int(lexeme)
+        if self.lexemes[self.pos] == "^":
+            self.pos += 1
             upper = self._parse_exponent()
             if upper * math.log10(max(value, 2)) > 12:
-                raise ParseError("integer exponent tower too large", tok.line, tok.column)
+                raise self.error("integer exponent tower too large", start)
             value = value ** upper
         if value > _MAX_EXPONENT:
-            raise ParseError("integer exponent too large", tok.line, tok.column)
+            raise self.error("integer exponent too large", start)
         return value
 
     def _atom(self, depth: int) -> tuple[Expr, int]:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Num(float(tok.text)), 1
-        if tok.kind == "IDENT":
-            self.advance()
-            if self.peek().kind == "LPAREN":
-                self.advance()
+        lexeme = self.lexemes[self.pos]
+        if lexeme not in _KINDS:  # a number or an identifier
+            self.pos += 1
+            if self.lexemes[self.pos] == "(" and lexeme[0] not in _DIGITS:
+                self.pos += 1
                 arg, height = self._sum(depth + 1)
-                self.expect("RPAREN", "')'")
-                return Call(tok.text, arg), height + 1
-            return Coord(tok.text), 1
-        if tok.kind == "LPAREN":
-            self.advance()
+                self.expect(")", "')'")
+                return Call(lexeme, arg), height + 1
+            return self._leaf(lexeme), 1
+        if lexeme == "(":
+            self.pos += 1
             node = self._sum(depth + 1)
-            self.expect("RPAREN", "')'")
+            self.expect(")", "')'")
             return node
-        raise ParseError(
-            f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.column,
-            expected=("number", "identifier", "'('"),
-        )
+        raise self.error(f"unexpected {self.describe()}", self.pos,
+                         ("number", "identifier", "'('"))
 
     # aggregate values -----------------------------------------------------
 
     def parse_vector(self) -> tuple[Expr, ...]:
-        self.expect("LBRACKET", "'['")
+        self.expect("[", "'['")
         entries = [self.parse_expr()]
-        while self.peek().kind == "COMMA":
-            self.advance()
+        while self.lexemes[self.pos] == ",":
+            self.pos += 1
             entries.append(self.parse_expr())
-        self.expect("RBRACKET", "']'")
+        self.expect("]", "']'")
         return tuple(entries)
 
     def parse_matrix(self) -> tuple[tuple[Expr, ...], ...]:
-        open_tok = self.expect("LBRACKET", "'['")
+        start = self.pos
+        self.expect("[", "'['")
         rows = [self.parse_vector()]
-        while self.peek().kind == "COMMA":
-            self.advance()
+        while self.lexemes[self.pos] == ",":
+            self.pos += 1
             rows.append(self.parse_vector())
-        self.expect("RBRACKET", "']'")
+        self.expect("]", "']'")
         width = len(rows[0])
         for idx, row in enumerate(rows):
             if len(row) != width:
                 raise ValidationError(
-                    f"matrix starting at line {open_tok.line} is ragged: "
+                    f"matrix starting at line {self.locate(start)[0]} is ragged: "
                     f"row {idx + 1} has {len(row)} entries, expected {width}"
                 )
         return tuple(rows)
 
     def parse_value(self):
         """Expression, vector or matrix, dispatched on the leading brackets."""
-        if self.peek().kind == "LBRACKET":
-            after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else self.peek()
-            if after.kind == "LBRACKET":
+        if self.lexemes[self.pos] == "[":
+            if self.lexemes[self.pos + 1] == "[":
                 return self.parse_matrix()
             return self.parse_vector()
         return self.parse_expr()
@@ -349,14 +405,14 @@ class ExprParser:
 
 def parse_expression(text: str) -> Expr:
     """Parse a single expression; the whole string must be consumed."""
-    parser = ExprParser(tokenize(text))
+    lexemes = tokenize(text)
+    parser = ExprParser(lexemes, lambda index: token_positions(text)[index])
     node = parser.parse_expr()
-    while parser.peek().kind == "NEWLINE":
-        parser.advance()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing {tok.kind} {tok.text!r} after expression",
-                         tok.line, tok.column, expected=("end of input",))
+    while lexemes[parser.pos] == "\n":
+        parser.pos += 1
+    if lexemes[parser.pos] != "":
+        raise parser.error(f"trailing {parser.describe()} after expression", parser.pos,
+                           ("end of input",))
     return node
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import GroupAction, MomentumMap
-from .errors import (NonFiniteError, ParseError, UnknownIdentifierError, UnknownScenarioError,
-                     ValidationError)
-from .exprlang import Expr, ExprParser, Program, Token, compile_exprs, eval_expr, tokenize
+from .errors import NonFiniteError, UnknownIdentifierError, UnknownScenarioError, ValidationError
+from .exprlang import (Expr, ExprParser, Program, compile_exprs, eval_expr, token_positions,
+                       tokenize)
 from .geometry import RowMap, TensorField
 from .reduction import ReductionScenario, SampleSpec
 from .structures import build_compatible_triple
@@ -106,42 +106,59 @@ class ScenarioFile:
         return self.dim - 2 * self.group_dim
 
 
-def _statements(tokens: list[Token]):
-    """Split the token stream into per-statement slices, joining lines while
-    brackets are open so matrices can span lines."""
-    pos = 0
-    while tokens[pos].kind != "EOF":
-        if tokens[pos].kind == "NEWLINE":
-            pos += 1
-            continue
-        start = pos
-        depth = 0
-        body: list[Token] = []
-        while True:
-            tok = tokens[pos]
-            if tok.kind == "EOF":
-                break
-            if tok.kind == "NEWLINE":
-                pos += 1
-                if depth <= 0:
-                    break
-                continue
-            if tok.kind in ("LBRACKET", "LPAREN"):
-                depth += 1
-            elif tok.kind in ("RBRACKET", "RPAREN"):
-                depth -= 1
-            body.append(tok)
-            pos += 1
-        if body:
-            yield body, tokens[start]
+def _statements(lexemes: list[str]):
+    """Each statement of a scan's lexemes: its lexemes, ending with the
+    empty one, and its lines as (start, stop) index ranges of ``lexemes``.
+
+    A statement runs from a line that holds a token to the first line whose
+    end leaves no bracket open, or to the end of the text, so matrices can
+    span lines; the newlines inside it are dropped, and lines with no token
+    between statements are skipped.
+    """
+    end = len(lexemes) - 1  # the empty lexeme
+    body: list[str] = []
+    lines: list[tuple[int, int]] = []
+    depth = start = 0
+    while start <= end:
+        try:
+            stop = lexemes.index("\n", start, end)
+        except ValueError:
+            stop = end
+        line = lexemes[start:stop]
+        if line or lines:
+            body += line
+            lines.append((start, stop))
+            brackets = "".join(line)  # a bracket is a lexeme of its own
+            depth += brackets.count("[") + brackets.count("(") \
+                - brackets.count("]") - brackets.count(")")
+            if depth <= 0 or stop == end:
+                yield body + [""], lines
+                body, lines, depth = [], [], 0
+        start = stop + 1
+
+
+def _locator(text: str, lexemes: list[str], lines: list[tuple[int, int]]):
+    """``locate`` for ExprParser over one statement (see ``_statements``):
+    the position of its index-th lexeme in text, and for its closing empty
+    lexeme the position just after its last token."""
+    def locate(index: int) -> tuple[int, int]:
+        positions = token_positions(text)
+        for start, stop in lines:
+            if index < stop - start:
+                return positions[start + index]
+            index -= stop - start
+        last = max(stop for start, stop in lines if stop > start) - 1
+        line, column = positions[last]
+        return line, column + len(lexemes[last])
+
+    return locate
 
 
 def _parse_key(parser: ExprParser) -> str:
-    tok = parser.expect("IDENT", "key name")
-    parts = [tok.text]
-    while parser.peek().kind == "DOT":
-        parser.advance()
-        parts.append(parser.expect("IDENT", "key name").text)
+    parts = [parser.expect_ident("key name")]
+    while parser.lexemes[parser.pos] == ".":
+        parser.pos += 1
+        parts.append(parser.expect_ident("key name"))
     return ".".join(parts)
 
 
@@ -174,30 +191,27 @@ def parse_scenario(text: str) -> ScenarioFile:
     finite, ``abelian`` other than true, a negative ``sample.seed`` or a
     ``sample.radius`` that is not positive).
     """
-    tokens = tokenize(text)
+    lexemes = tokenize(text)
     raw: dict[str, object] = {}
-    for body, head in _statements(tokens):
-        last = body[-1]
-        eof = Token("EOF", "", last.line, last.column + len(last.text))
-        parser = ExprParser(body + [eof])
+    for body, lines in _statements(lexemes):
+        locate = _locator(text, lexemes, lines)
+        parser = ExprParser(body, locate)
         key = _parse_key(parser)
         key = _KEY_ALIASES.get(key, key)
-        parser.expect("EQUALS", "'='")
+        parser.expect("=", "'='")
         if key in ("name", "abelian"):
-            tok = parser.expect("IDENT", "bare word")
-            value: object = tok.text
+            value: object = parser.expect_ident("bare word")
         else:
             # parse before validating the key so malformed values (unclosed
             # brackets and the like) surface as ParseError with a position
             value = parser.parse_value()
-        tok = parser.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"trailing {tok.kind} {tok.text!r} after value of {key!r}",
-                             tok.line, tok.column, expected=("end of line",))
+        if body[parser.pos] != "":
+            raise parser.error(f"trailing {parser.describe()} after value of {key!r}",
+                               parser.pos, ("end of line",))
         if not (key in _KNOWN_KEYS or key.startswith(_TOL_PREFIX)):
-            raise ValidationError(f"unknown key {key!r} at line {head.line}")
+            raise ValidationError(f"unknown key {key!r} at line {locate(0)[0]}")
         if key in raw:
-            raise ValidationError(f"duplicate key {key!r} at line {head.line}")
+            raise ValidationError(f"duplicate key {key!r} at line {locate(0)[0]}")
         raw[key] = value
 
     for required in ("name", "dim", "omega", "metric", "flow", "mu", "beta", "section"):

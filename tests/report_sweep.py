@@ -14,13 +14,17 @@ points), and on hopf at 20 samples with the main-theorem, the reduction and
 the action suite alone (the lift frames are batched differently when no
 fibre frames are asked for), each in JSON and in text.  Each
 tree runs the whole sweep in one worker process with its ``src`` first on
-the import path.  The JSON reports are compared without ``timestamp`` and
-without any key named by ``--ignore``, and the text reports, exit codes
-and stderr as they are.  The script prints one line per differing case,
-and under a differing JSON report every value that changed, as a path
-through the report (a list entry with a ``name`` is named by it) with
-before -> after, then the largest |delta| over the numbers that are not
-point coordinates.  The last lines say how many runs are identical and
+the import path.  Every report is compared as the text ``verify`` prints:
+a JSON report without the line of its ``timestamp`` and without the lines
+of any key named by ``--ignore`` (a key whose value is a list or an object
+loses all of its lines), so a change of spacing, key order, number format
+or escaping shows.  Exit codes and stderr are compared as they are.  The
+script prints one line per differing case, and under a differing JSON
+report every value that changed, as a path through the report (a list
+entry with a ``name`` is named by it) with before -> after, then the
+largest |delta| over the numbers that are not point coordinates; a JSON
+report whose text differs with no value changed is said to differ in
+layout.  The last lines say how many runs are identical and
 whether any verdict changed: an exit code, a PASS/FAIL row of a text
 report, or a ``passed``, ``branch`` or ``hypothesis_ok`` value of a JSON
 report.  It exits 2 if any verdict changed, else 1 if any run differs.
@@ -90,13 +94,33 @@ def _drop(obj, keys: set):
     return obj
 
 
+def without_keys(text: str, keys: set) -> str:
+    """A JSON report's text without the lines of every key in ``keys``: the
+    key's own line and, if its value is a list or an object, every line up
+    to the one closing it at the key's indent (the report puts each key and
+    each list entry on a line of its own)."""
+    kept, closing = [], None
+    for line in text.splitlines():
+        if closing is not None:
+            if line.rstrip(",") == closing:
+                closing = None
+            continue
+        body = line.lstrip(" ")
+        key = body[1:body.index('": ')] if body.startswith('"') and '": ' in body else None
+        if key in keys:
+            if body.endswith(("[", "{")):
+                closing = line[:len(line) - len(body)] + ("]" if body.endswith("[") else "}")
+            continue
+        kept.append(line)
+    return "\n".join(kept)
+
+
 def comparable(argv: list[str], result: dict, ignore: set) -> dict:
-    """The result with the JSON report's timestamp and ignored keys removed."""
+    """The result with the lines of the JSON report's timestamp and of the
+    ignored keys removed."""
     out = dict(result)
     if "json" in argv and result["stdout"]:
-        report = json.loads(result["stdout"])
-        report["meta"].pop("timestamp", None)
-        out["stdout"] = json.dumps(_drop(report, ignore))
+        out["stdout"] = without_keys(result["stdout"], {"timestamp", *ignore})
     return out
 
 
@@ -136,11 +160,16 @@ def verdict_changed(argv: list[str], old: dict, new: dict) -> bool:
                changed_values(json.loads(old["stdout"]), json.loads(new["stdout"])))
 
 
-def print_changes(old: str, new: str) -> None:
-    """Every changed value of two JSON reports, and the largest |delta| of a
-    number that is not a point coordinate."""
+def print_changes(old: str, new: str, ignore: set) -> None:
+    """Every changed value of two JSON reports but the timestamp and the
+    ignored keys, and the largest |delta| of a number that is not a point
+    coordinate."""
     worst, worst_path = 0.0, None
-    for path, before, after in changed_values(json.loads(old), json.loads(new)):
+    keys = {"timestamp", *ignore}
+    changes = list(changed_values(_drop(json.loads(old), keys), _drop(json.loads(new), keys)))
+    if not changes:
+        print("    no value changed: the JSON text differs in layout")
+    for path, before, after in changes:
         print(f"    {path}: {before!r} -> {after!r}")
         if _is_number(before) and _is_number(after) and not POINT.search(path) \
                 and abs(after - before) >= worst:
@@ -181,13 +210,13 @@ def main(argv=None) -> int:
     differing = verdicts = 0
     for argv, old, new in zip(cases, parent, change):
         verdicts += verdict_changed(argv, old, new)
-        old, new = comparable(argv, old, ignore), comparable(argv, new, ignore)
-        fields = [key for key in ("code", "stdout", "stderr") if old[key] != new[key]]
+        seen_old, seen_new = comparable(argv, old, ignore), comparable(argv, new, ignore)
+        fields = [key for key in ("code", "stdout", "stderr") if seen_old[key] != seen_new[key]]
         if fields:
             differing += 1
             print(f"DIFFERS ({', '.join(fields)}): symred {' '.join(argv)}")
             if "json" in argv and "stdout" in fields and old["stdout"] and new["stdout"]:
-                print_changes(old["stdout"], new["stdout"])
+                print_changes(old["stdout"], new["stdout"], ignore)
     print(f"{len(cases) - differing} of {len(cases)} runs identical")
     print(f"verdicts changed in {verdicts} of {len(cases)} runs" if verdicts
           else "no verdict changed")

@@ -94,6 +94,18 @@ def test_generator_rejects_flow_changing_dimension():
         generator(widening, 0, ChartPoint([0.0, 0.0]))
 
 
+def test_per_row_flow_on_no_points_keeps_the_chart_width():
+    # a per-row flow has no row to read the width of the moved points from
+    shift = GroupAction(1, lambda a, p: p.coords + a[0])
+    none = np.zeros((0, 2))
+    assert apply_flow(shift, [0.3], none).shape == (0, 2)
+    assert generator(shift, 0, none).shape == (0, 2)
+    assert generator_vector(shift, [1.0], none).shape == (0, 2)
+    # the compiled flow of a scenario gives the same shapes
+    assert apply_flow(HOPF.action, [0.3], np.zeros((0, 4))).shape == (0, 4)
+    assert generator(HOPF.action, 0, np.zeros((0, 4))).shape == (0, 4)
+
+
 def test_action_axioms_check():
     assert check_action_axioms(HOPF.action, ANGLES, POINTS_4D).passed
     assert check_action_axioms(ROTATION, ANGLES, POINTS_2D).passed

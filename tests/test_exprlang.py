@@ -23,6 +23,8 @@ from symred.exprlang import (
     eval_expr,
     format_expr,
     parse_expression,
+    token_kind,
+    token_positions,
     tokenize,
 )
 
@@ -85,6 +87,14 @@ def _scan_outcome(scan, text):
         return str(exc), exc.line, exc.column
 
 
+def _tokens(text):
+    """tokenize's lexemes with their kinds and their positions, as the
+    reference scanner lists tokens."""
+    lexemes = tokenize(text)
+    return [(token_kind(lexeme), lexeme, *position)
+            for lexeme, position in zip(lexemes, token_positions(text), strict=True)]
+
+
 def test_tokenize_matches_the_character_scanner():
     # the one regular expression against the character-by-character scanner
     # it replaced, on every built-in's text and on random strings of
@@ -99,10 +109,23 @@ def test_tokenize_matches_the_character_scanner():
     raised = 0
     for text in texts:
         want = _scan_outcome(reference_tokenize, text)
-        assert _scan_outcome(tokenize, text) == want, repr(text)
+        assert _scan_outcome(_tokens, text) == want, repr(text)
         raised += isinstance(want, tuple)
     # both tokens and errors are exercised
     assert 500 < raised < len(texts) - 500
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(" * 500 + "1" + ")" * 500, "expression nests too deeply at line 1, column 41"),
+    ("1 +\n 2 )", "unexpected NEWLINE '\\n' at line 1, column 4 "
+                  "(expected '(' or identifier or number)"),
+    ("  x1 *  # c\n", "unexpected NEWLINE '\\n' at line 1, column 12 "
+                      "(expected '(' or identifier or number)"),
+])
+def test_parse_error_texts_and_positions(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_expression(text)
+    assert str(excinfo.value) == message
 
 
 def test_integer_exponent_required():

@@ -62,6 +62,42 @@ def test_parse_error_unclosed_bracket():
     assert excinfo.value.line == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dim = 4\n2 = 3", "unexpected NUMBER '2' at line 2, column 1 (expected key name)"),
+    ("tol.3 = 1", "unexpected NUMBER '3' at line 1, column 5 (expected key name)"),
+    ("name = 5", "unexpected NUMBER '5' at line 1, column 8 (expected bare word)"),
+    ("name = hopf\nabelian = 1e5",
+     "unexpected NUMBER '1e5' at line 2, column 11 (expected bare word)"),
+])
+def test_a_number_is_no_key_or_bare_word(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_scenario(text)
+    assert str(excinfo.value) == message
+
+
+_HOPF = builtin_text("hopf")
+
+
+@pytest.mark.parametrize("text, message", [
+    (_HOPF.replace("mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]",
+                   "mu = [" + " + ".join(["x1"] * 201) + "]"),
+     "expression nests too deeply (201 levels, at most 200) at line 16, column 7"),
+    (_HOPF.replace("beta = [0.5]", "beta = [" + "(" * 300 + "1" + ")" * 300 + "]"),
+     "expression nests too deeply at line 17, column 49"),
+    ("omega = [[0, 1],\n\n   [-1 0]]",
+     "unexpected NUMBER '0' at line 3, column 8 (expected ']')"),
+    ("name = x\nomega = [[0, 1],\n   [-1, 0]  # open\n",
+     "unexpected EOF '' at line 3, column 11 (expected ']')"),
+    ("dim = 4 5\n",
+     "trailing NUMBER '5' after value of 'dim' at line 1, column 9 (expected end of line)"),
+])
+def test_parse_error_positions_in_long_and_multiline_statements(text, message):
+    # the texts and positions of the token-object parser the lexeme parser replaced
+    with pytest.raises(ParseError) as excinfo:
+        parse_scenario(text)
+    assert str(excinfo.value) == message
+
+
 def test_metric_alias_and_multiline_matrices():
     text = MINIMAL.replace("metric = [[1, 0], [0, 1]]",
                            "g = [[1, 0],\n     [0, 1]]")

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 
 from symred.errors import NonFiniteError, ParseError, ValidationError
-from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow, Token
+from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow
 from symred.geometry import FD_STEP, ChartPoint
 
 
@@ -197,8 +197,8 @@ def _is_ascii_digit(ch):
 def reference_tokenize(text):
     """Character-by-character scanner: the reference for exprlang.tokenize.
 
-    Same tokens (kind, text, line, column) and the same ParseError text and
-    position, one Python loop step per character.
+    The tokens as (kind, text, line, column) tuples, and the same ParseError
+    text and position, one Python loop step per character.
     """
     tokens = []
     line, col = 1, 1
@@ -206,7 +206,7 @@ def reference_tokenize(text):
     while i < n:
         ch = text[i]
         if ch == "\n":
-            tokens.append(Token("NEWLINE", "\n", line, col))
+            tokens.append(("NEWLINE", "\n", line, col))
             i += 1
             line += 1
             col = 1
@@ -240,7 +240,7 @@ def reference_tokenize(text):
             col = start_col + len(lexeme)
             if not math.isfinite(float(lexeme)):
                 raise ParseError(f"number literal {lexeme!r} overflows", line, start_col)
-            tokens.append(Token("NUMBER", lexeme, line, start_col))
+            tokens.append(("NUMBER", lexeme, line, start_col))
             continue
         if ch.isalpha() or ch == "_":
             start, start_col = i, col
@@ -248,15 +248,15 @@ def reference_tokenize(text):
                 i += 1
             lexeme = text[start:i]
             col = start_col + len(lexeme)
-            tokens.append(Token("IDENT", lexeme, line, start_col))
+            tokens.append(("IDENT", lexeme, line, start_col))
             continue
         kind = _REFERENCE_SINGLE.get(ch)
         if kind is None:
             raise ParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append(Token(kind, ch, line, col))
+        tokens.append((kind, ch, line, col))
         i += 1
         col += 1
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(("EOF", "", line, col))
     return tokens
 
 
