@@ -474,9 +474,11 @@ def _elementwise(name: str, ufunc, *args):
             y = float(y)
             finite = math.isfinite(y)
         if not finite:
-            if (np.isnan(y) & ~np.isnan(x)).any():
-                if name == "sqrt":
-                    raise NonFiniteError(f"sqrt of negative value {x}")
+            domain = np.isnan(y) & ~np.isnan(x)
+            if domain.any():
+                if name == "sqrt":  # the first offending entry, as on its float
+                    raise NonFiniteError(
+                        f"sqrt of negative value {float(np.ravel(x)[np.argmax(domain)])}")
                 raise ValueError("math domain error")
             if (np.isinf(y) & np.isfinite(x)).any():
                 raise NonFiniteError(f"{name} overflows")
@@ -531,36 +533,27 @@ class Program:
 
         ``values`` is one point, a float per name, or a batch of points, a
         float64 column per name, all of one length; on a batch a slot is a
-        column, or a Python number if it reads no coordinate.  A batch that
-        raises is run again one point at a time, so its first failing point
-        raises the error it raises alone.
+        column, or a Python number if it reads no coordinate.  A batch
+        raises the error of its first failing operation, the same text as
+        on the float of the column's first offending entry; the first
+        failing point's own error comes from running the points alone
+        (``geometry._replayed``).
         """
+        self.check_width(len(values))
+        v = [*values, *self.template]
         with np.errstate(all="ignore"):
-            if not (len(values) and type(values[0]) is _COLUMN):
-                return self._execute(values)
-            try:
-                return self._execute(values)
-            except _EVAL_ERRORS as exc:
-                error = exc  # raised only if no point raises its own
-            for point in zip(*[column.tolist() for column in values]):
-                self._execute(point)
-        raise error
+            for op, args, out in self.code:
+                # unpacking the arguments with * would cost more than the op
+                if len(args) == 2:
+                    v[out] = op(v[args[0]], v[args[1]])
+                else:
+                    v[out] = op(v[args[0]])
+        return v
 
     def check_width(self, count: int) -> None:
         """Raise ValueError unless ``count`` is the number of names."""
         if count != self.width:
             raise ValueError(f"expected {self.width} values, got {count}")
-
-    def _execute(self, values) -> list:
-        self.check_width(len(values))
-        v = [*values, *self.template]
-        for op, args, out in self.code:
-            # unpacking the arguments with * would cost more than the op
-            if len(args) == 2:
-                v[out] = op(v[args[0]], v[args[1]])
-            else:
-                v[out] = op(v[args[0]])
-        return v
 
 
 def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
@@ -575,13 +568,15 @@ def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
     equal subtrees one slot, literals being told apart by their exact repr
     (0.0 and -0.0 are equal as floats).  Running the program does the float
     operations of walking each entry's tree in turn, in the same order,
-    except that a shared subtree is computed once and a folded one never.
+    but computes a shared subtree once and a folded one never.
     Evaluation is pure and each operation is one kernel (see the module
     docstring), so the values are the bits of tree walks calling the same
-    kernels, and the first error raised is theirs: division by zero, square
-    roots of negative numbers and overflowing powers or functions raise
-    NonFiniteError, sin or cos of an infinity ValueError, and an
-    overflowing product or sum is a silent inf, on a batch as on floats.
+    kernels, and on one point the first error raised is theirs: division
+    by zero, square roots of negative numbers and overflowing powers or
+    functions raise NonFiniteError, sin or cos of an infinity ValueError,
+    and an overflowing product or sum is a silent inf, on a batch as on
+    floats (a batch raises its first failing operation's error, see
+    :meth:`Program.run`).
     """
     names = tuple(names)
     width = len(names)

@@ -38,9 +38,10 @@ wrapped into one where it enters the package (``as_row_map``) and called
 once per row with a ChartPoint.  A compiled scenario map runs its program
 once per batch, on the coordinate columns, each operation one numpy kernel
 (``exprlang``), so each row has the bits of running it on that row alone.
-A batch that meets an error or a non-finite value is evaluated again one
-row at a time through the map's own ``rows`` (``_evaluate_rows``), so the
-first failing row raises what it raises alone.
+One function, ``_replayed``, reruns a failed batch: a map's rows
+(``_evaluate_rows``), a check's residuals and a pipeline's frames that
+raise anything run again one row at a time, so the first failing row
+raises what it raises alone.
 
 Evaluation stays cheap on success: ``eval_field`` formats a point into its
 error message only when a value is non-finite.
@@ -56,7 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, NonFiniteError, NotSPDError, SymredError
+from .errors import DegenerateInputError, NonFiniteError, NotSPDError
 
 __all__ = [
     "ChartPoint",
@@ -186,17 +187,8 @@ class RowMap:
 
     @staticmethod
     def per_row(value: Callable[[np.ndarray], object]) -> "RowMap":
-        """The RowMap calling ``value`` on each row in order; a non-finite
-        value ends the batch, so no later row can raise first."""
-        def rows(X: np.ndarray) -> np.ndarray:
-            out = []
-            for x in X:
-                out.append(as_coords(value(x)))
-                if not np.isfinite(out[-1]).all():
-                    break
-            return np.array(out, dtype=float)
-
-        return RowMap(rows)
+        """The RowMap calling ``value`` on each row in order."""
+        return RowMap(lambda X: np.array([as_coords(value(x)) for x in X], dtype=float))
 
 
 def as_row_map(f) -> RowMap:
@@ -317,20 +309,13 @@ def _differences(values: np.ndarray, count: int, h: float = FD_STEP) -> np.ndarr
 def _evaluate_rows(f: RowMap, points: np.ndarray, check: Callable) -> np.ndarray:
     """The values of a map at every row of ``points`` from one ``rows``
     call, as ``check(values, points)`` returns them; ``check`` raises for
-    values it refuses.
+    values it refuses.  A failing batch runs again row by row
+    (``_replayed``); no points still run ``rows``, which gives a compiled
+    map's width."""
+    def values(X, rows):
+        return check(f.rows(_require_finite(X, "chart point")), X)
 
-    A batch that meets a non-finite point or raises a toolkit error or a
-    ValueError runs again one row at a time, each row through the map's own
-    ``rows`` and the same checks, so the first failing row raises what it
-    raises alone; should no row fail alone, the batch's error stands.
-    """
-    try:
-        return check(f.rows(_require_finite(points, "chart point")), points)
-    except (SymredError, ValueError):
-        for i in range(len(points)):
-            row = _require_finite(points[i:i + 1], "chart point")
-            check(f.rows(row), row)
-        raise
+    return _replayed(values, points) if len(points) else values(points, None)
 
 
 def _finite(what: str) -> Callable:
@@ -498,18 +483,20 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt((V[..., np.newaxis, :] @ V[..., np.newaxis])[..., 0, 0])
 
 
-def _replayed(residuals: Callable, X: np.ndarray) -> np.ndarray:
-    """``residuals(X, rows)``, the values at the rows ``rows`` (a slice) of
-    the (N, n) array X, run once on all rows.  Should that raise, it runs
-    again one row at a time, so the first failing row raises what it raises
-    alone.  An empty X has no values."""
+def _replayed(fn: Callable, X: np.ndarray) -> np.ndarray:
+    """``fn(X, rows)``, the values at the rows ``rows`` (a slice) of the
+    (N, n) array X, run once on all rows: the one place that reruns a
+    failed batch.  Should the batch raise anything, ``fn`` runs again one
+    row at a time, so the first failing row raises what it raises alone;
+    should no row fail alone, the batch's error stands.  An empty X has no
+    values."""
     if not len(X):
         return np.zeros(0)
     try:
-        return residuals(X, slice(None))
+        return fn(X, slice(None))
     except Exception:  # whatever the batch raised, the first failing row raises again
         for i in range(len(X)):
-            residuals(X[i:i + 1], slice(i, i + 1))
+            fn(X[i:i + 1], slice(i, i + 1))
         raise
 
 

@@ -4,7 +4,9 @@ charted almost complex manifolds.
 Coordinates are interleaved (x1, y1, ..., xn, yn), matching the standard
 identification of complex n-space with real 2n-space.  Residuals are
 reported for every row of an (N, 2n) array of points at once; one point is
-a stack of one (``geometry.takes_points``), its residual a float.
+a stack of one (``geometry.takes_points``), its residual a float.  A stack
+that raises runs again point by point (``geometry._replayed``), so the
+first failing point raises its own error.
 """
 
 from __future__ import annotations
@@ -76,8 +78,7 @@ def almost_complex_residual(cm: ChartedMap, X):
     at every row p of the (N, 2n) array X.
 
     The (N,) residuals come from one stacked Jacobian and one evaluation of
-    each structure, each residual the bits of the call on its point alone,
-    replayed point by point should the batch raise (``_replayed``).
+    each structure, each residual the bits of the call on its point alone.
     """
     def residuals(X, rows):
         D = fd_jacobian(cm.chart_map, X)

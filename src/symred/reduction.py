@@ -14,17 +14,19 @@ can build once and pass to all of them.
 Frames are stacks: ``split_tangent`` splits an (N, n) array of points at
 once, ``reduced_structures`` reduces an (N, q) array of quotient points,
 and ``lift_frames`` builds every frame of a verification, the base frames
-and the moved frames of every fibre parameter, in one batch on its first
-lookup.  One point is a stack of one (``geometry.takes_points``), whose
-result is the split or the reduced structures at that point.  Every frame
-is the bits of building it alone.  The pipelines run on these stacks with
-stacked products and no loop over points: a vector that the per-point
-formula takes alone (a lift, a generator, a sampled tangent pair) is its
-own (n, 1) slice of the product, so each value that needs no solve is the
-bits of computing it point by point.  A pipeline whose stack raises runs again as
-stacks of one, so an error surfaces where, and as, it would point by point.
+and the moved frames of every fibre parameter, in one batch on the first
+lookup of all rows.  One point is a stack of one
+(``geometry.takes_points``), whose result is the split or the reduced
+structures at that point.  Every frame is the bits of building it alone.
+The pipelines run on these stacks with stacked products and no loop over
+points: a vector that the per-point formula takes alone (a lift, a
+generator, a sampled tangent pair) is its own (n, 1) slice of the
+product, so each value that needs no solve is the bits of computing it
+point by point.  A pipeline whose stack raises runs
+again as stacks of one (``geometry._replayed``), each point's frames built
+alone, so an error surfaces where, and as, it would point by point.
 
-The quotient has no chart of its own except through the local section, so
+The quotient has no chart of its own other than through the local section, so
 the projection differential is never formed globally.  The lifts are
 L = H A with A = H^T G d sigma and H g-orthonormal, so with C = H^T G L a
 tangent vector u of the level set has d pi(u) = C^-1 H^T G u: every d pi
@@ -347,13 +349,13 @@ class _FrameTable:
     """``frames[rows]``, for a slice or an index, is the stack of the lift
     frames at those quotient points, and ``frames.moved(rows)`` that of their
     frames through Phi_a o sigma for each fibre parameter a, parameter outer.
-    The first lookup builds both in one batch.  Should that raise, every
-    lookup builds its frames alone, so a caller going through the rows in its
-    order meets each row's own error, and a lookup of all rows raises again."""
+    A lookup of all rows (``frames[:]``) builds both in one batch and keeps
+    it.  A lookup of fewer rows before that builds its frames alone, so the
+    replay of a failed batch (``_replayed``) meets each row's own error."""
 
     def __init__(self, scen: ReductionScenario, X: np.ndarray, fiber_params):
         self._scen, self._X, self.fiber_params = scen, X, fiber_params
-        self._all, self._failed = None, False
+        self._all = None
 
     def __getitem__(self, rows) -> _LiftFrames:
         return self._lookup(rows, False)
@@ -364,13 +366,10 @@ class _FrameTable:
     def _lookup(self, rows, moved: bool) -> _LiftFrames:
         if not isinstance(rows, slice):
             rows = slice(rows, rows + 1 or None)
-        if self._all is None and not self._failed:
-            try:
-                self._all = _lift_frames(self._scen, self._X, self.fiber_params)
-            except Exception:  # whatever the batch raised, the rows raise again alone
-                self._failed = True
         frames, X, prm = self._all, self._X, self.fiber_params
-        if frames is None:  # the rows alone, with their moved frames if asked for
+        if frames is None and rows == slice(None):
+            frames = self._all = _lift_frames(self._scen, X, prm)
+        elif frames is None:  # the rows alone, with their moved frames if asked for
             X, rows = X[rows], slice(None)
             frames = _lift_frames(self._scen, X, prm if moved else prm[:0])
         index = np.arange(len(X))[rows]
@@ -382,7 +381,8 @@ class _FrameTable:
 def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable:
     """The table of the lift frames at ``points`` through the scenario's own
     section and through Phi_a o sigma for each fibre parameter a (as
-    ``verify_submersion`` takes them), built when first looked up.  Passed as
+    ``verify_submersion`` takes them), built when all rows are first looked
+    up (``_FrameTable``).  Passed as
     ``frames=`` to the verify_* pipelines over the same points, one frame per
     point serves all of them; ``verify_submersion`` reuses the table only if
     it was built with the same fibre parameters, and else builds its own."""

@@ -133,8 +133,9 @@ def euclidean_metric(dim: int) -> TensorField:
 def _sampled(name, identity, residuals, points, tol) -> StructureCheckResult:
     """One sampled check over ``points`` (``as_points``): ``residuals(X,
     rows)`` returns the residual at each row of X, the rows ``rows`` (a
-    slice) of the (N, n) array of the points, from stacked evaluations,
-    replayed point by point should the batch raise (``_replayed``)."""
+    slice) of the (N, n) array of the points, from stacked evaluations; a
+    batch that raises runs again point by point (``_replayed``), so the
+    first failing point raises its own error."""
     X = as_points(points)
     return StructureCheckResult.from_samples(name, _replayed(residuals, X), X, tol, identity)
 

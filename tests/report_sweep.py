@@ -10,9 +10,15 @@ file) at 20 samples with seeds 5, 44, 55 and 61, on hopf without its acs
 line (from a scenario file written beside it, so J comes from
 build_compatible_triple) at 20 samples with seeds 0-3, on every built-in
 with no flags (its own sample spec: seed, count and any explicit quotient
-points), and on hopf at 20 samples with the main-theorem, the reduction and
+points), on hopf at 20 samples with the main-theorem, the reduction and
 the action suite alone (the lift frames are batched differently when no
-fibre frames are asked for), each in JSON and in text.  Each
+fibre frames are asked for), and on four hopf variants that fail at one
+sample point (``FAILING``: the section off the level set at a middle
+sample, generators degenerate at one sample, a division by zero at one
+stencil row of the section, and the metric entry ``sqrt(1.9 - x1)``),
+each with the structures, the action and the reduction and main-theorem
+suites, so that the exit codes and error texts of failing runs are
+compared too; each run in JSON and in text.  Each
 tree runs the whole sweep in one worker process with its ``src`` first on
 the import path.  Every report is compared as the text ``verify`` prints:
 a JSON report without the line of its ``timestamp`` and without the lines
@@ -50,7 +56,44 @@ NUMBER = re.compile(r"[-+]?\d+\.\d+e[-+]\d+")
 POINT = re.compile(r"\.(worst_point|points?)\[")  # coordinates, not residuals
 
 
-def sweep_cases(r2n_path: str, no_acs_path: str) -> list[list[str]]:
+_POINTS = "sample.points = [[0.6, 0.3], [0.1, -0.7], [0.5, 0.2], [0.7, -0.6], [-0.3, -0.8]]"
+_SECTION = "[1/sqrt(1 + w1^2 + w2^2),"
+
+# hopf variants that fail at one sample point: file stem -> (text in the
+# hopf scenario, its replacement, a line of sample points or "")
+FAILING = {
+    "off_level": (_SECTION, "[(1 + 0.01*exp(-1000*((w1 - 0.5)^2 + (w2 - 0.2)^2)))"
+                            "/sqrt(1 + w1^2 + w2^2),", _POINTS),
+    "degenerate": ("t1)", "t1*(x3^2 + x4^2))",
+                   "sample.points = [[0.6, 0.3], [0.1, -0.7], [0, 0], [0.7, -0.6]]"),
+    "stencil": (_SECTION, "[1/sqrt(1 + w1^2 + w2^2) + 0/(w1 - 0.50001),", _POINTS),
+    "sqrt_metric": ("metric = [[1,", "metric = [[sqrt(1.9 - x1),", ""),
+}
+FAILING_SUITES = ("structures", "action", "reduction,main-theorem")
+
+
+def write_scenarios(tmp: str) -> tuple[str, str, list[str]]:
+    """Write the scenario files of the sweep into ``tmp``: euclidean_r2n at
+    8 planes, hopf without its acs line, and the FAILING variants of hopf;
+    return their paths."""
+    from symred.scenarios import builtin_text
+
+    hopf = builtin_text("hopf")
+    texts = {"euclidean_r2n_8": builtin_text("euclidean_r2n", 8),
+             "hopf_no_acs": "\n".join(line for line in hopf.splitlines()
+                                      if not line.startswith("acs"))}
+    for stem, (old, new, points) in FAILING.items():
+        assert old in hopf, stem
+        texts[stem] = hopf.replace(old, new) + "\n" + points + "\n"
+    paths = []
+    for stem, text in texts.items():
+        paths.append(os.path.join(tmp, f"{stem}.scen"))
+        with open(paths[-1], "w", encoding="utf-8") as handle:
+            handle.write(text)
+    return paths[0], paths[1], paths[2:]
+
+
+def sweep_cases(r2n_path: str, no_acs_path: str, failing_paths: list[str]) -> list[list[str]]:
     """The argv of every verify run of the sweep, JSON and text."""
     from symred.scenarios import builtin_names
 
@@ -63,6 +106,7 @@ def sweep_cases(r2n_path: str, no_acs_path: str) -> list[list[str]]:
     runs += [[name] for name in builtin_names()]  # the scenario's own sample spec
     runs += [["hopf", "--samples", "20", "--suites", suite]
              for suite in ("main-theorem", "reduction", "action")]
+    runs += [[path, "--suites", suite] for path in failing_paths for suite in FAILING_SUITES]
     return [["verify", *run, "--format", fmt] for run in runs for fmt in ("json", "text")]
 
 
@@ -192,17 +236,8 @@ def main(argv=None) -> int:
         parser.error("PARENT_SRC is required")
 
     sys.path.insert(0, str(SRC))
-    from symred.scenarios import builtin_text
-
     with tempfile.TemporaryDirectory() as tmp:
-        r2n_path = os.path.join(tmp, "euclidean_r2n_8.scen")
-        with open(r2n_path, "w", encoding="utf-8") as handle:
-            handle.write(builtin_text("euclidean_r2n", 8))
-        no_acs_path = os.path.join(tmp, "hopf_no_acs.scen")
-        with open(no_acs_path, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(line for line in builtin_text("hopf").splitlines()
-                                   if not line.startswith("acs")))
-        cases = sweep_cases(r2n_path, no_acs_path)
+        cases = sweep_cases(*write_scenarios(tmp))
         parent = run_tree(Path(args.parent_src).resolve(), cases)
         change = run_tree(SRC, cases)
 

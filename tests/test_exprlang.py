@@ -28,7 +28,8 @@ from symred.exprlang import (
     tokenize,
 )
 
-from symred.scenarios import builtin_names, builtin_text, parse_scenario
+from symred.geometry import _evaluate_rows
+from symred.scenarios import _row_map, builtin_names, builtin_text, parse_scenario
 
 from util import random_expr, reference_eval_expr, reference_tokenize
 
@@ -376,10 +377,24 @@ def test_batch_matches_reference_bit_for_bit():
     assert 0 < raised < 400
 
 
+def _map_outcome(exprs, rows):
+    """As ``_batch_outcome``, for the compiled map of ``exprs``: one batch
+    of its rows through ``_evaluate_rows``, which reruns a failing batch
+    one row at a time on floats, so the first failing row raises."""
+    values_map = _row_map(compile_exprs(exprs, _NAMES), (len(exprs),))
+    try:
+        values = _evaluate_rows(values_map, np.array(rows), lambda values, X: values)
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        return type(exc), str(exc)
+    assert values.dtype == np.float64 and values.shape == (len(rows), len(exprs))
+    return [[struct.pack("<d", v) for v in row] for row in values.tolist()]
+
+
 def test_batch_raises_the_first_failing_rows_error():
     # every field divides by zero in one row and takes the square root of
     # -1 in another; whichever row comes first raises, whatever the entry
-    # order, unless the random AST fails earlier
+    # order, unless the random AST fails earlier.  A Program batch raises
+    # its first failing operation's error; the compiled map replays the rows
     rng = np.random.default_rng(2024)
     asts = [random_expr(rng) for _ in range(400)]
     rows_rng = np.random.default_rng(11)
@@ -393,7 +408,7 @@ def test_batch_raises_the_first_failing_rows_error():
         exprs = [ast, BinOp("/", ast, BinOp("-", x1, Num(4.0))),
                  BinOp("+", Call("sqrt", BinOp("+", x2, Num(4.0))), ast)]
         want = _rows_outcome(exprs, rows)
-        assert _batch_outcome(compile_exprs(exprs, _NAMES), rows) == want, format_expr(ast)
+        assert _map_outcome(exprs, rows) == want, format_expr(ast)
         first_errors[want] += 1
     assert first_errors[(NonFiniteError, "division by zero")] > 100
     assert first_errors[(NonFiniteError, "sqrt of negative value -1.0")] > 100
@@ -405,8 +420,7 @@ def test_batch_with_shared_subtrees_matches_reference():
     for values, exprs in _planted_fields():
         rows = [values, *rows_rng.uniform(-3.0, 3.0, size=(_BATCH - 1, len(_NAMES))).tolist()]
         want = _rows_outcome(exprs, rows)
-        assert _batch_outcome(compile_exprs(exprs, _NAMES), rows) == want, \
-            [format_expr(e) for e in exprs]
+        assert _map_outcome(exprs, rows) == want, [format_expr(e) for e in exprs]
         raised += isinstance(want, tuple)
         fields += 1
     assert 0 < raised < fields

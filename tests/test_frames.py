@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from symred import cli
+from symred import cli, reduction
 from symred.actions import (
     GroupAction,
     _flow_map,
@@ -245,10 +245,14 @@ def _assert_parity(path, scen, capsys):
     return base_error, error
 
 
+# the section bumped off the level set at the third sample point, (0.5, 0.2)
+_OFF_LEVEL_SECTION = _HOPF_SECTION.replace(
+    "[1/sqrt(1 + w1^2 + w2^2),",
+    "[(1 + 0.01*exp(-1000*((w1 - 0.5)^2 + (w2 - 0.2)^2)))/sqrt(1 + w1^2 + w2^2),")
+
+
 def test_section_off_level_at_a_middle_sample(tmp_path, capsys):
-    bump = "(1 + 0.01*exp(-1000*((w1 - 0.5)^2 + (w2 - 0.2)^2)))"
-    path, scen = _hopf_variant(tmp_path, "off_level", section=_HOPF_SECTION.replace(
-        "[1/sqrt(1 + w1^2 + w2^2),", f"[{bump}/sqrt(1 + w1^2 + w2^2),"))
+    path, scen = _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION)
     base_error, error = _assert_parity(path, scen, capsys)
     assert type(error) is SectionNotOnLevelError and str(error) == str(base_error)
 
@@ -301,10 +305,8 @@ def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, ca
     # both pipelines replay a failing stack point by point, so each raises
     # what the first failing base frame raises alone, with its own frames or
     # with the table the CLI shares
-    bump = "(1 + 0.01*exp(-1000*((w1 - 0.5)^2 + (w2 - 0.2)^2)))"
     variants = [
-        _hopf_variant(tmp_path, "off_level", section=_HOPF_SECTION.replace(
-            "[1/sqrt(1 + w1^2 + w2^2),", f"[{bump}/sqrt(1 + w1^2 + w2^2),")),
+        _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION),
         _hopf_variant(tmp_path, "degenerate",
                       points="sample.points = [[0.6, 0.3], [0.1, -0.7], [0, 0], [0.7, -0.6]]",
                       flow=_HOPF_FLOW.replace("t1)", "t1*(x3^2 + x4^2))")),
@@ -319,6 +321,27 @@ def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, ca
                 assert str(raised.value) == str(base_error)
         assert main(["verify", str(path), "--suites", "main-theorem"]) == 2
         assert capsys.readouterr().err == f"error: {base_error}\n"
+
+
+def test_a_failing_table_builds_its_batch_once_then_each_replayed_row(tmp_path, monkeypatch):
+    # the batch of all five frames fails; the replay then builds the frames
+    # of each row alone, up to the failing third one, with no second build
+    # of the batch
+    _, scen = _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION)
+    points = np.array(scen.sample_spec.points)
+    sizes = []
+    build = reduction._lift_frames
+
+    def counted(scen, X, *fiber_params):
+        sizes.append(len(X))
+        return build(scen, X, *fiber_params)
+
+    monkeypatch.setattr(reduction, "_lift_frames", counted)
+    for frames in (None, lift_frames(scen, points)):
+        sizes.clear()
+        with pytest.raises(SectionNotOnLevelError):
+            verify_main_theorem(scen, points, frames=frames)
+        assert sizes == [5, 1, 1, 1]
 
 
 def _opaque_flow_hopf(fails):

@@ -20,7 +20,15 @@ from symred.actions import (
     pushforward_table,
 )
 from symred.errors import NonFiniteError
-from symred.geometry import ChartPoint, TensorField, as_coords, eval_field, fd_jacobian, sample_box
+from symred.geometry import (
+    ChartPoint,
+    RowMap,
+    TensorField,
+    as_coords,
+    eval_field,
+    fd_jacobian,
+    sample_box,
+)
 from symred.reduction import reduced_structures, split_tangent
 from symred.scenarios import builtin, builtin_names, builtin_text, compile_scenario, parse_scenario
 from symred.structures import (
@@ -206,6 +214,32 @@ def test_failing_batch_raises_the_first_failing_points_error():
         TensorField.constant(np.array([[0.0, -1.0], [1.0, 0.0]])))
     with pytest.raises(NonFiniteError, match=r"^field 'metric' at ChartPoint\(\[0.3, 0.4\]\)"):
         check_compatibility(triple, points)
+
+
+def _inf_at_03_division_by_zero_at_05(x):
+    """A row's value: inf at first coordinate 0.3, ZeroDivisionError at 0.5."""
+    if abs(x[0] - 0.3) < 0.01:
+        return np.inf
+    return float(x[0]) / (0.0 if abs(x[0] - 0.5) < 0.01 else 1.0)
+
+
+def test_a_batch_raising_any_error_gives_the_first_failing_rows_error():
+    # the batch raises ZeroDivisionError for the third row; rerun row by
+    # row, the second row's non-finite value comes first, as it does alone
+    value = _inf_at_03_division_by_zero_at_05
+    X = np.array([[0.1], [0.3], [0.5]])
+    field = TensorField.scalar(RowMap(lambda X: np.array([value(x) for x in X])), name="f")
+    chart_map = RowMap(lambda X: np.array([[value(x)] for x in X]))
+    action = GroupAction(1, RowMap(lambda Z: np.array([[value(z) + z[1]] for z in Z])))
+    for call, message in (
+            (lambda X: eval_field(field, X),
+             "field 'f' at ChartPoint([0.3]) contains non-finite entries"),
+            (lambda X: fd_jacobian(chart_map, X), "map value contains non-finite entries"),
+            (lambda X: apply_flow(action, [0.0], X), "chart point contains non-finite entries")):
+        for rows in (X, X[1:2]):
+            with pytest.raises(NonFiniteError) as raised:
+                call(rows)
+            assert str(raised.value) == message
 
 
 def test_penalties_and_cyclic_sums_match_references():
