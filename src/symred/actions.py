@@ -42,7 +42,7 @@ from .geometry import (
     _row_norms,
     _stencil,
 )
-from .structures import StructureCheckResult, _sampled
+from .structures import DEFAULT_TOLERANCES, StructureCheckResult, _sampled
 
 __all__ = [
     "GroupAction",
@@ -151,10 +151,11 @@ def _flow_values(action: GroupAction, rows: np.ndarray) -> np.ndarray:
 
 def _flow_map(action: GroupAction, params) -> RowMap:
     """Phi_a as a chart map, the group parameter repeated over every row; a
-    moved point is checked as apply_flow checks it."""
+    moved point is checked as apply_flow checks it.  A flow maps n
+    coordinates to n, so its values are (N, n) also at no rows."""
     a = np.asarray(params, dtype=float).reshape(action.group_dim)
     rows = action.flow.rows
-    return RowMap(lambda X: _require_finite(rows(_pairs(X, a)), "chart point"))
+    return RowMap(lambda X: _require_finite(rows(_pairs(X, a)), "chart point").reshape(X.shape))
 
 
 def _param_rows(action: GroupAction, params) -> np.ndarray:
@@ -219,7 +220,7 @@ def momentum_jacobian(mu: MomentumMap, p) -> np.ndarray:
 
 
 def check_action_axioms(action: GroupAction, params, points,
-                        tol: float = 1e-9) -> StructureCheckResult:
+                        tol: float = DEFAULT_TOLERANCES["action.axioms"]) -> StructureCheckResult:
     """Identity axiom flow(0, p) = p and additivity flow(s, flow(t, p)) =
     flow(s + t, p) over the sampled parameters.
 
@@ -252,7 +253,12 @@ def _invariance_check(name, identity, residual, action, value, params, points, t
     residual(D, F(p), F(Phi_a(p))) over all parameters a, stacked parameter
     outer, F being ``value``, read at the points and at all moved points in
     one call each.  ``pushforwards`` is a ``pushforward_table`` of the same
-    params and points, or None."""
+    params and points or None, and raises ValueError if its counts differ."""
+    want = (len(_param_rows(action, params)), len(as_points(points)))
+    if pushforwards is not None and pushforwards[1].shape[:2] != want:
+        raise ValueError(f"pushforward table is built for (parameters, points) = "
+                         f"{pushforwards[1].shape[:2]}, not the {want} checked")
+
     def residuals(X, rows):
         if pushforwards is None:
             D, moved = pushforward_table(action, params, X)
@@ -271,19 +277,21 @@ def _pullback_residual(D, here, moved) -> np.ndarray:
 
 
 def check_isometry(action: GroupAction, g: TensorField, params, points,
-                   tol: float = 1e-6, *, pushforwards=None) -> StructureCheckResult:
+                   tol: float = DEFAULT_TOLERANCES["action.isometry"], *,
+                   pushforwards=None) -> StructureCheckResult:
     return _invariance_check("isometry", IDENTITY_ISOMETRY, _pullback_residual,
                              action, g, params, points, tol, pushforwards)
 
 
 def check_symplectomorphism(action: GroupAction, w: TensorField, params, points,
-                            tol: float = 1e-6, *, pushforwards=None) -> StructureCheckResult:
+                            tol: float = DEFAULT_TOLERANCES["action.symplectomorphism"], *,
+                            pushforwards=None) -> StructureCheckResult:
     return _invariance_check("symplectomorphism", IDENTITY_SYMPLECTO, _pullback_residual,
                              action, w, params, points, tol, pushforwards)
 
 
 def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, points,
-                      tol: float = 1e-6) -> StructureCheckResult:
+                      tol: float = DEFAULT_TOLERANCES["action.momentum"]) -> StructureCheckResult:
     """Hamiltonian condition omega(xi_M, .) = d mu_xi for every basis element.
 
     With the row convention u^T Omega v for omega(u, v) the identity in
@@ -302,7 +310,8 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
 
 
 def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, points,
-                              tol: float = 1e-6, *, pushforwards=None) -> StructureCheckResult:
+                              tol: float = DEFAULT_TOLERANCES["action.mu-invariance"], *,
+                              pushforwards=None) -> StructureCheckResult:
     """Invariance mu o Phi_a = mu; this is equivariance for abelian groups.
 
     ``pushforwards`` is a ``pushforward_table`` of the same params and
@@ -344,7 +353,8 @@ def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorFi
 
 
 def check_field_invariance(field_: TensorField, action: GroupAction, params, points,
-                           tol: float = 1e-6, *, pushforwards=None) -> StructureCheckResult:
+                           tol: float = DEFAULT_TOLERANCES["action.acs-invariance"], *,
+                           pushforwards=None) -> StructureCheckResult:
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
     return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
                              lambda D, here, moved: D @ here - moved @ D,

@@ -41,15 +41,9 @@ from .reduction import (
     verify_submersion,
 )
 from .report import VerificationReport
-from .scenarios import (
-    DEFAULT_TOLERANCES,
-    builtin,
-    builtin_names,
-    check_tolerance,
-    load_scenario_file,
-    parse_scenario,
-)
+from .scenarios import builtin, builtin_names, load_scenario_file, parse_scenario
 from .structures import (
+    DEFAULT_TOLERANCES,
     CompatibleTriple,
     StructureCheckResult,
     check_acs,
@@ -57,6 +51,7 @@ from .structures import (
     check_compatibility,
     check_metric,
     check_symplectic_pointwise,
+    check_tolerance,
     standard_acs,
 )
 
@@ -93,8 +88,7 @@ class RunConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("text", "json"):
             raise ValueError(f"format must be text or json, got {self.format!r}")
-        for key, value in self.tolerances.items():
-            check_tolerance(key, value)
+        self.tolerances = {k: check_tolerance(k, v) for k, v in self.tolerances.items()}
 
 
 def resolve_scenario(name_or_path: str) -> ReductionScenario:
@@ -109,67 +103,50 @@ def resolve_scenario(name_or_path: str) -> ReductionScenario:
     )
 
 
-def _tolerance(key: str, cfg: RunConfig, scen: ReductionScenario) -> float:
-    if key in cfg.tolerances:
-        return float(cfg.tolerances[key])
-    if key in scen.tolerances:
-        return float(scen.tolerances[key])
-    return DEFAULT_TOLERANCES[key]
-
-
-def _suite_structures(scen, cfg, points):
+def _suite_structures(scen, tol, points):
     report = VerificationReport("structures")
     triple = CompatibleTriple(scen.omega, scen.metric, scen.acs)
-    report.add(check_metric(scen.metric, points, _tolerance("structures.metric", cfg, scen)))
-    report.add(check_symplectic_pointwise(
-        scen.omega, points, _tolerance("structures.symplectic", cfg, scen)))
-    report.add(check_closed(scen.omega, points, _tolerance("structures.closed", cfg, scen)))
-    report.add(check_acs(scen.acs, points, _tolerance("structures.acs", cfg, scen)))
-    report.add(check_compatibility(triple, points,
-                                   _tolerance("structures.compatibility", cfg, scen)))
+    report.add(check_metric(scen.metric, points, tol["structures.metric"]))
+    report.add(check_symplectic_pointwise(scen.omega, points, tol["structures.symplectic"]))
+    report.add(check_closed(scen.omega, points, tol["structures.closed"]))
+    report.add(check_acs(scen.acs, points, tol["structures.acs"]))
+    report.add(check_compatibility(triple, points, tol["structures.compatibility"]))
     return report
 
 
-def _suite_action(scen, cfg, points, params):
+def _suite_action(scen, tol, points, params):
     report = VerificationReport("action")
-    report.add(check_action_axioms(scen.action, params, points,
-                                   _tolerance("action.axioms", cfg, scen)))
+    report.add(check_action_axioms(scen.action, params, points, tol["action.axioms"]))
     # one flow Jacobian and moved point per (point, parameter) for the four
     # invariance checks, every parameter a block of one stack
     pushforwards = pushforward_table(scen.action, params, points)
     report.add(check_isometry(scen.action, scen.metric, params, points,
-                              _tolerance("action.isometry", cfg, scen),
-                              pushforwards=pushforwards))
+                              tol["action.isometry"], pushforwards=pushforwards))
     report.add(check_symplectomorphism(scen.action, scen.omega, params, points,
-                                       _tolerance("action.symplectomorphism", cfg, scen),
-                                       pushforwards=pushforwards))
-    report.add(momentum_residual(scen.action, scen.mu, scen.omega, points,
-                                 _tolerance("action.momentum", cfg, scen)))
+                                       tol["action.symplectomorphism"], pushforwards=pushforwards))
+    report.add(momentum_residual(scen.action, scen.mu, scen.omega, points, tol["action.momentum"]))
     report.add(check_momentum_invariance(scen.action, scen.mu, params, points,
-                                         _tolerance("action.mu-invariance", cfg, scen),
-                                         pushforwards=pushforwards))
+                                         tol["action.mu-invariance"], pushforwards=pushforwards))
     report.add(check_field_invariance(scen.acs, scen.action, params, points,
-                                      _tolerance("action.acs-invariance", cfg, scen),
-                                      pushforwards=pushforwards))
+                                      tol["action.acs-invariance"], pushforwards=pushforwards))
     return report
 
 
-def _suite_reduction(scen, cfg, qpoints, fiber_params, seed, frames):
+def _suite_reduction(scen, tol, qpoints, fiber_params, seed, frames):
     report = VerificationReport("reduction")
     report.add_child(verify_submersion(
-        scen, qpoints, fiber_params, _tolerance("reduction.submersion", cfg, scen),
-        frames=frames, vertical_tol=_tolerance("reduction.vertical-invariance", cfg, scen)))
-    report.add_child(verify_reduction_identity(
-        scen, qpoints, _tolerance("reduction.identity", cfg, scen),
-        _tolerance("reduction.degeneracy", cfg, scen), seed=seed, frames=frames))
+        scen, qpoints, fiber_params, tol["reduction.submersion"],
+        frames=frames, vertical_tol=tol["reduction.vertical-invariance"]))
+    report.add_child(verify_reduction_identity(scen, qpoints, tol["reduction.identity"],
+                                               tol["reduction.degeneracy"], seed=seed,
+                                               frames=frames))
     return report
 
 
-def _suite_main_theorem(scen, cfg, qpoints, frames):
+def _suite_main_theorem(scen, tol, qpoints, frames):
     report = VerificationReport("main-theorem")
-    report.add_child(verify_main_theorem(
-        scen, qpoints, _tolerance("main-theorem.residuals", cfg, scen),
-        _tolerance("main-theorem.hypothesis", cfg, scen), frames=frames))
+    report.add_child(verify_main_theorem(scen, qpoints, tol["main-theorem.residuals"],
+                                         tol["main-theorem.hypothesis"], frames=frames))
     return report
 
 
@@ -202,9 +179,8 @@ def _reference_maps():
             ("conjugation", RowMap(conjugation), False))
 
 
-def _suite_holomorphy(cfg, scen, seed, samples):
+def _suite_holomorphy(tol, seed, samples):
     report = VerificationReport("holomorphy")
-    tol = _tolerance("holomorphy.residual", cfg, scen)
     X = sample_box(2, samples, radius=1.5, seed=seed + 2)
     j2 = standard_acs(2)
     equivalence_flags = []
@@ -214,11 +190,11 @@ def _suite_holomorphy(cfg, scen, seed, samples):
         cr = cauchy_riemann_residual(cm, X)
         if holomorphic:
             report.add(StructureCheckResult.from_samples(
-                f"holomorphy of {name}", acm, X, tol, IDENTITY_ACM_MAP))
+                f"holomorphy of {name}", acm, X, tol["holomorphy.residual"], IDENTITY_ACM_MAP))
         else:
             report.add(StructureCheckResult.from_samples(
                 f"{name} defect equals 2*sqrt(2)", np.abs(acm - 2.0 * np.sqrt(2.0)), X,
-                tol, f"{IDENTITY_ACM_MAP} fails by a known amount"))
+                tol["holomorphy.residual"], f"{IDENTITY_ACM_MAP} fails by a known amount"))
         equivalence_flags.append(
             np.where((acm <= HOLOMORPHIC_LEVEL) == (cr <= HOLOMORPHIC_LEVEL), 0.0, 1.0))
     report.add(StructureCheckResult.from_samples(
@@ -236,6 +212,8 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
         report = VerificationReport("error", meta={"error": str(exc)})
         return report, 2
 
+    # the run's tolerances in one merge: the defaults, then the scenario's, then the config's
+    tol = {**DEFAULT_TOLERANCES, **scen.tolerances, **cfg.tolerances}
     seed = cfg.seed if cfg.seed is not None else scen.sample_spec.seed
     samples = cfg.samples if cfg.samples is not None else scen.sample_spec.count
 
@@ -271,15 +249,15 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
         if suite not in cfg.suites:
             continue
         if suite == "structures":
-            report.add_child(_suite_structures(scen, cfg, points))
+            report.add_child(_suite_structures(scen, tol, points))
         elif suite == "action":
-            report.add_child(_suite_action(scen, cfg, points, params))
+            report.add_child(_suite_action(scen, tol, points, params))
         elif suite == "reduction":
-            report.add_child(_suite_reduction(scen, cfg, qpoints, fiber_params, seed, frames))
+            report.add_child(_suite_reduction(scen, tol, qpoints, fiber_params, seed, frames))
         elif suite == "main-theorem":
-            report.add_child(_suite_main_theorem(scen, cfg, qpoints, frames))
+            report.add_child(_suite_main_theorem(scen, tol, qpoints, frames))
         elif suite == "holomorphy":
-            report.add_child(_suite_holomorphy(cfg, scen, seed, samples))
+            report.add_child(_suite_holomorphy(tol, seed, samples))
     return report, 0 if report.passed else 1
 
 

@@ -67,6 +67,7 @@ __all__ = [
     "as_row_map",
     "TensorField",
     "FD_STEP",
+    "RANK_TOL",
     "eval_field",
     "fd_jacobian",
     "fd_directional",
@@ -288,6 +289,8 @@ def _field_values(field: TensorField, X: np.ndarray) -> np.ndarray:
 # the step of the fourth-order central-difference stencil for every derivative;
 # only a caller of fd_jacobian can pass another
 FD_STEP = 1e-5
+# kernel_basis counts singular values below this times the largest one as zero
+RANK_TOL = 1e-8
 
 
 def _stencil(directions: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -340,17 +343,20 @@ def fd_jacobian(chart_map, X, *, step: float = FD_STEP) -> np.ndarray:
     with respect to input coordinate i; the error is O(step**4) on smooth
     maps.  All stencil rows are evaluated in one batch, each Jacobian the
     bits of the call on its point alone.  A step that is not positive and
-    finite raises ValueError.
+    finite raises ValueError, as does a map whose values at no points are a
+    flat (0,) array: no value gives its output width m.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     chart_map = as_row_map(chart_map)
     N, n = X.shape
-    if n == 0:  # no stencil; the values at the points give the row count
-        return np.zeros((N, _evaluate_rows(chart_map, X, _finite("map value")).shape[1], 0))
-    values = _evaluate_rows(chart_map, _stencil_rows(X, np.eye(n), step),
+    values = _evaluate_rows(chart_map, _stencil_rows(X, np.eye(n), step) if n else X,
                             _finite("map value"))
+    if values.ndim < 2 and not len(values):
+        raise ValueError("the map's values at no points are flat: no value gives the output width")
     m = int(np.prod(values.shape[1:]))  # read off the shape: an empty stack has no row
+    if n == 0:  # no stencil: the values are those at the points
+        return np.zeros((N, m, 0))
     D = _differences(values.reshape(len(values), m), N * n, step)
     return np.ascontiguousarray(D.reshape(N, n, m).swapaxes(1, 2))
 
@@ -376,7 +382,7 @@ def fd_gradient(field: TensorField, X) -> np.ndarray:
     return _differences(_field_values(field, _stencil_rows(X, np.eye(n))), N * n).reshape(N, n)
 
 
-def kernel_basis(mat, rank_tol: float = 1e-8) -> np.ndarray:
+def kernel_basis(mat, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the null space of ``mat`` via SVD, as the columns
     of an n x (n - rank) matrix.
 

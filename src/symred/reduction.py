@@ -62,6 +62,7 @@ from .errors import (
     VerticalLeakWarning,
 )
 from .geometry import (
+    RANK_TOL,
     ChartPoint,
     RowMap,
     TensorField,
@@ -81,7 +82,7 @@ from .geometry import (
     _row_norms,
 )
 from .report import VerificationReport
-from .structures import StructureCheckResult
+from .structures import DEFAULT_TOLERANCES, StructureCheckResult
 
 __all__ = [
     "SampleSpec",
@@ -112,8 +113,6 @@ LEAK_WARNING_TOL = 1e-6
 # |mu - beta| below this puts a point on the level set; the generators must
 # leave ker d mu by less than this times 1 + |d mu|
 LEVEL_TOL = 1e-8
-# singular values below this times the largest one count as zero
-RANK_TOL = 1e-8
 # least generator singular value (and Gram-Schmidt norm) of a free action
 FREE_TOL = 1e-8
 # level-tangent pairs (u, v) drawn per quotient point for the pullback identity
@@ -234,7 +233,7 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
         raise NotOnLevelError(f"|mu(m) - beta| = {gaps[i]:.3e} exceeds {LEVEL_TOL:.1e}")
 
     Jmu = momentum_jacobian(scen.mu, M)
-    level = kernel_basis(Jmu, RANK_TOL)
+    level = kernel_basis(Jmu)
     if level.shape[2] != n - k:
         raise NotRegularValueError(
             f"kernel of d mu has dimension {level.shape[2]}, expected {n - k}"
@@ -262,7 +261,7 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     if vertical.shape[2] != k:
         raise ActionNotFreeError(f"vertical space degenerates to dimension {vertical.shape[2]}")
     horizontal = orthonormalize(
-        level @ kernel_basis(vertical.swapaxes(1, 2) @ G @ level, RANK_TOL), G)
+        level @ kernel_basis(vertical.swapaxes(1, 2) @ G @ level), G)
     if horizontal.shape[2] != n - 2 * k:
         raise DegenerateInputError(
             f"horizontal complement has dimension {horizontal.shape[2]}, expected {n - 2 * k}"
@@ -354,7 +353,7 @@ class _FrameTable:
     replay of a failed batch (``_replayed``) meets each row's own error."""
 
     def __init__(self, scen: ReductionScenario, X: np.ndarray, fiber_params):
-        self._scen, self._X, self.fiber_params = scen, X, fiber_params
+        self._scen, self.points, self.fiber_params = scen, X, fiber_params
         self._all = None
 
     def __getitem__(self, rows) -> _LiftFrames:
@@ -366,7 +365,7 @@ class _FrameTable:
     def _lookup(self, rows, moved: bool) -> _LiftFrames:
         if not isinstance(rows, slice):
             rows = slice(rows, rows + 1 or None)
-        frames, X, prm = self._all, self._X, self.fiber_params
+        frames, X, prm = self._all, self.points, self.fiber_params
         if frames is None and rows == slice(None):
             frames = self._all = _lift_frames(self._scen, X, prm)
         elif frames is None:  # the rows alone, with their moved frames if asked for
@@ -382,11 +381,20 @@ def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable
     """The table of the lift frames at ``points`` through the scenario's own
     section and through Phi_a o sigma for each fibre parameter a (as
     ``verify_submersion`` takes them), built when all rows are first looked
-    up (``_FrameTable``).  Passed as
-    ``frames=`` to the verify_* pipelines over the same points, one frame per
-    point serves all of them; ``verify_submersion`` reuses the table only if
-    it was built with the same fibre parameters, and else builds its own."""
+    up (``_FrameTable``).  Passed as ``frames=`` to the verify_* pipelines,
+    one frame per point serves all of them; a pipeline given a table of
+    another scenario, points or fibre parameters builds its own."""
     return _FrameTable(scen, as_points(points), _param_rows(scen.action, fiber_params))
+
+
+def _frames_for(scen: ReductionScenario, X: np.ndarray, frames, fiber_params=None):
+    """The table a pipeline reads its frames from: ``frames`` if it is a
+    ``lift_frames`` table of the scenario at the points X and, unless
+    ``fiber_params`` is None, those fibre parameter rows; else a new one."""
+    if frames is None or frames._scen is not scen or not np.array_equal(frames.points, X) or (
+            fiber_params is not None and not np.array_equal(frames.fiber_params, fiber_params)):
+        frames = lift_frames(scen, X, () if fiber_params is None else fiber_params)
+    return frames
 
 
 def _reduced_metric(lifts: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -476,19 +484,19 @@ def _vertical_leak(D: np.ndarray, generators: np.ndarray, moved: SplitTangentSpa
 
 
 def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, np.pi),
-                      tol: float = 1e-5, *,
-                      frames=None, vertical_tol: float = 1e-5) -> VerificationReport:
+                      tol: float = DEFAULT_TOLERANCES["reduction.submersion"], *, frames=None,
+                      vertical_tol: float = DEFAULT_TOLERANCES["reduction.vertical-invariance"]
+                      ) -> VerificationReport:
     """Riemannian-submersion checks: fiber independence of the reduced metric
     (``tol``) and invariance of the vertical distribution (``vertical_tol``).
     Each fibre parameter is a group parameter vector, or a scalar t standing
-    for t * (1, ..., 1).  ``frames`` is a ``lift_frames`` table of the same
-    points, base and moved frames read from it; given None, or a table built
-    for other fibre parameters, it builds its own.  The flow pushforwards are
-    one stencil batch per fibre parameter, and the residuals one stack."""
+    for t * (1, ..., 1).  ``frames`` is a ``lift_frames`` table, read if it is
+    of the same scenario, points and fibre parameters, or None.  The flow
+    pushforwards are one stencil batch per fibre parameter, and the
+    residuals one stack."""
     report = VerificationReport("submersion")
     X, prm = as_points(points), _param_rows(scen.action, fiber_params)
-    if frames is None or not np.array_equal(frames.fiber_params, prm):
-        frames = lift_frames(scen, X, prm)
+    frames = _frames_for(scen, X, frames, prm)
 
     def residuals(X, rows):
         base, moved, P = frames[rows], frames.moved(rows), len(prm)
@@ -509,9 +517,10 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, 
     return report
 
 
-def verify_reduction_identity(scen: ReductionScenario, points, tol: float = 1e-5,
-                              degeneracy_tol: float = 1e-8, seed: int = 0, *,
-                              frames=None) -> VerificationReport:
+def verify_reduction_identity(scen: ReductionScenario, points,
+                              tol: float = DEFAULT_TOLERANCES["reduction.identity"],
+                              degeneracy_tol: float = DEFAULT_TOLERANCES["reduction.degeneracy"],
+                              seed: int = 0, *, frames=None) -> VerificationReport:
     """Pullback identity of the reduced symplectic form and the degeneracy of
     the vertical directions inside the restricted form.
 
@@ -520,13 +529,12 @@ def verify_reduction_identity(scen: ReductionScenario, points, tol: float = 1e-5
     |omega(m)(u, v) - omega_red(pi m)(d pi u, d pi v)|; vertical directions
     must pair to zero with the whole kernel of d mu.  The coefficients of u
     and v in the level frame are drawn in one call, point by point and pair
-    by pair, u before v.  ``frames`` is a ``lift_frames`` table of the same
-    points, or None to build one.
+    by pair, u before v.  ``frames`` is a ``lift_frames`` table, read if it is
+    of the same scenario and points, or None.
     """
     report = VerificationReport("reduction identity")
     X = as_points(points)
-    if frames is None:
-        frames = lift_frames(scen, X)
+    frames = _frames_for(scen, X, frames)
     n, q = scen.chart_dim, scen.quotient_dim
     coefs = np.random.default_rng(seed).standard_normal(
         (len(X), PAIRS_PER_POINT, 2, n - scen.action.group_dim))
@@ -554,9 +562,10 @@ def verify_reduction_identity(scen: ReductionScenario, points, tol: float = 1e-5
     return report
 
 
-def verify_main_theorem(scen: ReductionScenario, points, tol: float = 1e-5,
-                        hypothesis_tol: float = 1e-6, *,
-                        frames=None) -> VerificationReport:
+def verify_main_theorem(scen: ReductionScenario, points,
+                        tol: float = DEFAULT_TOLERANCES["main-theorem.residuals"],
+                        hypothesis_tol: float = DEFAULT_TOLERANCES["main-theorem.hypothesis"],
+                        *, frames=None) -> VerificationReport:
     """Equivalence between reduced compatibility and the almost-complex-mapping
     property of the projection.
 
@@ -567,12 +576,11 @@ def verify_main_theorem(scen: ReductionScenario, points, tol: float = 1e-5,
     verdict requires the first two to land on the same side of the tolerance
     at every sample; ambient compatibility is checked alongside because the
     equivalence is only asserted under that hypothesis.  ``frames`` is a
-    ``lift_frames`` table of the same points, or None to build one.
+    ``lift_frames`` table, read if it is of the same scenario and points, or None.
     """
     report = VerificationReport("main theorem")
     X = as_points(points)
-    if frames is None:
-        frames = lift_frames(scen, X)
+    frames = _frames_for(scen, X, frames)
     q = scen.quotient_dim
     eye = np.eye(q)
 

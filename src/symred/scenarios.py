@@ -5,7 +5,8 @@ expressions in the language of :mod:`symred.exprlang`.  Chart coordinates
 are named x1..xn, group parameters t1..tk and quotient coordinates w1..wq;
 matrices may span several lines as long as their brackets stay open.  The
 built-in scenarios are defined in this same format and compiled through the
-same code path as user files.
+same code path as user files.  A ``tol.<name>`` key overrides the tolerance
+``name`` of ``structures.DEFAULT_TOLERANCES`` in the scenario's runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .exprlang import (Expr, ExprParser, Program, compile_exprs, eval_expr, toke
                        tokenize)
 from .geometry import RowMap, TensorField
 from .reduction import ReductionScenario, SampleSpec
-from .structures import build_compatible_triple
+from .structures import DEFAULT_TOLERANCES, build_compatible_triple, check_tolerance
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -41,44 +42,6 @@ _KNOWN_KEYS = {
 }
 _KEY_ALIASES = {"g": "metric", "j": "acs", "J": "acs", "w": "omega"}
 _TOL_PREFIX = "tol."
-
-# every tolerance a verification run reads; a scenario's ``tol.<name>`` keys
-# and the command line's ``--tol name=value`` override these by name
-DEFAULT_TOLERANCES = {
-    "structures.metric": 1e-8,
-    "structures.symplectic": 1e-8,
-    "structures.closed": 1e-5,
-    "structures.acs": 1e-8,
-    "structures.compatibility": 1e-8,
-    "action.axioms": 1e-9,
-    "action.isometry": 1e-6,
-    "action.symplectomorphism": 1e-6,
-    "action.momentum": 1e-6,
-    "action.mu-invariance": 1e-6,
-    "action.acs-invariance": 1e-6,
-    "reduction.submersion": 1e-5,
-    "reduction.vertical-invariance": 1e-5,
-    "reduction.identity": 1e-5,
-    "reduction.degeneracy": 1e-8,
-    "main-theorem.residuals": 1e-5,
-    "main-theorem.hypothesis": 1e-6,
-    "holomorphy.residual": 1e-8,
-}
-
-
-def check_tolerance(name: str, value: float) -> float:
-    """``value`` as a float if ``name`` is a known tolerance and ``value`` a
-    positive finite number; ValueError otherwise.  A non-positive or
-    non-finite tolerance would make a check pass or fail whatever its
-    residual."""
-    if name not in DEFAULT_TOLERANCES:
-        raise ValueError(
-            f"unknown tolerance {name!r}; known names: {', '.join(sorted(DEFAULT_TOLERANCES))}"
-        )
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"tolerance {name!r} must be positive and finite, got {value}")
-    return value
 
 
 @dataclass(frozen=True, eq=False)

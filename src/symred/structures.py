@@ -1,5 +1,7 @@
 """Pointwise validation of metrics, symplectic forms and almost complex
-structures, plus the constructive compatible triple.
+structures, the constructive compatible triple, and ``DEFAULT_TOLERANCES``,
+the one place a default tolerance is written: every tolerance parameter of
+the package and every verification run start from it.
 
 Conventions.  Bilinear forms act on component vectors as ``u^T M v`` and an
 almost complex structure acts as a plain matrix, so compatibility
@@ -11,7 +13,9 @@ operator property ``J^2 = -I`` is reported in the Frobenius norm.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,6 +36,8 @@ from .geometry import (
 )
 
 __all__ = [
+    "DEFAULT_TOLERANCES",
+    "check_tolerance",
     "StructureCheckResult",
     "CompatibleTriple",
     "standard_symplectic_matrix",
@@ -53,6 +59,44 @@ IDENTITY_SYMPLECTIC = "omega antisymmetric nondegenerate"
 IDENTITY_CLOSED = "d omega = 0 (cyclic sum of coefficient partials)"
 IDENTITY_ACS = "J^2 = -I"
 IDENTITY_COMPAT = "omega(u, J v) = g(u, v)"
+
+# every tolerance a verification run reads; a scenario's ``tol.<name>`` keys
+# and the command line's ``--tol name=value`` override these by name
+DEFAULT_TOLERANCES = MappingProxyType({
+    "structures.metric": 1e-8,
+    "structures.symplectic": 1e-8,
+    "structures.closed": 1e-5,
+    "structures.acs": 1e-8,
+    "structures.compatibility": 1e-8,
+    "action.axioms": 1e-9,
+    "action.isometry": 1e-6,
+    "action.symplectomorphism": 1e-6,
+    "action.momentum": 1e-6,
+    "action.mu-invariance": 1e-6,
+    "action.acs-invariance": 1e-6,
+    "reduction.submersion": 1e-5,
+    "reduction.vertical-invariance": 1e-5,
+    "reduction.identity": 1e-5,
+    "reduction.degeneracy": 1e-8,
+    "main-theorem.residuals": 1e-5,
+    "main-theorem.hypothesis": 1e-6,
+    "holomorphy.residual": 1e-8,
+})
+
+
+def check_tolerance(name: str, value: float) -> float:
+    """``value`` as a float if ``name`` is a known tolerance and ``value`` a
+    positive finite number; ValueError otherwise.  A non-positive or
+    non-finite tolerance would make a check pass or fail whatever its
+    residual."""
+    if name not in DEFAULT_TOLERANCES:
+        raise ValueError(
+            f"unknown tolerance {name!r}; known names: {', '.join(sorted(DEFAULT_TOLERANCES))}"
+        )
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"tolerance {name!r} must be positive and finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +184,8 @@ def _sampled(name, identity, residuals, points, tol) -> StructureCheckResult:
     return StructureCheckResult.from_samples(name, _replayed(residuals, X), X, tol, identity)
 
 
-def check_metric(g: TensorField, points, tol: float = 1e-8) -> StructureCheckResult:
+def check_metric(g: TensorField, points,
+                 tol: float = DEFAULT_TOLERANCES["structures.metric"]) -> StructureCheckResult:
     """Symmetry plus positive definiteness of a metric field at sample points.
 
     Residual per point: max-abs asymmetry, plus a penalty of at least tol
@@ -155,7 +200,9 @@ def check_metric(g: TensorField, points, tol: float = 1e-8) -> StructureCheckRes
     return _sampled("metric field", IDENTITY_METRIC, residuals, points, tol)
 
 
-def check_symplectic_pointwise(w: TensorField, points, tol: float = 1e-8) -> StructureCheckResult:
+def check_symplectic_pointwise(
+        w: TensorField, points,
+        tol: float = DEFAULT_TOLERANCES["structures.symplectic"]) -> StructureCheckResult:
     """Antisymmetry and nondegeneracy of a 2-form field at sample points.
 
     Nondegeneracy is scale-free: the ratio of the smallest to the largest
@@ -177,7 +224,8 @@ def check_symplectic_pointwise(w: TensorField, points, tol: float = 1e-8) -> Str
     return _sampled("symplectic field", IDENTITY_SYMPLECTIC, residuals, points, tol)
 
 
-def check_closed(w: TensorField, points, tol: float = 1e-5) -> StructureCheckResult:
+def check_closed(w: TensorField, points,
+                 tol: float = DEFAULT_TOLERANCES["structures.closed"]) -> StructureCheckResult:
     """Closedness of the 2-form: cyclic sum of coefficient partials over all
     index triples, with partials taken by central differences."""
     n = w.shape[0]
@@ -193,7 +241,8 @@ def check_closed(w: TensorField, points, tol: float = 1e-5) -> StructureCheckRes
     return _sampled("closedness of omega", IDENTITY_CLOSED, residuals, points, tol)
 
 
-def check_acs(J: TensorField, points, tol: float = 1e-8) -> StructureCheckResult:
+def check_acs(J: TensorField, points,
+              tol: float = DEFAULT_TOLERANCES["structures.acs"]) -> StructureCheckResult:
     """Frobenius norm of J(p)^2 + I at sample points."""
     eye = np.eye(J.shape[0])
 
@@ -204,7 +253,9 @@ def check_acs(J: TensorField, points, tol: float = 1e-8) -> StructureCheckResult
     return _sampled("almost complex structure", IDENTITY_ACS, residuals, points, tol)
 
 
-def check_compatibility(t: CompatibleTriple, points, tol: float = 1e-8) -> StructureCheckResult:
+def check_compatibility(
+        t: CompatibleTriple, points,
+        tol: float = DEFAULT_TOLERANCES["structures.compatibility"]) -> StructureCheckResult:
     """Max-abs residual of the compatibility identity Omega @ J == G."""
     def residuals(X, rows):
         Om, G, Jm = [eval_field(f, X) for f in (t.omega, t.metric, t.acs)]

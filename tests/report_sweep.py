@@ -12,13 +12,15 @@ build_compatible_triple) at 20 samples with seeds 0-3, on every built-in
 with no flags (its own sample spec: seed, count and any explicit quotient
 points), on hopf at 20 samples with the main-theorem, the reduction and
 the action suite alone (the lift frames are batched differently when no
-fibre frames are asked for), and on four hopf variants that fail at one
-sample point (``FAILING``: the section off the level set at a middle
-sample, generators degenerate at one sample, a division by zero at one
-stencil row of the section, and the metric entry ``sqrt(1.9 - x1)``),
-each with the structures, the action and the reduction and main-theorem
-suites, so that the exit codes and error texts of failing runs are
-compared too; each run in JSON and in text.  Each
+fibre frames are asked for), and on five failing hopf variants
+(``FAILING``: the section off the level set at a middle sample,
+generators degenerate at one sample, a division by zero at one stencil
+row of the section, the metric entry ``sqrt(1.9 - x1)``, and the first
+two at once, the degenerate sample before the one off the level set,
+whose error a batch meets first), each with the structures, the action
+and the reduction and main-theorem suites, so that the exit codes and
+error texts of failing runs, and which point's error a failing batch
+raises, are compared too; each run in JSON and in text.  Each
 tree runs the whole sweep in one worker process with its ``src`` first on
 the import path.  Every report is compared as the text ``verify`` prints:
 a JSON report without the line of its ``timestamp`` and without the lines
@@ -58,16 +60,24 @@ POINT = re.compile(r"\.(worst_point|points?)\[")  # coordinates, not residuals
 
 _POINTS = "sample.points = [[0.6, 0.3], [0.1, -0.7], [0.5, 0.2], [0.7, -0.6], [-0.3, -0.8]]"
 _SECTION = "[1/sqrt(1 + w1^2 + w2^2),"
+# the section lifted off the level set near w = (0.5, 0.2)
+_OFF_LEVEL = (_SECTION, "[(1 + 0.01*exp(-1000*((w1 - 0.5)^2 + (w2 - 0.2)^2)))"
+                        "/sqrt(1 + w1^2 + w2^2),")
+# generators that vanish where x3 = x4 = 0, the section point of w = 0
+_DEGENERATE = ("t1)", "t1*(x3^2 + x4^2))")
 
-# hopf variants that fail at one sample point: file stem -> (text in the
-# hopf scenario, its replacement, a line of sample points or "")
+# failing hopf variants: file stem -> (the (text in the hopf scenario, its
+# replacement) pairs, a line of sample points or "")
 FAILING = {
-    "off_level": (_SECTION, "[(1 + 0.01*exp(-1000*((w1 - 0.5)^2 + (w2 - 0.2)^2)))"
-                            "/sqrt(1 + w1^2 + w2^2),", _POINTS),
-    "degenerate": ("t1)", "t1*(x3^2 + x4^2))",
+    "off_level": ([_OFF_LEVEL], _POINTS),
+    "degenerate": ([_DEGENERATE],
                    "sample.points = [[0.6, 0.3], [0.1, -0.7], [0, 0], [0.7, -0.6]]"),
-    "stencil": (_SECTION, "[1/sqrt(1 + w1^2 + w2^2) + 0/(w1 - 0.50001),", _POINTS),
-    "sqrt_metric": ("metric = [[1,", "metric = [[sqrt(1.9 - x1),", ""),
+    "stencil": ([(_SECTION, "[1/sqrt(1 + w1^2 + w2^2) + 0/(w1 - 0.50001),")], _POINTS),
+    "sqrt_metric": ([("metric = [[1,", "metric = [[sqrt(1.9 - x1),")], ""),
+    # point 1 is degenerate and point 3 off the level set; a batch checks
+    # the level first, so it meets point 3's error before point 1's
+    "two_failures": ([_DEGENERATE, _OFF_LEVEL], "sample.points = "
+                     "[[0.6, 0.3], [0, 0], [0.1, -0.7], [0.5, 0.2], [0.7, -0.6]]"),
 }
 FAILING_SUITES = ("structures", "action", "reduction,main-theorem")
 
@@ -82,9 +92,12 @@ def write_scenarios(tmp: str) -> tuple[str, str, list[str]]:
     texts = {"euclidean_r2n_8": builtin_text("euclidean_r2n", 8),
              "hopf_no_acs": "\n".join(line for line in hopf.splitlines()
                                       if not line.startswith("acs"))}
-    for stem, (old, new, points) in FAILING.items():
-        assert old in hopf, stem
-        texts[stem] = hopf.replace(old, new) + "\n" + points + "\n"
+    for stem, (replacements, points) in FAILING.items():
+        text = hopf
+        for old, new in replacements:
+            assert old in text, stem
+            text = text.replace(old, new)
+        texts[stem] = text + "\n" + points + "\n"
     paths = []
     for stem, text in texts.items():
         paths.append(os.path.join(tmp, f"{stem}.scen"))

@@ -157,6 +157,31 @@ def test_momentum_invariance_reads_moved_points_from_the_table(monkeypatch):
     assert got.worst_point.coords.tobytes() == want.worst_point.coords.tobytes()
 
 
+@pytest.mark.parametrize("check", [
+    lambda scen, params, points, table: check_isometry(
+        scen.action, scen.metric, params, points, pushforwards=table),
+    lambda scen, params, points, table: check_symplectomorphism(
+        scen.action, scen.omega, params, points, pushforwards=table),
+    lambda scen, params, points, table: check_momentum_invariance(
+        scen.action, scen.mu, params, points, pushforwards=table),
+    lambda scen, params, points, table: check_field_invariance(
+        scen.acs, scen.action, params, points, pushforwards=table),
+], ids=["isometry", "symplectomorphism", "momentum", "field"])
+def test_a_pushforward_table_of_other_params_or_points_is_refused(check):
+    # a table of one of the two parameters used to check that one alone,
+    # and a table of more points to raise a broadcast error
+    scen = builtin("noninvariant_metric_hopf")
+    params = [[0.3], [1.1]]
+    own = check(scen, params, POINTS_4D, pushforward_table(scen.action, params, POINTS_4D))
+    assert own.max_residual == check(scen, params, POINTS_4D, None).max_residual
+    for table_params, table_points, shape in (([[0.3]], POINTS_4D, r"\(1, 5\)"),
+                                              (params, np.vstack([POINTS_4D] * 2), r"\(2, 10\)")):
+        table = pushforward_table(scen.action, table_params, table_points)
+        with pytest.raises(ValueError, match=r"^pushforward table is built for \(parameters, "
+                           rf"points\) = {shape}, not the \(2, 5\) checked$"):
+            check(scen, params, POINTS_4D, table)
+
+
 def test_isometry_examples():
     assert check_isometry(ROTATION, euclidean_metric(2), ANGLES, POINTS_2D).max_residual < 1e-9
 

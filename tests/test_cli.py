@@ -1,6 +1,7 @@
 """CLI contract: suites, exit codes, report formats, determinism."""
 
 import dataclasses
+import inspect
 import json
 import math
 from collections import Counter
@@ -9,14 +10,16 @@ import numpy as np
 import pytest
 
 import symred
-from symred import cli
+from symred import cli, scenarios, structures
 from symred.actions import (
     GroupAction,
     apply_flow,
+    check_action_axioms,
     check_field_invariance,
     check_isometry,
     check_momentum_invariance,
     check_symplectomorphism,
+    momentum_residual,
     planar_rotation_action,
     pushforward_table,
 )
@@ -30,7 +33,15 @@ from symred.reduction import (
     verify_submersion,
 )
 from symred.report import VerificationReport, check_to_dict
-from symred.scenarios import builtin, builtin_text, load_scenario_file, parse_scenario
+from symred.scenarios import (builtin, builtin_names, builtin_text, load_scenario_file,
+                              parse_scenario)
+from symred.structures import (
+    check_acs,
+    check_closed,
+    check_compatibility,
+    check_metric,
+    check_symplectic_pointwise,
+)
 
 from util import opaque_scenario, round_sphere_metric
 
@@ -194,6 +205,62 @@ def test_every_tolerance_reaches_a_check(tmp_path, capsys):
     path.write_text(builtin_text("hopf") + "\ntol.reduction.tangency = 1e-8\n")
     assert main(["verify", str(path), "--samples", "3"]) == 2
     assert "unknown tolerance 'reduction.tangency'" in capsys.readouterr().err
+
+
+# the library function and parameter whose default tolerance judges each
+# check of a run; the holomorphy battery and the iff rows have no parameter
+_CHECK_PARAMETERS = {
+    "metric field": (check_metric, "tol"),
+    "symplectic field": (check_symplectic_pointwise, "tol"),
+    "closedness of omega": (check_closed, "tol"),
+    "almost complex structure": (check_acs, "tol"),
+    "compatibility": (check_compatibility, "tol"),
+    "action axioms": (check_action_axioms, "tol"),
+    "isometry": (check_isometry, "tol"),
+    "symplectomorphism": (check_symplectomorphism, "tol"),
+    "hamiltonian condition": (momentum_residual, "tol"),
+    "momentum invariance": (check_momentum_invariance, "tol"),
+    "endomorphism invariance": (check_field_invariance, "tol"),
+    "fiber independence": (verify_submersion, "tol"),
+    "vertical invariance": (verify_submersion, "vertical_tol"),
+    "pullback identity": (verify_reduction_identity, "tol"),
+    "vertical degeneracy": (verify_reduction_identity, "degeneracy_tol"),
+    "almost complex mapping defect": (verify_main_theorem, "tol"),
+    "reduced compatibility": (verify_main_theorem, "tol"),
+    "reduced acs identity": (verify_main_theorem, "tol"),
+    "ambient compatibility hypothesis": (verify_main_theorem, "hypothesis_tol"),
+}
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_a_run_judges_each_check_by_its_library_default(name):
+    report, _ = run(RunConfig(name, samples=3, seed=1))
+    judged = set()
+    for path, check in report.all_checks():
+        if path.endswith("holomorphy") or check.name == "main theorem iff":
+            continue
+        fn, param = _CHECK_PARAMETERS[check.name]
+        default = inspect.signature(fn).parameters[param].default
+        assert check.tolerance == default, check.name
+        judged.add((fn.__name__, param))
+    # every tolerance parameter of the library, each judging some check
+    params = {(fn.__name__, p) for fn, _ in _CHECK_PARAMETERS.values()
+              for p in inspect.signature(fn).parameters if p.endswith("tol")}
+    assert judged == params and len(params) == 17
+
+
+@pytest.mark.parametrize("value, reported", [("1e-3", 0.001), (1, 1.0)])
+def test_a_configured_tolerance_is_read_as_a_float(value, reported):
+    cfg = RunConfig("hopf", suites=("structures",), samples=3, seed=1,
+                    tolerances={"structures.metric": value})
+    tol = run(cfg)[0].find("metric field").tolerance
+    assert tol == reported and type(tol) is float
+
+
+def test_the_default_table_is_read_only():
+    with pytest.raises(TypeError):
+        DEFAULT_TOLERANCES["structures.metric"] = 1.0
+    assert DEFAULT_TOLERANCES is structures.DEFAULT_TOLERANCES is scenarios.DEFAULT_TOLERANCES
 
 
 def test_other_builtins_verify_clean():

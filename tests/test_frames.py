@@ -436,6 +436,10 @@ def _empty_results():
         "momentum_jacobian": (lambda: [momentum_jacobian(hopf.mu, X)], [(0, 1, 4)]),
         "pushforward_table": (lambda: list(pushforward_table(hopf.action, [0.3, 1.0], X)),
                               [(2, 0, 4, 4), (2, 0, 4)]),
+        "pushforward_table per-point": (
+            lambda: list(pushforward_table(GroupAction(1, lambda a, p: p.coords + a[0]), [0.3],
+                                           np.zeros((0, 2)))),
+            [(1, 0, 2, 2), (1, 0, 2)]),
         "split_tangent": (lambda: split(split_tangent(hopf, X)), split_shapes),
         "lift_frames": (lambda: frames(False), frame_shapes),
         "lift_frames moved": (lambda: frames(True), frame_shapes),
@@ -456,3 +460,34 @@ def _empty_results():
 def test_a_stack_of_no_points_gives_empty_results(name):
     call, shapes = _empty_results()[name]
     assert [np.shape(a) for a in call()] == shapes
+
+
+def test_a_per_point_map_on_no_points_has_no_width():
+    # a stacked map gives its width at no points; a per-point map has no
+    # row to read it from, and used to come back as width 1
+    assert fd_jacobian(RowMap(lambda X: 2.0 * X), np.zeros((0, 3))).shape == (0, 3, 3)
+    with pytest.raises(ValueError, match="no value gives the output width"):
+        fd_jacobian(lambda p: p.coords, np.zeros((0, 3)))
+
+
+def test_a_table_built_from_other_inputs_is_not_read():
+    # a table of other points used to lend its frames (reduced compatibility
+    # 0.238 for 2.90, named at a point of X), a table of fewer points to
+    # fail on a reshape, and one of hopf at X to read as compatible; a
+    # submersion table was matched by its fibre parameters alone
+    scen, hopf = builtin("skewed_metric_hopf"), builtin("hopf")
+    X, Y = sample_ball(2, 5, 2.0, 0), sample_ball(2, 5, 2.0, 1)
+    pipelines = (
+        (lambda frames: verify_main_theorem(scen, X, frames=frames), ()),
+        (lambda frames: verify_reduction_identity(scen, X, frames=frames), ()),
+        (lambda frames: verify_submersion(scen, X, FIBER_PARAMS, frames=frames), FIBER_PARAMS),
+    )
+    for pipeline, fiber_params in pipelines:
+        own = pipeline(None).to_json()
+        assert pipeline(lift_frames(scen, X, fiber_params)).to_json() == own
+        for other in (lift_frames(scen, Y, fiber_params), lift_frames(scen, Y[:3], fiber_params),
+                      lift_frames(hopf, X, fiber_params)):
+            assert pipeline(other).to_json() == own
+    compat = verify_main_theorem(scen, X, frames=lift_frames(scen, Y)).find(
+        "reduced compatibility")
+    assert abs(compat.max_residual - 2.90) < 0.01
