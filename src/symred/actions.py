@@ -12,11 +12,13 @@ uniform rules.  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
 ``apply_flow``, ``generator``, ``momentum_values`` and
 ``momentum_jacobian`` take an (N, n) array of points, one point being a
 stack of one (``geometry.takes_points``), and evaluate all rows in one flow
-or stencil batch, as every check does; ``pushforward_table`` builds its
-flow Jacobians in one stencil batch per group parameter and every moved
-point in one flow batch, and an invariance check or ``average_metric``
-reads its field at all of them in one call.  Each row is the bits of the
-call on its point alone.
+or derivative batch, as every check does; ``pushforward_table`` builds the
+flow Jacobians of all P * N (parameter, point) pairs in one derivative
+batch and every moved point in one flow batch, and an invariance check or
+``average_metric`` reads its field at all of them in one call.  Each row is
+the bits of the call on its point alone.  A compiled flow's derivatives
+are exact (``geometry.RowMap.tangents``): the flow Jacobians seed the point
+coordinates and the generators the group parameters.
 """
 
 from __future__ import annotations
@@ -32,15 +34,13 @@ from .geometry import (
     as_points,
     eval_field,
     fd_gradient,
-    fd_jacobian,
     takes_points,
-    _differences,
+    _derivative,
     _evaluate_rows,
     _finite,
     _require_finite,
     _row_max_abs,
     _row_norms,
-    _stencil,
 )
 from .structures import DEFAULT_TOLERANCES, StructureCheckResult, _sampled
 
@@ -50,6 +50,7 @@ __all__ = [
     "apply_flow",
     "generator",
     "generator_vector",
+    "PushforwardTable",
     "pushforward_table",
     "momentum_values",
     "momentum_jacobian",
@@ -149,13 +150,22 @@ def _flow_values(action: GroupAction, rows: np.ndarray) -> np.ndarray:
     return _evaluate_rows(action.flow, rows, _finite("chart point"))
 
 
-def _flow_map(action: GroupAction, params) -> RowMap:
-    """Phi_a as a chart map, the group parameter repeated over every row; a
-    moved point is checked as apply_flow checks it.  A flow maps n
-    coordinates to n, so its values are (N, n) also at no rows."""
-    a = np.asarray(params, dtype=float).reshape(action.group_dim)
-    rows = action.flow.rows
-    return RowMap(lambda X: _require_finite(rows(_pairs(X, a)), "chart point").reshape(X.shape))
+def _flow_derivatives(action: GroupAction, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """The derivatives of Phi at every (point, parameter) row of ``rows``
+    along the columns of ``seeds``, over the point and parameter
+    coordinates of a row: the (N, n, s) stack from one derivative batch,
+    a moved point checked as apply_flow checks it."""
+    n = rows.shape[1] - action.group_dim
+    if not len(rows):
+        return np.zeros((0, n, seeds.shape[1]))
+    return _derivative(action.flow, rows, seeds, _finite("chart point"))
+
+
+def _flow_jacobians(action: GroupAction, rows: np.ndarray) -> np.ndarray:
+    """D Phi_a at every (point, parameter a) row of ``rows``, the (N, n, n)
+    stack of Jacobians in the point, from one derivative batch."""
+    n = rows.shape[1] - action.group_dim
+    return _flow_derivatives(action, rows, np.eye(rows.shape[1], n))
 
 
 def _param_rows(action: GroupAction, params) -> np.ndarray:
@@ -164,33 +174,49 @@ def _param_rows(action: GroupAction, params) -> np.ndarray:
     return np.array([np.full(k, a, dtype=float) for a in params]).reshape(-1, k)
 
 
-def pushforward_table(action: GroupAction, params, points):
-    """(D, moved) for P group parameters and N points: D[j] is the (N, n, n)
-    stack of flow Jacobians of the j-th parameter a, one stencil batch per
-    parameter, and moved[j] the (N, n) points moved by Phi_a, all P * N from
-    one flow batch, each row the bits of the call on its point alone.
-    Passed as ``pushforwards=`` to check_isometry, check_symplectomorphism,
-    check_field_invariance and check_momentum_invariance over the same params
-    and points, it lets them share one flow Jacobian and moved point per
-    (point, parameter) instead of each differentiating or applying the flow."""
+class PushforwardTable:
+    """The flow Jacobians and moved points of P group parameters at N
+    points, with the (N, n) points and (P, k) parameters they were built
+    from: ``D[j]`` is the (N, n, n) stack of Jacobians of Phi_a for the
+    j-th parameter a, and ``moved[j]`` the (N, n) points moved by Phi_a.
+    It unpacks as ``D, moved``."""
+
+    __slots__ = ("D", "moved", "points", "params")
+
+    def __init__(self, D: np.ndarray, moved: np.ndarray, points: np.ndarray, params: np.ndarray):
+        self.D, self.moved, self.points, self.params = D, moved, points, params
+
+    def __iter__(self):
+        return iter((self.D, self.moved))
+
+
+def pushforward_table(action: GroupAction, params, points) -> PushforwardTable:
+    """The flow Jacobians and moved points of P group parameters at N
+    points (``PushforwardTable``), the Jacobians of all P * N pairs from
+    one derivative batch and the moved points from one flow batch, each row
+    the bits of the call on its point alone.  Passed as ``pushforwards=``
+    to check_isometry, check_symplectomorphism, check_field_invariance and
+    check_momentum_invariance over the same params and points, it lets them
+    share one flow Jacobian and moved point per (point, parameter) instead
+    of each differentiating or applying the flow; a check refuses a table
+    of other params or points."""
     X, prm = as_points(points), _param_rows(action, params)
     (N, n), P = X.shape, len(prm)
-    D = np.array([fd_jacobian(_flow_map(action, a), X) for a in prm]).reshape(P, N, n, n)
-    moved = _flow_values(action, _pairs(np.tile(X, (P, 1)), np.repeat(prm, N, axis=0)))
-    return D, moved.reshape(P, N, n)
+    rows = _pairs(np.tile(X, (P, 1)), np.repeat(prm, N, axis=0))
+    D = _flow_jacobians(action, rows).reshape(P, N, n, n)
+    return PushforwardTable(D, _flow_values(action, rows).reshape(P, N, n), X, prm)
 
 
 @takes_points(2)
 def generator_vector(action: GroupAction, xi, X) -> np.ndarray:
     """Infinitesimal generator along an arbitrary algebra vector:
     d/dt flow(t * xi, p) at t = 0, as a component vector at each row p of
-    the (N, n) array X, the (N, n) stack from one flow batch."""
-    N, n = X.shape
-    direction = np.asarray(xi, dtype=float).reshape(action.group_dim)
-    steps = _stencil(direction[np.newaxis])
-    values = _flow_values(action, _pairs(np.repeat(X, len(steps), axis=0),
-                                         np.tile(steps, (N, 1))))
-    v = _differences(values, N)
+    the (N, n) array X, the (N, n) stack from one derivative batch of the
+    flow in its parameters."""
+    n, k = X.shape[1], action.group_dim
+    seeds = np.zeros((n + k, 1))
+    seeds[n:, 0] = np.asarray(xi, dtype=float).reshape(k)
+    v = _flow_derivatives(action, _pairs(X, np.zeros(k)), seeds)[..., 0]
     if v.shape[1:] != (n,):
         raise ValueError(f"generator length {v.shape[1:]} does not match chart dimension {n}")
     return _require_finite(v, "generator")
@@ -214,8 +240,8 @@ def momentum_values(mu: MomentumMap, p) -> np.ndarray:
 
 def momentum_jacobian(mu: MomentumMap, p) -> np.ndarray:
     """k x n matrix whose rows are the gradients of the momentum components;
-    for an (N, n) array of points, the (N, k, n) stack, one stencil batch
-    per component."""
+    for an (N, n) array of points, the (N, k, n) stack, one derivative
+    batch per component."""
     return np.stack([fd_gradient(c, p) for c in mu.components], axis=-2)
 
 
@@ -253,22 +279,29 @@ def _invariance_check(name, identity, residual, action, value, params, points, t
     residual(D, F(p), F(Phi_a(p))) over all parameters a, stacked parameter
     outer, F being ``value``, read at the points and at all moved points in
     one call each.  ``pushforwards`` is a ``pushforward_table`` of the same
-    params and points or None, and raises ValueError if its counts differ."""
-    want = (len(_param_rows(action, params)), len(as_points(points)))
-    if pushforwards is not None and pushforwards[1].shape[:2] != want:
-        raise ValueError(f"pushforward table is built for (parameters, points) = "
-                         f"{pushforwards[1].shape[:2]}, not the {want} checked")
+    params and points or None; a table of other params or points raises
+    ValueError."""
+    X, prm = as_points(points), _param_rows(action, params)
+    if pushforwards is not None:
+        if pushforwards.moved.shape[:2] != (len(prm), len(X)):
+            raise ValueError(f"pushforward table is built for (parameters, points) = "
+                             f"{pushforwards.moved.shape[:2]}, not the {(len(prm), len(X))} "
+                             "checked")
+        if not (np.array_equal(pushforwards.params, prm)
+                and np.array_equal(pushforwards.points, X)):
+            raise ValueError("pushforward table is built at other parameters or points "
+                             "than the ones checked")
 
     def residuals(X, rows):
         if pushforwards is None:
-            D, moved = pushforward_table(action, params, X)
+            D, moved = pushforward_table(action, prm, X)
         else:
             D, moved = (a[:, rows] for a in pushforwards)
         there = value(moved.reshape(-1, moved.shape[2]))
         diff = residual(D, value(X), there.reshape(moved.shape[:2] + there.shape[1:]))
         return _row_max_abs(diff.swapaxes(0, 1))
 
-    return _sampled(name, identity, residuals, points, tol)
+    return _sampled(name, identity, residuals, X, tol)
 
 
 def _pullback_residual(D, here, moved) -> np.ndarray:

@@ -33,9 +33,9 @@ more than 200 levels high.
 :class:`Program` in a single walk of each parsed tree: the walk rejects
 unknown coordinates and functions, folds every subtree that reads no
 coordinate (and does not raise) into a constant, gives structurally equal
-subtrees one slot, and appends one instruction (operation, argument slots,
-result slot) per remaining node, in evaluation order (Aho, Lam, Sethi &
-Ullman, *Compilers*, 2006: value numbering of a basic block).  One
+subtrees one slot, and appends one instruction (label, operation, argument
+slots, result slot) per remaining node, in evaluation order (Aho, Lam,
+Sethi & Ullman, *Compilers*, 2006: value numbering of a basic block).  One
 interpreter runs that list on one point's Python floats or on a batch's
 float64 columns, one per coordinate.  Each operation is one kernel on every
 path: ``+ - * /`` and negation are IEEE operations, ``^2`` is one checked
@@ -46,6 +46,15 @@ folding, one row and a batch give each value the same bits, those of a
 tree walk calling the same kernels.  Scenario files are untrusted input:
 a program is data built from the AST, and no generated source is ever
 passed to ``eval`` or ``exec``.
+
+Every instruction keeps its label, and one table, ``_OPS``, gives each
+label's value kernel and its tangent rule, so :meth:`Program.tangents` runs
+the same instructions in forward mode (Griewank & Walther, *Evaluating
+Derivatives*, 2008): each slot carries an (N, s) tangent block beside its
+value column, seeded on the inputs asked for, and a slot that depends on
+no seeded input carries none.  The rules are the exact derivatives of the
+kernels, so a Jacobian has roundoff error only, and a rule is looked up
+only when a tangent is asked for.
 """
 
 from __future__ import annotations
@@ -487,10 +496,58 @@ def _elementwise(name: str, ufunc, *args):
     return call
 
 
-# an instruction's operation, by label: the binary operators, "neg" for
-# unary minus, a function name, or an int exponent
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
-        "neg": operator.neg}
+# The tangent rules: the tangent of an instruction's result from its result
+# y, its arguments' values a (and b) and their tangents ta (and tb), each an
+# (N, s) block, an (s,) row broadcast over the batch, or None for zero.  A
+# binary rule is called when either tangent is not None, a unary one when
+# its argument's is not.
+
+def _add_tangent(y, a, b, ta, tb):
+    return tb if ta is None else ta if tb is None else ta + tb
+
+
+def _sub_tangent(y, a, b, ta, tb):
+    return -tb if ta is None else ta if tb is None else ta - tb
+
+
+def _mul_tangent(y, a, b, ta, tb):
+    return a * tb if ta is None else ta * b if tb is None else ta * b + a * tb
+
+
+def _div_tangent(y, a, b, ta, tb):
+    return ta / b if tb is None else ((-y * tb) if ta is None else ta - y * tb) / b
+
+
+def _function(name: str):
+    """The kernel of the function ``name``: its ufunc in FUNCTIONS, looked
+    up at each call, through ``_elementwise``."""
+    return _elementwise(name, lambda x: FUNCTIONS[name](x))
+
+
+def _power_op(k: int) -> tuple:
+    """The kernel and tangent rule of ``^k``; a square is one multiply,
+    np.power's bits."""
+    if k == 2:
+        return _elementwise("power", lambda x: x * x), lambda y, a, ta: (a + a) * ta
+    if k == 0:
+        return _elementwise("power", np.power, 0), lambda y, a, ta: None
+    return _elementwise("power", np.power, k), lambda y, a, ta: (k * np.power(a, k - 1)) * ta
+
+
+# an instruction's operation by label, as (value kernel, tangent rule): the
+# binary operators, "neg" for unary minus and the functions; an int
+# exponent's pair comes from _power_op
+_OPS = {
+    "+": (operator.add, _add_tangent),
+    "-": (operator.sub, _sub_tangent),
+    "*": (operator.mul, _mul_tangent),
+    "/": (_divide, _div_tangent),
+    "neg": (operator.neg, lambda y, a, ta: -ta),
+    "sin": (_function("sin"), lambda y, a, ta: np.cos(a) * ta),
+    "cos": (_function("cos"), lambda y, a, ta: -np.sin(a) * ta),
+    "exp": (_function("exp"), lambda y, a, ta: y * ta),
+    "sqrt": (_function("sqrt"), lambda y, a, ta: ta / (y + y)),
+}
 
 # what evaluating a subtree may raise; a constant subtree that raises is not
 # folded, so it raises when the program runs, as it would unfolded
@@ -503,9 +560,10 @@ class Program:
 
     Slot ``i`` holds coordinate ``i`` for ``i < width``; every later slot
     holds a constant folded at compile time, or the result of one
-    instruction ``(op, argument slots, result slot)``.  ``code`` lists the
-    instructions in the order a tree walk of the entries first reaches
-    them, and ``outputs`` gives each entry's slot.
+    instruction ``(label, op, argument slots, result slot)``, ``op`` being
+    the label's value kernel.  ``code`` lists the instructions in the order
+    a tree walk of the entries first reaches them, and ``outputs`` gives
+    each entry's slot.
     """
 
     __slots__ = ("width", "template", "code", "outputs")
@@ -532,7 +590,7 @@ class Program:
         """Every slot's value after running the program on ``values``.
 
         ``values`` is one point, a float per name, or a batch of points, a
-        float64 column per name, all of one length; on a batch a slot is a
+        float64 column per name, all of one shape; on a batch a slot is a
         column, or a Python number if it reads no coordinate.  A batch
         raises the error of its first failing operation, the same text as
         on the float of the column's first offending entry; the first
@@ -542,13 +600,37 @@ class Program:
         self.check_width(len(values))
         v = [*values, *self.template]
         with np.errstate(all="ignore"):
-            for op, args, out in self.code:
+            for _, op, args, out in self.code:
                 # unpacking the arguments with * would cost more than the op
                 if len(args) == 2:
                     v[out] = op(v[args[0]], v[args[1]])
                 else:
                     v[out] = op(v[args[0]])
         return v
+
+    def tangents(self, columns, seeds: np.ndarray) -> list:
+        """Every slot's tangent, from one run of the program in forward mode.
+
+        ``columns`` holds each name's (N, 1) value column, and row i of the
+        (width, s) array ``seeds`` the tangent of name i along s directions;
+        a zero row seeds nothing.  A slot's tangent is its derivative along
+        the s directions, an (N, s) block (or an (s,) row, the same at every
+        point), or None where it is zero: a constant, or a slot that reads
+        no seeded name.  Values raise as :meth:`run` raises them; a tangent
+        that is not finite is returned as it is, for the caller to refuse.
+        """
+        v = self.run(columns)
+        t = [row if row.any() else None for row in seeds] + [None] * len(self.template)
+        with np.errstate(all="ignore"):
+            for label, _, args, out in self.code:
+                rule = _OPS[label][1] if label in _OPS else _power_op(label)[1]
+                if len(args) == 2:
+                    ta, tb = t[args[0]], t[args[1]]
+                    if ta is not None or tb is not None:
+                        t[out] = rule(v[out], v[args[0]], v[args[1]], ta, tb)
+                elif t[args[0]] is not None:
+                    t[out] = rule(v[out], v[args[0]], t[args[0]])
+        return t
 
     def check_width(self, count: int) -> None:
         """Raise ValueError unless ``count`` is the number of names."""
@@ -581,7 +663,7 @@ def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
     names = tuple(names)
     width = len(names)
     index = {name: i for i, name in enumerate(names)}
-    ops = {**_OPS, **{name: _elementwise(name, fn) for name, fn in FUNCTIONS.items()}}
+    kernels = {label: kernel for label, (kernel, _) in _OPS.items()}
     slots: dict = {}  # constant repr, or (label, argument slots) -> slot
     template: list = []
     code: list = []
@@ -602,10 +684,9 @@ def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
             return slot
         if min(args) < 0:  # an argument names an unknown coordinate or function
             return -1
-        op = ops.get(label)
-        if op is None:  # an exponent; a square is one multiply, np.power's bits
-            op = ops[label] = _elementwise("power", lambda x: x * x) if label == 2 \
-                else _elementwise("power", np.power, label)
+        op = kernels.get(label)
+        if op is None:  # an exponent
+            op = kernels[label] = _power_op(label)[0]
         if min(args) >= width:
             known = [template[a - width] for a in args]
             if None not in known:
@@ -616,7 +697,7 @@ def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
         if slot is None:
             slot = width + len(template)
             template.append(None)
-            code.append((op, args, slot))
+            code.append((label, op, args, slot))
         slots[key] = slot
         return slot
 

@@ -1,4 +1,4 @@
-"""Charts, evaluable tensor fields, finite differences, and the small dense
+"""Charts, evaluable tensor fields, derivatives, and the small dense
 linear-algebra kit used by every other module.
 
 A chart point is a ``ChartPoint``, and a sample of points (``sample_box``,
@@ -10,9 +10,13 @@ a matrix whose columns are the vectors.
 Everything here is pure and immutable: evaluating a field or a derivative
 never mutates shared state, so concurrent use needs no synchronization, and
 nothing is cached at module level.
-Derivatives are fourth-order central finite differences with the one step
-``FD_STEP`` (1e-5), which only ``fd_jacobian`` lets a caller change; nothing
-in the package differentiates symbolically.
+A map with ``tangents`` (every compiled scenario map, and a constant
+field) has exact first derivatives: its program runs once in forward mode
+(``exprlang``), to roundoff, and a fully folded map gets a zero derivative
+without running anything.  Only an opaque Python callable (a per-point
+map, a user's ``TensorField``, the holomorphy references) is
+differentiated by fourth-order central finite differences with the one
+step ``FD_STEP`` (1e-5), which only ``fd_jacobian`` lets a caller change.
 
 Every path works on stacks: ``eval_field``, ``fd_jacobian``,
 ``fd_directional`` and ``fd_gradient`` take an (N, d) array of points, and
@@ -29,13 +33,18 @@ A stack whose slices would differ in shape (kernel dimensions, columns
 kept by Gram-Schmidt) raises ValueError instead of padding.
 
 ``fd_jacobian``, ``fd_directional``, ``fd_gradient`` and the group
-generators share one stencil path: every stencil point ``x + t * e`` is a
-row of one array, all rows are evaluated in one call, and one vectorised
-expression combines them with the operation order of the per-column
-formula, so the result is the same bits.  Every map is a ``RowMap``, whose
-``rows`` evaluates all rows of an array; a user's per-point callable is
-wrapped into one where it enters the package (``as_row_map``) and called
-once per row with a ChartPoint.  A compiled scenario map runs its program
+generators share one derivative path, ``_derivative``: the derivatives at
+every row along the columns of a seed matrix, which names the directions
+(the identity for a Jacobian, the group parameters for a generator).  A
+map with ``tangents`` takes them in one batch; any other takes the
+stencil, where every stencil point ``x + t * d`` is a row of one array,
+all rows are evaluated in one call, and one vectorised expression
+combines them with the operation order of the per-column formula, so the
+result is the same bits.  An exact derivative that is not finite raises
+NonFiniteError naming the map and its first such row.  Every map is a
+``RowMap``, whose ``rows`` evaluates all rows of an array; a user's
+per-point callable is wrapped into one where it enters the package
+(``as_row_map``) and called once per row with a ChartPoint.  A compiled scenario map runs its program
 once per batch, on the coordinate columns, each operation one numpy kernel
 (``exprlang``), so each row has the bits of running it on that row alone.
 One function, ``_replayed``, reruns a failed batch: a map's rows
@@ -175,12 +184,20 @@ class RowMap:
     (N, *shape) array of their values, doing for each row exactly what a
     call on that one row does.  Calling the map runs ``rows`` on an (N, d)
     array, or on one point as a stack of one (``takes_points``).
+
+    ``tangents``, if the map has one, gives exact derivatives:
+    ``tangents(X, seeds)`` is the (N, *shape, s) array of the derivatives
+    at the rows of X along the s columns of the (d, s) array ``seeds``,
+    each row the bits of the call on it alone, and it raises NonFiniteError
+    for a derivative that is not finite.  A map without one is
+    differentiated by the stencil.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "tangents")
 
-    def __init__(self, rows: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray], tangents: Callable | None = None):
         self.rows = rows
+        self.tangents = tangents
 
     @takes_points(1)
     def __call__(self, X):
@@ -243,7 +260,8 @@ class TensorField:
         arity = ARITIES[arr.ndim] if arr.ndim <= 2 else None
         if arity is None:
             raise ValueError(f"constant field must be rank <= 2, got shape {arr.shape}")
-        rows = RowMap(lambda X: arr[np.newaxis].repeat(len(X), axis=0))
+        rows = RowMap(lambda X: arr[np.newaxis].repeat(len(X), axis=0),
+                      lambda X, seeds: np.zeros((len(X), *arr.shape, seeds.shape[1])))
         return TensorField(arity, arr.shape, rows, name)
 
     def __call__(self, p):
@@ -266,28 +284,41 @@ def _field_values(field: TensorField, X: np.ndarray) -> np.ndarray:
     No rows give an empty stack of the declared shape."""
     if not len(X):
         return np.zeros((0, *field.shape))
+    return _evaluate_rows(field.func, X, _field_check(field))
 
+
+def _field_check(field: TensorField) -> Callable:
+    """The check of ``_evaluate_rows`` that a field's values have its
+    declared shape, are finite and are one per row."""
     def check(values, rows):
         values = np.asarray(values, dtype=float)
         if values.shape[1:] != field.shape:
             raise ValueError(
                 f"field {field.name!r} returned shape {values.shape[1:]}, declared {field.shape}"
             )
-        if not np.isfinite(values).all():
-            finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
-            bad = ChartPoint(rows[int(np.argmin(finite))])
-            # formatting the point costs more than the evaluation: only on failure
-            raise NonFiniteError(f"field {field.name!r} at {bad} contains non-finite entries")
+        _finite_rows(values, rows, f"field {field.name!r}")
         if len(values) != len(rows):
             raise ValueError(
                 f"field {field.name!r} returned {len(values)} values for {len(rows)} points")
         return values
 
-    return _evaluate_rows(field.func, X, check)
+    return check
 
 
-# the step of the fourth-order central-difference stencil for every derivative;
-# only a caller of fd_jacobian can pass another
+def _finite_rows(values: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
+    """``values``, one per row of ``rows``, if all are finite; else
+    NonFiniteError naming ``what`` and the first row with a non-finite
+    value.  Formatting the point costs more than the values: only on
+    failure."""
+    if not np.isfinite(values).all():
+        finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+        bad = ChartPoint(rows[int(np.argmin(finite))])
+        raise NonFiniteError(f"{what} at {bad} contains non-finite entries")
+    return values
+
+
+# the step of the fourth-order central-difference stencil, which only maps
+# without exact derivatives take; only a caller of fd_jacobian can pass another
 FD_STEP = 1e-5
 # kernel_basis counts singular values below this times the largest one as zero
 RANK_TOL = 1e-8
@@ -334,42 +365,69 @@ def _stencil_rows(X: np.ndarray, directions: np.ndarray, h: float = FD_STEP) -> 
     return (X[:, np.newaxis, :] + _stencil(directions, h)[np.newaxis]).reshape(-1, n)
 
 
+def _derivative(f: RowMap, X: np.ndarray, seeds: np.ndarray, check: Callable,
+                h: float = FD_STEP) -> np.ndarray:
+    """The derivatives of ``f`` at the rows of the (N, d) array X along the
+    s columns of the (d, s) array ``seeds``, as the (N, *shape, s) stack,
+    each row the bits of the call on its point alone: exact, from one
+    ``tangents`` batch, if the map has one; else central differences of
+    step h, from the values at every stencil row in one batch, each value
+    refused as ``check`` refuses it.  A failing batch runs again row by row
+    (``_replayed``)."""
+    if f.tangents is not None:
+        return _evaluate_rows(RowMap(lambda Y: f.tangents(Y, seeds)), X, lambda D, rows: D)
+    N, s = len(X), seeds.shape[1]
+    D = _differences(_evaluate_rows(f, _stencil_rows(X, seeds.T, h), check), N * s, h)
+    return np.ascontiguousarray(np.moveaxis(D.reshape(N, s, *D.shape[1:]), 1, -1))
+
+
 @takes_points(1)
 def fd_jacobian(chart_map, X, *, step: float = FD_STEP) -> np.ndarray:
     """Jacobian matrices of a chart-to-chart map at the rows of the (N, n)
-    array X by central differences, as the (N, m, n) stack.
+    array X, as the (N, m, n) stack: exact for a map with ``tangents`` (a
+    compiled scenario map), else by central differences of ``step``.
 
-    Entry (j, i) of each approximates the partial of output component j
-    with respect to input coordinate i; the error is O(step**4) on smooth
-    maps.  All stencil rows are evaluated in one batch, each Jacobian the
-    bits of the call on its point alone.  A step that is not positive and
-    finite raises ValueError, as does a map whose values at no points are a
-    flat (0,) array: no value gives its output width m.
+    Entry (j, i) of each is the partial of output component j with respect
+    to input coordinate i; the stencil's error is O(step**4) on smooth
+    maps.  All rows are evaluated in one batch, each Jacobian the bits of
+    the call on its point alone.  A step that is not positive and finite
+    raises ValueError, as does a map whose values at no points are a flat
+    (0,) array: no value gives its output width m.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     chart_map = as_row_map(chart_map)
     N, n = X.shape
-    values = _evaluate_rows(chart_map, _stencil_rows(X, np.eye(n), step) if n else X,
-                            _finite("map value"))
-    if values.ndim < 2 and not len(values):
+    if n == 0:  # no direction: the values at the points give the width
+        values = _evaluate_rows(chart_map, X, _finite("map value"))
+        return np.zeros((N, int(np.prod(values.shape[1:])), 0))
+    D = _derivative(chart_map, X, np.eye(n), _finite("map value"), step)
+    if D.ndim < 3 and not N:
         raise ValueError("the map's values at no points are flat: no value gives the output width")
-    m = int(np.prod(values.shape[1:]))  # read off the shape: an empty stack has no row
-    if n == 0:  # no stencil: the values are those at the points
-        return np.zeros((N, m, 0))
-    D = _differences(values.reshape(len(values), m), N * n, step)
-    return np.ascontiguousarray(D.reshape(N, n, m).swapaxes(1, 2))
+    return D.reshape(N, int(np.prod(D.shape[1:-1])), n)
+
+
+def _field_derivative(field: TensorField, X: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """The derivatives of ``field`` at the rows of X along the columns of
+    ``seeds``, the (N, *shape, s) stack; no rows give an empty stack."""
+    if not len(X):
+        return np.zeros((0, *field.shape, seeds.shape[1]))
+    return _derivative(field.func, X, seeds, _field_check(field))
 
 
 @takes_points(1)
 def fd_directional(field: TensorField, X, direction) -> np.ndarray | float:
-    """Directional derivatives of a tensor field along ``direction``
-    (unnormalized) at the rows of the (N, n) array X, the (N, *shape) stack
-    from one batch, as ``fd_gradient``."""
+    """Directional derivatives of a tensor field (unnormalized) at the rows
+    of the (N, n) array X, from one batch, as ``fd_jacobian``: along one
+    vector ``direction``, the (N, *shape) stack; along each column of an
+    (n, s) matrix of directions, the (N, *shape, s) stack, so the identity
+    gives every partial at once."""
     d = as_coords(direction)
-    if not np.linalg.norm(d) > 0:
+    directions = d[:, np.newaxis] if d.ndim == 1 else d
+    if not (_row_norms(directions.T) > 0).all():
         raise DegenerateInputError("directional derivative needs a nonzero direction")
-    return _differences(_field_values(field, _stencil_rows(X, d[np.newaxis])), len(X))
+    D = _field_derivative(field, X, directions)
+    return D[..., 0] if d.ndim == 1 else D
 
 
 @takes_points(1)
@@ -378,8 +436,7 @@ def fd_gradient(field: TensorField, X) -> np.ndarray:
     array X, the (N, n) stack from one batch, as ``fd_jacobian``."""
     if field.arity != "scalar":
         raise ValueError("gradient is defined for scalar fields")
-    N, n = X.shape
-    return _differences(_field_values(field, _stencil_rows(X, np.eye(n))), N * n).reshape(N, n)
+    return _field_derivative(field, X, np.eye(X.shape[1]))
 
 
 def kernel_basis(mat, rank_tol: float = RANK_TOL) -> np.ndarray:

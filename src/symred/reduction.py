@@ -48,7 +48,7 @@ from .actions import (
     generator,
     momentum_jacobian,
     momentum_values,
-    _flow_map,
+    _flow_jacobians,
     _pairs,
     _param_rows,
 )
@@ -219,7 +219,7 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     the kernel of ``vertical.T @ G`` inside the level frame, orthonormalized
     for G, so it lies in ker d mu with n - 2k columns by construction.
 
-    All rows are split at once, with one stencil batch per Jacobian, stacked
+    All rows are split at once, with one derivative batch per Jacobian, stacked
     SVDs and stacked Gram-Schmidt, each row's arrays the bits of splitting
     it alone.  A failing check raises for the first row that fails it, and
     rows whose frames would differ in dimension raise ValueError.
@@ -270,21 +270,14 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     return SplitTangentSpace(M, G, level, vertical, horizontal, Jmu, V)
 
 
-def _moved_section(scen: ReductionScenario, a=None) -> RowMap:
-    """Phi_a o sigma, or sigma itself without ``a``, as a chart map running
-    the section's rows, then the flow's; a section point must be finite, as
-    a ChartPoint of it must."""
-    section = scen.section.rows
-    flow = (lambda Y: Y) if a is None else _flow_map(scen.action, a).rows
-    return RowMap(lambda X: flow(_require_finite(section(X), "chart point")))
-
-
 @dataclass(frozen=True, eq=False)
 class _LiftFrames:
     """The lift frames at N quotient points, every array with a leading N:
     the splitting at the section points (``split.base``), the pinned lifts,
     omega and J there, H^T G, which takes a vector to its horizontal
-    coefficients, and C = H^T G L, the lifts in those coefficients."""
+    coefficients, C = H^T G L, the lifts in those coefficients, and the
+    flow Jacobian D Phi_a at sigma(x) that moved the frame's section point
+    there (the identity for a frame of the section itself)."""
 
     split: SplitTangentSpace
     lifts: np.ndarray          # N x n x q with d pi(lift_i) = e_i
@@ -292,6 +285,7 @@ class _LiftFrames:
     J: np.ndarray
     htg: np.ndarray            # N x q x n
     coef: np.ndarray           # N x q x q
+    pushforward: np.ndarray    # N x n x n
 
     def __getitem__(self, rows: slice) -> "_LiftFrames":
         """The frames at the points ``rows``."""
@@ -306,14 +300,17 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray,
     through the section, then through Phi_a o sigma for each row a of the
     (P, k) array ``fiber_params``, a block of N frames each, built in one
     batch: one section call, one flow batch, one ``split_tangent``, one
-    stencil batch per block for the section pushforwards, and stacked
-    products, SVDs and solves.  Each frame has the bits of the batch of its
-    point alone, and a batch of one raises what that frame raises.  A batch
-    of several raises if any frame fails, not necessarily the first one's.
+    section Jacobian, one batch of flow Jacobians for all P * N moved
+    frames, chained as D(Phi_a o sigma) = D Phi_a(sigma) D sigma, and
+    stacked products, SVDs and solves.  Each frame has the bits of the
+    batch of its point alone, and a batch of one raises what that frame
+    raises.  A batch of several raises if any frame fails, not necessarily
+    the first one's.
     """
+    n, P = scen.chart_dim, len(fiber_params)
     M = _require_finite(scen.section.rows(X), "chart point")
-    if len(fiber_params):
-        rows = _pairs(np.tile(M, (len(fiber_params), 1)), np.repeat(fiber_params, len(X), axis=0))
+    if P:
+        rows = _pairs(np.tile(M, (P, 1)), np.repeat(fiber_params, len(X), axis=0))
         M = np.concatenate([M, _require_finite(scen.action.flow.rows(rows), "chart point")])
     gaps = _level_gaps(scen, M)
     i = _first(gaps >= LEVEL_TOL)
@@ -331,8 +328,13 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray,
     # horizontal part of the section pushforward; d pi of it is the identity
     # on the quotient chart because pi o section = id and d pi kills the
     # vertical complement
-    sections = [_moved_section(scen), *(_moved_section(scen, a) for a in fiber_params)]
-    lifts = H @ (htg @ np.concatenate([fd_jacobian(f, X) for f in sections]))
+    dsigma = fd_jacobian(scen.section, X)
+    pushforward = np.broadcast_to(np.eye(n), (len(X), n, n))
+    if P:
+        D = _flow_jacobians(scen.action, rows)
+        dsigma = np.concatenate([dsigma, D @ np.tile(dsigma, (P, 1, 1))])
+        pushforward = np.concatenate([pushforward, D])
+    lifts = H @ (htg @ dsigma)
     if q:
         sv = np.linalg.svd(lifts, compute_uv=False)
         i = _first(sv[:, -1] <= RANK_TOL * np.where(sv[:, 0] > 1.0, sv[:, 0], 1.0))
@@ -341,7 +343,7 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray,
                 f"projection differential is not invertible on H at {ChartPoint(M[i])} "
                 f"(singular values {sv[i]})"
             )
-    return _LiftFrames(split, lifts, Om, J, htg, htg @ lifts)
+    return _LiftFrames(split, lifts, Om, J, htg, htg @ lifts, pushforward)
 
 
 class _FrameTable:
@@ -492,7 +494,7 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, 
     Each fibre parameter is a group parameter vector, or a scalar t standing
     for t * (1, ..., 1).  ``frames`` is a ``lift_frames`` table, read if it is
     of the same scenario, points and fibre parameters, or None.  The flow
-    pushforwards are one stencil batch per fibre parameter, and the
+    pushforwards are those the moved frames were built with, and the
     residuals one stack."""
     report = VerificationReport("submersion")
     X, prm = as_points(points), _param_rows(scen.action, fiber_params)
@@ -500,11 +502,10 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, 
 
     def residuals(X, rows):
         base, moved, P = frames[rows], frames.moved(rows), len(prm)
-        D = np.array([fd_jacobian(_flow_map(scen.action, a), base.split.base)
-                      for a in prm]).reshape(-1, scen.chart_dim, scen.chart_dim)
         fiber = np.tile(_reduced_metric(base.lifts, base.split.metric), (P, 1, 1)) \
             - _reduced_metric(moved.lifts, moved.split.metric)
-        vertical = _vertical_leak(D, np.tile(base.split.generators, (P, 1, 1)), moved.split)
+        vertical = _vertical_leak(moved.pushforward, np.tile(base.split.generators, (P, 1, 1)),
+                                  moved.split)
         return np.stack([_row_max_abs(_row_max_abs(fiber).reshape(P, len(X)).T),
                          _row_max_abs(vertical.reshape(P, len(X)).T)])
 

@@ -20,7 +20,7 @@ from .actions import GroupAction, MomentumMap
 from .errors import NonFiniteError, UnknownIdentifierError, UnknownScenarioError, ValidationError
 from .exprlang import (Expr, ExprParser, Program, compile_exprs, eval_expr, token_positions,
                        tokenize)
-from .geometry import RowMap, TensorField
+from .geometry import RowMap, TensorField, _finite_rows
 from .reduction import ReductionScenario, SampleSpec
 from .structures import DEFAULT_TOLERANCES, build_compatible_triple, check_tolerance
 
@@ -303,12 +303,16 @@ def _as_matrix(value, key: str) -> tuple:
     raise ValidationError(f"value of {key!r} must be a matrix [[..], ..]")
 
 
-def _row_map(program: Program, shape: tuple) -> RowMap:
+def _row_map(program: Program, shape: tuple, name: str) -> RowMap:
     """The RowMap of a map's program over the rows of an (N, width) array,
-    values stacked to (N, *shape).  The entries the compile walk folded are
-    one constant array; one program run per batch fills in the others, on
-    the floats of a single row (cheaper there) or on the coordinate columns
-    of several, with the same bits either way."""
+    values stacked to (N, *shape), with exact derivatives.  The entries the
+    compile walk folded are one constant array; one program run per batch
+    fills in the others, on the floats of a single row (cheaper there) or
+    on the coordinate columns of several, with the same bits either way.
+    ``tangents`` runs the program once in forward mode on the columns; a
+    folded entry has a zero derivative, so a fully folded map runs
+    nothing, and a derivative that is not finite raises NonFiniteError
+    naming the map ``name`` and the first such row."""
     folded = program.folded
     constant = np.array([0.0 if v is None else v for v in folded])
     varying = [i for i, v in enumerate(folded) if v is None]
@@ -323,7 +327,19 @@ def _row_map(program: Program, shape: tuple) -> RowMap:
             out[:, varying] = np.array([values[s] for s in slots]).T
         return out.reshape(len(X), *shape)
 
-    return RowMap(rows)
+    def tangents(X: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        program.check_width(X.shape[1])
+        out = np.zeros((len(X), len(folded), seeds.shape[1]))
+        if varying:
+            columns = np.ascontiguousarray(X.T, dtype=float)[:, :, np.newaxis]
+            tangent = program.tangents(list(columns), seeds)
+            for i, slot in zip(varying, slots):
+                if tangent[slot] is not None:
+                    out[:, i] = tangent[slot]
+            _finite_rows(out, X, f"derivative of {name}")
+        return out.reshape(len(X), *shape, seeds.shape[1])
+
+    return RowMap(rows, tangents)
 
 
 def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
@@ -334,7 +350,8 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
     section) is a RowMap over its program from ``parse_scenario``: one
     program run per batch of rows, with every row's bits those of running
     it on that row alone, and entries folded at load filled in from one
-    constant array.
+    constant array.  Its derivatives are exact, from one forward-mode run
+    of the program when they are asked for; loading computes none.
     No quadrature over the group is built, so loading costs the same for a
     circle and a high-dimensional torus; ``average_metric`` takes its rule
     as an argument.
@@ -342,12 +359,15 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
     dim, programs = sf.dim, sf.programs
 
     def matrix(key: str) -> TensorField:
-        return TensorField.matrix(_row_map(programs[key], (dim, dim)), dim,
-                                  name=f"{sf.name} {key}")
+        name = f"{sf.name} {key}"
+        return TensorField.matrix(_row_map(programs[key], (dim, dim), name), dim, name=name)
+
+    def scalar(program: Program, name: str) -> TensorField:
+        return TensorField.scalar(_row_map(program, (), name), name=name)
 
     omega, metric = matrix("omega"), matrix("metric")
     acs = matrix("acs") if sf.acs is not None else build_compatible_triple(omega, metric).acs
-    mu_fields = tuple(TensorField.scalar(_row_map(program, ()), name=f"{sf.name} mu[{i}]")
+    mu_fields = tuple(scalar(program, f"{sf.name} mu[{i}]")
                       for i, program in enumerate(programs["mu"]))
     return ReductionScenario(
         name=sf.name,
@@ -355,9 +375,10 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
         omega=omega,
         metric=metric,
         acs=acs,
-        action=GroupAction(group_dim=sf.group_dim, flow=_row_map(programs["flow"], (dim,))),
+        action=GroupAction(group_dim=sf.group_dim,
+                           flow=_row_map(programs["flow"], (dim,), f"{sf.name} flow")),
         mu=MomentumMap(components=mu_fields, beta=np.array(sf.beta)),
-        section=_row_map(programs["section"], (dim,)),
+        section=_row_map(programs["section"], (dim,), f"{sf.name} section"),
         tolerances=dict(sf.tolerances),
         sample_spec=sf.sample_spec,
     )

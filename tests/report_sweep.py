@@ -14,8 +14,9 @@ points), on hopf at 20 samples with the main-theorem, the reduction and
 the action suite alone (the lift frames are batched differently when no
 fibre frames are asked for), and on five failing hopf variants
 (``FAILING``: the section off the level set at a middle sample,
-generators degenerate at one sample, a division by zero at one stencil
-row of the section, the metric entry ``sqrt(1.9 - x1)``, and the first
+generators degenerate at one sample, a division by zero at w1 = 0.50001,
+a row only a stencil of the section would evaluate (the exact section
+Jacobian reads no such row, so that variant's reduction runs complete), the metric entry ``sqrt(1.9 - x1)``, and the first
 two at once, the degenerate sample before the one off the level set,
 whose error a batch meets first), each with the structures, the action
 and the reduction and main-theorem suites, so that the exit codes and

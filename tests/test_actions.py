@@ -28,7 +28,7 @@ from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_
 from symred.scenarios import builtin
 from symred.structures import euclidean_metric, standard_acs, standard_symplectic
 
-from util import reference_action_axioms, reference_generator
+from util import reference_action_axioms, reference_fd_generator
 
 HOPF = builtin("hopf")
 POINTS_4D = sample_box(4, 5, radius=1.5, seed=6)
@@ -128,13 +128,22 @@ _SIGNED_ZERO_POINTS = [ChartPoint(c) for c in ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.
 
 
 def test_generator_bit_identical_to_per_sample_reference():
+    # a flow without exact derivatives takes the stencil, the per-sample
+    # reference's bits; a compiled flow's exact generator of the clockwise
+    # rotation is (x2, -x1, x4, -x3), each row the bits of its point alone
     for action in (HOPF.action, _torus_action()):
         opaque = GroupAction(action.group_dim, lambda a, p, _f=action: apply_flow(_f, a, p))
         for p in _SIGNED_ZERO_POINTS:
             for i in range(action.group_dim):
-                want = reference_generator(action, i, p)
-                assert generator(action, i, p).tobytes() == want.tobytes()
+                want = reference_fd_generator(opaque, i, p)
                 assert generator(opaque, i, p).tobytes() == want.tobytes()
+                if action is not HOPF.action:
+                    assert generator(action, i, p).tobytes() == want.tobytes()
+    X = np.vstack([[p.coords for p in _SIGNED_ZERO_POINTS], POINTS_4D])
+    stacked = generator(HOPF.action, 0, X)
+    assert np.array_equal(stacked, X[:, [1, 0, 3, 2]] * [1.0, -1.0, 1.0, -1.0])
+    for i, x in enumerate(X):
+        assert stacked[i].tobytes() == generator(HOPF.action, 0, x).tobytes()
 
 
 def test_action_axioms_bit_identical_to_pairwise_reference():
@@ -180,6 +189,32 @@ def test_a_pushforward_table_of_other_params_or_points_is_refused(check):
         with pytest.raises(ValueError, match=r"^pushforward table is built for \(parameters, "
                            rf"points\) = {shape}, not the \(2, 5\) checked$"):
             check(scen, params, POINTS_4D, table)
+    # a table of the same counts at other parameters or points
+    for table_params, table_points in (([[0.3], [1.2]], POINTS_4D),
+                                       (params, sample_box(4, 5, radius=1.5, seed=7))):
+        table = pushforward_table(scen.action, table_params, table_points)
+        with pytest.raises(ValueError, match="^pushforward table is built at other parameters "
+                           "or points than the ones checked$"):
+            check(scen, params, POINTS_4D, table)
+
+
+def test_a_pushforward_table_of_other_points_is_not_read():
+    # a table of the right (parameters, points) counts built at seed 7 used
+    # to be read at the seed-6 points: isometry 1.7246 where the check's own
+    # table gives 1.7866
+    scen = builtin("noninvariant_metric_hopf")
+    params = [[0.3], [1.1]]
+    own = check_isometry(scen.action, scen.metric, params, POINTS_4D)
+    assert abs(own.max_residual - 1.7866) < 1e-4
+    other = pushforward_table(scen.action, params, sample_box(4, 5, radius=1.5, seed=7))
+    with pytest.raises(ValueError, match="other parameters or points"):
+        check_isometry(scen.action, scen.metric, params, POINTS_4D, pushforwards=other)
+    # its own inputs, given as lists, make a table that is read
+    table = pushforward_table(scen.action, np.array(params), list(POINTS_4D))
+    assert (table.points.tobytes(), table.params.tobytes()) == (
+        POINTS_4D.tobytes(), np.array(params).tobytes())
+    shared = check_isometry(scen.action, scen.metric, params, list(POINTS_4D), pushforwards=table)
+    assert shared.max_residual == own.max_residual
 
 
 def test_isometry_examples():

@@ -301,7 +301,7 @@ def test_compile_exprs_emits_one_instruction_per_distinct_varying_subtree():
                             ("x1", "x2"))
     # slots 0 and 1 are x1 and x2; then constants, and None per instruction
     assert program.template == [4.0, 2.0, None, None, 8.0, -8.0, None]
-    assert [(args, out) for _, args, out in program.code] == [((0, 3), 4), ((4, 4), 5),
+    assert [(args, out) for _, _, args, out in program.code] == [((0, 3), 4), ((4, 4), 5),
                                                                ((7, 1), 8)]
     assert program.outputs == (5, 8, 4) and program.folded == (None, None, None)
     assert compile_exprs([parse_expression("-(2^3)"), Coord("x1")], ("x1",)).folded \
@@ -381,7 +381,7 @@ def _map_outcome(exprs, rows):
     """As ``_batch_outcome``, for the compiled map of ``exprs``: one batch
     of its rows through ``_evaluate_rows``, which reruns a failing batch
     one row at a time on floats, so the first failing row raises."""
-    values_map = _row_map(compile_exprs(exprs, _NAMES), (len(exprs),))
+    values_map = _row_map(compile_exprs(exprs, _NAMES), (len(exprs),), "map")
     try:
         values = _evaluate_rows(values_map, np.array(rows), lambda values, X: values)
     except Exception as exc:  # noqa: BLE001 - type and message are compared

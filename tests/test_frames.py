@@ -15,7 +15,6 @@ import pytest
 from symred import cli, reduction
 from symred.actions import (
     GroupAction,
-    _flow_map,
     apply_flow,
     generator,
     momentum_jacobian,
@@ -56,7 +55,6 @@ from util import (
     reference_fd_jacobian,
     reference_kernel_basis,
     reference_lift_frame,
-    reference_moved_section,
     reference_orthonormalize,
     reference_pushforward,
 )
@@ -101,16 +99,16 @@ def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
         m, ref = reference_lift_frame(scen, x)
         _assert_frame(frames, i, m, ref, f"{name} seed {seed} base frame {i}")
         bases.append(m)
-    M = np.array([m.coords for m in bases])
     for j, a in enumerate(FIBER_PARAMS):
         a = np.full(k, a)
-        D = fd_jacobian(_flow_map(scen.action, a), M)
         for i, x in enumerate(xs):
-            m, ref = reference_lift_frame(scen, x, reference_moved_section(scen, a))
+            m, ref = reference_lift_frame(scen, x, a)
             _assert_frame(moved, j * len(xs) + i, m, ref,
                           f"{name} seed {seed} fibre frame {i} at {a}")
-            _same(D[i], reference_pushforward(scen.action, a, bases[i])[0],
+            _same(moved.pushforward[j * len(xs) + i],
+                  reference_pushforward(scen.action, a, bases[i])[0],
                   f"{name} seed {seed} fibre pushforward {i} at {a}")
+    assert (frames.pushforward == np.eye(scen.chart_dim)).all()
 
     points = sample_box(scen.chart_dim, 20, radius=2.0, seed=seed)
     rng = np.random.default_rng(seed + 1)
@@ -162,15 +160,29 @@ def test_stacked_fd_matches_each_point():
     def flow_at_one(p):
         return flow_rows(np.concatenate([p.coords, [0.7]])[np.newaxis])[0]
 
-    # a compiled RowMap, and a per-point callable called once per stencil row
-    for chart_map in (_flow_map(hopf.action, np.array([0.7])), flow_at_one):
+    # a compiled map's exact Jacobians and gradients are each the bits of
+    # the call on its point alone, and within the stencil's error of it
+    metric = builtin("noninvariant_metric_hopf").metric
+    for chart_map, field in ((metric.func, None), (hopf.mu.components[0].func,
+                                                   hopf.mu.components[0])):
         got = fd_jacobian(chart_map, X)
+        grads = None if field is None else fd_gradient(field, X)
         for i, x in enumerate(X):
-            _same(got[i], reference_fd_jacobian(chart_map, ChartPoint(x)), f"row {i}")
             _same(fd_jacobian(chart_map, x), got[i], f"single call {i}")
-    grads = fd_gradient(hopf.mu.components[0], X)
+            want = reference_fd_jacobian(lambda q: np.ravel(chart_map(q)), ChartPoint(x))
+            assert np.max(np.abs(got[i] - want)) < 1e-9
+            if field is not None:
+                _same(fd_gradient(field, x), grads[i], f"single gradient {i}")
+                _same(grads[i], got[i, 0], f"gradient {i}")
+    # a per-point callable called once per stencil row takes the stencil
+    got = fd_jacobian(flow_at_one, X)
     for i, x in enumerate(X):
-        _same(grads[i], reference_fd_gradient(hopf.mu.components[0], x), f"gradient {i}")
+        _same(got[i], reference_fd_jacobian(flow_at_one, ChartPoint(x)), f"row {i}")
+        _same(fd_jacobian(flow_at_one, x), got[i], f"single call {i}")
+    opaque_mu = TensorField.scalar(lambda p: hopf.mu.components[0](p))
+    grads = fd_gradient(opaque_mu, X)
+    for i, x in enumerate(X):
+        _same(grads[i], reference_fd_gradient(opaque_mu, x), f"gradient {i}")
     (D,), (moved,) = pushforward_table(hopf.action, [np.array([0.7])], X)
     for i, x in enumerate(X):
         want_D, want_moved = reference_pushforward(hopf.action, np.array([0.7]), x)
@@ -219,9 +231,7 @@ def _reference_submersion_failure(scen, xs):
         for x in xs:
             m, _ = reference_lift_frame(scen, x)
             for a in FIBER_PARAMS:
-                a = np.full(scen.action.group_dim, a)
-                reference_lift_frame(scen, x, reference_moved_section(scen, a))
-                reference_pushforward(scen.action, a, m)
+                reference_lift_frame(scen, x, np.full(scen.action.group_dim, a))
 
     return _first_failure(build)
 
@@ -271,14 +281,43 @@ def test_generators_degenerate_at_one_sample(tmp_path, capsys):
     assert "ChartPoint([1., 0., 0., 0.])" in str(error)
 
 
-def test_nonfinite_stencil_value(tmp_path, capsys):
+def test_nonfinite_stencil_value(tmp_path, capsys, monkeypatch):
     # 0/(w1 - c) is a signed zero everywhere except at the stencil row
-    # w1 = 0.5 + 1e-5 of the middle sample, where it divides by zero
+    # w1 = 0.5 + 1e-5 of the middle sample, where it divides by zero; only a
+    # per-point section takes the stencil
     assert 0.5 + FD_STEP == 0.50001
-    path, scen = _hopf_variant(tmp_path, "stencil", section=_HOPF_SECTION.replace(
+    path, compiled = _hopf_variant(tmp_path, "stencil", section=_HOPF_SECTION.replace(
         "[1/sqrt(1 + w1^2 + w2^2),", "[1/sqrt(1 + w1^2 + w2^2) + 0/(w1 - 0.50001),"))
+    scen = dataclasses.replace(compiled, section=lambda x: compiled.section(x))
+    monkeypatch.setattr(cli, "resolve_scenario", lambda name: scen)
     base_error, error = _assert_parity(path, scen, capsys)
     assert type(error) is NonFiniteError and str(error) == "division by zero"
+    # the compiled section's exact derivative evaluates no stencil row
+    monkeypatch.undo()
+    assert main(["verify", str(path), "--suites", "reduction,main-theorem"]) == 0
+
+
+def test_nonfinite_tangent_at_a_middle_sample(tmp_path, capsys):
+    # 0*sqrt(w1^2) adds a zero to the section's value everywhere, but its
+    # tangent at w1 = 0, the middle sample, is 0 * (0/0): the exact Jacobian
+    # fails closed there, naming the map and the point, and the batch raises
+    # what that point raises alone
+    path, scen = _hopf_variant(
+        tmp_path, "tangent",
+        points="sample.points = [[0.6, 0.3], [0.1, -0.7], [0, 0.2], [0.7, -0.6], [-0.3, -0.8]]",
+        section=_HOPF_SECTION.replace("[1/sqrt(1 + w1^2 + w2^2),",
+                                      "[1/sqrt(1 + w1^2 + w2^2) + 0*sqrt(w1^2),"))
+    hopf = builtin("hopf")
+    X = np.array(scen.sample_spec.points)
+    assert scen.section(X).tobytes() == hopf.section(X).tobytes()
+    base_error, error = _assert_parity(path, scen, capsys)
+    want = f"derivative of hopf section at {ChartPoint([0.0, 0.2])} contains non-finite entries"
+    assert type(error) is NonFiniteError and str(error) == str(base_error) == want
+    with pytest.raises(NonFiniteError) as raised:
+        fd_jacobian(scen.section, X)
+    assert str(raised.value) == want
+    assert main(["verify", str(path), "--suites", "reduction"]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_fibre_frame_fails_before_a_later_base_frame(tmp_path, capsys):

@@ -244,7 +244,19 @@ _MAP_TEXTS = ("x1*x2 - x3", "-(x1 + x4)", "x3/(2 + x1)", "cos(x1)*x2 + sin(x1)*x
 _X4 = ("x1", "x2", "x3", "x4")
 
 
+def _section_jacobian(w):
+    """The closed-form Jacobian of hopf's section (1, 0, w1, w2) / r with
+    r = sqrt(1 + |w|^2)."""
+    w = np.asarray(w, dtype=float)
+    r = np.sqrt(1.0 + w @ w)
+    z = np.array([1.0, 0.0, *w])
+    return np.vstack([np.zeros((2, 2)), np.eye(2)]) / r - np.outer(z, w) / r ** 3
+
+
 def test_fd_jacobian_bit_identical_to_per_column_reference():
+    # the stencil of a map without exact derivatives is the per-column
+    # reference, bit for bit; a compiled map's exact Jacobian is the closed
+    # form to roundoff, each row the bits of its point alone
     compiled = _compiled(_MAP_TEXTS, _X4)
     opaque = lambda p: compiled(p)  # noqa: E731 - forces the per-point path
     hopf = builtin("hopf")
@@ -254,36 +266,46 @@ def test_fd_jacobian_bit_identical_to_per_column_reference():
         for chart_map in (compiled, opaque):
             got = fd_jacobian(chart_map, p)
             assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
-        w = ChartPoint(coords[:2])
-        want = reference_fd_jacobian(hopf.section, w)
-        assert fd_jacobian(hopf.section, w).tobytes() == want.tobytes()
+    W = np.array([[0.3, -0.7], [1.5, 0.2], [-0.0, 0.0], [-2.0, 1.1]])
+    stacked = fd_jacobian(hopf.section, W)
+    assert stacked.flags.c_contiguous
+    for i, w in enumerate(W):
+        assert stacked[i].tobytes() == fd_jacobian(hopf.section, w).tobytes()
+        assert np.max(np.abs(stacked[i] - _section_jacobian(w))) < 1e-15
+        assert np.max(np.abs(stacked[i] - reference_fd_jacobian(hopf.section, w))) < 1e-10
 
 
 def test_fd_gradient_and_directional_bit_identical_to_reference():
-    fields = [builtin("euclidean_r2n").mu.components[0],
-              TensorField.scalar(_compiled(["x1*x2 - x3/(1 + x4^2)"], _X4, ()))]
+    # the stencil of a field without exact derivatives is the per-direction
+    # reference, bit for bit; a compiled field's are exact: the gradient of
+    # half the squared norm is the point, the x3-partial of 1 + x3^2 is 2 x3
+    mu = builtin("euclidean_r2n").mu.components[0]
+    fields = [TensorField.scalar(_compiled(["x1*x2 - x3/(1 + x4^2)"], _X4, ())),
+              TensorField.scalar(lambda q, _f=mu.func: _f(q))]
     metric = builtin("noninvariant_metric_hopf").metric
+    opaque_metric = TensorField.matrix(lambda q, _f=metric.func: _f(q), 4)
+    e3 = np.array([0.0, 0.0, 1.0, 0.0])
     for coords in _SIGNED_ZERO_POINTS:
         p = ChartPoint(coords)
         for field in fields:
-            opaque = TensorField.scalar(lambda q, _f=field.func: _f(q))
-            want = reference_fd_gradient(field, p)
-            assert fd_gradient(field, p).tobytes() == want.tobytes()
-            assert fd_gradient(opaque, p).tobytes() == want.tobytes()
-        e3 = np.array([0.0, 0.0, 1.0, 0.0])
-        got = fd_directional(metric, p, e3)
+            assert fd_gradient(field, p).tobytes() == reference_fd_gradient(field, p).tobytes()
+        assert np.array_equal(fd_gradient(mu, p), p.coords)
+        got = fd_directional(opaque_metric, p, e3)
         want = reference_fd_jacobian(
-            lambda q: eval_field(metric, q).ravel(), p)[:, 2].reshape(4, 4)
+            lambda q: eval_field(opaque_metric, q).ravel(), p)[:, 2].reshape(4, 4)
         assert got.tobytes() == want.tobytes()
+        want = np.zeros((4, 4))
+        want[0, 0] = 2.0 * coords[2]
+        assert np.array_equal(fd_directional(metric, p, e3), want)
     # a stack of points is the stack of the single-point derivatives
     X = np.array(_SIGNED_ZERO_POINTS)
     stacked = fd_directional(metric, X, e3)
     for i, x in enumerate(X):
         assert stacked[i].tobytes() == fd_directional(metric, x, e3).tobytes()
-    stacked = fd_directional(fields[1], X, e3)
+    stacked = fd_directional(fields[0], X, e3)
     assert stacked.shape == (len(X),)
     for i, x in enumerate(X):
-        assert stacked[i] == fd_directional(fields[1], x, e3)
+        assert stacked[i] == fd_directional(fields[0], x, e3)
 
 
 def _failure(fn):

@@ -128,12 +128,12 @@ def test_stacked_checks_match_per_point_references(name, seed):
 @pytest.mark.parametrize("name", ["hopf", "noninvariant_metric_hopf"])
 def test_per_point_maps_match_per_point_references(name):
     # every field, flow and momentum component an opaque callable: each
-    # stacked evaluation calls it once per row
+    # stacked evaluation calls it once per row, and every derivative is the
+    # stencil, on both sides
     scen = builtin(name)
     opaque = opaque_scenario(scen)
     points, params = _op_inputs(scen, 1, samples=8)
-    for (check_name, check, _), (_, _, reference) in zip(_checks(opaque, params),
-                                                          _checks(scen, params)):
+    for check_name, check, reference in _checks(opaque, params):
         _assert_matches(f"{name} {check_name}", check, reference, points)
 
 
@@ -148,7 +148,7 @@ def test_stack_of_one_point_and_no_points():
     # no group parameters: the parameter checks read no moved point, with
     # compiled and with per-point fields alike
     for s in (scen, opaque_scenario(scen)):
-        for (check_name, check, _), (_, _, reference) in zip(_checks(s, []), _checks(scen, [])):
+        for check_name, check, reference in _checks(s, []):
             _assert_matches(f"{check_name} with no parameters", check, reference, points)
 
 
@@ -274,6 +274,17 @@ def test_penalties_and_cyclic_sums_match_references():
         assert min(want) == 0.0 < max(want), name  # the penalty is taken and not taken
     _assert_matches("closed", lambda pts: check_closed(field, pts),
                     lambda pts: reference_closed_residuals(field, pts), points4)
+    # the same form compiled: its exact partials, and the stencil's residual
+    # to within the stencil's error
+    rows = ("[0, x3*x4, 0, sin(x2)]", "[-(x3*x4), 0, x1*x1, 0]", "[0, -(x1*x1), 0, 0]",
+            "[-sin(x2), 0, 0, 0]")
+    compiled = compile_scenario(parse_scenario(builtin_text("hopf").replace(
+        "omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]",
+        f"omega = [{', '.join(rows)}]"))).omega
+    _assert_matches("closed compiled", lambda pts: check_closed(compiled, pts),
+                    lambda pts: reference_closed_residuals(compiled, pts), points4)
+    exact, stencil = check_closed(compiled, points4), check_closed(field, points4)
+    assert exact.max_residual > 1.0 and abs(exact.max_residual - stencil.max_residual) < 1e-8
 
 
 @pytest.mark.parametrize("shared", [True, False])

@@ -303,6 +303,33 @@ def reference_fd_jacobian(chart_map, p, *, step=FD_STEP):
     return np.column_stack(cols)
 
 
+def _has_exact_derivative(chart_map):
+    """Whether a map (a RowMap) is differentiated exactly, as a compiled
+    scenario map is, rather than by the stencil."""
+    return getattr(chart_map, "tangents", None) is not None
+
+
+def reference_jacobian(chart_map, p):
+    """The Jacobian at one point that the per-point references use: the
+    map's own exact derivative at that point alone if it has one, else the
+    column-by-column stencil.  The exact derivatives themselves are checked
+    against sympy (tests/test_tangents.py)."""
+    from symred.geometry import as_point, fd_jacobian
+
+    if _has_exact_derivative(chart_map):
+        return fd_jacobian(chart_map, as_point(p))
+    return reference_fd_jacobian(chart_map, p)
+
+
+def reference_gradient(field, p):
+    """A scalar field's gradient at one point, as ``reference_jacobian``."""
+    from symred.geometry import as_point, fd_gradient
+
+    if _has_exact_derivative(field.func):
+        return fd_gradient(field, as_point(p))
+    return reference_fd_gradient(field, p)
+
+
 def reference_fd_gradient(field, p):
     """Gradient of a scalar field, one directional difference per coordinate."""
     from symred.geometry import eval_field
@@ -319,6 +346,18 @@ def reference_fd_gradient(field, p):
 
 
 def reference_generator(action, xi_index, p):
+    """Generator of one algebra basis element at one point, as
+    ``reference_jacobian``: a compiled flow's exact one at that point
+    alone, else ``reference_fd_generator``."""
+    from symred.actions import generator
+    from symred.geometry import as_point
+
+    if _has_exact_derivative(action.flow):
+        return generator(action, xi_index, as_point(p))
+    return reference_fd_generator(action, xi_index, p)
+
+
+def reference_fd_generator(action, xi_index, p):
     """Generator of one algebra basis element, one flow call per sample."""
     from symred.actions import apply_flow
 
@@ -397,7 +436,7 @@ def reference_split_tangent(scen, m):
     gap = _reference_level_gap(scen, point)
     if gap >= LEVEL_TOL:
         raise NotOnLevelError(f"|mu(m) - beta| = {gap:.3e} exceeds {LEVEL_TOL:.1e}")
-    jmu = np.vstack([reference_fd_gradient(c, point) for c in scen.mu.components])
+    jmu = np.vstack([reference_gradient(c, point) for c in scen.mu.components])
     level = reference_kernel_basis(jmu, RANK_TOL)
     if level.shape[1] != n - k:
         raise NotRegularValueError(
@@ -430,25 +469,21 @@ def reference_split_tangent(scen, m):
             "jmu": jmu, "generators": V}
 
 
-def reference_moved_section(scen, a):
-    """Phi_a o sigma on one quotient point, one flow call per point."""
-    from symred.actions import apply_flow
-
-    return lambda q: apply_flow(scen.action, a, scen.section_point(q))
-
-
-def reference_lift_frame(scen, x, section=None):
+def reference_lift_frame(scen, x, a=None):
     """The lift frame at one quotient point, frame by frame: the reference
-    for the batched ``lift_frames``.  Returns the point m and a dict of
-    every array of the frame, and raises what the per-frame construction raised,
+    for the batched ``lift_frames``, through the section or, given a group
+    parameter a, through Phi_a o sigma, whose Jacobian is the chain
+    D Phi_a(sigma(x)) D sigma(x).  Returns the point m and a dict of every
+    array of the frame, and raises what the per-frame construction raised,
     in its order."""
+    from symred.actions import apply_flow
     from symred.errors import RankDeficientLiftError, SectionNotOnLevelError
     from symred.geometry import as_point, eval_field
     from symred.reduction import LEVEL_TOL, RANK_TOL
 
     xq = as_point(x)
-    section = scen.section_point if section is None else section
-    m = as_point(section(xq))
+    m0 = scen.section_point(xq)
+    m = m0 if a is None else apply_flow(scen.action, a, m0)
     gap = _reference_level_gap(scen, m)
     if gap >= LEVEL_TOL:
         raise SectionNotOnLevelError(f"section lands off the level set: |mu - beta| = {gap:.3e}")
@@ -456,7 +491,9 @@ def reference_lift_frame(scen, x, section=None):
     G, h_onb = frame["metric"], frame["horizontal"]
     frame["Om"] = eval_field(scen.omega, m)
     frame["J"] = eval_field(scen.acs, m)
-    dsig = reference_fd_jacobian(section, xq)
+    dsig = reference_jacobian(scen.section, xq)
+    if a is not None:
+        dsig = reference_pushforward(scen.action, a, m0)[0] @ dsig
     lifts = h_onb @ (h_onb.T @ G @ dsig)
     sv = np.linalg.svd(lifts, compute_uv=False)
     if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
@@ -468,12 +505,17 @@ def reference_lift_frame(scen, x, section=None):
 
 
 def reference_pushforward(action, a, p):
-    """Flow Jacobian and moved point at one point, one flow call per stencil
-    sample: the reference for the batched pushforwards."""
-    from symred.actions import apply_flow
+    """Flow Jacobian and moved point at one point, the reference for the
+    batched pushforwards: a compiled flow's exact Jacobian at that point
+    and parameter alone, else one flow call per stencil sample."""
+    from symred.actions import apply_flow, pushforward_table
+    from symred.geometry import as_point
 
-    return reference_fd_jacobian(lambda q: apply_flow(action, a, q), p), \
-        apply_flow(action, a, p)
+    if _has_exact_derivative(action.flow):
+        D = pushforward_table(action, [a], as_point(p).coords[np.newaxis]).D[0, 0]
+    else:
+        D = reference_fd_jacobian(lambda q: apply_flow(action, a, q), p)
+    return D, apply_flow(action, a, p)
 
 
 # --- per-point references for the sampled checks ------------------------------
@@ -513,22 +555,28 @@ def reference_symplectic_residuals(w, points, tol):
 
 
 def reference_closed_residuals(w, points):
-    """Cyclic sums of partials, each partial one difference per coordinate
-    direction with one field evaluation per stencil sample."""
+    """Cyclic sums of partials, one point at a time: for a compiled field
+    its exact partials at that point alone, else each partial one
+    difference per coordinate direction with one field evaluation per
+    stencil sample."""
     import itertools
 
-    from symred.geometry import eval_field
+    from symred.geometry import eval_field, fd_directional
 
     n = w.shape[0]
     out = []
     for p in points:
         x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
-        partials = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            partials.append(reference_central_difference(
-                lambda t: eval_field(w, ChartPoint(x + t * e))))
+        if _has_exact_derivative(w.func):
+            exact = fd_directional(w, ChartPoint(x), np.eye(n))
+            partials = [exact[..., i] for i in range(n)]
+        else:
+            partials = []
+            for i in range(n):
+                e = np.zeros(n)
+                e[i] = 1.0
+                partials.append(reference_central_difference(
+                    lambda t: eval_field(w, ChartPoint(x + t * e))))
         out.append(_max_abs([partials[i][j, k] + partials[j][k, i] + partials[k][i, j]
                              for i, j, k in itertools.combinations(range(n), 3)]))
     return out
@@ -589,7 +637,7 @@ def reference_momentum_residuals(action, mu, w, points):
         Om = eval_field(w, p)
         out.append(_max_abs([
             float(np.linalg.norm(Om.T @ reference_generator(action, i, p)
-                                 - reference_fd_gradient(mu.components[i], p)))
+                                 - reference_gradient(mu.components[i], p)))
             for i in range(action.group_dim)]))
     return out
 
@@ -658,7 +706,7 @@ def reference_submersion(scen, xs, fiber_params):
         h_here = _reference_reduced_metric(frame)
         gaps, leaks = [], []
         for a in prm:
-            _, moved = reference_lift_frame(scen, x, reference_moved_section(scen, a))
+            _, moved = reference_lift_frame(scen, x, a)
             D, _ = reference_pushforward(scen.action, a, m)
             gaps.append(_max_abs(h_here - _reference_reduced_metric(moved)))
             G, V = moved["metric"], moved["vertical"]
