@@ -14,10 +14,12 @@ uniform rules.  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
 stack of one (``geometry.takes_points``), and evaluate all rows in one flow
 or derivative batch, as every check does; ``pushforward_table`` builds the
 flow Jacobians of all P * N (parameter, point) pairs in one derivative
-batch and every moved point in one flow batch, and an invariance check or
-``average_metric`` reads its field at all of them in one call.  Each row is
-the bits of the call on its point alone.  A compiled flow's derivatives
-are exact (``geometry.RowMap.tangents``): the flow Jacobians seed the point
+batch and every moved point in one flow batch.  That table is the one input
+of the axiom and invariance checks, which read their parameters, points and
+moves from it; an invariance check or ``average_metric`` reads its field at
+all moved points in one call.  Each row is the bits of the call on its
+point alone.  A compiled flow's derivatives are exact
+(``geometry.RowMap.tangents``): the flow Jacobians seed the point
 coordinates and the generators the group parameters.
 """
 
@@ -176,15 +178,17 @@ def _param_rows(action: GroupAction, params) -> np.ndarray:
 
 class PushforwardTable:
     """The flow Jacobians and moved points of P group parameters at N
-    points, with the (N, n) points and (P, k) parameters they were built
-    from: ``D[j]`` is the (N, n, n) stack of Jacobians of Phi_a for the
-    j-th parameter a, and ``moved[j]`` the (N, n) points moved by Phi_a.
-    It unpacks as ``D, moved``."""
+    points, with the action, the (N, n) points and the (P, k) parameters
+    they were built from: ``D[j]`` is the (N, n, n) stack of Jacobians of
+    Phi_a for the j-th parameter a, and ``moved[j]`` the (N, n) points
+    moved by Phi_a.  It unpacks as ``D, moved``."""
 
-    __slots__ = ("D", "moved", "points", "params")
+    __slots__ = ("action", "D", "moved", "points", "params")
 
-    def __init__(self, D: np.ndarray, moved: np.ndarray, points: np.ndarray, params: np.ndarray):
-        self.D, self.moved, self.points, self.params = D, moved, points, params
+    def __init__(self, action: GroupAction, D: np.ndarray, moved: np.ndarray,
+                 points: np.ndarray, params: np.ndarray):
+        self.action, self.D, self.moved = action, D, moved
+        self.points, self.params = points, params
 
     def __iter__(self):
         return iter((self.D, self.moved))
@@ -194,17 +198,25 @@ def pushforward_table(action: GroupAction, params, points) -> PushforwardTable:
     """The flow Jacobians and moved points of P group parameters at N
     points (``PushforwardTable``), the Jacobians of all P * N pairs from
     one derivative batch and the moved points from one flow batch, each row
-    the bits of the call on its point alone.  Passed as ``pushforwards=``
-    to check_isometry, check_symplectomorphism, check_field_invariance and
-    check_momentum_invariance over the same params and points, it lets them
-    share one flow Jacobian and moved point per (point, parameter) instead
-    of each differentiating or applying the flow; a check refuses a table
-    of other params or points."""
+    the bits of the call on its point alone; a failing pair raises what
+    the first failing (parameter, point) row raises, parameter outer.  It
+    is the one input of check_action_axioms, check_isometry,
+    check_symplectomorphism, check_momentum_invariance and
+    check_field_invariance, so one flow Jacobian and moved point per
+    (parameter, point) pair serves all of them."""
     X, prm = as_points(points), _param_rows(action, params)
     (N, n), P = X.shape, len(prm)
     rows = _pairs(np.tile(X, (P, 1)), np.repeat(prm, N, axis=0))
     D = _flow_jacobians(action, rows).reshape(P, N, n, n)
-    return PushforwardTable(D, _flow_values(action, rows).reshape(P, N, n), X, prm)
+    return PushforwardTable(action, D, _flow_values(action, rows).reshape(P, N, n), X, prm)
+
+
+def _table_params(table: PushforwardTable) -> np.ndarray:
+    """The (P, k) parameters of a table a check reads; a table of no
+    parameters would pass any check vacuously, so it raises ValueError."""
+    if not len(table.params):
+        raise ValueError("pushforward table has no group parameters to check")
+    return table.params
 
 
 @takes_points(2)
@@ -245,63 +257,47 @@ def momentum_jacobian(mu: MomentumMap, p) -> np.ndarray:
     return np.stack([fd_gradient(c, p) for c in mu.components], axis=-2)
 
 
-def check_action_axioms(action: GroupAction, params, points,
+def check_action_axioms(table: PushforwardTable,
                         tol: float = DEFAULT_TOLERANCES["action.axioms"]) -> StructureCheckResult:
     """Identity axiom flow(0, p) = p and additivity flow(s, flow(t, p)) =
-    flow(s + t, p) over the sampled parameters.
+    flow(s + t, p) over the table's parameters and points.
 
-    The flows Phi_t(p), the two-step flows over every (s, t) and the
-    one-step flows Phi_{s+t}(p) are each evaluated as one batch of rows.
+    Phi_t(p) is read from ``table.moved``; the identity flows, the two-step
+    flows over every (s, t) and the one-step flows Phi_{s+t}(p) are each
+    evaluated as one batch of rows.
     """
-    prm = _param_rows(action, params)
+    action, prm = table.action, _table_params(table)
     P = len(prm)
 
     def residuals(X, rows):
         N, n = X.shape
-        res = _row_norms(apply_flow(action, np.zeros(action.group_dim), X) - X)[:, np.newaxis]
-        if P:
-            # per point, (s, t) pairs with s outer: s repeated per t, t cycled per s
-            outer = np.tile(np.repeat(prm, P, axis=0), (N, 1))
-            sums = np.tile((prm[:, np.newaxis] + prm[np.newaxis]).reshape(P * P, -1), (N, 1))
-            moved = _flow_values(action, _pairs(np.repeat(X, P, axis=0), np.tile(prm, (N, 1))))
-            starts = np.tile(moved.reshape(N, P, n), (1, P, 1)).reshape(-1, n)
-            two_step = _flow_values(action, _pairs(starts, outer))
-            one_step = _flow_values(action, _pairs(np.repeat(X, P * P, axis=0), sums))
-            res = np.hstack([res, _row_norms(two_step - one_step).reshape(N, P * P)])
-        return _row_max_abs(res)
+        identity = _row_norms(apply_flow(action, np.zeros(action.group_dim), X) - X)
+        # per point, (s, t) pairs with s outer: s repeated per t, t cycled per s
+        outer = np.tile(np.repeat(prm, P, axis=0), (N, 1))
+        sums = np.tile((prm[:, np.newaxis] + prm[np.newaxis]).reshape(P * P, -1), (N, 1))
+        starts = np.tile(table.moved[:, rows].swapaxes(0, 1), (1, P, 1)).reshape(-1, n)
+        two_step = _flow_values(action, _pairs(starts, outer))
+        one_step = _flow_values(action, _pairs(np.repeat(X, P * P, axis=0), sums))
+        return _row_max_abs(np.hstack([identity[:, np.newaxis],
+                                       _row_norms(two_step - one_step).reshape(N, P * P)]))
 
-    return _sampled("action axioms", IDENTITY_AXIOMS, residuals, points, tol)
+    return _sampled("action axioms", IDENTITY_AXIOMS, residuals, table.points, tol)
 
 
-def _invariance_check(name, identity, residual, action, value, params, points, tol,
-                      pushforwards):
-    """Shared body of the invariance checks: per point, the largest entry of
-    residual(D, F(p), F(Phi_a(p))) over all parameters a, stacked parameter
-    outer, F being ``value``, read at the points and at all moved points in
-    one call each.  ``pushforwards`` is a ``pushforward_table`` of the same
-    params and points or None; a table of other params or points raises
-    ValueError."""
-    X, prm = as_points(points), _param_rows(action, params)
-    if pushforwards is not None:
-        if pushforwards.moved.shape[:2] != (len(prm), len(X)):
-            raise ValueError(f"pushforward table is built for (parameters, points) = "
-                             f"{pushforwards.moved.shape[:2]}, not the {(len(prm), len(X))} "
-                             "checked")
-        if not (np.array_equal(pushforwards.params, prm)
-                and np.array_equal(pushforwards.points, X)):
-            raise ValueError("pushforward table is built at other parameters or points "
-                             "than the ones checked")
+def _invariance_check(name, identity, residual, value, table: PushforwardTable, tol):
+    """Shared body of the invariance checks: per point of ``table``, the
+    largest entry of residual(D, F(p), F(Phi_a(p))) over all of its
+    parameters a, stacked parameter outer, F being ``value``, read at the
+    points and at all moved points in one call each."""
+    _table_params(table)
 
     def residuals(X, rows):
-        if pushforwards is None:
-            D, moved = pushforward_table(action, prm, X)
-        else:
-            D, moved = (a[:, rows] for a in pushforwards)
+        D, moved = (a[:, rows] for a in table)
         there = value(moved.reshape(-1, moved.shape[2]))
         diff = residual(D, value(X), there.reshape(moved.shape[:2] + there.shape[1:]))
         return _row_max_abs(diff.swapaxes(0, 1))
 
-    return _sampled(name, identity, residuals, X, tol)
+    return _sampled(name, identity, residuals, table.points, tol)
 
 
 def _pullback_residual(D, here, moved) -> np.ndarray:
@@ -309,18 +305,16 @@ def _pullback_residual(D, here, moved) -> np.ndarray:
     return D.swapaxes(-1, -2) @ moved @ D - here
 
 
-def check_isometry(action: GroupAction, g: TensorField, params, points,
-                   tol: float = DEFAULT_TOLERANCES["action.isometry"], *,
-                   pushforwards=None) -> StructureCheckResult:
-    return _invariance_check("isometry", IDENTITY_ISOMETRY, _pullback_residual,
-                             action, g, params, points, tol, pushforwards)
+def check_isometry(g: TensorField, table: PushforwardTable,
+                   tol: float = DEFAULT_TOLERANCES["action.isometry"]) -> StructureCheckResult:
+    return _invariance_check("isometry", IDENTITY_ISOMETRY, _pullback_residual, g, table, tol)
 
 
-def check_symplectomorphism(action: GroupAction, w: TensorField, params, points,
-                            tol: float = DEFAULT_TOLERANCES["action.symplectomorphism"], *,
-                            pushforwards=None) -> StructureCheckResult:
+def check_symplectomorphism(w: TensorField, table: PushforwardTable,
+                            tol: float = DEFAULT_TOLERANCES["action.symplectomorphism"]
+                            ) -> StructureCheckResult:
     return _invariance_check("symplectomorphism", IDENTITY_SYMPLECTO, _pullback_residual,
-                             action, w, params, points, tol, pushforwards)
+                             w, table, tol)
 
 
 def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, points,
@@ -342,18 +336,14 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
     return _sampled("hamiltonian condition", IDENTITY_MOMENTUM, residuals, points, tol)
 
 
-def check_momentum_invariance(action: GroupAction, mu: MomentumMap, params, points,
-                              tol: float = DEFAULT_TOLERANCES["action.mu-invariance"], *,
-                              pushforwards=None) -> StructureCheckResult:
+def check_momentum_invariance(mu: MomentumMap, table: PushforwardTable,
+                              tol: float = DEFAULT_TOLERANCES["action.mu-invariance"]
+                              ) -> StructureCheckResult:
     """Invariance mu o Phi_a = mu; this is equivariance for abelian groups.
-
-    ``pushforwards`` is a ``pushforward_table`` of the same params and
-    points whose moved points are read, or None to build one.
-    """
+    The table's points and moved points are read, not its Jacobians."""
     return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT,
                              lambda D, here, moved: moved - here,
-                             action, lambda X: momentum_values(mu, X), params, points,
-                             tol, pushforwards)
+                             lambda X: momentum_values(mu, X), table, tol)
 
 
 def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorField:
@@ -385,13 +375,13 @@ def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorFi
     return TensorField.matrix(RowMap(avg), n, name=f"group average of {g0.name or 'metric'}")
 
 
-def check_field_invariance(field_: TensorField, action: GroupAction, params, points,
-                           tol: float = DEFAULT_TOLERANCES["action.acs-invariance"], *,
-                           pushforwards=None) -> StructureCheckResult:
+def check_field_invariance(field_: TensorField, table: PushforwardTable,
+                           tol: float = DEFAULT_TOLERANCES["action.acs-invariance"]
+                           ) -> StructureCheckResult:
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
     return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
                              lambda D, here, moved: D @ here - moved @ D,
-                             action, field_, params, points, tol, pushforwards)
+                             field_, table, tol)
 
 
 def uniform_circle_quadrature(n: int = 64) -> tuple:

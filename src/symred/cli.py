@@ -34,6 +34,7 @@ from .holomorphy import (
     cauchy_riemann_residual,
 )
 from .reduction import (
+    FIBER_PARAMS,
     ReductionScenario,
     lift_frames,
     verify_main_theorem,
@@ -116,37 +117,31 @@ def _suite_structures(scen, tol, points):
 
 def _suite_action(scen, tol, points, params):
     report = VerificationReport("action")
-    report.add(check_action_axioms(scen.action, params, points, tol["action.axioms"]))
-    # one flow Jacobian and moved point per (point, parameter) for the four
-    # invariance checks, every parameter a block of one stack
-    pushforwards = pushforward_table(scen.action, params, points)
-    report.add(check_isometry(scen.action, scen.metric, params, points,
-                              tol["action.isometry"], pushforwards=pushforwards))
-    report.add(check_symplectomorphism(scen.action, scen.omega, params, points,
-                                       tol["action.symplectomorphism"], pushforwards=pushforwards))
+    # one flow Jacobian and moved point per (parameter, point) for the axioms
+    # and the four invariance checks, every parameter a block of one stack
+    table = pushforward_table(scen.action, params, points)
+    report.add(check_action_axioms(table, tol["action.axioms"]))
+    report.add(check_isometry(scen.metric, table, tol["action.isometry"]))
+    report.add(check_symplectomorphism(scen.omega, table, tol["action.symplectomorphism"]))
     report.add(momentum_residual(scen.action, scen.mu, scen.omega, points, tol["action.momentum"]))
-    report.add(check_momentum_invariance(scen.action, scen.mu, params, points,
-                                         tol["action.mu-invariance"], pushforwards=pushforwards))
-    report.add(check_field_invariance(scen.acs, scen.action, params, points,
-                                      tol["action.acs-invariance"], pushforwards=pushforwards))
+    report.add(check_momentum_invariance(scen.mu, table, tol["action.mu-invariance"]))
+    report.add(check_field_invariance(scen.acs, table, tol["action.acs-invariance"]))
     return report
 
 
-def _suite_reduction(scen, tol, qpoints, fiber_params, seed, frames):
+def _suite_reduction(tol, seed, frames):
     report = VerificationReport("reduction")
-    report.add_child(verify_submersion(
-        scen, qpoints, fiber_params, tol["reduction.submersion"],
-        frames=frames, vertical_tol=tol["reduction.vertical-invariance"]))
-    report.add_child(verify_reduction_identity(scen, qpoints, tol["reduction.identity"],
-                                               tol["reduction.degeneracy"], seed=seed,
-                                               frames=frames))
+    report.add_child(verify_submersion(frames, tol["reduction.submersion"],
+                                       tol["reduction.vertical-invariance"]))
+    report.add_child(verify_reduction_identity(frames, tol["reduction.identity"],
+                                               tol["reduction.degeneracy"], seed=seed))
     return report
 
 
-def _suite_main_theorem(scen, tol, qpoints, frames):
+def _suite_main_theorem(tol, frames):
     report = VerificationReport("main-theorem")
-    report.add_child(verify_main_theorem(scen, qpoints, tol["main-theorem.residuals"],
-                                         tol["main-theorem.hypothesis"], frames=frames))
+    report.add_child(verify_main_theorem(frames, tol["main-theorem.residuals"],
+                                         tol["main-theorem.hypothesis"]))
     return report
 
 
@@ -226,10 +221,9 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
     else:
         qpoints = sample_ball(scen.quotient_dim, samples,
                               radius=scen.sample_spec.radius, seed=seed)
-    fiber_params = (np.pi / 3.0, np.pi)
     # the base lift frames of the reduction and main-theorem suites and the
     # moved frames of the reduction suite, built in one batch when first needed
-    frames = lift_frames(scen, qpoints, fiber_params if "reduction" in cfg.suites else ())
+    frames = lift_frames(scen, qpoints, FIBER_PARAMS if "reduction" in cfg.suites else ())
 
     report = VerificationReport(
         scen.name,
@@ -253,9 +247,9 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
         elif suite == "action":
             report.add_child(_suite_action(scen, tol, points, params))
         elif suite == "reduction":
-            report.add_child(_suite_reduction(scen, tol, qpoints, fiber_params, seed, frames))
+            report.add_child(_suite_reduction(tol, seed, frames))
         elif suite == "main-theorem":
-            report.add_child(_suite_main_theorem(scen, tol, qpoints, frames))
+            report.add_child(_suite_main_theorem(tol, frames))
         elif suite == "holomorphy":
             report.add_child(_suite_holomorphy(tol, seed, samples))
     return report, 0 if report.passed else 1

@@ -8,8 +8,9 @@ reduced objects at a quotient point come from one lift frame
 (``reduced_structures``).  The horizontal frame is the null space of the
 g-pairing with the vertical frame inside the level frame, so it lies in
 ker d mu and has n - 2k columns by construction.  The verification
-pipelines read their frames from a ``lift_frames`` table, which a caller
-can build once and pass to all of them.
+pipelines take a ``lift_frames`` table as their input and read the
+scenario, the quotient points and the fibre parameters from it, so one
+table built once serves all of them.
 
 Frames are stacks: ``split_tangent`` splits an (N, n) array of points at
 once, ``reduced_structures`` reduces an (N, q) array of quotient points,
@@ -117,6 +118,8 @@ LEVEL_TOL = 1e-8
 FREE_TOL = 1e-8
 # level-tangent pairs (u, v) drawn per quotient point for the pullback identity
 PAIRS_PER_POINT = 3
+# the group parameters that verify moves the section by for the submersion checks
+FIBER_PARAMS = (np.pi / 3, np.pi)
 
 
 @dataclass(frozen=True)
@@ -352,10 +355,11 @@ class _FrameTable:
     frames through Phi_a o sigma for each fibre parameter a, parameter outer.
     A lookup of all rows (``frames[:]``) builds both in one batch and keeps
     it.  A lookup of fewer rows before that builds its frames alone, so the
-    replay of a failed batch (``_replayed``) meets each row's own error."""
+    replay of a failed batch (``_replayed``) meets each row's own error.
+    ``scen``, ``points`` and ``fiber_params`` are what the table is built from."""
 
     def __init__(self, scen: ReductionScenario, X: np.ndarray, fiber_params):
-        self._scen, self.points, self.fiber_params = scen, X, fiber_params
+        self.scen, self.points, self.fiber_params = scen, X, fiber_params
         self._all = None
 
     def __getitem__(self, rows) -> _LiftFrames:
@@ -369,10 +373,10 @@ class _FrameTable:
             rows = slice(rows, rows + 1 or None)
         frames, X, prm = self._all, self.points, self.fiber_params
         if frames is None and rows == slice(None):
-            frames = self._all = _lift_frames(self._scen, X, prm)
+            frames = self._all = _lift_frames(self.scen, X, prm)
         elif frames is None:  # the rows alone, with their moved frames if asked for
             X, rows = X[rows], slice(None)
-            frames = _lift_frames(self._scen, X, prm if moved else prm[:0])
+            frames = _lift_frames(self.scen, X, prm if moved else prm[:0])
         index = np.arange(len(X))[rows]
         if moved:
             index = (np.arange(1, len(prm) + 1)[:, np.newaxis] * len(X) + index).reshape(-1)
@@ -381,22 +385,13 @@ class _FrameTable:
 
 def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable:
     """The table of the lift frames at ``points`` through the scenario's own
-    section and through Phi_a o sigma for each fibre parameter a (as
-    ``verify_submersion`` takes them), built when all rows are first looked
-    up (``_FrameTable``).  Passed as ``frames=`` to the verify_* pipelines,
-    one frame per point serves all of them; a pipeline given a table of
-    another scenario, points or fibre parameters builds its own."""
+    section and through Phi_a o sigma for each fibre parameter a, a group
+    parameter vector or a scalar t standing for t * (1, ..., 1), built when
+    all rows are first looked up (``_FrameTable``).  It is the one input of
+    the verify_* pipelines, so one frame per point serves all of them;
+    ``verify_submersion`` needs fibre parameters (``FIBER_PARAMS`` in
+    ``verify``), the other two read only the base frames."""
     return _FrameTable(scen, as_points(points), _param_rows(scen.action, fiber_params))
-
-
-def _frames_for(scen: ReductionScenario, X: np.ndarray, frames, fiber_params=None):
-    """The table a pipeline reads its frames from: ``frames`` if it is a
-    ``lift_frames`` table of the scenario at the points X and, unless
-    ``fiber_params`` is None, those fibre parameter rows; else a new one."""
-    if frames is None or frames._scen is not scen or not np.array_equal(frames.points, X) or (
-            fiber_params is not None and not np.array_equal(frames.fiber_params, fiber_params)):
-        frames = lift_frames(scen, X, () if fiber_params is None else fiber_params)
-    return frames
 
 
 def _reduced_metric(lifts: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -485,20 +480,20 @@ def _vertical_leak(D: np.ndarray, generators: np.ndarray, moved: SplitTangentSpa
     return _row_max_abs(_g_norms(leak.swapaxes(1, 2), G[:, np.newaxis]))
 
 
-def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, np.pi),
-                      tol: float = DEFAULT_TOLERANCES["reduction.submersion"], *, frames=None,
+def verify_submersion(frames: _FrameTable,
+                      tol: float = DEFAULT_TOLERANCES["reduction.submersion"],
                       vertical_tol: float = DEFAULT_TOLERANCES["reduction.vertical-invariance"]
                       ) -> VerificationReport:
-    """Riemannian-submersion checks: fiber independence of the reduced metric
-    (``tol``) and invariance of the vertical distribution (``vertical_tol``).
-    Each fibre parameter is a group parameter vector, or a scalar t standing
-    for t * (1, ..., 1).  ``frames`` is a ``lift_frames`` table, read if it is
-    of the same scenario, points and fibre parameters, or None.  The flow
-    pushforwards are those the moved frames were built with, and the
-    residuals one stack."""
+    """Riemannian-submersion checks at the points of the ``lift_frames``
+    table ``frames``: fiber independence of the reduced metric (``tol``)
+    and invariance of the vertical distribution (``vertical_tol``) over its
+    fibre parameters.  A table of no fibre parameters would pass both
+    vacuously, so it raises ValueError.  The flow pushforwards are those the
+    moved frames were built with, and the residuals one stack."""
+    X, prm = frames.points, frames.fiber_params
+    if not len(prm):
+        raise ValueError("lift frame table has no fibre parameters to check")
     report = VerificationReport("submersion")
-    X, prm = as_points(points), _param_rows(scen.action, fiber_params)
-    frames = _frames_for(scen, X, frames, prm)
 
     def residuals(X, rows):
         base, moved, P = frames[rows], frames.moved(rows), len(prm)
@@ -518,10 +513,10 @@ def verify_submersion(scen: ReductionScenario, points, fiber_params=(np.pi / 3, 
     return report
 
 
-def verify_reduction_identity(scen: ReductionScenario, points,
+def verify_reduction_identity(frames: _FrameTable,
                               tol: float = DEFAULT_TOLERANCES["reduction.identity"],
                               degeneracy_tol: float = DEFAULT_TOLERANCES["reduction.degeneracy"],
-                              seed: int = 0, *, frames=None) -> VerificationReport:
+                              seed: int = 0) -> VerificationReport:
     """Pullback identity of the reduced symplectic form and the degeneracy of
     the vertical directions inside the restricted form.
 
@@ -530,12 +525,11 @@ def verify_reduction_identity(scen: ReductionScenario, points,
     |omega(m)(u, v) - omega_red(pi m)(d pi u, d pi v)|; vertical directions
     must pair to zero with the whole kernel of d mu.  The coefficients of u
     and v in the level frame are drawn in one call, point by point and pair
-    by pair, u before v.  ``frames`` is a ``lift_frames`` table, read if it is
-    of the same scenario and points, or None.
+    by pair, u before v.  The points and the scenario are those of the
+    ``lift_frames`` table ``frames``.
     """
     report = VerificationReport("reduction identity")
-    X = as_points(points)
-    frames = _frames_for(scen, X, frames)
+    scen, X = frames.scen, frames.points
     n, q = scen.chart_dim, scen.quotient_dim
     coefs = np.random.default_rng(seed).standard_normal(
         (len(X), PAIRS_PER_POINT, 2, n - scen.action.group_dim))
@@ -563,10 +557,10 @@ def verify_reduction_identity(scen: ReductionScenario, points,
     return report
 
 
-def verify_main_theorem(scen: ReductionScenario, points,
+def verify_main_theorem(frames: _FrameTable,
                         tol: float = DEFAULT_TOLERANCES["main-theorem.residuals"],
-                        hypothesis_tol: float = DEFAULT_TOLERANCES["main-theorem.hypothesis"],
-                        *, frames=None) -> VerificationReport:
+                        hypothesis_tol: float = DEFAULT_TOLERANCES["main-theorem.hypothesis"]
+                        ) -> VerificationReport:
     """Equivalence between reduced compatibility and the almost-complex-mapping
     property of the projection.
 
@@ -576,13 +570,11 @@ def verify_main_theorem(scen: ReductionScenario, points,
     defect |omega_red J_red - h_red|, and |J_red^2 + I|.  The equivalence
     verdict requires the first two to land on the same side of the tolerance
     at every sample; ambient compatibility is checked alongside because the
-    equivalence is only asserted under that hypothesis.  ``frames`` is a
-    ``lift_frames`` table, read if it is of the same scenario and points, or None.
+    equivalence is only asserted under that hypothesis.  The points and the
+    scenario are those of the ``lift_frames`` table ``frames``.
     """
     report = VerificationReport("main theorem")
-    X = as_points(points)
-    frames = _frames_for(scen, X, frames)
-    q = scen.quotient_dim
+    X, q = frames.points, frames.scen.quotient_dim
     eye = np.eye(q)
 
     def residuals(X, rows):

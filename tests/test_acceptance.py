@@ -10,6 +10,7 @@ from symred.actions import (
     check_field_invariance,
     check_isometry,
     planar_rotation_action,
+    pushforward_table,
     uniform_circle_quadrature,
 )
 from symred.cli import RunConfig, main, run
@@ -25,6 +26,8 @@ from symred.geometry import (
 )
 from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from symred.reduction import (
+    FIBER_PARAMS,
+    lift_frames,
     reduced_structures,
     verify_main_theorem,
     verify_reduction_identity,
@@ -49,7 +52,6 @@ from util import (
 
 HOPF = builtin("hopf")
 LINEAR = builtin("linear_translation")
-FIBER_PARAMS = (np.pi / 3.0, np.pi)  # as verify moves the section
 
 
 def _line(num, desc, ok):
@@ -92,7 +94,7 @@ def test_criterion_03_reduction_identity_and_degeneracy():
     detail = []
     for scen, seed in ((HOPF, 7), (LINEAR, 11)):
         points = sample_ball(scen.quotient_dim, 50, 2.0, seed)
-        report = verify_reduction_identity(scen, points, seed=seed)
+        report = verify_reduction_identity(lift_frames(scen, points), seed=seed)
         ident = report.find("pullback identity").max_residual
         degen = report.find("vertical degeneracy").max_residual
         ok = ok and ident < 1e-5 and degen < 1e-8
@@ -101,12 +103,12 @@ def test_criterion_03_reduction_identity_and_degeneracy():
 
 
 def test_criterion_04_fiber_independence():
-    hopf_res = verify_submersion(
+    hopf_res = verify_submersion(lift_frames(
         HOPF, sample_ball(HOPF.quotient_dim, 20, 2.0, 7), FIBER_PARAMS
-    ).find("fiber independence").max_residual
-    lin_res = verify_submersion(
+    )).find("fiber independence").max_residual
+    lin_res = verify_submersion(lift_frames(
         LINEAR, sample_ball(LINEAR.quotient_dim, 20, 2.0, 11), FIBER_PARAMS
-    ).find("fiber independence").max_residual
+    )).find("fiber independence").max_residual
     _line(4, f"fiber independence (hopf {hopf_res:.2e} < 1e-5, "
              f"linear {lin_res:.2e} < 1e-10)",
           hopf_res < 1e-5 and lin_res < 1e-10)
@@ -114,7 +116,7 @@ def test_criterion_04_fiber_independence():
 
 def test_criterion_05_main_theorem_branches():
     points = sample_ball(HOPF.quotient_dim, 20, 2.0, 7)
-    report = verify_main_theorem(HOPF, points)
+    report = verify_main_theorem(lift_frames(HOPF, points))
     pos_ok = report.passed and report.find("main theorem iff").extras["branch"] == "positive"
     j_err = 0.0
     for x in points:
@@ -123,16 +125,16 @@ def test_criterion_05_main_theorem_branches():
     pos_ok = pos_ok and j_err < 1e-5
 
     skew = builtin("skewed_metric_hopf")
-    sk_report = verify_main_theorem(
-        skew, np.vstack([[0.0, 0.0], sample_ball(skew.quotient_dim, 6, 2.0, 7)]))
+    sk_report = verify_main_theorem(lift_frames(
+        skew, np.vstack([[0.0, 0.0], sample_ball(skew.quotient_dim, 6, 2.0, 7)])))
     at_zero = sk_report.meta["samples"][0]
     skew_ok = (abs(at_zero["compat_residual"] - 3.0) < 1e-6
                and sk_report.find("main theorem iff").extras["hypothesis_violated"])
 
     noninv = builtin("noninvariant_metric_hopf")
-    fiber = verify_submersion(
+    fiber = verify_submersion(lift_frames(
         noninv, sample_ball(noninv.quotient_dim, 10, 2.0, 7), FIBER_PARAMS
-    ).find("fiber independence").max_residual
+    )).find("fiber independence").max_residual
     noninv_ok = fiber > 1e-3
 
     _line(5, f"main theorem iff (hopf positive, J_red err {j_err:.2e}; skewed compat "
@@ -161,10 +163,11 @@ def test_criterion_06_compatible_triples_random():
 def test_criterion_07_invariance_propositions():
     points = sample_box(4, 10, radius=1.5, seed=14)
     params = [np.array([a]) for a in (0.5, np.pi / 3.0, np.pi, 2.5)]
-    j_res = check_field_invariance(standard_acs(4), HOPF.action, params, points).max_residual
+    table = pushforward_table(HOPF.action, params, points)
+    j_res = check_field_invariance(standard_acs(4), table).max_residual
     A = omega_endomorphism(standard_symplectic(4),
                            TensorField.constant(np.diag([1.0, 1.0, 4.0, 4.0])))
-    a_res = check_field_invariance(A, HOPF.action, params, points).max_residual
+    a_res = check_field_invariance(A, table).max_residual
     _line(7, f"invariance of J ({j_res:.2e}) and of the omega endomorphism ({a_res:.2e})",
           j_res < 1e-6 and a_res < 1e-6)
 
@@ -176,7 +179,7 @@ def test_criterion_08_invariant_metric_averaging():
     points = sample_box(2, 8, radius=1.5, seed=15)
     worst = max(np.max(np.abs(eval_field(averaged, p) - 2.5 * np.eye(2))) for p in points)
     params = [np.array([a]) for a in (0.7, np.pi / 2.0, 4.0)]
-    iso = check_isometry(rotation, averaged, params, points, tol=1e-6)
+    iso = check_isometry(averaged, pushforward_table(rotation, params, points), tol=1e-6)
     _line(8, f"64-point average of diag(1,4) = 2.5 I ({worst:.2e}) and isometric "
              f"({iso.max_residual:.2e})",
           worst < 1e-6 and iso.passed)

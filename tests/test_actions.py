@@ -17,6 +17,7 @@ from symred.actions import (
     generator,
     generator_vector,
     momentum_residual,
+    momentum_values,
     planar_rotation_action,
     pushforward_table,
     uniform_circle_quadrature,
@@ -107,8 +108,8 @@ def test_per_row_flow_on_no_points_keeps_the_chart_width():
 
 
 def test_action_axioms_check():
-    assert check_action_axioms(HOPF.action, ANGLES, POINTS_4D).passed
-    assert check_action_axioms(ROTATION, ANGLES, POINTS_2D).passed
+    assert check_action_axioms(pushforward_table(HOPF.action, ANGLES, POINTS_4D)).passed
+    assert check_action_axioms(pushforward_table(ROTATION, ANGLES, POINTS_2D)).passed
 
 
 def _torus_action():
@@ -151,92 +152,94 @@ def test_action_axioms_bit_identical_to_pairwise_reference():
     params = [np.array([0.4, -1.0]), np.array([np.pi, 0.0]), np.array([-0.0, 2.5])]
     for action, prm in ((HOPF.action, ANGLES), (torus, params), (ROTATION, ANGLES)):
         for p in POINTS_2D if action is ROTATION else [*_SIGNED_ZERO_POINTS, *POINTS_4D]:
-            got = check_action_axioms(action, prm, [p]).max_residual
+            got = check_action_axioms(pushforward_table(action, prm, [p])).max_residual
             assert got == reference_action_axioms(action, prm, p)
 
 
 def test_momentum_invariance_reads_moved_points_from_the_table(monkeypatch):
     table = pushforward_table(HOPF.action, ANGLES, POINTS_4D)
-    want = check_momentum_invariance(HOPF.action, HOPF.mu, ANGLES, POINTS_4D)
+    # the oracle: mu at each point moved by its own flow call
+    want = max(np.max(np.abs(momentum_values(HOPF.mu, apply_flow(HOPF.action, a, p))
+                             - momentum_values(HOPF.mu, p)))
+               for a in ANGLES for p in POINTS_4D)
     calls = []
-    monkeypatch.setattr(actions, "apply_flow", lambda *args: calls.append(args))
-    got = check_momentum_invariance(HOPF.action, HOPF.mu, ANGLES, POINTS_4D, pushforwards=table)
+    for name in ("apply_flow", "_flow_values", "_flow_derivatives"):
+        monkeypatch.setattr(actions, name, lambda *args: calls.append(args))
+    got = check_momentum_invariance(HOPF.mu, table)
     assert calls == []
-    assert got.max_residual == want.max_residual
-    assert got.worst_point.coords.tobytes() == want.worst_point.coords.tobytes()
+    assert got.max_residual == want
+    assert got.passed
 
 
-@pytest.mark.parametrize("check", [
-    lambda scen, params, points, table: check_isometry(
-        scen.action, scen.metric, params, points, pushforwards=table),
-    lambda scen, params, points, table: check_symplectomorphism(
-        scen.action, scen.omega, params, points, pushforwards=table),
-    lambda scen, params, points, table: check_momentum_invariance(
-        scen.action, scen.mu, params, points, pushforwards=table),
-    lambda scen, params, points, table: check_field_invariance(
-        scen.acs, scen.action, params, points, pushforwards=table),
-], ids=["isometry", "symplectomorphism", "momentum", "field"])
-def test_a_pushforward_table_of_other_params_or_points_is_refused(check):
-    # a table of one of the two parameters used to check that one alone,
-    # and a table of more points to raise a broadcast error
+def test_a_table_of_no_parameters_is_refused():
+    # a check over no group element used to pass with residual 0.0 where
+    # one parameter fails
     scen = builtin("noninvariant_metric_hopf")
-    params = [[0.3], [1.1]]
-    own = check(scen, params, POINTS_4D, pushforward_table(scen.action, params, POINTS_4D))
-    assert own.max_residual == check(scen, params, POINTS_4D, None).max_residual
-    for table_params, table_points, shape in (([[0.3]], POINTS_4D, r"\(1, 5\)"),
-                                              (params, np.vstack([POINTS_4D] * 2), r"\(2, 10\)")):
-        table = pushforward_table(scen.action, table_params, table_points)
-        with pytest.raises(ValueError, match=r"^pushforward table is built for \(parameters, "
-                           rf"points\) = {shape}, not the \(2, 5\) checked$"):
-            check(scen, params, POINTS_4D, table)
-    # a table of the same counts at other parameters or points
-    for table_params, table_points in (([[0.3], [1.2]], POINTS_4D),
-                                       (params, sample_box(4, 5, radius=1.5, seed=7))):
-        table = pushforward_table(scen.action, table_params, table_points)
-        with pytest.raises(ValueError, match="^pushforward table is built at other parameters "
-                           "or points than the ones checked$"):
-            check(scen, params, POINTS_4D, table)
+    points = sample_box(4, 5, 1.5, 0)
+    res = check_isometry(scen.metric, pushforward_table(scen.action, [0.7], points))
+    assert not res.passed
+    assert res.max_residual > 1.0
+    empty = pushforward_table(scen.action, [], points)
+    assert empty.params.shape == (0, 1)
+    for check in (check_action_axioms,
+                  lambda t: check_isometry(scen.metric, t),
+                  lambda t: check_symplectomorphism(scen.omega, t),
+                  lambda t: check_momentum_invariance(scen.mu, t),
+                  lambda t: check_field_invariance(scen.acs, t)):
+        with pytest.raises(ValueError, match="^pushforward table has no group parameters"):
+            check(empty)
 
 
-def test_a_pushforward_table_of_other_points_is_not_read():
-    # a table of the right (parameters, points) counts built at seed 7 used
-    # to be read at the seed-6 points: isometry 1.7246 where the check's own
-    # table gives 1.7866
-    scen = builtin("noninvariant_metric_hopf")
-    params = [[0.3], [1.1]]
-    own = check_isometry(scen.action, scen.metric, params, POINTS_4D)
-    assert abs(own.max_residual - 1.7866) < 1e-4
-    other = pushforward_table(scen.action, params, sample_box(4, 5, radius=1.5, seed=7))
-    with pytest.raises(ValueError, match="other parameters or points"):
-        check_isometry(scen.action, scen.metric, params, POINTS_4D, pushforwards=other)
-    # its own inputs, given as lists, make a table that is read
-    table = pushforward_table(scen.action, np.array(params), list(POINTS_4D))
-    assert (table.points.tobytes(), table.params.tobytes()) == (
-        POINTS_4D.tobytes(), np.array(params).tobytes())
-    shared = check_isometry(scen.action, scen.metric, params, list(POINTS_4D), pushforwards=table)
-    assert shared.max_residual == own.max_residual
+def test_momentum_residual_checks_every_generator():
+    # a torus on R^4, t1 rotating (x1, x2) and t2 rotating (x3, x4), with
+    # mu = (|z1|^2 / 2, |z2|^2 / 2); scaling the second component breaks the
+    # condition only for the second generator
+    flow = RowMap(lambda Z: np.stack([
+        np.cos(Z[:, 4]) * Z[:, 0] + np.sin(Z[:, 4]) * Z[:, 1],
+        np.cos(Z[:, 4]) * Z[:, 1] - np.sin(Z[:, 4]) * Z[:, 0],
+        np.cos(Z[:, 5]) * Z[:, 2] + np.sin(Z[:, 5]) * Z[:, 3],
+        np.cos(Z[:, 5]) * Z[:, 3] - np.sin(Z[:, 5]) * Z[:, 2]], axis=1))
+    torus = GroupAction(2, flow)
+
+    def mu(scale):
+        return MomentumMap(
+            (TensorField.scalar(lambda p: 0.5 * float(p.coords[0] ** 2 + p.coords[1] ** 2)),
+             TensorField.scalar(
+                 lambda p: scale * 0.5 * float(p.coords[2] ** 2 + p.coords[3] ** 2))),
+            [0.5, 0.5 * scale])
+
+    exact = momentum_residual(torus, mu(1.0), standard_symplectic(4), POINTS_4D)
+    assert exact.passed
+    assert exact.max_residual < 1e-9
+    scaled = momentum_residual(torus, mu(0.6), standard_symplectic(4), POINTS_4D)
+    assert not scaled.passed
+    # the second generator misses d mu_2 by 0.4 |(x3, x4)|
+    np.testing.assert_allclose(scaled.max_residual,
+                               0.4 * np.max(np.hypot(POINTS_4D[:, 2], POINTS_4D[:, 3])))
 
 
 def test_isometry_examples():
-    assert check_isometry(ROTATION, euclidean_metric(2), ANGLES, POINTS_2D).max_residual < 1e-9
+    rotations = pushforward_table(ROTATION, ANGLES, POINTS_2D)
+    assert check_isometry(euclidean_metric(2), rotations).max_residual < 1e-9
 
-    res = check_isometry(scaling_action(), euclidean_metric(2),
-                         [np.array([np.log(2.0)])], POINTS_2D)
+    doubling = pushforward_table(scaling_action(), [np.array([np.log(2.0)])], POINTS_2D)
+    res = check_isometry(euclidean_metric(2), doubling)
     assert not res.passed
     assert abs(res.max_residual - 3.0) < 1e-8  # pullback metric is 4I
 
     stretched = TensorField.constant(np.diag([1.0, 1.0, 4.0, 4.0]))
-    assert check_isometry(HOPF.action, stretched, ANGLES, POINTS_4D).passed
+    assert check_isometry(stretched, pushforward_table(HOPF.action, ANGLES, POINTS_4D)).passed
 
 
 def test_symplectomorphism_examples():
-    assert check_symplectomorphism(ROTATION, standard_symplectic(2), ANGLES, POINTS_2D).passed
-    res = check_symplectomorphism(scaling_action(), standard_symplectic(2),
-                                  [np.array([np.log(2.0)])], POINTS_2D)
+    rotations = pushforward_table(ROTATION, ANGLES, POINTS_2D)
+    assert check_symplectomorphism(standard_symplectic(2), rotations).passed
+    doubling = pushforward_table(scaling_action(), [np.array([np.log(2.0)])], POINTS_2D)
+    res = check_symplectomorphism(standard_symplectic(2), doubling)
     assert not res.passed
     assert abs(res.max_residual - 3.0) < 1e-8
-    assert check_symplectomorphism(HOPF.action, standard_symplectic(4),
-                                   ANGLES, POINTS_4D).passed
+    assert check_symplectomorphism(standard_symplectic(4),
+                                   pushforward_table(HOPF.action, ANGLES, POINTS_4D)).passed
 
 
 def test_momentum_residual_hopf_and_translation():
@@ -259,13 +262,14 @@ def test_momentum_residual_wrong_sign():
 
 
 def test_momentum_invariance_examples():
-    assert check_momentum_invariance(HOPF.action, HOPF.mu, ANGLES, POINTS_4D).max_residual < 1e-12
+    hopf = pushforward_table(HOPF.action, ANGLES, POINTS_4D)
+    assert check_momentum_invariance(HOPF.mu, hopf).max_residual < 1e-12
     lt = builtin("linear_translation")
-    assert check_momentum_invariance(lt.action, lt.mu, ANGLES, POINTS_4D).passed
+    assert check_momentum_invariance(lt.mu, pushforward_table(lt.action, ANGLES, POINTS_4D)).passed
 
     x1 = MomentumMap((TensorField.scalar(lambda p: float(p.coords[0])),), [0.0])
-    res = check_momentum_invariance(ROTATION, x1, [np.array([np.pi / 2])],
-                                    [ChartPoint([1.0, 0.0])])
+    quarter = pushforward_table(ROTATION, [np.array([np.pi / 2])], [ChartPoint([1.0, 0.0])])
+    res = check_momentum_invariance(x1, quarter)
     assert not res.passed
     assert abs(res.max_residual - 1.0) < 1e-12  # coordinate rotates away
 
@@ -276,7 +280,8 @@ def test_average_metric_rotation():
     # average of cos^2 + 4 sin^2 over the circle is 2.5
     for p in POINTS_2D:
         np.testing.assert_allclose(eval_field(averaged, p), 2.5 * np.eye(2), atol=1e-6)
-    assert check_isometry(ROTATION, averaged, ANGLES, POINTS_2D).max_residual < 1e-6
+    assert check_isometry(averaged, pushforward_table(ROTATION, ANGLES, POINTS_2D)
+                          ).max_residual < 1e-6
 
 
 def test_average_metric_fixes_invariant_input():
@@ -297,20 +302,23 @@ def test_average_metric_cyclic_quadrature_exact():
     # under that subgroup
     cyclic = tuple((np.array([2.0 * np.pi * i / 4]), 0.25) for i in range(4))
     averaged = average_metric(TensorField.constant(np.diag([1.0, 4.0])), ROTATION, cyclic)
-    res = check_isometry(ROTATION, averaged, [np.array([np.pi / 2.0])], POINTS_2D)
+    res = check_isometry(averaged, pushforward_table(ROTATION, [np.array([np.pi / 2.0])],
+                                                     POINTS_2D))
     assert res.max_residual < 1e-9
 
 
 def test_field_invariance_examples():
-    assert check_field_invariance(standard_acs(4), HOPF.action, ANGLES, POINTS_4D).passed
+    hopf = pushforward_table(HOPF.action, ANGLES, POINTS_4D)
+    assert check_field_invariance(standard_acs(4), hopf).passed
 
     from symred.structures import omega_endomorphism
     A = omega_endomorphism(standard_symplectic(4),
                            TensorField.constant(np.diag([1.0, 1.0, 4.0, 4.0])))
-    assert check_field_invariance(A, HOPF.action, ANGLES, POINTS_4D).max_residual < 1e-6
+    assert check_field_invariance(A, hopf).max_residual < 1e-6
 
     e12 = TensorField.constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    res = check_field_invariance(e12, ROTATION, [np.array([np.pi / 2.0])], POINTS_2D)
+    quarter = pushforward_table(ROTATION, [np.array([np.pi / 2.0])], POINTS_2D)
+    res = check_field_invariance(e12, quarter)
     assert not res.passed
     assert res.max_residual > 0.5  # rotation conjugation moves the entry
 
@@ -320,10 +328,10 @@ def test_invariant_metric_gives_invariant_compatible_acs():
     from symred.structures import build_compatible_triple
     g0 = TensorField.constant(np.diag([1.0, 1.0, 4.0, 4.0]))
     triple = build_compatible_triple(standard_symplectic(4), g0)
-    assert check_isometry(HOPF.action, g0, ANGLES, POINTS_4D).passed
-    assert check_symplectomorphism(HOPF.action, standard_symplectic(4),
-                                   ANGLES, POINTS_4D).passed
-    res = check_field_invariance(triple.acs, HOPF.action, ANGLES, POINTS_4D)
+    hopf = pushforward_table(HOPF.action, ANGLES, POINTS_4D)
+    assert check_isometry(g0, hopf).passed
+    assert check_symplectomorphism(standard_symplectic(4), hopf).passed
+    res = check_field_invariance(triple.acs, hopf)
     assert res.max_residual < 1e-6
 
 

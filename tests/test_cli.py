@@ -27,6 +27,8 @@ from symred.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from symred.errors import ValidationError
 from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_ball
 from symred.reduction import (
+    FIBER_PARAMS,
+    lift_frames,
     reduced_structures,
     verify_main_theorem,
     verify_reduction_identity,
@@ -488,9 +490,9 @@ def test_sample_count_zero_is_a_usage_error(tmp_path, capsys):
 
 
 def _standalone_reports(name, report):
-    """The action invariance checks and the reduction and main-theorem
-    pipelines run through their public functions, each building its own
-    frames and pushforwards, at the points and parameters of ``report``."""
+    """The action checks and the reduction and main-theorem pipelines run
+    through their public functions, each reading a table of its own, at the
+    points and parameters of ``report``."""
     scen = builtin(name)
     meta = report.meta
 
@@ -500,21 +502,22 @@ def _standalone_reports(name, report):
     points = [ChartPoint(p) for p in meta["ambient_points"]]
     qpoints = [ChartPoint(p) for p in meta["quotient_points"]]
     params = [np.array(a) for a in meta["group_params"]]
-    fiber_params = (np.pi / 3.0, np.pi)
+
+    def moves():
+        return pushforward_table(scen.action, params, points)
+
     action = [
-        check_isometry(scen.action, scen.metric, params, points, tol("action.isometry")),
-        check_symplectomorphism(scen.action, scen.omega, params, points,
-                                tol("action.symplectomorphism")),
-        check_momentum_invariance(scen.action, scen.mu, params, points,
-                                  tol("action.mu-invariance")),
-        check_field_invariance(scen.acs, scen.action, params, points,
-                               tol("action.acs-invariance")),
+        check_action_axioms(moves(), tol("action.axioms")),
+        check_isometry(scen.metric, moves(), tol("action.isometry")),
+        check_symplectomorphism(scen.omega, moves(), tol("action.symplectomorphism")),
+        check_momentum_invariance(scen.mu, moves(), tol("action.mu-invariance")),
+        check_field_invariance(scen.acs, moves(), tol("action.acs-invariance")),
     ]
     pipelines = [
-        verify_submersion(scen, qpoints, fiber_params, tol("reduction.submersion")),
-        verify_reduction_identity(scen, qpoints, tol("reduction.identity"),
+        verify_submersion(lift_frames(scen, qpoints, FIBER_PARAMS), tol("reduction.submersion")),
+        verify_reduction_identity(lift_frames(scen, qpoints), tol("reduction.identity"),
                                   tol("reduction.degeneracy"), seed=meta["seed"]),
-        verify_main_theorem(scen, qpoints, tol("main-theorem.residuals"),
+        verify_main_theorem(lift_frames(scen, qpoints), tol("main-theorem.residuals"),
                             tol("main-theorem.hypothesis")),
     ]
     return action, pipelines

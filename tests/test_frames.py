@@ -40,6 +40,7 @@ from symred.geometry import (
 )
 from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from symred.reduction import (
+    FIBER_PARAMS,
     SampleSpec,
     lift_frames,
     reduced_structures,
@@ -59,7 +60,6 @@ from util import (
     reference_pushforward,
 )
 
-FIBER_PARAMS = (np.pi / 3.0, np.pi)  # as verify moves the section
 SPLIT_FIELDS = ("level", "vertical", "horizontal", "jmu", "generators", "metric")
 
 
@@ -247,7 +247,7 @@ def _assert_parity(path, scen, capsys):
             frames[i]
     assert str(raised.value) == str(base_error)
     with pytest.raises(type(error)) as raised:
-        verify_submersion(scen, xs, FIBER_PARAMS)
+        verify_submersion(lift_frames(scen, xs, FIBER_PARAMS))
     assert str(raised.value) == str(error)
 
     assert main(["verify", str(path), "--suites", "reduction,main-theorem"]) == 2
@@ -342,8 +342,8 @@ def test_fibre_frame_fails_before_a_later_base_frame(tmp_path, capsys):
 
 def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, capsys):
     # both pipelines replay a failing stack point by point, so each raises
-    # what the first failing base frame raises alone, with its own frames or
-    # with the table the CLI shares
+    # what the first failing base frame raises alone, from a table of base
+    # frames or from one with the fibre frames too, as the CLI shares it
     variants = [
         _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION),
         _hopf_variant(tmp_path, "degenerate",
@@ -354,9 +354,9 @@ def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, ca
         xs = [ChartPoint(p) for p in scen.sample_spec.points]
         base_error = _reference_base_failure(scen, xs)
         for verify in (verify_reduction_identity, verify_main_theorem):
-            for frames in (None, lift_frames(scen, xs)):
+            for fiber_params in ((), FIBER_PARAMS):
                 with pytest.raises(type(base_error)) as raised:
-                    verify(scen, xs, frames=frames)
+                    verify(lift_frames(scen, xs, fiber_params))
                 assert str(raised.value) == str(base_error)
         assert main(["verify", str(path), "--suites", "main-theorem"]) == 2
         assert capsys.readouterr().err == f"error: {base_error}\n"
@@ -376,11 +376,9 @@ def test_a_failing_table_builds_its_batch_once_then_each_replayed_row(tmp_path, 
         return build(scen, X, *fiber_params)
 
     monkeypatch.setattr(reduction, "_lift_frames", counted)
-    for frames in (None, lift_frames(scen, points)):
-        sizes.clear()
-        with pytest.raises(SectionNotOnLevelError):
-            verify_main_theorem(scen, points, frames=frames)
-        assert sizes == [5, 1, 1, 1]
+    with pytest.raises(SectionNotOnLevelError):
+        verify_main_theorem(lift_frames(scen, points))
+    assert sizes == [5, 1, 1, 1]
 
 
 def _opaque_flow_hopf(fails):
@@ -410,10 +408,9 @@ def test_fibre_error_comes_from_the_first_failing_point():
     scen = _opaque_flow_hopf([(0, 1, xs), (1, 0, xs)])
     error = _reference_submersion_failure(scen, xs)
     assert str(error) == "flow fails near point 0 for fibre parameter 1"
-    for frames in (None, lift_frames(scen, xs, FIBER_PARAMS)):
-        with pytest.raises(NonFiniteError) as raised:
-            verify_submersion(scen, xs, FIBER_PARAMS, frames=frames)
-        assert str(raised.value) == str(error)
+    with pytest.raises(NonFiniteError) as raised:
+        verify_submersion(lift_frames(scen, xs, FIBER_PARAMS))
+    assert str(raised.value) == str(error)
 
 
 def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
@@ -435,10 +432,10 @@ def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
     assert type(error) is NonFiniteError
     assert str(error).startswith("field 'omega' at ChartPoint([-1.0")
     with pytest.raises(NonFiniteError) as raised:
-        verify_submersion(scen, xs, FIBER_PARAMS)
+        verify_submersion(lift_frames(scen, xs, FIBER_PARAMS))
     assert str(raised.value) == str(error)
     # the base frames alone, as the main theorem reads them, do not fail
-    assert verify_main_theorem(scen, xs).passed
+    assert verify_main_theorem(lift_frames(scen, xs)).passed
     monkeypatch.setattr(cli, "resolve_scenario", lambda name: scen)
     assert main(["verify", "hopf"]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
@@ -507,26 +504,3 @@ def test_a_per_point_map_on_no_points_has_no_width():
     assert fd_jacobian(RowMap(lambda X: 2.0 * X), np.zeros((0, 3))).shape == (0, 3, 3)
     with pytest.raises(ValueError, match="no value gives the output width"):
         fd_jacobian(lambda p: p.coords, np.zeros((0, 3)))
-
-
-def test_a_table_built_from_other_inputs_is_not_read():
-    # a table of other points used to lend its frames (reduced compatibility
-    # 0.238 for 2.90, named at a point of X), a table of fewer points to
-    # fail on a reshape, and one of hopf at X to read as compatible; a
-    # submersion table was matched by its fibre parameters alone
-    scen, hopf = builtin("skewed_metric_hopf"), builtin("hopf")
-    X, Y = sample_ball(2, 5, 2.0, 0), sample_ball(2, 5, 2.0, 1)
-    pipelines = (
-        (lambda frames: verify_main_theorem(scen, X, frames=frames), ()),
-        (lambda frames: verify_reduction_identity(scen, X, frames=frames), ()),
-        (lambda frames: verify_submersion(scen, X, FIBER_PARAMS, frames=frames), FIBER_PARAMS),
-    )
-    for pipeline, fiber_params in pipelines:
-        own = pipeline(None).to_json()
-        assert pipeline(lift_frames(scen, X, fiber_params)).to_json() == own
-        for other in (lift_frames(scen, Y, fiber_params), lift_frames(scen, Y[:3], fiber_params),
-                      lift_frames(hopf, X, fiber_params)):
-            assert pipeline(other).to_json() == own
-    compat = verify_main_theorem(scen, X, frames=lift_frames(scen, Y)).find(
-        "reduced compatibility")
-    assert abs(compat.max_residual - 2.90) < 0.01

@@ -21,6 +21,7 @@ from symred.cli import RunConfig, run
 from symred.errors import VerticalLeakWarning
 from symred.geometry import sample_ball
 from symred.reduction import (
+    FIBER_PARAMS,
     lift_frames,
     reduced_structures,
     verify_main_theorem,
@@ -38,7 +39,6 @@ from util import (
     residuals_seen,
 )
 
-FIBER_PARAMS = (np.pi / 3.0, np.pi)  # as verify moves the section
 LSTSQ_BOUND = 1e-12
 
 
@@ -70,9 +70,9 @@ def _stacked(scen, xs, seed):
     frames = lift_frames(scen, xs, FIBER_PARAMS)
     with residuals_seen() as seen, mock.patch.object(
             reduction, "split_tangent", wraps=reduction.split_tangent) as split:
-        verify_submersion(scen, xs, FIBER_PARAMS, frames=frames)
-        verify_reduction_identity(scen, xs, seed=seed, frames=frames)
-        main = verify_main_theorem(scen, xs, frames=frames)
+        verify_submersion(frames)
+        verify_reduction_identity(frames, seed=seed)
+        main = verify_main_theorem(frames)
     assert split.call_count == 1
     assert split.call_args.args[1].shape == ((1 + len(FIBER_PARAMS)) * len(xs), scen.chart_dim)
     keys = ("fiber", "vertical", "identity", "degeneracy", "acm_residual", "compat_residual",
@@ -125,13 +125,12 @@ def test_stack_of_one_and_no_points(name):
     for key in NO_SOLVE + SOLVED:
         assert got[key].tobytes() == want[key].tobytes(), f"{name}: {key}"
 
-    for verify in (lambda: verify_submersion(scen, [], FIBER_PARAMS),
-                   lambda: verify_reduction_identity(scen, []),
-                   lambda: verify_main_theorem(scen, [])):
-        report = verify()
+    none = lift_frames(scen, [], FIBER_PARAMS)
+    for verify in (verify_submersion, verify_reduction_identity, verify_main_theorem):
+        report = verify(none)
         assert all(c.passed and c.max_residual == 0.0 and c.worst_point is None
                    for c in report.checks)
-    report = verify_main_theorem(scen, [])
+    report = verify_main_theorem(lift_frames(scen, []))
     assert report.meta["samples"] == []
     assert report.find("main theorem iff").extras["branch"] == "negative"
 
@@ -193,7 +192,7 @@ def test_normal_leak_is_the_level_normal_part_of_j_lift(name):
     # which the remainder must take out with the right sign
     scen = _scenario(name)
     xs = sample_ball(scen.quotient_dim, 6, radius=scen.sample_spec.radius, seed=4)
-    rows = verify_main_theorem(scen, xs).meta["samples"]
+    rows = verify_main_theorem(lift_frames(scen, xs)).meta["samples"]
     assert max(row["vertical_leak"] for row in rows) > 1e-2
     for x, row in zip(xs, rows):
         _, frame = reference_lift_frame(scen, x)

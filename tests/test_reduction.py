@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from symred.actions import GroupAction, MomentumMap, apply_flow
+from symred.actions import GroupAction, MomentumMap, apply_flow, pushforward_table
 from symred.cli import RunConfig, run
 from symred.errors import (
     ActionNotFreeError,
@@ -18,6 +18,7 @@ from symred.errors import (
 )
 from symred.geometry import ChartPoint, RowMap, TensorField, fd_jacobian, sample_ball
 from symred.reduction import (
+    FIBER_PARAMS,
     ReductionScenario,
     lift_frames,
     reduced_structures,
@@ -44,7 +45,6 @@ from util import (
 
 HOPF = builtin("hopf")
 LINEAR = builtin("linear_translation")
-FIBER_PARAMS = (np.pi / 3.0, np.pi)  # as verify moves the section
 
 
 def span_projector(M):
@@ -140,9 +140,9 @@ def test_split_tangent_matches_oracle_in_dimension_16():
 def test_vertical_ad_invariance():
     # quotient point (0, 0) of hopf is (1, 0, 0, 0); (1, -2) of the
     # translation scenario is (0, 0, 1, -2)
-    report = verify_submersion(HOPF, [ChartPoint([0.0, 0.0])], (np.pi / 3.0,))
+    report = verify_submersion(lift_frames(HOPF, [ChartPoint([0.0, 0.0])], (np.pi / 3.0,)))
     assert report.find("vertical invariance").max_residual < 1e-8
-    report = verify_submersion(LINEAR, [ChartPoint([1.0, -2.0])], (0.7,))
+    report = verify_submersion(lift_frames(LINEAR, [ChartPoint([1.0, -2.0])], (0.7,)))
     assert report.find("vertical invariance").max_residual < 1e-10
 
 
@@ -162,7 +162,7 @@ def test_vertical_ad_invariance_negative_control():
     scen = compile_scenario(parse_scenario(_hopf_text_with_flow(
         f"flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1), "
         f"x3*cos{s} + x4*sin{s}, x4*cos{s} - x3*sin{s}]")))
-    report = verify_submersion(scen, quotient_points(scen, 20, seed=0), FIBER_PARAMS)
+    report = verify_submersion(lift_frames(scen, quotient_points(scen, 20, seed=0), FIBER_PARAMS))
     check = report.find("vertical invariance")
     assert not check.passed
     assert check.max_residual > 1.0
@@ -272,7 +272,7 @@ def test_vertical_leak_warning_for_tilted_acs():
 
 def test_verify_submersion_hopf():
     points = quotient_points(HOPF, 8, seed=20)
-    report = verify_submersion(HOPF, points, FIBER_PARAMS)
+    report = verify_submersion(lift_frames(HOPF, points, FIBER_PARAMS))
     assert report.passed
     assert report.find("fiber independence").max_residual < 1e-6
 
@@ -285,17 +285,17 @@ def test_all_reduced_objects_fiber_independent():
 
     for x in quotient_points(HOPF, 5, seed=22):
         base = reduced_structures(HOPF, x)
-        for a in (np.array([np.pi / 3.0]), np.array([np.pi])):
+        for a in FIBER_PARAMS:
             moved = reduced_structures(dataclasses.replace(
-                HOPF, section=lambda q, _a=a: apply_flow(HOPF.action, _a, HOPF.section_point(q))),
-                x)
+                HOPF, section=lambda q, _a=a: apply_flow(HOPF.action, [_a],
+                                                         HOPF.section_point(q))), x)
             for name in ("h_beta", "omega_beta", "j_beta"):
                 assert np.max(np.abs(getattr(base, name) - getattr(moved, name))) < 1e-6
 
 
 def test_verify_submersion_linear_exact():
     points = quotient_points(LINEAR, 8, seed=21)
-    report = verify_submersion(LINEAR, points, FIBER_PARAMS)
+    report = verify_submersion(lift_frames(LINEAR, points, FIBER_PARAMS))
     assert report.passed
     assert report.find("fiber independence").max_residual < 1e-10
 
@@ -303,25 +303,37 @@ def test_verify_submersion_linear_exact():
 def test_verify_submersion_noninvariant_metric_fails():
     scen = builtin("noninvariant_metric_hopf")
     points = quotient_points(scen, 10, seed=7)
-    report = verify_submersion(scen, points, FIBER_PARAMS)
+    report = verify_submersion(lift_frames(scen, points, FIBER_PARAMS))
     check = report.find("fiber independence")
     assert not check.passed
     assert check.max_residual > 1e-3
 
 
+def test_a_submersion_table_of_no_fibre_parameters_is_refused():
+    # a check over no fibre representative used to pass both checks with
+    # residual 0.0 where the fibre parameters fail
+    scen = builtin("noninvariant_metric_hopf")
+    points = sample_ball(2, 5, 2.0, 0)
+    assert not verify_submersion(lift_frames(scen, points, FIBER_PARAMS)).passed
+    with pytest.raises(ValueError, match="^lift frame table has no fibre parameters"):
+        verify_submersion(lift_frames(scen, points))
+
+
 def test_verify_reduction_identity_hopf_and_linear():
-    report = verify_reduction_identity(HOPF, quotient_points(HOPF, 10, seed=3), seed=3)
+    report = verify_reduction_identity(lift_frames(HOPF, quotient_points(HOPF, 10, seed=3)),
+                                       seed=3)
     assert report.passed
     assert report.find("pullback identity").max_residual < 1e-6
     assert report.find("vertical degeneracy").max_residual < 1e-8
 
-    report = verify_reduction_identity(LINEAR, quotient_points(LINEAR, 10, seed=4), seed=4)
+    report = verify_reduction_identity(lift_frames(LINEAR, quotient_points(LINEAR, 10, seed=4)),
+                                       seed=4)
     assert report.find("pullback identity").max_residual < 1e-10
 
 
 def test_verify_main_theorem_positive_branch():
     xs = quotient_points(HOPF, 10, seed=5)
-    report = verify_main_theorem(HOPF, xs)
+    report = verify_main_theorem(lift_frames(HOPF, xs))
     assert report.passed
     iff = report.find("main theorem iff")
     assert iff.extras["branch"] == "positive"
@@ -346,7 +358,7 @@ def test_verify_main_theorem_positive_branch():
 def test_verify_main_theorem_skewed_control():
     scen = builtin("skewed_metric_hopf")
     points = np.vstack([[0.0, 0.0], quotient_points(scen, 6, seed=6)])
-    report = verify_main_theorem(scen, points)
+    report = verify_main_theorem(lift_frames(scen, points))
     compat = report.find("reduced compatibility")
     assert abs(compat.max_residual - 3.0) < 1e-6
     assert list(compat.worst_point.coords) == [0.0, 0.0]
@@ -358,7 +370,7 @@ def test_verify_main_theorem_skewed_control():
 
 
 def test_verify_main_theorem_linear_exact():
-    report = verify_main_theorem(LINEAR, quotient_points(LINEAR, 8, seed=8))
+    report = verify_main_theorem(lift_frames(LINEAR, quotient_points(LINEAR, 8, seed=8)))
     assert report.passed
     for entry in report.meta["samples"]:
         assert entry["acm_residual"] < 1e-10
@@ -383,9 +395,9 @@ def test_three_plane_reduction_matches_complex_oracle():
 def test_three_plane_reduction_pipelines_pass():
     scen = builtin("euclidean_r2n", planes=3)
     points = quotient_points(scen, 5, seed=19, radius=1.5)
-    assert verify_submersion(scen, points, FIBER_PARAMS).passed
-    assert verify_reduction_identity(scen, points, seed=19).passed
-    report = verify_main_theorem(scen, points)
+    assert verify_submersion(lift_frames(scen, points, FIBER_PARAMS)).passed
+    assert verify_reduction_identity(lift_frames(scen, points), seed=19).passed
+    report = verify_main_theorem(lift_frames(scen, points))
     assert report.passed
     assert report.find("main theorem iff").extras["branch"] == "positive"
 
@@ -394,9 +406,9 @@ def test_three_plane_reduction_pipelines_pass():
 def test_point_arrays_not_of_shape_n_by_d_raise(points):
     # a flat array is not read as points of one coordinate each, nor as one point
     message = f"points must be an (N, d) array, got shape {points.shape}"
-    for verify in (lambda: verify_main_theorem(HOPF, points),
-                   lambda: verify_submersion(HOPF, points, FIBER_PARAMS),
-                   lambda: verify_reduction_identity(HOPF, points),
+    for verify in (lambda: lift_frames(HOPF, points),
+                   lambda: lift_frames(HOPF, points, FIBER_PARAMS),
+                   lambda: pushforward_table(HOPF.action, [0.3], points),
                    lambda: check_metric(HOPF.metric, points)):
         with pytest.raises(ValueError) as info:
             verify()

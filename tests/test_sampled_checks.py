@@ -59,9 +59,14 @@ TOL = 1e-8
 
 def _checks(scen, params):
     """(name, stacked check, per-point reference) for the eleven checks,
-    each a function of the point list."""
+    each a function of the point list; a check over group moves reads a
+    ``pushforward_table`` of ``params`` at those points."""
     triple = CompatibleTriple(scen.omega, scen.metric, scen.acs)
     action = scen.action
+
+    def moves(pts):
+        return pushforward_table(action, params, pts)
+
     return [
         ("metric", lambda pts: check_metric(scen.metric, pts, TOL),
          lambda pts: reference_metric_residuals(scen.metric, pts, TOL)),
@@ -73,21 +78,21 @@ def _checks(scen, params):
          lambda pts: reference_acs_residuals(scen.acs, pts)),
         ("compatibility", lambda pts: check_compatibility(triple, pts),
          lambda pts: reference_compatibility_residuals(scen.omega, scen.metric, scen.acs, pts)),
-        ("axioms", lambda pts: check_action_axioms(action, params, pts),
+        ("axioms", lambda pts: check_action_axioms(moves(pts)),
          lambda pts: [reference_action_axioms(action, params, p) for p in pts]),
-        ("isometry", lambda pts: check_isometry(action, scen.metric, params, pts),
+        ("isometry", lambda pts: check_isometry(scen.metric, moves(pts)),
          lambda pts: reference_invariance_residuals("pullback", action, scen.metric, params,
                                                     pts)),
         ("symplectomorphism",
-         lambda pts: check_symplectomorphism(action, scen.omega, params, pts),
+         lambda pts: check_symplectomorphism(scen.omega, moves(pts)),
          lambda pts: reference_invariance_residuals("pullback", action, scen.omega, params,
                                                     pts)),
         ("hamiltonian", lambda pts: momentum_residual(action, scen.mu, scen.omega, pts),
          lambda pts: reference_momentum_residuals(action, scen.mu, scen.omega, pts)),
-        ("mu invariance", lambda pts: check_momentum_invariance(action, scen.mu, params, pts),
+        ("mu invariance", lambda pts: check_momentum_invariance(scen.mu, moves(pts)),
          lambda pts: reference_invariance_residuals("momentum", action, scen.mu, params,
                                                     pts)),
-        ("acs invariance", lambda pts: check_field_invariance(scen.acs, action, params, pts),
+        ("acs invariance", lambda pts: check_field_invariance(scen.acs, moves(pts)),
          lambda pts: reference_invariance_residuals("endomorphism", action, scen.acs, params,
                                                     pts)),
     ]
@@ -145,11 +150,17 @@ def test_stack_of_one_point_and_no_points():
             _assert_matches(f"{check_name} at one point", check, reference, [p])
         empty = check([])
         assert (empty.passed, empty.max_residual, empty.worst_point) == (True, 0.0, None)
-    # no group parameters: the parameter checks read no moved point, with
-    # compiled and with per-point fields alike
+    # no group parameters: a check over group moves would pass vacuously,
+    # so it raises, with compiled and with per-point fields alike; the
+    # other checks read no parameter
     for s in (scen, opaque_scenario(scen)):
         for check_name, check, reference in _checks(s, []):
-            _assert_matches(f"{check_name} with no parameters", check, reference, points)
+            if check_name in ("axioms", "isometry", "symplectomorphism", "mu invariance",
+                              "acs invariance"):
+                with pytest.raises(ValueError, match="no group parameters"):
+                    check(points)
+            else:
+                _assert_matches(f"{check_name} with no parameters", check, reference, points)
 
 
 def test_closedness_nan_partials_fail_at_their_point():
@@ -176,10 +187,9 @@ def test_closedness_nan_partials_fail_at_their_point():
 
 def test_pushforward_error_comes_from_the_first_failing_parameter():
     # the flow fails near the second point for the first parameter, and
-    # near the first point for the second.  pushforward_table, which verify
-    # builds before the invariance checks, builds one parameter at a time,
-    # so the first parameter's failure is raised; a check building its own
-    # pushforwards replays point by point, in point-major order
+    # near the first point for the second.  pushforward_table, the input of
+    # every check over group moves, builds one parameter at a time, so the
+    # first parameter's failure is raised
     points = [ChartPoint([0.1, 0.2]), ChartPoint([0.5, -0.4])]
     params = [np.array([0.3]), np.array([0.7])]
 
@@ -189,12 +199,8 @@ def test_pushforward_error_comes_from_the_first_failing_parameter():
                 raise NonFiniteError(f"flow fails near point {i} for parameter {j}")
         return ChartPoint(p.coords + a[0])
 
-    shift = GroupAction(1, flow)
-    metric = TensorField.constant(np.eye(2))
     with pytest.raises(NonFiniteError, match="^flow fails near point 1 for parameter 0$"):
-        pushforward_table(shift, params, points)
-    with pytest.raises(NonFiniteError, match="^flow fails near point 0 for parameter 1$"):
-        check_isometry(shift, metric, params, points)
+        pushforward_table(GroupAction(1, flow), params, points)
 
 
 def test_failing_batch_raises_the_first_failing_points_error():
@@ -290,7 +296,7 @@ def test_penalties_and_cyclic_sums_match_references():
 @pytest.mark.parametrize("shared", [True, False])
 def test_failing_moved_point_raises_at_its_point(shared):
     # the metric is non-finite only at the second point moved by the
-    # parameter, with or without a shared pushforward table
+    # parameter, whether the table is fresh or another check read it first
     points = [ChartPoint([0.1, 0.2]), ChartPoint([0.5, -0.4])]
     params = [np.array([0.3])]
     shift = GroupAction(1, lambda a, p: ChartPoint(p.coords + a[0]))
@@ -298,9 +304,11 @@ def test_failing_moved_point_raises_at_its_point(shared):
     metric = TensorField.matrix(
         lambda p: np.full((2, 2), np.inf) if np.array_equal(p.coords, target) else np.eye(2),
         2, name="metric")
-    table = pushforward_table(shift, params, points) if shared else None
+    table = pushforward_table(shift, params, points)
+    if shared:
+        assert check_isometry(TensorField.constant(np.eye(2)), table).passed
     with pytest.raises(NonFiniteError, match=r"^field 'metric' at ChartPoint\(\[ 0\.8, -0\.1\]\)"):
-        check_isometry(shift, metric, params, points, pushforwards=table)
+        check_isometry(metric, table)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
