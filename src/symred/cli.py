@@ -26,7 +26,8 @@ from .actions import (
     pushforward_table,
 )
 from .errors import ScenarioFormatError, SymredError, UnknownScenarioError
-from .geometry import RowMap, as_points, sample_ball, sample_box
+from .exprlang import compile_exprs, parse_expression
+from .geometry import as_points, sample_ball, sample_box
 from .holomorphy import (
     IDENTITY_ACM_MAP,
     ChartedMap,
@@ -42,7 +43,7 @@ from .reduction import (
     verify_submersion,
 )
 from .report import VerificationReport
-from .scenarios import builtin, builtin_names, load_scenario_file, parse_scenario
+from .scenarios import _row_map, builtin, builtin_names, load_scenario_file, parse_scenario
 from .structures import (
     DEFAULT_TOLERANCES,
     CompatibleTriple,
@@ -145,33 +146,20 @@ def _suite_main_theorem(tol, frames):
     return report
 
 
-def _reference_maps():
-    """Chart maps exercising the holomorphy residuals, as RowMaps over
-    (N, 2) rows: three holomorphic references plus conjugation, whose
-    defect is exactly 2*sqrt(2).  Each row gets the bits of the formula on
-    that row's two numbers; the reciprocal map squares with ``**`` per
-    element, which is C ``pow`` as on a numpy scalar, not numpy's array
-    power."""
-    def square(X):
-        x, y = X[:, 0], X[:, 1]
-        return np.stack([x * x - y * y, 2 * x * y], axis=1)
-
-    def exponential(X):
-        x, y = X[:, 0], X[:, 1]
-        return np.stack([np.exp(x) * np.cos(y), np.exp(x) * np.sin(y)], axis=1)
-
-    def reciprocal_shifted(X):
-        x, y = X[:, 0] - 2.0, X[:, 1]
-        den = np.array([a ** 2 + b ** 2 for a, b in zip(x.tolist(), y.tolist())])
-        return np.stack([x / den, -y / den], axis=1)
-
-    def conjugation(X):
-        return np.stack([X[:, 0], -X[:, 1]], axis=1)
-
-    return (("square map", RowMap(square), True),
-            ("exponential map", RowMap(exponential), True),
-            ("reciprocal map at offset 2", RowMap(reciprocal_shifted), True),
-            ("conjugation", RowMap(conjugation), False))
+# The holomorphy suite's maps of the plane, (x1, x2) = (x, y): three
+# holomorphic references and conjugation, whose defect is exactly 2*sqrt(2).
+# Each is compiled once, here, as a scenario's maps are, so its Jacobian is
+# exact (``scenarios._row_map``).
+_REFERENCE_MAPS = tuple(
+    (name, _row_map(compile_exprs([parse_expression(e) for e in entries], ("x1", "x2"), name),
+                    (2,), name), holomorphic)
+    for name, entries, holomorphic in (
+        ("square map", ("x1^2 - x2^2", "2*x1*x2"), True),
+        ("exponential map", ("exp(x1)*cos(x2)", "exp(x1)*sin(x2)"), True),
+        ("reciprocal map at offset 2",
+         ("(x1 - 2)/((x1 - 2)^2 + x2^2)", "-x2/((x1 - 2)^2 + x2^2)"), True),
+        ("conjugation", ("x1", "-x2"), False),
+    ))
 
 
 def _suite_holomorphy(tol, seed, samples):
@@ -179,7 +167,7 @@ def _suite_holomorphy(tol, seed, samples):
     X = sample_box(2, samples, radius=1.5, seed=seed + 2)
     j2 = standard_acs(2)
     equivalence_flags = []
-    for name, func, holomorphic in _reference_maps():
+    for name, func, holomorphic in _REFERENCE_MAPS:
         cm = ChartedMap(2, 2, func, j2, j2)
         acm = almost_complex_residual(cm, X)
         cr = cauchy_riemann_residual(cm, X)

@@ -10,13 +10,14 @@ a matrix whose columns are the vectors.
 Everything here is pure and immutable: evaluating a field or a derivative
 never mutates shared state, so concurrent use needs no synchronization, and
 nothing is cached at module level.
-A map with ``tangents`` (every compiled scenario map, and a constant
-field) has exact first derivatives: its program runs once in forward mode
-(``exprlang``), to roundoff, and a fully folded map gets a zero derivative
-without running anything.  Only an opaque Python callable (a per-point
-map, a user's ``TensorField``, the holomorphy references) is
-differentiated by fourth-order central finite differences with the one
-step ``FD_STEP`` (1e-5), which only ``fd_jacobian`` lets a caller change.
+A map with ``tangents`` (every compiled map: a scenario's and the
+holomorphy suite's references, and a constant field) has exact first
+derivatives: its program runs once in forward mode (``exprlang``), to
+roundoff, and a fully folded map gets a zero derivative without running
+anything.  Only an opaque Python callable (a per-point map or a user's
+``TensorField``) is differentiated by fourth-order central finite
+differences with the one step ``FD_STEP`` (1e-5), which only
+``fd_jacobian`` lets a caller change.
 
 Every path works on stacks: ``eval_field``, ``fd_jacobian``,
 ``fd_directional`` and ``fd_gradient`` take an (N, d) array of points, and

@@ -45,7 +45,8 @@ class ChartedMap:
     almost complex structure field.
 
     ``chart_map`` is held as a RowMap (a per-point callable is wrapped on
-    construction), so a difference stencil of the map is one row batch.
+    construction): a compiled map's Jacobian is exact, and any other's
+    difference stencil is one row batch.
     """
 
     source_dim: int

@@ -595,8 +595,7 @@ def verify_main_theorem(frames: _FrameTable,
         _replayed(residuals, X).reshape(6, len(X))
     hypothesis_ok = bool((hyp_res <= hypothesis_tol).all())
     iff_res = np.where((acm_res <= tol) == (compat_res <= tol), 0.0, 1.0)
-    branch = "positive" if (len(X) and max_abs(acm_res) <= tol
-                            and max_abs(compat_res) <= tol) else "negative"
+    branch = "positive" if max_abs(acm_res) <= tol and max_abs(compat_res) <= tol else "negative"
     report.add(StructureCheckResult.from_samples(
         "almost complex mapping defect", acm_res, X, tol, IDENTITY_ACM))
     report.add(StructureCheckResult.from_samples(

@@ -307,8 +307,7 @@ def _row_map(program: Program, shape: tuple, name: str) -> RowMap:
     """The RowMap of a map's program over the rows of an (N, width) array,
     values stacked to (N, *shape), with exact derivatives.  The entries the
     compile walk folded are one constant array; one program run per batch
-    fills in the others, on the floats of a single row (cheaper there) or
-    on the coordinate columns of several, with the same bits either way.
+    fills in the others, on the coordinate columns of its rows.
     ``tangents`` runs the program once in forward mode on the columns; a
     folded entry has a zero derivative, so a fully folded map runs
     nothing, and a derivative that is not finite raises NonFiniteError
@@ -322,8 +321,7 @@ def _row_map(program: Program, shape: tuple, name: str) -> RowMap:
         program.check_width(X.shape[1])  # a fully folded map never runs its program
         out = np.repeat(constant[np.newaxis], len(X), axis=0)
         if varying:
-            values = program.run(X[0].tolist() if len(X) == 1
-                                 else list(np.ascontiguousarray(X.T, dtype=float)))
+            values = program.run(list(np.ascontiguousarray(X.T, dtype=float)))
             out[:, varying] = np.array([values[s] for s in slots]).T
         return out.reshape(len(X), *shape)
 

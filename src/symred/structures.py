@@ -114,10 +114,11 @@ class StructureCheckResult:
     @staticmethod
     def from_samples(name, residuals, points, tolerance, identity="", extras=None):
         """Aggregate per-point residuals; passed iff the max is within tolerance.
-        ``points`` is an (N, d) array or a sequence; only the worst is made a ChartPoint."""
+        ``points`` is an (N, d) array or a sequence; only the worst is made a ChartPoint.
+        No residuals would pass vacuously, so they raise ValueError."""
         residuals = np.asarray(residuals, dtype=float).reshape(-1)
         if not len(residuals):
-            return StructureCheckResult(name, 0.0, tolerance, True, None, identity, extras or {})
+            raise ValueError(f"{name}: no residuals to check")
         worst = int(np.argmax(residuals))
         max_res = float(residuals[worst])
         worst_point = as_point(points[worst]) if worst < len(points) else None

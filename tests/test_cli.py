@@ -811,34 +811,6 @@ def test_command_line_tolerances_are_validated(value, capsys):
         RunConfig("hopf", tolerances={"structures.compatibilty": 1e-8})
 
 
-def _per_point_reference_maps():
-    """The holomorphy suite's reference maps written point by point, on a
-    point's two numpy scalars."""
-    def square(x, y):
-        return [x * x - y * y, 2 * x * y]
-
-    def exponential(x, y):
-        return [np.exp(x) * np.cos(y), np.exp(x) * np.sin(y)]
-
-    def reciprocal_shifted(x, y):
-        den = (x - 2.0) ** 2 + y ** 2
-        return [(x - 2.0) / den, -y / den]
-
-    def conjugation(x, y):
-        return [x, -y]
-
-    return square, exponential, reciprocal_shifted, conjugation
-
-
-def test_reference_row_maps_match_per_point_formulas():
-    # numpy's array power (and on some builds exp) rounds differently from
-    # the scalar call, so every row is compared bit for bit
-    X = np.random.default_rng(12).uniform(-1.6, 1.6, size=(5000, 2))
-    for (name, row_map, _), formula in zip(cli._reference_maps(), _per_point_reference_maps()):
-        want = np.array([formula(*x) for x in X], dtype=float)
-        assert row_map.rows(X).tobytes() == want.tobytes(), name
-
-
 def _count_chart_points(monkeypatch):
     built = Counter()
     post_init = ChartPoint.__post_init__
@@ -852,11 +824,11 @@ def _count_chart_points(monkeypatch):
 
 
 def test_hopf_op_builds_few_chart_points(monkeypatch):
-    # sample points are arrays, stencils of compiled maps and of the
-    # holomorphy reference maps are row batches, and frames, pushforwards,
-    # every check and the holomorphy residuals work on stacks: the only
-    # ChartPoints are the worst points of the checks, at most one per
-    # check, at any sample count
+    # sample points are arrays, every map (the holomorphy reference maps
+    # among them) is compiled and evaluated on row batches, and frames,
+    # pushforwards, every check and the holomorphy residuals work on
+    # stacks: the only ChartPoints are the worst points of the checks, at
+    # most one per check, at any sample count
     built = _count_chart_points(monkeypatch)
     for samples in (20, 80):
         built.clear()
@@ -880,7 +852,27 @@ def test_holomorphy_suite_takes_two_jacobians_per_reference_map(samples, monkeyp
     monkeypatch.setattr(symred.holomorphy, "fd_jacobian", counted)
     report, code = run(RunConfig("hopf", samples=samples, seed=51))
     assert code == 0
-    assert calls["fd_jacobian"] == 2 * len(cli._reference_maps()) == 8
+    assert calls["fd_jacobian"] == 2 * len(cli._REFERENCE_MAPS) == 8
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), "r2n_8_planes"])
+def test_verify_of_compiled_maps_takes_no_stencil(name, tmp_path, monkeypatch):
+    # every map of a built-in, of a scenario file and of the holomorphy
+    # suite is compiled, so each derivative of an op is exact
+    if name == "r2n_8_planes":
+        path = tmp_path / "euclidean_r2n_8.scen"
+        path.write_text(builtin_text("euclidean_r2n", 8))
+        name = str(path)
+    calls = Counter()
+    stencil_rows = symred.geometry._stencil_rows
+
+    def counted(*args, **kwargs):
+        calls["stencil"] += 1
+        return stencil_rows(*args, **kwargs)
+
+    monkeypatch.setattr(symred.geometry, "_stencil_rows", counted)
+    run(RunConfig(name, samples=20, seed=3))
+    assert calls["stencil"] == 0
 
 
 def test_per_point_maps_get_a_chart_point_of_each_row(monkeypatch):

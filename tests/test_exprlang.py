@@ -380,7 +380,7 @@ def test_batch_matches_reference_bit_for_bit():
 def _map_outcome(exprs, rows):
     """As ``_batch_outcome``, for the compiled map of ``exprs``: one batch
     of its rows through ``_evaluate_rows``, which reruns a failing batch
-    one row at a time on floats, so the first failing row raises."""
+    one row at a time, so the first failing row raises."""
     values_map = _row_map(compile_exprs(exprs, _NAMES), (len(exprs),), "map")
     try:
         values = _evaluate_rows(values_map, np.array(rows), lambda values, X: values)

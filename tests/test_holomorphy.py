@@ -169,7 +169,7 @@ def _assert_matches_references(cm, points):
 def test_reference_maps_match_per_point_residuals(seed, samples):
     # the suite's maps at the suite's sample points
     points = sample_box(2, samples, radius=1.5, seed=seed + 2)
-    for name, func, _ in cli._reference_maps():
+    for name, func, _ in cli._REFERENCE_MAPS:
         _assert_matches_references(ChartedMap(2, 2, func, J2, J2), points)
 
 

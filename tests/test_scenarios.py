@@ -289,24 +289,25 @@ def test_flow_batch_calls_cos_and_sin_once_per_batch(monkeypatch):
     # one kernel call on the t1 column serves every row of the stencil
     seen = _count_functions(monkeypatch)
     flow = builtin("hopf").action.flow
-    inputs = Counter()  # what each program run is given: floats or columns
+    inputs = Counter()  # what each program run is given: floats or columns, and their shape
     run = exprlang.Program.run
 
     def recording(program, values):
-        inputs[type(values[0]).__name__] += 1
+        inputs[type(values[0]).__name__, np.shape(values[0])] += 1
         return run(program, values)
 
     monkeypatch.setattr(exprlang.Program, "run", recording)
     rows = np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, 5))
     batch = flow.rows(rows)
     assert seen == {("cos", "ndarray"): 1, ("sin", "ndarray"): 1}
-    assert inputs == {"ndarray": 1}
-    # a single row is evaluated on Python floats, with no numpy column
+    assert inputs == {("ndarray", (64,)): 1}
+    # a single row is a batch of one: a length-1 column per coordinate,
+    # with the bits of that row in the batch
     seen.clear()
     inputs.clear()
     one = flow.rows(rows[:1])
-    assert seen == {("cos", "float"): 1, ("sin", "float"): 1}
-    assert inputs == {"float": 1}
+    assert seen == {("cos", "ndarray"): 1, ("sin", "ndarray"): 1}
+    assert inputs == {("ndarray", (1,)): 1}
     assert one.tobytes() == batch[:1].tobytes()
 
 

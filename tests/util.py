@@ -893,7 +893,7 @@ def reference_almost_complex_residual(cm, p):
     from symred.geometry import as_point, eval_field
 
     point = as_point(p)
-    D = reference_fd_jacobian(cm.chart_map, point)
+    D = reference_jacobian(cm.chart_map, point)
     J1 = eval_field(cm.source_acs, point)
     J2 = eval_field(cm.target_acs, as_point(cm.chart_map(point)))
     return float(np.linalg.norm(D @ J1 - J2 @ D))
@@ -911,7 +911,7 @@ def reference_cauchy_riemann_residual(cm, p):
         raise NotStandardStructureError("source structure is not the coordinate J")
     if _max_abs(eval_field(cm.target_acs, as_point(cm.chart_map(point))) - J2_std) > 1e-10:
         raise NotStandardStructureError("target structure is not the coordinate J")
-    D = reference_fd_jacobian(cm.chart_map, point)
+    D = reference_jacobian(cm.chart_map, point)
     defects = []
     for j in range(cm.target_dim // 2):
         for i in range(cm.source_dim // 2):
