@@ -90,4 +90,3 @@ from .reduction import (
 from .holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from .report import VerificationReport
 from .scenarios import builtin, builtin_names, builtin_text, load_scenario_file, parse_scenario
-from .cli import RunConfig, run

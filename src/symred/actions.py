@@ -181,7 +181,7 @@ class PushforwardTable:
     points, with the action, the (N, n) points and the (P, k) parameters
     they were built from: ``D[j]`` is the (N, n, n) stack of Jacobians of
     Phi_a for the j-th parameter a, and ``moved[j]`` the (N, n) points
-    moved by Phi_a.  It unpacks as ``D, moved``."""
+    moved by Phi_a."""
 
     __slots__ = ("action", "D", "moved", "points", "params")
 
@@ -189,9 +189,6 @@ class PushforwardTable:
                  points: np.ndarray, params: np.ndarray):
         self.action, self.D, self.moved = action, D, moved
         self.points, self.params = points, params
-
-    def __iter__(self):
-        return iter((self.D, self.moved))
 
 
 def pushforward_table(action: GroupAction, params, points) -> PushforwardTable:
@@ -292,7 +289,7 @@ def _invariance_check(name, identity, residual, value, table: PushforwardTable, 
     _table_params(table)
 
     def residuals(X, rows):
-        D, moved = (a[:, rows] for a in table)
+        D, moved = table.D[:, rows], table.moved[:, rows]
         there = value(moved.reshape(-1, moved.shape[2]))
         diff = residual(D, value(X), there.reshape(moved.shape[:2] + there.shape[1:]))
         return _row_max_abs(diff.swapaxes(0, 1))
@@ -365,7 +362,8 @@ def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorFi
 
     def avg(X: np.ndarray) -> np.ndarray:
         # one pushforward table over every (parameter, point) pair
-        D, moved = pushforward_table(action, params, X)
+        table = pushforward_table(action, params, X)
+        D, moved = table.D, table.moved
         G = eval_field(g0, moved.reshape(-1, n)).reshape(D.shape)
         terms = scale * (D.swapaxes(-1, -2) @ G @ D)
         # running sum from zero, term by term in rule order

@@ -209,10 +209,6 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
     else:
         qpoints = sample_ball(scen.quotient_dim, samples,
                               radius=scen.sample_spec.radius, seed=seed)
-    # the base lift frames of the reduction and main-theorem suites and the
-    # moved frames of the reduction suite, built in one batch when first needed
-    frames = lift_frames(scen, qpoints, FIBER_PARAMS if "reduction" in cfg.suites else ())
-
     report = VerificationReport(
         scen.name,
         meta={
@@ -227,6 +223,10 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
     )
+    # the lift frames, built by the first suite that reads them: the reduction
+    # suite's table has the moved frames too, and the main theorem reads its
+    # base frames
+    frames = None
     for suite in SUITE_ORDER:
         if suite not in cfg.suites:
             continue
@@ -235,8 +235,11 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
         elif suite == "action":
             report.add_child(_suite_action(scen, tol, points, params))
         elif suite == "reduction":
+            frames = lift_frames(scen, qpoints, FIBER_PARAMS)
             report.add_child(_suite_reduction(tol, seed, frames))
         elif suite == "main-theorem":
+            if frames is None:
+                frames = lift_frames(scen, qpoints)
             report.add_child(_suite_main_theorem(tol, frames))
         elif suite == "holomorphy":
             report.add_child(_suite_holomorphy(tol, seed, samples))

@@ -49,9 +49,9 @@ per-point callable is wrapped into one where it enters the package
 once per batch, on the coordinate columns, each operation one numpy kernel
 (``exprlang``), so each row has the bits of running it on that row alone.
 One function, ``_replayed``, reruns a failed batch: a map's rows
-(``_evaluate_rows``), a check's residuals and a pipeline's frames that
-raise anything run again one row at a time, so the first failing row
-raises what it raises alone.
+(``_evaluate_rows``), a check's residuals and a batch of lift frames
+(``reduction.lift_frames``) that raise anything run again one row at a
+time, so the first failing row raises what it raises alone.
 
 Evaluation stays cheap on success: ``eval_field`` formats a point into its
 error message only when a value is non-finite.

@@ -9,23 +9,24 @@ reduced objects at a quotient point come from one lift frame
 g-pairing with the vertical frame inside the level frame, so it lies in
 ker d mu and has n - 2k columns by construction.  The verification
 pipelines take a ``lift_frames`` table as their input and read the
-scenario, the quotient points and the fibre parameters from it, so one
-table built once serves all of them.
+scenario, the quotient points, the fibre parameters and the frames from
+it, so one table built once serves all of them.
 
 Frames are stacks: ``split_tangent`` splits an (N, n) array of points at
-once, ``reduced_structures`` reduces an (N, q) array of quotient points,
-and ``lift_frames`` builds every frame of a verification, the base frames
-and the moved frames of every fibre parameter, in one batch on the first
-lookup of all rows.  One point is a stack of one
-(``geometry.takes_points``), whose result is the split or the reduced
-structures at that point.  Every frame is the bits of building it alone.
-The pipelines run on these stacks with stacked products and no loop over
-points: a vector that the per-point formula takes alone (a lift, a
-generator, a sampled tangent pair) is its own (n, 1) slice of the
-product, so each value that needs no solve is the bits of computing it
-point by point.  A pipeline whose stack raises runs
-again as stacks of one (``geometry._replayed``), each point's frames built
-alone, so an error surfaces where, and as, it would point by point.
+once, and ``lift_frames`` builds every frame of a verification, the base
+frames and the moved frames of every fibre parameter, in one batch when
+the table is made; ``reduced_structures`` reduces an (N, q) array of
+quotient points from the base frames of such a table.  One point is a
+stack of one (``geometry.takes_points``), whose result is the split or
+the reduced structures at that point.  Every frame is the bits of
+building it alone.  A batch that raises is built again point by point
+(``geometry._replayed``), each point's base frame before its moved
+frames, so an error surfaces where, and as, it would frame by frame;
+this replay is the only one in the module.  The pipelines read the table's frames as
+stacked arrays, with stacked products and no loop over points: a vector
+that the per-point formula takes alone (a lift, a generator, a sampled
+tangent pair) is its own (n, 1) slice of the product, so each value that
+needs no solve is the bits of computing it point by point.
 
 The quotient has no chart of its own other than through the local section, so
 the projection differential is never formed globally.  The lifts are
@@ -307,8 +308,7 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray,
     frames, chained as D(Phi_a o sigma) = D Phi_a(sigma) D sigma, and
     stacked products, SVDs and solves.  Each frame has the bits of the
     batch of its point alone, and a batch of one raises what that frame
-    raises.  A batch of several raises if any frame fails, not necessarily
-    the first one's.
+    raises; ``lift_frames`` replays a failing batch point by point.
     """
     n, P = scen.chart_dim, len(fiber_params)
     M = _require_finite(scen.section.rows(X), "chart point")
@@ -349,49 +349,45 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray,
     return _LiftFrames(split, lifts, Om, J, htg, htg @ lifts, pushforward)
 
 
+@dataclass(frozen=True, eq=False)
 class _FrameTable:
-    """``frames[rows]``, for a slice or an index, is the stack of the lift
-    frames at those quotient points, and ``frames.moved(rows)`` that of their
-    frames through Phi_a o sigma for each fibre parameter a, parameter outer.
-    A lookup of all rows (``frames[:]``) builds both in one batch and keeps
-    it.  A lookup of fewer rows before that builds its frames alone, so the
-    replay of a failed batch (``_replayed``) meets each row's own error.
-    ``scen``, ``points`` and ``fiber_params`` are what the table is built from."""
+    """The lift frames of a run, built from ``scen``, the (N, q) quotient
+    ``points`` and the (P, k) ``fiber_params``: ``base``, the N frames
+    through the section, and ``moved``, the P * N frames through
+    Phi_a o sigma, parameter outer (frame j * N + i is point i moved by
+    parameter j)."""
 
-    def __init__(self, scen: ReductionScenario, X: np.ndarray, fiber_params):
-        self.scen, self.points, self.fiber_params = scen, X, fiber_params
-        self._all = None
-
-    def __getitem__(self, rows) -> _LiftFrames:
-        return self._lookup(rows, False)
-
-    def moved(self, rows) -> _LiftFrames:
-        return self._lookup(rows, True)
-
-    def _lookup(self, rows, moved: bool) -> _LiftFrames:
-        if not isinstance(rows, slice):
-            rows = slice(rows, rows + 1 or None)
-        frames, X, prm = self._all, self.points, self.fiber_params
-        if frames is None and rows == slice(None):
-            frames = self._all = _lift_frames(self.scen, X, prm)
-        elif frames is None:  # the rows alone, with their moved frames if asked for
-            X, rows = X[rows], slice(None)
-            frames = _lift_frames(self.scen, X, prm if moved else prm[:0])
-        index = np.arange(len(X))[rows]
-        if moved:
-            index = (np.arange(1, len(prm) + 1)[:, np.newaxis] * len(X) + index).reshape(-1)
-        return frames[index]
+    scen: ReductionScenario
+    points: np.ndarray
+    fiber_params: np.ndarray
+    base: _LiftFrames
+    moved: _LiftFrames
 
 
 def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable:
     """The table of the lift frames at ``points`` through the scenario's own
     section and through Phi_a o sigma for each fibre parameter a, a group
-    parameter vector or a scalar t standing for t * (1, ..., 1), built when
-    all rows are first looked up (``_FrameTable``).  It is the one input of
+    parameter vector or a scalar t standing for t * (1, ..., 1), all built
+    in one ``_lift_frames`` batch.  A failing batch runs again point by
+    point (``_replayed``), each point's base frame alone and then its base
+    and moved frames as one batch, so the first failing point raises what
+    it raises alone, its base frame first.  The table is the one input of
     the verify_* pipelines, so one frame per point serves all of them;
     ``verify_submersion`` needs fibre parameters (``FIBER_PARAMS`` in
     ``verify``), the other two read only the base frames."""
-    return _FrameTable(scen, as_points(points), _param_rows(scen.action, fiber_params))
+    X, prm = as_points(points), _param_rows(scen.action, fiber_params)
+
+    def build(X, rows):
+        if len(prm) and rows != slice(None):  # a replayed point: its base frame alone first
+            _lift_frames(scen, X)
+        return _lift_frames(scen, X, prm)
+
+    if len(X):
+        frames = _replayed(build, X)
+    else:  # no points, of the quotient's width
+        X = X.reshape(0, scen.quotient_dim)
+        frames = build(X, slice(None))
+    return _FrameTable(scen, X, prm, frames[:len(X)], frames[len(X):])
 
 
 def _reduced_metric(lifts: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -447,7 +443,8 @@ def reduced_structures(scen: ReductionScenario, X) -> ReducedStructures:
     """Reduced metric h_x(v, w) = g(lift v, lift w), reduced symplectic form
     omega_red(v, w) = omega(lift v, lift w) and the pushforward candidate for
     the reduced almost complex structure at every row x of the (N, q) array
-    X, all from the lift frames at X built in one batch.
+    X, all from the base frames of ``lift_frames(scen, X)``, so a failing
+    batch raises what its first failing point raises alone.
 
     Column i of the candidate is d pi(J lift_i) in the quotient chart.
     Well-definedness is not assumed: when J applied to a lift leaves the
@@ -456,7 +453,7 @@ def reduced_structures(scen: ReductionScenario, X) -> ReducedStructures:
     candidate is still returned so the equivalence check can quantify both
     branches.
     """
-    f = _lift_frames(scen, X)
+    f = lift_frames(scen, X).base
     h, w, j_red, _, normal_leak = _reduced(f)
     leak = _row_max_abs(normal_leak)
     i = _first(leak > LEAK_WARNING_TOL)
@@ -490,24 +487,19 @@ def verify_submersion(frames: _FrameTable,
     fibre parameters.  A table of no fibre parameters would pass both
     vacuously, so it raises ValueError.  The flow pushforwards are those the
     moved frames were built with, and the residuals one stack."""
-    X, prm = frames.points, frames.fiber_params
-    if not len(prm):
+    X, P, base, moved = frames.points, len(frames.fiber_params), frames.base, frames.moved
+    if not P:
         raise ValueError("lift frame table has no fibre parameters to check")
     report = VerificationReport("submersion")
-
-    def residuals(X, rows):
-        base, moved, P = frames[rows], frames.moved(rows), len(prm)
-        fiber = np.tile(_reduced_metric(base.lifts, base.split.metric), (P, 1, 1)) \
-            - _reduced_metric(moved.lifts, moved.split.metric)
-        vertical = _vertical_leak(moved.pushforward, np.tile(base.split.generators, (P, 1, 1)),
-                                  moved.split)
-        return np.stack([_row_max_abs(_row_max_abs(fiber).reshape(P, len(X)).T),
-                         _row_max_abs(vertical.reshape(P, len(X)).T)])
-
-    fiber_res, vert_res = _replayed(residuals, X).reshape(2, len(X))
+    fiber = np.tile(_reduced_metric(base.lifts, base.split.metric), (P, 1, 1)) \
+        - _reduced_metric(moved.lifts, moved.split.metric)
+    vertical = _vertical_leak(moved.pushforward, np.tile(base.split.generators, (P, 1, 1)),
+                              moved.split)
+    fiber_res = _row_max_abs(_row_max_abs(fiber).reshape(P, len(X)).T)
+    vert_res = _row_max_abs(vertical.reshape(P, len(X)).T)
     report.add(StructureCheckResult.from_samples(
         "fiber independence", fiber_res, X, tol, IDENTITY_FIBER,
-        extras={"fiber_params": prm.tolist()}))
+        extras={"fiber_params": frames.fiber_params.tolist()}))
     report.add(StructureCheckResult.from_samples(
         "vertical invariance", vert_res, X, vertical_tol, IDENTITY_VERT_INV))
     return report
@@ -529,26 +521,20 @@ def verify_reduction_identity(frames: _FrameTable,
     ``lift_frames`` table ``frames``.
     """
     report = VerificationReport("reduction identity")
-    scen, X = frames.scen, frames.points
-    n, q = scen.chart_dim, scen.quotient_dim
+    scen, X, f = frames.scen, frames.points, frames.base
+    N, n, q, K = len(X), scen.chart_dim, scen.quotient_dim, f.split.level
     coefs = np.random.default_rng(seed).standard_normal(
-        (len(X), PAIRS_PER_POINT, 2, n - scen.action.group_dim))
-
-    def residuals(X, rows):
-        f = frames[rows]
-        N, K = len(X), f.split.level
-        uv = K[:, np.newaxis, np.newaxis] @ coefs[rows][..., np.newaxis]
-        u, v = uv[:, :, 0], uv[:, :, 1]
-        ambient = (u.swapaxes(2, 3) @ f.Om[:, np.newaxis] @ v)[..., 0, 0]
-        d = _dpi(f, f.htg[:, np.newaxis] @ uv.reshape(N, 2 * PAIRS_PER_POINT, n, 1))
-        d = d.swapaxes(1, 2).reshape(N, PAIRS_PER_POINT, 2, q)
-        reduced = (d[:, :, 0, np.newaxis] @ _reduced_symplectic(f)[:, np.newaxis]
-                   @ d[:, :, 1, :, np.newaxis])[..., 0, 0]
-        vertical = f.split.vertical.swapaxes(1, 2)[:, :, np.newaxis]
-        degeneracy = vertical @ f.Om[:, np.newaxis] @ K[:, np.newaxis]
-        return np.stack([_row_max_abs(ambient - reduced), _row_max_abs(degeneracy)])
-
-    id_res, deg_res = _replayed(residuals, X).reshape(2, len(X))
+        (N, PAIRS_PER_POINT, 2, n - scen.action.group_dim))
+    uv = K[:, np.newaxis, np.newaxis] @ coefs[..., np.newaxis]
+    u, v = uv[:, :, 0], uv[:, :, 1]
+    ambient = (u.swapaxes(2, 3) @ f.Om[:, np.newaxis] @ v)[..., 0, 0]
+    d = _dpi(f, f.htg[:, np.newaxis] @ uv.reshape(N, 2 * PAIRS_PER_POINT, n, 1))
+    d = d.swapaxes(1, 2).reshape(N, PAIRS_PER_POINT, 2, q)
+    reduced = (d[:, :, 0, np.newaxis] @ _reduced_symplectic(f)[:, np.newaxis]
+               @ d[:, :, 1, :, np.newaxis])[..., 0, 0]
+    vertical = f.split.vertical.swapaxes(1, 2)[:, :, np.newaxis]
+    degeneracy = vertical @ f.Om[:, np.newaxis] @ K[:, np.newaxis]
+    id_res, deg_res = _row_max_abs(ambient - reduced), _row_max_abs(degeneracy)
     report.add(StructureCheckResult.from_samples(
         "pullback identity", id_res, X, tol, IDENTITY_REDUCTION,
         extras={"pairs_per_point": PAIRS_PER_POINT, "seed": seed}))
@@ -574,25 +560,15 @@ def verify_main_theorem(frames: _FrameTable,
     scenario are those of the ``lift_frames`` table ``frames``.
     """
     report = VerificationReport("main theorem")
-    X, q = frames.points, frames.scen.quotient_dim
-    eye = np.eye(q)
-
-    def residuals(X, rows):
-        f = frames[rows]
-        h_red, w_red, j_red, vert_leak, normal_leak = _reduced(f)
-        j_vertical = _row_norms(
-            (f.htg[:, np.newaxis] @ f.J[:, np.newaxis] @ _columns(f.split.vertical))[..., 0])
-        return np.stack([
-            np.maximum(_row_max_abs(normal_leak), _row_max_abs(j_vertical)),
-            _row_max_abs(w_red @ j_red - h_red),
-            _row_norms((j_red @ j_red + eye).reshape(len(X), q * q)),
-            _row_max_abs(f.Om @ f.J - f.split.metric),
-            _row_max_abs(vert_leak),
-            _row_max_abs(normal_leak),
-        ])
-
-    acm_res, compat_res, acs_res, hyp_res, vert_leak, normal_leak = \
-        _replayed(residuals, X).reshape(6, len(X))
+    X, q, f = frames.points, frames.scen.quotient_dim, frames.base
+    h_red, w_red, j_red, vert_leak, normal_leak = _reduced(f)
+    j_vertical = _row_norms(
+        (f.htg[:, np.newaxis] @ f.J[:, np.newaxis] @ _columns(f.split.vertical))[..., 0])
+    vert_leak, normal_leak = _row_max_abs(vert_leak), _row_max_abs(normal_leak)
+    acm_res = np.maximum(normal_leak, _row_max_abs(j_vertical))
+    compat_res = _row_max_abs(w_red @ j_red - h_red)
+    acs_res = _row_norms((j_red @ j_red + np.eye(q)).reshape(len(X), q * q))
+    hyp_res = _row_max_abs(f.Om @ f.J - f.split.metric)
     hypothesis_ok = bool((hyp_res <= hypothesis_tol).all())
     iff_res = np.where((acm_res <= tol) == (compat_res <= tol), 0.0, 1.0)
     branch = "positive" if max_abs(acm_res) <= tol and max_abs(compat_res) <= tol else "negative"

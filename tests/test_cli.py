@@ -319,6 +319,22 @@ def test_runtime_imports_only_numpy():
     assert proc.stdout.split() == ["numpy", "symred"]
 
 
+def test_module_entry_point_runs_under_a_runtime_warning_gate():
+    # the package used to import symred.cli, so ``python -m symred.cli`` ran
+    # a module already imported, and runpy warned before every command
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(symred.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "symred.cli", "list-scenarios"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "hopf" in proc.stdout.split()
+
+
 _HOPF_MU = "mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]"
 
 
@@ -625,8 +641,8 @@ def test_action_suite_moves_all_points_in_one_flow_batch(monkeypatch):
                               (RowMap(rows), [("rows", stencil)])):
             action = dataclasses.replace(hopf.action, flow=counted)
             batches.clear()
-            D, moved = pushforward_table(action, params, X)
-            assert D.shape == (count, 20, 4, 4) and moved.shape == (count, 20, 4)
+            table = pushforward_table(action, params, X)
+            assert table.D.shape == (count, 20, 4, 4) and table.moved.shape == (count, 20, 4)
             assert batches == want + [("rows", count * 20)]
 
 

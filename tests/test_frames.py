@@ -92,7 +92,7 @@ def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
     k = scen.action.group_dim
     xs = sample_ball(scen.quotient_dim, 20, radius=scen.sample_spec.radius, seed=seed)
     table = lift_frames(scen, xs, FIBER_PARAMS)
-    frames, moved = table[:], table.moved(slice(None))
+    frames, moved = table.base, table.moved
     assert len(moved.lifts) == len(FIBER_PARAMS) * len(xs)
     bases = []
     for i, x in enumerate(xs):
@@ -113,7 +113,8 @@ def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
     points = sample_box(scen.chart_dim, 20, radius=2.0, seed=seed)
     rng = np.random.default_rng(seed + 1)
     params = [rng.uniform(-np.pi, np.pi, k) for _ in range(5)]
-    D, moved = pushforward_table(scen.action, params, points)
+    pushed = pushforward_table(scen.action, params, points)
+    D, moved = pushed.D, pushed.moved
     assert D.shape[:2] == moved.shape[:2] == (len(params), len(points))
     for j, a in enumerate(params):
         for i, p in enumerate(points):
@@ -183,7 +184,8 @@ def test_stacked_fd_matches_each_point():
     grads = fd_gradient(opaque_mu, X)
     for i, x in enumerate(X):
         _same(grads[i], reference_fd_gradient(opaque_mu, x), f"gradient {i}")
-    (D,), (moved,) = pushforward_table(hopf.action, [np.array([0.7])], X)
+    pushed = pushforward_table(hopf.action, [np.array([0.7])], X)
+    (D,), (moved,) = pushed.D, pushed.moved
     for i, x in enumerate(X):
         want_D, want_moved = reference_pushforward(hopf.action, np.array([0.7]), x)
         _same(D[i], want_D, f"pushforward {i}")
@@ -241,10 +243,8 @@ def _assert_parity(path, scen, capsys):
     base_error = _reference_base_failure(scen, xs)
     error = _reference_submersion_failure(scen, xs)
 
-    frames = lift_frames(scen, xs)
     with pytest.raises(type(base_error)) as raised:
-        for i in range(len(xs)):
-            frames[i]
+        lift_frames(scen, xs)
     assert str(raised.value) == str(base_error)
     with pytest.raises(type(error)) as raised:
         verify_submersion(lift_frames(scen, xs, FIBER_PARAMS))
@@ -340,10 +340,30 @@ def test_fibre_frame_fails_before_a_later_base_frame(tmp_path, capsys):
     assert str(error) != str(base_error)
 
 
+def test_a_base_frame_fails_before_its_own_moved_frames(tmp_path, capsys):
+    # at (0, 0.2) the section's exact Jacobian is not finite, which the
+    # base frame checks late, while the flow scales by 1 + t^2/100 and so
+    # moves every section point off the level, which each moved frame
+    # checks early: the replayed point builds its base frame first
+    flow = ("flow = [" + ", ".join(
+        f"({e})*(1 + t1^2/100)" for e in ("x1*cos(t1) + x2*sin(t1)", "x2*cos(t1) - x1*sin(t1)",
+                                          "x3*cos(t1) + x4*sin(t1)", "x4*cos(t1) - x3*sin(t1)"))
+            + "]")
+    path, scen = _hopf_variant(
+        tmp_path, "base_first", points="sample.points = [[0, 0.2], [0.6, 0.3]]", flow=flow,
+        section=_HOPF_SECTION.replace("[1/sqrt(1 + w1^2 + w2^2),",
+                                      "[1/sqrt(1 + w1^2 + w2^2) + 0*sqrt(w1^2),"))
+    with pytest.raises(SectionNotOnLevelError):
+        reduction._lift_frames(scen, np.array([[0.0, 0.2]]), np.array([[np.pi]]))
+    base_error, error = _assert_parity(path, scen, capsys)
+    assert type(error) is NonFiniteError and str(error) == str(base_error)
+    assert str(error).startswith("derivative of hopf section at")
+
+
 def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, capsys):
-    # both pipelines replay a failing stack point by point, so each raises
-    # what the first failing base frame raises alone, from a table of base
-    # frames or from one with the fibre frames too, as the CLI shares it
+    # the table replays a failing batch point by point, so each pipeline's
+    # table raises what the first failing base frame raises alone, whether
+    # it holds the base frames or the fibre frames too, as the CLI shares it
     variants = [
         _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION),
         _hopf_variant(tmp_path, "degenerate",
@@ -360,6 +380,43 @@ def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, ca
                 assert str(raised.value) == str(base_error)
         assert main(["verify", str(path), "--suites", "main-theorem"]) == 2
         assert capsys.readouterr().err == f"error: {base_error}\n"
+
+
+def test_reduced_structures_raise_the_first_failing_point_error(tmp_path):
+    # the two variants above at once: point 0 alone raises ActionNotFreeError
+    # and point 1 alone SectionNotOnLevelError.  The batch of both fails the
+    # level check first, at point 1; its replay raises point 0's own error
+    _, scen = _hopf_variant(tmp_path, "off_level_degenerate",
+                            points="sample.points = [[0, 0], [0.5, 0.2]]",
+                            section=_OFF_LEVEL_SECTION,
+                            flow=_HOPF_FLOW.replace("t1)", "t1*(x3^2 + x4^2))"))
+    xs = np.array(scen.sample_spec.points)
+    base_error = _reference_base_failure(scen, xs)
+    assert type(base_error) is ActionNotFreeError
+    with pytest.raises(SectionNotOnLevelError):
+        reduced_structures(scen, xs[1])
+    with pytest.raises(SectionNotOnLevelError):
+        reduction._lift_frames(scen, xs)
+    with pytest.raises(ActionNotFreeError) as raised:
+        reduced_structures(scen, xs)
+    assert str(raised.value) == str(base_error)
+
+
+def test_suites_that_read_no_frames_build_none(tmp_path, monkeypatch):
+    # the section leaves the level set, which only the frames see
+    path, _ = _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION)
+    sizes = []
+    build = reduction._lift_frames
+
+    def counted(scen, X, *fiber_params):
+        sizes.append(len(X))
+        return build(scen, X, *fiber_params)
+
+    monkeypatch.setattr(reduction, "_lift_frames", counted)
+    assert main(["verify", str(path), "--suites", "structures,action,holomorphy"]) == 0
+    assert sizes == []
+    assert main(["verify", str(path), "--suites", "structures,action,main-theorem"]) == 2
+    assert sizes == [5, 1, 1, 1]
 
 
 def test_a_failing_table_builds_its_batch_once_then_each_replayed_row(tmp_path, monkeypatch):
@@ -401,9 +458,9 @@ def _opaque_flow_hopf(fails):
 def test_fibre_error_comes_from_the_first_failing_point():
     # the flow fails for fibre parameter 1 at point 0 and for parameter 0 at
     # point 1.  The frames of all points and parameters are one batch, which
-    # fails; the check then runs point by point, each point's moved frames
-    # one batch, so point 0's failure is raised, as the frame-by-frame order
-    # (point outer, then parameter) raises it
+    # fails; the table then builds them point by point, each point's base
+    # and moved frames one batch, so point 0's failure is raised, as the
+    # frame-by-frame order (point outer, then parameter) raises it
     xs = sample_ball(2, 4, radius=2.0, seed=6)
     scen = _opaque_flow_hopf([(0, 1, xs), (1, 0, xs)])
     error = _reference_submersion_failure(scen, xs)
@@ -454,9 +511,12 @@ def _empty_results():
     def split(s):
         return [s.base, s.metric, s.level, s.vertical, s.horizontal, s.jmu, s.generators]
 
+    def pushed(table):
+        return [table.D, table.moved]
+
     def frames(moved):
         table = lift_frames(hopf, Q, FIBER_PARAMS)
-        f = table.moved(slice(None)) if moved else table[:]
+        f = table.moved if moved else table.base
         return split(f.split) + [f.lifts, f.Om, f.J, f.htg, f.coef]
 
     split_shapes = [(0, 4), (0, 4, 4), (0, 4, 3), (0, 4, 1), (0, 4, 2), (0, 1, 4), (0, 4, 1)]
@@ -470,11 +530,11 @@ def _empty_results():
         "generator": (lambda: [generator(hopf.action, 0, X)], [(0, 4)]),
         "momentum_values": (lambda: [momentum_values(hopf.mu, X)], [(0, 1)]),
         "momentum_jacobian": (lambda: [momentum_jacobian(hopf.mu, X)], [(0, 1, 4)]),
-        "pushforward_table": (lambda: list(pushforward_table(hopf.action, [0.3, 1.0], X)),
+        "pushforward_table": (lambda: pushed(pushforward_table(hopf.action, [0.3, 1.0], X)),
                               [(2, 0, 4, 4), (2, 0, 4)]),
         "pushforward_table per-point": (
-            lambda: list(pushforward_table(GroupAction(1, lambda a, p: p.coords + a[0]), [0.3],
-                                           np.zeros((0, 2)))),
+            lambda: pushed(pushforward_table(GroupAction(1, lambda a, p: p.coords + a[0]), [0.3],
+                                             np.zeros((0, 2)))),
             [(1, 0, 2, 2), (1, 0, 2)]),
         "split_tangent": (lambda: split(split_tangent(hopf, X)), split_shapes),
         "lift_frames": (lambda: frames(False), frame_shapes),

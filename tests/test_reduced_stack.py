@@ -65,11 +65,11 @@ _CASES = [(name, seed) for name in builtin_names() for seed in range(3)] \
 def _stacked(scen, xs, seed):
     """Every per-point value the three pipelines report, keyed as the
     references key them.  The table is built with the fibre parameters, as
-    ``cli.run`` builds it, so the three pipelines split every base and moved
-    frame in one ``split_tangent`` call."""
-    frames = lift_frames(scen, xs, FIBER_PARAMS)
+    ``cli.run`` builds it, in one ``split_tangent`` call over every base and
+    moved frame, and the three pipelines split nothing more."""
     with residuals_seen() as seen, mock.patch.object(
             reduction, "split_tangent", wraps=reduction.split_tangent) as split:
+        frames = lift_frames(scen, xs, FIBER_PARAMS)
         verify_submersion(frames)
         verify_reduction_identity(frames, seed=seed)
         main = verify_main_theorem(frames)

@@ -349,7 +349,7 @@ def test_verify_main_theorem_positive_branch():
         z = (X[:, 2] + 1j * X[:, 3]) / (X[:, 0] + 1j * X[:, 1])
         return np.stack([z.real, z.imag], axis=1)
 
-    frames = lift_frames(HOPF, xs)[:]
+    frames = lift_frames(HOPF, xs).base
     dpi = fd_jacobian(RowMap(projection), frames.split.base)
     np.testing.assert_allclose(dpi @ frames.lifts, np.broadcast_to(np.eye(2), (10, 2, 2)),
                                atol=1e-8)
@@ -467,9 +467,9 @@ def test_moved_section_matches_flow_after_section_point():
         sigma = scen.section.rows(np.array([w]))
         assert not np.isfinite(sigma).all()
         assert np.isfinite(scen.action.flow.rows(np.hstack([sigma, [a]]))).all()
-        for frames in (lift_frames(scen, [w], [a]).moved, lift_frames(scen, [w], [a]).__getitem__):
+        for fiber_params in ([a], ()):
             with pytest.raises(NonFiniteError, match="^chart point contains non-finite entries$"):
-                frames(0)
+                lift_frames(scen, [w], fiber_params)
 
 
 def test_double_speed_hopf_is_not_hamiltonian(tmp_path):

@@ -875,7 +875,8 @@ def reference_average_metric(g0, action, quadrature):
     n = g0.shape[0]
 
     def avg(p):
-        D, moved = pushforward_table(action, [a for a, _ in rule], [p])
+        table = pushforward_table(action, [a for a, _ in rule], [p])
+        D, moved = table.D, table.moved
         terms = np.array([w for _, w in rule])[:, np.newaxis, np.newaxis] * (
             D[:, 0].swapaxes(1, 2) @ eval_field(g0, moved[:, 0]) @ D[:, 0])
         total = np.cumsum(np.concatenate([np.zeros((1, n, n)), terms]), axis=0)[-1]
