@@ -144,11 +144,8 @@ def apply_flow(action: GroupAction, params, X):
 
 def _flow_values(action: GroupAction, rows: np.ndarray) -> np.ndarray:
     """Phi at every (point, parameter) row of ``rows`` (see ``_pairs``), as
-    an (N, n) array from one flow batch, a failing row raising what it
-    raises alone.  With no rows a per-row flow has no value to give the
-    width by, so the (0, n) result is made here."""
-    if not len(rows):
-        return np.zeros((0, rows.shape[1] - action.group_dim))
+    an (N, n) array from one flow batch, each moved point checked as a
+    chart point, a failing row raising what it raises alone."""
     return _evaluate_rows(action.flow, rows, _finite("chart point"))
 
 
@@ -157,9 +154,6 @@ def _flow_derivatives(action: GroupAction, rows: np.ndarray, seeds: np.ndarray) 
     along the columns of ``seeds``, over the point and parameter
     coordinates of a row: the (N, n, s) stack from one derivative batch,
     a moved point checked as apply_flow checks it."""
-    n = rows.shape[1] - action.group_dim
-    if not len(rows):
-        return np.zeros((0, n, seeds.shape[1]))
     return _derivative(action.flow, rows, seeds, _finite("chart point"))
 
 
@@ -200,20 +194,16 @@ def pushforward_table(action: GroupAction, params, points) -> PushforwardTable:
     is the one input of check_action_axioms, check_isometry,
     check_symplectomorphism, check_momentum_invariance and
     check_field_invariance, so one flow Jacobian and moved point per
-    (parameter, point) pair serves all of them."""
+    (parameter, point) pair serves all of them.  No points or no group
+    parameters would make every check over the table pass vacuously, so
+    they raise ValueError."""
     X, prm = as_points(points), _param_rows(action, params)
     (N, n), P = X.shape, len(prm)
+    if not P:
+        raise ValueError("pushforward table has no group parameters to check")
     rows = _pairs(np.tile(X, (P, 1)), np.repeat(prm, N, axis=0))
     D = _flow_jacobians(action, rows).reshape(P, N, n, n)
     return PushforwardTable(action, D, _flow_values(action, rows).reshape(P, N, n), X, prm)
-
-
-def _table_params(table: PushforwardTable) -> np.ndarray:
-    """The (P, k) parameters of a table a check reads; a table of no
-    parameters would pass any check vacuously, so it raises ValueError."""
-    if not len(table.params):
-        raise ValueError("pushforward table has no group parameters to check")
-    return table.params
 
 
 @takes_points(2)
@@ -263,7 +253,7 @@ def check_action_axioms(table: PushforwardTable,
     flows over every (s, t) and the one-step flows Phi_{s+t}(p) are each
     evaluated as one batch of rows.
     """
-    action, prm = table.action, _table_params(table)
+    action, prm = table.action, table.params
     P = len(prm)
 
     def residuals(X, rows):
@@ -286,8 +276,6 @@ def _invariance_check(name, identity, residual, value, table: PushforwardTable, 
     largest entry of residual(D, F(p), F(Phi_a(p))) over all of its
     parameters a, stacked parameter outer, F being ``value``, read at the
     points and at all moved points in one call each."""
-    _table_params(table)
-
     def residuals(X, rows):
         D, moved = table.D[:, rows], table.moved[:, rows]
         there = value(moved.reshape(-1, moved.shape[2]))

@@ -334,7 +334,11 @@ def main(argv=None) -> int:
     if code == 2:
         print(f"error: {report.meta.get('error', 'could not load scenario')}", file=sys.stderr)
         return 2
-    _emit(report, cfg)
+    try:
+        _emit(report, cfg)
+    except OSError as exc:  # --out names a file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -22,8 +22,10 @@ differences with the one step ``FD_STEP`` (1e-5), which only
 Every path works on stacks: ``eval_field``, ``fd_jacobian``,
 ``fd_directional`` and ``fd_gradient`` take an (N, d) array of points, and
 ``kernel_basis``, ``orthonormalize`` and ``spd_sqrt`` a stack of matrices.
-One point becomes a stack of one in one place, ``takes_points``, and the
-caller gets row 0 back; a non-finite row of a stack raises what a
+A stack of points holds at least one point, checked where points enter
+(``as_points``, ``takes_points``): an identity checked at no point proves
+nothing.  One point becomes a stack of one in one place, ``takes_points``,
+and the caller gets row 0 back; a non-finite row of a stack raises what a
 non-finite ChartPoint raises.  Stacked results are the bits of the
 per-point calls: stacked ``np.linalg.svd``, ``eigh``, ``solve`` and ``@``
 (products with a transposed operand and dot products as
@@ -105,15 +107,24 @@ def as_point(obj) -> ChartPoint:
 
 def as_points(points) -> np.ndarray:
     """The points as the rows of an (N, d) array: an (N, d) array as it is,
-    a sequence of ChartPoints or coordinate vectors stacked, none as (0, 0).
-    Points of any other shape, a flat array included, raise ValueError, and
-    a non-finite row NonFiniteError, as a ChartPoint of it would."""
+    a sequence of ChartPoints or coordinate vectors stacked.  No points, an
+    empty sequence included, and points of any other shape, a flat array
+    included, raise ValueError; a non-finite row raises NonFiniteError, as
+    a ChartPoint of it would."""
     if not isinstance(points, np.ndarray):
         rows = [as_coords(p) for p in points]
         points = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
     if points.ndim != 2:
         raise ValueError(f"points must be an (N, d) array, got shape {points.shape}")
-    return _require_finite(points, "chart point")
+    return _require_finite(_some_points(points), "chart point")
+
+
+def _some_points(X: np.ndarray) -> np.ndarray:
+    """X if it has a row; no points would make any check over them pass
+    vacuously, so they raise ValueError."""
+    if not len(X):
+        raise ValueError("points must hold at least one point, got none")
+    return X
 
 
 def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -161,8 +172,9 @@ def takes_points(position: int, row: Callable = _first_row):
     """Decorator for a function whose argument ``position`` is an (N, d)
     array of points: the one place where a single point becomes a stack.
 
-    An (N, d) array is passed as it is, its rows checked where they are
-    evaluated (``_evaluate_rows``).  One point, a ChartPoint or a flat
+    An (N, d) array of N >= 1 points is passed as it is, its rows checked
+    where they are evaluated (``_evaluate_rows``); no points raise
+    ValueError, as ``as_points`` raises.  One point, a ChartPoint or a flat
     coordinate vector, is checked as a ChartPoint and passed as a stack of
     one, and the call returns ``row`` of the result.
     """
@@ -171,7 +183,7 @@ def takes_points(position: int, row: Callable = _first_row):
         def public(*args, **kwargs):
             p = args[position]
             one = not (isinstance(p, np.ndarray) and p.ndim == 2)
-            X = as_point(p).coords[np.newaxis] if one else p
+            X = as_point(p).coords[np.newaxis] if one else _some_points(p)
             out = fn(*args[:position], X, *args[position + 1:], **kwargs)
             return row(out) if one else out
         return public
@@ -276,15 +288,6 @@ def eval_field(field: TensorField, X: np.ndarray) -> np.ndarray | float:
     failing row raising what it raises alone.  At one point, the value
     there: a plain float for a scalar field, else an ndarray.
     """
-    return _field_values(field, X)
-
-
-def _field_values(field: TensorField, X: np.ndarray) -> np.ndarray:
-    """The values of ``field`` at the rows of X, checked as ``eval_field``
-    checks them: each value of the declared shape and finite, one per row.
-    No rows give an empty stack of the declared shape."""
-    if not len(X):
-        return np.zeros((0, *field.shape))
     return _evaluate_rows(field.func, X, _field_check(field))
 
 
@@ -344,13 +347,13 @@ def _differences(values: np.ndarray, count: int, h: float = FD_STEP) -> np.ndarr
 def _evaluate_rows(f: RowMap, points: np.ndarray, check: Callable) -> np.ndarray:
     """The values of a map at every row of ``points`` from one ``rows``
     call, as ``check(values, points)`` returns them; ``check`` raises for
-    values it refuses.  A failing batch runs again row by row
-    (``_replayed``); no points still run ``rows``, which gives a compiled
-    map's width."""
+    values it refuses, and a non-finite row of ``points`` (a stencil row
+    may overflow) raises as a ChartPoint of it would.  A failing batch runs
+    again row by row (``_replayed``)."""
     def values(X, rows):
         return check(f.rows(_require_finite(X, "chart point")), X)
 
-    return _replayed(values, points) if len(points) else values(points, None)
+    return _replayed(values, points)
 
 
 def _finite(what: str) -> Callable:
@@ -392,8 +395,7 @@ def fd_jacobian(chart_map, X, *, step: float = FD_STEP) -> np.ndarray:
     to input coordinate i; the stencil's error is O(step**4) on smooth
     maps.  All rows are evaluated in one batch, each Jacobian the bits of
     the call on its point alone.  A step that is not positive and finite
-    raises ValueError, as does a map whose values at no points are a flat
-    (0,) array: no value gives its output width m.
+    raises ValueError.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -403,17 +405,7 @@ def fd_jacobian(chart_map, X, *, step: float = FD_STEP) -> np.ndarray:
         values = _evaluate_rows(chart_map, X, _finite("map value"))
         return np.zeros((N, int(np.prod(values.shape[1:])), 0))
     D = _derivative(chart_map, X, np.eye(n), _finite("map value"), step)
-    if D.ndim < 3 and not N:
-        raise ValueError("the map's values at no points are flat: no value gives the output width")
     return D.reshape(N, int(np.prod(D.shape[1:-1])), n)
-
-
-def _field_derivative(field: TensorField, X: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """The derivatives of ``field`` at the rows of X along the columns of
-    ``seeds``, the (N, *shape, s) stack; no rows give an empty stack."""
-    if not len(X):
-        return np.zeros((0, *field.shape, seeds.shape[1]))
-    return _derivative(field.func, X, seeds, _field_check(field))
 
 
 @takes_points(1)
@@ -427,7 +419,7 @@ def fd_directional(field: TensorField, X, direction) -> np.ndarray | float:
     directions = d[:, np.newaxis] if d.ndim == 1 else d
     if not (_row_norms(directions.T) > 0).all():
         raise DegenerateInputError("directional derivative needs a nonzero direction")
-    D = _field_derivative(field, X, directions)
+    D = _derivative(field.func, X, directions, _field_check(field))
     return D[..., 0] if d.ndim == 1 else D
 
 
@@ -437,7 +429,7 @@ def fd_gradient(field: TensorField, X) -> np.ndarray:
     array X, the (N, n) stack from one batch, as ``fd_jacobian``."""
     if field.arity != "scalar":
         raise ValueError("gradient is defined for scalar fields")
-    return _field_derivative(field, X, np.eye(X.shape[1]))
+    return _derivative(field.func, X, np.eye(X.shape[1]), _field_check(field))
 
 
 def kernel_basis(mat, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -552,10 +544,7 @@ def _replayed(fn: Callable, X: np.ndarray) -> np.ndarray:
     (N, n) array X, run once on all rows: the one place that reruns a
     failed batch.  Should the batch raise anything, ``fn`` runs again one
     row at a time, so the first failing row raises what it raises alone;
-    should no row fail alone, the batch's error stands.  An empty X has no
-    values."""
-    if not len(X):
-        return np.zeros(0)
+    should no row fail alone, the batch's error stands."""
     try:
         return fn(X, slice(None))
     except Exception:  # whatever the batch raised, the first failing row raises again

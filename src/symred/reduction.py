@@ -371,10 +371,11 @@ def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable
     in one ``_lift_frames`` batch.  A failing batch runs again point by
     point (``_replayed``), each point's base frame alone and then its base
     and moved frames as one batch, so the first failing point raises what
-    it raises alone, its base frame first.  The table is the one input of
-    the verify_* pipelines, so one frame per point serves all of them;
-    ``verify_submersion`` needs fibre parameters (``FIBER_PARAMS`` in
-    ``verify``), the other two read only the base frames."""
+    it raises alone, its base frame first.  No points raise ValueError
+    (``as_points``).  The table is the one input of the verify_* pipelines,
+    so one frame per point serves all of them; ``verify_submersion`` needs
+    fibre parameters (``FIBER_PARAMS`` in ``verify``), the other two read
+    only the base frames."""
     X, prm = as_points(points), _param_rows(scen.action, fiber_params)
 
     def build(X, rows):
@@ -382,11 +383,7 @@ def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable
             _lift_frames(scen, X)
         return _lift_frames(scen, X, prm)
 
-    if len(X):
-        frames = _replayed(build, X)
-    else:  # no points, of the quotient's width
-        X = X.reshape(0, scen.quotient_dim)
-        frames = build(X, slice(None))
+    frames = _replayed(build, X)
     return _FrameTable(scen, X, prm, frames[:len(X)], frames[len(X):])
 
 

@@ -172,6 +172,18 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    out_file = tmp_path / "missing" / "r.json"
+    code = main(["verify", "hopf", "--samples", "2", "--suites", "structures",
+                 "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out_file) in captured.err
+    assert "Traceback" not in captured.err
+    assert not out_file.exists()
+
+
 def test_main_parse_check(tmp_path, capsys):
     good = tmp_path / "hopf.scn"
     good.write_text(builtin_text("hopf"))

@@ -16,8 +16,14 @@ from symred import cli, reduction
 from symred.actions import (
     GroupAction,
     apply_flow,
+    check_action_axioms,
+    check_field_invariance,
+    check_isometry,
+    check_momentum_invariance,
+    check_symplectomorphism,
     generator,
     momentum_jacobian,
+    momentum_residual,
     momentum_values,
     pushforward_table,
 )
@@ -50,6 +56,7 @@ from symred.reduction import (
     verify_submersion,
 )
 from symred.scenarios import builtin, builtin_names, builtin_text, compile_scenario, parse_scenario
+from symred.structures import check_metric
 
 from util import (
     reference_fd_gradient,
@@ -498,53 +505,66 @@ def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
-# --- empty stacks -------------------------------------------------------------
+# --- no points ----------------------------------------------------------------
 
-def _empty_results():
-    """(call, shapes): each public stacked function on a stack of no points,
-    and the shapes of the arrays it must return."""
+NO_POINTS = "points must hold at least one point, got none"
+
+
+def _on_no_points():
+    """Each public function that takes points, called on a stack of no points."""
     hopf = builtin("hopf")
     X, Q = np.zeros((0, 4)), np.zeros((0, 2))
     j2 = TensorField.constant(np.array([[0.0, -1.0], [1.0, 0.0]]))
     plane_map = ChartedMap(2, 2, RowMap(lambda Y: Y * Y), j2, j2)
+    shift = GroupAction(1, lambda a, p: p.coords + a[0])
 
-    def split(s):
-        return [s.base, s.metric, s.level, s.vertical, s.horizontal, s.jmu, s.generators]
+    def table(points=X):
+        return pushforward_table(hopf.action, [0.3, 1.0], points)
 
-    def pushed(table):
-        return [table.D, table.moved]
-
-    def frames(moved):
-        table = lift_frames(hopf, Q, FIBER_PARAMS)
-        f = table.moved if moved else table.base
-        return split(f.split) + [f.lifts, f.Om, f.J, f.htg, f.coef]
-
-    split_shapes = [(0, 4), (0, 4, 4), (0, 4, 3), (0, 4, 1), (0, 4, 2), (0, 1, 4), (0, 4, 1)]
-    frame_shapes = split_shapes + [(0, 4, 2), (0, 4, 4), (0, 4, 4), (0, 2, 4), (0, 2, 2)]
     return {
-        "eval_field": (lambda: [eval_field(hopf.metric, X)], [(0, 4, 4)]),
-        "fd_jacobian": (lambda: [fd_jacobian(hopf.section, Q)], [(0, 4, 2)]),
-        "fd_directional": (lambda: [fd_directional(hopf.metric, X, np.ones(4))], [(0, 4, 4)]),
-        "fd_gradient": (lambda: [fd_gradient(hopf.mu.components[0], X)], [(0, 4)]),
-        "apply_flow": (lambda: [apply_flow(hopf.action, [0.3], X)], [(0, 4)]),
-        "generator": (lambda: [generator(hopf.action, 0, X)], [(0, 4)]),
-        "momentum_values": (lambda: [momentum_values(hopf.mu, X)], [(0, 1)]),
-        "momentum_jacobian": (lambda: [momentum_jacobian(hopf.mu, X)], [(0, 1, 4)]),
-        "pushforward_table": (lambda: pushed(pushforward_table(hopf.action, [0.3, 1.0], X)),
-                              [(2, 0, 4, 4), (2, 0, 4)]),
-        "pushforward_table per-point": (
-            lambda: pushed(pushforward_table(GroupAction(1, lambda a, p: p.coords + a[0]), [0.3],
-                                             np.zeros((0, 2)))),
-            [(1, 0, 2, 2), (1, 0, 2)]),
-        "split_tangent": (lambda: split(split_tangent(hopf, X)), split_shapes),
-        "lift_frames": (lambda: frames(False), frame_shapes),
-        "lift_frames moved": (lambda: frames(True), frame_shapes),
-        "reduced_structures": (
-            lambda: [getattr(reduced_structures(hopf, Q), name)
-                     for name in ("point", "h_beta", "omega_beta", "j_beta")],
-            [(0, 2), (0, 2, 2), (0, 2, 2), (0, 2, 2)]),
-        "almost_complex_residual": (lambda: [almost_complex_residual(plane_map, Q)], [(0,)]),
-        "cauchy_riemann_residual": (lambda: [cauchy_riemann_residual(plane_map, Q)], [(0,)]),
+        "eval_field": lambda: eval_field(hopf.metric, X),
+        "RowMap": lambda: hopf.section(Q),
+        "fd_jacobian": lambda: fd_jacobian(hopf.section, Q),
+        "fd_jacobian per-point": lambda: fd_jacobian(lambda p: p.coords, np.zeros((0, 3))),
+        "fd_directional": lambda: fd_directional(hopf.metric, X, np.ones(4)),
+        "fd_gradient": lambda: fd_gradient(hopf.mu.components[0], X),
+        "apply_flow": lambda: apply_flow(hopf.action, [0.3], X),
+        "generator": lambda: generator(hopf.action, 0, X),
+        "momentum_values": lambda: momentum_values(hopf.mu, X),
+        "momentum_jacobian": lambda: momentum_jacobian(hopf.mu, X),
+        "pushforward_table": table,
+        "pushforward_table per-point": lambda: pushforward_table(shift, [0.3], np.zeros((0, 2))),
+        "pushforward_table of a list": lambda: table([]),
+        "check_action_axioms": lambda: check_action_axioms(table()),
+        "check_isometry": lambda: check_isometry(hopf.metric, table()),
+        "check_symplectomorphism": lambda: check_symplectomorphism(hopf.omega, table()),
+        "check_momentum_invariance": lambda: check_momentum_invariance(hopf.mu, table()),
+        "check_field_invariance": lambda: check_field_invariance(hopf.acs, table()),
+        "check_metric": lambda: check_metric(hopf.metric, X),
+        "momentum_residual": lambda: momentum_residual(hopf.action, hopf.mu, hopf.omega, X),
+        "split_tangent": lambda: split_tangent(hopf, X),
+        "lift_frames": lambda: lift_frames(hopf, Q),
+        "lift_frames moved": lambda: lift_frames(hopf, Q, FIBER_PARAMS),
+        "lift_frames of a list": lambda: lift_frames(hopf, [], FIBER_PARAMS),
+        "reduced_structures": lambda: reduced_structures(hopf, Q),
+        "almost_complex_residual": lambda: almost_complex_residual(plane_map, Q),
+        "cauchy_riemann_residual": lambda: cauchy_riemann_residual(plane_map, Q),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_on_no_points()))
+def test_a_stack_of_no_points_is_refused(name):
+    # an identity checked at no point proves nothing: every door for points
+    # refuses none, with one text, before any evaluation
+    with pytest.raises(ValueError) as raised:
+        _on_no_points()[name]()
+    assert str(raised.value) == NO_POINTS
+
+
+def _empty_results():
+    """(call, shapes): each matrix helper on a stack of no matrices, and the
+    shapes of the arrays it must return."""
+    return {
         "kernel_basis": (lambda: [kernel_basis(np.zeros((0, 1, 4)))], [(0, 4, 3)]),
         "orthonormalize": (lambda: [orthonormalize(np.zeros((0, 4, 1)), np.zeros((0, 4, 4)))],
                            [(0, 4, 1)]),
@@ -556,11 +576,3 @@ def _empty_results():
 def test_a_stack_of_no_points_gives_empty_results(name):
     call, shapes = _empty_results()[name]
     assert [np.shape(a) for a in call()] == shapes
-
-
-def test_a_per_point_map_on_no_points_has_no_width():
-    # a stacked map gives its width at no points; a per-point map has no
-    # row to read it from, and used to come back as width 1
-    assert fd_jacobian(RowMap(lambda X: 2.0 * X), np.zeros((0, 3))).shape == (0, 3, 3)
-    with pytest.raises(ValueError, match="no value gives the output width"):
-        fd_jacobian(lambda p: p.coords, np.zeros((0, 3)))

@@ -149,7 +149,11 @@ def test_sample_box_is_one_seeded_array():
     assert got.shape == (7, 3) and got.tobytes() == want.tobytes()
     assert as_points(got) is got
     assert as_points([ChartPoint(x) for x in got]).tobytes() == got.tobytes()
-    assert as_points([]).shape == (0, 0) and sample_box(2, 0).shape == (0, 2)
+    assert sample_box(2, 0).shape == (0, 2)
+    # but no points are not a stack of points: a check over them proves nothing
+    for none in ([], sample_box(2, 0)):
+        with pytest.raises(ValueError, match="^points must hold at least one point, got none$"):
+            as_points(none)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 14, 40])
@@ -169,10 +173,11 @@ def test_fd_jacobian_identity_and_linear():
     np.testing.assert_allclose(D, A, atol=1e-10)
 
 
-def test_fd_jacobian_of_no_points_is_an_empty_stack():
-    D = fd_jacobian(RowMap(lambda X: 2 * X), np.zeros((0, 2)))
-    assert D.shape == (0, 2, 2)
-    assert fd_jacobian(RowMap(lambda X: X[:, :1]), np.zeros((0, 3))).shape == (0, 1, 3)
+def test_fd_jacobian_of_no_points_is_refused():
+    for f, X in ((RowMap(lambda X: 2 * X), np.zeros((0, 2))),
+                 (RowMap(lambda X: X[:, :1]), np.zeros((0, 3)))):
+        with pytest.raises(ValueError, match="^points must hold at least one point, got none$"):
+            fd_jacobian(f, X)
 
 
 def test_fd_jacobian_complex_square():

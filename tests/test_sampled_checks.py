@@ -2,7 +2,7 @@
 evaluate every field once over the stacked sample points; each per-point
 residual must be the bits of the per-point references in util.py, at the
 points and parameters a verify op draws, for compiled and per-point maps,
-for a stack of one point and for no points at all.
+for a stack of one point; no points and no group parameters are refused.
 """
 
 import numpy as np
@@ -148,12 +148,13 @@ def test_stack_of_one_point_and_no_points():
     for check_name, check, reference in _checks(scen, params):
         for p in points:
             _assert_matches(f"{check_name} at one point", check, reference, [p])
-        # no points would pass vacuously, so a check over them raises
-        with pytest.raises(ValueError, match="no residuals to check"):
+        # no points would pass vacuously, so a check over them is refused
+        # where the points enter (as_points)
+        with pytest.raises(ValueError, match="^points must hold at least one point, got none$"):
             check([])
     # no group parameters: a check over group moves would pass vacuously,
-    # so it raises, with compiled and with per-point fields alike; the
-    # other checks read no parameter
+    # so its table is refused when it is built, with compiled and with
+    # per-point fields alike; the other checks read no parameter
     for s in (scen, opaque_scenario(scen)):
         for check_name, check, reference in _checks(s, []):
             if check_name in ("axioms", "isometry", "symplectomorphism", "mu invariance",
