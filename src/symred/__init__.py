@@ -36,7 +36,6 @@ from .geometry import (
     TensorField,
     eval_field,
     fd_directional,
-    fd_gradient,
     fd_jacobian,
     kernel_basis,
     orthonormalize,

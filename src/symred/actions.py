@@ -8,6 +8,11 @@ translations, so the chart is globally surjective.  ``average_metric``
 takes its quadrature rule over the group as an argument; for a torus,
 ``uniform_circle_quadrature`` and ``uniform_torus_quadrature`` build plain
 uniform rules.  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
+The momentum map mu: M -> g* is one vector field of shape (k,)
+(``MomentumMap.field``), compiled from one program over its k entries: its
+values at N points are one ``eval_field`` batch and its Jacobian one
+``fd_directional`` batch along the coordinate axes, for any k, so a
+failing stack raises its first failing row's error across all entries.
 
 ``apply_flow``, ``generator``, ``momentum_values`` and
 ``momentum_jacobian`` take an (N, n) array of points, one point being a
@@ -35,7 +40,7 @@ from .geometry import (
     TensorField,
     as_points,
     eval_field,
-    fd_gradient,
+    fd_directional,
     takes_points,
     _derivative,
     _evaluate_rows,
@@ -111,26 +116,23 @@ class GroupAction:
 
 @dataclass(frozen=True, eq=False)
 class MomentumMap:
-    """Component scalar fields of a momentum map together with the level."""
+    """A momentum map mu: M -> g*, one vector field of shape (k,), together
+    with the level beta it is reduced at."""
 
-    components: tuple
+    field: TensorField
     beta: np.ndarray
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        if len(comps) != beta.shape[0]:
-            raise ValueError(
-                f"{len(comps)} momentum components but level vector of length {beta.shape[0]}"
-            )
-        object.__setattr__(self, "components", comps)
-        beta = beta.copy()
+        beta = np.array(self.beta, dtype=float, ndmin=1)  # always a private copy
+        if self.field.arity != "vector" or self.field.shape != beta.shape:
+            raise ValueError(f"momentum map of shape {self.field.shape} "
+                             f"but level vector of shape {beta.shape}")
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
 
     @property
     def group_dim(self) -> int:
-        return len(self.components)
+        return self.field.shape[0]
 
 
 @takes_points(2, row=lambda moved: ChartPoint(moved[0]))
@@ -232,16 +234,17 @@ def generator(action: GroupAction, xi_index: int, p) -> np.ndarray:
 
 
 def momentum_values(mu: MomentumMap, p) -> np.ndarray:
-    """The k component values at p, or the (N, k) values at each row of an
-    (N, n) array of points."""
-    return np.stack([eval_field(c, p) for c in mu.components], axis=-1)
+    """The k values of mu at p, or the (N, k) values at each row of an
+    (N, n) array of points, from one batch."""
+    return eval_field(mu.field, p)
 
 
-def momentum_jacobian(mu: MomentumMap, p) -> np.ndarray:
-    """k x n matrix whose rows are the gradients of the momentum components;
-    for an (N, n) array of points, the (N, k, n) stack, one derivative
-    batch per component."""
-    return np.stack([fd_gradient(c, p) for c in mu.components], axis=-2)
+@takes_points(1)
+def momentum_jacobian(mu: MomentumMap, X) -> np.ndarray:
+    """d mu at each row of the (N, n) array X, the (N, k, n) stack from one
+    derivative batch along the coordinate axes, row i of each matrix the
+    gradient of mu's i-th entry; at one point, that k x n matrix."""
+    return fd_directional(mu.field, X, np.eye(X.shape[1]))
 
 
 def check_action_axioms(table: PushforwardTable,
@@ -311,12 +314,11 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
     """
     def residuals(X, rows):
         OmT = eval_field(w, X).swapaxes(1, 2)
-        per_basis = []
-        for i in range(action.group_dim):
-            xi = generator(action, i, X)
-            grad = fd_gradient(mu.components[i], X)
-            per_basis.append(_row_norms((OmT @ xi[:, :, np.newaxis])[:, :, 0] - grad))
-        return _row_max_abs(np.array(per_basis).T)
+        xis = [generator(action, i, X) for i in range(action.group_dim)]
+        grads = momentum_jacobian(mu, X)
+        return _row_max_abs(np.array([
+            _row_norms((OmT @ xi[:, :, np.newaxis])[:, :, 0] - grads[:, i])
+            for i, xi in enumerate(xis)]).T)
 
     return _sampled("hamiltonian condition", IDENTITY_MOMENTUM, residuals, points, tol)
 
@@ -327,8 +329,7 @@ def check_momentum_invariance(mu: MomentumMap, table: PushforwardTable,
     """Invariance mu o Phi_a = mu; this is equivariance for abelian groups.
     The table's points and moved points are read, not its Jacobians."""
     return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT,
-                             lambda D, here, moved: moved - here,
-                             lambda X: momentum_values(mu, X), table, tol)
+                             lambda D, here, moved: moved - here, mu.field, table, tol)
 
 
 def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorField:

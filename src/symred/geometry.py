@@ -19,9 +19,9 @@ anything.  Only an opaque Python callable (a per-point map or a user's
 differences with the one step ``FD_STEP`` (1e-5), which only
 ``fd_jacobian`` lets a caller change.
 
-Every path works on stacks: ``eval_field``, ``fd_jacobian``,
-``fd_directional`` and ``fd_gradient`` take an (N, d) array of points, and
-``kernel_basis``, ``orthonormalize`` and ``spd_sqrt`` a stack of matrices.
+Every path works on stacks: ``eval_field``, ``fd_jacobian`` and
+``fd_directional`` take an (N, d) array of points, and ``kernel_basis``,
+``orthonormalize`` and ``spd_sqrt`` a stack of matrices.
 A stack of points holds at least one point, checked where points enter
 (``as_points``, ``takes_points``): an identity checked at no point proves
 nothing.  One point becomes a stack of one in one place, ``takes_points``,
@@ -35,15 +35,15 @@ each slice, while ``einsum``, ``sum(axis=...)`` and
 A stack whose slices would differ in shape (kernel dimensions, columns
 kept by Gram-Schmidt) raises ValueError instead of padding.
 
-``fd_jacobian``, ``fd_directional``, ``fd_gradient`` and the group
-generators share one derivative path, ``_derivative``: the derivatives at
-every row along the columns of a seed matrix, which names the directions
-(the identity for a Jacobian, the group parameters for a generator).  A
-map with ``tangents`` takes them in one batch; any other takes the
-stencil, where every stencil point ``x + t * d`` is a row of one array,
-all rows are evaluated in one call, and one vectorised expression
-combines them with the operation order of the per-column formula, so the
-result is the same bits.  An exact derivative that is not finite raises
+``fd_jacobian``, ``fd_directional`` and the group generators share one
+derivative path, ``_derivative``: the derivatives at every row along the
+columns of a seed matrix, which names the directions (the identity for a
+Jacobian or a momentum map's gradients, the group parameters for a
+generator).  A map with ``tangents`` takes them in one batch; any other
+takes the stencil, where every stencil point ``x + t * d`` is a row of
+one array, all rows are evaluated in one call, and one vectorised
+expression combines them with the operation order of the per-column
+formula, so the result is the same bits.  An exact derivative that is not finite raises
 NonFiniteError naming the map and its first such row.  Every map is a
 ``RowMap``, whose ``rows`` evaluates all rows of an array; a user's
 per-point callable is wrapped into one where it enters the package
@@ -83,7 +83,6 @@ __all__ = [
     "eval_field",
     "fd_jacobian",
     "fd_directional",
-    "fd_gradient",
     "kernel_basis",
     "orthonormalize",
     "spd_sqrt",
@@ -238,7 +237,7 @@ class TensorField:
     ``func`` is a pure, deterministic map of the chart point, held as a
     RowMap (a per-point callable is wrapped on construction); its output
     shape must be constant over the chart.  Instances hold metric,
-    symplectic, almost-complex, endomorphism and momentum-component fields.
+    symplectic, almost-complex, endomorphism and momentum-map fields.
     """
 
     arity: str
@@ -414,22 +413,14 @@ def fd_directional(field: TensorField, X, direction) -> np.ndarray | float:
     of the (N, n) array X, from one batch, as ``fd_jacobian``: along one
     vector ``direction``, the (N, *shape) stack; along each column of an
     (n, s) matrix of directions, the (N, *shape, s) stack, so the identity
-    gives every partial at once."""
+    gives every partial at once.  A zero direction, or a matrix of no
+    directions, raises DegenerateInputError."""
     d = as_coords(direction)
     directions = d[:, np.newaxis] if d.ndim == 1 else d
-    if not (_row_norms(directions.T) > 0).all():
+    if not directions.shape[1] or not (_row_norms(directions.T) > 0).all():
         raise DegenerateInputError("directional derivative needs a nonzero direction")
     D = _derivative(field.func, X, directions, _field_check(field))
     return D[..., 0] if d.ndim == 1 else D
-
-
-@takes_points(1)
-def fd_gradient(field: TensorField, X) -> np.ndarray:
-    """Coordinate gradients of a scalar field at the rows of the (N, n)
-    array X, the (N, n) stack from one batch, as ``fd_jacobian``."""
-    if field.arity != "scalar":
-        raise ValueError("gradient is defined for scalar fields")
-    return _derivative(field.func, X, np.eye(X.shape[1]), _field_check(field))
 
 
 def kernel_basis(mat, rank_tol: float = RANK_TOL) -> np.ndarray:

@@ -20,7 +20,7 @@ from .actions import GroupAction, MomentumMap
 from .errors import NonFiniteError, UnknownIdentifierError, UnknownScenarioError, ValidationError
 from .exprlang import (Expr, ExprParser, Program, compile_exprs, eval_expr, token_positions,
                        tokenize)
-from .geometry import RowMap, TensorField, _finite_rows
+from .geometry import ARITIES, RowMap, TensorField, _finite_rows
 from .reduction import ReductionScenario, SampleSpec
 from .structures import DEFAULT_TOLERANCES, build_compatible_triple, check_tolerance
 
@@ -47,8 +47,7 @@ _TOL_PREFIX = "tol."
 @dataclass(frozen=True, eq=False)
 class ScenarioFile:
     """Parsed and statically validated scenario description: each map's
-    expressions, and its program (``programs``, by key; ``mu`` has one
-    program per component)."""
+    expressions, and its program (``programs``, by key)."""
 
     name: str
     dim: int
@@ -236,7 +235,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     mu = _as_vector(raw["mu"], "mu")
     if len(mu) != group_dim:
         raise ValidationError(f"mu must have {group_dim} components, got {len(mu)}")
-    programs["mu"] = tuple(compile_exprs((e,), x_names, "mu") for e in mu)
+    programs["mu"] = compile_exprs(mu, x_names, "mu")
     if len(beta) != group_dim:
         raise ValidationError(f"beta must have {group_dim} entries, got {len(beta)}")
 
@@ -344,8 +343,8 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
     """Turn a parsed scenario's programs into evaluable fields, action and
     section.
 
-    Each map (every matrix field, each ``mu`` component, the flow and the
-    section) is a RowMap over its program from ``parse_scenario``: one
+    Each map (every matrix field, the ``mu`` map, the flow and the section)
+    is a RowMap over its program from ``parse_scenario``: one
     program run per batch of rows, with every row's bits those of running
     it on that row alone, and entries folded at load filled in from one
     constant array.  Its derivatives are exact, from one forward-mode run
@@ -356,17 +355,13 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
     """
     dim, programs = sf.dim, sf.programs
 
-    def matrix(key: str) -> TensorField:
+    def field(key: str, shape: tuple) -> TensorField:
         name = f"{sf.name} {key}"
-        return TensorField.matrix(_row_map(programs[key], (dim, dim), name), dim, name=name)
+        return TensorField(ARITIES[len(shape)], shape, _row_map(programs[key], shape, name), name)
 
-    def scalar(program: Program, name: str) -> TensorField:
-        return TensorField.scalar(_row_map(program, (), name), name=name)
-
-    omega, metric = matrix("omega"), matrix("metric")
-    acs = matrix("acs") if sf.acs is not None else build_compatible_triple(omega, metric).acs
-    mu_fields = tuple(scalar(program, f"{sf.name} mu[{i}]")
-                      for i, program in enumerate(programs["mu"]))
+    omega, metric = field("omega", (dim, dim)), field("metric", (dim, dim))
+    acs = (field("acs", (dim, dim)) if sf.acs is not None
+           else build_compatible_triple(omega, metric).acs)
     return ReductionScenario(
         name=sf.name,
         chart_dim=dim,
@@ -375,7 +370,7 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
         acs=acs,
         action=GroupAction(group_dim=sf.group_dim,
                            flow=_row_map(programs["flow"], (dim,), f"{sf.name} flow")),
-        mu=MomentumMap(components=mu_fields, beta=np.array(sf.beta)),
+        mu=MomentumMap(field("mu", (sf.group_dim,)), sf.beta),
         section=_row_map(programs["section"], (dim,), f"{sf.name} section"),
         tolerances=dict(sf.tolerances),
         sample_spec=sf.sample_spec,

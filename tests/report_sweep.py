@@ -8,9 +8,11 @@ every built-in at 20 samples with seeds 0-7, on hopf at 80 and at 320
 samples with seeds 0 and 51, on euclidean_r2n at 8 planes (from a scenario
 file) at 20 samples with seeds 5, 44, 55 and 61, on hopf without its acs
 line (from a scenario file written beside it, so J comes from
-build_compatible_triple) at 20 samples with seeds 0-3, on every built-in
-with no flags (its own sample spec: seed, count and any explicit quotient
-points), on hopf at 20 samples with the main-theorem, the reduction and
+build_compatible_triple) at 20 samples with seeds 0-3, on the 2-torus
+fixture ``util.TORUS_T2_TEXT`` (from a scenario file written beside them,
+so the k = 2 paths are compared) with all suites at 20 samples with seeds
+0-3, on every built-in with no flags (its own sample spec: seed, count
+and any explicit quotient points), on hopf at 20 samples with the main-theorem, the reduction and
 the action suite alone (the lift frames are batched differently when no
 fibre frames are asked for), and on five failing hopf variants
 (``FAILING``: the section off the level set at a middle sample,
@@ -83,16 +85,18 @@ FAILING = {
 FAILING_SUITES = ("structures", "action", "reduction,main-theorem")
 
 
-def write_scenarios(tmp: str) -> tuple[str, str, list[str]]:
+def write_scenarios(tmp: str) -> tuple[str, str, str, list[str]]:
     """Write the scenario files of the sweep into ``tmp``: euclidean_r2n at
-    8 planes, hopf without its acs line, and the FAILING variants of hopf;
-    return their paths."""
+    8 planes, hopf without its acs line, the 2-torus fixture and the FAILING
+    variants of hopf; return their paths."""
     from symred.scenarios import builtin_text
+    from util import TORUS_T2_TEXT
 
     hopf = builtin_text("hopf")
     texts = {"euclidean_r2n_8": builtin_text("euclidean_r2n", 8),
              "hopf_no_acs": "\n".join(line for line in hopf.splitlines()
-                                      if not line.startswith("acs"))}
+                                      if not line.startswith("acs")),
+             "torus_t2": TORUS_T2_TEXT}
     for stem, (replacements, points) in FAILING.items():
         text = hopf
         for old, new in replacements:
@@ -104,10 +108,11 @@ def write_scenarios(tmp: str) -> tuple[str, str, list[str]]:
         paths.append(os.path.join(tmp, f"{stem}.scen"))
         with open(paths[-1], "w", encoding="utf-8") as handle:
             handle.write(text)
-    return paths[0], paths[1], paths[2:]
+    return paths[0], paths[1], paths[2], paths[3:]
 
 
-def sweep_cases(r2n_path: str, no_acs_path: str, failing_paths: list[str]) -> list[list[str]]:
+def sweep_cases(r2n_path: str, no_acs_path: str, torus_path: str,
+                failing_paths: list[str]) -> list[list[str]]:
     """The argv of every verify run of the sweep, JSON and text."""
     from symred.scenarios import builtin_names
 
@@ -117,6 +122,7 @@ def sweep_cases(r2n_path: str, no_acs_path: str, failing_paths: list[str]) -> li
              for samples in (80, 320) for seed in (0, 51)]
     runs += [[r2n_path, "--samples", "20", "--seed", str(seed)] for seed in (5, 44, 55, 61)]
     runs += [[no_acs_path, "--samples", "20", "--seed", str(seed)] for seed in range(4)]
+    runs += [[torus_path, "--samples", "20", "--seed", str(seed)] for seed in range(4)]
     runs += [[name] for name in builtin_names()]  # the scenario's own sample spec
     runs += [["hopf", "--samples", "20", "--suites", suite]
              for suite in ("main-theorem", "reduction", "action")]

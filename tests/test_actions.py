@@ -16,6 +16,7 @@ from symred.actions import (
     check_symplectomorphism,
     generator,
     generator_vector,
+    momentum_jacobian,
     momentum_residual,
     momentum_values,
     planar_rotation_action,
@@ -26,7 +27,7 @@ from symred.actions import (
 from symred.errors import NonFiniteError
 from symred.exprlang import compile_exprs, parse_expression
 from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_box
-from symred.scenarios import builtin
+from symred.scenarios import _row_map, builtin
 from symred.structures import euclidean_metric, standard_acs, standard_symplectic
 
 from util import reference_action_axioms, reference_fd_generator
@@ -199,9 +200,9 @@ def test_momentum_residual_checks_every_generator():
 
     def mu(scale):
         return MomentumMap(
-            (TensorField.scalar(lambda p: 0.5 * float(p.coords[0] ** 2 + p.coords[1] ** 2)),
-             TensorField.scalar(
-                 lambda p: scale * 0.5 * float(p.coords[2] ** 2 + p.coords[3] ** 2))),
+            TensorField.vector(lambda p: [0.5 * float(p.coords[0] ** 2 + p.coords[1] ** 2),
+                                          scale * 0.5 * float(p.coords[2] ** 2 + p.coords[3] ** 2)],
+                               2),
             [0.5, 0.5 * scale])
 
     exact = momentum_residual(torus, mu(1.0), standard_symplectic(4), POINTS_4D)
@@ -249,12 +250,37 @@ def test_momentum_residual_hopf_and_translation():
 
 def test_momentum_residual_wrong_sign():
     wrong = MomentumMap(
-        components=(TensorField.scalar(lambda p: -0.5 * float(p.coords @ p.coords)),),
+        field=TensorField.vector(lambda p: [-0.5 * float(p.coords @ p.coords)], 1),
         beta=[0.5],
     )
     p = ChartPoint([0.6, 0.8, 0.0, 0.0])  # |z| = 1
     res = momentum_residual(HOPF.action, wrong, HOPF.omega, [p])
     assert abs(res.max_residual - 2.0) < 1e-8  # both sides flip, gap is 2|z|
+
+
+def test_momentum_map_stack_raises_its_first_failing_rows_error():
+    # mu is one program over its entries, so a failing stack raises the
+    # error of its first failing row across all of them: row 0 fails only
+    # in the second entry, row 1 already in the first
+    program = compile_exprs([parse_expression("sqrt(x1)"), parse_expression("sqrt(x2)")],
+                            ("x1", "x2", "x3", "x4"), "mu")
+    mu = MomentumMap(TensorField.vector(_row_map(program, (2,), "t2 mu"), 2, name="t2 mu"),
+                     [1.0, 1.0])
+    X = np.array([[1.0, -2.0, 0.0, 0.0], [-3.0, 1.0, 0.0, 0.0]])
+    for fn in (momentum_values, momentum_jacobian):
+        with pytest.raises(NonFiniteError, match=r"^sqrt of negative value -2\.0$"):
+            fn(mu, X)
+        with pytest.raises(NonFiniteError, match=r"^sqrt of negative value -3\.0$"):
+            fn(mu, X[1:])
+
+
+def test_momentum_map_is_one_vector_field_of_the_level_shape():
+    with pytest.raises(ValueError, match=r"momentum map of shape \(1,\) but level vector "
+                                         r"of shape \(2,\)"):
+        MomentumMap(HOPF.mu.field, [0.5, 0.5])
+    with pytest.raises(ValueError, match="momentum map of shape"):
+        MomentumMap(TensorField.scalar(lambda p: 0.5), [0.5])
+    assert MomentumMap(HOPF.mu.field, 0.5).beta.tolist() == [0.5]
 
 
 def test_momentum_invariance_examples():
@@ -263,7 +289,7 @@ def test_momentum_invariance_examples():
     lt = builtin("linear_translation")
     assert check_momentum_invariance(lt.mu, pushforward_table(lt.action, ANGLES, POINTS_4D)).passed
 
-    x1 = MomentumMap((TensorField.scalar(lambda p: float(p.coords[0])),), [0.0])
+    x1 = MomentumMap(TensorField.vector(lambda p: p.coords[:1], 1), [0.0])
     quarter = pushforward_table(ROTATION, [np.array([np.pi / 2])], [ChartPoint([1.0, 0.0])])
     res = check_momentum_invariance(x1, quarter)
     assert not res.passed

@@ -36,7 +36,6 @@ from symred.geometry import (
     TensorField,
     eval_field,
     fd_directional,
-    fd_gradient,
     fd_jacobian,
     kernel_basis,
     orthonormalize,
@@ -59,8 +58,8 @@ from symred.scenarios import builtin, builtin_names, builtin_text, compile_scena
 from symred.structures import check_metric
 
 from util import (
-    reference_fd_gradient,
     reference_fd_jacobian,
+    reference_fd_partials,
     reference_kernel_basis,
     reference_lift_frame,
     reference_orthonormalize,
@@ -168,29 +167,30 @@ def test_stacked_fd_matches_each_point():
     def flow_at_one(p):
         return flow_rows(np.concatenate([p.coords, [0.7]])[np.newaxis])[0]
 
-    # a compiled map's exact Jacobians and gradients are each the bits of
-    # the call on its point alone, and within the stencil's error of it
+    # a compiled map's exact Jacobians and partials along the axes are each
+    # the bits of the call on its point alone, and within the stencil's
+    # error of it
     metric = builtin("noninvariant_metric_hopf").metric
-    for chart_map, field in ((metric.func, None), (hopf.mu.components[0].func,
-                                                   hopf.mu.components[0])):
+    axes = np.eye(4)
+    for chart_map, field in ((metric.func, None), (hopf.mu.field.func, hopf.mu.field)):
         got = fd_jacobian(chart_map, X)
-        grads = None if field is None else fd_gradient(field, X)
+        grads = None if field is None else fd_directional(field, X, axes)
         for i, x in enumerate(X):
             _same(fd_jacobian(chart_map, x), got[i], f"single call {i}")
             want = reference_fd_jacobian(lambda q: np.ravel(chart_map(q)), ChartPoint(x))
             assert np.max(np.abs(got[i] - want)) < 1e-9
             if field is not None:
-                _same(fd_gradient(field, x), grads[i], f"single gradient {i}")
-                _same(grads[i], got[i, 0], f"gradient {i}")
+                _same(fd_directional(field, x, axes), grads[i], f"single gradient {i}")
+                _same(grads[i], got[i], f"gradient {i}")
     # a per-point callable called once per stencil row takes the stencil
     got = fd_jacobian(flow_at_one, X)
     for i, x in enumerate(X):
         _same(got[i], reference_fd_jacobian(flow_at_one, ChartPoint(x)), f"row {i}")
         _same(fd_jacobian(flow_at_one, x), got[i], f"single call {i}")
-    opaque_mu = TensorField.scalar(lambda p: hopf.mu.components[0](p))
-    grads = fd_gradient(opaque_mu, X)
+    opaque_mu = TensorField.vector(lambda p: hopf.mu.field(p), 1)
+    grads = fd_directional(opaque_mu, X, axes)
     for i, x in enumerate(X):
-        _same(grads[i], reference_fd_gradient(opaque_mu, x), f"gradient {i}")
+        _same(grads[i], reference_fd_partials(opaque_mu, x), f"gradient {i}")
     pushed = pushforward_table(hopf.action, [np.array([0.7])], X)
     (D,), (moved,) = pushed.D, pushed.moved
     for i, x in enumerate(X):
@@ -527,7 +527,6 @@ def _on_no_points():
         "fd_jacobian": lambda: fd_jacobian(hopf.section, Q),
         "fd_jacobian per-point": lambda: fd_jacobian(lambda p: p.coords, np.zeros((0, 3))),
         "fd_directional": lambda: fd_directional(hopf.metric, X, np.ones(4)),
-        "fd_gradient": lambda: fd_gradient(hopf.mu.components[0], X),
         "apply_flow": lambda: apply_flow(hopf.action, [0.3], X),
         "generator": lambda: generator(hopf.action, 0, X),
         "momentum_values": lambda: momentum_values(hopf.mu, X),

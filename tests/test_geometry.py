@@ -14,7 +14,6 @@ from symred.geometry import (
     TensorField,
     eval_field,
     fd_directional,
-    fd_gradient,
     fd_jacobian,
     kernel_basis,
     max_abs,
@@ -30,8 +29,8 @@ from symred.scenarios import builtin
 from symred.structures import standard_symplectic_matrix
 
 from util import (
-    reference_fd_gradient,
     reference_fd_jacobian,
+    reference_fd_partials,
     reference_generator,
 )
 
@@ -280,21 +279,24 @@ def test_fd_jacobian_bit_identical_to_per_column_reference():
         assert np.max(np.abs(stacked[i] - reference_fd_jacobian(hopf.section, w))) < 1e-10
 
 
-def test_fd_gradient_and_directional_bit_identical_to_reference():
+def test_fd_directional_bit_identical_to_reference():
     # the stencil of a field without exact derivatives is the per-direction
-    # reference, bit for bit; a compiled field's are exact: the gradient of
-    # half the squared norm is the point, the x3-partial of 1 + x3^2 is 2 x3
-    mu = builtin("euclidean_r2n").mu.components[0]
+    # reference, bit for bit, along the coordinate axes or one direction; a
+    # compiled field's are exact: the partials of half the squared norm are
+    # the point, the x3-partial of 1 + x3^2 is 2 x3
+    mu = builtin("euclidean_r2n").mu.field
     fields = [TensorField.scalar(_compiled(["x1*x2 - x3/(1 + x4^2)"], _X4, ())),
-              TensorField.scalar(lambda q, _f=mu.func: _f(q))]
+              TensorField.vector(lambda q, _f=mu.func: _f(q), 1)]
     metric = builtin("noninvariant_metric_hopf").metric
     opaque_metric = TensorField.matrix(lambda q, _f=metric.func: _f(q), 4)
-    e3 = np.array([0.0, 0.0, 1.0, 0.0])
+    axes = np.eye(4)
+    e3 = axes[2]
     for coords in _SIGNED_ZERO_POINTS:
         p = ChartPoint(coords)
         for field in fields:
-            assert fd_gradient(field, p).tobytes() == reference_fd_gradient(field, p).tobytes()
-        assert np.array_equal(fd_gradient(mu, p), p.coords)
+            got = fd_directional(field, p, axes)
+            assert got.tobytes() == reference_fd_partials(field, p).tobytes()
+        assert np.array_equal(fd_directional(mu, p, axes), p.coords[np.newaxis])
         got = fd_directional(opaque_metric, p, e3)
         want = reference_fd_jacobian(
             lambda q: eval_field(opaque_metric, q).ravel(), p)[:, 2].reshape(4, 4)
@@ -358,8 +360,8 @@ def test_nonfinite_stencil_messages():
     field = TensorField.scalar(_compiled(["1e308*x1"], ("x1", "x2"), ()), name="big")
     want = (NonFiniteError, f"field 'big' at {ChartPoint([1.797693 + 2e-5, 0.0])} "
                             "contains non-finite entries")
-    assert _failure(lambda: fd_gradient(field, p)) == want
-    assert _failure(lambda: reference_fd_gradient(field, p)) == want
+    assert _failure(lambda: fd_directional(field, p, np.eye(2))) == want
+    assert _failure(lambda: reference_fd_partials(field, p)) == want
     assert _failure(lambda: fd_directional(field, p, [1.0, 0.0])) == want
 
 
@@ -389,8 +391,8 @@ def test_per_point_callables_run_once_per_stencil_row_in_order():
         (lambda q: np.array([q.coords[0] * q.coords[1], np.sin(q.coords[2])]),
          lambda f: fd_jacobian(f, p), lambda f: reference_fd_jacobian(f, p), 16),
         (lambda q: float(q.coords @ q.coords),
-         lambda f: fd_gradient(TensorField.scalar(f), p),
-         lambda f: reference_fd_gradient(TensorField.scalar(f), p), 16),
+         lambda f: fd_directional(TensorField.scalar(f), p, np.eye(4)),
+         lambda f: reference_fd_partials(TensorField.scalar(f), p), 16),
         (rotate,
          lambda f: generator(GroupAction(1, f), 0, p),
          lambda f: reference_generator(GroupAction(1, f), 0, p), 4),
@@ -424,7 +426,7 @@ def test_row_field_of_the_wrong_shape_fails_like_one_point():
     wide = TensorField.scalar(RowMap(lambda X: np.zeros((len(X), 2))), name="wide")
     want = _failure(lambda: eval_field(wide, ChartPoint([0.0, 0.0])))
     assert want == (ValueError, "field 'wide' returned shape (2,), declared ()")
-    assert _failure(lambda: fd_gradient(wide, ChartPoint([0.0, 0.0]))) == want
+    assert _failure(lambda: fd_directional(wide, ChartPoint([0.0, 0.0]), np.eye(2))) == want
     assert _failure(lambda: fd_directional(wide, [0.0, 0.0], [1.0, 0.0])) == want
 
 
@@ -439,7 +441,7 @@ def test_fd_directional_examples():
     half_norm = TensorField.scalar(lambda p: 0.5 * float(p.coords @ p.coords))
     assert abs(fd_directional(half_norm, [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])) < 1e-10
     # oracle: the gradient is the point itself, so the derivative is x . dir
-    np.testing.assert_allclose(fd_gradient(half_norm, [1.0, 0.0, 0.0, 0.0]),
+    np.testing.assert_allclose(fd_directional(half_norm, [1.0, 0.0, 0.0, 0.0], np.eye(4)),
                                [1.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
@@ -447,6 +449,16 @@ def test_fd_directional_rejects_zero_direction():
     field = TensorField.scalar(lambda p: float(p.coords[0]))
     with pytest.raises(DegenerateInputError):
         fd_directional(field, [1.0], [0.0])
+
+
+def test_fd_directional_refuses_no_directions():
+    # a derivative along no direction is refused as a zero direction is,
+    # on a compiled field as on a per-point one, before any evaluation
+    X = sample_box(4, 3, 1.0, 5)
+    for field in (builtin("hopf").metric, TensorField.matrix(lambda p: np.eye(4), 4)):
+        with pytest.raises(DegenerateInputError,
+                           match="^directional derivative needs a nonzero direction$"):
+            fd_directional(field, X, np.zeros((4, 0)))
 
 
 def test_kernel_basis_rank_one_row():

@@ -80,7 +80,7 @@ def test_split_tangent_rejects_off_level():
 
 def test_split_tangent_rejects_critical_level():
     # mu = 0 only at the origin, where d mu vanishes
-    zero_level = dataclasses.replace(HOPF, mu=MomentumMap(HOPF.mu.components, [0.0]))
+    zero_level = dataclasses.replace(HOPF, mu=MomentumMap(HOPF.mu.field, [0.0]))
     with pytest.raises(NotRegularValueError, match="kernel of d mu has dimension 4, expected 3"):
         split_tangent(zero_level, ChartPoint([0.0, 0.0, 0.0, 0.0]))
 
@@ -93,7 +93,7 @@ def test_split_tangent_rejects_frozen_action():
         metric=euclidean_metric(4),
         acs=standard_acs(4),
         action=GroupAction(group_dim=1, flow=lambda a, p: p),
-        mu=MomentumMap((TensorField.scalar(lambda p: float(p.coords[1])),), [0.0]),
+        mu=MomentumMap(TensorField.vector(lambda p: p.coords[1:2], 1), [0.0]),
         section=lambda w: ChartPoint([0.0, 0.0, w.coords[0], w.coords[1]]),
     )
     with pytest.raises(ActionNotFreeError):
@@ -166,6 +166,53 @@ def test_vertical_ad_invariance_negative_control():
     check = report.find("vertical invariance")
     assert not check.passed
     assert check.max_residual > 1.0
+
+
+def _run_text(tmp_path, text, suites=None, seed=0):
+    """``verify`` of the scenario ``text`` at 20 samples: the report, the
+    exit code and the names of its failing checks."""
+    path = tmp_path / "scenario.scn"
+    path.write_text(text)
+    config = RunConfig(str(path), samples=20, seed=seed,
+                       **({} if suites is None else {"suites": suites}))
+    report, code = run(config)
+    return report, code, {c.name for _, c in report.all_checks() if not c.passed}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vertical_invariance_fails_alone_inside_its_suites(tmp_path, seed):
+    # phases t1 + 0.3 t1^2 on (x1, x2) and t1 + 0.3 t1^2 x2 on (x3, x4) are
+    # no action: a full run fails the action suite's checks too, but inside
+    # the reduction suites vertical invariance is the only row that fails,
+    # so within its own suite the check is no tautology
+    a, b = "(t1 + 0.3*t1^2)", "(t1 + 0.3*t1^2*x2)"
+    text = _hopf_text_with_flow(
+        f"flow = [x1*cos{a} + x2*sin{a}, x2*cos{a} - x1*sin{a}, "
+        f"x3*cos{b} + x4*sin{b}, x4*cos{b} - x3*sin{b}]")
+    for suites in (("reduction",), ("reduction", "main-theorem")):
+        report, code, failing = _run_text(tmp_path, text, suites, seed)
+        assert code == 1 and failing == {"vertical invariance"}, suites
+        assert 1.1 < report.find("vertical invariance").max_residual < 1.2
+    _, code, failing = _run_text(tmp_path, text, seed=seed)
+    assert code == 1 and failing == {"action axioms", "isometry", "symplectomorphism",
+                                     "endomorphism invariance", "vertical invariance"}
+
+
+def test_main_theorem_iff_fails_where_one_defect_vanishes_and_the_other_does_not():
+    # doubling omega in hopf's base frames leaves J's lifts alone, so the
+    # almost-complex-mapping defect stays roundoff while the reduced
+    # compatibility defect reads 0.685: the two land on opposite sides of
+    # the tolerance at every point, and the iff row must fail there
+    frames = lift_frames(HOPF, sample_ball(2, 20, 2.0, seed=0))
+    assert verify_main_theorem(frames).find("main theorem iff").passed
+    doubled = dataclasses.replace(frames, base=dataclasses.replace(frames.base,
+                                                                   Om=2.0 * frames.base.Om))
+    report = verify_main_theorem(doubled)
+    assert report.find("almost complex mapping defect").max_residual < 1e-15
+    compat = report.find("reduced compatibility")
+    assert not compat.passed and 0.68 < compat.max_residual < 0.69
+    iff = report.find("main theorem iff")
+    assert not iff.passed and iff.max_residual == 1.0
 
 
 def test_reduced_metric_matches_round_sphere():
@@ -432,7 +479,8 @@ def test_quotient_dim_is_derived():
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"mu": MomentumMap(HOPF.mu.components * 2, [0.5, 0.5])},
+    ({"mu": MomentumMap(TensorField.vector(lambda p: np.repeat(HOPF.mu.field(p), 2), 2),
+                        [0.5, 0.5])},
      "momentum map has 2 components for a group of dimension 1"),
     ({"omega": standard_symplectic(2)}, r"omega has shape \(2, 2\), expected \(4, 4\)"),
     ({"metric": euclidean_metric(6)}, r"metric has shape \(6, 6\)"),

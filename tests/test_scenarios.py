@@ -53,7 +53,7 @@ def test_parse_fragment_examples():
     scen = compile_scenario(sf)
     om = eval_field(scen.omega, [0.0, 0.0])
     np.testing.assert_array_equal(om, [[0.0, 1.0], [-1.0, 0.0]])
-    assert eval_field(scen.mu.components[0], [1.0, 0.0]) == 0.5
+    assert eval_field(scen.mu.field, [1.0, 0.0]).tolist() == [0.5]
 
 
 def test_parse_error_unclosed_bracket():
@@ -160,9 +160,9 @@ def test_builtin_names_and_unknown():
 
 def test_builtin_hopf_momentum_value():
     scen = builtin("hopf")
-    assert abs(eval_field(scen.mu.components[0], [1.0, 0.0, 0.0, 0.0]) - 0.5) < 1e-15
+    assert abs(eval_field(scen.mu.field, [1.0, 0.0, 0.0, 0.0])[0] - 0.5) < 1e-15
     m = scen.section_point(ChartPoint([0.3, -1.1]))
-    assert abs(eval_field(scen.mu.components[0], m) - 0.5) < 1e-12
+    assert abs(eval_field(scen.mu.field, m)[0] - 0.5) < 1e-12
 
 
 def test_builtin_euclidean_r2_exact_triple():
@@ -242,7 +242,8 @@ def test_compiled_fields_match_reference_evaluation(text):
             assert eval_field(field, p).tobytes() == want.tobytes()
         flow_want = np.array([reference_eval_expr(e, {**env, "t1": t}) for e in sf.flow])
         assert apply_flow(scen.action, np.array([t]), p).coords.tobytes() == flow_want.tobytes()
-        assert eval_field(scen.mu.components[0], p) == reference_eval_expr(sf.mu[0], env)
+        mu_want = np.array([reference_eval_expr(e, env) for e in sf.mu])
+        assert eval_field(scen.mu.field, p).tobytes() == mu_want.tobytes()
         section_want = np.array([reference_eval_expr(e, w_env) for e in sf.section])
         assert scen.section_point(ChartPoint(w)).coords.tobytes() == section_want.tobytes()
 
@@ -265,8 +266,8 @@ def test_compiled_rows_match_reference_evaluation(text):
     want = [[reference_eval_expr(e, {**env, "t1": t}) for e in sf.flow]
             for env, (t,) in zip(envs, T.tolist())]
     assert scen.action.flow.rows(np.hstack([X, T])).tobytes() == np.array(want).tobytes()
-    want = [reference_eval_expr(sf.mu[0], env) for env in envs]
-    assert scen.mu.components[0].func.rows(X).tobytes() == np.array(want).tobytes()
+    want = [[reference_eval_expr(e, env) for e in sf.mu] for env in envs]
+    assert scen.mu.field.func.rows(X).tobytes() == np.array(want).tobytes()
     want = [[reference_eval_expr(e, {f"w{i + 1}": c for i, c in enumerate(w)})
              for e in sf.section] for w in W.tolist()]
     assert scen.section.rows(W).tobytes() == np.array(want).tobytes()

@@ -321,28 +321,32 @@ def reference_jacobian(chart_map, p):
     return reference_fd_jacobian(chart_map, p)
 
 
-def reference_gradient(field, p):
-    """A scalar field's gradient at one point, as ``reference_jacobian``."""
-    from symred.geometry import as_point, fd_gradient
+def reference_partials(field, p):
+    """A field's partials at one point, the (*shape, n) array, as
+    ``reference_jacobian``: a compiled field's exact ones along the
+    coordinate axes at that point alone, else the stencil per coordinate."""
+    from symred.geometry import as_point, fd_directional
 
     if _has_exact_derivative(field.func):
-        return fd_gradient(field, as_point(p))
-    return reference_fd_gradient(field, p)
+        point = as_point(p)
+        return fd_directional(field, point, np.eye(point.dim))
+    return reference_fd_partials(field, p)
 
 
-def reference_fd_gradient(field, p):
-    """Gradient of a scalar field, one directional difference per coordinate."""
+def reference_fd_partials(field, p):
+    """A field's partials at one point, one directional difference per
+    coordinate, stacked on the last axis: for a scalar field its gradient."""
     from symred.geometry import eval_field
 
     x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
     n = x.shape[0]
-    grad = np.empty(n)
+    cols = []
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        grad[i] = float(reference_central_difference(
+        cols.append(reference_central_difference(
             lambda t: np.asarray(eval_field(field, ChartPoint(x + t * e)), dtype=float)))
-    return grad
+    return np.stack(cols, axis=-1)
 
 
 def reference_generator(action, xi_index, p):
@@ -418,8 +422,7 @@ def reference_orthonormalize(frame, metric, tol=1e-10):
 def _reference_level_gap(scen, point):
     from symred.geometry import eval_field
 
-    values = np.array([eval_field(c, point) for c in scen.mu.components])
-    return float(np.linalg.norm(values - scen.mu.beta))
+    return float(np.linalg.norm(eval_field(scen.mu.field, point) - scen.mu.beta))
 
 
 def reference_split_tangent(scen, m):
@@ -436,7 +439,7 @@ def reference_split_tangent(scen, m):
     gap = _reference_level_gap(scen, point)
     if gap >= LEVEL_TOL:
         raise NotOnLevelError(f"|mu(m) - beta| = {gap:.3e} exceeds {LEVEL_TOL:.1e}")
-    jmu = np.vstack([reference_gradient(c, point) for c in scen.mu.components])
+    jmu = reference_partials(scen.mu.field, point)
     level = reference_kernel_basis(jmu, RANK_TOL)
     if level.shape[1] != n - k:
         raise NotRegularValueError(
@@ -608,7 +611,7 @@ def reference_invariance_residuals(kind, action, field, params, points):
 
     def value(p):
         if kind == "momentum":
-            return np.array([eval_field(c, p) for c in field.components])
+            return eval_field(field.field, p)
         return eval_field(field, p)
 
     residual = {
@@ -635,9 +638,9 @@ def reference_momentum_residuals(action, mu, w, points):
     out = []
     for p in points:
         Om = eval_field(w, p)
+        grads = reference_partials(mu.field, p)
         out.append(_max_abs([
-            float(np.linalg.norm(Om.T @ reference_generator(action, i, p)
-                                 - reference_gradient(mu.components[i], p)))
+            float(np.linalg.norm(Om.T @ reference_generator(action, i, p) - grads[i]))
             for i in range(action.group_dim)]))
     return out
 
@@ -791,7 +794,7 @@ def opaque_scenario(scen):
     return dataclasses.replace(
         scen, omega=field(scen.omega), metric=field(scen.metric), acs=field(scen.acs),
         action=dataclasses.replace(scen.action, flow=lambda a, p: apply_flow(action, a, p)),
-        mu=MomentumMap(tuple(field(c) for c in scen.mu.components), scen.mu.beta),
+        mu=MomentumMap(field(scen.mu.field), scen.mu.beta),
         section=lambda x: section(x))
 
 
@@ -922,3 +925,50 @@ def reference_cauchy_riemann_residual(cm, p):
             b_y = D[2 * j + 1, 2 * i + 1]
             defects += [a_x - b_y, a_y + b_x]
     return _max_abs(defects)
+
+
+# --- scenario fixtures ----------------------------------------------------------
+# Scenario texts that are not built-ins: the tests compile them, and
+# ``tests/report_sweep.py`` writes them beside its other scenario files.
+
+# A 2-torus on C^2 x C^2 = R^8: t1 rotates the planes (x1, x2) and (x3, x4),
+# t2 the planes (x5, x6) and (x7, x8), mu = (|x_{1..4}|^2 / 2, |x_{5..8}|^2 / 2)
+# at beta = (1/2, 1/2), and the section is hopf's in each factor, so the
+# quotient is CP^1 x CP^1 with hopf's reduced structures on each block.
+TORUS_T2_TEXT = """
+# hopf's circle reduction in each factor of C^2 x C^2, by a 2-torus
+name = torus_t2
+dim = 8
+group_dim = 2
+quotient_dim = 4
+abelian = true
+
+omega = [[0, 1, 0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0, 0, 0],
+         [0, 0, 0, 1, 0, 0, 0, 0], [0, 0, -1, 0, 0, 0, 0, 0],
+         [0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, -1, 0, 0, 0],
+         [0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, -1, 0]]
+metric = [[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0],
+          [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0],
+          [0, 0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0],
+          [0, 0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1]]
+acs = [[0, -1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0],
+       [0, 0, 0, -1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0],
+       [0, 0, 0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0],
+       [0, 0, 0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 0, 0, 1, 0]]
+
+flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),
+        x3*cos(t1) + x4*sin(t1), x4*cos(t1) - x3*sin(t1),
+        x5*cos(t2) + x6*sin(t2), x6*cos(t2) - x5*sin(t2),
+        x7*cos(t2) + x8*sin(t2), x8*cos(t2) - x7*sin(t2)]
+mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2), 0.5*(x5^2 + x6^2 + x7^2 + x8^2)]
+beta = [0.5, 0.5]
+
+section = [1/sqrt(1 + w1^2 + w2^2), 0,
+           w1/sqrt(1 + w1^2 + w2^2), w2/sqrt(1 + w1^2 + w2^2),
+           1/sqrt(1 + w3^2 + w4^2), 0,
+           w3/sqrt(1 + w3^2 + w4^2), w4/sqrt(1 + w3^2 + w4^2)]
+
+sample.count = 20
+sample.seed = 7
+sample.radius = 2
+"""
