@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     RankDeficientLiftError,
     ScenarioFormatError,
-    SectionNotOnLevelError,
     SymredError,
     UnknownIdentifierError,
     UnknownScenarioError,
@@ -68,7 +67,6 @@ from .actions import (
     check_momentum_invariance,
     check_symplectomorphism,
     generator,
-    generator_vector,
     momentum_residual,
     planar_rotation_action,
     pushforward_table,

@@ -17,9 +17,11 @@ failing stack raises its first failing row's error across all entries.
 ``apply_flow``, ``generator``, ``momentum_values`` and
 ``momentum_jacobian`` take an (N, n) array of points, one point being a
 stack of one (``geometry.takes_points``), and evaluate all rows in one flow
-or derivative batch, as every check does; ``pushforward_table`` builds the
-flow Jacobians of all P * N (parameter, point) pairs in one derivative
-batch and every moved point in one flow batch.  That table is the one input
+or derivative batch, as every check does, the k generators one (N, n, k)
+batch; ``pushforward_table`` builds the flow Jacobians and the moved
+points of all P * N (parameter, point) pairs in one derivative batch, and
+refuses a group parameter of another length than k or not finite, as
+``apply_flow`` does.  That table is the one input
 of the axiom and invariance checks, which read their parameters, points and
 moves from it; an invariance check or ``average_metric`` reads its field at
 all moved points in one call.  Each row is the bits of the call on its
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .geometry import (
     ChartPoint,
     RowMap,
@@ -56,7 +59,6 @@ __all__ = [
     "MomentumMap",
     "apply_flow",
     "generator",
-    "generator_vector",
     "PushforwardTable",
     "pushforward_table",
     "momentum_values",
@@ -138,38 +140,41 @@ class MomentumMap:
 @takes_points(2, row=lambda moved: ChartPoint(moved[0]))
 def apply_flow(action: GroupAction, params, X):
     """The rows of the (N, n) array X moved by the group element ``params``,
-    the (N, n) array of moved points from one flow batch; one point moved
-    comes back as a ChartPoint."""
-    a = np.asarray(params, dtype=float).reshape(action.group_dim)
-    return _flow_values(action, _pairs(X, a))
+    a vector of k finite parameters, the (N, n) array of moved points from
+    one flow batch; one point moved comes back as a ChartPoint."""
+    return _flow(action, _pairs(X, _group_parameter(action, params)))
 
 
-def _flow_values(action: GroupAction, rows: np.ndarray) -> np.ndarray:
+def _flow(action: GroupAction, rows: np.ndarray, seeds: np.ndarray | None = None):
     """Phi at every (point, parameter) row of ``rows`` (see ``_pairs``), as
     an (N, n) array from one flow batch, each moved point checked as a
-    chart point, a failing row raising what it raises alone."""
-    return _evaluate_rows(action.flow, rows, _finite("chart point"))
-
-
-def _flow_derivatives(action: GroupAction, rows: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """The derivatives of Phi at every (point, parameter) row of ``rows``
-    along the columns of ``seeds``, over the point and parameter
-    coordinates of a row: the (N, n, s) stack from one derivative batch,
-    a moved point checked as apply_flow checks it."""
+    chart point, a failing row raising what it raises alone; given
+    ``seeds``, with its (N, n, s) derivatives along their columns, from one
+    derivative batch."""
+    if seeds is None:
+        return _evaluate_rows(action.flow, rows, _finite("chart point"))
     return _derivative(action.flow, rows, seeds, _finite("chart point"))
 
 
-def _flow_jacobians(action: GroupAction, rows: np.ndarray) -> np.ndarray:
-    """D Phi_a at every (point, parameter a) row of ``rows``, the (N, n, n)
-    stack of Jacobians in the point, from one derivative batch."""
-    n = rows.shape[1] - action.group_dim
-    return _flow_derivatives(action, rows, np.eye(rows.shape[1], n))
+def _group_parameter(action: GroupAction, a) -> np.ndarray:
+    """The group parameter ``a`` as a vector of k entries, else ValueError,
+    and finite, else NonFiniteError, each naming the parameter and k."""
+    k = action.group_dim
+    a = np.asarray(a, dtype=float).reshape(-1)
+    if len(a) != k:
+        raise ValueError(f"group parameter {a.tolist()} has length {len(a)}, expected k = {k}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"group parameter {a.tolist()} of a group of dimension k = {k} "
+                             "contains non-finite entries")
+    return a
 
 
 def _param_rows(action: GroupAction, params) -> np.ndarray:
-    """The group parameters as rows of a (P, k) array; a scalar t is t * (1, ..., 1)."""
+    """The group parameters as rows of a (P, k) array (``_group_parameter``);
+    a scalar t is t * (1, ..., 1)."""
     k = action.group_dim
-    return np.array([np.full(k, a, dtype=float) for a in params]).reshape(-1, k)
+    return np.array([_group_parameter(action, np.full(k, a, dtype=float) if np.ndim(a) == 0
+                                      else a) for a in params]).reshape(-1, k)
 
 
 class PushforwardTable:
@@ -204,33 +209,21 @@ def pushforward_table(action: GroupAction, params, points) -> PushforwardTable:
     if not P:
         raise ValueError("pushforward table has no group parameters to check")
     rows = _pairs(np.tile(X, (P, 1)), np.repeat(prm, N, axis=0))
-    D = _flow_jacobians(action, rows).reshape(P, N, n, n)
-    return PushforwardTable(action, D, _flow_values(action, rows).reshape(P, N, n), X, prm)
+    moved, D = _flow(action, rows, np.eye(n + action.group_dim, n))
+    return PushforwardTable(action, D.reshape(P, N, n, n), moved.reshape(P, N, n), X, prm)
 
 
-@takes_points(2)
-def generator_vector(action: GroupAction, xi, X) -> np.ndarray:
-    """Infinitesimal generator along an arbitrary algebra vector:
-    d/dt flow(t * xi, p) at t = 0, as a component vector at each row p of
-    the (N, n) array X, the (N, n) stack from one derivative batch of the
-    flow in its parameters."""
+@takes_points(1)
+def generator(action: GroupAction, X) -> np.ndarray:
+    """The generators d/dt flow(t e_i, p) at t = 0 of the k algebra basis
+    elements e_i at each row p of the (N, n) array X, as the columns of an
+    (N, n, k) stack from one derivative batch of the flow in its k group
+    parameters; at one point, the n x k matrix."""
     n, k = X.shape[1], action.group_dim
-    seeds = np.zeros((n + k, 1))
-    seeds[n:, 0] = np.asarray(xi, dtype=float).reshape(k)
-    v = _flow_derivatives(action, _pairs(X, np.zeros(k)), seeds)[..., 0]
-    if v.shape[1:] != (n,):
-        raise ValueError(f"generator length {v.shape[1:]} does not match chart dimension {n}")
-    return _require_finite(v, "generator")
-
-
-def generator(action: GroupAction, xi_index: int, p) -> np.ndarray:
-    """Generator of the xi_index-th algebra basis element at p, or at each
-    row of an (N, n) array of points."""
-    if not 0 <= xi_index < action.group_dim:
-        raise ValueError(f"algebra index {xi_index} out of range for k={action.group_dim}")
-    e = np.zeros(action.group_dim)
-    e[xi_index] = 1.0
-    return generator_vector(action, e, p)
+    _, V = _flow(action, _pairs(X, np.zeros(k)), np.eye(n + k, k, -n))
+    if V.shape[1] != n:
+        raise ValueError(f"generator length {V.shape[1:-1]} does not match chart dimension {n}")
+    return _require_finite(V, "generator")
 
 
 def momentum_values(mu: MomentumMap, p) -> np.ndarray:
@@ -266,8 +259,8 @@ def check_action_axioms(table: PushforwardTable,
         outer = np.tile(np.repeat(prm, P, axis=0), (N, 1))
         sums = np.tile((prm[:, np.newaxis] + prm[np.newaxis]).reshape(P * P, -1), (N, 1))
         starts = np.tile(table.moved[:, rows].swapaxes(0, 1), (1, P, 1)).reshape(-1, n)
-        two_step = _flow_values(action, _pairs(starts, outer))
-        one_step = _flow_values(action, _pairs(np.repeat(X, P * P, axis=0), sums))
+        two_step = _flow(action, _pairs(starts, outer))
+        one_step = _flow(action, _pairs(np.repeat(X, P * P, axis=0), sums))
         return _row_max_abs(np.hstack([identity[:, np.newaxis],
                                        _row_norms(two_step - one_step).reshape(N, P * P)]))
 
@@ -314,11 +307,9 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
     """
     def residuals(X, rows):
         OmT = eval_field(w, X).swapaxes(1, 2)
-        xis = [generator(action, i, X) for i in range(action.group_dim)]
+        xis = np.ascontiguousarray(generator(action, X).swapaxes(1, 2))[..., np.newaxis]
         grads = momentum_jacobian(mu, X)
-        return _row_max_abs(np.array([
-            _row_norms((OmT @ xi[:, :, np.newaxis])[:, :, 0] - grads[:, i])
-            for i, xi in enumerate(xis)]).T)
+        return _row_max_abs(_row_norms((OmT[:, np.newaxis] @ xis)[..., 0] - grads))
 
     return _sampled("hamiltonian condition", IDENTITY_MOMENTUM, residuals, points, tol)
 

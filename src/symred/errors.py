@@ -33,10 +33,6 @@ class ActionNotFreeError(SymredError):
     """Group generators are linearly dependent at the working point."""
 
 
-class SectionNotOnLevelError(SymredError):
-    """The local section does not land on the momentum level set."""
-
-
 class RankDeficientLiftError(SymredError):
     """The horizontal-lift system is rank deficient; the map is not a submersion."""
 

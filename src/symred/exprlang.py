@@ -608,16 +608,17 @@ class Program:
                     v[out] = op(v[args[0]])
         return v
 
-    def tangents(self, columns, seeds: np.ndarray) -> list:
-        """Every slot's tangent, from one run of the program in forward mode.
+    def tangents(self, columns, seeds: np.ndarray) -> tuple[list, list]:
+        """Every slot's value and tangent, from one forward-mode run.
 
         ``columns`` holds each name's (N, 1) value column, and row i of the
         (width, s) array ``seeds`` the tangent of name i along s directions;
-        a zero row seeds nothing.  A slot's tangent is its derivative along
-        the s directions, an (N, s) block (or an (s,) row, the same at every
+        a zero row seeds nothing.  The values are :meth:`run`'s, raising as
+        it raises them.  A slot's tangent is its derivative along the s
+        directions, an (N, s) block (or an (s,) row, the same at every
         point), or None where it is zero: a constant, or a slot that reads
-        no seeded name.  Values raise as :meth:`run` raises them; a tangent
-        that is not finite is returned as it is, for the caller to refuse.
+        no seeded name.  A tangent that is not finite is returned as it is,
+        for the caller to refuse.
         """
         v = self.run(columns)
         t = [row if row.any() else None for row in seeds] + [None] * len(self.template)
@@ -630,7 +631,7 @@ class Program:
                         t[out] = rule(v[out], v[args[0]], v[args[1]], ta, tb)
                 elif t[args[0]] is not None:
                     t[out] = rule(v[out], v[args[0]], t[args[0]])
-        return t
+        return v, t
 
     def check_width(self, count: int) -> None:
         """Raise ValueError unless ``count`` is the number of names."""

@@ -35,15 +35,16 @@ each slice, while ``einsum``, ``sum(axis=...)`` and
 A stack whose slices would differ in shape (kernel dimensions, columns
 kept by Gram-Schmidt) raises ValueError instead of padding.
 
-``fd_jacobian``, ``fd_directional`` and the group generators share one
-derivative path, ``_derivative``: the derivatives at every row along the
-columns of a seed matrix, which names the directions (the identity for a
-Jacobian or a momentum map's gradients, the group parameters for a
-generator).  A map with ``tangents`` takes them in one batch; any other
-takes the stencil, where every stencil point ``x + t * d`` is a row of
-one array, all rows are evaluated in one call, and one vectorised
-expression combines them with the operation order of the per-column
-formula, so the result is the same bits.  An exact derivative that is not finite raises
+Every derivative takes one path, ``_derivative``: a map's values at every
+row and its derivatives there along the columns of a seed matrix, which
+names the directions (the identity for a Jacobian or a momentum map's
+gradients, the k group parameters for the k generators), from one batch,
+so the values ride with the derivatives.  A map with ``tangents`` takes
+both in one forward-mode batch; any other takes the stencil, where each
+point x and its stencil points ``x + t * d`` are rows of one array, all
+rows are evaluated in one call, and one vectorised expression combines
+them with the operation order of the per-column formula, so the result is
+the same bits.  An exact derivative that is not finite raises
 NonFiniteError naming the map and its first such row.  Every map is a
 ``RowMap``, whose ``rows`` evaluates all rows of an array; a user's
 per-point callable is wrapped into one where it enters the package
@@ -51,7 +52,7 @@ per-point callable is wrapped into one where it enters the package
 once per batch, on the coordinate columns, each operation one numpy kernel
 (``exprlang``), so each row has the bits of running it on that row alone.
 One function, ``_replayed``, reruns a failed batch: a map's rows
-(``_evaluate_rows``), a check's residuals and a batch of lift frames
+(``_evaluate_rows``), a derivative batch, a check's residuals, a batch of lift frames
 (``reduction.lift_frames``) that raise anything run again one row at a
 time, so the first failing row raises what it raises alone.
 
@@ -198,18 +199,21 @@ class RowMap:
     array, or on one point as a stack of one (``takes_points``).
 
     ``tangents``, if the map has one, gives exact derivatives:
-    ``tangents(X, seeds)`` is the (N, *shape, s) array of the derivatives
-    at the rows of X along the s columns of the (d, s) array ``seeds``,
-    each row the bits of the call on it alone, and it raises NonFiniteError
-    for a derivative that is not finite.  A map without one is
-    differentiated by the stencil.
+    ``tangents(X, seeds)`` is the pair of the values, the bits of
+    ``rows(X)``, and the (N, *shape, s) array of the derivatives at the
+    rows of X along the s columns of the (d, s) array ``seeds``, each row
+    the bits of the call on it alone, a derivative that is not finite left
+    for ``_derivative`` to refuse, naming the map ``name``.  A map without
+    one is differentiated by the stencil.
     """
 
-    __slots__ = ("rows", "tangents")
+    __slots__ = ("rows", "tangents", "name")
 
-    def __init__(self, rows: Callable[[np.ndarray], np.ndarray], tangents: Callable | None = None):
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray], tangents: Callable | None = None,
+                 name: str = ""):
         self.rows = rows
         self.tangents = tangents
+        self.name = name
 
     @takes_points(1)
     def __call__(self, X):
@@ -272,9 +276,12 @@ class TensorField:
         arity = ARITIES[arr.ndim] if arr.ndim <= 2 else None
         if arity is None:
             raise ValueError(f"constant field must be rank <= 2, got shape {arr.shape}")
-        rows = RowMap(lambda X: arr[np.newaxis].repeat(len(X), axis=0),
-                      lambda X, seeds: np.zeros((len(X), *arr.shape, seeds.shape[1])))
-        return TensorField(arity, arr.shape, rows, name)
+        def rows(X):
+            return arr[np.newaxis].repeat(len(X), axis=0)
+
+        return TensorField(arity, arr.shape, RowMap(
+            rows, lambda X, seeds: (rows(X), np.zeros((len(X), *arr.shape, seeds.shape[1])))),
+            name)
 
     def __call__(self, p):
         return eval_field(self, p)
@@ -333,14 +340,15 @@ def _stencil(directions: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     difference formula reads them), one row per step."""
     offsets = np.array([2 * h, h, -h, -2 * h])
     steps = offsets[np.newaxis, :, np.newaxis] * directions[:, np.newaxis, :]
-    return steps.reshape(-1, directions.shape[1])
+    return steps.reshape(4 * len(directions), directions.shape[1])
 
 
-def _differences(values: np.ndarray, count: int, h: float = FD_STEP) -> np.ndarray:
-    """Central differences from the values at the rows of ``_stencil`` over
-    ``count`` directions; entry i is the derivative along direction i."""
-    s = values.reshape((count, 4) + values.shape[1:]).swapaxes(0, 1)
-    return (-s[0] + 8.0 * s[1] - 8.0 * s[2] + s[3]) / (12.0 * h)
+def _differences(values: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """Central differences from the (N, 4 s, *shape) values at the rows of
+    each point's ``_stencil`` over s directions, as the (N, *shape, s) stack."""
+    v = values.reshape((len(values), values.shape[1] // 4, 4) + values.shape[2:])
+    D = (-v[:, :, 0] + 8.0 * v[:, :, 1] - 8.0 * v[:, :, 2] + v[:, :, 3]) / (12.0 * h)
+    return np.ascontiguousarray(np.moveaxis(D, 1, -1))
 
 
 def _evaluate_rows(f: RowMap, points: np.ndarray, check: Callable) -> np.ndarray:
@@ -361,27 +369,39 @@ def _finite(what: str) -> Callable:
 
 
 def _stencil_rows(X: np.ndarray, directions: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """The stencil points ``x + t * d`` of every row x of X (outermost),
-    each row d of ``directions`` and each offset t (innermost), one row per
-    stencil point: for each x, the rows ``x + _stencil(directions, h)``."""
-    n = X.shape[1]
-    return (X[:, np.newaxis, :] + _stencil(directions, h)[np.newaxis]).reshape(-1, n)
+    """For every row x of X (outermost), the rows x and then
+    ``x + _stencil(directions, h)``, its stencil points."""
+    x = X[:, np.newaxis]
+    rows = np.concatenate([x, x + _stencil(directions, h)], axis=1)
+    return rows.reshape(rows.shape[0] * rows.shape[1], X.shape[1])
 
 
 def _derivative(f: RowMap, X: np.ndarray, seeds: np.ndarray, check: Callable,
-                h: float = FD_STEP) -> np.ndarray:
-    """The derivatives of ``f`` at the rows of the (N, d) array X along the
-    s columns of the (d, s) array ``seeds``, as the (N, *shape, s) stack,
-    each row the bits of the call on its point alone: exact, from one
-    ``tangents`` batch, if the map has one; else central differences of
-    step h, from the values at every stencil row in one batch, each value
-    refused as ``check`` refuses it.  A failing batch runs again row by row
-    (``_replayed``)."""
+                h: float = FD_STEP, defer: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``f`` at the rows of the (N, d) array X, each refused
+    as ``check`` refuses it, and the (N, *shape, s) derivatives there along
+    the s columns of the (d, s) array ``seeds``, from one batch, each row
+    the bits of the call on its point alone: exact, from one ``tangents``
+    batch, if the map has one, a derivative that is not finite refused
+    first unless ``defer`` leaves it to the caller (``_finite_derivative``);
+    else central differences of step h.  A failing batch runs again row by
+    row (``_replayed``)."""
     if f.tangents is not None:
-        return _evaluate_rows(RowMap(lambda Y: f.tangents(Y, seeds)), X, lambda D, rows: D)
-    N, s = len(X), seeds.shape[1]
-    D = _differences(_evaluate_rows(f, _stencil_rows(X, seeds.T, h), check), N * s, h)
-    return np.ascontiguousarray(np.moveaxis(D.reshape(N, s, *D.shape[1:]), 1, -1))
+        def batch(Y, rows):
+            values, D = f.tangents(_require_finite(Y, "chart point"), seeds)
+            D = D if defer else _finite_derivative(f, D, Y)
+            return check(values, Y), D
+
+        return _replayed(batch, X)
+    values = _evaluate_rows(f, _stencil_rows(X, seeds.T, h), check)
+    values = values.reshape(len(X), 1 + 4 * seeds.shape[1], *values.shape[1:])
+    return values[:, 0], _differences(values[:, 1:], h)
+
+
+def _finite_derivative(f: RowMap, D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """D, the derivatives of ``f`` at the rows of X, unless an exact one is
+    not finite: NonFiniteError naming the map and the first such row."""
+    return D if f.tangents is None else _finite_rows(D, X, f"derivative of {f.name}")
 
 
 @takes_points(1)
@@ -392,19 +412,16 @@ def fd_jacobian(chart_map, X, *, step: float = FD_STEP) -> np.ndarray:
 
     Entry (j, i) of each is the partial of output component j with respect
     to input coordinate i; the stencil's error is O(step**4) on smooth
-    maps.  All rows are evaluated in one batch, each Jacobian the bits of
-    the call on its point alone.  A step that is not positive and finite
+    maps.  All rows are evaluated in one batch, the map's values at the
+    points included, each Jacobian the bits of the call on its point
+    alone.  A step that is not positive and finite
     raises ValueError.
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    chart_map = as_row_map(chart_map)
     N, n = X.shape
-    if n == 0:  # no direction: the values at the points give the width
-        values = _evaluate_rows(chart_map, X, _finite("map value"))
-        return np.zeros((N, int(np.prod(values.shape[1:])), 0))
-    D = _derivative(chart_map, X, np.eye(n), _finite("map value"), step)
-    return D.reshape(N, int(np.prod(D.shape[1:-1])), n)
+    values, D = _derivative(as_row_map(chart_map), X, np.eye(n), _finite("map value"), step)
+    return D.reshape(N, int(np.prod(values.shape[1:])), n)
 
 
 @takes_points(1)
@@ -419,7 +436,7 @@ def fd_directional(field: TensorField, X, direction) -> np.ndarray | float:
     directions = d[:, np.newaxis] if d.ndim == 1 else d
     if not directions.shape[1] or not (_row_norms(directions.T) > 0).all():
         raise DegenerateInputError("directional derivative needs a nonzero direction")
-    D = _derivative(field.func, X, directions, _field_check(field))
+    _, D = _derivative(field.func, X, directions, _field_check(field))
     return D[..., 0] if d.ndim == 1 else D
 
 

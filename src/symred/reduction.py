@@ -15,7 +15,8 @@ it, so one table built once serves all of them.
 Frames are stacks: ``split_tangent`` splits an (N, n) array of points at
 once, and ``lift_frames`` builds every frame of a verification, the base
 frames and the moved frames of every fibre parameter, in one batch when
-the table is made; ``reduced_structures`` reduces an (N, q) array of
+the table is made, each map's values riding with its derivatives in one
+batch; ``reduced_structures`` reduces an (N, q) array of
 quotient points from the base frames of such a table.  One point is a
 stack of one (``geometry.takes_points``), whose result is the split or
 the reduced structures at that point.  Every frame is the bits of
@@ -48,9 +49,6 @@ from .actions import (
     GroupAction,
     MomentumMap,
     generator,
-    momentum_jacobian,
-    momentum_values,
-    _flow_jacobians,
     _pairs,
     _param_rows,
 )
@@ -60,7 +58,6 @@ from .errors import (
     NotOnLevelError,
     NotRegularValueError,
     RankDeficientLiftError,
-    SectionNotOnLevelError,
     VerticalLeakWarning,
 )
 from .geometry import (
@@ -71,15 +68,17 @@ from .geometry import (
     as_points,
     as_row_map,
     eval_field,
-    fd_jacobian,
     kernel_basis,
     max_abs,
     orthonormalize,
     takes_points,
+    _derivative,
+    _field_check,
+    _finite,
+    _finite_derivative,
     _first,
     _g_norms,
     _replayed,
-    _require_finite,
     _row_max_abs,
     _row_norms,
 )
@@ -206,13 +205,6 @@ class ReducedStructures:
     j_beta: np.ndarray
 
 
-def _level_gaps(scen: ReductionScenario, M: np.ndarray) -> np.ndarray:
-    """|mu - beta| at each row of the (N, n) array M: a stacked dot product
-    and a square root per row, the bits of ``np.linalg.norm`` of that row."""
-    r = momentum_values(scen.mu, M) - scen.mu.beta
-    return np.sqrt((r[:, np.newaxis] @ r[:, :, np.newaxis])[:, 0, 0])
-
-
 @takes_points(1)
 def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     """Split the level-set tangent space at every row of the (N, n) array M
@@ -223,27 +215,28 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     the kernel of ``vertical.T @ G`` inside the level frame, orthonormalized
     for G, so it lies in ker d mu with n - 2k columns by construction.
 
-    All rows are split at once, with one derivative batch per Jacobian, stacked
-    SVDs and stacked Gram-Schmidt, each row's arrays the bits of splitting
-    it alone.  A failing check raises for the first row that fails it, and
-    rows whose frames would differ in dimension raise ValueError.
+    All rows are split at once, with one batch of mu and d mu, one of the
+    k generators, stacked SVDs and stacked Gram-Schmidt, each row's arrays
+    the bits of splitting it alone.  A failing check raises for the first
+    row that fails it, and rows whose frames would differ in dimension
+    raise ValueError.
     """
-    n = scen.chart_dim
-    k = scen.action.group_dim
-
-    gaps = _level_gaps(scen, M)
+    n, k = scen.chart_dim, scen.action.group_dim
+    mu = scen.mu.field
+    values, Jmu = _derivative(mu.func, M, np.eye(n), _field_check(mu), defer=True)
+    gaps = _row_norms(values - scen.mu.beta)
     i = _first(gaps >= LEVEL_TOL)
     if i is not None:
-        raise NotOnLevelError(f"|mu(m) - beta| = {gaps[i]:.3e} exceeds {LEVEL_TOL:.1e}")
+        raise NotOnLevelError(f"{ChartPoint(M[i])} is off the level set: "
+                              f"|mu(m) - beta| = {gaps[i]:.3e} exceeds {LEVEL_TOL:.1e}")
 
-    Jmu = momentum_jacobian(scen.mu, M)
-    level = kernel_basis(Jmu)
+    level = kernel_basis(_finite_derivative(mu.func, Jmu, M))
     if level.shape[2] != n - k:
         raise NotRegularValueError(
             f"kernel of d mu has dimension {level.shape[2]}, expected {n - k}"
         )
 
-    V = np.stack([generator(scen.action, j, M) for j in range(k)], axis=-1)
+    V = generator(scen.action, M)
     sv = np.linalg.svd(V, compute_uv=False)
     i = _first(sv[:, -1] <= FREE_TOL)
     if i is not None:
@@ -303,26 +296,22 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray,
     """The lift frames at the rows of the (N, q) array X of quotient points
     through the section, then through Phi_a o sigma for each row a of the
     (P, k) array ``fiber_params``, a block of N frames each, built in one
-    batch: one section call, one flow batch, one ``split_tangent``, one
-    section Jacobian, one batch of flow Jacobians for all P * N moved
-    frames, chained as D(Phi_a o sigma) = D Phi_a(sigma) D sigma, and
-    stacked products, SVDs and solves.  Each frame has the bits of the
-    batch of its point alone, and a batch of one raises what that frame
-    raises; ``lift_frames`` replays a failing batch point by point.
+    batch: one of the section points and Jacobians, one of the moved points
+    and flow Jacobians, one ``split_tangent``, which checks the level, the
+    Jacobians chained as D(Phi_a o sigma) = D Phi_a(sigma) D sigma, and
+    stacked products, SVDs and solves, the derivatives' finiteness checked
+    last.  Each frame has the bits of the batch of its point alone, and a
+    batch of one raises what that frame raises; ``lift_frames`` replays a
+    failing batch point by point.
     """
-    n, P = scen.chart_dim, len(fiber_params)
-    M = _require_finite(scen.section.rows(X), "chart point")
+    n, P, q = scen.chart_dim, len(fiber_params), scen.quotient_dim
+    M, dsigma = _derivative(scen.section, X, np.eye(q), _finite("chart point"), defer=True)
     if P:
         rows = _pairs(np.tile(M, (P, 1)), np.repeat(fiber_params, len(X), axis=0))
-        M = np.concatenate([M, _require_finite(scen.action.flow.rows(rows), "chart point")])
-    gaps = _level_gaps(scen, M)
-    i = _first(gaps >= LEVEL_TOL)
-    if i is not None:
-        raise SectionNotOnLevelError(
-            f"section lands off the level set: |mu - beta| = {gaps[i]:.3e}"
-        )
+        moved, D = _derivative(scen.action.flow, rows, np.eye(rows.shape[1], n),
+                               _finite("chart point"), defer=True)
+        M = np.concatenate([M, moved])
     split = split_tangent(scen, M)
-    q = scen.quotient_dim
     H = split.horizontal
     htg = H.swapaxes(1, 2) @ split.metric
     Om = eval_field(scen.omega, M)
@@ -331,10 +320,10 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray,
     # horizontal part of the section pushforward; d pi of it is the identity
     # on the quotient chart because pi o section = id and d pi kills the
     # vertical complement
-    dsigma = fd_jacobian(scen.section, X)
+    dsigma = _finite_derivative(scen.section, dsigma, X)
     pushforward = np.broadcast_to(np.eye(n), (len(X), n, n))
     if P:
-        D = _flow_jacobians(scen.action, rows)
+        D = _finite_derivative(scen.action.flow, D, rows)
         dsigma = np.concatenate([dsigma, D @ np.tile(dsigma, (P, 1, 1))])
         pushforward = np.concatenate([pushforward, D])
     lifts = H @ (htg @ dsigma)

@@ -20,7 +20,7 @@ from .actions import GroupAction, MomentumMap
 from .errors import NonFiniteError, UnknownIdentifierError, UnknownScenarioError, ValidationError
 from .exprlang import (Expr, ExprParser, Program, compile_exprs, eval_expr, token_positions,
                        tokenize)
-from .geometry import ARITIES, RowMap, TensorField, _finite_rows
+from .geometry import ARITIES, RowMap, TensorField
 from .reduction import ReductionScenario, SampleSpec
 from .structures import DEFAULT_TOLERANCES, build_compatible_triple, check_tolerance
 
@@ -303,40 +303,43 @@ def _as_matrix(value, key: str) -> tuple:
 
 
 def _row_map(program: Program, shape: tuple, name: str) -> RowMap:
-    """The RowMap of a map's program over the rows of an (N, width) array,
-    values stacked to (N, *shape), with exact derivatives.  The entries the
-    compile walk folded are one constant array; one program run per batch
-    fills in the others, on the coordinate columns of its rows.
-    ``tangents`` runs the program once in forward mode on the columns; a
-    folded entry has a zero derivative, so a fully folded map runs
-    nothing, and a derivative that is not finite raises NonFiniteError
-    naming the map ``name`` and the first such row."""
+    """The RowMap ``name`` of a map's program over the rows of an
+    (N, width) array, values stacked to (N, *shape), with exact
+    derivatives.  The entries the compile walk folded are one constant
+    array; one program run per batch fills in the others, on the
+    coordinate columns of its rows.  ``tangents`` runs the program once in
+    forward mode on the columns and keeps the values of that run; a folded
+    entry has a zero derivative, so a fully folded map runs nothing."""
     folded = program.folded
     constant = np.array([0.0 if v is None else v for v in folded])
     varying = [i for i, v in enumerate(folded) if v is None]
     slots = [program.outputs[i] for i in varying]
 
-    def rows(X: np.ndarray) -> np.ndarray:
-        program.check_width(X.shape[1])  # a fully folded map never runs its program
+    def filled(X: np.ndarray, values: list) -> np.ndarray:
+        """The (N, *shape) values, the varying entries from a run's slots."""
         out = np.repeat(constant[np.newaxis], len(X), axis=0)
         if varying:
-            values = program.run(list(np.ascontiguousarray(X.T, dtype=float)))
-            out[:, varying] = np.array([values[s] for s in slots]).T
+            out[:, varying] = np.array([values[s] for s in slots]).reshape(len(slots), len(X)).T
         return out.reshape(len(X), *shape)
 
-    def tangents(X: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    def rows(X: np.ndarray) -> np.ndarray:
+        program.check_width(X.shape[1])  # a fully folded map never runs its program
+        columns = np.ascontiguousarray(X.T, dtype=float)
+        return filled(X, program.run(list(columns)) if varying else [])
+
+    def tangents(X: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         program.check_width(X.shape[1])
-        out = np.zeros((len(X), len(folded), seeds.shape[1]))
+        D = np.zeros((len(X), len(folded), seeds.shape[1]))
+        values: list = []
         if varying:
             columns = np.ascontiguousarray(X.T, dtype=float)[:, :, np.newaxis]
-            tangent = program.tangents(list(columns), seeds)
+            values, tangent = program.tangents(list(columns), seeds)
             for i, slot in zip(varying, slots):
                 if tangent[slot] is not None:
-                    out[:, i] = tangent[slot]
-            _finite_rows(out, X, f"derivative of {name}")
-        return out.reshape(len(X), *shape, seeds.shape[1])
+                    D[:, i] = tangent[slot]
+        return filled(X, values), D.reshape(len(X), *shape, seeds.shape[1])
 
-    return RowMap(rows, tangents)
+    return RowMap(rows, tangents, name)
 
 
 def compile_scenario(sf: ScenarioFile) -> ReductionScenario:

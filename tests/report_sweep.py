@@ -14,13 +14,15 @@ so the k = 2 paths are compared) with all suites at 20 samples with seeds
 0-3, on every built-in with no flags (its own sample spec: seed, count
 and any explicit quotient points), on hopf at 20 samples with the main-theorem, the reduction and
 the action suite alone (the lift frames are batched differently when no
-fibre frames are asked for), and on five failing hopf variants
-(``FAILING``: the section off the level set at a middle sample,
+fibre frames are asked for), and on six failing variants (``FAILING``):
+five of hopf (the section off the level set at a middle sample,
 generators degenerate at one sample, a division by zero at w1 = 0.50001,
 a row only a stencil of the section would evaluate (the exact section
 Jacobian reads no such row, so that variant's reduction runs complete), the metric entry ``sqrt(1.9 - x1)``, and the first
 two at once, the degenerate sample before the one off the level set,
-whose error a batch meets first), each with the structures, the action
+whose error a batch meets first) and one of the 2-torus fixture, whose
+second generator (of the two a batch takes at once) is degenerate at one
+sample; each with the structures, the action
 and the reduction and main-theorem suites, so that the exit codes and
 error texts of failing runs, and which point's error a failing batch
 raises, are compared too; each run in JSON and in text.  Each
@@ -69,18 +71,24 @@ _OFF_LEVEL = (_SECTION, "[(1 + 0.01*exp(-1000*((w1 - 0.5)^2 + (w2 - 0.2)^2)))"
 # generators that vanish where x3 = x4 = 0, the section point of w = 0
 _DEGENERATE = ("t1)", "t1*(x3^2 + x4^2))")
 
-# failing hopf variants: file stem -> (the (text in the hopf scenario, its
-# replacement) pairs, a line of sample points or "")
+# failing variants: file stem -> (the scenario, "hopf" or "torus_t2", the
+# (text in it, its replacement) pairs, a line of sample points or "")
 FAILING = {
-    "off_level": ([_OFF_LEVEL], _POINTS),
-    "degenerate": ([_DEGENERATE],
+    "off_level": ("hopf", [_OFF_LEVEL], _POINTS),
+    "degenerate": ("hopf", [_DEGENERATE],
                    "sample.points = [[0.6, 0.3], [0.1, -0.7], [0, 0], [0.7, -0.6]]"),
-    "stencil": ([(_SECTION, "[1/sqrt(1 + w1^2 + w2^2) + 0/(w1 - 0.50001),")], _POINTS),
-    "sqrt_metric": ([("metric = [[1,", "metric = [[sqrt(1.9 - x1),")], ""),
+    "stencil": ("hopf", [(_SECTION, "[1/sqrt(1 + w1^2 + w2^2) + 0/(w1 - 0.50001),")], _POINTS),
+    "sqrt_metric": ("hopf", [("metric = [[1,", "metric = [[sqrt(1.9 - x1),")], ""),
     # point 1 is degenerate and point 3 off the level set; a batch checks
     # the level first, so it meets point 3's error before point 1's
-    "two_failures": ([_DEGENERATE, _OFF_LEVEL], "sample.points = "
+    "two_failures": ("hopf", [_DEGENERATE, _OFF_LEVEL], "sample.points = "
                      "[[0.6, 0.3], [0, 0], [0.1, -0.7], [0.5, 0.2], [0.7, -0.6]]"),
+    # the second factor turns at speed x7^2 + x8^2, which vanishes at the
+    # section point of w3 = w4 = 0, the third sample; the first generator
+    # stays free there
+    "torus_degenerate": ("torus_t2", [("t2)", "t2*(x7^2 + x8^2))")], "sample.points = "
+                         "[[0.6, 0.3, 0.2, -0.1], [0.1, -0.7, 0.4, 0.5], [0.5, 0.2, 0, 0], "
+                         "[0.7, -0.6, -0.3, 0.8]]"),
 }
 FAILING_SUITES = ("structures", "action", "reduction,main-theorem")
 
@@ -88,7 +96,7 @@ FAILING_SUITES = ("structures", "action", "reduction,main-theorem")
 def write_scenarios(tmp: str) -> tuple[str, str, str, list[str]]:
     """Write the scenario files of the sweep into ``tmp``: euclidean_r2n at
     8 planes, hopf without its acs line, the 2-torus fixture and the FAILING
-    variants of hopf; return their paths."""
+    variants; return their paths."""
     from symred.scenarios import builtin_text
     from util import TORUS_T2_TEXT
 
@@ -97,8 +105,8 @@ def write_scenarios(tmp: str) -> tuple[str, str, str, list[str]]:
              "hopf_no_acs": "\n".join(line for line in hopf.splitlines()
                                       if not line.startswith("acs")),
              "torus_t2": TORUS_T2_TEXT}
-    for stem, (replacements, points) in FAILING.items():
-        text = hopf
+    for stem, (base, replacements, points) in FAILING.items():
+        text = {"hopf": hopf, "torus_t2": TORUS_T2_TEXT}[base]
         for old, new in replacements:
             assert old in text, stem
             text = text.replace(old, new)

@@ -15,7 +15,6 @@ from symred.actions import (
     check_momentum_invariance,
     check_symplectomorphism,
     generator,
-    generator_vector,
     momentum_jacobian,
     momentum_residual,
     momentum_values,
@@ -27,10 +26,11 @@ from symred.actions import (
 from symred.errors import NonFiniteError
 from symred.exprlang import compile_exprs, parse_expression
 from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_box
+from symred.reduction import lift_frames
 from symred.scenarios import _row_map, builtin
 from symred.structures import euclidean_metric, standard_acs, standard_symplectic
 
-from util import reference_action_axioms, reference_fd_generator
+from util import reference_action_axioms, reference_central_difference, reference_fd_generator
 
 HOPF = builtin("hopf")
 POINTS_4D = sample_box(4, 5, radius=1.5, seed=6)
@@ -54,27 +54,30 @@ def translation_action():
 
 
 def test_generator_hopf_clockwise():
-    xi = generator(HOPF.action, 0, ChartPoint([1.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(xi, [0.0, -1.0, 0.0, 0.0], atol=1e-10)
+    xi = generator(HOPF.action, ChartPoint([1.0, 0.0, 0.0, 0.0]))
+    np.testing.assert_allclose(xi, [[0.0], [-1.0], [0.0], [0.0]], atol=1e-10)
 
 
 def test_generator_translation_and_zero():
-    xi = generator(translation_action(), 0, ChartPoint([0.3, -0.5]))
-    np.testing.assert_allclose(xi, [1.0, 0.0], atol=1e-10)
-    zero = generator_vector(HOPF.action, [0.0], ChartPoint([1.0, 0.0, 0.0, 0.0]))
+    xi = generator(translation_action(), ChartPoint([0.3, -0.5]))
+    np.testing.assert_allclose(xi, [[1.0], [0.0]], atol=1e-10)
+    # the generator of the zero algebra vector is zero
+    zero = generator(HOPF.action, ChartPoint([1.0, 0.0, 0.0, 0.0])) @ [0.0]
     np.testing.assert_allclose(zero, np.zeros(4), atol=1e-12)
 
 
 def test_generator_linear_in_algebra_vector():
+    # the generators, one column per basis element, applied to an algebra
+    # vector xi give d/dt flow(t * xi, p) at t = 0, differenced along xi
     torus = GroupAction(
         group_dim=2,
         flow=lambda a, p: ChartPoint(p.coords + np.array([a[0], a[1], a[0] + a[1], 0.0])),
     )
     p = ChartPoint([0.0, 0.0, 0.0, 0.0])
     for a, b in ((1.0, 2.0), (-0.5, 0.25)):
-        combo = generator_vector(torus, [a, b], p)
-        split = a * generator(torus, 0, p) + b * generator(torus, 1, p)
-        np.testing.assert_allclose(combo, split, atol=1e-9)
+        along = reference_central_difference(
+            lambda t: apply_flow(torus, t * np.array([a, b]), p).coords)
+        np.testing.assert_allclose(along, generator(torus, p) @ [a, b], atol=1e-9)
 
 
 def test_generator_overflow_raises_nonfinite():
@@ -84,7 +87,7 @@ def test_generator_overflow_raises_nonfinite():
         flow=lambda a, p: ChartPoint(p.coords + 1e308 * (1.0 + a[0])),
     )
     with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
-        generator(huge, 0, ChartPoint([0.0, 0.0]))
+        generator(huge, ChartPoint([0.0, 0.0]))
 
 
 def test_generator_rejects_flow_changing_dimension():
@@ -93,7 +96,7 @@ def test_generator_rejects_flow_changing_dimension():
         flow=lambda a, p: ChartPoint(np.append(p.coords, a[0])),
     )
     with pytest.raises(ValueError, match="generator length"):
-        generator(widening, 0, ChartPoint([0.0, 0.0]))
+        generator(widening, ChartPoint([0.0, 0.0]))
 
 
 def test_per_row_flow_on_no_points_is_refused():
@@ -102,10 +105,9 @@ def test_per_row_flow_on_no_points_is_refused():
     shift = GroupAction(1, lambda a, p: p.coords + a[0])
     none = np.zeros((0, 2))
     for call in (lambda: apply_flow(shift, [0.3], none),
-                 lambda: generator(shift, 0, none),
-                 lambda: generator_vector(shift, [1.0], none),
+                 lambda: generator(shift, none),
                  lambda: apply_flow(HOPF.action, [0.3], np.zeros((0, 4))),
-                 lambda: generator(HOPF.action, 0, np.zeros((0, 4)))):
+                 lambda: generator(HOPF.action, np.zeros((0, 4)))):
         with pytest.raises(ValueError, match="^points must hold at least one point, got none$"):
             call()
 
@@ -140,14 +142,14 @@ def test_generator_bit_identical_to_per_sample_reference():
         for p in _SIGNED_ZERO_POINTS:
             for i in range(action.group_dim):
                 want = reference_fd_generator(opaque, i, p)
-                assert generator(opaque, i, p).tobytes() == want.tobytes()
+                assert generator(opaque, p)[:, i].tobytes() == want.tobytes()
                 if action is not HOPF.action:
-                    assert generator(action, i, p).tobytes() == want.tobytes()
+                    assert generator(action, p)[:, i].tobytes() == want.tobytes()
     X = np.vstack([[p.coords for p in _SIGNED_ZERO_POINTS], POINTS_4D])
-    stacked = generator(HOPF.action, 0, X)
-    assert np.array_equal(stacked, X[:, [1, 0, 3, 2]] * [1.0, -1.0, 1.0, -1.0])
+    stacked = generator(HOPF.action, X)
+    assert np.array_equal(stacked[:, :, 0], X[:, [1, 0, 3, 2]] * [1.0, -1.0, 1.0, -1.0])
     for i, x in enumerate(X):
-        assert stacked[i].tobytes() == generator(HOPF.action, 0, x).tobytes()
+        assert stacked[i].tobytes() == generator(HOPF.action, x).tobytes()
 
 
 def test_action_axioms_bit_identical_to_pairwise_reference():
@@ -166,7 +168,7 @@ def test_momentum_invariance_reads_moved_points_from_the_table(monkeypatch):
                              - momentum_values(HOPF.mu, p)))
                for a in ANGLES for p in POINTS_4D)
     calls = []
-    for name in ("apply_flow", "_flow_values", "_flow_derivatives"):
+    for name in ("apply_flow", "_flow"):
         monkeypatch.setattr(actions, name, lambda *args: calls.append(args))
     got = check_momentum_invariance(HOPF.mu, table)
     assert calls == []
@@ -185,6 +187,34 @@ def test_a_table_of_no_parameters_is_refused():
     # every check reads its parameters from a table, so the table refuses none
     with pytest.raises(ValueError, match="^pushforward table has no group parameters"):
         pushforward_table(scen.action, [], points)
+
+
+def test_a_nonfinite_group_parameter_is_refused_as_one():
+    # it used to be blamed on a chart point: the rows (point, parameter)
+    # that the flow reads were refused as chart points
+    point = np.full((1, 4), 0.5)
+    want = "^group parameter \\[nan\\] of a group of dimension k = 1 contains non-finite entries$"
+    for call in (lambda: pushforward_table(HOPF.action, [np.nan], point),
+                 lambda: pushforward_table(HOPF.action, [[0.3], [np.nan]], point),
+                 lambda: apply_flow(HOPF.action, [np.nan], point),
+                 lambda: lift_frames(HOPF, [[0.1, 0.2]], [np.nan])):
+        with pytest.raises(NonFiniteError, match=want):
+            call()
+
+
+def test_a_group_parameter_of_another_length_is_refused_as_one():
+    # a parameter row of two entries at k = 1 used to fail in numpy's
+    # broadcast, naming no parameter
+    point = np.full((1, 4), 0.5)
+    want = "^group parameter \\[0.3, 0.4\\] has length 2, expected k = 1$"
+    for call in (lambda: pushforward_table(HOPF.action, [[0.3, 0.4]], point),
+                 lambda: apply_flow(HOPF.action, [0.3, 0.4], point),
+                 lambda: lift_frames(HOPF, [[0.1, 0.2]], [[0.3, 0.4]])):
+        with pytest.raises(ValueError, match=want):
+            call()
+    torus = GroupAction(2, lambda a, p: p)
+    with pytest.raises(ValueError, match="^group parameter \\[0.3\\] has length 1, expected k = 2$"):
+        apply_flow(torus, [0.3], ChartPoint([0.0, 0.0]))
 
 
 def test_momentum_residual_checks_every_generator():

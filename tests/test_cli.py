@@ -584,10 +584,9 @@ def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
         monkeypatch.setattr(module, attr, counted)
 
     count(symred.reduction, "split_tangent", 1)
-    count(symred.reduction, "generator", 2)
-    count(symred.reduction, "fd_jacobian", 1)  # the section Jacobians of the frames
-    count(symred.reduction, "_flow_jacobians", 1)  # those of the moved frames
-    count(symred.actions, "_flow_jacobians", 1)  # those of pushforward_table
+    count(symred.reduction, "generator", 1)
+    count(symred.reduction, "_derivative", 1)  # the derivative batches of the frames
+    count(symred.actions, "_flow", 1)  # every flow batch of the actions layer
     samples = 2
     report, code = run(RunConfig("hopf", samples=samples, seed=1))
     assert code == 0
@@ -597,16 +596,23 @@ def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
     # frame per fibre parameter, all split in one batch
     assert points["split_tangent"] == (1 + len(fiber_params)) * samples
     assert calls["split_tangent"] == 1
-    # the vertical-invariance check reads the generators of those frames
-    assert points["generator"] == points["split_tangent"] * builtin("hopf").action.group_dim
-    # one section Jacobian per quotient point, chained through one flow
-    # Jacobian per moved frame; one flow Jacobian and moved point per
-    # (point, parameter) for the four invariance checks; one derivative
-    # batch each
-    assert (calls["fd_jacobian"], points["fd_jacobian"]) == (1, samples)
-    # one call for the moved frames and one for pushforward_table
-    assert calls["_flow_jacobians"] == 2
-    assert points["_flow_jacobians"] == (len(fiber_params) + len(group_params)) * samples
+    # the vertical-invariance check reads the generators of those frames,
+    # all k of them from one batch
+    assert (calls["generator"], points["generator"]) == (1, points["split_tangent"])
+    # in the frames, one batch of the section point and Jacobian per
+    # quotient point, one of mu and d mu per frame (in split_tangent), and
+    # one of the moved point and flow Jacobian per moved frame, chained
+    # through the section Jacobian
+    frames = points["split_tangent"]
+    assert calls["_derivative"] == 3
+    assert points["_derivative"] == samples + frames + len(fiber_params) * samples
+    # one batch of the moved point and flow Jacobian per (point, parameter)
+    # for the axioms and the four invariance checks; the axioms' three
+    # batches (the identity, each s after t and each s + t); the generators
+    # of the momentum residual and those of the frames
+    P = len(group_params)
+    assert calls["_flow"] == 1 + 3 + 2
+    assert points["_flow"] == P * samples + (1 + 2 * P * P) * samples + samples + frames
 
 
 @pytest.mark.parametrize("samples", [20, 80])
@@ -629,10 +635,11 @@ def test_frame_batches_per_op_do_not_grow_with_samples(samples, monkeypatch):
 
 
 def test_action_suite_moves_all_points_in_one_flow_batch(monkeypatch):
-    # the moved points of every (parameter, point) pair are one flow batch,
-    # and their flow Jacobians one derivative batch, whatever the number of
-    # group parameters: one tangent pass of a compiled flow, one stencil
-    # batch of a flow without exact derivatives
+    # the moved points of every (parameter, point) pair and their flow
+    # Jacobians are one derivative batch, whatever the number of group
+    # parameters: one tangent pass of a compiled flow, which gives the
+    # moved points with the Jacobians, one batch of each point and its
+    # stencil for a flow without exact derivatives
     hopf = builtin("hopf")
     flow = hopf.action.flow
     batches = []
@@ -648,14 +655,14 @@ def test_action_suite_moves_all_points_in_one_flow_batch(monkeypatch):
     X = np.random.default_rng(5).uniform(-1.5, 1.5, (20, 4))
     for count in (5, 9):
         params = np.random.default_rng(count).uniform(-np.pi, np.pi, (count, 1))
-        stencil = 4 * 4 * count * 20  # four offsets along each of four coordinates
+        stencil = (1 + 4 * 4) * count * 20  # the point, four offsets along each coordinate
         for counted, want in ((RowMap(rows, tangents), [("tangents", count * 20)]),
                               (RowMap(rows), [("rows", stencil)])):
             action = dataclasses.replace(hopf.action, flow=counted)
             batches.clear()
             table = pushforward_table(action, params, X)
             assert table.D.shape == (count, 20, 4, 4) and table.moved.shape == (count, 20, 4)
-            assert batches == want + [("rows", count * 20)]
+            assert batches == want
 
 
 # exit code and failing checks of every built-in at 20 samples, seed 4

@@ -28,7 +28,7 @@ from symred.actions import (
     pushforward_table,
 )
 from symred.cli import main
-from symred.errors import ActionNotFreeError, NonFiniteError, SectionNotOnLevelError
+from symred.errors import ActionNotFreeError, NonFiniteError, NotOnLevelError
 from symred.geometry import (
     FD_STEP,
     ChartPoint,
@@ -271,7 +271,7 @@ _OFF_LEVEL_SECTION = _HOPF_SECTION.replace(
 def test_section_off_level_at_a_middle_sample(tmp_path, capsys):
     path, scen = _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION)
     base_error, error = _assert_parity(path, scen, capsys)
-    assert type(error) is SectionNotOnLevelError and str(error) == str(base_error)
+    assert type(error) is NotOnLevelError and str(error) == str(base_error)
 
 
 def test_generators_degenerate_at_one_sample(tmp_path, capsys):
@@ -343,7 +343,7 @@ def test_fibre_frame_fails_before_a_later_base_frame(tmp_path, capsys):
         section=_HOPF_SECTION.replace("[1/sqrt(1 + w1^2 + w2^2),",
                                       f"[{section_bump}/sqrt(1 + w1^2 + w2^2),"))
     base_error, error = _assert_parity(path, scen, capsys)
-    assert type(error) is SectionNotOnLevelError and type(base_error) is SectionNotOnLevelError
+    assert type(error) is NotOnLevelError and type(base_error) is NotOnLevelError
     assert str(error) != str(base_error)
 
 
@@ -360,7 +360,7 @@ def test_a_base_frame_fails_before_its_own_moved_frames(tmp_path, capsys):
         tmp_path, "base_first", points="sample.points = [[0, 0.2], [0.6, 0.3]]", flow=flow,
         section=_HOPF_SECTION.replace("[1/sqrt(1 + w1^2 + w2^2),",
                                       "[1/sqrt(1 + w1^2 + w2^2) + 0*sqrt(w1^2),"))
-    with pytest.raises(SectionNotOnLevelError):
+    with pytest.raises(NotOnLevelError):
         reduction._lift_frames(scen, np.array([[0.0, 0.2]]), np.array([[np.pi]]))
     base_error, error = _assert_parity(path, scen, capsys)
     assert type(error) is NonFiniteError and str(error) == str(base_error)
@@ -391,7 +391,7 @@ def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, ca
 
 def test_reduced_structures_raise_the_first_failing_point_error(tmp_path):
     # the two variants above at once: point 0 alone raises ActionNotFreeError
-    # and point 1 alone SectionNotOnLevelError.  The batch of both fails the
+    # and point 1 alone NotOnLevelError.  The batch of both fails the
     # level check first, at point 1; its replay raises point 0's own error
     _, scen = _hopf_variant(tmp_path, "off_level_degenerate",
                             points="sample.points = [[0, 0], [0.5, 0.2]]",
@@ -400,9 +400,9 @@ def test_reduced_structures_raise_the_first_failing_point_error(tmp_path):
     xs = np.array(scen.sample_spec.points)
     base_error = _reference_base_failure(scen, xs)
     assert type(base_error) is ActionNotFreeError
-    with pytest.raises(SectionNotOnLevelError):
+    with pytest.raises(NotOnLevelError):
         reduced_structures(scen, xs[1])
-    with pytest.raises(SectionNotOnLevelError):
+    with pytest.raises(NotOnLevelError):
         reduction._lift_frames(scen, xs)
     with pytest.raises(ActionNotFreeError) as raised:
         reduced_structures(scen, xs)
@@ -440,7 +440,7 @@ def test_a_failing_table_builds_its_batch_once_then_each_replayed_row(tmp_path, 
         return build(scen, X, *fiber_params)
 
     monkeypatch.setattr(reduction, "_lift_frames", counted)
-    with pytest.raises(SectionNotOnLevelError):
+    with pytest.raises(NotOnLevelError):
         verify_main_theorem(lift_frames(scen, points))
     assert sizes == [5, 1, 1, 1]
 
@@ -528,7 +528,7 @@ def _on_no_points():
         "fd_jacobian per-point": lambda: fd_jacobian(lambda p: p.coords, np.zeros((0, 3))),
         "fd_directional": lambda: fd_directional(hopf.metric, X, np.ones(4)),
         "apply_flow": lambda: apply_flow(hopf.action, [0.3], X),
-        "generator": lambda: generator(hopf.action, 0, X),
+        "generator": lambda: generator(hopf.action, X),
         "momentum_values": lambda: momentum_values(hopf.mu, X),
         "momentum_jacobian": lambda: momentum_jacobian(hopf.mu, X),
         "pushforward_table": table,

@@ -179,6 +179,13 @@ def test_fd_jacobian_of_no_points_is_refused():
             fd_jacobian(f, X)
 
 
+def test_fd_jacobian_on_a_chart_of_no_coordinates_has_no_columns():
+    # no direction to differentiate along: the values at the points, read
+    # in the derivative batch, give the width of the (N, m, 0) stack
+    for f in (lambda p: np.array([1.0, 2.0]), RowMap(lambda X: np.ones((len(X), 2)))):
+        assert fd_jacobian(f, np.zeros((3, 0))).shape == (3, 2, 0)
+
+
 def test_fd_jacobian_complex_square():
     # z^2 in interleaved coordinates; hand Jacobian [[2x, -2y], [2y, 2x]]
     def square(p):
@@ -379,7 +386,8 @@ class _Recorder:
 
 def test_per_point_callables_run_once_per_stencil_row_in_order():
     # on a successful batch the wrapped callable sees exactly the points the
-    # per-column reference evaluates, each once, in the same order
+    # per-column reference evaluates, each once, in the same order: the
+    # point itself, then its stencil
     p = ChartPoint([0.3, -0.7, 1.1, 0.2])
     hopf = builtin("hopf")
 
@@ -389,16 +397,16 @@ def test_per_point_callables_run_once_per_stencil_row_in_order():
 
     cases = [  # (callable, derivative, its reference, stencil rows)
         (lambda q: np.array([q.coords[0] * q.coords[1], np.sin(q.coords[2])]),
-         lambda f: fd_jacobian(f, p), lambda f: reference_fd_jacobian(f, p), 16),
+         lambda f: fd_jacobian(f, p), lambda f: reference_fd_jacobian(f, p), 1 + 16),
         (lambda q: float(q.coords @ q.coords),
          lambda f: fd_directional(TensorField.scalar(f), p, np.eye(4)),
-         lambda f: reference_fd_partials(TensorField.scalar(f), p), 16),
+         lambda f: reference_fd_partials(TensorField.scalar(f), p), 1 + 16),
         (rotate,
-         lambda f: generator(GroupAction(1, f), 0, p),
-         lambda f: reference_generator(GroupAction(1, f), 0, p), 4),
+         lambda f: generator(GroupAction(1, f), p)[:, 0],
+         lambda f: reference_generator(GroupAction(1, f), 0, p), 1 + 4),
         (lambda w: np.array([1.0, 0.0, *w.coords]) / np.sqrt(1.0 + w.coords @ w.coords),
          lambda f: fd_jacobian(dataclasses.replace(hopf, section=f).section, p.coords[:2]),
-         lambda f: reference_fd_jacobian(f, ChartPoint(p.coords[:2])), 8),
+         lambda f: reference_fd_jacobian(f, ChartPoint(p.coords[:2])), 1 + 8),
     ]
     for fn, derivative, reference, rows in cases:
         got, want = _Recorder(fn), _Recorder(fn)

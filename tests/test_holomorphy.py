@@ -231,10 +231,13 @@ def _first_error(cm, points, reference):
     raise AssertionError("no point fails")
 
 
-def _assert_same_first_error(cm, points, kind, message):
+def _assert_same_first_error(cm, points, kind, message, cr_message=None):
+    """Both residuals and their per-point references raise ``message``, or
+    the Cauchy-Riemann pair ``cr_message`` if given."""
     X = _coords(points)
-    for stacked, reference in ((almost_complex_residual, reference_almost_complex_residual),
-                               (cauchy_riemann_residual, reference_cauchy_riemann_residual)):
+    for stacked, reference, message in (
+            (almost_complex_residual, reference_almost_complex_residual, message),
+            (cauchy_riemann_residual, reference_cauchy_riemann_residual, cr_message or message)):
         assert _first_error(cm, points, reference) == (kind, message)
         with pytest.raises(kind) as caught:
             stacked(cm, X)
@@ -250,28 +253,39 @@ def _square_rows(X):
 
 
 def test_map_nan_at_a_middle_sample_fails_as_its_chart_point():
-    # the stencil around the sample is finite, its image is not
+    # the stencil around the sample is finite, its image is not: the
+    # Cauchy-Riemann residual reads the image before the Jacobian and fails
+    # on it as a chart point, while the Jacobian batch of the
+    # almost-complex-mapping residual reads the map at the sample itself
+    # with its stencil and fails on it as a map value
     def rows(X):
         at_middle = (X == MIDDLE).all(axis=1)[:, np.newaxis]
         return np.where(at_middle, np.nan, _square_rows(X))
 
     _assert_same_first_error(charted(RowMap(rows)), POINTS, NonFiniteError,
-                             "chart point contains non-finite entries")
+                             "map value contains non-finite entries",
+                             cr_message="chart point contains non-finite entries")
 
 
 def test_first_failing_sample_raises_though_a_later_stencil_fails_first_in_the_batch():
     # the stacked Jacobian meets the later sample's broken stencil before the
     # target structure meets the middle sample's image; the point-by-point
     # replay finds the middle sample first, as the per-point loop does
+    image = ChartPoint(_square_rows(MIDDLE[np.newaxis])[0])
+
     def rows(X):
         near_later = (np.abs(X - LATER) < 1e-4).all(axis=1) & (X != LATER).any(axis=1)
-        bad = near_later | (X == MIDDLE).all(axis=1)
-        return np.where(bad[:, np.newaxis], np.nan, _square_rows(X))
+        return np.where(near_later[:, np.newaxis], np.nan, _square_rows(X))
 
-    _assert_same_first_error(charted(RowMap(rows)), POINTS, NonFiniteError,
-                             "chart point contains non-finite entries")
+    def target(q):
+        broken = (q.coords == image.coords).all()
+        return np.full((2, 2), np.nan) if broken else standard_acs_matrix(2)
+
+    cm = charted(RowMap(rows), target_acs=TensorField.matrix(target, 2, name="J at image"))
+    _assert_same_first_error(cm, POINTS, NonFiniteError,
+                             f"field 'J at image' at {image} contains non-finite entries")
     with pytest.raises(NonFiniteError, match="map value"):
-        almost_complex_residual(charted(RowMap(rows)), LATER)
+        almost_complex_residual(cm, LATER)
 
 
 def test_target_structure_nan_at_a_middle_image_names_that_image():

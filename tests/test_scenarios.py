@@ -26,7 +26,7 @@ from symred.structures import (
 )
 from symred.geometry import sample_box
 
-from util import reference_eval_expr
+from util import TORUS_T2_TEXT, reference_eval_expr
 
 MINIMAL = """
 name = toy
@@ -284,6 +284,33 @@ def _count_functions(monkeypatch):
 
         monkeypatch.setitem(exprlang.FUNCTIONS, name, counted)
     return seen
+
+
+def _compiled_maps(text):
+    """(name, map, width) of every compiled map of a scenario: the matrix
+    fields, mu, the flow over (point, parameter) rows and the section."""
+    scen = compile_scenario(parse_scenario(text))
+    n, k, q = scen.chart_dim, scen.action.group_dim, scen.quotient_dim
+    maps = [(key, getattr(scen, key).func, n) for key in ("omega", "metric", "acs")]
+    maps += [("mu", scen.mu.field.func, n), ("flow", scen.action.flow, n + k),
+             ("section", scen.section, q)]
+    return [(name, f, width) for name, f, width in maps if f.tangents is not None]
+
+
+@pytest.mark.parametrize("text", [*(builtin_text(name) for name in builtin_names()),
+                                  TORUS_T2_TEXT], ids=[*builtin_names(), "torus_t2"])
+@pytest.mark.parametrize("count", [1, 20])
+def test_tangent_values_have_the_bits_of_rows(text, count):
+    # a derivative batch returns the values it computed on (N, 1) columns
+    # beside the derivatives, and every caller reads them in place of a run
+    # of rows on (N,) columns: they must be the same bits, signed zeros
+    # included
+    for name, f, width in _compiled_maps(text):
+        X = sample_box(width, count, radius=1.5, seed=width + count)
+        X[0, ::2] = -0.0
+        values, D = f.tangents(X, np.eye(width))
+        assert values.tobytes() == f.rows(X).tobytes(), name
+        assert D.shape == values.shape + (width,), name
 
 
 def test_flow_batch_calls_cos_and_sin_once_per_batch(monkeypatch):

@@ -284,7 +284,8 @@ def reference_central_difference(sample, h=FD_STEP):
 
 
 def reference_fd_jacobian(chart_map, p, *, step=FD_STEP):
-    """Column-by-column Jacobian, one ChartPoint per stencil sample."""
+    """Column-by-column Jacobian, one ChartPoint per stencil sample, after
+    the map's value at p itself, which the batched stencil reads first."""
     x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
     n = x.shape[0]
 
@@ -295,6 +296,7 @@ def reference_fd_jacobian(chart_map, p, *, step=FD_STEP):
             raise NonFiniteError("map value contains non-finite entries")
         return out
 
+    value(x)
     cols = []
     for i in range(n):
         e = np.zeros(n)
@@ -335,11 +337,14 @@ def reference_partials(field, p):
 
 def reference_fd_partials(field, p):
     """A field's partials at one point, one directional difference per
-    coordinate, stacked on the last axis: for a scalar field its gradient."""
+    coordinate, stacked on the last axis: for a scalar field its gradient.
+    The field's value at p itself comes first, as the batched stencil
+    reads it."""
     from symred.geometry import eval_field
 
     x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
     n = x.shape[0]
+    eval_field(field, ChartPoint(x))
     cols = []
     for i in range(n):
         e = np.zeros(n)
@@ -357,16 +362,18 @@ def reference_generator(action, xi_index, p):
     from symred.geometry import as_point
 
     if _has_exact_derivative(action.flow):
-        return generator(action, xi_index, as_point(p))
+        return generator(action, as_point(p))[:, xi_index]
     return reference_fd_generator(action, xi_index, p)
 
 
 def reference_fd_generator(action, xi_index, p):
-    """Generator of one algebra basis element, one flow call per sample."""
+    """Generator of one algebra basis element, one flow call per sample,
+    after the flow by the identity, which the batched stencil reads first."""
     from symred.actions import apply_flow
 
     direction = np.zeros(action.group_dim)
     direction[xi_index] = 1.0
+    apply_flow(action, np.zeros(action.group_dim), p)
     return reference_central_difference(
         lambda t: apply_flow(action, t * direction, p).coords)
 
@@ -438,7 +445,8 @@ def reference_split_tangent(scen, m):
     n, k = scen.chart_dim, scen.action.group_dim
     gap = _reference_level_gap(scen, point)
     if gap >= LEVEL_TOL:
-        raise NotOnLevelError(f"|mu(m) - beta| = {gap:.3e} exceeds {LEVEL_TOL:.1e}")
+        raise NotOnLevelError(f"{point} is off the level set: "
+                              f"|mu(m) - beta| = {gap:.3e} exceeds {LEVEL_TOL:.1e}")
     jmu = reference_partials(scen.mu.field, point)
     level = reference_kernel_basis(jmu, RANK_TOL)
     if level.shape[1] != n - k:
@@ -480,16 +488,13 @@ def reference_lift_frame(scen, x, a=None):
     array of the frame, and raises what the per-frame construction raised,
     in its order."""
     from symred.actions import apply_flow
-    from symred.errors import RankDeficientLiftError, SectionNotOnLevelError
+    from symred.errors import RankDeficientLiftError
     from symred.geometry import as_point, eval_field
-    from symred.reduction import LEVEL_TOL, RANK_TOL
+    from symred.reduction import RANK_TOL
 
     xq = as_point(x)
     m0 = scen.section_point(xq)
     m = m0 if a is None else apply_flow(scen.action, a, m0)
-    gap = _reference_level_gap(scen, m)
-    if gap >= LEVEL_TOL:
-        raise SectionNotOnLevelError(f"section lands off the level set: |mu - beta| = {gap:.3e}")
     frame = reference_split_tangent(scen, m)
     G, h_onb = frame["metric"], frame["horizontal"]
     frame["Om"] = eval_field(scen.omega, m)
