@@ -10,14 +10,15 @@ takes its quadrature rule over the group as an argument; for a torus,
 uniform rules.  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
 The momentum map mu: M -> g* is one vector field of shape (k,)
 (``MomentumMap.field``), compiled from one program over its k entries: its
-values at N points are one ``eval_field`` batch and its Jacobian one
-``fd_directional`` batch along the coordinate axes, for any k, so a
-failing stack raises its first failing row's error across all entries.
+values at N points are ``eval_field(mu.field, X)``, one batch, and its
+Jacobian one ``fd_directional`` batch along the coordinate axes, for any
+k, so a failing stack raises its first failing row's error across all
+entries.
 
-``apply_flow``, ``generator``, ``momentum_values`` and
-``momentum_jacobian`` take an (N, n) array of points, one point being a
-stack of one (``geometry.takes_points``), and evaluate all rows in one flow
-or derivative batch, as every check does, the k generators one (N, n, k)
+``apply_flow``, ``generator`` and ``momentum_jacobian`` take an (N, n)
+array of points, one point being a stack of one
+(``geometry.takes_points``), and evaluate all rows in one flow or
+derivative batch, as every check does, the k generators one (N, n, k)
 batch; ``pushforward_table`` builds the flow Jacobians and the moved
 points of all P * N (parameter, point) pairs in one derivative batch, and
 refuses a group parameter of another length than k or not finite, as
@@ -61,7 +62,6 @@ __all__ = [
     "generator",
     "PushforwardTable",
     "pushforward_table",
-    "momentum_values",
     "momentum_jacobian",
     "check_action_axioms",
     "check_isometry",
@@ -126,7 +126,7 @@ class MomentumMap:
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=float, ndmin=1)  # always a private copy
-        if self.field.arity != "vector" or self.field.shape != beta.shape:
+        if self.field.shape != beta.shape or beta.ndim != 1:
             raise ValueError(f"momentum map of shape {self.field.shape} "
                              f"but level vector of shape {beta.shape}")
         beta.flags.writeable = False
@@ -224,12 +224,6 @@ def generator(action: GroupAction, X) -> np.ndarray:
     if V.shape[1] != n:
         raise ValueError(f"generator length {V.shape[1:-1]} does not match chart dimension {n}")
     return _require_finite(V, "generator")
-
-
-def momentum_values(mu: MomentumMap, p) -> np.ndarray:
-    """The k values of mu at p, or the (N, k) values at each row of an
-    (N, n) array of points, from one batch."""
-    return eval_field(mu.field, p)
 
 
 @takes_points(1)

@@ -168,7 +168,7 @@ def _suite_holomorphy(tol, seed, samples):
     j2 = standard_acs(2)
     equivalence_flags = []
     for name, func, holomorphic in _REFERENCE_MAPS:
-        cm = ChartedMap(2, 2, func, j2, j2)
+        cm = ChartedMap(func, j2, j2)
         acm = almost_complex_residual(cm, X)
         cr = cauchy_riemann_residual(cm, X)
         if holomorphic:

@@ -65,6 +65,7 @@ radius of U^(1/q), so its cost is linear in the dimension q.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -155,7 +156,8 @@ class ChartPoint:
         return self.dim
 
     def __repr__(self) -> str:
-        return f"ChartPoint({np.array2string(self.coords, separator=', ')})"
+        text = np.array2string(self.coords, separator=", ", max_line_width=sys.maxsize)
+        return f"ChartPoint({text})"
 
 
 def _first_row(value):
@@ -231,55 +233,46 @@ def as_row_map(f) -> RowMap:
     return f if isinstance(f, RowMap) else RowMap.per_row(lambda x: f(ChartPoint(x)))
 
 
-ARITIES = ("scalar", "vector", "matrix")
-
-
 @dataclass(frozen=True, eq=False)
 class TensorField:
     """Evaluable scalar-, vector- or matrix-valued field over one chart.
 
     ``func`` is a pure, deterministic map of the chart point, held as a
     RowMap (a per-point callable is wrapped on construction); its output
-    shape must be constant over the chart.  Instances hold metric,
-    symplectic, almost-complex, endomorphism and momentum-map fields.
+    shape must be constant over the chart, and its rank ``len(shape)`` at
+    most 2.  Instances hold metric, symplectic, almost-complex,
+    endomorphism and momentum-map fields.
     """
 
-    arity: str
     shape: tuple[int, ...]
     func: RowMap  # given as a RowMap or as a ChartPoint -> value callable
     name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "func", as_row_map(self.func))
-        if self.arity not in ARITIES:
-            raise ValueError(f"arity must be one of {ARITIES}, got {self.arity!r}")
-        expected = {"scalar": 0, "vector": 1, "matrix": 2}[self.arity]
-        if len(self.shape) != expected:
-            raise ValueError(f"{self.arity} field cannot have shape {self.shape}")
+        if len(self.shape) > 2:
+            raise ValueError(f"field must be of rank <= 2, got shape {self.shape}")
 
     @staticmethod
     def scalar(func, name: str = "") -> "TensorField":
-        return TensorField("scalar", (), func, name)
+        return TensorField((), func, name)
 
     @staticmethod
     def vector(func, dim: int, name: str = "") -> "TensorField":
-        return TensorField("vector", (dim,), func, name)
+        return TensorField((dim,), func, name)
 
     @staticmethod
     def matrix(func, n: int, m: int | None = None, name: str = "") -> "TensorField":
-        return TensorField("matrix", (n, m if m is not None else n), func, name)
+        return TensorField((n, m if m is not None else n), func, name)
 
     @staticmethod
     def constant(value, name: str = "") -> "TensorField":
         arr = np.asarray(value, dtype=float)
         arr.flags.writeable = False
-        arity = ARITIES[arr.ndim] if arr.ndim <= 2 else None
-        if arity is None:
-            raise ValueError(f"constant field must be rank <= 2, got shape {arr.shape}")
         def rows(X):
             return arr[np.newaxis].repeat(len(X), axis=0)
 
-        return TensorField(arity, arr.shape, RowMap(
+        return TensorField(arr.shape, RowMap(
             rows, lambda X, seeds: (rows(X), np.zeros((len(X), *arr.shape, seeds.shape[1])))),
             name)
 

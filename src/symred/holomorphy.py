@@ -42,28 +42,25 @@ STANDARD_J_TOL = 1e-10
 @dataclass(frozen=True, eq=False)
 class ChartedMap:
     """A smooth map between two even-dimensional charts, each carrying an
-    almost complex structure field.
+    almost complex structure field, whose square shape gives the chart's
+    dimension.
 
     ``chart_map`` is held as a RowMap (a per-point callable is wrapped on
     construction): a compiled map's Jacobian is exact, and any other's
     difference stencil is one row batch.
     """
 
-    source_dim: int
-    target_dim: int
     chart_map: RowMap  # given as a RowMap or as a ChartPoint -> point callable
     source_acs: TensorField
     target_acs: TensorField
 
     def __post_init__(self):
         object.__setattr__(self, "chart_map", as_row_map(self.chart_map))
-        for label, dim in (("source", self.source_dim), ("target", self.target_dim)):
-            if dim % 2 != 0:
-                raise OddDimensionError(f"{label} dimension {dim} is odd")
-        if self.source_acs.shape != (self.source_dim, self.source_dim):
-            raise ValueError("source acs shape does not match the source dimension")
-        if self.target_acs.shape != (self.target_dim, self.target_dim):
-            raise ValueError("target acs shape does not match the target dimension")
+        for label, acs in (("source", self.source_acs), ("target", self.target_acs)):
+            if len(acs.shape) != 2 or acs.shape[0] != acs.shape[1]:
+                raise ValueError(f"{label} acs must be square, got shape {acs.shape}")
+            if acs.shape[0] % 2 != 0:
+                raise OddDimensionError(f"{label} dimension {acs.shape[0]} is odd")
 
 
 def _target_acs(cm: ChartedMap, X: np.ndarray) -> np.ndarray:
@@ -78,13 +75,14 @@ def almost_complex_residual(cm: ChartedMap, X):
     """Frobenius norm of D J1(p) - J2(phi(p)) D with D the map differential,
     at every row p of the (N, 2n) array X.
 
-    The (N,) residuals come from one stacked Jacobian and one evaluation of
-    each structure, each residual the bits of the call on its point alone.
+    The (N,) residuals come from one evaluation of each structure, the
+    target's at the images read before one stacked Jacobian as in
+    ``cauchy_riemann_residual``, each the bits of the call on its point alone.
     """
     def residuals(X, rows):
-        D = fd_jacobian(cm.chart_map, X)
         J1 = eval_field(cm.source_acs, X)
         J2 = _target_acs(cm, X)
+        D = fd_jacobian(cm.chart_map, X)
         return _row_norms((D @ J1 - J2 @ D).reshape(len(X), -1))
 
     return _replayed(residuals, X)
@@ -101,8 +99,8 @@ def cauchy_riemann_residual(cm: ChartedMap, X):
     vanishes exactly when the almost-complex-mapping residual does.  X is
     an (N, 2n) array of points, as for ``almost_complex_residual``.
     """
-    J1_std = standard_acs_matrix(cm.source_dim)
-    J2_std = standard_acs_matrix(cm.target_dim)
+    J1_std = standard_acs_matrix(cm.source_acs.shape[0])
+    J2_std = standard_acs_matrix(cm.target_acs.shape[0])
 
     def residuals(X, rows):
         if (_row_max_abs(eval_field(cm.source_acs, X) - J1_std) > STANDARD_J_TOL).any():

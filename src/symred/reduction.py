@@ -1,7 +1,8 @@
 """Level sets of the momentum map, vertical/horizontal splitting, the
 reduced symplectic form and metric through horizontal lifts, the candidate
 reduced almost complex structure, and the verification pipelines for the
-submersion, the pullback identity and the main equivalence.
+submersion, the pullback identity and the main equivalence.  A scenario's
+chart dimension is omega's, and a point of its section is ``scen.section(x)``.
 
 Every subspace is held as a matrix whose columns span it, and all three
 reduced objects at a quotient point come from one lift frame
@@ -137,14 +138,14 @@ class ReductionScenario:
     """One reduction instance: ambient structures, group action, momentum map
     with its level, and a local section of the quotient projection, a
     RowMap from quotient chart points to the level set (a per-point callable
-    is wrapped on construction; ``section_point`` maps one point).
+    is wrapped on construction).
 
-    The action is free and abelian, so the quotient has dimension
-    ``chart_dim - 2 * k``.  ValueError is raised when mu has other than k
-    components or omega, the metric or J is not ``chart_dim`` square."""
+    The chart dimension n is omega's, and the action is free and abelian,
+    so the quotient has dimension ``n - 2 * k``.  ValueError is raised when
+    mu has other than k components, omega is not square, or the metric or
+    J has another shape than omega."""
 
     name: str
-    chart_dim: int
     omega: TensorField
     metric: TensorField
     acs: TensorField
@@ -156,22 +157,25 @@ class ReductionScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "section", as_row_map(self.section))
-        n, k = self.chart_dim, self.action.group_dim
+        k, shape = self.action.group_dim, self.omega.shape
         if self.mu.group_dim != k:
             raise ValueError(f"scenario {self.name!r}: momentum map has {self.mu.group_dim} "
                              f"components for a group of dimension {k}")
-        for key in ("omega", "metric", "acs"):
-            shape = getattr(self, key).shape
-            if shape != (n, n):
-                raise ValueError(f"scenario {self.name!r}: {key} has shape {shape}, "
-                                 f"expected {(n, n)}")
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"scenario {self.name!r}: omega has shape {shape}, "
+                             "expected a square matrix")
+        for key in ("metric", "acs"):
+            if getattr(self, key).shape != shape:
+                raise ValueError(f"scenario {self.name!r}: {key} has shape "
+                                 f"{getattr(self, key).shape}, expected omega's {shape}")
+
+    @property
+    def chart_dim(self) -> int:
+        return self.omega.shape[0]
 
     @property
     def quotient_dim(self) -> int:
         return self.chart_dim - 2 * self.action.group_dim
-
-    def section_point(self, x) -> ChartPoint:
-        return ChartPoint(self.section(x))
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,19 +155,19 @@ def check_to_dict(check: StructureCheckResult) -> dict:
         "identity": check.identity,
         "max_residual": _jsonable(float(check.max_residual)),
         "tolerance": _jsonable(float(check.tolerance)),
-        "passed": bool(check.passed),
+        "passed": check.passed,
         "worst_point": None if check.worst_point is None else list(check.worst_point.coords),
         "extras": _jsonable(check.extras),
     }
 
 
 def check_from_dict(d: dict) -> StructureCheckResult:
+    """The check ``d`` describes, judged again: its ``"passed"`` is not read."""
     worst = d.get("worst_point")
     return StructureCheckResult(
         name=d["name"],
         max_residual=float(d["max_residual"]),
         tolerance=float(d["tolerance"]),
-        passed=bool(d["passed"]),
         worst_point=None if worst is None else ChartPoint(worst),
         identity=d.get("identity", ""),
         extras=dict(d.get("extras", {})),
@@ -249,7 +250,9 @@ class VerificationReport:
                        f"  {status}   [{c.identity}]")
                 lines.append(row)
                 if not c.passed and c.worst_point is not None:
-                    lines.append(f"{pad}    worst point: {np.array2string(c.worst_point.coords, precision=6)}")
+                    coords = np.array2string(c.worst_point.coords, precision=6,
+                                             max_line_width=sys.maxsize)
+                    lines.append(f"{pad}    worst point: {coords}")
             for child in report.children:
                 emit(child, depth + 1)
 

@@ -20,7 +20,7 @@ from .actions import GroupAction, MomentumMap
 from .errors import NonFiniteError, UnknownIdentifierError, UnknownScenarioError, ValidationError
 from .exprlang import (Expr, ExprParser, Program, compile_exprs, eval_expr, token_positions,
                        tokenize)
-from .geometry import ARITIES, RowMap, TensorField
+from .geometry import RowMap, TensorField
 from .reduction import ReductionScenario, SampleSpec
 from .structures import DEFAULT_TOLERANCES, build_compatible_triple, check_tolerance
 
@@ -360,14 +360,13 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
 
     def field(key: str, shape: tuple) -> TensorField:
         name = f"{sf.name} {key}"
-        return TensorField(ARITIES[len(shape)], shape, _row_map(programs[key], shape, name), name)
+        return TensorField(shape, _row_map(programs[key], shape, name), name)
 
     omega, metric = field("omega", (dim, dim)), field("metric", (dim, dim))
     acs = (field("acs", (dim, dim)) if sf.acs is not None
            else build_compatible_triple(omega, metric).acs)
     return ReductionScenario(
         name=sf.name,
-        chart_dim=dim,
         omega=omega,
         metric=metric,
         acs=acs,

@@ -101,30 +101,32 @@ def check_tolerance(name: str, value: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StructureCheckResult:
-    """Outcome of one sampled check: worst residual against a tolerance."""
+    """Outcome of one sampled check: worst residual against a tolerance,
+    passed iff within it, so a NaN residual fails."""
 
     name: str
     max_residual: float
     tolerance: float
-    passed: bool
     worst_point: ChartPoint | None
     identity: str = ""
     extras: dict = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_residual <= self.tolerance)
+
     @staticmethod
     def from_samples(name, residuals, points, tolerance, identity="", extras=None):
-        """Aggregate per-point residuals; passed iff the max is within tolerance.
+        """Aggregate per-point residuals into their max and its point.
         ``points`` is an (N, d) array or a sequence; only the worst is made a ChartPoint.
         No residuals would pass vacuously, so they raise ValueError."""
         residuals = np.asarray(residuals, dtype=float).reshape(-1)
         if not len(residuals):
             raise ValueError(f"{name}: no residuals to check")
         worst = int(np.argmax(residuals))
-        max_res = float(residuals[worst])
         worst_point = as_point(points[worst]) if worst < len(points) else None
         return StructureCheckResult(
-            name, max_res, tolerance, max_res <= tolerance, worst_point, identity, extras or {}
-        )
+            name, float(residuals[worst]), tolerance, worst_point, identity, extras or {})
 
 
 @dataclass(frozen=True, eq=False)

@@ -209,13 +209,13 @@ def test_criterion_09_holomorphy_battery():
     worst_holo = 0.0
     equiv_ok = True
     for func in (square, exp_map, reciprocal):
-        cm = ChartedMap(2, 2, func, j2, j2)
+        cm = ChartedMap(func, j2, j2)
         for p in points:
             acm = almost_complex_residual(cm, p)
             cr = cauchy_riemann_residual(cm, p)
             worst_holo = max(worst_holo, acm)
             equiv_ok = equiv_ok and (acm <= 0.1) == (cr <= 0.1)
-    conj = ChartedMap(2, 2, conjugate, j2, j2)
+    conj = ChartedMap(conjugate, j2, j2)
     conj_gap = max(abs(almost_complex_residual(conj, p) - 2.0 * np.sqrt(2.0)) for p in points)
     for p in points:
         acm = almost_complex_residual(conj, p)

@@ -919,7 +919,7 @@ def test_per_point_maps_get_a_chart_point_of_each_row(monkeypatch):
     field = TensorField.matrix(lambda p: seen.append(p) or np.eye(4), 4)
     rotation = planar_rotation_action()
     flow = GroupAction(1, lambda a, p: seen.append(p) or apply_flow(rotation, a, p))
-    scen = dataclasses.replace(hopf, section=lambda x: seen.append(x) or hopf.section_point(x))
+    scen = dataclasses.replace(hopf, section=lambda x: seen.append(x) or hopf.section(x))
     point, plane = ChartPoint([0.3, -0.2, 0.5, 0.1]), ChartPoint([0.3, -0.2])
     X = np.array([[0.3, -0.2, 0.5, 0.1], [1.0, 0.0, -0.4, 0.2], [0.0, 0.7, 0.1, -0.3]])
     built = _count_chart_points(monkeypatch)
@@ -937,9 +937,9 @@ def test_per_point_maps_get_a_chart_point_of_each_row(monkeypatch):
     moved, coords = rows_seen(apply_flow, flow, [0.4], plane)
     assert coords == [plane.coords.tobytes()]
     assert moved.coords.tobytes() == apply_flow(rotation, [0.4], plane).coords.tobytes()
-    moved, coords = rows_seen(scen.section_point, plane)
+    moved, coords = rows_seen(lambda x: ChartPoint(scen.section(x)), plane)
     assert coords == [plane.coords.tobytes()]
-    assert moved.coords.tobytes() == hopf.section_point(plane).coords.tobytes()
+    assert moved.coords.tobytes() == hopf.section(plane).tobytes()
 
 
 def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeypatch):
@@ -973,3 +973,30 @@ def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeyp
         assert counts["per-point acs"] - counts["hopf"] == frames + ambient
         # the worst point of each check, and nothing more
         assert counts[str(path)] == counts["hopf"] == len(list(report.all_checks())) == 25
+
+
+def test_points_print_on_one_line(tmp_path, capsys):
+    # numpy's 75-column default once split the 8 coordinates of a torus
+    # point in an error, and any point of more than about six in a report
+    from report_sweep import write_scenarios
+
+    *_, failing = write_scenarios(str(tmp_path))
+    torus = next(path for path in failing if path.endswith("torus_degenerate.scen"))
+    assert main(["verify", torus, "--suites", "reduction"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: generators are degenerate at ")
+    assert len(err[err.index("ChartPoint("):err.index(")")].split(",")) == 8
+    wide = ChartPoint(np.linspace(-1.0, 1.0, 16) + 1e-3)
+    assert "\n" not in repr(wide) and len(repr(wide).split(",")) == 16
+    failing_check = structures.StructureCheckResult("wide", 1.0, 1e-8, wide)
+    text = VerificationReport("r", checks=[failing_check]).format_text()
+    worst = [line for line in text.splitlines() if "worst point:" in line]
+    assert len(worst) == 1 and len(worst[0].split(":")[1].strip(" []").split()) == 16
+    # four coordinates print as they always did
+    four = ChartPoint([-1.2345678912345, 0.5, 3.0e-5, 2.0])
+    assert repr(four) == ("ChartPoint([-1.23456789e+00,  5.00000000e-01,  "
+                          "3.00000000e-05,  2.00000000e+00])")
+    assert repr(ChartPoint([0.1, -0.7, 0.4, 0.5])) == "ChartPoint([ 0.1, -0.7,  0.4,  0.5])"
+    text = VerificationReport("r", checks=[
+        structures.StructureCheckResult("four", 1.0, 1e-8, four)]).format_text()
+    assert "    worst point: [-1.234568e+00  5.000000e-01  3.000000e-05  2.000000e+00]\n" in text

@@ -24,7 +24,6 @@ from symred.actions import (
     generator,
     momentum_jacobian,
     momentum_residual,
-    momentum_values,
     pushforward_table,
 )
 from symred.cli import main
@@ -455,7 +454,7 @@ def _opaque_flow_hopf(fails):
     def flow(a, p):
         for i, j, xs in fails:
             if a[0] == FIBER_PARAMS[j] and np.max(np.abs(
-                    p.coords - hopf.section_point(xs[i]).coords)) < 1e-3:
+                    p.coords - hopf.section(xs[i]))) < 1e-3:
                 raise NonFiniteError(f"flow fails near point {i} for fibre parameter {j}")
         return ChartPoint(flow_rows(np.concatenate([p.coords, a])[np.newaxis])[0])
 
@@ -515,7 +514,7 @@ def _on_no_points():
     hopf = builtin("hopf")
     X, Q = np.zeros((0, 4)), np.zeros((0, 2))
     j2 = TensorField.constant(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    plane_map = ChartedMap(2, 2, RowMap(lambda Y: Y * Y), j2, j2)
+    plane_map = ChartedMap(RowMap(lambda Y: Y * Y), j2, j2)
     shift = GroupAction(1, lambda a, p: p.coords + a[0])
 
     def table(points=X):
@@ -529,7 +528,7 @@ def _on_no_points():
         "fd_directional": lambda: fd_directional(hopf.metric, X, np.ones(4)),
         "apply_flow": lambda: apply_flow(hopf.action, [0.3], X),
         "generator": lambda: generator(hopf.action, X),
-        "momentum_values": lambda: momentum_values(hopf.mu, X),
+        "eval_field of mu": lambda: eval_field(hopf.mu.field, X),
         "momentum_jacobian": lambda: momentum_jacobian(hopf.mu, X),
         "pushforward_table": table,
         "pushforward_table per-point": lambda: pushforward_table(shift, [0.3], np.zeros((0, 2))),

@@ -57,6 +57,17 @@ def test_eval_constant_identity_field():
     np.testing.assert_array_equal(eval_field(field, [0.4, -1.0, 2.0]), np.eye(3))
 
 
+def test_a_field_of_rank_above_two_is_refused():
+    # a field's rank is the length of its shape, stated nowhere else
+    assert [len(TensorField.constant(np.ones(s)).shape) for s in ((), (2,), (2, 2))] == [0, 1, 2]
+    for make in (lambda: TensorField((2, 2, 2), lambda p: np.zeros((2, 2, 2))),
+                 lambda: TensorField.constant(np.zeros((2, 2, 2)))):
+        with pytest.raises(ValueError, match=r"^field must be of rank <= 2, got shape \(2, 2, 2"):
+            make()
+    with pytest.raises(TypeError):
+        TensorField(arity="matrix", shape=(2, 2), func=lambda p: np.eye(2))
+
+
 def test_eval_coordinate_dependent_field():
     field = TensorField.matrix(lambda p: np.diag([p.coords[0] ** 2, 1.0]), 2)
     np.testing.assert_allclose(eval_field(field, [2.0, 0.0]), np.diag([4.0, 1.0]))

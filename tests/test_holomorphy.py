@@ -27,7 +27,7 @@ J2 = standard_acs(2)
 
 
 def charted(func, source_acs=J2, target_acs=J2):
-    return ChartedMap(2, 2, func, source_acs, target_acs)
+    return ChartedMap(func, source_acs, target_acs)
 
 
 def square(p):
@@ -92,13 +92,23 @@ def test_cauchy_riemann_requires_standard_structures():
 
 
 def test_charted_map_rejects_odd_dimensions():
-    with pytest.raises(OddDimensionError):
-        ChartedMap(3, 2, lambda p: p, J2, J2)
+    with pytest.raises(OddDimensionError, match="^source dimension 3 is odd$"):
+        ChartedMap(lambda p: p, TensorField.constant(np.eye(3)), J2)
+
+
+def test_charted_map_dimensions_are_its_structures_sizes():
+    # the dimensions are read off the structures, so none can disagree with them
+    with pytest.raises(TypeError):
+        ChartedMap(2, 2, lambda p: p, J2, J2)
+    with pytest.raises(ValueError, match=r"^target acs must be square, got shape \(2, 4\)$"):
+        ChartedMap(lambda p: p, J2, TensorField.matrix(lambda p: np.zeros((2, 4)), 2, 4))
+    with pytest.raises(ValueError, match=r"^source acs must be square, got shape \(2,\)$"):
+        ChartedMap(lambda p: p, TensorField.constant([1.0, 0.0]), J2)
 
 
 def test_equivalence_of_residuals():
     # with standard structures both residuals vanish together; the norms
-    # differ by at most 2 sqrt(source_dim)
+    # differ by at most 2 sqrt(n), n the source dimension
     maps = [square, conjugate, exp_map, lambda p: p]
     for func in maps:
         for p in sample_box(2, 6, radius=1.2, seed=18):
@@ -136,11 +146,14 @@ def test_charted_map_holds_a_row_map():
         assert cauchy_riemann_residual(charted(rows), p) == cauchy_riemann_residual(cm, p)
 
 
-def test_overflowing_map_fails_as_a_map_value():
+def test_overflowing_map_fails_as_its_image():
+    # both residuals read the image before the Jacobian, so an overflowing
+    # image fails in each as the chart point it would be, not as a map value
     blowup = charted(lambda p: np.array([np.exp(1e3 * p.coords[0]), p.coords[1]]))
-    with np.errstate(over="ignore"), pytest.raises(
-            NonFiniteError, match="map value contains non-finite entries"):
-        almost_complex_residual(blowup, ChartPoint([0.9, 0.0]))
+    for residual in (almost_complex_residual, cauchy_riemann_residual):
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="^chart point contains non-finite entries$"):
+            residual(blowup, ChartPoint([0.9, 0.0]))
 
 
 def _coords(points):
@@ -170,7 +183,7 @@ def test_reference_maps_match_per_point_residuals(seed, samples):
     # the suite's maps at the suite's sample points
     points = sample_box(2, samples, radius=1.5, seed=seed + 2)
     for name, func, _ in cli._REFERENCE_MAPS:
-        _assert_matches_references(ChartedMap(2, 2, func, J2, J2), points)
+        _assert_matches_references(ChartedMap(func, J2, J2), points)
 
 
 def test_per_point_maps_match_per_point_residuals():
@@ -202,7 +215,7 @@ def test_four_dimensional_maps_match_per_point_residuals(func, target_dim):
     # two source planes, and two target planes but for the product: the
     # Cauchy-Riemann defects read every (target plane, source plane) block
     # of the Jacobian stack
-    cm = ChartedMap(4, target_dim, func, standard_acs(4), standard_acs(target_dim))
+    cm = ChartedMap(func, standard_acs(4), standard_acs(target_dim))
     _assert_matches_references(cm, sample_box(4, 20, radius=1.2, seed=11))
 
 
@@ -214,7 +227,7 @@ def test_point_dependent_target_structure_matches_per_point_residual():
         return A @ standard_acs_matrix(4) @ np.linalg.inv(A)
 
     target = TensorField.matrix(conjugated, 4, name="sheared J")
-    cm = ChartedMap(4, 4, _plane_mixing, standard_acs(4), target)
+    cm = ChartedMap(_plane_mixing, standard_acs(4), target)
     points = sample_box(4, 20, radius=1.2, seed=12)
     want = np.array([reference_almost_complex_residual(cm, p) for p in points])
     assert almost_complex_residual(cm, _coords(points)).tobytes() == want.tobytes()
@@ -231,13 +244,12 @@ def _first_error(cm, points, reference):
     raise AssertionError("no point fails")
 
 
-def _assert_same_first_error(cm, points, kind, message, cr_message=None):
-    """Both residuals and their per-point references raise ``message``, or
-    the Cauchy-Riemann pair ``cr_message`` if given."""
+def _assert_same_first_error(cm, points, kind, message):
+    """Both residuals and their per-point references raise ``message``."""
     X = _coords(points)
-    for stacked, reference, message in (
-            (almost_complex_residual, reference_almost_complex_residual, message),
-            (cauchy_riemann_residual, reference_cauchy_riemann_residual, cr_message or message)):
+    for stacked, reference in (
+            (almost_complex_residual, reference_almost_complex_residual),
+            (cauchy_riemann_residual, reference_cauchy_riemann_residual)):
         assert _first_error(cm, points, reference) == (kind, message)
         with pytest.raises(kind) as caught:
             stacked(cm, X)
@@ -253,18 +265,15 @@ def _square_rows(X):
 
 
 def test_map_nan_at_a_middle_sample_fails_as_its_chart_point():
-    # the stencil around the sample is finite, its image is not: the
-    # Cauchy-Riemann residual reads the image before the Jacobian and fails
-    # on it as a chart point, while the Jacobian batch of the
-    # almost-complex-mapping residual reads the map at the sample itself
-    # with its stencil and fails on it as a map value
+    # the stencil around the sample is finite, its image is not: both
+    # residuals read the image before the Jacobian and fail on it as a chart
+    # point, one fault named one way
     def rows(X):
         at_middle = (X == MIDDLE).all(axis=1)[:, np.newaxis]
         return np.where(at_middle, np.nan, _square_rows(X))
 
     _assert_same_first_error(charted(RowMap(rows)), POINTS, NonFiniteError,
-                             "map value contains non-finite entries",
-                             cr_message="chart point contains non-finite entries")
+                             "chart point contains non-finite entries")
 
 
 def test_first_failing_sample_raises_though_a_later_stencil_fails_first_in_the_batch():

@@ -87,7 +87,6 @@ def test_split_tangent_rejects_critical_level():
 def test_split_tangent_rejects_frozen_action():
     frozen = ReductionScenario(
         name="frozen",
-        chart_dim=4,
         omega=standard_symplectic(4),
         metric=euclidean_metric(4),
         acs=standard_acs(4),
@@ -117,7 +116,7 @@ def test_split_tangent_at_former_hopf_crash_point():
     # vectors once left a third residual of 8.2e-8 above an absolute 1e-8
     # cut, giving a 3-dimensional horizontal space
     x = ChartPoint([-0.00010870536552598509, 0.976389917130593])
-    m = HOPF.section_point(x)
+    m = ChartPoint(HOPF.section(x))
     for a in (None, 0.0, np.pi):
         p = m if a is None else apply_flow(HOPF.action, np.array([a]), m)
         assert_split_matches_oracle(HOPF, p)
@@ -127,13 +126,13 @@ def test_split_tangent_matches_oracle_for_nonflat_metric():
     # G is not the identity here, so g-orthogonality is really exercised
     scen = builtin("noninvariant_metric_hopf")
     for x in quotient_points(scen, 6, seed=3):
-        assert_split_matches_oracle(scen, scen.section_point(x))
+        assert_split_matches_oracle(scen, scen.section(x))
 
 
 def test_split_tangent_matches_oracle_in_dimension_16():
     scen = builtin("euclidean_r2n", planes=8)
     for x in quotient_points(scen, 3, seed=44):
-        assert_split_matches_oracle(scen, scen.section_point(x))
+        assert_split_matches_oracle(scen, scen.section(x))
 
 
 def test_vertical_ad_invariance():
@@ -260,7 +259,6 @@ def test_reduced_structures_invariants_on_samples():
 def test_section_must_land_on_level():
     broken = ReductionScenario(
         name="off-level",
-        chart_dim=4,
         omega=HOPF.omega,
         metric=HOPF.metric,
         acs=HOPF.acs,
@@ -278,7 +276,6 @@ def test_rank_deficient_lift_detected():
     # one direction, so the lift frame cannot invert d pi on H
     degenerate = ReductionScenario(
         name="degenerate-section",
-        chart_dim=4,
         omega=LINEAR.omega,
         metric=LINEAR.metric,
         acs=LINEAR.acs,
@@ -299,7 +296,6 @@ def test_vertical_leak_warning_for_tilted_acs():
     tilted = TensorField.constant(R @ standard_acs_matrix(4) @ R.T)
     scen = ReductionScenario(
         name="tilted",
-        chart_dim=4,
         omega=LINEAR.omega,
         metric=LINEAR.metric,
         acs=tilted,
@@ -329,7 +325,7 @@ def test_all_reduced_objects_fiber_independent():
         for a in FIBER_PARAMS:
             moved = reduced_structures(dataclasses.replace(
                 HOPF, section=lambda q, _a=a: apply_flow(HOPF.action, [_a],
-                                                         HOPF.section_point(q))), x)
+                                                         HOPF.section(q))), x)
             for name in ("h_beta", "omega_beta", "j_beta"):
                 assert np.max(np.abs(getattr(base, name) - getattr(moved, name))) < 1e-6
 
@@ -461,7 +457,6 @@ def test_quotient_dim_is_derived():
     with pytest.raises(TypeError, match="quotient_dim"):
         ReductionScenario(
             name="odd-counting",
-            chart_dim=4,
             omega=HOPF.omega,
             metric=HOPF.metric,
             acs=HOPF.acs,
@@ -472,14 +467,34 @@ def test_quotient_dim_is_derived():
         )
 
 
+def test_chart_dim_is_omegas():
+    # the chart dimension is read off omega, so it cannot be stated beside it
+    assert HOPF.chart_dim == HOPF.omega.shape[0] == 4
+    with pytest.raises(TypeError, match="chart_dim"):
+        ReductionScenario(
+            name="restated",
+            chart_dim=4,
+            omega=HOPF.omega,
+            metric=HOPF.metric,
+            acs=HOPF.acs,
+            action=HOPF.action,
+            mu=HOPF.mu,
+            section=HOPF.section,
+        )
+
+
 @pytest.mark.parametrize("change, message", [
     ({"mu": MomentumMap(TensorField.vector(lambda p: np.repeat(HOPF.mu.field(p), 2), 2),
                         [0.5, 0.5])},
      "momentum map has 2 components for a group of dimension 1"),
-    ({"omega": standard_symplectic(2)}, r"omega has shape \(2, 2\), expected \(4, 4\)"),
-    ({"metric": euclidean_metric(6)}, r"metric has shape \(6, 6\)"),
-    ({"acs": standard_acs(2)}, r"acs has shape \(2, 2\)"),
-], ids=["mu", "omega", "metric", "acs"])
+    ({"omega": standard_symplectic(2)}, r"metric has shape \(4, 4\), expected omega's \(2, 2\)"),
+    ({"metric": euclidean_metric(6)}, r"metric has shape \(6, 6\), expected omega's \(4, 4\)"),
+    ({"acs": standard_acs(2)}, r"acs has shape \(2, 2\), expected omega's \(4, 4\)"),
+    ({"omega": TensorField.matrix(lambda p: np.zeros((4, 2)), 4, 2)},
+     r"omega has shape \(4, 2\), expected a square matrix"),
+    ({"omega": TensorField.vector(lambda p: p.coords, 4)},
+     r"omega has shape \(4,\), expected a square matrix"),
+], ids=["mu", "omega", "metric", "acs", "non-square omega", "vector omega"])
 def test_scenario_rejects_mismatched_dimensions(change, message):
     # a second momentum component once passed unread: only component 0 was
     # checked against the one generator

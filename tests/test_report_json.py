@@ -55,10 +55,42 @@ def test_dense_and_file_reports_match_the_oracle(tmp_path):
     assert not report.passed  # the double-speed witness fails checks
 
 
+def _tamper(node: dict, name: str) -> bool:
+    """Mark the check ``name`` and every node above it passed, in place;
+    whether the check is in ``node``."""
+    found = any(c["name"] == name for c in node["checks"]) or \
+        any([_tamper(child, name) for child in node["children"]])
+    if found:
+        node["passed"] = True
+        for c in node["checks"]:
+            c["passed"] = c["passed"] or c["name"] == name
+    return found
+
+
+def test_a_tampered_pass_is_judged_again_on_reading():
+    # a pullback identity residual of 2.7e-15 fails a tolerance of 1e-16; a
+    # report edited to say that check passed reads back as FAIL at the
+    # check, at its suite and at the root, and writes "passed": false again
+    report, code = run(RunConfig("hopf", samples=20, seed=0, format="json",
+                                 tolerances={"reduction.identity": 1e-16}))
+    assert code == 1
+    data = json.loads(report.to_json())
+    assert _tamper(data, "pullback identity")
+    tampered = json.dumps(data, indent=2, sort_keys=True)
+    assert '"passed": false' not in tampered
+    back = VerificationReport.from_json(tampered)
+    check = back.find("pullback identity")
+    assert check.max_residual > check.tolerance == 1e-16 and not check.passed
+    assert [c.name for _, c in back.all_checks() if not c.passed] == ["pullback identity"]
+    suite = next(child for child in back.children if child.name == "reduction")
+    assert not suite.passed and not back.passed
+    assert back.format_text().endswith("overall: FAIL")
+    assert back.to_json() == report.to_json()
+
+
 def _check(name, residual, tolerance=1e-8, **kwargs):
     return StructureCheckResult(name=name, max_residual=residual, tolerance=tolerance,
-                                passed=residual <= tolerance, worst_point=kwargs.pop("point", None),
-                                **kwargs)
+                                worst_point=kwargs.pop("point", None), **kwargs)
 
 
 def test_synthetic_report_matches_the_oracle():

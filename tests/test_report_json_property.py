@@ -3,6 +3,8 @@ sort_keys=True, allow_nan=False) on random trees of the values a report may
 hold (hypothesis is a test-only dependency; the module is skipped without
 it)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from symred.geometry import ChartPoint  # noqa: E402
-from symred.report import VerificationReport  # noqa: E402
+from symred.report import VerificationReport, check_from_dict, check_to_dict  # noqa: E402
+from symred.structures import StructureCheckResult  # noqa: E402
 
 from test_report_json import _check, assert_matches_oracle  # noqa: E402
 
@@ -39,3 +42,23 @@ def test_random_trees_match_the_oracle(meta, extras, name, residual):
         name, checks=[_check(name, residual, extras=extras)],
         children=[VerificationReport(name, meta={"m": meta})], meta={"m": meta})
     assert_matches_oracle(report)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(residuals=st.lists(st.floats(), min_size=1, max_size=5),
+                  tolerance=st.floats(), claimed=st.booleans())
+@hypothesis.example(residuals=[0.0, math.nan], tolerance=1.0, claimed=True)
+@hypothesis.example(residuals=[math.inf], tolerance=math.inf, claimed=False)
+@hypothesis.example(residuals=[-math.inf], tolerance=-math.inf, claimed=False)
+@hypothesis.example(residuals=[1.0], tolerance=math.nan, claimed=True)
+def test_a_check_passes_iff_its_residual_is_within_its_tolerance(residuals, tolerance, claimed):
+    # the oracle: every residual within the tolerance, a NaN in neither; a
+    # check read back from its dict is judged again, whatever "passed" says
+    want = all(r <= tolerance for r in residuals)
+    check = StructureCheckResult.from_samples("c", residuals, np.zeros((len(residuals), 2)),
+                                              tolerance)
+    assert check.passed == (check.max_residual <= check.tolerance) == want
+    d = check_to_dict(check)
+    d["passed"] = claimed
+    back = check_from_dict(d)
+    assert back.passed == (back.max_residual <= back.tolerance) == want

@@ -161,7 +161,7 @@ def test_builtin_names_and_unknown():
 def test_builtin_hopf_momentum_value():
     scen = builtin("hopf")
     assert abs(eval_field(scen.mu.field, [1.0, 0.0, 0.0, 0.0])[0] - 0.5) < 1e-15
-    m = scen.section_point(ChartPoint([0.3, -1.1]))
+    m = scen.section(ChartPoint([0.3, -1.1]))
     assert abs(eval_field(scen.mu.field, m)[0] - 0.5) < 1e-12
 
 
@@ -245,7 +245,7 @@ def test_compiled_fields_match_reference_evaluation(text):
         mu_want = np.array([reference_eval_expr(e, env) for e in sf.mu])
         assert eval_field(scen.mu.field, p).tobytes() == mu_want.tobytes()
         section_want = np.array([reference_eval_expr(e, w_env) for e in sf.section])
-        assert scen.section_point(ChartPoint(w)).coords.tobytes() == section_want.tobytes()
+        assert scen.section(ChartPoint(w)).tobytes() == section_want.tobytes()
 
 
 @pytest.mark.parametrize("text", [_FIELD_CHECK, builtin_text("hopf"),

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from symred import cli
-from symred.actions import momentum_jacobian, momentum_values
+from symred.actions import momentum_jacobian
 from symred.cli import RunConfig, run
 from symred.exprlang import Program
-from symred.geometry import sample_ball
+from symred.geometry import eval_field, sample_ball
 from symred.reduction import reduced_structures
 from symred.scenarios import builtin_text, compile_scenario, parse_scenario
 from symred.structures import standard_acs_matrix
@@ -66,7 +66,7 @@ def test_momentum_map_runs_its_one_program_once_per_batch(monkeypatch):
 
     monkeypatch.setattr(Program, "run", counted)
     M = TORUS.section.rows(sample_ball(4, 6, 2.0, 3))
-    values = momentum_values(TORUS.mu, M)
+    values = eval_field(TORUS.mu.field, M)
     assert runs == [6] and values.shape == (6, 2)
     np.testing.assert_allclose(values, 0.5, atol=1e-15)
     runs.clear()

@@ -493,7 +493,7 @@ def reference_lift_frame(scen, x, a=None):
     from symred.reduction import RANK_TOL
 
     xq = as_point(x)
-    m0 = scen.section_point(xq)
+    m0 = as_point(scen.section(xq))
     m = m0 if a is None else apply_flow(scen.action, a, m0)
     frame = reference_split_tangent(scen, m)
     G, h_onb = frame["metric"], frame["horizontal"]
@@ -793,7 +793,7 @@ def opaque_scenario(scen):
     from symred.geometry import TensorField
 
     def field(f):
-        return TensorField(f.arity, f.shape, lambda p, _f=f.func: _f(p), f.name)
+        return TensorField(f.shape, lambda p, _f=f.func: _f(p), f.name)
 
     action, section = scen.action, scen.section
     return dataclasses.replace(
@@ -902,9 +902,9 @@ def reference_almost_complex_residual(cm, p):
     from symred.geometry import as_point, eval_field
 
     point = as_point(p)
-    D = reference_jacobian(cm.chart_map, point)
     J1 = eval_field(cm.source_acs, point)
     J2 = eval_field(cm.target_acs, as_point(cm.chart_map(point)))
+    D = reference_jacobian(cm.chart_map, point)
     return float(np.linalg.norm(D @ J1 - J2 @ D))
 
 
@@ -914,16 +914,17 @@ def reference_cauchy_riemann_residual(cm, p):
     from symred.structures import standard_acs_matrix
 
     point = as_point(p)
-    J1_std = standard_acs_matrix(cm.source_dim)
-    J2_std = standard_acs_matrix(cm.target_dim)
+    n1, n2 = cm.source_acs.shape[0], cm.target_acs.shape[0]
+    J1_std = standard_acs_matrix(n1)
+    J2_std = standard_acs_matrix(n2)
     if _max_abs(eval_field(cm.source_acs, point) - J1_std) > 1e-10:
         raise NotStandardStructureError("source structure is not the coordinate J")
     if _max_abs(eval_field(cm.target_acs, as_point(cm.chart_map(point))) - J2_std) > 1e-10:
         raise NotStandardStructureError("target structure is not the coordinate J")
     D = reference_jacobian(cm.chart_map, point)
     defects = []
-    for j in range(cm.target_dim // 2):
-        for i in range(cm.source_dim // 2):
+    for j in range(n2 // 2):
+        for i in range(n1 // 2):
             a_x = D[2 * j, 2 * i]
             a_y = D[2 * j, 2 * i + 1]
             b_x = D[2 * j + 1, 2 * i]
