@@ -12,7 +12,7 @@ The momentum map mu: M -> g* is one vector field of shape (k,)
 (``MomentumMap.field``), compiled from one program over its k entries: its
 values at N points are ``eval_field(mu.field, X)``, one batch, and its
 Jacobian one ``fd_directional`` batch along the coordinate axes, for any
-k, so a failing stack raises its first failing row's error across all
+k, so a failing stack raises the first error its program meets across all
 entries.
 
 ``apply_flow``, ``generator`` and ``momentum_jacobian`` take an (N, n)
@@ -148,9 +148,8 @@ def apply_flow(action: GroupAction, params, X):
 def _flow(action: GroupAction, rows: np.ndarray, seeds: np.ndarray | None = None):
     """Phi at every (point, parameter) row of ``rows`` (see ``_pairs``), as
     an (N, n) array from one flow batch, each moved point checked as a
-    chart point, a failing row raising what it raises alone; given
-    ``seeds``, with its (N, n, s) derivatives along their columns, from one
-    derivative batch."""
+    chart point; given ``seeds``, with its (N, n, s) derivatives along
+    their columns, from one derivative batch."""
     if seeds is None:
         return _evaluate_rows(action.flow, rows, _finite("chart point"))
     return _derivative(action.flow, rows, seeds, _finite("chart point"))
@@ -196,8 +195,9 @@ def pushforward_table(action: GroupAction, params, points) -> PushforwardTable:
     """The flow Jacobians and moved points of P group parameters at N
     points (``PushforwardTable``), the Jacobians of all P * N pairs from
     one derivative batch and the moved points from one flow batch, each row
-    the bits of the call on its point alone; a failing pair raises what
-    the first failing (parameter, point) row raises, parameter outer.  It
+    the bits of the call on its point alone; a failing batch raises the
+    first error it meets, naming its first failing (parameter, point) row,
+    parameter outer.  It
     is the one input of check_action_axioms, check_isometry,
     check_symplectomorphism, check_momentum_invariance and
     check_field_invariance, so one flow Jacobian and moved point per
@@ -243,22 +243,19 @@ def check_action_axioms(table: PushforwardTable,
     flows over every (s, t) and the one-step flows Phi_{s+t}(p) are each
     evaluated as one batch of rows.
     """
-    action, prm = table.action, table.params
-    P = len(prm)
-
-    def residuals(X, rows):
-        N, n = X.shape
-        identity = _row_norms(apply_flow(action, np.zeros(action.group_dim), X) - X)
-        # per point, (s, t) pairs with s outer: s repeated per t, t cycled per s
-        outer = np.tile(np.repeat(prm, P, axis=0), (N, 1))
-        sums = np.tile((prm[:, np.newaxis] + prm[np.newaxis]).reshape(P * P, -1), (N, 1))
-        starts = np.tile(table.moved[:, rows].swapaxes(0, 1), (1, P, 1)).reshape(-1, n)
-        two_step = _flow(action, _pairs(starts, outer))
-        one_step = _flow(action, _pairs(np.repeat(X, P * P, axis=0), sums))
-        return _row_max_abs(np.hstack([identity[:, np.newaxis],
-                                       _row_norms(two_step - one_step).reshape(N, P * P)]))
-
-    return _sampled("action axioms", IDENTITY_AXIOMS, residuals, table.points, tol)
+    action, prm, X = table.action, table.params, table.points
+    (N, n), P = X.shape, len(prm)
+    identity = _row_norms(apply_flow(action, np.zeros(action.group_dim), X) - X)
+    # per point, (s, t) pairs with s outer: s repeated per t, t cycled per s
+    outer = np.tile(np.repeat(prm, P, axis=0), (N, 1))
+    sums = np.tile((prm[:, np.newaxis] + prm[np.newaxis]).reshape(P * P, -1), (N, 1))
+    starts = np.tile(table.moved.swapaxes(0, 1), (1, P, 1)).reshape(-1, n)
+    two_step = _flow(action, _pairs(starts, outer))
+    one_step = _flow(action, _pairs(np.repeat(X, P * P, axis=0), sums))
+    residuals = np.hstack([identity[:, np.newaxis],
+                           _row_norms(two_step - one_step).reshape(N, P * P)])
+    return StructureCheckResult.from_samples(
+        "action axioms", _row_max_abs(residuals), X, tol, IDENTITY_AXIOMS)
 
 
 def _invariance_check(name, identity, residual, value, table: PushforwardTable, tol):
@@ -266,13 +263,11 @@ def _invariance_check(name, identity, residual, value, table: PushforwardTable, 
     largest entry of residual(D, F(p), F(Phi_a(p))) over all of its
     parameters a, stacked parameter outer, F being ``value``, read at the
     points and at all moved points in one call each."""
-    def residuals(X, rows):
-        D, moved = table.D[:, rows], table.moved[:, rows]
-        there = value(moved.reshape(-1, moved.shape[2]))
-        diff = residual(D, value(X), there.reshape(moved.shape[:2] + there.shape[1:]))
-        return _row_max_abs(diff.swapaxes(0, 1))
-
-    return _sampled(name, identity, residuals, table.points, tol)
+    D, moved = table.D, table.moved
+    there = value(moved.reshape(-1, moved.shape[2]))
+    diff = residual(D, value(table.points), there.reshape(moved.shape[:2] + there.shape[1:]))
+    return StructureCheckResult.from_samples(
+        name, _row_max_abs(diff.swapaxes(0, 1)), table.points, tol, identity)
 
 
 def _pullback_residual(D, here, moved) -> np.ndarray:
@@ -299,7 +294,7 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
     With the row convention u^T Omega v for omega(u, v) the identity in
     components is Omega^T xi_M = grad mu, checked in the Euclidean norm.
     """
-    def residuals(X, rows):
+    def residuals(X):
         OmT = eval_field(w, X).swapaxes(1, 2)
         xis = np.ascontiguousarray(generator(action, X).swapaxes(1, 2))[..., np.newaxis]
         grads = momentum_jacobian(mu, X)

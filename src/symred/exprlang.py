@@ -593,9 +593,7 @@ class Program:
         float64 column per name, all of one shape; on a batch a slot is a
         column, or a Python number if it reads no coordinate.  A batch
         raises the error of its first failing operation, the same text as
-        on the float of the column's first offending entry; the first
-        failing point's own error comes from running the points alone
-        (``geometry._replayed``).
+        on the float of the column's first offending entry.
         """
         self.check_width(len(values))
         v = [*values, *self.template]

@@ -51,10 +51,9 @@ per-point callable is wrapped into one where it enters the package
 (``as_row_map``) and called once per row with a ChartPoint.  A compiled scenario map runs its program
 once per batch, on the coordinate columns, each operation one numpy kernel
 (``exprlang``), so each row has the bits of running it on that row alone.
-One function, ``_replayed``, reruns a failed batch: a map's rows
-(``_evaluate_rows``), a derivative batch, a check's residuals, a batch of lift frames
-(``reduction.lift_frames``) that raise anything run again one row at a
-time, so the first failing row raises what it raises alone.
+Every stack runs once: a failing stack raises the first error its batch
+meets, in the order the batch computes, naming the first row that fails
+that step.  Where one row fails, that is the error of the row alone.
 
 Evaluation stays cheap on success: ``eval_field`` formats a point into its
 error message only when a value is non-finite.
@@ -284,7 +283,7 @@ class TensorField:
 def eval_field(field: TensorField, X: np.ndarray) -> np.ndarray | float:
     """Evaluate ``field`` at the rows of the (N, d) array X, checking shape
     and finiteness: the (N, *shape) values from one ``rows`` call, a
-    failing row raising what it raises alone.  At one point, the value
+    failing batch raising the first error it meets.  At one point, the value
     there: a plain float for a scalar field, else an ndarray.
     """
     return _evaluate_rows(field.func, X, _field_check(field))
@@ -348,12 +347,8 @@ def _evaluate_rows(f: RowMap, points: np.ndarray, check: Callable) -> np.ndarray
     """The values of a map at every row of ``points`` from one ``rows``
     call, as ``check(values, points)`` returns them; ``check`` raises for
     values it refuses, and a non-finite row of ``points`` (a stencil row
-    may overflow) raises as a ChartPoint of it would.  A failing batch runs
-    again row by row (``_replayed``)."""
-    def values(X, rows):
-        return check(f.rows(_require_finite(X, "chart point")), X)
-
-    return _replayed(values, points)
+    may overflow) raises as a ChartPoint of it would."""
+    return check(f.rows(_require_finite(points, "chart point")), points)
 
 
 def _finite(what: str) -> Callable:
@@ -370,31 +365,21 @@ def _stencil_rows(X: np.ndarray, directions: np.ndarray, h: float = FD_STEP) -> 
 
 
 def _derivative(f: RowMap, X: np.ndarray, seeds: np.ndarray, check: Callable,
-                h: float = FD_STEP, defer: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                h: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
     """The values of ``f`` at the rows of the (N, d) array X, each refused
     as ``check`` refuses it, and the (N, *shape, s) derivatives there along
     the s columns of the (d, s) array ``seeds``, from one batch, each row
     the bits of the call on its point alone: exact, from one ``tangents``
     batch, if the map has one, a derivative that is not finite refused
-    first unless ``defer`` leaves it to the caller (``_finite_derivative``);
-    else central differences of step h.  A failing batch runs again row by
-    row (``_replayed``)."""
+    first, naming the map and its first such row; else central differences
+    of step h."""
     if f.tangents is not None:
-        def batch(Y, rows):
-            values, D = f.tangents(_require_finite(Y, "chart point"), seeds)
-            D = D if defer else _finite_derivative(f, D, Y)
-            return check(values, Y), D
-
-        return _replayed(batch, X)
+        values, D = f.tangents(_require_finite(X, "chart point"), seeds)
+        D = _finite_rows(D, X, f"derivative of {f.name}")
+        return check(values, X), D
     values = _evaluate_rows(f, _stencil_rows(X, seeds.T, h), check)
     values = values.reshape(len(X), 1 + 4 * seeds.shape[1], *values.shape[1:])
     return values[:, 0], _differences(values[:, 1:], h)
-
-
-def _finite_derivative(f: RowMap, D: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """D, the derivatives of ``f`` at the rows of X, unless an exact one is
-    not finite: NonFiniteError naming the map and the first such row."""
-    return D if f.tangents is None else _finite_rows(D, X, f"derivative of {f.name}")
 
 
 @takes_points(1)
@@ -445,14 +430,29 @@ def kernel_basis(mat, rank_tol: float = RANK_TOL) -> np.ndarray:
     stack whose ranks differ raises ValueError, and an empty stack takes
     the rank min(m, n).
     """
+    ranks, vt = _ranks(mat, rank_tol)
+    flat = ranks.reshape(-1)
+    if (flat != flat[:1]).any():
+        raise ValueError("kernel dimensions differ across the stack")
+    rank = int(flat[0]) if len(flat) else min(np.shape(mat)[-2:])  # no matrix: full rank
+    return _null_columns(vt, rank)
+
+
+def _ranks(mat, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The rank of ``mat``, or of every matrix of a stack, as ``kernel_basis``
+    counts it, and the right-singular vectors of the one SVD it took, for
+    ``_null_columns``: a caller that refuses some ranks decides them per
+    matrix before taking any basis."""
     a = _require_finite(np.atleast_2d(np.asarray(mat, dtype=float)), "matrix")
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
     counts = np.sum(s > (rank_tol * smax)[..., np.newaxis], axis=-1)
-    ranks = np.where(smax > 0.0, counts, 0).reshape(-1)
-    if (ranks != ranks[:1]).any():
-        raise ValueError("kernel dimensions differ across the stack")
-    rank = int(ranks[0]) if len(ranks) else min(a.shape[-2:])  # no matrix: full rank
+    return np.where(smax > 0.0, counts, 0), vt
+
+
+def _null_columns(vt: np.ndarray, rank: int) -> np.ndarray:
+    """The kernel basis, as columns, of matrices of rank ``rank`` from their
+    right-singular vectors ``vt``."""
     return np.ascontiguousarray(vt[..., rank:, :].swapaxes(-1, -2))
 
 
@@ -468,6 +468,18 @@ def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
     one pass of stacked products, each slice the bits of the call on it
     alone; a stack whose slices keep different columns raises ValueError.
     """
+    def dropped(slices):
+        if not slices.all():
+            raise ValueError("orthonormalized frames differ in rank across the stack")
+
+    return _gram_schmidt(frame, metric, tol, dropped)
+
+
+def _gram_schmidt(frame, metric, tol: float, dropped: Callable) -> np.ndarray:
+    """``orthonormalize``, calling ``dropped(slices)`` for each column that
+    some slice drops, with the mask of the slices that drop it; ``dropped``
+    raises to refuse it, and should it return, the column is dropped from
+    every slice."""
     G = np.asarray(metric, dtype=float)
     cols = np.asarray(frame, dtype=float)
     basis: list[np.ndarray] = []
@@ -478,10 +490,9 @@ def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
             for b, bG in zip(basis, rows):
                 w -= (bG @ w[..., np.newaxis])[..., 0] * b
         nrm = _g_norms(w, G)
-        dropped = nrm < tol
-        if dropped.any():
-            if not dropped.all():
-                raise ValueError("orthonormalized frames differ in rank across the stack")
+        short = nrm < tol
+        if short.any():
+            dropped(short)
             continue
         basis.append(w / nrm[..., np.newaxis])
         rows.append(basis[-1][..., np.newaxis, :] @ G)
@@ -538,20 +549,6 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     bits of ``np.linalg.norm`` of that vector: a ``(1, k) @ (k, 1)`` product
     per vector."""
     return np.sqrt((V[..., np.newaxis, :] @ V[..., np.newaxis])[..., 0, 0])
-
-
-def _replayed(fn: Callable, X: np.ndarray) -> np.ndarray:
-    """``fn(X, rows)``, the values at the rows ``rows`` (a slice) of the
-    (N, n) array X, run once on all rows: the one place that reruns a
-    failed batch.  Should the batch raise anything, ``fn`` runs again one
-    row at a time, so the first failing row raises what it raises alone;
-    should no row fail alone, the batch's error stands."""
-    try:
-        return fn(X, slice(None))
-    except Exception:  # whatever the batch raised, the first failing row raises again
-        for i in range(len(X)):
-            fn(X[i:i + 1], slice(i, i + 1))
-        raise
 
 
 def sample_box(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> np.ndarray:

@@ -5,8 +5,7 @@ Coordinates are interleaved (x1, y1, ..., xn, yn), matching the standard
 identification of complex n-space with real 2n-space.  Residuals are
 reported for every row of an (N, 2n) array of points at once; one point is
 a stack of one (``geometry.takes_points``), its residual a float.  A stack
-that raises runs again point by point (``geometry._replayed``), so the
-first failing point raises its own error.
+that fails raises the first error its batch meets.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .geometry import (
     eval_field,
     fd_jacobian,
     takes_points,
-    _replayed,
     _require_finite,
     _row_max_abs,
     _row_norms,
@@ -79,13 +77,10 @@ def almost_complex_residual(cm: ChartedMap, X):
     target's at the images read before one stacked Jacobian as in
     ``cauchy_riemann_residual``, each the bits of the call on its point alone.
     """
-    def residuals(X, rows):
-        J1 = eval_field(cm.source_acs, X)
-        J2 = _target_acs(cm, X)
-        D = fd_jacobian(cm.chart_map, X)
-        return _row_norms((D @ J1 - J2 @ D).reshape(len(X), -1))
-
-    return _replayed(residuals, X)
+    J1 = eval_field(cm.source_acs, X)
+    J2 = _target_acs(cm, X)
+    D = fd_jacobian(cm.chart_map, X)
+    return _row_norms((D @ J1 - J2 @ D).reshape(len(X), -1))
 
 
 @takes_points(1)
@@ -102,15 +97,12 @@ def cauchy_riemann_residual(cm: ChartedMap, X):
     J1_std = standard_acs_matrix(cm.source_acs.shape[0])
     J2_std = standard_acs_matrix(cm.target_acs.shape[0])
 
-    def residuals(X, rows):
-        if (_row_max_abs(eval_field(cm.source_acs, X) - J1_std) > STANDARD_J_TOL).any():
-            raise NotStandardStructureError("source structure is not the coordinate J")
-        if (_row_max_abs(_target_acs(cm, X) - J2_std) > STANDARD_J_TOL).any():
-            raise NotStandardStructureError("target structure is not the coordinate J")
-        D = fd_jacobian(cm.chart_map, X)
-        # rows 2j, 2j + 1 of D are (a_j, b_j); columns 2i, 2i + 1 are (x_i, y_i)
-        a_x, a_y = D[:, 0::2, 0::2], D[:, 0::2, 1::2]
-        b_x, b_y = D[:, 1::2, 0::2], D[:, 1::2, 1::2]
-        return np.maximum(_row_max_abs(a_x - b_y), _row_max_abs(a_y + b_x))
-
-    return _replayed(residuals, X)
+    if (_row_max_abs(eval_field(cm.source_acs, X) - J1_std) > STANDARD_J_TOL).any():
+        raise NotStandardStructureError("source structure is not the coordinate J")
+    if (_row_max_abs(_target_acs(cm, X) - J2_std) > STANDARD_J_TOL).any():
+        raise NotStandardStructureError("target structure is not the coordinate J")
+    D = fd_jacobian(cm.chart_map, X)
+    # rows 2j, 2j + 1 of D are (a_j, b_j); columns 2i, 2i + 1 are (x_i, y_i)
+    a_x, a_y = D[:, 0::2, 0::2], D[:, 0::2, 1::2]
+    b_x, b_y = D[:, 1::2, 0::2], D[:, 1::2, 1::2]
+    return np.maximum(_row_max_abs(a_x - b_y), _row_max_abs(a_y + b_x))

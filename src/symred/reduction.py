@@ -21,10 +21,10 @@ batch; ``reduced_structures`` reduces an (N, q) array of
 quotient points from the base frames of such a table.  One point is a
 stack of one (``geometry.takes_points``), whose result is the split or
 the reduced structures at that point.  Every frame is the bits of
-building it alone.  A batch that raises is built again point by point
-(``geometry._replayed``), each point's base frame before its moved
-frames, so an error surfaces where, and as, it would frame by frame;
-this replay is the only one in the module.  The pipelines read the table's frames as
+building it alone.  A batch runs once: one that fails raises the first
+error it meets, in the order it computes (the section, the flow, then
+``split_tangent``'s checks and the lifts' rank), naming the first frame
+that fails that step.  The pipelines read the table's frames as
 stacked arrays, with stacked products and no loop over points: a vector
 that the per-point formula takes alone (a lift, a generator, a sampled
 tangent pair) is its own (n, 1) slice of the product, so each value that
@@ -50,7 +50,7 @@ from .actions import (
     GroupAction,
     MomentumMap,
     generator,
-    _pairs,
+    pushforward_table,
     _param_rows,
 )
 from .errors import (
@@ -71,15 +71,15 @@ from .geometry import (
     eval_field,
     kernel_basis,
     max_abs,
-    orthonormalize,
     takes_points,
     _derivative,
     _field_check,
     _finite,
-    _finite_derivative,
     _first,
     _g_norms,
-    _replayed,
+    _gram_schmidt,
+    _null_columns,
+    _ranks,
     _row_max_abs,
     _row_norms,
 )
@@ -221,24 +221,29 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
 
     All rows are split at once, with one batch of mu and d mu, one of the
     k generators, stacked SVDs and stacked Gram-Schmidt, each row's arrays
-    the bits of splitting it alone.  A failing check raises for the first
-    row that fails it, and rows whose frames would differ in dimension
-    raise ValueError.
+    the bits of splitting it alone.  Each check decides every row before a
+    stacked basis is taken and raises for the first row that fails it: a
+    point off the level set (NotOnLevelError), a critical point of mu
+    (NotRegularValueError, decided from the SVD the level frame is taken
+    from), generators that are degenerate or, for G, dependent
+    (ActionNotFreeError) or not tangent to the level set, and a horizontal
+    complement of another dimension than n - 2k (DegenerateInputError).
     """
     n, k = scen.chart_dim, scen.action.group_dim
     mu = scen.mu.field
-    values, Jmu = _derivative(mu.func, M, np.eye(n), _field_check(mu), defer=True)
+    values, Jmu = _derivative(mu.func, M, np.eye(n), _field_check(mu))
     gaps = _row_norms(values - scen.mu.beta)
     i = _first(gaps >= LEVEL_TOL)
     if i is not None:
         raise NotOnLevelError(f"{ChartPoint(M[i])} is off the level set: "
                               f"|mu(m) - beta| = {gaps[i]:.3e} exceeds {LEVEL_TOL:.1e}")
 
-    level = kernel_basis(_finite_derivative(mu.func, Jmu, M))
-    if level.shape[2] != n - k:
-        raise NotRegularValueError(
-            f"kernel of d mu has dimension {level.shape[2]}, expected {n - k}"
-        )
+    ranks, vt = _ranks(Jmu)
+    i = _first(ranks != k)
+    if i is not None:
+        raise NotRegularValueError(f"kernel of d mu has dimension {n - ranks[i]} at "
+                                   f"{ChartPoint(M[i])}, expected {n - k}")
+    level = _null_columns(vt, k)
 
     V = generator(scen.action, M)
     sv = np.linalg.svd(V, compute_uv=False)
@@ -258,17 +263,30 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
         )
 
     G = eval_field(scen.metric, M)
-    vertical = orthonormalize(V, G, tol=FREE_TOL)
-    if vertical.shape[2] != k:
-        raise ActionNotFreeError(f"vertical space degenerates to dimension {vertical.shape[2]}")
-    horizontal = orthonormalize(
-        level @ kernel_basis(vertical.swapaxes(1, 2) @ G @ level), G)
+    vertical = _gram_schmidt(V, G, FREE_TOL, _refuse(ActionNotFreeError, "vertical space", k, M))
+    try:
+        complement = kernel_basis(vertical.swapaxes(1, 2) @ G @ level)
+    except ValueError:  # kernel_basis refuses a stack whose ranks differ
+        raise DegenerateInputError("horizontal complement has a dimension other than "
+                                   f"{n - 2 * k} at some of the points") from None
+    horizontal = _gram_schmidt(level @ complement, G, 1e-10,
+                               _refuse(DegenerateInputError, "horizontal complement", n - 2 * k, M))
     if horizontal.shape[2] != n - 2 * k:
         raise DegenerateInputError(
             f"horizontal complement has dimension {horizontal.shape[2]}, expected {n - 2 * k}"
         )
-
     return SplitTangentSpace(M, G, level, vertical, horizontal, Jmu, V)
+
+
+def _refuse(error: type, what: str, dim: int, M: np.ndarray):
+    """The ``_gram_schmidt`` callback raising ``error`` for a frame, ``what``,
+    that drops a column at a row of M: it would have fewer than ``dim``
+    columns there."""
+    def dropped(slices):
+        point = ChartPoint(M[_first(slices)])
+        raise error(f"{what} degenerates to dimension below {dim} at {point}")
+
+    return dropped
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,41 +313,33 @@ class _LiftFrames:
         return _LiftFrames(split, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
 
-def _lift_frames(scen: ReductionScenario, X: np.ndarray,
-                 fiber_params=np.zeros((0, 0))) -> _LiftFrames:
+def _lift_frames(scen: ReductionScenario, X: np.ndarray, fiber_params: np.ndarray) -> _LiftFrames:
     """The lift frames at the rows of the (N, q) array X of quotient points
     through the section, then through Phi_a o sigma for each row a of the
     (P, k) array ``fiber_params``, a block of N frames each, built in one
-    batch: one of the section points and Jacobians, one of the moved points
-    and flow Jacobians, one ``split_tangent``, which checks the level, the
-    Jacobians chained as D(Phi_a o sigma) = D Phi_a(sigma) D sigma, and
-    stacked products, SVDs and solves, the derivatives' finiteness checked
-    last.  Each frame has the bits of the batch of its point alone, and a
-    batch of one raises what that frame raises; ``lift_frames`` replays a
-    failing batch point by point.
+    batch: one of the section points and Jacobians, one
+    ``pushforward_table`` of the moved points and flow Jacobians, one
+    ``split_tangent``, which checks the level, the Jacobians chained as
+    D(Phi_a o sigma) = D Phi_a(sigma) D sigma, and stacked products, SVDs
+    and solves.  Each frame has the bits of the batch of its point alone.
     """
-    n, P, q = scen.chart_dim, len(fiber_params), scen.quotient_dim
-    M, dsigma = _derivative(scen.section, X, np.eye(q), _finite("chart point"), defer=True)
-    if P:
-        rows = _pairs(np.tile(M, (P, 1)), np.repeat(fiber_params, len(X), axis=0))
-        moved, D = _derivative(scen.action.flow, rows, np.eye(rows.shape[1], n),
-                               _finite("chart point"), defer=True)
-        M = np.concatenate([M, moved])
+    n, q = scen.chart_dim, scen.quotient_dim
+    M, dsigma = _derivative(scen.section, X, np.eye(q), _finite("chart point"))
+    pushforward = np.broadcast_to(np.eye(n), (len(X), n, n))
+    if len(fiber_params):
+        table = pushforward_table(scen.action, fiber_params, M)
+        D = table.D.reshape(-1, n, n)
+        M = np.concatenate([M, table.moved.reshape(-1, n)])
+        dsigma = np.concatenate([dsigma, D @ np.tile(dsigma, (len(fiber_params), 1, 1))])
+        pushforward = np.concatenate([pushforward, D])
     split = split_tangent(scen, M)
     H = split.horizontal
     htg = H.swapaxes(1, 2) @ split.metric
     Om = eval_field(scen.omega, M)
     J = eval_field(scen.acs, M)
-
     # horizontal part of the section pushforward; d pi of it is the identity
     # on the quotient chart because pi o section = id and d pi kills the
     # vertical complement
-    dsigma = _finite_derivative(scen.section, dsigma, X)
-    pushforward = np.broadcast_to(np.eye(n), (len(X), n, n))
-    if P:
-        D = _finite_derivative(scen.action.flow, D, rows)
-        dsigma = np.concatenate([dsigma, D @ np.tile(dsigma, (P, 1, 1))])
-        pushforward = np.concatenate([pushforward, D])
     lifts = H @ (htg @ dsigma)
     if q:
         sv = np.linalg.svd(lifts, compute_uv=False)
@@ -361,22 +371,13 @@ def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable
     """The table of the lift frames at ``points`` through the scenario's own
     section and through Phi_a o sigma for each fibre parameter a, a group
     parameter vector or a scalar t standing for t * (1, ..., 1), all built
-    in one ``_lift_frames`` batch.  A failing batch runs again point by
-    point (``_replayed``), each point's base frame alone and then its base
-    and moved frames as one batch, so the first failing point raises what
-    it raises alone, its base frame first.  No points raise ValueError
-    (``as_points``).  The table is the one input of the verify_* pipelines,
-    so one frame per point serves all of them; ``verify_submersion`` needs
-    fibre parameters (``FIBER_PARAMS`` in ``verify``), the other two read
-    only the base frames."""
+    in one ``_lift_frames`` batch, which raises the first error it meets.
+    No points raise ValueError (``as_points``).  The table is the one input
+    of the verify_* pipelines, so one frame per point serves all of them;
+    ``verify_submersion`` needs fibre parameters (``FIBER_PARAMS`` in
+    ``verify``), the other two read only the base frames."""
     X, prm = as_points(points), _param_rows(scen.action, fiber_params)
-
-    def build(X, rows):
-        if len(prm) and rows != slice(None):  # a replayed point: its base frame alone first
-            _lift_frames(scen, X)
-        return _lift_frames(scen, X, prm)
-
-    frames = _replayed(build, X)
+    frames = _lift_frames(scen, X, prm)
     return _FrameTable(scen, X, prm, frames[:len(X)], frames[len(X):])
 
 
@@ -434,7 +435,7 @@ def reduced_structures(scen: ReductionScenario, X) -> ReducedStructures:
     omega_red(v, w) = omega(lift v, lift w) and the pushforward candidate for
     the reduced almost complex structure at every row x of the (N, q) array
     X, all from the base frames of ``lift_frames(scen, X)``, so a failing
-    batch raises what its first failing point raises alone.
+    batch raises the first error that table meets.
 
     Column i of the candidate is d pi(J lift_i) in the quotient chart.
     Well-definedness is not assumed: when J applied to a lift leaves the

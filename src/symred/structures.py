@@ -30,7 +30,6 @@ from .geometry import (
     fd_directional,
     spd_sqrt,
     _first,
-    _replayed,
     _row_max_abs,
     _row_norms,
 )
@@ -86,23 +85,30 @@ DEFAULT_TOLERANCES = MappingProxyType({
 
 def check_tolerance(name: str, value: float) -> float:
     """``value`` as a float if ``name`` is a known tolerance and ``value`` a
-    positive finite number; ValueError otherwise.  A non-positive or
-    non-finite tolerance would make a check pass or fail whatever its
-    residual."""
+    positive finite number (``_positive_finite``); ValueError otherwise."""
     if name not in DEFAULT_TOLERANCES:
         raise ValueError(
             f"unknown tolerance {name!r}; known names: {', '.join(sorted(DEFAULT_TOLERANCES))}"
         )
+    return _positive_finite(f"tolerance {name!r}", value)
+
+
+def _positive_finite(what: str, value: float) -> float:
+    """``value`` as a float if it is a positive finite number, else
+    ValueError naming ``what``: a non-positive or non-finite tolerance would
+    make a check pass or fail whatever its residual."""
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"tolerance {name!r} must be positive and finite, got {value}")
+        raise ValueError(f"{what} must be positive and finite, got {value}")
     return value
 
 
 @dataclass(frozen=True, eq=False)
 class StructureCheckResult:
     """Outcome of one sampled check: worst residual against a tolerance,
-    passed iff within it, so a NaN residual fails."""
+    passed iff within it, so a NaN residual fails.  A tolerance that is not
+    positive and finite raises ValueError (``_positive_finite``), as
+    ``check_tolerance`` refuses it."""
 
     name: str
     max_residual: float
@@ -110,6 +116,10 @@ class StructureCheckResult:
     worst_point: ChartPoint | None
     identity: str = ""
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "tolerance",
+                           _positive_finite(f"tolerance of check {self.name!r}", self.tolerance))
 
     @property
     def passed(self) -> bool:
@@ -178,13 +188,11 @@ def euclidean_metric(dim: int) -> TensorField:
 
 
 def _sampled(name, identity, residuals, points, tol) -> StructureCheckResult:
-    """One sampled check over ``points`` (``as_points``): ``residuals(X,
-    rows)`` returns the residual at each row of X, the rows ``rows`` (a
-    slice) of the (N, n) array of the points, from stacked evaluations; a
-    batch that raises runs again point by point (``_replayed``), so the
-    first failing point raises its own error."""
+    """One sampled check over ``points`` (``as_points``): ``residuals(X)``
+    returns the residual at each row of the (N, n) array X of the points,
+    from stacked evaluations, and raises the first error its batch meets."""
     X = as_points(points)
-    return StructureCheckResult.from_samples(name, _replayed(residuals, X), X, tol, identity)
+    return StructureCheckResult.from_samples(name, residuals(X), X, tol, identity)
 
 
 def check_metric(g: TensorField, points,
@@ -194,7 +202,7 @@ def check_metric(g: TensorField, points,
     Residual per point: max-abs asymmetry, plus a penalty of at least tol
     whenever the smallest eigenvalue fails to clear tol.
     """
-    def residuals(X, rows):
+    def residuals(X):
         G = eval_field(g, X)
         GT = G.swapaxes(1, 2)
         lam_min = np.linalg.eigvalsh(0.5 * (G + GT))[:, 0]
@@ -216,7 +224,7 @@ def check_symplectic_pointwise(
         raise ValueError(f"symplectic field must be square, got {w.shape}")
     _interleaved_planes(w.shape[0], "symplectic form")
 
-    def residuals(X, rows):
+    def residuals(X):
         Om = eval_field(w, X)
         s = np.linalg.svd(Om, compute_uv=False)
         first, last = (s[:, 0], s[:, -1]) if s.shape[1] else (1.0, 1.0)  # 0 x 0: ratio 1
@@ -235,7 +243,7 @@ def check_closed(w: TensorField, points,
     n = w.shape[0]
     i, j, k = np.array(list(itertools.combinations(range(n), 3)), dtype=int).reshape(-1, 3).T
 
-    def residuals(X, rows):
+    def residuals(X):
         # entry [p, r, c, a] is the partial of omega_rc along x_a at point p
         partials = fd_directional(w, X, np.eye(n))
         return _row_max_abs(partials[:, j, k, i] + partials[:, k, i, j] + partials[:, i, j, k])
@@ -248,7 +256,7 @@ def check_acs(J: TensorField, points,
     """Frobenius norm of J(p)^2 + I at sample points."""
     eye = np.eye(J.shape[0])
 
-    def residuals(X, rows):
+    def residuals(X):
         Jm = eval_field(J, X)
         return _row_norms((Jm @ Jm + eye).reshape(len(X), -1))
 
@@ -259,7 +267,7 @@ def check_compatibility(
         t: CompatibleTriple, points,
         tol: float = DEFAULT_TOLERANCES["structures.compatibility"]) -> StructureCheckResult:
     """Max-abs residual of the compatibility identity Omega @ J == G."""
-    def residuals(X, rows):
+    def residuals(X):
         Om, G, Jm = [eval_field(f, X) for f in (t.omega, t.metric, t.acs)]
         return _row_max_abs(Om @ Jm - G)
 

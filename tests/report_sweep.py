@@ -14,18 +14,19 @@ so the k = 2 paths are compared) with all suites at 20 samples with seeds
 0-3, on every built-in with no flags (its own sample spec: seed, count
 and any explicit quotient points), on hopf at 20 samples with the main-theorem, the reduction and
 the action suite alone (the lift frames are batched differently when no
-fibre frames are asked for), and on six failing variants (``FAILING``):
-five of hopf (the section off the level set at a middle sample,
+fibre frames are asked for), and on seven failing variants (``FAILING``):
+six of hopf (the section off the level set at a middle sample,
 generators degenerate at one sample, a division by zero at w1 = 0.50001,
 a row only a stencil of the section would evaluate (the exact section
-Jacobian reads no such row, so that variant's reduction runs complete), the metric entry ``sqrt(1.9 - x1)``, and the first
-two at once, the degenerate sample before the one off the level set,
-whose error a batch meets first) and one of the 2-torus fixture, whose
-second generator (of the two a batch takes at once) is degenerate at one
-sample; each with the structures, the action
+Jacobian reads no such row, so that variant's reduction runs complete),
+the metric entry ``sqrt(1.9 - x1)``, the first two at once, the
+degenerate sample before the one off the level set, and a level of mu
+holding a critical point of mu beside a regular one) and one of the
+2-torus fixture, whose second generator (of the two a batch takes at
+once) is degenerate at one sample; each with the structures, the action
 and the reduction and main-theorem suites, so that the exit codes and
-error texts of failing runs, and which point's error a failing batch
-raises, are compared too; each run in JSON and in text.  Each
+error texts of failing runs, and which error a failing batch meets first,
+are compared too; each run in JSON and in text.  Each
 tree runs the whole sweep in one worker process with its ``src`` first on
 the import path.  Every report is compared as the text ``verify`` prints:
 a JSON report without the line of its ``timestamp`` and without the lines
@@ -80,9 +81,19 @@ FAILING = {
     "stencil": ("hopf", [(_SECTION, "[1/sqrt(1 + w1^2 + w2^2) + 0/(w1 - 0.50001),")], _POINTS),
     "sqrt_metric": ("hopf", [("metric = [[1,", "metric = [[sqrt(1.9 - x1),")], ""),
     # point 1 is degenerate and point 3 off the level set; a batch checks
-    # the level first, so it meets point 3's error before point 1's
+    # the level of every point before the generators, so it raises point
+    # 3's error
     "two_failures": ("hopf", [_DEGENERATE, _OFF_LEVEL], "sample.points = "
                      "[[0.6, 0.3], [0, 0], [0.1, -0.7], [0.5, 0.2], [0.7, -0.6]]"),
+    # mu = (x1^2 + x2^2)/2 - (x3^2 + x4^2)^2/2 at the level 0, which the
+    # section reaches through the origin, a critical point of mu, at the
+    # second sample; the first sample is a regular point
+    "mixed_rank": ("hopf", [("mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]",
+                             "mu = [0.5*(x1^2 + x2^2) - 0.5*(x3^2 + x4^2)^2]"),
+                            ("beta = [0.5]", "beta = [0]"),
+                            (_SECTION + " 0,\n           w1/sqrt(1 + w1^2 + w2^2), "
+                             "w2/sqrt(1 + w1^2 + w2^2)]", "[w1^2 + w2^2, 0, w1, w2]")],
+                   "sample.points = [[0.5, 0.5], [0, 0]]"),
     # the second factor turns at speed x7^2 + x8^2, which vanishes at the
     # section point of w3 = w4 = 0, the third sample; the first generator
     # stays free there

@@ -288,19 +288,21 @@ def test_momentum_residual_wrong_sign():
 
 
 def test_momentum_map_stack_raises_its_first_failing_rows_error():
-    # mu is one program over its entries, so a failing stack raises the
-    # error of its first failing row across all of them: row 0 fails only
-    # in the second entry, row 1 already in the first
+    # mu is one program over its entries, run once on the stack, so a
+    # failing stack raises the error of its first failing operation: row 0
+    # fails only in the second entry, row 1 already in the first, which the
+    # program runs first
     program = compile_exprs([parse_expression("sqrt(x1)"), parse_expression("sqrt(x2)")],
                             ("x1", "x2", "x3", "x4"), "mu")
     mu = MomentumMap(TensorField.vector(_row_map(program, (2,), "t2 mu"), 2, name="t2 mu"),
                      [1.0, 1.0])
     X = np.array([[1.0, -2.0, 0.0, 0.0], [-3.0, 1.0, 0.0, 0.0]])
     for fn in (lambda mu, X: eval_field(mu.field, X), momentum_jacobian):
+        for rows in (X, X[1:]):
+            with pytest.raises(NonFiniteError, match=r"^sqrt of negative value -3\.0$"):
+                fn(mu, rows)
         with pytest.raises(NonFiniteError, match=r"^sqrt of negative value -2\.0$"):
-            fn(mu, X)
-        with pytest.raises(NonFiniteError, match=r"^sqrt of negative value -3\.0$"):
-            fn(mu, X[1:])
+            fn(mu, X[:1])
 
 
 def test_momentum_map_is_one_vector_field_of_the_level_shape():

@@ -585,8 +585,8 @@ def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
 
     count(symred.reduction, "split_tangent", 1)
     count(symred.reduction, "generator", 1)
-    count(symred.reduction, "_derivative", 1)  # the derivative batches of the frames
-    count(symred.actions, "_flow", 1)  # every flow batch of the actions layer
+    count(symred.reduction, "_derivative", 1)  # the frames' batches of the section and mu
+    count(symred.actions, "_flow", 1)  # every flow batch, the frames' included
     samples = 2
     report, code = run(RunConfig("hopf", samples=samples, seed=1))
     assert code == 0
@@ -600,19 +600,20 @@ def test_verify_builds_each_frame_and_pushforward_once(monkeypatch):
     # all k of them from one batch
     assert (calls["generator"], points["generator"]) == (1, points["split_tangent"])
     # in the frames, one batch of the section point and Jacobian per
-    # quotient point, one of mu and d mu per frame (in split_tangent), and
-    # one of the moved point and flow Jacobian per moved frame, chained
-    # through the section Jacobian
+    # quotient point and one of mu and d mu per frame (in split_tangent)
     frames = points["split_tangent"]
-    assert calls["_derivative"] == 3
-    assert points["_derivative"] == samples + frames + len(fiber_params) * samples
+    assert calls["_derivative"] == 2
+    assert points["_derivative"] == samples + frames
     # one batch of the moved point and flow Jacobian per (point, parameter)
     # for the axioms and the four invariance checks; the axioms' three
     # batches (the identity, each s after t and each s + t); the generators
-    # of the momentum residual and those of the frames
+    # of the momentum residual and those of the frames; and the frames' one
+    # pushforward table, a moved point and flow Jacobian per moved frame,
+    # chained through the section Jacobian
     P = len(group_params)
-    assert calls["_flow"] == 1 + 3 + 2
-    assert points["_flow"] == P * samples + (1 + 2 * P * P) * samples + samples + frames
+    assert calls["_flow"] == 1 + 3 + 2 + 1
+    assert points["_flow"] == P * samples + (1 + 2 * P * P) * samples + samples + frames \
+        + len(fiber_params) * samples
 
 
 @pytest.mark.parametrize("samples", [20, 80])

@@ -379,8 +379,7 @@ def test_batch_matches_reference_bit_for_bit():
 
 def _map_outcome(exprs, rows):
     """As ``_batch_outcome``, for the compiled map of ``exprs``: one batch
-    of its rows through ``_evaluate_rows``, which reruns a failing batch
-    one row at a time, so the first failing row raises."""
+    of its rows through ``_evaluate_rows``, run once."""
     values_map = _row_map(compile_exprs(exprs, _NAMES), (len(exprs),), "map")
     try:
         values = _evaluate_rows(values_map, np.array(rows), lambda values, X: values)
@@ -390,11 +389,25 @@ def _map_outcome(exprs, rows):
     return [[struct.pack("<d", v) for v in row] for row in values.tolist()]
 
 
+def _assert_map_outcome(exprs, rows):
+    """The compiled map's outcome over ``rows``: what its Program batch
+    gives, with no second pass.  Against the reference, it fails iff some
+    row fails alone, with the error of one such row alone, and on success
+    it has each row's bits.  Returns the outcome."""
+    got = _map_outcome(exprs, rows)
+    assert got == _batch_outcome(compile_exprs(exprs, _NAMES), rows)
+    alone = [_rows_outcome(exprs, [row]) for row in rows]
+    failures = [outcome for outcome in alone if isinstance(outcome, tuple)]
+    assert got in failures if failures else got == [outcome[0] for outcome in alone]
+    return got
+
+
 def test_batch_raises_the_first_failing_rows_error():
     # every field divides by zero in one row and takes the square root of
-    # -1 in another; whichever row comes first raises, whatever the entry
-    # order, unless the random AST fails earlier.  A Program batch raises
-    # its first failing operation's error; the compiled map replays the rows
+    # -1 in another.  A batch raises the error of its first failing
+    # operation, so the division, which the program runs before the square
+    # root, raises whichever of the two rows comes first, unless the random
+    # AST fails earlier
     rng = np.random.default_rng(2024)
     asts = [random_expr(rng) for _ in range(400)]
     rows_rng = np.random.default_rng(11)
@@ -404,14 +417,11 @@ def test_batch_raises_the_first_failing_rows_error():
         rows = rows_rng.uniform(-3.0, 3.0, size=(_BATCH, len(_NAMES)))
         i, j = rows_rng.choice(_BATCH, size=2, replace=False)
         rows[i, 0], rows[j, 1] = 4.0, -5.0
-        rows = rows.tolist()
         exprs = [ast, BinOp("/", ast, BinOp("-", x1, Num(4.0))),
                  BinOp("+", Call("sqrt", BinOp("+", x2, Num(4.0))), ast)]
-        want = _rows_outcome(exprs, rows)
-        assert _map_outcome(exprs, rows) == want, format_expr(ast)
-        first_errors[want] += 1
-    assert first_errors[(NonFiniteError, "division by zero")] > 100
-    assert first_errors[(NonFiniteError, "sqrt of negative value -1.0")] > 100
+        first_errors[_assert_map_outcome(exprs, rows.tolist())] += 1
+    assert first_errors[(NonFiniteError, "division by zero")] > 300
+    assert first_errors[(NonFiniteError, "sqrt of negative value -1.0")] == 0
 
 
 def test_batch_with_shared_subtrees_matches_reference():
@@ -419,9 +429,7 @@ def test_batch_with_shared_subtrees_matches_reference():
     raised = fields = 0
     for values, exprs in _planted_fields():
         rows = [values, *rows_rng.uniform(-3.0, 3.0, size=(_BATCH - 1, len(_NAMES))).tolist()]
-        want = _rows_outcome(exprs, rows)
-        assert _map_outcome(exprs, rows) == want, [format_expr(e) for e in exprs]
-        raised += isinstance(want, tuple)
+        raised += isinstance(_assert_map_outcome(exprs, rows), tuple)
         fields += 1
     assert 0 < raised < fields
 

@@ -1,10 +1,12 @@
 """The batched frame layer against the frame-by-frame references in util.py.
 
 Every lift frame and flow pushforward a verify op builds comes out of one
-stacked batch; each must be the same bits as building it alone, and a
-failing batch must raise what the frame-by-frame build raises first, in
-its order: base frame i, then the moved frame and flow pushforward of each
-fibre parameter.
+stacked batch; each must be the same bits as building it alone.  A failing
+batch runs once and raises the first error it meets in its own order: the
+section at every quotient point, the flow at every (fibre parameter,
+point) pair, parameter outer, then each check of ``split_tangent`` over
+every frame, the base frames before the moved ones.  Where one frame
+fails, that is what the frame-by-frame build raises.
 """
 
 import dataclasses
@@ -27,7 +29,13 @@ from symred.actions import (
     pushforward_table,
 )
 from symred.cli import main
-from symred.errors import ActionNotFreeError, NonFiniteError, NotOnLevelError
+from symred.errors import (
+    ActionNotFreeError,
+    DegenerateInputError,
+    NonFiniteError,
+    NotOnLevelError,
+    NotRegularValueError,
+)
 from symred.geometry import (
     FD_STEP,
     ChartPoint,
@@ -63,6 +71,7 @@ from util import (
     reference_lift_frame,
     reference_orthonormalize,
     reference_pushforward,
+    reference_split_tangent,
 )
 
 SPLIT_FIELDS = ("level", "vertical", "horizontal", "jmu", "generators", "metric")
@@ -326,10 +335,13 @@ def test_nonfinite_tangent_at_a_middle_sample(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {want}\n"
 
 
-def test_fibre_frame_fails_before_a_later_base_frame(tmp_path, capsys):
+def test_a_batch_checks_the_level_of_every_frame_at_once(tmp_path, capsys):
     # the flow scales by 1 + t^2 b, with b a bump at the section point
     # (1, 0, 0, 0) of the second sample: the fibre at pi/3 leaves the level
-    # there, while the section leaves it at the fourth sample
+    # there, while the section leaves it at the fourth sample.  Frame by
+    # frame, the second sample's fibre frame fails first; the batch checks
+    # the level of every frame at once, the base frames first, so it
+    # raises the fourth sample's base frame error
     bump = "(1 + t1^2*0.01*exp(-100*((x1 - 1)^2 + x2^2 + x3^2 + x4^2)))"
     flow = ("flow = [" + ", ".join(
         f"({e})*{bump}" for e in ("x1*cos(t1) + x2*sin(t1)", "x2*cos(t1) - x1*sin(t1)",
@@ -341,16 +353,28 @@ def test_fibre_frame_fails_before_a_later_base_frame(tmp_path, capsys):
         flow=flow,
         section=_HOPF_SECTION.replace("[1/sqrt(1 + w1^2 + w2^2),",
                                       f"[{section_bump}/sqrt(1 + w1^2 + w2^2),"))
-    base_error, error = _assert_parity(path, scen, capsys)
-    assert type(error) is NotOnLevelError and type(base_error) is NotOnLevelError
-    assert str(error) != str(base_error)
+    xs = np.array(scen.sample_spec.points)
+    base_error = _reference_base_failure(scen, xs)
+    fibre_error = _reference_submersion_failure(scen, xs)
+    assert type(fibre_error) is NotOnLevelError and type(base_error) is NotOnLevelError
+    assert str(fibre_error) != str(base_error)
+    for fiber_params in ((), FIBER_PARAMS):
+        with pytest.raises(NotOnLevelError) as raised:
+            lift_frames(scen, xs, fiber_params)
+        assert str(raised.value) == str(base_error)
+    assert main(["verify", str(path), "--suites", "reduction,main-theorem"]) == 2
+    assert capsys.readouterr().err == f"error: {base_error}\n"
+    # without the failing base frame, the fibre frame's error is the batch's
+    with pytest.raises(NotOnLevelError) as raised:
+        lift_frames(scen, xs[:3], FIBER_PARAMS)
+    assert str(raised.value) == str(fibre_error)
 
 
 def test_a_base_frame_fails_before_its_own_moved_frames(tmp_path, capsys):
-    # at (0, 0.2) the section's exact Jacobian is not finite, which the
-    # base frame checks late, while the flow scales by 1 + t^2/100 and so
-    # moves every section point off the level, which each moved frame
-    # checks early: the replayed point builds its base frame first
+    # at (0, 0.2) the section's exact Jacobian is not finite, while the flow
+    # scales by 1 + t^2/100 and so moves every section point off the level.
+    # The section's derivative is refused where it is computed, before any
+    # moved frame is built
     flow = ("flow = [" + ", ".join(
         f"({e})*(1 + t1^2/100)" for e in ("x1*cos(t1) + x2*sin(t1)", "x2*cos(t1) - x1*sin(t1)",
                                           "x3*cos(t1) + x4*sin(t1)", "x4*cos(t1) - x3*sin(t1)"))
@@ -359,17 +383,19 @@ def test_a_base_frame_fails_before_its_own_moved_frames(tmp_path, capsys):
         tmp_path, "base_first", points="sample.points = [[0, 0.2], [0.6, 0.3]]", flow=flow,
         section=_HOPF_SECTION.replace("[1/sqrt(1 + w1^2 + w2^2),",
                                       "[1/sqrt(1 + w1^2 + w2^2) + 0*sqrt(w1^2),"))
-    with pytest.raises(NotOnLevelError):
+    with pytest.raises(NonFiniteError, match="^derivative of hopf section at"):
         reduction._lift_frames(scen, np.array([[0.0, 0.2]]), np.array([[np.pi]]))
+    with pytest.raises(NotOnLevelError):
+        reduction._lift_frames(scen, np.array([[0.6, 0.3]]), np.array([[np.pi]]))
     base_error, error = _assert_parity(path, scen, capsys)
     assert type(error) is NonFiniteError and str(error) == str(base_error)
     assert str(error).startswith("derivative of hopf section at")
 
 
 def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, capsys):
-    # the table replays a failing batch point by point, so each pipeline's
-    # table raises what the first failing base frame raises alone, whether
-    # it holds the base frames or the fibre frames too, as the CLI shares it
+    # each variant fails at one point, so each pipeline's table raises what
+    # that base frame raises alone, whether it holds the base frames or the
+    # fibre frames too, as the CLI shares it
     variants = [
         _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION),
         _hopf_variant(tmp_path, "degenerate",
@@ -390,8 +416,8 @@ def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, ca
 
 def test_reduced_structures_raise_the_first_failing_point_error(tmp_path):
     # the two variants above at once: point 0 alone raises ActionNotFreeError
-    # and point 1 alone NotOnLevelError.  The batch of both fails the
-    # level check first, at point 1; its replay raises point 0's own error
+    # and point 1 alone NotOnLevelError.  The batch of both checks the level
+    # of every point before the generators, so it raises point 1's error
     _, scen = _hopf_variant(tmp_path, "off_level_degenerate",
                             points="sample.points = [[0, 0], [0.5, 0.2]]",
                             section=_OFF_LEVEL_SECTION,
@@ -399,13 +425,14 @@ def test_reduced_structures_raise_the_first_failing_point_error(tmp_path):
     xs = np.array(scen.sample_spec.points)
     base_error = _reference_base_failure(scen, xs)
     assert type(base_error) is ActionNotFreeError
-    with pytest.raises(NotOnLevelError):
-        reduced_structures(scen, xs[1])
-    with pytest.raises(NotOnLevelError):
-        reduction._lift_frames(scen, xs)
     with pytest.raises(ActionNotFreeError) as raised:
-        reduced_structures(scen, xs)
+        reduced_structures(scen, xs[0])
     assert str(raised.value) == str(base_error)
+    off_level = _reference_base_failure(scen, xs[1:])
+    assert type(off_level) is NotOnLevelError
+    with pytest.raises(NotOnLevelError) as raised:
+        reduced_structures(scen, xs)
+    assert str(raised.value) == str(off_level)
 
 
 def test_suites_that_read_no_frames_build_none(tmp_path, monkeypatch):
@@ -422,13 +449,12 @@ def test_suites_that_read_no_frames_build_none(tmp_path, monkeypatch):
     assert main(["verify", str(path), "--suites", "structures,action,holomorphy"]) == 0
     assert sizes == []
     assert main(["verify", str(path), "--suites", "structures,action,main-theorem"]) == 2
-    assert sizes == [5, 1, 1, 1]
+    assert sizes == [5]
 
 
-def test_a_failing_table_builds_its_batch_once_then_each_replayed_row(tmp_path, monkeypatch):
-    # the batch of all five frames fails; the replay then builds the frames
-    # of each row alone, up to the failing third one, with no second build
-    # of the batch
+def test_a_failing_table_builds_its_batch_once(tmp_path, monkeypatch):
+    # the batch of all five frames fails at the third, and nothing is built
+    # again
     _, scen = _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION)
     points = np.array(scen.sample_spec.points)
     sizes = []
@@ -441,7 +467,7 @@ def test_a_failing_table_builds_its_batch_once_then_each_replayed_row(tmp_path, 
     monkeypatch.setattr(reduction, "_lift_frames", counted)
     with pytest.raises(NotOnLevelError):
         verify_main_theorem(lift_frames(scen, points))
-    assert sizes == [5, 1, 1, 1]
+    assert sizes == [5]
 
 
 def _opaque_flow_hopf(fails):
@@ -463,17 +489,90 @@ def _opaque_flow_hopf(fails):
 
 def test_fibre_error_comes_from_the_first_failing_point():
     # the flow fails for fibre parameter 1 at point 0 and for parameter 0 at
-    # point 1.  The frames of all points and parameters are one batch, which
-    # fails; the table then builds them point by point, each point's base
-    # and moved frames one batch, so point 0's failure is raised, as the
-    # frame-by-frame order (point outer, then parameter) raises it
+    # point 1.  The moved frames of all points and parameters are one flow
+    # batch, parameter outer, so it raises the failure of parameter 0 at
+    # point 1, where the frame-by-frame order (point outer, then parameter)
+    # meets point 0's first.  Either failure alone is raised as frame by frame
     xs = sample_ball(2, 4, radius=2.0, seed=6)
     scen = _opaque_flow_hopf([(0, 1, xs), (1, 0, xs)])
-    error = _reference_submersion_failure(scen, xs)
-    assert str(error) == "flow fails near point 0 for fibre parameter 1"
+    assert str(_reference_submersion_failure(scen, xs)) == \
+        "flow fails near point 0 for fibre parameter 1"
     with pytest.raises(NonFiniteError) as raised:
         verify_submersion(lift_frames(scen, xs, FIBER_PARAMS))
-    assert str(raised.value) == str(error)
+    assert str(raised.value) == "flow fails near point 1 for fibre parameter 0"
+    for fails in ([(0, 1, xs)], [(1, 0, xs)]):
+        scen = _opaque_flow_hopf(fails)
+        error = _reference_submersion_failure(scen, xs)
+        with pytest.raises(NonFiniteError) as raised:
+            verify_submersion(lift_frames(scen, xs, FIBER_PARAMS))
+        assert str(raised.value) == str(error)
+
+
+# hopf with mu = (x1^2 + x2^2)/2 - (x3^2 + x4^2)^2/2, which the circle
+# preserves, at the level 0, and a section onto that level through the
+# origin, where d mu = 0: a stack of its two section points mixes a regular
+# point of mu with a critical one
+_MIXED_RANK = (
+    ("mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]", "mu = [0.5*(x1^2 + x2^2) - 0.5*(x3^2 + x4^2)^2]"),
+    ("beta = [0.5]", "beta = [0]"),
+    (_HOPF_SECTION, "section = [w1^2 + w2^2, 0, w1, w2]"),
+)
+
+
+@pytest.mark.parametrize("scale, error, message", [
+    # the generator's g-norm falls below FREE_TOL though its singular value does not
+    ((1e-20, 1e-20), ActionNotFreeError, "vertical space degenerates to dimension below 1"),
+    # the horizontal directions e3, e4 at (1, 0, 0, 0) have g-norm 1e-11
+    ((1.0, 1e-22), DegenerateInputError, "horizontal complement degenerates to dimension below 2"),
+])
+def test_a_frame_that_gram_schmidt_degenerates_is_refused_at_its_point(scale, error, message):
+    # hopf's metric scaled by diag(a, a, b, b) at the section point
+    # (1, 0, 0, 0) of w = 0 only, the second of three points
+    hopf = builtin("hopf")
+    here = np.array([1.0, 0.0, 0.0, 0.0])
+
+    def rows(X):
+        G = np.repeat(np.eye(4)[np.newaxis], len(X), axis=0)
+        G[(X == here).all(axis=1)] = np.diag(np.repeat(scale, 2))
+        return G
+
+    scen = dataclasses.replace(hopf, metric=TensorField.matrix(RowMap(rows), 4, name="metric"))
+    M = hopf.section(np.array([[0.6, 0.3], [0.0, 0.0], [0.5, 0.2]]))
+    want = f"{message} at {ChartPoint(here)}"
+    with pytest.raises(error) as raised:
+        reference_split_tangent(scen, M[1])
+    assert str(raised.value) == want
+    with pytest.raises(error) as raised:
+        split_tangent(scen, M)
+    assert str(raised.value) == want
+
+
+def test_a_stack_mixing_a_critical_point_of_mu_is_not_a_regular_value(tmp_path, capsys):
+    text = builtin_text("hopf")
+    for old, new in _MIXED_RANK:
+        assert old in text
+        text = text.replace(old, new)
+    text += "\nsample.points = [[0.5, 0.5], [0, 0]]\n"
+    path = tmp_path / "mixed_rank.scn"
+    path.write_text(text)
+    scen = compile_scenario(parse_scenario(text))
+    xs = np.array(scen.sample_spec.points)
+    M = scen.section(xs)
+    assert np.abs(eval_field(scen.mu.field, M) - scen.mu.beta).max() == 0.0
+    want = (r"^kernel of d mu has dimension 4 at ChartPoint\(\[0\., 0\., 0\., 0\.\]\), "
+            r"expected 3$")
+    with pytest.raises(NotRegularValueError, match=want):
+        split_tangent(scen, M)
+    split_tangent(scen, M[:1])  # the regular point alone splits
+    for fiber_params in ((), FIBER_PARAMS):
+        with pytest.raises(NotRegularValueError, match=want):
+            lift_frames(scen, xs, fiber_params)
+    for suites in ("reduction", "main-theorem"):
+        assert main(["verify", str(path), "--suites", suites]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: kernel of d mu has dimension 4 at ChartPoint(")
+        assert len(err.splitlines()) == 1
 
 
 def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):

@@ -4,6 +4,7 @@ hold (hypothesis is a test-only dependency; the module is skipped without
 it)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from symred.geometry import ChartPoint  # noqa: E402
+from symred.geometry import ChartPoint, TensorField  # noqa: E402
 from symred.report import VerificationReport, check_from_dict, check_to_dict  # noqa: E402
-from symred.structures import StructureCheckResult  # noqa: E402
+from symred.structures import StructureCheckResult, check_metric, check_tolerance  # noqa: E402
 
 from test_report_json import _check, assert_matches_oracle  # noqa: E402
 
@@ -46,11 +47,12 @@ def test_random_trees_match_the_oracle(meta, extras, name, residual):
 
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(residuals=st.lists(st.floats(), min_size=1, max_size=5),
-                  tolerance=st.floats(), claimed=st.booleans())
+                  tolerance=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                  claimed=st.booleans())
 @hypothesis.example(residuals=[0.0, math.nan], tolerance=1.0, claimed=True)
-@hypothesis.example(residuals=[math.inf], tolerance=math.inf, claimed=False)
-@hypothesis.example(residuals=[-math.inf], tolerance=-math.inf, claimed=False)
-@hypothesis.example(residuals=[1.0], tolerance=math.nan, claimed=True)
+@hypothesis.example(residuals=[math.inf], tolerance=sys.float_info.max, claimed=True)
+@hypothesis.example(residuals=[-math.inf], tolerance=5e-324, claimed=False)
+@hypothesis.example(residuals=[5e-324], tolerance=5e-324, claimed=False)
 def test_a_check_passes_iff_its_residual_is_within_its_tolerance(residuals, tolerance, claimed):
     # the oracle: every residual within the tolerance, a NaN in neither; a
     # check read back from its dict is judged again, whatever "passed" says
@@ -62,3 +64,20 @@ def test_a_check_passes_iff_its_residual_is_within_its_tolerance(residuals, tole
     d["passed"] = claimed
     back = check_from_dict(d)
     assert back.passed == (back.max_residual <= back.tolerance) == want
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -0.0, -1e-8, math.inf, -math.inf, math.nan])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused(tolerance):
+    # such a tolerance would pass or fail a check whatever its residual:
+    # with +inf a metric that is not positive definite would pass
+    message = rf"^tolerance of check 'c' must be positive and finite, got {tolerance}$"
+    with pytest.raises(ValueError, match=message):
+        StructureCheckResult.from_samples("c", [0.0], np.zeros((1, 2)), tolerance)
+    d = check_to_dict(StructureCheckResult.from_samples("c", [0.0], np.zeros((1, 2)), 1.0))
+    with pytest.raises(ValueError, match=message):
+        check_from_dict({**d, "tolerance": tolerance})
+    indefinite = TensorField.constant(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        check_metric(indefinite, np.zeros((1, 2)), tol=tolerance)
+    with pytest.raises(ValueError, match=r"^tolerance 'structures.metric' must be positive "):
+        check_tolerance("structures.metric", tolerance)

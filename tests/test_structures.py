@@ -311,15 +311,24 @@ def _error(call):
 
 @pytest.mark.parametrize("rows", [[0, 1, 2, 3], [0, 3, 2, 1]])
 def test_stacked_triple_raises_the_first_failing_points_error(rows):
-    # omega is degenerate at one point and g0 asymmetric at another: the
-    # point that comes first in the stack decides the error, as point by point
+    # omega is degenerate at point 1 (x1 = 0) and g0 asymmetric at point 3
+    # (x2 > 1).  The batch takes the square root of g0 at every point before
+    # it looks at omega, so the asymmetry is raised whichever point comes
+    # first, where point by point the first point's error is.  Without the
+    # asymmetric point, the batch raises the degenerate point's error
     X = np.array([[0.5, 0.2, 0.1, 0.3], [0.0, 0.4, 0.2, 0.1],
                   [0.7, -0.3, 0.5, 0.2], [0.6, 1.5, 0.1, 0.1]])[rows]
     w = TensorField.matrix(RowMap(_stacked_omega), 4)
     g0 = TensorField.matrix(RowMap(_stacked_metric), 4)
     got, want = build_compatible_triple(w, g0), reference_compatible_triple(w, g0)
-    expected = _error(lambda: eval_field(want.acs, X))
-    assert expected[0] is NotSPDError
-    assert ("degenerate" in expected[1]) == (rows[1] == 1)
-    assert _error(lambda: eval_field(got.acs, X)) == expected
-    assert _error(lambda: eval_field(got.metric, X)) == _error(lambda: eval_field(want.metric, X))
+    alone = _error(lambda: eval_field(want.acs, X))
+    assert alone[0] is NotSPDError
+    assert ("degenerate" in alone[1]) == (rows[1] == 1)
+    for field in (got.acs, got.metric):
+        assert _error(lambda: eval_field(field, X)) == (NotSPDError, "matrix is not symmetric")
+    symmetric = X[[i for i, row in enumerate(rows) if row != 3]]
+    expected = _error(lambda: eval_field(want.acs, symmetric))
+    assert expected[0] is NotSPDError and "degenerate" in expected[1]
+    for got_field, want_field in ((got.acs, want.acs), (got.metric, want.metric)):
+        assert _error(lambda: eval_field(got_field, symmetric)) == \
+            _error(lambda: eval_field(want_field, symmetric))

@@ -2,7 +2,7 @@
 
 Every compiled scenario map is differentiated in forward mode
 (``Program.tangents``).  Here each Jacobian is compared with sympy's
-derivative of the same parsed expressions, evaluated at 30 digits at the
+derivative of the same parsed expressions, evaluated at 400 digits at the
 same float points: the flow with respect to the point and the group
 parameters, the generators, the section, each momentum component and
 each matrix field of every built-in and of euclidean_r2n at 8 planes, the
@@ -77,23 +77,25 @@ def _sympy_matrix(exprs, names):
 
 def _at_points(entries, args, points):
     """The (N, len(entries)) values of sympy expressions over the symbols
-    ``args`` at the rows of ``points``, evaluated at 30 digits at the exact
-    values of the float coordinates."""
+    ``args`` at the rows of ``points``, evaluated at 400 digits at the exact
+    values of the float coordinates: enough that a sum such as
+    -x1 + x2 - 1 at x1 = 2.5e-304, x2 = 1, which sympy may order so that
+    x1 meets 1 first, keeps x1 down to the least subnormal."""
     f = sp.lambdify(args, list(entries), "mpmath")
-    with mpmath.workdps(30):
+    with mpmath.workdps(400):
         return np.array([[float(v) for v in f(*map(mpmath.mpf, p.tolist()))] for p in points])
 
 
 def sympy_values(exprs, names, points):
     """The (N, m) values of the entries ``exprs`` over the coordinates
-    ``names`` at the rows of ``points``, from sympy at 30 digits."""
+    ``names`` at the rows of ``points``, from sympy at 400 digits."""
     return _at_points(*_sympy_matrix(exprs, names), points)
 
 
 def sympy_jacobians(exprs, names, points):
     """The (N, m, d) Jacobians of the entries ``exprs`` over the coordinates
     ``names`` at the rows of ``points``, from sympy's derivatives evaluated
-    at 30 digits at the exact values of the float coordinates."""
+    at 400 digits at the exact values of the float coordinates."""
     column, args = _sympy_matrix(exprs, names)
     return _at_points(column.jacobian(args), args, points).reshape(
         len(points), len(exprs), len(names))

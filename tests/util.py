@@ -451,7 +451,7 @@ def reference_split_tangent(scen, m):
     level = reference_kernel_basis(jmu, RANK_TOL)
     if level.shape[1] != n - k:
         raise NotRegularValueError(
-            f"kernel of d mu has dimension {level.shape[1]}, expected {n - k}")
+            f"kernel of d mu has dimension {level.shape[1]} at {point}, expected {n - k}")
     V = np.zeros((n, k))
     for i in range(k):
         V[:, i] = reference_generator(scen.action, i, point)
@@ -470,9 +470,12 @@ def reference_split_tangent(scen, m):
     G = eval_field(scen.metric, point)
     vertical = reference_orthonormalize(V, G, tol=FREE_TOL)
     if vertical.shape[1] != k:
-        raise ActionNotFreeError(f"vertical space degenerates to dimension {vertical.shape[1]}")
-    horizontal = reference_orthonormalize(
-        level @ reference_kernel_basis(vertical.T @ G @ level, RANK_TOL), G)
+        raise ActionNotFreeError(f"vertical space degenerates to dimension below {k} at {point}")
+    complement = reference_kernel_basis(vertical.T @ G @ level, RANK_TOL)
+    horizontal = reference_orthonormalize(level @ complement, G)
+    if horizontal.shape[1] < complement.shape[1]:
+        raise DegenerateInputError(
+            f"horizontal complement degenerates to dimension below {n - 2 * k} at {point}")
     if horizontal.shape[1] != n - 2 * k:
         raise DegenerateInputError(
             f"horizontal complement has dimension {horizontal.shape[1]}, expected {n - 2 * k}")
