@@ -8,6 +8,7 @@ usage, parse or validation errors.
 from __future__ import annotations
 
 import argparse
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -84,6 +85,11 @@ class RunConfig:
         unknown = set(self.suites) - set(SUITE_ORDER)
         if unknown:
             raise ValueError(f"unknown suites {sorted(unknown)}; choose from {SUITE_ORDER}")
+        for key in ("samples", "seed"):
+            value = getattr(self, key)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.seed is not None and self.seed < 0:

@@ -26,14 +26,17 @@ A stack of points holds at least one point, checked where points enter
 (``as_points``, ``takes_points``): an identity checked at no point proves
 nothing.  One point becomes a stack of one in one place, ``takes_points``,
 and the caller gets row 0 back; a non-finite row of a stack raises what a
-non-finite ChartPoint raises.  Stacked results are the bits of the
-per-point calls: stacked ``np.linalg.svd``, ``eigh``, ``solve`` and ``@``
-(products with a transposed operand and dot products as
-``(N, 1, n) @ (N, n, 1)`` included) run the same LAPACK or BLAS call on
-each slice, while ``einsum``, ``sum(axis=...)`` and
-``np.linalg.norm(axis=...)`` would add in another order, so none is used.
-A stack whose slices would differ in shape (kernel dimensions, columns
-kept by Gram-Schmidt) raises ValueError instead of padding.
+non-finite ChartPoint raises.  A frame, not a vector, is one slice of
+each stacked product: a frame's columns are multiplied as one matrix, and
+their pairings and norms are read off the diagonal of one product such as
+``W^T G W``.  Stacked results are the bits of the per-frame calls: stacked
+``np.linalg.svd``, ``eigh``, ``solve`` and ``@`` (products with a
+transposed operand, or with an operand broadcast over the stack, included)
+run the same LAPACK or BLAS call on each slice, while ``einsum``,
+``sum(axis=...)`` and ``np.linalg.norm(axis=...)`` would add in another
+order, so none is used.  A stack whose slices would differ in shape
+(kernel dimensions, columns kept by Gram-Schmidt) raises ValueError
+instead of padding.
 
 Every derivative takes one path, ``_derivative``: a map's values at every
 row and its derivatives there along the columns of a seed matrix, which
@@ -461,12 +464,13 @@ def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
     product defined by ``metric``, returned as columns.
 
     Columns whose metric norm drops below ``tol`` after projection are
-    dropped, so linearly dependent inputs are handled silently.  Each kept
-    vector b is stored with its row ``b @ G``, computed once; a projection
-    coefficient ``(b @ G) @ w`` is the same product as ``b @ G @ w``.  A
-    stack of frames (N, n, c) with metrics (N, n, n) is orthonormalized in
-    one pass of stacked products, each slice the bits of the call on it
-    alone; a stack whose slices keep different columns raises ValueError.
+    dropped, so linearly dependent inputs are handled silently.  Each column
+    w is projected against the whole kept basis B at once, w - B (B^T G w)
+    with B^T G formed once per column, and then again, so the kept columns
+    are orthonormal to roundoff.  A stack of frames (N, n, c) with metrics
+    (N, n, n) is orthonormalized in one pass of stacked products, each
+    slice the bits of the call on it alone; a stack whose slices keep
+    different columns raises ValueError.
     """
     def dropped(slices):
         if not slices.all():
@@ -479,31 +483,34 @@ def _gram_schmidt(frame, metric, tol: float, dropped: Callable) -> np.ndarray:
     """``orthonormalize``, calling ``dropped(slices)`` for each column that
     some slice drops, with the mask of the slices that drop it; ``dropped``
     raises to refuse it, and should it return, the column is dropped from
-    every slice."""
+    every slice.  Classical Gram-Schmidt run twice is as orthogonal as the
+    modified form (Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005)."""
     G = np.asarray(metric, dtype=float)
     cols = np.asarray(frame, dtype=float)
-    basis: list[np.ndarray] = []
-    rows: list[np.ndarray] = []  # b @ G for each b in basis, as (..., 1, n)
+    B = cols[..., :0]
     for j in range(cols.shape[-1]):
-        w = cols[..., j].copy()
-        for _ in range(2):  # re-orthogonalize once for 1e-12-level orthogonality
-            for b, bG in zip(basis, rows):
-                w -= (bG @ w[..., np.newaxis])[..., 0] * b
+        w = cols[..., j:j + 1].copy()  # contiguous, whatever the frame's layout
+        if B.shape[-1]:
+            BtG = B.swapaxes(-1, -2) @ G
+            for _ in range(2):
+                w = w - B @ (BtG @ w)
         nrm = _g_norms(w, G)
-        short = nrm < tol
+        short = nrm[..., 0] < tol
         if short.any():
             dropped(short)
             continue
-        basis.append(w / nrm[..., np.newaxis])
-        rows.append(basis[-1][..., np.newaxis, :] @ G)
-    return np.stack(basis, axis=-1) if basis else np.zeros(cols.shape[:-1] + (0,))
+        B = np.concatenate([B, w / nrm[..., np.newaxis, :]], axis=-1)
+    return B
 
 
-def _g_norms(w: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The g-norm sqrt(max(w[i] G[i] w[i], 0)) for every row i, as stacked
-    products; the leading axes of w and G broadcast."""
-    wG = w[..., np.newaxis, :] @ G
-    return np.sqrt(np.maximum((wG @ w[..., np.newaxis])[..., 0, 0], 0.0))
+def _g_norms(W: np.ndarray, G: np.ndarray | None = None) -> np.ndarray:
+    """The g-norms sqrt(max(w^T G w, 0)) of the columns w of every frame W
+    (..., n, c), as (..., c): the diagonal of the one product W^T G W per
+    frame, the leading axes of W and G broadcasting; with no G, the
+    Euclidean norms, from W^T W."""
+    WT = W.swapaxes(-1, -2)
+    gram = WT @ W if G is None else WT @ G @ W
+    return np.sqrt(np.maximum(np.diagonal(gram, axis1=-2, axis2=-1), 0.0))
 
 
 def spd_sqrt(mat) -> tuple[np.ndarray, np.ndarray]:

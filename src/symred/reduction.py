@@ -25,10 +25,11 @@ building it alone.  A batch runs once: one that fails raises the first
 error it meets, in the order it computes (the section, the flow, then
 ``split_tangent``'s checks and the lifts' rank), naming the first frame
 that fails that step.  The pipelines read the table's frames as
-stacked arrays, with stacked products and no loop over points: a vector
-that the per-point formula takes alone (a lift, a generator, a sampled
-tangent pair) is its own (n, 1) slice of the product, so each value that
-needs no solve is the bits of computing it point by point.
+stacked arrays, with stacked products and no loop over points: a frame
+(the lifts, the generators, the sampled level vectors of a point) is one
+slice of each product, J_red = C^-1 H^T G J L included, and the pairings
+and norms of its columns are the diagonals of whole products, so each
+frame's values are the bits of the same products on that frame alone.
 
 The quotient has no chart of its own other than through the local section, so
 the projection differential is never formed globally.  The lifts are
@@ -328,10 +329,10 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray, fiber_params: np.ndarra
     pushforward = np.broadcast_to(np.eye(n), (len(X), n, n))
     if len(fiber_params):
         table = pushforward_table(scen.action, fiber_params, M)
-        D = table.D.reshape(-1, n, n)
-        M = np.concatenate([M, table.moved.reshape(-1, n)])
-        dsigma = np.concatenate([dsigma, D @ np.tile(dsigma, (len(fiber_params), 1, 1))])
-        pushforward = np.concatenate([pushforward, D])
+        # the P blocks of N moved frames after the base frames
+        M = np.concatenate([M, *table.moved])
+        dsigma = np.concatenate([dsigma, *(table.D @ dsigma)])
+        pushforward = np.concatenate([pushforward, *table.D])
     split = split_tangent(scen, M)
     H = split.horizontal
     htg = H.swapaxes(1, 2) @ split.metric
@@ -393,19 +394,6 @@ def _reduced_symplectic(f: _LiftFrames) -> np.ndarray:
     return 0.5 * (w - w.swapaxes(1, 2))
 
 
-def _columns(A: np.ndarray) -> np.ndarray:
-    """The columns of every A[i] as an (N, c, n, 1) stack of vectors, so that
-    a stacked product takes each column as the per-vector formula does."""
-    return A.swapaxes(1, 2)[..., np.newaxis]
-
-
-def _dpi(f: _LiftFrames, h_coef: np.ndarray) -> np.ndarray:
-    """d pi of vectors from their horizontal coefficients, the (N, c, q, 1)
-    stack H^T G u: C x = H^T G u solved for the c vectors of a frame with
-    one factorization, returned as the columns of (N, q, c)."""
-    return np.linalg.solve(f.coef, h_coef[..., 0].swapaxes(1, 2))
-
-
 def _ratio(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """a / scale, and 0 where the scale is 0."""
     return np.divide(a, scale, out=np.zeros_like(a), where=scale != 0.0)
@@ -415,18 +403,16 @@ def _reduced(f: _LiftFrames):
     """Reduced metric, symplectic form and acs candidate at every frame, and
     the leaks of J applied to each lift: the norm of its vertical
     coefficients and the g-norm of its part normal to the level set, both
-    relative to the lift's g-norm, as (N, q) arrays.  Column i of J_red
-    solves C x = H^T G J lift_i."""
+    relative to the lift's g-norm, as (N, q) arrays.  J_red solves
+    C J_red = H^T G J L."""
     G, H, V = f.split.metric, f.split.horizontal, f.split.vertical
-    L = _columns(f.lifts)
-    image = f.J[:, np.newaxis] @ L
-    h_coef = f.htg[:, np.newaxis] @ image
-    v_coef = (V.swapaxes(1, 2) @ G)[:, np.newaxis] @ image
-    normal = image - H[:, np.newaxis] @ h_coef - V[:, np.newaxis] @ v_coef
-    scale = _g_norms(L[..., 0], G[:, np.newaxis])
-    return (_reduced_metric(f.lifts, G), _reduced_symplectic(f), _dpi(f, h_coef),
-            _ratio(_row_norms(v_coef[..., 0]), scale),
-            _ratio(_g_norms(normal[..., 0], G[:, np.newaxis]), scale))
+    image = f.J @ f.lifts
+    h_coef = f.htg @ image
+    v_coef = V.swapaxes(1, 2) @ G @ image
+    normal = image - H @ h_coef - V @ v_coef
+    scale = _g_norms(f.lifts, G)
+    return (_reduced_metric(f.lifts, G), _reduced_symplectic(f), np.linalg.solve(f.coef, h_coef),
+            _ratio(_g_norms(v_coef), scale), _ratio(_g_norms(normal, G), scale))
 
 
 @takes_points(1)
@@ -458,16 +444,6 @@ def reduced_structures(scen: ReductionScenario, X) -> ReducedStructures:
     return ReducedStructures(point=X, h_beta=h, omega_beta=w, j_beta=j_red)
 
 
-def _vertical_leak(D: np.ndarray, generators: np.ndarray, moved: SplitTangentSpace) -> np.ndarray:
-    """At every frame, the largest g-norm of the part of ``D @ xi``
-    g-orthogonal to the vertical space of ``moved``, the splitting at the
-    moved point, over generators xi."""
-    G, V = moved.metric, moved.vertical
-    pushed = D @ generators
-    leak = pushed - V @ (V.swapaxes(1, 2) @ G @ pushed)
-    return _row_max_abs(_g_norms(leak.swapaxes(1, 2), G[:, np.newaxis]))
-
-
 def verify_submersion(frames: _FrameTable,
                       tol: float = DEFAULT_TOLERANCES["reduction.submersion"],
                       vertical_tol: float = DEFAULT_TOLERANCES["reduction.vertical-invariance"]
@@ -482,12 +458,20 @@ def verify_submersion(frames: _FrameTable,
     if not P:
         raise ValueError("lift frame table has no fibre parameters to check")
     report = VerificationReport("submersion")
-    fiber = np.tile(_reduced_metric(base.lifts, base.split.metric), (P, 1, 1)) \
-        - _reduced_metric(moved.lifts, moved.split.metric)
-    vertical = _vertical_leak(moved.pushforward, np.tile(base.split.generators, (P, 1, 1)),
-                              moved.split)
-    fiber_res = _row_max_abs(_row_max_abs(fiber).reshape(P, len(X)).T)
-    vert_res = _row_max_abs(vertical.reshape(P, len(X)).T)
+
+    def blocks(a):
+        """The P blocks of N moved frames of ``a``, parameter outer."""
+        return a.reshape(P, len(X), *a.shape[1:])
+
+    # every moved frame against its base frame, which broadcasts over the P blocks
+    fiber = _reduced_metric(base.lifts, base.split.metric) \
+        - blocks(_reduced_metric(moved.lifts, moved.split.metric))
+    # the part of each pushed generator D xi g-orthogonal to the moved vertical space
+    G, V = blocks(moved.split.metric), blocks(moved.split.vertical)
+    pushed = blocks(moved.pushforward) @ base.split.generators
+    leak = pushed - V @ (V.swapaxes(-1, -2) @ G @ pushed)
+    fiber_res = _row_max_abs(fiber.swapaxes(0, 1))
+    vert_res = _row_max_abs(_g_norms(leak, G).swapaxes(0, 1))
     report.add(StructureCheckResult.from_samples(
         "fiber independence", fiber_res, X, tol, IDENTITY_FIBER,
         extras={"fiber_params": frames.fiber_params.tolist()}))
@@ -513,18 +497,15 @@ def verify_reduction_identity(frames: _FrameTable,
     """
     report = VerificationReport("reduction identity")
     scen, X, f = frames.scen, frames.points, frames.base
-    N, n, q, K = len(X), scen.chart_dim, scen.quotient_dim, f.split.level
-    coefs = np.random.default_rng(seed).standard_normal(
-        (N, PAIRS_PER_POINT, 2, n - scen.action.group_dim))
-    uv = K[:, np.newaxis, np.newaxis] @ coefs[..., np.newaxis]
-    u, v = uv[:, :, 0], uv[:, :, 1]
-    ambient = (u.swapaxes(2, 3) @ f.Om[:, np.newaxis] @ v)[..., 0, 0]
-    d = _dpi(f, f.htg[:, np.newaxis] @ uv.reshape(N, 2 * PAIRS_PER_POINT, n, 1))
-    d = d.swapaxes(1, 2).reshape(N, PAIRS_PER_POINT, 2, q)
-    reduced = (d[:, :, 0, np.newaxis] @ _reduced_symplectic(f)[:, np.newaxis]
-               @ d[:, :, 1, :, np.newaxis])[..., 0, 0]
-    vertical = f.split.vertical.swapaxes(1, 2)[:, :, np.newaxis]
-    degeneracy = vertical @ f.Om[:, np.newaxis] @ K[:, np.newaxis]
+    N, n, K = len(X), scen.chart_dim, f.split.level
+    P, w_red = PAIRS_PER_POINT, _reduced_symplectic(f)
+    coefs = np.random.default_rng(seed).standard_normal((N, P, 2, n - scen.action.group_dim))
+    # the level vectors of every frame as the columns u_1..u_P, v_1..v_P
+    uv = K @ coefs.transpose(0, 3, 2, 1).reshape(N, -1, 2 * P)
+    d = np.linalg.solve(f.coef, f.htg @ uv)
+    ambient = np.diagonal(uv[..., :P].swapaxes(1, 2) @ f.Om @ uv[..., P:], axis1=1, axis2=2)
+    reduced = np.diagonal(d[..., :P].swapaxes(1, 2) @ w_red @ d[..., P:], axis1=1, axis2=2)
+    degeneracy = f.split.vertical.swapaxes(1, 2) @ f.Om @ K
     id_res, deg_res = _row_max_abs(ambient - reduced), _row_max_abs(degeneracy)
     report.add(StructureCheckResult.from_samples(
         "pullback identity", id_res, X, tol, IDENTITY_REDUCTION,
@@ -553,8 +534,7 @@ def verify_main_theorem(frames: _FrameTable,
     report = VerificationReport("main theorem")
     X, q, f = frames.points, frames.scen.quotient_dim, frames.base
     h_red, w_red, j_red, vert_leak, normal_leak = _reduced(f)
-    j_vertical = _row_norms(
-        (f.htg[:, np.newaxis] @ f.J[:, np.newaxis] @ _columns(f.split.vertical))[..., 0])
+    j_vertical = _g_norms(f.htg @ f.J @ f.split.vertical)
     vert_leak, normal_leak = _row_max_abs(vert_leak), _row_max_abs(normal_leak)
     acm_res = np.maximum(normal_leak, _row_max_abs(j_vertical))
     compat_res = _row_max_abs(w_red @ j_red - h_red)

@@ -38,10 +38,10 @@ report every value that changed, as a path through the report (a list
 entry with a ``name`` is named by it) with before -> after, then the
 largest |delta| over the numbers that are not point coordinates; a JSON
 report whose text differs with no value changed is said to differ in
-layout.  The last lines say how many runs are identical and
-whether any verdict changed: an exit code, a PASS/FAIL row of a text
-report, or a ``passed``, ``branch`` or ``hypothesis_ok`` value of a JSON
-report.  It exits 2 if any verdict changed, else 1 if any run differs.
+layout.  The last three lines say how many runs are identical, the
+largest |delta| over all runs and where, and whether any verdict changed:
+an exit code, a PASS/FAIL row of a text report, or a ``passed``,
+``branch`` or ``hypothesis_ok`` value of a JSON report.  It exits 2 if any verdict changed, else 1 if any run differs.
 It is a tool, not a test: pytest does not collect it.
 """
 
@@ -243,10 +243,11 @@ def verdict_changed(argv: list[str], old: dict, new: dict) -> bool:
                changed_values(json.loads(old["stdout"]), json.loads(new["stdout"])))
 
 
-def print_changes(old: str, new: str, ignore: set) -> None:
-    """Every changed value of two JSON reports but the timestamp and the
-    ignored keys, and the largest |delta| of a number that is not a point
-    coordinate."""
+def print_changes(old: str, new: str, ignore: set) -> tuple[float, str | None]:
+    """Print every changed value of two JSON reports but the timestamp and
+    the ignored keys, and the largest |delta| of a number that is not a
+    point coordinate; return that delta and its path (None if no such
+    number changed)."""
     worst, worst_path = 0.0, None
     keys = {"timestamp", *ignore}
     changes = list(changed_values(_drop(json.loads(old), keys), _drop(json.loads(new), keys)))
@@ -259,6 +260,7 @@ def print_changes(old: str, new: str, ignore: set) -> None:
             worst, worst_path = abs(after - before), path
     if worst_path is not None:
         print(f"    largest |delta| {worst:.3e} at {worst_path}")
+    return worst, worst_path
 
 
 def main(argv=None) -> int:
@@ -282,6 +284,7 @@ def main(argv=None) -> int:
 
     ignore = set(args.ignore)
     differing = verdicts = 0
+    worst, worst_at = 0.0, None
     for argv, old, new in zip(cases, parent, change):
         verdicts += verdict_changed(argv, old, new)
         seen_old, seen_new = comparable(argv, old, ignore), comparable(argv, new, ignore)
@@ -290,8 +293,12 @@ def main(argv=None) -> int:
             differing += 1
             print(f"DIFFERS ({', '.join(fields)}): symred {' '.join(argv)}")
             if "json" in argv and "stdout" in fields and old["stdout"] and new["stdout"]:
-                print_changes(old["stdout"], new["stdout"], ignore)
+                delta, path = print_changes(old["stdout"], new["stdout"], ignore)
+                if path is not None and delta >= worst:
+                    worst, worst_at = delta, f"{path} in symred {' '.join(argv)}"
     print(f"{len(cases) - differing} of {len(cases)} runs identical")
+    print(f"largest |delta| over all runs {worst:.3e} at {worst_at}" if worst_at
+          else "no number changed but point coordinates")
     print(f"verdicts changed in {verdicts} of {len(cases)} runs" if verdicts
           else "no verdict changed")
     return 2 if verdicts else 1 if differing else 0

@@ -452,6 +452,29 @@ def test_negative_command_line_seed_is_a_usage_error(capsys):
         RunConfig("hopf", seed=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    # a bool is an int to Python: seed=True once ran and wrote "seed": true
+    ("seed", True),
+    ("samples", True),
+    # these once died inside numpy with a TypeError
+    ("samples", 2.5),
+    ("seed", 1.5),
+], ids=["bool-seed", "bool-samples", "float-samples", "float-seed"])
+def test_a_seed_or_sample_count_that_is_not_an_integer_is_refused(field, value):
+    with pytest.raises(ValueError) as raised:
+        RunConfig("hopf", **{field: value})
+    assert str(raised.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_numpy_integers_are_a_seed_and_a_sample_count():
+    reports = [json.loads(run(RunConfig("hopf", suites=("structures",), samples=samples,
+                                        seed=seed))[0].to_json())
+               for samples, seed in ((np.int64(3), np.int64(2)), (3, 2))]
+    for report in reports:
+        report["meta"].pop("timestamp")
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("old, new, message", [
     ("mu = [0.5*(x1^2", "mu = [0.5*(x9^2 + q7 + x1^2",
      "mu: unknown identifier(s) ['q7', 'x9']; allowed coordinates are ['x1', 'x2', 'x3', 'x4']"),

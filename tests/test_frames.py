@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from symred import cli, reduction
+from symred import cli, geometry, reduction
 from symred.actions import (
     GroupAction,
     apply_flow,
@@ -65,11 +65,13 @@ from symred.scenarios import builtin, builtin_names, builtin_text, compile_scena
 from symred.structures import check_metric
 
 from util import (
+    TORUS_T2_TEXT,
     reference_fd_jacobian,
     reference_fd_partials,
     reference_kernel_basis,
     reference_lift_frame,
     reference_orthonormalize,
+    reference_orthonormalize_per_vector,
     reference_pushforward,
     reference_split_tangent,
 )
@@ -91,38 +93,42 @@ def _assert_frame(frames, i, m, ref, what):
         _same(getattr(frames, name)[i], ref[name], f"{what}: {name}")
 
 
-def _r2n_8():
-    return compile_scenario(parse_scenario(builtin_text("euclidean_r2n", 8)))
+def _scenario(name):
+    if name == "r2n_8":
+        return compile_scenario(parse_scenario(builtin_text("euclidean_r2n", 8)))
+    return compile_scenario(parse_scenario(TORUS_T2_TEXT)) if name == "torus_t2" else builtin(name)
 
 
 # the quotient points, ambient points and group parameters a verify op
 # draws, as cli.run draws them
-_CASES = [(name, seed) for name in builtin_names() for seed in range(4)] + [("r2n_8", 5)]
+_CASES = [(name, seed) for name in builtin_names() for seed in range(4)] \
+    + [("r2n_8", 5), ("torus_t2", 2)]
 
 
 @pytest.mark.parametrize("name,seed", _CASES)
 def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
-    scen = _r2n_8() if name == "r2n_8" else builtin(name)
+    scen = _scenario(name)
     k = scen.action.group_dim
     xs = sample_ball(scen.quotient_dim, 20, radius=scen.sample_spec.radius, seed=seed)
-    table = lift_frames(scen, xs, FIBER_PARAMS)
-    frames, moved = table.base, table.moved
-    assert len(moved.lifts) == len(FIBER_PARAMS) * len(xs)
-    bases = []
-    for i, x in enumerate(xs):
-        m, ref = reference_lift_frame(scen, x)
-        _assert_frame(frames, i, m, ref, f"{name} seed {seed} base frame {i}")
-        bases.append(m)
-    for j, a in enumerate(FIBER_PARAMS):
-        a = np.full(k, a)
-        for i, x in enumerate(xs):
-            m, ref = reference_lift_frame(scen, x, a)
-            _assert_frame(moved, j * len(xs) + i, m, ref,
-                          f"{name} seed {seed} fibre frame {i} at {a}")
-            _same(moved.pushforward[j * len(xs) + i],
-                  reference_pushforward(scen.action, a, bases[i])[0],
-                  f"{name} seed {seed} fibre pushforward {i} at {a}")
-    assert (frames.pushforward == np.eye(scen.chart_dim)).all()
+    for N in (20, 1):  # and a stack of one
+        table = lift_frames(scen, xs[:N], FIBER_PARAMS)
+        frames, moved = table.base, table.moved
+        assert len(moved.lifts) == len(FIBER_PARAMS) * N
+        bases = []
+        for i, x in enumerate(xs[:N]):
+            m, ref = reference_lift_frame(scen, x)
+            _assert_frame(frames, i, m, ref, f"{name} seed {seed} base frame {i} of {N}")
+            bases.append(m)
+        for j, a in enumerate(FIBER_PARAMS):
+            a = np.full(k, a)
+            for i, x in enumerate(xs[:N]):
+                m, ref = reference_lift_frame(scen, x, a)
+                _assert_frame(moved, j * N + i, m, ref,
+                              f"{name} seed {seed} fibre frame {i} of {N} at {a}")
+                _same(moved.pushforward[j * N + i],
+                      reference_pushforward(scen.action, a, bases[i])[0],
+                      f"{name} seed {seed} fibre pushforward {i} of {N} at {a}")
+        assert (frames.pushforward == np.eye(scen.chart_dim)).all()
 
     points = sample_box(scen.chart_dim, 20, radius=2.0, seed=seed)
     rng = np.random.default_rng(seed + 1)
@@ -165,6 +171,65 @@ def test_stacked_orthonormalize_matches_each_frame():
     dependent[0, :, 1] = dependent[0, :, 0]  # drops a column in one slice only
     with pytest.raises(ValueError, match="differ in rank across the stack"):
         orthonormalize(dependent, np.repeat(np.eye(4)[np.newaxis], 2, axis=0))
+
+
+def _spd(rng, n, cond):
+    """A random SPD matrix with eigenvalues log-spaced from 1 to ``cond``."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.logspace(0, np.log10(cond), n)
+    rng.shuffle(lam)
+    return (Q * lam) @ Q.T
+
+
+# the stress cases below, measured with numpy 2.4 and OpenBLAS: the largest
+# |B^T G B - I| of orthonormalize is 5.6e-13, 3.2e-12 and 5.6e-12 at n = 4, 9
+# and 16, against the per-vector oracle's 5.6e-13, 2.2e-12 and 7.8e-12, so
+# at most 1.5 times the oracle's; its columns leave the oracle's span by at
+# most 1.6e-9, which the near-dependent column amplifies by up to 1e6
+STRESS_ORTHOGONALITY = 1e-10
+STRESS_ORACLE_RATIO = 2.0
+STRESS_SPAN = 1e-8
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_gram_schmidt_stress_against_the_per_vector_oracle(n):
+    # metrics of condition number up to 1e6 and frames whose column j is a
+    # combination of the columns before it up to 1e-6: kept, and as
+    # orthonormal as modified Gram-Schmidt keeps it
+    rng = np.random.default_rng(60 + n)
+    N, c = 200, n - 2
+    metrics = np.array([_spd(rng, n, 10 ** rng.uniform(0, 6)) for _ in range(N)])
+    frames = rng.standard_normal((N, n, c))
+    for F in frames:
+        j = rng.integers(1, c)
+        F[:, j] = F[:, :j] @ rng.standard_normal(j) + 1e-6 * rng.standard_normal(n)
+    got = orthonormalize(frames, metrics)
+    assert got.shape == (N, n, c)
+    errors, oracle_errors = [], []
+    for B, F, G in zip(got, frames, metrics):
+        oracle = reference_orthonormalize_per_vector(F, G)
+        errors.append(np.max(np.abs(B.T @ G @ B - np.eye(c))))
+        oracle_errors.append(np.max(np.abs(oracle.T @ G @ oracle - np.eye(c))))
+        assert np.max(np.abs(B - oracle @ (oracle.T @ G @ B))) <= STRESS_SPAN
+    assert max(errors) <= min(STRESS_ORACLE_RATIO * max(oracle_errors), STRESS_ORTHOGONALITY)
+
+    # a column equal to an earlier one in every slice is dropped from all,
+    # leaving the frames of the other columns
+    twin = frames.copy()
+    twin[:, :, 1] = twin[:, :, 0]
+    _same(orthonormalize(twin, metrics), orthonormalize(np.delete(twin, 1, axis=2), metrics),
+          "column dropped by every slice")
+    # in some slices only, it is refused, with the mask of those slices
+    # (split_tangent's domain errors for such a stack:
+    # test_a_frame_that_gram_schmidt_degenerates_is_refused_at_its_point)
+    some = frames.copy()
+    slices = rng.uniform(size=N) < 0.3
+    some[slices, :, 1] = some[slices, :, 0]
+    with pytest.raises(ValueError, match="differ in rank across the stack"):
+        orthonormalize(some, metrics)
+    masks = []
+    geometry._gram_schmidt(some, metrics, 1e-10, masks.append)
+    assert len(masks) == 1 and (masks[0] == slices).all()
 
 
 def test_stacked_fd_matches_each_point():

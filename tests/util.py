@@ -408,8 +408,29 @@ def reference_kernel_basis(mat, rank_tol=1e-8):
 
 
 def reference_orthonormalize(frame, metric, tol=1e-10):
-    """Gram-Schmidt of one frame, one vector at a time with 1-D products:
-    the per-frame reference for the stacked ``orthonormalize``."""
+    """Gram-Schmidt of one frame with 2-D products, each column projected
+    against the whole kept basis B at once, w - B ((B^T G) w), twice: the
+    per-frame reference for the stacked ``orthonormalize``."""
+    G = np.asarray(metric, dtype=float)
+    cols = np.asarray(frame, dtype=float)
+    B = np.zeros((cols.shape[0], 0))
+    for j in range(cols.shape[1]):
+        w = cols[:, j:j + 1].copy()
+        if B.shape[1]:
+            BtG = B.T @ G
+            for _ in range(2):
+                w = w - B @ (BtG @ w)
+        nrm = float(np.sqrt(max(float((w.T @ G @ w)[0, 0]), 0.0)))
+        if nrm < tol:
+            continue
+        B = np.hstack([B, w / nrm])
+    return B
+
+
+def reference_orthonormalize_per_vector(frame, metric, tol=1e-10):
+    """Modified Gram-Schmidt of one frame, one kept vector at a time with
+    1-D products: an independent oracle for ``orthonormalize``, equal to it
+    up to roundoff."""
     G = np.asarray(metric, dtype=float)
     cols = np.asarray(frame, dtype=float)
     basis, rows = [], []
@@ -432,10 +453,11 @@ def _reference_level_gap(scen, point):
     return float(np.linalg.norm(eval_field(scen.mu.field, point) - scen.mu.beta))
 
 
-def reference_split_tangent(scen, m):
+def reference_split_tangent(scen, m, per_vector=False):
     """The splitting at one point, built with the per-point references and
     raising the errors of the per-point construction, in its order; a dict of
-    the arrays ``split_tangent`` keeps."""
+    the arrays ``split_tangent`` keeps.  ``per_vector`` orthonormalizes with
+    ``reference_orthonormalize_per_vector``, for the tolerance oracles."""
     from symred.errors import (
         ActionNotFreeError, DegenerateInputError, NotOnLevelError, NotRegularValueError)
     from symred.geometry import as_point, eval_field
@@ -468,11 +490,12 @@ def reference_split_tangent(scen, m):
             f"generators leave ker d mu by {tangency:.3e}; "
             "the action is not tangent to the level set")
     G = eval_field(scen.metric, point)
-    vertical = reference_orthonormalize(V, G, tol=FREE_TOL)
+    orthonormalize = reference_orthonormalize_per_vector if per_vector else reference_orthonormalize
+    vertical = orthonormalize(V, G, tol=FREE_TOL)
     if vertical.shape[1] != k:
         raise ActionNotFreeError(f"vertical space degenerates to dimension below {k} at {point}")
     complement = reference_kernel_basis(vertical.T @ G @ level, RANK_TOL)
-    horizontal = reference_orthonormalize(level @ complement, G)
+    horizontal = orthonormalize(level @ complement, G)
     if horizontal.shape[1] < complement.shape[1]:
         raise DegenerateInputError(
             f"horizontal complement degenerates to dimension below {n - 2 * k} at {point}")
@@ -483,13 +506,13 @@ def reference_split_tangent(scen, m):
             "jmu": jmu, "generators": V}
 
 
-def reference_lift_frame(scen, x, a=None):
+def reference_lift_frame(scen, x, a=None, per_vector=False):
     """The lift frame at one quotient point, frame by frame: the reference
     for the batched ``lift_frames``, through the section or, given a group
     parameter a, through Phi_a o sigma, whose Jacobian is the chain
     D Phi_a(sigma(x)) D sigma(x).  Returns the point m and a dict of every
     array of the frame, and raises what the per-frame construction raised,
-    in its order."""
+    in its order.  ``per_vector`` as for ``reference_split_tangent``."""
     from symred.actions import apply_flow
     from symred.errors import RankDeficientLiftError
     from symred.geometry import as_point, eval_field
@@ -498,7 +521,7 @@ def reference_lift_frame(scen, x, a=None):
     xq = as_point(x)
     m0 = as_point(scen.section(xq))
     m = m0 if a is None else apply_flow(scen.action, a, m0)
-    frame = reference_split_tangent(scen, m)
+    frame = reference_split_tangent(scen, m, per_vector)
     G, h_onb = frame["metric"], frame["horizontal"]
     frame["Om"] = eval_field(scen.omega, m)
     frame["J"] = eval_field(scen.acs, m)
@@ -654,15 +677,132 @@ def reference_momentum_residuals(action, mu, w, points):
 
 
 # --- per-point references for the reduction side ------------------------------
-# The per-point pipelines the stacked ones replaced: each frame from
-# ``reference_lift_frame``, each vector its own 1-D product.  ``solver``
-# picks how d pi is inverted: "lstsq", one least-squares solve of the lifts
-# per vector, as the library did before it stacked the frames, or "solve",
-# one ``np.linalg.solve`` of C = H^T G L per frame over all of the frame's
-# right-hand sides in the order the stacked pipeline takes them.
+# The per-point pipelines the stacked ones replaced, each frame from
+# ``reference_lift_frame``.  The references take each frame as one 2-D
+# matrix in every product, as the stacked pipelines take it as one slice, and
+# read the pairings and norms of its columns off the diagonals of whole
+# products; d pi is one ``np.linalg.solve`` of C = H^T G L per frame over
+# all of the frame's right-hand sides.  The ``_per_vector`` oracles (and
+# ``reference_submersion`` with ``per_vector``) take each vector alone in
+# 1-D products, their frames from modified Gram-Schmidt
+# (``reference_orthonormalize_per_vector``), and so agree with the stacked
+# pipelines up to roundoff; ``solver`` picks how they invert d pi: "solve",
+# as above, or "lstsq", one least-squares solve of the lifts per vector, as
+# the library did before it stacked the frames.
 
 def _g_norm(v, G):
     return float(np.sqrt(max(float(v @ G @ v), 0.0)))
+
+
+def _column_g_norms(W, G=None):
+    """The g-norms of the columns of W, off the diagonal of W^T G W."""
+    gram = W.T @ W if G is None else W.T @ G @ W
+    return np.sqrt(np.maximum(np.diagonal(gram), 0.0))
+
+
+def _ratio(a, scale):
+    return np.divide(a, scale, out=np.zeros_like(a), where=scale != 0.0)
+
+
+def _reference_reduced_metric(frame):
+    L = frame["lifts"]
+    h = L.T @ frame["metric"] @ L
+    return 0.5 * (h + h.T)
+
+
+def _reference_reduced_symplectic(frame):
+    L = frame["lifts"]
+    w = L.T @ frame["Om"] @ L
+    return 0.5 * (w - w.T)
+
+
+def reference_reduced_from_frame(frame):
+    """Reduced metric, symplectic form and acs candidate at one frame, with
+    the vertical and level-normal leaks of J applied to each lift."""
+    L, G, H, V = frame["lifts"], frame["metric"], frame["horizontal"], frame["vertical"]
+    image = frame["J"] @ L
+    h_coef = (H.T @ G) @ image
+    v_coef = V.T @ G @ image
+    normal = image - H @ h_coef - V @ v_coef
+    scale = _column_g_norms(L, G)
+    return (_reference_reduced_metric(frame), _reference_reduced_symplectic(frame),
+            np.linalg.solve(frame["coef"], h_coef),
+            _ratio(_column_g_norms(v_coef), scale), _ratio(_column_g_norms(normal, G), scale))
+
+
+def reference_submersion(scen, xs, fiber_params, per_vector=False):
+    """Fibre-independence and vertical-invariance residuals, point by point;
+    ``per_vector``, the oracle, with each pushed generator's leak alone."""
+    prm = [np.full(scen.action.group_dim, a, dtype=float) for a in fiber_params]
+    fiber_res, vert_res = [], []
+    for x in xs:
+        m, frame = reference_lift_frame(scen, x, per_vector=per_vector)
+        h_here = _reference_reduced_metric(frame)
+        gaps, leaks = [], []
+        for a in prm:
+            _, moved = reference_lift_frame(scen, x, a, per_vector)
+            D, _ = reference_pushforward(scen.action, a, m)
+            gaps.append(_max_abs(h_here - _reference_reduced_metric(moved)))
+            G, V = moved["metric"], moved["vertical"]
+            pushed = D @ frame["generators"]
+            leak = pushed - V @ (V.T @ G @ pushed)
+            leaks.append(_max_abs([_g_norm(v, G) for v in leak.T] if per_vector
+                                  else _column_g_norms(leak, G)))
+        fiber_res.append(_max_abs(gaps))
+        vert_res.append(_max_abs(leaks))
+    return fiber_res, vert_res
+
+
+def reference_reduction_identity(scen, xs, pairs_per_point=3, seed=0):
+    """Pullback-identity and vertical-degeneracy residuals, point by point,
+    the pair coefficients drawn per point and pair, u before v, and the
+    level vectors of a point the columns u_1..u_P, v_1..v_P of one product."""
+    rng = np.random.default_rng(seed)
+    P = pairs_per_point
+    id_res, deg_res = [], []
+    for x in xs:
+        _, frame = reference_lift_frame(scen, x)
+        K, V, Om, H, G = (frame[key] for key in ("level", "vertical", "Om", "horizontal", "metric"))
+        coefs = rng.standard_normal((P, 2, K.shape[1]))
+        uv = K @ coefs.T.reshape(K.shape[1], 2 * P)
+        d = np.linalg.solve(frame["coef"], (H.T @ G) @ uv)
+        ambient = np.diagonal(uv[:, :P].T @ Om @ uv[:, P:])
+        reduced = np.diagonal(d[:, :P].T @ _reference_reduced_symplectic(frame) @ d[:, P:])
+        id_res.append(_max_abs(ambient - reduced))
+        deg_res.append(_max_abs(V.T @ Om @ K))
+    return id_res, deg_res
+
+
+def _main_theorem_rows(frame, reduced, j_vertical, out):
+    """Append the main-theorem residuals and leak values of one frame to the
+    lists of ``out``, from its reduced structures and leaks and the norms of
+    the horizontal coefficients of J applied to its vertical vectors."""
+    h_red, w_red, j_red, vert_leak, normal_leak = reduced
+    eye = np.eye(len(j_red))
+    for key, value in (
+            ("acm_residual", _max_abs([*normal_leak, *j_vertical])),
+            ("compat_residual", _max_abs(w_red @ j_red - h_red)),
+            ("acs_residual", float(np.linalg.norm(j_red @ j_red + eye))),
+            ("hypothesis", _max_abs(frame["Om"] @ frame["J"] - frame["metric"])),
+            ("vertical_leak", _max_abs(vert_leak)),
+            ("normal_leak", _max_abs(normal_leak))):
+        out[key].append(value)
+
+
+_MAIN_THEOREM_KEYS = ("acm_residual", "compat_residual", "acs_residual", "hypothesis",
+                      "vertical_leak", "normal_leak")
+
+
+def reference_main_theorem(scen, xs):
+    """The main-theorem residuals and leak values, point by point, as a dict
+    of per-point lists keyed as the report's sample rows."""
+    out = {key: [] for key in _MAIN_THEOREM_KEYS}
+    for x in xs:
+        _, frame = reference_lift_frame(scen, x)
+        H, G = frame["horizontal"], frame["metric"]
+        j_vertical = _column_g_norms((H.T @ G) @ frame["J"] @ frame["vertical"])
+        _main_theorem_rows(frame, reference_reduced_from_frame(frame), j_vertical, out)
+    return out
 
 
 def _decompose(frame, u):
@@ -684,15 +824,8 @@ def _dpi_columns(frame, h_coefs, solver):
     return [out[:, j] for j in range(out.shape[1])]
 
 
-def _reference_reduced_metric(frame):
-    L = frame["lifts"]
-    h = L.T @ frame["metric"] @ L
-    return 0.5 * (h + h.T)
-
-
-def reference_reduced_from_frame(frame, solver="solve"):
-    """Reduced metric, symplectic form and acs candidate at one frame, with
-    the vertical and level-normal leaks of J applied to each lift."""
+def reference_reduced_per_vector(frame, solver="solve"):
+    """``reference_reduced_from_frame`` with each lift alone in 1-D products."""
     L, G = frame["lifts"], frame["metric"]
     q = L.shape[1]
     w = L.T @ frame["Om"] @ L
@@ -708,37 +841,15 @@ def reference_reduced_from_frame(frame, solver="solve"):
     return _reference_reduced_metric(frame), 0.5 * (w - w.T), j_red, vert_leak, normal_leak
 
 
-def reference_submersion(scen, xs, fiber_params):
-    """Fibre-independence and vertical-invariance residuals, point by point."""
-    prm = [np.full(scen.action.group_dim, a, dtype=float) for a in fiber_params]
-    fiber_res, vert_res = [], []
-    for x in xs:
-        m, frame = reference_lift_frame(scen, x)
-        h_here = _reference_reduced_metric(frame)
-        gaps, leaks = [], []
-        for a in prm:
-            _, moved = reference_lift_frame(scen, x, a)
-            D, _ = reference_pushforward(scen.action, a, m)
-            gaps.append(_max_abs(h_here - _reference_reduced_metric(moved)))
-            G, V = moved["metric"], moved["vertical"]
-            pushed = D @ frame["generators"]
-            leak = pushed - V @ (V.T @ G @ pushed)
-            leaks.append(_max_abs([_g_norm(leak[:, i], G) for i in range(leak.shape[1])]))
-        fiber_res.append(_max_abs(gaps))
-        vert_res.append(_max_abs(leaks))
-    return fiber_res, vert_res
-
-
-def reference_reduction_identity(scen, xs, pairs_per_point=3, seed=0, solver="solve"):
-    """Pullback-identity and vertical-degeneracy residuals, point by point,
-    the pair coefficients drawn per point and pair, u before v."""
+def reference_reduction_identity_per_vector(scen, xs, pairs_per_point=3, seed=0, solver="solve"):
+    """``reference_reduction_identity`` with each level vector and each
+    pairing alone."""
     rng = np.random.default_rng(seed)
     id_res, deg_res = [], []
     for x in xs:
-        _, frame = reference_lift_frame(scen, x)
-        L, K, V, Om = frame["lifts"], frame["level"], frame["vertical"], frame["Om"]
-        w = L.T @ Om @ L
-        w_red = 0.5 * (w - w.T)
+        _, frame = reference_lift_frame(scen, x, per_vector=True)
+        K, V, Om = frame["level"], frame["vertical"], frame["Om"]
+        w_red = _reference_reduced_symplectic(frame)
         pairs = [(K @ rng.standard_normal(K.shape[1]), K @ rng.standard_normal(K.shape[1]))
                  for _ in range(pairs_per_point)]
         d = _dpi_columns(frame, [_decompose(frame, u)[0] for pair in pairs for u in pair], solver)
@@ -748,26 +859,15 @@ def reference_reduction_identity(scen, xs, pairs_per_point=3, seed=0, solver="so
     return id_res, deg_res
 
 
-def reference_main_theorem(scen, xs, solver="solve"):
-    """The main-theorem residuals and leak values, point by point, as a dict
-    of per-point lists keyed as the report's sample rows."""
-    eye = np.eye(scen.quotient_dim)
-    out = {key: [] for key in ("acm_residual", "compat_residual", "acs_residual",
-                               "hypothesis", "vertical_leak", "normal_leak")}
+def reference_main_theorem_per_vector(scen, xs, solver="solve"):
+    """``reference_main_theorem`` with each lift and vertical vector alone."""
+    out = {key: [] for key in _MAIN_THEOREM_KEYS}
     for x in xs:
-        _, frame = reference_lift_frame(scen, x)
-        h_red, w_red, j_red, vert_leak, normal_leak = reference_reduced_from_frame(frame, solver)
+        _, frame = reference_lift_frame(scen, x, per_vector=True)
         V, J = frame["vertical"], frame["J"]
         j_vertical = [np.linalg.norm(_decompose(frame, J @ V[:, j])[0])
                       for j in range(V.shape[1])]
-        for key, value in (
-                ("acm_residual", _max_abs([*normal_leak, *j_vertical])),
-                ("compat_residual", _max_abs(w_red @ j_red - h_red)),
-                ("acs_residual", float(np.linalg.norm(j_red @ j_red + eye))),
-                ("hypothesis", _max_abs(frame["Om"] @ J - frame["metric"])),
-                ("vertical_leak", _max_abs(vert_leak)),
-                ("normal_leak", _max_abs(normal_leak))):
-            out[key].append(value)
+        _main_theorem_rows(frame, reference_reduced_per_vector(frame, solver), j_vertical, out)
     return out
 
 
