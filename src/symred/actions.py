@@ -169,11 +169,9 @@ def _group_parameter(action: GroupAction, a) -> np.ndarray:
 
 
 def _param_rows(action: GroupAction, params) -> np.ndarray:
-    """The group parameters as rows of a (P, k) array (``_group_parameter``);
-    a scalar t is t * (1, ..., 1)."""
-    k = action.group_dim
-    return np.array([_group_parameter(action, np.full(k, a, dtype=float) if np.ndim(a) == 0
-                                      else a) for a in params]).reshape(-1, k)
+    """The group parameters, each a vector of k entries (``_group_parameter``),
+    as the rows of a (P, k) array."""
+    return np.array([_group_parameter(action, a) for a in params]).reshape(-1, action.group_dim)
 
 
 class PushforwardTable:

@@ -36,7 +36,6 @@ from .holomorphy import (
     cauchy_riemann_residual,
 )
 from .reduction import (
-    FIBER_PARAMS,
     ReductionScenario,
     lift_frames,
     verify_main_theorem,
@@ -44,7 +43,8 @@ from .reduction import (
     verify_submersion,
 )
 from .report import VerificationReport
-from .scenarios import _row_map, builtin, builtin_names, load_scenario_file, parse_scenario
+from .scenarios import (_read_scenario_text, _row_map, builtin, builtin_names,
+                        load_scenario_file, parse_scenario)
 from .structures import (
     DEFAULT_TOLERANCES,
     CompatibleTriple,
@@ -230,8 +230,8 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
         },
     )
     # the lift frames, built by the first suite that reads them: the reduction
-    # suite's table has the moved frames too, and the main theorem reads its
-    # base frames
+    # suite's table has the frames moved by the first two group parameters
+    # too, and the main theorem reads its base frames
     frames = None
     for suite in SUITE_ORDER:
         if suite not in cfg.suites:
@@ -241,7 +241,7 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
         elif suite == "action":
             report.add_child(_suite_action(scen, tol, points, params))
         elif suite == "reduction":
-            frames = lift_frames(scen, qpoints, FIBER_PARAMS)
+            frames = lift_frames(scen, qpoints, params[:2])
             report.add_child(_suite_reduction(tol, seed, frames))
         elif suite == "main-theorem":
             if frames is None:
@@ -310,8 +310,7 @@ def main(argv=None) -> int:
 
     if args.command == "parse-check":
         try:
-            with open(args.path, "r", encoding="utf-8") as handle:
-                sf = parse_scenario(handle.read())
+            sf = parse_scenario(_read_scenario_text(args.path))
         except (ScenarioFormatError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

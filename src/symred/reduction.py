@@ -120,8 +120,6 @@ LEVEL_TOL = 1e-8
 FREE_TOL = 1e-8
 # level-tangent pairs (u, v) drawn per quotient point for the pullback identity
 PAIRS_PER_POINT = 3
-# the group parameters that verify moves the section by for the submersion checks
-FIBER_PARAMS = (np.pi / 3, np.pi)
 
 
 @dataclass(frozen=True)
@@ -371,12 +369,12 @@ class _FrameTable:
 def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable:
     """The table of the lift frames at ``points`` through the scenario's own
     section and through Phi_a o sigma for each fibre parameter a, a group
-    parameter vector or a scalar t standing for t * (1, ..., 1), all built
-    in one ``_lift_frames`` batch, which raises the first error it meets.
-    No points raise ValueError (``as_points``).  The table is the one input
-    of the verify_* pipelines, so one frame per point serves all of them;
-    ``verify_submersion`` needs fibre parameters (``FIBER_PARAMS`` in
-    ``verify``), the other two read only the base frames."""
+    parameter vector of k entries, all built in one ``_lift_frames`` batch,
+    which raises the first error it meets.  No points raise ValueError
+    (``as_points``).  The table is the one input of the verify_* pipelines,
+    so one frame per point serves all of them; ``verify_submersion`` needs
+    fibre parameters (``verify`` takes the first two rows of its seeded
+    draw of group parameters), the other two read only the base frames."""
     X, prm = as_points(points), _param_rows(scen.action, fiber_params)
     frames = _lift_frames(scen, X, prm)
     return _FrameTable(scen, X, prm, frames[:len(X)], frames[len(X):])

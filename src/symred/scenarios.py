@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import GroupAction, MomentumMap
-from .errors import NonFiniteError, UnknownIdentifierError, UnknownScenarioError, ValidationError
+from .errors import (NonFiniteError, ScenarioFormatError, UnknownIdentifierError,
+                     UnknownScenarioError, ValidationError)
 from .exprlang import (Expr, ExprParser, Program, compile_exprs, eval_expr, token_positions,
                        tokenize)
 from .geometry import RowMap, TensorField
@@ -205,9 +206,9 @@ def parse_scenario(text: str) -> ScenarioFile:
         raise ValidationError(
             f"abelian must be true, got {raw['abelian']!r}: only abelian actions are reduced")
 
-    x_names = tuple(f"x{i + 1}" for i in range(dim))
-    t_names = tuple(f"t{i + 1}" for i in range(group_dim))
-    w_names = tuple(f"w{i + 1}" for i in range(quotient_dim))
+    # the coordinate names of a map are built once its shape has been
+    # checked against dim and group_dim, so no declared size costs more
+    # than the file's own length before it is refused
     programs: dict = {}
 
     def matrix_key(key: str, optional: bool = False):
@@ -220,7 +221,7 @@ def parse_scenario(text: str) -> ScenarioFile:
             raise ValidationError(
                 f"{key} must be {dim}x{dim}, got {len(rows)}x{len(rows[0])}"
             )
-        programs[key] = compile_exprs([e for row in rows for e in row], x_names, key)
+        programs[key] = compile_exprs([e for row in rows for e in row], _coords("x", dim), key)
         return rows
 
     omega = matrix_key("omega")
@@ -230,19 +231,19 @@ def parse_scenario(text: str) -> ScenarioFile:
     flow = _as_vector(raw["flow"], "flow")
     if len(flow) != dim:
         raise ValidationError(f"flow must have {dim} components, got {len(flow)}")
-    programs["flow"] = compile_exprs(flow, x_names + t_names, "flow")
+    programs["flow"] = compile_exprs(flow, _coords("x", dim) + _coords("t", group_dim), "flow")
 
     mu = _as_vector(raw["mu"], "mu")
     if len(mu) != group_dim:
         raise ValidationError(f"mu must have {group_dim} components, got {len(mu)}")
-    programs["mu"] = compile_exprs(mu, x_names, "mu")
+    programs["mu"] = compile_exprs(mu, _coords("x", dim), "mu")
     if len(beta) != group_dim:
         raise ValidationError(f"beta must have {group_dim} entries, got {len(beta)}")
 
     section = _as_vector(raw["section"], "section")
     if len(section) != dim:
         raise ValidationError(f"section must have {dim} components, got {len(section)}")
-    programs["section"] = compile_exprs(section, w_names, "section")
+    programs["section"] = compile_exprs(section, _coords("w", quotient_dim), "section")
 
     tolerances = {}
     for key, value in raw.items():
@@ -280,6 +281,11 @@ def parse_scenario(text: str) -> ScenarioFile:
         flow=flow, mu=mu, beta=beta, section=section, tolerances=tolerances, sample_spec=sample_spec,
         programs=programs,
     )
+
+
+def _coords(prefix: str, count: int) -> tuple:
+    """The coordinate names prefix1..prefix<count>."""
+    return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
 def _as_expr(value, key: str) -> Expr:
@@ -379,9 +385,18 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
     )
 
 
+def _read_scenario_text(path) -> str:
+    """The text of the scenario file at ``path``; a file that is not UTF-8
+    text raises ScenarioFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def load_scenario_file(path) -> ReductionScenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return compile_scenario(parse_scenario(handle.read()))
+    return compile_scenario(parse_scenario(_read_scenario_text(path)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from symred.geometry import (
 )
 from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from symred.reduction import (
-    FIBER_PARAMS,
     lift_frames,
     reduced_structures,
     verify_main_theorem,
@@ -48,6 +47,7 @@ from util import (
     random_symplectic_metric_pair,
     round_sphere_metric,
     round_sphere_symplectic,
+    run_group_params,
 )
 
 HOPF = builtin("hopf")
@@ -104,10 +104,10 @@ def test_criterion_03_reduction_identity_and_degeneracy():
 
 def test_criterion_04_fiber_independence():
     hopf_res = verify_submersion(lift_frames(
-        HOPF, sample_ball(HOPF.quotient_dim, 20, 2.0, 7), FIBER_PARAMS
+        HOPF, sample_ball(HOPF.quotient_dim, 20, 2.0, 7), run_group_params(7, 1)[:2]
     )).find("fiber independence").max_residual
     lin_res = verify_submersion(lift_frames(
-        LINEAR, sample_ball(LINEAR.quotient_dim, 20, 2.0, 11), FIBER_PARAMS
+        LINEAR, sample_ball(LINEAR.quotient_dim, 20, 2.0, 11), run_group_params(11, 1)[:2]
     )).find("fiber independence").max_residual
     _line(4, f"fiber independence (hopf {hopf_res:.2e} < 1e-5, "
              f"linear {lin_res:.2e} < 1e-10)",
@@ -133,7 +133,7 @@ def test_criterion_05_main_theorem_branches():
 
     noninv = builtin("noninvariant_metric_hopf")
     fiber = verify_submersion(lift_frames(
-        noninv, sample_ball(noninv.quotient_dim, 10, 2.0, 7), FIBER_PARAMS
+        noninv, sample_ball(noninv.quotient_dim, 10, 2.0, 7), run_group_params(7, 1)[:2]
     )).find("fiber independence").max_residual
     noninv_ok = fiber > 1e-3
 

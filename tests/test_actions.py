@@ -26,10 +26,15 @@ from symred.errors import NonFiniteError
 from symred.exprlang import compile_exprs, parse_expression
 from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_box
 from symred.reduction import lift_frames
-from symred.scenarios import _row_map, builtin
+from symred.scenarios import _row_map, builtin, compile_scenario, parse_scenario
 from symred.structures import euclidean_metric, standard_acs, standard_symplectic
 
-from util import reference_action_axioms, reference_central_difference, reference_fd_generator
+from util import (
+    TORUS_T2_TEXT,
+    reference_action_axioms,
+    reference_central_difference,
+    reference_fd_generator,
+)
 
 HOPF = builtin("hopf")
 POINTS_4D = sample_box(4, 5, radius=1.5, seed=6)
@@ -211,9 +216,16 @@ def test_a_group_parameter_of_another_length_is_refused_as_one():
                  lambda: lift_frames(HOPF, [[0.1, 0.2]], [[0.3, 0.4]])):
         with pytest.raises(ValueError, match=want):
             call()
-    torus = GroupAction(2, lambda a, p: p)
-    with pytest.raises(ValueError, match="^group parameter \\[0.3\\] has length 1, expected k = 2$"):
-        apply_flow(torus, [0.3], ChartPoint([0.0, 0.0]))
+    # a scalar is a parameter of one entry wherever a group parameter is
+    # read: at k = 1 it moves by that angle, and at k = 2 it is refused
+    assert lift_frames(HOPF, [[0.1, 0.2]], [0.3]).fiber_params.tolist() == [[0.3]]
+    torus = compile_scenario(parse_scenario(TORUS_T2_TEXT))
+    want = "^group parameter \\[0.3\\] has length 1, expected k = 2$"
+    for call in (lambda: pushforward_table(torus.action, [0.3], np.zeros((1, 8))),
+                 lambda: apply_flow(torus.action, 0.3, np.zeros((1, 8))),
+                 lambda: lift_frames(torus, [[0.1, 0.2, 0.3, 0.4]], [0.3])):
+        with pytest.raises(ValueError, match=want):
+            call()
 
 
 def test_momentum_residual_checks_every_generator():

@@ -27,7 +27,6 @@ from symred.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from symred.errors import ValidationError
 from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_ball
 from symred.reduction import (
-    FIBER_PARAMS,
     lift_frames,
     reduced_structures,
     verify_main_theorem,
@@ -194,6 +193,19 @@ def test_main_parse_check(tmp_path, capsys):
     bad.write_text("dim = [[")
     assert main(["parse-check", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["verify", "parse-check"])
+def test_a_file_that_is_not_utf8_text_is_a_usage_error(command, tmp_path, capsys):
+    # a file in UTF-16, which starts with the bytes ff fe, used to escape as
+    # a UnicodeDecodeError traceback with exit 1, the code of a failed check
+    path = tmp_path / "utf16.scn"
+    path.write_bytes(builtin_text("hopf").encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not UTF-8 text (invalid start byte)\n"
 
 
 def test_main_list_scenarios(capsys):
@@ -543,7 +555,8 @@ def test_sample_count_zero_is_a_usage_error(tmp_path, capsys):
 def _standalone_reports(name, report):
     """The action checks and the reduction and main-theorem pipelines run
     through their public functions, each reading a table of its own, at the
-    points and parameters of ``report``."""
+    points and parameters of ``report``: the fibre parameters are the first
+    two group parameters."""
     scen = builtin(name)
     meta = report.meta
 
@@ -565,7 +578,7 @@ def _standalone_reports(name, report):
         check_field_invariance(scen.acs, moves(), tol("action.acs-invariance")),
     ]
     pipelines = [
-        verify_submersion(lift_frames(scen, qpoints, FIBER_PARAMS), tol("reduction.submersion")),
+        verify_submersion(lift_frames(scen, qpoints, params[:2]), tol("reduction.submersion")),
         verify_reduction_identity(lift_frames(scen, qpoints), tol("reduction.identity"),
                                   tol("reduction.degeneracy"), seed=meta["seed"]),
         verify_main_theorem(lift_frames(scen, qpoints), tol("main-theorem.residuals"),
@@ -714,6 +727,9 @@ def test_builtin_verdicts_at_seed_4(name):
     # 3-dimensional; the verdicts stay pinned at the seed
     report, code = run(RunConfig(name, samples=20, seed=4))
     assert (code, _failing(report)) == _VERDICTS_SEED_4[name]
+    # the fibre parameters are the first two group parameters of the run
+    assert report.find("fiber independence").extras["fiber_params"] \
+        == report.meta["group_params"][:2]
 
 
 def test_hopf_80_samples_seed_0_passes():
@@ -770,8 +786,9 @@ def test_two_torus_scenario_verifies(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", str(path), "--samples", "5", "--format", "json",
                  "--out", str(out)]) == 0
-    fiber = VerificationReport.from_json(out.read_text()).find("fiber independence")
-    assert fiber.extras["fiber_params"] == [[np.pi / 3.0, np.pi / 3.0], [np.pi, np.pi]]
+    report = VerificationReport.from_json(out.read_text())
+    assert report.find("fiber independence").extras["fiber_params"] \
+        == report.meta["group_params"][:2]
     scen = load_scenario_file(path)
     assert (scen.chart_dim, scen.action.group_dim, scen.quotient_dim) == (8, 2, 4)
     for w in sample_ball(4, 5, 2.0, 3):

@@ -52,7 +52,6 @@ from symred.geometry import (
 )
 from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from symred.reduction import (
-    FIBER_PARAMS,
     SampleSpec,
     lift_frames,
     reduced_structures,
@@ -74,6 +73,7 @@ from util import (
     reference_orthonormalize_per_vector,
     reference_pushforward,
     reference_split_tangent,
+    run_group_params,
 )
 
 SPLIT_FIELDS = ("level", "vertical", "horizontal", "jmu", "generators", "metric")
@@ -108,19 +108,18 @@ _CASES = [(name, seed) for name in builtin_names() for seed in range(4)] \
 @pytest.mark.parametrize("name,seed", _CASES)
 def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
     scen = _scenario(name)
-    k = scen.action.group_dim
+    params = run_group_params(seed, scen.action.group_dim)
     xs = sample_ball(scen.quotient_dim, 20, radius=scen.sample_spec.radius, seed=seed)
     for N in (20, 1):  # and a stack of one
-        table = lift_frames(scen, xs[:N], FIBER_PARAMS)
+        table = lift_frames(scen, xs[:N], params[:2])
         frames, moved = table.base, table.moved
-        assert len(moved.lifts) == len(FIBER_PARAMS) * N
+        assert len(moved.lifts) == 2 * N
         bases = []
         for i, x in enumerate(xs[:N]):
             m, ref = reference_lift_frame(scen, x)
             _assert_frame(frames, i, m, ref, f"{name} seed {seed} base frame {i} of {N}")
             bases.append(m)
-        for j, a in enumerate(FIBER_PARAMS):
-            a = np.full(k, a)
+        for j, a in enumerate(params[:2]):
             for i, x in enumerate(xs[:N]):
                 m, ref = reference_lift_frame(scen, x, a)
                 _assert_frame(moved, j * N + i, m, ref,
@@ -131,8 +130,6 @@ def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
         assert (frames.pushforward == np.eye(scen.chart_dim)).all()
 
     points = sample_box(scen.chart_dim, 20, radius=2.0, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    params = [rng.uniform(-np.pi, np.pi, k) for _ in range(5)]
     pushed = pushforward_table(scen.action, params, points)
     D, moved = pushed.D, pushed.moved
     assert D.shape[:2] == moved.shape[:2] == (len(params), len(points))
@@ -306,14 +303,20 @@ def _reference_base_failure(scen, xs):
     return _first_failure(lambda: [reference_lift_frame(scen, x) for x in xs])
 
 
+def _fibre(scen):
+    """The fibre parameters of a ``verify`` of ``scen`` at its own seed."""
+    return run_group_params(scen.sample_spec.seed, scen.action.group_dim)[:2]
+
+
 def _reference_submersion_failure(scen, xs):
-    """The first error in the frame-by-frame order of verify_submersion:
-    base frame i, then per fibre parameter its moved frame and pushforward."""
+    """The first error in the frame-by-frame order of verify_submersion at
+    the fibre parameters of ``_fibre``: base frame i, then per fibre
+    parameter its moved frame and pushforward."""
     def build():
         for x in xs:
             m, _ = reference_lift_frame(scen, x)
-            for a in FIBER_PARAMS:
-                reference_lift_frame(scen, x, np.full(scen.action.group_dim, a))
+            for a in _fibre(scen):
+                reference_lift_frame(scen, x, a)
 
     return _first_failure(build)
 
@@ -327,7 +330,7 @@ def _assert_parity(path, scen, capsys):
         lift_frames(scen, xs)
     assert str(raised.value) == str(base_error)
     with pytest.raises(type(error)) as raised:
-        verify_submersion(lift_frames(scen, xs, FIBER_PARAMS))
+        verify_submersion(lift_frames(scen, xs, _fibre(scen)))
     assert str(raised.value) == str(error)
 
     assert main(["verify", str(path), "--suites", "reduction,main-theorem"]) == 2
@@ -402,7 +405,7 @@ def test_nonfinite_tangent_at_a_middle_sample(tmp_path, capsys):
 
 def test_a_batch_checks_the_level_of_every_frame_at_once(tmp_path, capsys):
     # the flow scales by 1 + t^2 b, with b a bump at the section point
-    # (1, 0, 0, 0) of the second sample: the fibre at pi/3 leaves the level
+    # (1, 0, 0, 0) of the second sample: its fibre frames leave the level
     # there, while the section leaves it at the fourth sample.  Frame by
     # frame, the second sample's fibre frame fails first; the batch checks
     # the level of every frame at once, the base frames first, so it
@@ -423,7 +426,7 @@ def test_a_batch_checks_the_level_of_every_frame_at_once(tmp_path, capsys):
     fibre_error = _reference_submersion_failure(scen, xs)
     assert type(fibre_error) is NotOnLevelError and type(base_error) is NotOnLevelError
     assert str(fibre_error) != str(base_error)
-    for fiber_params in ((), FIBER_PARAMS):
+    for fiber_params in ((), _fibre(scen)):
         with pytest.raises(NotOnLevelError) as raised:
             lift_frames(scen, xs, fiber_params)
         assert str(raised.value) == str(base_error)
@@ -431,7 +434,7 @@ def test_a_batch_checks_the_level_of_every_frame_at_once(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {base_error}\n"
     # without the failing base frame, the fibre frame's error is the batch's
     with pytest.raises(NotOnLevelError) as raised:
-        lift_frames(scen, xs[:3], FIBER_PARAMS)
+        lift_frames(scen, xs[:3], _fibre(scen))
     assert str(raised.value) == str(fibre_error)
 
 
@@ -471,7 +474,7 @@ def test_identity_and_main_theorem_raise_the_first_base_frame_error(tmp_path, ca
         xs = [ChartPoint(p) for p in scen.sample_spec.points]
         base_error = _reference_base_failure(scen, xs)
         for verify in (verify_reduction_identity, verify_main_theorem):
-            for fiber_params in ((), FIBER_PARAMS):
+            for fiber_params in ((), _fibre(scen)):
                 with pytest.raises(type(base_error)) as raised:
                     verify(lift_frames(scen, xs, fiber_params))
                 assert str(raised.value) == str(base_error)
@@ -537,14 +540,15 @@ def test_a_failing_table_builds_its_batch_once(tmp_path, monkeypatch):
 
 def _opaque_flow_hopf(fails):
     """hopf with a per-point flow raising NonFiniteError near the section
-    point of quotient point i for fibre parameter j, for each (i, j, xs) of
-    ``fails``: the moved frame and the flow pushforward of that pair fail."""
+    point of quotient point i for fibre parameter j of ``_fibre``, for each
+    (i, j, xs) of ``fails``: the moved frame and the flow pushforward of
+    that pair fail."""
     hopf = builtin("hopf")
-    flow_rows = hopf.action.flow.rows
+    flow_rows, fibre = hopf.action.flow.rows, _fibre(hopf)
 
     def flow(a, p):
         for i, j, xs in fails:
-            if a[0] == FIBER_PARAMS[j] and np.max(np.abs(
+            if a[0] == fibre[j, 0] and np.max(np.abs(
                     p.coords - hopf.section(xs[i]))) < 1e-3:
                 raise NonFiniteError(f"flow fails near point {i} for fibre parameter {j}")
         return ChartPoint(flow_rows(np.concatenate([p.coords, a])[np.newaxis])[0])
@@ -563,13 +567,13 @@ def test_fibre_error_comes_from_the_first_failing_point():
     assert str(_reference_submersion_failure(scen, xs)) == \
         "flow fails near point 0 for fibre parameter 1"
     with pytest.raises(NonFiniteError) as raised:
-        verify_submersion(lift_frames(scen, xs, FIBER_PARAMS))
+        verify_submersion(lift_frames(scen, xs, _fibre(scen)))
     assert str(raised.value) == "flow fails near point 1 for fibre parameter 0"
     for fails in ([(0, 1, xs)], [(1, 0, xs)]):
         scen = _opaque_flow_hopf(fails)
         error = _reference_submersion_failure(scen, xs)
         with pytest.raises(NonFiniteError) as raised:
-            verify_submersion(lift_frames(scen, xs, FIBER_PARAMS))
+            verify_submersion(lift_frames(scen, xs, _fibre(scen)))
         assert str(raised.value) == str(error)
 
 
@@ -629,7 +633,7 @@ def test_a_stack_mixing_a_critical_point_of_mu_is_not_a_regular_value(tmp_path, 
     with pytest.raises(NotRegularValueError, match=want):
         split_tangent(scen, M)
     split_tangent(scen, M[:1])  # the regular point alone splits
-    for fiber_params in ((), FIBER_PARAMS):
+    for fiber_params in ((), _fibre(scen)):
         with pytest.raises(NotRegularValueError, match=want):
             lift_frames(scen, xs, fiber_params)
     for suites in ("reduction", "main-theorem"):
@@ -642,24 +646,27 @@ def test_a_stack_mixing_a_critical_point_of_mu_is_not_a_regular_value(tmp_path, 
 
 def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
     # omega and J are read at every frame of the batch, the moved ones
-    # included, so omega non-finite only at Phi_pi(sigma(0, 0)) = (-1, 0, 0, 0)
-    # fails the fibre check, and verify, with the frame-by-frame error
+    # included, so omega non-finite only at Phi_a(sigma(0, 0)), for a the
+    # second fibre parameter of a verify at seed 0, fails the fibre check,
+    # and verify, with the frame-by-frame error
     hopf = builtin("hopf")
     omega_rows = hopf.omega.func.rows
+    spec = SampleSpec(points=((0.6, 0.3), (0.0, 0.0), (0.5, 0.2)))
+    xs = np.array(spec.points)
+    moved = apply_flow(hopf.action, run_group_params(spec.seed, 1)[1], hopf.section(xs[1]))
 
     def rows(X):
         values = omega_rows(X).copy()
-        values[np.max(np.abs(X - [-1.0, 0.0, 0.0, 0.0]), axis=1) < 1e-12] = np.inf
+        values[np.max(np.abs(X - moved.coords), axis=1) < 1e-12] = np.inf
         return values
 
-    xs = np.array([[0.6, 0.3], [0.0, 0.0], [0.5, 0.2]])
     scen = dataclasses.replace(hopf, omega=TensorField.matrix(RowMap(rows), 4, name="omega"),
-                               sample_spec=SampleSpec(points=tuple(map(tuple, xs))))
+                               sample_spec=spec)
     error = _reference_submersion_failure(scen, xs)
     assert type(error) is NonFiniteError
-    assert str(error).startswith("field 'omega' at ChartPoint([-1.0")
+    assert str(error).startswith(f"field 'omega' at {moved}")
     with pytest.raises(NonFiniteError) as raised:
-        verify_submersion(lift_frames(scen, xs, FIBER_PARAMS))
+        verify_submersion(lift_frames(scen, xs, _fibre(scen)))
     assert str(raised.value) == str(error)
     # the base frames alone, as the main theorem reads them, do not fail
     assert verify_main_theorem(lift_frames(scen, xs)).passed
@@ -706,8 +713,8 @@ def _on_no_points():
         "momentum_residual": lambda: momentum_residual(hopf.action, hopf.mu, hopf.omega, X),
         "split_tangent": lambda: split_tangent(hopf, X),
         "lift_frames": lambda: lift_frames(hopf, Q),
-        "lift_frames moved": lambda: lift_frames(hopf, Q, FIBER_PARAMS),
-        "lift_frames of a list": lambda: lift_frames(hopf, [], FIBER_PARAMS),
+        "lift_frames moved": lambda: lift_frames(hopf, Q, _fibre(hopf)),
+        "lift_frames of a list": lambda: lift_frames(hopf, [], _fibre(hopf)),
         "reduced_structures": lambda: reduced_structures(hopf, Q),
         "almost_complex_residual": lambda: almost_complex_residual(plane_map, Q),
         "cauchy_riemann_residual": lambda: cauchy_riemann_residual(plane_map, Q),

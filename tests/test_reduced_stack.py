@@ -23,7 +23,6 @@ from symred.cli import RunConfig, run
 from symred.errors import VerticalLeakWarning
 from symred.geometry import sample_ball
 from symred.reduction import (
-    FIBER_PARAMS,
     lift_frames,
     reduced_structures,
     verify_main_theorem,
@@ -43,6 +42,7 @@ from util import (
     reference_reduction_identity_per_vector,
     reference_submersion,
     residuals_seen,
+    run_group_params,
 )
 
 # the largest relative gap to the per-vector oracle over _CASES, measured
@@ -74,6 +74,11 @@ _CASES = [(name, seed) for name in builtin_names() for seed in range(3)] \
     + [("r2n_8", 5), ("torus_t2", 2), ("double_speed", 0)]
 
 
+def _fibre(scen, seed):
+    """The fibre parameters of a ``verify`` at ``seed``."""
+    return run_group_params(seed, scen.action.group_dim)[:2]
+
+
 def _stacked(scen, xs, seed):
     """Every per-point value the three pipelines report, keyed as the
     references key them.  The table is built with the fibre parameters, as
@@ -81,12 +86,12 @@ def _stacked(scen, xs, seed):
     moved frame, and the three pipelines split nothing more."""
     with residuals_seen() as seen, mock.patch.object(
             reduction, "split_tangent", wraps=reduction.split_tangent) as split:
-        frames = lift_frames(scen, xs, FIBER_PARAMS)
+        frames = lift_frames(scen, xs, _fibre(scen, seed))
         verify_submersion(frames)
         verify_reduction_identity(frames, seed=seed)
         main = verify_main_theorem(frames)
     assert split.call_count == 1
-    assert split.call_args.args[1].shape == ((1 + len(FIBER_PARAMS)) * len(xs), scen.chart_dim)
+    assert split.call_args.args[1].shape == (3 * len(xs), scen.chart_dim)
     keys = ("fiber", "vertical", "identity", "degeneracy", "acm_residual", "compat_residual",
             "acs_residual", "hypothesis")
     out = dict(zip(keys, seen))
@@ -99,7 +104,7 @@ def _stacked(scen, xs, seed):
 
 
 def _references(scen, xs, seed):
-    fiber, vertical = reference_submersion(scen, xs, FIBER_PARAMS)
+    fiber, vertical = reference_submersion(scen, xs, _fibre(scen, seed))
     identity, degeneracy = reference_reduction_identity(scen, xs, seed=seed)
     out = {"fiber": fiber, "vertical": vertical, "identity": identity,
            "degeneracy": degeneracy, **reference_main_theorem(scen, xs)}
@@ -107,7 +112,7 @@ def _references(scen, xs, seed):
 
 
 def _per_vector(scen, xs, seed, solver):
-    fiber, vertical = reference_submersion(scen, xs, FIBER_PARAMS, per_vector=True)
+    fiber, vertical = reference_submersion(scen, xs, _fibre(scen, seed), per_vector=True)
     identity, degeneracy = reference_reduction_identity_per_vector(scen, xs, seed=seed,
                                                                    solver=solver)
     out = {"fiber": fiber, "vertical": vertical, "identity": identity,
@@ -141,7 +146,7 @@ def test_stack_of_one_and_no_points(name):
         assert got[key].tobytes() == value.tobytes(), f"{name}: {key}"
 
     # no points would pass every pipeline vacuously, so no table of them is built
-    for fiber_params in (FIBER_PARAMS, ()):
+    for fiber_params in (_fibre(scen, 3), ()):
         with pytest.raises(ValueError, match="^points must hold at least one point, got none$"):
             lift_frames(scen, [], fiber_params)
 

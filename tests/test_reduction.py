@@ -17,7 +17,6 @@ from symred.errors import (
 )
 from symred.geometry import ChartPoint, RowMap, TensorField, fd_jacobian, sample_ball
 from symred.reduction import (
-    FIBER_PARAMS,
     ReductionScenario,
     lift_frames,
     reduced_structures,
@@ -36,10 +35,13 @@ from symred.structures import (
 )
 
 from util import (
+    SIXFOLD_METRIC_HOPF_TEXT,
     horizontal_projector_oracle,
     projective_plane_oracle,
+    reference_submersion,
     round_sphere_metric,
     round_sphere_symplectic,
+    run_group_params,
 )
 
 HOPF = builtin("hopf")
@@ -162,7 +164,8 @@ def test_vertical_ad_invariance_negative_control():
     scen = compile_scenario(parse_scenario(_hopf_text_with_flow(
         f"flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1), "
         f"x3*cos{s} + x4*sin{s}, x4*cos{s} - x3*sin{s}]")))
-    report = verify_submersion(lift_frames(scen, quotient_points(scen, 20, seed=0), FIBER_PARAMS))
+    report = verify_submersion(lift_frames(scen, quotient_points(scen, 20, seed=0),
+                                           run_group_params(0, 1)[:2]))
     check = report.find("vertical invariance")
     assert not check.passed
     assert check.max_residual > 1.0
@@ -184,18 +187,37 @@ def test_vertical_invariance_fails_alone_inside_its_suites(tmp_path, seed):
     # phases t1 + 0.3 t1^2 on (x1, x2) and t1 + 0.3 t1^2 x2 on (x3, x4) are
     # no action: a full run fails the action suite's checks too, but inside
     # the reduction suites vertical invariance is the only row that fails,
-    # so within its own suite the check is no tautology
+    # so within its own suite the check is no tautology.  Its residual is
+    # the frame-by-frame reference's at the run's fibre parameters, rows 0-1
+    # of its group parameters, and far above the tolerance
     a, b = "(t1 + 0.3*t1^2)", "(t1 + 0.3*t1^2*x2)"
     text = _hopf_text_with_flow(
         f"flow = [x1*cos{a} + x2*sin{a}, x2*cos{a} - x1*sin{a}, "
         f"x3*cos{b} + x4*sin{b}, x4*cos{b} - x3*sin{b}]")
+    scen = compile_scenario(parse_scenario(text))
     for suites in (("reduction",), ("reduction", "main-theorem")):
         report, code, failing = _run_text(tmp_path, text, suites, seed)
         assert code == 1 and failing == {"vertical invariance"}, suites
-        assert 1.1 < report.find("vertical invariance").max_residual < 1.2
+        _, want = reference_submersion(scen, report.meta["quotient_points"],
+                                       np.array(report.meta["group_params"][:2]))
+        residual = report.find("vertical invariance").max_residual
+        assert residual == max(want) and residual > 0.2
     _, code, failing = _run_text(tmp_path, text, seed=seed)
     assert code == 1 and failing == {"action axioms", "isometry", "symplectomorphism",
                                      "endomorphism invariance", "vertical invariance"}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_sixfold_harmonic_of_the_metric_fails_fibre_independence(tmp_path, seed):
+    # phi = 1 + 0.001 Re((x1 + i x2)^6) changes along every circle, but takes
+    # one value at the fibre angles 0, pi/3 and pi; the seeded fibre
+    # parameters see it, and fibre independence is the reduction suite's only
+    # failing row
+    report, code, failing = _run_text(tmp_path, SIXFOLD_METRIC_HOPF_TEXT, ("reduction",), seed)
+    assert code == 1 and failing == {"fiber independence"}
+    check = report.find("fiber independence")
+    assert check.extras["fiber_params"] == report.meta["group_params"][:2]
+    assert check.max_residual > 3 * check.tolerance
 
 
 def test_main_theorem_iff_fails_where_one_defect_vanishes_and_the_other_does_not():
@@ -311,7 +333,7 @@ def test_vertical_leak_warning_for_tilted_acs():
 
 def test_verify_submersion_hopf():
     points = quotient_points(HOPF, 8, seed=20)
-    report = verify_submersion(lift_frames(HOPF, points, FIBER_PARAMS))
+    report = verify_submersion(lift_frames(HOPF, points, run_group_params(20, 1)[:2]))
     assert report.passed
     assert report.find("fiber independence").max_residual < 1e-6
 
@@ -324,9 +346,9 @@ def test_all_reduced_objects_fiber_independent():
 
     for x in quotient_points(HOPF, 5, seed=22):
         base = reduced_structures(HOPF, x)
-        for a in FIBER_PARAMS:
+        for a in run_group_params(22, 1)[:2]:
             moved = reduced_structures(dataclasses.replace(
-                HOPF, section=lambda q, _a=a: apply_flow(HOPF.action, [_a],
+                HOPF, section=lambda q, _a=a: apply_flow(HOPF.action, _a,
                                                          HOPF.section(q))), x)
             for name in ("h_beta", "omega_beta", "j_beta"):
                 assert np.max(np.abs(getattr(base, name) - getattr(moved, name))) < 1e-6
@@ -334,7 +356,7 @@ def test_all_reduced_objects_fiber_independent():
 
 def test_verify_submersion_linear_exact():
     points = quotient_points(LINEAR, 8, seed=21)
-    report = verify_submersion(lift_frames(LINEAR, points, FIBER_PARAMS))
+    report = verify_submersion(lift_frames(LINEAR, points, run_group_params(21, 1)[:2]))
     assert report.passed
     assert report.find("fiber independence").max_residual < 1e-10
 
@@ -342,7 +364,7 @@ def test_verify_submersion_linear_exact():
 def test_verify_submersion_noninvariant_metric_fails():
     scen = builtin("noninvariant_metric_hopf")
     points = quotient_points(scen, 10, seed=7)
-    report = verify_submersion(lift_frames(scen, points, FIBER_PARAMS))
+    report = verify_submersion(lift_frames(scen, points, run_group_params(7, 1)[:2]))
     check = report.find("fiber independence")
     assert not check.passed
     assert check.max_residual > 1e-3
@@ -353,7 +375,7 @@ def test_a_submersion_table_of_no_fibre_parameters_is_refused():
     # residual 0.0 where the fibre parameters fail
     scen = builtin("noninvariant_metric_hopf")
     points = sample_ball(2, 5, 2.0, 0)
-    assert not verify_submersion(lift_frames(scen, points, FIBER_PARAMS)).passed
+    assert not verify_submersion(lift_frames(scen, points, run_group_params(0, 1)[:2])).passed
     with pytest.raises(ValueError, match="^lift frame table has no fibre parameters"):
         verify_submersion(lift_frames(scen, points))
 
@@ -434,7 +456,7 @@ def test_three_plane_reduction_matches_complex_oracle():
 def test_three_plane_reduction_pipelines_pass():
     scen = builtin("euclidean_r2n", planes=3)
     points = quotient_points(scen, 5, seed=19, radius=1.5)
-    assert verify_submersion(lift_frames(scen, points, FIBER_PARAMS)).passed
+    assert verify_submersion(lift_frames(scen, points, run_group_params(19, 1)[:2])).passed
     assert verify_reduction_identity(lift_frames(scen, points), seed=19).passed
     report = verify_main_theorem(lift_frames(scen, points))
     assert report.passed
@@ -446,7 +468,7 @@ def test_point_arrays_not_of_shape_n_by_d_raise(points):
     # a flat array is not read as points of one coordinate each, nor as one point
     message = f"points must be an (N, d) array, got shape {points.shape}"
     for verify in (lambda: lift_frames(HOPF, points),
-                   lambda: lift_frames(HOPF, points, FIBER_PARAMS),
+                   lambda: lift_frames(HOPF, points, run_group_params(0, 1)[:2]),
                    lambda: pushforward_table(HOPF.action, [0.3], points),
                    lambda: check_metric(HOPF.metric, points)):
         with pytest.raises(ValueError) as info:

@@ -52,6 +52,7 @@ from util import (
     reference_momentum_residuals,
     reference_symplectic_residuals,
     residuals_seen,
+    run_group_params,
 )
 
 TOL = 1e-8
@@ -115,8 +116,7 @@ def _r2n_8():
 def _op_inputs(scen, seed, samples=20):
     """The ambient points and group parameters cli.run draws."""
     points = sample_box(scen.chart_dim, samples, radius=2.0, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    return points, [rng.uniform(-np.pi, np.pi, scen.action.group_dim) for _ in range(5)]
+    return points, run_group_params(seed, scen.action.group_dim)
 
 
 _CASES = [(name, seed) for name in builtin_names() for seed in range(4)] + [("r2n_8", 5)]

@@ -1,6 +1,7 @@
 """Scenario file parsing, validation and the built-in registry."""
 
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -126,6 +127,24 @@ def test_validation_errors():
         parse_scenario(MINIMAL.replace("beta = [0.5]", "beta = [x1]"))
     with pytest.raises(ValidationError, match="sample.count must be at least 1"):
         parse_scenario(MINIMAL + "\nsample.count = 0\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("dim = 2000000", "^omega must be 2000000x2000000, got 2x2$"),
+    # a negative group dimension makes the quotient dimension large
+    ("dim = 2\ngroup_dim = -1000000", r"^flow: unknown identifier\(s\) \['t1'\]"),
+], ids=["dim", "group_dim"])
+def test_a_declared_size_is_refused_before_anything_scales_with_it(line, message):
+    # the coordinate names of every declared size used to be built before
+    # any map's shape was compared with it: dim = 2000000 peaked at 259 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=message):
+            parse_scenario(MINIMAL.replace("dim = 2", line))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_section_uses_quotient_names_only():

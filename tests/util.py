@@ -731,15 +731,15 @@ def reference_reduced_from_frame(frame):
 
 
 def reference_submersion(scen, xs, fiber_params, per_vector=False):
-    """Fibre-independence and vertical-invariance residuals, point by point;
-    ``per_vector``, the oracle, with each pushed generator's leak alone."""
-    prm = [np.full(scen.action.group_dim, a, dtype=float) for a in fiber_params]
+    """Fibre-independence and vertical-invariance residuals, point by point,
+    over the fibre parameters, each a vector of k entries; ``per_vector``,
+    the oracle, with each pushed generator's leak alone."""
     fiber_res, vert_res = [], []
     for x in xs:
         m, frame = reference_lift_frame(scen, x, per_vector=per_vector)
         h_here = _reference_reduced_metric(frame)
         gaps, leaks = [], []
-        for a in prm:
+        for a in fiber_params:
             _, moved = reference_lift_frame(scen, x, a, per_vector)
             D, _ = reference_pushforward(scen.action, a, m)
             gaps.append(_max_abs(h_here - _reference_reduced_metric(moved)))
@@ -1036,6 +1036,13 @@ def reference_cauchy_riemann_residual(cm, p):
     return _max_abs(defects)
 
 
+def run_group_params(seed, k):
+    """The (5, k) group parameters a ``verify`` run at ``seed`` draws, as
+    ``cli.run`` draws them: the action suite moves by all five rows, and
+    rows 0-1 are the reduction suite's fibre parameters."""
+    return np.random.default_rng(seed + 1).uniform(-np.pi, np.pi, (5, k))
+
+
 # --- scenario fixtures ----------------------------------------------------------
 # Scenario texts that are not built-ins: the tests compile them, and
 # ``tests/report_sweep.py`` writes them beside its other scenario files.
@@ -1076,6 +1083,39 @@ section = [1/sqrt(1 + w1^2 + w2^2), 0,
            w1/sqrt(1 + w1^2 + w2^2), w2/sqrt(1 + w1^2 + w2^2),
            1/sqrt(1 + w3^2 + w4^2), 0,
            w3/sqrt(1 + w3^2 + w4^2), w4/sqrt(1 + w3^2 + w4^2)]
+
+sample.count = 20
+sample.seed = 7
+sample.radius = 2
+"""
+
+
+# hopf with the metric phi * I, phi = 1 + 0.001 Re((x1 + i x2)^6): the circle
+# turns the phase of x1 + i x2, so phi is no invariant of it, yet a sixfold
+# harmonic takes one value at the fibre angles 0, pi/3 and pi.  It is the
+# witness that fibre independence reads the fibre at other angles than those.
+SIXFOLD_METRIC_HOPF_TEXT = """
+# hopf with a metric that changes along each circle by a sixfold harmonic
+name = sixfold_metric_hopf
+dim = 4
+group_dim = 1
+quotient_dim = 2
+abelian = true
+
+omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+metric = [[1 + 0.001*(x1^6 - 15*x1^4*x2^2 + 15*x1^2*x2^4 - x2^6), 0, 0, 0],
+          [0, 1 + 0.001*(x1^6 - 15*x1^4*x2^2 + 15*x1^2*x2^4 - x2^6), 0, 0],
+          [0, 0, 1 + 0.001*(x1^6 - 15*x1^4*x2^2 + 15*x1^2*x2^4 - x2^6), 0],
+          [0, 0, 0, 1 + 0.001*(x1^6 - 15*x1^4*x2^2 + 15*x1^2*x2^4 - x2^6)]]
+acs = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+
+flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),
+        x3*cos(t1) + x4*sin(t1), x4*cos(t1) - x3*sin(t1)]
+mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]
+beta = [0.5]
+
+section = [1/sqrt(1 + w1^2 + w2^2), 0,
+           w1/sqrt(1 + w1^2 + w2^2), w2/sqrt(1 + w1^2 + w2^2)]
 
 sample.count = 20
 sample.seed = 7
