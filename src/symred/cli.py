@@ -43,7 +43,7 @@ from .reduction import (
     verify_submersion,
 )
 from .report import VerificationReport
-from .scenarios import (_read_scenario_text, _row_map, builtin, builtin_names,
+from .scenarios import (MAX_SAMPLES, _read_scenario_text, _row_map, builtin, builtin_names,
                         load_scenario_file, parse_scenario)
 from .structures import (
     DEFAULT_TOLERANCES,
@@ -58,9 +58,12 @@ from .structures import (
     standard_acs,
 )
 
-__all__ = ["RunConfig", "DEFAULT_TOLERANCES", "SUITE_ORDER", "run", "main"]
+__all__ = ["RunConfig", "DEFAULT_TOLERANCES", "SUITE_ORDER", "DEFAULT_SUITES", "run", "main"]
 
 SUITE_ORDER = ("structures", "action", "reduction", "main-theorem", "holomorphy")
+# the suites that check the scenario; holomorphy, a fixed battery of maps of
+# the plane, runs only when asked for
+DEFAULT_SUITES = ("structures", "action", "reduction", "main-theorem")
 
 # a reference map counts as holomorphic, in the Cauchy-Riemann equivalence
 # flags, where its residual is at most this
@@ -72,7 +75,7 @@ class RunConfig:
     """One verification run: scenario, suites, sampling and output options."""
 
     scenario: str
-    suites: tuple = SUITE_ORDER
+    suites: tuple = DEFAULT_SUITES
     seed: int | None = None
     samples: int | None = None
     tolerances: dict = field(default_factory=dict)
@@ -92,6 +95,8 @@ class RunConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.samples is not None and self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.samples is not None and self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
         if self.seed is not None and self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("text", "json"):
@@ -280,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run verification suites on a scenario")
     verify.add_argument("scenario", help="built-in name or path to a scenario file")
-    verify.add_argument("--suites", default=",".join(SUITE_ORDER),
-                        help="comma-separated subset of " + ",".join(SUITE_ORDER))
+    verify.add_argument("--suites", default=",".join(DEFAULT_SUITES),
+                        help="comma-separated subset of " + ",".join(SUITE_ORDER)
+                        + " (default " + ",".join(DEFAULT_SUITES) + ")")
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--samples", type=int, default=None)
     verify.add_argument("--tol", action="append", metavar="NAME=VALUE",

@@ -34,7 +34,12 @@ __all__ = [
     "load_scenario_file",
     "builtin",
     "builtin_names",
+    "MAX_SAMPLES",
 ]
+
+# the most sample points a run may ask for, by ``sample.count`` or
+# ``--samples``; work and memory grow with the count
+MAX_SAMPLES = 10_000
 
 _KNOWN_KEYS = {
     "name", "dim", "group_dim", "quotient_dim", "abelian",
@@ -151,8 +156,9 @@ def parse_scenario(text: str) -> ScenarioFile:
     Raises ParseError with position on malformed syntax and ValidationError
     for semantic problems (dimension mismatches, unknown identifiers, odd
     symplectic dimension, missing keys, a constant that raises or is not
-    finite, ``abelian`` other than true, a negative ``sample.seed`` or a
-    ``sample.radius`` that is not positive).
+    finite, ``abelian`` other than true, a ``group_dim`` below 1, a
+    ``sample.count`` outside 1 to ``MAX_SAMPLES``, a negative ``sample.seed``
+    or a ``sample.radius`` that is not positive).
     """
     lexemes = tokenize(text)
     raw: dict[str, object] = {}
@@ -192,6 +198,8 @@ def parse_scenario(text: str) -> ScenarioFile:
     beta = tuple(_const_value(e, "beta") for e in beta_exprs)
     group_dim = _int_value(_as_expr(raw["group_dim"], "group_dim"), "group_dim") \
         if "group_dim" in raw else len(beta)
+    if group_dim < 1:
+        raise ValidationError(f"group_dim must be at least 1, got {group_dim}")
     # the reduction is by a free abelian action, so the quotient has
     # dimension dim - 2 * group_dim; the two keys only declare that scope
     quotient_dim = dim - 2 * group_dim
@@ -266,6 +274,8 @@ def parse_scenario(text: str) -> ScenarioFile:
              if "sample.count" in raw else 20)
     if count < 1:
         raise ValidationError(f"sample.count must be at least 1, got {count}")
+    if count > MAX_SAMPLES:
+        raise ValidationError(f"sample.count must be at most {MAX_SAMPLES}, got {count}")
     seed = (_int_value(_as_expr(raw["sample.seed"], "sample.seed"), "sample.seed")
             if "sample.seed" in raw else 0)
     if seed < 0:

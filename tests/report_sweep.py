@@ -10,13 +10,14 @@ file) at 20 samples with seeds 5, 44, 55 and 61, on hopf without its acs
 line (from a scenario file written beside it, so J comes from
 build_compatible_triple) at 20 samples with seeds 0-3, on the 2-torus
 fixture ``util.TORUS_T2_TEXT`` (from a scenario file written beside them,
-so the k = 2 paths are compared) with all suites at 20 samples with seeds
-0-3, on every built-in with no flags (its own sample spec: seed, count
+so the k = 2 paths are compared) with the default suites at 20 samples
+with seeds 0-3, on every built-in with no flags (its own sample spec: seed, count
 and any explicit quotient points), on hopf at 20 samples with the main-theorem, the reduction and
 the action suite alone (the lift frames are batched differently when no
-fibre frames are asked for), and on seven failing variants (``FAILING``):
-six of hopf (the section off the level set at a middle sample,
-generators degenerate at one sample, a division by zero at w1 = 0.50001,
+fibre frames are asked for) and with all five suites (so the holomorphy
+battery, which a default run leaves out, is compared too), and on seven
+failing variants (``FAILING``): six of hopf (the section off the level
+set at a middle sample, generators degenerate at one sample, a division by zero at w1 = 0.50001,
 a row only a stencil of the section would evaluate (the exact section
 Jacobian reads no such row, so that variant's reduction runs complete),
 the metric entry ``sqrt(1.9 - x1)``, the first two at once, the
@@ -33,15 +34,21 @@ a JSON report without the line of its ``timestamp`` and without the lines
 of any key named by ``--ignore`` (a key whose value is a list or an object
 loses all of its lines), so a change of spacing, key order, number format
 or escaping shows.  Exit codes and stderr are compared as they are.  The
-script prints one line per differing case, and under a differing JSON
-report every value that changed, as a path through the report (a list
-entry with a ``name`` is named by it) with before -> after, then the
-largest |delta| over the numbers that are not point coordinates; a JSON
-report whose text differs with no value changed is said to differ in
-layout.  The last three lines say how many runs are identical, the
-largest |delta| over all runs and where, and whether any verdict changed:
-an exit code, a PASS/FAIL row of a text report, or a ``passed``,
-``branch`` or ``hypothesis_ok`` value of a JSON report.  It exits 2 if any verdict changed, else 1 if any run differs.
+script prints one line per differing case, under it the check rows one
+tree's report has and the other's lacks (a row is keyed by its suite path
+below the scenario and its name, in text and in JSON), and under a
+differing JSON report every value that changed, as a path through the
+report (a list entry with a ``name`` is named by it, and only entries
+both lists have are compared) with before -> after, then the largest
+|delta| over the numbers that are not point coordinates; a JSON report
+whose text differs with no value changed is said to differ in layout.
+The last four lines say how many runs are identical, the largest |delta|
+over all runs and where, which rows were removed and added (each with
+the number of runs), and whether any verdict changed: an exit code, the
+PASS/FAIL of a row both text reports have (the ``overall`` line among
+them), or a ``passed``, ``branch`` or ``hypothesis_ok`` value of a JSON
+report.  A removed or added row is not a changed verdict.  It exits 2
+if any verdict changed, else 1 if any run differs.
 It is a tool, not a test: pytest does not collect it.
 """
 
@@ -56,11 +63,11 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 VERDICT_KEYS = ("passed", "branch", "hypothesis_ok")
-NUMBER = re.compile(r"[-+]?\d+\.\d+e[-+]\d+")
 POINT = re.compile(r"\.(worst_point|points?)\[")  # coordinates, not residuals
 
 
@@ -144,7 +151,8 @@ def sweep_cases(r2n_path: str, no_acs_path: str, torus_path: str,
     runs += [[torus_path, "--samples", "20", "--seed", str(seed)] for seed in range(4)]
     runs += [[name] for name in builtin_names()]  # the scenario's own sample spec
     runs += [["hopf", "--samples", "20", "--suites", suite]
-             for suite in ("main-theorem", "reduction", "action")]
+             for suite in ("main-theorem", "reduction", "action",
+                           "structures,action,reduction,main-theorem,holomorphy")]
     runs += [[path, "--suites", suite] for path in failing_paths for suite in FAILING_SUITES]
     return [["verify", *run, "--format", fmt] for run in runs for fmt in ("json", "text")]
 
@@ -211,32 +219,82 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _by_name(entries: list) -> dict | None:
+    """A list's entries by name, if each is an object with a name of its own."""
+    names = [entry.get("name") if isinstance(entry, dict) else None for entry in entries]
+    if None in names or len(set(names)) < len(names):
+        return None
+    return dict(zip(names, entries))
+
+
 def changed_values(old, new, path: str = ""):
     """(path, before, after) for every value that differs between two JSON
-    values, walking dicts by key and equal-length lists by entry."""
+    values, walking dicts by key, lists of named entries (the checks and
+    the children of a report) by the names both have, and other
+    equal-length lists by entry.  A named entry only one list has is an
+    added or a removed row (``report_rows``), not a changed value."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
             yield from changed_values(old.get(key), new.get(key), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) \
+            and None not in (named := (_by_name(old), _by_name(new))):
+        for name in (name for name in named[0] if name in named[1]):
+            yield from changed_values(named[0][name], named[1][name], f"{path}[{name}]")
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for i, (a, b) in enumerate(zip(old, new)):
-            named = isinstance(a, dict) and isinstance(b, dict) and "name" in a \
-                and a["name"] == b.get("name")
-            yield from changed_values(a, b, f"{path}[{a['name'] if named else i}]")
+            yield from changed_values(a, b, f"{path}[{i}]")
     elif old != new or type(old) is not type(new):
         yield path, old, new
 
 
-def verdict_lines(text: str) -> list[str]:
-    """The PASS/FAIL rows of a text report, residual figures masked."""
-    return [NUMBER.sub("#", line) for line in text.splitlines()
-            if "PASS" in line.split() or "FAIL" in line.split()]
+# a text report's check row: name, residual, tolerance, verdict, identity
+TEXT_ROW = re.compile(r"^ *(.*?) +\S+  <= +\S+  (PASS|FAIL)   \[.*\]$")
+
+
+def _row_key(suites: list[str], name: str, seen: dict) -> str:
+    """'suite/sub-suite: check', with '#2', '#3', ... on a repeated one."""
+    key = f"{'/'.join(suites)}: {name}"
+    seen[key] = seen.get(key, 0) + 1
+    return key if seen[key] == 1 else f"{key} #{seen[key]}"
+
+
+def report_rows(argv: list[str], stdout: str) -> dict[str, bool]:
+    """Every check row of a report, keyed by its suite path below the
+    scenario and its name, with whether it passed; a text report's
+    ``overall`` line is a row too."""
+    rows, seen = {}, {}
+    if not stdout:
+        return rows
+    if "json" in argv:
+        def walk(node: dict, suites: list[str]) -> None:
+            for check in node["checks"]:
+                rows[_row_key(suites, check["name"], seen)] = check["passed"]
+            for child in node["children"]:
+                walk(child, [*suites, child["name"]])
+
+        walk(json.loads(stdout), [])
+        return rows
+    suites = []  # the report headers above the current line, outermost first
+    for line in stdout.splitlines():
+        depth = (len(line) - len(line.lstrip(" "))) // 2
+        if line.startswith("overall: "):
+            rows["overall"] = line.endswith("PASS")
+        elif (row := TEXT_ROW.match(line)) is not None:
+            rows[_row_key(suites[1:depth], row[1], seen)] = row[2] == "PASS"
+        elif not line.lstrip(" ").startswith("worst point: "):
+            suites[depth:] = [line.strip()]
+    return rows
 
 
 def verdict_changed(argv: list[str], old: dict, new: dict) -> bool:
+    """An exit code, the verdict of a row both reports have, or a
+    ``passed``, ``branch`` or ``hypothesis_ok`` value of a JSON report
+    changed."""
     if old["code"] != new["code"]:
         return True
     if "json" not in argv:
-        return verdict_lines(old["stdout"]) != verdict_lines(new["stdout"])
+        before, after = report_rows(argv, old["stdout"]), report_rows(argv, new["stdout"])
+        return any(before[key] != after[key] for key in before.keys() & after.keys())
     if not (old["stdout"] and new["stdout"]):
         return old["stdout"] != new["stdout"]
     return any(path.rsplit(".", 1)[-1] in VERDICT_KEYS for path, _, _ in
@@ -285,13 +343,21 @@ def main(argv=None) -> int:
     ignore = set(args.ignore)
     differing = verdicts = 0
     worst, worst_at = 0.0, None
+    moved = {"removed": Counter(), "added": Counter()}  # row -> runs
     for argv, old, new in zip(cases, parent, change):
         verdicts += verdict_changed(argv, old, new)
+        before, after = report_rows(argv, old["stdout"]), report_rows(argv, new["stdout"])
+        rows = {"removed": [key for key in before if key not in after],
+                "added": [key for key in after if key not in before]}
         seen_old, seen_new = comparable(argv, old, ignore), comparable(argv, new, ignore)
         fields = [key for key in ("code", "stdout", "stderr") if seen_old[key] != seen_new[key]]
         if fields:
             differing += 1
             print(f"DIFFERS ({', '.join(fields)}): symred {' '.join(argv)}")
+            for kind, keys in rows.items():
+                moved[kind].update(keys)
+                if keys:
+                    print(f"    rows {kind}: {'; '.join(keys)}")
             if "json" in argv and "stdout" in fields and old["stdout"] and new["stdout"]:
                 delta, path = print_changes(old["stdout"], new["stdout"], ignore)
                 if path is not None and delta >= worst:
@@ -299,6 +365,9 @@ def main(argv=None) -> int:
     print(f"{len(cases) - differing} of {len(cases)} runs identical")
     print(f"largest |delta| over all runs {worst:.3e} at {worst_at}" if worst_at
           else "no number changed but point coordinates")
+    print("; ".join(f"rows {kind}: " + (", ".join(f"{key} ({runs} runs)"
+                                                  for key, runs in counts.items()) or "none")
+                    for kind, counts in moved.items()))
     print(f"verdicts changed in {verdicts} of {len(cases)} runs" if verdicts
           else "no verdict changed")
     return 2 if verdicts else 1 if differing else 0

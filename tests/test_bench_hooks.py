@@ -37,13 +37,14 @@ def test_tracer_counts_layers_and_restores():
     split_tangent = symred.reduction.split_tangent
     tracer = tracing.Tracer().install()
     try:
-        report, code = cli.run(cli.RunConfig("hopf", seed=1, samples=2))
+        report, code = cli.run(cli.RunConfig("hopf", suites=cli.SUITE_ORDER, seed=1, samples=2))
     finally:
         tracer.restore()
     assert code == 0, report.format_text()
     assert tracer.calls["reduction.split_tangent"] > 0
     assert tracer.calls["cli.sampling"] > 0
-    # every layer a verify run passes through is seen, each suite included
+    # every layer a run of every suite passes through is seen, each suite
+    # included
     keys = [key for key, _, _, _ in tracing.FUNCTIONS]
     keys += [f"cli.suite.{suite}" for suite, _ in tracing.SUITES]
     missed = [key for key in keys if tracer.calls[key] == 0]
@@ -51,3 +52,18 @@ def test_tracer_counts_layers_and_restores():
     assert symred.reduction.split_tangent is split_tangent
     for attr, original in originals.items():
         assert getattr(cli, attr) is original
+
+
+def test_a_default_run_leaves_the_holomorphy_layers_alone():
+    # the holomorphy battery is verify's only caller of these, and a default
+    # run leaves it out
+    tracer = tracing.Tracer().install()
+    try:
+        report, code = cli.run(cli.RunConfig("hopf", seed=1, samples=2))
+    finally:
+        tracer.restore()
+    assert code == 0, report.format_text()
+    keys = ("holomorphy.almost_complex_residual", "holomorphy.cauchy_riemann_residual",
+            "geometry.fd_jacobian", "cli.suite.holomorphy")
+    assert {key: tracer.calls[key] for key in keys} == dict.fromkeys(keys, 0)
+    assert tracer.calls["cli.suite.main-theorem"] == 1

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -49,7 +50,7 @@ from util import opaque_scenario, round_sphere_metric
 
 @pytest.fixture(scope="module")
 def hopf_report():
-    return run(RunConfig("hopf", samples=6, seed=1))
+    return run(RunConfig("hopf", suites=cli.SUITE_ORDER, samples=6, seed=1))
 
 
 def test_run_hopf_all_suites_passes(hopf_report):
@@ -58,6 +59,26 @@ def test_run_hopf_all_suites_passes(hopf_report):
     assert report.passed
     suites = [child.name for child in report.children]
     assert suites == ["structures", "action", "reduction", "main-theorem", "holomorphy"]
+    assert report.meta["suites"] == suites
+
+
+def test_default_run_checks_the_scenario_and_leaves_out_the_battery(hopf_report, capsys):
+    # the default suites are every suite but the fixed holomorphy battery,
+    # from the library and from the command line; the rows they share with
+    # a run of every suite are the same rows
+    report, code = run(RunConfig("hopf", samples=6, seed=1))
+    suites = ["structures", "action", "reduction", "main-theorem"]
+    assert list(cli.DEFAULT_SUITES) == suites
+    assert (code, [child.name for child in report.children], report.meta["suites"]) == (
+        0, suites, suites)
+    every = hopf_report[0].to_dict()
+    every["children"] = every["children"][:-1]
+    every["meta"]["suites"] = suites
+    got = report.to_dict()
+    assert got["meta"].pop("timestamp") and every["meta"].pop("timestamp")
+    assert got == every
+    assert main(["verify", "hopf", "--samples", "6", "--seed", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["suites"] == suites
 
 
 def test_run_skewed_structures_fails():
@@ -231,7 +252,8 @@ def test_default_tolerances_complete():
 def test_every_tolerance_reaches_a_check(tmp_path, capsys):
     # a distinct value per name; each must come back as some row's tolerance
     values = {name: (i + 2) * 1e-7 for i, name in enumerate(sorted(DEFAULT_TOLERANCES))}
-    report, _ = run(RunConfig("hopf", samples=3, seed=1, tolerances=values))
+    report, _ = run(RunConfig("hopf", suites=cli.SUITE_ORDER, samples=3, seed=1,
+                              tolerances=values))
     used = {c.tolerance for _, c in report.all_checks()}
     assert [name for name, value in values.items() if value not in used] == []
     # names of checks that no longer exist are unknown, on the command line
@@ -550,6 +572,30 @@ def test_sample_count_zero_is_a_usage_error(tmp_path, capsys):
     path.write_text(builtin_text("hopf").replace("sample.count = 20", "sample.count = 0"))
     assert main(["verify", str(path)]) == 2
     assert "sample.count must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("door", ["--samples", "sample.count", "parse-check"])
+def test_a_sample_count_above_the_bound_is_a_usage_error_at_bounded_cost(door, tmp_path, capsys):
+    # a count of 10^12 would have sample_box draw a (10^12, 4) array; it is
+    # refused before anything is drawn, naming the key and its value
+    huge = 10**12
+    path = tmp_path / "huge.scn"
+    path.write_text(builtin_text("hopf").replace("sample.count = 20", f"sample.count = {huge}"))
+    argv = {"--samples": ["verify", "hopf", "--samples", str(huge)],
+            "sample.count": ["verify", str(path)],
+            "parse-check": ["parse-check", str(path)]}[door]
+    key = "samples" if door == "--samples" else "sample.count"
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 10 * 2**20
+    assert capsys.readouterr().err == \
+        f"error: {key} must be at most {scenarios.MAX_SAMPLES}, got {huge}\n"
+    # the bound itself is a count a run may ask for, above every count in use
+    assert RunConfig("hopf", samples=scenarios.MAX_SAMPLES).samples == scenarios.MAX_SAMPLES > 320
 
 
 def _standalone_reports(name, report):
@@ -904,13 +950,15 @@ def test_hopf_op_builds_few_chart_points(monkeypatch):
     # among them) is compiled and evaluated on row batches, and frames,
     # pushforwards, every check and the holomorphy residuals work on
     # stacks: the only ChartPoints are the worst points of the checks, at
-    # most one per check, at any sample count
+    # most one per check, at any sample count, in a default run (20 rows)
+    # and in one of every suite (25)
     built = _count_chart_points(monkeypatch)
-    for samples in (20, 80):
-        built.clear()
-        report, code = run(RunConfig("hopf", samples=samples, seed=51))
-        assert code == 0
-        assert built["points"] <= len(list(report.all_checks())) == 25
+    for suites, rows in ((cli.DEFAULT_SUITES, 20), (cli.SUITE_ORDER, 25)):
+        for samples in (20, 80):
+            built.clear()
+            report, code = run(RunConfig("hopf", suites=suites, samples=samples, seed=51))
+            assert code == 0
+            assert built["points"] <= len(list(report.all_checks())) == rows
 
 
 @pytest.mark.parametrize("samples", [20, 80])
@@ -926,7 +974,7 @@ def test_holomorphy_suite_takes_two_jacobians_per_reference_map(samples, monkeyp
         return fd_jacobian(*args, **kwargs)
 
     monkeypatch.setattr(symred.holomorphy, "fd_jacobian", counted)
-    report, code = run(RunConfig("hopf", samples=samples, seed=51))
+    report, code = run(RunConfig("hopf", suites=("holomorphy",), samples=samples, seed=51))
     assert code == 0
     assert calls["fd_jacobian"] == 2 * len(cli._REFERENCE_MAPS) == 8
 
@@ -947,7 +995,7 @@ def test_verify_of_compiled_maps_takes_no_stencil(name, tmp_path, monkeypatch):
         return stencil_rows(*args, **kwargs)
 
     monkeypatch.setattr(symred.geometry, "_stencil_rows", counted)
-    run(RunConfig(name, samples=20, seed=3))
+    run(RunConfig(name, suites=cli.SUITE_ORDER, samples=20, seed=3))
     assert calls["stencil"] == 0
 
 
@@ -1013,7 +1061,7 @@ def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeyp
         ambient = (2 + 1 + len(group_params)) * samples
         assert counts["per-point acs"] - counts["hopf"] == frames + ambient
         # the worst point of each check, and nothing more
-        assert counts[str(path)] == counts["hopf"] == len(list(report.all_checks())) == 25
+        assert counts[str(path)] == counts["hopf"] == len(list(report.all_checks())) == 20
 
 
 def test_points_print_on_one_line(tmp_path, capsys):

@@ -12,6 +12,7 @@ from symred.actions import apply_flow
 from symred.errors import NonFiniteError, ParseError, UnknownScenarioError, ValidationError
 from symred.geometry import ChartPoint, eval_field
 from symred.scenarios import (
+    MAX_SAMPLES,
     builtin,
     builtin_names,
     builtin_text,
@@ -127,13 +128,20 @@ def test_validation_errors():
         parse_scenario(MINIMAL.replace("beta = [0.5]", "beta = [x1]"))
     with pytest.raises(ValidationError, match="sample.count must be at least 1"):
         parse_scenario(MINIMAL + "\nsample.count = 0\n")
+    with pytest.raises(ValidationError, match="^group_dim must be at least 1, got 0$"):
+        parse_scenario(MINIMAL.replace("dim = 2", "dim = 2\ngroup_dim = 0"))
+    assert parse_scenario(MINIMAL + f"\nsample.count = {MAX_SAMPLES}\n").sample_spec.count \
+        == MAX_SAMPLES
 
 
 @pytest.mark.parametrize("line,message", [
     ("dim = 2000000", "^omega must be 2000000x2000000, got 2x2$"),
     # a negative group dimension makes the quotient dimension large
-    ("dim = 2\ngroup_dim = -1000000", r"^flow: unknown identifier\(s\) \['t1'\]"),
-], ids=["dim", "group_dim"])
+    ("dim = 2\ngroup_dim = -1000000", "^group_dim must be at least 1, got -1000000$"),
+    # verify would draw a (10^12, n) array of sample points
+    ("dim = 2\nsample.count = 1000000000000",
+     f"^sample.count must be at most {MAX_SAMPLES}, got 1000000000000$"),
+], ids=["dim", "group_dim", "sample.count"])
 def test_a_declared_size_is_refused_before_anything_scales_with_it(line, message):
     # the coordinate names of every declared size used to be built before
     # any map's shape was compared with it: dim = 2000000 peaked at 259 MB
