@@ -141,12 +141,12 @@ def _suite_action(scen, tol, points, params):
     return report
 
 
-def _suite_reduction(tol, seed, frames):
+def _suite_reduction(tol, frames):
     report = VerificationReport("reduction")
     report.add_child(verify_submersion(frames, tol["reduction.submersion"],
                                        tol["reduction.vertical-invariance"]))
     report.add_child(verify_reduction_identity(frames, tol["reduction.identity"],
-                                               tol["reduction.degeneracy"], seed=seed))
+                                               tol["reduction.degeneracy"]))
     return report
 
 
@@ -247,7 +247,7 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
             report.add_child(_suite_action(scen, tol, points, params))
         elif suite == "reduction":
             frames = lift_frames(scen, qpoints, params[:2])
-            report.add_child(_suite_reduction(tol, seed, frames))
+            report.add_child(_suite_reduction(tol, frames))
         elif suite == "main-theorem":
             if frames is None:
                 frames = lift_frames(scen, qpoints)

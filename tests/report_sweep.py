@@ -8,11 +8,15 @@ every built-in at 20 samples with seeds 0-7, on hopf at 80 and at 320
 samples with seeds 0 and 51, on euclidean_r2n at 8 planes (from a scenario
 file) at 20 samples with seeds 5, 44, 55 and 61, on hopf without its acs
 line (from a scenario file written beside it, so J comes from
-build_compatible_triple) at 20 samples with seeds 0-3, on the 2-torus
-fixture ``util.TORUS_T2_TEXT`` (from a scenario file written beside them,
-so the k = 2 paths are compared) with the default suites at 20 samples
-with seeds 0-3, on every built-in with no flags (its own sample spec: seed, count
-and any explicit quotient points), on hopf at 20 samples with the main-theorem, the reduction and
+build_compatible_triple) at 20 samples with seeds 0-3, on the three
+``FIXTURES`` of ``tests/util.py`` (from scenario files written beside
+them) with the default suites at 20 samples with seeds 0-3: the 2-torus
+``TORUS_T2_TEXT``, so the k = 2 paths are compared, and two witnesses that
+fail rows, ``DOUBLE_SPEED_HOPF_TEXT`` (no momentum map for its action: the
+pullback identity, the vertical degeneracy and the main-theorem rows
+fail) and ``SIXFOLD_METRIC_HOPF_TEXT`` (fibre independence fails), so
+failing residuals are compared too; on every built-in with no flags (its
+own sample spec: seed, count and any explicit quotient points), on hopf at 20 samples with the main-theorem, the reduction and
 the action suite alone (the lift frames are batched differently when no
 fibre frames are asked for) and with all five suites (so the holomorphy
 battery, which a default run leaves out, is compared too), and on seven
@@ -46,8 +50,8 @@ The last four lines say how many runs are identical, the largest |delta|
 over all runs and where, which rows were removed and added (each with
 the number of runs), and whether any verdict changed: an exit code, the
 PASS/FAIL of a row both text reports have (the ``overall`` line among
-them), or a ``passed``, ``branch`` or ``hypothesis_ok`` value of a JSON
-report.  A removed or added row is not a changed verdict.  It exits 2
+them), or a ``passed``, ``branch`` or ``hypothesis_violated`` value of a
+JSON report.  A removed or added row is not a changed verdict.  It exits 2
 if any verdict changed, else 1 if any run differs.
 It is a tool, not a test: pytest does not collect it.
 """
@@ -67,7 +71,7 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-VERDICT_KEYS = ("passed", "branch", "hypothesis_ok")
+VERDICT_KEYS = ("passed", "branch", "hypothesis_violated")
 POINT = re.compile(r"\.(worst_point|points?)\[")  # coordinates, not residuals
 
 
@@ -110,21 +114,27 @@ FAILING = {
 }
 FAILING_SUITES = ("structures", "action", "reduction,main-theorem")
 
+# scenario texts of tests/util.py run with the default suites: file stem ->
+# the name of the text there
+FIXTURES = {"torus_t2": "TORUS_T2_TEXT", "double_speed_hopf": "DOUBLE_SPEED_HOPF_TEXT",
+            "sixfold_metric_hopf": "SIXFOLD_METRIC_HOPF_TEXT"}
 
-def write_scenarios(tmp: str) -> tuple[str, str, str, list[str]]:
+
+def write_scenarios(tmp: str) -> tuple[str, str, list[str], list[str]]:
     """Write the scenario files of the sweep into ``tmp``: euclidean_r2n at
-    8 planes, hopf without its acs line, the 2-torus fixture and the FAILING
-    variants; return their paths."""
+    8 planes, hopf without its acs line, the FIXTURES and the FAILING
+    variants; return their paths, the FIXTURES' and the FAILING variants'
+    as one list each."""
     from symred.scenarios import builtin_text
-    from util import TORUS_T2_TEXT
+    import util
 
     hopf = builtin_text("hopf")
     texts = {"euclidean_r2n_8": builtin_text("euclidean_r2n", 8),
              "hopf_no_acs": "\n".join(line for line in hopf.splitlines()
                                       if not line.startswith("acs")),
-             "torus_t2": TORUS_T2_TEXT}
+             **{stem: getattr(util, name) for stem, name in FIXTURES.items()}}
     for stem, (base, replacements, points) in FAILING.items():
-        text = {"hopf": hopf, "torus_t2": TORUS_T2_TEXT}[base]
+        text = {"hopf": hopf, "torus_t2": util.TORUS_T2_TEXT}[base]
         for old, new in replacements:
             assert old in text, stem
             text = text.replace(old, new)
@@ -134,10 +144,11 @@ def write_scenarios(tmp: str) -> tuple[str, str, str, list[str]]:
         paths.append(os.path.join(tmp, f"{stem}.scen"))
         with open(paths[-1], "w", encoding="utf-8") as handle:
             handle.write(text)
-    return paths[0], paths[1], paths[2], paths[3:]
+    fixtures = 2 + len(FIXTURES)
+    return paths[0], paths[1], paths[2:fixtures], paths[fixtures:]
 
 
-def sweep_cases(r2n_path: str, no_acs_path: str, torus_path: str,
+def sweep_cases(r2n_path: str, no_acs_path: str, fixture_paths: list[str],
                 failing_paths: list[str]) -> list[list[str]]:
     """The argv of every verify run of the sweep, JSON and text."""
     from symred.scenarios import builtin_names
@@ -148,7 +159,8 @@ def sweep_cases(r2n_path: str, no_acs_path: str, torus_path: str,
              for samples in (80, 320) for seed in (0, 51)]
     runs += [[r2n_path, "--samples", "20", "--seed", str(seed)] for seed in (5, 44, 55, 61)]
     runs += [[no_acs_path, "--samples", "20", "--seed", str(seed)] for seed in range(4)]
-    runs += [[torus_path, "--samples", "20", "--seed", str(seed)] for seed in range(4)]
+    runs += [[path, "--samples", "20", "--seed", str(seed)]
+             for path in fixture_paths for seed in range(4)]
     runs += [[name] for name in builtin_names()]  # the scenario's own sample spec
     runs += [["hopf", "--samples", "20", "--suites", suite]
              for suite in ("main-theorem", "reduction", "action",
@@ -288,7 +300,7 @@ def report_rows(argv: list[str], stdout: str) -> dict[str, bool]:
 
 def verdict_changed(argv: list[str], old: dict, new: dict) -> bool:
     """An exit code, the verdict of a row both reports have, or a
-    ``passed``, ``branch`` or ``hypothesis_ok`` value of a JSON report
+    ``passed``, ``branch`` or ``hypothesis_violated`` value of a JSON report
     changed."""
     if old["code"] != new["code"]:
         return True

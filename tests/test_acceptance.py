@@ -94,7 +94,7 @@ def test_criterion_03_reduction_identity_and_degeneracy():
     detail = []
     for scen, seed in ((HOPF, 7), (LINEAR, 11)):
         points = sample_ball(scen.quotient_dim, 50, 2.0, seed)
-        report = verify_reduction_identity(lift_frames(scen, points), seed=seed)
+        report = verify_reduction_identity(lift_frames(scen, points))
         ident = report.find("pullback identity").max_residual
         degen = report.find("vertical degeneracy").max_residual
         ok = ok and ident < 1e-5 and degen < 1e-8

@@ -626,7 +626,7 @@ def _standalone_reports(name, report):
     pipelines = [
         verify_submersion(lift_frames(scen, qpoints, params[:2]), tol("reduction.submersion")),
         verify_reduction_identity(lift_frames(scen, qpoints), tol("reduction.identity"),
-                                  tol("reduction.degeneracy"), seed=meta["seed"]),
+                                  tol("reduction.degeneracy")),
         verify_main_theorem(lift_frames(scen, qpoints), tol("main-theorem.residuals"),
                             tol("main-theorem.hypothesis")),
     ]

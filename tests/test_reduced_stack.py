@@ -32,6 +32,7 @@ from symred.reduction import (
 from symred.scenarios import builtin, builtin_names, builtin_text, compile_scenario, parse_scenario
 
 from util import (
+    DOUBLE_SPEED_HOPF_TEXT,
     TORUS_T2_TEXT,
     reference_lift_frame,
     reference_main_theorem,
@@ -46,27 +47,20 @@ from util import (
 )
 
 # the largest relative gap to the per-vector oracle over _CASES, measured
-# with numpy 2.4 and OpenBLAS: 2.7e-15 with its solve, 3.0e-14 with lstsq
+# with numpy 2.4 and OpenBLAS: 1.1e-15 with its solve, 3.0e-14 with lstsq
 PER_VECTOR_BOUND = 2e-14
 LSTSQ_BOUND = 1e-12
 
 
-def _double_speed():
-    """hopf with the second plane turned at double speed: not Hamiltonian for
-    mu, so the pullback identity and the main-theorem residuals fail."""
-    text = builtin_text("hopf")
-    flow = ("flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1), "
-            "x3*cos(2*t1) + x4*sin(2*t1), x4*cos(2*t1) - x3*sin(2*t1)]")
-    return compile_scenario(parse_scenario(
-        text[:text.index("flow = ")] + flow + "\n" + text[text.index("mu = "):]))
+_TEXTS = {"torus_t2": TORUS_T2_TEXT, "double_speed": DOUBLE_SPEED_HOPF_TEXT}
 
 
 def _scenario(name):
     if name == "r2n_8":
         return compile_scenario(parse_scenario(builtin_text("euclidean_r2n", 8)))
-    if name == "torus_t2":
-        return compile_scenario(parse_scenario(TORUS_T2_TEXT))
-    return _double_speed() if name == "double_speed" else builtin(name)
+    if name in _TEXTS:
+        return compile_scenario(parse_scenario(_TEXTS[name]))
+    return builtin(name)
 
 
 _NAMES = [*builtin_names(), "r2n_8", "torus_t2", "double_speed"]
@@ -88,7 +82,7 @@ def _stacked(scen, xs, seed):
             reduction, "split_tangent", wraps=reduction.split_tangent) as split:
         frames = lift_frames(scen, xs, _fibre(scen, seed))
         verify_submersion(frames)
-        verify_reduction_identity(frames, seed=seed)
+        verify_reduction_identity(frames)
         main = verify_main_theorem(frames)
     assert split.call_count == 1
     assert split.call_args.args[1].shape == (3 * len(xs), scen.chart_dim)
@@ -105,7 +99,7 @@ def _stacked(scen, xs, seed):
 
 def _references(scen, xs, seed):
     fiber, vertical = reference_submersion(scen, xs, _fibre(scen, seed))
-    identity, degeneracy = reference_reduction_identity(scen, xs, seed=seed)
+    identity, degeneracy = reference_reduction_identity(scen, xs)
     out = {"fiber": fiber, "vertical": vertical, "identity": identity,
            "degeneracy": degeneracy, **reference_main_theorem(scen, xs)}
     return {key: np.array(values, dtype=float) for key, values in out.items()}
@@ -113,8 +107,7 @@ def _references(scen, xs, seed):
 
 def _per_vector(scen, xs, seed, solver):
     fiber, vertical = reference_submersion(scen, xs, _fibre(scen, seed), per_vector=True)
-    identity, degeneracy = reference_reduction_identity_per_vector(scen, xs, seed=seed,
-                                                                   solver=solver)
+    identity, degeneracy = reference_reduction_identity_per_vector(scen, xs, solver)
     out = {"fiber": fiber, "vertical": vertical, "identity": identity,
            "degeneracy": degeneracy, **reference_main_theorem_per_vector(scen, xs, solver)}
     return {key: np.array(values, dtype=float) for key, values in out.items()}
@@ -171,16 +164,6 @@ def test_reduced_structures_match_the_frame_reference(name):
             want = reference_reduced_per_vector(oracle, solver)
             for got, value in zip((red.h_beta, red.omega_beta, red.j_beta), want):
                 assert _within(got, value, bound), solver
-
-
-def test_pair_coefficients_are_the_per_point_draws():
-    # one shaped draw hands out the stream the per-point draws took: point
-    # by point, pair by pair, u before v
-    N, P, d = 7, 3, 3
-    shaped = np.random.default_rng(5).standard_normal((N, P, 2, d))
-    rng = np.random.default_rng(5)
-    per_point = [rng.standard_normal(d) for _ in range(N * P * 2)]
-    assert np.array_equal(shaped.reshape(-1, d), np.array(per_point))
 
 
 @pytest.mark.parametrize("samples", [20, 80])

@@ -14,6 +14,8 @@ from symred.report import VerificationReport
 from symred.scenarios import builtin_names, builtin_text
 from symred.structures import StructureCheckResult
 
+from util import DOUBLE_SPEED_HOPF_TEXT
+
 
 def oracle(report: VerificationReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
@@ -42,12 +44,7 @@ def test_dense_and_file_reports_match_the_oracle(tmp_path):
     r2n = tmp_path / "euclidean_r2n_8.scn"
     r2n.write_text(builtin_text("euclidean_r2n", 8))
     double_speed = tmp_path / "double_speed.scn"
-    hopf = builtin_text("hopf")  # with the second plane turned at double speed
-    double_speed.write_text(
-        hopf[:hopf.index("flow = ")]
-        + "flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1), "
-          "x3*cos(2*t1) + x4*sin(2*t1), x4*cos(2*t1) - x3*sin(2*t1)]\n"
-        + hopf[hopf.index("mu = "):])
+    double_speed.write_text(DOUBLE_SPEED_HOPF_TEXT)
     for cfg in (RunConfig("hopf", samples=80, seed=0), RunConfig(str(r2n), samples=20, seed=5),
                 RunConfig(str(double_speed), samples=20, seed=0)):
         report, _ = run(cfg)
