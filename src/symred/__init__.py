@@ -37,7 +37,6 @@ from .geometry import (
     fd_directional,
     fd_jacobian,
     kernel_basis,
-    orthonormalize,
     sample_ball,
     sample_box,
 )
@@ -51,7 +50,6 @@ from .structures import (
     check_metric,
     check_symplectic_pointwise,
     euclidean_metric,
-    omega_endomorphism,
     standard_acs,
     standard_acs_matrix,
     standard_symplectic,
@@ -70,7 +68,6 @@ from .actions import (
     momentum_residual,
     planar_rotation_action,
     pushforward_table,
-    uniform_circle_quadrature,
 )
 from .reduction import (
     ReducedStructures,

@@ -6,8 +6,8 @@ Group elements are addressed by Lie-algebra parameter vectors through a
 fixed exponential chart; the built-in groups are circles, tori and
 translations, so the chart is globally surjective.  ``average_metric``
 takes its quadrature rule over the group as an argument; for a torus,
-``uniform_circle_quadrature`` and ``uniform_torus_quadrature`` build plain
-uniform rules.  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
+``uniform_torus_quadrature`` builds a plain uniform rule (k = 1 for a
+circle).  The momentum sign convention is ``omega(xi_M, .) = d mu_xi``.
 The momentum map mu: M -> g* is one vector field of shape (k,)
 (``MomentumMap.field``), compiled from one program over its k entries: its
 values at N points are ``eval_field(mu.field, X)``, one batch, and its
@@ -70,7 +70,6 @@ __all__ = [
     "check_momentum_invariance",
     "average_metric",
     "check_field_invariance",
-    "uniform_circle_quadrature",
     "uniform_torus_quadrature",
     "planar_rotation_action",
 ]
@@ -347,12 +346,6 @@ def check_field_invariance(field_: TensorField, table: PushforwardTable,
     return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
                              lambda D, here, moved: D @ here - moved @ D,
                              field_, table, tol)
-
-
-def uniform_circle_quadrature(n: int = 64) -> tuple:
-    """n equally weighted angles on [0, 2 pi); exact for low trigonometric
-    polynomials, spectrally accurate for smooth periodic integrands."""
-    return tuple((np.array([2.0 * np.pi * i / n]), 1.0 / n) for i in range(n))
 
 
 def uniform_torus_quadrature(k: int, n: int = 16) -> tuple:

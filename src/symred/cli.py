@@ -83,6 +83,9 @@ class RunConfig:
     format: str = "text"
 
     def __post_init__(self):
+        if isinstance(self.suites, str):  # a str is a sequence of letters
+            raise ValueError(f"suites must be a sequence of suite names, got {self.suites!r}")
+        self.suites = tuple(self.suites)  # a one-shot iterable would run no suite
         if not self.suites:
             raise ValueError("at least one suite must be requested")
         unknown = set(self.suites) - set(SUITE_ORDER)

@@ -4,7 +4,7 @@ linear-algebra kit used by every other module.
 A chart point is a ``ChartPoint``, and a sample of points (``sample_box``,
 ``sample_ball``) the rows of one (N, d) array, the only shape of array
 ``as_points`` accepts; a tangent vector is a plain component array, and a
-frame or basis of tangent vectors (``kernel_basis``, ``orthonormalize``) is
+frame or basis of tangent vectors (``kernel_basis``, ``_gram_schmidt``) is
 a matrix whose columns are the vectors.
 
 Everything here is pure and immutable: evaluating a field or a derivative
@@ -21,7 +21,7 @@ differences with the one step ``FD_STEP`` (1e-5), which only
 
 Every path works on stacks: ``eval_field``, ``fd_jacobian`` and
 ``fd_directional`` take an (N, d) array of points, and ``kernel_basis``,
-``orthonormalize`` and ``spd_sqrt`` a stack of matrices.
+``_gram_schmidt`` and ``spd_sqrt`` a stack of matrices.
 A stack of points holds at least one point, checked where points enter
 (``as_points``, ``takes_points``): an identity checked at no point proves
 nothing.  One point becomes a stack of one in one place, ``takes_points``,
@@ -35,8 +35,8 @@ transposed operand, or with an operand broadcast over the stack, included)
 run the same LAPACK or BLAS call on each slice, while ``einsum``,
 ``sum(axis=...)`` and ``np.linalg.norm(axis=...)`` would add in another
 order, so none is used.  A stack whose slices would differ in shape
-(kernel dimensions, columns kept by Gram-Schmidt) raises ValueError
-instead of padding.
+raises instead of padding: ``kernel_basis`` a ValueError, and Gram-Schmidt
+the refusal its caller passes.
 
 Every derivative takes one path, ``_derivative``: a map's values at every
 row and its derivatives there along the columns of a seed matrix, which
@@ -88,7 +88,6 @@ __all__ = [
     "fd_jacobian",
     "fd_directional",
     "kernel_basis",
-    "orthonormalize",
     "spd_sqrt",
     "max_abs",
     "sample_box",
@@ -459,32 +458,16 @@ def _null_columns(vt: np.ndarray, rank: int) -> np.ndarray:
     return np.ascontiguousarray(vt[..., rank:, :].swapaxes(-1, -2))
 
 
-def orthonormalize(frame, metric, tol: float = 1e-10) -> np.ndarray:
-    """Gram-Schmidt over the columns of ``frame`` with respect to the inner
-    product defined by ``metric``, returned as columns.
-
-    Columns whose metric norm drops below ``tol`` after projection are
-    dropped, so linearly dependent inputs are handled silently.  Each column
-    w is projected against the whole kept basis B at once, w - B (B^T G w)
-    with B^T G formed once per column, and then again, so the kept columns
-    are orthonormal to roundoff.  A stack of frames (N, n, c) with metrics
-    (N, n, n) is orthonormalized in one pass of stacked products, each
-    slice the bits of the call on it alone; a stack whose slices keep
-    different columns raises ValueError.
-    """
-    def dropped(slices):
-        if not slices.all():
-            raise ValueError("orthonormalized frames differ in rank across the stack")
-
-    return _gram_schmidt(frame, metric, tol, dropped)
-
-
-def _gram_schmidt(frame, metric, tol: float, dropped: Callable) -> np.ndarray:
-    """``orthonormalize``, calling ``dropped(slices)`` for each column that
-    some slice drops, with the mask of the slices that drop it; ``dropped``
-    raises to refuse it, and should it return, the column is dropped from
-    every slice.  Classical Gram-Schmidt run twice is as orthogonal as the
-    modified form (Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005)."""
+def _gram_schmidt(frame, metric, tol: float, refuse: Callable) -> np.ndarray:
+    """Gram-Schmidt over the columns of ``frame`` in the inner product
+    ``metric``, as columns; at the first column whose metric norm after
+    projection is below ``tol`` in some slices, it raises
+    ``refuse(slices)`` with the mask of those slices.  Each column w is
+    projected against the whole basis B so far, w - B (B^T G w), twice:
+    classical Gram-Schmidt run twice is as orthogonal as the modified form
+    (Giraud, Langou & Rozloznik, Comput. Math. Appl. 2005).  A stack of
+    frames (N, n, c) with metrics (N, n, n) takes one pass of stacked
+    products, each slice the bits of the call on it alone."""
     G = np.asarray(metric, dtype=float)
     cols = np.asarray(frame, dtype=float)
     B = cols[..., :0]
@@ -497,8 +480,7 @@ def _gram_schmidt(frame, metric, tol: float, dropped: Callable) -> np.ndarray:
         nrm = _g_norms(w, G)
         short = nrm[..., 0] < tol
         if short.any():
-            dropped(short)
-            continue
+            raise refuse(short)
         B = np.concatenate([B, w / nrm[..., np.newaxis, :]], axis=-1)
     return B
 

@@ -276,14 +276,10 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
 
 
 def _refuse(error: type, what: str, dim: int, M: np.ndarray):
-    """The ``_gram_schmidt`` callback raising ``error`` for a frame, ``what``,
-    that drops a column at a row of M: it would have fewer than ``dim``
-    columns there."""
-    def dropped(slices):
-        point = ChartPoint(M[_first(slices)])
-        raise error(f"{what} degenerates to dimension below {dim} at {point}")
-
-    return dropped
+    """The ``_gram_schmidt`` refusal: ``error`` for a frame, ``what``, that
+    loses a column at a row of M, so it has fewer than ``dim`` columns there."""
+    return lambda slices: error(f"{what} degenerates to dimension below {dim} "
+                                f"at {ChartPoint(M[_first(slices)])}")
 
 
 @dataclass(frozen=True, eq=False)

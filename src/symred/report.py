@@ -6,7 +6,8 @@ with the same configuration differ at most in the ``timestamp`` metadata
 entry.  It is strict JSON: a non-finite number is written as the string
 "NaN", "Infinity" or "-Infinity", which ``float`` reads back.  ``to_json``
 writes the text of ``json.dumps(to_dict(), indent=2, sort_keys=True,
-allow_nan=False)`` in one walk of the report, without building the dict.
+allow_nan=False)`` in one walk of the layout that ``to_dict`` normalizes,
+the report's ``_fields``, which are stated once.
 """
 
 from __future__ import annotations
@@ -118,47 +119,21 @@ def _point_text(point: ChartPoint, pad: str) -> str:
     return _floats_text(coords, pad) or _dumped(list(point.coords), pad)
 
 
-def _report_text(report: "VerificationReport", pad: str) -> str:
-    inner = pad + "  "
-    return _object_text([
-        ("checks", _array_text([_check_text(c, inner + "  ") for c in report.checks], inner)),
-        ("children", _array_text([_report_text(ch, inner + "  ") for ch in report.children],
-                                 inner)),
-        ("meta", _text(report.meta, inner)),
-        ("name", _raw_text(report.name, inner)),
-        ("passed", "true" if report.passed else "false"),
-    ], pad)
-
-
-def _check_text(check: StructureCheckResult, pad: str) -> str:
-    inner = pad + "  "
-    return _object_text([
-        ("extras", _text(check.extras, inner)),
-        ("identity", _raw_text(check.identity, inner)),
-        ("max_residual", _text(float(check.max_residual), inner)),
-        ("name", _raw_text(check.name, inner)),
-        ("passed", "true" if check.passed else "false"),
-        ("tolerance", _text(float(check.tolerance), inner)),
-        ("worst_point", "null" if check.worst_point is None
-         else _point_text(check.worst_point, inner)),
-    ], pad)
-
-
-def _raw_text(value, pad: str) -> str:
-    """A field that to_dict does not pass through _jsonable."""
-    return _STR(value) if type(value) is str else _dumped(value, pad)
-
-
-def check_to_dict(check: StructureCheckResult) -> dict:
+def _check_fields(check: StructureCheckResult) -> dict:
+    """The JSON layout of one check, before ``_jsonable`` or ``_text``."""
     return {
         "name": check.name,
         "identity": check.identity,
-        "max_residual": _jsonable(float(check.max_residual)),
-        "tolerance": _jsonable(float(check.tolerance)),
+        "max_residual": float(check.max_residual),
+        "tolerance": float(check.tolerance),
         "passed": check.passed,
-        "worst_point": None if check.worst_point is None else list(check.worst_point.coords),
-        "extras": _jsonable(check.extras),
+        "worst_point": check.worst_point,
+        "extras": check.extras,
     }
+
+
+def check_to_dict(check: StructureCheckResult) -> dict:
+    return _jsonable(_check_fields(check))
 
 
 def check_from_dict(d: dict) -> StructureCheckResult:
@@ -167,7 +142,7 @@ def check_from_dict(d: dict) -> StructureCheckResult:
     return StructureCheckResult(
         name=d["name"],
         max_residual=float(d["max_residual"]),
-        tolerance=float(d["tolerance"]),
+        tolerance=d["tolerance"],  # StructureCheckResult refuses a bool
         worst_point=None if worst is None else ChartPoint(worst),
         identity=d.get("identity", ""),
         extras=dict(d.get("extras", {})),
@@ -210,14 +185,18 @@ class VerificationReport:
                 return c
         raise KeyError(f"no check named {name!r} in report {self.name!r}")
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
+        """The JSON layout of the report tree, before ``_jsonable`` or ``_text``."""
         return {
             "name": self.name,
             "passed": self.passed,
-            "meta": _jsonable(self.meta),
-            "checks": [check_to_dict(c) for c in self.checks],
-            "children": [ch.to_dict() for ch in self.children],
+            "meta": self.meta,
+            "checks": [_check_fields(c) for c in self.checks],
+            "children": [ch._fields() for ch in self.children],
         }
+
+    def to_dict(self) -> dict:
+        return _jsonable(self._fields())
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
@@ -230,8 +209,9 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """The text of json.dumps(self.to_dict(), indent=2, sort_keys=True,
-        allow_nan=False), and its errors, written in one walk."""
-        return _report_text(self, "")
+        allow_nan=False), and its errors, written in one walk of the layout
+        ``to_dict`` normalizes."""
+        return _text(self._fields(), "")
 
     @staticmethod
     def from_json(text: str) -> "VerificationReport":

@@ -49,7 +49,6 @@ __all__ = [
     "check_closed",
     "check_acs",
     "check_compatibility",
-    "omega_endomorphism",
     "build_compatible_triple",
 ]
 
@@ -96,7 +95,9 @@ def check_tolerance(name: str, value: float) -> float:
 def _positive_finite(what: str, value: float) -> float:
     """``value`` as a float if it is a positive finite number, else
     ValueError naming ``what``: a non-positive or non-finite tolerance would
-    make a check pass or fail whatever its residual."""
+    make a check pass or fail whatever its residual, and a bool is no number."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{what} must be positive and finite, got {value}")
@@ -272,20 +273,6 @@ def check_compatibility(
         return _row_max_abs(Om @ Jm - G)
 
     return _sampled("compatibility", IDENTITY_COMPAT, residuals, points, tol)
-
-
-def omega_endomorphism(w: TensorField, g0: TensorField) -> TensorField:
-    """The endomorphism field A defined by omega(u, v) = g0(A u, v).
-
-    In components A = -inv(G0) @ Omega; A is skew-adjoint for the g0 inner
-    product whenever omega is antisymmetric.
-    """
-    def a_rows(X: np.ndarray) -> np.ndarray:
-        Om = eval_field(w, X)
-        G0 = eval_field(g0, X)
-        return -np.linalg.solve(G0, Om)
-
-    return TensorField.matrix(RowMap(a_rows), w.shape[0], name="omega endomorphism")
 
 
 def _compatible(w: TensorField, g0: TensorField, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,14 +8,16 @@ every built-in at 20 samples with seeds 0-7, on hopf at 80 and at 320
 samples with seeds 0 and 51, on euclidean_r2n at 8 planes (from a scenario
 file) at 20 samples with seeds 5, 44, 55 and 61, on hopf without its acs
 line (from a scenario file written beside it, so J comes from
-build_compatible_triple) at 20 samples with seeds 0-3, on the three
+build_compatible_triple) at 20 samples with seeds 0-3, on the four
 ``FIXTURES`` of ``tests/util.py`` (from scenario files written beside
 them) with the default suites at 20 samples with seeds 0-3: the 2-torus
-``TORUS_T2_TEXT``, so the k = 2 paths are compared, and two witnesses that
-fail rows, ``DOUBLE_SPEED_HOPF_TEXT`` (no momentum map for its action: the
-pullback identity, the vertical degeneracy and the main-theorem rows
-fail) and ``SIXFOLD_METRIC_HOPF_TEXT`` (fibre independence fails), so
-failing residuals are compared too; on every built-in with no flags (its
+``TORUS_T2_TEXT``, so the k = 2 paths are compared, and three witnesses
+that fail rows, ``DOUBLE_SPEED_HOPF_TEXT`` (no momentum map for its
+action: the pullback identity, the vertical degeneracy and the
+main-theorem rows fail), ``SIXFOLD_METRIC_HOPF_TEXT`` (fibre independence
+fails) and ``SCALED_MU_T2_TEXT`` (the 2-torus with mu_2 and beta_2 scaled
+by 0.6: the hamiltonian condition fails), so failing residuals are
+compared too; on every built-in with no flags (its
 own sample spec: seed, count and any explicit quotient points), on hopf at 20 samples with the main-theorem, the reduction and
 the action suite alone (the lift frames are batched differently when no
 fibre frames are asked for) and with all five suites (so the holomorphy
@@ -117,7 +119,8 @@ FAILING_SUITES = ("structures", "action", "reduction,main-theorem")
 # scenario texts of tests/util.py run with the default suites: file stem ->
 # the name of the text there
 FIXTURES = {"torus_t2": "TORUS_T2_TEXT", "double_speed_hopf": "DOUBLE_SPEED_HOPF_TEXT",
-            "sixfold_metric_hopf": "SIXFOLD_METRIC_HOPF_TEXT"}
+            "sixfold_metric_hopf": "SIXFOLD_METRIC_HOPF_TEXT",
+            "scaled_mu_t2": "SCALED_MU_T2_TEXT"}
 
 
 def write_scenarios(tmp: str) -> tuple[str, str, list[str], list[str]]:

@@ -11,7 +11,7 @@ from symred.actions import (
     check_isometry,
     planar_rotation_action,
     pushforward_table,
-    uniform_circle_quadrature,
+    uniform_torus_quadrature,
 )
 from symred.cli import RunConfig, main, run
 from symred.errors import ParseError, ValidationError
@@ -35,7 +35,6 @@ from symred.reduction import (
 from symred.scenarios import builtin, parse_scenario
 from symred.structures import (
     build_compatible_triple,
-    omega_endomorphism,
     standard_acs,
     standard_acs_matrix,
     standard_symplectic,
@@ -45,6 +44,7 @@ from util import (
     oracle_compatible_acs,
     random_expr,
     random_symplectic_metric_pair,
+    reference_omega_endomorphism,
     round_sphere_metric,
     round_sphere_symplectic,
     run_group_params,
@@ -165,8 +165,8 @@ def test_criterion_07_invariance_propositions():
     params = [np.array([a]) for a in (0.5, np.pi / 3.0, np.pi, 2.5)]
     table = pushforward_table(HOPF.action, params, points)
     j_res = check_field_invariance(standard_acs(4), table).max_residual
-    A = omega_endomorphism(standard_symplectic(4),
-                           TensorField.constant(np.diag([1.0, 1.0, 4.0, 4.0])))
+    A = reference_omega_endomorphism(standard_symplectic(4),
+                                     TensorField.constant(np.diag([1.0, 1.0, 4.0, 4.0])))
     a_res = check_field_invariance(A, table).max_residual
     _line(7, f"invariance of J ({j_res:.2e}) and of the omega endomorphism ({a_res:.2e})",
           j_res < 1e-6 and a_res < 1e-6)
@@ -175,7 +175,7 @@ def test_criterion_07_invariance_propositions():
 def test_criterion_08_invariant_metric_averaging():
     rotation = planar_rotation_action()
     averaged = average_metric(TensorField.constant(np.diag([1.0, 4.0])), rotation,
-                              uniform_circle_quadrature(64))
+                              uniform_torus_quadrature(1, 64))
     points = sample_box(2, 8, radius=1.5, seed=15)
     worst = max(np.max(np.abs(eval_field(averaged, p) - 2.5 * np.eye(2))) for p in points)
     params = [np.array([a]) for a in (0.7, np.pi / 2.0, 4.0)]

@@ -486,18 +486,37 @@ def test_negative_command_line_seed_is_a_usage_error(capsys):
         RunConfig("hopf", seed=-1)
 
 
-@pytest.mark.parametrize("field, value", [
+@pytest.mark.parametrize("field, value, message", [
     # a bool is an int to Python: seed=True once ran and wrote "seed": true
-    ("seed", True),
-    ("samples", True),
+    ("seed", True, "seed must be an integer, got True"),
+    ("samples", True, "samples must be an integer, got True"),
     # these once died inside numpy with a TypeError
-    ("samples", 2.5),
-    ("seed", 1.5),
-], ids=["bool-seed", "bool-samples", "float-samples", "float-seed"])
-def test_a_seed_or_sample_count_that_is_not_an_integer_is_refused(field, value):
+    ("samples", 2.5, "samples must be an integer, got 2.5"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    # a str is a sequence of letters: this was refused as the unknown suites
+    # ['a', 'c', 'i', 'n', 'o', 't']
+    ("suites", "action", "suites must be a sequence of suite names, got 'action'"),
+    # these were read as 1.0, a tolerance 1e8 times the default
+    ("tolerances", {"structures.metric": True},
+     "tolerance 'structures.metric' must be a number, got True"),
+    ("tolerances", {"structures.metric": np.True_},
+     f"tolerance 'structures.metric' must be a number, got {np.True_!r}"),
+], ids=["bool-seed", "bool-samples", "float-samples", "float-seed", "str-suites",
+        "bool-tolerance", "numpy-bool-tolerance"])
+def test_a_seed_or_sample_count_that_is_not_an_integer_is_refused(field, value, message):
+    # and the other options of a library caller that no command line can give
     with pytest.raises(ValueError) as raised:
         RunConfig("hopf", **{field: value})
-    assert str(raised.value) == f"{field} must be an integer, got {value!r}"
+    assert str(raised.value) == message
+
+
+def test_suites_named_by_a_one_shot_iterable_all_run():
+    # the name check once used up a generator of suite names, so the run
+    # made no check and passed with exit 0
+    want = run(RunConfig("hopf", suites=("structures", "action"), samples=3))[0]
+    got, code = run(RunConfig("hopf", suites=(s for s in ("structures", "action")), samples=3))
+    assert code == 0 and got.meta["suites"] == ["structures", "action"]
+    assert [c.name for _, c in got.all_checks()] == [c.name for _, c in want.all_checks()] != []
 
 
 def test_numpy_integers_are_a_seed_and_a_sample_count():

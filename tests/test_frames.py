@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from symred import cli, geometry, reduction
+from symred import cli, reduction
 from symred.actions import (
     GroupAction,
     apply_flow,
@@ -45,7 +45,6 @@ from symred.geometry import (
     fd_directional,
     fd_jacobian,
     kernel_basis,
-    orthonormalize,
     sample_ball,
     sample_box,
     spd_sqrt,
@@ -65,6 +64,8 @@ from symred.structures import check_metric
 
 from util import (
     TORUS_T2_TEXT,
+    ColumnRefused,
+    gram_schmidt,
     reference_fd_jacobian,
     reference_fd_partials,
     reference_kernel_basis,
@@ -160,14 +161,15 @@ def test_stacked_orthonormalize_matches_each_frame():
         frames = rng.standard_normal((48, n, c))
         b = rng.standard_normal((48, n, n))
         metrics = b @ b.swapaxes(1, 2) + 0.5 * np.eye(n)
-        got = orthonormalize(frames, metrics)
+        got = gram_schmidt(frames, metrics)
         for i in range(len(frames)):
             _same(got[i], reference_orthonormalize(frames[i], metrics[i]), f"{n}x{c} slice {i}")
-            _same(orthonormalize(frames[i], metrics[i]), got[i], f"{n}x{c} single call {i}")
+            _same(gram_schmidt(frames[i], metrics[i]), got[i], f"{n}x{c} single call {i}")
     dependent = rng.standard_normal((2, 4, 2))
-    dependent[0, :, 1] = dependent[0, :, 0]  # drops a column in one slice only
-    with pytest.raises(ValueError, match="differ in rank across the stack"):
-        orthonormalize(dependent, np.repeat(np.eye(4)[np.newaxis], 2, axis=0))
+    dependent[0, :, 1] = dependent[0, :, 0]  # a column falls short in one slice only
+    with pytest.raises(ColumnRefused) as raised:
+        gram_schmidt(dependent, np.repeat(np.eye(4)[np.newaxis], 2, axis=0))
+    assert raised.value.slices.tolist() == [True, False]
 
 
 def _spd(rng, n, cond):
@@ -179,7 +181,7 @@ def _spd(rng, n, cond):
 
 
 # the stress cases below, measured with numpy 2.4 and OpenBLAS: the largest
-# |B^T G B - I| of orthonormalize is 5.6e-13, 3.2e-12 and 5.6e-12 at n = 4, 9
+# |B^T G B - I| of _gram_schmidt is 5.6e-13, 3.2e-12 and 5.6e-12 at n = 4, 9
 # and 16, against the per-vector oracle's 5.6e-13, 2.2e-12 and 7.8e-12, so
 # at most 1.5 times the oracle's; its columns leave the oracle's span by at
 # most 1.6e-9, which the near-dependent column amplifies by up to 1e6
@@ -200,7 +202,7 @@ def test_gram_schmidt_stress_against_the_per_vector_oracle(n):
     for F in frames:
         j = rng.integers(1, c)
         F[:, j] = F[:, :j] @ rng.standard_normal(j) + 1e-6 * rng.standard_normal(n)
-    got = orthonormalize(frames, metrics)
+    got = gram_schmidt(frames, metrics)
     assert got.shape == (N, n, c)
     errors, oracle_errors = [], []
     for B, F, G in zip(got, frames, metrics):
@@ -210,23 +212,16 @@ def test_gram_schmidt_stress_against_the_per_vector_oracle(n):
         assert np.max(np.abs(B - oracle @ (oracle.T @ G @ B))) <= STRESS_SPAN
     assert max(errors) <= min(STRESS_ORACLE_RATIO * max(oracle_errors), STRESS_ORTHOGONALITY)
 
-    # a column equal to an earlier one in every slice is dropped from all,
-    # leaving the frames of the other columns
-    twin = frames.copy()
-    twin[:, :, 1] = twin[:, :, 0]
-    _same(orthonormalize(twin, metrics), orthonormalize(np.delete(twin, 1, axis=2), metrics),
-          "column dropped by every slice")
-    # in some slices only, it is refused, with the mask of those slices
+    # a column equal to an earlier one in every slice, or in some slices
+    # only, is refused with the mask of exactly those slices
     # (split_tangent's domain errors for such a stack:
     # test_a_frame_that_gram_schmidt_degenerates_is_refused_at_its_point)
-    some = frames.copy()
-    slices = rng.uniform(size=N) < 0.3
-    some[slices, :, 1] = some[slices, :, 0]
-    with pytest.raises(ValueError, match="differ in rank across the stack"):
-        orthonormalize(some, metrics)
-    masks = []
-    geometry._gram_schmidt(some, metrics, 1e-10, masks.append)
-    assert len(masks) == 1 and (masks[0] == slices).all()
+    for slices in (np.ones(N, dtype=bool), rng.uniform(size=N) < 0.3):
+        some = frames.copy()
+        some[slices, :, 1] = some[slices, :, 0]
+        with pytest.raises(ColumnRefused) as raised:
+            gram_schmidt(some, metrics)
+        assert raised.value.slices.shape == (N,) and (raised.value.slices == slices).all()
 
 
 def test_stacked_fd_matches_each_point():
@@ -735,8 +730,8 @@ def _empty_results():
     shapes of the arrays it must return."""
     return {
         "kernel_basis": (lambda: [kernel_basis(np.zeros((0, 1, 4)))], [(0, 4, 3)]),
-        "orthonormalize": (lambda: [orthonormalize(np.zeros((0, 4, 1)), np.zeros((0, 4, 4)))],
-                           [(0, 4, 1)]),
+        "_gram_schmidt": (lambda: [gram_schmidt(np.zeros((0, 4, 1)), np.zeros((0, 4, 4)))],
+                          [(0, 4, 1)]),
         "spd_sqrt": (lambda: list(spd_sqrt(np.zeros((0, 4, 4)))), [(0, 4, 4), (0, 4, 4)]),
     }
 

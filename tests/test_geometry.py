@@ -17,7 +17,6 @@ from symred.geometry import (
     fd_jacobian,
     kernel_basis,
     max_abs,
-    orthonormalize,
     as_points,
     sample_ball,
     sample_box,
@@ -29,6 +28,8 @@ from symred.scenarios import builtin
 from symred.structures import standard_symplectic_matrix
 
 from util import (
+    ColumnRefused,
+    gram_schmidt,
     reference_fd_jacobian,
     reference_fd_partials,
     reference_generator,
@@ -519,28 +520,29 @@ def test_kernel_basis_residual_property():
 
 
 def test_orthonormalize_examples():
-    already = orthonormalize(np.eye(2), np.eye(2))
+    already = gram_schmidt(np.eye(2), np.eye(2))
     np.testing.assert_allclose(already, np.eye(2), atol=1e-14)
 
-    schmidt = orthonormalize(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+    schmidt = gram_schmidt(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
     np.testing.assert_allclose(schmidt, np.eye(2), atol=1e-14)
 
-    scaled = orthonormalize(np.array([[1.0], [0.0]]), np.diag([4.0, 1.0]))
+    scaled = gram_schmidt(np.array([[1.0], [0.0]]), np.diag([4.0, 1.0]))
     np.testing.assert_allclose(scaled, [[0.5], [0.0]], atol=1e-14)
 
-    assert orthonormalize(np.zeros((3, 0)), np.eye(3)).shape == (3, 0)
+    assert gram_schmidt(np.zeros((3, 0)), np.eye(3)).shape == (3, 0)
 
 
-def test_orthonormalize_idempotent_and_drops_dependent():
+def test_orthonormalize_idempotent_and_refuses_dependent():
     rng = np.random.default_rng(5)
     G = np.diag([1.0, 2.0, 5.0])
     vecs = rng.standard_normal((3, 3)).T  # three random columns
-    vecs = np.column_stack([vecs, vecs[:, 0] + vecs[:, 1]])  # dependent
-    once = orthonormalize(vecs, G)
+    once = gram_schmidt(vecs, G)
     assert once.shape == (3, 3)
-    twice = orthonormalize(once, G)
+    twice = gram_schmidt(once, G)
     assert np.max(np.abs(once - twice)) < 1e-12
     np.testing.assert_allclose(once.T @ G @ once, np.eye(3), atol=1e-12)
+    with pytest.raises(ColumnRefused):  # a fourth column in their span
+        gram_schmidt(np.column_stack([vecs, vecs[:, 0] + vecs[:, 1]]), G)
 
 
 def test_sqrt_inverse_spd_examples():

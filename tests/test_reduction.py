@@ -428,19 +428,23 @@ def test_pullback_residual_bounds_every_pair_of_unit_level_vectors(name):
             assert report.find("pullback identity").max_residual >= 1e4 * tol, seed
 
 
-def _gaussian_curvature(scen, x, step=1e-3):
-    """Gaussian curvature of the reduced metric at the quotient point x of a
-    surface quotient, by Brioschi's formula from nested central differences
-    of ``reduced_structures``."""
+def _gaussian_curvature(scen, x, plane=(0, 1), step=1e-3):
+    """Gaussian curvature of the reduced metric on the coordinate 2-plane
+    ``plane`` of the quotient chart (every other coordinate 0) at its point
+    x, by Brioschi's formula from nested central differences of
+    ``reduced_structures``: the curvature of a surface quotient, and on a
+    totally geodesic surface the sectional curvature of the quotient."""
+    axes = np.eye(scen.quotient_dim)[list(plane)]
+
     def d(f, i):
-        e = step * np.eye(2)[i]
+        e = step * axes[i]
         return lambda X: (f(X + e) - f(X - e)) / (2 * step)
 
     def entry(a, b):
-        return lambda X: reduced_structures(scen, X).h_beta[:, a, b]
+        return lambda X: reduced_structures(scen, X).h_beta[:, plane[a], plane[b]]
 
     E, F, G = entry(0, 0), entry(0, 1), entry(1, 1)
-    X = np.asarray(x, dtype=float)[np.newaxis]
+    X = (np.asarray(x, dtype=float) @ axes)[np.newaxis]
     e, f, g = (h(X)[0] for h in (E, F, G))
     Eu, Ev, Fu, Fv, Gu, Gv = (d(h, i)(X)[0] for h in (E, F, G) for i in (0, 1))
     Evv, Fuv, Guu = d(d(E, 1), 1)(X)[0], d(d(F, 1), 0)(X)[0], d(d(G, 0), 0)(X)[0]
@@ -461,6 +465,22 @@ def test_reduced_metric_has_the_quotients_gaussian_curvature(name, curvature):
     scen = builtin(name)
     for x in quotient_points(scen, 5, seed=0):
         assert abs(_gaussian_curvature(scen, x) - curvature) <= 1e-3, (name, x)
+
+
+@pytest.mark.parametrize("plane, curvature", [((0, 1), 4.0), ((0, 2), 1.0), ((1, 3), 1.0)],
+                         ids=["complex-line", "real-w1-w3", "real-w2-w4"])
+def test_reduced_metric_of_cp2_has_its_sectional_curvatures(plane, curvature):
+    # euclidean_r2n at 3 planes reduces the unit sphere of C^3 by the
+    # diagonal circle: its quotient is CP^2 with the Fubini-Study metric of
+    # holomorphic sectional curvature 4, not a flat space, in the affine
+    # chart (w1 + i w2, w3 + i w4).  The complex line w3 = w4 = 0 (a CP^1)
+    # and the real planes w2 = w4 = 0 and w1 = w3 = 0 (each an RP^2, the
+    # second the first's image under the isometry diag(1, i, i)) are
+    # totally geodesic, so their Gaussian curvatures are the sectional
+    # curvatures 4 and 1 there
+    scen = builtin("euclidean_r2n", planes=3)
+    for x in sample_ball(2, 5, 2.0, seed=0):
+        assert abs(_gaussian_curvature(scen, x, plane) - curvature) <= 1e-3, (plane, x)
 
 
 def test_verify_main_theorem_positive_branch():

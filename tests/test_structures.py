@@ -3,20 +3,22 @@
 import numpy as np
 import pytest
 
-from symred.actions import average_metric, planar_rotation_action, uniform_circle_quadrature
+from symred.actions import average_metric, planar_rotation_action, uniform_torus_quadrature
 from symred.errors import NotSPDError, OddDimensionError
 from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, fd_directional, sample_box
+from symred.report import check_from_dict
 from symred.scenarios import builtin
 from symred.structures import (
     CompatibleTriple,
+    StructureCheckResult,
     build_compatible_triple,
     check_acs,
     check_closed,
     check_compatibility,
     check_metric,
     check_symplectic_pointwise,
+    check_tolerance,
     euclidean_metric,
-    omega_endomorphism,
     standard_acs,
     standard_acs_matrix,
     standard_symplectic,
@@ -28,11 +30,23 @@ from util import (
     random_symplectic_metric_pair,
     reference_average_metric,
     reference_compatible_triple,
-    reference_omega_endomorphism,
 )
 
 POINTS = sample_box(4, 6, radius=2.0, seed=3)
 POINTS_2D = sample_box(2, 6, radius=2.0, seed=4)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_a_bool_is_no_tolerance(flag):
+    # float(True) is 1.0, which once loosened the metric check 1e8-fold
+    with pytest.raises(ValueError, match=r"^tolerance 'structures.metric' must be a number"):
+        check_tolerance("structures.metric", flag)
+    with pytest.raises(ValueError, match=r"^tolerance of check 'c' must be a number"):
+        StructureCheckResult("c", 0.0, flag, None)
+    with pytest.raises(ValueError, match="must be a number"):
+        check_metric(euclidean_metric(4), POINTS, tol=flag)
+    with pytest.raises(ValueError, match="must be a number"):  # a report read back
+        check_from_dict({"name": "c", "max_residual": 0.5, "tolerance": flag})
 
 
 def test_check_metric_pass_and_fail():
@@ -184,15 +198,9 @@ def test_build_triple_standard_case():
 
 
 def test_build_triple_skewed_metric_recovers_standard_acs():
-    # per-plane endomorphism picks up the 1/4 factor, the polar factor removes it
+    # A = -inv(G0) Omega picks up the 1/4 factor on the second plane, and
+    # the polar factor removes it
     g0 = TensorField.constant(np.diag([1.0, 1.0, 4.0, 4.0]))
-    A = omega_endomorphism(standard_symplectic(4), g0)
-    block = standard_symplectic_matrix(2)
-    expected_a = np.zeros((4, 4))
-    expected_a[:2, :2] = -block
-    expected_a[2:, 2:] = -0.25 * block
-    np.testing.assert_allclose(eval_field(A, POINTS[0]), expected_a, atol=1e-12)
-
     triple = build_compatible_triple(standard_symplectic(4), g0)
     np.testing.assert_allclose(eval_field(triple.acs, POINTS[0]),
                                standard_acs_matrix(4), atol=1e-12)
@@ -285,15 +293,13 @@ def test_stacked_fields_are_the_bits_of_the_per_point_references():
     e = np.array([0.0, 1.0, 0.0, 0.0])
     for w, g0 in _field_pairs():
         triple, want = build_compatible_triple(w, g0), reference_compatible_triple(w, g0)
-        A, want_A = omega_endomorphism(w, g0), reference_omega_endomorphism(w, g0)
-        for got_field, want_field in ((triple.acs, want.acs), (triple.metric, want.metric),
-                                      (A, want_A)):
+        for got_field, want_field in ((triple.acs, want.acs), (triple.metric, want.metric)):
             assert _bits(got_field, X) == _bits(want_field, X)
             assert _bits(got_field, X[3]) == _bits(want_field, X[3])
             assert fd_directional(got_field, X, e).tobytes() == \
                 fd_directional(want_field, X, e).tobytes()
     hopf = builtin("hopf")
-    rule = uniform_circle_quadrature(6)
+    rule = uniform_torus_quadrature(1, 6)
     for g0 in (builtin("noninvariant_metric_hopf").metric, _field_pairs()[2][1]):
         assert _bits(average_metric(g0, hopf.action, rule), X[:8]) == \
             _bits(reference_average_metric(g0, hopf.action, rule), X[:8])

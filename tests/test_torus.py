@@ -1,8 +1,9 @@
 """Reduction by a 2-torus end to end: the k = 2 paths (several generators,
 their Gram-Schmidt in g, the (k, n) kernel of d mu) on the T^2 fixture of
 ``util.TORUS_T2_TEXT``, whose quotient is CP^1 x CP^1 with hopf's reduced
-structures on each block; and the program passes of a verify, on it and
-on hopf."""
+structures on each block; the program passes of a verify, on it and on
+hopf; and ``util.SCALED_MU_T2_TEXT``, its witness that fails the
+hamiltonian condition alone."""
 
 from collections import Counter
 
@@ -18,7 +19,7 @@ from symred.reduction import reduced_structures
 from symred.scenarios import builtin_text, compile_scenario, parse_scenario
 from symred.structures import standard_acs_matrix
 
-from util import TORUS_T2_TEXT, round_sphere_metric, round_sphere_symplectic
+from util import SCALED_MU_T2_TEXT, TORUS_T2_TEXT, round_sphere_metric, round_sphere_symplectic
 
 SF = parse_scenario(TORUS_T2_TEXT)
 TORUS = compile_scenario(SF)
@@ -33,6 +34,21 @@ def test_torus_verify_passes_every_row(tmp_path, seed):
     checks = [c for _, c in report.all_checks()]
     assert checks and all(c.passed for c in checks)
     assert TORUS.action.group_dim == 2 and TORUS.quotient_dim == 4
+
+
+def test_a_scaled_momentum_map_fails_the_hamiltonian_condition_alone(tmp_path):
+    # 0.6 mu_2 at the level 0.6 beta_2 cuts torus_t2's level set, so its
+    # frames and quotient are torus_t2's, but Omega^T xi_2 = grad mu_2 breaks
+    # (residual 1.16 to 1.44 over these seeds): of every row of the default
+    # suites, only the hamiltonian condition fails
+    path = tmp_path / "scaled_mu_t2.scen"
+    path.write_text(SCALED_MU_T2_TEXT)
+    for seed in range(20):
+        report, code = run(RunConfig(str(path), samples=20, seed=seed))
+        failing = {c.name for _, c in report.all_checks() if not c.passed}
+        assert (code, failing) == (1, {"hamiltonian condition"}), seed
+        hamiltonian = report.find("hamiltonian condition")
+        assert hamiltonian.max_residual >= 1e4 * hamiltonian.tolerance, seed
 
 
 def test_torus_reduced_structures_are_hopf_on_each_block():

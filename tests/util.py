@@ -8,7 +8,7 @@ import numpy as np
 
 from symred.errors import NonFiniteError, ParseError, ValidationError
 from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow
-from symred.geometry import FD_STEP, ChartPoint
+from symred.geometry import FD_STEP, ChartPoint, _gram_schmidt
 
 
 def newton_polar_unitary(a, tol=1e-13, max_iter=200):
@@ -407,10 +407,25 @@ def reference_kernel_basis(mat, rank_tol=1e-8):
     return np.ascontiguousarray(vt[rank:].T)
 
 
+class ColumnRefused(Exception):
+    """The refusal ``gram_schmidt`` passes to ``geometry._gram_schmidt``: it
+    keeps the mask of the slices in which a column fell short."""
+
+    def __init__(self, slices):
+        super().__init__(f"a column falls short in {int(np.sum(slices))} slice(s)")
+        self.slices = slices
+
+
+def gram_schmidt(frame, metric, tol=1e-10):
+    """``geometry._gram_schmidt`` of a frame or a stack of frames, refusing a
+    column that falls short with ``ColumnRefused``."""
+    return _gram_schmidt(frame, metric, tol, ColumnRefused)
+
+
 def reference_orthonormalize(frame, metric, tol=1e-10):
     """Gram-Schmidt of one frame with 2-D products, each column projected
     against the whole kept basis B at once, w - B ((B^T G) w), twice: the
-    per-frame reference for the stacked ``orthonormalize``."""
+    per-frame reference for the stacked ``geometry._gram_schmidt``."""
     G = np.asarray(metric, dtype=float)
     cols = np.asarray(frame, dtype=float)
     B = np.zeros((cols.shape[0], 0))
@@ -429,8 +444,8 @@ def reference_orthonormalize(frame, metric, tol=1e-10):
 
 def reference_orthonormalize_per_vector(frame, metric, tol=1e-10):
     """Modified Gram-Schmidt of one frame, one kept vector at a time with
-    1-D products: an independent oracle for ``orthonormalize``, equal to it
-    up to roundoff."""
+    1-D products: an independent oracle for ``geometry._gram_schmidt``,
+    equal to it up to roundoff."""
     G = np.asarray(metric, dtype=float)
     cols = np.asarray(frame, dtype=float)
     basis, rows = [], []
@@ -902,8 +917,8 @@ def opaque_scenario(scen):
 # --- per-point references for the fields the package builds -------------------
 # The per-point constructions the stacked fields replaced, each a TensorField
 # over a per-point callable, so every row is built from that point alone: the
-# references for build_compatible_triple, omega_endomorphism and
-# average_metric.
+# references for build_compatible_triple, for A = -inv(G0) Omega (the
+# first step of its construction) and for average_metric.
 
 def reference_spd_sqrt(mat):
     """Symmetric square root and inverse square root of one SPD matrix."""
@@ -1081,6 +1096,16 @@ sample.count = 20
 sample.seed = 7
 sample.radius = 2
 """
+
+
+# the 2-torus fixture with mu_2 and beta_2 scaled by 0.6: 0.6 mu_2 = 0.6 beta_2
+# cuts the same level set, so the frames and the quotient are torus_t2's, but
+# 0.6 mu_2 is no momentum map of the second circle.  It is the witness that
+# fails the hamiltonian condition, Omega^T xi_2 = grad mu_2, alone.
+SCALED_MU_T2_TEXT = TORUS_T2_TEXT.replace(
+    "by a 2-torus\nname = torus_t2", "by a 2-torus, mu_2 scaled by 0.6\nname = scaled_mu_t2"
+).replace("0.5*(x5^2 + x6^2 + x7^2 + x8^2)]", "0.3*(x5^2 + x6^2 + x7^2 + x8^2)]").replace(
+    "beta = [0.5, 0.5]", "beta = [0.5, 0.3]")
 
 
 # hopf with the second plane turned at double speed: omega, g and J stay
