@@ -506,14 +506,18 @@ def verify_main_theorem(frames: _FrameTable,
     """Equivalence between reduced compatibility and the almost-complex-mapping
     property of the projection.
 
-    Per sample point three residuals are reported: the almost-complex-mapping
-    defect (horizontal component of J applied to vertical vectors, plus the
-    level-normal leak of J applied to the lifts), the reduced compatibility
-    defect |omega_red J_red - h_red|, and |J_red^2 + I|.  The equivalence
-    verdict requires the first two to land on the same side of the tolerance
-    at every sample; ambient compatibility is checked alongside because the
-    equivalence is only asserted under that hypothesis.  The points are
-    those of the ``lift_frames`` table ``frames``.
+    ``meta["samples"]`` holds five float columns, entry i for point i:
+    ``acm_residual``, the almost-complex-mapping defect (horizontal component
+    of J applied to vertical vectors, plus the level-normal leak of J
+    applied to the lifts), ``compat_residual``, the reduced compatibility
+    defect |omega_red J_red - h_red|, ``acs_residual``, |J_red^2 + I|, and
+    the largest vertical and level-normal parts of J applied to a lift,
+    relative to its g-norm, ``vertical_leak`` and ``normal_leak``.  The
+    equivalence verdict requires the first two to land on the same side of
+    the tolerance at every sample; ambient compatibility is checked
+    alongside because the equivalence is only asserted under that
+    hypothesis.  The points are those of the ``lift_frames`` table
+    ``frames``.
     """
     report = VerificationReport("main theorem")
     X, q, f = frames.points, frames.points.shape[1], frames.base
@@ -538,12 +542,12 @@ def verify_main_theorem(frames: _FrameTable,
     report.add(StructureCheckResult.from_samples(
         "main theorem iff", iff_res, X, 0.5, IDENTITY_IFF,
         extras={"branch": branch, "hypothesis_violated": hypothesis_violated}))
-    # the one loop over points: the per-sample rows, in the order of ``points``
-    report.meta["samples"] = [{
-        "acm_residual": float(acm_res[i]),
-        "compat_residual": float(compat_res[i]),
-        "acs_residual": float(acs_res[i]),
-        "vertical_leak": float(vert_leak[i]),
-        "normal_leak": float(normal_leak[i]),
-    } for i in range(len(X))]
+    # the per-point residuals as columns, entry i for point i of ``points``
+    report.meta["samples"] = {
+        "acm_residual": acm_res.tolist(),
+        "compat_residual": compat_res.tolist(),
+        "acs_residual": acs_res.tolist(),
+        "vertical_leak": vert_leak.tolist(),
+        "normal_leak": normal_leak.tolist(),
+    }
     return report

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -80,6 +81,21 @@ def _floats_text(values: list, pad: str) -> str | None:
     return None
 
 
+def _rows_text(rows: list, pad: str) -> str | None:
+    """The JSON array of a list of non-empty lists of floats, or None unless
+    every row is one and every entry a finite float: one type check and one
+    finiteness check over the whole block, then each row as
+    ``_floats_text`` writes it."""
+    if {*map(type, rows)} != {list} or not all(rows):
+        return None
+    entries = [*chain.from_iterable(rows)]
+    if {*map(type, entries)} != {float} or not math.isfinite(sum(entries)):
+        return None
+    inner, leaf = pad + "  ", pad + "    "
+    sep, head, tail = ",\n" + leaf, "[\n" + leaf, "\n" + inner + "]"
+    return _array_text([head + sep.join(map(_FLOAT_REPR, row)) + tail for row in rows], pad)
+
+
 def _text(value, pad: str) -> str:
     """The JSON text of ``_jsonable(value)`` at indent ``pad``, as
     json.dumps(..., indent=2, sort_keys=True, allow_nan=False) writes it;
@@ -91,7 +107,7 @@ def _text(value, pad: str) -> str:
         return _STR(value)
     if kind is list or kind is tuple:
         inner = pad + "  "
-        return (value and _floats_text(value, pad)) or \
+        return (value and (_floats_text(value, pad) or _rows_text(value, pad))) or \
             _array_text([_text(v, inner) for v in value], pad)
     if kind is dict:
         value = {str(k): v for k, v in value.items()}

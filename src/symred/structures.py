@@ -12,7 +12,6 @@ operator property ``J^2 = -I`` is reported in the Frobenius norm.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -242,7 +241,8 @@ def check_closed(w: TensorField, points,
     index triples, every partial from one derivative batch of omega along
     each coordinate (exact for a compiled field)."""
     n = w.shape[0]
-    i, j, k = np.array(list(itertools.combinations(range(n), 3)), dtype=int).reshape(-1, 3).T
+    r = np.arange(n)
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))  # i < j < k, in order
 
     def residuals(X):
         # entry [p, r, c, a] is the partial of omega_rc along x_a at point p

@@ -39,13 +39,18 @@ the import path.  Every report is compared as the text ``verify`` prints:
 a JSON report without the line of its ``timestamp`` and without the lines
 of any key named by ``--ignore`` (a key whose value is a list or an object
 loses all of its lines), so a change of spacing, key order, number format
-or escaping shows.  Exit codes and stderr are compared as they are.  The
+or escaping shows.  ``--ignore samples`` leaves out the main theorem's
+per-point columns (``meta.samples`` of its report) and the sample count
+in the root ``meta``, which bears the same key, and compares everything
+else.  Exit codes and stderr are compared as they are.  The
 script prints one line per differing case, under it the check rows one
 tree's report has and the other's lacks (a row is keyed by its suite path
 below the scenario and its name, in text and in JSON), and under a
 differing JSON report every value that changed, as a path through the
 report (a list entry with a ``name`` is named by it, and only entries
-both lists have are compared) with before -> after, then the largest
+both lists have are compared) with before -> after (a value that changed
+type to or from a list or an object by its kind and size, such as
+``list of 80 -> object of 5 keys``), then the largest
 |delta| over the numbers that are not point coordinates; a JSON report
 whose text differs with no value changed is said to differ in layout.
 The last four lines say how many runs are identical, the largest |delta|
@@ -316,18 +321,29 @@ def verdict_changed(argv: list[str], old: dict, new: dict) -> bool:
                changed_values(json.loads(old["stdout"]), json.loads(new["stdout"])))
 
 
+def _kind(value) -> str:
+    """A list or an object by its size, any other value as it is."""
+    if isinstance(value, list):
+        return f"list of {len(value)}"
+    if isinstance(value, dict):
+        return f"object of {len(value)} keys"
+    return repr(value)
+
+
 def print_changes(old: str, new: str, ignore: set) -> tuple[float, str | None]:
     """Print every changed value of two JSON reports but the timestamp and
-    the ignored keys, and the largest |delta| of a number that is not a
-    point coordinate; return that delta and its path (None if no such
-    number changed)."""
+    the ignored keys (a value whose type changed to or from a list or an
+    object by its kind and size, e.g. ``list of 80 -> object of 5 keys``),
+    and the largest |delta| of a number that is not a point coordinate;
+    return that delta and its path (None if no such number changed)."""
     worst, worst_path = 0.0, None
     keys = {"timestamp", *ignore}
     changes = list(changed_values(_drop(json.loads(old), keys), _drop(json.loads(new), keys)))
     if not changes:
         print("    no value changed: the JSON text differs in layout")
     for path, before, after in changes:
-        print(f"    {path}: {before!r} -> {after!r}")
+        show = repr if type(before) is type(after) else _kind
+        print(f"    {path}: {show(before)} -> {show(after)}")
         if _is_number(before) and _is_number(after) and not POINT.search(path) \
                 and abs(after - before) >= worst:
             worst, worst_path = abs(after - before), path

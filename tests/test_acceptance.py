@@ -127,8 +127,8 @@ def test_criterion_05_main_theorem_branches():
     skew = builtin("skewed_metric_hopf")
     sk_report = verify_main_theorem(lift_frames(
         skew, np.vstack([[0.0, 0.0], sample_ball(skew.quotient_dim, 6, 2.0, 7)])))
-    at_zero = sk_report.meta["samples"][0]
-    skew_ok = (abs(at_zero["compat_residual"] - 3.0) < 1e-6
+    compat_at_zero = sk_report.meta["samples"]["compat_residual"][0]
+    skew_ok = (abs(compat_at_zero - 3.0) < 1e-6
                and sk_report.find("main theorem iff").extras["hypothesis_violated"])
 
     noninv = builtin("noninvariant_metric_hopf")
@@ -138,7 +138,7 @@ def test_criterion_05_main_theorem_branches():
     noninv_ok = fiber > 1e-3
 
     _line(5, f"main theorem iff (hopf positive, J_red err {j_err:.2e}; skewed compat "
-             f"{at_zero['compat_residual']:.6f} flagged; noninvariant fiber {fiber:.2e})",
+             f"{compat_at_zero:.6f} flagged; noninvariant fiber {fiber:.2e})",
           pos_ok and skew_ok and noninv_ok)
 
 

@@ -884,10 +884,11 @@ def _assert_same_up_to_derivatives(compiled, per_point):
     assert compiled.name == per_point.name and compiled.meta.keys() == per_point.meta.keys()
     for key in compiled.meta.keys() - {"timestamp"}:
         got, want = compiled.meta[key], per_point.meta[key]
-        if key == "samples" and isinstance(got, list):  # the main theorem's residual rows
-            for got_row, want_row in zip(got, want, strict=True):
-                for name in got_row:
-                    assert abs(got_row[name] - want_row[name]) <= 1e-8, name
+        if key == "samples" and isinstance(got, dict):  # the main theorem's residual columns
+            assert got.keys() == want.keys()
+            for name in got:
+                for got_entry, want_entry in zip(got[name], want[name], strict=True):
+                    assert abs(got_entry - want_entry) <= 1e-8, name
         else:
             assert got == want, key
     assert [c.name for c in compiled.checks] == [c.name for c in per_point.checks]

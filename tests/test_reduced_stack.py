@@ -90,10 +90,9 @@ def _stacked(scen, xs, seed):
             "acs_residual", "hypothesis")
     out = dict(zip(keys, seen))
     for key in ("vertical_leak", "normal_leak"):
-        out[key] = np.array([row[key] for row in main.meta["samples"]])
+        out[key] = np.array(main.meta["samples"][key])
     for key in ("acm_residual", "compat_residual", "acs_residual"):
-        assert np.array([row[key] for row in main.meta["samples"]]).tobytes() \
-            == out[key].tobytes(), key
+        assert np.array(main.meta["samples"][key]).tobytes() == out[key].tobytes(), key
     return out
 
 
@@ -194,9 +193,9 @@ def test_normal_leak_is_the_level_normal_part_of_j_lift(name):
     # which the remainder must take out with the right sign
     scen = _scenario(name)
     xs = sample_ball(scen.quotient_dim, 6, radius=scen.sample_spec.radius, seed=4)
-    rows = verify_main_theorem(lift_frames(scen, xs)).meta["samples"]
-    assert max(row["vertical_leak"] for row in rows) > 1e-2
-    for x, row in zip(xs, rows):
+    samples = verify_main_theorem(lift_frames(scen, xs)).meta["samples"]
+    assert max(samples["vertical_leak"]) > 1e-2
+    for x, normal_leak in zip(xs, samples["normal_leak"], strict=True):
         _, frame = reference_lift_frame(scen, x)
         K, G, L = frame["level"], frame["metric"], frame["lifts"]
         project = K @ np.linalg.solve(K.T @ G @ K, K.T @ G)
@@ -204,4 +203,4 @@ def test_normal_leak_is_the_level_normal_part_of_j_lift(name):
         for u, lift in zip((frame["J"] @ L).T, L.T):
             r = u - project @ u
             leaks.append(np.sqrt(r @ G @ r) / np.sqrt(lift @ G @ lift))
-        assert abs(row["normal_leak"] - max(leaks)) <= 1e-9 * max(1.0, max(leaks)), name
+        assert abs(normal_leak - max(leaks)) <= 1e-9 * max(1.0, max(leaks)), name

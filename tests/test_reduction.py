@@ -490,10 +490,9 @@ def test_verify_main_theorem_positive_branch():
     iff = report.find("main theorem iff")
     assert iff.extras["branch"] == "positive"
     assert iff.extras["hypothesis_violated"] is False
-    for entry in report.meta["samples"]:
-        assert entry["acm_residual"] < 1e-5
-        assert entry["compat_residual"] < 1e-5
-        assert entry["acs_residual"] < 1e-5
+    samples = report.meta["samples"]
+    for key in ("acm_residual", "compat_residual", "acs_residual"):
+        assert all(value < 1e-5 for value in samples[key]), key
 
     # the lifts invert d pi: the closed-form projection (Re, Im) of z2/z1,
     # differentiated at sigma(x) and applied to the lifts, gives I
@@ -517,17 +516,41 @@ def test_verify_main_theorem_skewed_control():
     iff = report.find("main theorem iff")
     assert iff.extras["hypothesis_violated"] is True
     assert not report.passed
-    at_zero = report.meta["samples"][0]
-    assert abs(at_zero["compat_residual"] - 3.0) < 1e-6
+    assert abs(report.meta["samples"]["compat_residual"][0] - 3.0) < 1e-6
 
 
 def test_verify_main_theorem_linear_exact():
     report = verify_main_theorem(lift_frames(LINEAR, quotient_points(LINEAR, 8, seed=8)))
     assert report.passed
-    for entry in report.meta["samples"]:
-        assert entry["acm_residual"] < 1e-10
-        assert entry["compat_residual"] < 1e-10
-        assert entry["acs_residual"] < 1e-10
+    samples = report.meta["samples"]
+    for key in ("acm_residual", "compat_residual", "acs_residual"):
+        assert all(value < 1e-10 for value in samples[key]), key
+
+
+@pytest.mark.parametrize("name", ["hopf", "skewed_metric_hopf"])
+def test_main_theorem_samples_are_columns_in_points_order(name):
+    scen = builtin(name)
+    xs = quotient_points(scen, 7, seed=3)
+    frames = lift_frames(scen, xs)
+    report = verify_main_theorem(frames)
+    samples = report.meta["samples"]
+    assert sorted(samples) == ["acm_residual", "acs_residual", "compat_residual",
+                               "normal_leak", "vertical_leak"]
+    for key, column in samples.items():
+        assert type(column) is list and len(column) == len(frames.points), key
+        assert all(type(value) is float for value in column), key
+    # entry i is point i: the worst entry of a column is at the check's worst point
+    for key, check in (("acm_residual", "almost complex mapping defect"),
+                       ("compat_residual", "reduced compatibility"),
+                       ("acs_residual", "reduced acs identity")):
+        row = report.find(check)
+        worst = int(np.argmax(samples[key]))
+        assert samples[key][worst] == row.max_residual, key
+        assert list(row.worst_point.coords) == list(frames.points[worst]), key
+    # and the table of the points reversed has every column reversed, bit for bit
+    backwards = verify_main_theorem(lift_frames(scen, xs[::-1])).meta["samples"]
+    for key, column in samples.items():
+        assert np.array(backwards[key][::-1]).tobytes() == np.array(column).tobytes(), key
 
 
 def test_three_plane_reduction_matches_complex_oracle():

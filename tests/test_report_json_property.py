@@ -3,6 +3,7 @@ sort_keys=True, allow_nan=False) on random trees of the values a report may
 hold (hypothesis is a test-only dependency; the module is skipped without
 it)."""
 
+import json
 import math
 import sys
 
@@ -13,7 +14,12 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from symred.geometry import ChartPoint, TensorField  # noqa: E402
-from symred.report import VerificationReport, check_from_dict, check_to_dict  # noqa: E402
+from symred.report import (  # noqa: E402
+    VerificationReport,
+    _rows_text,
+    check_from_dict,
+    check_to_dict,
+)
 from symred.structures import StructureCheckResult, check_metric, check_tolerance  # noqa: E402
 
 from test_report_json import _check, assert_matches_oracle  # noqa: E402
@@ -43,6 +49,56 @@ def test_random_trees_match_the_oracle(meta, extras, name, residual):
         name, checks=[_check(name, residual, extras=extras)],
         children=[VerificationReport(name, meta={"m": meta})], meta={"m": meta})
     assert_matches_oracle(report)
+
+
+# blocks of float rows, as a report's point lists and columns hold them:
+# blocks of finite rows, which are written in one pass, and blocks of
+# ragged and empty rows, of every float (NaN, +-inf, -0.0 and subnormals
+# included) and of rows with ints, bools or np.float64 mixed in
+_row = st.one_of(
+    st.lists(st.floats(), max_size=4),
+    st.lists(st.one_of(st.floats(), st.integers(-3, 3), st.booleans(),
+                       st.floats().map(np.float64)), max_size=4),
+)
+_block = st.one_of(
+    st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+             min_size=1, max_size=5),
+    st.lists(_row, max_size=5),
+)
+
+_BLOCK_EXAMPLES = {
+    "ragged": [[1.0], [0.5, -2.0, 3.25], []],
+    "non-finite": [[0.1, 0.2], [math.nan, math.inf, -math.inf]],
+    "tiny": [[-0.0, 5e-324], [1.0]],
+    "overflowing sum": [[1e308], [1e308]],
+    "mixed": [[1.0, 2], [True, 0.5], [np.float64(0.25), 1.0]],
+    "three deep": [[[1.0, 2.0], [3.0]], [[4.0]], [[]]],
+}
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(block=_block, deep=st.lists(_block, max_size=3))
+@hypothesis.example(block=_BLOCK_EXAMPLES["ragged"], deep=[])
+@hypothesis.example(block=_BLOCK_EXAMPLES["non-finite"], deep=[])
+@hypothesis.example(block=_BLOCK_EXAMPLES["tiny"], deep=[])
+@hypothesis.example(block=_BLOCK_EXAMPLES["overflowing sum"], deep=[[[1e308, 1e308]]])
+@hypothesis.example(block=_BLOCK_EXAMPLES["mixed"], deep=[])
+@hypothesis.example(block=[[0.5]], deep=_BLOCK_EXAMPLES["three deep"])
+def test_float_blocks_match_the_oracle(block, deep):
+    report = VerificationReport(
+        "r", checks=[_check("c", 0.0, extras={"block": block})],
+        meta={"block": block, "deep": deep, "column": {"a": [r[0] for r in block if r]}})
+    assert_matches_oracle(report)
+
+
+def test_only_a_block_of_finite_float_rows_is_written_in_one_pass():
+    for block in ([[1.0], [0.5, -2.0, 3.25]], _BLOCK_EXAMPLES["tiny"]):
+        assert _rows_text(block, "  ") == json.dumps(block, indent=2).replace("\n", "\n  ")
+    for name in sorted(set(_BLOCK_EXAMPLES) - {"tiny"}):
+        assert _rows_text(_BLOCK_EXAMPLES[name], "") is None, name
+    # the per-entry path writes NaN and +-inf as strings
+    report = VerificationReport("r", meta={"block": _BLOCK_EXAMPLES["non-finite"]})
+    assert json.loads(report.to_json())["meta"]["block"][1] == ["NaN", "Infinity", "-Infinity"]
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

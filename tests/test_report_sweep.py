@@ -8,7 +8,7 @@ import json
 
 from symred.cli import SUITE_ORDER, main
 
-from report_sweep import changed_values, report_rows, verdict_changed
+from report_sweep import changed_values, print_changes, report_rows, verdict_changed
 
 BATTERY = ["holomorphy: holomorphy of square map", "holomorphy: holomorphy of exponential map",
            "holomorphy: holomorphy of reciprocal map at offset 2",
@@ -68,3 +68,16 @@ def test_named_entries_are_compared_by_the_names_both_lists_have():
     assert list(changed_values(old, new)) == [("[b].passed", True, False)]
     assert list(changed_values([1, 2], [1, 3])) == [("[1]", 2, 3)]
     assert list(changed_values([1, 2], [1])) == [("", [1, 2], [1])]
+
+
+def test_a_value_that_changed_container_type_is_printed_by_its_size():
+    rows = [{"acm_residual": 0.5, "normal_leak": 0.0}] * 80
+    columns = {"acm_residual": [0.5] * 80, "normal_leak": [0.0] * 80}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print_changes(json.dumps({"meta": {"samples": rows, "seed": 1}}),
+                      json.dumps({"meta": {"samples": columns, "seed": 2}}), set())
+    assert out.getvalue().splitlines() == [
+        "    .meta.samples: list of 80 -> object of 2 keys",
+        "    .meta.seed: 1 -> 2",
+        "    largest |delta| 1.000e+00 at .meta.seed"]
