@@ -60,13 +60,18 @@ that step.  Where one row fails, that is the error of the row alone.
 
 Evaluation stays cheap on success: ``eval_field`` formats a point into its
 error message only when a value is non-finite.
-``sample_ball`` draws each point directly, a Gaussian direction times a
-radius of U^(1/q), so its cost is linear in the dimension q.
+The samplers read only ``random()`` of a ``random.Random`` (``sample_stream``),
+whose sequence Python keeps across versions, so a box point has the same
+bits everywhere.  ``sample_ball`` draws each point directly, a Box-Muller
+Gaussian direction times a radius of U^(1/q), so its cost is linear in the
+dimension q; its log, cos, sin and sqrt may round by an ulp per libm.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+import random
 import sys
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -90,6 +95,7 @@ __all__ = [
     "kernel_basis",
     "spd_sqrt",
     "max_abs",
+    "sample_stream",
     "sample_box",
     "sample_ball",
 ]
@@ -540,26 +546,47 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
     return np.sqrt((V[..., np.newaxis, :] @ V[..., np.newaxis])[..., 0, 0])
 
 
-def sample_box(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> np.ndarray:
-    """Deterministic uniform sample of ``count`` points of the coordinate box
-    [-radius, radius]^dim, as the rows of a (count, dim) array."""
-    rng = np.random.default_rng(seed)
-    return _require_finite(rng.uniform(-radius, radius, size=(count, dim)), "chart point")
+def sample_stream(seed) -> random.Random:
+    """``seed`` if it is a ``random.Random``, else a new one of the seed: a
+    non-negative integer (TypeError for another type, ValueError if < 0)."""
+    if isinstance(seed, random.Random):
+        return seed
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
 
 
-def sample_ball(dim: int, count: int, radius: float = 2.0, seed: int = 0) -> np.ndarray:
-    """Deterministic uniform sample of ``count`` points inside the coordinate
-    ball |x| <= radius, as the rows of a (count, dim) array.
+def _uniforms(rng: random.Random, count: int, width: int) -> np.ndarray:
+    """A (count, width) array of ``rng.random()`` draws, filled row by row."""
+    draw = rng.random
+    return np.array([draw() for _ in range(count * width)], dtype=float).reshape(count, width)
 
-    Each point is a uniform direction z/|z| from a standard normal z, scaled
-    by radius * u^(1/dim) for a uniform u on [0, 1) (Muller, CACM 1959):
-    one ``standard_normal((count, dim))`` draw, then one
-    ``uniform(size=count)`` draw.
+
+def sample_box(dim: int, count: int, radius: float = 2.0, seed=0) -> np.ndarray:
+    """Uniform sample of ``count`` points of the coordinate box
+    [-radius, radius)^dim, the rows of a (count, dim) array: coordinate j of
+    point i is radius * (2u - 1) for uniform i * dim + j of the stream."""
+    u = _uniforms(sample_stream(seed), count, dim)
+    return _require_finite(radius * (2.0 * u - 1.0), "chart point")
+
+
+def sample_ball(dim: int, count: int, radius: float = 2.0, seed=0) -> np.ndarray:
+    """Uniform sample of ``count`` points inside the coordinate ball
+    |x| <= radius, as the rows of a (count, dim) array.
+
+    Each point is a uniform direction z/|z| from a Gaussian z, scaled by
+    radius * w^(1/dim) (Muller, CACM 1959): ``count * dim`` normals, each
+    point's from ceil(dim / 2) pairs (u, v) of uniforms as
+    sqrt(-2 log(1 - u)) * (cos, sin)(2 pi v) (Box & Muller, Ann. Math.
+    Statist. 1958), then ``count`` uniforms w.
     """
+    rng = sample_stream(seed)
     if dim == 0:
         return np.zeros((count, 0))
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, dim))
-    u = rng.uniform(size=count)
-    scale = radius * u ** (1.0 / dim) / np.linalg.norm(z, axis=1)
+    width = 2 * ((dim + 1) // 2)
+    u = _uniforms(rng, count, width)
+    r, theta = np.sqrt(-2.0 * np.log(1.0 - u[:, 0::2])), 2.0 * np.pi * u[:, 1::2]
+    z = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=2).reshape(count, width)[:, :dim]
+    scale = radius * _uniforms(rng, count, 1)[:, 0] ** (1.0 / dim) / _row_norms(z)
     return _require_finite(z * scale[:, np.newaxis], "chart point")

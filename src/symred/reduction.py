@@ -116,7 +116,7 @@ LEAK_WARNING_TOL = 1e-6
 # |mu - beta| below this puts a point on the level set; the generators must
 # leave ker d mu by less than this times 1 + |d mu|
 LEVEL_TOL = 1e-8
-# least generator singular value (and Gram-Schmidt norm) of a free action
+# least g-norm the vertical Gram-Schmidt keeps of a generator of a free action
 FREE_TOL = 1e-8
 
 
@@ -222,9 +222,10 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     stacked basis is taken and raises for the first row that fails it: a
     point off the level set (NotOnLevelError), a critical point of mu
     (NotRegularValueError, decided from the SVD the level frame is taken
-    from), generators that are degenerate or, for G, dependent
-    (ActionNotFreeError) or not tangent to the level set, and a horizontal
-    complement of another dimension than n - 2k (DegenerateInputError).
+    from), generators not tangent to the level set, degenerate or, for G,
+    dependent (ActionNotFreeError, from the vertical Gram-Schmidt), and a
+    horizontal complement of another dimension than n - 2k
+    (DegenerateInputError).
     """
     n, k = scen.chart_dim, scen.action.group_dim
     mu = scen.mu.field
@@ -243,13 +244,6 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     level = _null_columns(vt, k)
 
     V = generator(scen.action, M)
-    sv = np.linalg.svd(V, compute_uv=False)
-    i = _first(sv[:, -1] <= FREE_TOL)
-    if i is not None:
-        raise ActionNotFreeError(
-            f"generators are degenerate at {ChartPoint(M[i])} "
-            f"(smallest singular value {sv[i, -1]:.3e})"
-        )
     scale = 1.0 + np.max(np.abs(Jmu), axis=(1, 2))
     tangency = np.max(np.abs(Jmu @ V), axis=(1, 2))
     i = _first(tangency > LEVEL_TOL * scale)

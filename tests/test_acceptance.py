@@ -47,11 +47,13 @@ from util import (
     reference_omega_endomorphism,
     round_sphere_metric,
     round_sphere_symplectic,
-    run_group_params,
 )
 
 HOPF = builtin("hopf")
 LINEAR = builtin("linear_translation")
+# two fibre parameters of a circle action, away from the identity and from
+# each other
+FIBRE = np.array([[1.3], [-2.4]])
 
 
 def _line(num, desc, ok):
@@ -104,10 +106,10 @@ def test_criterion_03_reduction_identity_and_degeneracy():
 
 def test_criterion_04_fiber_independence():
     hopf_res = verify_submersion(lift_frames(
-        HOPF, sample_ball(HOPF.quotient_dim, 20, 2.0, 7), run_group_params(7, 1)[:2]
+        HOPF, sample_ball(HOPF.quotient_dim, 20, 2.0, 7), FIBRE
     )).find("fiber independence").max_residual
     lin_res = verify_submersion(lift_frames(
-        LINEAR, sample_ball(LINEAR.quotient_dim, 20, 2.0, 11), run_group_params(11, 1)[:2]
+        LINEAR, sample_ball(LINEAR.quotient_dim, 20, 2.0, 11), FIBRE
     )).find("fiber independence").max_residual
     _line(4, f"fiber independence (hopf {hopf_res:.2e} < 1e-5, "
              f"linear {lin_res:.2e} < 1e-10)",
@@ -133,7 +135,7 @@ def test_criterion_05_main_theorem_branches():
 
     noninv = builtin("noninvariant_metric_hopf")
     fiber = verify_submersion(lift_frames(
-        noninv, sample_ball(noninv.quotient_dim, 10, 2.0, 7), run_group_params(7, 1)[:2]
+        noninv, sample_ball(noninv.quotient_dim, 10, 2.0, 7), FIBRE
     )).find("fiber independence").max_residual
     noninv_ok = fiber > 1e-3
 

@@ -46,7 +46,6 @@ from symred.geometry import (
     fd_jacobian,
     kernel_basis,
     sample_ball,
-    sample_box,
     spd_sqrt,
 )
 from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
@@ -74,7 +73,7 @@ from util import (
     reference_orthonormalize_per_vector,
     reference_pushforward,
     reference_split_tangent,
-    run_group_params,
+    run_draws,
 )
 
 SPLIT_FIELDS = ("level", "vertical", "horizontal", "jmu", "generators", "metric")
@@ -100,8 +99,7 @@ def _scenario(name):
     return compile_scenario(parse_scenario(TORUS_T2_TEXT)) if name == "torus_t2" else builtin(name)
 
 
-# the quotient points, ambient points and group parameters a verify op
-# draws, as cli.run draws them
+# at the quotient points, ambient points and group parameters of a verify op
 _CASES = [(name, seed) for name in builtin_names() for seed in range(4)] \
     + [("r2n_8", 5), ("torus_t2", 2)]
 
@@ -109,8 +107,7 @@ _CASES = [(name, seed) for name in builtin_names() for seed in range(4)] \
 @pytest.mark.parametrize("name,seed", _CASES)
 def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
     scen = _scenario(name)
-    params = run_group_params(seed, scen.action.group_dim)
-    xs = sample_ball(scen.quotient_dim, 20, radius=scen.sample_spec.radius, seed=seed)
+    points, params, xs = run_draws(scen, seed, 20)
     for N in (20, 1):  # and a stack of one
         table = lift_frames(scen, xs[:N], params[:2])
         frames, moved = table.base, table.moved
@@ -130,7 +127,6 @@ def test_batched_frames_and_pushforwards_match_frame_by_frame(name, seed):
                       f"{name} seed {seed} fibre pushforward {i} of {N} at {a}")
         assert (frames.pushforward == np.eye(scen.chart_dim)).all()
 
-    points = sample_box(scen.chart_dim, 20, radius=2.0, seed=seed)
     pushed = pushforward_table(scen.action, params, points)
     D, moved = pushed.D, pushed.moved
     assert D.shape[:2] == moved.shape[:2] == (len(params), len(points))
@@ -299,18 +295,21 @@ def _reference_base_failure(scen, xs):
 
 
 def _fibre(scen):
-    """The fibre parameters of a ``verify`` of ``scen`` at its own seed."""
-    return run_group_params(scen.sample_spec.seed, scen.action.group_dim)[:2]
+    """The fibre parameters of a ``verify`` of ``scen`` at its own seed: rows
+    0-1 of the run's group parameters."""
+    return run_draws(scen)[1][:2]
 
 
 def _reference_submersion_failure(scen, xs):
     """The first error in the frame-by-frame order of verify_submersion at
     the fibre parameters of ``_fibre``: base frame i, then per fibre
     parameter its moved frame and pushforward."""
+    fibre = _fibre(scen)
+
     def build():
         for x in xs:
             m, _ = reference_lift_frame(scen, x)
-            for a in _fibre(scen):
+            for a in fibre:
                 reference_lift_frame(scen, x, a)
 
     return _first_failure(build)
@@ -644,19 +643,18 @@ def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
     # included, so omega non-finite only at Phi_a(sigma(0, 0)), for a the
     # second fibre parameter of a verify at seed 0, fails the fibre check,
     # and verify, with the frame-by-frame error
-    hopf = builtin("hopf")
+    hopf = dataclasses.replace(builtin("hopf"),
+                               sample_spec=SampleSpec(points=((0.6, 0.3), (0.0, 0.0), (0.5, 0.2))))
     omega_rows = hopf.omega.func.rows
-    spec = SampleSpec(points=((0.6, 0.3), (0.0, 0.0), (0.5, 0.2)))
-    xs = np.array(spec.points)
-    moved = apply_flow(hopf.action, run_group_params(spec.seed, 1)[1], hopf.section(xs[1]))
+    xs = np.array(hopf.sample_spec.points)
+    moved = apply_flow(hopf.action, _fibre(hopf)[1], hopf.section(xs[1]))
 
     def rows(X):
         values = omega_rows(X).copy()
         values[np.max(np.abs(X - moved.coords), axis=1) < 1e-12] = np.inf
         return values
 
-    scen = dataclasses.replace(hopf, omega=TensorField.matrix(RowMap(rows), 4, name="omega"),
-                               sample_spec=spec)
+    scen = dataclasses.replace(hopf, omega=TensorField.matrix(RowMap(rows), 4, name="omega"))
     error = _reference_submersion_failure(scen, xs)
     assert type(error) is NonFiniteError
     assert str(error).startswith(f"field 'omega' at {moved}")

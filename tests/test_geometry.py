@@ -1,6 +1,8 @@
 """Chart primitives, finite differences and the dense linear-algebra kit."""
 
 import dataclasses
+import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from symred.geometry import (
     as_points,
     sample_ball,
     sample_box,
+    sample_stream,
     spd_sqrt,
     _row_max_abs,
     _row_norms,
@@ -106,36 +109,63 @@ def test_eval_field_nan_message_names_field_and_point():
         "field 'probe' at ChartPoint([ 0.25, -1.5 ]) contains non-finite entries")
 
 
-class _CountingGenerator:
-    """A numpy Generator that records (method, number of values) per draw."""
+class _CountingStream(random.Random):
+    """A stream that counts the draws a sampler reads from it."""
 
-    def __init__(self, rng):
-        self._rng = rng
-        self.draws = []
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
 
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def counted(*args, **kwargs):
-            out = method(*args, **kwargs)
-            self.draws.append((name, np.size(out)))
-            return out
-
-        return counted
+    def random(self):
+        self.calls += 1
+        return super().random()
 
 
 @pytest.mark.parametrize("dim, count", [(1, 7), (2, 20), (14, 20), (40, 5)])
-def test_sample_ball_draws_count_q_normals_then_count_uniforms(dim, count, monkeypatch):
-    made = []
-    real = np.random.default_rng
+def test_sample_ball_draws_count_q_normals_then_count_uniforms(dim, count):
+    # q normals per point from ceil(q/2) Box-Muller pairs of uniforms, then
+    # one uniform per point for the radii; the stream is passed in, not copied
+    stream = _CountingStream(3)
+    got = sample_ball(dim, count, 2.0, stream)
+    assert stream.calls == count * 2 * ((dim + 1) // 2) + count
+    assert got.tobytes() == sample_ball(dim, count, 2.0, 3).tobytes()
 
-    def counting_rng(seed=None):
-        made.append(_CountingGenerator(real(seed)))
-        return made[-1]
 
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    sample_ball(dim, count, 2.0, 3)
-    assert [g.draws for g in made] == [[("standard_normal", count * dim), ("uniform", count)]]
+def test_sample_ball_is_box_muller_on_the_stream():
+    # the oracle: each point built from its uniforms in Python's math, which
+    # may round log, cos, sin and sqrt another way than numpy's ufuncs by an ulp
+    for dim in (1, 2, 3, 14):
+        got = sample_ball(dim, 30, 1.5, random.Random(5))
+        stream = random.Random(5)
+        normals = []
+        for _ in range(30):
+            z = []
+            for _ in range((dim + 1) // 2):
+                u, v = stream.random(), stream.random()
+                r = math.sqrt(-2.0 * math.log(1.0 - u))
+                z += [r * math.cos(2.0 * math.pi * v), r * math.sin(2.0 * math.pi * v)]
+            normals.append(np.array(z[:dim]))
+        for x, z in zip(got, normals):
+            want = 1.5 * stream.random() ** (1.0 / dim) * z / math.sqrt(z @ z)
+            np.testing.assert_allclose(x, want, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 14])
+def test_sample_ball_directions_have_the_sphere_moments(dim):
+    # a uniform direction d on the sphere S^(q-1) has E[d] = 0 and
+    # E[d d^T] = I/q, with Var(d_i) = 1/q, Var(d_i^2) = 2(q - 1)/(q^2 (q + 2))
+    # and Var(d_i d_j) = 1/(q (q + 2)) for i != j; every sample mean lies
+    # within five standard errors over N draws
+    n = 20_000
+    x = sample_ball(dim, n, 2.0, random.Random(22))
+    d = x / np.linalg.norm(x, axis=1)[:, np.newaxis]
+    assert np.abs(d.mean(axis=0)).max() <= 5.0 * math.sqrt(1.0 / dim / n)
+    second = d.T @ d / n
+    off = ~np.eye(dim, dtype=bool)
+    diagonal_sd = math.sqrt(2.0 * (dim - 1) / (dim ** 2 * (dim + 2)) / n)
+    assert np.abs(np.diag(second) - 1.0 / dim).max() <= 5.0 * diagonal_sd + 1e-12
+    if dim > 1:
+        assert np.abs(second[off]).max() <= 5.0 * math.sqrt(1.0 / (dim * (dim + 2)) / n)
 
 
 @pytest.mark.parametrize("dim", [0, 1, 2, 14, 40])
@@ -153,18 +183,47 @@ def test_sample_ball_in_ball_and_seeded(dim):
 
 
 def test_sample_box_is_one_seeded_array():
-    # one uniform draw, its rows the points; a list of points stacks to the
-    # same array, and an array passes through as it is
+    # one stream read row by row: coordinate j of point i is radius * (2u - 1)
+    # for the (i * dim + j)-th uniform, and consecutive draws from one stream
+    # continue it
     got = sample_box(3, 7, radius=1.5, seed=4)
-    want = np.random.default_rng(4).uniform(-1.5, 1.5, size=(7, 3))
+    stream = random.Random(4)
+    want = np.array([[1.5 * (2.0 * stream.random() - 1.0) for _ in range(3)] for _ in range(7)])
     assert got.shape == (7, 3) and got.tobytes() == want.tobytes()
+    stream = random.Random(4)
+    assert np.vstack([sample_box(3, 2, 1.5, stream), sample_box(3, 5, 1.5, stream)]).tobytes() \
+        == got.tobytes()
     assert as_points(got) is got
     assert as_points([ChartPoint(x) for x in got]).tobytes() == got.tobytes()
-    assert sample_box(2, 0).shape == (0, 2)
+    assert sample_box(2, 0).shape == sample_ball(2, 0).shape == (0, 2)
     # but no points are not a stack of points: a check over them proves nothing
     for none in ([], sample_box(2, 0)):
         with pytest.raises(ValueError, match="^points must hold at least one point, got none$"):
             as_points(none)
+
+
+def test_sample_box_bits_at_seed_0():
+    # arithmetic on random.Random(0).random(), whose sequence Python keeps
+    # across versions, so every platform draws these bits
+    got = sample_box(3, 2, radius=2.0, seed=0)
+    assert [x.hex() for x in got.ravel()] == [
+        "0x1.60b01f314fb7cp+0", "0x1.082532f1f3834p+0", "-0x1.4556bbeb45a20p-2",
+        "-0x1.edbd0e08d74b4p-1", "0x1.717337c65c1c0p-5", "-0x1.8563c829dd310p-2"]
+
+
+@pytest.mark.parametrize("sample", [sample_box, sample_ball])
+def test_a_seed_is_a_non_negative_integer(sample):
+    # numpy integers are integers; any other type raises TypeError and a
+    # negative integer ValueError
+    assert sample(3, 4, 1.0, np.int64(3)).tobytes() == sample(3, 4, 1.0, 3).tobytes()
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+        sample(3, 4, 1.0, -3)
+    for seed in (1.5, "3", None):
+        with pytest.raises(TypeError):
+            sample(3, 4, 1.0, seed)
+    assert sample_stream(5) is not sample_stream(5)
+    stream = random.Random(5)
+    assert sample_stream(stream) is stream
 
 
 @pytest.mark.parametrize("dim", [1, 2, 14, 40])

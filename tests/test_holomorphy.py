@@ -21,7 +21,8 @@ from symred.geometry import (
 from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from symred.structures import standard_acs, standard_acs_matrix
 
-from util import reference_almost_complex_residual, reference_cauchy_riemann_residual
+from util import (reference_almost_complex_residual, reference_cauchy_riemann_residual,
+                  run_holomorphy_points)
 
 J2 = standard_acs(2)
 
@@ -181,7 +182,7 @@ def _assert_matches_references(cm, points):
 @pytest.mark.parametrize("seed", range(4))
 def test_reference_maps_match_per_point_residuals(seed, samples):
     # the suite's maps at the suite's sample points
-    points = sample_box(2, samples, radius=1.5, seed=seed + 2)
+    points = run_holomorphy_points(seed, samples)
     for name, func, _ in cli._REFERENCE_MAPS:
         _assert_matches_references(ChartedMap(func, J2, J2), points)
 

@@ -43,7 +43,7 @@ from util import (
     reference_reduction_identity_per_vector,
     reference_submersion,
     residuals_seen,
-    run_group_params,
+    run_draws,
 )
 
 # the largest relative gap to the per-vector oracle over _CASES, measured
@@ -66,21 +66,19 @@ def _scenario(name):
 _NAMES = [*builtin_names(), "r2n_8", "torus_t2", "double_speed"]
 _CASES = [(name, seed) for name in builtin_names() for seed in range(3)] \
     + [("r2n_8", 5), ("torus_t2", 2), ("double_speed", 0)]
+# two explicit fibre parameters of a group of dimension at most 2, away from
+# the identity and from each other
+_FIBRE = np.array([[1.3, 0.4], [-2.4, 2.9]])
 
 
-def _fibre(scen, seed):
-    """The fibre parameters of a ``verify`` at ``seed``."""
-    return run_group_params(seed, scen.action.group_dim)[:2]
-
-
-def _stacked(scen, xs, seed):
+def _stacked(scen, xs, fibre):
     """Every per-point value the three pipelines report, keyed as the
     references key them.  The table is built with the fibre parameters, as
     ``cli.run`` builds it, in one ``split_tangent`` call over every base and
     moved frame, and the three pipelines split nothing more."""
     with residuals_seen() as seen, mock.patch.object(
             reduction, "split_tangent", wraps=reduction.split_tangent) as split:
-        frames = lift_frames(scen, xs, _fibre(scen, seed))
+        frames = lift_frames(scen, xs, fibre)
         verify_submersion(frames)
         verify_reduction_identity(frames)
         main = verify_main_theorem(frames)
@@ -96,16 +94,16 @@ def _stacked(scen, xs, seed):
     return out
 
 
-def _references(scen, xs, seed):
-    fiber, vertical = reference_submersion(scen, xs, _fibre(scen, seed))
+def _references(scen, xs, fibre):
+    fiber, vertical = reference_submersion(scen, xs, fibre)
     identity, degeneracy = reference_reduction_identity(scen, xs)
     out = {"fiber": fiber, "vertical": vertical, "identity": identity,
            "degeneracy": degeneracy, **reference_main_theorem(scen, xs)}
     return {key: np.array(values, dtype=float) for key, values in out.items()}
 
 
-def _per_vector(scen, xs, seed, solver):
-    fiber, vertical = reference_submersion(scen, xs, _fibre(scen, seed), per_vector=True)
+def _per_vector(scen, xs, fibre, solver):
+    fiber, vertical = reference_submersion(scen, xs, fibre, per_vector=True)
     identity, degeneracy = reference_reduction_identity_per_vector(scen, xs, solver)
     out = {"fiber": fiber, "vertical": vertical, "identity": identity,
            "degeneracy": degeneracy, **reference_main_theorem_per_vector(scen, xs, solver)}
@@ -118,14 +116,16 @@ def _within(got, want, bound):
 
 @pytest.mark.parametrize("name,seed", _CASES)
 def test_stacked_reduction_matches_point_by_point(name, seed):
+    # at the quotient points and fibre parameters of a verify at the seed
     scen = _scenario(name)
-    xs = sample_ball(scen.quotient_dim, 20, radius=scen.sample_spec.radius, seed=seed)
-    got = _stacked(scen, xs, seed)
-    want = _references(scen, xs, seed)
+    _, params, xs = run_draws(scen, seed, 20)
+    fibre = params[:2]
+    got = _stacked(scen, xs, fibre)
+    want = _references(scen, xs, fibre)
     for key, value in want.items():
         assert got[key].tobytes() == value.tobytes(), f"{name} seed {seed}: {key}"
     for solver, bound in (("solve", PER_VECTOR_BOUND), ("lstsq", LSTSQ_BOUND)):
-        for key, value in _per_vector(scen, xs, seed, solver).items():
+        for key, value in _per_vector(scen, xs, fibre, solver).items():
             assert _within(got[key], value, bound), f"{name} seed {seed} {solver}: {key}"
 
 
@@ -133,12 +133,13 @@ def test_stacked_reduction_matches_point_by_point(name, seed):
 def test_stack_of_one_and_no_points(name):
     scen = _scenario(name)
     x = sample_ball(scen.quotient_dim, 1, radius=scen.sample_spec.radius, seed=3)
-    got, want = _stacked(scen, x, 3), _references(scen, x, 3)
+    fibre = _FIBRE[:, :scen.action.group_dim]
+    got, want = _stacked(scen, x, fibre), _references(scen, x, fibre)
     for key, value in want.items():
         assert got[key].tobytes() == value.tobytes(), f"{name}: {key}"
 
     # no points would pass every pipeline vacuously, so no table of them is built
-    for fiber_params in (_fibre(scen, 3), ()):
+    for fiber_params in (fibre, ()):
         with pytest.raises(ValueError, match="^points must hold at least one point, got none$"):
             lift_frames(scen, [], fiber_params)
 

@@ -44,11 +44,13 @@ from util import (
     residuals_seen,
     round_sphere_metric,
     round_sphere_symplectic,
-    run_group_params,
 )
 
 HOPF = builtin("hopf")
 LINEAR = builtin("linear_translation")
+# two fibre parameters of a circle action, away from the identity and from
+# each other
+FIBRE = np.array([[1.3], [-2.4]])
 
 
 def span_projector(M):
@@ -168,7 +170,7 @@ def test_vertical_ad_invariance_negative_control():
         f"flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1), "
         f"x3*cos{s} + x4*sin{s}, x4*cos{s} - x3*sin{s}]")))
     report = verify_submersion(lift_frames(scen, quotient_points(scen, 20, seed=0),
-                                           run_group_params(0, 1)[:2]))
+                                           FIBRE))
     check = report.find("vertical invariance")
     assert not check.passed
     assert check.max_residual > 1.0
@@ -226,16 +228,22 @@ def test_a_sixfold_harmonic_of_the_metric_fails_fibre_independence(tmp_path, see
 def test_main_theorem_iff_fails_where_one_defect_vanishes_and_the_other_does_not():
     # doubling omega in hopf's base frames leaves J's lifts alone, so the
     # almost-complex-mapping defect stays roundoff while the reduced
-    # compatibility defect reads 0.685: the two land on opposite sides of
-    # the tolerance at every point, and the iff row must fail there
-    frames = lift_frames(HOPF, sample_ball(2, 20, 2.0, seed=0))
+    # compatibility defect 2 omega_red J_red - h_red is h_red itself, whose
+    # largest entry is the round sphere's 1/(1 + |w|^2)^2: the two land on
+    # opposite sides of the tolerance at every point, and the iff row must
+    # fail there
+    points = sample_ball(2, 20, 2.0, seed=0)
+    frames = lift_frames(HOPF, points)
     assert verify_main_theorem(frames).find("main theorem iff").passed
     doubled = dataclasses.replace(frames, base=dataclasses.replace(frames.base,
                                                                    Om=2.0 * frames.base.Om))
     report = verify_main_theorem(doubled)
     assert report.find("almost complex mapping defect").max_residual < 1e-15
     compat = report.find("reduced compatibility")
-    assert not compat.passed and 0.68 < compat.max_residual < 0.69
+    want = np.array([np.max(round_sphere_metric(w)) for w in points])
+    got = np.array(report.meta["samples"]["compat_residual"])
+    assert np.abs(got - want).max() < 1e-12
+    assert not compat.passed and (got > compat.tolerance).all()
     iff = report.find("main theorem iff")
     assert not iff.passed and iff.max_residual == 1.0
 
@@ -336,7 +344,7 @@ def test_vertical_leak_warning_for_tilted_acs():
 
 def test_verify_submersion_hopf():
     points = quotient_points(HOPF, 8, seed=20)
-    report = verify_submersion(lift_frames(HOPF, points, run_group_params(20, 1)[:2]))
+    report = verify_submersion(lift_frames(HOPF, points, FIBRE))
     assert report.passed
     assert report.find("fiber independence").max_residual < 1e-6
 
@@ -349,7 +357,7 @@ def test_all_reduced_objects_fiber_independent():
 
     for x in quotient_points(HOPF, 5, seed=22):
         base = reduced_structures(HOPF, x)
-        for a in run_group_params(22, 1)[:2]:
+        for a in FIBRE:
             moved = reduced_structures(dataclasses.replace(
                 HOPF, section=lambda q, _a=a: apply_flow(HOPF.action, _a,
                                                          HOPF.section(q))), x)
@@ -359,7 +367,7 @@ def test_all_reduced_objects_fiber_independent():
 
 def test_verify_submersion_linear_exact():
     points = quotient_points(LINEAR, 8, seed=21)
-    report = verify_submersion(lift_frames(LINEAR, points, run_group_params(21, 1)[:2]))
+    report = verify_submersion(lift_frames(LINEAR, points, FIBRE))
     assert report.passed
     assert report.find("fiber independence").max_residual < 1e-10
 
@@ -367,7 +375,7 @@ def test_verify_submersion_linear_exact():
 def test_verify_submersion_noninvariant_metric_fails():
     scen = builtin("noninvariant_metric_hopf")
     points = quotient_points(scen, 10, seed=7)
-    report = verify_submersion(lift_frames(scen, points, run_group_params(7, 1)[:2]))
+    report = verify_submersion(lift_frames(scen, points, FIBRE))
     check = report.find("fiber independence")
     assert not check.passed
     assert check.max_residual > 1e-3
@@ -378,7 +386,7 @@ def test_a_submersion_table_of_no_fibre_parameters_is_refused():
     # residual 0.0 where the fibre parameters fail
     scen = builtin("noninvariant_metric_hopf")
     points = sample_ball(2, 5, 2.0, 0)
-    assert not verify_submersion(lift_frames(scen, points, run_group_params(0, 1)[:2])).passed
+    assert not verify_submersion(lift_frames(scen, points, FIBRE)).passed
     with pytest.raises(ValueError, match="^lift frame table has no fibre parameters"):
         verify_submersion(lift_frames(scen, points))
 
@@ -570,7 +578,7 @@ def test_three_plane_reduction_matches_complex_oracle():
 def test_three_plane_reduction_pipelines_pass():
     scen = builtin("euclidean_r2n", planes=3)
     points = quotient_points(scen, 5, seed=19, radius=1.5)
-    assert verify_submersion(lift_frames(scen, points, run_group_params(19, 1)[:2])).passed
+    assert verify_submersion(lift_frames(scen, points, FIBRE)).passed
     assert verify_reduction_identity(lift_frames(scen, points)).passed
     report = verify_main_theorem(lift_frames(scen, points))
     assert report.passed
@@ -582,7 +590,7 @@ def test_point_arrays_not_of_shape_n_by_d_raise(points):
     # a flat array is not read as points of one coordinate each, nor as one point
     message = f"points must be an (N, d) array, got shape {points.shape}"
     for verify in (lambda: lift_frames(HOPF, points),
-                   lambda: lift_frames(HOPF, points, run_group_params(0, 1)[:2]),
+                   lambda: lift_frames(HOPF, points, FIBRE),
                    lambda: pushforward_table(HOPF.action, [0.3], points),
                    lambda: check_metric(HOPF.metric, points)):
         with pytest.raises(ValueError) as info:

@@ -52,7 +52,7 @@ from util import (
     reference_momentum_residuals,
     reference_symplectic_residuals,
     residuals_seen,
-    run_group_params,
+    run_draws,
 )
 
 TOL = 1e-8
@@ -115,8 +115,8 @@ def _r2n_8():
 
 def _op_inputs(scen, seed, samples=20):
     """The ambient points and group parameters cli.run draws."""
-    points = sample_box(scen.chart_dim, samples, radius=2.0, seed=seed)
-    return points, run_group_params(seed, scen.action.group_dim)
+    points, params, _ = run_draws(scen, seed, samples)
+    return points, params
 
 
 _CASES = [(name, seed) for name in builtin_names() for seed in range(4)] + [("r2n_8", 5)]

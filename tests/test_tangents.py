@@ -47,6 +47,8 @@ from symred.scenarios import (  # noqa: E402
     parse_scenario,
 )
 
+from util import run_holomorphy_points  # noqa: E402
+
 _SYMPY_FUNCTIONS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "sqrt": sp.sqrt}
 _SYMPY_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
               "*": lambda a, b: a * b, "/": lambda a, b: a / b}
@@ -169,7 +171,7 @@ _REFERENCE_FORMULAS = {
 @pytest.mark.parametrize("samples", [20, 80])
 @pytest.mark.parametrize("seed", range(4))
 def test_holomorphy_reference_maps_match_sympy(seed, samples):
-    X = sample_box(2, samples, radius=1.5, seed=seed + 2)
+    X = run_holomorphy_points(seed, samples)
     assert [name for name, _, _ in cli._REFERENCE_MAPS] == list(_REFERENCE_FORMULAS)
     for name, row_map, _ in cli._REFERENCE_MAPS:
         exprs = [parse_expression(text) for text in _REFERENCE_FORMULAS[name]]
@@ -239,10 +241,13 @@ def test_nonfinite_tangent_names_the_map_and_first_point():
 
 
 def test_a_map_without_tangents_takes_the_stencil():
+    # the stencil's error grows without bound near a pole, so the points lie
+    # in [-1, 1] x [1, 3] x [1, 3], away from every pole of these entries
+    # (x2 = 0, x3 = 0, x2*x3 = -5) by construction, not by the seed's luck
     exprs = [parse_expression(text) for text in _COVERING[:6]]
     compiled = _compiled(exprs)
     opaque = RowMap(compiled.rows)
-    points = sample_box(3, 5, radius=1.0, seed=43) + np.array([0.0, 0.0, 2.0])
+    points = sample_box(3, 5, radius=1.0, seed=43) + np.array([0.0, 2.0, 2.0])
     exact, stencil = fd_jacobian(compiled, points), fd_jacobian(opaque, points)
     assert not np.array_equal(exact, stencil)
     assert np.max(np.abs(exact - stencil)) < 1e-8

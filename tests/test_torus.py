@@ -39,7 +39,7 @@ def test_torus_verify_passes_every_row(tmp_path, seed):
 def test_a_scaled_momentum_map_fails_the_hamiltonian_condition_alone(tmp_path):
     # 0.6 mu_2 at the level 0.6 beta_2 cuts torus_t2's level set, so its
     # frames and quotient are torus_t2's, but Omega^T xi_2 = grad mu_2 breaks
-    # (residual 1.16 to 1.44 over these seeds): of every row of the default
+    # (residual 1.09 to 1.39 over these seeds): of every row of the default
     # suites, only the hamiltonian condition fails
     path = tmp_path / "scaled_mu_t2.scen"
     path.write_text(SCALED_MU_T2_TEXT)

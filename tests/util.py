@@ -494,10 +494,6 @@ def reference_split_tangent(scen, m, per_vector=False):
         V[:, i] = reference_generator(scen.action, i, point)
         if not np.isfinite(V[:, i]).all():
             raise NonFiniteError("generator contains non-finite entries")
-    sv = np.linalg.svd(V, compute_uv=False)
-    if sv[-1] <= FREE_TOL:
-        raise ActionNotFreeError(
-            f"generators are degenerate at {point} (smallest singular value {sv[-1]:.3e})")
     scale = 1.0 + float(np.max(np.abs(jmu)))
     tangency = float(np.max(np.abs(jmu @ V)))
     if tangency > LEVEL_TOL * scale:
@@ -1044,11 +1040,34 @@ def reference_cauchy_riemann_residual(cm, p):
     return _max_abs(defects)
 
 
-def run_group_params(seed, k):
-    """The (5, k) group parameters a ``verify`` run at ``seed`` draws, as
-    ``cli.run`` draws them: the action suite moves by all five rows, and
-    rows 0-1 are the reduction suite's fibre parameters."""
-    return np.random.default_rng(seed + 1).uniform(-np.pi, np.pi, (5, k))
+# --- a run's draws --------------------------------------------------------------
+
+def run_draws(scen, seed=None, samples=None):
+    """The ambient points, (5, k) group parameters and quotient points that a
+    ``verify`` run of the scenario object ``scen`` draws at ``seed`` and
+    ``samples`` (None: the scenario's own), read from the ``meta`` of a run
+    of its structures suite.  ``cli.run`` draws them all before any suite
+    runs, so every run of ``scen`` at that seed and count draws the same."""
+    from symred import cli
+
+    with mock.patch.object(cli, "resolve_scenario", lambda name: scen):
+        report, _ = cli.run(cli.RunConfig(scen.name, suites=("structures",), seed=seed,
+                                          samples=samples))
+    meta = report.meta
+    return tuple(np.array(meta[key])
+                 for key in ("ambient_points", "group_params", "quotient_points"))
+
+
+def run_holomorphy_points(seed, samples):
+    """The points the holomorphy suite of a ``verify`` of hopf reads at
+    ``seed`` and ``samples``: the run's last draw."""
+    from symred import cli
+
+    seen, suite = [], cli._suite_holomorphy
+    with mock.patch.object(cli, "_suite_holomorphy",
+                           lambda tol, X: seen.append(X) or suite(tol, X)):
+        cli.run(cli.RunConfig("hopf", suites=("holomorphy",), seed=seed, samples=samples))
+    return seen[0]
 
 
 # --- scenario fixtures ----------------------------------------------------------
