@@ -5,9 +5,13 @@ A run draws from one ``random.Random(seed)``, in a fixed order: the ambient
 points, the (5, k) group parameters, the quotient points (unless a
 scenario's ``sample.points`` stand), and last, only if ``--suites`` names
 it, the holomorphy suite's points, so no other draw depends on ``--suites``.
+A run that asks for the reduction or the main-theorem suite builds one
+lift-frame table, the base frames and the frames moved by the first two
+group parameters, so no frame depends on ``--suites`` either.
 
-Exit codes: 0 when every requested check passes, 1 on a check failure, 2 on
-usage, parse or validation errors.
+``run`` returns the report and 0 or 1, and raises what loading the scenario
+raises.  Exit codes: 0 when every requested check passes, 1 on a check
+failure, 2 on usage, parse or validation errors.
 """
 
 from __future__ import annotations
@@ -206,12 +210,10 @@ def _suite_holomorphy(tol, X):
 
 
 def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
-    """Execute the requested suites in fixed order and assemble the report."""
-    try:
-        scen = resolve_scenario(cfg.scenario)
-    except (ScenarioFormatError, UnknownScenarioError, OSError) as exc:
-        report = VerificationReport("error", meta={"error": str(exc)})
-        return report, 2
+    """Execute the requested suites in fixed order and assemble the report,
+    with exit code 0 or 1; a scenario that does not load raises
+    ``UnknownScenarioError``, ``ScenarioFormatError`` or ``OSError``."""
+    scen = resolve_scenario(cfg.scenario)
 
     # the run's tolerances in one merge: the defaults, then the scenario's, then the config's
     tol = {**DEFAULT_TOLERANCES, **scen.tolerances, **cfg.tolerances}
@@ -242,27 +244,20 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
     )
-    # the lift frames, built by the first suite that reads them: the reduction
-    # suite's table has the frames moved by the first two group parameters
-    # too, and the main theorem reads its base frames
-    frames = None
-    for suite in SUITE_ORDER:
-        if suite not in cfg.suites:
-            continue
-        if suite == "structures":
-            report.add_child(_suite_structures(scen, tol, points))
-        elif suite == "action":
-            report.add_child(_suite_action(scen, tol, points, params))
-        elif suite == "reduction":
-            frames = lift_frames(scen, qpoints, params[:2])
+    if "structures" in cfg.suites:
+        report.add_child(_suite_structures(scen, tol, points))
+    if "action" in cfg.suites:
+        report.add_child(_suite_action(scen, tol, points, params))
+    if "reduction" in cfg.suites or "main-theorem" in cfg.suites:
+        # the run's one table: the base frames and the frames moved by the
+        # first two group parameters, whichever of the two suites reads it
+        frames = lift_frames(scen, qpoints, params[:2])
+        if "reduction" in cfg.suites:
             report.add_child(_suite_reduction(tol, frames))
-        elif suite == "main-theorem":
-            if frames is None:
-                frames = lift_frames(scen, qpoints)
+        if "main-theorem" in cfg.suites:
             report.add_child(_suite_main_theorem(tol, frames))
-        elif suite == "holomorphy":
-            report.add_child(_suite_holomorphy(
-                tol, sample_box(2, samples, radius=1.5, seed=rng)))
+    if "holomorphy" in cfg.suites:
+        report.add_child(_suite_holomorphy(tol, sample_box(2, samples, radius=1.5, seed=rng)))
     return report, 0 if report.passed else 1
 
 
@@ -348,15 +343,8 @@ def main(argv=None) -> int:
         return 2
     try:
         report, code = run(cfg)
-    except SymredError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if code == 2:
-        print(f"error: {report.meta.get('error', 'could not load scenario')}", file=sys.stderr)
-        return 2
-    try:
         _emit(report, cfg)
-    except OSError as exc:  # --out names a file that cannot be written
+    except (SymredError, OSError) as exc:  # OSError: an unreadable scenario or --out file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -426,19 +426,19 @@ def fd_directional(field: TensorField, X, direction) -> np.ndarray | float:
     return D[..., 0] if d.ndim == 1 else D
 
 
-def kernel_basis(mat, rank_tol: float = RANK_TOL) -> np.ndarray:
+def kernel_basis(mat) -> np.ndarray:
     """Orthonormal basis of the null space of ``mat`` via SVD, as the columns
     of an n x (n - rank) matrix.
 
-    Singular values below rank_tol times the largest one count as zero.  The
-    columns are the trailing right-singular vectors, so the ordering is
+    Singular values below ``RANK_TOL`` times the largest one count as zero.
+    The columns are the trailing right-singular vectors, so the ordering is
     deterministic.  An all-zero or empty matrix has full kernel.  A stack
     (N, m, n) of matrices gives the (N, n, n - rank) stack of their bases
     from one stacked SVD, each the bits of the call on its matrix alone; a
     stack whose ranks differ raises ValueError, and an empty stack takes
     the rank min(m, n).
     """
-    ranks, vt = _ranks(mat, rank_tol)
+    ranks, vt = _ranks(mat)
     flat = ranks.reshape(-1)
     if (flat != flat[:1]).any():
         raise ValueError("kernel dimensions differ across the stack")
@@ -446,7 +446,7 @@ def kernel_basis(mat, rank_tol: float = RANK_TOL) -> np.ndarray:
     return _null_columns(vt, rank)
 
 
-def _ranks(mat, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _ranks(mat) -> tuple[np.ndarray, np.ndarray]:
     """The rank of ``mat``, or of every matrix of a stack, as ``kernel_basis``
     counts it, and the right-singular vectors of the one SVD it took, for
     ``_null_columns``: a caller that refuses some ranks decides them per
@@ -454,7 +454,7 @@ def _ranks(mat, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
     a = _require_finite(np.atleast_2d(np.asarray(mat, dtype=float)), "matrix")
     _, s, vt = np.linalg.svd(a, full_matrices=True)
     smax = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
-    counts = np.sum(s > (rank_tol * smax)[..., np.newaxis], axis=-1)
+    counts = np.sum(s > (RANK_TOL * smax)[..., np.newaxis], axis=-1)
     return np.where(smax > 0.0, counts, 0), vt
 
 

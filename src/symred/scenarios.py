@@ -271,17 +271,17 @@ def parse_scenario(text: str) -> ScenarioFile:
             )
         points = tuple(tuple(_const_value(e, "sample.points") for e in row) for row in rows)
     count = (_int_value(_as_expr(raw["sample.count"], "sample.count"), "sample.count")
-             if "sample.count" in raw else 20)
+             if "sample.count" in raw else SampleSpec.count)
     if count < 1:
         raise ValidationError(f"sample.count must be at least 1, got {count}")
     if count > MAX_SAMPLES:
         raise ValidationError(f"sample.count must be at most {MAX_SAMPLES}, got {count}")
     seed = (_int_value(_as_expr(raw["sample.seed"], "sample.seed"), "sample.seed")
-            if "sample.seed" in raw else 0)
+            if "sample.seed" in raw else SampleSpec.seed)
     if seed < 0:
         raise ValidationError(f"sample.seed must be a non-negative integer, got {seed}")
     radius = (_const_value(_as_expr(raw["sample.radius"], "sample.radius"), "sample.radius")
-              if "sample.radius" in raw else 2.0)
+              if "sample.radius" in raw else SampleSpec.radius)
     if radius <= 0:
         raise ValidationError(f"sample.radius must be positive, got {radius}")
     sample_spec = SampleSpec(count=count, seed=seed, radius=radius, points=points)
@@ -514,26 +514,15 @@ def _euclidean_text(planes: int) -> str:
     dim = 2 * planes
     q = dim - 2
 
-    def eye_rows(scale_expr="1"):
-        rows = []
-        for r in range(dim):
-            rows.append("[" + ", ".join(scale_expr if r == c else "0" for c in range(dim)) + "]")
-        return "[" + ", ".join(rows) + "]"
-
-    omega_rows = []
-    acs_rows = []
-    for r in range(dim):
-        omega_row = ["0"] * dim
-        acs_row = ["0"] * dim
-        j = r // 2
-        if r % 2 == 0:
-            omega_row[2 * j + 1] = "1"
-            acs_row[2 * j + 1] = "-1"
-        else:
-            omega_row[2 * j] = "-1"
-            acs_row[2 * j] = "1"
-        omega_rows.append("[" + ", ".join(omega_row) + "]")
-        acs_rows.append("[" + ", ".join(acs_row) + "]")
+    def blocks(diagonal, upper, lower):
+        """The dim x dim block-diagonal matrix with one 2 x 2 block
+        [[diagonal, upper], [lower, diagonal]] per plane."""
+        def entry(r, c):
+            if r // 2 != c // 2:
+                return "0"
+            return diagonal if r == c else upper if r < c else lower
+        return "[" + ", ".join("[" + ", ".join(entry(r, c) for c in range(dim)) + "]"
+                               for r in range(dim)) + "]"
 
     flow_entries = []
     for j in range(planes):
@@ -556,9 +545,9 @@ def _euclidean_text(planes: int) -> str:
         "group_dim = 1",
         f"quotient_dim = {q}",
         "abelian = true",
-        f"omega = [{', '.join(omega_rows)}]",
-        f"metric = {eye_rows()}",
-        f"acs = [{', '.join(acs_rows)}]",
+        f"omega = {blocks('0', '1', '-1')}",
+        f"metric = {blocks('1', '0', '0')}",
+        f"acs = {blocks('0', '-1', '1')}",
         f"flow = [{', '.join(flow_entries)}]",
         f"mu = [0.5*({squares})]",
         "beta = [0.5]",

@@ -19,8 +19,9 @@ fails) and ``SCALED_MU_T2_TEXT`` (the 2-torus with mu_2 and beta_2 scaled
 by 0.6: the hamiltonian condition fails), so failing residuals are
 compared too; on every built-in with no flags (its
 own sample spec: seed, count and any explicit quotient points), on hopf at 20 samples with the main-theorem, the reduction and
-the action suite alone (the lift frames are batched differently when no
-fibre frames are asked for) and with all five suites (so the holomorphy
+the action suite alone (the main-theorem suite alone builds the same
+lift-frame table as a default run, fibre frames included, and its rows
+must not move) and with all five suites (so the holomorphy
 battery, which a default run leaves out, is compared too), and on seven
 failing variants (``FAILING``): six of hopf (the section off the level
 set at a middle sample, generators degenerate at one sample, a division by zero at w1 = 0.50001,

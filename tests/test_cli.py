@@ -26,7 +26,7 @@ from symred.actions import (
     pushforward_table,
 )
 from symred.cli import DEFAULT_TOLERANCES, RunConfig, main, run
-from symred.errors import ValidationError
+from symred.errors import ScenarioFormatError, UnknownScenarioError, ValidationError
 from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_ball
 from symred.reduction import (
     lift_frames,
@@ -90,10 +90,46 @@ def test_run_skewed_structures_fails():
     assert abs(compat.max_residual - 3.0) < 1e-9
 
 
-def test_run_unknown_scenario_code_2():
-    report, code = run(RunConfig("missing_scenario"))
-    assert code == 2
-    assert "error" in report.meta
+def test_run_raises_what_loading_the_scenario_raises(tmp_path):
+    # no report stands for a scenario that did not load: one with no checks
+    # would read as passed
+    with pytest.raises(UnknownScenarioError, match="'missing_scenario' is neither"):
+        run(RunConfig("missing_scenario"))
+    with pytest.raises(OSError):
+        run(RunConfig(str(tmp_path)))
+    bad = tmp_path / "broken.scn"
+    bad.write_text("name = broken\ndim = 4\nomega = [[1,2],[3")
+    with pytest.raises(ScenarioFormatError, match="line 3"):
+        run(RunConfig(str(bad)))
+
+
+def test_main_exits_2_with_one_error_line_when_a_scenario_does_not_load(tmp_path, capsys):
+    for scenario in ("no_such_scenario", str(tmp_path)):
+        assert main(["verify", scenario, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+def test_a_main_theorem_run_builds_the_frames_of_a_default_run(monkeypatch):
+    # one lift-frame table per run, whichever suites are asked for: the
+    # main-theorem suite alone reads the table a default run builds
+    built = []
+
+    def recording(scen, points, fiber_params=()):
+        built.append((points.tolist(), np.asarray(fiber_params).tolist()))
+        return lift_frames(scen, points, fiber_params)
+
+    monkeypatch.setattr(cli, "lift_frames", recording)
+    for name in builtin_names():
+        for seed in range(4):
+            alone, _ = run(RunConfig(name, suites=("main-theorem",), seed=seed))
+            default, _ = run(RunConfig(name, seed=seed))
+            assert len(built) == 2 and built[0] == built[1], (name, seed)
+            assert built[0][1] == default.meta["group_params"][:2]
+            built.clear()
+            assert [ch.name for ch in alone.children] == ["main-theorem"]
+            assert alone.children[0].to_json() == default.children[3].to_json(), (name, seed)
 
 
 def test_failing_checks_carry_identity_strings(hopf_report):
@@ -809,7 +845,7 @@ def test_frame_batches_per_op_do_not_grow_with_samples(samples, monkeypatch):
     report, code = run(RunConfig("hopf", samples=samples, seed=3))
     assert code == 0
     # the base and moved frames of every fibre parameter in one batch, at
-    # any sample count; without the reduction suite, the base frames alone
+    # any sample count, with or without the reduction suite
     assert calls["split_tangent"] == 1
     report, code = run(RunConfig("hopf", suites=("main-theorem",), samples=samples, seed=3))
     assert code == 0 and calls["split_tangent"] == 2

@@ -141,10 +141,10 @@ def test_stacked_kernel_basis_matches_each_matrix():
     rng = np.random.default_rng(40)
     for shape in ((64, 1, 4), (64, 2, 6), (32, 3, 16), (16, 5, 5)):
         stack = rng.standard_normal(shape)
-        got = kernel_basis(stack, 1e-8)
+        got = kernel_basis(stack)
         for i, mat in enumerate(stack):
             _same(got[i], reference_kernel_basis(mat, 1e-8), f"{shape} slice {i}")
-            _same(kernel_basis(mat, 1e-8), got[i], f"{shape} single call {i}")
+            _same(kernel_basis(mat), got[i], f"{shape} single call {i}")
     mixed = rng.standard_normal((3, 2, 4))
     mixed[1, 1] = mixed[1, 0]  # rank 1 in one slice only
     with pytest.raises(ValueError, match="differ across the stack"):
@@ -661,11 +661,14 @@ def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
     with pytest.raises(NonFiniteError) as raised:
         verify_submersion(lift_frames(scen, xs, _fibre(scen)))
     assert str(raised.value) == str(error)
-    # the base frames alone, as the main theorem reads them, do not fail
+    # the main theorem reads only the base frames, which do not fail
     assert verify_main_theorem(lift_frames(scen, xs)).passed
+    # but a run builds one table, its fibre frames included, whichever
+    # suites it asks for, so the main-theorem suite alone fails as well
     monkeypatch.setattr(cli, "resolve_scenario", lambda name: scen)
-    assert main(["verify", "hopf"]) == 2
-    assert capsys.readouterr().err == f"error: {error}\n"
+    for suites in ("structures,action,reduction,main-theorem", "main-theorem"):
+        assert main(["verify", "hopf", "--suites", suites]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 # --- no points ----------------------------------------------------------------

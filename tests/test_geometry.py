@@ -549,19 +549,19 @@ def test_fd_directional_refuses_no_directions():
 
 def test_kernel_basis_rank_one_row():
     # kernel of the momentum differential of the circle scenario at the pole
-    basis = kernel_basis(np.array([[1.0, 0.0, 0.0, 0.0]]), 1e-8)
+    basis = kernel_basis(np.array([[1.0, 0.0, 0.0, 0.0]]))
     assert basis.shape == (4, 3)
     assert np.max(np.abs(basis[0])) < 1e-14
     np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
 
 
 def test_kernel_basis_trivial_and_full():
-    assert kernel_basis(np.eye(2), 1e-8).shape == (2, 0)
-    full = kernel_basis(np.zeros((2, 2)), 1e-8)
+    assert kernel_basis(np.eye(2)).shape == (2, 0)
+    full = kernel_basis(np.zeros((2, 2)))
     assert full.shape == (2, 2)
     np.testing.assert_allclose(full.T @ full, np.eye(2), atol=1e-14)
     # no rows at all: every direction is in the kernel
-    assert kernel_basis(np.zeros((0, 3)), 1e-8).shape == (3, 3)
+    assert kernel_basis(np.zeros((0, 3))).shape == (3, 3)
 
 
 def test_kernel_basis_residual_property():
@@ -569,7 +569,7 @@ def test_kernel_basis_residual_property():
     for _ in range(25):
         m, n, rank = rng.integers(1, 6), rng.integers(2, 7), 0
         a = rng.standard_normal((m, n))
-        basis = kernel_basis(a, 1e-8)
+        basis = kernel_basis(a)
         smax = np.linalg.svd(a, compute_uv=False)[0]
         assert basis.shape == (n, max(n - m, 0))
         for j in range(basis.shape[1]):

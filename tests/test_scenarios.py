@@ -1,5 +1,6 @@
 """Scenario file parsing, validation and the built-in registry."""
 
+import hashlib
 import re
 import tracemalloc
 from collections import Counter
@@ -11,6 +12,7 @@ from symred import exprlang, scenarios
 from symred.actions import apply_flow
 from symred.errors import NonFiniteError, ParseError, UnknownScenarioError, ValidationError
 from symred.geometry import ChartPoint, eval_field
+from symred.reduction import SampleSpec
 from symred.scenarios import (
     MAX_SAMPLES,
     builtin,
@@ -166,6 +168,7 @@ def test_tolerance_and_sample_keys():
     sf = parse_scenario(text)
     assert sf.tolerances == {"reduction.identity": 1e-4}
     assert sf.sample_spec.count == 7 and sf.sample_spec.seed == 3
+    assert parse_scenario(MINIMAL).sample_spec == SampleSpec()  # no sample keys: the defaults
     scen = compile_scenario(sf)
     assert scen.tolerances["reduction.identity"] == 1e-4
 
@@ -234,6 +237,26 @@ def test_builtin_text_round_trips_through_parser():
     for name in builtin_names():
         sf = parse_scenario(builtin_text(name))
         assert sf.name == name
+
+
+# SHA-256 of builtin_text("euclidean_r2n", planes), planes 1-8: the text is
+# written to a scenario file by the benchmark, so it stays byte for byte
+_EUCLIDEAN_TEXT_SHA256 = {
+    1: "9ad9e81bae14c10be0f26351f85df47a241136d248bf0b0c33cdb945dd84d5c7",
+    2: "4bd83fa574a7355b0ade9296d8d220cf3bb8457453cab166a5a9276273546ae1",
+    3: "08499371dd0c1aa365bf2ee5e7e508796c8ee9be1d6a5fb0787244163d13b652",
+    4: "70ad1de4ea925374dc417d7b5600f5da43c88c61191650ab8e7718266305035c",
+    5: "cbd7a632b5b02fe85d07eb9e7683d62dc802eea3451a7dc9cd5cc3770501d4fc",
+    6: "a5bbcad3eb0bc901655dd1c10e4630780d197faedea5aebe11bd13ab8a40e1df",
+    7: "ba1e5e64f005418702890bc035a6f28496892ee68ba47e973105fc1aa97bb1d1",
+    8: "fa89b01a6e8849b1d0ebd30a6712db6dd73a9a38015e0105e792093f0473279c",
+}
+
+
+@pytest.mark.parametrize("planes", sorted(_EUCLIDEAN_TEXT_SHA256))
+def test_euclidean_text_is_pinned_byte_for_byte(planes):
+    text = builtin_text("euclidean_r2n", planes)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _EUCLIDEAN_TEXT_SHA256[planes]
 
 
 _FIELD_CHECK = """
