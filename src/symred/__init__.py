@@ -31,7 +31,6 @@ from .errors import (
     VerticalLeakWarning,
 )
 from .geometry import (
-    ChartPoint,
     TensorField,
     eval_field,
     fd_directional,

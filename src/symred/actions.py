@@ -16,8 +16,7 @@ k, so a failing stack raises the first error its program meets across all
 entries.
 
 ``apply_flow``, ``generator`` and ``momentum_jacobian`` take an (N, n)
-array of points, one point being a stack of one
-(``geometry.takes_points``), and evaluate all rows in one flow or
+array of points, and nothing else, and evaluate all rows in one flow or
 derivative batch, as every check does, the k generators one (N, n, k)
 batch; ``pushforward_table`` builds the flow Jacobians and the moved
 points of all P * N (parameter, point) pairs in one derivative batch, and
@@ -39,19 +38,18 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .geometry import (
-    ChartPoint,
     RowMap,
     TensorField,
     as_points,
     eval_field,
     fd_directional,
-    takes_points,
     _derivative,
     _evaluate_rows,
     _finite,
     _require_finite,
     _row_max_abs,
     _row_norms,
+    _stack,
 )
 from .structures import DEFAULT_TOLERANCES, StructureCheckResult, _sampled
 
@@ -100,11 +98,12 @@ class GroupAction:
     ``flow`` is a RowMap from rows (chart point, parameter vector in the
     exponential chart) to the moved points; a per-point callable
     ``flow(params, p)`` is wrapped on construction and called once per row
-    with the parameters and a ChartPoint.
+    with the parameters and the point, read-only 1-D float arrays
+    (``RowMap.per_row``).
     """
 
     group_dim: int
-    flow: RowMap  # given as a RowMap or as a (params, ChartPoint) -> point callable
+    flow: RowMap  # given as a RowMap or as a (params, point) -> point callable
 
     def __post_init__(self):
         if self.group_dim < 1:
@@ -112,7 +111,7 @@ class GroupAction:
         if not isinstance(self.flow, RowMap):
             flow, k = self.flow, self.group_dim
             object.__setattr__(self, "flow", RowMap.per_row(
-                lambda z: flow(z[len(z) - k:], ChartPoint(z[:len(z) - k]))))
+                lambda z: flow(z[len(z) - k:], z[:len(z) - k])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +135,11 @@ class MomentumMap:
         return self.field.shape[0]
 
 
-@takes_points(2, row=lambda moved: ChartPoint(moved[0]))
 def apply_flow(action: GroupAction, params, X):
     """The rows of the (N, n) array X moved by the group element ``params``,
     a vector of k finite parameters, the (N, n) array of moved points from
-    one flow batch; one point moved comes back as a ChartPoint."""
-    return _flow(action, _pairs(X, _group_parameter(action, params)))
+    one flow batch."""
+    return _flow(action, _pairs(_stack(X), _group_parameter(action, params)))
 
 
 def _flow(action: GroupAction, rows: np.ndarray, seeds: np.ndarray | None = None):
@@ -210,25 +208,23 @@ def pushforward_table(action: GroupAction, params, points) -> PushforwardTable:
     return PushforwardTable(action, D.reshape(P, N, n, n), moved.reshape(P, N, n), X, prm)
 
 
-@takes_points(1)
 def generator(action: GroupAction, X) -> np.ndarray:
     """The generators d/dt flow(t e_i, p) at t = 0 of the k algebra basis
     elements e_i at each row p of the (N, n) array X, as the columns of an
     (N, n, k) stack from one derivative batch of the flow in its k group
-    parameters; at one point, the n x k matrix."""
-    n, k = X.shape[1], action.group_dim
+    parameters."""
+    n, k = _stack(X).shape[1], action.group_dim
     _, V = _flow(action, _pairs(X, np.zeros(k)), np.eye(n + k, k, -n))
     if V.shape[1] != n:
         raise ValueError(f"generator length {V.shape[1:-1]} does not match chart dimension {n}")
     return _require_finite(V, "generator")
 
 
-@takes_points(1)
 def momentum_jacobian(mu: MomentumMap, X) -> np.ndarray:
     """d mu at each row of the (N, n) array X, the (N, k, n) stack from one
     derivative batch along the coordinate axes, row i of each matrix the
-    gradient of mu's i-th entry; at one point, that k x n matrix."""
-    return fd_directional(mu.field, X, np.eye(X.shape[1]))
+    gradient of mu's i-th entry."""
+    return fd_directional(mu.field, X, np.eye(_stack(X).shape[1]))
 
 
 def check_action_axioms(table: PushforwardTable,
@@ -255,14 +251,15 @@ def check_action_axioms(table: PushforwardTable,
         "action axioms", _row_max_abs(residuals), X, tol, IDENTITY_AXIOMS)
 
 
-def _invariance_check(name, identity, residual, value, table: PushforwardTable, tol):
+def _invariance_check(name, identity, residual, field_, table: PushforwardTable, tol):
     """Shared body of the invariance checks: per point of ``table``, the
     largest entry of residual(D, F(p), F(Phi_a(p))) over all of its
-    parameters a, stacked parameter outer, F being ``value``, read at the
-    points and at all moved points in one call each."""
+    parameters a, stacked parameter outer, F being the field ``field_``,
+    evaluated at the points and at all moved points in one call each."""
     D, moved = table.D, table.moved
-    there = value(moved.reshape(-1, moved.shape[2]))
-    diff = residual(D, value(table.points), there.reshape(moved.shape[:2] + there.shape[1:]))
+    there = eval_field(field_, moved.reshape(-1, moved.shape[2]))
+    here = eval_field(field_, table.points)
+    diff = residual(D, here, there.reshape(moved.shape[:2] + there.shape[1:]))
     return StructureCheckResult.from_samples(
         name, _row_max_abs(diff.swapaxes(0, 1)), table.points, tol, identity)
 

@@ -1,11 +1,11 @@
 """Charts, evaluable tensor fields, derivatives, and the small dense
 linear-algebra kit used by every other module.
 
-A chart point is a ``ChartPoint``, and a sample of points (``sample_box``,
-``sample_ball``) the rows of one (N, d) array, the only shape of array
-``as_points`` accepts; a tangent vector is a plain component array, and a
-frame or basis of tangent vectors (``kernel_basis``, ``_gram_schmidt``) is
-a matrix whose columns are the vectors.
+A chart point is a row of an (N, d) float array, and a sample of points
+(``sample_box``, ``sample_ball``) the rows of one such array; a tangent
+vector is a plain component array, and a frame or basis of tangent vectors
+(``kernel_basis``, ``_gram_schmidt``) is a matrix whose columns are the
+vectors.
 
 Everything here is pure and immutable: evaluating a field or a derivative
 never mutates shared state, so concurrent use needs no synchronization, and
@@ -22,11 +22,11 @@ differences with the one step ``FD_STEP`` (1e-5), which only
 Every path works on stacks: ``eval_field``, ``fd_jacobian`` and
 ``fd_directional`` take an (N, d) array of points, and ``kernel_basis``,
 ``_gram_schmidt`` and ``spd_sqrt`` a stack of matrices.
-A stack of points holds at least one point, checked where points enter
-(``as_points``, ``takes_points``): an identity checked at no point proves
-nothing.  One point becomes a stack of one in one place, ``takes_points``,
-and the caller gets row 0 back; a non-finite row of a stack raises what a
-non-finite ChartPoint raises.  A frame, not a vector, is one slice of
+A public function takes its points as one (N, d) array of N >= 1 rows and
+refuses anything else, a flat vector or no points, with ValueError where
+they enter (``_stack``, which ``as_points`` shares): an identity checked at
+no point proves nothing.  A non-finite row raises NonFiniteError where the
+rows are evaluated.  A frame, not a vector, is one slice of
 each stacked product: a frame's columns are multiplied as one matrix, and
 their pairings and norms are read off the diagonal of one product such as
 ``W^T G W``.  Stacked results are the bits of the per-frame calls: stacked
@@ -51,7 +51,8 @@ the same bits.  An exact derivative that is not finite raises
 NonFiniteError naming the map and its first such row.  Every map is a
 ``RowMap``, whose ``rows`` evaluates all rows of an array; a user's
 per-point callable is wrapped into one where it enters the package
-(``as_row_map``) and called once per row with a ChartPoint.  A compiled scenario map runs its program
+(``as_row_map``) and called once per row with the row, a read-only 1-D
+float array of a copy of the batch.  A compiled scenario map runs its program
 once per batch, on the coordinate columns, each operation one numpy kernel
 (``exprlang``), so each row has the bits of running it on that row alone.
 Every stack runs once: a failing stack raises the first error its batch
@@ -59,7 +60,8 @@ meets, in the order the batch computes, naming the first row that fails
 that step.  Where one row fails, that is the error of the row alone.
 
 Evaluation stays cheap on success: ``eval_field`` formats a point into its
-error message only when a value is non-finite.
+error message (``point [...]``, every coordinate on one line) only when a
+value is non-finite.
 The samplers read only ``random()`` of a ``random.Random`` (``sample_stream``),
 whose sequence Python keeps across versions, so a box point has the same
 bits everywhere.  ``sample_ball`` draws each point directly, a Box-Muller
@@ -69,11 +71,10 @@ dimension q; its log, cos, sin and sqrt may round by an ulp per libm.
 
 from __future__ import annotations
 
-import functools
 import operator
 import random
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -81,8 +82,6 @@ import numpy as np
 from .errors import DegenerateInputError, NonFiniteError, NotSPDError
 
 __all__ = [
-    "ChartPoint",
-    "as_point",
     "as_points",
     "RowMap",
     "as_row_map",
@@ -101,35 +100,24 @@ __all__ = [
 ]
 
 
-def as_coords(obj) -> np.ndarray:
-    """Coordinate vector of a ChartPoint or array-like."""
-    if isinstance(obj, ChartPoint):
-        return obj.coords
-    return np.asarray(obj, dtype=float)
-
-
-def as_point(obj) -> ChartPoint:
-    """``obj`` itself if it is a ChartPoint, else a ChartPoint of its coordinates."""
-    return obj if isinstance(obj, ChartPoint) else ChartPoint(as_coords(obj))
-
-
 def as_points(points) -> np.ndarray:
     """The points as the rows of an (N, d) array: an (N, d) array as it is,
-    a sequence of ChartPoints or coordinate vectors stacked.  No points, an
-    empty sequence included, and points of any other shape, a flat array
-    included, raise ValueError; a non-finite row raises NonFiniteError, as
-    a ChartPoint of it would."""
+    a sequence of coordinate vectors stacked.  Points of another shape, a
+    flat array included, and no points, an empty sequence included, raise
+    ValueError (``_stack``); a non-finite row raises NonFiniteError."""
     if not isinstance(points, np.ndarray):
-        rows = [as_coords(p) for p in points]
+        rows = [np.asarray(p, dtype=float) for p in points]
         points = np.array(rows, dtype=float) if rows else np.zeros((0, 0))
-    if points.ndim != 2:
-        raise ValueError(f"points must be an (N, d) array, got shape {points.shape}")
-    return _require_finite(_some_points(points), "chart point")
+    return _require_finite(_stack(points), "chart point")
 
 
-def _some_points(X: np.ndarray) -> np.ndarray:
-    """X if it has a row; no points would make any check over them pass
-    vacuously, so they raise ValueError."""
+def _stack(X) -> np.ndarray:
+    """X if it is an (N, d) array of N >= 1 rows, the one shape of points a
+    public function takes; else ValueError.  No points would make any check
+    over them pass vacuously."""
+    if not (isinstance(X, np.ndarray) and X.ndim == 2):
+        got = f"shape {X.shape}" if isinstance(X, np.ndarray) else f"a {type(X).__name__}"
+        raise ValueError(f"points must be an (N, d) array, got {got}")
     if not len(X):
         raise ValueError("points must hold at least one point, got none")
     return X
@@ -141,62 +129,19 @@ def _require_finite(a: np.ndarray, what: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class ChartPoint:
-    """A point of one fixed coordinate chart, held as a flat real vector."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coords, dtype=float, ndmin=1)  # always a private copy
-        if c.ndim != 1:
-            raise ValueError(f"chart point needs a flat coordinate vector, got shape {c.shape}")
-        _require_finite(c, "chart point")
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def __repr__(self) -> str:
-        text = np.array2string(self.coords, separator=", ", max_line_width=sys.maxsize)
-        return f"ChartPoint({text})"
+def _point_text(x) -> str:
+    """``point [...]`` with every coordinate of the point x, on one line,
+    for error messages."""
+    coords = np.asarray(x, dtype=float)
+    return "point " + np.array2string(coords, separator=", ", max_line_width=sys.maxsize)
 
 
-def _first_row(value):
-    """Row 0 of a stacked result: of an array, a float if it is one number;
-    of a dataclass led by its points (a split, reduced structures), the
-    first point as a ChartPoint and the first row of every other field."""
-    if isinstance(value, np.ndarray):
-        return float(value[0]) if value.ndim == 1 else value[0]
-    points, *stacks = (getattr(value, f.name) for f in fields(value))
-    return type(value)(ChartPoint(points[0]), *(a[0] for a in stacks))
-
-
-def takes_points(position: int, row: Callable = _first_row):
-    """Decorator for a function whose argument ``position`` is an (N, d)
-    array of points: the one place where a single point becomes a stack.
-
-    An (N, d) array of N >= 1 points is passed as it is, its rows checked
-    where they are evaluated (``_evaluate_rows``); no points raise
-    ValueError, as ``as_points`` raises.  One point, a ChartPoint or a flat
-    coordinate vector, is checked as a ChartPoint and passed as a stack of
-    one, and the call returns ``row`` of the result.
-    """
-    def decorate(fn):
-        @functools.wraps(fn)
-        def public(*args, **kwargs):
-            p = args[position]
-            one = not (isinstance(p, np.ndarray) and p.ndim == 2)
-            X = as_point(p).coords[np.newaxis] if one else _some_points(p)
-            out = fn(*args[:position], X, *args[position + 1:], **kwargs)
-            return row(out) if one else out
-        return public
-    return decorate
+def _read_only_rows(X: np.ndarray) -> np.ndarray:
+    """A read-only float copy of X, whose rows a per-point callable reads:
+    the callable can change neither them nor the caller's array."""
+    rows = np.array(X, dtype=float)
+    rows.flags.writeable = False
+    return rows
 
 
 class RowMap:
@@ -204,8 +149,7 @@ class RowMap:
 
     ``rows(X)`` takes an (N, d) array whose rows are points and returns the
     (N, *shape) array of their values, doing for each row exactly what a
-    call on that one row does.  Calling the map runs ``rows`` on an (N, d)
-    array, or on one point as a stack of one (``takes_points``).
+    call on that one row does.
 
     ``tangents``, if the map has one, gives exact derivatives:
     ``tangents(X, seeds)`` is the pair of the values, the bits of
@@ -224,20 +168,18 @@ class RowMap:
         self.tangents = tangents
         self.name = name
 
-    @takes_points(1)
-    def __call__(self, X):
-        return self.rows(X)
-
     @staticmethod
     def per_row(value: Callable[[np.ndarray], object]) -> "RowMap":
-        """The RowMap calling ``value`` on each row in order."""
-        return RowMap(lambda X: np.array([as_coords(value(x)) for x in X], dtype=float))
+        """The RowMap calling ``value`` on each row in order, a read-only
+        1-D float array (``_read_only_rows``)."""
+        return RowMap(lambda X: np.array(
+            [np.asarray(value(x), dtype=float) for x in _read_only_rows(X)], dtype=float))
 
 
 def as_row_map(f) -> RowMap:
     """``f`` itself if it is a RowMap, else the RowMap calling ``f`` once per
-    row with a ChartPoint of the row."""
-    return f if isinstance(f, RowMap) else RowMap.per_row(lambda x: f(ChartPoint(x)))
+    row with the row, a read-only 1-D float array."""
+    return f if isinstance(f, RowMap) else RowMap.per_row(f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +194,7 @@ class TensorField:
     """
 
     shape: tuple[int, ...]
-    func: RowMap  # given as a RowMap or as a ChartPoint -> value callable
+    func: RowMap  # given as a RowMap or as a per-point callable of a 1-D array
     name: str = ""
 
     def __post_init__(self):
@@ -283,18 +225,13 @@ class TensorField:
             rows, lambda X, seeds: (rows(X), np.zeros((len(X), *arr.shape, seeds.shape[1])))),
             name)
 
-    def __call__(self, p):
-        return eval_field(self, p)
 
-
-@takes_points(1)
-def eval_field(field: TensorField, X: np.ndarray) -> np.ndarray | float:
+def eval_field(field: TensorField, X: np.ndarray) -> np.ndarray:
     """Evaluate ``field`` at the rows of the (N, d) array X, checking shape
     and finiteness: the (N, *shape) values from one ``rows`` call, a
-    failing batch raising the first error it meets.  At one point, the value
-    there: a plain float for a scalar field, else an ndarray.
+    failing batch raising the first error it meets.
     """
-    return _evaluate_rows(field.func, X, _field_check(field))
+    return _evaluate_rows(field.func, _stack(X), _field_check(field))
 
 
 def _field_check(field: TensorField) -> Callable:
@@ -322,7 +259,7 @@ def _finite_rows(values: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
     failure."""
     if not np.isfinite(values).all():
         finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
-        bad = ChartPoint(rows[int(np.argmin(finite))])
+        bad = _point_text(rows[int(np.argmin(finite))])
         raise NonFiniteError(f"{what} at {bad} contains non-finite entries")
     return values
 
@@ -355,7 +292,7 @@ def _evaluate_rows(f: RowMap, points: np.ndarray, check: Callable) -> np.ndarray
     """The values of a map at every row of ``points`` from one ``rows``
     call, as ``check(values, points)`` returns them; ``check`` raises for
     values it refuses, and a non-finite row of ``points`` (a stencil row
-    may overflow) raises as a ChartPoint of it would."""
+    may overflow) raises NonFiniteError."""
     return check(f.rows(_require_finite(points, "chart point")), points)
 
 
@@ -390,7 +327,6 @@ def _derivative(f: RowMap, X: np.ndarray, seeds: np.ndarray, check: Callable,
     return values[:, 0], _differences(values[:, 1:], h)
 
 
-@takes_points(1)
 def fd_jacobian(chart_map, X, *, step: float = FD_STEP) -> np.ndarray:
     """Jacobian matrices of a chart-to-chart map at the rows of the (N, n)
     array X, as the (N, m, n) stack: exact for a map with ``tangents`` (a
@@ -405,24 +341,23 @@ def fd_jacobian(chart_map, X, *, step: float = FD_STEP) -> np.ndarray:
     """
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    N, n = X.shape
+    N, n = _stack(X).shape
     values, D = _derivative(as_row_map(chart_map), X, np.eye(n), _finite("map value"), step)
     return D.reshape(N, int(np.prod(values.shape[1:])), n)
 
 
-@takes_points(1)
-def fd_directional(field: TensorField, X, direction) -> np.ndarray | float:
+def fd_directional(field: TensorField, X, direction) -> np.ndarray:
     """Directional derivatives of a tensor field (unnormalized) at the rows
     of the (N, n) array X, from one batch, as ``fd_jacobian``: along one
     vector ``direction``, the (N, *shape) stack; along each column of an
     (n, s) matrix of directions, the (N, *shape, s) stack, so the identity
     gives every partial at once.  A zero direction, or a matrix of no
     directions, raises DegenerateInputError."""
-    d = as_coords(direction)
+    d = np.asarray(direction, dtype=float)
     directions = d[:, np.newaxis] if d.ndim == 1 else d
     if not directions.shape[1] or not (_row_norms(directions.T) > 0).all():
         raise DegenerateInputError("directional derivative needs a nonzero direction")
-    _, D = _derivative(field.func, X, directions, _field_check(field))
+    _, D = _derivative(field.func, _stack(X), directions, _field_check(field))
     return D[..., 0] if d.ndim == 1 else D
 
 
@@ -579,7 +514,8 @@ def sample_ball(dim: int, count: int, radius: float = 2.0, seed=0) -> np.ndarray
     radius * w^(1/dim) (Muller, CACM 1959): ``count * dim`` normals, each
     point's from ceil(dim / 2) pairs (u, v) of uniforms as
     sqrt(-2 log(1 - u)) * (cos, sin)(2 pi v) (Box & Muller, Ann. Math.
-    Statist. 1958), then ``count`` uniforms w.
+    Statist. 1958), then ``count`` uniforms w.  At ``dim == 0`` every point
+    is the empty vector and nothing is drawn.
     """
     rng = sample_stream(seed)
     if dim == 0:

@@ -3,9 +3,9 @@ charted almost complex manifolds.
 
 Coordinates are interleaved (x1, y1, ..., xn, yn), matching the standard
 identification of complex n-space with real 2n-space.  Residuals are
-reported for every row of an (N, 2n) array of points at once; one point is
-a stack of one (``geometry.takes_points``), its residual a float.  A stack
-that fails raises the first error its batch meets.
+reported for every row of an (N, 2n) array of points at once, the only
+shape of points either residual takes.  A stack that fails raises the
+first error its batch meets.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .geometry import (
     as_row_map,
     eval_field,
     fd_jacobian,
-    takes_points,
     _require_finite,
     _row_max_abs,
     _row_norms,
@@ -48,7 +47,7 @@ class ChartedMap:
     difference stencil is one row batch.
     """
 
-    chart_map: RowMap  # given as a RowMap or as a ChartPoint -> point callable
+    chart_map: RowMap  # given as a RowMap or as a per-point callable of a 1-D array
     source_acs: TensorField
     target_acs: TensorField
 
@@ -68,8 +67,7 @@ def _target_acs(cm: ChartedMap, X: np.ndarray) -> np.ndarray:
     return eval_field(cm.target_acs, Y)
 
 
-@takes_points(1)
-def almost_complex_residual(cm: ChartedMap, X):
+def almost_complex_residual(cm: ChartedMap, X) -> np.ndarray:
     """Frobenius norm of D J1(p) - J2(phi(p)) D with D the map differential,
     at every row p of the (N, 2n) array X.
 
@@ -83,8 +81,7 @@ def almost_complex_residual(cm: ChartedMap, X):
     return _row_norms((D @ J1 - J2 @ D).reshape(len(X), -1))
 
 
-@takes_points(1)
-def cauchy_riemann_residual(cm: ChartedMap, X):
+def cauchy_riemann_residual(cm: ChartedMap, X) -> np.ndarray:
     """Worst Cauchy-Riemann defect over all coordinate pairs.
 
     Writing the map components as (a_j, b_j) per target plane and the source

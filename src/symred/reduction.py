@@ -2,7 +2,8 @@
 reduced symplectic form and metric through horizontal lifts, the candidate
 reduced almost complex structure, and the verification pipelines for the
 submersion, the pullback identity and the main equivalence.  A scenario's
-chart dimension is omega's, and a point of its section is ``scen.section(x)``.
+chart dimension is omega's, and the section points of the rows of an (N, q)
+array X of quotient points are ``scen.section.rows(X)``.
 
 Every subspace is held as a matrix whose columns span it, and all three
 reduced objects at a quotient point come from one lift frame
@@ -18,9 +19,8 @@ once, and ``lift_frames`` builds every frame of a verification, the base
 frames and the moved frames of every fibre parameter, in one batch when
 the table is made, each map's values riding with its derivatives in one
 batch; ``reduced_structures`` reduces an (N, q) array of
-quotient points from the base frames of such a table.  One point is a
-stack of one (``geometry.takes_points``), whose result is the split or
-the reduced structures at that point.  Every frame is the bits of
+quotient points from the base frames of such a table.  Both take an (N, d)
+array and nothing else.  Every frame is the bits of
 building it alone.  A batch runs once: one that fails raises the first
 error it meets, in the order it computes (the section, the flow, then
 ``split_tangent``'s checks and the lifts' rank), naming the first frame
@@ -64,7 +64,6 @@ from .errors import (
 )
 from .geometry import (
     RANK_TOL,
-    ChartPoint,
     RowMap,
     TensorField,
     as_points,
@@ -72,7 +71,6 @@ from .geometry import (
     eval_field,
     kernel_basis,
     max_abs,
-    takes_points,
     _derivative,
     _field_check,
     _finite,
@@ -80,9 +78,11 @@ from .geometry import (
     _g_norms,
     _gram_schmidt,
     _null_columns,
+    _point_text,
     _ranks,
     _row_max_abs,
     _row_norms,
+    _stack,
 )
 from .report import VerificationReport
 from .structures import DEFAULT_TOLERANCES, StructureCheckResult
@@ -148,7 +148,7 @@ class ReductionScenario:
     acs: TensorField
     action: GroupAction
     mu: MomentumMap
-    section: RowMap  # given as a RowMap or as a quotient ChartPoint -> point callable
+    section: RowMap  # given as a RowMap or as a per-point callable of a quotient point
     tolerances: dict = field(default_factory=dict)
     sample_spec: SampleSpec = SampleSpec()
 
@@ -182,10 +182,9 @@ class SplitTangentSpace:
     the ambient metric at ``base``; the horizontal columns are combinations
     of the level columns.  The momentum Jacobian and the generators it was
     split with are kept.  Split at an (N, n) array of points, every array
-    has a leading axis of length N and ``base`` is that array; split at one
-    point, ``base`` is that ChartPoint."""
+    has a leading axis of length N and ``base`` is that array."""
 
-    base: ChartPoint | np.ndarray
+    base: np.ndarray
     metric: np.ndarray
     level: np.ndarray       # n x (n-k)
     vertical: np.ndarray    # n x k
@@ -196,17 +195,16 @@ class SplitTangentSpace:
 
 @dataclass(frozen=True, eq=False)
 class ReducedStructures:
-    """Reduced metric, symplectic form and almost-complex candidate at one
-    quotient chart point; at an (N, q) array of them, every array has a
-    leading axis of length N and ``point`` is that array."""
+    """Reduced metric, symplectic form and almost-complex candidate at an
+    (N, q) array of quotient chart points: every array has a leading axis
+    of length N and ``point`` is that array."""
 
-    point: ChartPoint | np.ndarray
+    point: np.ndarray
     h_beta: np.ndarray
     omega_beta: np.ndarray
     j_beta: np.ndarray
 
 
-@takes_points(1)
 def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     """Split the level-set tangent space at every row of the (N, n) array M
     into vertical and horizontal.
@@ -229,18 +227,18 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     """
     n, k = scen.chart_dim, scen.action.group_dim
     mu = scen.mu.field
-    values, Jmu = _derivative(mu.func, M, np.eye(n), _field_check(mu))
+    values, Jmu = _derivative(mu.func, _stack(M), np.eye(n), _field_check(mu))
     gaps = _row_norms(values - scen.mu.beta)
     i = _first(gaps >= LEVEL_TOL)
     if i is not None:
-        raise NotOnLevelError(f"{ChartPoint(M[i])} is off the level set: "
+        raise NotOnLevelError(f"{_point_text(M[i])} is off the level set: "
                               f"|mu(m) - beta| = {gaps[i]:.3e} exceeds {LEVEL_TOL:.1e}")
 
     ranks, vt = _ranks(Jmu)
     i = _first(ranks != k)
     if i is not None:
         raise NotRegularValueError(f"kernel of d mu has dimension {n - ranks[i]} at "
-                                   f"{ChartPoint(M[i])}, expected {n - k}")
+                                   f"{_point_text(M[i])}, expected {n - k}")
     level = _null_columns(vt, k)
 
     V = generator(scen.action, M)
@@ -273,7 +271,7 @@ def _refuse(error: type, what: str, dim: int, M: np.ndarray):
     """The ``_gram_schmidt`` refusal: ``error`` for a frame, ``what``, that
     loses a column at a row of M, so it has fewer than ``dim`` columns there."""
     return lambda slices: error(f"{what} degenerates to dimension below {dim} "
-                                f"at {ChartPoint(M[_first(slices)])}")
+                                f"at {_point_text(M[_first(slices)])}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +331,7 @@ def _lift_frames(scen: ReductionScenario, X: np.ndarray, fiber_params: np.ndarra
         i = _first(sv[:, -1] <= RANK_TOL * np.where(sv[:, 0] > 1.0, sv[:, 0], 1.0))
         if i is not None:
             raise RankDeficientLiftError(
-                f"projection differential is not invertible on H at {ChartPoint(M[i])} "
+                f"projection differential is not invertible on H at {_point_text(M[i])} "
                 f"(singular values {sv[i]})"
             )
     return _LiftFrames(split, lifts, Om, J, htg, htg @ lifts, pushforward)
@@ -400,7 +398,6 @@ def _reduced(f: _LiftFrames):
             _ratio(_g_norms(v_coef), scale), _ratio(_g_norms(normal, G), scale))
 
 
-@takes_points(1)
 def reduced_structures(scen: ReductionScenario, X) -> ReducedStructures:
     """Reduced metric h_x(v, w) = g(lift v, lift w), reduced symplectic form
     omega_red(v, w) = omega(lift v, lift w) and the pushforward candidate for
@@ -415,16 +412,16 @@ def reduced_structures(scen: ReductionScenario, X) -> ReducedStructures:
     candidate is still returned so the equivalence check can quantify both
     branches.
     """
-    f = lift_frames(scen, X).base
+    f = lift_frames(scen, _stack(X)).base
     h, w, j_red, _, normal_leak = _reduced(f)
     leak = _row_max_abs(normal_leak)
     i = _first(leak > LEAK_WARNING_TOL)
     if i is not None:
         warnings.warn(
             f"J applied to a horizontal lift leaves the level tangent space "
-            f"by {leak[i]:.3e} at {ChartPoint(f.split.base[i])}",
+            f"by {leak[i]:.3e} at {_point_text(f.split.base[i])}",
             VerticalLeakWarning,
-            stacklevel=3,  # the caller of the public function, past takes_points
+            stacklevel=2,
         )
     return ReducedStructures(point=X, h_beta=h, omega_beta=w, j_beta=j_red)
 

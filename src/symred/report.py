@@ -20,7 +20,6 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import ChartPoint
 from .structures import StructureCheckResult
 
 __all__ = ["VerificationReport", "check_to_dict", "check_from_dict"]
@@ -33,8 +32,6 @@ def _jsonable(value):
         return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, ChartPoint):
-        return list(value.coords)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -123,16 +120,7 @@ def _text(value, pad: str) -> str:
             return _text(item, pad)
     if kind is np.ndarray and value.ndim:
         return _text(value.tolist(), pad)
-    if kind is ChartPoint:
-        return _point_text(value, pad)
     return _dumped(_jsonable(value), pad)
-
-
-def _point_text(point: ChartPoint, pad: str) -> str:
-    """The coordinates as json.dumps writes ``list(point.coords)``: a
-    non-finite one raises json's ValueError."""
-    coords = point.coords.tolist()
-    return _floats_text(coords, pad) or _dumped(list(point.coords), pad)
 
 
 def _check_fields(check: StructureCheckResult) -> dict:
@@ -159,7 +147,7 @@ def check_from_dict(d: dict) -> StructureCheckResult:
         name=d["name"],
         max_residual=float(d["max_residual"]),
         tolerance=d["tolerance"],  # StructureCheckResult refuses a bool
-        worst_point=None if worst is None else ChartPoint(worst),
+        worst_point=None if worst is None else tuple(map(float, worst)),
         identity=d.get("identity", ""),
         extras=dict(d.get("extras", {})),
     )
@@ -246,7 +234,7 @@ class VerificationReport:
                        f"  {status}   [{c.identity}]")
                 lines.append(row)
                 if not c.passed and c.worst_point is not None:
-                    coords = np.array2string(c.worst_point.coords, precision=6,
+                    coords = np.array2string(np.array(c.worst_point), precision=6,
                                              max_line_width=sys.maxsize)
                     lines.append(f"{pad}    worst point: {coords}")
             for child in report.children:

@@ -20,10 +20,8 @@ import numpy as np
 
 from .errors import NotSPDError, OddDimensionError
 from .geometry import (
-    ChartPoint,
     RowMap,
     TensorField,
-    as_point,
     as_points,
     eval_field,
     fd_directional,
@@ -113,7 +111,7 @@ class StructureCheckResult:
     name: str
     max_residual: float
     tolerance: float
-    worst_point: ChartPoint | None
+    worst_point: tuple[float, ...] | None  # the coordinates of the worst point
     identity: str = ""
     extras: dict = field(default_factory=dict)
 
@@ -128,13 +126,15 @@ class StructureCheckResult:
     @staticmethod
     def from_samples(name, residuals, points, tolerance, identity="", extras=None):
         """Aggregate per-point residuals into their max and its point.
-        ``points`` is an (N, d) array or a sequence; only the worst is made a ChartPoint.
-        No residuals would pass vacuously, so they raise ValueError."""
+        ``points`` is an (N, d) array or a sequence; only the worst is made a
+        tuple of floats.  No residuals would pass vacuously, so they raise
+        ValueError."""
         residuals = np.asarray(residuals, dtype=float).reshape(-1)
         if not len(residuals):
             raise ValueError(f"{name}: no residuals to check")
         worst = int(np.argmax(residuals))
-        worst_point = as_point(points[worst]) if worst < len(points) else None
+        worst_point = (tuple(np.asarray(points[worst], dtype=float).tolist())
+                       if worst < len(points) else None)
         return StructureCheckResult(
             name, float(residuals[worst]), tolerance, worst_point, identity, extras or {})
 

@@ -17,7 +17,6 @@ from symred.cli import RunConfig, main, run
 from symred.errors import ParseError, ValidationError
 from symred.exprlang import eval_expr, format_expr, parse_expression
 from symred.geometry import (
-    ChartPoint,
     TensorField,
     eval_field,
     fd_jacobian,
@@ -41,12 +40,14 @@ from symred.structures import (
 )
 
 from util import (
+    one,
     oracle_compatible_acs,
     random_expr,
     random_symplectic_metric_pair,
     reference_omega_endomorphism,
     round_sphere_metric,
     round_sphere_symplectic,
+    row0,
 )
 
 HOPF = builtin("hopf")
@@ -64,7 +65,7 @@ def _line(num, desc, ok):
 def test_criterion_01_hopf_reduced_structures_match_closed_form():
     worst_h = worst_w = 0.0
     for x in sample_ball(HOPF.quotient_dim, 20, 2.0, 7):
-        red = reduced_structures(HOPF, x)
+        red = row0(reduced_structures(HOPF, one(x)))
         worst_h = max(worst_h, np.max(np.abs(red.h_beta - round_sphere_metric(x))))
         worst_w = max(worst_w, np.max(np.abs(red.omega_beta - round_sphere_symplectic(x))))
     _line(1, f"reduced metric/symplectic vs round-sphere closed form "
@@ -82,8 +83,8 @@ def test_criterion_02_reduced_area_integrates_to_pi():
         w_r = 0.5 * radius * weight
         for j in range(n_theta):
             theta = 2.0 * np.pi * j / n_theta
-            x = ChartPoint([r * np.cos(theta), r * np.sin(theta)])
-            density = reduced_structures(HOPF, x).omega_beta[0, 1]
+            x = one([r * np.cos(theta), r * np.sin(theta)])
+            density = reduced_structures(HOPF, x).omega_beta[0, 0, 1]
             total += density * r * w_r * (2.0 * np.pi / n_theta)
     # exact tail of the 1/(1+r^2)^2 density outside the disc
     total += np.pi / (1.0 + radius ** 2)
@@ -122,7 +123,7 @@ def test_criterion_05_main_theorem_branches():
     pos_ok = report.passed and report.find("main theorem iff").extras["branch"] == "positive"
     j_err = 0.0
     for x in points:
-        j_err = max(j_err, np.max(np.abs(reduced_structures(HOPF, x).j_beta
+        j_err = max(j_err, np.max(np.abs(reduced_structures(HOPF, one(x)).j_beta[0]
                                          - standard_acs_matrix(2))))
     pos_ok = pos_ok and j_err < 1e-5
 
@@ -151,9 +152,9 @@ def test_criterion_06_compatible_triples_random():
         n = (2, 4, 6, 8)[trial % 4]
         om, g0 = random_symplectic_metric_pair(rng, n)
         triple = build_compatible_triple(TensorField.constant(om), TensorField.constant(g0))
-        p = ChartPoint(np.zeros(n))
-        J = eval_field(triple.acs, p)
-        G = eval_field(triple.metric, p)
+        p = np.zeros((1, n))
+        J = eval_field(triple.acs, p)[0]
+        G = eval_field(triple.metric, p)[0]
         worst_acs = max(worst_acs, np.linalg.norm(J @ J + np.eye(n)))
         worst_compat = max(worst_compat, np.linalg.norm(om @ J - G))
         worst_oracle = max(worst_oracle, np.max(np.abs(J - oracle_compatible_acs(om, g0))))
@@ -179,7 +180,7 @@ def test_criterion_08_invariant_metric_averaging():
     averaged = average_metric(TensorField.constant(np.diag([1.0, 4.0])), rotation,
                               uniform_torus_quadrature(1, 64))
     points = sample_box(2, 8, radius=1.5, seed=15)
-    worst = max(np.max(np.abs(eval_field(averaged, p) - 2.5 * np.eye(2))) for p in points)
+    worst = max(np.max(np.abs(eval_field(averaged, one(p))[0] - 2.5 * np.eye(2))) for p in points)
     params = [np.array([a]) for a in (0.7, np.pi / 2.0, 4.0)]
     iso = check_isometry(averaged, pushforward_table(rotation, params, points), tol=1e-6)
     _line(8, f"64-point average of diag(1,4) = 2.5 I ({worst:.2e}) and isometric "
@@ -191,20 +192,20 @@ def test_criterion_09_holomorphy_battery():
     j2 = standard_acs(2)
 
     def square(p):
-        x, y = p.coords
+        x, y = p
         return np.array([x * x - y * y, 2 * x * y])
 
     def exp_map(p):
-        x, y = p.coords
+        x, y = p
         return np.array([np.exp(x) * np.cos(y), np.exp(x) * np.sin(y)])
 
     def reciprocal(p):
-        x, y = p.coords
+        x, y = p
         den = (x - 2.0) ** 2 + y ** 2
         return np.array([(x - 2.0) / den, -y / den])
 
     def conjugate(p):
-        x, y = p.coords
+        x, y = p
         return np.array([x, -y])
 
     points = sample_box(2, 10, radius=1.4, seed=16)  # stays away from the pole at 2
@@ -213,15 +214,16 @@ def test_criterion_09_holomorphy_battery():
     for func in (square, exp_map, reciprocal):
         cm = ChartedMap(func, j2, j2)
         for p in points:
-            acm = almost_complex_residual(cm, p)
-            cr = cauchy_riemann_residual(cm, p)
+            acm = almost_complex_residual(cm, one(p))[0]
+            cr = cauchy_riemann_residual(cm, one(p))[0]
             worst_holo = max(worst_holo, acm)
             equiv_ok = equiv_ok and (acm <= 0.1) == (cr <= 0.1)
     conj = ChartedMap(conjugate, j2, j2)
-    conj_gap = max(abs(almost_complex_residual(conj, p) - 2.0 * np.sqrt(2.0)) for p in points)
+    conj_gap = max(abs(almost_complex_residual(conj, one(p))[0] - 2.0 * np.sqrt(2.0))
+                   for p in points)
     for p in points:
-        acm = almost_complex_residual(conj, p)
-        cr = cauchy_riemann_residual(conj, p)
+        acm = almost_complex_residual(conj, one(p))[0]
+        cr = cauchy_riemann_residual(conj, one(p))[0]
         equiv_ok = equiv_ok and acm > 0.1 and cr > 0.1
     _line(9, f"holomorphy residuals (holo {worst_holo:.2e} < 1e-8, conjugation "
              f"2*sqrt(2) +- {conj_gap:.2e}, equivalence {'holds' if equiv_ok else 'fails'})",
@@ -230,22 +232,22 @@ def test_criterion_09_holomorphy_battery():
 
 def test_criterion_10_fd_convergence_gate():
     maps = [
-        (lambda p: np.array([np.sin(3 * p.coords[0]) * np.exp(p.coords[1]),
-                             np.cos(2 * p.coords[1]) + p.coords[0] ** 3]),
-         lambda p: np.array([[3 * np.cos(3 * p.coords[0]) * np.exp(p.coords[1]),
-                              np.sin(3 * p.coords[0]) * np.exp(p.coords[1])],
-                             [3 * p.coords[0] ** 2, -2 * np.sin(2 * p.coords[1])]])),
-        (lambda p: np.array([np.exp(p.coords[0] * p.coords[1])]),
-         lambda p: np.exp(p.coords[0] * p.coords[1]) * np.array(
-             [[p.coords[1], p.coords[0]]])),
+        (lambda p: np.array([np.sin(3 * p[0]) * np.exp(p[1]),
+                             np.cos(2 * p[1]) + p[0] ** 3]),
+         lambda p: np.array([[3 * np.cos(3 * p[0]) * np.exp(p[1]),
+                              np.sin(3 * p[0]) * np.exp(p[1])],
+                             [3 * p[0] ** 2, -2 * np.sin(2 * p[1])]])),
+        (lambda p: np.array([np.exp(p[0] * p[1])]),
+         lambda p: np.exp(p[0] * p[1]) * np.array(
+             [[p[1], p[0]]])),
     ]
     ok = True
     ratios = []
     for func, jac in maps:
-        p = ChartPoint([0.31, 0.23])
+        p = np.array([0.31, 0.23])
         errors = []
         for step in (2e-2, 1e-2, 5e-3, 2.5e-3):
-            D = fd_jacobian(func, p, step=step)
+            D = fd_jacobian(func, one(p), step=step)[0]
             errors.append(np.max(np.abs(D - jac(p))))
         for coarse, fine in zip(errors, errors[1:]):
             if fine < 1e-11:

@@ -23,13 +23,14 @@ from symred.actions import (
 )
 from symred.errors import NonFiniteError
 from symred.exprlang import compile_exprs, parse_expression
-from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_box
+from symred.geometry import RowMap, TensorField, eval_field, sample_box
 from symred.reduction import lift_frames
 from symred.scenarios import _row_map, builtin, compile_scenario, parse_scenario
 from symred.structures import euclidean_metric, standard_acs, standard_symplectic
 
 from util import (
     TORUS_T2_TEXT,
+    one,
     reference_action_axioms,
     reference_central_difference,
     reference_fd_generator,
@@ -46,27 +47,27 @@ ANGLES = [np.array([a]) for a in (0.4, np.pi / 3, np.pi, 5.0)]
 def scaling_action():
     return GroupAction(
         group_dim=1,
-        flow=lambda a, p: ChartPoint(np.exp(a[0]) * p.coords),
+        flow=lambda a, p: np.exp(a[0]) * p,
     )
 
 
 def translation_action():
     return GroupAction(
         group_dim=1,
-        flow=lambda a, p: ChartPoint(p.coords + a[0] * np.array([1.0, 0.0])),
+        flow=lambda a, p: p + a[0] * np.array([1.0, 0.0]),
     )
 
 
 def test_generator_hopf_clockwise():
-    xi = generator(HOPF.action, ChartPoint([1.0, 0.0, 0.0, 0.0]))
+    xi = generator(HOPF.action, one([1.0, 0.0, 0.0, 0.0]))[0]
     np.testing.assert_allclose(xi, [[0.0], [-1.0], [0.0], [0.0]], atol=1e-10)
 
 
 def test_generator_translation_and_zero():
-    xi = generator(translation_action(), ChartPoint([0.3, -0.5]))
+    xi = generator(translation_action(), one([0.3, -0.5]))[0]
     np.testing.assert_allclose(xi, [[1.0], [0.0]], atol=1e-10)
     # the generator of the zero algebra vector is zero
-    zero = generator(HOPF.action, ChartPoint([1.0, 0.0, 0.0, 0.0])) @ [0.0]
+    zero = generator(HOPF.action, one([1.0, 0.0, 0.0, 0.0]))[0] @ [0.0]
     np.testing.assert_allclose(zero, np.zeros(4), atol=1e-12)
 
 
@@ -75,38 +76,38 @@ def test_generator_linear_in_algebra_vector():
     # vector xi give d/dt flow(t * xi, p) at t = 0, differenced along xi
     torus = GroupAction(
         group_dim=2,
-        flow=lambda a, p: ChartPoint(p.coords + np.array([a[0], a[1], a[0] + a[1], 0.0])),
+        flow=lambda a, p: p + np.array([a[0], a[1], a[0] + a[1], 0.0]),
     )
-    p = ChartPoint([0.0, 0.0, 0.0, 0.0])
+    p = one([0.0, 0.0, 0.0, 0.0])
     for a, b in ((1.0, 2.0), (-0.5, 0.25)):
         along = reference_central_difference(
-            lambda t: apply_flow(torus, t * np.array([a, b]), p).coords)
-        np.testing.assert_allclose(along, generator(torus, p) @ [a, b], atol=1e-9)
+            lambda t: apply_flow(torus, t * np.array([a, b]), p)[0])
+        np.testing.assert_allclose(along, generator(torus, p)[0] @ [a, b], atol=1e-9)
 
 
 def test_generator_overflow_raises_nonfinite():
     # every flow value is finite, but the difference stencil overflows
     huge = GroupAction(
         group_dim=1,
-        flow=lambda a, p: ChartPoint(p.coords + 1e308 * (1.0 + a[0])),
+        flow=lambda a, p: p + 1e308 * (1.0 + a[0]),
     )
     with pytest.raises(NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
-        generator(huge, ChartPoint([0.0, 0.0]))
+        generator(huge, one([0.0, 0.0]))
 
 
 def test_generator_rejects_flow_changing_dimension():
     widening = GroupAction(
         group_dim=1,
-        flow=lambda a, p: ChartPoint(np.append(p.coords, a[0])),
+        flow=lambda a, p: np.append(p, a[0]),
     )
     with pytest.raises(ValueError, match="generator length"):
-        generator(widening, ChartPoint([0.0, 0.0]))
+        generator(widening, one([0.0, 0.0]))
 
 
 def test_per_row_flow_on_no_points_is_refused():
     # a per-row flow has no row to read the width of the moved points from;
     # no points are refused before any flow runs, per-row or compiled alike
-    shift = GroupAction(1, lambda a, p: p.coords + a[0])
+    shift = GroupAction(1, lambda a, p: p + a[0])
     none = np.zeros((0, 2))
     for call in (lambda: apply_flow(shift, [0.3], none),
                  lambda: generator(shift, none),
@@ -133,8 +134,8 @@ def _torus_action():
     return GroupAction(group_dim=2, flow=flow)
 
 
-_SIGNED_ZERO_POINTS = [ChartPoint(c) for c in ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.0, -0.0, 0.0],
-                                               [0.3, -0.7, 1.1, -0.0])]
+_SIGNED_ZERO_POINTS = [np.array(c) for c in ([0.0, -0.0, 0.5, -0.0], [-0.0, 0.0, -0.0, 0.0],
+                                             [0.3, -0.7, 1.1, -0.0])]
 
 
 def test_generator_bit_identical_to_per_sample_reference():
@@ -142,18 +143,19 @@ def test_generator_bit_identical_to_per_sample_reference():
     # reference's bits; a compiled flow's exact generator of the clockwise
     # rotation is (x2, -x1, x4, -x3), each row the bits of its point alone
     for action in (HOPF.action, _torus_action()):
-        opaque = GroupAction(action.group_dim, lambda a, p, _f=action: apply_flow(_f, a, p))
+        opaque = GroupAction(action.group_dim,
+                             lambda a, p, _f=action: apply_flow(_f, a, one(p))[0])
         for p in _SIGNED_ZERO_POINTS:
             for i in range(action.group_dim):
                 want = reference_fd_generator(opaque, i, p)
-                assert generator(opaque, p)[:, i].tobytes() == want.tobytes()
+                assert generator(opaque, one(p))[0, :, i].tobytes() == want.tobytes()
                 if action is not HOPF.action:
-                    assert generator(action, p)[:, i].tobytes() == want.tobytes()
-    X = np.vstack([[p.coords for p in _SIGNED_ZERO_POINTS], POINTS_4D])
+                    assert generator(action, one(p))[0, :, i].tobytes() == want.tobytes()
+    X = np.vstack([_SIGNED_ZERO_POINTS, POINTS_4D])
     stacked = generator(HOPF.action, X)
     assert np.array_equal(stacked[:, :, 0], X[:, [1, 0, 3, 2]] * [1.0, -1.0, 1.0, -1.0])
     for i, x in enumerate(X):
-        assert stacked[i].tobytes() == generator(HOPF.action, x).tobytes()
+        assert stacked[i].tobytes() == generator(HOPF.action, one(x))[0].tobytes()
 
 
 def test_action_axioms_bit_identical_to_pairwise_reference():
@@ -168,8 +170,8 @@ def test_action_axioms_bit_identical_to_pairwise_reference():
 def test_momentum_invariance_reads_moved_points_from_the_table(monkeypatch):
     table = pushforward_table(HOPF.action, ANGLES, POINTS_4D)
     # the oracle: mu at each point moved by its own flow call
-    want = max(np.max(np.abs(eval_field(HOPF.mu.field, apply_flow(HOPF.action, a, p))
-                             - eval_field(HOPF.mu.field, p)))
+    want = max(np.max(np.abs(eval_field(HOPF.mu.field, apply_flow(HOPF.action, a, one(p)))
+                             - eval_field(HOPF.mu.field, one(p))))
                for a in ANGLES for p in POINTS_4D)
     calls = []
     for name in ("apply_flow", "_flow"):
@@ -241,8 +243,8 @@ def test_momentum_residual_checks_every_generator():
 
     def mu(scale):
         return MomentumMap(
-            TensorField.vector(lambda p: [0.5 * float(p.coords[0] ** 2 + p.coords[1] ** 2),
-                                          scale * 0.5 * float(p.coords[2] ** 2 + p.coords[3] ** 2)],
+            TensorField.vector(lambda p: [0.5 * float(p[0] ** 2 + p[1] ** 2),
+                                          scale * 0.5 * float(p[2] ** 2 + p[3] ** 2)],
                                2),
             [0.5, 0.5 * scale])
 
@@ -281,7 +283,7 @@ def test_symplectomorphism_examples():
 
 
 def test_momentum_residual_hopf_and_translation():
-    res = momentum_residual(HOPF.action, HOPF.mu, HOPF.omega, [ChartPoint([1, 0, 0, 0])])
+    res = momentum_residual(HOPF.action, HOPF.mu, HOPF.omega, one([1, 0, 0, 0]))
     assert res.max_residual < 1e-9
 
     lt = builtin("linear_translation")
@@ -291,11 +293,11 @@ def test_momentum_residual_hopf_and_translation():
 
 def test_momentum_residual_wrong_sign():
     wrong = MomentumMap(
-        field=TensorField.vector(lambda p: [-0.5 * float(p.coords @ p.coords)], 1),
+        field=TensorField.vector(lambda p: [-0.5 * float(p @ p)], 1),
         beta=[0.5],
     )
-    p = ChartPoint([0.6, 0.8, 0.0, 0.0])  # |z| = 1
-    res = momentum_residual(HOPF.action, wrong, HOPF.omega, [p])
+    p = one([0.6, 0.8, 0.0, 0.0])  # |z| = 1
+    res = momentum_residual(HOPF.action, wrong, HOPF.omega, p)
     assert abs(res.max_residual - 2.0) < 1e-8  # both sides flip, gap is 2|z|
 
 
@@ -332,8 +334,8 @@ def test_momentum_invariance_examples():
     lt = builtin("linear_translation")
     assert check_momentum_invariance(lt.mu, pushforward_table(lt.action, ANGLES, POINTS_4D)).passed
 
-    x1 = MomentumMap(TensorField.vector(lambda p: p.coords[:1], 1), [0.0])
-    quarter = pushforward_table(ROTATION, [np.array([np.pi / 2])], [ChartPoint([1.0, 0.0])])
+    x1 = MomentumMap(TensorField.vector(lambda p: p[:1], 1), [0.0])
+    quarter = pushforward_table(ROTATION, [np.array([np.pi / 2])], one([1.0, 0.0]))
     res = check_momentum_invariance(x1, quarter)
     assert not res.passed
     assert abs(res.max_residual - 1.0) < 1e-12  # coordinate rotates away
@@ -344,7 +346,7 @@ def test_average_metric_rotation():
     averaged = average_metric(g0, ROTATION, uniform_torus_quadrature(1, 64))
     # average of cos^2 + 4 sin^2 over the circle is 2.5
     for p in POINTS_2D:
-        np.testing.assert_allclose(eval_field(averaged, p), 2.5 * np.eye(2), atol=1e-6)
+        np.testing.assert_allclose(eval_field(averaged, one(p))[0], 2.5 * np.eye(2), atol=1e-6)
     assert check_isometry(averaged, pushforward_table(ROTATION, ANGLES, POINTS_2D)
                           ).max_residual < 1e-6
 
@@ -352,14 +354,14 @@ def test_average_metric_rotation():
 def test_average_metric_fixes_invariant_input():
     averaged = average_metric(euclidean_metric(2), ROTATION,
                               uniform_torus_quadrature(1, 64))
-    np.testing.assert_allclose(eval_field(averaged, POINTS_2D[0]), np.eye(2), atol=1e-9)
+    np.testing.assert_allclose(eval_field(averaged, POINTS_2D[:1])[0], np.eye(2), atol=1e-9)
 
 
 def test_average_metric_small_perturbation():
     eps = 0.1
     g0 = TensorField.constant(np.eye(2) + eps * np.outer([1.0, 0.0], [1.0, 0.0]))
     averaged = average_metric(g0, ROTATION, uniform_torus_quadrature(1, 64))
-    np.testing.assert_allclose(eval_field(averaged, POINTS_2D[0]),
+    np.testing.assert_allclose(eval_field(averaged, POINTS_2D[:1])[0],
                                (1.0 + eps / 2.0) * np.eye(2), atol=1e-6)
 
 
@@ -409,4 +411,4 @@ def test_quadrature_weights_must_sum_to_one():
     # the one-factor torus rule is the 4-point circle rule: exact for cos^2
     averaged = average_metric(TensorField.constant(np.diag([1.0, 4.0])), ROTATION,
                               uniform_torus_quadrature(1, 4))
-    np.testing.assert_allclose(eval_field(averaged, POINTS_2D[0]), 2.5 * np.eye(2), atol=1e-9)
+    np.testing.assert_allclose(eval_field(averaged, POINTS_2D[:1])[0], 2.5 * np.eye(2), atol=1e-9)

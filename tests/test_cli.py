@@ -27,7 +27,7 @@ from symred.actions import (
 )
 from symred.cli import DEFAULT_TOLERANCES, RunConfig, main, run
 from symred.errors import ScenarioFormatError, UnknownScenarioError, ValidationError
-from symred.geometry import ChartPoint, RowMap, TensorField, eval_field, sample_ball
+from symred.geometry import RowMap, TensorField, _point_text, eval_field, sample_ball
 from symred.reduction import (
     lift_frames,
     reduced_structures,
@@ -46,7 +46,7 @@ from symred.structures import (
     check_symplectic_pointwise,
 )
 
-from util import opaque_scenario, reference_invariance_residuals, round_sphere_metric
+from util import one, opaque_scenario, reference_invariance_residuals, round_sphere_metric
 
 
 @pytest.fixture(scope="module")
@@ -743,8 +743,8 @@ def _standalone_reports(name, report):
     def tol(key):
         return scen.tolerances.get(key, DEFAULT_TOLERANCES[key])
 
-    points = [ChartPoint(p) for p in meta["ambient_points"]]
-    qpoints = [ChartPoint(p) for p in meta["quotient_points"]]
+    points = np.array(meta["ambient_points"])
+    qpoints = np.array(meta["quotient_points"])
     params = [np.array(a) for a in meta["group_params"]]
 
     def moves():
@@ -988,7 +988,7 @@ def test_two_torus_scenario_verifies(tmp_path, capsys):
         want = np.zeros((4, 4))
         want[:2, :2] = round_sphere_metric(w[:2])
         want[2:, 2:] = round_sphere_metric(w[2:])
-        np.testing.assert_allclose(reduced_structures(scen, w).h_beta, want, atol=1e-6)
+        np.testing.assert_allclose(reduced_structures(scen, one(w)).h_beta[0], want, atol=1e-6)
 
 
 def test_six_torus_scenario_loads_and_verifies(tmp_path, capsys):
@@ -1029,7 +1029,7 @@ def _assert_same_up_to_derivatives(compiled, per_point):
                                                           want.extras), got.name
         assert abs(got.max_residual - want.max_residual) <= 1e-8, got.name
         if want.max_residual > 1e-8:
-            assert got.worst_point.coords.tobytes() == want.worst_point.coords.tobytes()
+            assert np.array(got.worst_point).tobytes() == np.array(want.worst_point).tobytes()
     assert len(compiled.children) == len(per_point.children)
     for got, want in zip(compiled.children, per_point.children):
         _assert_same_up_to_derivatives(got, want)
@@ -1081,15 +1081,18 @@ def test_command_line_tolerances_are_validated(value, capsys):
         RunConfig("hopf", tolerances={"structures.compatibilty": 1e-8})
 
 
-def _count_chart_points(monkeypatch):
+def _count_per_point_rows(monkeypatch):
+    """Counts the batches a per-point callable reads (``"batches"``) and
+    their rows (``"points"``): each batch is copied once, read-only."""
     built = Counter()
-    post_init = ChartPoint.__post_init__
+    read_only_rows = symred.geometry._read_only_rows
 
-    def counted(self):
-        built["points"] += 1
-        post_init(self)
+    def counted(X):
+        built["batches"] += 1
+        built["points"] += len(X)
+        return read_only_rows(X)
 
-    monkeypatch.setattr(ChartPoint, "__post_init__", counted)
+    monkeypatch.setattr(symred.geometry, "_read_only_rows", counted)
     return built
 
 
@@ -1097,16 +1100,19 @@ def test_hopf_op_builds_few_chart_points(monkeypatch):
     # sample points are arrays, every map (the holomorphy reference maps
     # among them) is compiled and evaluated on row batches, and frames,
     # pushforwards, every check and the holomorphy residuals work on
-    # stacks: the only ChartPoints are the worst points of the checks, at
-    # most one per check, at any sample count, in a default run (20 rows)
-    # and in one of every suite (25)
-    built = _count_chart_points(monkeypatch)
+    # stacks: no point is handed to a per-point callable, at any sample
+    # count, in a default run (20 rows) and in one of every suite (25), and
+    # the worst point of each check is a tuple of floats
+    built = _count_per_point_rows(monkeypatch)
     for suites, rows in ((cli.DEFAULT_SUITES, 20), (cli.SUITE_ORDER, 25)):
         for samples in (20, 80):
             built.clear()
             report, code = run(RunConfig("hopf", suites=suites, samples=samples, seed=51))
             assert code == 0
-            assert built["points"] <= len(list(report.all_checks())) == rows
+            assert built["points"] == 0 and len(list(report.all_checks())) == rows
+            for _, check in report.all_checks():
+                worst = check.worst_point
+                assert worst is None or {*map(type, worst)} == {float}
 
 
 @pytest.mark.parametrize("samples", [20, 80])
@@ -1149,45 +1155,50 @@ def test_verify_of_compiled_maps_takes_no_stencil(name, tmp_path, monkeypatch):
 
 def test_per_point_maps_get_a_chart_point_of_each_row(monkeypatch):
     # a user's per-point callable is called once per row, in row order, with
-    # a ChartPoint whose coordinates are that row's; one point is a stack of
-    # one, so the callable gets a ChartPoint equal to it, not the caller's own
+    # that row as a read-only 1-D float array, from one copy of the batch,
+    # so the caller's array is not the one it reads
     hopf = builtin("hopf")
     seen = []
     field = TensorField.matrix(lambda p: seen.append(p) or np.eye(4), 4)
     rotation = planar_rotation_action()
-    flow = GroupAction(1, lambda a, p: seen.append(p) or apply_flow(rotation, a, p))
-    scen = dataclasses.replace(hopf, section=lambda x: seen.append(x) or hopf.section(x))
-    point, plane = ChartPoint([0.3, -0.2, 0.5, 0.1]), ChartPoint([0.3, -0.2])
+    flow = GroupAction(1, lambda a, p: seen.append(p) or apply_flow(rotation, a, one(p))[0])
+    scen = dataclasses.replace(
+        hopf, section=lambda x: seen.append(x) or hopf.section.rows(one(x))[0])
+    point, plane = one([0.3, -0.2, 0.5, 0.1]), one([0.3, -0.2])
     X = np.array([[0.3, -0.2, 0.5, 0.1], [1.0, 0.0, -0.4, 0.2], [0.0, 0.7, 0.1, -0.3]])
-    built = _count_chart_points(monkeypatch)
+    built = _count_per_point_rows(monkeypatch)
 
     def rows_seen(call, *args):
         seen.clear()
         built.clear()
         out = call(*args)
-        return out, [p.coords.tobytes() for p in seen]
+        assert all(p.ndim == 1 and not p.flags.writeable for p in seen)
+        assert built["batches"] == 1
+        return out, [p.tobytes() for p in seen]
 
-    assert rows_seen(eval_field, field, point)[1] == [point.coords.tobytes()]
+    assert rows_seen(eval_field, field, point)[1] == [point[0].tobytes()]
     assert built["points"] == 1
     assert rows_seen(eval_field, field, X)[1] == [x.tobytes() for x in X]
     assert built["points"] == len(X)
+    assert not any(np.shares_memory(p, X) for p in seen)
     moved, coords = rows_seen(apply_flow, flow, [0.4], plane)
-    assert coords == [plane.coords.tobytes()]
-    assert moved.coords.tobytes() == apply_flow(rotation, [0.4], plane).coords.tobytes()
-    moved, coords = rows_seen(lambda x: ChartPoint(scen.section(x)), plane)
-    assert coords == [plane.coords.tobytes()]
-    assert moved.coords.tobytes() == hopf.section(plane).tobytes()
+    assert coords == [plane[0].tobytes()]
+    assert moved.tobytes() == apply_flow(rotation, [0.4], plane).tobytes()
+    moved, coords = rows_seen(scen.section.rows, plane)
+    assert coords == [plane[0].tobytes()]
+    assert moved.tobytes() == hopf.section.rows(plane).tobytes()
 
 
 def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeypatch):
-    # a user's per-point acs builds a ChartPoint per row of every stacked
+    # a user's per-point acs is called once per row of every stacked
     # evaluation of it: at the section points of the frames (one base and
     # one per fibre parameter per sample), and at the ambient points in
     # check_acs, check_compatibility and the acs invariance check (once at
     # the points and once per group parameter at the moved points)
     hopf = builtin("hopf")
     per_point = dataclasses.replace(
-        hopf, acs=TensorField.matrix(lambda p: eval_field(hopf.acs, p), 4, name="per-point acs"))
+        hopf, acs=TensorField.matrix(lambda p: eval_field(hopf.acs, one(p))[0], 4,
+                                     name="per-point acs"))
     resolve = cli.resolve_scenario
     monkeypatch.setattr(cli, "resolve_scenario",
                         lambda ref: per_point if ref == "per-point acs" else resolve(ref))
@@ -1195,7 +1206,7 @@ def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeyp
     path = tmp_path / "hopf_no_acs.scn"
     path.write_text("\n".join(line for line in builtin_text("hopf").splitlines()
                                if not line.startswith("acs")))
-    built = _count_chart_points(monkeypatch)
+    built = _count_per_point_rows(monkeypatch)
     for samples in (20, 80):
         counts = {}
         for name in ("per-point acs", str(path), "hopf"):
@@ -1208,8 +1219,8 @@ def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeyp
         frames = (1 + len(fiber_params)) * samples
         ambient = (2 + 1 + len(group_params)) * samples
         assert counts["per-point acs"] - counts["hopf"] == frames + ambient
-        # the worst point of each check, and nothing more
-        assert counts[str(path)] == counts["hopf"] == len(list(report.all_checks())) == 20
+        # compiled and built fields read no point alone
+        assert counts[str(path)] == counts["hopf"] == 0
 
 
 def test_points_print_on_one_line(tmp_path, capsys):
@@ -1223,18 +1234,18 @@ def test_points_print_on_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(
         "error: vertical space degenerates to dimension below 2 at ")
-    assert len(err[err.index("ChartPoint("):err.index(")")].split(",")) == 8
-    wide = ChartPoint(np.linspace(-1.0, 1.0, 16) + 1e-3)
-    assert "\n" not in repr(wide) and len(repr(wide).split(",")) == 16
-    failing_check = structures.StructureCheckResult("wide", 1.0, 1e-8, wide)
+    assert len(err[err.index("point ["):err.index("]")].split(",")) == 8
+    wide = np.linspace(-1.0, 1.0, 16) + 1e-3
+    assert "\n" not in _point_text(wide) and len(_point_text(wide).split(",")) == 16
+    failing_check = structures.StructureCheckResult("wide", 1.0, 1e-8, tuple(wide))
     text = VerificationReport("r", checks=[failing_check]).format_text()
     worst = [line for line in text.splitlines() if "worst point:" in line]
     assert len(worst) == 1 and len(worst[0].split(":")[1].strip(" []").split()) == 16
     # four coordinates print as they always did
-    four = ChartPoint([-1.2345678912345, 0.5, 3.0e-5, 2.0])
-    assert repr(four) == ("ChartPoint([-1.23456789e+00,  5.00000000e-01,  "
-                          "3.00000000e-05,  2.00000000e+00])")
-    assert repr(ChartPoint([0.1, -0.7, 0.4, 0.5])) == "ChartPoint([ 0.1, -0.7,  0.4,  0.5])"
+    four = (-1.2345678912345, 0.5, 3.0e-5, 2.0)
+    assert _point_text(four) == ("point [-1.23456789e+00,  5.00000000e-01,  "
+                                 "3.00000000e-05,  2.00000000e+00]")
+    assert _point_text([0.1, -0.7, 0.4, 0.5]) == "point [ 0.1, -0.7,  0.4,  0.5]"
     text = VerificationReport("r", checks=[
         structures.StructureCheckResult("four", 1.0, 1e-8, four)]).format_text()
     assert "    worst point: [-1.234568e+00  5.000000e-01  3.000000e-05  2.000000e+00]\n" in text

@@ -11,7 +11,6 @@ from symred.actions import GroupAction, generator
 from symred.errors import DegenerateInputError, NonFiniteError, NotSPDError
 from symred.exprlang import compile_exprs, parse_expression
 from symred.geometry import (
-    ChartPoint,
     RowMap,
     TensorField,
     eval_field,
@@ -33,6 +32,7 @@ from symred.structures import standard_symplectic_matrix
 from util import (
     ColumnRefused,
     gram_schmidt,
+    one,
     reference_fd_jacobian,
     reference_fd_partials,
     reference_generator,
@@ -40,25 +40,27 @@ from util import (
 
 
 def test_chart_point_validation():
-    p = ChartPoint([1.0, 2.0])
-    assert p.dim == 2
-    with pytest.raises(NonFiniteError):
-        ChartPoint([np.nan, 0.0])
-    with pytest.raises(ValueError, match="flat coordinate vector"):
-        ChartPoint([[1.0, 2.0]])
-    assert ChartPoint(3.0).coords.tolist() == [3.0]
-    # the coordinates are a private read-only copy of the input
-    source = np.array([1.0, 2.0])
-    q = ChartPoint(source)
-    source[0] = 5.0
-    assert q.coords.tolist() == [1.0, 2.0]
+    # a point is a row of an (N, d) array: a non-finite row is refused, and
+    # so is a flat vector, which is no stack of points
+    assert as_points([[1.0, 2.0]]).shape == (1, 2)
+    with pytest.raises(NonFiniteError, match="^chart point contains non-finite entries$"):
+        as_points(np.array([[np.nan, 0.0]]))
+    with pytest.raises(ValueError, match=r"^points must be an \(N, d\) array, got shape \(2,\)$"):
+        as_points(np.array([1.0, 2.0]))
+    # a per-point callable reads a read-only copy of its row
+    seen = []
+    field = TensorField.vector(lambda p: seen.append(p) or p, 2)
+    source = np.array([[1.0, 2.0]])
+    assert eval_field(field, source).tolist() == [[1.0, 2.0]]
+    source[0, 0] = 5.0
+    assert seen[0].tolist() == [1.0, 2.0] and seen[0].ndim == 1
     with pytest.raises(ValueError):
-        q.coords[0] = 0.0
+        seen[0][0] = 0.0
 
 
 def test_eval_constant_identity_field():
     field = TensorField.constant(np.eye(3))
-    np.testing.assert_array_equal(eval_field(field, [0.4, -1.0, 2.0]), np.eye(3))
+    np.testing.assert_array_equal(eval_field(field, one([0.4, -1.0, 2.0]))[0], np.eye(3))
 
 
 def test_a_field_of_rank_above_two_is_refused():
@@ -73,8 +75,8 @@ def test_a_field_of_rank_above_two_is_refused():
 
 
 def test_eval_coordinate_dependent_field():
-    field = TensorField.matrix(lambda p: np.diag([p.coords[0] ** 2, 1.0]), 2)
-    np.testing.assert_allclose(eval_field(field, [2.0, 0.0]), np.diag([4.0, 1.0]))
+    field = TensorField.matrix(lambda p: np.diag([p[0] ** 2, 1.0]), 2)
+    np.testing.assert_allclose(eval_field(field, one([2.0, 0.0]))[0], np.diag([4.0, 1.0]))
 
 
 def test_eval_standard_symplectic_on_r4():
@@ -85,28 +87,28 @@ def test_eval_standard_symplectic_on_r4():
 
 
 def test_eval_field_rejects_nonfinite_output():
-    field = TensorField.scalar(lambda p: 1.0 / p.coords[0] if p.coords[0] else np.inf)
+    field = TensorField.scalar(lambda p: 1.0 / p[0] if p[0] else np.inf)
     with pytest.raises(NonFiniteError):
-        eval_field(field, [0.0])
+        eval_field(field, one([0.0]))
 
 
 def test_eval_field_success_never_formats_the_point(monkeypatch):
     def refuse(self):
         raise AssertionError("point formatted on the success path")
 
-    monkeypatch.setattr(ChartPoint, "__repr__", refuse)
-    p = ChartPoint([0.3, -0.2, 0.5, 0.1])
+    monkeypatch.setattr(np, "array2string", refuse)
+    p = one([0.3, -0.2, 0.5, 0.1])
     metric = builtin("noninvariant_metric_hopf").metric
-    assert eval_field(metric, p)[0, 0] == 1.0 + 0.5 ** 2
-    assert eval_field(TensorField.scalar(lambda q: 2.0), p) == 2.0
+    assert eval_field(metric, p)[0, 0, 0] == 1.0 + 0.5 ** 2
+    assert eval_field(TensorField.scalar(lambda q: 2.0), p)[0] == 2.0
 
 
 def test_eval_field_nan_message_names_field_and_point():
     field = TensorField.vector(lambda p: np.array([1.0, np.nan]), 2, name="probe")
     with pytest.raises(NonFiniteError) as excinfo:
-        eval_field(field, [0.25, -1.5])
+        eval_field(field, one([0.25, -1.5]))
     assert str(excinfo.value) == (
-        "field 'probe' at ChartPoint([ 0.25, -1.5 ]) contains non-finite entries")
+        "field 'probe' at point [ 0.25, -1.5 ] contains non-finite entries")
 
 
 class _CountingStream(random.Random):
@@ -121,13 +123,15 @@ class _CountingStream(random.Random):
         return super().random()
 
 
-@pytest.mark.parametrize("dim, count", [(1, 7), (2, 20), (14, 20), (40, 5)])
+@pytest.mark.parametrize("dim, count", [(1, 7), (2, 20), (14, 20), (40, 5), (0, 6)])
 def test_sample_ball_draws_count_q_normals_then_count_uniforms(dim, count):
     # q normals per point from ceil(q/2) Box-Muller pairs of uniforms, then
-    # one uniform per point for the radii; the stream is passed in, not copied
+    # one uniform per point for the radii; the stream is passed in, not
+    # copied.  A ball of dimension 0 has one point, drawn from nothing
     stream = _CountingStream(3)
     got = sample_ball(dim, count, 2.0, stream)
-    assert stream.calls == count * 2 * ((dim + 1) // 2) + count
+    assert stream.calls == (count * 2 * ((dim + 1) // 2) + count if dim else 0)
+    assert got.shape == (count, dim)
     assert got.tobytes() == sample_ball(dim, count, 2.0, 3).tobytes()
 
 
@@ -194,7 +198,7 @@ def test_sample_box_is_one_seeded_array():
     assert np.vstack([sample_box(3, 2, 1.5, stream), sample_box(3, 5, 1.5, stream)]).tobytes() \
         == got.tobytes()
     assert as_points(got) is got
-    assert as_points([ChartPoint(x) for x in got]).tobytes() == got.tobytes()
+    assert as_points(list(got)).tobytes() == got.tobytes()
     assert sample_box(2, 0).shape == sample_ball(2, 0).shape == (0, 2)
     # but no points are not a stack of points: a check over them proves nothing
     for none in ([], sample_box(2, 0)):
@@ -237,9 +241,9 @@ def test_sample_ball_radial_distribution(dim):
 
 def test_fd_jacobian_identity_and_linear():
     np.testing.assert_allclose(
-        fd_jacobian(lambda p: p, ChartPoint([0.3, -0.7])), np.eye(2), atol=1e-11)
+        fd_jacobian(lambda p: p, one([0.3, -0.7]))[0], np.eye(2), atol=1e-11)
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    D = fd_jacobian(lambda p: ChartPoint(A @ p.coords), ChartPoint([0.0, 0.0]))
+    D = fd_jacobian(lambda p: A @ p, one([0.0, 0.0]))[0]
     np.testing.assert_allclose(D, A, atol=1e-10)
 
 
@@ -260,10 +264,10 @@ def test_fd_jacobian_on_a_chart_of_no_coordinates_has_no_columns():
 def test_fd_jacobian_complex_square():
     # z^2 in interleaved coordinates; hand Jacobian [[2x, -2y], [2y, 2x]]
     def square(p):
-        x, y = p.coords
-        return ChartPoint([x * x - y * y, 2 * x * y])
+        x, y = p
+        return [x * x - y * y, 2 * x * y]
 
-    D = fd_jacobian(square, ChartPoint([1.0, 1.0]))
+    D = fd_jacobian(square, one([1.0, 1.0]))[0]
     np.testing.assert_allclose(D, [[2.0, -2.0], [2.0, 2.0]], atol=1e-8)
 
 
@@ -274,23 +278,23 @@ def test_fd_jacobian_affine_exact_across_steps():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((3, 3))
     b = rng.standard_normal(3)
-    p = ChartPoint(rng.standard_normal(3))
+    p = one(rng.standard_normal(3))
     for step in (1e-5, 1e-4, 1e-3):
-        D = fd_jacobian(lambda q: A @ q.coords + b, p, step=step)
+        D = fd_jacobian(lambda q: A @ q + b, p, step=step)[0]
         assert np.max(np.abs(D - A)) < 1e-10
-    origin = ChartPoint(np.zeros(3))
+    origin = one(np.zeros(3))
     for step in (1e-6, 1e-5, 1e-4, 1e-3):
-        D = fd_jacobian(lambda q: A @ q.coords, origin, step=step)
+        D = fd_jacobian(lambda q: A @ q, origin, step=step)[0]
         assert np.max(np.abs(D - A)) < 1e-10
 
 
 def _wiggly(p):
-    x, y = p.coords
+    x, y = p
     return np.array([np.sin(3.0 * x) * np.exp(y), np.cos(2.0 * y) + x ** 3])
 
 
 def _wiggly_jacobian(p):
-    x, y = p.coords
+    x, y = p
     return np.array([
         [3.0 * np.cos(3.0 * x) * np.exp(y), np.sin(3.0 * x) * np.exp(y)],
         [3.0 * x * x, -2.0 * np.sin(2.0 * y)],
@@ -299,11 +303,11 @@ def _wiggly_jacobian(p):
 
 def test_fd_jacobian_convergence_order():
     # fourth order: halving the step must shrink the error by at least 2^3
-    p = ChartPoint([0.3, 0.2])
+    p = np.array([0.3, 0.2])
     exact = _wiggly_jacobian(p)
     errors = []
     for step in (2e-2, 1e-2, 5e-3):
-        D = fd_jacobian(_wiggly, p, step=step)
+        D = fd_jacobian(_wiggly, one(p), step=step)[0]
         errors.append(np.max(np.abs(D - exact)))
     for coarse, fine in zip(errors, errors[1:]):
         if fine < 1e-11:
@@ -340,19 +344,19 @@ def test_fd_jacobian_bit_identical_to_per_column_reference():
     # reference, bit for bit; a compiled map's exact Jacobian is the closed
     # form to roundoff, each row the bits of its point alone
     compiled = _compiled(_MAP_TEXTS, _X4)
-    opaque = lambda p: compiled(p)  # noqa: E731 - forces the per-point path
+    opaque = lambda p: compiled.rows(one(p))[0]  # noqa: E731 - forces the per-point path
     hopf = builtin("hopf")
     for coords in _SIGNED_ZERO_POINTS:
-        p = ChartPoint(coords)
+        p = np.array(coords)
         want = reference_fd_jacobian(compiled, p)
         for chart_map in (compiled, opaque):
-            got = fd_jacobian(chart_map, p)
+            got = fd_jacobian(chart_map, one(p))[0]
             assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
     W = np.array([[0.3, -0.7], [1.5, 0.2], [-0.0, 0.0], [-2.0, 1.1]])
     stacked = fd_jacobian(hopf.section, W)
     assert stacked.flags.c_contiguous
     for i, w in enumerate(W):
-        assert stacked[i].tobytes() == fd_jacobian(hopf.section, w).tobytes()
+        assert stacked[i].tobytes() == fd_jacobian(hopf.section, w[np.newaxis])[0].tobytes()
         assert np.max(np.abs(stacked[i] - _section_jacobian(w))) < 1e-15
         assert np.max(np.abs(stacked[i] - reference_fd_jacobian(hopf.section, w))) < 1e-10
 
@@ -364,33 +368,33 @@ def test_fd_directional_bit_identical_to_reference():
     # the point, the x3-partial of 1 + x3^2 is 2 x3
     mu = builtin("euclidean_r2n").mu.field
     fields = [TensorField.scalar(_compiled(["x1*x2 - x3/(1 + x4^2)"], _X4, ())),
-              TensorField.vector(lambda q, _f=mu.func: _f(q), 1)]
+              TensorField.vector(lambda q, _f=mu.func: _f.rows(one(q))[0], 1)]
     metric = builtin("noninvariant_metric_hopf").metric
-    opaque_metric = TensorField.matrix(lambda q, _f=metric.func: _f(q), 4)
+    opaque_metric = TensorField.matrix(lambda q, _f=metric.func: _f.rows(one(q))[0], 4)
     axes = np.eye(4)
     e3 = axes[2]
     for coords in _SIGNED_ZERO_POINTS:
-        p = ChartPoint(coords)
+        p = np.array(coords)
         for field in fields:
-            got = fd_directional(field, p, axes)
+            got = fd_directional(field, one(p), axes)[0]
             assert got.tobytes() == reference_fd_partials(field, p).tobytes()
-        assert np.array_equal(fd_directional(mu, p, axes), p.coords[np.newaxis])
-        got = fd_directional(opaque_metric, p, e3)
+        assert np.array_equal(fd_directional(mu, one(p), axes), one(p)[np.newaxis])
+        got = fd_directional(opaque_metric, one(p), e3)[0]
         want = reference_fd_jacobian(
-            lambda q: eval_field(opaque_metric, q).ravel(), p)[:, 2].reshape(4, 4)
+            lambda q: eval_field(opaque_metric, one(q))[0].ravel(), p)[:, 2].reshape(4, 4)
         assert got.tobytes() == want.tobytes()
         want = np.zeros((4, 4))
         want[0, 0] = 2.0 * coords[2]
-        assert np.array_equal(fd_directional(metric, p, e3), want)
+        assert np.array_equal(fd_directional(metric, one(p), e3)[0], want)
     # a stack of points is the stack of the single-point derivatives
     X = np.array(_SIGNED_ZERO_POINTS)
     stacked = fd_directional(metric, X, e3)
     for i, x in enumerate(X):
-        assert stacked[i].tobytes() == fd_directional(metric, x, e3).tobytes()
+        assert stacked[i].tobytes() == fd_directional(metric, one(x), e3)[0].tobytes()
     stacked = fd_directional(fields[0], X, e3)
     assert stacked.shape == (len(X),)
     for i, x in enumerate(X):
-        assert stacked[i] == fd_directional(fields[0], x, e3)
+        assert stacked[i] == fd_directional(fields[0], one(x), e3)[0]
 
 
 def _failure(fn):
@@ -424,28 +428,29 @@ _BATCH_ERRORS = {("1e308*x1", "1/(x2 - 0.00001)"): (NonFiniteError, "division by
 @pytest.mark.parametrize("texts, coords, step", _FAILING_MAPS)
 def test_first_failing_stencil_row_raises_as_the_per_point_path(texts, coords, step):
     compiled = _compiled(texts, ("x1", "x2"))
-    p = ChartPoint(coords)
+    p = one(coords)
     with np.errstate(over="ignore"):
-        alone = _failure(lambda: reference_fd_jacobian(compiled, p, step=step))
+        alone = _failure(lambda: reference_fd_jacobian(compiled, p[0], step=step))
         assert alone[0] is NonFiniteError
         want = _BATCH_ERRORS.get(texts, alone)
         assert _failure(lambda: fd_jacobian(compiled, p, step=step)) == want
-        assert _failure(lambda: fd_jacobian(lambda q: compiled(q), p, step=step)) == want
+        assert _failure(lambda: fd_jacobian(lambda q: compiled.rows(one(q))[0], p,
+                                            step=step)) == want
 
 
 def test_nonfinite_stencil_messages():
-    p = ChartPoint([1.797693, 0.0])
+    p = one([1.797693, 0.0])
     assert _failure(lambda: fd_jacobian(_compiled(("1e308*x1", "x2"), ("x1", "x2")), p)) \
         == (NonFiniteError, "map value contains non-finite entries")
     # a map returning a plain array is checked as a map value
     with np.errstate(over="ignore"):
-        assert _failure(lambda: fd_jacobian(lambda q: 1e308 * q.coords, p)) \
+        assert _failure(lambda: fd_jacobian(lambda q: 1e308 * q, p)) \
             == (NonFiniteError, "map value contains non-finite entries")
     field = TensorField.scalar(_compiled(["1e308*x1"], ("x1", "x2"), ()), name="big")
-    want = (NonFiniteError, f"field 'big' at {ChartPoint([1.797693 + 2e-5, 0.0])} "
+    want = (NonFiniteError, "field 'big' at point [1.797713, 0.      ] "
                             "contains non-finite entries")
     assert _failure(lambda: fd_directional(field, p, np.eye(2))) == want
-    assert _failure(lambda: reference_fd_partials(field, p)) == want
+    assert _failure(lambda: reference_fd_partials(field, p[0])) == want
     assert _failure(lambda: fd_directional(field, p, [1.0, 0.0])) == want
 
 
@@ -457,7 +462,7 @@ class _Recorder:
         self.fn, self.calls = fn, []
 
     def __call__(self, *args):
-        self.calls.append([*args[-1].coords, *(args[0] if len(args) == 2 else ())])
+        self.calls.append([*args[-1], *(args[0] if len(args) == 2 else ())])
         return self.fn(*args)
 
 
@@ -465,25 +470,25 @@ def test_per_point_callables_run_once_per_stencil_row_in_order():
     # on a successful batch the wrapped callable sees exactly the points the
     # per-column reference evaluates, each once, in the same order: the
     # point itself, then its stencil
-    p = ChartPoint([0.3, -0.7, 1.1, 0.2])
+    p = np.array([0.3, -0.7, 1.1, 0.2])
     hopf = builtin("hopf")
 
     def rotate(a, q):
         c, s = np.cos(a[0]), np.sin(a[0])
-        return np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, s, c]]) @ q.coords
+        return np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, s, c]]) @ q
 
     cases = [  # (callable, derivative, its reference, stencil rows)
-        (lambda q: np.array([q.coords[0] * q.coords[1], np.sin(q.coords[2])]),
-         lambda f: fd_jacobian(f, p), lambda f: reference_fd_jacobian(f, p), 1 + 16),
-        (lambda q: float(q.coords @ q.coords),
-         lambda f: fd_directional(TensorField.scalar(f), p, np.eye(4)),
+        (lambda q: np.array([q[0] * q[1], np.sin(q[2])]),
+         lambda f: fd_jacobian(f, one(p))[0], lambda f: reference_fd_jacobian(f, p), 1 + 16),
+        (lambda q: float(q @ q),
+         lambda f: fd_directional(TensorField.scalar(f), one(p), np.eye(4))[0],
          lambda f: reference_fd_partials(TensorField.scalar(f), p), 1 + 16),
         (rotate,
-         lambda f: generator(GroupAction(1, f), p)[:, 0],
+         lambda f: generator(GroupAction(1, f), one(p))[0, :, 0],
          lambda f: reference_generator(GroupAction(1, f), 0, p), 1 + 4),
-        (lambda w: np.array([1.0, 0.0, *w.coords]) / np.sqrt(1.0 + w.coords @ w.coords),
-         lambda f: fd_jacobian(dataclasses.replace(hopf, section=f).section, p.coords[:2]),
-         lambda f: reference_fd_jacobian(f, ChartPoint(p.coords[:2])), 1 + 8),
+        (lambda w: np.array([1.0, 0.0, *w]) / np.sqrt(1.0 + w @ w),
+         lambda f: fd_jacobian(dataclasses.replace(hopf, section=f).section, one(p[:2]))[0],
+         lambda f: reference_fd_jacobian(f, p[:2]), 1 + 8),
     ]
     for fn, derivative, reference, rows in cases:
         got, want = _Recorder(fn), _Recorder(fn)
@@ -496,45 +501,46 @@ def test_per_point_batch_raises_the_first_error_its_pass_meets():
     # calls the map on every row, then checks the values, so the raising
     # row decides the error; the per-point path stops at the first row
     def chart_map(q):
-        if q.coords[0] < 1.797693 - 1.5e-5:
+        if q[0] < 1.797693 - 1.5e-5:
             raise ZeroDivisionError("a later row")
-        return 1e308 * q.coords
+        return 1e308 * q
 
-    p = ChartPoint([1.797693])
+    p = np.array([1.797693])
     with np.errstate(over="ignore"):
         assert _failure(lambda: reference_fd_jacobian(chart_map, p)) \
             == (NonFiniteError, "map value contains non-finite entries")
-        assert _failure(lambda: fd_jacobian(chart_map, p)) == (ZeroDivisionError, "a later row")
+        assert _failure(lambda: fd_jacobian(chart_map, one(p))) \
+            == (ZeroDivisionError, "a later row")
 
 
 def test_row_field_of_the_wrong_shape_fails_like_one_point():
     # a batch is checked against the declared shape as eval_field checks a value
     wide = TensorField.scalar(RowMap(lambda X: np.zeros((len(X), 2))), name="wide")
-    want = _failure(lambda: eval_field(wide, ChartPoint([0.0, 0.0])))
+    want = _failure(lambda: eval_field(wide, one([0.0, 0.0])))
     assert want == (ValueError, "field 'wide' returned shape (2,), declared ()")
-    assert _failure(lambda: fd_directional(wide, ChartPoint([0.0, 0.0]), np.eye(2))) == want
-    assert _failure(lambda: fd_directional(wide, [0.0, 0.0], [1.0, 0.0])) == want
+    assert _failure(lambda: fd_directional(wide, one([0.0, 0.0]), np.eye(2))) == want
+    assert _failure(lambda: fd_directional(wide, one([0.0, 0.0]), [1.0, 0.0])) == want
 
 
 def test_fd_directional_examples():
     const = TensorField.constant(np.diag([2.0, 3.0]))
     np.testing.assert_allclose(
-        fd_directional(const, [0.1, 0.2], [1.0, 0.0]), np.zeros((2, 2)), atol=1e-12)
+        fd_directional(const, one([0.1, 0.2]), [1.0, 0.0])[0], np.zeros((2, 2)), atol=1e-12)
 
-    product = TensorField.scalar(lambda p: p.coords[0] * p.coords[1])
-    assert abs(fd_directional(product, [1.0, 2.0], [1.0, 0.0]) - 2.0) < 1e-10
+    product = TensorField.scalar(lambda p: p[0] * p[1])
+    assert abs(fd_directional(product, one([1.0, 2.0]), [1.0, 0.0])[0] - 2.0) < 1e-10
 
-    half_norm = TensorField.scalar(lambda p: 0.5 * float(p.coords @ p.coords))
-    assert abs(fd_directional(half_norm, [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])) < 1e-10
+    half_norm = TensorField.scalar(lambda p: 0.5 * float(p @ p))
+    e1 = one([1.0, 0.0, 0.0, 0.0])
+    assert abs(fd_directional(half_norm, e1, [0.0, 1.0, 0.0, 0.0])[0]) < 1e-10
     # oracle: the gradient is the point itself, so the derivative is x . dir
-    np.testing.assert_allclose(fd_directional(half_norm, [1.0, 0.0, 0.0, 0.0], np.eye(4)),
-                               [1.0, 0.0, 0.0, 0.0], atol=1e-10)
+    np.testing.assert_allclose(fd_directional(half_norm, e1, np.eye(4)), e1, atol=1e-10)
 
 
 def test_fd_directional_rejects_zero_direction():
-    field = TensorField.scalar(lambda p: float(p.coords[0]))
+    field = TensorField.scalar(lambda p: float(p[0]))
     with pytest.raises(DegenerateInputError):
-        fd_directional(field, [1.0], [0.0])
+        fd_directional(field, one([1.0]), [0.0])
 
 
 def test_fd_directional_refuses_no_directions():
@@ -624,11 +630,11 @@ def test_sqrt_inverse_spd_rejects_non_spd():
 def test_eval_field_shape_mismatch():
     wrong = TensorField.matrix(lambda p: np.zeros((3, 3)), 2)
     with pytest.raises(ValueError, match="shape"):
-        eval_field(wrong, [0.0, 0.0])
+        eval_field(wrong, one([0.0, 0.0]))
 
 
 def test_fd_jacobian_step_validation():
-    p = ChartPoint([0.3, 0.2])
+    p = one([0.3, 0.2])
     for step in (0.0, -1e-5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="step must be positive and finite"):
             fd_jacobian(_wiggly, p, step=step)

@@ -34,6 +34,7 @@ from symred.scenarios import builtin, builtin_names, builtin_text, compile_scena
 from util import (
     DOUBLE_SPEED_HOPF_TEXT,
     TORUS_T2_TEXT,
+    one,
     reference_lift_frame,
     reference_main_theorem,
     reference_main_theorem_per_vector,
@@ -43,6 +44,7 @@ from util import (
     reference_reduction_identity_per_vector,
     reference_submersion,
     residuals_seen,
+    row0,
     run_draws,
 )
 
@@ -150,10 +152,11 @@ def test_reduced_structures_match_the_frame_reference(name):
     for x in sample_ball(scen.quotient_dim, 4, radius=scen.sample_spec.radius, seed=9):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            red = reduced_structures(scen, x)
-        # J of a lift leaves the level tangent space only where J is not g-compatible
-        assert [w.category for w in caught] \
-            == [VerticalLeakWarning] * (name == "skewed_metric_hopf")
+            red = row0(reduced_structures(scen, one(x)))
+        # J of a lift leaves the level tangent space only where J is not
+        # g-compatible, and the warning names the caller's line
+        assert [(w.category, w.filename) for w in caught] \
+            == [(VerticalLeakWarning, __file__)] * (name == "skewed_metric_hopf")
         _, frame = reference_lift_frame(scen, x)
         h, w, j_red, _, _ = reference_reduced_from_frame(frame)
         assert red.h_beta.tobytes() == h.tobytes()

@@ -1,6 +1,7 @@
 """Level sets, splittings, reduced structures and the verification pipelines."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from symred.errors import (
     RankDeficientLiftError,
     VerticalLeakWarning,
 )
-from symred.geometry import ChartPoint, RowMap, TensorField, fd_jacobian, sample_ball
+from symred.geometry import RowMap, TensorField, fd_jacobian, sample_ball
 from symred.reduction import (
     ReductionScenario,
     lift_frames,
@@ -39,11 +40,13 @@ from util import (
     DOUBLE_SPEED_HOPF_TEXT,
     SIXFOLD_METRIC_HOPF_TEXT,
     horizontal_projector_oracle,
+    one,
     projective_plane_oracle,
     reference_submersion,
     residuals_seen,
     round_sphere_metric,
     round_sphere_symplectic,
+    row0,
 )
 
 HOPF = builtin("hopf")
@@ -63,7 +66,7 @@ def quotient_points(scen, count, seed, radius=2.0):
 
 
 def test_split_tangent_hopf_pole():
-    split = split_tangent(HOPF, ChartPoint([1.0, 0.0, 0.0, 0.0]))
+    split = row0(split_tangent(HOPF, one([1.0, 0.0, 0.0, 0.0])))
     assert split.level.shape == (4, 3)
     np.testing.assert_allclose(split.vertical[:, 0], [0.0, -1.0, 0.0, 0.0], atol=1e-10)
     H = span_projector(split.horizontal)
@@ -72,7 +75,7 @@ def test_split_tangent_hopf_pole():
 
 
 def test_split_tangent_linear_scenario():
-    split = split_tangent(LINEAR, ChartPoint([0.0, 0.0, 0.0, 0.0]))
+    split = row0(split_tangent(LINEAR, one([0.0, 0.0, 0.0, 0.0])))
     np.testing.assert_allclose(split.vertical[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
     H = span_projector(split.horizontal)
     expected = span_projector(np.eye(4)[:, 2:])
@@ -81,16 +84,16 @@ def test_split_tangent_linear_scenario():
 
 def test_split_tangent_rejects_off_level():
     with pytest.raises(NotOnLevelError):
-        split_tangent(HOPF, ChartPoint([1.1, 0.0, 0.0, 0.0]))
+        split_tangent(HOPF, one([1.1, 0.0, 0.0, 0.0]))
 
 
 def test_split_tangent_rejects_critical_level():
     # mu = 0 only at the origin, where d mu vanishes
     zero_level = dataclasses.replace(HOPF, mu=MomentumMap(HOPF.mu.field, [0.0]))
     with pytest.raises(NotRegularValueError, match=r"^kernel of d mu has dimension 4 at "
-                                                   r"ChartPoint\(\[0\., 0\., 0\., 0\.\]\), "
+                                                   r"point \[0\., 0\., 0\., 0\.\], "
                                                    r"expected 3$"):
-        split_tangent(zero_level, ChartPoint([0.0, 0.0, 0.0, 0.0]))
+        split_tangent(zero_level, one([0.0, 0.0, 0.0, 0.0]))
 
 
 def test_split_tangent_rejects_frozen_action():
@@ -100,15 +103,15 @@ def test_split_tangent_rejects_frozen_action():
         metric=euclidean_metric(4),
         acs=standard_acs(4),
         action=GroupAction(group_dim=1, flow=lambda a, p: p),
-        mu=MomentumMap(TensorField.vector(lambda p: p.coords[1:2], 1), [0.0]),
-        section=lambda w: ChartPoint([0.0, 0.0, w.coords[0], w.coords[1]]),
+        mu=MomentumMap(TensorField.vector(lambda p: p[1:2], 1), [0.0]),
+        section=lambda w: [0.0, 0.0, w[0], w[1]],
     )
     with pytest.raises(ActionNotFreeError):
-        split_tangent(frozen, ChartPoint([0.0, 0.0, 0.0, 0.0]))
+        split_tangent(frozen, one([0.0, 0.0, 0.0, 0.0]))
 
 
 def assert_split_matches_oracle(scen, m):
-    split = split_tangent(scen, m)
+    split = row0(split_tangent(scen, one(m)))
     n, k = scen.chart_dim, scen.action.group_dim
     G, H, V = split.metric, split.horizontal, split.vertical
     assert H.shape == (n, n - 2 * k)
@@ -124,8 +127,8 @@ def test_split_tangent_at_former_hopf_crash_point():
     # cube-rejection sampler drew it: Gram-Schmidt over the projected level
     # vectors once left a third residual of 8.2e-8 above an absolute 1e-8
     # cut, giving a 3-dimensional horizontal space
-    x = ChartPoint([-0.00010870536552598509, 0.976389917130593])
-    m = ChartPoint(HOPF.section(x))
+    x = one([-0.00010870536552598509, 0.976389917130593])
+    m = HOPF.section.rows(x)
     for a in (None, 0.0, np.pi):
         p = m if a is None else apply_flow(HOPF.action, np.array([a]), m)
         assert_split_matches_oracle(HOPF, p)
@@ -134,22 +137,22 @@ def test_split_tangent_at_former_hopf_crash_point():
 def test_split_tangent_matches_oracle_for_nonflat_metric():
     # G is not the identity here, so g-orthogonality is really exercised
     scen = builtin("noninvariant_metric_hopf")
-    for x in quotient_points(scen, 6, seed=3):
-        assert_split_matches_oracle(scen, scen.section(x))
+    for m in scen.section.rows(quotient_points(scen, 6, seed=3)):
+        assert_split_matches_oracle(scen, m)
 
 
 def test_split_tangent_matches_oracle_in_dimension_16():
     scen = builtin("euclidean_r2n", planes=8)
-    for x in quotient_points(scen, 3, seed=44):
-        assert_split_matches_oracle(scen, scen.section(x))
+    for m in scen.section.rows(quotient_points(scen, 3, seed=44)):
+        assert_split_matches_oracle(scen, m)
 
 
 def test_vertical_ad_invariance():
     # quotient point (0, 0) of hopf is (1, 0, 0, 0); (1, -2) of the
     # translation scenario is (0, 0, 1, -2)
-    report = verify_submersion(lift_frames(HOPF, [ChartPoint([0.0, 0.0])], (np.pi / 3.0,)))
+    report = verify_submersion(lift_frames(HOPF, one([0.0, 0.0]), (np.pi / 3.0,)))
     assert report.find("vertical invariance").max_residual < 1e-8
-    report = verify_submersion(lift_frames(LINEAR, [ChartPoint([1.0, -2.0])], (0.7,)))
+    report = verify_submersion(lift_frames(LINEAR, one([1.0, -2.0]), (0.7,)))
     assert report.find("vertical invariance").max_residual < 1e-10
 
 
@@ -250,39 +253,39 @@ def test_main_theorem_iff_fails_where_one_defect_vanishes_and_the_other_does_not
 
 def test_reduced_metric_matches_round_sphere():
     for w in ([0.0, 0.0], [1.0, 0.0], [-0.4, 1.3]):
-        h = reduced_structures(HOPF, ChartPoint(w)).h_beta
+        h = reduced_structures(HOPF, one(w)).h_beta[0]
         np.testing.assert_allclose(h, round_sphere_metric(np.array(w)), atol=1e-6)
 
 
 def test_reduced_metric_linear_scenario_flat():
     for w in ([0.0, 0.0], [1.5, -0.7]):
-        np.testing.assert_allclose(reduced_structures(LINEAR, ChartPoint(w)).h_beta, np.eye(2),
+        np.testing.assert_allclose(reduced_structures(LINEAR, one(w)).h_beta[0], np.eye(2),
                                    atol=1e-10)
 
 
 def test_reduced_symplectic_matches_area_form():
-    np.testing.assert_allclose(reduced_structures(HOPF, ChartPoint([0.0, 0.0])).omega_beta,
+    np.testing.assert_allclose(reduced_structures(HOPF, one([0.0, 0.0])).omega_beta[0],
                                [[0.0, 1.0], [-1.0, 0.0]], atol=1e-6)
-    np.testing.assert_allclose(reduced_structures(HOPF, ChartPoint([1.0, 0.0])).omega_beta,
+    np.testing.assert_allclose(reduced_structures(HOPF, one([1.0, 0.0])).omega_beta[0],
                                0.25 * np.array([[0.0, 1.0], [-1.0, 0.0]]), atol=1e-5)
-    np.testing.assert_allclose(reduced_structures(LINEAR, ChartPoint([0.3, 0.9])).omega_beta,
+    np.testing.assert_allclose(reduced_structures(LINEAR, one([0.3, 0.9])).omega_beta[0],
                                [[0.0, 1.0], [-1.0, 0.0]], atol=1e-10)
 
 
 def test_reduced_acs_standard_on_quotient():
-    np.testing.assert_allclose(reduced_structures(HOPF, ChartPoint([0.0, 0.0])).j_beta,
+    np.testing.assert_allclose(reduced_structures(HOPF, one([0.0, 0.0])).j_beta[0],
                                standard_acs_matrix(2), atol=1e-6)
-    np.testing.assert_allclose(reduced_structures(LINEAR, ChartPoint([1.0, 2.0])).j_beta,
+    np.testing.assert_allclose(reduced_structures(LINEAR, one([1.0, 2.0])).j_beta[0],
                                standard_acs_matrix(2), atol=1e-10)
     # broken compatibility leaves the pushforward candidate untouched
     skewed = builtin("skewed_metric_hopf")
-    np.testing.assert_allclose(reduced_structures(skewed, ChartPoint([0.0, 0.0])).j_beta,
+    np.testing.assert_allclose(reduced_structures(skewed, one([0.0, 0.0])).j_beta[0],
                                standard_acs_matrix(2), atol=1e-6)
 
 
 def test_reduced_structures_invariants_on_samples():
     for x in quotient_points(HOPF, 10, seed=2):
-        red = reduced_structures(HOPF, x)
+        red = row0(reduced_structures(HOPF, one(x)))
         assert np.max(np.abs(red.h_beta - red.h_beta.T)) < 1e-9
         assert np.linalg.eigvalsh(red.h_beta)[0] > 0
         assert np.max(np.abs(red.omega_beta + red.omega_beta.T)) < 1e-9
@@ -299,11 +302,11 @@ def test_section_must_land_on_level():
         acs=HOPF.acs,
         action=HOPF.action,
         mu=HOPF.mu,
-        section=lambda w: ChartPoint([1.1, 0.0, w.coords[0], w.coords[1]]),
+        section=lambda w: [1.1, 0.0, w[0], w[1]],
     )
-    with pytest.raises(NotOnLevelError, match=r"^ChartPoint\(\[1\.1, 0\. , 0\. , 0\. \]\) "
+    with pytest.raises(NotOnLevelError, match=r"^point \[1\.1, 0\. , 0\. , 0\. \] "
                        "is off the level set"):
-        reduced_structures(broken, ChartPoint([0.0, 0.0]))
+        reduced_structures(broken, one([0.0, 0.0]))
 
 
 def test_rank_deficient_lift_detected():
@@ -316,10 +319,10 @@ def test_rank_deficient_lift_detected():
         acs=LINEAR.acs,
         action=LINEAR.action,
         mu=LINEAR.mu,
-        section=lambda w: ChartPoint([w.coords[0], 0.0, w.coords[1], 0.0]),
+        section=lambda w: [w[0], 0.0, w[1], 0.0],
     )
     with pytest.raises(RankDeficientLiftError):
-        reduced_structures(degenerate, ChartPoint([0.4, 0.2]))
+        reduced_structures(degenerate, one([0.4, 0.2]))
 
 
 def test_vertical_leak_warning_for_tilted_acs():
@@ -339,7 +342,7 @@ def test_vertical_leak_warning_for_tilted_acs():
         section=LINEAR.section,
     )
     with pytest.warns(VerticalLeakWarning):
-        reduced_structures(scen, ChartPoint([0.2, -0.3]))
+        reduced_structures(scen, one([0.2, -0.3]))
 
 
 def test_verify_submersion_hopf():
@@ -356,11 +359,11 @@ def test_all_reduced_objects_fiber_independent():
     from symred.actions import apply_flow
 
     for x in quotient_points(HOPF, 5, seed=22):
-        base = reduced_structures(HOPF, x)
+        base = reduced_structures(HOPF, one(x))
         for a in FIBRE:
             moved = reduced_structures(dataclasses.replace(
                 HOPF, section=lambda q, _a=a: apply_flow(HOPF.action, _a,
-                                                         HOPF.section(q))), x)
+                                                         HOPF.section.rows(one(q)))[0]), one(x))
             for name in ("h_beta", "omega_beta", "j_beta"):
                 assert np.max(np.abs(getattr(base, name) - getattr(moved, name))) < 1e-6
 
@@ -465,14 +468,50 @@ def _gaussian_curvature(scen, x, plane=(0, 1), step=1e-3):
     return (np.linalg.det(A) - np.linalg.det(B)) / (e * g - f * f) ** 2
 
 
-@pytest.mark.parametrize("name, curvature", [("hopf", 4.0), ("linear_translation", 0.0)])
+# hopf with the conformal metric (1 + |x|^2 / 10) I, which is 1.1 I on the
+# unit sphere that mu^-1(beta) is
+_HOPF_METRIC = "metric = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+_CONFORMAL = "1 + 0.1*(x1^2 + x2^2 + x3^2 + x4^2)"
+CONFORMAL_METRIC_HOPF_TEXT = builtin_text("hopf").replace(_HOPF_METRIC, (
+    f"metric = [[{_CONFORMAL}, 0, 0, 0], [0, {_CONFORMAL}, 0, 0], "
+    f"[0, 0, {_CONFORMAL}, 0], [0, 0, 0, {_CONFORMAL}]]"))
+
+
+def _text_scenario(text):
+    return compile_scenario(parse_scenario(text))
+
+
+@pytest.mark.parametrize("name, curvature", [("hopf", 4.0), ("linear_translation", 0.0),
+                                             ("conformal_metric_hopf", 4.0 / 1.1)])
 def test_reduced_metric_has_the_quotients_gaussian_curvature(name, curvature):
     # hopf's quotient is the round sphere of radius 1/2 (curvature 4) and
     # linear_translation's the flat plane; the curvature is an intrinsic
-    # invariant, so this oracle holds in any quotient chart
-    scen = builtin(name)
+    # invariant, so this oracle holds in any quotient chart.  A metric
+    # 1.1 g on the level set scales the reduced metric by 1.1 and so the
+    # curvature by 1/1.1
+    assert _HOPF_METRIC in builtin_text("hopf")
+    scen = _text_scenario(CONFORMAL_METRIC_HOPF_TEXT) if name == "conformal_metric_hopf" \
+        else builtin(name)
     for x in quotient_points(scen, 5, seed=0):
         assert abs(_gaussian_curvature(scen, x) - curvature) <= 1e-3, (name, x)
+
+
+@pytest.mark.parametrize("scen", [
+    builtin("skewed_metric_hopf"), builtin("noninvariant_metric_hopf"),
+    _text_scenario(SIXFOLD_METRIC_HOPF_TEXT), _text_scenario(CONFORMAL_METRIC_HOPF_TEXT)],
+    ids=["skewed", "noninvariant", "sixfold", "conformal"])
+def test_reduced_symplectic_form_does_not_depend_on_the_metric(scen):
+    # omega_red(v, w) = omega(lift v, lift w) needs no metric: lifts for two
+    # metrics differ by vertical vectors, which omega pairs to zero with
+    # ker d mu.  So each of these scenarios, hopf with another metric, has
+    # hopf's reduced form, while its reduced metric is another one (J of a
+    # lift leaves the level set where J is not g-compatible, which warns)
+    X = quotient_points(HOPF, 20, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", VerticalLeakWarning)
+        want, got = reduced_structures(HOPF, X), reduced_structures(scen, X)
+    assert np.max(np.abs(got.omega_beta - want.omega_beta)) <= 1e-12
+    assert np.max(np.abs(got.h_beta - want.h_beta)) > 1e-4
 
 
 @pytest.mark.parametrize("plane, curvature", [((0, 1), 4.0), ((0, 2), 1.0), ((1, 3), 1.0)],
@@ -520,7 +559,7 @@ def test_verify_main_theorem_skewed_control():
     report = verify_main_theorem(lift_frames(scen, points))
     compat = report.find("reduced compatibility")
     assert abs(compat.max_residual - 3.0) < 1e-6
-    assert list(compat.worst_point.coords) == [0.0, 0.0]
+    assert compat.worst_point == (0.0, 0.0)
     iff = report.find("main theorem iff")
     assert iff.extras["hypothesis_violated"] is True
     assert not report.passed
@@ -554,7 +593,7 @@ def test_main_theorem_samples_are_columns_in_points_order(name):
         row = report.find(check)
         worst = int(np.argmax(samples[key]))
         assert samples[key][worst] == row.max_residual, key
-        assert list(row.worst_point.coords) == list(frames.points[worst]), key
+        assert row.worst_point == tuple(frames.points[worst]), key
     # and the table of the points reversed has every column reversed, bit for bit
     backwards = verify_main_theorem(lift_frames(scen, xs[::-1])).meta["samples"]
     for key, column in samples.items():
@@ -567,9 +606,8 @@ def test_three_plane_reduction_matches_complex_oracle():
     scen = builtin("euclidean_r2n", planes=3)
     assert scen.chart_dim == 6 and scen.quotient_dim == 4
     for w in ([0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.3, -0.7, 1.1, 0.4]):
-        x = ChartPoint(w)
         h_oracle, w_oracle = projective_plane_oracle(np.asarray(w))
-        red = reduced_structures(scen, x)
+        red = row0(reduced_structures(scen, one(w)))
         np.testing.assert_allclose(red.h_beta, h_oracle, atol=1e-8)
         np.testing.assert_allclose(red.omega_beta, w_oracle, atol=1e-8)
         np.testing.assert_allclose(red.j_beta, standard_acs_matrix(4), atol=1e-8)
@@ -630,7 +668,7 @@ def test_chart_dim_is_omegas():
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"mu": MomentumMap(TensorField.vector(lambda p: np.repeat(HOPF.mu.field(p), 2), 2),
+    ({"mu": MomentumMap(TensorField.vector(lambda p: np.repeat(p[:1], 2), 2),
                         [0.5, 0.5])},
      "momentum map has 2 components for a group of dimension 1"),
     ({"omega": standard_symplectic(2)}, r"metric has shape \(4, 4\), expected omega's \(2, 2\)"),
@@ -638,7 +676,7 @@ def test_chart_dim_is_omegas():
     ({"acs": standard_acs(2)}, r"acs has shape \(2, 2\), expected omega's \(4, 4\)"),
     ({"omega": TensorField.matrix(lambda p: np.zeros((4, 2)), 4, 2)},
      r"omega has shape \(4, 2\), expected a square matrix"),
-    ({"omega": TensorField.vector(lambda p: p.coords, 4)},
+    ({"omega": TensorField.vector(lambda p: p, 4)},
      r"omega has shape \(4,\), expected a square matrix"),
 ], ids=["mu", "omega", "metric", "acs", "non-square omega", "vector omega"])
 def test_scenario_rejects_mismatched_dimensions(change, message):

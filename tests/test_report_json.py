@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 from symred.cli import RunConfig, run
-from symred.geometry import ChartPoint
 from symred.report import VerificationReport
 from symred.scenarios import builtin_names, builtin_text
 from symred.structures import StructureCheckResult
@@ -91,7 +90,7 @@ def _check(name, residual, tolerance=1e-8, **kwargs):
 
 
 def test_synthetic_report_matches_the_oracle():
-    point = ChartPoint([0.1, -2.5e-300, 1e300])
+    point = (0.1, -2.5e-300, 1e300)
     report = VerificationReport(
         name='résumé "quoted" \\ back\tslash ☃',
         checks=[
@@ -102,7 +101,7 @@ def test_synthetic_report_matches_the_oracle():
                 "vector": np.array([1.0, np.nan, -np.inf]), "matrix": np.eye(2),
                 "ints": np.arange(3), "empty": np.zeros((0, 3)), "objects": np.array(
                     [1, "a", None], dtype=object),
-                "point": ChartPoint([1.0, 2.0]), "tuple": (1, 2.5, "x"),
+                "point": (1.0, 2.0), "tuple": (1, 2.5, "x"),
                 3: "int key", "3.5": [[], {}, [[]]], "nested": {"b": {}, "a": [{}]},
                 "flags": [True, False, None], "big": 10 ** 30, "neg0": -0.0,
             }),
@@ -119,15 +118,14 @@ def test_synthetic_report_matches_the_oracle():
     assert_matches_oracle(VerificationReport("empty"))
 
 
-def test_non_finite_worst_point_raises_as_json_does():
-    # ChartPoint refuses a non-finite point, so only a point changed after
-    # construction gets here; to_dict does not turn it into a string
-    point = ChartPoint([0.0, 1.0])
-    object.__setattr__(point, "coords", np.array([np.nan, 1.0]))
-    report = VerificationReport("bad", checks=[_check("c", 0.0, point=point)])
-    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-        report.to_json()
+def test_non_finite_worst_point_is_written_as_every_float_is():
+    # a worst point is a tuple of floats, so a non-finite coordinate is
+    # written as the string json's oracle writes, and read back as a float
+    report = VerificationReport("bad", checks=[_check("c", 0.0, point=(math.nan, 1.0))])
+    assert json.loads(report.to_json())["checks"][0]["worst_point"] == ["NaN", 1.0]
     assert_matches_oracle(report)
+    back = VerificationReport.from_json(report.to_json()).checks[0].worst_point
+    assert math.isnan(back[0]) and back[1:] == (1.0,)
 
 
 def test_unserializable_values_raise_as_json_does():

@@ -13,7 +13,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from symred.geometry import ChartPoint, TensorField  # noqa: E402
+from symred.geometry import TensorField  # noqa: E402
 from symred.report import (  # noqa: E402
     VerificationReport,
     _rows_text,
@@ -29,7 +29,7 @@ _leaf = st.one_of(
     st.floats(width=32).map(np.float32), st.floats().map(np.float64),
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     st.lists(st.floats(), max_size=4).map(lambda v: np.array(v, dtype=float)),
-    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=3).map(ChartPoint),
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=3).map(tuple),
 )
 _tree = st.recursive(
     _leaf,

@@ -11,7 +11,7 @@ import pytest
 from symred import exprlang, scenarios
 from symred.actions import apply_flow
 from symred.errors import NonFiniteError, ParseError, UnknownScenarioError, ValidationError
-from symred.geometry import ChartPoint, eval_field
+from symred.geometry import eval_field
 from symred.reduction import SampleSpec
 from symred.scenarios import (
     MAX_SAMPLES,
@@ -30,7 +30,7 @@ from symred.structures import (
 )
 from symred.geometry import sample_box
 
-from util import TORUS_T2_TEXT, reference_eval_expr
+from util import TORUS_T2_TEXT, one, reference_eval_expr
 
 MINIMAL = """
 name = toy
@@ -55,9 +55,9 @@ def test_parse_minimal_scenario():
 def test_parse_fragment_examples():
     sf = parse_scenario(MINIMAL)
     scen = compile_scenario(sf)
-    om = eval_field(scen.omega, [0.0, 0.0])
+    om = eval_field(scen.omega, one([0.0, 0.0]))[0]
     np.testing.assert_array_equal(om, [[0.0, 1.0], [-1.0, 0.0]])
-    assert eval_field(scen.mu.field, [1.0, 0.0]).tolist() == [0.5]
+    assert eval_field(scen.mu.field, one([1.0, 0.0]))[0].tolist() == [0.5]
 
 
 def test_parse_error_unclosed_bracket():
@@ -190,9 +190,9 @@ def test_builtin_names_and_unknown():
 
 def test_builtin_hopf_momentum_value():
     scen = builtin("hopf")
-    assert abs(eval_field(scen.mu.field, [1.0, 0.0, 0.0, 0.0])[0] - 0.5) < 1e-15
-    m = scen.section(ChartPoint([0.3, -1.1]))
-    assert abs(eval_field(scen.mu.field, m)[0] - 0.5) < 1e-12
+    assert abs(eval_field(scen.mu.field, one([1.0, 0.0, 0.0, 0.0]))[0, 0] - 0.5) < 1e-15
+    m = scen.section.rows(one([0.3, -1.1]))
+    assert abs(eval_field(scen.mu.field, m)[0, 0] - 0.5) < 1e-12
 
 
 def test_builtin_euclidean_r2_exact_triple():
@@ -285,17 +285,17 @@ def test_compiled_fields_match_reference_evaluation(text):
         t = float(rng.uniform(-3.0, 3.0))
         w = rng.uniform(-1.5, 1.5, size=sf.quotient_dim)
         w_env = {f"w{i + 1}": float(c) for i, c in enumerate(w)}
-        p = ChartPoint(x)
+        p = one(x)
         for rows, field in ((sf.omega, scen.omega), (sf.metric, scen.metric),
                             (sf.acs, scen.acs)):
             want = np.array([[reference_eval_expr(e, env) for e in row] for row in rows])
-            assert eval_field(field, p).tobytes() == want.tobytes()
+            assert eval_field(field, p)[0].tobytes() == want.tobytes()
         flow_want = np.array([reference_eval_expr(e, {**env, "t1": t}) for e in sf.flow])
-        assert apply_flow(scen.action, np.array([t]), p).coords.tobytes() == flow_want.tobytes()
+        assert apply_flow(scen.action, np.array([t]), p)[0].tobytes() == flow_want.tobytes()
         mu_want = np.array([reference_eval_expr(e, env) for e in sf.mu])
-        assert eval_field(scen.mu.field, p).tobytes() == mu_want.tobytes()
+        assert eval_field(scen.mu.field, p)[0].tobytes() == mu_want.tobytes()
         section_want = np.array([reference_eval_expr(e, w_env) for e in sf.section])
-        assert scen.section(ChartPoint(w)).tobytes() == section_want.tobytes()
+        assert scen.section.rows(one(w))[0].tobytes() == section_want.tobytes()
 
 
 @pytest.mark.parametrize("text", [_FIELD_CHECK, builtin_text("hopf"),

@@ -235,7 +235,7 @@ def test_nonfinite_tangent_names_the_map_and_first_point():
     points = np.array([[0.5, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 0.0]])
     assert np.isfinite(f.rows(points)).all()
     with pytest.raises(NonFiniteError, match=r"^derivative of expression at "
-                       r"ChartPoint\(\[0\., 2\., 0\.\]\) contains non-finite entries$"):
+                       r"point \[0\., 2\., 0\.\] contains non-finite entries$"):
         fd_jacobian(f, points)
     assert fd_jacobian(f, points[:1])[0].tolist() == [[0.0, 1.0, 0.0]]
 

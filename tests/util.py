@@ -1,6 +1,7 @@
 """Shared test oracles, kept independent of the library code paths they check."""
 
 import math
+import sys
 from contextlib import contextmanager
 from unittest import mock
 
@@ -8,7 +9,29 @@ import numpy as np
 
 from symred.errors import NonFiniteError, ParseError, ValidationError
 from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow
-from symred.geometry import FD_STEP, ChartPoint, _gram_schmidt
+from symred.geometry import FD_STEP, _gram_schmidt
+
+
+def one(p):
+    """The point p, a coordinate vector, as a stack of one: the (1, d) float
+    array a one-point call of the stacked functions passes."""
+    return np.asarray(p, dtype=float).reshape(1, -1)
+
+
+def row0(stacked):
+    """A stacked dataclass result (a split, reduced structures) at its first
+    point: row 0 of every array it holds."""
+    import dataclasses
+
+    return dataclasses.replace(stacked, **{f.name: getattr(stacked, f.name)[0]
+                                           for f in dataclasses.fields(stacked)})
+
+
+def point_text(p):
+    """How an error message names the point p: ``point [...]`` with every
+    coordinate on one line."""
+    coords = np.asarray(p, dtype=float)
+    return "point " + np.array2string(coords, separator=", ", max_line_width=sys.maxsize)
 
 
 def newton_polar_unitary(a, tol=1e-13, max_iter=200):
@@ -284,14 +307,17 @@ def reference_central_difference(sample, h=FD_STEP):
 
 
 def reference_fd_jacobian(chart_map, p, *, step=FD_STEP):
-    """Column-by-column Jacobian, one ChartPoint per stencil sample, after
-    the map's value at p itself, which the batched stencil reads first."""
-    x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
+    """Column-by-column Jacobian, one map call per stencil sample, after
+    the map's value at p itself, which the batched stencil reads first.  A
+    RowMap is called on a stack of one, any other map on the point."""
+    x = np.asarray(p, dtype=float)
     n = x.shape[0]
+    call = chart_map if not hasattr(chart_map, "rows") else lambda y: chart_map.rows(one(y))[0]
 
     def value(y):
-        out = chart_map(ChartPoint(y))
-        out = np.asarray(out.coords if isinstance(out, ChartPoint) else out, dtype=float)
+        if not np.isfinite(y).all():
+            raise NonFiniteError("chart point contains non-finite entries")
+        out = np.asarray(call(y), dtype=float)
         if not np.isfinite(out).all():
             raise NonFiniteError("map value contains non-finite entries")
         return out
@@ -316,10 +342,10 @@ def reference_jacobian(chart_map, p):
     map's own exact derivative at that point alone if it has one, else the
     column-by-column stencil.  The exact derivatives themselves are checked
     against sympy (tests/test_tangents.py)."""
-    from symred.geometry import as_point, fd_jacobian
+    from symred.geometry import fd_jacobian
 
     if _has_exact_derivative(chart_map):
-        return fd_jacobian(chart_map, as_point(p))
+        return fd_jacobian(chart_map, one(p))[0]
     return reference_fd_jacobian(chart_map, p)
 
 
@@ -327,11 +353,11 @@ def reference_partials(field, p):
     """A field's partials at one point, the (*shape, n) array, as
     ``reference_jacobian``: a compiled field's exact ones along the
     coordinate axes at that point alone, else the stencil per coordinate."""
-    from symred.geometry import as_point, fd_directional
+    from symred.geometry import fd_directional
 
     if _has_exact_derivative(field.func):
-        point = as_point(p)
-        return fd_directional(field, point, np.eye(point.dim))
+        point = one(p)
+        return fd_directional(field, point, np.eye(point.shape[1]))[0]
     return reference_fd_partials(field, p)
 
 
@@ -342,15 +368,15 @@ def reference_fd_partials(field, p):
     reads it."""
     from symred.geometry import eval_field
 
-    x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
+    x = np.asarray(p, dtype=float)
     n = x.shape[0]
-    eval_field(field, ChartPoint(x))
+    eval_field(field, one(x))
     cols = []
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
         cols.append(reference_central_difference(
-            lambda t: np.asarray(eval_field(field, ChartPoint(x + t * e)), dtype=float)))
+            lambda t: eval_field(field, one(x + t * e))[0]))
     return np.stack(cols, axis=-1)
 
 
@@ -359,10 +385,9 @@ def reference_generator(action, xi_index, p):
     ``reference_jacobian``: a compiled flow's exact one at that point
     alone, else ``reference_fd_generator``."""
     from symred.actions import generator
-    from symred.geometry import as_point
 
     if _has_exact_derivative(action.flow):
-        return generator(action, as_point(p))[:, xi_index]
+        return generator(action, one(p))[0, :, xi_index]
     return reference_fd_generator(action, xi_index, p)
 
 
@@ -373,9 +398,9 @@ def reference_fd_generator(action, xi_index, p):
 
     direction = np.zeros(action.group_dim)
     direction[xi_index] = 1.0
-    apply_flow(action, np.zeros(action.group_dim), p)
+    apply_flow(action, np.zeros(action.group_dim), one(p))
     return reference_central_difference(
-        lambda t: apply_flow(action, t * direction, p).coords)
+        lambda t: apply_flow(action, t * direction, one(p))[0])
 
 
 def reference_action_axioms(action, params, p):
@@ -383,15 +408,14 @@ def reference_action_axioms(action, params, p):
     the order of the nested loops: the reference for the batched check."""
     from symred.actions import apply_flow
 
-    p = ChartPoint(p) if not isinstance(p, ChartPoint) else p
+    p = one(p)
     prm = [np.asarray(a, dtype=float).reshape(action.group_dim) for a in params]
-    res = [float(np.linalg.norm(apply_flow(action, np.zeros(action.group_dim), p).coords
-                                - p.coords))]
+    res = [float(np.linalg.norm(apply_flow(action, np.zeros(action.group_dim), p)[0] - p[0]))]
     for s in prm:
         for t in prm:
             two_step = apply_flow(action, s, apply_flow(action, t, p))
             one_step = apply_flow(action, s + t, p)
-            res.append(float(np.linalg.norm(two_step.coords - one_step.coords)))
+            res.append(float(np.linalg.norm(two_step[0] - one_step[0])))
     return max(res)
 
 
@@ -465,7 +489,7 @@ def reference_orthonormalize_per_vector(frame, metric, tol=1e-10):
 def _reference_level_gap(scen, point):
     from symred.geometry import eval_field
 
-    return float(np.linalg.norm(eval_field(scen.mu.field, point) - scen.mu.beta))
+    return float(np.linalg.norm(eval_field(scen.mu.field, one(point))[0] - scen.mu.beta))
 
 
 def reference_split_tangent(scen, m, per_vector=False):
@@ -475,20 +499,21 @@ def reference_split_tangent(scen, m, per_vector=False):
     ``reference_orthonormalize_per_vector``, for the tolerance oracles."""
     from symred.errors import (
         ActionNotFreeError, DegenerateInputError, NotOnLevelError, NotRegularValueError)
-    from symred.geometry import as_point, eval_field
+    from symred.geometry import eval_field
     from symred.reduction import FREE_TOL, LEVEL_TOL, RANK_TOL
 
-    point = as_point(m)
+    point = np.asarray(m, dtype=float)
     n, k = scen.chart_dim, scen.action.group_dim
     gap = _reference_level_gap(scen, point)
     if gap >= LEVEL_TOL:
-        raise NotOnLevelError(f"{point} is off the level set: "
+        raise NotOnLevelError(f"{point_text(point)} is off the level set: "
                               f"|mu(m) - beta| = {gap:.3e} exceeds {LEVEL_TOL:.1e}")
     jmu = reference_partials(scen.mu.field, point)
     level = reference_kernel_basis(jmu, RANK_TOL)
     if level.shape[1] != n - k:
         raise NotRegularValueError(
-            f"kernel of d mu has dimension {level.shape[1]} at {point}, expected {n - k}")
+            f"kernel of d mu has dimension {level.shape[1]} at {point_text(point)}, "
+            f"expected {n - k}")
     V = np.zeros((n, k))
     for i in range(k):
         V[:, i] = reference_generator(scen.action, i, point)
@@ -500,16 +525,18 @@ def reference_split_tangent(scen, m, per_vector=False):
         raise DegenerateInputError(
             f"generators leave ker d mu by {tangency:.3e}; "
             "the action is not tangent to the level set")
-    G = eval_field(scen.metric, point)
+    G = eval_field(scen.metric, one(point))[0]
     orthonormalize = reference_orthonormalize_per_vector if per_vector else reference_orthonormalize
     vertical = orthonormalize(V, G, tol=FREE_TOL)
     if vertical.shape[1] != k:
-        raise ActionNotFreeError(f"vertical space degenerates to dimension below {k} at {point}")
+        raise ActionNotFreeError(
+            f"vertical space degenerates to dimension below {k} at {point_text(point)}")
     complement = reference_kernel_basis(vertical.T @ G @ level, RANK_TOL)
     horizontal = orthonormalize(level @ complement, G)
     if horizontal.shape[1] < complement.shape[1]:
         raise DegenerateInputError(
-            f"horizontal complement degenerates to dimension below {n - 2 * k} at {point}")
+            f"horizontal complement degenerates to dimension below {n - 2 * k} "
+            f"at {point_text(point)}")
     if horizontal.shape[1] != n - 2 * k:
         raise DegenerateInputError(
             f"horizontal complement has dimension {horizontal.shape[1]}, expected {n - 2 * k}")
@@ -526,16 +553,16 @@ def reference_lift_frame(scen, x, a=None, per_vector=False):
     in its order.  ``per_vector`` as for ``reference_split_tangent``."""
     from symred.actions import apply_flow
     from symred.errors import RankDeficientLiftError
-    from symred.geometry import as_point, eval_field
+    from symred.geometry import eval_field
     from symred.reduction import RANK_TOL
 
-    xq = as_point(x)
-    m0 = as_point(scen.section(xq))
-    m = m0 if a is None else apply_flow(scen.action, a, m0)
+    xq = np.asarray(x, dtype=float)
+    m0 = scen.section.rows(one(xq))[0]
+    m = m0 if a is None else apply_flow(scen.action, a, one(m0))[0]
     frame = reference_split_tangent(scen, m, per_vector)
     G, h_onb = frame["metric"], frame["horizontal"]
-    frame["Om"] = eval_field(scen.omega, m)
-    frame["J"] = eval_field(scen.acs, m)
+    frame["Om"] = eval_field(scen.omega, one(m))[0]
+    frame["J"] = eval_field(scen.acs, one(m))[0]
     dsig = reference_jacobian(scen.section, xq)
     if a is not None:
         dsig = reference_pushforward(scen.action, a, m0)[0] @ dsig
@@ -543,7 +570,8 @@ def reference_lift_frame(scen, x, a=None, per_vector=False):
     sv = np.linalg.svd(lifts, compute_uv=False)
     if sv[-1] <= RANK_TOL * max(1.0, sv[0]):
         raise RankDeficientLiftError(
-            f"projection differential is not invertible on H at {m} (singular values {sv})")
+            f"projection differential is not invertible on H at {point_text(m)} "
+            f"(singular values {sv})")
     frame["lifts"] = lifts
     frame["coef"] = h_onb.T @ G @ lifts
     return m, frame
@@ -554,13 +582,12 @@ def reference_pushforward(action, a, p):
     batched pushforwards: a compiled flow's exact Jacobian at that point
     and parameter alone, else one flow call per stencil sample."""
     from symred.actions import apply_flow, pushforward_table
-    from symred.geometry import as_point
 
     if _has_exact_derivative(action.flow):
-        D = pushforward_table(action, [a], as_point(p).coords[np.newaxis]).D[0, 0]
+        D = pushforward_table(action, [a], one(p)).D[0, 0]
     else:
-        D = reference_fd_jacobian(lambda q: apply_flow(action, a, q), p)
-    return D, apply_flow(action, a, p)
+        D = reference_fd_jacobian(lambda q: apply_flow(action, a, one(q))[0], p)
+    return D, apply_flow(action, a, one(p))[0]
 
 
 # --- per-point references for the sampled checks ------------------------------
@@ -578,7 +605,7 @@ def reference_metric_residuals(g, points, tol):
 
     out = []
     for p in points:
-        G = eval_field(g, p)
+        G = eval_field(g, one(p))[0]
         lam_min = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
         out.append(_max_abs(G - G.T) + (0.0 if lam_min > tol else (2.0 * tol - lam_min)))
     return out
@@ -589,7 +616,7 @@ def reference_symplectic_residuals(w, points, tol):
 
     out = []
     for p in points:
-        Om = eval_field(w, p)
+        Om = eval_field(w, one(p))[0]
         s = np.linalg.svd(Om, compute_uv=False)
         if s.size == 0:
             ratio = 1.0
@@ -611,9 +638,9 @@ def reference_closed_residuals(w, points):
     n = w.shape[0]
     out = []
     for p in points:
-        x = np.asarray(p.coords if isinstance(p, ChartPoint) else p, dtype=float)
+        x = np.asarray(p, dtype=float)
         if _has_exact_derivative(w.func):
-            exact = fd_directional(w, ChartPoint(x), np.eye(n))
+            exact = fd_directional(w, one(x), np.eye(n))[0]
             partials = [exact[..., i] for i in range(n)]
         else:
             partials = []
@@ -621,7 +648,7 @@ def reference_closed_residuals(w, points):
                 e = np.zeros(n)
                 e[i] = 1.0
                 partials.append(reference_central_difference(
-                    lambda t: eval_field(w, ChartPoint(x + t * e))))
+                    lambda t: eval_field(w, one(x + t * e))[0]))
         out.append(_max_abs([partials[i][j, k] + partials[j][k, i] + partials[k][i, j]
                              for i, j, k in itertools.combinations(range(n), 3)]))
     return out
@@ -631,7 +658,11 @@ def reference_acs_residuals(J, points):
     from symred.geometry import eval_field
 
     eye = np.eye(J.shape[0])
-    return [float(np.linalg.norm(eval_field(J, p) @ eval_field(J, p) + eye)) for p in points]
+    out = []
+    for p in points:
+        Jm = eval_field(J, one(p))[0]
+        out.append(float(np.linalg.norm(Jm @ Jm + eye)))
+    return out
 
 
 def reference_compatibility_residuals(omega, metric, acs, points):
@@ -639,7 +670,7 @@ def reference_compatibility_residuals(omega, metric, acs, points):
 
     out = []
     for p in points:
-        Om, G, Jm = eval_field(omega, p), eval_field(metric, p), eval_field(acs, p)
+        Om, G, Jm = (eval_field(f, one(p))[0] for f in (omega, metric, acs))
         out.append(_max_abs(Om @ Jm - G))
     return out
 
@@ -653,8 +684,8 @@ def reference_invariance_residuals(kind, action, field, params, points):
 
     def value(p):
         if kind == "momentum":
-            return eval_field(field.field, p)
-        return eval_field(field, p)
+            return eval_field(field.field, one(p))[0]
+        return eval_field(field, one(p))[0]
 
     residual = {
         "pullback": lambda D, here, moved: _max_abs(D.T @ moved @ D - here),
@@ -679,7 +710,7 @@ def reference_momentum_residuals(action, mu, w, points):
 
     out = []
     for p in points:
-        Om = eval_field(w, p)
+        Om = eval_field(w, one(p))[0]
         grads = reference_partials(mu.field, p)
         out.append(_max_abs([
             float(np.linalg.norm(Om.T @ reference_generator(action, i, p) - grads[i]))
@@ -900,14 +931,15 @@ def opaque_scenario(scen):
     from symred.geometry import TensorField
 
     def field(f):
-        return TensorField(f.shape, lambda p, _f=f.func: _f(p), f.name)
+        return TensorField(f.shape, lambda p, _f=f.func: _f.rows(one(p))[0], f.name)
 
     action, section = scen.action, scen.section
     return dataclasses.replace(
         scen, omega=field(scen.omega), metric=field(scen.metric), acs=field(scen.acs),
-        action=dataclasses.replace(scen.action, flow=lambda a, p: apply_flow(action, a, p)),
+        action=dataclasses.replace(scen.action,
+                                   flow=lambda a, p: apply_flow(action, a, one(p))[0]),
         mu=MomentumMap(field(scen.mu.field), scen.mu.beta),
-        section=lambda x: section(x))
+        section=lambda x: section.rows(one(x))[0])
 
 
 # --- per-point references for the fields the package builds -------------------
@@ -956,11 +988,14 @@ def reference_compatible_triple(w, g0):
     from symred.geometry import TensorField, eval_field
     from symred.structures import CompatibleTriple
 
+    def pointwise(p):
+        return reference_compatible_pointwise(eval_field(w, one(p))[0], eval_field(g0, one(p))[0])
+
     def j_eval(p):
-        return reference_compatible_pointwise(eval_field(w, p), eval_field(g0, p))[0]
+        return pointwise(p)[0]
 
     def g_eval(p):
-        return reference_compatible_pointwise(eval_field(w, p), eval_field(g0, p))[1]
+        return pointwise(p)[1]
 
     n = w.shape[0]
     return CompatibleTriple(w, TensorField.matrix(g_eval, n, name="compatible metric"),
@@ -972,8 +1007,8 @@ def reference_omega_endomorphism(w, g0):
     from symred.geometry import TensorField, eval_field
 
     def a_eval(p):
-        Om = eval_field(w, p)
-        G0 = eval_field(g0, p)
+        Om = eval_field(w, one(p))[0]
+        G0 = eval_field(g0, one(p))[0]
         return -np.linalg.solve(G0, Om)
 
     return TensorField.matrix(a_eval, w.shape[0], name="omega endomorphism")
@@ -1006,29 +1041,29 @@ def reference_average_metric(g0, action, quadrature):
 # residuals.
 
 def reference_almost_complex_residual(cm, p):
-    from symred.geometry import as_point, eval_field
+    from symred.geometry import eval_field
 
-    point = as_point(p)
-    J1 = eval_field(cm.source_acs, point)
-    J2 = eval_field(cm.target_acs, as_point(cm.chart_map(point)))
-    D = reference_jacobian(cm.chart_map, point)
+    point = one(p)
+    J1 = eval_field(cm.source_acs, point)[0]
+    J2 = eval_field(cm.target_acs, cm.chart_map.rows(point))[0]
+    D = reference_jacobian(cm.chart_map, point[0])
     return float(np.linalg.norm(D @ J1 - J2 @ D))
 
 
 def reference_cauchy_riemann_residual(cm, p):
     from symred.errors import NotStandardStructureError
-    from symred.geometry import as_point, eval_field
+    from symred.geometry import eval_field
     from symred.structures import standard_acs_matrix
 
-    point = as_point(p)
+    point = one(p)
     n1, n2 = cm.source_acs.shape[0], cm.target_acs.shape[0]
     J1_std = standard_acs_matrix(n1)
     J2_std = standard_acs_matrix(n2)
-    if _max_abs(eval_field(cm.source_acs, point) - J1_std) > 1e-10:
+    if _max_abs(eval_field(cm.source_acs, point)[0] - J1_std) > 1e-10:
         raise NotStandardStructureError("source structure is not the coordinate J")
-    if _max_abs(eval_field(cm.target_acs, as_point(cm.chart_map(point))) - J2_std) > 1e-10:
+    if _max_abs(eval_field(cm.target_acs, cm.chart_map.rows(point))[0] - J2_std) > 1e-10:
         raise NotStandardStructureError("target structure is not the coordinate J")
-    D = reference_jacobian(cm.chart_map, point)
+    D = reference_jacobian(cm.chart_map, point[0])
     defects = []
     for j in range(n2 // 2):
         for i in range(n1 // 2):
