@@ -20,16 +20,19 @@ frames and the moved frames of every fibre parameter, in one batch when
 the table is made, each map's values riding with its derivatives in one
 batch; ``reduced_structures`` reduces an (N, q) array of
 quotient points from the base frames of such a table.  Both take an (N, d)
-array and nothing else.  Every frame is the bits of
-building it alone.  A batch runs once: one that fails raises the first
-error it meets, in the order it computes (the section, the flow, then
-``split_tangent``'s checks and the lifts' rank), naming the first frame
-that fails that step.  The pipelines read the table's frames as
-stacked arrays, with stacked products and no loop over points: a frame
-(the lifts, the generators, the level frame of a point) is one slice of
-each product, J_red = C^-1 H^T G J L included, and the norms of its
-columns are the diagonals of whole products, so each frame's values are
-the bits of the same products on that frame alone.
+array and nothing else.  A stack of frames is one flat record, the
+splitting's arrays and then the lifts' (``_LiftFrames`` extends
+``SplitTangentSpace``), and a slice of its rows slices every array.  Every
+frame is the bits of building it alone.  A batch runs once: one that
+fails raises the first error it meets, in the order it computes (the
+section, the flow, then ``split_tangent``'s checks, omega and J, and the
+lifts' rank).  Every refusal of a frame is raised by ``_raise_at_first``,
+naming the first point that fails that step.  The pipelines read the
+table's frames as stacked arrays, with stacked products and no loop over
+points: a frame (the lifts, the generators, the level frame of a point)
+is one slice of each product, J_red = C^-1 H^T G J L included, and the
+norms of its columns are the diagonals of whole products, so each frame's
+values are the bits of the same products on that frame alone.
 
 The quotient has no chart of its own other than through the local section, so
 the projection differential is never formed globally.  The lifts are
@@ -116,7 +119,8 @@ LEAK_WARNING_TOL = 1e-6
 # |mu - beta| below this puts a point on the level set; the generators must
 # leave ker d mu by less than this times 1 + |d mu|
 LEVEL_TOL = 1e-8
-# least g-norm the vertical Gram-Schmidt keeps of a generator of a free action
+# least g-norm a Gram-Schmidt pass of split_tangent keeps of a column: of a
+# generator of a free action, and of a horizontal direction
 FREE_TOL = 1e-8
 
 
@@ -197,9 +201,8 @@ class SplitTangentSpace:
 class ReducedStructures:
     """Reduced metric, symplectic form and almost-complex candidate at an
     (N, q) array of quotient chart points: every array has a leading axis
-    of length N and ``point`` is that array."""
+    of length N."""
 
-    point: np.ndarray
     h_beta: np.ndarray
     omega_beta: np.ndarray
     j_beta: np.ndarray
@@ -217,73 +220,74 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     All rows are split at once, with one batch of mu and d mu, one of the
     k generators, stacked SVDs and stacked Gram-Schmidt, each row's arrays
     the bits of splitting it alone.  Each check decides every row before a
-    stacked basis is taken and raises for the first row that fails it: a
-    point off the level set (NotOnLevelError), a critical point of mu
-    (NotRegularValueError, decided from the SVD the level frame is taken
-    from), generators not tangent to the level set, degenerate or, for G,
-    dependent (ActionNotFreeError, from the vertical Gram-Schmidt), and a
-    horizontal complement of another dimension than n - 2k
-    (DegenerateInputError).
+    stacked basis is taken and raises for the first row that fails it,
+    naming its point: a point off the level set (NotOnLevelError), a
+    critical point of mu (NotRegularValueError, decided from the SVD the
+    level frame is taken from), generators not tangent to the level set
+    (DegenerateInputError), generators degenerate or, for G, dependent
+    (ActionNotFreeError, from the vertical Gram-Schmidt), and a horizontal
+    complement of another dimension than n - 2k or that its Gram-Schmidt
+    makes degenerate (DegenerateInputError).  Both Gram-Schmidt passes keep
+    a column of g-norm at least FREE_TOL.
     """
     n, k = scen.chart_dim, scen.action.group_dim
     mu = scen.mu.field
     values, Jmu = _derivative(mu.func, _stack(M), np.eye(n), _field_check(mu))
     gaps = _row_norms(values - scen.mu.beta)
-    i = _first(gaps >= LEVEL_TOL)
-    if i is not None:
-        raise NotOnLevelError(f"{_point_text(M[i])} is off the level set: "
-                              f"|mu(m) - beta| = {gaps[i]:.3e} exceeds {LEVEL_TOL:.1e}")
+    _raise_at_first(gaps >= LEVEL_TOL, M, NotOnLevelError, lambda i, at: (
+        f"{at} is off the level set: |mu(m) - beta| = {gaps[i]:.3e} exceeds {LEVEL_TOL:.1e}"))
 
     ranks, vt = _ranks(Jmu)
-    i = _first(ranks != k)
-    if i is not None:
-        raise NotRegularValueError(f"kernel of d mu has dimension {n - ranks[i]} at "
-                                   f"{_point_text(M[i])}, expected {n - k}")
+    _raise_at_first(ranks != k, M, NotRegularValueError, lambda i, at: (
+        f"kernel of d mu has dimension {n - ranks[i]} at {at}, expected {n - k}"))
     level = _null_columns(vt, k)
 
     V = generator(scen.action, M)
     scale = 1.0 + np.max(np.abs(Jmu), axis=(1, 2))
     tangency = np.max(np.abs(Jmu @ V), axis=(1, 2))
-    i = _first(tangency > LEVEL_TOL * scale)
-    if i is not None:
-        raise DegenerateInputError(
-            f"generators leave ker d mu by {tangency[i]:.3e}; "
-            "the action is not tangent to the level set"
-        )
+    _raise_at_first(tangency > LEVEL_TOL * scale, M, DegenerateInputError, lambda i, at: (
+        f"generators leave ker d mu by {tangency[i]:.3e} at {at}; "
+        "the action is not tangent to the level set"))
 
     G = eval_field(scen.metric, M)
-    vertical = _gram_schmidt(V, G, FREE_TOL, _refuse(ActionNotFreeError, "vertical space", k, M))
+    vertical = _gram_schmidt(V, G, FREE_TOL, lambda short: _raise_at_first(
+        short, M, ActionNotFreeError,
+        lambda i, at: f"vertical space degenerates to dimension below {k} at {at}"))
+    pairing = vertical.swapaxes(1, 2) @ G @ level
     try:
-        complement = kernel_basis(vertical.swapaxes(1, 2) @ G @ level)
-    except ValueError:  # kernel_basis refuses a stack whose ranks differ
-        raise DegenerateInputError("horizontal complement has a dimension other than "
-                                   f"{n - 2 * k} at some of the points") from None
-    horizontal = _gram_schmidt(level @ complement, G, 1e-10,
-                               _refuse(DegenerateInputError, "horizontal complement", n - 2 * k, M))
-    if horizontal.shape[2] != n - 2 * k:
-        raise DegenerateInputError(
-            f"horizontal complement has dimension {horizontal.shape[2]}, expected {n - 2 * k}"
-        )
+        complement = kernel_basis(pairing)  # ValueError for a stack whose ranks differ
+    except ValueError:
+        complement = None
+    if complement is None or complement.shape[2] != n - 2 * k:
+        ranks = _ranks(pairing)[0]  # the complement has dimension n - k - rank at each row
+        _raise_at_first(ranks != k, M, DegenerateInputError, lambda i, at: (
+            f"horizontal complement has dimension {n - k - ranks[i]} at {at}, "
+            f"expected {n - 2 * k}"))
+    # Gram-Schmidt keeps every column of the complement or refuses
+    horizontal = _gram_schmidt(level @ complement, G, FREE_TOL, lambda short: _raise_at_first(
+        short, M, DegenerateInputError,
+        lambda i, at: f"horizontal complement degenerates to dimension below {n - 2 * k} at {at}"))
     return SplitTangentSpace(M, G, level, vertical, horizontal, Jmu, V)
 
 
-def _refuse(error: type, what: str, dim: int, M: np.ndarray):
-    """The ``_gram_schmidt`` refusal: ``error`` for a frame, ``what``, that
-    loses a column at a row of M, so it has fewer than ``dim`` columns there."""
-    return lambda slices: error(f"{what} degenerates to dimension below {dim} "
-                                f"at {_point_text(M[_first(slices)])}")
+def _raise_at_first(failing: np.ndarray, M: np.ndarray, error: type, text) -> None:
+    """Raise ``error(text(i, at))`` for the first row i of M that the mask
+    ``failing`` marks, ``at`` the text of that point; every refusal of a
+    frame is raised here, so each names its point."""
+    i = _first(failing)
+    if i is not None:
+        raise error(text(i, _point_text(M[i])))
 
 
 @dataclass(frozen=True, eq=False)
-class _LiftFrames:
+class _LiftFrames(SplitTangentSpace):
     """The lift frames at N quotient points, every array with a leading N:
-    the splitting at the section points (``split.base``), the pinned lifts,
-    omega and J there, H^T G, which takes a vector to its horizontal
-    coefficients, C = H^T G L, the lifts in those coefficients, and the
-    flow Jacobian D Phi_a at sigma(x) that moved the frame's section point
-    there (the identity for a frame of the section itself)."""
+    the splitting at the section points (``base``) and, after its arrays,
+    the pinned lifts, omega and J there, H^T G, which takes a vector to its
+    horizontal coefficients, C = H^T G L, the lifts in those coefficients,
+    and the flow Jacobian D Phi_a at sigma(x) that moved the frame's section
+    point there (the identity for a frame of the section itself)."""
 
-    split: SplitTangentSpace
     lifts: np.ndarray          # N x n x q with d pi(lift_i) = e_i
     Om: np.ndarray
     J: np.ndarray
@@ -293,48 +297,7 @@ class _LiftFrames:
 
     def __getitem__(self, rows: slice) -> "_LiftFrames":
         """The frames at the points ``rows``."""
-        split = SplitTangentSpace(*(getattr(self.split, f.name)[rows]
-                                    for f in fields(SplitTangentSpace)))
-        return _LiftFrames(split, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
-
-
-def _lift_frames(scen: ReductionScenario, X: np.ndarray, fiber_params: np.ndarray) -> _LiftFrames:
-    """The lift frames at the rows of the (N, q) array X of quotient points
-    through the section, then through Phi_a o sigma for each row a of the
-    (P, k) array ``fiber_params``, a block of N frames each, built in one
-    batch: one of the section points and Jacobians, one
-    ``pushforward_table`` of the moved points and flow Jacobians, one
-    ``split_tangent``, which checks the level, the Jacobians chained as
-    D(Phi_a o sigma) = D Phi_a(sigma) D sigma, and stacked products, SVDs
-    and solves.  Each frame has the bits of the batch of its point alone.
-    """
-    n, q = scen.chart_dim, scen.quotient_dim
-    M, dsigma = _derivative(scen.section, X, np.eye(q), _finite("chart point"))
-    pushforward = np.broadcast_to(np.eye(n), (len(X), n, n))
-    if len(fiber_params):
-        table = pushforward_table(scen.action, fiber_params, M)
-        # the P blocks of N moved frames after the base frames
-        M = np.concatenate([M, *table.moved])
-        dsigma = np.concatenate([dsigma, *(table.D @ dsigma)])
-        pushforward = np.concatenate([pushforward, *table.D])
-    split = split_tangent(scen, M)
-    H = split.horizontal
-    htg = H.swapaxes(1, 2) @ split.metric
-    Om = eval_field(scen.omega, M)
-    J = eval_field(scen.acs, M)
-    # horizontal part of the section pushforward; d pi of it is the identity
-    # on the quotient chart because pi o section = id and d pi kills the
-    # vertical complement
-    lifts = H @ (htg @ dsigma)
-    if q:
-        sv = np.linalg.svd(lifts, compute_uv=False)
-        i = _first(sv[:, -1] <= RANK_TOL * np.where(sv[:, 0] > 1.0, sv[:, 0], 1.0))
-        if i is not None:
-            raise RankDeficientLiftError(
-                f"projection differential is not invertible on H at {_point_text(M[i])} "
-                f"(singular values {sv[i]})"
-            )
-    return _LiftFrames(split, lifts, Om, J, htg, htg @ lifts, pushforward)
+        return _LiftFrames(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,15 +316,47 @@ class _FrameTable:
 def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable:
     """The table of the lift frames at ``points`` through the scenario's own
     section and through Phi_a o sigma for each fibre parameter a, a group
-    parameter vector of k entries, all built in one ``_lift_frames`` batch,
-    which raises the first error it meets.  No points raise ValueError
+    parameter vector of k entries.  No points raise ValueError
     (``as_points``).  The table holds no scenario: it is the one input of
     the verify_* pipelines, which draw nothing, so one frame per point
     serves all of them.  ``verify_submersion`` needs fibre parameters
     (``verify`` takes the first two rows of its seeded draw of group
-    parameters); the other two read only the base frames."""
+    parameters); the other two read only the base frames.
+
+    All (1 + P) * N frames are one batch: one of the section points and
+    Jacobians, one ``pushforward_table`` of the moved points and flow
+    Jacobians, one ``split_tangent``, which checks the level, the Jacobians
+    chained as D(Phi_a o sigma) = D Phi_a(sigma) D sigma, and stacked
+    products, SVDs and solves, ending with the lifts' rank.  Each frame has
+    the bits of the batch of its point alone, and a failing batch raises
+    the first error it meets."""
     X, prm = as_points(points), _param_rows(scen.action, fiber_params)
-    frames = _lift_frames(scen, X, prm)
+    n, q = scen.chart_dim, scen.quotient_dim
+    M, dsigma = _derivative(scen.section, X, np.eye(q), _finite("chart point"))
+    pushforward = np.broadcast_to(np.eye(n), (len(X), n, n))
+    if len(prm):
+        table = pushforward_table(scen.action, prm, M)
+        # the P blocks of N moved frames after the base frames
+        M = np.concatenate([M, *table.moved])
+        dsigma = np.concatenate([dsigma, *(table.D @ dsigma)])
+        pushforward = np.concatenate([pushforward, *table.D])
+    split = split_tangent(scen, M)
+    htg = split.horizontal.swapaxes(1, 2) @ split.metric
+    Om = eval_field(scen.omega, M)
+    J = eval_field(scen.acs, M)
+    # horizontal part of the section pushforward; d pi of it is the identity
+    # on the quotient chart because pi o section = id and d pi kills the
+    # vertical complement
+    lifts = split.horizontal @ (htg @ dsigma)
+    if q:
+        sv = np.linalg.svd(lifts, compute_uv=False)
+        _raise_at_first(
+            sv[:, -1] <= RANK_TOL * np.where(sv[:, 0] > 1.0, sv[:, 0], 1.0), M,
+            RankDeficientLiftError, lambda i, at: (
+                f"projection differential is not invertible on H at {at} "
+                f"(singular values {sv[i]})"))
+    frames = _LiftFrames(**vars(split), lifts=lifts, Om=Om, J=J, htg=htg,
+                         coef=htg @ lifts, pushforward=pushforward)
     return _FrameTable(X, prm, frames[:len(X)], frames[len(X):])
 
 
@@ -388,7 +383,7 @@ def _reduced(f: _LiftFrames):
     coefficients and the g-norm of its part normal to the level set, both
     relative to the lift's g-norm, as (N, q) arrays.  J_red solves
     C J_red = H^T G J L."""
-    G, H, V = f.split.metric, f.split.horizontal, f.split.vertical
+    G, H, V = f.metric, f.horizontal, f.vertical
     image = f.J @ f.lifts
     h_coef = f.htg @ image
     v_coef = V.swapaxes(1, 2) @ G @ image
@@ -419,11 +414,11 @@ def reduced_structures(scen: ReductionScenario, X) -> ReducedStructures:
     if i is not None:
         warnings.warn(
             f"J applied to a horizontal lift leaves the level tangent space "
-            f"by {leak[i]:.3e} at {_point_text(f.split.base[i])}",
+            f"by {leak[i]:.3e} at {_point_text(f.base[i])}",
             VerticalLeakWarning,
             stacklevel=2,
         )
-    return ReducedStructures(point=X, h_beta=h, omega_beta=w, j_beta=j_red)
+    return ReducedStructures(h_beta=h, omega_beta=w, j_beta=j_red)
 
 
 def verify_submersion(frames: _FrameTable,
@@ -446,11 +441,11 @@ def verify_submersion(frames: _FrameTable,
         return a.reshape(P, len(X), *a.shape[1:])
 
     # every moved frame against its base frame, which broadcasts over the P blocks
-    fiber = _reduced_metric(base.lifts, base.split.metric) \
-        - blocks(_reduced_metric(moved.lifts, moved.split.metric))
+    fiber = _reduced_metric(base.lifts, base.metric) \
+        - blocks(_reduced_metric(moved.lifts, moved.metric))
     # the part of each pushed generator D xi g-orthogonal to the moved vertical space
-    G, V = blocks(moved.split.metric), blocks(moved.split.vertical)
-    pushed = blocks(moved.pushforward) @ base.split.generators
+    G, V = blocks(moved.metric), blocks(moved.vertical)
+    pushed = blocks(moved.pushforward) @ base.generators
     leak = pushed - V @ (V.swapaxes(-1, -2) @ G @ pushed)
     fiber_res = _row_max_abs(fiber.swapaxes(0, 1))
     vert_res = _row_max_abs(_g_norms(leak, G).swapaxes(0, 1))
@@ -478,10 +473,10 @@ def verify_reduction_identity(frames: _FrameTable,
     zero with the whole kernel of d mu.
     """
     report = VerificationReport("reduction identity")
-    X, f, K = frames.points, frames.base, frames.base.split.level
+    X, f, K = frames.points, frames.base, frames.base.level
     d = np.linalg.solve(f.coef, f.htg @ K)
     E = K.swapaxes(1, 2) @ f.Om @ K - d.swapaxes(1, 2) @ _reduced_symplectic(f) @ d
-    degeneracy = f.split.vertical.swapaxes(1, 2) @ f.Om @ K
+    degeneracy = f.vertical.swapaxes(1, 2) @ f.Om @ K
     id_res, deg_res = _row_norms(E.reshape(len(X), -1)), _row_max_abs(degeneracy)
     report.add(StructureCheckResult.from_samples(
         "pullback identity", id_res, X, tol, IDENTITY_REDUCTION))
@@ -513,12 +508,12 @@ def verify_main_theorem(frames: _FrameTable,
     report = VerificationReport("main theorem")
     X, q, f = frames.points, frames.points.shape[1], frames.base
     h_red, w_red, j_red, vert_leak, normal_leak = _reduced(f)
-    j_vertical = _g_norms(f.htg @ f.J @ f.split.vertical)
+    j_vertical = _g_norms(f.htg @ f.J @ f.vertical)
     vert_leak, normal_leak = _row_max_abs(vert_leak), _row_max_abs(normal_leak)
     acm_res = np.maximum(normal_leak, _row_max_abs(j_vertical))
     compat_res = _row_max_abs(w_red @ j_red - h_red)
     acs_res = _row_norms((j_red @ j_red + np.eye(q)).reshape(len(X), q * q))
-    hyp_res = _row_max_abs(f.Om @ f.J - f.split.metric)
+    hyp_res = _row_max_abs(f.Om @ f.J - f.metric)
     hypothesis_violated = not (hyp_res <= hypothesis_tol).all()
     iff_res = np.where((acm_res <= tol) == (compat_res <= tol), 0.0, 1.0)
     branch = "positive" if max_abs(acm_res) <= tol and max_abs(compat_res) <= tol else "negative"

@@ -5,9 +5,11 @@ The JSON form is deterministic (sorted keys, two-space indent) so two runs
 with the same configuration differ at most in the ``timestamp`` metadata
 entry.  It is strict JSON: a non-finite number is written as the string
 "NaN", "Infinity" or "-Infinity", which ``float`` reads back.  ``to_json``
-writes the text of ``json.dumps(to_dict(), indent=2, sort_keys=True,
-allow_nan=False)`` in one walk of the layout that ``to_dict`` normalizes,
-the report's ``_fields``, which are stated once.
+writes the report in one walk of its layout, the report's ``_fields``,
+which are stated once, as ``json.dumps(..., indent=2, sort_keys=True,
+allow_nan=False)`` writes it once numpy values are Python values.
+``to_dict`` and ``check_to_dict`` are that text read back, so the two forms
+cannot disagree, and a value JSON cannot hold raises TypeError from both.
 """
 
 from __future__ import annotations
@@ -23,20 +25,6 @@ import numpy as np
 from .structures import StructureCheckResult
 
 __all__ = ["VerificationReport", "check_to_dict", "check_from_dict"]
-
-
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
 
 
 _STR = json.encoder.encode_basestring_ascii  # json's own C function
@@ -94,12 +82,17 @@ def _rows_text(rows: list, pad: str) -> str | None:
 
 
 def _text(value, pad: str) -> str:
-    """The JSON text of ``_jsonable(value)`` at indent ``pad``, as
-    json.dumps(..., indent=2, sort_keys=True, allow_nan=False) writes it;
-    the types a report holds are written here, any other through json."""
+    """The JSON text of ``value`` at indent ``pad``, as json.dumps(...,
+    indent=2, sort_keys=True, allow_nan=False) writes it once a numpy
+    scalar is its ``item()``, an ndarray its ``tolist()``, a tuple a list,
+    a key its ``str`` and a non-finite float the string "NaN", "Infinity"
+    or "-Infinity"; the types a report holds are written here, any other
+    through json, which raises for a value it cannot hold."""
     kind = type(value)
     if kind is float:
-        return _FLOAT_REPR(value) if math.isfinite(value) else _STR(_jsonable(value))
+        if math.isfinite(value):
+            return _FLOAT_REPR(value)
+        return _STR("NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity")
     if kind is str:
         return _STR(value)
     if kind is list or kind is tuple:
@@ -118,13 +111,16 @@ def _text(value, pad: str) -> str:
         item = value.item()
         if type(item) is not kind:  # np.longdouble's item is itself
             return _text(item, pad)
-    if kind is np.ndarray and value.ndim:
+    if isinstance(value, np.ndarray):
         return _text(value.tolist(), pad)
-    return _dumped(_jsonable(value), pad)
+    for base in (float, list, tuple, dict):  # a subclass is written as its base
+        if isinstance(value, base):
+            return _text(base(value), pad)
+    return _dumped(value, pad)
 
 
 def _check_fields(check: StructureCheckResult) -> dict:
-    """The JSON layout of one check, before ``_jsonable`` or ``_text``."""
+    """The JSON layout of one check, before ``_text`` writes it."""
     return {
         "name": check.name,
         "identity": check.identity,
@@ -137,7 +133,8 @@ def _check_fields(check: StructureCheckResult) -> dict:
 
 
 def check_to_dict(check: StructureCheckResult) -> dict:
-    return _jsonable(_check_fields(check))
+    """The check as its JSON text reads back."""
+    return json.loads(_text(_check_fields(check), ""))
 
 
 def check_from_dict(d: dict) -> StructureCheckResult:
@@ -190,7 +187,7 @@ class VerificationReport:
         raise KeyError(f"no check named {name!r} in report {self.name!r}")
 
     def _fields(self) -> dict:
-        """The JSON layout of the report tree, before ``_jsonable`` or ``_text``."""
+        """The JSON layout of the report tree, before ``_text`` writes it."""
         return {
             "name": self.name,
             "passed": self.passed,
@@ -200,7 +197,8 @@ class VerificationReport:
         }
 
     def to_dict(self) -> dict:
-        return _jsonable(self._fields())
+        """The report as its JSON text reads back."""
+        return json.loads(self.to_json())
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
@@ -212,9 +210,8 @@ class VerificationReport:
         )
 
     def to_json(self) -> str:
-        """The text of json.dumps(self.to_dict(), indent=2, sort_keys=True,
-        allow_nan=False), and its errors, written in one walk of the layout
-        ``to_dict`` normalizes."""
+        """The deterministic JSON text of the report, written in one walk of
+        its layout; ``to_dict`` reads it back."""
         return _text(self._fields(), "")
 
     @staticmethod

@@ -22,19 +22,25 @@ own sample spec: seed, count and any explicit quotient points), on hopf at 20 sa
 the action suite alone (the main-theorem suite alone builds the same
 lift-frame table as a default run, fibre frames included, and its rows
 must not move) and with all five suites (so the holomorphy
-battery, which a default run leaves out, is compared too), and on seven
-failing variants (``FAILING``): six of hopf (the section off the level
-set at a middle sample, generators degenerate at one sample, a division by zero at w1 = 0.50001,
-a row only a stencil of the section would evaluate (the exact section
-Jacobian reads no such row, so that variant's reduction runs complete),
-the metric entry ``sqrt(1.9 - x1)``, the first two at once, the
-degenerate sample before the one off the level set, and a level of mu
-holding a critical point of mu beside a regular one) and one of the
-2-torus fixture, whose second generator (of the two a batch takes at
-once) is degenerate at one sample; each with the structures, the action
-and the reduction and main-theorem suites, so that the exit codes and
-error texts of failing runs, and which error a failing batch meets first,
-are compared too; each run in JSON and in text.  Each
+battery, which a default run leaves out, is compared too), and on twelve
+failing variants (``FAILING``, whose text ``failing_text`` writes): ten
+of hopf (the section off the level set at a middle sample, generators
+degenerate at one sample, a division by zero at w1 = 0.50001, a row only
+a stencil of the section would evaluate (the exact section Jacobian reads
+no such row, so that variant's reduction runs complete), the metric entry
+``sqrt(1.9 - x1)``, the first two at once, the degenerate sample before
+the one off the level set, a level of mu holding a critical point of mu
+beside a regular one, generators not tangent to the level set, a
+generator normal to the level set inside the tangency slop, so that the
+horizontal complement has another dimension, a metric that vanishes on
+the horizontal directions at one sample, and a section whose derivative
+vanishes at one sample, so that the lifts lose rank) and two of the
+2-torus fixture (the second generator, of the two a batch takes at once,
+degenerate at one sample, and both generators turning the first factor);
+each with the structures, the action and the reduction and main-theorem
+suites, so that the exit codes and error texts of failing runs, and which
+error a failing batch meets first, are compared too; each run in JSON and
+in text.  Each
 tree runs the whole sweep in one worker process with its ``src`` first on
 the import path.  Every report is compared as the text ``verify`` prints:
 a JSON report without the line of its ``timestamp`` and without the lines
@@ -90,6 +96,11 @@ _OFF_LEVEL = (_SECTION, "[(1 + 0.01*exp(-1000*((w1 - 0.5)^2 + (w2 - 0.2)^2)))"
                         "/sqrt(1 + w1^2 + w2^2),")
 # generators that vanish where x3 = x4 = 0, the section point of w = 0
 _DEGENERATE = ("t1)", "t1*(x3^2 + x4^2))")
+_FLOW = ("flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),\n"
+         "        x3*cos(t1) + x4*sin(t1), x4*cos(t1) - x3*sin(t1)]")
+_TORUS_POINTS = ("sample.points = [[0.6, 0.3, 0.2, -0.1], [0.1, -0.7, 0.4, 0.5], "
+                 "[0.5, 0.2, 0, 0], [0.7, -0.6, -0.3, 0.8]]")
+_METRIC = "metric = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
 
 # failing variants: file stem -> (the scenario, "hopf" or "torus_t2", the
 # (text in it, its replacement) pairs, a line of sample points or "")
@@ -116,9 +127,36 @@ FAILING = {
     # the second factor turns at speed x7^2 + x8^2, which vanishes at the
     # section point of w3 = w4 = 0, the third sample; the first generator
     # stays free there
-    "torus_degenerate": ("torus_t2", [("t2)", "t2*(x7^2 + x8^2))")], "sample.points = "
-                         "[[0.6, 0.3, 0.2, -0.1], [0.1, -0.7, 0.4, 0.5], [0.5, 0.2, 0, 0], "
-                         "[0.7, -0.6, -0.3, 0.8]]"),
+    "torus_degenerate": ("torus_t2", [("t2)", "t2*(x7^2 + x8^2))")], _TORUS_POINTS),
+    # t1 + t2 turns the first factor and nothing turns the second, so the two
+    # generators are dependent at every point
+    "torus_shared_circle": ("torus_t2", [("t2)", "0)"), ("t1)", "(t1 + t2))")], _TORUS_POINTS),
+    # the generator 1e-6 e1 leaves the level set |x| = 1 at every point,
+    # while a move by a fibre parameter stays within LEVEL_TOL of it (a
+    # flow x1 + t1 would move the fibre frames off the level, which is
+    # checked first)
+    "not_tangent": ("hopf", [(_FLOW, "flow = [x1 + 0.000001*sin(10000*t1)/10000, x2, x3, x4]")],
+                    _POINTS),
+    # the generator 1e-9 e1 at the section point (0, 0.5, 0, 0) of the third
+    # sample is normal to the level set x1 = 0, inside the tangency slop,
+    # with a g-norm above FREE_TOL: it pairs to zero with the whole level
+    # set, so the horizontal complement has dimension 3 there
+    "normal_generator": ("hopf", [(_FLOW, "flow = [x1 + 0.000000001*t1, x2, x3, x4 + x3*t1]"),
+                                  (_METRIC, _METRIC.replace("1", "10000")),
+                                  ("mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]", "mu = [x1]"),
+                                  ("beta = [0.5]", "beta = [0]"),
+                                  (_SECTION + " 0,\n           w1/sqrt(1 + w1^2 + w2^2), "
+                                   "w2/sqrt(1 + w1^2 + w2^2)]", "[0, w1, w2, 0]")],
+                         "sample.points = [[0.6, 0.3], [0.1, -0.7], [0.5, 0], [0.7, -0.6]]"),
+    # the metric diag(1, 1, s, s) with s = x3^2 + x4^2 vanishes on the
+    # horizontal directions at the section point of w = 0, the second sample
+    "horizontal_degenerate": ("hopf", [(_METRIC, "metric = [[1, 0, 0, 0], [0, 1, 0, 0], "
+                                        "[0, 0, x3^2 + x4^2, 0], [0, 0, 0, x3^2 + x4^2]]")],
+                              "sample.points = [[0.6, 0.3], [0, 0], [0.5, 0.2]]"),
+    # the section's w1 enters as w1^3, so d sigma/d w1 = 0 where w1 = 0, at
+    # the third sample
+    "flat_section": ("hopf", [("w1/sqrt(", "w1^3/sqrt("), ("w1^2 + w2^2)", "w1^6 + w2^2)")],
+                     "sample.points = [[0.6, 0.3], [0.1, -0.7], [0, 0.2], [0.7, -0.6]]"),
 }
 FAILING_SUITES = ("structures", "action", "reduction,main-theorem")
 
@@ -129,6 +167,19 @@ FIXTURES = {"torus_t2": "TORUS_T2_TEXT", "double_speed_hopf": "DOUBLE_SPEED_HOPF
             "scaled_mu_t2": "SCALED_MU_T2_TEXT"}
 
 
+def failing_text(stem: str) -> str:
+    """The scenario text of the FAILING variant ``stem``."""
+    from symred.scenarios import builtin_text
+    import util
+
+    base, replacements, points = FAILING[stem]
+    text = {"hopf": builtin_text("hopf"), "torus_t2": util.TORUS_T2_TEXT}[base]
+    for old, new in replacements:
+        assert old in text, stem
+        text = text.replace(old, new)
+    return text + "\n" + points + "\n"
+
+
 def write_scenarios(tmp: str) -> tuple[str, str, list[str], list[str]]:
     """Write the scenario files of the sweep into ``tmp``: euclidean_r2n at
     8 planes, hopf without its acs line, the FIXTURES and the FAILING
@@ -137,17 +188,11 @@ def write_scenarios(tmp: str) -> tuple[str, str, list[str], list[str]]:
     from symred.scenarios import builtin_text
     import util
 
-    hopf = builtin_text("hopf")
     texts = {"euclidean_r2n_8": builtin_text("euclidean_r2n", 8),
-             "hopf_no_acs": "\n".join(line for line in hopf.splitlines()
+             "hopf_no_acs": "\n".join(line for line in builtin_text("hopf").splitlines()
                                       if not line.startswith("acs")),
-             **{stem: getattr(util, name) for stem, name in FIXTURES.items()}}
-    for stem, (base, replacements, points) in FAILING.items():
-        text = {"hopf": hopf, "torus_t2": util.TORUS_T2_TEXT}[base]
-        for old, new in replacements:
-            assert old in text, stem
-            text = text.replace(old, new)
-        texts[stem] = text + "\n" + points + "\n"
+             **{stem: getattr(util, name) for stem, name in FIXTURES.items()},
+             **{stem: failing_text(stem) for stem in FAILING}}
     paths = []
     for stem, text in texts.items():
         paths.append(os.path.join(tmp, f"{stem}.scen"))

@@ -35,6 +35,7 @@ from symred.errors import (
     NonFiniteError,
     NotOnLevelError,
     NotRegularValueError,
+    RankDeficientLiftError,
 )
 from symred.geometry import (
     FD_STEP,
@@ -60,6 +61,7 @@ from symred.reduction import (
 from symred.scenarios import builtin, builtin_names, builtin_text, compile_scenario, parse_scenario
 from symred.structures import check_metric
 
+from report_sweep import failing_text
 from util import (
     TORUS_T2_TEXT,
     ColumnRefused,
@@ -87,9 +89,9 @@ def _same(got, want, what):
 
 
 def _assert_frame(frames, i, m, ref, what):
-    _same(frames.split.base[i], m, f"{what}: section point")
+    _same(frames.base[i], m, f"{what}: section point")
     for name in SPLIT_FIELDS:
-        _same(getattr(frames.split, name)[i], ref[name], f"{what}: {name}")
+        _same(getattr(frames, name)[i], ref[name], f"{what}: {name}")
     for name in ("lifts", "Om", "J", "coef"):
         _same(getattr(frames, name)[i], ref[name], f"{what}: {name}")
 
@@ -447,9 +449,9 @@ def test_a_base_frame_fails_before_its_own_moved_frames(tmp_path, capsys):
         section=_HOPF_SECTION.replace("[1/sqrt(1 + w1^2 + w2^2),",
                                       "[1/sqrt(1 + w1^2 + w2^2) + 0*sqrt(w1^2),"))
     with pytest.raises(NonFiniteError, match="^derivative of hopf section at"):
-        reduction._lift_frames(scen, np.array([[0.0, 0.2]]), np.array([[np.pi]]))
+        lift_frames(scen, np.array([[0.0, 0.2]]), np.array([[np.pi]]))
     with pytest.raises(NotOnLevelError):
-        reduction._lift_frames(scen, np.array([[0.6, 0.3]]), np.array([[np.pi]]))
+        lift_frames(scen, np.array([[0.6, 0.3]]), np.array([[np.pi]]))
     base_error, error = _assert_parity(path, scen, capsys)
     assert type(error) is NonFiniteError and str(error) == str(base_error)
     assert str(error).startswith("derivative of hopf section at")
@@ -502,13 +504,13 @@ def test_suites_that_read_no_frames_build_none(tmp_path, monkeypatch):
     # the section leaves the level set, which only the frames see
     path, _ = _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION)
     sizes = []
-    build = reduction._lift_frames
+    build = cli.lift_frames
 
     def counted(scen, X, *fiber_params):
         sizes.append(len(X))
         return build(scen, X, *fiber_params)
 
-    monkeypatch.setattr(reduction, "_lift_frames", counted)
+    monkeypatch.setattr(cli, "lift_frames", counted)
     assert main(["verify", str(path), "--suites", "structures,action,holomorphy"]) == 0
     assert sizes == []
     assert main(["verify", str(path), "--suites", "structures,action,main-theorem"]) == 2
@@ -516,18 +518,18 @@ def test_suites_that_read_no_frames_build_none(tmp_path, monkeypatch):
 
 
 def test_a_failing_table_builds_its_batch_once(tmp_path, monkeypatch):
-    # the batch of all five frames fails at the third, and nothing is built
+    # the batch of all five frames fails at the third, and nothing is split
     # again
     _, scen = _hopf_variant(tmp_path, "off_level", section=_OFF_LEVEL_SECTION)
     points = np.array(scen.sample_spec.points)
     sizes = []
-    build = reduction._lift_frames
+    build = reduction.split_tangent
 
-    def counted(scen, X, *fiber_params):
-        sizes.append(len(X))
-        return build(scen, X, *fiber_params)
+    def counted(scen, M):
+        sizes.append(len(M))
+        return build(scen, M)
 
-    monkeypatch.setattr(reduction, "_lift_frames", counted)
+    monkeypatch.setattr(reduction, "split_tangent", counted)
     with pytest.raises(NotOnLevelError):
         verify_main_theorem(lift_frames(scen, points))
     assert sizes == [5]
@@ -636,6 +638,44 @@ def test_a_stack_mixing_a_critical_point_of_mu_is_not_a_regular_value(tmp_path, 
         assert out == ""
         assert err.startswith("error: kernel of d mu has dimension 4 at point [")
         assert len(err.splitlines()) == 1
+
+
+# every refusal of the frames that a scenario can reach, by the FAILING
+# variant of tests/report_sweep.py that reaches it: the error and the sample
+# whose section point it names
+REFUSALS = {
+    "off_level": (NotOnLevelError, 2),
+    "mixed_rank": (NotRegularValueError, 1),
+    "not_tangent": (DegenerateInputError, 0),
+    "degenerate": (ActionNotFreeError, 2),
+    "torus_degenerate": (ActionNotFreeError, 2),
+    "torus_shared_circle": (ActionNotFreeError, 0),
+    "normal_generator": (DegenerateInputError, 2),
+    "horizontal_degenerate": (DegenerateInputError, 1),
+    "flat_section": (RankDeficientLiftError, 2),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(REFUSALS))
+def test_every_refusal_of_the_frames_names_its_first_failing_point(stem, tmp_path, capsys):
+    # the stacked error is the frame-by-frame one, with and without fibre
+    # frames and from verify, and names the first sample that fails: the
+    # samples before it build their frames, and it alone raises the error
+    error, first = REFUSALS[stem]
+    text = failing_text(stem)
+    path = tmp_path / f"{stem}.scn"
+    path.write_text(text)
+    scen = compile_scenario(parse_scenario(text))
+    xs = np.array(scen.sample_spec.points)
+    base_error, fibre_error = _assert_parity(path, scen, capsys)
+    assert type(base_error) is type(fibre_error) is error
+    assert str(base_error) == str(fibre_error)
+    assert point_text(scen.section.rows(xs[first:first + 1])[0]) in str(base_error)
+    if first:
+        lift_frames(scen, xs[:first], _fibre(scen))
+    with pytest.raises(error) as raised:
+        lift_frames(scen, xs[first:first + 1])
+    assert str(raised.value) == str(base_error)
 
 
 def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):

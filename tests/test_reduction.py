@@ -421,11 +421,11 @@ def test_pullback_residual_bounds_every_pair_of_unit_level_vectors(name):
     rng = np.random.default_rng(0)
     f = frames.base
     for i, residual in enumerate(seen[0]):
-        jmu, Om, L = f.split.jmu[i], f.Om[i], f.lifts[i]
+        jmu, Om, L = f.jmu[i], f.Om[i], f.lifts[i]
         w = rng.standard_normal((scen.chart_dim, 2 * pairs))
         u = w - jmu.T @ np.linalg.solve(jmu @ jmu.T, jmu @ w)
         u /= np.linalg.norm(u, axis=0)
-        dpi = np.linalg.lstsq(np.hstack([L, f.split.vertical[i]]), u, rcond=None)[0][:q]
+        dpi = np.linalg.lstsq(np.hstack([L, f.vertical[i]]), u, rcond=None)[0][:q]
         w_red = L.T @ Om @ L
         w_red = 0.5 * (w_red - w_red.T)
         ambient = np.sum(u[:, :pairs] * (Om @ u[:, pairs:]), axis=0)
@@ -514,6 +514,86 @@ def test_reduced_symplectic_form_does_not_depend_on_the_metric(scen):
     assert np.max(np.abs(got.h_beta - want.h_beta)) > 1e-4
 
 
+def _hopf_at_level(beta):
+    """hopf at the level beta: mu = beta on the sphere of radius sqrt(2 beta),
+    with the section scaled onto it."""
+    text = builtin_text("hopf").replace("beta = [0.5]", f"beta = [{beta!r}]")
+    scale = repr(float(np.sqrt(2.0 * beta)))
+    for numerator in ("[1", "w1", "w2"):
+        old = f"{numerator}/sqrt(1 + w1^2 + w2^2)"
+        assert old in text
+        text = text.replace(old, f"{numerator}*{scale}/sqrt(1 + w1^2 + w2^2)")
+    return _text_scenario(text)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 2.0, 7.5])
+def test_reduced_volume_is_duistermaat_heckman(beta):
+    # Duistermaat-Heckman (Invent. Math. 69, 1982): the symplectic volume of
+    # the reduced space of the circle acting on C^2 at the level beta is
+    # 2 pi beta.  Over hopf's affine chart, with s = r^2/(1 + r^2) in [0, 1)
+    # and dA = r dr dtheta = 1/2 ds/(1 - s)^2 dtheta, 200 Gauss-Legendre
+    # nodes in s and 64 angles integrate |omega_red[0, 1]| = 2 beta (1 - s)^2,
+    # so the integrand in (s, theta) is the constant beta and the rule is
+    # exact to roundoff (measured within 3.1e-16 relative).  A
+    # substitution r = tan u instead reaches r ~ 3.5e4 at its outer nodes,
+    # where the lifts' singular values fall below RANK_TOL and the frames
+    # are refused
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    s, ds = (nodes + 1.0) / 2.0, weights / 2.0
+    theta = 2.0 * np.pi * np.arange(64) / 64
+    r = np.sqrt(s / (1.0 - s))
+    X = np.stack([np.outer(r, np.cos(theta)).ravel(), np.outer(r, np.sin(theta)).ravel()], axis=1)
+    w = reduced_structures(_hopf_at_level(beta), X).omega_beta[:, 0, 1].reshape(len(s), -1)
+    volume = np.sum(np.abs(w) * (0.5 * ds / (1.0 - s) ** 2)[:, np.newaxis]) * (2.0 * np.pi / 64)
+    assert abs(volume - 2.0 * np.pi * beta) <= 1e-12 * 2.0 * np.pi * beta
+
+
+def _sheared_hopf_text(a):
+    """hopf conjugated by the nonlinear symplectomorphism
+    S(x) = (x1, x2 + a sin x1, x3, x4): g = DS^T DS, J = DS^-1 J0 DS, whose
+    first block is [[-c, -1], [1 + c^2, c]] with c = a cos x1, omega
+    unchanged, the flow S^-1 o Phi_t o S, mu o S and the section S^-1 o
+    sigma."""
+    c, y2 = f"{a!r}*cos(x1)", f"(x2 + {a!r}*sin(x1))"
+    z1, z2 = f"(x1*cos(t1) + {y2}*sin(t1))", f"({y2}*cos(t1) - x1*sin(t1))"
+    text = builtin_text("hopf")
+    for old, new in (
+            ("metric = [[1, 0, 0, 0], [0, 1, 0, 0],",
+             f"metric = [[1 + ({c})^2, {c}, 0, 0], [{c}, 1, 0, 0],"),
+            ("acs = [[0, -1, 0, 0], [1, 0, 0, 0],",
+             f"acs = [[-{c}, -1, 0, 0], [1 + ({c})^2, {c}, 0, 0],"),
+            ("flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),",
+             f"flow = [{z1}, {z2} - {a!r}*sin({z1}),"),
+            ("mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]", f"mu = [0.5*(x1^2 + {y2}^2 + x3^2 + x4^2)]"),
+            ("section = [1/sqrt(1 + w1^2 + w2^2), 0,",
+             f"section = [1/sqrt(1 + w1^2 + w2^2), -{a!r}*sin(1/sqrt(1 + w1^2 + w2^2)),")):
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def test_a_nonlinear_symplectic_shear_keeps_the_reduction(tmp_path):
+    # S keeps omega and maps the sheared level set, orbits and section onto
+    # hopf's, so pi o S^-1 is hopf's projection and the quotient chart is
+    # hopf's: h_red, omega_red and J_red match hopf's to roundoff (measured
+    # 1.5e-15), though g and J are not constant and the flow is not linear
+    # in x, and verify passes with every residual at roundoff (measured
+    # 1.9e-15)
+    text = _sheared_hopf_text(0.7)
+    sheared = _text_scenario(text)
+    for seed in range(20):
+        X = sample_ball(2, 20, 2.0, seed)
+        got, want = reduced_structures(sheared, X), reduced_structures(HOPF, X)
+        for key in ("h_beta", "omega_beta", "j_beta"):
+            assert np.max(np.abs(getattr(got, key) - getattr(want, key))) <= 1e-12, (seed, key)
+    path = tmp_path / "sheared_hopf.scn"
+    path.write_text(text)
+    for seed in (0, 1, 2, 3, 7, 13):
+        report, code = run(RunConfig(str(path), seed=seed))
+        assert code == 0, (seed, report.format_text())
+        assert max(c.max_residual for _, c in report.all_checks()) <= 1e-12, seed
+
+
 @pytest.mark.parametrize("plane, curvature", [((0, 1), 4.0), ((0, 2), 1.0), ((1, 3), 1.0)],
                          ids=["complex-line", "real-w1-w3", "real-w2-w4"])
 def test_reduced_metric_of_cp2_has_its_sectional_curvatures(plane, curvature):
@@ -548,7 +628,7 @@ def test_verify_main_theorem_positive_branch():
         return np.stack([z.real, z.imag], axis=1)
 
     frames = lift_frames(HOPF, xs).base
-    dpi = fd_jacobian(RowMap(projection), frames.split.base)
+    dpi = fd_jacobian(RowMap(projection), frames.base)
     np.testing.assert_allclose(dpi @ frames.lifts, np.broadcast_to(np.eye(2), (10, 2, 2)),
                                atol=1e-8)
 

@@ -1,7 +1,9 @@
-"""VerificationReport.to_json against its oracle, json.dumps(report.to_dict(),
-indent=2, sort_keys=True, allow_nan=False): the same text, or the same
-error, on verify reports and on a synthetic report of every awkward value
-(test_report_json_property.py adds random trees)."""
+"""VerificationReport.to_json against its oracle, json.dumps of the report's
+layout normalized value by value (``reference_jsonable``), indent=2,
+sort_keys=True, allow_nan=False: the same text, or the same error, on
+verify reports and on a synthetic report of every awkward value
+(test_report_json_property.py adds random trees).  ``to_dict`` is the text
+read back, so it raises what ``to_json`` raises."""
 
 import json
 import math
@@ -9,15 +11,34 @@ import math
 import numpy as np
 import pytest
 from symred.cli import RunConfig, run
-from symred.report import VerificationReport
+from symred.report import VerificationReport, check_to_dict
 from symred.scenarios import builtin_names, builtin_text
 from symred.structures import StructureCheckResult
 
 from util import DOUBLE_SPEED_HOPF_TEXT
 
 
+def reference_jsonable(value):
+    """A report's layout as plain JSON values, one value at a time: a numpy
+    scalar its ``item()``, an array or a tuple a list, a key its ``str``, a
+    non-finite float the string json's strict form needs; any other value
+    is left for json to write or refuse."""
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, np.ndarray):
+        return reference_jsonable(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [reference_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): reference_jsonable(v) for k, v in value.items()}
+    return value
+
+
 def oracle(report: VerificationReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+    return json.dumps(reference_jsonable(report._fields()), indent=2, sort_keys=True,
+                      allow_nan=False)
 
 
 def outcome(write, report):
@@ -131,4 +152,23 @@ def test_non_finite_worst_point_is_written_as_every_float_is():
 def test_unserializable_values_raise_as_json_does():
     for extras in ({"flag": np.bool_(True)}, {"c": 1j}, {"s": {1, 2}},
                    {"ld": np.longdouble(0.5)}):  # its item() is itself
-        assert_matches_oracle(VerificationReport("x", checks=[_check("c", 0.0, extras=extras)]))
+        check = _check("c", 0.0, extras=extras)
+        report = VerificationReport("x", checks=[check])
+        assert_matches_oracle(report)
+        # the dict forms are the JSON text read back, so they raise as it does
+        for write in (VerificationReport.to_dict, lambda _: check_to_dict(check)):
+            assert outcome(write, report) == outcome(VerificationReport.to_json, report)
+
+
+def _checks(node: dict):
+    """The check dicts of a report dict, depth first, as ``all_checks``."""
+    yield from node["checks"]
+    for child in node["children"]:
+        yield from _checks(child)
+
+
+def test_the_dict_forms_are_the_json_text_read_back():
+    report, _ = run(RunConfig("noninvariant_metric_hopf", samples=20, seed=0))
+    data = report.to_dict()
+    assert data == json.loads(report.to_json()) == reference_jsonable(report._fields())
+    assert [check_to_dict(c) for _, c in report.all_checks()] == list(_checks(data))

@@ -1,7 +1,7 @@
-"""VerificationReport.to_json against json.dumps(report.to_dict(), indent=2,
-sort_keys=True, allow_nan=False) on random trees of the values a report may
-hold (hypothesis is a test-only dependency; the module is skipped without
-it)."""
+"""VerificationReport.to_json against the oracle of test_report_json.py,
+json.dumps of the report's layout normalized value by value, on random trees
+of the values a report may hold (hypothesis is a test-only dependency; the
+module is skipped without it)."""
 
 import json
 import math

@@ -523,7 +523,7 @@ def reference_split_tangent(scen, m, per_vector=False):
     tangency = float(np.max(np.abs(jmu @ V)))
     if tangency > LEVEL_TOL * scale:
         raise DegenerateInputError(
-            f"generators leave ker d mu by {tangency:.3e}; "
+            f"generators leave ker d mu by {tangency:.3e} at {point_text(point)}; "
             "the action is not tangent to the level set")
     G = eval_field(scen.metric, one(point))[0]
     orthonormalize = reference_orthonormalize_per_vector if per_vector else reference_orthonormalize
@@ -532,14 +532,15 @@ def reference_split_tangent(scen, m, per_vector=False):
         raise ActionNotFreeError(
             f"vertical space degenerates to dimension below {k} at {point_text(point)}")
     complement = reference_kernel_basis(vertical.T @ G @ level, RANK_TOL)
-    horizontal = orthonormalize(level @ complement, G)
+    if complement.shape[1] != n - 2 * k:
+        raise DegenerateInputError(
+            f"horizontal complement has dimension {complement.shape[1]} at "
+            f"{point_text(point)}, expected {n - 2 * k}")
+    horizontal = orthonormalize(level @ complement, G, tol=FREE_TOL)
     if horizontal.shape[1] < complement.shape[1]:
         raise DegenerateInputError(
             f"horizontal complement degenerates to dimension below {n - 2 * k} "
             f"at {point_text(point)}")
-    if horizontal.shape[1] != n - 2 * k:
-        raise DegenerateInputError(
-            f"horizontal complement has dimension {horizontal.shape[1]}, expected {n - 2 * k}")
     return {"metric": G, "level": level, "vertical": vertical, "horizontal": horizontal,
             "jmu": jmu, "generators": V}
 
