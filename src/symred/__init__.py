@@ -48,7 +48,6 @@ from .structures import (
     check_compatibility,
     check_metric,
     check_symplectic_pointwise,
-    euclidean_metric,
     standard_acs,
     standard_acs_matrix,
     standard_symplectic,

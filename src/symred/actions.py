@@ -27,12 +27,15 @@ moves from it; an invariance check or ``average_metric`` reads its field at
 all moved points in one call.  Each row is the bits of the call on its
 point alone.  A compiled flow's derivatives are exact
 (``geometry.RowMap.tangents``): the flow Jacobians seed the point
-coordinates and the generators the group parameters.
+coordinates and the generators the group parameters.  Each invariance
+residual and the Hamiltonian one is one private ``_*_residual`` function
+of stacked arrays, and every pullback D^T F D is ``geometry._pullback``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .geometry import (
     _derivative,
     _evaluate_rows,
     _finite,
+    _pullback,
     _require_finite,
     _row_max_abs,
     _row_norms,
@@ -266,7 +270,24 @@ def _invariance_check(name, identity, residual, field_, table: PushforwardTable,
 
 def _pullback_residual(D, here, moved) -> np.ndarray:
     """A bilinear field against its pullback D^T F(Phi_a(p)) D."""
-    return D.swapaxes(-1, -2) @ moved @ D - here
+    return _pullback(moved, D) - here
+
+
+def _endomorphism_residual(D, here, moved) -> np.ndarray:
+    """An endomorphism field's D F(p) against F(Phi_a(p)) D."""
+    return D @ here - moved @ D
+
+
+def _mu_residual(D, here, moved) -> np.ndarray:
+    """mu(Phi_a(p)) against mu(p)."""
+    return moved - here
+
+
+def _hamiltonian_residual(Om, V, jmu) -> np.ndarray:
+    """Largest norm of Omega^T xi - grad mu_xi over the generators xi, the
+    columns of V (N, n, k), with d mu (N, k, n), at each point."""
+    xis = np.ascontiguousarray(V.swapaxes(1, 2))[..., np.newaxis]
+    return _row_max_abs(_row_norms((Om.swapaxes(1, 2)[:, np.newaxis] @ xis)[..., 0] - jmu))
 
 
 def check_isometry(g: TensorField, table: PushforwardTable,
@@ -288,13 +309,9 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
     With the row convention u^T Omega v for omega(u, v) the identity in
     components is Omega^T xi_M = grad mu, checked in the Euclidean norm.
     """
-    def residuals(X):
-        OmT = eval_field(w, X).swapaxes(1, 2)
-        xis = np.ascontiguousarray(generator(action, X).swapaxes(1, 2))[..., np.newaxis]
-        grads = momentum_jacobian(mu, X)
-        return _row_max_abs(_row_norms((OmT[:, np.newaxis] @ xis)[..., 0] - grads))
-
-    return _sampled("hamiltonian condition", IDENTITY_MOMENTUM, residuals, points, tol)
+    return _sampled("hamiltonian condition", IDENTITY_MOMENTUM, _hamiltonian_residual,
+                    [partial(eval_field, w), partial(generator, action),
+                     partial(momentum_jacobian, mu)], points, tol)
 
 
 def check_momentum_invariance(mu: MomentumMap, table: PushforwardTable,
@@ -302,8 +319,8 @@ def check_momentum_invariance(mu: MomentumMap, table: PushforwardTable,
                               ) -> StructureCheckResult:
     """Invariance mu o Phi_a = mu; this is equivariance for abelian groups.
     The table's points and moved points are read, not its Jacobians."""
-    return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT,
-                             lambda D, here, moved: moved - here, mu.field, table, tol)
+    return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT, _mu_residual,
+                             mu.field, table, tol)
 
 
 def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorField:
@@ -328,7 +345,7 @@ def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorFi
         table = pushforward_table(action, params, X)
         D, moved = table.D, table.moved
         G = eval_field(g0, moved.reshape(-1, n)).reshape(D.shape)
-        terms = scale * (D.swapaxes(-1, -2) @ G @ D)
+        terms = scale * _pullback(G, D)
         # running sum from zero, term by term in rule order
         total = np.cumsum(np.concatenate([np.zeros((1,) + D.shape[1:]), terms]), axis=0)[-1]
         return 0.5 * (total + total.swapaxes(1, 2))
@@ -341,8 +358,7 @@ def check_field_invariance(field_: TensorField, table: PushforwardTable,
                            ) -> StructureCheckResult:
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
     return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
-                             lambda D, here, moved: D @ here - moved @ D,
-                             field_, table, tol)
+                             _endomorphism_residual, field_, table, tol)
 
 
 def uniform_torus_quadrature(k: int, n: int = 16) -> tuple:

@@ -431,9 +431,13 @@ def _g_norms(W: np.ndarray, G: np.ndarray | None = None) -> np.ndarray:
     (..., n, c), as (..., c): the diagonal of the one product W^T G W per
     frame, the leading axes of W and G broadcasting; with no G, the
     Euclidean norms, from W^T W."""
-    WT = W.swapaxes(-1, -2)
-    gram = WT @ W if G is None else WT @ G @ W
+    gram = W.swapaxes(-1, -2) @ W if G is None else _pullback(G, W)
     return np.sqrt(np.maximum(np.diagonal(gram, axis1=-2, axis2=-1), 0.0))
+
+
+def _pullback(F: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """D^T F D at every slice: the form F pulled back along the columns of D."""
+    return D.swapaxes(-1, -2) @ F @ D
 
 
 def spd_sqrt(mat) -> tuple[np.ndarray, np.ndarray]:

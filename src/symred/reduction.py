@@ -32,7 +32,9 @@ table's frames as stacked arrays, with stacked products and no loop over
 points: a frame (the lifts, the generators, the level frame of a point)
 is one slice of each product, J_red = C^-1 H^T G J L included, and the
 norms of its columns are the diagonals of whole products, so each frame's
-values are the bits of the same products on that frame alone.
+values are the bits of the same products on that frame alone.  Every
+pullback is ``geometry._pullback``, and the main theorem's compatibility
+and J^2 = -I rows are the residual functions of ``structures``.
 
 The quotient has no chart of its own other than through the local section, so
 the projection differential is never formed globally.  The lifts are
@@ -82,13 +84,15 @@ from .geometry import (
     _gram_schmidt,
     _null_columns,
     _point_text,
+    _pullback,
     _ranks,
     _row_max_abs,
     _row_norms,
     _stack,
 )
 from .report import VerificationReport
-from .structures import DEFAULT_TOLERANCES, StructureCheckResult
+from .structures import (DEFAULT_TOLERANCES, StructureCheckResult, _acs_residual,
+                         _compatibility_residual)
 
 __all__ = [
     "SampleSpec",
@@ -362,13 +366,13 @@ def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable
 
 def _reduced_metric(lifts: np.ndarray, metric: np.ndarray) -> np.ndarray:
     """g on the lifts, symmetrized, at every frame."""
-    h = lifts.swapaxes(1, 2) @ metric @ lifts
+    h = _pullback(metric, lifts)
     return 0.5 * (h + h.swapaxes(1, 2))
 
 
 def _reduced_symplectic(f: _LiftFrames) -> np.ndarray:
     """omega on the lifts, antisymmetrized, at every frame."""
-    w = f.lifts.swapaxes(1, 2) @ f.Om @ f.lifts
+    w = _pullback(f.Om, f.lifts)
     return 0.5 * (w - w.swapaxes(1, 2))
 
 
@@ -475,7 +479,7 @@ def verify_reduction_identity(frames: _FrameTable,
     report = VerificationReport("reduction identity")
     X, f, K = frames.points, frames.base, frames.base.level
     d = np.linalg.solve(f.coef, f.htg @ K)
-    E = K.swapaxes(1, 2) @ f.Om @ K - d.swapaxes(1, 2) @ _reduced_symplectic(f) @ d
+    E = _pullback(f.Om, K) - _pullback(_reduced_symplectic(f), d)
     degeneracy = f.vertical.swapaxes(1, 2) @ f.Om @ K
     id_res, deg_res = _row_norms(E.reshape(len(X), -1)), _row_max_abs(degeneracy)
     report.add(StructureCheckResult.from_samples(
@@ -506,14 +510,14 @@ def verify_main_theorem(frames: _FrameTable,
     ``frames``.
     """
     report = VerificationReport("main theorem")
-    X, q, f = frames.points, frames.points.shape[1], frames.base
+    X, f = frames.points, frames.base
     h_red, w_red, j_red, vert_leak, normal_leak = _reduced(f)
     j_vertical = _g_norms(f.htg @ f.J @ f.vertical)
     vert_leak, normal_leak = _row_max_abs(vert_leak), _row_max_abs(normal_leak)
     acm_res = np.maximum(normal_leak, _row_max_abs(j_vertical))
-    compat_res = _row_max_abs(w_red @ j_red - h_red)
-    acs_res = _row_norms((j_red @ j_red + np.eye(q)).reshape(len(X), q * q))
-    hyp_res = _row_max_abs(f.Om @ f.J - f.metric)
+    compat_res = _compatibility_residual(w_red, h_red, j_red)
+    acs_res = _acs_residual(j_red)
+    hyp_res = _compatibility_residual(f.Om, f.metric, f.J)
     hypothesis_violated = not (hyp_res <= hypothesis_tol).all()
     iff_res = np.where((acm_res <= tol) == (compat_res <= tol), 0.0, 1.0)
     branch = "positive" if max_abs(acm_res) <= tol and max_abs(compat_res) <= tol else "negative"

@@ -1,4 +1,4 @@
-"""Structured verification reports with lossless JSON serialization.
+"""Structured verification reports and their deterministic JSON text.
 
 A report is a tree: named check results at each node plus child reports.
 The JSON form is deterministic (sorted keys, two-space indent) so two runs
@@ -24,7 +24,7 @@ import numpy as np
 
 from .structures import StructureCheckResult
 
-__all__ = ["VerificationReport", "check_to_dict", "check_from_dict"]
+__all__ = ["VerificationReport", "check_to_dict"]
 
 
 _STR = json.encoder.encode_basestring_ascii  # json's own C function
@@ -137,19 +137,6 @@ def check_to_dict(check: StructureCheckResult) -> dict:
     return json.loads(_text(_check_fields(check), ""))
 
 
-def check_from_dict(d: dict) -> StructureCheckResult:
-    """The check ``d`` describes, judged again: its ``"passed"`` is not read."""
-    worst = d.get("worst_point")
-    return StructureCheckResult(
-        name=d["name"],
-        max_residual=float(d["max_residual"]),
-        tolerance=d["tolerance"],  # StructureCheckResult refuses a bool
-        worst_point=None if worst is None else tuple(map(float, worst)),
-        identity=d.get("identity", ""),
-        extras=dict(d.get("extras", {})),
-    )
-
-
 @dataclass
 class VerificationReport:
     """Tree of named checks; overall pass means every node passes."""
@@ -200,23 +187,10 @@ class VerificationReport:
         """The report as its JSON text reads back."""
         return json.loads(self.to_json())
 
-    @staticmethod
-    def from_dict(d: dict) -> "VerificationReport":
-        return VerificationReport(
-            name=d["name"],
-            checks=[check_from_dict(c) for c in d.get("checks", [])],
-            children=[VerificationReport.from_dict(ch) for ch in d.get("children", [])],
-            meta=dict(d.get("meta", {})),
-        )
-
     def to_json(self) -> str:
         """The deterministic JSON text of the report, written in one walk of
         its layout; ``to_dict`` reads it back."""
         return _text(self._fields(), "")
-
-    @staticmethod
-    def from_json(text: str) -> "VerificationReport":
-        return VerificationReport.from_dict(json.loads(text))
 
     def format_text(self) -> str:
         """Human-readable residual table, one row per check."""

@@ -7,13 +7,17 @@ Conventions.  Bilinear forms act on component vectors as ``u^T M v`` and an
 almost complex structure acts as a plain matrix, so compatibility
 ``omega(u, J v) = g(u, v)`` is the matrix identity ``Omega @ J == G``.
 Matrix-identity residuals are reported as the largest absolute entry; the
-operator property ``J^2 = -I`` is reported in the Frobenius norm.
+operator property ``J^2 = -I`` is reported in the Frobenius norm.  Each
+identity's residual is one private ``_*_residual`` function of stacked
+arrays: a check applies it to the batches ``_sampled`` evaluates, and
+``reduction``'s main theorem applies two of them to the lift frames.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -40,7 +44,6 @@ __all__ = [
     "standard_acs_matrix",
     "standard_symplectic",
     "standard_acs",
-    "euclidean_metric",
     "check_metric",
     "check_symplectic_pointwise",
     "check_closed",
@@ -183,32 +186,52 @@ def standard_acs(dim: int) -> TensorField:
     return TensorField.constant(standard_acs_matrix(dim), name="standard J")
 
 
-def euclidean_metric(dim: int) -> TensorField:
-    return TensorField.constant(np.eye(dim), name="euclidean metric")
-
-
-def _sampled(name, identity, residuals, points, tol) -> StructureCheckResult:
-    """One sampled check over ``points`` (``as_points``): ``residuals(X)``
-    returns the residual at each row of the (N, n) array X of the points,
-    from stacked evaluations, and raises the first error its batch meets."""
+def _sampled(name, identity, kernel, fields, points, tol) -> StructureCheckResult:
+    """One sampled check: ``kernel`` of the batches ``f(X)`` of ``fields`` at
+    the (N, n) array X of ``points``, called in order; a failing batch raises."""
     X = as_points(points)
-    return StructureCheckResult.from_samples(name, residuals(X), X, tol, identity)
+    return StructureCheckResult.from_samples(
+        name, kernel(*(f(X) for f in fields)), X, tol, identity)
+
+
+def _metric_residual(G: np.ndarray, tol: float) -> np.ndarray:
+    """Max-abs asymmetry of each G, plus at least tol where lambda_min <= tol."""
+    GT = G.swapaxes(1, 2)
+    lam_min = np.linalg.eigvalsh(0.5 * (G + GT))[:, 0]
+    return _row_max_abs(G - GT) + np.where(lam_min > tol, 0.0, 2.0 * tol - lam_min)
+
+
+def _symplectic_residual(Om: np.ndarray, tol: float) -> np.ndarray:
+    """Max-abs symmetric part of each Om, or at least tol where s_min/s_max <= tol."""
+    s = np.linalg.svd(Om, compute_uv=False)
+    first, last = (s[:, 0], s[:, -1]) if s.shape[1] else (1.0, 1.0)  # 0 x 0: ratio 1
+    ratio = np.divide(last, first, out=np.zeros(len(Om)), where=first > 0.0)
+    penalty = np.where(ratio > tol, 0.0, 2.0 * tol - ratio)
+    return np.maximum(_row_max_abs(Om + Om.swapaxes(1, 2)), penalty)
+
+
+def _closed_residual(partials: np.ndarray) -> np.ndarray:
+    """Max-abs cyclic sum over i < j < k of the partials [p, r, c, a] = d_a omega_rc(p)."""
+    r = np.arange(partials.shape[1])
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))  # in order
+    return _row_max_abs(partials[:, j, k, i] + partials[:, k, i, j] + partials[:, i, j, k])
+
+
+def _acs_residual(J: np.ndarray) -> np.ndarray:
+    """Frobenius norm of J^2 + I for each matrix of the stack J."""
+    return _row_norms((J @ J + np.eye(J.shape[-1])).reshape(len(J), -1))
+
+
+def _compatibility_residual(Om: np.ndarray, G: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Max-abs entry of Omega J - G for each slice of the stacks."""
+    return _row_max_abs(Om @ J - G)
 
 
 def check_metric(g: TensorField, points,
                  tol: float = DEFAULT_TOLERANCES["structures.metric"]) -> StructureCheckResult:
-    """Symmetry plus positive definiteness of a metric field at sample points.
-
-    Residual per point: max-abs asymmetry, plus a penalty of at least tol
-    whenever the smallest eigenvalue fails to clear tol.
-    """
-    def residuals(X):
-        G = eval_field(g, X)
-        GT = G.swapaxes(1, 2)
-        lam_min = np.linalg.eigvalsh(0.5 * (G + GT))[:, 0]
-        return _row_max_abs(G - GT) + np.where(lam_min > tol, 0.0, 2.0 * tol - lam_min)
-
-    return _sampled("metric field", IDENTITY_METRIC, residuals, points, tol)
+    """Symmetry plus positive definiteness of a metric field at sample points."""
+    return _sampled("metric field", IDENTITY_METRIC, lambda G: _metric_residual(G, tol),
+                    [partial(eval_field, g)], points, tol)
 
 
 def check_symplectic_pointwise(
@@ -223,16 +246,9 @@ def check_symplectic_pointwise(
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"symplectic field must be square, got {w.shape}")
     _interleaved_planes(w.shape[0], "symplectic form")
-
-    def residuals(X):
-        Om = eval_field(w, X)
-        s = np.linalg.svd(Om, compute_uv=False)
-        first, last = (s[:, 0], s[:, -1]) if s.shape[1] else (1.0, 1.0)  # 0 x 0: ratio 1
-        ratio = np.divide(last, first, out=np.zeros(len(X)), where=first > 0.0)
-        penalty = np.where(ratio > tol, 0.0, 2.0 * tol - ratio)
-        return np.maximum(_row_max_abs(Om + Om.swapaxes(1, 2)), penalty)
-
-    return _sampled("symplectic field", IDENTITY_SYMPLECTIC, residuals, points, tol)
+    return _sampled("symplectic field", IDENTITY_SYMPLECTIC,
+                    lambda Om: _symplectic_residual(Om, tol), [partial(eval_field, w)],
+                    points, tol)
 
 
 def check_closed(w: TensorField, points,
@@ -240,39 +256,23 @@ def check_closed(w: TensorField, points,
     """Closedness of the 2-form: cyclic sum of coefficient partials over all
     index triples, every partial from one derivative batch of omega along
     each coordinate (exact for a compiled field)."""
-    n = w.shape[0]
-    r = np.arange(n)
-    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))  # i < j < k, in order
-
-    def residuals(X):
-        # entry [p, r, c, a] is the partial of omega_rc along x_a at point p
-        partials = fd_directional(w, X, np.eye(n))
-        return _row_max_abs(partials[:, j, k, i] + partials[:, k, i, j] + partials[:, i, j, k])
-
-    return _sampled("closedness of omega", IDENTITY_CLOSED, residuals, points, tol)
+    return _sampled("closedness of omega", IDENTITY_CLOSED, _closed_residual,
+                    [lambda X: fd_directional(w, X, np.eye(w.shape[0]))], points, tol)
 
 
 def check_acs(J: TensorField, points,
               tol: float = DEFAULT_TOLERANCES["structures.acs"]) -> StructureCheckResult:
     """Frobenius norm of J(p)^2 + I at sample points."""
-    eye = np.eye(J.shape[0])
-
-    def residuals(X):
-        Jm = eval_field(J, X)
-        return _row_norms((Jm @ Jm + eye).reshape(len(X), -1))
-
-    return _sampled("almost complex structure", IDENTITY_ACS, residuals, points, tol)
+    return _sampled("almost complex structure", IDENTITY_ACS, _acs_residual,
+                    [partial(eval_field, J)], points, tol)
 
 
 def check_compatibility(
         t: CompatibleTriple, points,
         tol: float = DEFAULT_TOLERANCES["structures.compatibility"]) -> StructureCheckResult:
     """Max-abs residual of the compatibility identity Omega @ J == G."""
-    def residuals(X):
-        Om, G, Jm = [eval_field(f, X) for f in (t.omega, t.metric, t.acs)]
-        return _row_max_abs(Om @ Jm - G)
-
-    return _sampled("compatibility", IDENTITY_COMPAT, residuals, points, tol)
+    return _sampled("compatibility", IDENTITY_COMPAT, _compatibility_residual,
+                    [partial(eval_field, f) for f in (t.omega, t.metric, t.acs)], points, tol)
 
 
 def _compatible(w: TensorField, g0: TensorField, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from symred.exprlang import compile_exprs, parse_expression
 from symred.geometry import RowMap, TensorField, eval_field, sample_box
 from symred.reduction import lift_frames
 from symred.scenarios import _row_map, builtin, compile_scenario, parse_scenario
-from symred.structures import euclidean_metric, standard_acs, standard_symplectic
+from symred.structures import standard_acs, standard_symplectic
 
 from util import (
     TORUS_T2_TEXT,
@@ -260,10 +260,10 @@ def test_momentum_residual_checks_every_generator():
 
 def test_isometry_examples():
     rotations = pushforward_table(ROTATION, ANGLES, POINTS_2D)
-    assert check_isometry(euclidean_metric(2), rotations).max_residual < 1e-9
+    assert check_isometry(TensorField.constant(np.eye(2)), rotations).max_residual < 1e-9
 
     doubling = pushforward_table(scaling_action(), [np.array([np.log(2.0)])], POINTS_2D)
-    res = check_isometry(euclidean_metric(2), doubling)
+    res = check_isometry(TensorField.constant(np.eye(2)), doubling)
     assert not res.passed
     assert abs(res.max_residual - 3.0) < 1e-8  # pullback metric is 4I
 
@@ -352,7 +352,7 @@ def test_average_metric_rotation():
 
 
 def test_average_metric_fixes_invariant_input():
-    averaged = average_metric(euclidean_metric(2), ROTATION,
+    averaged = average_metric(TensorField.constant(np.eye(2)), ROTATION,
                               uniform_torus_quadrature(1, 64))
     np.testing.assert_allclose(eval_field(averaged, POINTS_2D[:1])[0], np.eye(2), atol=1e-9)
 

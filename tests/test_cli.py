@@ -3,7 +3,6 @@
 import dataclasses
 import inspect
 import json
-import math
 import random
 import tracemalloc
 from collections import Counter
@@ -139,14 +138,6 @@ def test_failing_checks_carry_identity_strings(hopf_report):
     data = json.loads(report.to_json())
     names = {c["name"]: c["identity"] for c in data["children"][0]["checks"]}
     assert names["compatibility"] == "omega(u, J v) = g(u, v)"
-
-
-def test_json_round_trip(hopf_report):
-    report, _ = hopf_report
-    text = report.to_json()
-    rebuilt = VerificationReport.from_json(text)
-    assert rebuilt.to_json() == text
-    assert rebuilt.passed == report.passed
 
 
 def test_json_determinism_modulo_timestamp():
@@ -696,9 +687,6 @@ def test_json_is_strict_for_nonfinite_residuals(tmp_path, capsys, monkeypatch):
     data = json.loads(out, parse_constant=refuse)
     closed = next(c for c in data["children"][0]["checks"] if c["name"] == "closedness of omega")
     assert closed["max_residual"] == "NaN" and closed["passed"] is False
-    rebuilt = VerificationReport.from_json(out)
-    assert math.isnan(rebuilt.find("closedness of omega").max_residual)
-    assert rebuilt.to_json() == out.rstrip("\n")
 
 
 def test_sample_count_zero_is_a_usage_error(tmp_path, capsys):
@@ -979,9 +967,11 @@ def test_two_torus_scenario_verifies(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", str(path), "--samples", "5", "--format", "json",
                  "--out", str(out)]) == 0
-    report = VerificationReport.from_json(out.read_text())
-    assert report.find("fiber independence").extras["fiber_params"] \
-        == report.meta["group_params"][:2]
+    data = json.loads(out.read_text())
+    submersion = next(child for suite in data["children"] for child in suite["children"]
+                      if child["name"] == "submersion")
+    assert submersion["checks"][0]["name"] == "fiber independence"
+    assert submersion["checks"][0]["extras"]["fiber_params"] == data["meta"]["group_params"][:2]
     scen = load_scenario_file(path)
     assert (scen.chart_dim, scen.action.group_dim, scen.quotient_dim) == (8, 2, 4)
     for w in sample_ball(4, 5, 2.0, 3):

@@ -30,7 +30,6 @@ from symred.scenarios import builtin, builtin_names, builtin_text, compile_scena
 from symred.structures import (
     DEFAULT_TOLERANCES,
     check_metric,
-    euclidean_metric,
     standard_acs,
     standard_acs_matrix,
     standard_symplectic,
@@ -100,7 +99,7 @@ def test_split_tangent_rejects_frozen_action():
     frozen = ReductionScenario(
         name="frozen",
         omega=standard_symplectic(4),
-        metric=euclidean_metric(4),
+        metric=TensorField.constant(np.eye(4)),
         acs=standard_acs(4),
         action=GroupAction(group_dim=1, flow=lambda a, p: p),
         mu=MomentumMap(TensorField.vector(lambda p: p[1:2], 1), [0.0]),
@@ -752,7 +751,7 @@ def test_chart_dim_is_omegas():
                         [0.5, 0.5])},
      "momentum map has 2 components for a group of dimension 1"),
     ({"omega": standard_symplectic(2)}, r"metric has shape \(4, 4\), expected omega's \(2, 2\)"),
-    ({"metric": euclidean_metric(6)}, r"metric has shape \(6, 6\), expected omega's \(4, 4\)"),
+    ({"metric": TensorField.constant(np.eye(6))}, r"metric has shape \(6, 6\), expected omega's \(4, 4\)"),
     ({"acs": standard_acs(2)}, r"acs has shape \(2, 2\), expected omega's \(4, 4\)"),
     ({"omega": TensorField.matrix(lambda p: np.zeros((4, 2)), 4, 2)},
      r"omega has shape \(4, 2\), expected a square matrix"),

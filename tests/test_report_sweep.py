@@ -1,14 +1,16 @@
 """The report sweep (tests/report_sweep.py) judges verdicts on the rows both
 reports have: a suite left out of a run removes its rows, it changes no
-verdict, and a row that flips is still a changed verdict."""
+verdict, and a row that flips is still a changed verdict, but for the main
+theorem's iff row where its hypothesis fails in both reports."""
 
 import contextlib
 import io
 import json
+import re
 
 from symred.cli import SUITE_ORDER, main
 
-from report_sweep import changed_values, print_changes, report_rows, verdict_changed
+from report_sweep import changed_values, compare, print_changes, report_rows, verdict_changed
 
 BATTERY = ["holomorphy: holomorphy of square map", "holomorphy: holomorphy of exponential map",
            "holomorphy: holomorphy of reciprocal map at offset 2",
@@ -60,6 +62,49 @@ def test_removed_rows_change_no_verdict_and_a_flipped_row_does():
         assert flipped != new["stdout"]
         assert verdict_changed(argv, old, {**new, "stdout": flipped})
         assert verdict_changed(argv, old, {**new, "code": 1})
+
+
+def _flip_iff(fmt, stdout):
+    """The report with its main theorem iff row's verdict flipped."""
+    if fmt == "text":
+        row = re.compile(r"  (PASS|FAIL)(   \[reduced compatibility with h_red holds iff)")
+        return row.sub(lambda m: f"  {'FAIL' if m[1] == 'PASS' else 'PASS'}{m[2]}", stdout)
+    report = json.loads(stdout)
+    iff = report["children"][-1]["children"][0]["checks"][4]
+    assert iff["name"] == "main theorem iff"
+    iff["passed"] = not iff["passed"]
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def _compare(argv, old, new):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = compare([argv], [old], [new], set())
+    return code, out.getvalue().splitlines()
+
+
+def test_a_flipped_iff_row_is_no_changed_verdict_where_the_hypothesis_fails_in_both():
+    # noninvariant_metric_hopf fails the ambient compatibility hypothesis, so
+    # the main theorem asserts nothing about its iff row
+    for fmt, (argv, old) in _both_formats("noninvariant_metric_hopf", "--samples", "3").items():
+        flipped = {**old, "stdout": _flip_iff(fmt, old["stdout"])}
+        assert flipped["stdout"] != old["stdout"]
+        assert not verdict_changed(argv, old, flipped)
+        code, lines = _compare(argv, old, flipped)
+        assert code == 1
+        assert lines[-2:] == [
+            "main theorem iff flipped where the ambient hypothesis fails in both, "
+            f"no changed verdict: symred {' '.join(argv)}", "no verdict changed"]
+
+
+def test_a_flipped_iff_row_is_a_changed_verdict_where_the_hypothesis_holds():
+    for fmt, (argv, old) in _both_formats("hopf", "--samples", "3").items():
+        flipped = {**old, "stdout": _flip_iff(fmt, old["stdout"])}
+        assert flipped["stdout"] != old["stdout"]
+        code, lines = _compare(argv, old, flipped)
+        assert code == 2
+        assert lines[-1] == "verdicts changed in 1 of 1 runs"
+        assert not any(line.startswith("main theorem iff flipped") for line in lines)
 
 
 def test_named_entries_are_compared_by_the_names_both_lists_have():

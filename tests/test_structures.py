@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from symred.actions import average_metric, planar_rotation_action, uniform_torus_quadrature
+from symred.cli import RunConfig, run
 from symred.errors import NotSPDError, OddDimensionError
 from symred.geometry import RowMap, TensorField, eval_field, fd_directional, sample_box
-from symred.report import check_from_dict
 from symred.scenarios import builtin
 from symred.structures import (
     CompatibleTriple,
@@ -18,7 +18,6 @@ from symred.structures import (
     check_metric,
     check_symplectic_pointwise,
     check_tolerance,
-    euclidean_metric,
     standard_acs,
     standard_acs_matrix,
     standard_symplectic,
@@ -26,6 +25,7 @@ from symred.structures import (
 )
 
 from util import (
+    ASYMMETRIC_METRIC_HOPF_TEXT,
     one,
     oracle_compatible_acs,
     random_symplectic_metric_pair,
@@ -45,14 +45,28 @@ def test_a_bool_is_no_tolerance(flag):
     with pytest.raises(ValueError, match=r"^tolerance of check 'c' must be a number"):
         StructureCheckResult("c", 0.0, flag, None)
     with pytest.raises(ValueError, match="must be a number"):
-        check_metric(euclidean_metric(4), POINTS, tol=flag)
-    with pytest.raises(ValueError, match="must be a number"):  # a report read back
-        check_from_dict({"name": "c", "max_residual": 0.5, "tolerance": flag})
+        check_metric(TensorField.constant(np.eye(4)), POINTS, tol=flag)
+
+
+def test_an_asymmetric_metric_fails_the_metric_check_by_its_asymmetry(tmp_path):
+    # metric entry (1, 2) = 0.3, entry (2, 1) = 0: the symmetric part has
+    # lambda_min 0.85, so no definiteness penalty applies and the metric
+    # residual is the symmetry term alone, the max-abs asymmetry 0.3; Omega J
+    # is the identity, so compatibility misses by the same entry
+    path = tmp_path / "asymmetric_metric_hopf.scen"
+    path.write_text(ASYMMETRIC_METRIC_HOPF_TEXT)
+    report, code = run(RunConfig(str(path), suites=("structures",), seed=0))
+    rows = {c.name: (c.max_residual, c.passed) for _, c in report.all_checks()}
+    assert code == 1
+    assert rows.pop("metric field") == rows.pop("compatibility") == (0.3, False)
+    assert sorted(rows) == ["almost complex structure", "closedness of omega",
+                            "symplectic field"]
+    assert all(passed for _, passed in rows.values())
 
 
 def test_check_metric_pass_and_fail():
-    assert check_metric(euclidean_metric(4), POINTS).passed
-    res = check_metric(euclidean_metric(4), POINTS)
+    assert check_metric(TensorField.constant(np.eye(4)), POINTS).passed
+    res = check_metric(TensorField.constant(np.eye(4)), POINTS)
     assert res.max_residual == 0.0
     assert check_metric(TensorField.constant(np.diag([1.0, 1.0, 4.0, 4.0])), POINTS).passed
     skew = TensorField.constant(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -152,7 +166,7 @@ def test_check_acs_examples():
 
 
 def test_check_compatibility_examples():
-    good = CompatibleTriple(standard_symplectic(2), euclidean_metric(2), standard_acs(2))
+    good = CompatibleTriple(standard_symplectic(2), TensorField.constant(np.eye(2)), standard_acs(2))
     assert check_compatibility(good, POINTS_2D).passed
 
     skewed = CompatibleTriple(
@@ -191,7 +205,7 @@ def test_compatibility_scaling_invariance():
 
 
 def test_build_triple_standard_case():
-    triple = build_compatible_triple(standard_symplectic(4), euclidean_metric(4))
+    triple = build_compatible_triple(standard_symplectic(4), TensorField.constant(np.eye(4)))
     p = POINTS[0]
     np.testing.assert_allclose(eval_field(triple.acs, one(p))[0],
                                -standard_symplectic_matrix(4), atol=1e-12)
@@ -238,7 +252,7 @@ def test_build_triple_idempotent_metric_branch():
 
 def test_build_triple_rejects_degenerate_omega():
     degenerate = TensorField.constant(np.zeros((2, 2)))
-    triple = build_compatible_triple(degenerate, euclidean_metric(2))
+    triple = build_compatible_triple(degenerate, TensorField.constant(np.eye(2)))
     with pytest.raises(NotSPDError):
         eval_field(triple.acs, one([0.0, 0.0]))
 

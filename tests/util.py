@@ -1163,6 +1163,36 @@ SCALED_MU_T2_TEXT = TORUS_T2_TEXT.replace(
     "beta = [0.5, 0.5]", "beta = [0.5, 0.3]")
 
 
+# hopf with metric entry (1, 2) = 0.3 and entry (2, 1) = 0: the symmetric
+# part, with eigenvalues 1 +- 0.15, is positive definite, so the metric
+# check's residual is the max-abs asymmetry 0.3 alone.  It is the witness that
+# fails the symmetry term of the metric check (and compatibility, by 0.3).
+ASYMMETRIC_METRIC_HOPF_TEXT = """
+# hopf with an asymmetric metric
+name = asymmetric_metric_hopf
+dim = 4
+group_dim = 1
+quotient_dim = 2
+abelian = true
+
+omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+metric = [[1, 0.3, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+acs = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+
+flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),
+        x3*cos(t1) + x4*sin(t1), x4*cos(t1) - x3*sin(t1)]
+mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]
+beta = [0.5]
+
+section = [1/sqrt(1 + w1^2 + w2^2), 0,
+           w1/sqrt(1 + w1^2 + w2^2), w2/sqrt(1 + w1^2 + w2^2)]
+
+sample.count = 20
+sample.seed = 7
+sample.radius = 2
+"""
+
+
 # hopf with the second plane turned at double speed: omega, g and J stay
 # invariant and compatible and the sphere stays the level set, but mu is no
 # momentum map of this action, so the pullback identity, the vertical
