@@ -74,18 +74,21 @@ class ScenarioFile:
         return self.dim - 2 * self.group_dim
 
 
-def _statements(lexemes: list[str]):
-    """Each statement of a scan's lexemes: its lexemes, ending with the
-    empty one, and its lines as (start, stop) index ranges of ``lexemes``.
+def _statements(lexemes: list[str]) -> tuple[list[str], list[int]]:
+    """The statements of a scan's lexemes back to back, each closed by the
+    empty lexeme, and the index in ``lexemes`` of every lexeme kept; a
+    closing empty lexeme has the index of its statement's last token.
 
-    A statement runs from a line that holds a token to the first line whose
+    One parser reads the statements in turn, and this index map gives the
+    position of every error it raises (see ``parse_scenario``).  A
+    statement runs from a line that holds a token to the first line whose
     end leaves no bracket open, or to the end of the text, so matrices can
     span lines; the newlines inside it are dropped, and lines with no token
-    between statements are skipped.
+    between statements add nothing.
     """
     end = len(lexemes) - 1  # the empty lexeme
     body: list[str] = []
-    lines: list[tuple[int, int]] = []
+    where: list[int] = []
     depth = start = 0
     while start <= end:
         try:
@@ -93,33 +96,17 @@ def _statements(lexemes: list[str]):
         except ValueError:
             stop = end
         line = lexemes[start:stop]
-        if line or lines:
-            body += line
-            lines.append((start, stop))
-            brackets = "".join(line)  # a bracket is a lexeme of its own
-            depth += brackets.count("[") + brackets.count("(") \
-                - brackets.count("]") - brackets.count(")")
-            if depth <= 0 or stop == end:
-                yield body + [""], lines
-                body, lines, depth = [], [], 0
+        body += line
+        where += range(start, stop)
+        brackets = "".join(line)  # a bracket is a lexeme of its own
+        depth += brackets.count("[") + brackets.count("(") \
+            - brackets.count("]") - brackets.count(")")
+        if body and body[-1] and (depth <= 0 or stop == end):  # an open statement ends
+            body.append("")
+            where.append(where[-1])
+            depth = 0
         start = stop + 1
-
-
-def _locator(text: str, lexemes: list[str], lines: list[tuple[int, int]]):
-    """``locate`` for ExprParser over one statement (see ``_statements``):
-    the position of its index-th lexeme in text, and for its closing empty
-    lexeme the position just after its last token."""
-    def locate(index: int) -> tuple[int, int]:
-        positions = token_positions(text)
-        for start, stop in lines:
-            if index < stop - start:
-                return positions[start + index]
-            index -= stop - start
-        last = max(stop for start, stop in lines if stop > start) - 1
-        line, column = positions[last]
-        return line, column + len(lexemes[last])
-
-    return locate
+    return body, where
 
 
 def _parse_key(parser: ExprParser) -> str:
@@ -161,10 +148,18 @@ def parse_scenario(text: str) -> ScenarioFile:
     or a ``sample.radius`` that is not positive).
     """
     lexemes = tokenize(text)
+    body, where = _statements(lexemes)
+
+    def locate(index: int) -> tuple[int, int]:
+        """The position in text of the parser's index-th lexeme; for a
+        statement's closing empty lexeme, just after its last token."""
+        line, column = token_positions(text)[where[index]]
+        return (line, column) if body[index] else (line, column + len(lexemes[where[index]]))
+
+    parser = ExprParser(body, locate)
     raw: dict[str, object] = {}
-    for body, lines in _statements(lexemes):
-        locate = _locator(text, lexemes, lines)
-        parser = ExprParser(body, locate)
+    while parser.pos < len(body):
+        start = parser.pos
         key = _parse_key(parser)
         key = _KEY_ALIASES.get(key, key)
         parser.expect("=", "'='")
@@ -177,10 +172,11 @@ def parse_scenario(text: str) -> ScenarioFile:
         if body[parser.pos] != "":
             raise parser.error(f"trailing {parser.describe()} after value of {key!r}",
                                parser.pos, ("end of line",))
+        parser.pos += 1
         if not (key in _KNOWN_KEYS or key.startswith(_TOL_PREFIX)):
-            raise ValidationError(f"unknown key {key!r} at line {locate(0)[0]}")
+            raise ValidationError(f"unknown key {key!r} at line {locate(start)[0]}")
         if key in raw:
-            raise ValidationError(f"duplicate key {key!r} at line {locate(0)[0]}")
+            raise ValidationError(f"duplicate key {key!r} at line {locate(start)[0]}")
         raw[key] = value
 
     for required in ("name", "dim", "omega", "metric", "flow", "mu", "beta", "section"):
@@ -219,11 +215,7 @@ def parse_scenario(text: str) -> ScenarioFile:
     # than the file's own length before it is refused
     programs: dict = {}
 
-    def matrix_key(key: str, optional: bool = False):
-        if key not in raw:
-            if optional:
-                return None
-            raise ValidationError(f"missing required key {key!r}")
+    def matrix_key(key: str):
         rows = _as_matrix(raw[key], key)
         if len(rows) != dim or len(rows[0]) != dim:
             raise ValidationError(
@@ -234,7 +226,7 @@ def parse_scenario(text: str) -> ScenarioFile:
 
     omega = matrix_key("omega")
     metric = matrix_key("metric")
-    acs = matrix_key("acs", optional=True)
+    acs = matrix_key("acs") if "acs" in raw else None
 
     flow = _as_vector(raw["flow"], "flow")
     if len(flow) != dim:

@@ -104,6 +104,11 @@ def test_generator_rejects_flow_changing_dimension():
         generator(widening, one([0.0, 0.0]))
 
 
+def test_a_group_of_no_dimension_is_refused():
+    with pytest.raises(ValueError, match="^group dimension must be at least 1$"):
+        GroupAction(group_dim=0, flow=lambda a, p: p)
+
+
 def test_per_row_flow_on_no_points_is_refused():
     # a per-row flow has no row to read the width of the moved points from;
     # no points are refused before any flow runs, per-row or compiled alike

@@ -110,6 +110,13 @@ def test_main_exits_2_with_one_error_line_when_a_scenario_does_not_load(tmp_path
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
+def test_a_malformed_tolerance_option_or_missing_scenario_is_a_usage_error(capsys):
+    assert main(["verify", "hopf", "--tol", "x"]) == 2
+    assert capsys.readouterr().err == "error: --tol expects name=value, got 'x'\n"
+    assert main(["verify"]) == 2  # argparse's usage error
+    assert "the following arguments are required: scenario" in capsys.readouterr().err
+
+
 def test_a_main_theorem_run_builds_the_frames_of_a_default_run(monkeypatch):
     # one lift-frame table per run, whichever suites are asked for: the
     # main-theorem suite alone reads the table a default run builds

@@ -74,6 +74,12 @@ def test_a_field_of_rank_above_two_is_refused():
         TensorField(arity="matrix", shape=(2, 2), func=lambda p: np.eye(2))
 
 
+def test_a_field_that_returns_too_few_values_is_refused():
+    short = TensorField((2,), RowMap(lambda X: np.zeros((1, 2))))
+    with pytest.raises(ValueError, match="^field '' returned 1 values for 2 points$"):
+        eval_field(short, np.zeros((2, 2)))
+
+
 def test_eval_coordinate_dependent_field():
     field = TensorField.matrix(lambda p: np.diag([p[0] ** 2, 1.0]), 2)
     np.testing.assert_allclose(eval_field(field, one([2.0, 0.0]))[0], np.diag([4.0, 1.0]))

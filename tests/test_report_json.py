@@ -60,6 +60,11 @@ def test_builtin_reports_match_the_oracle(name, seed):
     assert_matches_oracle(report)
 
 
+def test_find_raises_key_error_for_a_check_not_in_the_report():
+    with pytest.raises(KeyError, match="no check named 'x' in report 'r'"):
+        VerificationReport("r").find("x")
+
+
 def test_dense_and_file_reports_match_the_oracle(tmp_path):
     r2n = tmp_path / "euclidean_r2n_8.scn"
     r2n.write_text(builtin_text("euclidean_r2n", 8))

@@ -134,6 +134,48 @@ def test_validation_errors():
         parse_scenario(MINIMAL.replace("dim = 2", "dim = 2\ngroup_dim = 0"))
     assert parse_scenario(MINIMAL + f"\nsample.count = {MAX_SAMPLES}\n").sample_spec.count \
         == MAX_SAMPLES
+    for old, new, message in [
+        ("dim = 2", "dim = 0", "dim must be positive, got 0"),
+        ("dim = 2", "dim = 2.5", "value of 'dim' must be an integer, got 2.5"),
+        ("dim = 2", "dim = [2]", "value of 'dim' must be a single expression"),
+        ("dim = 2", "dim = 2\ngroup_dim = 2", "quotient dimension -2 is negative"),
+        ("mu = [0.5*(x1^2 + x2^2)]", "mu = [x1, x2]", "mu must have 1 components, got 2"),
+        ("beta = [0.5]", "group_dim = 1\nbeta = [0.5, 1]", "beta must have 1 entries, got 2"),
+        ("flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1)]", "flow = [[x1, x2]]",
+         "value of 'flow' must be a vector [..]"),
+        ("omega = [[0, 1], [-1, 0]]", "omega = [0, 1]",
+         "value of 'omega' must be a matrix [[..], ..]"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse_scenario(MINIMAL.replace(old, new))
+
+
+def test_a_vector_key_may_be_written_bare():
+    # a bare expression is the one-entry vector [expression]
+    bracketed = parse_scenario(MINIMAL)
+    bare = parse_scenario(MINIMAL.replace("beta = [0.5]", "beta = 0.5")
+                          .replace("mu = [0.5*(x1^2 + x2^2)]", "mu = 0.5*(x1^2 + x2^2)"))
+    assert bare.beta == bracketed.beta == (0.5,)
+    assert bare.mu == bracketed.mu
+    X = sample_box(2, 5, radius=2.0, seed=1)
+    np.testing.assert_array_equal(eval_field(compile_scenario(bare).mu.field, X),
+                                  eval_field(compile_scenario(bracketed).mu.field, X))
+
+
+@pytest.mark.parametrize("name", builtin_names() + ("MINIMAL",))
+def test_one_parser_reads_a_whole_file(name, monkeypatch):
+    # the statements are read back to back by one parser
+    text = MINIMAL if name == "MINIMAL" else builtin_text(name)
+    parsers = []
+    init = exprlang.ExprParser.__init__
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(exprlang.ExprParser, "__init__", counted)
+    parse_scenario(text)
+    assert len(parsers) == 1
 
 
 @pytest.mark.parametrize("line,message", [

@@ -96,6 +96,22 @@ def test_check_symplectic_nondegeneracy_is_scale_invariant():
     assert not check_symplectic_pointwise(TensorField.constant(rank_deficient), points).passed
 
 
+def test_a_symplectic_field_that_is_not_square_is_refused():
+    with pytest.raises(ValueError, match=r"^symplectic field must be square, got \(2, 3\)$"):
+        check_symplectic_pointwise(TensorField.constant(np.zeros((2, 3))), POINTS_2D)
+
+
+def test_a_triple_of_mismatched_shapes_is_refused():
+    with pytest.raises(ValueError,
+                       match=r"^omega shape \(4, 4\) does not match metric shape \(2, 2\)$"):
+        build_compatible_triple(standard_symplectic(4), TensorField.constant(np.eye(2)))
+
+
+def test_a_check_of_no_residuals_is_refused():
+    with pytest.raises(ValueError, match="^c: no residuals to check$"):
+        StructureCheckResult.from_samples("c", [], np.zeros((0, 2)), 1e-8)
+
+
 def test_check_symplectic_rejects_odd_dimension():
     with pytest.raises(OddDimensionError):
         check_symplectic_pointwise(TensorField.constant(np.zeros((3, 3))), POINTS)
