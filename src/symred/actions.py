@@ -48,7 +48,6 @@ from .geometry import (
     fd_directional,
     _derivative,
     _evaluate_rows,
-    _finite,
     _pullback,
     _require_finite,
     _row_max_abs,
@@ -152,8 +151,8 @@ def _flow(action: GroupAction, rows: np.ndarray, seeds: np.ndarray | None = None
     chart point; given ``seeds``, with its (N, n, s) derivatives along
     their columns, from one derivative batch."""
     if seeds is None:
-        return _evaluate_rows(action.flow, rows, _finite("chart point"))
-    return _derivative(action.flow, rows, seeds, _finite("chart point"))
+        return _evaluate_rows(action.flow, rows, "chart point")
+    return _derivative(action.flow, rows, seeds, "chart point")
 
 
 def _group_parameter(action: GroupAction, a) -> np.ndarray:

@@ -246,8 +246,9 @@ class ExprParser:
     :func:`tokenize`) that ends with the empty lexeme.
 
     The same instance parses plain expressions, vectors and matrices;
-    scenario parsing drives it over each statement's lexemes.  The parser
-    reads lexemes only: ``locate(index)`` gives the (line, column) of the
+    scenario parsing reads a file's statements back to back with one
+    instance, so its cache of leaves spans the file.  The parser reads
+    lexemes only: ``locate(index)`` gives the (line, column) of the
     lexeme at ``index``, and is called only to raise a ParseError.
     """
 

@@ -26,7 +26,12 @@ A public function takes its points as one (N, d) array of N >= 1 rows and
 refuses anything else, a flat vector or no points, with ValueError where
 they enter (``_stack``, which ``as_points`` shares): an identity checked at
 no point proves nothing.  A non-finite row raises NonFiniteError where the
-rows are evaluated.  A frame, not a vector, is one slice of
+rows are evaluated.  A map's values pass one check, ``_checked``: a
+field's its declared shape, one value per row and finiteness, in that
+order, and a flow's, a section's or a chart map's finiteness alone.  Every
+refusal that names a point, of a map's values here or of a frame in
+``reduction``, is raised by ``_raise_at_first``, naming the first failing
+row.  A frame, not a vector, is one slice of
 each stacked product: a frame's columns are multiplied as one matrix, and
 their pairings and norms are read off the diagonal of one product such as
 ``W^T G W``.  Stacked results are the bits of the per-frame calls: stacked
@@ -227,29 +232,26 @@ class TensorField:
 
 
 def eval_field(field: TensorField, X: np.ndarray) -> np.ndarray:
-    """Evaluate ``field`` at the rows of the (N, d) array X, checking shape
-    and finiteness: the (N, *shape) values from one ``rows`` call, a
-    failing batch raising the first error it meets.
+    """Evaluate ``field`` at the rows of the (N, d) array X, checking shape,
+    count and finiteness (``_checked``): the (N, *shape) values from one
+    ``rows`` call, a failing batch raising the first error it meets.
     """
-    return _evaluate_rows(field.func, _stack(X), _field_check(field))
+    return _evaluate_rows(field.func, _stack(X), f"field {field.name!r}", field.shape)
 
 
-def _field_check(field: TensorField) -> Callable:
-    """The check of ``_evaluate_rows`` that a field's values have its
-    declared shape, are finite and are one per row."""
-    def check(values, rows):
-        values = np.asarray(values, dtype=float)
-        if values.shape[1:] != field.shape:
-            raise ValueError(
-                f"field {field.name!r} returned shape {values.shape[1:]}, declared {field.shape}"
-            )
-        _finite_rows(values, rows, f"field {field.name!r}")
-        if len(values) != len(rows):
-            raise ValueError(
-                f"field {field.name!r} returned {len(values)} values for {len(rows)} points")
-        return values
-
-    return check
+def _checked(values, rows: np.ndarray, what: str, shape: tuple | None = None) -> np.ndarray:
+    """The values ``what`` of a map at ``rows`` as a float array: with a
+    declared ``shape``, of that shape (else ValueError), one per row (else
+    ValueError) and finite (else NonFiniteError naming the first such row),
+    in that order; with none, finite (else NonFiniteError)."""
+    values = np.asarray(values, dtype=float)
+    if shape is None:
+        return _require_finite(values, what)
+    if values.shape[1:] != shape:
+        raise ValueError(f"{what} returned shape {values.shape[1:]}, declared {shape}")
+    if len(values) != len(rows):
+        raise ValueError(f"{what} returned {len(values)} values for {len(rows)} points")
+    return _finite_rows(values, rows, what)
 
 
 def _finite_rows(values: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
@@ -259,9 +261,18 @@ def _finite_rows(values: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
     failure."""
     if not np.isfinite(values).all():
         finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
-        bad = _point_text(rows[int(np.argmin(finite))])
-        raise NonFiniteError(f"{what} at {bad} contains non-finite entries")
+        _raise_at_first(~finite, rows, NonFiniteError,
+                        lambda i, at: f"{what} at {at} contains non-finite entries")
     return values
+
+
+def _raise_at_first(failing: np.ndarray, M: np.ndarray, error: type, text) -> None:
+    """Raise ``error(text(i, at))`` for the first row i of M that the mask
+    ``failing`` marks, ``at`` the text of that point; every refusal that
+    names a point, of a map's values or of a frame, is raised here."""
+    i = _first(failing)
+    if i is not None:
+        raise error(text(i, _point_text(M[i])))
 
 
 # the step of the fourth-order central-difference stencil, which only maps
@@ -288,17 +299,12 @@ def _differences(values: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(D, 1, -1))
 
 
-def _evaluate_rows(f: RowMap, points: np.ndarray, check: Callable) -> np.ndarray:
-    """The values of a map at every row of ``points`` from one ``rows``
-    call, as ``check(values, points)`` returns them; ``check`` raises for
-    values it refuses, and a non-finite row of ``points`` (a stencil row
-    may overflow) raises NonFiniteError."""
-    return check(f.rows(_require_finite(points, "chart point")), points)
-
-
-def _finite(what: str) -> Callable:
-    """The check of ``_evaluate_rows`` that values, ``what``, are finite."""
-    return lambda values, rows: _require_finite(values, what)
+def _evaluate_rows(f: RowMap, points: np.ndarray, what: str,
+                   shape: tuple | None = None) -> np.ndarray:
+    """The values ``what`` of a map at every row of ``points`` from one
+    ``rows`` call, as ``_checked`` passes them for ``shape``; a non-finite
+    row of ``points`` (a stencil row may overflow) raises NonFiniteError."""
+    return _checked(f.rows(_require_finite(points, "chart point")), points, what, shape)
 
 
 def _stencil_rows(X: np.ndarray, directions: np.ndarray, h: float = FD_STEP) -> np.ndarray:
@@ -309,20 +315,20 @@ def _stencil_rows(X: np.ndarray, directions: np.ndarray, h: float = FD_STEP) -> 
     return rows.reshape(rows.shape[0] * rows.shape[1], X.shape[1])
 
 
-def _derivative(f: RowMap, X: np.ndarray, seeds: np.ndarray, check: Callable,
-                h: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
-    """The values of ``f`` at the rows of the (N, d) array X, each refused
-    as ``check`` refuses it, and the (N, *shape, s) derivatives there along
-    the s columns of the (d, s) array ``seeds``, from one batch, each row
-    the bits of the call on its point alone: exact, from one ``tangents``
-    batch, if the map has one, a derivative that is not finite refused
-    first, naming the map and its first such row; else central differences
-    of step h."""
+def _derivative(f: RowMap, X: np.ndarray, seeds: np.ndarray, what: str,
+                shape: tuple | None = None, h: float = FD_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """The values ``what`` of ``f`` at the rows of the (N, d) array X, each
+    refused as ``_checked`` refuses it for ``shape``, and the (N, *shape, s)
+    derivatives there along the s columns of the (d, s) array ``seeds``,
+    from one batch, each row the bits of the call on its point alone:
+    exact, from one ``tangents`` batch, if the map has one, a derivative
+    that is not finite refused first, naming the map and its first such
+    row; else central differences of step h."""
     if f.tangents is not None:
         values, D = f.tangents(_require_finite(X, "chart point"), seeds)
         D = _finite_rows(D, X, f"derivative of {f.name}")
-        return check(values, X), D
-    values = _evaluate_rows(f, _stencil_rows(X, seeds.T, h), check)
+        return _checked(values, X, what, shape), D
+    values = _evaluate_rows(f, _stencil_rows(X, seeds.T, h), what, shape)
     values = values.reshape(len(X), 1 + 4 * seeds.shape[1], *values.shape[1:])
     return values[:, 0], _differences(values[:, 1:], h)
 
@@ -342,7 +348,7 @@ def fd_jacobian(chart_map, X, *, step: float = FD_STEP) -> np.ndarray:
     if not 0.0 < step < np.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
     N, n = _stack(X).shape
-    values, D = _derivative(as_row_map(chart_map), X, np.eye(n), _finite("map value"), step)
+    values, D = _derivative(as_row_map(chart_map), X, np.eye(n), "map value", h=step)
     return D.reshape(N, int(np.prod(values.shape[1:])), n)
 
 
@@ -357,7 +363,7 @@ def fd_directional(field: TensorField, X, direction) -> np.ndarray:
     directions = d[:, np.newaxis] if d.ndim == 1 else d
     if not directions.shape[1] or not (_row_norms(directions.T) > 0).all():
         raise DegenerateInputError("directional derivative needs a nonzero direction")
-    _, D = _derivative(field.func, _stack(X), directions, _field_check(field))
+    _, D = _derivative(field.func, _stack(X), directions, f"field {field.name!r}", field.shape)
     return D[..., 0] if d.ndim == 1 else D
 
 

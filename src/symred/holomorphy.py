@@ -21,7 +21,7 @@ from .geometry import (
     as_row_map,
     eval_field,
     fd_jacobian,
-    _require_finite,
+    _evaluate_rows,
     _row_max_abs,
     _row_norms,
 )
@@ -63,8 +63,7 @@ class ChartedMap:
 def _target_acs(cm: ChartedMap, X: np.ndarray) -> np.ndarray:
     """The target structure at the image of every row of X, from one call of
     the map over the rows; a non-finite image fails as a chart point."""
-    Y = _require_finite(np.asarray(cm.chart_map.rows(X), dtype=float), "chart point")
-    return eval_field(cm.target_acs, Y)
+    return eval_field(cm.target_acs, _evaluate_rows(cm.chart_map, X, "chart point"))
 
 
 def almost_complex_residual(cm: ChartedMap, X) -> np.ndarray:

@@ -26,8 +26,9 @@ splitting's arrays and then the lifts' (``_LiftFrames`` extends
 frame is the bits of building it alone.  A batch runs once: one that
 fails raises the first error it meets, in the order it computes (the
 section, the flow, then ``split_tangent``'s checks, omega and J, and the
-lifts' rank).  Every refusal of a frame is raised by ``_raise_at_first``,
-naming the first point that fails that step.  The pipelines read the
+lifts' rank).  Every refusal of a frame is raised by
+``geometry._raise_at_first``, which refuses a map's values too, naming the
+first point that fails that step.  The pipelines read the
 table's frames as stacked arrays, with stacked products and no loop over
 points: a frame (the lifts, the generators, the level frame of a point)
 is one slice of each product, J_red = C^-1 H^T G J L included, and the
@@ -77,14 +78,13 @@ from .geometry import (
     kernel_basis,
     max_abs,
     _derivative,
-    _field_check,
-    _finite,
     _first,
     _g_norms,
     _gram_schmidt,
     _null_columns,
     _point_text,
     _pullback,
+    _raise_at_first,
     _ranks,
     _row_max_abs,
     _row_norms,
@@ -236,7 +236,7 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     """
     n, k = scen.chart_dim, scen.action.group_dim
     mu = scen.mu.field
-    values, Jmu = _derivative(mu.func, _stack(M), np.eye(n), _field_check(mu))
+    values, Jmu = _derivative(mu.func, _stack(M), np.eye(n), f"field {mu.name!r}", mu.shape)
     gaps = _row_norms(values - scen.mu.beta)
     _raise_at_first(gaps >= LEVEL_TOL, M, NotOnLevelError, lambda i, at: (
         f"{at} is off the level set: |mu(m) - beta| = {gaps[i]:.3e} exceeds {LEVEL_TOL:.1e}"))
@@ -272,15 +272,6 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
         short, M, DegenerateInputError,
         lambda i, at: f"horizontal complement degenerates to dimension below {n - 2 * k} at {at}"))
     return SplitTangentSpace(M, G, level, vertical, horizontal, Jmu, V)
-
-
-def _raise_at_first(failing: np.ndarray, M: np.ndarray, error: type, text) -> None:
-    """Raise ``error(text(i, at))`` for the first row i of M that the mask
-    ``failing`` marks, ``at`` the text of that point; every refusal of a
-    frame is raised here, so each names its point."""
-    i = _first(failing)
-    if i is not None:
-        raise error(text(i, _point_text(M[i])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,7 +327,7 @@ def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable
     the first error it meets."""
     X, prm = as_points(points), _param_rows(scen.action, fiber_params)
     n, q = scen.chart_dim, scen.quotient_dim
-    M, dsigma = _derivative(scen.section, X, np.eye(q), _finite("chart point"))
+    M, dsigma = _derivative(scen.section, X, np.eye(q), "chart point")
     pushforward = np.broadcast_to(np.eye(n), (len(X), n, n))
     if len(prm):
         table = pushforward_table(scen.action, prm, M)

@@ -2,6 +2,7 @@
 the straight-line programs against the tree-walking reference evaluator."""
 
 import math
+import re
 import string
 import struct
 import warnings
@@ -28,7 +29,6 @@ from symred.exprlang import (
     tokenize,
 )
 
-from symred.geometry import _evaluate_rows
 from symred.scenarios import _row_map, builtin_names, builtin_text, parse_scenario
 
 from util import random_expr, reference_eval_expr, reference_tokenize
@@ -378,11 +378,12 @@ def test_batch_matches_reference_bit_for_bit():
 
 
 def _map_outcome(exprs, rows):
-    """As ``_batch_outcome``, for the compiled map of ``exprs``: one batch
-    of its rows through ``_evaluate_rows``, run once."""
+    """As ``_batch_outcome``, for the compiled map of ``exprs``: one
+    ``rows`` batch, run once and unchecked, so a non-finite value is
+    compared bit for bit."""
     values_map = _row_map(compile_exprs(exprs, _NAMES), (len(exprs),), "map")
     try:
-        values = _evaluate_rows(values_map, np.array(rows), lambda values, X: values)
+        values = values_map.rows(np.array(rows))
     except Exception as exc:  # noqa: BLE001 - type and message are compared
         return type(exc), str(exc)
     assert values.dtype == np.float64 and values.shape == (len(rows), len(exprs))
@@ -612,6 +613,18 @@ def test_compile_exprs_names_every_unknown_identifier_and_function():
         compile_exprs([parse_expression("tan(x1) + sinh(cosh(x1)) + sin(x1)")], ("x1",), "test")
     assert str(excinfo.value) == ("test: unknown function(s) ['cosh', 'sinh', 'tan']; "
                                   "available functions are ['cos', 'exp', 'sin', 'sqrt']")
+
+
+@pytest.mark.parametrize("node", [None, 1.5, "x1", BinOp("+", Num(1.0), "x1")])
+def test_a_value_that_is_not_an_expression_node_is_refused(node):
+    # a value that is no node, at the root or inside a tree, is a TypeError
+    # naming that value, both for printing and for compiling
+    bad = node.right if isinstance(node, BinOp) else node
+    message = f"^not an expression node: {re.escape(repr(bad))}$"
+    with pytest.raises(TypeError, match=message):
+        format_expr(node)
+    with pytest.raises(TypeError, match=message):
+        compile_exprs([node], ("x1",))
 
 
 def test_round_trip_fixed_cases():

@@ -80,6 +80,19 @@ def test_a_field_that_returns_too_few_values_is_refused():
         eval_field(short, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda f: eval_field(f, np.zeros((2, 2))), "returned 3 values for 2 points"),
+    # an opaque map takes the stencil: 2 points and 4 rows per direction each
+    (lambda f: fd_directional(f, np.zeros((2, 2)), np.eye(2)), "returned 19 values for 18 points"),
+])
+def test_a_field_that_returns_too_many_values_is_refused_by_count(call, message):
+    # the count is checked before finiteness, so a non-finite extra value,
+    # which names no point, raises the count error, not an IndexError
+    extra = TensorField.scalar(RowMap(lambda X: np.append(np.ones(len(X)), np.nan)), "bad")
+    with pytest.raises(ValueError, match=f"^field 'bad' {message}$"):
+        call(extra)
+
+
 def test_eval_coordinate_dependent_field():
     field = TensorField.matrix(lambda p: np.diag([p[0] ** 2, 1.0]), 2)
     np.testing.assert_allclose(eval_field(field, one([2.0, 0.0]))[0], np.diag([4.0, 1.0]))

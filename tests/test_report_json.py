@@ -5,6 +5,7 @@ verify reports and on a synthetic report of every awkward value
 (test_report_json_property.py adds random trees).  ``to_dict`` is the text
 read back, so it raises what ``to_json`` raises."""
 
+import enum
 import json
 import math
 
@@ -109,6 +110,32 @@ def test_synthetic_report_matches_the_oracle():
     )
     assert_matches_oracle(report)
     assert_matches_oracle(VerificationReport("empty"))
+
+
+class _Float(float):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+def test_subclasses_and_other_json_values_match_the_oracle():
+    # a float, list or dict subclass is written as its base, non-finite
+    # floats included, and a value of another type json can hold (an
+    # IntEnum) through json itself, at the indent of its nesting
+    extras = {"float": _Float(0.25), "nan": _Float(math.nan), "inf": _Float(-math.inf),
+              "list": _List([1.0, _Float(2.5), "a"]), "dict": _Dict(b=_Level.LOW, a=[]),
+              "nested": [{"level": _Level.LOW}, [_Level.LOW]]}
+    assert_matches_oracle(VerificationReport("x", checks=[_check("c", 0.0, extras=extras)]))
 
 
 def test_non_finite_worst_point_is_written_as_every_float_is():
