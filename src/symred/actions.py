@@ -34,12 +34,11 @@ of stacked arrays, and every pullback D^T F D is ``geometry._pullback``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import NonFiniteError, Record, _set
 from .geometry import (
     RowMap,
     TensorField,
@@ -94,8 +93,7 @@ def _pairs(points: np.ndarray, params: np.ndarray) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class GroupAction:
+class GroupAction(Record):
     """Parametrized flow of a k-dimensional abelian group on one chart.
 
     ``flow`` is a RowMap from rows (chart point, parameter vector in the
@@ -105,33 +103,30 @@ class GroupAction:
     (``RowMap.per_row``).
     """
 
-    group_dim: int
-    flow: RowMap  # given as a RowMap or as a (params, point) -> point callable
+    __slots__ = ("group_dim", "flow")
 
-    def __post_init__(self):
-        if self.group_dim < 1:
+    def __init__(self, group_dim: int, flow):
+        if group_dim < 1:
             raise ValueError("group dimension must be at least 1")
-        if not isinstance(self.flow, RowMap):
-            flow, k = self.flow, self.group_dim
-            object.__setattr__(self, "flow", RowMap.per_row(
-                lambda z: flow(z[len(z) - k:], z[:len(z) - k])))
+        _set(self, "group_dim", group_dim)
+        _set(self, "flow", flow if isinstance(flow, RowMap) else RowMap.per_row(
+            lambda z: flow(z[len(z) - group_dim:], z[:len(z) - group_dim])))
 
 
-@dataclass(frozen=True, eq=False)
-class MomentumMap:
+class MomentumMap(Record):
     """A momentum map mu: M -> g*, one vector field of shape (k,), together
     with the level beta it is reduced at."""
 
-    field: TensorField
-    beta: np.ndarray
+    __slots__ = ("field", "beta")
 
-    def __post_init__(self):
-        beta = np.array(self.beta, dtype=float, ndmin=1)  # always a private copy
-        if self.field.shape != beta.shape or beta.ndim != 1:
-            raise ValueError(f"momentum map of shape {self.field.shape} "
+    def __init__(self, field: TensorField, beta):
+        beta = np.array(beta, dtype=float, ndmin=1)  # always a private copy
+        if field.shape != beta.shape or beta.ndim != 1:
+            raise ValueError(f"momentum map of shape {field.shape} "
                              f"but level vector of shape {beta.shape}")
         beta.flags.writeable = False
-        object.__setattr__(self, "beta", beta)
+        _set(self, "field", field)
+        _set(self, "beta", beta)
 
     @property
     def group_dim(self) -> int:
@@ -174,7 +169,7 @@ def _param_rows(action: GroupAction, params) -> np.ndarray:
     return np.array([_group_parameter(action, a) for a in params]).reshape(-1, action.group_dim)
 
 
-class PushforwardTable:
+class PushforwardTable(Record):
     """The flow Jacobians and moved points of P group parameters at N
     points, with the action, the (N, n) points and the (P, k) parameters
     they were built from: ``D[j]`` is the (N, n, n) stack of Jacobians of
@@ -185,8 +180,11 @@ class PushforwardTable:
 
     def __init__(self, action: GroupAction, D: np.ndarray, moved: np.ndarray,
                  points: np.ndarray, params: np.ndarray):
-        self.action, self.D, self.moved = action, D, moved
-        self.points, self.params = points, params
+        _set(self, "action", action)
+        _set(self, "D", D)
+        _set(self, "moved", moved)
+        _set(self, "points", points)
+        _set(self, "params", params)
 
 
 def pushforward_table(action: GroupAction, params, points) -> PushforwardTable:

@@ -16,11 +16,9 @@ failure, 2 on usage, parse or validation errors.
 
 from __future__ import annotations
 
-import argparse
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -79,22 +77,23 @@ DEFAULT_SUITES = ("structures", "action", "reduction", "main-theorem")
 HOLOMORPHIC_LEVEL = 0.1
 
 
-@dataclass
 class RunConfig:
-    """One verification run: scenario, suites, sampling and output options."""
+    """One verification run: scenario, suites, sampling and output options,
+    each checked on construction; a builder whose fields may be reassigned."""
 
-    scenario: str
-    suites: tuple = DEFAULT_SUITES
-    seed: int | None = None
-    samples: int | None = None
-    tolerances: dict = field(default_factory=dict)
-    output: str | None = None
-    format: str = "text"
+    __slots__ = ("scenario", "suites", "seed", "samples", "tolerances", "output", "format")
 
-    def __post_init__(self):
-        if isinstance(self.suites, str):  # a str is a sequence of letters
-            raise ValueError(f"suites must be a sequence of suite names, got {self.suites!r}")
-        self.suites = tuple(self.suites)  # a one-shot iterable would run no suite
+    def __init__(self, scenario: str, suites: tuple = DEFAULT_SUITES, seed: int | None = None,
+                 samples: int | None = None, tolerances: dict | None = None,
+                 output: str | None = None, format: str = "text"):
+        if isinstance(suites, str):  # a str is a sequence of letters
+            raise ValueError(f"suites must be a sequence of suite names, got {suites!r}")
+        self.scenario = scenario
+        self.suites = tuple(suites)  # a one-shot iterable would run no suite
+        self.seed = seed
+        self.samples = samples
+        self.output = output
+        self.format = format
         if not self.suites:
             raise ValueError("at least one suite must be requested")
         unknown = set(self.suites) - set(SUITE_ORDER)
@@ -113,7 +112,7 @@ class RunConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("text", "json"):
             raise ValueError(f"format must be text or json, got {self.format!r}")
-        self.tolerances = {k: check_tolerance(k, v) for k, v in self.tolerances.items()}
+        self.tolerances = {k: check_tolerance(k, v) for k, v in (tolerances or {}).items()}
 
 
 def resolve_scenario(name_or_path: str) -> ReductionScenario:
@@ -281,6 +280,8 @@ def _parse_tol(entries) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, so that importing the module loads neither it nor gettext
+
     parser = argparse.ArgumentParser(
         prog="symred",
         description="verify symplectic-reduction scenarios against their defining identities",

@@ -1,4 +1,58 @@
-"""Exception hierarchy and warnings used across the toolkit."""
+"""Exception hierarchy and warnings used across the toolkit, and the base
+of its immutable types, which builds no code at import."""
+
+# sets a field of a record in its constructor, past the refusing __setattr__
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable types.  A record's fields are the
+    ``__slots__`` of its class and of its record bases, bases first
+    (``_fields``); its constructor takes them in that order and sets each
+    once with ``_set``, and assigning or deleting an attribute afterwards
+    raises AttributeError.  Records compare by identity; see
+    ``ValueRecord``."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        """The fields' values, in the order of ``_fields``."""
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its constructor, as
+        # restoring its slots one by one would assign them
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ValueRecord(Record):
+    """A record equal to another of its own type with equal fields, and
+    hashed by its type and fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self), *self._values()))
 
 
 class SymredError(Exception):

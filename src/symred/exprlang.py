@@ -62,12 +62,12 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteError, ParseError, UnknownIdentifierError, ValidationError
+from .errors import (NonFiniteError, ParseError, Record, UnknownIdentifierError,
+                     ValidationError, ValueRecord, _set)
 
 __all__ = [
     "tokenize",
@@ -197,44 +197,57 @@ def token_positions(text: str) -> list[tuple[int, int]]:
     return positions
 
 
-class Expr:
-    """Base class for AST nodes; concrete nodes are frozen dataclasses."""
+class Expr(ValueRecord):
+    """Base class for AST nodes: immutable records, equal when of one type
+    with equal fields."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Coord(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    power: int
+    __slots__ = ("base", "power")
+
+    def __init__(self, base: Expr, power: int):
+        _set(self, "base", base)
+        _set(self, "power", power)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: Expr):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
 # the lexemes that may follow an atom inside a longer expression
@@ -555,7 +568,7 @@ _OPS = {
 _EVAL_ERRORS = (NonFiniteError, ValueError)
 
 
-class Program:
+class Program(Record):
     """A straight-line program: the entries of one map over a positional
     list of values, one value per coordinate name.
 
@@ -570,10 +583,10 @@ class Program:
     __slots__ = ("width", "template", "code", "outputs")
 
     def __init__(self, width: int, template: list, code: list, outputs: tuple):
-        self.width = width
-        self.template = template  # slots from width on: a constant, or None
-        self.code = code
-        self.outputs = outputs
+        _set(self, "width", width)
+        _set(self, "template", template)  # slots from width on: a constant, or None
+        _set(self, "code", code)
+        _set(self, "outputs", outputs)
 
     @property
     def folded(self) -> tuple:

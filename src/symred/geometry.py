@@ -79,12 +79,11 @@ from __future__ import annotations
 import operator
 import random
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, NonFiniteError, NotSPDError
+from .errors import DegenerateInputError, NonFiniteError, NotSPDError, Record, _set
 
 __all__ = [
     "as_points",
@@ -149,7 +148,7 @@ def _read_only_rows(X: np.ndarray) -> np.ndarray:
     return rows
 
 
-class RowMap:
+class RowMap(Record):
     """A map evaluated over many points at once.
 
     ``rows(X)`` takes an (N, d) array whose rows are points and returns the
@@ -169,9 +168,9 @@ class RowMap:
 
     def __init__(self, rows: Callable[[np.ndarray], np.ndarray], tangents: Callable | None = None,
                  name: str = ""):
-        self.rows = rows
-        self.tangents = tangents
-        self.name = name
+        _set(self, "rows", rows)
+        _set(self, "tangents", tangents)
+        _set(self, "name", name)
 
     @staticmethod
     def per_row(value: Callable[[np.ndarray], object]) -> "RowMap":
@@ -187,8 +186,7 @@ def as_row_map(f) -> RowMap:
     return f if isinstance(f, RowMap) else RowMap.per_row(f)
 
 
-@dataclass(frozen=True, eq=False)
-class TensorField:
+class TensorField(Record):
     """Evaluable scalar-, vector- or matrix-valued field over one chart.
 
     ``func`` is a pure, deterministic map of the chart point, held as a
@@ -198,14 +196,14 @@ class TensorField:
     endomorphism and momentum-map fields.
     """
 
-    shape: tuple[int, ...]
-    func: RowMap  # given as a RowMap or as a per-point callable of a 1-D array
-    name: str = ""
+    __slots__ = ("shape", "func", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "func", as_row_map(self.func))
-        if len(self.shape) > 2:
-            raise ValueError(f"field must be of rank <= 2, got shape {self.shape}")
+    def __init__(self, shape: tuple[int, ...], func, name: str = ""):
+        if len(shape) > 2:
+            raise ValueError(f"field must be of rank <= 2, got shape {shape}")
+        _set(self, "shape", shape)
+        _set(self, "func", as_row_map(func))
+        _set(self, "name", name)
 
     @staticmethod
     def scalar(func, name: str = "") -> "TensorField":

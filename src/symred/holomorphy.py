@@ -10,13 +10,10 @@ first error its batch meets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NotStandardStructureError, OddDimensionError
+from .errors import NotStandardStructureError, OddDimensionError, Record, _set
 from .geometry import (
-    RowMap,
     TensorField,
     as_row_map,
     eval_field,
@@ -36,8 +33,7 @@ IDENTITY_ACM_MAP = "phi_* o J1 = J2 o phi_*"
 STANDARD_J_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class ChartedMap:
+class ChartedMap(Record):
     """A smooth map between two even-dimensional charts, each carrying an
     almost complex structure field, whose square shape gives the chart's
     dimension.
@@ -47,13 +43,13 @@ class ChartedMap:
     difference stencil is one row batch.
     """
 
-    chart_map: RowMap  # given as a RowMap or as a per-point callable of a 1-D array
-    source_acs: TensorField
-    target_acs: TensorField
+    __slots__ = ("chart_map", "source_acs", "target_acs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "chart_map", as_row_map(self.chart_map))
-        for label, acs in (("source", self.source_acs), ("target", self.target_acs)):
+    def __init__(self, chart_map, source_acs: TensorField, target_acs: TensorField):
+        _set(self, "chart_map", as_row_map(chart_map))
+        _set(self, "source_acs", source_acs)
+        _set(self, "target_acs", target_acs)
+        for label, acs in (("source", source_acs), ("target", target_acs)):
             if len(acs.shape) != 2 or acs.shape[0] != acs.shape[1]:
                 raise ValueError(f"{label} acs must be square, got shape {acs.shape}")
             if acs.shape[0] % 2 != 0:

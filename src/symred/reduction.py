@@ -49,7 +49,6 @@ that solve satisfies to roundoff.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,11 +65,13 @@ from .errors import (
     NotOnLevelError,
     NotRegularValueError,
     RankDeficientLiftError,
+    Record,
+    ValueRecord,
     VerticalLeakWarning,
+    _set,
 )
 from .geometry import (
     RANK_TOL,
-    RowMap,
     TensorField,
     as_points,
     as_row_map,
@@ -128,18 +129,19 @@ LEVEL_TOL = 1e-8
 FREE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(ValueRecord):
     """Seeded sampling request for quotient chart points, or explicit points."""
 
-    count: int = 20
-    seed: int = 0
-    radius: float = 2.0
-    points: tuple = ()
+    __slots__ = ("count", "seed", "radius", "points")
+
+    def __init__(self, count: int = 20, seed: int = 0, radius: float = 2.0, points: tuple = ()):
+        _set(self, "count", count)
+        _set(self, "seed", seed)
+        _set(self, "radius", radius)
+        _set(self, "points", points)
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionScenario:
+class ReductionScenario(Record):
     """One reduction instance: ambient structures, group action, momentum map
     with its level, and a local section of the quotient projection, a
     RowMap from quotient chart points to the level set (a per-point callable
@@ -150,18 +152,21 @@ class ReductionScenario:
     mu has other than k components, omega is not square, or the metric or
     J has another shape than omega."""
 
-    name: str
-    omega: TensorField
-    metric: TensorField
-    acs: TensorField
-    action: GroupAction
-    mu: MomentumMap
-    section: RowMap  # given as a RowMap or as a per-point callable of a quotient point
-    tolerances: dict = field(default_factory=dict)
-    sample_spec: SampleSpec = SampleSpec()
+    __slots__ = ("name", "omega", "metric", "acs", "action", "mu", "section", "tolerances",
+                 "sample_spec")
 
-    def __post_init__(self):
-        object.__setattr__(self, "section", as_row_map(self.section))
+    def __init__(self, name: str, omega: TensorField, metric: TensorField, acs: TensorField,
+                 action: GroupAction, mu: MomentumMap, section, tolerances: dict | None = None,
+                 sample_spec: SampleSpec = SampleSpec()):
+        _set(self, "name", name)
+        _set(self, "omega", omega)
+        _set(self, "metric", metric)
+        _set(self, "acs", acs)
+        _set(self, "action", action)
+        _set(self, "mu", mu)
+        _set(self, "section", as_row_map(section))
+        _set(self, "tolerances", {} if tolerances is None else tolerances)
+        _set(self, "sample_spec", sample_spec)
         k, shape = self.action.group_dim, self.omega.shape
         if self.mu.group_dim != k:
             raise ValueError(f"scenario {self.name!r}: momentum map has {self.mu.group_dim} "
@@ -183,8 +188,7 @@ class ReductionScenario:
         return self.chart_dim - 2 * self.action.group_dim
 
 
-@dataclass(frozen=True, eq=False)
-class SplitTangentSpace:
+class SplitTangentSpace(Record):
     """The level-set tangent space at a point as column matrices: the kernel
     of d mu, and g-orthonormal vertical and horizontal frames for ``metric``,
     the ambient metric at ``base``; the horizontal columns are combinations
@@ -192,24 +196,31 @@ class SplitTangentSpace:
     split with are kept.  Split at an (N, n) array of points, every array
     has a leading axis of length N and ``base`` is that array."""
 
-    base: np.ndarray
-    metric: np.ndarray
-    level: np.ndarray       # n x (n-k)
-    vertical: np.ndarray    # n x k
-    horizontal: np.ndarray  # n x (n-2k)
-    jmu: np.ndarray         # k x n, d mu at base
-    generators: np.ndarray  # n x k, generator of each algebra basis element
+    __slots__ = ("base", "metric", "level", "vertical", "horizontal", "jmu", "generators")
+
+    def __init__(self, base: np.ndarray, metric: np.ndarray, level: np.ndarray,
+                 vertical: np.ndarray, horizontal: np.ndarray, jmu: np.ndarray,
+                 generators: np.ndarray):
+        _set(self, "base", base)
+        _set(self, "metric", metric)
+        _set(self, "level", level)              # n x (n-k)
+        _set(self, "vertical", vertical)        # n x k
+        _set(self, "horizontal", horizontal)    # n x (n-2k)
+        _set(self, "jmu", jmu)                  # k x n, d mu at base
+        _set(self, "generators", generators)    # n x k, generator of each algebra basis element
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedStructures:
+class ReducedStructures(Record):
     """Reduced metric, symplectic form and almost-complex candidate at an
     (N, q) array of quotient chart points: every array has a leading axis
     of length N."""
 
-    h_beta: np.ndarray
-    omega_beta: np.ndarray
-    j_beta: np.ndarray
+    __slots__ = ("h_beta", "omega_beta", "j_beta")
+
+    def __init__(self, h_beta: np.ndarray, omega_beta: np.ndarray, j_beta: np.ndarray):
+        _set(self, "h_beta", h_beta)
+        _set(self, "omega_beta", omega_beta)
+        _set(self, "j_beta", j_beta)
 
 
 def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
@@ -274,7 +285,6 @@ def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
     return SplitTangentSpace(M, G, level, vertical, horizontal, Jmu, V)
 
 
-@dataclass(frozen=True, eq=False)
 class _LiftFrames(SplitTangentSpace):
     """The lift frames at N quotient points, every array with a leading N:
     the splitting at the section points (``base``) and, after its arrays,
@@ -283,29 +293,37 @@ class _LiftFrames(SplitTangentSpace):
     and the flow Jacobian D Phi_a at sigma(x) that moved the frame's section
     point there (the identity for a frame of the section itself)."""
 
-    lifts: np.ndarray          # N x n x q with d pi(lift_i) = e_i
-    Om: np.ndarray
-    J: np.ndarray
-    htg: np.ndarray            # N x q x n
-    coef: np.ndarray           # N x q x q
-    pushforward: np.ndarray    # N x n x n
+    __slots__ = ("lifts", "Om", "J", "htg", "coef", "pushforward")
+
+    def __init__(self, base, metric, level, vertical, horizontal, jmu, generators,
+                 lifts, Om, J, htg, coef, pushforward):
+        super().__init__(base, metric, level, vertical, horizontal, jmu, generators)
+        _set(self, "lifts", lifts)                # N x n x q with d pi(lift_i) = e_i
+        _set(self, "Om", Om)
+        _set(self, "J", J)
+        _set(self, "htg", htg)                    # N x q x n
+        _set(self, "coef", coef)                  # N x q x q
+        _set(self, "pushforward", pushforward)    # N x n x n
 
     def __getitem__(self, rows: slice) -> "_LiftFrames":
         """The frames at the points ``rows``."""
-        return _LiftFrames(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return _LiftFrames(*(value[rows] for value in self._values()))
 
 
-@dataclass(frozen=True, eq=False)
-class _FrameTable:
+class _FrameTable(Record):
     """The lift frames of a run at the (N, q) quotient ``points`` and the
     (P, k) ``fiber_params``: ``base``, the N frames through the section, and
     ``moved``, the P * N frames through Phi_a o sigma, parameter outer
     (frame j * N + i is point i moved by parameter j)."""
 
-    points: np.ndarray
-    fiber_params: np.ndarray
-    base: _LiftFrames
-    moved: _LiftFrames
+    __slots__ = ("points", "fiber_params", "base", "moved")
+
+    def __init__(self, points: np.ndarray, fiber_params: np.ndarray, base: _LiftFrames,
+                 moved: _LiftFrames):
+        _set(self, "points", points)
+        _set(self, "fiber_params", fiber_params)
+        _set(self, "base", base)
+        _set(self, "moved", moved)
 
 
 def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable:
@@ -350,7 +368,7 @@ def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable
             RankDeficientLiftError, lambda i, at: (
                 f"projection differential is not invertible on H at {at} "
                 f"(singular values {sv[i]})"))
-    frames = _LiftFrames(**vars(split), lifts=lifts, Om=Om, J=J, htg=htg,
+    frames = _LiftFrames(*split._values(), lifts=lifts, Om=Om, J=J, htg=htg,
                          coef=htg @ lifts, pushforward=pushforward)
     return _FrameTable(X, prm, frames[:len(X)], frames[len(X):])
 

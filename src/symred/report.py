@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -137,14 +136,18 @@ def check_to_dict(check: StructureCheckResult) -> dict:
     return json.loads(_text(_check_fields(check), ""))
 
 
-@dataclass
 class VerificationReport:
-    """Tree of named checks; overall pass means every node passes."""
+    """Tree of named checks; overall pass means every node passes.  A
+    builder: ``add`` and ``add_child`` grow it in place."""
 
-    name: str
-    checks: list = field(default_factory=list)
-    children: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("name", "checks", "children", "meta")
+
+    def __init__(self, name: str, checks: list | None = None, children: list | None = None,
+                 meta: dict | None = None):
+        self.name = name
+        self.checks = [] if checks is None else checks
+        self.children = [] if children is None else children
+        self.meta = {} if meta is None else meta
 
     def add(self, check: StructureCheckResult) -> StructureCheckResult:
         self.checks.append(check)

@@ -12,13 +12,12 @@ same code path as user files.  A ``tol.<name>`` key overrides the tolerance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .actions import GroupAction, MomentumMap
-from .errors import (NonFiniteError, ScenarioFormatError, UnknownIdentifierError,
-                     UnknownScenarioError, ValidationError)
+from .errors import (NonFiniteError, Record, ScenarioFormatError, UnknownIdentifierError,
+                     UnknownScenarioError, ValidationError, _set)
 from .exprlang import (Expr, ExprParser, Program, compile_exprs, eval_expr, token_positions,
                        tokenize)
 from .geometry import RowMap, TensorField
@@ -50,24 +49,29 @@ _KEY_ALIASES = {"g": "metric", "j": "acs", "J": "acs", "w": "omega"}
 _TOL_PREFIX = "tol."
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioFile:
+class ScenarioFile(Record):
     """Parsed and statically validated scenario description: each map's
     expressions, and its program (``programs``, by key)."""
 
-    name: str
-    dim: int
-    group_dim: int
-    omega: tuple
-    metric: tuple
-    acs: tuple | None
-    flow: tuple
-    mu: tuple
-    beta: tuple
-    section: tuple
-    tolerances: dict
-    sample_spec: SampleSpec
-    programs: dict
+    __slots__ = ("name", "dim", "group_dim", "omega", "metric", "acs", "flow", "mu", "beta",
+                 "section", "tolerances", "sample_spec", "programs")
+
+    def __init__(self, name: str, dim: int, group_dim: int, omega: tuple, metric: tuple,
+                 acs: tuple | None, flow: tuple, mu: tuple, beta: tuple, section: tuple,
+                 tolerances: dict, sample_spec: SampleSpec, programs: dict):
+        _set(self, "name", name)
+        _set(self, "dim", dim)
+        _set(self, "group_dim", group_dim)
+        _set(self, "omega", omega)
+        _set(self, "metric", metric)
+        _set(self, "acs", acs)
+        _set(self, "flow", flow)
+        _set(self, "mu", mu)
+        _set(self, "beta", beta)
+        _set(self, "section", section)
+        _set(self, "tolerances", tolerances)
+        _set(self, "sample_spec", sample_spec)
+        _set(self, "programs", programs)
 
     @property
     def quotient_dim(self) -> int:
@@ -262,18 +266,19 @@ def parse_scenario(text: str) -> ScenarioFile:
                 f"sample points must have {quotient_dim} coordinates, got {len(rows[0])}"
             )
         points = tuple(tuple(_const_value(e, "sample.points") for e in row) for row in rows)
+    defaults = SampleSpec()
     count = (_int_value(_as_expr(raw["sample.count"], "sample.count"), "sample.count")
-             if "sample.count" in raw else SampleSpec.count)
+             if "sample.count" in raw else defaults.count)
     if count < 1:
         raise ValidationError(f"sample.count must be at least 1, got {count}")
     if count > MAX_SAMPLES:
         raise ValidationError(f"sample.count must be at most {MAX_SAMPLES}, got {count}")
     seed = (_int_value(_as_expr(raw["sample.seed"], "sample.seed"), "sample.seed")
-            if "sample.seed" in raw else SampleSpec.seed)
+            if "sample.seed" in raw else defaults.seed)
     if seed < 0:
         raise ValidationError(f"sample.seed must be a non-negative integer, got {seed}")
     radius = (_const_value(_as_expr(raw["sample.radius"], "sample.radius"), "sample.radius")
-              if "sample.radius" in raw else SampleSpec.radius)
+              if "sample.radius" in raw else defaults.radius)
     if radius <= 0:
         raise ValidationError(f"sample.radius must be positive, got {radius}")
     sample_spec = SampleSpec(count=count, seed=seed, radius=radius, points=points)

@@ -16,13 +16,12 @@ arrays: a check applies it to the batches ``_sampled`` evaluates, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import NotSPDError, OddDimensionError
+from .errors import NotSPDError, OddDimensionError, Record, _set
 from .geometry import (
     RowMap,
     TensorField,
@@ -104,23 +103,23 @@ def _positive_finite(what: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True, eq=False)
-class StructureCheckResult:
+class StructureCheckResult(Record):
     """Outcome of one sampled check: worst residual against a tolerance,
     passed iff within it, so a NaN residual fails.  A tolerance that is not
     positive and finite raises ValueError (``_positive_finite``), as
     ``check_tolerance`` refuses it."""
 
-    name: str
-    max_residual: float
-    tolerance: float
-    worst_point: tuple[float, ...] | None  # the coordinates of the worst point
-    identity: str = ""
-    extras: dict = field(default_factory=dict)
+    __slots__ = ("name", "max_residual", "tolerance", "worst_point", "identity", "extras")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tolerance",
-                           _positive_finite(f"tolerance of check {self.name!r}", self.tolerance))
+    def __init__(self, name: str, max_residual: float, tolerance: float,
+                 worst_point: tuple[float, ...] | None, identity: str = "",
+                 extras: dict | None = None):
+        _set(self, "name", name)
+        _set(self, "max_residual", max_residual)
+        _set(self, "tolerance", _positive_finite(f"tolerance of check {name!r}", tolerance))
+        _set(self, "worst_point", worst_point)  # the coordinates of the worst point
+        _set(self, "identity", identity)
+        _set(self, "extras", {} if extras is None else extras)
 
     @property
     def passed(self) -> bool:
@@ -139,17 +138,19 @@ class StructureCheckResult:
         worst_point = (tuple(np.asarray(points[worst], dtype=float).tolist())
                        if worst < len(points) else None)
         return StructureCheckResult(
-            name, float(residuals[worst]), tolerance, worst_point, identity, extras or {})
+            name, float(residuals[worst]), tolerance, worst_point, identity, extras)
 
 
-@dataclass(frozen=True, eq=False)
-class CompatibleTriple:
+class CompatibleTriple(Record):
     """Symplectic form, Riemannian metric and almost complex structure with
     omega(u, J v) = g(u, v) at every point."""
 
-    omega: TensorField
-    metric: TensorField
-    acs: TensorField
+    __slots__ = ("omega", "metric", "acs")
+
+    def __init__(self, omega: TensorField, metric: TensorField, acs: TensorField):
+        _set(self, "omega", omega)
+        _set(self, "metric", metric)
+        _set(self, "acs", acs)
 
 
 def _interleaved_planes(dim: int, what: str) -> int:

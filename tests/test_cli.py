@@ -1,6 +1,5 @@
 """CLI contract: suites, exit codes, report formats, determinism."""
 
-import dataclasses
 import inspect
 import json
 import random
@@ -45,7 +44,7 @@ from symred.structures import (
     check_symplectic_pointwise,
 )
 
-from util import one, opaque_scenario, reference_invariance_residuals, round_sphere_metric
+from util import one, opaque_scenario, reference_invariance_residuals, replaced, round_sphere_metric
 
 
 @pytest.fixture(scope="module")
@@ -870,7 +869,7 @@ def test_action_suite_moves_all_points_in_one_flow_batch(monkeypatch):
         stencil = (1 + 4 * 4) * count * 20  # the point, four offsets along each coordinate
         for counted, want in ((RowMap(rows, tangents), [("tangents", count * 20)]),
                               (RowMap(rows), [("rows", stencil)])):
-            action = dataclasses.replace(hopf.action, flow=counted)
+            action = replaced(hopf.action, flow=counted)
             batches.clear()
             table = pushforward_table(action, params, X)
             assert table.D.shape == (count, 20, 4, 4) and table.moved.shape == (count, 20, 4)
@@ -1159,7 +1158,7 @@ def test_per_point_maps_get_a_chart_point_of_each_row(monkeypatch):
     field = TensorField.matrix(lambda p: seen.append(p) or np.eye(4), 4)
     rotation = planar_rotation_action()
     flow = GroupAction(1, lambda a, p: seen.append(p) or apply_flow(rotation, a, one(p))[0])
-    scen = dataclasses.replace(
+    scen = replaced(
         hopf, section=lambda x: seen.append(x) or hopf.section.rows(one(x))[0])
     point, plane = one([0.3, -0.2, 0.5, 0.1]), one([0.3, -0.2])
     X = np.array([[0.3, -0.2, 0.5, 0.1], [1.0, 0.0, -0.4, 0.2], [0.0, 0.7, 0.1, -0.3]])
@@ -1193,7 +1192,7 @@ def test_per_point_acs_costs_one_chart_point_per_stacked_frame(tmp_path, monkeyp
     # check_acs, check_compatibility and the acs invariance check (once at
     # the points and once per group parameter at the moved points)
     hopf = builtin("hopf")
-    per_point = dataclasses.replace(
+    per_point = replaced(
         hopf, acs=TensorField.matrix(lambda p: eval_field(hopf.acs, one(p))[0], 4,
                                      name="per-point acs"))
     resolve = cli.resolve_scenario

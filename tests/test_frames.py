@@ -9,7 +9,6 @@ every frame, the base frames before the moved ones.  Where one frame
 fails, that is what the frame-by-frame build raises.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -76,6 +75,7 @@ from util import (
     reference_orthonormalize_per_vector,
     reference_pushforward,
     reference_split_tangent,
+    replaced,
     run_draws,
 )
 
@@ -368,7 +368,7 @@ def test_nonfinite_stencil_value(tmp_path, capsys, monkeypatch):
     assert 0.5 + FD_STEP == 0.50001
     path, compiled = _hopf_variant(tmp_path, "stencil", section=_HOPF_SECTION.replace(
         "[1/sqrt(1 + w1^2 + w2^2),", "[1/sqrt(1 + w1^2 + w2^2) + 0/(w1 - 0.50001),"))
-    scen = dataclasses.replace(compiled, section=lambda x: compiled.section.rows(one(x))[0])
+    scen = replaced(compiled, section=lambda x: compiled.section.rows(one(x))[0])
     monkeypatch.setattr(cli, "resolve_scenario", lambda name: scen)
     base_error, error = _assert_parity(path, scen, capsys)
     assert type(error) is NonFiniteError and str(error) == "division by zero"
@@ -550,7 +550,7 @@ def _opaque_flow_hopf(fails):
                 raise NonFiniteError(f"flow fails near point {i} for fibre parameter {j}")
         return flow_rows(np.concatenate([p, a])[np.newaxis])[0]
 
-    return dataclasses.replace(hopf, action=GroupAction(1, flow))
+    return replaced(hopf, action=GroupAction(1, flow))
 
 
 def test_fibre_error_comes_from_the_first_failing_point():
@@ -602,7 +602,7 @@ def test_a_frame_that_gram_schmidt_degenerates_is_refused_at_its_point(scale, er
         G[(X == here).all(axis=1)] = np.diag(np.repeat(scale, 2))
         return G
 
-    scen = dataclasses.replace(hopf, metric=TensorField.matrix(RowMap(rows), 4, name="metric"))
+    scen = replaced(hopf, metric=TensorField.matrix(RowMap(rows), 4, name="metric"))
     M = hopf.section.rows(np.array([[0.6, 0.3], [0.0, 0.0], [0.5, 0.2]]))
     want = f"{message} at {point_text(here)}"
     with pytest.raises(error) as raised:
@@ -683,7 +683,7 @@ def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
     # included, so omega non-finite only at Phi_a(sigma(0, 0)), for a the
     # second fibre parameter of a verify at seed 0, fails the fibre check,
     # and verify, with the frame-by-frame error
-    hopf = dataclasses.replace(builtin("hopf"),
+    hopf = replaced(builtin("hopf"),
                                sample_spec=SampleSpec(points=((0.6, 0.3), (0.0, 0.0), (0.5, 0.2))))
     omega_rows = hopf.omega.func.rows
     xs = np.array(hopf.sample_spec.points)
@@ -694,7 +694,7 @@ def test_nonfinite_omega_at_one_moved_point_fails_closed(monkeypatch, capsys):
         values[np.max(np.abs(X - moved), axis=1) < 1e-12] = np.inf
         return values
 
-    scen = dataclasses.replace(hopf, omega=TensorField.matrix(RowMap(rows), 4, name="omega"))
+    scen = replaced(hopf, omega=TensorField.matrix(RowMap(rows), 4, name="omega"))
     error = _reference_submersion_failure(scen, xs)
     assert type(error) is NonFiniteError
     assert str(error).startswith(f"field 'omega' at {point_text(moved)}")

@@ -1,6 +1,5 @@
 """Chart primitives, finite differences and the dense linear-algebra kit."""
 
-import dataclasses
 import math
 import random
 
@@ -36,6 +35,7 @@ from util import (
     reference_fd_jacobian,
     reference_fd_partials,
     reference_generator,
+    replaced,
 )
 
 
@@ -506,7 +506,7 @@ def test_per_point_callables_run_once_per_stencil_row_in_order():
          lambda f: generator(GroupAction(1, f), one(p))[0, :, 0],
          lambda f: reference_generator(GroupAction(1, f), 0, p), 1 + 4),
         (lambda w: np.array([1.0, 0.0, *w]) / np.sqrt(1.0 + w @ w),
-         lambda f: fd_jacobian(dataclasses.replace(hopf, section=f).section, one(p[:2]))[0],
+         lambda f: fd_jacobian(replaced(hopf, section=f).section, one(p[:2]))[0],
          lambda f: reference_fd_jacobian(f, p[:2]), 1 + 8),
     ]
     for fn, derivative, reference, rows in cases:

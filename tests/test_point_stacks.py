@@ -3,8 +3,6 @@ takes them as the rows of an (N, d) array of N >= 1 rows and refuses
 anything else where they enter, and a user's per-point callable reads each
 row as a read-only 1-D float array."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,8 @@ from symred.holomorphy import ChartedMap, almost_complex_residual, cauchy_rieman
 from symred.reduction import lift_frames, reduced_structures, split_tangent
 from symred.scenarios import builtin
 from symred.structures import standard_acs
+
+from util import replaced
 
 HOPF = builtin("hopf")
 J2 = standard_acs(2)
@@ -41,7 +41,7 @@ def test_only_a_stack_of_points_is_taken(name):
     # a stack of one is taken, and gives one row (a split or reduced
     # structures lead with the points)
     out = call(point[np.newaxis])
-    lead = out if isinstance(out, np.ndarray) else getattr(out, dataclasses.fields(out)[0].name)
+    lead = out if isinstance(out, np.ndarray) else out._values()[0]
     assert len(lead) == 1
     # one point as a flat vector is no stack of points, nor is a list
     flat = rf"^points must be an \(N, d\) array, got shape \({d},\)$"
@@ -94,7 +94,7 @@ def test_a_per_point_callable_that_writes_to_its_row_fails_and_leaves_the_caller
     X = np.array([[0.3, -0.2], [0.5, 0.1]])
     for call in (lambda: eval_field(TensorField.vector(scribble, 2), X),
                  lambda: fd_jacobian(scribble, X),
-                 lambda: lift_frames(dataclasses.replace(HOPF, section=scribble), X)):
+                 lambda: lift_frames(replaced(HOPF, section=scribble), X)):
         with pytest.raises(ValueError, match="read-only"):
             call()
     assert X.tolist() == [[0.3, -0.2], [0.5, 0.1]]

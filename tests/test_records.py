@@ -1,0 +1,133 @@
+"""The package's records: plain ``__slots__`` classes that build no code at
+import, immutable apart from the two builders, with value equality for the
+AST nodes and the sampling request."""
+
+import copy
+import dataclasses
+import inspect
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import symred
+from symred.actions import pushforward_table
+from symred.cli import RunConfig
+from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow, parse_expression
+from symred.reduction import SampleSpec, lift_frames
+from symred.scenarios import builtin
+from symred.structures import StructureCheckResult
+
+HOPF = builtin("hopf")
+
+# a fresh interpreter: the modules that importing symred.cli adds after numpy
+_IMPORT_DELTA = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy
+before = set(sys.modules)
+import symred.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_builds_no_dataclass_and_loads_no_argparse():
+    src = str(Path(symred.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_DELTA, src], capture_output=True,
+                         text=True, timeout=120, check=True)
+    added = set(out.stdout.split())
+    assert "symred.cli" in added
+    assert added.isdisjoint({"dataclasses", "argparse", "gettext"}), sorted(added)
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "symred"]
+    classes = [c for m in modules for _, c in inspect.getmembers(m, inspect.isclass)
+               if c.__module__ == m.__name__]
+    assert len(classes) > 21
+    assert [c for c in classes if dataclasses.is_dataclass(c)] == []
+
+
+NODES = [Num(1.0), Coord("x1"), Neg(Coord("x1")), BinOp("+", Num(1.0), Coord("x1")),
+         Pow(Coord("x1"), 2), Call("sin", Coord("x1"))]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+def test_equal_nodes_compare_and_hash_equal(node):
+    twin = type(node)(*node._values())
+    assert twin is not node
+    assert twin == node and not twin != node
+    assert hash(twin) == hash(node)
+    assert len({node, twin}) == 1
+
+
+def test_nodes_of_different_types_never_compare_equal():
+    x1 = Coord("x1")
+    assert Num(1.0) != Coord("x1")
+    # the same field values, in two node types
+    assert Pow(x1, 2) != Call(x1, 2) and Call(x1, 2) != Pow(x1, 2)
+    assert Neg(x1) != Call("neg", x1)
+    assert len({Pow(x1, 2), Call(x1, 2)}) == 2
+    # and a node is never equal to the tuple of its fields
+    assert BinOp("+", x1, x1) != ("+", x1, x1)
+
+
+def test_node_repr_names_the_type_and_every_field():
+    # an error message can quote a node (``abelian must be true, got ...``)
+    assert repr(parse_expression("-(x1 + 2)^2 * sin(y)")) == (
+        "BinOp(op='*', left=Neg(arg=Pow(base=BinOp(op='+', left=Coord(name='x1'), "
+        "right=Num(value=2.0)), power=2)), right=Call(fn='sin', arg=Coord(name='y')))")
+
+
+def test_sample_specs_compare_by_value():
+    assert SampleSpec() == SampleSpec()
+    assert hash(SampleSpec()) == hash(SampleSpec())
+    assert SampleSpec(points=((0.5, 0.2),)) == SampleSpec(20, 0, 2.0, ((0.5, 0.2),))
+    assert SampleSpec(count=5) != SampleSpec()
+    assert HOPF.sample_spec == SampleSpec(**dict(zip(SampleSpec._fields,
+                                                     HOPF.sample_spec._values())))
+
+
+def _records():
+    table = pushforward_table(HOPF.action, [[0.3]], HOPF.section.rows(np.array([[0.1, 0.2]])))
+    frames = lift_frames(HOPF, np.array([[0.1, 0.2]])).base
+    check = StructureCheckResult("c", 0.0, 1.0, None)
+    return {"node": BinOp("+", Num(1.0), Coord("x1")), "scenario": HOPF, "frames": frames,
+            "check": check, "table": table}
+
+
+@pytest.mark.parametrize("kind", ["node", "scenario", "frames", "check", "table"])
+def test_records_refuse_assignment(kind):
+    record = _records()[kind]
+    name = record._fields[0]
+    value = getattr(record, name)
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+        record.extra = 1
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(record, name)
+    assert getattr(record, name) is value
+
+
+def test_copy_and_pickle_rebuild_a_record_through_its_constructor():
+    node = parse_expression("-(x1 + 2)^2 * sin(y)")
+    assert copy.deepcopy(node) == node and pickle.loads(pickle.dumps(node)) == node
+    spec = SampleSpec(5, 1, 0.5, ((0.5, 0.2),))
+    assert copy.copy(spec) == spec and pickle.loads(pickle.dumps(spec)) == spec
+    check = pickle.loads(pickle.dumps(StructureCheckResult("c", 0.5, 1e-8, (0.1,), "id", {"k": 2})))
+    assert repr(check) == ("StructureCheckResult(name='c', max_residual=0.5, tolerance=1e-08, "
+                           "worst_point=(0.1,), identity='id', extras={'k': 2})")
+
+
+def test_run_config_is_a_builder_that_checks_its_suites():
+    refused = "^suites must be a sequence of suite names, got 'action'$"
+    with pytest.raises(ValueError, match=refused):
+        RunConfig("hopf", suites="action")
+    cfg = RunConfig("hopf", suites=iter(["action"]))
+    assert cfg.suites == ("action",) and cfg.tolerances == {}
+    cfg.samples = 3
+    assert cfg.samples == 3

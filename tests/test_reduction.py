@@ -1,6 +1,5 @@
 """Level sets, splittings, reduced structures and the verification pipelines."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -44,6 +43,7 @@ from util import (
     reference_submersion,
     residuals_seen,
     round_sphere_metric,
+    replaced,
     round_sphere_symplectic,
     row0,
 )
@@ -88,7 +88,7 @@ def test_split_tangent_rejects_off_level():
 
 def test_split_tangent_rejects_critical_level():
     # mu = 0 only at the origin, where d mu vanishes
-    zero_level = dataclasses.replace(HOPF, mu=MomentumMap(HOPF.mu.field, [0.0]))
+    zero_level = replaced(HOPF, mu=MomentumMap(HOPF.mu.field, [0.0]))
     with pytest.raises(NotRegularValueError, match=r"^kernel of d mu has dimension 4 at "
                                                    r"point \[0\., 0\., 0\., 0\.\], "
                                                    r"expected 3$"):
@@ -237,8 +237,7 @@ def test_main_theorem_iff_fails_where_one_defect_vanishes_and_the_other_does_not
     points = sample_ball(2, 20, 2.0, seed=0)
     frames = lift_frames(HOPF, points)
     assert verify_main_theorem(frames).find("main theorem iff").passed
-    doubled = dataclasses.replace(frames, base=dataclasses.replace(frames.base,
-                                                                   Om=2.0 * frames.base.Om))
+    doubled = replaced(frames, base=replaced(frames.base, Om=2.0 * frames.base.Om))
     report = verify_main_theorem(doubled)
     assert report.find("almost complex mapping defect").max_residual < 1e-15
     compat = report.find("reduced compatibility")
@@ -353,14 +352,12 @@ def test_verify_submersion_hopf():
 
 def test_all_reduced_objects_fiber_independent():
     # move the section along the fibre and recompute everything, not just h
-    import dataclasses
-
     from symred.actions import apply_flow
 
     for x in quotient_points(HOPF, 5, seed=22):
         base = reduced_structures(HOPF, one(x))
         for a in FIBRE:
-            moved = reduced_structures(dataclasses.replace(
+            moved = reduced_structures(replaced(
                 HOPF, section=lambda q, _a=a: apply_flow(HOPF.action, _a,
                                                          HOPF.section.rows(one(q)))[0]), one(x))
             for name in ("h_beta", "omega_beta", "j_beta"):
@@ -762,7 +759,7 @@ def test_scenario_rejects_mismatched_dimensions(change, message):
     # a second momentum component once passed unread: only component 0 was
     # checked against the one generator
     with pytest.raises(ValueError, match=message):
-        dataclasses.replace(HOPF, **change)
+        replaced(HOPF, **change)
 
 
 _OVERFLOWING_SECTION = """

@@ -18,13 +18,16 @@ def one(p):
     return np.asarray(p, dtype=float).reshape(1, -1)
 
 
-def row0(stacked):
-    """A stacked dataclass result (a split, reduced structures) at its first
-    point: row 0 of every array it holds."""
-    import dataclasses
+def replaced(record, **changes):
+    """The record rebuilt through its constructor with ``changes`` in place
+    of those fields, so the constructor's checks run on the new values."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
 
-    return dataclasses.replace(stacked, **{f.name: getattr(stacked, f.name)[0]
-                                           for f in dataclasses.fields(stacked)})
+
+def row0(stacked):
+    """A stacked record (a split, reduced structures) at its first point:
+    row 0 of every array it holds."""
+    return type(stacked)(*(value[0] for value in stacked._values()))
 
 
 def point_text(p):
@@ -926,8 +929,6 @@ def residuals_seen():
 def opaque_scenario(scen):
     """The scenario with every compiled map wrapped in a plain lambda, so
     each evaluation goes through the per-point path."""
-    import dataclasses
-
     from symred.actions import MomentumMap, apply_flow
     from symred.geometry import TensorField
 
@@ -935,10 +936,9 @@ def opaque_scenario(scen):
         return TensorField(f.shape, lambda p, _f=f.func: _f.rows(one(p))[0], f.name)
 
     action, section = scen.action, scen.section
-    return dataclasses.replace(
+    return replaced(
         scen, omega=field(scen.omega), metric=field(scen.metric), acs=field(scen.acs),
-        action=dataclasses.replace(scen.action,
-                                   flow=lambda a, p: apply_flow(action, a, one(p))[0]),
+        action=replaced(scen.action, flow=lambda a, p: apply_flow(action, a, one(p))[0]),
         mu=MomentumMap(field(scen.mu.field), scen.mu.beta),
         section=lambda x: section.rows(one(x))[0])
 
