@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NonFiniteError, Record, _set
+from .errors import NonFiniteError, Record
 from .geometry import (
     RowMap,
     TensorField,
@@ -108,8 +108,7 @@ class GroupAction(Record):
     def __init__(self, group_dim: int, flow):
         if group_dim < 1:
             raise ValueError("group dimension must be at least 1")
-        _set(self, "group_dim", group_dim)
-        _set(self, "flow", flow if isinstance(flow, RowMap) else RowMap.per_row(
+        super().__init__(group_dim, flow if isinstance(flow, RowMap) else RowMap.per_row(
             lambda z: flow(z[len(z) - group_dim:], z[:len(z) - group_dim])))
 
 
@@ -125,8 +124,7 @@ class MomentumMap(Record):
             raise ValueError(f"momentum map of shape {field.shape} "
                              f"but level vector of shape {beta.shape}")
         beta.flags.writeable = False
-        _set(self, "field", field)
-        _set(self, "beta", beta)
+        super().__init__(field, beta)
 
     @property
     def group_dim(self) -> int:
@@ -177,14 +175,6 @@ class PushforwardTable(Record):
     moved by Phi_a."""
 
     __slots__ = ("action", "D", "moved", "points", "params")
-
-    def __init__(self, action: GroupAction, D: np.ndarray, moved: np.ndarray,
-                 points: np.ndarray, params: np.ndarray):
-        _set(self, "action", action)
-        _set(self, "D", D)
-        _set(self, "moved", moved)
-        _set(self, "points", points)
-        _set(self, "params", params)
 
 
 def pushforward_table(action: GroupAction, params, points) -> PushforwardTable:

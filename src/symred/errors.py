@@ -1,5 +1,5 @@
 """Exception hierarchy and warnings used across the toolkit, and the base
-of its immutable types, which builds no code at import."""
+of its immutable types, whose one constructor builds no code at import."""
 
 # sets a field of a record in its constructor, past the refusing __setattr__
 _set = object.__setattr__
@@ -8,10 +8,12 @@ _set = object.__setattr__
 class Record:
     """Base of the package's immutable types.  A record's fields are the
     ``__slots__`` of its class and of its record bases, bases first
-    (``_fields``); its constructor takes them in that order and sets each
-    once with ``_set``, and assigning or deleting an attribute afterwards
-    raises AttributeError.  Records compare by identity; see
-    ``ValueRecord``."""
+    (``_fields``).  The constructor takes them in that order, positionally
+    or by keyword, and sets each once with ``_set``; a field missing,
+    unknown or given twice raises TypeError naming the class.  A record
+    whose fields are checked, converted or defaulted stores them through
+    it.  Assigning or deleting an attribute afterwards raises
+    AttributeError.  Records compare by identity; see ``ValueRecord``."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -19,6 +21,24 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            cls, values = type(self).__qualname__, dict(zip(fields, args))
+            if len(args) > len(fields):
+                raise TypeError(f"{cls} takes {len(fields)} fields, got {len(args)} positional")
+            for name in kwargs:
+                if name in values or name not in fields:
+                    raise TypeError(f"{cls} got field {name!r} twice" if name in values
+                                    else f"{cls} has no field {name!r}")
+            values.update(kwargs)
+            if len(values) < len(fields):
+                raise TypeError(f"{cls} is missing field "
+                                + ", ".join(repr(name) for name in fields if name not in values))
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            _set(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -83,7 +83,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, NonFiniteError, NotSPDError, Record, _set
+from .errors import DegenerateInputError, NonFiniteError, NotSPDError, Record
 
 __all__ = [
     "as_points",
@@ -168,9 +168,7 @@ class RowMap(Record):
 
     def __init__(self, rows: Callable[[np.ndarray], np.ndarray], tangents: Callable | None = None,
                  name: str = ""):
-        _set(self, "rows", rows)
-        _set(self, "tangents", tangents)
-        _set(self, "name", name)
+        super().__init__(rows, tangents, name)
 
     @staticmethod
     def per_row(value: Callable[[np.ndarray], object]) -> "RowMap":
@@ -201,9 +199,7 @@ class TensorField(Record):
     def __init__(self, shape: tuple[int, ...], func, name: str = ""):
         if len(shape) > 2:
             raise ValueError(f"field must be of rank <= 2, got shape {shape}")
-        _set(self, "shape", shape)
-        _set(self, "func", as_row_map(func))
-        _set(self, "name", name)
+        super().__init__(shape, as_row_map(func), name)
 
     @staticmethod
     def scalar(func, name: str = "") -> "TensorField":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotStandardStructureError, OddDimensionError, Record, _set
+from .errors import NotStandardStructureError, OddDimensionError, Record
 from .geometry import (
     TensorField,
     as_row_map,
@@ -46,9 +46,7 @@ class ChartedMap(Record):
     __slots__ = ("chart_map", "source_acs", "target_acs")
 
     def __init__(self, chart_map, source_acs: TensorField, target_acs: TensorField):
-        _set(self, "chart_map", as_row_map(chart_map))
-        _set(self, "source_acs", source_acs)
-        _set(self, "target_acs", target_acs)
+        super().__init__(as_row_map(chart_map), source_acs, target_acs)
         for label, acs in (("source", source_acs), ("target", target_acs)):
             if len(acs.shape) != 2 or acs.shape[0] != acs.shape[1]:
                 raise ValueError(f"{label} acs must be square, got shape {acs.shape}")

@@ -68,7 +68,6 @@ from .errors import (
     Record,
     ValueRecord,
     VerticalLeakWarning,
-    _set,
 )
 from .geometry import (
     RANK_TOL,
@@ -135,10 +134,7 @@ class SampleSpec(ValueRecord):
     __slots__ = ("count", "seed", "radius", "points")
 
     def __init__(self, count: int = 20, seed: int = 0, radius: float = 2.0, points: tuple = ()):
-        _set(self, "count", count)
-        _set(self, "seed", seed)
-        _set(self, "radius", radius)
-        _set(self, "points", points)
+        super().__init__(count, seed, radius, points)
 
 
 class ReductionScenario(Record):
@@ -158,15 +154,8 @@ class ReductionScenario(Record):
     def __init__(self, name: str, omega: TensorField, metric: TensorField, acs: TensorField,
                  action: GroupAction, mu: MomentumMap, section, tolerances: dict | None = None,
                  sample_spec: SampleSpec = SampleSpec()):
-        _set(self, "name", name)
-        _set(self, "omega", omega)
-        _set(self, "metric", metric)
-        _set(self, "acs", acs)
-        _set(self, "action", action)
-        _set(self, "mu", mu)
-        _set(self, "section", as_row_map(section))
-        _set(self, "tolerances", {} if tolerances is None else tolerances)
-        _set(self, "sample_spec", sample_spec)
+        super().__init__(name, omega, metric, acs, action, mu, as_row_map(section),
+                         {} if tolerances is None else tolerances, sample_spec)
         k, shape = self.action.group_dim, self.omega.shape
         if self.mu.group_dim != k:
             raise ValueError(f"scenario {self.name!r}: momentum map has {self.mu.group_dim} "
@@ -197,17 +186,8 @@ class SplitTangentSpace(Record):
     has a leading axis of length N and ``base`` is that array."""
 
     __slots__ = ("base", "metric", "level", "vertical", "horizontal", "jmu", "generators")
-
-    def __init__(self, base: np.ndarray, metric: np.ndarray, level: np.ndarray,
-                 vertical: np.ndarray, horizontal: np.ndarray, jmu: np.ndarray,
-                 generators: np.ndarray):
-        _set(self, "base", base)
-        _set(self, "metric", metric)
-        _set(self, "level", level)              # n x (n-k)
-        _set(self, "vertical", vertical)        # n x k
-        _set(self, "horizontal", horizontal)    # n x (n-2k)
-        _set(self, "jmu", jmu)                  # k x n, d mu at base
-        _set(self, "generators", generators)    # n x k, generator of each algebra basis element
+    # level n x (n-k), vertical n x k, horizontal n x (n-2k), jmu k x n (d mu at
+    # base), generators n x k (the generator of each algebra basis element)
 
 
 class ReducedStructures(Record):
@@ -216,11 +196,6 @@ class ReducedStructures(Record):
     of length N."""
 
     __slots__ = ("h_beta", "omega_beta", "j_beta")
-
-    def __init__(self, h_beta: np.ndarray, omega_beta: np.ndarray, j_beta: np.ndarray):
-        _set(self, "h_beta", h_beta)
-        _set(self, "omega_beta", omega_beta)
-        _set(self, "j_beta", j_beta)
 
 
 def split_tangent(scen: ReductionScenario, M) -> SplitTangentSpace:
@@ -294,16 +269,8 @@ class _LiftFrames(SplitTangentSpace):
     point there (the identity for a frame of the section itself)."""
 
     __slots__ = ("lifts", "Om", "J", "htg", "coef", "pushforward")
-
-    def __init__(self, base, metric, level, vertical, horizontal, jmu, generators,
-                 lifts, Om, J, htg, coef, pushforward):
-        super().__init__(base, metric, level, vertical, horizontal, jmu, generators)
-        _set(self, "lifts", lifts)                # N x n x q with d pi(lift_i) = e_i
-        _set(self, "Om", Om)
-        _set(self, "J", J)
-        _set(self, "htg", htg)                    # N x q x n
-        _set(self, "coef", coef)                  # N x q x q
-        _set(self, "pushforward", pushforward)    # N x n x n
+    # lifts N x n x q with d pi(lift_i) = e_i, htg N x q x n, coef N x q x q,
+    # pushforward N x n x n
 
     def __getitem__(self, rows: slice) -> "_LiftFrames":
         """The frames at the points ``rows``."""
@@ -317,13 +284,6 @@ class _FrameTable(Record):
     (frame j * N + i is point i moved by parameter j)."""
 
     __slots__ = ("points", "fiber_params", "base", "moved")
-
-    def __init__(self, points: np.ndarray, fiber_params: np.ndarray, base: _LiftFrames,
-                 moved: _LiftFrames):
-        _set(self, "points", points)
-        _set(self, "fiber_params", fiber_params)
-        _set(self, "base", base)
-        _set(self, "moved", moved)
 
 
 def lift_frames(scen: ReductionScenario, points, fiber_params=()) -> _FrameTable:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .actions import GroupAction, MomentumMap
 from .errors import (NonFiniteError, Record, ScenarioFormatError, UnknownIdentifierError,
-                     UnknownScenarioError, ValidationError, _set)
+                     UnknownScenarioError, ValidationError)
 from .exprlang import (Expr, ExprParser, Program, compile_exprs, eval_expr, token_positions,
                        tokenize)
 from .geometry import RowMap, TensorField
@@ -55,23 +55,6 @@ class ScenarioFile(Record):
 
     __slots__ = ("name", "dim", "group_dim", "omega", "metric", "acs", "flow", "mu", "beta",
                  "section", "tolerances", "sample_spec", "programs")
-
-    def __init__(self, name: str, dim: int, group_dim: int, omega: tuple, metric: tuple,
-                 acs: tuple | None, flow: tuple, mu: tuple, beta: tuple, section: tuple,
-                 tolerances: dict, sample_spec: SampleSpec, programs: dict):
-        _set(self, "name", name)
-        _set(self, "dim", dim)
-        _set(self, "group_dim", group_dim)
-        _set(self, "omega", omega)
-        _set(self, "metric", metric)
-        _set(self, "acs", acs)
-        _set(self, "flow", flow)
-        _set(self, "mu", mu)
-        _set(self, "beta", beta)
-        _set(self, "section", section)
-        _set(self, "tolerances", tolerances)
-        _set(self, "sample_spec", sample_spec)
-        _set(self, "programs", programs)
 
     @property
     def quotient_dim(self) -> int:
@@ -133,13 +116,6 @@ def _const_value(expr: Expr, key: str) -> float:
     return value
 
 
-def _int_value(expr: Expr, key: str) -> int:
-    val = _const_value(expr, key)
-    if val != int(val):
-        raise ValidationError(f"value of {key!r} must be an integer, got {val}")
-    return int(val)
-
-
 def parse_scenario(text: str) -> ScenarioFile:
     """Parse scenario text into a validated ScenarioFile.
 
@@ -187,8 +163,18 @@ def parse_scenario(text: str) -> ScenarioFile:
         if required not in raw:
             raise ValidationError(f"missing required key {required!r}")
 
+    def number(key: str, default=None, integer: bool = False):
+        """The constant value of ``key``, an integer if ``integer``, or
+        ``default`` if the text does not set the key."""
+        if key not in raw:
+            return default
+        value = _const_value(_as_expr(raw[key], key), key)
+        if integer and value != int(value):
+            raise ValidationError(f"value of {key!r} must be an integer, got {value}")
+        return int(value) if integer else value
+
     name = str(raw["name"])
-    dim = _int_value(_as_expr(raw["dim"], "dim"), "dim")
+    dim = number("dim", integer=True)
     if dim <= 0:
         raise ValidationError(f"dim must be positive, got {dim}")
     if dim % 2 != 0:
@@ -196,8 +182,7 @@ def parse_scenario(text: str) -> ScenarioFile:
 
     beta_exprs = _as_vector(raw["beta"], "beta")
     beta = tuple(_const_value(e, "beta") for e in beta_exprs)
-    group_dim = _int_value(_as_expr(raw["group_dim"], "group_dim"), "group_dim") \
-        if "group_dim" in raw else len(beta)
+    group_dim = number("group_dim", len(beta), integer=True)
     if group_dim < 1:
         raise ValidationError(f"group_dim must be at least 1, got {group_dim}")
     # the reduction is by a free abelian action, so the quotient has
@@ -205,11 +190,9 @@ def parse_scenario(text: str) -> ScenarioFile:
     quotient_dim = dim - 2 * group_dim
     if quotient_dim < 0:
         raise ValidationError(f"quotient dimension {quotient_dim} is negative")
-    if "quotient_dim" in raw:
-        declared = _int_value(_as_expr(raw["quotient_dim"], "quotient_dim"), "quotient_dim")
-        if declared != quotient_dim:
-            raise ValidationError(
-                f"quotient_dim = {declared} but dim - 2*group_dim = {quotient_dim}")
+    declared = number("quotient_dim", quotient_dim, integer=True)
+    if declared != quotient_dim:
+        raise ValidationError(f"quotient_dim = {declared} but dim - 2*group_dim = {quotient_dim}")
     if raw.get("abelian", "true") != "true":
         raise ValidationError(
             f"abelian must be true, got {raw['abelian']!r}: only abelian actions are reduced")
@@ -250,11 +233,11 @@ def parse_scenario(text: str) -> ScenarioFile:
     programs["section"] = compile_exprs(section, _coords("w", quotient_dim), "section")
 
     tolerances = {}
-    for key, value in raw.items():
+    for key in raw:
         if key.startswith(_TOL_PREFIX):
             name = key[len(_TOL_PREFIX):]
             try:
-                tolerances[name] = check_tolerance(name, _const_value(_as_expr(value, key), key))
+                tolerances[name] = check_tolerance(name, number(key))
             except ValueError as exc:
                 raise ValidationError(f"{key}: {exc}") from None
 
@@ -267,18 +250,15 @@ def parse_scenario(text: str) -> ScenarioFile:
             )
         points = tuple(tuple(_const_value(e, "sample.points") for e in row) for row in rows)
     defaults = SampleSpec()
-    count = (_int_value(_as_expr(raw["sample.count"], "sample.count"), "sample.count")
-             if "sample.count" in raw else defaults.count)
+    count = number("sample.count", defaults.count, integer=True)
     if count < 1:
         raise ValidationError(f"sample.count must be at least 1, got {count}")
     if count > MAX_SAMPLES:
         raise ValidationError(f"sample.count must be at most {MAX_SAMPLES}, got {count}")
-    seed = (_int_value(_as_expr(raw["sample.seed"], "sample.seed"), "sample.seed")
-            if "sample.seed" in raw else defaults.seed)
+    seed = number("sample.seed", defaults.seed, integer=True)
     if seed < 0:
         raise ValidationError(f"sample.seed must be a non-negative integer, got {seed}")
-    radius = (_const_value(_as_expr(raw["sample.radius"], "sample.radius"), "sample.radius")
-              if "sample.radius" in raw else defaults.radius)
+    radius = number("sample.radius", defaults.radius)
     if radius <= 0:
         raise ValidationError(f"sample.radius must be positive, got {radius}")
     sample_spec = SampleSpec(count=count, seed=seed, radius=radius, points=points)

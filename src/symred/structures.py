@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import NotSPDError, OddDimensionError, Record, _set
+from .errors import NotSPDError, OddDimensionError, Record
 from .geometry import (
     RowMap,
     TensorField,
@@ -110,16 +110,14 @@ class StructureCheckResult(Record):
     ``check_tolerance`` refuses it."""
 
     __slots__ = ("name", "max_residual", "tolerance", "worst_point", "identity", "extras")
+    # worst_point: the coordinates of the worst point
 
     def __init__(self, name: str, max_residual: float, tolerance: float,
                  worst_point: tuple[float, ...] | None, identity: str = "",
                  extras: dict | None = None):
-        _set(self, "name", name)
-        _set(self, "max_residual", max_residual)
-        _set(self, "tolerance", _positive_finite(f"tolerance of check {name!r}", tolerance))
-        _set(self, "worst_point", worst_point)  # the coordinates of the worst point
-        _set(self, "identity", identity)
-        _set(self, "extras", {} if extras is None else extras)
+        super().__init__(name, max_residual,
+                         _positive_finite(f"tolerance of check {name!r}", tolerance),
+                         worst_point, identity, {} if extras is None else extras)
 
     @property
     def passed(self) -> bool:
@@ -128,17 +126,19 @@ class StructureCheckResult(Record):
     @staticmethod
     def from_samples(name, residuals, points, tolerance, identity="", extras=None):
         """Aggregate per-point residuals into their max and its point.
-        ``points`` is an (N, d) array or a sequence; only the worst is made a
-        tuple of floats.  No residuals would pass vacuously, so they raise
-        ValueError."""
+        ``points`` is an (N, d) array or a sequence, one point per residual;
+        only the worst is made a tuple of floats.  No residuals would pass
+        vacuously, and other than one point each would misplace the worst,
+        so both raise ValueError naming the check."""
         residuals = np.asarray(residuals, dtype=float).reshape(-1)
         if not len(residuals):
             raise ValueError(f"{name}: no residuals to check")
+        if len(points) != len(residuals):
+            raise ValueError(f"{name}: {len(residuals)} residuals for {len(points)} points")
         worst = int(np.argmax(residuals))
-        worst_point = (tuple(np.asarray(points[worst], dtype=float).tolist())
-                       if worst < len(points) else None)
-        return StructureCheckResult(
-            name, float(residuals[worst]), tolerance, worst_point, identity, extras)
+        return StructureCheckResult(name, float(residuals[worst]), tolerance,
+                                    tuple(np.asarray(points[worst], dtype=float).tolist()),
+                                    identity, extras)
 
 
 class CompatibleTriple(Record):
@@ -146,11 +146,6 @@ class CompatibleTriple(Record):
     omega(u, J v) = g(u, v) at every point."""
 
     __slots__ = ("omega", "metric", "acs")
-
-    def __init__(self, omega: TensorField, metric: TensorField, acs: TensorField):
-        _set(self, "omega", omega)
-        _set(self, "metric", metric)
-        _set(self, "acs", acs)
 
 
 def _interleaved_planes(dim: int, what: str) -> int:

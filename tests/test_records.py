@@ -1,6 +1,7 @@
 """The package's records: plain ``__slots__`` classes that build no code at
 import, immutable apart from the two builders, with value equality for the
-AST nodes and the sampling request."""
+AST nodes and the sampling request, and one constructor on the base that
+stores a record's fields."""
 
 import copy
 import dataclasses
@@ -14,12 +15,14 @@ import numpy as np
 import pytest
 
 import symred
-from symred.actions import pushforward_table
+from symred.actions import PushforwardTable, pushforward_table
 from symred.cli import RunConfig
-from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow, parse_expression
-from symred.reduction import SampleSpec, lift_frames
-from symred.scenarios import builtin
-from symred.structures import StructureCheckResult
+from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow, Program, parse_expression
+from symred.reduction import (ReducedStructures, SampleSpec, SplitTangentSpace, _FrameTable,
+                              _LiftFrames, lift_frames, split_tangent)
+from symred.scenarios import ScenarioFile, builtin
+from symred.structures import CompatibleTriple, StructureCheckResult
+from util import replaced
 
 HOPF = builtin("hopf")
 
@@ -131,3 +134,66 @@ def test_run_config_is_a_builder_that_checks_its_suites():
     assert cfg.suites == ("action",) and cfg.tolerances == {}
     cfg.samples = 3
     assert cfg.samples == 3
+
+
+# the records that store their fields through the base constructor alone
+PLAIN = [PushforwardTable, Program, SplitTangentSpace, ReducedStructures, _LiftFrames,
+         _FrameTable, ScenarioFile, CompatibleTriple]
+
+
+def _fields_and_values(cls):
+    return cls._fields, tuple(f"value of {name}" for name in cls._fields)
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda c: c.__name__)
+def test_positional_and_keyword_construction_store_the_same_fields(cls):
+    fields, values = _fields_and_values(cls)
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    assert by_position._values() == by_keyword._values() == values
+    assert [getattr(by_keyword, name) for name in fields] == list(values)
+    # keywords after positions, in any order
+    half = len(fields) // 2
+    mixed = cls(*values[:half], **dict(reversed(list(zip(fields, values))[half:])))
+    assert mixed._values() == values
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda c: c.__name__)
+def test_a_missing_unknown_or_repeated_field_is_refused_naming_the_class(cls):
+    fields, values = _fields_and_values(cls)
+    name = cls.__qualname__
+    with pytest.raises(TypeError, match=f"^{name} is missing field '{fields[-1]}'$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=f"^{name} is missing field '{fields[0]}', '{fields[1]}'$"):
+        cls(**dict(zip(fields[2:], values[2:])))
+    with pytest.raises(TypeError, match=f"^{name} has no field 'extra'$"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=f"^{name} takes {len(fields)} fields, "
+                                        f"got {len(fields) + 1} positional$"):
+        cls(*values, 1)
+    with pytest.raises(TypeError, match=f"^{name} got field '{fields[0]}' twice$"):
+        cls(*values, **{fields[0]: values[0]})
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda c: c.__name__)
+def test_copy_pickle_and_replaced_rebuild_a_plain_record(cls):
+    fields, values = _fields_and_values(cls)
+    record = cls(*values)
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin is not record
+        assert twin._values() == values
+    changed = replaced(record, **{fields[-1]: "new"})
+    assert type(changed) is cls and changed._values() == values[:-1] + ("new",)
+
+
+def test_lift_frames_extend_a_split_by_keyword():
+    X = np.array([[0.1, 0.2], [0.4, -0.3]])
+    split = split_tangent(HOPF, HOPF.section.rows(X))
+    frames = lift_frames(HOPF, X).base
+    extra = {name: getattr(frames, name) for name in _LiftFrames.__slots__}
+    rebuilt = _LiftFrames(*split._values(), **extra)
+    assert rebuilt._fields == SplitTangentSpace._fields + _LiftFrames.__slots__
+    assert all(a is b for a, b in zip(rebuilt._values(), split._values() + tuple(extra.values())))
+    for mine, theirs in zip(rebuilt._values(), frames._values()):
+        np.testing.assert_array_equal(mine, theirs)
+    assert rebuilt[1:]._values()[0].shape == (1, 4)

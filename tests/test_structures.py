@@ -112,6 +112,14 @@ def test_a_check_of_no_residuals_is_refused():
         StructureCheckResult.from_samples("c", [], np.zeros((0, 2)), 1e-8)
 
 
+def test_a_check_whose_points_are_not_one_per_residual_is_refused():
+    # the worst residual would be placed at another point, or at none
+    with pytest.raises(ValueError, match="^c: 2 residuals for 1 points$"):
+        StructureCheckResult.from_samples("c", [0.0, 1.0], np.zeros((1, 2)), 1e-8)
+    with pytest.raises(ValueError, match="^c: 1 residuals for 2 points$"):
+        StructureCheckResult.from_samples("c", [1.0], np.zeros((2, 2)), 1e-8)
+
+
 def test_check_symplectic_rejects_odd_dimension():
     with pytest.raises(OddDimensionError):
         check_symplectic_pointwise(TensorField.constant(np.zeros((3, 3))), POINTS)
