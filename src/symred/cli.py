@@ -11,7 +11,8 @@ group parameters, so no frame depends on ``--suites`` either.
 
 ``run`` returns the report and 0 or 1, and raises what loading the scenario
 raises.  Exit codes: 0 when every requested check passes, 1 on a check
-failure, 2 on usage, parse or validation errors.
+failure, 2 on usage, parse or validation errors and on a value that cannot
+be evaluated.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .actions import (
     momentum_residual,
     pushforward_table,
 )
-from .errors import ScenarioFormatError, SymredError, UnknownScenarioError
+from .errors import Record, ScenarioFormatError, SymredError, UnknownScenarioError
 from .exprlang import compile_exprs, parse_expression
 from .geometry import as_points, sample_ball, sample_box, sample_stream
 from .holomorphy import (
@@ -77,42 +78,40 @@ DEFAULT_SUITES = ("structures", "action", "reduction", "main-theorem")
 HOLOMORPHIC_LEVEL = 0.1
 
 
-class RunConfig:
+class RunConfig(Record):
     """One verification run: scenario, suites, sampling and output options,
-    each checked on construction; a builder whose fields may be reassigned."""
+    each checked on construction and then stored once."""
 
     __slots__ = ("scenario", "suites", "seed", "samples", "tolerances", "output", "format")
 
     def __init__(self, scenario: str, suites: tuple = DEFAULT_SUITES, seed: int | None = None,
                  samples: int | None = None, tolerances: dict | None = None,
                  output: str | None = None, format: str = "text"):
+        if not isinstance(scenario, str):  # 0 would name a file descriptor, stdin
+            raise ValueError(
+                f"scenario must be a str naming a built-in or a file, got {scenario!r}")
         if isinstance(suites, str):  # a str is a sequence of letters
             raise ValueError(f"suites must be a sequence of suite names, got {suites!r}")
-        self.scenario = scenario
-        self.suites = tuple(suites)  # a one-shot iterable would run no suite
-        self.seed = seed
-        self.samples = samples
-        self.output = output
-        self.format = format
-        if not self.suites:
+        suites = tuple(suites)  # a one-shot iterable would run no suite
+        if not suites:
             raise ValueError("at least one suite must be requested")
-        unknown = set(self.suites) - set(SUITE_ORDER)
+        unknown = set(suites) - set(SUITE_ORDER)
         if unknown:
             raise ValueError(f"unknown suites {sorted(unknown)}; choose from {SUITE_ORDER}")
-        for key in ("samples", "seed"):
-            value = getattr(self, key)
+        for key, value in (("samples", samples), ("seed", seed)):
             if value is not None and (isinstance(value, bool)
                                       or not isinstance(value, numbers.Integral)):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.samples is not None and self.samples < 1:
+        if samples is not None and samples < 1:
             raise ValueError("samples must be at least 1")
-        if self.samples is not None and self.samples > MAX_SAMPLES:
-            raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.format not in ("text", "json"):
-            raise ValueError(f"format must be text or json, got {self.format!r}")
-        self.tolerances = {k: check_tolerance(k, v) for k, v in (tolerances or {}).items()}
+        if samples is not None and samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+        if seed is not None and seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        if format not in ("text", "json"):
+            raise ValueError(f"format must be text or json, got {format!r}")
+        tolerances = {k: check_tolerance(k, v) for k, v in (tolerances or {}).items()}
+        super().__init__(scenario, suites, seed, samples, tolerances, output, format)
 
 
 def resolve_scenario(name_or_path: str) -> ReductionScenario:
@@ -128,44 +127,42 @@ def resolve_scenario(name_or_path: str) -> ReductionScenario:
 
 
 def _suite_structures(scen, tol, points):
-    report = VerificationReport("structures")
     triple = CompatibleTriple(scen.omega, scen.metric, scen.acs)
-    report.add(check_metric(scen.metric, points, tol["structures.metric"]))
-    report.add(check_symplectic_pointwise(scen.omega, points, tol["structures.symplectic"]))
-    report.add(check_closed(scen.omega, points, tol["structures.closed"]))
-    report.add(check_acs(scen.acs, points, tol["structures.acs"]))
-    report.add(check_compatibility(triple, points, tol["structures.compatibility"]))
-    return report
+    return VerificationReport("structures", [
+        check_metric(scen.metric, points, tol["structures.metric"]),
+        check_symplectic_pointwise(scen.omega, points, tol["structures.symplectic"]),
+        check_closed(scen.omega, points, tol["structures.closed"]),
+        check_acs(scen.acs, points, tol["structures.acs"]),
+        check_compatibility(triple, points, tol["structures.compatibility"]),
+    ])
 
 
 def _suite_action(scen, tol, points, params):
-    report = VerificationReport("action")
     # one flow Jacobian and moved point per (parameter, point) for the axioms
     # and the four invariance checks, every parameter a block of one stack
     table = pushforward_table(scen.action, params, points)
-    report.add(check_action_axioms(table, tol["action.axioms"]))
-    report.add(check_isometry(scen.metric, table, tol["action.isometry"]))
-    report.add(check_symplectomorphism(scen.omega, table, tol["action.symplectomorphism"]))
-    report.add(momentum_residual(scen.action, scen.mu, scen.omega, points, tol["action.momentum"]))
-    report.add(check_momentum_invariance(scen.mu, table, tol["action.mu-invariance"]))
-    report.add(check_field_invariance(scen.acs, table, tol["action.acs-invariance"]))
-    return report
+    return VerificationReport("action", [
+        check_action_axioms(table, tol["action.axioms"]),
+        check_isometry(scen.metric, table, tol["action.isometry"]),
+        check_symplectomorphism(scen.omega, table, tol["action.symplectomorphism"]),
+        momentum_residual(scen.action, scen.mu, scen.omega, points, tol["action.momentum"]),
+        check_momentum_invariance(scen.mu, table, tol["action.mu-invariance"]),
+        check_field_invariance(scen.acs, table, tol["action.acs-invariance"]),
+    ])
 
 
 def _suite_reduction(tol, frames):
-    report = VerificationReport("reduction")
-    report.add_child(verify_submersion(frames, tol["reduction.submersion"],
-                                       tol["reduction.vertical-invariance"]))
-    report.add_child(verify_reduction_identity(frames, tol["reduction.identity"],
-                                               tol["reduction.degeneracy"]))
-    return report
+    return VerificationReport("reduction", children=[
+        verify_submersion(frames, tol["reduction.submersion"],
+                          tol["reduction.vertical-invariance"]),
+        verify_reduction_identity(frames, tol["reduction.identity"], tol["reduction.degeneracy"]),
+    ])
 
 
 def _suite_main_theorem(tol, frames):
-    report = VerificationReport("main-theorem")
-    report.add_child(verify_main_theorem(frames, tol["main-theorem.residuals"],
-                                         tol["main-theorem.hypothesis"]))
-    return report
+    return VerificationReport("main-theorem", children=[
+        verify_main_theorem(frames, tol["main-theorem.residuals"], tol["main-theorem.hypothesis"]),
+    ])
 
 
 # The holomorphy suite's maps of the plane, (x1, x2) = (x, y): three
@@ -185,27 +182,26 @@ _REFERENCE_MAPS = tuple(
 
 
 def _suite_holomorphy(tol, X):
-    report = VerificationReport("holomorphy")
     j2 = standard_acs(2)
-    equivalence_flags = []
+    checks, equivalence_flags = [], []
     for name, func, holomorphic in _REFERENCE_MAPS:
         cm = ChartedMap(func, j2, j2)
         acm = almost_complex_residual(cm, X)
         cr = cauchy_riemann_residual(cm, X)
         if holomorphic:
-            report.add(StructureCheckResult.from_samples(
+            checks.append(StructureCheckResult.from_samples(
                 f"holomorphy of {name}", acm, X, tol["holomorphy.residual"], IDENTITY_ACM_MAP))
         else:
-            report.add(StructureCheckResult.from_samples(
+            checks.append(StructureCheckResult.from_samples(
                 f"{name} defect equals 2*sqrt(2)", np.abs(acm - 2.0 * np.sqrt(2.0)), X,
                 tol["holomorphy.residual"], f"{IDENTITY_ACM_MAP} fails by a known amount"))
         equivalence_flags.append(
             np.where((acm <= HOLOMORPHIC_LEVEL) == (cr <= HOLOMORPHIC_LEVEL), 0.0, 1.0))
-    report.add(StructureCheckResult.from_samples(
+    checks.append(StructureCheckResult.from_samples(
         "cauchy-riemann/holomorphy equivalence", np.concatenate(equivalence_flags),
         np.tile(X, (len(equivalence_flags), 1)), 0.5,
         f"a_x = b_y, a_y = -b_x iff {IDENTITY_ACM_MAP}"))
-    return report
+    return VerificationReport("holomorphy", checks)
 
 
 def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
@@ -229,34 +225,33 @@ def run(cfg: RunConfig) -> tuple[VerificationReport, int]:
     else:
         qpoints = sample_ball(scen.quotient_dim, samples,
                               radius=scen.sample_spec.radius, seed=rng)
-    report = VerificationReport(
-        scen.name,
-        meta={
-            "scenario": cfg.scenario,
-            "version": __version__,
-            "seed": seed,
-            "samples": samples,
-            "suites": list(s for s in SUITE_ORDER if s in cfg.suites),
-            "ambient_points": points.tolist(),
-            "quotient_points": qpoints.tolist(),
-            "group_params": params.tolist(),
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        },
-    )
+    meta = {
+        "scenario": cfg.scenario,
+        "version": __version__,
+        "seed": seed,
+        "samples": samples,
+        "suites": list(s for s in SUITE_ORDER if s in cfg.suites),
+        "ambient_points": points.tolist(),
+        "quotient_points": qpoints.tolist(),
+        "group_params": params.tolist(),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    suites = []
     if "structures" in cfg.suites:
-        report.add_child(_suite_structures(scen, tol, points))
+        suites.append(_suite_structures(scen, tol, points))
     if "action" in cfg.suites:
-        report.add_child(_suite_action(scen, tol, points, params))
+        suites.append(_suite_action(scen, tol, points, params))
     if "reduction" in cfg.suites or "main-theorem" in cfg.suites:
         # the run's one table: the base frames and the frames moved by the
         # first two group parameters, whichever of the two suites reads it
         frames = lift_frames(scen, qpoints, params[:2])
         if "reduction" in cfg.suites:
-            report.add_child(_suite_reduction(tol, frames))
+            suites.append(_suite_reduction(tol, frames))
         if "main-theorem" in cfg.suites:
-            report.add_child(_suite_main_theorem(tol, frames))
+            suites.append(_suite_main_theorem(tol, frames))
     if "holomorphy" in cfg.suites:
-        report.add_child(_suite_holomorphy(tol, sample_box(2, samples, radius=1.5, seed=rng)))
+        suites.append(_suite_holomorphy(tol, sample_box(2, samples, radius=1.5, seed=rng)))
+    report = VerificationReport(scen.name, children=suites, meta=meta)
     return report, 0 if report.passed else 1
 
 
@@ -345,7 +340,9 @@ def main(argv=None) -> int:
     try:
         report, code = run(cfg)
         _emit(report, cfg)
-    except (SymredError, OSError) as exc:  # OSError: an unreadable scenario or --out file
+    # OSError: an unreadable scenario or --out file; ValueError: sin or cos
+    # of an infinity, or a numpy LinAlgError
+    except (SymredError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

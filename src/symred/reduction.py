@@ -407,7 +407,6 @@ def verify_submersion(frames: _FrameTable,
     X, P, base, moved = frames.points, len(frames.fiber_params), frames.base, frames.moved
     if not P:
         raise ValueError("lift frame table has no fibre parameters to check")
-    report = VerificationReport("submersion")
 
     def blocks(a):
         """The P blocks of N moved frames of ``a``, parameter outer."""
@@ -422,12 +421,13 @@ def verify_submersion(frames: _FrameTable,
     leak = pushed - V @ (V.swapaxes(-1, -2) @ G @ pushed)
     fiber_res = _row_max_abs(fiber.swapaxes(0, 1))
     vert_res = _row_max_abs(_g_norms(leak, G).swapaxes(0, 1))
-    report.add(StructureCheckResult.from_samples(
-        "fiber independence", fiber_res, X, tol, IDENTITY_FIBER,
-        extras={"fiber_params": frames.fiber_params.tolist()}))
-    report.add(StructureCheckResult.from_samples(
-        "vertical invariance", vert_res, X, vertical_tol, IDENTITY_VERT_INV))
-    return report
+    return VerificationReport("submersion", [
+        StructureCheckResult.from_samples(
+            "fiber independence", fiber_res, X, tol, IDENTITY_FIBER,
+            extras={"fiber_params": frames.fiber_params.tolist()}),
+        StructureCheckResult.from_samples(
+            "vertical invariance", vert_res, X, vertical_tol, IDENTITY_VERT_INV),
+    ])
 
 
 def verify_reduction_identity(frames: _FrameTable,
@@ -445,17 +445,17 @@ def verify_reduction_identity(frames: _FrameTable,
     pair of unit vectors u, v in ker d mu; vertical directions must pair to
     zero with the whole kernel of d mu.
     """
-    report = VerificationReport("reduction identity")
     X, f, K = frames.points, frames.base, frames.base.level
     d = np.linalg.solve(f.coef, f.htg @ K)
     E = _pullback(f.Om, K) - _pullback(_reduced_symplectic(f), d)
     degeneracy = f.vertical.swapaxes(1, 2) @ f.Om @ K
     id_res, deg_res = _row_norms(E.reshape(len(X), -1)), _row_max_abs(degeneracy)
-    report.add(StructureCheckResult.from_samples(
-        "pullback identity", id_res, X, tol, IDENTITY_REDUCTION))
-    report.add(StructureCheckResult.from_samples(
-        "vertical degeneracy", deg_res, X, degeneracy_tol, IDENTITY_DEGENERACY))
-    return report
+    return VerificationReport("reduction identity", [
+        StructureCheckResult.from_samples(
+            "pullback identity", id_res, X, tol, IDENTITY_REDUCTION),
+        StructureCheckResult.from_samples(
+            "vertical degeneracy", deg_res, X, degeneracy_tol, IDENTITY_DEGENERACY),
+    ])
 
 
 def verify_main_theorem(frames: _FrameTable,
@@ -478,7 +478,6 @@ def verify_main_theorem(frames: _FrameTable,
     hypothesis.  The points are those of the ``lift_frames`` table
     ``frames``.
     """
-    report = VerificationReport("main theorem")
     X, f = frames.points, frames.base
     h_red, w_red, j_red, vert_leak, normal_leak = _reduced(f)
     j_vertical = _g_norms(f.htg @ f.J @ f.vertical)
@@ -490,23 +489,25 @@ def verify_main_theorem(frames: _FrameTable,
     hypothesis_violated = not (hyp_res <= hypothesis_tol).all()
     iff_res = np.where((acm_res <= tol) == (compat_res <= tol), 0.0, 1.0)
     branch = "positive" if max_abs(acm_res) <= tol and max_abs(compat_res) <= tol else "negative"
-    report.add(StructureCheckResult.from_samples(
-        "almost complex mapping defect", acm_res, X, tol, IDENTITY_ACM))
-    report.add(StructureCheckResult.from_samples(
-        "reduced compatibility", compat_res, X, tol, IDENTITY_RED_COMPAT))
-    report.add(StructureCheckResult.from_samples(
-        "reduced acs identity", acs_res, X, tol, IDENTITY_RED_ACS))
-    report.add(StructureCheckResult.from_samples(
-        "ambient compatibility hypothesis", hyp_res, X, hypothesis_tol, IDENTITY_HYPOTHESIS))
-    report.add(StructureCheckResult.from_samples(
-        "main theorem iff", iff_res, X, 0.5, IDENTITY_IFF,
-        extras={"branch": branch, "hypothesis_violated": hypothesis_violated}))
-    # the per-point residuals as columns, entry i for point i of ``points``
-    report.meta["samples"] = {
-        "acm_residual": acm_res.tolist(),
-        "compat_residual": compat_res.tolist(),
-        "acs_residual": acs_res.tolist(),
-        "vertical_leak": vert_leak.tolist(),
-        "normal_leak": normal_leak.tolist(),
-    }
-    return report
+    return VerificationReport("main theorem", [
+        StructureCheckResult.from_samples(
+            "almost complex mapping defect", acm_res, X, tol, IDENTITY_ACM),
+        StructureCheckResult.from_samples(
+            "reduced compatibility", compat_res, X, tol, IDENTITY_RED_COMPAT),
+        StructureCheckResult.from_samples(
+            "reduced acs identity", acs_res, X, tol, IDENTITY_RED_ACS),
+        StructureCheckResult.from_samples(
+            "ambient compatibility hypothesis", hyp_res, X, hypothesis_tol, IDENTITY_HYPOTHESIS),
+        StructureCheckResult.from_samples(
+            "main theorem iff", iff_res, X, 0.5, IDENTITY_IFF,
+            extras={"branch": branch, "hypothesis_violated": hypothesis_violated}),
+    ], meta={
+        # the per-point residuals as columns, entry i for point i of ``points``
+        "samples": {
+            "acm_residual": acm_res.tolist(),
+            "compat_residual": compat_res.tolist(),
+            "acs_residual": acs_res.tolist(),
+            "vertical_leak": vert_leak.tolist(),
+            "normal_leak": normal_leak.tolist(),
+        },
+    })

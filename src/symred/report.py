@@ -5,8 +5,8 @@ The JSON form is deterministic (sorted keys, two-space indent) so two runs
 with the same configuration differ at most in the ``timestamp`` metadata
 entry.  It is strict JSON: a non-finite number is written as the string
 "NaN", "Infinity" or "-Infinity", which ``float`` reads back.  ``to_json``
-writes the report in one walk of its layout, the report's ``_fields``,
-which are stated once, as ``json.dumps(..., indent=2, sort_keys=True,
+writes the report in one walk of its layout, the report's ``_layout``,
+which is stated once, as ``json.dumps(..., indent=2, sort_keys=True,
 allow_nan=False)`` writes it once numpy values are Python values.
 ``to_dict`` and ``check_to_dict`` are that text read back, so the two forms
 cannot disagree, and a value JSON cannot hold raises TypeError from both.
@@ -21,6 +21,7 @@ from itertools import chain
 
 import numpy as np
 
+from .errors import Record
 from .structures import StructureCheckResult
 
 __all__ = ["VerificationReport", "check_to_dict"]
@@ -136,26 +137,15 @@ def check_to_dict(check: StructureCheckResult) -> dict:
     return json.loads(_text(_check_fields(check), ""))
 
 
-class VerificationReport:
+class VerificationReport(Record):
     """Tree of named checks; overall pass means every node passes.  A
-    builder: ``add`` and ``add_child`` grow it in place."""
+    record built once, from finished rows: ``checks`` and ``children`` are
+    stored as tuples."""
 
     __slots__ = ("name", "checks", "children", "meta")
 
-    def __init__(self, name: str, checks: list | None = None, children: list | None = None,
-                 meta: dict | None = None):
-        self.name = name
-        self.checks = [] if checks is None else checks
-        self.children = [] if children is None else children
-        self.meta = {} if meta is None else meta
-
-    def add(self, check: StructureCheckResult) -> StructureCheckResult:
-        self.checks.append(check)
-        return check
-
-    def add_child(self, child: "VerificationReport") -> "VerificationReport":
-        self.children.append(child)
-        return child
+    def __init__(self, name: str, checks=(), children=(), meta: dict | None = None):
+        super().__init__(name, tuple(checks), tuple(children), {} if meta is None else meta)
 
     @property
     def passed(self) -> bool:
@@ -176,14 +166,14 @@ class VerificationReport:
                 return c
         raise KeyError(f"no check named {name!r} in report {self.name!r}")
 
-    def _fields(self) -> dict:
+    def _layout(self) -> dict:
         """The JSON layout of the report tree, before ``_text`` writes it."""
         return {
             "name": self.name,
             "passed": self.passed,
             "meta": self.meta,
             "checks": [_check_fields(c) for c in self.checks],
-            "children": [ch._fields() for ch in self.children],
+            "children": [ch._layout() for ch in self.children],
         }
 
     def to_dict(self) -> dict:
@@ -193,7 +183,7 @@ class VerificationReport:
     def to_json(self) -> str:
         """The deterministic JSON text of the report, written in one walk of
         its layout; ``to_dict`` reads it back."""
-        return _text(self._fields(), "")
+        return _text(self._layout(), "")
 
     def format_text(self) -> str:
         """Human-readable residual table, one row per check."""

@@ -109,7 +109,7 @@ def _const_value(expr: Expr, key: str) -> float:
         value = float(eval_expr(expr, {}, key))
     except UnknownIdentifierError:
         raise ValidationError(f"value of {key!r} must be constant") from None
-    except NonFiniteError as exc:
+    except (NonFiniteError, ValueError) as exc:  # ValueError: sin or cos of an infinity
         raise ValidationError(f"value of {key!r} cannot be evaluated: {exc}") from None
     if not math.isfinite(value):
         raise ValidationError(f"value of {key!r} is not finite: {value}")

@@ -2,7 +2,9 @@
 
 import inspect
 import json
+import pathlib
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -197,6 +199,16 @@ def test_runconfig_validation():
         RunConfig("hopf", format="xml")
     with pytest.raises(ValueError, match="samples must be at least 1"):
         RunConfig("hopf", samples=0)
+
+
+@pytest.mark.parametrize("scenario", [pathlib.Path("hopf.scn"), 0, None],
+                         ids=["path", "file-descriptor", "none"])
+def test_a_scenario_that_is_not_a_str_is_refused(scenario):
+    # a Path once ran every suite and then failed to write its JSON; 0, an
+    # open file descriptor, read the scenario from stdin; None raised from os.stat
+    with pytest.raises(ValueError, match=r"^scenario must be a str naming a built-in or a "
+                                         rf"file, got {re.escape(repr(scenario))}$"):
+        RunConfig(scenario)
 
 
 def test_main_verify_text_and_json(tmp_path, capsys):
@@ -508,13 +520,29 @@ def test_misdeclared_quotient_dim_is_a_usage_error(tmp_path, capsys):
     ("dim = 4", "dim = exp(1000)", "value of 'dim' cannot be evaluated: exp overflows"),
     ("dim = 4", "dim = 1e308*10", "value of 'dim' is not finite: inf"),
     ("beta = [0.5]", "beta = [1e308*10]", "value of 'beta' is not finite: inf"),
-], ids=["exp-overflow", "infinite-dim", "infinite-beta"])
+    ("beta = [0.5]", "beta = [cos(1e308*10)]",
+     "value of 'beta' cannot be evaluated: math domain error"),
+], ids=["exp-overflow", "infinite-dim", "infinite-beta", "cosine-of-infinity"])
 def test_failing_scenario_constants_are_usage_errors(old, new, message, tmp_path, capsys):
-    # these once ended in a NonFiniteError or OverflowError traceback, or,
-    # for beta, passed parse-check and failed verify on |mu - beta| = inf
+    # these once ended in a NonFiniteError, OverflowError or ValueError
+    # traceback, or, for beta, passed parse-check and failed verify on
+    # |mu - beta| = inf
     path = tmp_path / "constant.scn"
     path.write_text(builtin_text("hopf").replace(old, new))
     _refused_at_load(path, message, capsys)
+
+
+def test_a_field_that_takes_the_sine_of_an_infinity_is_a_usage_error(tmp_path, capsys):
+    # sin of an infinity raises ValueError, as the language's own math does;
+    # verify once ended in its traceback with exit 1, the code of a failed check
+    text = builtin_text("hopf")
+    assert text.count("metric = [[1,") == 1
+    path = tmp_path / "sine.scn"
+    path.write_text(text.replace("metric = [[1,", "metric = [[1 + 0*sin(x1*1e308*10),"))
+    assert main(["parse-check", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: math domain error\n")
 
 
 def test_sample_points_of_a_point_quotient_are_refused(tmp_path, capsys):

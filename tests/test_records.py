@@ -1,12 +1,14 @@
 """The package's records: plain ``__slots__`` classes that build no code at
-import, immutable apart from the two builders, with value equality for the
-AST nodes and the sampling request, and one constructor on the base that
-stores a record's fields."""
+import, every one immutable, the run configuration and the report
+included, with value equality for the AST nodes and the sampling request,
+and one constructor on the base that stores a record's fields."""
 
 import copy
 import dataclasses
+import importlib
 import inspect
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +18,12 @@ import pytest
 
 import symred
 from symred.actions import PushforwardTable, pushforward_table
-from symred.cli import RunConfig
+from symred.cli import DEFAULT_SUITES, RunConfig, run
+from symred.errors import Record, _set
 from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow, Program, parse_expression
 from symred.reduction import (ReducedStructures, SampleSpec, SplitTangentSpace, _FrameTable,
                               _LiftFrames, lift_frames, split_tangent)
+from symred.report import VerificationReport
 from symred.scenarios import ScenarioFile, builtin
 from symred.structures import CompatibleTriple, StructureCheckResult
 from util import replaced
@@ -46,10 +50,15 @@ def test_importing_the_cli_builds_no_dataclass_and_loads_no_argparse():
     assert added.isdisjoint({"dataclasses", "argparse", "gettext"}), sorted(added)
 
 
+def _package_classes():
+    modules = [importlib.import_module(f"symred.{info.name}")
+               for info in pkgutil.iter_modules(symred.__path__)]
+    return [c for m in modules for _, c in inspect.getmembers(m, inspect.isclass)
+            if c.__module__ == m.__name__]
+
+
 def test_no_class_of_the_package_is_a_dataclass():
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "symred"]
-    classes = [c for m in modules for _, c in inspect.getmembers(m, inspect.isclass)
-               if c.__module__ == m.__name__]
+    classes = _package_classes()
     assert len(classes) > 21
     assert [c for c in classes if dataclasses.is_dataclass(c)] == []
 
@@ -126,14 +135,52 @@ def test_copy_and_pickle_rebuild_a_record_through_its_constructor():
                            "worst_point=(0.1,), identity='id', extras={'k': 2})")
 
 
-def test_run_config_is_a_builder_that_checks_its_suites():
+def test_run_config_checks_its_suites_and_refuses_assignment():
     refused = "^suites must be a sequence of suite names, got 'action'$"
     with pytest.raises(ValueError, match=refused):
         RunConfig("hopf", suites="action")
     cfg = RunConfig("hopf", suites=iter(["action"]))
     assert cfg.suites == ("action",) and cfg.tolerances == {}
-    cfg.samples = 3
-    assert cfg.samples == 3
+    with pytest.raises(AttributeError):
+        cfg.samples = 3
+    assert cfg.samples is None
+
+
+def test_every_class_of_the_package_but_its_errors_and_the_parser_is_a_record():
+    classes = [c for c in _package_classes() if not issubclass(c, (Exception, Warning))]
+    assert RunConfig in classes and VerificationReport in classes
+    # the parser is a cursor over lexemes, which moves as it reads
+    assert [c.__qualname__ for c in classes if not issubclass(c, Record)] == ["ExprParser"]
+
+
+def test_no_field_of_a_run_config_can_be_reassigned():
+    cfg = RunConfig("hopf", samples=3, seed=1)
+    for name, value in zip(cfg._fields, cfg._values()):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(cfg, name, value)
+    # a config checked once and then pointed at no suite would pass having
+    # checked nothing, and a tolerance of no check would be ignored
+    with pytest.raises(AttributeError):
+        cfg.suites = ("nonsense",)
+    with pytest.raises(AttributeError):
+        cfg.tolerances = {"no.such": 1.0}
+    assert cfg.suites == DEFAULT_SUITES and cfg.tolerances == {}
+
+
+def test_copy_and_pickle_of_a_report_reproduce_its_json():
+    report, code = run(RunConfig("hopf"))
+    assert code == 0
+    for twin in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert type(twin) is VerificationReport and twin is not report
+        assert twin.to_json() == report.to_json()
+
+
+def test_a_pickled_run_config_is_rebuilt_through_its_checks():
+    cfg = RunConfig("hopf", samples=3, seed=1, tolerances={"structures.metric": 1e-9})
+    assert pickle.loads(pickle.dumps(cfg))._values() == cfg._values()
+    _set(cfg, "suites", ("nonsense",))  # past the checks, as no caller can
+    with pytest.raises(ValueError, match=r"^unknown suites \['nonsense'\]"):
+        pickle.loads(pickle.dumps(cfg))
 
 
 # the records that store their fields through the base constructor alone

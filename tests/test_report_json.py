@@ -38,7 +38,7 @@ def reference_jsonable(value):
 
 
 def oracle(report: VerificationReport) -> str:
-    return json.dumps(reference_jsonable(report._fields()), indent=2, sort_keys=True,
+    return json.dumps(reference_jsonable(report._layout()), indent=2, sort_keys=True,
                       allow_nan=False)
 
 
@@ -167,5 +167,5 @@ def _checks(node: dict):
 def test_the_dict_forms_are_the_json_text_read_back():
     report, _ = run(RunConfig("noninvariant_metric_hopf", samples=20, seed=0))
     data = report.to_dict()
-    assert data == json.loads(report.to_json()) == reference_jsonable(report._fields())
+    assert data == json.loads(report.to_json()) == reference_jsonable(report._layout())
     assert [check_to_dict(c) for _, c in report.all_checks()] == list(_checks(data))
