@@ -53,7 +53,7 @@ from .geometry import (
     _row_norms,
     _stack,
 )
-from .structures import DEFAULT_TOLERANCES, StructureCheckResult, _sampled
+from .structures import DEFAULT_TOLERANCES, StructureCheckResult, _row, _sampled
 
 __all__ = [
     "GroupAction",
@@ -73,13 +73,6 @@ __all__ = [
     "uniform_torus_quadrature",
     "planar_rotation_action",
 ]
-
-IDENTITY_ISOMETRY = "g_m(u, v) = g_{Phi_a(m)}(D u, D v)"
-IDENTITY_SYMPLECTO = "omega_m(u, v) = omega_{Phi_a(m)}(D u, D v)"
-IDENTITY_MOMENTUM = "omega(xi_M, .) = d mu_xi"
-IDENTITY_MU_INVARIANT = "mu o Phi_a = mu"
-IDENTITY_FIELD_INVARIANT = "D F(m) = F(Phi_a(m)) D"
-IDENTITY_AXIOMS = "Phi_0 = id and Phi_s o Phi_t = Phi_{s+t}"
 
 
 def _pairs(points: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -238,11 +231,10 @@ def check_action_axioms(table: PushforwardTable,
     one_step = _flow(action, _pairs(np.repeat(X, P * P, axis=0), sums))
     residuals = np.hstack([identity[:, np.newaxis],
                            _row_norms(two_step - one_step).reshape(N, P * P)])
-    return StructureCheckResult.from_samples(
-        "action axioms", _row_max_abs(residuals), X, tol, IDENTITY_AXIOMS)
+    return _row("action axioms", _row_max_abs(residuals), X, tol)
 
 
-def _invariance_check(name, identity, residual, field_, table: PushforwardTable, tol):
+def _invariance_check(name, residual, field_, table: PushforwardTable, tol):
     """Shared body of the invariance checks: per point of ``table``, the
     largest entry of residual(D, F(p), F(Phi_a(p))) over all of its
     parameters a, stacked parameter outer, F being the field ``field_``,
@@ -251,8 +243,7 @@ def _invariance_check(name, identity, residual, field_, table: PushforwardTable,
     there = eval_field(field_, moved.reshape(-1, moved.shape[2]))
     here = eval_field(field_, table.points)
     diff = residual(D, here, there.reshape(moved.shape[:2] + there.shape[1:]))
-    return StructureCheckResult.from_samples(
-        name, _row_max_abs(diff.swapaxes(0, 1)), table.points, tol, identity)
+    return _row(name, _row_max_abs(diff.swapaxes(0, 1)), table.points, tol)
 
 
 def _pullback_residual(D, here, moved) -> np.ndarray:
@@ -279,14 +270,13 @@ def _hamiltonian_residual(Om, V, jmu) -> np.ndarray:
 
 def check_isometry(g: TensorField, table: PushforwardTable,
                    tol: float = DEFAULT_TOLERANCES["action.isometry"]) -> StructureCheckResult:
-    return _invariance_check("isometry", IDENTITY_ISOMETRY, _pullback_residual, g, table, tol)
+    return _invariance_check("isometry", _pullback_residual, g, table, tol)
 
 
 def check_symplectomorphism(w: TensorField, table: PushforwardTable,
                             tol: float = DEFAULT_TOLERANCES["action.symplectomorphism"]
                             ) -> StructureCheckResult:
-    return _invariance_check("symplectomorphism", IDENTITY_SYMPLECTO, _pullback_residual,
-                             w, table, tol)
+    return _invariance_check("symplectomorphism", _pullback_residual, w, table, tol)
 
 
 def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, points,
@@ -296,7 +286,7 @@ def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, poin
     With the row convention u^T Omega v for omega(u, v) the identity in
     components is Omega^T xi_M = grad mu, checked in the Euclidean norm.
     """
-    return _sampled("hamiltonian condition", IDENTITY_MOMENTUM, _hamiltonian_residual,
+    return _sampled("hamiltonian condition", _hamiltonian_residual,
                     [partial(eval_field, w), partial(generator, action),
                      partial(momentum_jacobian, mu)], points, tol)
 
@@ -306,8 +296,7 @@ def check_momentum_invariance(mu: MomentumMap, table: PushforwardTable,
                               ) -> StructureCheckResult:
     """Invariance mu o Phi_a = mu; this is equivariance for abelian groups.
     The table's points and moved points are read, not its Jacobians."""
-    return _invariance_check("momentum invariance", IDENTITY_MU_INVARIANT, _mu_residual,
-                             mu.field, table, tol)
+    return _invariance_check("momentum invariance", _mu_residual, mu.field, table, tol)
 
 
 def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorField:
@@ -344,8 +333,8 @@ def check_field_invariance(field_: TensorField, table: PushforwardTable,
                            tol: float = DEFAULT_TOLERANCES["action.acs-invariance"]
                            ) -> StructureCheckResult:
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
-    return _invariance_check("endomorphism invariance", IDENTITY_FIELD_INVARIANT,
-                             _endomorphism_residual, field_, table, tol)
+    return _invariance_check("endomorphism invariance", _endomorphism_residual, field_, table,
+                             tol)
 
 
 def uniform_torus_quadrature(k: int, n: int = 16) -> tuple:

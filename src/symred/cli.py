@@ -21,6 +21,7 @@ import numbers
 import os
 import sys
 from datetime import datetime, timezone
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,12 +38,7 @@ from .actions import (
 from .errors import Record, ScenarioFormatError, SymredError, UnknownScenarioError
 from .exprlang import compile_exprs, parse_expression
 from .geometry import as_points, sample_ball, sample_box, sample_stream
-from .holomorphy import (
-    IDENTITY_ACM_MAP,
-    ChartedMap,
-    almost_complex_residual,
-    cauchy_riemann_residual,
-)
+from .holomorphy import ChartedMap, almost_complex_residual, cauchy_riemann_residual
 from .reduction import (
     ReductionScenario,
     lift_frames,
@@ -56,7 +52,6 @@ from .scenarios import (MAX_SAMPLES, _read_scenario_text, _row_map, builtin, bui
 from .structures import (
     DEFAULT_TOLERANCES,
     CompatibleTriple,
-    StructureCheckResult,
     check_acs,
     check_closed,
     check_compatibility,
@@ -64,6 +59,7 @@ from .structures import (
     check_symplectic_pointwise,
     check_tolerance,
     standard_acs,
+    _row,
 )
 
 __all__ = ["RunConfig", "DEFAULT_TOLERANCES", "SUITE_ORDER", "DEFAULT_SUITES", "run", "main"]
@@ -110,8 +106,14 @@ class RunConfig(Record):
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
         if format not in ("text", "json"):
             raise ValueError(f"format must be text or json, got {format!r}")
-        tolerances = {k: check_tolerance(k, v) for k, v in (tolerances or {}).items()}
+        # a read-only copy: an entry set later would skip check_tolerance
+        tolerances = MappingProxyType({k: check_tolerance(k, v)
+                                       for k, v in (tolerances or {}).items()})
         super().__init__(scenario, suites, seed, samples, tolerances, output, format)
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle, so a copy is rebuilt from a dict
+        return RunConfig, tuple(dict(v) if v is self.tolerances else v for v in self._values())
 
 
 def resolve_scenario(name_or_path: str) -> ReductionScenario:
@@ -165,42 +167,37 @@ def _suite_main_theorem(tol, frames):
     ])
 
 
-# The holomorphy suite's maps of the plane, (x1, x2) = (x, y): three
-# holomorphic references and conjugation, whose defect is exactly 2*sqrt(2).
-# Each is compiled once, here, as a scenario's maps are, so its Jacobian is
-# exact (``scenarios._row_map``).
-_REFERENCE_MAPS = tuple(
-    (name, _row_map(compile_exprs([parse_expression(e) for e in entries], ("x1", "x2"), name),
-                    (2,), name), holomorphic)
-    for name, entries, holomorphic in (
-        ("square map", ("x1^2 - x2^2", "2*x1*x2"), True),
-        ("exponential map", ("exp(x1)*cos(x2)", "exp(x1)*sin(x2)"), True),
-        ("reciprocal map at offset 2",
-         ("(x1 - 2)/((x1 - 2)^2 + x2^2)", "-x2/((x1 - 2)^2 + x2^2)"), True),
-        ("conjugation", ("x1", "-x2"), False),
-    ))
+def _reference_maps():
+    """The holomorphy suite's maps of the plane, (x1, x2) = (x, y): three
+    holomorphic references and conjugation, whose defect is exactly
+    2*sqrt(2), each compiled when the suite runs, as a scenario's maps are,
+    so its Jacobian is exact (``scenarios._row_map``)."""
+    return tuple(
+        (name, _row_map(compile_exprs([parse_expression(e) for e in entries], ("x1", "x2"),
+                                      name), (2,), name), holomorphic)
+        for name, entries, holomorphic in (
+            ("square map", ("x1^2 - x2^2", "2*x1*x2"), True),
+            ("exponential map", ("exp(x1)*cos(x2)", "exp(x1)*sin(x2)"), True),
+            ("reciprocal map at offset 2",
+             ("(x1 - 2)/((x1 - 2)^2 + x2^2)", "-x2/((x1 - 2)^2 + x2^2)"), True),
+            ("conjugation", ("x1", "-x2"), False),
+        ))
 
 
 def _suite_holomorphy(tol, X):
     j2 = standard_acs(2)
     checks, equivalence_flags = [], []
-    for name, func, holomorphic in _REFERENCE_MAPS:
+    for name, func, holomorphic in _reference_maps():
         cm = ChartedMap(func, j2, j2)
         acm = almost_complex_residual(cm, X)
         cr = cauchy_riemann_residual(cm, X)
-        if holomorphic:
-            checks.append(StructureCheckResult.from_samples(
-                f"holomorphy of {name}", acm, X, tol["holomorphy.residual"], IDENTITY_ACM_MAP))
-        else:
-            checks.append(StructureCheckResult.from_samples(
-                f"{name} defect equals 2*sqrt(2)", np.abs(acm - 2.0 * np.sqrt(2.0)), X,
-                tol["holomorphy.residual"], f"{IDENTITY_ACM_MAP} fails by a known amount"))
+        row, residuals = ((f"holomorphy of {name}", acm) if holomorphic else
+                          (f"{name} defect equals 2*sqrt(2)", np.abs(acm - 2.0 * np.sqrt(2.0))))
+        checks.append(_row(row, residuals, X, tol["holomorphy.residual"]))
         equivalence_flags.append(
             np.where((acm <= HOLOMORPHIC_LEVEL) == (cr <= HOLOMORPHIC_LEVEL), 0.0, 1.0))
-    checks.append(StructureCheckResult.from_samples(
-        "cauchy-riemann/holomorphy equivalence", np.concatenate(equivalence_flags),
-        np.tile(X, (len(equivalence_flags), 1)), 0.5,
-        f"a_x = b_y, a_y = -b_x iff {IDENTITY_ACM_MAP}"))
+    checks.append(_row("cauchy-riemann/holomorphy equivalence", np.concatenate(equivalence_flags),
+                       np.tile(X, (len(equivalence_flags), 1))))
     return VerificationReport("holomorphy", checks)
 
 

@@ -26,8 +26,6 @@ from .structures import standard_acs_matrix
 
 __all__ = ["ChartedMap", "almost_complex_residual", "cauchy_riemann_residual"]
 
-IDENTITY_ACM_MAP = "phi_* o J1 = J2 o phi_*"
-
 # largest entry by which a chart's structure may differ from the coordinate
 # J for the Cauchy-Riemann residual to apply
 STANDARD_J_TOL = 1e-10

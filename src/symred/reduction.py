@@ -91,8 +91,7 @@ from .geometry import (
     _stack,
 )
 from .report import VerificationReport
-from .structures import (DEFAULT_TOLERANCES, StructureCheckResult, _acs_residual,
-                         _compatibility_residual)
+from .structures import DEFAULT_TOLERANCES, _acs_residual, _compatibility_residual, _row
 
 __all__ = [
     "SampleSpec",
@@ -106,16 +105,6 @@ __all__ = [
     "verify_reduction_identity",
     "verify_main_theorem",
 ]
-
-IDENTITY_FIBER = "h_x independent of the fibre representative"
-IDENTITY_VERT_INV = "pushforward of a vertical vector is vertical"
-IDENTITY_REDUCTION = "pi* omega_red = i* omega"
-IDENTITY_DEGENERACY = "omega(vertical, ker d mu) = 0"
-IDENTITY_ACM = "pi_* o J = J_red o pi_*"
-IDENTITY_RED_COMPAT = "omega_red(u, J_red v) = h_red(u, v)"
-IDENTITY_RED_ACS = "J_red^2 = -I"
-IDENTITY_IFF = "reduced compatibility with h_red holds iff pi is almost complex"
-IDENTITY_HYPOTHESIS = "ambient compatibility omega(u, J v) = g(u, v)"
 
 # reduced_structures warns when J of a horizontal lift leaves the level
 # tangent space by more than this, relative to the lift's g-norm
@@ -422,11 +411,9 @@ def verify_submersion(frames: _FrameTable,
     fiber_res = _row_max_abs(fiber.swapaxes(0, 1))
     vert_res = _row_max_abs(_g_norms(leak, G).swapaxes(0, 1))
     return VerificationReport("submersion", [
-        StructureCheckResult.from_samples(
-            "fiber independence", fiber_res, X, tol, IDENTITY_FIBER,
-            extras={"fiber_params": frames.fiber_params.tolist()}),
-        StructureCheckResult.from_samples(
-            "vertical invariance", vert_res, X, vertical_tol, IDENTITY_VERT_INV),
+        _row("fiber independence", fiber_res, X, tol,
+             extras={"fiber_params": frames.fiber_params.tolist()}),
+        _row("vertical invariance", vert_res, X, vertical_tol),
     ])
 
 
@@ -451,10 +438,8 @@ def verify_reduction_identity(frames: _FrameTable,
     degeneracy = f.vertical.swapaxes(1, 2) @ f.Om @ K
     id_res, deg_res = _row_norms(E.reshape(len(X), -1)), _row_max_abs(degeneracy)
     return VerificationReport("reduction identity", [
-        StructureCheckResult.from_samples(
-            "pullback identity", id_res, X, tol, IDENTITY_REDUCTION),
-        StructureCheckResult.from_samples(
-            "vertical degeneracy", deg_res, X, degeneracy_tol, IDENTITY_DEGENERACY),
+        _row("pullback identity", id_res, X, tol),
+        _row("vertical degeneracy", deg_res, X, degeneracy_tol),
     ])
 
 
@@ -490,17 +475,12 @@ def verify_main_theorem(frames: _FrameTable,
     iff_res = np.where((acm_res <= tol) == (compat_res <= tol), 0.0, 1.0)
     branch = "positive" if max_abs(acm_res) <= tol and max_abs(compat_res) <= tol else "negative"
     return VerificationReport("main theorem", [
-        StructureCheckResult.from_samples(
-            "almost complex mapping defect", acm_res, X, tol, IDENTITY_ACM),
-        StructureCheckResult.from_samples(
-            "reduced compatibility", compat_res, X, tol, IDENTITY_RED_COMPAT),
-        StructureCheckResult.from_samples(
-            "reduced acs identity", acs_res, X, tol, IDENTITY_RED_ACS),
-        StructureCheckResult.from_samples(
-            "ambient compatibility hypothesis", hyp_res, X, hypothesis_tol, IDENTITY_HYPOTHESIS),
-        StructureCheckResult.from_samples(
-            "main theorem iff", iff_res, X, 0.5, IDENTITY_IFF,
-            extras={"branch": branch, "hypothesis_violated": hypothesis_violated}),
+        _row("almost complex mapping defect", acm_res, X, tol),
+        _row("reduced compatibility", compat_res, X, tol),
+        _row("reduced acs identity", acs_res, X, tol),
+        _row("ambient compatibility hypothesis", hyp_res, X, hypothesis_tol),
+        _row("main theorem iff", iff_res, X,
+             extras={"branch": branch, "hypothesis_violated": hypothesis_violated}),
     ], meta={
         # the per-point residuals as columns, entry i for point i of ``points``
         "samples": {

@@ -1,7 +1,9 @@
 """Pointwise validation of metrics, symplectic forms and almost complex
 structures, the constructive compatible triple, and ``DEFAULT_TOLERANCES``,
 the one place a default tolerance is written: every tolerance parameter of
-the package and every verification run start from it.
+the package and every verification run start from it.  ``CHECKS`` is the
+one place a report row's identity and tolerance key are written, and every
+row is built through it (``_row``).
 
 Conventions.  Bilinear forms act on component vectors as ``u^T M v`` and an
 almost complex structure acts as a plain matrix, so compatibility
@@ -36,6 +38,7 @@ from .geometry import (
 
 __all__ = [
     "DEFAULT_TOLERANCES",
+    "CHECKS",
     "check_tolerance",
     "StructureCheckResult",
     "CompatibleTriple",
@@ -50,12 +53,6 @@ __all__ = [
     "check_compatibility",
     "build_compatible_triple",
 ]
-
-IDENTITY_METRIC = "g symmetric positive definite"
-IDENTITY_SYMPLECTIC = "omega antisymmetric nondegenerate"
-IDENTITY_CLOSED = "d omega = 0 (cyclic sum of coefficient partials)"
-IDENTITY_ACS = "J^2 = -I"
-IDENTITY_COMPAT = "omega(u, J v) = g(u, v)"
 
 # every tolerance a verification run reads; a scenario's ``tol.<name>`` keys
 # and the command line's ``--tol name=value`` override these by name
@@ -78,6 +75,42 @@ DEFAULT_TOLERANCES = MappingProxyType({
     "main-theorem.residuals": 1e-5,
     "main-theorem.hypothesis": 1e-6,
     "holomorphy.residual": 1e-8,
+})
+
+# every row a run can emit, in the order a run of every suite emits them:
+# the row's identity and the DEFAULT_TOLERANCES key that judges it, or None
+# for a 0/1 indicator row, which ``_row`` judges at 0.5
+CHECKS = MappingProxyType({
+    "metric field": ("g symmetric positive definite", "structures.metric"),
+    "symplectic field": ("omega antisymmetric nondegenerate", "structures.symplectic"),
+    "closedness of omega": ("d omega = 0 (cyclic sum of coefficient partials)",
+                            "structures.closed"),
+    "almost complex structure": ("J^2 = -I", "structures.acs"),
+    "compatibility": ("omega(u, J v) = g(u, v)", "structures.compatibility"),
+    "action axioms": ("Phi_0 = id and Phi_s o Phi_t = Phi_{s+t}", "action.axioms"),
+    "isometry": ("g_m(u, v) = g_{Phi_a(m)}(D u, D v)", "action.isometry"),
+    "symplectomorphism": ("omega_m(u, v) = omega_{Phi_a(m)}(D u, D v)", "action.symplectomorphism"),
+    "hamiltonian condition": ("omega(xi_M, .) = d mu_xi", "action.momentum"),
+    "momentum invariance": ("mu o Phi_a = mu", "action.mu-invariance"),
+    "endomorphism invariance": ("D F(m) = F(Phi_a(m)) D", "action.acs-invariance"),
+    "fiber independence": ("h_x independent of the fibre representative", "reduction.submersion"),
+    "vertical invariance": ("pushforward of a vertical vector is vertical",
+                            "reduction.vertical-invariance"),
+    "pullback identity": ("pi* omega_red = i* omega", "reduction.identity"),
+    "vertical degeneracy": ("omega(vertical, ker d mu) = 0", "reduction.degeneracy"),
+    "almost complex mapping defect": ("pi_* o J = J_red o pi_*", "main-theorem.residuals"),
+    "reduced compatibility": ("omega_red(u, J_red v) = h_red(u, v)", "main-theorem.residuals"),
+    "reduced acs identity": ("J_red^2 = -I", "main-theorem.residuals"),
+    "ambient compatibility hypothesis": ("ambient compatibility omega(u, J v) = g(u, v)",
+                                         "main-theorem.hypothesis"),
+    "main theorem iff": ("reduced compatibility with h_red holds iff pi is almost complex", None),
+    "holomorphy of square map": ("phi_* o J1 = J2 o phi_*", "holomorphy.residual"),
+    "holomorphy of exponential map": ("phi_* o J1 = J2 o phi_*", "holomorphy.residual"),
+    "holomorphy of reciprocal map at offset 2": ("phi_* o J1 = J2 o phi_*", "holomorphy.residual"),
+    "conjugation defect equals 2*sqrt(2)": (
+        "phi_* o J1 = J2 o phi_* fails by a known amount", "holomorphy.residual"),
+    "cauchy-riemann/holomorphy equivalence": (
+        "a_x = b_y, a_y = -b_x iff phi_* o J1 = J2 o phi_*", None),
 })
 
 
@@ -182,12 +215,20 @@ def standard_acs(dim: int) -> TensorField:
     return TensorField.constant(standard_acs_matrix(dim), name="standard J")
 
 
-def _sampled(name, identity, kernel, fields, points, tol) -> StructureCheckResult:
+def _row(name, residuals, points, tol=None, extras=None) -> StructureCheckResult:
+    """The report row ``name`` of ``CHECKS``, with its identity: per-point
+    ``residuals`` at ``points`` judged against ``tol``, or against 0.5 for
+    an indicator row (``from_samples``)."""
+    identity, key = CHECKS[name]
+    return StructureCheckResult.from_samples(
+        name, residuals, points, 0.5 if key is None else tol, identity, extras)
+
+
+def _sampled(name, kernel, fields, points, tol) -> StructureCheckResult:
     """One sampled check: ``kernel`` of the batches ``f(X)`` of ``fields`` at
     the (N, n) array X of ``points``, called in order; a failing batch raises."""
     X = as_points(points)
-    return StructureCheckResult.from_samples(
-        name, kernel(*(f(X) for f in fields)), X, tol, identity)
+    return _row(name, kernel(*(f(X) for f in fields)), X, tol)
 
 
 def _metric_residual(G: np.ndarray, tol: float) -> np.ndarray:
@@ -226,7 +267,7 @@ def _compatibility_residual(Om: np.ndarray, G: np.ndarray, J: np.ndarray) -> np.
 def check_metric(g: TensorField, points,
                  tol: float = DEFAULT_TOLERANCES["structures.metric"]) -> StructureCheckResult:
     """Symmetry plus positive definiteness of a metric field at sample points."""
-    return _sampled("metric field", IDENTITY_METRIC, lambda G: _metric_residual(G, tol),
+    return _sampled("metric field", lambda G: _metric_residual(G, tol),
                     [partial(eval_field, g)], points, tol)
 
 
@@ -242,9 +283,8 @@ def check_symplectic_pointwise(
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"symplectic field must be square, got {w.shape}")
     _interleaved_planes(w.shape[0], "symplectic form")
-    return _sampled("symplectic field", IDENTITY_SYMPLECTIC,
-                    lambda Om: _symplectic_residual(Om, tol), [partial(eval_field, w)],
-                    points, tol)
+    return _sampled("symplectic field", lambda Om: _symplectic_residual(Om, tol),
+                    [partial(eval_field, w)], points, tol)
 
 
 def check_closed(w: TensorField, points,
@@ -252,22 +292,22 @@ def check_closed(w: TensorField, points,
     """Closedness of the 2-form: cyclic sum of coefficient partials over all
     index triples, every partial from one derivative batch of omega along
     each coordinate (exact for a compiled field)."""
-    return _sampled("closedness of omega", IDENTITY_CLOSED, _closed_residual,
+    return _sampled("closedness of omega", _closed_residual,
                     [lambda X: fd_directional(w, X, np.eye(w.shape[0]))], points, tol)
 
 
 def check_acs(J: TensorField, points,
               tol: float = DEFAULT_TOLERANCES["structures.acs"]) -> StructureCheckResult:
     """Frobenius norm of J(p)^2 + I at sample points."""
-    return _sampled("almost complex structure", IDENTITY_ACS, _acs_residual,
-                    [partial(eval_field, J)], points, tol)
+    return _sampled("almost complex structure", _acs_residual, [partial(eval_field, J)],
+                    points, tol)
 
 
 def check_compatibility(
         t: CompatibleTriple, points,
         tol: float = DEFAULT_TOLERANCES["structures.compatibility"]) -> StructureCheckResult:
     """Max-abs residual of the compatibility identity Omega @ J == G."""
-    return _sampled("compatibility", IDENTITY_COMPAT, _compatibility_residual,
+    return _sampled("compatibility", _compatibility_residual,
                     [partial(eval_field, f) for f in (t.omega, t.metric, t.acs)], points, tol)
 
 

@@ -320,7 +320,8 @@ def test_every_tolerance_reaches_a_check(tmp_path, capsys):
 
 
 # the library function and parameter whose default tolerance judges each
-# check of a run; the holomorphy battery and the iff rows have no parameter
+# row of the table of checks that has a tolerance key, but for the
+# holomorphy battery, which no library function judges
 _CHECK_PARAMETERS = {
     "metric field": (check_metric, "tol"),
     "symplectic field": (check_symplectic_pointwise, "tol"),
@@ -344,12 +345,19 @@ _CHECK_PARAMETERS = {
 }
 
 
+def test_every_judged_row_of_the_table_has_a_library_parameter():
+    assert list(_CHECK_PARAMETERS) == [
+        name for name, (_, key) in structures.CHECKS.items()
+        if key is not None and not key.startswith("holomorphy.")]
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_a_run_judges_each_check_by_its_library_default(name):
     report, _ = run(RunConfig(name, samples=3, seed=1))
     judged = set()
-    for path, check in report.all_checks():
-        if path.endswith("holomorphy") or check.name == "main theorem iff":
+    for _, check in report.all_checks():
+        if check.name not in _CHECK_PARAMETERS:  # the iff row, judged at 0.5
+            assert structures.CHECKS[check.name][1] is None and check.tolerance == 0.5
             continue
         fn, param = _CHECK_PARAMETERS[check.name]
         default = inspect.signature(fn).parameters[param].default
@@ -1154,7 +1162,7 @@ def test_holomorphy_suite_takes_two_jacobians_per_reference_map(samples, monkeyp
     monkeypatch.setattr(symred.holomorphy, "fd_jacobian", counted)
     report, code = run(RunConfig("hopf", suites=("holomorphy",), samples=samples, seed=51))
     assert code == 0
-    assert calls["fd_jacobian"] == 2 * len(cli._REFERENCE_MAPS) == 8
+    assert calls["fd_jacobian"] == 2 * len(cli._reference_maps()) == 8
 
 
 @pytest.mark.parametrize("name", [*builtin_names(), "r2n_8_planes"])

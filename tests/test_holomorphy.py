@@ -180,7 +180,7 @@ def _assert_matches_references(cm, points):
 def test_reference_maps_match_per_point_residuals(seed, samples):
     # the suite's maps at the suite's sample points
     points = run_holomorphy_points(seed, samples)
-    for name, func, _ in cli._REFERENCE_MAPS:
+    for name, func, _ in cli._reference_maps():
         _assert_matches_references(ChartedMap(func, J2, J2), points)
 
 

@@ -50,6 +50,33 @@ def test_importing_the_cli_builds_no_dataclass_and_loads_no_argparse():
     assert added.isdisjoint({"dataclasses", "argparse", "gettext"}), sorted(added)
 
 
+# a fresh interpreter: the compile_exprs calls that importing symred.cli makes
+_IMPORT_COMPILES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import symred.exprlang, symred.scenarios
+calls = []
+original = symred.exprlang.compile_exprs
+
+def counted(*args, **kwargs):
+    calls.append(args[-1])
+    return original(*args, **kwargs)
+
+for module in (symred.exprlang, symred.scenarios):
+    module.compile_exprs = counted
+import symred.cli
+print(len(calls), *calls)
+"""
+
+
+def test_importing_the_cli_compiles_nothing():
+    # the holomorphy suite's reference maps are compiled when it runs
+    src = str(Path(symred.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _IMPORT_COMPILES, src], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["0"]
+
+
 def _package_classes():
     modules = [importlib.import_module(f"symred.{info.name}")
                for info in pkgutil.iter_modules(symred.__path__)]
@@ -165,6 +192,23 @@ def test_no_field_of_a_run_config_can_be_reassigned():
     with pytest.raises(AttributeError):
         cfg.tolerances = {"no.such": 1.0}
     assert cfg.suites == DEFAULT_SUITES and cfg.tolerances == {}
+
+
+def test_the_tolerances_of_a_run_config_are_a_read_only_copy():
+    given = {"structures.metric": 1e-9}
+    cfg = RunConfig("hopf", samples=3, seed=1, tolerances=given)
+    given["structures.metric"] = 1.0
+    # an entry set afterwards would skip check_tolerance: an unknown name
+    # would be ignored, and a negative value refused only when judged
+    for name, value in (("no.such", 1.0), ("structures.metric", -1.0)):
+        with pytest.raises(TypeError):
+            cfg.tolerances[name] = value
+    assert cfg.tolerances == {"structures.metric": 1e-9}
+    for twin in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert twin.tolerances == cfg.tolerances
+        with pytest.raises(TypeError):
+            twin.tolerances["no.such"] = 1.0
+    assert run(cfg)[0].find("metric field").tolerance == 1e-9
 
 
 def test_copy_and_pickle_of_a_report_reproduce_its_json():

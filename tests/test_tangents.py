@@ -172,8 +172,8 @@ _REFERENCE_FORMULAS = {
 @pytest.mark.parametrize("seed", range(4))
 def test_holomorphy_reference_maps_match_sympy(seed, samples):
     X = run_holomorphy_points(seed, samples)
-    assert [name for name, _, _ in cli._REFERENCE_MAPS] == list(_REFERENCE_FORMULAS)
-    for name, row_map, _ in cli._REFERENCE_MAPS:
+    assert [name for name, _, _ in cli._reference_maps()] == list(_REFERENCE_FORMULAS)
+    for name, row_map, _ in cli._reference_maps():
         exprs = [parse_expression(text) for text in _REFERENCE_FORMULAS[name]]
         assert_exact(row_map.rows(X), sympy_values(exprs, ("x1", "x2"), X), f"{name} values")
         assert_exact(fd_jacobian(row_map, X), sympy_jacobians(exprs, ("x1", "x2"), X), name)
