@@ -21,7 +21,6 @@ import numbers
 import os
 import sys
 from datetime import datetime, timezone
-from types import MappingProxyType
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .structures import (
     check_compatibility,
     check_metric,
     check_symplectic_pointwise,
-    check_tolerance,
+    checked_tolerances,
     standard_acs,
     _row,
 )
@@ -106,14 +105,8 @@ class RunConfig(Record):
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
         if format not in ("text", "json"):
             raise ValueError(f"format must be text or json, got {format!r}")
-        # a read-only copy: an entry set later would skip check_tolerance
-        tolerances = MappingProxyType({k: check_tolerance(k, v)
-                                       for k, v in (tolerances or {}).items()})
-        super().__init__(scenario, suites, seed, samples, tolerances, output, format)
-
-    def __reduce__(self):
-        # a mappingproxy does not pickle, so a copy is rebuilt from a dict
-        return RunConfig, tuple(dict(v) if v is self.tolerances else v for v in self._values())
+        super().__init__(scenario, suites, seed, samples, checked_tolerances(tolerances), output,
+                         format)
 
 
 def resolve_scenario(name_or_path: str) -> ReductionScenario:

@@ -1,8 +1,18 @@
 """Exception hierarchy and warnings used across the toolkit, and the base
 of its immutable types, whose one constructor builds no code at import."""
 
+from types import MappingProxyType
+
 # sets a field of a record in its constructor, past the refusing __setattr__
 _set = object.__setattr__
+
+
+def _mappings_as(kind, value):
+    """``value`` with each mapping in it, itself included, a ``kind`` (dict
+    or MappingProxyType) of its entries."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return kind({k: _mappings_as(kind, v) for k, v in value.items()})
+    return value
 
 
 class Record:
@@ -52,8 +62,9 @@ class Record:
 
     def __reduce__(self):
         # copy and pickle rebuild a record through its constructor, as
-        # restoring its slots one by one would assign them
-        return type(self), self._values()
+        # restoring its slots one by one would assign them; a mapping goes
+        # as a dict, since a read-only one does not pickle
+        return type(self), tuple(_mappings_as(dict, v) for v in self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))

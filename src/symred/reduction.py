@@ -91,7 +91,8 @@ from .geometry import (
     _stack,
 )
 from .report import VerificationReport
-from .structures import DEFAULT_TOLERANCES, _acs_residual, _compatibility_residual, _row
+from .structures import (DEFAULT_TOLERANCES, _acs_residual, _compatibility_residual, _row,
+                         checked_tolerances)
 
 __all__ = [
     "SampleSpec",
@@ -144,7 +145,7 @@ class ReductionScenario(Record):
                  action: GroupAction, mu: MomentumMap, section, tolerances: dict | None = None,
                  sample_spec: SampleSpec = SampleSpec()):
         super().__init__(name, omega, metric, acs, action, mu, as_row_map(section),
-                         {} if tolerances is None else tolerances, sample_spec)
+                         checked_tolerances(tolerances), sample_spec)
         k, shape = self.action.group_dim, self.omega.shape
         if self.mu.group_dim != k:
             raise ValueError(f"scenario {self.name!r}: momentum map has {self.mu.group_dim} "

@@ -18,10 +18,11 @@ import json
 import math
 import sys
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import Record
+from .errors import Record, _mappings_as
 from .structures import StructureCheckResult
 
 __all__ = ["VerificationReport", "check_to_dict"]
@@ -85,9 +86,10 @@ def _text(value, pad: str) -> str:
     """The JSON text of ``value`` at indent ``pad``, as json.dumps(...,
     indent=2, sort_keys=True, allow_nan=False) writes it once a numpy
     scalar is its ``item()``, an ndarray its ``tolist()``, a tuple a list,
-    a key its ``str`` and a non-finite float the string "NaN", "Infinity"
-    or "-Infinity"; the types a report holds are written here, any other
-    through json, which raises for a value it cannot hold."""
+    a read-only mapping a dict, a key its ``str`` and a non-finite float
+    the string "NaN", "Infinity" or "-Infinity"; the types a report holds
+    are written here, any other through json, which raises for a value it
+    cannot hold."""
     kind = type(value)
     if kind is float:
         if math.isfinite(value):
@@ -99,7 +101,7 @@ def _text(value, pad: str) -> str:
         inner = pad + "  "
         return (value and (_floats_text(value, pad) or _rows_text(value, pad))) or \
             _array_text([_text(v, inner) for v in value], pad)
-    if kind is dict:
+    if kind is dict or kind is MappingProxyType:
         value = {str(k): v for k, v in value.items()}
         inner = pad + "  "
         return _object_text([(k, _text(value[k], inner)) for k in sorted(value)], pad)
@@ -140,12 +142,13 @@ def check_to_dict(check: StructureCheckResult) -> dict:
 class VerificationReport(Record):
     """Tree of named checks; overall pass means every node passes.  A
     record built once, from finished rows: ``checks`` and ``children`` are
-    stored as tuples."""
+    stored as tuples, ``meta`` and each dict in it as read-only mappings."""
 
     __slots__ = ("name", "checks", "children", "meta")
 
     def __init__(self, name: str, checks=(), children=(), meta: dict | None = None):
-        super().__init__(name, tuple(checks), tuple(children), {} if meta is None else meta)
+        meta = _mappings_as(MappingProxyType, meta or {})
+        super().__init__(name, tuple(checks), tuple(children), meta)
 
     @property
     def passed(self) -> bool:

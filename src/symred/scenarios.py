@@ -367,7 +367,7 @@ def compile_scenario(sf: ScenarioFile) -> ReductionScenario:
                            flow=_row_map(programs["flow"], (dim,), f"{sf.name} flow")),
         mu=MomentumMap(field("mu", (sf.group_dim,)), sf.beta),
         section=_row_map(programs["section"], (dim,), f"{sf.name} section"),
-        tolerances=dict(sf.tolerances),
+        tolerances=sf.tolerances,
         sample_spec=sf.sample_spec,
     )
 
@@ -389,32 +389,37 @@ def load_scenario_file(path) -> ReductionScenario:
 # ---------------------------------------------------------------------------
 # built-in registry, written in the scenario file format itself
 
-_HOPF_TEXT = """
-# circle reduction of the flat two-plane chart at the unit-sphere level
-name = hopf
+def _hopf_text(name: str, header: str, metric: str, comments: bool = False) -> str:
+    """The text of hopf, or of a control that is hopf with another metric:
+    the circle reduction of the flat two-plane chart at the unit-sphere
+    level, with hopf's two inline comments if ``comments``."""
+    flow_note = "# clockwise phase rotation of both coordinate planes\n" if comments else ""
+    section_note = "\n# normalized graph w -> (1, w) of the affine quotient chart\n" \
+        if comments else ""
+    return f"""
+# {header}
+name = {name}
 dim = 4
 group_dim = 1
 quotient_dim = 2
 abelian = true
 
 omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-metric = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+metric = {metric}
 acs = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
-# clockwise phase rotation of both coordinate planes
-flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),
+{flow_note}flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),
         x3*cos(t1) + x4*sin(t1), x4*cos(t1) - x3*sin(t1)]
 mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]
 beta = [0.5]
-
-# normalized graph w -> (1, w) of the affine quotient chart
-section = [1/sqrt(1 + w1^2 + w2^2), 0,
+{section_note}section = [1/sqrt(1 + w1^2 + w2^2), 0,
            w1/sqrt(1 + w1^2 + w2^2), w2/sqrt(1 + w1^2 + w2^2)]
 
 sample.count = 20
 sample.seed = 7
 sample.radius = 2
 """
+
 
 _LINEAR_TRANSLATION_TEXT = """
 # free translation of the first position coordinate; momentum is its conjugate
@@ -435,54 +440,6 @@ section = [0, 0, w1, w2]
 
 sample.count = 20
 sample.seed = 11
-sample.radius = 2
-"""
-
-_SKEWED_METRIC_TEXT = """
-# hopf data with a stretched metric: the triple is deliberately incompatible
-name = skewed_metric_hopf
-dim = 4
-group_dim = 1
-quotient_dim = 2
-abelian = true
-
-omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-metric = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]]
-acs = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-
-flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),
-        x3*cos(t1) + x4*sin(t1), x4*cos(t1) - x3*sin(t1)]
-mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]
-beta = [0.5]
-section = [1/sqrt(1 + w1^2 + w2^2), 0,
-           w1/sqrt(1 + w1^2 + w2^2), w2/sqrt(1 + w1^2 + w2^2)]
-
-sample.count = 20
-sample.seed = 7
-sample.radius = 2
-"""
-
-_NONINVARIANT_METRIC_TEXT = """
-# hopf data with a position-dependent metric that the circle does not preserve
-name = noninvariant_metric_hopf
-dim = 4
-group_dim = 1
-quotient_dim = 2
-abelian = true
-
-omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-metric = [[1 + x3^2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-acs = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-
-flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),
-        x3*cos(t1) + x4*sin(t1), x4*cos(t1) - x3*sin(t1)]
-mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]
-beta = [0.5]
-section = [1/sqrt(1 + w1^2 + w2^2), 0,
-           w1/sqrt(1 + w1^2 + w2^2), w2/sqrt(1 + w1^2 + w2^2)]
-
-sample.count = 20
-sample.seed = 7
 sample.radius = 2
 """
 
@@ -535,28 +492,37 @@ def _euclidean_text(planes: int) -> str:
     ])
 
 
+# each built-in's text as a function of ``planes``, which euclidean_r2n alone reads
 _BUILTIN_TEXTS = {
-    "hopf": _HOPF_TEXT,
-    "linear_translation": _LINEAR_TRANSLATION_TEXT,
-    "skewed_metric_hopf": _SKEWED_METRIC_TEXT,
-    "noninvariant_metric_hopf": _NONINVARIANT_METRIC_TEXT,
+    "hopf": lambda planes: _hopf_text(
+        "hopf", "circle reduction of the flat two-plane chart at the unit-sphere level",
+        "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]", comments=True),
+    "linear_translation": lambda planes: _LINEAR_TRANSLATION_TEXT,
+    "noninvariant_metric_hopf": lambda planes: _hopf_text(
+        "noninvariant_metric_hopf",
+        "hopf data with a position-dependent metric that the circle does not preserve",
+        "[[1 + x3^2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"),
+    "skewed_metric_hopf": lambda planes: _hopf_text(
+        "skewed_metric_hopf",
+        "hopf data with a stretched metric: the triple is deliberately incompatible",
+        "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]]"),
+    "euclidean_r2n": _euclidean_text,
 }
 
 
 def builtin_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTIN_TEXTS)) + ("euclidean_r2n",)
+    return tuple(_BUILTIN_TEXTS)
 
 
 def builtin_text(name: str, planes: int = 2) -> str:
     """Scenario-file source of a built-in, exactly as it is compiled."""
-    if name == "euclidean_r2n":
-        return _euclidean_text(planes)
     try:
-        return _BUILTIN_TEXTS[name]
+        text = _BUILTIN_TEXTS[name]
     except KeyError:
         raise UnknownScenarioError(
             f"unknown scenario {name!r}; built-ins are {', '.join(builtin_names())}"
         ) from None
+    return text(planes)
 
 
 def builtin(name: str, planes: int = 2) -> ReductionScenario:

@@ -124,6 +124,12 @@ def check_tolerance(name: str, value: float) -> float:
     return _positive_finite(f"tolerance {name!r}", value)
 
 
+def checked_tolerances(tolerances: dict | None) -> MappingProxyType:
+    """A read-only copy of ``tolerances`` (None for none), each entry by
+    ``check_tolerance``: an entry set later would skip the check."""
+    return MappingProxyType({k: check_tolerance(k, v) for k, v in (tolerances or {}).items()})
+
+
 def _positive_finite(what: str, value: float) -> float:
     """``value`` as a float if it is a positive finite number, else
     ValueError naming ``what``: a non-positive or non-finite tolerance would

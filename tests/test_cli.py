@@ -7,6 +7,7 @@ import random
 import re
 import tracemalloc
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -1044,7 +1045,7 @@ def _assert_same_up_to_derivatives(compiled, per_point):
     assert compiled.name == per_point.name and compiled.meta.keys() == per_point.meta.keys()
     for key in compiled.meta.keys() - {"timestamp"}:
         got, want = compiled.meta[key], per_point.meta[key]
-        if key == "samples" and isinstance(got, dict):  # the main theorem's residual columns
+        if key == "samples" and isinstance(got, Mapping):  # the main theorem's residual columns
             assert got.keys() == want.keys()
             for name in got:
                 for got_entry, want_entry in zip(got[name], want[name], strict=True):

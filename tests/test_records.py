@@ -214,9 +214,40 @@ def test_the_tolerances_of_a_run_config_are_a_read_only_copy():
 def test_copy_and_pickle_of_a_report_reproduce_its_json():
     report, code = run(RunConfig("hopf"))
     assert code == 0
-    for twin in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+    for twin in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
         assert type(twin) is VerificationReport and twin is not report
         assert twin.to_json() == report.to_json()
+        with pytest.raises(TypeError):
+            twin.meta["scenario"] = "edited"
+
+
+def test_the_meta_of_a_report_and_the_dicts_in_it_are_read_only():
+    given = {"samples": {"compat_residual": [0.0]}}
+    report = VerificationReport("main theorem", meta=given)
+    given["samples"]["compat_residual"] = [1.0]
+    assert report.meta == {"samples": {"compat_residual": [0.0]}}
+    report, _ = run(RunConfig("hopf", samples=3, seed=1))
+    text = report.to_json()
+    with pytest.raises(TypeError):
+        report.meta["scenario"] = "edited"
+    main_theorem = report.children[-1].children[0]
+    with pytest.raises(TypeError):
+        main_theorem.meta["samples"]["compat_residual"] = []
+    assert report.to_json() == text
+
+
+def test_the_tolerances_of_a_scenario_are_checked_and_read_only():
+    hopf = builtin("hopf")
+    with pytest.raises(ValueError, match=r"^unknown tolerance 'no.such'"):
+        replaced(hopf, tolerances={"no.such": -1.0})
+    with pytest.raises(ValueError, match=r"must be positive and finite"):
+        replaced(hopf, tolerances={"structures.metric": -1.0})
+    given = {"structures.metric": 1e-9}
+    scen = replaced(hopf, tolerances=given)
+    given["structures.metric"] = 1.0
+    assert scen.tolerances == {"structures.metric": 1e-9}
+    with pytest.raises(TypeError):
+        scen.tolerances["structures.metric"] = -1.0
 
 
 def test_a_pickled_run_config_is_rebuilt_through_its_checks():

@@ -36,6 +36,7 @@ from symred.structures import (
 
 from util import (
     DOUBLE_SPEED_HOPF_TEXT,
+    HOPF_METRIC_LINE,
     SIXFOLD_METRIC_HOPF_TEXT,
     horizontal_projector_oracle,
     one,
@@ -466,9 +467,8 @@ def _gaussian_curvature(scen, x, plane=(0, 1), step=1e-3):
 
 # hopf with the conformal metric (1 + |x|^2 / 10) I, which is 1.1 I on the
 # unit sphere that mu^-1(beta) is
-_HOPF_METRIC = "metric = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
 _CONFORMAL = "1 + 0.1*(x1^2 + x2^2 + x3^2 + x4^2)"
-CONFORMAL_METRIC_HOPF_TEXT = builtin_text("hopf").replace(_HOPF_METRIC, (
+CONFORMAL_METRIC_HOPF_TEXT = builtin_text("hopf").replace(HOPF_METRIC_LINE, (
     f"metric = [[{_CONFORMAL}, 0, 0, 0], [0, {_CONFORMAL}, 0, 0], "
     f"[0, 0, {_CONFORMAL}, 0], [0, 0, 0, {_CONFORMAL}]]"))
 
@@ -485,7 +485,7 @@ def test_reduced_metric_has_the_quotients_gaussian_curvature(name, curvature):
     # invariant, so this oracle holds in any quotient chart.  A metric
     # 1.1 g on the level set scales the reduced metric by 1.1 and so the
     # curvature by 1/1.1
-    assert _HOPF_METRIC in builtin_text("hopf")
+    assert HOPF_METRIC_LINE in builtin_text("hopf")
     scen = _text_scenario(CONFORMAL_METRIC_HOPF_TEXT) if name == "conformal_metric_hopf" \
         else builtin(name)
     for x in quotient_points(scen, 5, seed=0):

@@ -8,6 +8,7 @@ read back, so it raises what ``to_json`` raises."""
 import enum
 import json
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from util import DOUBLE_SPEED_HOPF_TEXT
 
 def reference_jsonable(value):
     """A report's layout as plain JSON values, one value at a time: a numpy
-    scalar its ``item()``, an array or a tuple a list, a key its ``str``, a
+    scalar its ``item()``, an array or a tuple a list, a read-only mapping
+    (a report's meta and the dicts in it) a dict, a key its ``str``, a
     non-finite float the string json's strict form needs; any other value
     is left for json to write or refuse."""
     if isinstance(value, (np.floating, np.integer)):
@@ -32,7 +34,7 @@ def reference_jsonable(value):
         return reference_jsonable(value.tolist())
     if isinstance(value, (list, tuple)):
         return [reference_jsonable(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, (dict, MappingProxyType)):
         return {str(k): reference_jsonable(v) for k, v in value.items()}
     return value
 

@@ -4,6 +4,7 @@ import hashlib
 import re
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,10 +223,9 @@ def test_explicit_sample_points():
 
 
 def test_builtin_names_and_unknown():
-    names = builtin_names()
-    for expected in ("euclidean_r2n", "hopf", "linear_translation",
-                     "skewed_metric_hopf", "noninvariant_metric_hopf"):
-        assert expected in names
+    # in the order of list-scenarios, which the benchmark's sweep runs
+    assert builtin_names() == ("hopf", "linear_translation", "noninvariant_metric_hopf",
+                               "skewed_metric_hopf", "euclidean_r2n")
     with pytest.raises(UnknownScenarioError):
         builtin("not_a_scenario")
 
@@ -281,24 +281,58 @@ def test_builtin_text_round_trips_through_parser():
         assert sf.name == name
 
 
-# SHA-256 of builtin_text("euclidean_r2n", planes), planes 1-8: the text is
-# written to a scenario file by the benchmark, so it stays byte for byte
-_EUCLIDEAN_TEXT_SHA256 = {
-    1: "9ad9e81bae14c10be0f26351f85df47a241136d248bf0b0c33cdb945dd84d5c7",
-    2: "4bd83fa574a7355b0ade9296d8d220cf3bb8457453cab166a5a9276273546ae1",
-    3: "08499371dd0c1aa365bf2ee5e7e508796c8ee9be1d6a5fb0787244163d13b652",
-    4: "70ad1de4ea925374dc417d7b5600f5da43c88c61191650ab8e7718266305035c",
-    5: "cbd7a632b5b02fe85d07eb9e7683d62dc802eea3451a7dc9cd5cc3770501d4fc",
-    6: "a5bbcad3eb0bc901655dd1c10e4630780d197faedea5aebe11bd13ab8a40e1df",
-    7: "ba1e5e64f005418702890bc035a6f28496892ee68ba47e973105fc1aa97bb1d1",
-    8: "fa89b01a6e8849b1d0ebd30a6712db6dd73a9a38015e0105e792093f0473279c",
+# SHA-256 of builtin_text(name, planes): every built-in at its default two
+# planes and euclidean_r2n at planes 1-8.  The benchmark runs hopf and the
+# controls by name and writes euclidean_r2n to a scenario file, so each text
+# stays byte for byte
+_TEXT_SHA256 = {
+    ("hopf", 2): "a1c40939b9f3c1581d5d37e04c49caaa1f17451d95c916dcb5c6100ad4c3573b",
+    ("linear_translation", 2): "95faae69c54caed76824593b6d00f87b8e2a40e45e05a2f721ddc201335c4087",
+    ("noninvariant_metric_hopf", 2):
+        "5ce43f6e1677efc59d1a036bb7709c852cfbc5ffb72e89a1d9d5f66a795a98b3",
+    ("skewed_metric_hopf", 2): "c089b74aa4d82bec75432fc7073d767f0457030f5f829d9717c87aeb14e1a01f",
+    ("euclidean_r2n", 1): "9ad9e81bae14c10be0f26351f85df47a241136d248bf0b0c33cdb945dd84d5c7",
+    ("euclidean_r2n", 2): "4bd83fa574a7355b0ade9296d8d220cf3bb8457453cab166a5a9276273546ae1",
+    ("euclidean_r2n", 3): "08499371dd0c1aa365bf2ee5e7e508796c8ee9be1d6a5fb0787244163d13b652",
+    ("euclidean_r2n", 4): "70ad1de4ea925374dc417d7b5600f5da43c88c61191650ab8e7718266305035c",
+    ("euclidean_r2n", 5): "cbd7a632b5b02fe85d07eb9e7683d62dc802eea3451a7dc9cd5cc3770501d4fc",
+    ("euclidean_r2n", 6): "a5bbcad3eb0bc901655dd1c10e4630780d197faedea5aebe11bd13ab8a40e1df",
+    ("euclidean_r2n", 7): "ba1e5e64f005418702890bc035a6f28496892ee68ba47e973105fc1aa97bb1d1",
+    ("euclidean_r2n", 8): "fa89b01a6e8849b1d0ebd30a6712db6dd73a9a38015e0105e792093f0473279c",
 }
 
 
-@pytest.mark.parametrize("planes", sorted(_EUCLIDEAN_TEXT_SHA256))
+def _text_sha256(name, planes=2):
+    return hashlib.sha256(builtin_text(name, planes).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_text_is_pinned_byte_for_byte(name):
+    assert _text_sha256(name) == _TEXT_SHA256[name, 2]
+
+
+@pytest.mark.parametrize("planes", range(1, 9))
 def test_euclidean_text_is_pinned_byte_for_byte(planes):
-    text = builtin_text("euclidean_r2n", planes)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _EUCLIDEAN_TEXT_SHA256[planes]
+    assert _text_sha256("euclidean_r2n", planes) == _TEXT_SHA256["euclidean_r2n", planes]
+
+
+@pytest.mark.parametrize("name", ["skewed_metric_hopf", "noninvariant_metric_hopf"])
+def test_a_control_parses_to_hopf_but_for_its_name_and_metric(name):
+    hopf, control = parse_scenario(builtin_text("hopf")), parse_scenario(builtin_text(name))
+    assert (control.name, hopf.name) == (name, "hopf") and control.metric != hopf.metric
+    # a program is a record, equal only to itself: it is compiled from the
+    # expressions compared here, so its keys are compared alone
+    for field in set(hopf._fields) - {"name", "metric", "programs"}:
+        assert getattr(control, field) == getattr(hopf, field), field
+    assert control.programs.keys() == hopf.programs.keys()
+
+
+def test_the_complete_example_of_the_readme_is_hopf_without_its_comments():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("A complete example (the built-in `hopf`", 1)[1]
+    example = example.split("\n```\n", 2)[1]
+    lines = [line for line in builtin_text("hopf").split("\n") if not line.startswith("#")]
+    assert example == "\n".join(lines).strip("\n")
 
 
 _FIELD_CHECK = """

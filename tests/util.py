@@ -10,6 +10,7 @@ import numpy as np
 from symred.errors import NonFiniteError, ParseError, ValidationError
 from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow
 from symred.geometry import FD_STEP, _gram_schmidt
+from symred.scenarios import builtin_text
 
 
 def one(p):
@@ -1163,94 +1164,49 @@ SCALED_MU_T2_TEXT = TORUS_T2_TEXT.replace(
     "beta = [0.5, 0.5]", "beta = [0.5, 0.3]")
 
 
+def hopf_variant(name, header, changes):
+    """hopf's built-in text, named ``name`` under the comment ``header``,
+    with each line ``old`` of the dict ``changes`` replaced by
+    ``changes[old]``; a line that is not a line of the text exactly once
+    fails the assertion, so no edit is silently lost."""
+    changes = {"# circle reduction of the flat two-plane chart at the unit-sphere level":
+               f"# {header}", "name = hopf": f"name = {name}", **changes}
+    lines = builtin_text("hopf").split("\n")
+    for old, new in changes.items():
+        assert lines.count(old) == 1, f"{old!r} is {lines.count(old)} lines of hopf's text"
+        lines[lines.index(old)] = new
+    return "\n".join(lines)
+
+
+HOPF_METRIC_LINE = "metric = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+
+
 # hopf with metric entry (1, 2) = 0.3 and entry (2, 1) = 0: the symmetric
 # part, with eigenvalues 1 +- 0.15, is positive definite, so the metric
 # check's residual is the max-abs asymmetry 0.3 alone.  It is the witness that
 # fails the symmetry term of the metric check (and compatibility, by 0.3).
-ASYMMETRIC_METRIC_HOPF_TEXT = """
-# hopf with an asymmetric metric
-name = asymmetric_metric_hopf
-dim = 4
-group_dim = 1
-quotient_dim = 2
-abelian = true
-
-omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-metric = [[1, 0.3, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-acs = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-
-flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),
-        x3*cos(t1) + x4*sin(t1), x4*cos(t1) - x3*sin(t1)]
-mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]
-beta = [0.5]
-
-section = [1/sqrt(1 + w1^2 + w2^2), 0,
-           w1/sqrt(1 + w1^2 + w2^2), w2/sqrt(1 + w1^2 + w2^2)]
-
-sample.count = 20
-sample.seed = 7
-sample.radius = 2
-"""
+ASYMMETRIC_METRIC_HOPF_TEXT = hopf_variant(
+    "asymmetric_metric_hopf", "hopf with an asymmetric metric",
+    {HOPF_METRIC_LINE: "metric = [[1, 0.3, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"})
 
 
 # hopf with the second plane turned at double speed: omega, g and J stay
 # invariant and compatible and the sphere stays the level set, but mu is no
 # momentum map of this action, so the pullback identity, the vertical
 # degeneracy and the main-theorem residuals fail.
-DOUBLE_SPEED_HOPF_TEXT = """
-# hopf with the second coordinate plane turned at twice the speed of the first
-name = double_speed_hopf
-dim = 4
-group_dim = 1
-quotient_dim = 2
-abelian = true
-
-omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-metric = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-acs = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-
-flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),
-        x3*cos(2*t1) + x4*sin(2*t1), x4*cos(2*t1) - x3*sin(2*t1)]
-mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]
-beta = [0.5]
-
-section = [1/sqrt(1 + w1^2 + w2^2), 0,
-           w1/sqrt(1 + w1^2 + w2^2), w2/sqrt(1 + w1^2 + w2^2)]
-
-sample.count = 20
-sample.seed = 7
-sample.radius = 2
-"""
+DOUBLE_SPEED_HOPF_TEXT = hopf_variant(
+    "double_speed_hopf",
+    "hopf with the second coordinate plane turned at twice the speed of the first",
+    {"        x3*cos(t1) + x4*sin(t1), x4*cos(t1) - x3*sin(t1)]":
+     "        x3*cos(2*t1) + x4*sin(2*t1), x4*cos(2*t1) - x3*sin(2*t1)]"})
 
 
 # hopf with the metric phi * I, phi = 1 + 0.001 Re((x1 + i x2)^6): the circle
 # turns the phase of x1 + i x2, so phi is no invariant of it, yet a sixfold
 # harmonic takes one value at the fibre angles 0, pi/3 and pi.  It is the
 # witness that fibre independence reads the fibre at other angles than those.
-SIXFOLD_METRIC_HOPF_TEXT = """
-# hopf with a metric that changes along each circle by a sixfold harmonic
-name = sixfold_metric_hopf
-dim = 4
-group_dim = 1
-quotient_dim = 2
-abelian = true
-
-omega = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-metric = [[1 + 0.001*(x1^6 - 15*x1^4*x2^2 + 15*x1^2*x2^4 - x2^6), 0, 0, 0],
-          [0, 1 + 0.001*(x1^6 - 15*x1^4*x2^2 + 15*x1^2*x2^4 - x2^6), 0, 0],
-          [0, 0, 1 + 0.001*(x1^6 - 15*x1^4*x2^2 + 15*x1^2*x2^4 - x2^6), 0],
-          [0, 0, 0, 1 + 0.001*(x1^6 - 15*x1^4*x2^2 + 15*x1^2*x2^4 - x2^6)]]
-acs = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-
-flow = [x1*cos(t1) + x2*sin(t1), x2*cos(t1) - x1*sin(t1),
-        x3*cos(t1) + x4*sin(t1), x4*cos(t1) - x3*sin(t1)]
-mu = [0.5*(x1^2 + x2^2 + x3^2 + x4^2)]
-beta = [0.5]
-
-section = [1/sqrt(1 + w1^2 + w2^2), 0,
-           w1/sqrt(1 + w1^2 + w2^2), w2/sqrt(1 + w1^2 + w2^2)]
-
-sample.count = 20
-sample.seed = 7
-sample.radius = 2
-"""
+_SIXFOLD = "1 + 0.001*(x1^6 - 15*x1^4*x2^2 + 15*x1^2*x2^4 - x2^6)"
+SIXFOLD_METRIC_HOPF_TEXT = hopf_variant(
+    "sixfold_metric_hopf", "hopf with a metric that changes along each circle by a sixfold harmonic",
+    {HOPF_METRIC_LINE: f"metric = [[{_SIXFOLD}, 0, 0, 0],\n          [0, {_SIXFOLD}, 0, 0],\n"
+                       f"          [0, 0, {_SIXFOLD}, 0],\n          [0, 0, 0, {_SIXFOLD}]]"})
