@@ -34,8 +34,6 @@ of stacked arrays, and every pullback D^T F D is ``geometry._pullback``.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .errors import NonFiniteError, Record
@@ -53,7 +51,7 @@ from .geometry import (
     _row_norms,
     _stack,
 )
-from .structures import DEFAULT_TOLERANCES, StructureCheckResult, _row, _sampled
+from .structures import DEFAULT_TOLERANCES, StructureCheckResult, _row
 
 __all__ = [
     "GroupAction",
@@ -212,7 +210,7 @@ def momentum_jacobian(mu: MomentumMap, X) -> np.ndarray:
 
 
 def check_action_axioms(table: PushforwardTable,
-                        tol: float = DEFAULT_TOLERANCES["action.axioms"]) -> StructureCheckResult:
+                        tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
     """Identity axiom flow(0, p) = p and additivity flow(s, flow(t, p)) =
     flow(s + t, p) over the table's parameters and points.
 
@@ -231,10 +229,10 @@ def check_action_axioms(table: PushforwardTable,
     one_step = _flow(action, _pairs(np.repeat(X, P * P, axis=0), sums))
     residuals = np.hstack([identity[:, np.newaxis],
                            _row_norms(two_step - one_step).reshape(N, P * P)])
-    return _row("action axioms", _row_max_abs(residuals), X, tol)
+    return _row("action axioms", _row_max_abs(residuals), X, tolerances)
 
 
-def _invariance_check(name, residual, field_, table: PushforwardTable, tol):
+def _invariance_check(name, residual, field_, table: PushforwardTable, tolerances):
     """Shared body of the invariance checks: per point of ``table``, the
     largest entry of residual(D, F(p), F(Phi_a(p))) over all of its
     parameters a, stacked parameter outer, F being the field ``field_``,
@@ -243,7 +241,7 @@ def _invariance_check(name, residual, field_, table: PushforwardTable, tol):
     there = eval_field(field_, moved.reshape(-1, moved.shape[2]))
     here = eval_field(field_, table.points)
     diff = residual(D, here, there.reshape(moved.shape[:2] + there.shape[1:]))
-    return _row(name, _row_max_abs(diff.swapaxes(0, 1)), table.points, tol)
+    return _row(name, _row_max_abs(diff.swapaxes(0, 1)), table.points, tolerances)
 
 
 def _pullback_residual(D, here, moved) -> np.ndarray:
@@ -269,34 +267,32 @@ def _hamiltonian_residual(Om, V, jmu) -> np.ndarray:
 
 
 def check_isometry(g: TensorField, table: PushforwardTable,
-                   tol: float = DEFAULT_TOLERANCES["action.isometry"]) -> StructureCheckResult:
-    return _invariance_check("isometry", _pullback_residual, g, table, tol)
+                   tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
+    return _invariance_check("isometry", _pullback_residual, g, table, tolerances)
 
 
 def check_symplectomorphism(w: TensorField, table: PushforwardTable,
-                            tol: float = DEFAULT_TOLERANCES["action.symplectomorphism"]
-                            ) -> StructureCheckResult:
-    return _invariance_check("symplectomorphism", _pullback_residual, w, table, tol)
+                            tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
+    return _invariance_check("symplectomorphism", _pullback_residual, w, table, tolerances)
 
 
 def momentum_residual(action: GroupAction, mu: MomentumMap, w: TensorField, points,
-                      tol: float = DEFAULT_TOLERANCES["action.momentum"]) -> StructureCheckResult:
+                      tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
     """Hamiltonian condition omega(xi_M, .) = d mu_xi for every basis element.
 
     With the row convention u^T Omega v for omega(u, v) the identity in
     components is Omega^T xi_M = grad mu, checked in the Euclidean norm.
     """
-    return _sampled("hamiltonian condition", _hamiltonian_residual,
-                    [partial(eval_field, w), partial(generator, action),
-                     partial(momentum_jacobian, mu)], points, tol)
+    X = as_points(points)
+    return _row("hamiltonian condition", _hamiltonian_residual(
+        eval_field(w, X), generator(action, X), momentum_jacobian(mu, X)), X, tolerances)
 
 
 def check_momentum_invariance(mu: MomentumMap, table: PushforwardTable,
-                              tol: float = DEFAULT_TOLERANCES["action.mu-invariance"]
-                              ) -> StructureCheckResult:
+                              tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
     """Invariance mu o Phi_a = mu; this is equivariance for abelian groups.
     The table's points and moved points are read, not its Jacobians."""
-    return _invariance_check("momentum invariance", _mu_residual, mu.field, table, tol)
+    return _invariance_check("momentum invariance", _mu_residual, mu.field, table, tolerances)
 
 
 def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorField:
@@ -330,11 +326,10 @@ def average_metric(g0: TensorField, action: GroupAction, quadrature) -> TensorFi
 
 
 def check_field_invariance(field_: TensorField, table: PushforwardTable,
-                           tol: float = DEFAULT_TOLERANCES["action.acs-invariance"]
-                           ) -> StructureCheckResult:
+                           tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
     """Invariance of an endomorphism field: D F(p) = F(Phi_a(p)) D."""
     return _invariance_check("endomorphism invariance", _endomorphism_residual, field_, table,
-                             tol)
+                             tolerances)
 
 
 def uniform_torus_quadrature(k: int, n: int = 16) -> tuple:

@@ -124,11 +124,11 @@ def resolve_scenario(name_or_path: str) -> ReductionScenario:
 def _suite_structures(scen, tol, points):
     triple = CompatibleTriple(scen.omega, scen.metric, scen.acs)
     return VerificationReport("structures", [
-        check_metric(scen.metric, points, tol["structures.metric"]),
-        check_symplectic_pointwise(scen.omega, points, tol["structures.symplectic"]),
-        check_closed(scen.omega, points, tol["structures.closed"]),
-        check_acs(scen.acs, points, tol["structures.acs"]),
-        check_compatibility(triple, points, tol["structures.compatibility"]),
+        check_metric(scen.metric, points, tol),
+        check_symplectic_pointwise(scen.omega, points, tol),
+        check_closed(scen.omega, points, tol),
+        check_acs(scen.acs, points, tol),
+        check_compatibility(triple, points, tol),
     ])
 
 
@@ -137,27 +137,22 @@ def _suite_action(scen, tol, points, params):
     # and the four invariance checks, every parameter a block of one stack
     table = pushforward_table(scen.action, params, points)
     return VerificationReport("action", [
-        check_action_axioms(table, tol["action.axioms"]),
-        check_isometry(scen.metric, table, tol["action.isometry"]),
-        check_symplectomorphism(scen.omega, table, tol["action.symplectomorphism"]),
-        momentum_residual(scen.action, scen.mu, scen.omega, points, tol["action.momentum"]),
-        check_momentum_invariance(scen.mu, table, tol["action.mu-invariance"]),
-        check_field_invariance(scen.acs, table, tol["action.acs-invariance"]),
+        check_action_axioms(table, tol),
+        check_isometry(scen.metric, table, tol),
+        check_symplectomorphism(scen.omega, table, tol),
+        momentum_residual(scen.action, scen.mu, scen.omega, points, tol),
+        check_momentum_invariance(scen.mu, table, tol),
+        check_field_invariance(scen.acs, table, tol),
     ])
 
 
 def _suite_reduction(tol, frames):
     return VerificationReport("reduction", children=[
-        verify_submersion(frames, tol["reduction.submersion"],
-                          tol["reduction.vertical-invariance"]),
-        verify_reduction_identity(frames, tol["reduction.identity"], tol["reduction.degeneracy"]),
-    ])
+        verify_submersion(frames, tol), verify_reduction_identity(frames, tol)])
 
 
 def _suite_main_theorem(tol, frames):
-    return VerificationReport("main-theorem", children=[
-        verify_main_theorem(frames, tol["main-theorem.residuals"], tol["main-theorem.hypothesis"]),
-    ])
+    return VerificationReport("main-theorem", children=[verify_main_theorem(frames, tol)])
 
 
 def _reference_maps():
@@ -186,11 +181,11 @@ def _suite_holomorphy(tol, X):
         cr = cauchy_riemann_residual(cm, X)
         row, residuals = ((f"holomorphy of {name}", acm) if holomorphic else
                           (f"{name} defect equals 2*sqrt(2)", np.abs(acm - 2.0 * np.sqrt(2.0))))
-        checks.append(_row(row, residuals, X, tol["holomorphy.residual"]))
+        checks.append(_row(row, residuals, X, tol))
         equivalence_flags.append(
             np.where((acm <= HOLOMORPHIC_LEVEL) == (cr <= HOLOMORPHIC_LEVEL), 0.0, 1.0))
     checks.append(_row("cauchy-riemann/holomorphy equivalence", np.concatenate(equivalence_flags),
-                       np.tile(X, (len(equivalence_flags), 1))))
+                       np.tile(X, (len(equivalence_flags), 1)), tol))
     return VerificationReport("holomorphy", checks)
 
 

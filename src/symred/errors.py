@@ -7,11 +7,11 @@ from types import MappingProxyType
 _set = object.__setattr__
 
 
-def _mappings_as(kind, value):
-    """``value`` with each mapping in it, itself included, a ``kind`` (dict
-    or MappingProxyType) of its entries."""
+def _as_dicts(value):
+    """``value`` with each mapping in it, itself included, a dict of its
+    entries."""
     if isinstance(value, (dict, MappingProxyType)):
-        return kind({k: _mappings_as(kind, v) for k, v in value.items()})
+        return {k: _as_dicts(v) for k, v in value.items()}
     return value
 
 
@@ -64,7 +64,7 @@ class Record:
         # copy and pickle rebuild a record through its constructor, as
         # restoring its slots one by one would assign them; a mapping goes
         # as a dict, since a read-only one does not pickle
-        return type(self), tuple(_mappings_as(dict, v) for v in self._values())
+        return type(self), tuple(_as_dicts(v) for v in self._values())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))

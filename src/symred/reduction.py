@@ -76,7 +76,6 @@ from .geometry import (
     as_row_map,
     eval_field,
     kernel_basis,
-    max_abs,
     _derivative,
     _first,
     _g_norms,
@@ -92,7 +91,7 @@ from .geometry import (
 )
 from .report import VerificationReport
 from .structures import (DEFAULT_TOLERANCES, _acs_residual, _compatibility_residual, _row,
-                         checked_tolerances)
+                         _tolerance, checked_tolerances)
 
 __all__ = [
     "SampleSpec",
@@ -384,16 +383,13 @@ def reduced_structures(scen: ReductionScenario, X) -> ReducedStructures:
     return ReducedStructures(h_beta=h, omega_beta=w, j_beta=j_red)
 
 
-def verify_submersion(frames: _FrameTable,
-                      tol: float = DEFAULT_TOLERANCES["reduction.submersion"],
-                      vertical_tol: float = DEFAULT_TOLERANCES["reduction.vertical-invariance"]
-                      ) -> VerificationReport:
+def verify_submersion(frames: _FrameTable, tolerances=DEFAULT_TOLERANCES) -> VerificationReport:
     """Riemannian-submersion checks at the points of the ``lift_frames``
-    table ``frames``: fiber independence of the reduced metric (``tol``)
-    and invariance of the vertical distribution (``vertical_tol``) over its
-    fibre parameters.  A table of no fibre parameters would pass both
-    vacuously, so it raises ValueError.  The flow pushforwards are those the
-    moved frames were built with, and the residuals one stack."""
+    table ``frames``: fiber independence of the reduced metric and
+    invariance of the vertical distribution over its fibre parameters.  A
+    table of no fibre parameters would pass both vacuously, so it raises
+    ValueError.  The flow pushforwards are those the moved frames were
+    built with, and the residuals one stack."""
     X, P, base, moved = frames.points, len(frames.fiber_params), frames.base, frames.moved
     if not P:
         raise ValueError("lift frame table has no fibre parameters to check")
@@ -412,16 +408,14 @@ def verify_submersion(frames: _FrameTable,
     fiber_res = _row_max_abs(fiber.swapaxes(0, 1))
     vert_res = _row_max_abs(_g_norms(leak, G).swapaxes(0, 1))
     return VerificationReport("submersion", [
-        _row("fiber independence", fiber_res, X, tol,
+        _row("fiber independence", fiber_res, X, tolerances,
              extras={"fiber_params": frames.fiber_params.tolist()}),
-        _row("vertical invariance", vert_res, X, vertical_tol),
+        _row("vertical invariance", vert_res, X, tolerances),
     ])
 
 
 def verify_reduction_identity(frames: _FrameTable,
-                              tol: float = DEFAULT_TOLERANCES["reduction.identity"],
-                              degeneracy_tol: float = DEFAULT_TOLERANCES["reduction.degeneracy"]
-                              ) -> VerificationReport:
+                              tolerances=DEFAULT_TOLERANCES) -> VerificationReport:
     """Pullback identity of the reduced symplectic form and the degeneracy of
     the vertical directions inside the restricted form, at the points of the
     ``lift_frames`` table ``frames``.
@@ -439,15 +433,12 @@ def verify_reduction_identity(frames: _FrameTable,
     degeneracy = f.vertical.swapaxes(1, 2) @ f.Om @ K
     id_res, deg_res = _row_norms(E.reshape(len(X), -1)), _row_max_abs(degeneracy)
     return VerificationReport("reduction identity", [
-        _row("pullback identity", id_res, X, tol),
-        _row("vertical degeneracy", deg_res, X, degeneracy_tol),
+        _row("pullback identity", id_res, X, tolerances),
+        _row("vertical degeneracy", deg_res, X, tolerances),
     ])
 
 
-def verify_main_theorem(frames: _FrameTable,
-                        tol: float = DEFAULT_TOLERANCES["main-theorem.residuals"],
-                        hypothesis_tol: float = DEFAULT_TOLERANCES["main-theorem.hypothesis"]
-                        ) -> VerificationReport:
+def verify_main_theorem(frames: _FrameTable, tolerances=DEFAULT_TOLERANCES) -> VerificationReport:
     """Equivalence between reduced compatibility and the almost-complex-mapping
     property of the projection.
 
@@ -459,7 +450,7 @@ def verify_main_theorem(frames: _FrameTable,
     the largest vertical and level-normal parts of J applied to a lift,
     relative to its g-norm, ``vertical_leak`` and ``normal_leak``.  The
     equivalence verdict requires the first two to land on the same side of
-    the tolerance at every sample; ambient compatibility is checked
+    their rows' tolerances at every sample; ambient compatibility is checked
     alongside because the equivalence is only asserted under that
     hypothesis.  The points are those of the ``lift_frames`` table
     ``frames``.
@@ -472,16 +463,18 @@ def verify_main_theorem(frames: _FrameTable,
     compat_res = _compatibility_residual(w_red, h_red, j_red)
     acs_res = _acs_residual(j_red)
     hyp_res = _compatibility_residual(f.Om, f.metric, f.J)
-    hypothesis_violated = not (hyp_res <= hypothesis_tol).all()
-    iff_res = np.where((acm_res <= tol) == (compat_res <= tol), 0.0, 1.0)
-    branch = "positive" if max_abs(acm_res) <= tol and max_abs(compat_res) <= tol else "negative"
+    acm_ok = acm_res <= _tolerance("almost complex mapping defect", tolerances)
+    compat_ok = compat_res <= _tolerance("reduced compatibility", tolerances)
+    hyp_ok = hyp_res <= _tolerance("ambient compatibility hypothesis", tolerances)
+    iff_res = np.where(acm_ok == compat_ok, 0.0, 1.0)
+    branch = "positive" if acm_ok.all() and compat_ok.all() else "negative"
     return VerificationReport("main theorem", [
-        _row("almost complex mapping defect", acm_res, X, tol),
-        _row("reduced compatibility", compat_res, X, tol),
-        _row("reduced acs identity", acs_res, X, tol),
-        _row("ambient compatibility hypothesis", hyp_res, X, hypothesis_tol),
-        _row("main theorem iff", iff_res, X,
-             extras={"branch": branch, "hypothesis_violated": hypothesis_violated}),
+        _row("almost complex mapping defect", acm_res, X, tolerances),
+        _row("reduced compatibility", compat_res, X, tolerances),
+        _row("reduced acs identity", acs_res, X, tolerances),
+        _row("ambient compatibility hypothesis", hyp_res, X, tolerances),
+        _row("main theorem iff", iff_res, X, tolerances,
+             extras={"branch": branch, "hypothesis_violated": not hyp_ok.all()}),
     ], meta={
         # the per-point residuals as columns, entry i for point i of ``points``
         "samples": {

@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import Record, _mappings_as
+from .errors import Record
 from .structures import StructureCheckResult
 
 __all__ = ["VerificationReport", "check_to_dict"]
@@ -31,6 +31,7 @@ __all__ = ["VerificationReport", "check_to_dict"]
 _STR = json.encoder.encode_basestring_ascii  # json's own C function
 _FLOAT_REPR = float.__repr__  # how json writes a finite float
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+_SCALARS = {float, int, str, bool, type(None)}
 
 
 def _dumped(value, pad: str) -> str:
@@ -67,12 +68,12 @@ def _floats_text(values: list, pad: str) -> str | None:
     return None
 
 
-def _rows_text(rows: list, pad: str) -> str | None:
-    """The JSON array of a list of non-empty lists of floats, or None unless
+def _rows_text(rows, pad: str) -> str | None:
+    """The JSON array of non-empty lists or tuples of floats, or None unless
     every row is one and every entry a finite float: one type check and one
     finiteness check over the whole block, then each row as
     ``_floats_text`` writes it."""
-    if {*map(type, rows)} != {list} or not all(rows):
+    if not {*map(type, rows)} <= {list, tuple} or not all(rows):
         return None
     entries = [*chain.from_iterable(rows)]
     if {*map(type, entries)} != {float} or not math.isfinite(sum(entries)):
@@ -121,6 +122,17 @@ def _text(value, pad: str) -> str:
     return _dumped(value, pad)
 
 
+def _frozen(value):
+    """``value`` with each mapping in it, itself included, a read-only
+    mapping of its entries and each list or tuple a tuple; a sequence of
+    scalars, such as a point, is one type check and one copy."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(value) if {*map(type, value)} <= _SCALARS else tuple(map(_frozen, value))
+    return value
+
+
 def _check_fields(check: StructureCheckResult) -> dict:
     """The JSON layout of one check, before ``_text`` writes it."""
     return {
@@ -142,12 +154,13 @@ def check_to_dict(check: StructureCheckResult) -> dict:
 class VerificationReport(Record):
     """Tree of named checks; overall pass means every node passes.  A
     record built once, from finished rows: ``checks`` and ``children`` are
-    stored as tuples, ``meta`` and each dict in it as read-only mappings."""
+    stored as tuples, ``meta`` and each dict in it as read-only mappings,
+    and each list in it as a tuple."""
 
     __slots__ = ("name", "checks", "children", "meta")
 
     def __init__(self, name: str, checks=(), children=(), meta: dict | None = None):
-        meta = _mappings_as(MappingProxyType, meta or {})
+        meta = _frozen(meta or {})
         super().__init__(name, tuple(checks), tuple(children), meta)
 
     @property

@@ -1,9 +1,9 @@
 """Pointwise validation of metrics, symplectic forms and almost complex
 structures, the constructive compatible triple, and ``DEFAULT_TOLERANCES``,
-the one place a default tolerance is written: every tolerance parameter of
-the package and every verification run start from it.  ``CHECKS`` is the
-one place a report row's identity and tolerance key are written, and every
-row is built through it (``_row``).
+the one place a default tolerance is written: every check's ``tolerances``
+and every verification run start from it.  ``CHECKS`` is the one place a
+report row's identity and tolerance key are written: every row is built
+through it (``_row``) and judged by its key in ``tolerances`` (``_tolerance``).
 
 Conventions.  Bilinear forms act on component vectors as ``u^T M v`` and an
 almost complex structure acts as a plain matrix, so compatibility
@@ -11,14 +11,13 @@ almost complex structure acts as a plain matrix, so compatibility
 Matrix-identity residuals are reported as the largest absolute entry; the
 operator property ``J^2 = -I`` is reported in the Frobenius norm.  Each
 identity's residual is one private ``_*_residual`` function of stacked
-arrays: a check applies it to the batches ``_sampled`` evaluates, and
+arrays: a check applies it to its field batches at the sample points, and
 ``reduction``'s main theorem applies two of them to the lift frames.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -79,7 +78,7 @@ DEFAULT_TOLERANCES = MappingProxyType({
 
 # every row a run can emit, in the order a run of every suite emits them:
 # the row's identity and the DEFAULT_TOLERANCES key that judges it, or None
-# for a 0/1 indicator row, which ``_row`` judges at 0.5
+# for a 0/1 indicator row, which ``_tolerance`` judges at 0.5
 CHECKS = MappingProxyType({
     "metric field": ("g symmetric positive definite", "structures.metric"),
     "symplectic field": ("omega antisymmetric nondegenerate", "structures.symplectic"),
@@ -221,20 +220,20 @@ def standard_acs(dim: int) -> TensorField:
     return TensorField.constant(standard_acs_matrix(dim), name="standard J")
 
 
-def _row(name, residuals, points, tol=None, extras=None) -> StructureCheckResult:
+def _tolerance(name: str, tolerances) -> float:
+    """The tolerance that judges the report row ``name``: its ``CHECKS`` key
+    looked up in ``tolerances`` (a missing key raises KeyError), or 0.5 for
+    an indicator row."""
+    key = CHECKS[name][1]
+    return 0.5 if key is None else tolerances[key]
+
+
+def _row(name, residuals, points, tolerances, extras=None) -> StructureCheckResult:
     """The report row ``name`` of ``CHECKS``, with its identity: per-point
-    ``residuals`` at ``points`` judged against ``tol``, or against 0.5 for
-    an indicator row (``from_samples``)."""
-    identity, key = CHECKS[name]
+    ``residuals`` at ``points`` judged against ``_tolerance(name,
+    tolerances)`` (``from_samples``)."""
     return StructureCheckResult.from_samples(
-        name, residuals, points, 0.5 if key is None else tol, identity, extras)
-
-
-def _sampled(name, kernel, fields, points, tol) -> StructureCheckResult:
-    """One sampled check: ``kernel`` of the batches ``f(X)`` of ``fields`` at
-    the (N, n) array X of ``points``, called in order; a failing batch raises."""
-    X = as_points(points)
-    return _row(name, kernel(*(f(X) for f in fields)), X, tol)
+        name, residuals, points, _tolerance(name, tolerances), CHECKS[name][0], extras)
 
 
 def _metric_residual(G: np.ndarray, tol: float) -> np.ndarray:
@@ -270,51 +269,48 @@ def _compatibility_residual(Om: np.ndarray, G: np.ndarray, J: np.ndarray) -> np.
     return _row_max_abs(Om @ J - G)
 
 
-def check_metric(g: TensorField, points,
-                 tol: float = DEFAULT_TOLERANCES["structures.metric"]) -> StructureCheckResult:
+def check_metric(g: TensorField, points, tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
     """Symmetry plus positive definiteness of a metric field at sample points."""
-    return _sampled("metric field", lambda G: _metric_residual(G, tol),
-                    [partial(eval_field, g)], points, tol)
+    X, tol = as_points(points), _tolerance("metric field", tolerances)
+    return _row("metric field", _metric_residual(eval_field(g, X), tol), X, tolerances)
 
 
-def check_symplectic_pointwise(
-        w: TensorField, points,
-        tol: float = DEFAULT_TOLERANCES["structures.symplectic"]) -> StructureCheckResult:
+def check_symplectic_pointwise(w: TensorField, points,
+                               tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
     """Antisymmetry and nondegeneracy of a 2-form field at sample points.
 
     Nondegeneracy is scale-free: the ratio of the smallest to the largest
-    singular value must exceed ``tol``, so rescaling the form by a constant
-    does not change the verdict.  An all-zero form has ratio 0 and fails.
+    singular value must exceed the row's tolerance, so scaling the form by a
+    constant does not change the verdict.  An all-zero form has ratio 0 and fails.
     """
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"symplectic field must be square, got {w.shape}")
     _interleaved_planes(w.shape[0], "symplectic form")
-    return _sampled("symplectic field", lambda Om: _symplectic_residual(Om, tol),
-                    [partial(eval_field, w)], points, tol)
+    X, tol = as_points(points), _tolerance("symplectic field", tolerances)
+    return _row("symplectic field", _symplectic_residual(eval_field(w, X), tol), X, tolerances)
 
 
-def check_closed(w: TensorField, points,
-                 tol: float = DEFAULT_TOLERANCES["structures.closed"]) -> StructureCheckResult:
+def check_closed(w: TensorField, points, tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
     """Closedness of the 2-form: cyclic sum of coefficient partials over all
     index triples, every partial from one derivative batch of omega along
     each coordinate (exact for a compiled field)."""
-    return _sampled("closedness of omega", _closed_residual,
-                    [lambda X: fd_directional(w, X, np.eye(w.shape[0]))], points, tol)
+    X = as_points(points)
+    return _row("closedness of omega",
+                _closed_residual(fd_directional(w, X, np.eye(w.shape[0]))), X, tolerances)
 
 
-def check_acs(J: TensorField, points,
-              tol: float = DEFAULT_TOLERANCES["structures.acs"]) -> StructureCheckResult:
+def check_acs(J: TensorField, points, tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
     """Frobenius norm of J(p)^2 + I at sample points."""
-    return _sampled("almost complex structure", _acs_residual, [partial(eval_field, J)],
-                    points, tol)
+    X = as_points(points)
+    return _row("almost complex structure", _acs_residual(eval_field(J, X)), X, tolerances)
 
 
-def check_compatibility(
-        t: CompatibleTriple, points,
-        tol: float = DEFAULT_TOLERANCES["structures.compatibility"]) -> StructureCheckResult:
+def check_compatibility(t: CompatibleTriple, points,
+                        tolerances=DEFAULT_TOLERANCES) -> StructureCheckResult:
     """Max-abs residual of the compatibility identity Omega @ J == G."""
-    return _sampled("compatibility", _compatibility_residual,
-                    [partial(eval_field, f) for f in (t.omega, t.metric, t.acs)], points, tol)
+    X = as_points(points)
+    return _row("compatibility", _compatibility_residual(
+        *(eval_field(f, X) for f in (t.omega, t.metric, t.acs))), X, tolerances)
 
 
 def _compatible(w: TensorField, g0: TensorField, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

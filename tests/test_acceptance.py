@@ -182,7 +182,8 @@ def test_criterion_08_invariant_metric_averaging():
     points = sample_box(2, 8, radius=1.5, seed=15)
     worst = max(np.max(np.abs(eval_field(averaged, one(p))[0] - 2.5 * np.eye(2))) for p in points)
     params = [np.array([a]) for a in (0.7, np.pi / 2.0, 4.0)]
-    iso = check_isometry(averaged, pushforward_table(rotation, params, points), tol=1e-6)
+    iso = check_isometry(averaged, pushforward_table(rotation, params, points),
+                         {"action.isometry": 1e-6})
     _line(8, f"64-point average of diag(1,4) = 2.5 I ({worst:.2e}) and isometric "
              f"({iso.max_residual:.2e})",
           worst < 1e-6 and iso.passed)

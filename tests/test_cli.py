@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import symred
-from symred import cli, scenarios, structures
+from symred import actions, cli, reduction, scenarios, structures
 from symred.actions import (
     GroupAction,
     apply_flow,
@@ -40,6 +40,7 @@ from symred.report import VerificationReport, check_to_dict
 from symred.scenarios import (builtin, builtin_names, builtin_text, load_scenario_file,
                               parse_scenario)
 from symred.structures import (
+    CompatibleTriple,
     check_acs,
     check_closed,
     check_compatibility,
@@ -61,7 +62,7 @@ def test_run_hopf_all_suites_passes(hopf_report):
     assert report.passed
     suites = [child.name for child in report.children]
     assert suites == ["structures", "action", "reduction", "main-theorem", "holomorphy"]
-    assert report.meta["suites"] == suites
+    assert report.meta["suites"] == tuple(suites)
 
 
 def test_default_run_checks_the_scenario_and_leaves_out_the_battery(hopf_report, capsys):
@@ -72,7 +73,7 @@ def test_default_run_checks_the_scenario_and_leaves_out_the_battery(hopf_report,
     suites = ["structures", "action", "reduction", "main-theorem"]
     assert list(cli.DEFAULT_SUITES) == suites
     assert (code, [child.name for child in report.children], report.meta["suites"]) == (
-        0, suites, suites)
+        0, suites, tuple(suites))
     every = hopf_report[0].to_dict()
     every["children"] = every["children"][:-1]
     every["meta"]["suites"] = suites
@@ -134,7 +135,7 @@ def test_a_main_theorem_run_builds_the_frames_of_a_default_run(monkeypatch):
             alone, _ = run(RunConfig(name, suites=("main-theorem",), seed=seed))
             default, _ = run(RunConfig(name, seed=seed))
             assert len(built) == 2 and built[0] == built[1], (name, seed)
-            assert built[0][1] == default.meta["group_params"][:2]
+            assert built[0][1] == [list(a) for a in default.meta["group_params"][:2]]
             built.clear()
             assert [ch.name for ch in alone.children] == ["main-theorem"]
             assert alone.children[0].to_json() == default.children[3].to_json(), (name, seed)
@@ -320,54 +321,82 @@ def test_every_tolerance_reaches_a_check(tmp_path, capsys):
     assert "unknown tolerance 'reduction.tangency'" in capsys.readouterr().err
 
 
-# the library function and parameter whose default tolerance judges each
-# row of the table of checks that has a tolerance key, but for the
-# holomorphy battery, which no library function judges
-_CHECK_PARAMETERS = {
-    "metric field": (check_metric, "tol"),
-    "symplectic field": (check_symplectic_pointwise, "tol"),
-    "closedness of omega": (check_closed, "tol"),
-    "almost complex structure": (check_acs, "tol"),
-    "compatibility": (check_compatibility, "tol"),
-    "action axioms": (check_action_axioms, "tol"),
-    "isometry": (check_isometry, "tol"),
-    "symplectomorphism": (check_symplectomorphism, "tol"),
-    "hamiltonian condition": (momentum_residual, "tol"),
-    "momentum invariance": (check_momentum_invariance, "tol"),
-    "endomorphism invariance": (check_field_invariance, "tol"),
-    "fiber independence": (verify_submersion, "tol"),
-    "vertical invariance": (verify_submersion, "vertical_tol"),
-    "pullback identity": (verify_reduction_identity, "tol"),
-    "vertical degeneracy": (verify_reduction_identity, "degeneracy_tol"),
-    "almost complex mapping defect": (verify_main_theorem, "tol"),
-    "reduced compatibility": (verify_main_theorem, "tol"),
-    "reduced acs identity": (verify_main_theorem, "tol"),
-    "ambient compatibility hypothesis": (verify_main_theorem, "hypothesis_tol"),
-}
+def _check_calls(scen, report):
+    """Every public check function of the library, each with a call of it
+    on ``scen`` at the points and group parameters of ``report``, given a
+    tolerance mapping or none; a check over group moves reads a table of
+    its own."""
+    meta = report.meta
+    points, qpoints = np.array(meta["ambient_points"]), np.array(meta["quotient_points"])
+    params = [np.array(a) for a in meta["group_params"]]
+    triple = CompatibleTriple(scen.omega, scen.metric, scen.acs)
+
+    def moves():
+        return pushforward_table(scen.action, params, points)
+
+    return [
+        (check_metric, lambda *tol: check_metric(scen.metric, points, *tol)),
+        (check_symplectic_pointwise,
+         lambda *tol: check_symplectic_pointwise(scen.omega, points, *tol)),
+        (check_closed, lambda *tol: check_closed(scen.omega, points, *tol)),
+        (check_acs, lambda *tol: check_acs(scen.acs, points, *tol)),
+        (check_compatibility, lambda *tol: check_compatibility(triple, points, *tol)),
+        (check_action_axioms, lambda *tol: check_action_axioms(moves(), *tol)),
+        (check_isometry, lambda *tol: check_isometry(scen.metric, moves(), *tol)),
+        (check_symplectomorphism, lambda *tol: check_symplectomorphism(scen.omega, moves(), *tol)),
+        (momentum_residual,
+         lambda *tol: momentum_residual(scen.action, scen.mu, scen.omega, points, *tol)),
+        (check_momentum_invariance,
+         lambda *tol: check_momentum_invariance(scen.mu, moves(), *tol)),
+        (check_field_invariance, lambda *tol: check_field_invariance(scen.acs, moves(), *tol)),
+        (verify_submersion,
+         lambda *tol: verify_submersion(lift_frames(scen, qpoints, params[:2]), *tol)),
+        (verify_reduction_identity,
+         lambda *tol: verify_reduction_identity(lift_frames(scen, qpoints), *tol)),
+        (verify_main_theorem, lambda *tol: verify_main_theorem(lift_frames(scen, qpoints), *tol)),
+    ]
 
 
-def test_every_judged_row_of_the_table_has_a_library_parameter():
-    assert list(_CHECK_PARAMETERS) == [
-        name for name, (_, key) in structures.CHECKS.items()
-        if key is not None and not key.startswith("holomorphy.")]
+def _rows(result):
+    """The rows of a check function's result, a row or a report."""
+    return [c for _, c in result.all_checks()] if isinstance(result, VerificationReport) \
+        else [result]
 
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_a_run_judges_each_check_by_its_library_default(name):
     report, _ = run(RunConfig(name, samples=3, seed=1))
+    ran = {check.name: check.tolerance for _, check in report.all_checks()}
+    calls = _check_calls(builtin(name), report)
+    # every public function of the library that takes a tolerance is one of
+    # the calls, and each takes one mapping, whose default is the table itself
+    public = [getattr(module, attr) for module in (structures, actions, reduction)
+              for attr in module.__all__]
+    takes_tolerance = {fn for fn in public if inspect.isfunction(fn)
+                       and any("tol" in p for p in inspect.signature(fn).parameters)}
+    assert takes_tolerance == {fn for fn, _ in calls} and len(calls) == 14
     judged = set()
-    for _, check in report.all_checks():
-        if check.name not in _CHECK_PARAMETERS:  # the iff row, judged at 0.5
-            assert structures.CHECKS[check.name][1] is None and check.tolerance == 0.5
-            continue
-        fn, param = _CHECK_PARAMETERS[check.name]
-        default = inspect.signature(fn).parameters[param].default
-        assert check.tolerance == default, check.name
-        judged.add((fn.__name__, param))
-    # every tolerance parameter of the library, each judging some check
-    params = {(fn.__name__, p) for fn, _ in _CHECK_PARAMETERS.values()
-              for p in inspect.signature(fn).parameters if p.endswith("tol")}
-    assert judged == params and len(params) == 17
+    for fn, call in calls:
+        params = [p for p in inspect.signature(fn).parameters.values() if "tol" in p.name]
+        assert [p.name for p in params] == ["tolerances"], fn.__name__
+        assert params[0].default is DEFAULT_TOLERANCES, fn.__name__
+        rows = _rows(call())
+        for c in rows:  # the run judges each row as the library default does
+            assert c.tolerance == ran[c.name], c.name
+        judged.update(c.name for c in rows)
+        # a mapping of the check's own keys alone judges its rows, a distinct
+        # value per key, so each row's tolerance names its key
+        keys = sorted({structures.CHECKS[c.name][1] for c in rows} - {None})
+        own = {key: DEFAULT_TOLERANCES[key] * (2 + i) for i, key in enumerate(keys)}
+        for c in _rows(call(own)):
+            key = structures.CHECKS[c.name][1]
+            assert c.tolerance == (0.5 if key is None else own[key]), c.name
+        for key in keys:  # and a missing key is refused by name
+            with pytest.raises(KeyError) as raised:
+                call({k: v for k, v in own.items() if k != key})
+            assert raised.value.args == (key,), fn.__name__
+    # the library's functions judge every row of the run
+    assert judged == set(ran)
 
 
 @pytest.mark.parametrize("value, reported", [("1e-3", 0.001), (1, 1.0)])
@@ -613,7 +642,7 @@ def test_suites_named_by_a_one_shot_iterable_all_run():
     # made no check and passed with exit 0
     want = run(RunConfig("hopf", suites=("structures", "action"), samples=3))[0]
     got, code = run(RunConfig("hopf", suites=(s for s in ("structures", "action")), samples=3))
-    assert code == 0 and got.meta["suites"] == ["structures", "action"]
+    assert code == 0 and got.meta["suites"] == ("structures", "action")
     assert [c.name for _, c in got.all_checks()] == [c.name for _, c in want.all_checks()] != []
 
 
@@ -663,7 +692,7 @@ def test_a_run_draws_everything_from_one_stream_in_a_fixed_order(monkeypatch, tm
     path.write_text(builtin_text("hopf") + "\nsample.points = [[0.1, 0.2], [0.3, -0.4]]\n")
     report, code, draws = _recorded_draws(monkeypatch, RunConfig(str(path)))
     assert code == 0 and [call for call, _ in draws] == [("sample_box", 4, 20), order[1]]
-    assert report.meta["quotient_points"] == [[0.1, 0.2], [0.3, -0.4]]
+    assert report.meta["quotient_points"] == ((0.1, 0.2), (0.3, -0.4))
 
 
 def test_group_parameters_are_not_the_next_seeds_ambient_coordinates():
@@ -706,7 +735,7 @@ def test_explicit_sample_points_reach_report(tmp_path):
     path.write_text(text)
     report, code = run(RunConfig(str(path), suites=("reduction",)))
     assert code == 0
-    assert report.meta["quotient_points"] == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    assert report.meta["quotient_points"] == ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
 def test_json_is_strict_for_nonfinite_residuals(tmp_path, capsys, monkeypatch):
@@ -771,8 +800,8 @@ def _standalone_reports(name, report):
     scen = builtin(name)
     meta = report.meta
 
-    def tol(key):
-        return scen.tolerances.get(key, DEFAULT_TOLERANCES[key])
+    # the tolerances a run of the scenario reads, with no --tol
+    tol = {**DEFAULT_TOLERANCES, **scen.tolerances}
 
     points = np.array(meta["ambient_points"])
     qpoints = np.array(meta["quotient_points"])
@@ -782,18 +811,16 @@ def _standalone_reports(name, report):
         return pushforward_table(scen.action, params, points)
 
     action = [
-        check_action_axioms(moves(), tol("action.axioms")),
-        check_isometry(scen.metric, moves(), tol("action.isometry")),
-        check_symplectomorphism(scen.omega, moves(), tol("action.symplectomorphism")),
-        check_momentum_invariance(scen.mu, moves(), tol("action.mu-invariance")),
-        check_field_invariance(scen.acs, moves(), tol("action.acs-invariance")),
+        check_action_axioms(moves(), tol),
+        check_isometry(scen.metric, moves(), tol),
+        check_symplectomorphism(scen.omega, moves(), tol),
+        check_momentum_invariance(scen.mu, moves(), tol),
+        check_field_invariance(scen.acs, moves(), tol),
     ]
     pipelines = [
-        verify_submersion(lift_frames(scen, qpoints, params[:2]), tol("reduction.submersion")),
-        verify_reduction_identity(lift_frames(scen, qpoints), tol("reduction.identity"),
-                                  tol("reduction.degeneracy")),
-        verify_main_theorem(lift_frames(scen, qpoints), tol("main-theorem.residuals"),
-                            tol("main-theorem.hypothesis")),
+        verify_submersion(lift_frames(scen, qpoints, params[:2]), tol),
+        verify_reduction_identity(lift_frames(scen, qpoints), tol),
+        verify_main_theorem(lift_frames(scen, qpoints), tol),
     ]
     return action, pipelines
 
@@ -953,7 +980,7 @@ def test_builtin_verdicts_at_seed_4(name):
     assert (code, failing) == _VERDICTS_SEED_4[name]
     # the fibre parameters are the first two group parameters of the run
     assert report.find("fiber independence").extras["fiber_params"] \
-        == report.meta["group_params"][:2]
+        == [list(a) for a in report.meta["group_params"][:2]]
 
 
 def test_hopf_80_samples_seed_0_passes():

@@ -24,7 +24,8 @@ from symred.exprlang import BinOp, Call, Coord, Neg, Num, Pow, Program, parse_ex
 from symred.reduction import (ReducedStructures, SampleSpec, SplitTangentSpace, _FrameTable,
                               _LiftFrames, lift_frames, split_tangent)
 from symred.report import VerificationReport
-from symred.scenarios import ScenarioFile, builtin
+from symred.scenarios import (ScenarioFile, builtin, builtin_text, compile_scenario,
+                              parse_scenario)
 from symred.structures import CompatibleTriple, StructureCheckResult
 from util import replaced
 
@@ -225,14 +226,19 @@ def test_the_meta_of_a_report_and_the_dicts_in_it_are_read_only():
     given = {"samples": {"compat_residual": [0.0]}}
     report = VerificationReport("main theorem", meta=given)
     given["samples"]["compat_residual"] = [1.0]
-    assert report.meta == {"samples": {"compat_residual": [0.0]}}
+    # each list in it is stored as a tuple
+    assert report.meta == {"samples": {"compat_residual": (0.0,)}}
     report, _ = run(RunConfig("hopf", samples=3, seed=1))
     text = report.to_json()
     with pytest.raises(TypeError):
         report.meta["scenario"] = "edited"
+    with pytest.raises(TypeError):
+        report.meta["ambient_points"][0][0] = 99.0
     main_theorem = report.children[-1].children[0]
     with pytest.raises(TypeError):
         main_theorem.meta["samples"]["compat_residual"] = []
+    with pytest.raises(TypeError):
+        main_theorem.meta["samples"]["compat_residual"][0] = 99.0
     assert report.to_json() == text
 
 
@@ -248,6 +254,22 @@ def test_the_tolerances_of_a_scenario_are_checked_and_read_only():
     assert scen.tolerances == {"structures.metric": 1e-9}
     with pytest.raises(TypeError):
         scen.tolerances["structures.metric"] = -1.0
+
+
+def test_the_tolerances_of_a_parsed_scenario_file_are_read_only():
+    sf = parse_scenario(builtin_text("hopf") + "\ntol.reduction.identity = 1e-4\n")
+    # an entry set past the reader's check of each tol. key would reach
+    # compile_scenario, and be refused there by a bare ValueError
+    with pytest.raises(TypeError):
+        sf.tolerances["no.such"] = -1.0
+    assert sf.tolerances == {"reduction.identity": 1e-4}
+    # a read-only mapping does not pickle, and Record.__reduce__ passes it to
+    # the constructor as a dict; a compiled program is a closure, which does
+    # not pickle either, so the pickled twin is of the file without them
+    bare = replaced(sf, programs={})
+    for twin in (copy.copy(sf), copy.deepcopy(sf), pickle.loads(pickle.dumps(bare))):
+        assert type(twin) is ScenarioFile and twin.tolerances == sf.tolerances
+    assert compile_scenario(copy.copy(sf)).tolerances == sf.tolerances
 
 
 def test_a_pickled_run_config_is_rebuilt_through_its_checks():

@@ -123,6 +123,6 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_refused(tolerance):
         StructureCheckResult.from_samples("c", [0.0], np.zeros((1, 2)), tolerance)
     indefinite = TensorField.constant(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError, match="must be positive and finite"):
-        check_metric(indefinite, np.zeros((1, 2)), tol=tolerance)
+        check_metric(indefinite, np.zeros((1, 2)), {"structures.metric": tolerance})
     with pytest.raises(ValueError, match=r"^tolerance 'structures.metric' must be positive "):
         check_tolerance("structures.metric", tolerance)

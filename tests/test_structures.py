@@ -45,7 +45,7 @@ def test_a_bool_is_no_tolerance(flag):
     with pytest.raises(ValueError, match=r"^tolerance of check 'c' must be a number"):
         StructureCheckResult("c", 0.0, flag, None)
     with pytest.raises(ValueError, match="must be a number"):
-        check_metric(TensorField.constant(np.eye(4)), POINTS, tol=flag)
+        check_metric(TensorField.constant(np.eye(4)), POINTS, {"structures.metric": flag})
 
 
 def test_an_asymmetric_metric_fails_the_metric_check_by_its_asymmetry(tmp_path):
