@@ -5,6 +5,19 @@ from types import MappingProxyType
 
 # sets a field of a record in its constructor, past the refusing __setattr__
 _set = object.__setattr__
+_SCALARS = {float, int, str, bool, type(None)}
+_MUTABLE = (dict, MappingProxyType, list)  # the field values a record stores _frozen
+
+
+def _frozen(value):
+    """``value`` with each mapping in it, itself included, a read-only
+    mapping of its entries and each list or tuple a tuple; a sequence of
+    scalars, such as a point, is one type check and one copy."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(value) if {*map(type, value)} <= _SCALARS else tuple(map(_frozen, value))
+    return value
 
 
 def _as_dicts(value):
@@ -20,10 +33,11 @@ class Record:
     ``__slots__`` of its class and of its record bases, bases first
     (``_fields``).  The constructor takes them in that order, positionally
     or by keyword, and sets each once with ``_set``; a field missing,
-    unknown or given twice raises TypeError naming the class.  A record
-    whose fields are checked, converted or defaulted stores them through
-    it.  Assigning or deleting an attribute afterwards raises
-    AttributeError.  Records compare by identity; see ``ValueRecord``."""
+    unknown or given twice raises TypeError naming the class, and a dict,
+    read-only mapping or list is stored ``_frozen``.  A record whose
+    fields are checked, converted or defaulted stores them through it.
+    Assigning or deleting an attribute afterwards raises AttributeError.
+    Records compare by identity; see ``ValueRecord``."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -48,7 +62,7 @@ class Record:
                                 + ", ".join(repr(name) for name in fields if name not in values))
             args = [values[name] for name in fields]
         for name, value in zip(fields, args):
-            _set(self, name, value)
+            _set(self, name, _frozen(value) if isinstance(value, _MUTABLE) else value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -750,7 +750,7 @@ def compile_exprs(exprs: Sequence[Expr], names: Iterable[str],
                     f"{context}: unknown function(s) {sorted(unknown_fns)}; "
                     f"available functions are {sorted(FUNCTIONS)}"
                 )
-    return Program(width, template, code, tuple(outputs))
+    return Program(width, tuple(template), tuple(code), tuple(outputs))
 
 
 def eval_expr(e: Expr, env: dict, context: str = "expression") -> float:

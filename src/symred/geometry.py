@@ -487,9 +487,11 @@ def _row_norms(V: np.ndarray) -> np.ndarray:
 
 def sample_stream(seed) -> random.Random:
     """``seed`` if it is a ``random.Random``, else a new one of the seed: a
-    non-negative integer (TypeError for another type, ValueError if < 0)."""
+    non-negative integer (TypeError for a bool or another type, ValueError if < 0)."""
     if isinstance(seed, random.Random):
         return seed
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")

@@ -31,7 +31,6 @@ __all__ = ["VerificationReport", "check_to_dict"]
 _STR = json.encoder.encode_basestring_ascii  # json's own C function
 _FLOAT_REPR = float.__repr__  # how json writes a finite float
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-_SCALARS = {float, int, str, bool, type(None)}
 
 
 def _dumped(value, pad: str) -> str:
@@ -122,17 +121,6 @@ def _text(value, pad: str) -> str:
     return _dumped(value, pad)
 
 
-def _frozen(value):
-    """``value`` with each mapping in it, itself included, a read-only
-    mapping of its entries and each list or tuple a tuple; a sequence of
-    scalars, such as a point, is one type check and one copy."""
-    if isinstance(value, (dict, MappingProxyType)):
-        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
-    if isinstance(value, (list, tuple)):
-        return tuple(value) if {*map(type, value)} <= _SCALARS else tuple(map(_frozen, value))
-    return value
-
-
 def _check_fields(check: StructureCheckResult) -> dict:
     """The JSON layout of one check, before ``_text`` writes it."""
     return {
@@ -154,14 +142,12 @@ def check_to_dict(check: StructureCheckResult) -> dict:
 class VerificationReport(Record):
     """Tree of named checks; overall pass means every node passes.  A
     record built once, from finished rows: ``checks`` and ``children`` are
-    stored as tuples, ``meta`` and each dict in it as read-only mappings,
-    and each list in it as a tuple."""
+    stored as tuples."""
 
     __slots__ = ("name", "checks", "children", "meta")
 
     def __init__(self, name: str, checks=(), children=(), meta: dict | None = None):
-        meta = _frozen(meta or {})
-        super().__init__(name, tuple(checks), tuple(children), meta)
+        super().__init__(name, tuple(checks), tuple(children), meta or {})
 
     @property
     def passed(self) -> bool:

@@ -12,7 +12,6 @@ same code path as user files.  A ``tol.<name>`` key overrides the tolerance
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
 
 import numpy as np
 
@@ -52,9 +51,7 @@ _TOL_PREFIX = "tol."
 
 class ScenarioFile(Record):
     """Parsed and statically validated scenario description: each map's
-    expressions, and its program (``programs``, by key).  ``parse_scenario``
-    stores its checked ``tol.`` entries read-only: an entry set later would
-    skip the check."""
+    expressions, and its program (``programs``, by key)."""
 
     __slots__ = ("name", "dim", "group_dim", "omega", "metric", "acs", "flow", "mu", "beta",
                  "section", "tolerances", "sample_spec", "programs")
@@ -268,7 +265,7 @@ def parse_scenario(text: str) -> ScenarioFile:
 
     return ScenarioFile(
         name=name, dim=dim, group_dim=group_dim, omega=omega, metric=metric, acs=acs,
-        flow=flow, mu=mu, beta=beta, section=section, tolerances=MappingProxyType(tolerances),
+        flow=flow, mu=mu, beta=beta, section=section, tolerances=tolerances,
         sample_spec=sample_spec, programs=programs,
     )
 

@@ -123,10 +123,10 @@ def check_tolerance(name: str, value: float) -> float:
     return _positive_finite(f"tolerance {name!r}", value)
 
 
-def checked_tolerances(tolerances: dict | None) -> MappingProxyType:
-    """A read-only copy of ``tolerances`` (None for none), each entry by
-    ``check_tolerance``: an entry set later would skip the check."""
-    return MappingProxyType({k: check_tolerance(k, v) for k, v in (tolerances or {}).items()})
+def checked_tolerances(tolerances: dict | None) -> dict:
+    """A copy of ``tolerances`` (None for none), each entry by
+    ``check_tolerance``; the record that stores it stores it read-only."""
+    return {k: check_tolerance(k, v) for k, v in (tolerances or {}).items()}
 
 
 def _positive_finite(what: str, value: float) -> float:

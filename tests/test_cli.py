@@ -980,7 +980,7 @@ def test_builtin_verdicts_at_seed_4(name):
     assert (code, failing) == _VERDICTS_SEED_4[name]
     # the fibre parameters are the first two group parameters of the run
     assert report.find("fiber independence").extras["fiber_params"] \
-        == [list(a) for a in report.meta["group_params"][:2]]
+        == report.meta["group_params"][:2]
 
 
 def test_hopf_80_samples_seed_0_passes():

@@ -300,7 +300,7 @@ def test_compile_exprs_emits_one_instruction_per_distinct_varying_subtree():
                              ("x1*sqrt(4) + x1*sqrt(4)", "-(2^3) - x2", "x1*sqrt(4)")],
                             ("x1", "x2"))
     # slots 0 and 1 are x1 and x2; then constants, and None per instruction
-    assert program.template == [4.0, 2.0, None, None, 8.0, -8.0, None]
+    assert program.template == (4.0, 2.0, None, None, 8.0, -8.0, None)
     assert [(args, out) for _, _, args, out in program.code] == [((0, 3), 4), ((4, 4), 5),
                                                                ((7, 1), 8)]
     assert program.outputs == (5, 8, 4) and program.folded == (None, None, None)

@@ -236,12 +236,13 @@ def test_sample_box_bits_at_seed_0():
 
 @pytest.mark.parametrize("sample", [sample_box, sample_ball])
 def test_a_seed_is_a_non_negative_integer(sample):
-    # numpy integers are integers; any other type raises TypeError and a
-    # negative integer ValueError
+    # numpy integers are integers; any other type, a bool included (as
+    # RunConfig refuses one), raises TypeError and a negative integer
+    # ValueError
     assert sample(3, 4, 1.0, np.int64(3)).tobytes() == sample(3, 4, 1.0, 3).tobytes()
     with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
         sample(3, 4, 1.0, -3)
-    for seed in (1.5, "3", None):
+    for seed in (1.5, "3", None, True):
         with pytest.raises(TypeError):
             sample(3, 4, 1.0, seed)
     assert sample_stream(5) is not sample_stream(5)

@@ -224,7 +224,7 @@ def test_a_sixfold_harmonic_of_the_metric_fails_fibre_independence(tmp_path, see
     report, code, failing = _run_text(tmp_path, SIXFOLD_METRIC_HOPF_TEXT, ("reduction",), seed)
     assert code == 1 and failing == {"fiber independence"}
     check = report.find("fiber independence")
-    assert check.extras["fiber_params"] == [list(a) for a in report.meta["group_params"][:2]]
+    assert check.extras["fiber_params"] == report.meta["group_params"][:2]
     assert check.max_residual > 3 * check.tolerance
 
 
